@@ -1,10 +1,13 @@
 """Performance model of the MR-MPI batch SOM (Fig. 6).
 
-Per epoch: broadcast the codebook, map over vector blocks (uniform compute
-— BMU search flops dominate and every 40-vector block costs the same), then
-two MPI_Reduce calls over the accumulators.  The paper chose input sizes
-that are multiples of the core counts ("81,920 random vectors (the multiple
-of our core counts)"), so blocks divide evenly and the map phase is
+Per epoch (accumulate → reduce → smooth, as ``repro.core.mrsom`` runs it):
+map over vector blocks (uniform compute — a block costs 2·rows·K·dim for
+the BMU distance matmul plus the class-sum scatter, and every 40-vector
+block costs the same), one allreduce of the class sums and counts (reduce,
+then broadcast of the totals), 2·K·K·dim of neighbourhood smoothing split
+over the cores, and one all-gather of the new codebook.  The paper chose
+input sizes that are multiples of the core counts ("81,920 random vectors
+(the multiple of our core counts)"), so blocks divide evenly and the map is
 balance-perfect; the model distributes blocks round-robin over all cores
 accordingly (the master's bookkeeping is negligible next to a 51-MFLOP
 block and the paper notes master/worker "is not as critical" here).
@@ -34,9 +37,14 @@ class SomScalingModel:
     map_cols: int = 50
     block_rows: int = 40
     epochs: int = 100
-    #: flops per (vector, unit, dimension): subtract+square+accumulate ≈ 3,
-    #: plus the update pass amortised
+    #: calibrated flops of one epoch per (vector, unit, dimension): the BMU
+    #: distance matmul (2), argmin and class-sum scatter, and the epoch's
+    #: smoothing amortised over the vectors (2K/N).  The Fig. 6 anchor fixes
+    #: the total; how it splits between map and smoothing does not move it.
     flops_per_element: float = 3.5
+    #: False leaves the once-per-epoch smoothing on one core (the Amdahl
+    #: ablation: why the driver splits it into rank-owned strips)
+    split_smoothing: bool = True
     #: relative jitter of per-block times (cache effects etc.)
     jitter: float = 0.01
     seed: int = 0
@@ -60,12 +68,19 @@ class SomScalingModel:
         # platform single-precision floats, as the paper's dense matrix
         return self.map_units * self.dim * 4 / 1e9
 
+    @property
+    def smooth_flops(self) -> float:
+        """Neighbourhood applied once per epoch to the reduced class sums."""
+        return 2.0 * self.map_units * self.map_units * self.dim
+
     def block_seconds(self, cluster: ClusterSpec, block: int) -> float:
         rows = min(self.block_rows, self.n_vectors - block * self.block_rows)
-        flops = rows * self.map_units * self.dim * self.flops_per_element
-        base = flops / (cluster.core_gflops * 1e9)
+        speed = cluster.core_gflops * 1e9
+        base = rows * self.map_units * self.dim * self.flops_per_element / speed
         rng = derive_rng(self.seed, "somblock", block)
-        return base * (1.0 + self.jitter * float(rng.standard_normal()))
+        # the (jittered) calibrated total less this block's share of the smoothing
+        share = self.smooth_flops * rows / self.n_vectors / speed
+        return base * (1.0 + self.jitter * float(rng.standard_normal())) - share
 
 
 @dataclass
@@ -95,14 +110,16 @@ def simulate_som_run(cluster: ClusterSpec, model: SomScalingModel) -> SomSimResu
     for block in range(model.n_blocks):
         per_core_seconds[block % cluster.cores] += model.block_seconds(cluster, block)
     map_epoch = max(per_core_seconds)
-    compute_epoch = sum(per_core_seconds)
-    # bcast(codebook) + 2 reduces (numerator matrix + denominator vector,
-    # reduced together they move ~2x the codebook payload).
+    smooth_total = model.smooth_flops / (cluster.core_gflops * 1e9)
+    compute_epoch = sum(per_core_seconds) + smooth_total
+    smooth_epoch = smooth_total / cluster.cores if model.split_smoothing else smooth_total
+    # all-gather(codebook strips) + allreduce(class sums and counts: the
+    # reduce and the bcast of the totals pipeline, moving 2x the payload).
     comm_epoch = _pipelined_collective(cluster, model.codebook_gb) + _pipelined_collective(
         cluster, 2.0 * model.codebook_gb
     )
     dispatch_epoch = cluster.dispatch_latency * model.n_blocks / cluster.cores
-    makespan = model.epochs * (map_epoch + comm_epoch + dispatch_epoch)
+    makespan = model.epochs * (map_epoch + smooth_epoch + comm_epoch + dispatch_epoch)
     return SomSimResult(
         cluster=cluster,
         model=model,

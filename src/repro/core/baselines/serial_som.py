@@ -12,9 +12,9 @@ import numpy as np
 
 from repro.core.mrsom.driver import MrSomConfig
 from repro.core.mrsom.mmap_input import MatrixFile
-from repro.som.batch import accumulate_batch, batch_update
+from repro.som.batch import accumulate_classes, batch_update, smooth_classes
 from repro.som.codebook import init_codebook
-from repro.som.neighborhood import gaussian_kernel, radius_schedule
+from repro.som.neighborhood import radius_schedule
 
 __all__ = ["run_serial_batch_som"]
 
@@ -29,12 +29,13 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
     if initial is None:
         initial = max(grid.diagonal / 2.0, config.final_radius)
     sigmas = radius_schedule(initial, config.final_radius, config.epochs)
-    sq = grid.grid_sq_distances()
+    k = grid.n_units
     for sigma in sigmas:
-        kernel = gaussian_kernel(sq, float(sigma))
-        num, denom = None, None
+        sums, counts = np.zeros((k, matrix.dim)), np.zeros(k)
+        codebook_sq = (codebook**2).sum(axis=1)
         # Walk the same work units the parallel driver would, in order.
         for start, stop in matrix.work_units(config.block_rows):
-            num, denom = accumulate_batch(matrix.rows(start, stop), codebook, kernel, num, denom)
+            accumulate_classes(matrix.rows(start, stop), codebook, sums, counts, codebook_sq)
+        num, denom = smooth_classes(grid, float(sigma), sums, counts, 0, k)  # one strip
         codebook = batch_update(codebook, num, denom)
     return codebook

@@ -1,15 +1,21 @@
 """The MR-MPI batch SOM driver: the control flow of the paper's Fig. 2.
 
-Per epoch:
+The master broadcasts the initial codebook with ``MPI_Bcast``; then, per
+epoch (accumulate → reduce → smooth):
 
-1. the master broadcasts the codebook with ``MPI_Bcast``;
-2. ``map()`` over blocks of input vectors (offset pairs into the
-   memory-mapped matrix) accumulates Eq. 5's numerator and denominator into
-   two rank-local arrays ("each worker has its own copy of a new codebook,
-   initialized to zero at the start of an epoch, plus a matrix of floating
-   point scalars with the same shape");
-3. a collective ``MPI_Reduce`` sums the partial accumulators on the master,
-   which applies Eq. 5.  "No reduce() stage is used in this program."
+1. ``map()`` over blocks of input vectors (offset pairs into the
+   memory-mapped matrix) finds each vector's BMU and adds the block into two
+   rank-local arrays, the class sums S and counts n ("each worker has its
+   own copy of a new codebook, initialized to zero at the start of an epoch,
+   plus a matrix of floating point scalars with the same shape");
+2. a collective ``MPI_Reduce`` sums the partial accumulators on the master,
+   which hands the totals back to every rank.  "No reduce() stage is used
+   in this program."
+3. every rank applies the neighbourhood and Eq. 5 to its own contiguous
+   strip of output units, and the strips are all-gathered into the next
+   epoch's codebook.  Eq. 5 is linear in S, so smoothing once after the
+   reduction equals smoothing every block before it at 1/blocks of the
+   flops; the strips keep that step from becoming the serial term.
 
 This is the paper's "mix of MapReduce-MPI and direct MPI calls".
 
@@ -39,9 +45,10 @@ from repro.mrmpi.mapreduce import MapReduce, MapStyle
 from repro.mrmpi.schema import RecordSchema
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceSession
-from repro.som.batch import accumulate_batch, batch_update
+from repro.som.batch import accumulate_classes, batch_update, smooth_classes
+from repro.som.bmu import best_matching_units
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import gaussian_kernel, radius_schedule
+from repro.som.neighborhood import radius_schedule
 
 __all__ = ["MrSomConfig", "MrSomResult", "run_mrsom", "mrsom_spmd", "mrsom_supervised"]
 
@@ -76,7 +83,7 @@ class MrSomConfig:
     #: stop after this many (additional) epochs — incremental training and
     #: the test hook for resume
     stop_after_epochs: int | None = None
-    #: how the per-rank Eq. 5 accumulators are combined each epoch.
+    #: how the per-rank class-sum accumulators are combined each epoch.
     #: ``"mpi"`` is the paper's direct ``MPI_Reduce`` ("No reduce() stage is
     #: used in this program").  ``"mrmpi"`` routes the accumulators through
     #: the columnar MR-MPI data plane instead — each rank emits its (unit,
@@ -183,8 +190,10 @@ class MrSomResult:
     busy_seconds: float
     bcast_seconds: float
     reduce_seconds: float
+    #: this rank's strip smoothing + Eq. 5 + wait in the all-gather
+    smooth_seconds: float = 0.0
     #: per-epoch quantisation error (rank 0 only, when track_error is set)
-    error_history: list[float] = None
+    error_history: list[float] | None = None
     #: robustness counters (PR 3): epoch this attempt resumed at, plus the
     #: supervision counters filled in by :func:`mrsom_supervised`
     resumed_from_epoch: int = 0
@@ -203,64 +212,60 @@ class MrSomResult:
 
 @dataclass
 class _BlockAccumulator:
-    """The map() callable: accumulates Eq. 5 sums over assigned blocks.
+    """The map() callable: accumulates class sums over assigned blocks.
 
     Under scheduled dispatch (speculation / degraded mode) the master may
     discard a unit after the mapper already ran it — a speculative loser,
     or a unit redone after a worker death.  Accumulating straight into the
     rank totals would then double-count, so the scheduler's unit hooks
-    stage each unit in its own buffers: ``begin_unit`` allocates them,
-    ``commit_unit`` folds them into the totals once the master accepts the
-    unit, ``discard_unit`` drops them.  Without hooks (plain dispatch) the
-    mapper accumulates directly into the totals, as before.
+    stage each unit: between ``begin_unit`` and ``commit_unit`` the mapper
+    only keeps the unit's whole contribution, ``(bmus, block)``;
+    ``commit_unit`` folds it into the totals once the master accepts the
+    unit, ``discard_unit`` drops it.  Without hooks (plain dispatch) the
+    mapper accumulates directly into the totals.
     """
 
     matrix: MatrixFile
     codebook: np.ndarray = None
-    kernel: np.ndarray = None
-    num: np.ndarray = None
-    denom: np.ndarray = None
+    codebook_sq: np.ndarray = None
+    sums: np.ndarray = None
+    counts: np.ndarray = None
     units: int = 0
     busy: float = 0.0
-    _unit_num: np.ndarray = None
-    _unit_denom: np.ndarray = None
+    #: None = plain dispatch; () = inside a scheduled unit, mapper not yet run
+    _staged: tuple | None = None
 
-    def start_epoch(self, codebook: np.ndarray, kernel: np.ndarray) -> None:
+    def start_epoch(self, codebook: np.ndarray) -> None:
         self.codebook = codebook
-        self.kernel = kernel
+        self.codebook_sq = (codebook**2).sum(axis=1)
         k, dim = codebook.shape
-        self.num = np.zeros((k, dim))
-        self.denom = np.zeros(k)
-        self._unit_num = None
-        self._unit_denom = None
+        self.sums = np.zeros((k, dim))
+        self.counts = np.zeros(k)
+        self._staged = None
 
     def begin_unit(self, itask: int) -> None:
-        k, dim = self.codebook.shape
-        self._unit_num = np.zeros((k, dim))
-        self._unit_denom = np.zeros(k)
+        self._staged = ()
 
     def commit_unit(self, itask: int) -> None:
-        if self._unit_num is not None:
-            self.num += self._unit_num
-            self.denom += self._unit_denom
+        if self._staged:
+            bmus, block = self._staged
+            accumulate_classes(block, self.codebook, self.sums, self.counts, bmus=bmus)
             self.units += 1
-        self._unit_num = None
-        self._unit_denom = None
+        self._staged = None
 
     def discard_unit(self, itask: int) -> None:
-        self._unit_num = None
-        self._unit_denom = None
+        self._staged = None
 
     def __call__(self, itask: int, item: tuple[int, int], kv) -> None:
         t0 = time.perf_counter()
         start, stop = item
         block = self.matrix.rows(start, stop)
-        if self._unit_num is not None:
-            accumulate_batch(
-                block, self.codebook, self.kernel, self._unit_num, self._unit_denom
-            )
+        if self._staged is not None:
+            bmus = best_matching_units(block, self.codebook, codebook_sq=self.codebook_sq)
+            self._staged = (bmus, block)
         else:
-            accumulate_batch(block, self.codebook, self.kernel, self.num, self.denom)
+            accumulate_classes(block, self.codebook, self.sums, self.counts,
+                               codebook_sq=self.codebook_sq)
             self.units += 1
         self.busy += time.perf_counter() - t0
 
@@ -302,7 +307,7 @@ def _mrmpi_reduce(
     unit-index key column plus one structured {rank, num, denom} row array),
     collate spreads the units across ranks, reduce sums each unit's rank
     contributions in binomial order, and gather(1) concentrates the summed
-    rows on rank 0 — the rank that applies Eq. 5.
+    rows on rank 0, where the direct ``MPI_Reduce`` leaves them too.
     """
     k, dim = num.shape
     rows = np.empty(k, dtype=red_mr.schema.value_dtype)
@@ -365,12 +370,19 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         # Always emitted, so a resumed run's trace carries the marker the
         # fault-path tests look for (0 on fresh runs).
         trc.instant("mrsom.resume", cat="driver", resumed_from_epoch=start_epoch)
+        trc.begin("mrsom.bcast", cat="driver")
+    t0 = time.perf_counter()
+    comm.Bcast(codebook, root=0)  # direct MPI call #1 (Fig. 2)
+    bcast_seconds = time.perf_counter() - t0
+    if trc.enabled:
+        # The attr is the very float kept as bcast_seconds, so the
+        # trace-derived total matches the counter bit-for-bit.
+        trc.end(seconds=bcast_seconds)
 
     initial = config.initial_radius
     if initial is None:
         initial = max(grid.diagonal / 2.0, config.final_radius)
     sigmas = radius_schedule(initial, config.final_radius, config.epochs)
-    sq = grid.grid_sq_distances()
     work = matrix.work_units(config.block_rows)
 
     speculation = None
@@ -394,8 +406,8 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             **red_kwargs,
         )
     acc = _BlockAccumulator(matrix)
-    bcast_seconds = 0.0
     reduce_seconds = 0.0
+    smooth_seconds = 0.0
     error_history: list[float] = []
     sample = None
     if config.track_error and comm.rank == 0:
@@ -409,43 +421,42 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 and epochs_done_this_run >= config.stop_after_epochs
             ):
                 break
-            sigma = sigmas[epoch]
             epoch_sid = None
             if trc.enabled:
                 epoch_sid = trc.begin("mrsom.epoch", cat="driver", epoch=epoch)
-                trc.begin("mrsom.bcast", cat="driver")
-            t0 = time.perf_counter()
-            # mr.comm is `comm` until a degraded map shrinks it; collectives
-            # must run on the surviving group (the dead rank can't Bcast).
-            mr.comm.Bcast(codebook, root=0)  # direct MPI call #1 (Fig. 2)
-            dt = time.perf_counter() - t0
-            bcast_seconds += dt
-            if trc.enabled:
-                # The attr is the very float added to bcast_seconds, so the
-                # trace-derived total matches the counter bit-for-bit.
-                trc.end(seconds=dt)
 
-            kernel = gaussian_kernel(sq, float(sigma))
-            acc.start_epoch(codebook, kernel)
+            acc.start_epoch(codebook)
             mr.map_items(work, acc, speculation=speculation, degraded=config.degraded)
 
+            # mr.comm is `comm` until a degraded map shrinks it; collectives
+            # must run on the surviving group (the dead rank can't Reduce).
+            group = mr.comm
             if trc.enabled:
                 trc.begin("mrsom.reduce", cat="driver", mode=config.reduce_mode)
             t0 = time.perf_counter()
             if red_mr is not None:
-                num_total, denom_total = _mrmpi_reduce(red_mr, acc.num, acc.denom)
-            else:
-                num_total = np.zeros_like(acc.num)
-                denom_total = np.zeros_like(acc.denom)
-                mr.comm.Reduce(acc.num, num_total, op=SUM, root=0)  # direct MPI call #2
-                mr.comm.Reduce(acc.denom, denom_total, op=SUM, root=0)
+                totals = _mrmpi_reduce(red_mr, acc.sums, acc.counts)
+            else:  # direct MPI call #2 (Fig. 2): totals on the master
+                totals = (group.reduce(acc.sums, op=SUM, root=0),
+                          group.reduce(acc.counts, op=SUM, root=0))
+            # ... which hands them to every rank: each smooths its own strip.
+            sums, counts = group.bcast(totals, root=0)
             dt = time.perf_counter() - t0
             reduce_seconds += dt
             if trc.enabled:
                 trc.end(seconds=dt)
+                trc.begin("mrsom.smooth", cat="driver")
+            t0 = time.perf_counter()
+            lo, hi = group.rank * k // group.size, (group.rank + 1) * k // group.size
+            num, denom = smooth_classes(grid, float(sigmas[epoch]), sums, counts, lo, hi)
+            strip = batch_update(codebook[lo:hi], num, denom)
+            codebook = np.concatenate(group.allgather(strip))
+            dt = time.perf_counter() - t0
+            smooth_seconds += dt
+            if trc.enabled:
+                trc.end(seconds=dt)
 
             if comm.rank == 0:
-                codebook = batch_update(codebook, num_total, denom_total)
                 if sample is not None:
                     from repro.som.quality import quantization_error
 
@@ -458,9 +469,6 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             epochs_done_this_run += 1
             if trc.enabled:
                 trc.end(epoch_sid)
-
-        # Final broadcast so every rank returns the trained codebook.
-        mr.comm.Bcast(codebook, root=0)
     finally:
         shuffle = {"pairs_moved": 0, "bytes_moved": 0}
         if red_mr is not None:
@@ -475,6 +483,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         busy_seconds=acc.busy,
         bcast_seconds=bcast_seconds,
         reduce_seconds=reduce_seconds,
+        smooth_seconds=smooth_seconds,
         error_history=error_history if comm.rank == 0 and config.track_error else None,
         resumed_from_epoch=start_epoch,
         shuffle_pairs_moved=shuffle["pairs_moved"],

@@ -13,16 +13,21 @@ neurons so the map becomes a topology-preserving projection.
   Batch training is *independent of input order*, which is what makes the
   MapReduce parallelisation exact rather than approximate.
 
-The per-epoch numerator/denominator accumulation is exposed as a standalone
-kernel (:func:`~repro.som.batch.accumulate_batch`) so the parallel
-implementation in :mod:`repro.core.mrsom` executes literally the same code
-per input block — the parallel == serial parity tests rest on that.
+An epoch is accumulate → reduce → smooth, exposed as two standalone kernels:
+:func:`~repro.som.batch.accumulate_classes` adds a block into the per-BMU
+class sums, :func:`~repro.som.batch.smooth_classes` applies the
+neighbourhood to the reduced sums for any strip of output units.  The
+parallel implementation in :mod:`repro.core.mrsom` executes literally the
+same code per input block and per strip — the parallel == serial parity
+tests rest on that.
 """
 
 from repro.som.codebook import SOMGrid, init_codebook
 from repro.som.neighborhood import gaussian_kernel, bubble_kernel, radius_schedule
 from repro.som.bmu import best_matching_units, pairwise_sq_distances
-from repro.som.batch import BatchSOM, accumulate_batch, batch_update
+from repro.som.batch import (
+    BatchSOM, accumulate_batch, accumulate_classes, batch_update, smooth_classes,
+)
 from repro.som.online import OnlineSOM
 from repro.som.umatrix import umatrix, component_planes
 from repro.som.quality import quantization_error, topographic_error
@@ -39,6 +44,8 @@ __all__ = [
     "pairwise_sq_distances",
     "BatchSOM",
     "accumulate_batch",
+    "accumulate_classes",
+    "smooth_classes",
     "batch_update",
     "OnlineSOM",
     "umatrix",

@@ -21,17 +21,25 @@ from repro.util.rng import as_rng
 __all__ = ["pairwise_sq_distances", "best_matching_units"]
 
 
-def pairwise_sq_distances(data: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances (clipped at 0 for FP safety)."""
+def pairwise_sq_distances(
+    data: np.ndarray, codebook: np.ndarray, codebook_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, K) squared Euclidean distances (clipped at 0 for FP safety).
+
+    ``codebook_sq`` is ``(codebook**2).sum(axis=1)`` when the caller already
+    holds it (the codebook is frozen for a whole epoch of blocks).
+    """
     data = np.asarray(data, dtype=np.float64)
     codebook = np.asarray(codebook, dtype=np.float64)
     if data.ndim != 2 or codebook.ndim != 2 or data.shape[1] != codebook.shape[1]:
         raise ValueError(
             f"shape mismatch: data {data.shape} vs codebook {codebook.shape}"
         )
+    if codebook_sq is None:
+        codebook_sq = (codebook**2).sum(axis=1)
     d2 = (
         (data**2).sum(axis=1)[:, None]
-        + (codebook**2).sum(axis=1)[None, :]
+        + codebook_sq[None, :]
         - 2.0 * (data @ codebook.T)
     )
     np.maximum(d2, 0.0, out=d2)
@@ -43,11 +51,13 @@ def best_matching_units(
     codebook: np.ndarray,
     chunk: int = 2048,
     rng: np.random.Generator | int | None = None,
+    codebook_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """BMU index for every input row.
 
     ``rng=None`` → deterministic lowest-index tie-breaking;
     otherwise ties are broken uniformly at random (paper behaviour).
+    ``codebook_sq`` as in :func:`pairwise_sq_distances`.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -57,7 +67,7 @@ def best_matching_units(
     generator = None if rng is None else as_rng(rng)
     for start in range(0, n, chunk):
         block = data[start : start + chunk]
-        d2 = pairwise_sq_distances(block, codebook)
+        d2 = pairwise_sq_distances(block, codebook, codebook_sq)
         if generator is None:
             out[start : start + block.shape[0]] = np.argmin(d2, axis=1)
         else:

@@ -22,6 +22,9 @@ from repro.util.rng import as_rng
 __all__ = ["SOMGrid", "init_codebook"]
 
 _SQRT3_2 = np.sqrt(3.0) / 2.0
+#: elements of one strip of grid-distance rows (2 MiB of float64): what
+#: :meth:`SOMGrid.grid_sq_distances` and the batch smoother work in
+STRIP_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,34 @@ class SOMGrid:
             return np.stack([y, x], axis=1).astype(np.float64)
         return np.stack([r, c], axis=1).astype(np.float64)
 
+    def sq_distances_from(self, units: np.ndarray, to: np.ndarray | None = None) -> np.ndarray:
+        """Squared grid distances ‖r_u − r_j‖² from ``units`` to the units
+        ``to`` (default: every unit, which gives the rows ``units`` of
+        :meth:`grid_sq_distances`); shape (len(units), len(to))."""
+        units = np.asarray(units, dtype=np.intp)
+        to = slice(None) if to is None else np.asarray(to, dtype=np.intp)
+        y, x = self.positions().T
+        out = self._axis_sq(y[units, None] - y[None, to], self.rows)
+        out += self._axis_sq(x[units, None] - x[None, to], self.cols)
+        return out
+
+    def _axis_sq(self, d: np.ndarray, span: int) -> np.ndarray:
+        """Square the coordinate differences ``d`` in place (wrapped on a torus)."""
+        if self.periodic:  # the shorter way round the torus
+            np.abs(d, out=d)
+            np.minimum(d, span - d, out=d)
+        d *= d
+        return d
+
     def grid_sq_distances(self) -> np.ndarray:
-        """(K, K) squared grid distances ‖r_i − r_j‖² (Eq. 4's exponent)."""
-        if self.periodic:
-            r, c = np.divmod(np.arange(self.n_units), self.cols)
-            dr = np.abs(r[:, None] - r[None, :])
-            dr = np.minimum(dr, self.rows - dr)
-            dc = np.abs(c[:, None] - c[None, :])
-            dc = np.minimum(dc, self.cols - dc)
-            return (dr.astype(np.float64) ** 2 + dc.astype(np.float64) ** 2)
-        pos = self.positions()
-        diff = pos[:, None, :] - pos[None, :, :]
-        return (diff**2).sum(axis=2)
+        """(K, K) squared grid distances ‖r_i − r_j‖² (Eq. 4's exponent),
+        filled a strip of rows at a time: no (K, K, 2) difference tensor."""
+        k = self.n_units
+        out = np.empty((k, k))
+        step = max(1, STRIP_ELEMS // k)
+        for lo in range(0, k, step):
+            out[lo : lo + step] = self.sq_distances_from(np.arange(lo, min(lo + step, k)))
+        return out
 
     def neighbors(self, k: int) -> list[int]:
         """Adjacent units of ``k``: 4 on rect grids, 6 on hex (edges fewer,

@@ -265,6 +265,20 @@ class TestSomModel:
                 assert r.makespan < prev
             prev = r.makespan
 
+    def test_serial_smoothing_is_the_amdahl_term(self):
+        """Why the driver smooths in rank-owned strips: 2·K·K·dim per epoch
+        left on one core is 6.4 s against 0.4 s of everything else at 1024
+        cores, and the paper's 96 % is gone."""
+        def eff(model):
+            base = simulate_som_run(ranger(32), model)
+            return simulate_som_run(ranger(1024), model).efficiency_vs(base)
+        assert eff(SomScalingModel()) >= 0.96
+        assert eff(SomScalingModel(split_smoothing=False)) < 0.5
+        # the split moves no work, only who does it
+        split = simulate_som_run(ranger(1024), SomScalingModel())
+        serial = simulate_som_run(ranger(1024), SomScalingModel(split_smoothing=False))
+        assert split.compute_seconds == pytest.approx(serial.compute_seconds)
+
     def test_block_rows_80_identical_timings(self):
         """Fig. 6 note: 80-vector work units produced identical timings."""
         r40 = simulate_som_run(ranger(512), SomScalingModel(block_rows=40))

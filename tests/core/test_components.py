@@ -108,6 +108,43 @@ class TestMatrixFile:
             write_matrix_file(tmp_path / "x.mat", np.zeros(5))
 
 
+class TestBlockAccumulator:
+    """mrsom's map() callable under the scheduler's unit hooks."""
+
+    def test_discarded_speculative_loser_leaves_no_trace(self, tmp_path):
+        from repro.core.mrsom.driver import _BlockAccumulator
+
+        rng = np.random.default_rng(8)
+        matrix = MatrixFile(write_matrix_file(tmp_path / "v.mat", rng.random((90, 5))))
+        codebook = rng.random((12, 5))
+        units = matrix.work_units(20)
+
+        plain = _BlockAccumulator(matrix)  # plain dispatch: no hooks, no losers
+        plain.start_epoch(codebook)
+        for i, unit in enumerate(units):
+            plain(i, unit, None)
+
+        sched = _BlockAccumulator(matrix)
+        sched.start_epoch(codebook)
+        for i, unit in enumerate(units):
+            sched.begin_unit(i)
+            sched(i, unit, None)
+            # what a unit holds while the master decides: its rows and their
+            # BMUs, not two zeroed (K, dim) buffers
+            bmus, block = sched._staged
+            assert bmus.shape == (unit[1] - unit[0],) and block.shape[1] == 5
+            sched.commit_unit(i)
+            loser = (i + 2) % len(units)  # a copy of a unit another rank won
+            sched.begin_unit(loser)
+            sched(loser, units[loser], None)
+            sched.discard_unit(loser)
+
+        assert sched.sums.tobytes() == plain.sums.tobytes()
+        assert sched.counts.tobytes() == plain.counts.tobytes()
+        assert sched.units == plain.units == len(units)
+        assert sched.counts.sum() == 90
+
+
 class TestMerge:
     def _hsp(self, qid, sid="s", e=1e-5):
         return HSP(qid, sid, 100, 50.0, e, 0, 50, 0, 50, 50, 50)

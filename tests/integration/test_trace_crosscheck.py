@@ -127,7 +127,10 @@ class TestSomCrosscheck:
                         if rec[0] == "mrsom.bcast")
             reduce = sum(rec[5]["seconds"] for rec in recs
                          if rec[0] == "mrsom.reduce")
+            smooth = sum(rec[5]["seconds"] for rec in recs
+                         if rec[0] == "mrsom.smooth")
             assert bcast == r.bcast_seconds
             assert reduce == r.reduce_seconds
+            assert smooth == r.smooth_seconds > 0.0
             epochs = [rec for rec in recs if rec[0] == "mrsom.epoch"]
             assert len(epochs) == config.epochs

@@ -96,3 +96,52 @@ class TestBackwardCompatibility:
         assert g.topology == "rect" and not g.periodic
         assert g.diagonal == pytest.approx(np.hypot(2, 3))
         assert sorted(g.neighbors(5)) == [1, 4, 6, 9]
+
+
+GRIDS = [
+    SOMGrid(5, 7),
+    SOMGrid(6, 5, topology="hex"),
+    SOMGrid(7, 4, periodic=True),  # odd and even spans
+    SOMGrid(1, 6, periodic=True),
+]
+
+
+def _literal_sq_distances(grid):
+    """The definition, one pair at a time (the (K, K, 2) formula PR 14 removed)."""
+    pos = grid.positions()
+    k = grid.n_units
+    out = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            dy, dx = np.abs(pos[i] - pos[j])
+            if grid.periodic:
+                dy, dx = min(dy, grid.rows - dy), min(dx, grid.cols - dx)
+            out[i, j] = dy**2 + dx**2
+    return out
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.topology}-{g.periodic}-{g.rows}x{g.cols}")
+class TestSqDistancesFrom:
+    def test_full_matrix_is_the_definition_exactly(self, grid):
+        np.testing.assert_array_equal(grid.grid_sq_distances(), _literal_sq_distances(grid))
+
+    def test_stacked_rows_equal_the_full_matrix(self, grid, monkeypatch):
+        full = grid.grid_sq_distances()
+        k = grid.n_units
+        for parts in (1, 3, k):
+            bounds = [i * k // parts for i in range(parts + 1)]
+            rows = [grid.sq_distances_from(np.arange(lo, hi))
+                    for lo, hi in zip(bounds, bounds[1:])]
+            np.testing.assert_array_equal(np.vstack(rows), full)
+        # ... and when the full matrix itself is filled in more than one strip
+        monkeypatch.setattr("repro.som.codebook.STRIP_ELEMS", 2 * k + 1)
+        np.testing.assert_array_equal(grid.grid_sq_distances(), full)
+
+    def test_subset_of_rows_and_columns(self, grid):
+        full = grid.grid_sq_distances()
+        rng = np.random.default_rng(grid.n_units)
+        units = rng.permutation(grid.n_units)[:5]
+        to = np.sort(rng.permutation(grid.n_units)[:4])
+        np.testing.assert_array_equal(grid.sq_distances_from(units), full[units])
+        np.testing.assert_array_equal(grid.sq_distances_from(units, to), full[np.ix_(units, to)])
+        assert grid.sq_distances_from(units, np.empty(0, dtype=int)).shape == (5, 0)
