@@ -1,8 +1,8 @@
 """Stage-2/3 extension: batched ungapped kernel and band-compressed gapped DP.
 
-Two claims from the extension overhaul, measured on the Fig. 5 workload
-(protein families: 260-aa ancestors, three copies each in the DB, queries a
-200-aa slice of each ancestor) rather than asserted:
+Claims from the extension work, measured on the Fig. 5 workload (protein
+families: 260-aa ancestors, three copies each in the DB, queries a 200-aa
+slice of each ancestor) rather than asserted:
 
 1. Replacing the per-trigger scalar :func:`ungapped_extend` loop with one
    window-escalating :func:`batch_ungapped_extend` pass per (context,
@@ -12,12 +12,21 @@ Two claims from the extension overhaul, measured on the Fig. 5 workload
    ungapped+gapped stage time, with bit-identical extents and alignments.
 2. The production ``mrblast_spmd`` end-to-end wall clock on the same
    workload, recorded as a trajectory point for later PRs.
+3. The gapped kernel does work only where the X-drop frontier is alive
+   (:func:`test_gapped_kernel_counts`): on a seeded batch of a few true
+   homologs among many chance seeds, and on the service's one-read shape,
+   the kernel's own ``dp_rows`` / ``dp_cells`` counters are asserted, not
+   timings.  Counts repeat exactly on any host, so this is what CI gates.
 
-Results land in ``BENCH_extension.json`` at the repo root, following the
-``BENCH_seeding.json`` format.
+Results land in ``BENCH_extension.json`` at the repo root; every record
+names the host, commit, backend and repeat count it was measured with.
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -25,29 +34,53 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bio import SeqRecord, random_protein
-from repro.bio.alphabet import PROTEIN
+from repro.bio import SeqRecord, mutate_dna, random_genome, random_protein
+from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast import BlastOptions, format_database
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
 from repro.blast.extend import batch_ungapped_extend, ungapped_extend
-from repro.blast.gapped import (
-    extend_gapped,
-    extend_gapped_batch,
-    reference_extend_gapped,
-)
+from repro.blast.gapped import extend_gapped, extend_gapped_batch
 from repro.blast.karlin import karlin_params
 from repro.blast.lookup import ProteinLookup, QueryBlock
-from repro.blast.matrices import BLOSUM62
+from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 from repro.blast.statistics import bit_score
 from repro.core import MrBlastConfig, mrblast_spmd
+from repro.mpi.runtime import resolve_backend
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_extension.json"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles.dense_gapped import reference_extend_gapped  # noqa: E402
+
+RESULTS_PATH = ROOT / "BENCH_extension.json"
+REPEATS = 3
 
 OPTS = BlastOptions.blastp(evalue=1e-3)
 
 
-def _best_of(fn, repeats=3):
+def _stamp(backend):
+    """Where, on what and how a record was measured."""
+    model = "unknown"
+    with open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+        capture_output=True, text=True,
+    ).stdout.strip() or "unknown"
+    return {
+        "host": {"nproc": len(os.sched_getaffinity(0)), "cpu": model,
+                 "kernel": platform.release(), "python": platform.python_version()},
+        "commit": commit,
+        "backend": backend,
+        "repeats": REPEATS,
+        "timing": "best of repeats, seconds",
+    }
+
+
+def _best_of(fn, repeats=REPEATS):
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -57,11 +90,11 @@ def _best_of(fn, repeats=3):
     return best, result
 
 
-def _record(key, payload):
+def _record(key, payload, backend="in-process kernel calls, no ranks"):
     data = {}
     if RESULTS_PATH.exists():
         data = json.loads(RESULTS_PATH.read_text())
-    data[key] = payload
+    data[key] = {**payload, "measured": _stamp(backend)}
     RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -233,6 +266,81 @@ def test_extension_stage_speedup(fig5_hits, print_table):
     assert combined >= 3.0
 
 
+def _chance_and_homolog_seeds(rng, n_chance, n_homolog, read_len=400):
+    """The blastn batch shape: every word hit gets a gapped extension, so a
+    round's batch is a few reads' true homologs among chance 11-mer hits
+    against unrelated subjects, which X-drop kills within a few dozen rows."""
+    reads = [random_genome(read_len, seed_or_rng=int(rng.integers(2**31)))
+             for _ in range(max(n_homolog, 4))]
+    subjects = [DNA.encode(random_genome(5000, seed_or_rng=int(rng.integers(2**31)))).astype("intp")
+                for _ in range(4)]
+    seeds = []
+    for t in range(n_homolog):
+        s = DNA.encode(mutate_dna(reads[t], 0.05, seed_or_rng=int(rng.integers(2**31))))
+        mid = int(rng.integers(read_len // 4, 3 * read_len // 4))
+        seeds.append((DNA.encode(reads[t]).astype("intp"), s.astype("intp"),
+                      mid, min(mid, int(s.size))))
+    queries = [DNA.encode(r).astype("intp") for r in reads]
+    for _ in range(n_chance):
+        q = queries[int(rng.integers(len(queries)))]
+        s = subjects[int(rng.integers(len(subjects)))]
+        seeds.append((q, s, int(rng.integers(6, q.size - 5)), int(rng.integers(6, s.size - 5))))
+    order = rng.permutation(len(seeds))
+    return [seeds[i] for i in order]
+
+
+def test_gapped_kernel_counts(print_table):
+    """Counts, not timings: how much of the band the kernel computes.
+
+    ``dp_rows`` and ``dp_cells`` repeat exactly for a given seed on any
+    host, so they can gate CI where a ratio of two timings cannot.
+    """
+    opts = BlastOptions.blastn()
+    width = 2 * opts.band_width + 1
+    rng = np.random.default_rng(2011)
+    nt = nucleotide_matrix(opts.reward, opts.penalty)
+    mixed = _chance_and_homolog_seeds(rng, n_chance=300, n_homolog=3)
+    one_read = _chance_and_homolog_seeds(rng, n_chance=4, n_homolog=1)
+
+    def run(seeds):
+        stats = {}
+        floors = [22] * len(seeds)  # E <= 1e-4 at 400 bp x 1 Mb
+        wall, got = _best_of(lambda: extend_gapped_batch(
+            seeds, nt, opts.gap_open, opts.gap_extend, opts.xdrop_gapped,
+            opts.band_width, min_scores=floors))
+        extend_gapped_batch(seeds, nt, opts.gap_open, opts.gap_extend,
+                            opts.xdrop_gapped, opts.band_width, stats=stats,
+                            min_scores=floors)
+        depths = [n for q, _, qs, _ in seeds for n in (qs, q.size - qs)]
+        return {
+            "seeds": len(seeds),
+            "traced": sum(g is not None and g.ops != "" for g in got),
+            "deepest_half": max(depths),
+            "full_band_cells": sum(depths) * width,
+            "dp_rows": stats["dp_rows"],
+            "dp_cells": stats["dp_cells"],
+            "peak_grid_bytes": stats["peak_grid_bytes"],
+            "wall_s": wall,
+        }
+
+    rec_mixed, rec_one = run(mixed), run(one_read)
+    print_table(
+        "Gapped kernel: band cells computed vs the full band",
+        ["batch", "seeds", "traced", "dp_rows", "dp_cells", "full band", "share", "ms"],
+        [[name, r["seeds"], r["traced"], r["dp_rows"], r["dp_cells"], r["full_band_cells"],
+          f"{r['dp_cells'] / r['full_band_cells']:.3f}", f"{r['wall_s'] * 1e3:.1f}"]
+         for name, r in (("mixed", rec_mixed), ("one read", rec_one))],
+    )
+    _record("gapped_kernel_counts", {"mixed_batch": rec_mixed, "one_read": rec_one})
+    # Chance seeds die early and leave the batch; the survivors' rows are
+    # computed on their live columns only.
+    assert rec_mixed["dp_cells"] * 3 <= rec_mixed["full_band_cells"]
+    # One read is one chunk: the lockstep loop never outruns its deepest
+    # half, however many shallow halves ride along.
+    assert rec_one["dp_rows"] <= rec_one["deepest_half"] + 1
+    assert rec_mixed["traced"] >= 3 and rec_one["traced"] >= 1
+
+
 def test_fused_engine_speedup(tmp_path, print_table):
     """Fused streaming scheduler vs the staged per-subject oracle, end to
     end through ``search_block`` on the Fig. 5 workload.
@@ -301,7 +409,7 @@ def test_end_to_end_wall_clock(tmp_path, print_table):
         return time.perf_counter() - t0, results
 
     run("warmup")
-    wall, results = min(run(f"r{i}") for i in range(2))
+    wall, results = min((run(f"r{i}") for i in range(REPEATS)), key=lambda wr: wr[0])
 
     ungapped = sum(r.ungapped_seconds for r in results)
     gapped = sum(r.gapped_seconds for r in results)
@@ -322,4 +430,4 @@ def test_end_to_end_wall_clock(tmp_path, print_table):
         "nprocs": 3,
         "fused_rounds": sum(r.fused_rounds for r in results),
         "peak_slab_bytes_per_round": max(r.peak_slab_bytes for r in results),
-    })
+    }, backend=resolve_backend(None))

@@ -24,7 +24,9 @@ Two schedulers share that admission machinery:
   :func:`~repro.blast.extend.batch_ungapped_extend_spans` call over the
   concatenated query block and a concatenated subject arena, and feeds the
   seeds admitted in that round straight into that round's single
-  :func:`~repro.blast.gapped.extend_gapped_batch` call.  No stage ever
+  :func:`~repro.blast.gapped.extend_gapped_batch` call (with the raw score
+  each seed needs to be reportable, so the kernel traces back only
+  alignments that can pass the E-value gate).  No stage ever
   materialises a whole-partition intermediate: scan hits, triggers and
   admitted seeds live only as bounded per-round slabs
   (``SearchStats.peak_slab_bytes`` reports the high-water mark), and a
@@ -404,6 +406,46 @@ class _EngineBase:
             strand=ctx.strand,
         )
 
+    def _extend_gapped(
+        self,
+        block: QueryBlock,
+        jobs: list,
+        db_len: int,
+        db_seqs: int,
+        kernel_stats: dict | None = None,
+    ) -> list:
+        """One gapped batch over ``jobs`` = ``(ctx, s_index, q_seed, s_seed)``.
+
+        Every seed carries the raw score below which :meth:`_emit_hsp` is
+        certain to refuse it (one under the E-value cutoff score, so float
+        rounding in either direction cannot matter); the kernel skips the
+        traceback of such alignments and returns their extents only, which
+        is all the diagonal-coverage update reads.  The floor is worked out
+        once per distinct query length in the batch.  Both schedulers come
+        through here, so they pass the same floors.
+        """
+        opts = self.options
+        floors: dict[int, int] = {}
+        min_scores = []
+        for ctx, _, _, _ in jobs:
+            qlen = len(block.records[ctx.query_index].seq)
+            floor = floors.get(qlen)
+            if floor is None:
+                floor = floors[qlen] = (
+                    self.search_space.evalue_to_score(opts.evalue, qlen, db_len, db_seqs) - 1
+                )
+            min_scores.append(floor)
+        return extend_gapped_batch(
+            [(ctx.codes_index, s_index, q_seed, s_seed) for ctx, s_index, q_seed, s_seed in jobs],
+            self.matrix,
+            opts.gap_open,
+            opts.gap_extend,
+            opts.xdrop_gapped,
+            opts.band_width,
+            stats=kernel_stats,
+            min_scores=min_scores,
+        )
+
     # ---- fused scheduler -----------------------------------------------------
 
     def _search_fused(
@@ -549,17 +591,13 @@ class _EngineBase:
 
             if gapped_jobs:
                 t_g = time.perf_counter()
-                aligns = extend_gapped_batch(
+                aligns = self._extend_gapped(
+                    block,
                     [
-                        (ctx.codes_index, subj.s_index, q_seed, s_seed)
+                        (ctx, subj.s_index, q_seed, s_seed)
                         for subj, _, _, ctx, q_seed, s_seed in gapped_jobs
                     ],
-                    self.matrix,
-                    opts.gap_open,
-                    opts.gap_extend,
-                    opts.xdrop_gapped,
-                    opts.band_width,
-                    stats=kernel_peaks,
+                    db_len, db_seqs, kernel_peaks,
                 )
                 stats.n_gapped += len(gapped_jobs)
                 stats.gapped_seconds += time.perf_counter() - t_g
@@ -718,16 +756,13 @@ class _EngineBase:
 
             if gapped_jobs:
                 t_g = time.perf_counter()
-                aligns = extend_gapped_batch(
+                aligns = self._extend_gapped(
+                    block,
                     [
-                        (ctx.codes_index, s_index, q_seed, s_seed)
+                        (ctx, s_index, q_seed, s_seed)
                         for _, _, ctx, q_seed, s_seed in gapped_jobs
                     ],
-                    self.matrix,
-                    opts.gap_open,
-                    opts.gap_extend,
-                    opts.xdrop_gapped,
-                    opts.band_width,
+                    db_len, db_seqs,
                 )
                 stats.n_gapped += len(gapped_jobs)
                 stats.gapped_seconds += time.perf_counter() - t_g

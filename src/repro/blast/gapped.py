@@ -12,19 +12,47 @@ independently to the left and to the right with a gapped dynamic program
 
 Gap cost model: a gap of length g costs ``gap_open + g*gap_extend``.
 
-The production kernel stores the three DP states M/Ix/Iy *band-compressed*:
-``(rows, 2*band+1)`` int32 arrays indexed by diagonal offset ``c = j - i +
-band``, with an integer ``-inf`` sentinel.  Only the live strip is ever
-allocated — the O(n·m) dense matrices of the original implementation are
-gone — and the traceback walks the compressed band directly with exact
-integer comparisons (no float tolerance).  Rows are computed with numpy
-vector operations; the within-row gap recurrence is a prefix-max scan, so
-the Python-level loop is over rows only.
+There is one kernel, :func:`extend_gapped_batch`.  The three DP states
+M/Ix/Iy are stored *band-compressed* — cell (i, j) lives at column
+``c = j - i + band`` of row i, ``2*band+1`` int32 columns per row with an
+integer ``-inf`` sentinel — and all halves of a chunk of seeds advance one
+DP row per Python iteration, so the numpy dispatch cost of a row is shared.
+The within-row gap recurrence is a prefix-max scan.  Work is done only where
+the X-drop frontier is alive:
 
-:func:`reference_half_extension` / :func:`reference_extend_gapped` keep the
-original dense float32 implementation as the parity oracle: the property
-tests assert the banded kernel reproduces its scores, coordinates and
-operation strings element-for-element.
+- **Row blocks and live-set compaction.**  Rows are stored in blocks of
+  ``_BLOCK_ROWS`` rows, each allocated (sentinel-filled) for the halves
+  that are live when the block starts.  A half leaves the batch at the next
+  block boundary once X-drop has killed it or its query is exhausted; the
+  survivors are compacted into the new block's slots, and each block
+  remembers which halves own its slots.  Nothing is recomputed: a traceback
+  stitches one half's slot out of the blocks it lived in.
+- **Live-column window.**  X-drop masking resets every dropped cell to
+  exactly the sentinel, so if the live cells of row i-1, over all live
+  halves, sit in columns ``[wa, wb)``, row i can only have live M cells in
+  ``[wa, wb)`` (same column), live Ix cells in ``[wa-1, wb-1)`` (from column
+  c+1) and live Iy cells no further than ``pad`` columns right of a live
+  M/Ix cell.  ``pad`` follows from the threshold: a row-i base cell scores at
+  most ``best + matrix.max()``, an Iy run of length d costs ``gap_open +
+  d*gap_extend``, and the cell survives only at ``>= best - floor(xdrop)``,
+  so ``d <= (floor(xdrop) + matrix.max() - gap_open - gap_extend) //
+  gap_extend + 1``.  Row i is therefore computed on ``[wa-1, wb+pad+1)``
+  only, and cells outside keep the block's sentinel fill — the value the
+  full-width computation would have masked them to.
+- **Traceback where it can be reported.**  The best cell of every half is
+  tracked while the rows are computed, so score and extents cost no second
+  look at the grid.  With ``min_scores`` the caller names, per seed, the raw
+  score below which it will not report the alignment; such seeds come back
+  *extents-only* (``identities = align_len = gaps = 0``, ``ops = ""``) and
+  the Python traceback runs for the rest.
+
+Per-half semantics do not depend on what else is in the batch: each half has
+its own X-drop threshold (from the best of the *previous* rows), its own
+termination row and its own best cell (the first row-major occurrence of the
+maximum), all in exact integer arithmetic.  ``tests/oracles/dense_gapped.py``
+holds the original dense float32 implementation; the property suite asserts
+this kernel reproduces its scores, coordinates and operation strings element
+for element.
 """
 
 from __future__ import annotations
@@ -36,40 +64,40 @@ import numpy as np
 
 __all__ = [
     "GappedAlignment",
-    "HalfExtension",
     "extend_gapped",
     "extend_gapped_batch",
-    "half_extension",
-    "reference_extend_gapped",
-    "reference_half_extension",
 ]
 
-_NEG = np.float32(-1e30)
 #: integer -inf for the band-compressed kernel: deep enough that no real
 #: path score (bounded by sequence length times the matrix range) comes
 #: near it, shallow enough that per-row arithmetic on sentinels cannot
 #: overflow int32.
 _NEG_I32 = np.int32(-(2**30))
+#: anything at or below this is sentinel arithmetic, not a path score
+_DEAD_FLOOR = np.int32(int(_NEG_I32) // 2)
 
-
-@dataclass(frozen=True)
-class HalfExtension:
-    """One direction of a gapped extension, measured from the seed."""
-
-    score: int
-    q_len: int  # query residues consumed
-    s_len: int  # subject residues consumed
-    identities: int
-    align_len: int
-    gaps: int
-    #: alignment operations walking *away* from the seed: 'M' aligned pair,
-    #: 'I' gap in subject (query residue alone), 'D' gap in query
-    ops: str = ""
+#: DP rows per storage block; the live set is compacted between blocks.
+_BLOCK_ROWS = 16
+#: upper bound on seeds (pairs of halves) advanced in one lockstep chunk;
+#: beyond this the per-row elementwise work dominates and bigger batches
+#: stop paying.
+_CHUNK_SEEDS = 128
+#: cap on the row blocks one chunk can retain if no half ever dies: chunks
+#: are cut so that every half's full depth fits, so a few very deep halves
+#: narrow the chunk instead of blowing memory up.
+_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
 class GappedAlignment:
-    """A complete gapped extension around a seed point."""
+    """A complete gapped extension around a seed point.
+
+    An *extents-only* result — a seed whose score is below the floor the
+    caller passed in ``min_scores`` — carries the score and the four
+    coordinates and has ``identities = align_len = gaps = 0`` and
+    ``ops = ""``.  The engine reads ``s_end`` of such a result for diagonal
+    coverage and never emits it.
+    """
 
     score: int
     q_start: int
@@ -79,409 +107,431 @@ class GappedAlignment:
     identities: int
     align_len: int
     gaps: int
-    #: left-to-right operation string over the whole alignment ('M'/'I'/'D')
+    #: left-to-right operation string over the whole alignment ('M' aligned
+    #: pair, 'I' gap in subject, 'D' gap in query)
     ops: str = ""
 
 
-_ZERO_HALF = HalfExtension(0, 0, 0, 0, 0, 0)
-
-
-def half_extension(
-    q: np.ndarray,
-    s: np.ndarray,
+def extend_gapped(
+    q_codes: np.ndarray,
+    s_codes: np.ndarray,
+    q_seed: int,
+    s_seed: int,
     matrix: np.ndarray,
     gap_open: int,
     gap_extend: int,
     xdrop: float,
     band: int,
-) -> HalfExtension:
-    """Best global-start alignment of prefixes of ``q`` and ``s``.
+) -> GappedAlignment | None:
+    """Gapped extension around ``(q_seed, s_seed)``.
 
-    Band-compressed kernel: DP cell (i, j) lives at column ``j - i + band``
-    of row i, so a row is ``2*band+1`` wide regardless of subject length.
-    Returns the zero extension when nothing scores positive.
+    The left half aligns the reversed prefixes ending just before the seed;
+    the right half aligns the suffixes starting at the seed.  Returns
+    ``None`` when no positive-scoring alignment exists.
     """
-    n, m_full = int(q.size), int(s.size)
-    if n == 0 or m_full == 0:
-        return _ZERO_HALF
-    # The path cannot drift more than ``band`` off the diagonal, so at most
-    # n + band subject residues are reachable.
-    m = min(m_full, n + band)
-
-    open_cost = gap_open + gap_extend
-    width = 2 * band + 1
-    NEG = _NEG_I32
-
-    q_idx = q if q.dtype == np.intp else q.astype(np.intp)
-    s_idx = s[:m] if s.dtype == np.intp else s[:m].astype(np.intp)
-    # Pad the subject so row i's pair-score gather is always one contiguous
-    # window: step c of row i reads s[i-1 + c - band] = s_pad[i-1 + c].
-    # Sized for the deepest row (i = n), which reads up to index n-1+width.
-    s_pad = np.zeros(max(m, n) + 2 * band, dtype=np.intp)
-    s_pad[band : band + m] = s_idx
-    # Pair scores pairs[i-1, c] = matrix[q[i-1], s[i-1+c-band]] are gathered
-    # in blocks of rows — one 2-D fancy index per block instead of one per
-    # row, without paying for rows the X-drop never reaches.
-    windows = np.lib.stride_tricks.sliding_window_view(s_pad, width)[:n]
-    pair_block_rows = 128
-    pair_block = np.empty((0, width), dtype=np.int32)
-    pair_lo = 0  # first q row covered by pair_block
-
-    # One slab per DP matrix inside a single grid: G[:, i] is the (3, width)
-    # view of row i, so X-drop masking hits M, Ix and Iy in one broadcast.
-    G = np.full((3, n + 1, width), NEG, dtype=np.int32)
-    M, Ix, Iy = G[0], G[1], G[2]  # Ix: gap in subject; Iy: gap in query
-    M[0, band] = 0
-    jmax0 = min(band, m)
-    if jmax0 >= 1:
-        j0 = np.arange(1, jmax0 + 1)
-        Iy[0, band + j0] = -open_cost - gap_extend * (j0 - 1)
-
-    ext_c = (gap_extend * np.arange(width)).astype(np.int32)
-    # Per-column Iy deduction: open_cost + gap_extend * (c - 1).
-    iy_off = (open_cost + gap_extend * np.arange(-1, width - 1)).astype(np.int32)
-    # ``prev_best`` carries max(M, Ix, Iy) of the previous row *after* its
-    # X-drop masking, so it never needs recomputing; it swaps with
-    # ``row_best`` at the bottom of the loop.
-    prev_best = np.maximum(M[0], Iy[0])
-    scratch = np.empty(width, dtype=np.int32)
-    row_best = np.empty(width, dtype=np.int32)
-    dead_floor = int(NEG) // 2
-    best_seen = 0
-    last_live_row = 0
-
-    for i in range(1, n + 1):
-        prev_Ix = Ix[i - 1]
-
-        # M[i, c] comes from (i-1, j-1): the same diagonal offset c.  Rows
-        # are computed in place in the grids, so there is no copy-back.
-        r = i - 1
-        if r - pair_lo >= pair_block.shape[0]:
-            pair_lo = r
-            blk = matrix[q_idx[r : r + pair_block_rows, None], windows[r : r + pair_block_rows]]
-            pair_block = blk if blk.dtype == np.int32 else blk.astype(np.int32)
-        m_row = M[i]
-        np.add(prev_best, pair_block[r - pair_lo], out=m_row)
-
-        # Ix[i, c] comes from (i-1, j): offset c+1 in the previous row.
-        ix_row = Ix[i]
-        np.subtract(prev_best[1:], open_cost, out=ix_row[:-1])
-        np.subtract(prev_Ix[1:], gap_extend, out=scratch[:-1])
-        np.maximum(ix_row[:-1], scratch[:-1], out=ix_row[:-1])
-        ix_row[-1] = NEG
-
-        # Columns whose j = i + c - band falls outside the subject do not
-        # exist; M additionally needs j >= 1 (it consumes s[j-1]).  The
-        # valid c range is contiguous, so masking is two slice stores.
-        lo = band - i  # c of j == 0
-        hi = lo + m  # c of j == m
-        if lo > 0:
-            m_row[: lo + 1] = NEG  # j <= 0
-            ix_row[:lo] = NEG  # j < 0
-        elif lo == 0:
-            m_row[0] = NEG  # j == 0 in range
-        if hi < width - 1:
-            tail = max(hi + 1, 0)
-            m_row[tail:] = NEG
-            ix_row[tail:] = NEG
-
-        # Iy[i, c] = max_{c'<c} base[c'] - open_cost - ext*(c-1-c'), solved
-        # with a prefix-max scan over t[c'] = base[c'] + ext*c' (band-prune
-        # M and Ix first so the scan can only chain from kept cells — the
-        # traceback relies on every stored value being explained by stored
-        # predecessors).
-        np.maximum(m_row, ix_row, out=row_best)  # also the Iy scan base
-        np.add(row_best, ext_c, out=scratch)
-        np.maximum.accumulate(scratch, out=scratch)
-        iy_row = Iy[i]
-        np.subtract(scratch[:-1], iy_off[1:], out=iy_row[1:])
-        iy_row[0] = NEG
-        if lo >= 0:
-            iy_row[: lo + 1] = NEG  # j <= 0
-        if hi < width - 1:
-            iy_row[max(hi + 1, 0) :] = NEG
-
-        np.maximum(row_best, iy_row, out=row_best)
-        row_max = int(row_best.max())
-        if row_max <= dead_floor:
-            last_live_row = i - 1
-            break
-        # Integer v < float t  <=>  v < ceil(t): keeps the compare in int32.
-        dead = row_best < np.int32(math.ceil(best_seen - xdrop))
-        np.copyto(G[:, i], NEG, where=dead)
-        np.copyto(row_best, NEG, where=dead)
-        prev_best, row_best = row_best, prev_best
-
-        if row_max > best_seen:
-            best_seen = row_max
-        last_live_row = i
-
-    rows = last_live_row + 1
-    best_grid = np.maximum(np.maximum(M[:rows], Ix[:rows]), Iy[:rows])
-    flat = int(np.argmax(best_grid))
-    bi, bc = divmod(flat, width)
-    best_score = int(best_grid[bi, bc])
-    if best_score <= 0:
-        return _ZERO_HALF
-    bj = bc + bi - band
-
-    return _traceback_banded(
-        q, s, M, Ix, Iy, band, bi, bj, best_score, gap_extend, open_cost
-    )
+    return extend_gapped_batch(
+        [(q_codes, s_codes, q_seed, s_seed)],
+        matrix, gap_open, gap_extend, xdrop, band,
+    )[0]
 
 
-#: upper bound on halves advanced in one lockstep grid; beyond this the
-#: per-row elementwise work dominates and bigger batches stop paying.
-_CHUNK_HALVES = 64
-#: cap on one chunk's (3, nmax+1, k, width) DP grid, so a single very deep
-#: half cannot blow memory up — the chunk narrows instead.
-_CHUNK_BYTES = 32 << 20
-
-
-def _half_extension_many(
-    halves: list,
+def extend_gapped_batch(
+    seeds,
     matrix: np.ndarray,
     gap_open: int,
     gap_extend: int,
     xdrop: float,
     band: int,
     stats: dict | None = None,
+    min_scores=None,
 ) -> list:
-    """Many independent half extensions, advanced in lockstep batches.
+    """Gapped extensions around many seed points, batched.
 
-    ``halves`` is a list of ``(q, s)`` code arrays; the result list matches
-    it index for index.  Halves are sorted by query depth (descending) and
-    cut into chunks whose DP grids fit ``_CHUNK_BYTES``; within a chunk all
-    halves advance one DP row per Python iteration, so the per-row numpy
-    dispatch cost is amortised across the batch.  Per-half semantics are
-    exactly :func:`half_extension` — independent X-drop thresholds,
-    termination rows, tracebacks — which the parity suite checks against
-    the dense oracle.
+    ``seeds`` is a sequence of ``(q_codes, s_codes, q_seed, s_seed)``
+    tuples; the result list matches it index for index, each entry a
+    :class:`GappedAlignment` or ``None`` exactly as :func:`extend_gapped`
+    would return for that seed.  Results are independent of how seeds are
+    ordered and grouped into calls, so callers may batch across subjects
+    and queries freely.
+
+    ``min_scores`` (optional, one raw score per seed) is the floor below
+    which the caller will not report an alignment: a seed scoring less
+    returns extents only (see :class:`GappedAlignment`) and skips the
+    traceback.  ``None`` traces every alignment.
+
+    ``stats`` (optional dict) accumulates ``peak_grid_bytes`` (the most row
+    blocks any chunk retained), ``dp_rows`` (lockstep row iterations) and
+    ``dp_cells`` (band cells computed, summed over halves).
     """
-    out: list = [None] * len(halves)
-    active = []
-    for idx, (q_h, s_h) in enumerate(halves):
-        if q_h.size == 0 or s_h.size == 0:
-            out[idx] = _ZERO_HALF
-        else:
-            active.append(idx)
-    if not active:
-        return out
-    depths = np.array([halves[i][0].size for i in active], dtype=np.int64)
-    order = np.argsort(-depths, kind="stable")
-    width = 2 * band + 1
-    pos = 0
-    while pos < len(active):
-        # Sorted descending, so the chunk's deepest half comes first and
-        # sizes the grid; similar depths land together, keeping the padded
-        # rows (beyond a shallower half's end) cheap.
-        nmax = int(depths[order[pos]])
-        fit = _CHUNK_BYTES // (3 * (nmax + 1) * width * 4)
-        k = max(1, min(_CHUNK_HALVES, fit, len(active) - pos))
-        idxs = [active[int(order[p])] for p in range(pos, pos + k)]
-        pos += k
-        if stats is not None:
-            stats["peak_grid_bytes"] = max(
-                stats.get("peak_grid_bytes", 0), 3 * (nmax + 1) * k * width * 4
-            )
-        results = _half_extension_chunk(
-            [halves[i] for i in idxs], matrix, gap_open, gap_extend, xdrop, band
+    seeds = list(seeds)
+    if min_scores is not None and len(min_scores) != len(seeds):
+        raise ValueError("min_scores must give one floor per seed")
+    row_bytes = 3 * (2 * band + 1) * 4
+    worst = []  # bytes a seed's two halves retain if neither ever dies
+    for q_codes, s_codes, q_seed, s_seed in seeds:
+        if not (0 <= q_seed <= q_codes.size) or not (0 <= s_seed <= s_codes.size):
+            raise ValueError("seed point out of range")
+        rows = sum(
+            -(-(n + 1) // _BLOCK_ROWS) * _BLOCK_ROWS
+            for n in (q_seed, q_codes.size - q_seed)
         )
-        for i, res in zip(idxs, results):
-            out[i] = res
+        worst.append(rows * row_bytes)
+
+    out: list = []
+    pos = 0
+    while pos < len(seeds):
+        # Chunks are cut on seed boundaries: a seed's two halves share one.
+        end, budget = pos + 1, _CHUNK_BYTES - worst[pos]
+        while end < len(seeds) and end - pos < _CHUNK_SEEDS and worst[end] <= budget:
+            budget -= worst[end]
+            end += 1
+        out.extend(
+            _extend_chunk(
+                seeds[pos:end],
+                None if min_scores is None else min_scores[pos:end],
+                matrix, gap_open, gap_extend, xdrop, band, stats,
+            )
+        )
+        pos = end
     return out
 
 
-def _half_extension_chunk(
-    halves: list,
+def _extend_chunk(
+    seeds: list,
+    min_scores,
     matrix: np.ndarray,
     gap_open: int,
     gap_extend: int,
     xdrop: float,
     band: int,
+    stats: dict | None,
 ) -> list:
-    """One lockstep chunk: halves non-empty, sorted by query depth desc.
+    """One lockstep chunk: DP over both halves of every seed, then results.
 
-    Every DP row is computed for the *live prefix* of the chunk only: the
-    depth sort means halves whose query is exhausted form a suffix, so row
-    ``i`` slices all per-row arrays to the first ``klive`` halves and the
-    work per row tracks the number of halves that still need it.
+    Half ``2t`` is seed t's left extension, half ``2t+1`` its right one.
     """
-    k = len(halves)
-    open_cost = gap_open + gap_extend
+    # One arena of residue codes for the chunk.  Seed t owns its query and,
+    # right after it, the q_size + 2*band subject residues its two halves
+    # can reach (the path cannot drift more than ``band`` off the diagonal),
+    # zero where the subject ends sooner.  The arena is followed by its own
+    # reverse, in which a left half runs forwards too: a half is then just
+    # the arena positions of its first query and subject residue, and row i
+    # of its band is one contiguous window of the arena.
     width = 2 * band + 1
-    NEG = _NEG_I32
-    ns = np.array([q_h.size for q_h, _ in halves], dtype=np.int64)
-    ms = np.array(
-        [min(int(s_h.size), int(n) + band) for (_, s_h), n in zip(halves, ns)],
-        dtype=np.int64,
+    margin = _BLOCK_ROWS + width  # rows past a half's depth read in here
+    length = 2 * margin + sum(2 * q.size + 2 * band for q, _, _, _ in seeds)
+    arena = np.zeros(2 * length, dtype=np.intp)
+    nh = 2 * len(seeds)
+    depth = np.empty(nh, dtype=np.int64)  # query residues available
+    reach = np.empty(nh, dtype=np.int64)  # subject residues available
+    q_at = np.empty(nh, dtype=np.int64)  # arena position of the half's q[0]
+    s_at = np.empty(nh, dtype=np.int64)
+    at = margin
+    for t, (q_codes, s_codes, q_seed, s_seed) in enumerate(seeds):
+        left = min(s_seed, q_seed + band)
+        right = min(s_codes.size - s_seed, q_codes.size - q_seed + band)
+        depth[2 * t], depth[2 * t + 1] = q_seed, q_codes.size - q_seed
+        reach[2 * t], reach[2 * t + 1] = left, right
+        arena[at : at + q_codes.size] = q_codes
+        q_at[2 * t + 1] = at + q_seed
+        at += q_codes.size + q_seed + band  # the subject's seed position
+        arena[at - left : at + right] = s_codes[s_seed - left : s_seed + right]
+        s_at[2 * t + 1] = at
+        at += q_codes.size - q_seed + band
+    arena[length:] = arena[length - 1 :: -1]
+    # Position p of the forward half is position 2*length - 1 - p of the
+    # reverse; a left half starts one residue before the seed.
+    q_at[0::2] = 2 * length - q_at[1::2]
+    s_at[0::2] = 2 * length - s_at[1::2]
+
+    best, best_i, best_j, blocks, owners = _lockstep_dp(
+        arena, depth, reach, q_at, s_at,
+        matrix, gap_open, gap_extend, xdrop, band, stats,
     )
-    nmax = int(ns[0])  # deepest half first
 
-    q_idx = [
-        q_h if q_h.dtype == np.intp else q_h.astype(np.intp) for q_h, _ in halves
-    ]
-    windows = []
-    for (_, s_h), n_h, m_h in zip(halves, ns, ms):
-        n_h, m_h = int(n_h), int(m_h)
-        s_i = s_h[:m_h] if s_h.dtype == np.intp else s_h[:m_h].astype(np.intp)
-        s_pad = np.zeros(max(m_h, n_h) + 2 * band, dtype=np.intp)
-        s_pad[band : band + m_h] = s_i
-        windows.append(np.lib.stride_tricks.sliding_window_view(s_pad, width)[:n_h])
-
-    pair_block_rows = 128
-    pair_block = np.empty((0, k, width), dtype=np.int32)
-    pair_lo = 0
-
-    # Same slab layout as half_extension with the batch axis in between:
-    # G[:, i] is the (3, k, width) view of row i across all halves.
-    G = np.full((3, nmax + 1, k, width), NEG, dtype=np.int32)
-    M, Ix, Iy = G[0], G[1], G[2]
-    M[0, :, band] = 0
-    for h in range(k):
-        jmax0 = min(band, int(ms[h]))
-        if jmax0 >= 1:
-            j0 = np.arange(1, jmax0 + 1)
-            Iy[0, h, band + j0] = -open_cost - gap_extend * (j0 - 1)
-
-    ext_c = (gap_extend * np.arange(width)).astype(np.int32)
-    iy_off = (open_cost + gap_extend * np.arange(-1, width - 1)).astype(np.int32)
-
-    # Cell (i, c) is subject column j = c + i - band.  The left band edge
-    # (j <= 0 for M/Iy, j < 0 for Ix) is one contiguous slice per row; the
-    # right edge j > m is per-half (ragged), masked with one compare whose
-    # result serves all three states.
-    cols_j = np.arange(width, dtype=np.int64) - band  # j - i per column
-    ms_col = ms[:, None]
-    gt_buf = np.empty((k, width), dtype=bool)
-
-    prev_best = np.maximum(M[0], Iy[0])  # (k, width)
-    scratch = np.empty((k, width), dtype=np.int32)
-    row_best = np.empty((k, width), dtype=np.int32)
-    thr = np.empty((k, 1), dtype=np.int32)
-    dead_floor = np.int32(int(NEG) // 2)
-    # Integer v < float(B - x)  <=>  v < ceil(B - x) == B - floor(x) for
-    # integer B: the whole X-drop compare stays in int32.
-    xfloor = np.int32(math.floor(xdrop))
-    best_seen = np.zeros(k, dtype=np.int32)
-    last_live = np.zeros(k, dtype=np.int64)
-    alive = np.ones(k, dtype=bool)
-
-    klive = k
-    for i in range(1, nmax + 1):
-        while klive > 0 and int(ns[klive - 1]) < i:
-            klive -= 1  # finished halves drop off the live prefix
-        if klive == 0 or not alive[:klive].any():
-            break
-        sl = slice(0, klive)
-        pb = prev_best[sl]
-        sc = scratch[sl]
-        rb = row_best[sl]
-
-        r = i - 1
-        if r - pair_lo >= pair_block.shape[0]:
-            pair_lo = r
-            # Zero-filled rows keep a shorter half's sentinel arithmetic in
-            # range on rows it never reaches.
-            pair_block = np.zeros((pair_block_rows, k, width), dtype=np.int32)
-            for h in range(klive):
-                win = windows[h][r : r + pair_block_rows]
-                if win.shape[0]:
-                    pair_block[: win.shape[0], h] = matrix[
-                        q_idx[h][r : r + win.shape[0], None], win
-                    ]
-        m_row = M[i, sl]
-        np.add(pb, pair_block[r - pair_lo, sl], out=m_row)
-        ix_row = Ix[i, sl]
-        np.subtract(pb[:, 1:], open_cost, out=ix_row[:, :-1])
-        np.subtract(Ix[i - 1, sl][:, 1:], gap_extend, out=sc[:, :-1])
-        np.maximum(ix_row[:, :-1], sc[:, :-1], out=ix_row[:, :-1])
-        ix_row[:, -1] = NEG  # no c+1 predecessor at the right band edge
-
-        lo = band - i  # column of j == 0
-        if lo >= 0:
-            m_row[:, : lo + 1] = NEG  # j <= 0
-            if lo > 0:
-                ix_row[:, :lo] = NEG  # j < 0
-        np.greater(cols_j + i, ms_col[sl], out=gt_buf[sl])  # j > m[h]
-        gt = gt_buf[sl]
-        np.copyto(m_row, NEG, where=gt)
-        np.copyto(ix_row, NEG, where=gt)
-
-        np.maximum(m_row, ix_row, out=rb)  # also the Iy scan base
-        np.add(rb, ext_c, out=sc)
-        np.maximum.accumulate(sc, axis=1, out=sc)
-        iy_row = Iy[i, sl]
-        np.subtract(sc[:, :-1], iy_off[1:], out=iy_row[:, 1:])
-        iy_row[:, 0] = NEG  # no c' < c at the left band edge
-        if lo >= 0:
-            iy_row[:, : lo + 1] = NEG
-        np.copyto(iy_row, NEG, where=gt)
-
-        np.maximum(rb, iy_row, out=rb)
-        rm = rb.max(axis=1)  # (klive,)
-        # Mask with the thresholds of the *previous* rows: best_seen is
-        # updated only after masking, exactly as in the solo kernel.
-        np.subtract(best_seen[sl], xfloor, out=thr[sl, 0])
-        dead = rb < thr[sl]
-        np.copyto(G[:, i, sl], NEG, where=dead)
-        np.copyto(rb, NEG, where=dead)
-        prev_best, row_best = row_best, prev_best
-
-        # A row whose masked maximum sinks to the sentinel floor kills its
-        # half for good: last_live freezes, later rows stay all-NEG.
-        row_dead = rm <= dead_floor
-        alive[sl] &= ~row_dead
-        upd = alive[sl]
-        np.maximum(best_seen[sl], rm, out=best_seen[sl], where=upd)
-        last_live[sl][upd] = i
-
-    results = []
-    for h in range(k):
-        rows = int(last_live[h]) + 1
-        best_grid = np.maximum(np.maximum(M[:rows, h], Ix[:rows, h]), Iy[:rows, h])
-        flat = int(np.argmax(best_grid))
-        bi, bc = divmod(flat, width)
-        best_score = int(best_grid[bi, bc])
-        if best_score <= 0:
-            results.append(_ZERO_HALF)
+    open_cost = gap_open + gap_extend
+    results: list = []
+    for t, (q_codes, s_codes, q_seed, s_seed) in enumerate(seeds):
+        left, right = 2 * t, 2 * t + 1
+        score = int(best[left]) + int(best[right])
+        q_start, q_end = q_seed - int(best_i[left]), q_seed + int(best_i[right])
+        s_start, s_end = s_seed - int(best_j[left]), s_seed + int(best_j[right])
+        if score <= 0 or q_end <= q_start or s_end <= s_start:
+            results.append(None)
             continue
-        bj = bc + bi - band
+        if min_scores is not None and score < min_scores[t]:
+            results.append(GappedAlignment(score, q_start, q_end, s_start, s_end, 0, 0, 0))
+            continue
+        halves = (
+            (left, q_codes[:q_seed][::-1], s_codes[:s_seed][::-1]),
+            (right, q_codes[q_seed:], s_codes[s_seed:]),
+        )
+        counts = [0, 0, 0]
+        ops = []
+        for h, q_h, s_h in halves:
+            if best[h] <= 0:
+                ops.append("")
+                continue
+            grid = _stitch(h, int(best_i[h]), blocks, owners)
+            ident, alen, gaps, half_ops = _traceback_banded(
+                q_h, s_h, grid, band, int(best_i[h]), int(best_j[h]), gap_extend, open_cost
+            )
+            counts[0] += ident
+            counts[1] += alen
+            counts[2] += gaps
+            ops.append(half_ops)
         results.append(
-            _traceback_banded(
-                halves[h][0], halves[h][1], M[:, h], Ix[:, h], Iy[:, h],
-                band, bi, bj, best_score, gap_extend, open_cost,
+            GappedAlignment(
+                score, q_start, q_end, s_start, s_end, *counts,
+                # left half ops run seed -> leftward; reverse to get left-to-right.
+                ops=ops[0][::-1] + ops[1],
             )
         )
     return results
 
 
+def _lockstep_dp(
+    arena: np.ndarray,
+    depth: np.ndarray,
+    reach: np.ndarray,
+    q_at: np.ndarray,
+    s_at: np.ndarray,
+    matrix: np.ndarray,
+    gap_open: int,
+    gap_extend: int,
+    xdrop: float,
+    band: int,
+    stats: dict | None,
+):
+    """Advance every half row by row.
+
+    Returns each half's best score and the DP cell ``(i, j)`` it was first
+    reached in, plus the row blocks for the tracebacks: ``blocks[b]`` is a
+    ``(3, rows, width, k_b)`` int32 array holding DP rows
+    ``b*_BLOCK_ROWS ...`` of M/Ix/Iy for the ``k_b`` halves listed
+    (ascending) in ``owners[b]``.  Halves run along the last axis, so the
+    live window of a row, ``[a:b]`` on the column axis, is one contiguous
+    piece of memory.
+    """
+    open_cost = gap_open + gap_extend
+    width = 2 * band + 1
+    NEG = _NEG_I32
+    nh = depth.size
+    best = np.zeros(nh, dtype=np.int32)
+    best_i = np.zeros(nh, dtype=np.int64)
+    best_c = np.full(nh, band, dtype=np.int64)  # DP row 0: the seed cell
+    blocks: list = []
+    owners: list = []
+    dp_rows = dp_cells = retained = 0
+
+    mat_flat = np.ascontiguousarray(matrix, dtype=np.int32).ravel()
+    n_codes = matrix.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(arena, width)
+    # Integer v < float(B - x)  <=>  v < ceil(B - x) == B - floor(x) for
+    # integer B: the whole X-drop compare stays in int32.
+    xfloor = np.int32(math.floor(xdrop))
+    pad = max((int(xfloor) + int(mat_flat.max()) - open_cost) // gap_extend + 1, 0)
+    cols = np.arange(width)[:, None]
+    ext_c = (gap_extend * cols).astype(np.int32)
+    # Per-column Iy deduction: open_cost + gap_extend * (c - 1).
+    iy_off = (open_cost + gap_extend * (cols - 1)).astype(np.int32)
+    cols_j = cols - band  # j - i per column
+
+    # Halves with an empty side align nothing and never enter the batch.
+    ids = np.flatnonzero((depth > 0) & (reach > 0))
+    k = ids.size
+    if k:
+        # Block 0 starts with DP row 0: M = 0 at the seed, Iy a leading gap
+        # in the query, neither X-drop masked.
+        rows = min(_BLOCK_ROWS, int(depth[ids].max()) + 1)
+        blk = np.full((3, rows, width, k), NEG, dtype=np.int32)
+        blk[0, 0, band] = 0
+        blk[2, 0, band + 1 :] = np.where(
+            cols_j[band + 1 :] <= reach[ids], -iy_off[1 : band + 1], NEG
+        )
+        prev_best = np.maximum(blk[0, 0], blk[2, 0])
+        prev_ix = blk[1, 0]
+        wa, wb = band, band + 1 + int(min(band, reach[ids].max()))
+    i = 1  # next DP row
+    while k:
+        ns, ms = depth[ids], reach[ids]
+        base = len(blocks) * _BLOCK_ROWS  # DP row of this block's first row
+        if base:
+            rows = min(_BLOCK_ROWS, int(ns.max()) - base + 1)
+            blk = np.full((3, rows, width, k), NEG, dtype=np.int32)
+        blocks.append(blk)
+        owners.append(ids)
+        retained += blk.nbytes
+        i_end = base + blk.shape[1]  # one past this block's last DP row
+
+        # Pair scores for the whole block in three gathers: row i of half h
+        # scores q_h[i-1] against the window s_h[i-1-band ... i-1+band].
+        # (DP row 0 has no pair scores; its slot reads the arena's margin.)
+        rr = np.arange(base - 1, i_end - 1)[:, None]
+        pair = windows[s_at[ids] - band + rr]  # (rows, k, width), a copy
+        pair += (arena[q_at[ids] + rr] * n_codes)[:, :, None]
+        pair = mat_flat.take(pair.transpose(0, 2, 1))  # (rows, width, k)
+
+        # The ragged edges are rare.  The subject end matters only for a
+        # half whose subject stops short of depth + band, once j = i + band
+        # can pass its m; the query end only if a half runs out of rows
+        # inside this block.
+        clip_s = i_end - 1 + band > int(np.where(ms < ns + band, ms, i_end + band).min())
+        clip_q = int(ns.min()) < i_end - 1
+
+        # ``thr`` is each half's X-drop threshold, best - floor(xdrop); the
+        # best score itself and its row are read off the block's history of
+        # row maxima when the block is done.
+        thr = best[ids] - xfloor
+        row_max = np.full((blk.shape[1], k), NEG, dtype=np.int32)
+        over = np.empty(k, dtype=np.int32)
+        row_best = np.full((width, k), NEG, dtype=np.int32)
+        scratch = np.empty((width, k), dtype=np.int32)
+        dead = np.empty((width, k), dtype=bool)
+        gt = np.empty((width, k), dtype=bool)
+        # The two best-of-row buffers swap every row.  Each must be exactly
+        # the sentinel outside the window it was last written on, so the
+        # part of that older window the new one does not cover is cleared.
+        written = (0, 0)  # window ``row_best`` still holds
+        written_prev = (0, width)
+
+        while i < i_end:
+            r = i - base
+            a = max(wa - 1, 0)
+            b = min(width, wb + pad + 1)
+            bx = min(b, width - 1)  # Ix has no c+1 predecessor at the right edge
+            if written[0] < a:
+                row_best[written[0] : a] = NEG
+            if written[1] > b:
+                row_best[b : written[1]] = NEG
+            g_row = blk[:, r]  # (3, width, k) view of this row
+            m_row, ix_row, iy_row = g_row[0, a:b], g_row[1, a:bx], g_row[2, a:b]
+            rb, sc = row_best[a:b], scratch[a:b]
+
+            # M[i, c] comes from (i-1, j-1): the same diagonal offset c.
+            np.add(prev_best[a:b], pair[r, a:b], out=m_row)
+            # Ix[i, c] comes from (i-1, j): offset c+1 in the previous row.
+            np.subtract(prev_best[a + 1 : bx + 1], open_cost, out=ix_row)
+            np.subtract(prev_ix[a + 1 : bx + 1], gap_extend, out=sc[: bx - a])
+            np.maximum(ix_row, sc[: bx - a], out=ix_row)
+
+            # Cell (i, c) is subject column j = c + i - band.  M and Iy need
+            # j >= 1, Ix j >= 0: one contiguous slice at the left band edge.
+            # The right edge j > m is per half, masked with one compare.
+            lo = band - i  # column of j == 0
+            if lo >= a:
+                m_row[: lo + 1 - a] = NEG
+                ix_row[: lo - a] = NEG
+            if clip_s:
+                gt_w = gt[a:b]
+                np.greater(cols_j[a:b] + i, ms, out=gt_w)
+                np.copyto(m_row, NEG, where=gt_w)
+                np.copyto(ix_row, NEG, where=gt_w[: bx - a])
+
+            # Iy[i, c] = max_{c'<c} base[c'] - open_cost - ext*(c-1-c'), a
+            # prefix-max scan over t[c'] = base[c'] + ext*c'.  M and Ix are
+            # edge-masked first, so the scan only chains from kept cells —
+            # the traceback relies on every stored value being explained by
+            # stored predecessors.
+            np.maximum(m_row, g_row[1, a:b], out=rb)
+            np.add(rb, ext_c[a:b], out=sc)
+            np.maximum.accumulate(sc, axis=0, out=sc)
+            np.subtract(sc[:-1], iy_off[a + 1 : b], out=iy_row[1:])
+            if lo >= a:
+                iy_row[: lo + 1 - a] = NEG
+            if clip_s:
+                np.copyto(iy_row, NEG, where=gt_w)
+            np.maximum(rb, iy_row, out=rb)
+
+            # X-drop against the best of the *previous* rows: the threshold
+            # rises only after masking.  A half past its query end computes
+            # rows from residues that are not its own, which must not count.
+            rm = row_max[r]
+            np.maximum.reduce(rb, axis=0, out=rm)
+            if clip_q:
+                rm[ns < i] = NEG
+            dead_w = dead[a:b]
+            np.less(rb, thr, out=dead_w)
+            np.copyto(g_row[:, a:b], NEG, where=dead_w)
+            np.copyto(rb, NEG, where=dead_w)
+            np.subtract(rm, xfloor, out=over)
+            np.maximum(thr, over, out=thr)
+            dp_rows += 1
+            dp_cells += k * (b - a)
+
+            prev_best, row_best = row_best, prev_best
+            written, written_prev = written_prev, (a, b)
+            prev_ix = g_row[1]
+            i += 1
+            col_dead = np.logical_and.reduce(dead_w, axis=1).tobytes()
+            wa = a + col_dead.find(b"\0")
+            if wa < a:
+                break  # every half is X-dropped dead
+            wb = a + col_dead.rfind(b"\0") + 1
+
+        # Best cell so far: the first row whose maximum beats every earlier
+        # row's (strictly) and the first column holding it, so the block's
+        # first occurrence of its maximum, if that beats the blocks before.
+        block_best = row_max.max(axis=0)
+        slots = np.flatnonzero(block_best > best[ids])
+        if slots.size:
+            top = row_max.argmax(axis=0)[slots]
+            best[ids[slots]] = block_best[slots]
+            best_i[ids[slots]] = base + top
+            best_c[ids[slots]] = blk[:, top, :, slots].max(axis=1).argmax(axis=1)
+        if wa < a:
+            break
+        # Compact: a half goes on iff its last row kept a cell and its
+        # query has a row left.
+        keep = np.flatnonzero((rm > _DEAD_FLOOR) & (ns >= i))
+        ids = ids[keep]
+        k = keep.size
+        prev_best = prev_best[:, keep]
+        prev_ix = prev_ix[:, keep]
+
+    if stats is not None:
+        stats["peak_grid_bytes"] = max(stats.get("peak_grid_bytes", 0), retained)
+        stats["dp_rows"] = stats.get("dp_rows", 0) + dp_rows
+        stats["dp_cells"] = stats.get("dp_cells", 0) + dp_cells
+    return best, best_i, best_c + best_i - band, blocks, owners
+
+
+def _stitch(h: int, last_row: int, blocks: list, owners: list) -> np.ndarray:
+    """Half ``h``'s DP rows ``0..last_row`` as one ``(3, rows, width)`` grid."""
+    parts = []
+    for b in range(last_row // _BLOCK_ROWS + 1):
+        slot = int(np.searchsorted(owners[b], h))
+        parts.append(blocks[b][:, :, :, slot])
+    return np.concatenate(parts, axis=1)
+
+
 def _traceback_banded(
     q: np.ndarray,
     s: np.ndarray,
-    M: np.ndarray,
-    Ix: np.ndarray,
-    Iy: np.ndarray,
+    grid: np.ndarray,
     band: int,
     bi: int,
     bj: int,
-    best_score: int,
     gap_extend: int,
     open_cost: int,
-) -> HalfExtension:
-    """Walk back from the best cell over the compressed band.
+) -> tuple[int, int, int, str]:
+    """Walk back from the best cell ``(bi, bj)`` over the compressed band.
 
-    Cell (i, j) lives at ``[i, j - i + band]``; every move in the walk stays
-    inside the band by construction (stored cells only chain from stored
-    cells).  Integer scores make the gap-run test an exact equality.
+    ``grid`` is ``(3, rows, width)``: M, Ix (gap in subject), Iy (gap in
+    query).  Cell (i, j) lives at ``[i, j - i + band]``; every move in the
+    walk stays inside the band by construction (stored cells only chain
+    from stored cells).  Integer scores make the gap-run test an exact
+    equality.  Returns ``(identities, align_len, gaps, ops)`` with ``ops``
+    walking *away* from the seed.
     """
+    M, Ix, Iy = grid
     width = 2 * band + 1
     NEG = int(_NEG_I32)
 
-    def cell(grid: np.ndarray, i: int, j: int) -> int:
+    def cell(state: np.ndarray, i: int, j: int) -> int:
         c = j - i + band
         if 0 <= c < width:
-            return grid.item(i, c)
+            return state.item(i, c)
         return NEG
 
     def argmax3(a: int, b: int, c: int) -> int:
@@ -531,309 +581,4 @@ def _traceback_banded(
                 state = 2
             else:
                 state = argmax3(cell(M, i, j), cell(Ix, i, j), NEG)
-    return HalfExtension(
-        score=best_score,
-        q_len=bi,
-        s_len=bj,
-        identities=identities,
-        align_len=align_len,
-        gaps=gaps,
-        ops="".join(reversed(ops)),  # seed -> extension end order
-    )
-
-
-def extend_gapped(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    q_seed: int,
-    s_seed: int,
-    matrix: np.ndarray,
-    gap_open: int,
-    gap_extend: int,
-    xdrop: float,
-    band: int,
-) -> GappedAlignment | None:
-    """Gapped extension around ``(q_seed, s_seed)``.
-
-    The left half aligns the reversed prefixes ending just before the seed;
-    the right half aligns the suffixes starting at the seed.  Both halves
-    run in one lockstep batch (:func:`_half_extension_many`).  Returns
-    ``None`` when no positive-scoring alignment exists.
-    """
-    return extend_gapped_batch(
-        [(q_codes, s_codes, q_seed, s_seed)],
-        matrix, gap_open, gap_extend, xdrop, band,
-    )[0]
-
-
-def extend_gapped_batch(
-    seeds,
-    matrix: np.ndarray,
-    gap_open: int,
-    gap_extend: int,
-    xdrop: float,
-    band: int,
-    stats: dict | None = None,
-) -> list:
-    """Gapped extensions around many seed points, batched.
-
-    ``seeds`` is a sequence of ``(q_codes, s_codes, q_seed, s_seed)``
-    tuples; the result list matches it index for index, each entry a
-    :class:`GappedAlignment` or ``None`` exactly as :func:`extend_gapped`
-    would return for that seed.  All ``2 * len(seeds)`` halves advance
-    through :func:`_half_extension_many` in lockstep chunks, so the per-DP-
-    row numpy overhead is paid once per chunk instead of once per seed.
-    Results are independent of how seeds are grouped into calls — each
-    half keeps its own X-drop threshold, termination row and traceback —
-    so callers may batch across subjects and queries freely.
-
-    ``stats`` (optional dict) accumulates ``peak_grid_bytes``: the largest
-    band-compressed DP grid any lockstep chunk allocated.
-    """
-    halves = []
-    for q_codes, s_codes, q_seed, s_seed in seeds:
-        if not (0 <= q_seed <= q_codes.size) or not (0 <= s_seed <= s_codes.size):
-            raise ValueError("seed point out of range")
-        halves.append((q_codes[:q_seed][::-1], s_codes[:s_seed][::-1]))
-        halves.append((q_codes[q_seed:], s_codes[s_seed:]))
-    done = _half_extension_many(
-        halves, matrix, gap_open, gap_extend, xdrop, band, stats
-    )
-    return [
-        _combine_halves(done[2 * t], done[2 * t + 1], seed[2], seed[3])
-        for t, seed in enumerate(seeds)
-    ]
-
-
-def _extend_gapped_with(
-    half,
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    q_seed: int,
-    s_seed: int,
-    matrix: np.ndarray,
-    gap_open: int,
-    gap_extend: int,
-    xdrop: float,
-    band: int,
-) -> GappedAlignment | None:
-    """Shared seed-splitting logic over either half-extension kernel."""
-    if not (0 <= q_seed <= q_codes.size) or not (0 <= s_seed <= s_codes.size):
-        raise ValueError("seed point out of range")
-    right = half(
-        q_codes[q_seed:], s_codes[s_seed:], matrix, gap_open, gap_extend, xdrop, band
-    )
-    left = half(
-        q_codes[:q_seed][::-1], s_codes[:s_seed][::-1], matrix, gap_open, gap_extend, xdrop, band
-    )
-    return _combine_halves(left, right, q_seed, s_seed)
-
-
-def _combine_halves(
-    left: HalfExtension, right: HalfExtension, q_seed: int, s_seed: int
-) -> GappedAlignment | None:
-    """Join the two half extensions around the seed point."""
-    score = left.score + right.score
-    if score <= 0:
-        return None
-    q_start, q_end = q_seed - left.q_len, q_seed + right.q_len
-    s_start, s_end = s_seed - left.s_len, s_seed + right.s_len
-    if q_end <= q_start or s_end <= s_start:
-        return None
-    return GappedAlignment(
-        score=score,
-        q_start=q_start,
-        q_end=q_end,
-        s_start=s_start,
-        s_end=s_end,
-        identities=left.identities + right.identities,
-        align_len=left.align_len + right.align_len,
-        gaps=left.gaps + right.gaps,
-        # left half ops run seed -> leftward; reverse to get left-to-right.
-        ops=left.ops[::-1] + right.ops,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reference implementation (pre-banded): dense float32 matrices with the
-# tolerance-based traceback.  Kept as the parity oracle for property tests
-# and the baseline for benchmarks/bench_extension.py.
-# ---------------------------------------------------------------------------
-
-
-def reference_half_extension(
-    q: np.ndarray,
-    s: np.ndarray,
-    matrix: np.ndarray,
-    gap_open: int,
-    gap_extend: int,
-    xdrop: float,
-    band: int,
-) -> HalfExtension:
-    """Original dense-matrix half extension (parity oracle).
-
-    Returns the zero extension when nothing scores positive.
-    """
-    n, m_full = int(q.size), int(s.size)
-    if n == 0 or m_full == 0:
-        return _ZERO_HALF
-    m = min(m_full, n + band)
-    s = s[:m]
-
-    open_cost = gap_open + gap_extend
-
-    M = np.full((n + 1, m + 1), _NEG, dtype=np.float32)
-    Ix = np.full((n + 1, m + 1), _NEG, dtype=np.float32)  # gap in subject (down moves)
-    Iy = np.full((n + 1, m + 1), _NEG, dtype=np.float32)  # gap in query (right moves)
-    M[0, 0] = 0.0
-    j0 = np.arange(1, min(band, m) + 1)
-    Iy[0, j0] = -open_cost - gap_extend * (j0 - 1)
-
-    cols = np.arange(m + 1)
-    best_seen = 0.0
-    last_live_row = 0
-    q_idx = q.astype(np.intp)
-    s_idx = s.astype(np.intp)
-
-    for i in range(1, n + 1):
-        in_band = np.abs(cols - i) <= band
-        prev_best = np.maximum(np.maximum(M[i - 1], Ix[i - 1]), Iy[i - 1])
-
-        m_row = np.full(m + 1, _NEG, dtype=np.float32)
-        pair = matrix[q_idx[i - 1], s_idx].astype(np.float32)
-        m_row[1:] = prev_best[:-1] + pair
-
-        ix_row = np.maximum(prev_best - open_cost, Ix[i - 1] - gap_extend)
-
-        # Band-prune M and Ix first so the within-row gap scan can only
-        # chain from cells that will actually be kept (traceback relies on
-        # every stored value being explained by stored predecessors).
-        m_row[~in_band] = _NEG
-        ix_row[~in_band] = _NEG
-
-        # Iy[i,j] = max_{k<j} base[k] - open_cost - ext*(j-1-k), solved with
-        # a prefix-max scan over t[k] = base[k] + ext*k.
-        base = np.maximum(m_row, ix_row)
-        t = base + gap_extend * cols
-        run = np.maximum.accumulate(t)
-        iy_row = np.full(m + 1, _NEG, dtype=np.float32)
-        iy_row[1:] = run[:-1] - open_cost - gap_extend * (cols[1:] - 1)
-        iy_row[~in_band] = _NEG
-        row_best = np.maximum(np.maximum(m_row, ix_row), iy_row)
-        dead = row_best < (best_seen - xdrop)
-        m_row[dead] = _NEG
-        ix_row[dead] = _NEG
-        iy_row[dead] = _NEG
-
-        M[i] = m_row
-        Ix[i] = ix_row
-        Iy[i] = iy_row
-
-        row_max = float(row_best[in_band].max()) if in_band.any() else float(_NEG)
-        if row_max <= float(_NEG) / 2:
-            last_live_row = i - 1
-            break
-        best_seen = max(best_seen, row_max)
-        last_live_row = i
-
-    rows = last_live_row + 1
-    best_grid = np.maximum(np.maximum(M[:rows], Ix[:rows]), Iy[:rows])
-    flat = int(np.argmax(best_grid))
-    bi, bj = divmod(flat, m + 1)
-    best_score = float(best_grid[bi, bj])
-    if best_score <= 0:
-        return _ZERO_HALF
-
-    return _traceback_dense(
-        q, s, M, Ix, Iy, bi, bj, int(round(best_score)), gap_extend, open_cost
-    )
-
-
-def _traceback_dense(
-    q: np.ndarray,
-    s: np.ndarray,
-    M: np.ndarray,
-    Ix: np.ndarray,
-    Iy: np.ndarray,
-    bi: int,
-    bj: int,
-    best_score: int,
-    gap_extend: int,
-    open_cost: int,
-) -> HalfExtension:
-    """Walk back from the best cell counting identities/gaps exactly."""
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) < 0.25  # all scores are integers in float32
-
-    i, j = bi, bj
-    vals = (M[i, j], Ix[i, j], Iy[i, j])
-    state = int(np.argmax(vals))
-    identities = 0
-    align_len = 0
-    gaps = 0
-    ops: list[str] = []  # collected end -> seed; reversed below
-    max_steps = 2 * (bi + bj) + 4  # every step decrements i or j; guard anyway
-    steps = 0
-    while i > 0 or j > 0:
-        steps += 1
-        if steps > max_steps:  # pragma: no cover - defensive
-            raise RuntimeError("gapped traceback failed to terminate")
-        if state == 0:  # M: aligned pair
-            align_len += 1
-            ops.append("M")
-            if q[i - 1] == s[j - 1]:
-                identities += 1
-            i -= 1
-            j -= 1
-            if i == 0 and j == 0:
-                break
-            prev = (M[i, j], Ix[i, j], Iy[i, j])
-            state = int(np.argmax(prev))
-        elif state == 1:  # Ix: gap in subject, consume query
-            align_len += 1
-            gaps += 1
-            ops.append("I")
-            cur = Ix[i, j]
-            i -= 1
-            if close(cur, Ix[i, j] - gap_extend):
-                state = 1
-            else:
-                state = int(np.argmax((M[i, j], _NEG, Iy[i, j])))
-        else:  # Iy: gap in query, consume subject
-            align_len += 1
-            gaps += 1
-            ops.append("D")
-            cur = Iy[i, j]
-            j -= 1
-            if close(cur, Iy[i, j] - gap_extend):
-                state = 2
-            else:
-                state = int(np.argmax((M[i, j], Ix[i, j], _NEG)))
-    return HalfExtension(
-        score=best_score,
-        q_len=bi,
-        s_len=bj,
-        identities=identities,
-        align_len=align_len,
-        gaps=gaps,
-        ops="".join(reversed(ops)),  # seed -> extension end order
-    )
-
-
-def reference_extend_gapped(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    q_seed: int,
-    s_seed: int,
-    matrix: np.ndarray,
-    gap_open: int,
-    gap_extend: int,
-    xdrop: float,
-    band: int,
-) -> GappedAlignment | None:
-    """Original dense-kernel gapped extension (parity oracle)."""
-    return _extend_gapped_with(
-        reference_half_extension, q_codes, s_codes, q_seed, s_seed, matrix,
-        gap_open, gap_extend, xdrop, band,
-    )
+    return identities, align_len, gaps, "".join(reversed(ops))

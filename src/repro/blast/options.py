@@ -38,7 +38,15 @@ class BlastOptions:
     # Extension control
     xdrop_ungapped: float = 20.0
     xdrop_gapped: float = 30.0
-    ungapped_cutoff_bits: float = 12.0  # HSPs below this never reach gapped stage
+    #: ungapped HSPs below this never reach the gapped stage.  At blastn
+    #: defaults (word 11, +1/-2) the trigger is vacuous: a bare 11-mer
+    #: already scores 21.8 bits, so every word hit is gapped-extended
+    #: (n_gapped == n_ungapped), while reporting at E <= 1e-4 for a 400-bp
+    #: read against 1 Mb needs raw score 22.  Raising the default changes
+    #: which hits are found and needs its own ground-truth test; the gapped
+    #: kernel makes the vacuous trigger cheap instead (dead extensions leave
+    #: the batch, sub-cutoff alignments skip the traceback).
+    ungapped_cutoff_bits: float = 12.0
     band_width: int = 48  # gapped extension band half-width
     #: batched stage-2 window: steps gathered each side of a word hit in the
     #: first pass; hits whose X-drop extent outruns it are re-batched with

@@ -6,7 +6,7 @@ import pytest
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio import random_genome, mutate_dna, random_protein
 from repro.blast.extend import UngappedHSP, extension_scores, ungapped_extend
-from repro.blast.gapped import extend_gapped, half_extension
+from repro.blast.gapped import extend_gapped
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 from repro.blast.reference import smith_waterman, smith_waterman_score
 
@@ -135,10 +135,15 @@ class TestGappedVsOracle:
             extend_gapped(q, q, 9, 0, NT, 5, 2, xdrop=10, band=8)
 
     def test_half_extension_empty_inputs(self):
-        empty = np.empty(0, dtype=np.uint8)
-        q = DNA.encode("ACGT")
-        h = half_extension(empty, q, NT, 5, 2, 10, 8)
-        assert h.score == 0 and h.align_len == 0
+        """A seed at a sequence end leaves one half empty: it aligns
+        nothing and the other half carries the whole alignment."""
+        q = DNA.encode("ACGTACGTTGCA")
+        for q_seed, s_seed in [(0, 0), (q.size, q.size)]:
+            g = extend_gapped(q, q, q_seed, s_seed, NT, 5, 2, xdrop=10, band=8)
+            assert (g.q_start, g.q_end, g.s_start, g.s_end) == (0, q.size, 0, q.size)
+            assert g.score == q.size and g.ops == "M" * q.size
+        # Both halves empty on one side: nothing to align at all.
+        assert extend_gapped(q, q, 0, q.size, NT, 5, 2, xdrop=10, band=8) is None
 
     def test_band_limits_gap_drift(self):
         # A 12-base insertion is profitable to bridge (120 matches - 29 gap

@@ -1,0 +1,6 @@
+"""Make ``tests/oracles`` importable from every test directory."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(__file__))

@@ -1,15 +1,20 @@
-"""Parity properties: batched/banded extension kernels vs their retained oracles.
+"""Parity properties: batched/banded extension kernels vs their oracles.
 
-The PR-2 contract is bit-identity, not approximation: every complete row of
+The contract is bit-identity, not approximation: every complete row of
 :func:`batch_ungapped_extend` must equal :func:`ungapped_extend` field for
-field, and :func:`extend_gapped` (band-compressed int32) must reproduce
-:func:`reference_extend_gapped` (dense float32) including coordinates and
-operation strings.  Random sequences here are deliberately homolog-biased so
-the gapped band actually fills, plus directed band-edge and all-negative
-cases.
+field, and the lockstep gapped kernel (:func:`extend_gapped_batch`, band-
+compressed int32, live-set compaction, live-column window) must reproduce
+``oracles.dense_gapped.reference_extend_gapped`` (dense float32, one half
+at a time) including coordinates and operation strings.  Random sequences
+here are deliberately homolog-biased so the gapped band actually fills,
+plus directed cases aimed at the block boundaries, the band edges and the
+extents-only path.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +22,12 @@ from repro.bio import mutate_dna, random_genome, random_protein
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast.extend import batch_ungapped_extend, ungapped_extend
 import repro.blast.gapped as gapped_mod
-from repro.blast.gapped import (
-    extend_gapped,
-    extend_gapped_batch,
-    reference_extend_gapped,
-)
+from repro.blast.gapped import extend_gapped, extend_gapped_batch
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
+
+from repro.blast.reference import smith_waterman
+
+from oracles.dense_gapped import reference_extend_gapped
 
 NT = nucleotide_matrix(1, -2)
 
@@ -266,7 +271,7 @@ class TestBatchedGappedParity:
         rng = np.random.default_rng(99)
         seeds = _random_seed_batch(rng, 30)
         whole = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 16)
-        monkeypatch.setattr(gapped_mod, "_CHUNK_HALVES", 3)
+        monkeypatch.setattr(gapped_mod, "_CHUNK_SEEDS", 2)
         chunked = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 16)
         assert chunked == whole
         assert whole == [
@@ -297,3 +302,248 @@ class TestBatchedGappedParity:
 
     def test_empty_batch(self):
         assert extend_gapped_batch([], NT, 5, 2, 20.0, 8) == []
+
+
+def _reference_batch(seeds, matrix, go, ge, xdrop, band):
+    return [
+        reference_extend_gapped(q, s, qp, sp, matrix, go, ge, xdrop, band)
+        for q, s, qp, sp in seeds
+    ]
+
+
+def _mixed_batch(rng, n_random, n_long, long_len=260):
+    """The engine's real batch shape: a few long true homologs among many
+    chance seeds that X-drop kills within a few dozen rows, all cut from a
+    handful of shared sequences so depths are ragged."""
+    seeds = []
+    for _ in range(n_long):
+        base = random_genome(long_len, seed_or_rng=int(rng.integers(2**31)))
+        q = DNA.encode(base)
+        s = DNA.encode(mutate_dna(base, 0.05, seed_or_rng=int(rng.integers(2**31))))
+        mid = int(rng.integers(long_len // 3, 2 * long_len // 3))
+        seeds.append((q, s, mid, min(mid, int(s.size))))
+    queries = [DNA.encode(random_genome(int(rng.integers(40, 180)),
+                                        seed_or_rng=int(rng.integers(2**31))))
+               for _ in range(6)]
+    subjects = [DNA.encode(random_genome(int(rng.integers(300, 900)),
+                                         seed_or_rng=int(rng.integers(2**31))))
+                for _ in range(4)]
+    for _ in range(n_random):
+        q = queries[int(rng.integers(len(queries)))]
+        s = subjects[int(rng.integers(len(subjects)))]
+        seeds.append((q, s, int(rng.integers(0, q.size + 1)), int(rng.integers(0, s.size + 1))))
+    order = rng.permutation(len(seeds))
+    return [seeds[i] for i in order]
+
+
+def _extents(g):
+    return None if g is None else (g.score, g.q_start, g.q_end, g.s_start, g.s_end)
+
+
+class TestLiveSetKernel:
+    """The mechanisms of the one-pass kernel: compaction at block
+    boundaries, the live-column window, extents-only results."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(50, 300), st.integers(1, 2))
+    @settings(max_examples=8, deadline=None)
+    def test_mixed_batches_match_reference(self, seed, n_random, n_long):
+        rng = np.random.default_rng(seed)
+        seeds = _mixed_batch(rng, n_random, n_long)
+        stats = {}
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
+        assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 48)
+        # The long halves outlive the chance seeds by several row blocks,
+        # so the batch was compacted on the way and most of the band was
+        # never computed (a lone homolog's live window is about a third of
+        # the band; chance seeds cost far less).
+        full = sum(q.size for q, _, _, _ in seeds) * 97
+        assert stats["dp_rows"] > 3 * gapped_mod._BLOCK_ROWS
+        assert stats["dp_cells"] < full // 2
+
+    def test_half_dying_mid_block_keeps_its_neighbours_right(self):
+        """A chance half is X-dropped a few rows into a block and rides to
+        the boundary as sentinels next to a live homolog."""
+        base = random_genome(200, seed_or_rng=70)
+        q = DNA.encode(base)
+        s = DNA.encode(mutate_dna(base, 0.04, seed_or_rng=71))
+        junk_q = DNA.encode("ACGT" * 3 + "A" * 60)
+        junk_s = DNA.encode("ACGT" * 3 + "C" * 60)
+        seeds = [(q, s, 0, 0), (junk_q, junk_s, 0, 0), (q, s, 100, 100)]
+        assert extend_gapped_batch(seeds, NT, 5, 2, 20.0, 16) == _reference_batch(
+            seeds, NT, 5, 2, 20.0, 16
+        )
+
+    @pytest.mark.parametrize("depth", [5, 15, 16, 17, 20, 31, 32, 33, 48, 49])
+    def test_query_ending_mid_block_is_not_scored_past_its_end(self, depth):
+        """Regression: a half whose query is exhausted inside a block keeps
+        producing real-valued rows (from whatever follows it in memory)
+        until the boundary; they must not move its best cell.  The subject
+        goes on matching past the query's end, so a kernel that counted
+        those rows would report a longer, better alignment."""
+        base = random_genome(300, seed_or_rng=72)
+        s = DNA.encode(base)
+        short_q = DNA.encode(base[:depth])
+        long_q = DNA.encode(mutate_dna(base, 0.03, seed_or_rng=73))
+        seeds = [(short_q, s, 0, 0), (long_q, s, 0, 0)]
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert (got[0].q_end, got[0].score) == (depth, depth)
+
+    def test_loop_runs_until_no_live_half_has_a_row_left(self):
+        """Regression: the lockstep loop ends when no live half has a row
+        left, which is neither "all queries exhausted once" nor "nothing
+        alive": here every half is alive at every boundary and they run
+        out of query at different blocks, the last one alone."""
+        base = random_genome(120, seed_or_rng=74)
+        s = DNA.encode(base)
+        seeds = [(DNA.encode(base[:n]), s, 0, 0) for n in (16, 32, 33, 64, 100)]
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 16)
+        assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 16)
+        assert [g.q_end for g in got] == [16, 32, 33, 64, 100]
+
+    @pytest.mark.parametrize("band", [1, 2, 16])
+    def test_sequence_ends_short_subjects_and_narrow_bands(self, band):
+        base = random_genome(150, seed_or_rng=75)
+        q = DNA.encode(base)
+        s_full = DNA.encode(mutate_dna(base, 0.05, seed_or_rng=76))
+        s_short = DNA.encode(base[:40])
+        seeds = [
+            (q, s_full, 0, 0),
+            (q, s_full, int(q.size), int(s_full.size)),
+            (q, s_full, 0, int(s_full.size)),  # both halves empty on one side
+            (q, s_short, 0, 0),  # subject shorter than query
+            (q, s_short, 20, 20),
+            (q, s_short, int(q.size), int(s_short.size)),
+            (s_short, q, 40, 40),
+        ]
+        assert extend_gapped_batch(seeds, NT, 5, 2, 40.0, band) == _reference_batch(
+            seeds, NT, 5, 2, 40.0, band
+        )
+
+    def test_protein_batch_with_unit_gap_extension(self):
+        """BLOSUM62 with ``gap_extend=1`` gives the widest window pad: an
+        Iy run opened in a row stays above threshold longest."""
+        rng = np.random.default_rng(77)
+        aa = "ARNDCQEGHILKMFPSTWYV"
+        seeds = []
+        for t in range(40):
+            base = random_protein(int(rng.integers(30, 220)),
+                                  seed_or_rng=int(rng.integers(2**31)))
+            chars = list(base)
+            if t % 4:  # three in four are unrelated: they die early
+                chars = list(random_protein(len(base), seed_or_rng=int(rng.integers(2**31))))
+            else:
+                for i in range(len(chars)):
+                    if rng.random() < 0.2:
+                        chars[i] = aa[rng.integers(0, 20)]
+                del chars[len(chars) // 2 : len(chars) // 2 + 3]  # a 3-residue gap
+            q = PROTEIN.encode(base)
+            s = PROTEIN.encode("".join(chars))
+            seeds.append((q, s, int(q.size // 3), int(min(q.size // 3, s.size))))
+        assert extend_gapped_batch(seeds, BLOSUM62, 11, 1, 38.0, 32) == _reference_batch(
+            seeds, BLOSUM62, 11, 1, 38.0, 32
+        )
+
+    @pytest.mark.parametrize("gap_len", [31, 33, 38, 39])
+    def test_window_pad_covers_runs_outliving_the_previous_rows_tail(self, gap_len):
+        """Why the window needs its right pad.  A tryptophan pair (+11)
+        straight after an alanine pair (+4) lets an Iy run opened in that
+        row live 7 columns further right than any cell of the row before:
+        runs of 32 to 38 residues reach columns a window without pad never
+        computes.  Three more tryptophans behind the gap make that run the
+        optimal path.  With ``xdrop=38`` and gap costs 11/1, 38 is also the
+        longest run that survives at all (the pad's own bound)."""
+        head = random_protein(30, seed_or_rng=1) + "AW"
+        tail = "WWW" + random_protein(60, seed_or_rng=2)
+        insert = random_protein(gap_len, seed_or_rng=3)
+        q = PROTEIN.encode(head + tail)
+        s = PROTEIN.encode(head + insert + tail)
+        other = PROTEIN.encode(random_protein(80, seed_or_rng=4))
+        seeds = [(other, s, 10, 40), (q, s, 0, 0), (q, other, 5, 5)]
+        got = extend_gapped_batch(seeds, BLOSUM62, 11, 1, 38.0, 48)
+        assert got == _reference_batch(seeds, BLOSUM62, 11, 1, 38.0, 48)
+        assert got[1].gaps == (gap_len if gap_len <= 38 else 0)
+
+    def test_generous_band_and_xdrop_recover_smith_waterman(self):
+        """Ground truth, not parity: seeded on the optimal path with room
+        to spare, every extension in a mixed batch scores what exhaustive
+        Smith-Waterman scores."""
+        rng = np.random.default_rng(78)
+        seeds, want = [], []
+        for _ in range(6):
+            base = random_genome(int(rng.integers(120, 240)),
+                                 seed_or_rng=int(rng.integers(2**31)))
+            mutated = mutate_dna(base, 0.06, seed_or_rng=int(rng.integers(2**31)))
+            q, s = DNA.encode(base), DNA.encode(mutated)
+            sw_score, (qs, qe, _, _) = smith_waterman(q, s, NT, 5, 2)
+            anchor = next(
+                (i, mutated.find(base[i : i + 12]))
+                for i in range(qs, qe - 12)
+                if mutated.find(base[i : i + 12]) >= 0
+            )
+            seeds.append((q, s, *anchor))
+            want.append(sw_score)
+        seeds += _mixed_batch(rng, 40, 0)
+        got = extend_gapped_batch(seeds, NT, 5, 2, 50.0, 64)
+        assert [g.score for g in got[: len(want)]] == want
+
+    def test_min_scores_skip_only_the_traceback(self):
+        rng = np.random.default_rng(79)
+        seeds = _mixed_batch(rng, 60, 2)
+        traced = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48)
+        stats_traced, stats_bare = {}, {}
+        extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats_traced)
+        bare = extend_gapped_batch(
+            seeds, NT, 5, 2, 30.0, 48, stats=stats_bare, min_scores=[10**9] * len(seeds)
+        )
+        assert [_extents(g) for g in bare] == [_extents(g) for g in traced]
+        assert all(
+            (g.identities, g.align_len, g.gaps, g.ops) == (0, 0, 0, "")
+            for g in bare if g is not None
+        )
+        assert stats_bare == stats_traced  # same DP, rows and cells
+        assert extend_gapped_batch(
+            seeds, NT, 5, 2, 30.0, 48, min_scores=[0] * len(seeds)
+        ) == traced
+        # A floor is per seed and inclusive: exactly the score is traced.
+        floors = [g.score + (t % 2) if g is not None else 0 for t, g in enumerate(traced)]
+        mixed = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, min_scores=floors)
+        for t, (m, g) in enumerate(zip(mixed, traced)):
+            if g is not None:
+                assert _extents(m) == _extents(g)
+                assert (m == g) == (t % 2 == 0)
+        with pytest.raises(ValueError):
+            extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, min_scores=[0])
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_any_order_and_any_split_give_the_same_results(self, seed):
+        rng = np.random.default_rng(seed)
+        seeds = _mixed_batch(rng, 50, 1)
+        whole = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        order = rng.permutation(len(seeds))
+        shuffled = extend_gapped_batch([seeds[i] for i in order], NT, 5, 2, 30.0, 24)
+        assert [shuffled[int(np.flatnonzero(order == i)[0])] for i in range(len(seeds))] == whole
+        cuts = sorted(int(c) for c in rng.integers(0, len(seeds) + 1, size=3))
+        pieces = []
+        for lo, hi in zip([0] + cuts, cuts + [len(seeds)]):
+            pieces += extend_gapped_batch(seeds[lo:hi], NT, 5, 2, 30.0, 24)
+        assert pieces == whole
+
+    def test_large_batch_stays_inside_the_chunk_budget(self):
+        """2000 seeds, a few of them deep: what a chunk retains is bounded
+        by ``_CHUNK_BYTES`` and the whole call by twice that."""
+        rng = np.random.default_rng(80)
+        seeds = _mixed_batch(rng, 1990, 10, long_len=400)
+        stats = {}
+        tracemalloc.start()
+        try:
+            got = extend_gapped_batch(
+                seeds, NT, 5, 2, 30.0, 48, stats=stats, min_scores=[22] * len(seeds)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2000
+        assert 0 < stats["peak_grid_bytes"] <= gapped_mod._CHUNK_BYTES
+        assert peak < 2 * gapped_mod._CHUNK_BYTES
