@@ -198,6 +198,27 @@ class _Ineligible(Exception):
     """Internal: payload must take the pickle path."""
 
 
+def _walk_tree(o, depth: int, arrays: list, out: bytearray) -> None:
+    # Module-level on purpose (see _rebuild): as a closure calling itself it sat
+    # in a cycle with ``arrays``, and a sent payload lived until the cyclic GC ran.
+    if isinstance(o, np.ndarray):
+        if o.dtype.hasobject or o.ndim > 255:
+            raise _Ineligible
+        arrays.append(o)
+        out.append(_OP_ARRAY)
+    elif o is None:
+        out.append(_OP_NONE)
+    elif isinstance(o, (tuple, list)):
+        if depth >= 2 or len(o) > 0xFFFF:
+            raise _Ineligible
+        out.append(_OP_TUPLE if isinstance(o, tuple) else _OP_LIST)
+        out.extend(len(o).to_bytes(2, "little"))
+        for child in o:
+            _walk_tree(child, depth + 1, arrays, out)
+    else:
+        raise _Ineligible
+
+
 def _arena_flatten(obj) -> tuple[list, bytes] | None:
     """Flatten an array tree into (arrays, structure grammar), or None.
 
@@ -206,36 +227,15 @@ def _arena_flatten(obj) -> tuple[list, bytes] | None:
     the columnar shuffle, the capitalized buffer path and the collectives'
     gathered-list broadcasts produce.  Anything else pickles.
     """
-    arrays: list = []
-    out = bytearray()
-
-    def walk(o, depth: int) -> None:
-        if isinstance(o, np.ndarray):
-            if o.dtype.hasobject or o.ndim > 255:
-                raise _Ineligible
-            arrays.append(o)
-            out.append(_OP_ARRAY)
-        elif o is None:
-            out.append(_OP_NONE)
-        elif isinstance(o, (tuple, list)):
-            if depth >= 2 or len(o) > 0xFFFF:
-                raise _Ineligible
-            out.append(_OP_TUPLE if isinstance(o, tuple) else _OP_LIST)
-            out.extend(len(o).to_bytes(2, "little"))
-            for child in o:
-                walk(child, depth + 1)
-        else:
-            raise _Ineligible
-
     if obj is None:
         return None  # a bare None pickles in a handful of bytes
+    arrays: list = []
+    out = bytearray()
     try:
-        walk(obj, 0)
+        _walk_tree(obj, 0, arrays, out)
     except _Ineligible:
         return None
-    if not arrays or len(arrays) > 0xFFFF:
-        return None
-    return arrays, bytes(out)
+    return (arrays, bytes(out)) if 0 < len(arrays) <= 0xFFFF else None
 
 
 _DTYPE_DECODE_CACHE: dict[bytes, np.dtype] = {}

@@ -13,8 +13,9 @@ contiguous arrays per page, described once by a
   grouped value rows;
 - spill pages are raw array buffers (``PageSpool.write_arrays``, no
   pickle) with *exact* byte accounting;
-- grouping is a bounded-memory **sort**: pages are argsorted individually
-  into runs and k-way merged by key, replacing the dict/bucket path.
+- grouping is a bounded-memory **sort done once**: ``aggregate`` ships
+  key-sorted runs (:func:`sorted_partitions`) and everything downstream
+  only merges runs, resident ones in one pass, spilled pages k-way.
 
 Ordering contract (what the parity suites pin): iteration replays spilled
 pages first, then live batches, exactly like the object stores; sorts are
@@ -23,6 +24,7 @@ stable, so equal keys keep emission order end to end.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -34,12 +36,84 @@ from repro.obs.trace import current_tracer
 __all__ = [
     "ColumnarKeyValue",
     "ColumnarKeyMultiValue",
+    "ValuesView",
     "convert_columnar",
+    "key_order",
     "sort_kmv_columnar",
+    "sorted_partitions",
 ]
 
 #: scalar adds are staged in Python lists and sealed into arrays this often
 _PENDING_SEAL = 4096
+
+#: below this many keys the radix passes' fixed cost loses to a comparison
+#: sort (crossover measured at ~500 rows for 'S8', ~2000 for random int64)
+_RADIX_MIN = 2048
+
+
+# --------------------------------------------------------------------------
+# Key ordering: the one place a key column is sorted
+# --------------------------------------------------------------------------
+
+
+def _key_code(keys: np.ndarray) -> np.ndarray | None:
+    """Order-preserving ``uint64`` code of a key column, or ``None``.
+
+    'S1'..'S8' bytes are read big-endian (right NUL padding sorts first,
+    which is numpy's own 'S' order); signed integers get the sign bit
+    flipped.  Wider 'S' columns and floats have no 8-byte code.
+    """
+    kind = keys.dtype.kind
+    if kind == "S" and keys.dtype.itemsize <= 8:
+        return keys.astype("S8", copy=False).view(">u8").astype(np.uint64)
+    if kind == "i":
+        return keys.astype(np.int64, copy=False).view(np.uint64) ^ np.uint64(1 << 63)
+    if kind == "u":
+        return keys.astype(np.uint64, copy=False)
+    return None
+
+
+def key_order(keys: np.ndarray, runs: bool = False) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, computed as dtype and length allow.
+
+    Keys with an integer code (:func:`_key_code`) take a stable LSD radix
+    over the 16-bit digits that vary in the column (numpy's stable sort of
+    16-bit integers *is* a radix sort), or, when the column is known to be
+    a concatenation of sorted ``runs``, a timsort over the code, which then
+    only merges.  Wide 'S' keys, floats and columns too short for the radix
+    to pay take the comparison sort.
+    """
+    code = _key_code(keys) if len(keys) >= _RADIX_MIN else None
+    if code is None:
+        return np.argsort(keys, kind="stable")
+    if runs:
+        return np.argsort(code, kind="stable")
+    varying = int(np.bitwise_or.reduce(code ^ code[0]))
+    order = None
+    for shift in range(0, 64, 16):
+        if (varying >> shift) & 0xFFFF:
+            digit = (code >> np.uint64(shift)).astype(np.uint16)
+            if order is None:
+                order = np.argsort(digit, kind="stable")
+            else:
+                order = np.take(order, np.argsort(np.take(digit, order), kind="stable"))
+    return np.arange(len(keys)) if order is None else order
+
+
+def _group_starts(skeys: np.ndarray) -> np.ndarray:
+    """Start row of every run of equal keys in a sorted, non-empty column."""
+    code = _key_code(skeys)
+    col = skeys if code is None else code
+    return np.concatenate(([0], np.flatnonzero(col[1:] != col[:-1]) + 1))
+
+
+def _run_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of runs ``starts[i] : starts[i] + lengths[i]`` laid end
+    to end in the order given, plus the offsets of the runs in that layout."""
+    new_off = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_off[1:])
+    pos = np.repeat(starts - new_off[:-1], lengths) + np.arange(new_off[-1])
+    return pos, new_off
 
 
 # --------------------------------------------------------------------------
@@ -62,13 +136,11 @@ def _v_nbytes(col) -> int:
 
 def _v_take(col, idx: np.ndarray):
     if not isinstance(col, tuple):
-        return col[idx]
+        # np.take moves whole rows; ``col[idx]`` on a structured dtype copies
+        # field by field and is ~7x slower.
+        return np.take(col, idx, axis=0)
     buf, offsets = col
-    lengths = (offsets[1:] - offsets[:-1])[idx]
-    new_off = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_off[1:])
-    starts = offsets[:-1][idx]
-    pos = np.repeat(starts - new_off[:-1], lengths) + np.arange(new_off[-1])
+    pos, new_off = _run_positions(offsets[:-1][idx], (offsets[1:] - offsets[:-1])[idx])
     return buf[pos], new_off
 
 
@@ -102,11 +174,15 @@ def _v_from_arrays(arrays: Sequence[np.ndarray], ragged: bool):
     return (arrays[0], arrays[1]) if ragged else arrays[0]
 
 
-def _v_decode(col, schema: RecordSchema, i: int):
+def _row_reader(col, schema: RecordSchema) -> Callable[[int], Any]:
+    """``row(i)``: the application object for row ``i`` of a value column."""
     if isinstance(col, tuple):
         buf, offsets = col
-        return buf[offsets[i] : offsets[i + 1]].tobytes()
-    return schema.decode_one(col[i])
+        return lambda i: buf[offsets[i] : offsets[i + 1]].tobytes()
+    decode = schema.decode_value
+    if decode is None:
+        return col.__getitem__
+    return lambda i: decode(col[i])
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +198,10 @@ class ColumnarKeyValue:
     periodically, so object-style emitters keep working.  Page occupancy is
     the *exact* sum of array ``nbytes`` (no estimates), and spilled pages
     are raw buffers.
+
+    :attr:`sorted_runs` holds while every batch appended was declared
+    key-sorted (``aggregate``'s receive side); such a store spills each page
+    as the merge of its resident runs, so its pages are sorted runs too.
     """
 
     def __init__(
@@ -142,6 +222,7 @@ class ColumnarKeyValue:
         self._pending_bytes = 0
         self._spool: PageSpool | None = None
         self._nkv = 0
+        self.sorted_runs = True
 
     # ------------------------------------------------------------------ write
 
@@ -181,17 +262,20 @@ class ColumnarKeyValue:
         self._nkv += n
         return n
 
-    def add_wire(self, arrays: Sequence[np.ndarray]) -> int:
-        """Append a batch that arrived as raw wire arrays (no re-encoding)."""
+    def add_wire(self, arrays: Sequence[np.ndarray], sorted_run: bool = False) -> int:
+        """Append a batch that arrived as raw wire arrays (no re-encoding);
+        ``sorted_run`` is the sender's word that the batch is key-sorted."""
         self._seal_pending()
         karr = arrays[0]
         if len(karr) == 0:
             return 0
-        self._append(karr, _v_from_arrays(arrays[1:], self.schema.ragged_values))
+        vcol = _v_from_arrays(arrays[1:], self.schema.ragged_values)
+        self._append(karr, vcol, sorted_run)
         self._nkv += len(karr)
         return len(karr)
 
-    def _append(self, karr: np.ndarray, vcol) -> None:
+    def _append(self, karr: np.ndarray, vcol, sorted_run: bool = False) -> None:
+        self.sorted_runs = self.sorted_runs and sorted_run
         self._batches.append((karr, vcol))
         self._live_bytes += int(karr.nbytes) + _v_nbytes(vcol)
         if self._live_bytes >= self.pagesize:
@@ -211,15 +295,26 @@ class ColumnarKeyValue:
             return
         if self._spool is None:
             self._spool = PageSpool(dir=self._spool_dir, prefix="ckv")
-        keys = np.concatenate([k for k, _ in self._batches])
-        vcol = _v_concat([v for _, v in self._batches])
+        keys, vcol = self._pop_live(merge=self.sorted_runs)
         nbytes = self._spool.write_arrays((keys,) + _v_to_arrays(vcol), len(keys))
         trc = current_tracer()
         if trc.enabled:
             trc.instant("store.spill", cat="spool", kind="ckv",
                         rows=len(keys), bytes=nbytes)
-        self._batches = []
+
+    def _pop_live(self, merge: bool) -> tuple[np.ndarray, Any]:
+        """Hand over the resident batches as one batch and forget them: in
+        emission order, or with ``merge`` as one key-sorted run (a merge
+        when they are sorted runs, a full sort otherwise)."""
+        batches, self._batches = self._batches, []
         self._live_bytes = 0
+        keys = np.concatenate([k for k, _ in batches])
+        vcol = _v_concat([v for _, v in batches])
+        if not merge or (self.sorted_runs and len(batches) == 1):
+            return keys, vcol
+        del batches
+        order = key_order(keys, runs=self.sorted_runs)
+        return np.take(keys, order), _v_take(vcol, order)
 
     # ------------------------------------------------------------------- read
 
@@ -240,18 +335,28 @@ class ColumnarKeyValue:
     def spilled_pages(self) -> int:
         return 0 if self._spool is None else self._spool.npages
 
-    def iter_batches(self) -> Iterator[tuple[np.ndarray, Any]]:
-        """Stream (key column, value column) batches in emission order."""
+    def iter_batches(self, drain: bool = False) -> Iterator[tuple[np.ndarray, Any]]:
+        """Stream (key column, value column) batches in emission order.
+
+        With ``drain`` resident batches leave the store as they are yielded
+        (the consumer's copy is the only one); it must be closed afterwards.
+        """
         self._seal_pending()
         if self._spool is not None:
             for arrays in self._spool.iter_pages():
                 yield arrays[0], _v_from_arrays(arrays[1:], self.schema.ragged_values)
-        yield from self._batches
+        if not drain:
+            yield from self._batches
+            return
+        batches, self._batches, self._live_bytes = self._batches[::-1], [], 0
+        while batches:
+            yield batches.pop()
 
     def __iter__(self) -> Iterator[tuple[Any, Any]]:
         for karr, vcol in self.iter_batches():
-            for i in range(len(karr)):
-                yield self.schema.decode_key(karr[i]), _v_decode(vcol, self.schema, i)
+            row = _row_reader(vcol, self.schema)
+            for i, key in enumerate(self.schema.decode_keys(karr)):
+                yield key, row(i)
 
     # ------------------------------------------------------------------ admin
 
@@ -261,6 +366,7 @@ class ColumnarKeyValue:
         self._pending_k, self._pending_v = [], []
         self._pending_bytes = 0
         self._nkv = 0
+        self.sorted_runs = True
         if self._spool is not None:
             self._spool.close()
             self._spool = None
@@ -287,108 +393,164 @@ class ColumnarKeyValue:
 
 
 class _RunCursor:
-    """One sorted run: consecutive chunk pages in a runs spool."""
+    """One sorted run, buffered a chunk at a time.
 
-    def __init__(self, spool: PageSpool, pages: range, ragged: bool):
-        self._spool = spool
-        self._pages = list(pages)
-        self._next = 0
-        self._ragged = ragged
-        self.keys: np.ndarray = np.empty(0)
-        self.vcol: Any = None
-        self._loaded = False
+    ``chunks`` yields the run as consecutive (sort column, payload) pieces;
+    ``cut(payload, lo, hi)`` and ``join(payloads)`` slice and concatenate
+    payload records: value rows for a KV run, key groups for a KMV run.
+    """
+
+    def __init__(self, chunks, cut: Callable, join: Callable):
+        self._chunks = iter(chunks)
+        self._cut = cut
+        self._join = join
+        self._spent = False
+        self.ranks: np.ndarray = np.empty(0)
+        self.payload: Any = None
 
     def refill(self) -> bool:
-        """Ensure a non-empty buffer; False when the run is exhausted."""
-        while (not self._loaded or len(self.keys) == 0) and self._next < len(self._pages):
-            arrays = self._spool.read_page(self._pages[self._next])
-            self._next += 1
-            self.keys = arrays[0]
-            self.vcol = _v_from_arrays(arrays[1:], self._ragged)
-            self._loaded = True
-        return self._loaded and len(self.keys) > 0
+        """Buffer chunks until some key is *complete* in the buffer (a larger
+        key follows it, or the run has ended); False once the run is spent.
+        """
+        while not self._spent and (
+            len(self.ranks) == 0 or self.ranks[0] == self.ranks[-1]
+        ):
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                self._spent = True
+            elif len(self.ranks) == 0:
+                self.ranks, self.payload = chunk
+            else:
+                self.ranks = np.concatenate((self.ranks, chunk[0]))
+                self.payload = self._join((self.payload, chunk[1]))
+        return len(self.ranks) > 0
+
+    def complete_key(self):
+        """The largest buffered key with no records left unread in the run
+        (the last one may continue in the next chunk, and emitting it now
+        would let a later run's records of that key overtake those)."""
+        if self._spent:
+            return self.ranks[-1]
+        return self.ranks[np.searchsorted(self.ranks, self.ranks[-1], side="left") - 1]
 
     def take_upto(self, boundary) -> tuple[np.ndarray, Any] | None:
         """Pop the prefix of keys ``<= boundary`` off the buffer."""
-        cnt = int(np.searchsorted(self.keys, boundary, side="right"))
+        cnt = int(np.searchsorted(self.ranks, boundary, side="right"))
         if cnt == 0:
             return None
-        n = len(self.keys)
-        part = (self.keys[:cnt], _v_slice(self.vcol, 0, cnt))
-        self.keys = self.keys[cnt:]
-        self.vcol = _v_slice(self.vcol, cnt, n)
+        n = len(self.ranks)
+        part = (self.ranks[:cnt], self._cut(self.payload, 0, cnt))
+        self.ranks = self.ranks[cnt:]
+        self.payload = self._cut(self.payload, cnt, n)
         return part
 
 
-def _sorted_run_chunks(
-    karr: np.ndarray, vcol, chunk_rows: int
-) -> Iterator[tuple[np.ndarray, Any]]:
-    order = np.argsort(karr, kind="stable")
-    skeys = karr[order]
-    svals = _v_take(vcol, order)
-    for lo in range(0, len(skeys), chunk_rows):
-        hi = min(lo + chunk_rows, len(skeys))
-        yield skeys[lo:hi], _v_slice(svals, lo, hi)
+def _merge_steps(cursors: Sequence[_RunCursor]) -> Iterator[list[tuple[np.ndarray, Any]]]:
+    """Drive a k-way merge: each step yields, in run order, every run's
+    records up to the smallest key that is complete in all buffers, so the
+    step's keys are globally final and a stable sort of the concatenation
+    finishes the job."""
+    while True:
+        alive = [c for c in cursors if c.refill()]
+        if not alive:
+            return
+        boundary = min(c.complete_key() for c in alive)
+        yield [p for c in alive if (p := c.take_upto(boundary)) is not None]
+
+
+def _page_rows(spool: PageSpool, ragged: bool, page: int, lo: int, hi: int):
+    """Rows ``lo:hi`` of one spilled KV page, without reading the rest."""
+    hi = min(hi, spool.page_rows(page))
+    keys = spool.read_rows(page, 0, lo, hi)
+    if not ragged:
+        return keys, spool.read_rows(page, 1, lo, hi)
+    offsets = spool.read_rows(page, 2, lo, hi + 1)
+    buf = spool.read_rows(page, 1, int(offsets[0]), int(offsets[-1]))
+    return keys, (buf, offsets - offsets[0])
 
 
 def iter_sorted_batches(kv: ColumnarKeyValue) -> Iterator[tuple[np.ndarray, Any]]:
     """Yield the whole KV dataset as key-sorted batches, bounded memory.
 
-    In-core: one stable argsort over the live columns.  Out-of-core: each
-    spilled page (already ≤ ``pagesize``) is argsorted into a run of chunk
-    pages in a scratch spool — pages are streamed one at a time, never all
-    resident — then the runs are k-way merged.  During the merge only one
-    chunk per run is buffered (chunks are sized so all run buffers together
-    hold about one page), and batches are emitted up to the smallest
-    per-run high-water key, so every emitted key is globally final.
-    Stable throughout: equal keys keep original emission order.
+    Consumes the store's resident batches (callers close it afterwards).
+    In-core they are merged, or sorted when they are not runs, and that is
+    the one batch.  Out-of-core they are spilled too and the pages are the
+    runs: a :attr:`~ColumnarKeyValue.sorted_runs` store spilled its pages
+    sorted and they are merged where they lie, otherwise each page is
+    sorted once into a scratch spool.  The k-way merge buffers one chunk
+    per run, read out of its page by row range (chunks are sized so all
+    buffers together hold about one page; a key group longer than a chunk
+    is buffered whole), so every batch holds whole key groups.  Stable
+    throughout: equal keys keep original emission order.
     """
     kv._seal_pending()
-    ragged = kv.schema.ragged_values
     if not kv.out_of_core:
-        if not kv._batches:
-            return
-        keys = np.concatenate([k for k, _ in kv._batches])
-        vcol = _v_concat([v for _, v in kv._batches])
-        order = np.argsort(keys, kind="stable")
-        yield keys[order], _v_take(vcol, order)
-        return
-
-    nruns = kv.spilled_pages + (1 if kv._batches else 0)
-    bytes_per_row = max(1, kv.nbytes // max(len(kv), 1))
-    chunk_rows = max(64, kv.pagesize // nruns // bytes_per_row)
-
-    runs = PageSpool(dir=kv._spool_dir, prefix="sortrun")
-    try:
-        cursors: list[_RunCursor] = []
-
-        def write_run(karr: np.ndarray, vcol) -> None:
-            start = runs.npages
-            for ck, cv in _sorted_run_chunks(karr, vcol, chunk_rows):
-                runs.write_arrays((ck,) + _v_to_arrays(cv), len(ck))
-            cursors.append(_RunCursor(runs, range(start, runs.npages), ragged))
-
-        for i in range(kv._spool.npages):
-            arrays = kv._spool.read_page(i)
-            write_run(arrays[0], _v_from_arrays(arrays[1:], ragged))
         if kv._batches:
-            write_run(
-                np.concatenate([k for k, _ in kv._batches]),
-                _v_concat([v for _, v in kv._batches]),
-            )
+            yield kv._pop_live(merge=True)
+        return
+    kv._spill()  # the resident remainder becomes the last run
+    ragged = kv.schema.ragged_values
+    bytes_per_row = max(1, kv.nbytes // max(len(kv), 1))
+    chunk_rows = max(64, kv.pagesize // kv.spilled_pages // bytes_per_row)
+    runs = kv._spool
+    scratch = None
+    try:
+        if not kv.sorted_runs:
+            runs = scratch = PageSpool(dir=kv._spool_dir, prefix="sortrun")
+            for arrays in kv._spool.iter_pages():
+                order = key_order(arrays[0])
+                vcol = _v_take(_v_from_arrays(arrays[1:], ragged), order)
+                runs.write_arrays((np.take(arrays[0], order),) + _v_to_arrays(vcol), len(order))
 
-        while True:
-            alive = [c for c in cursors if c.refill()]
-            if not alive:
-                return
-            boundary = min(c.keys[-1] for c in alive)
-            parts = [p for c in alive if (p := c.take_upto(boundary)) is not None]
+        def chunks(page: int) -> Iterator[tuple[np.ndarray, Any]]:
+            for lo in range(0, runs.page_rows(page), chunk_rows):
+                yield _page_rows(runs, ragged, page, lo, lo + chunk_rows)
+
+        cursors = [_RunCursor(chunks(p), _v_slice, _v_concat) for p in range(runs.npages)]
+        for parts in _merge_steps(cursors):
             keys = np.concatenate([k for k, _ in parts])
-            vcol = _v_concat([v for _, v in parts])
-            order = np.argsort(keys, kind="stable")
-            yield keys[order], _v_take(vcol, order)
+            order = key_order(keys, runs=True)
+            yield np.take(keys, order), _v_take(_v_concat([v for _, v in parts]), order)
     finally:
-        runs.close()
+        if scratch is not None:
+            scratch.close()
+
+
+def sorted_partitions(
+    batches: list[tuple[np.ndarray, Any]],
+    dest_of: Callable[[np.ndarray], np.ndarray],
+    nparts: int,
+) -> list[tuple[np.ndarray, ...] | None]:
+    """Sort drained batches by key and cut them into ``nparts`` sorted runs.
+
+    Empties ``batches`` (their concatenation is then the only copy, and dies
+    with this frame).  ``dest_of`` maps the *distinct* keys to partition
+    numbers, so a hash is paid per key, not per pair; whole key groups are
+    stable-partitioned by destination and the payload is gathered once.
+    Entry ``p`` is partition ``p``'s run in :meth:`ColumnarKeyValue.add_wire`
+    form, or ``None`` if empty.
+    """
+    keys = np.concatenate([k for k, _ in batches])
+    vcol = _v_concat([v for _, v in batches])
+    batches.clear()
+    order = key_order(keys)
+    skeys = np.take(keys, order)
+    bounds = [0, len(skeys)]
+    if nparts > 1:
+        starts = _group_starts(skeys)
+        dest = dest_of(skeys[starts])
+        by_dest = key_order(dest)
+        lengths = np.diff(starts, append=len(skeys))[by_dest]
+        pos, offsets = _run_positions(starts[by_dest], lengths)
+        skeys = np.take(skeys, pos)
+        order = np.take(order, pos)
+        del pos
+        bounds = offsets[np.searchsorted(dest[by_dest], np.arange(nparts + 1))].tolist()
+    svals = _v_take(vcol, order)
+    return [
+        (skeys[lo:hi],) + _v_to_arrays(_v_slice(svals, lo, hi)) if hi > lo else None
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -396,8 +558,44 @@ def iter_sorted_batches(kv: ColumnarKeyValue) -> Iterator[tuple[np.ndarray, Any]
 # --------------------------------------------------------------------------
 
 
+class ValuesView(SequenceABC):
+    """Read-only sequence of one key's values: a window on a page's rows.
+
+    ``len`` is O(1) and a row is decoded (schema ``decode_value`` hook,
+    ``bytes`` for ragged columns, the stored row otherwise) only when
+    indexed or iterated, so a reducer pays for what it touches.  Compares
+    equal to any sequence with the same items; ``list(values)`` is the
+    list the KMV used to hand out.  The view keeps its page alive, so it
+    stays valid after the iteration that produced it has moved on.
+    """
+
+    __slots__ = ("_row", "_rows")
+
+    def __init__(self, row: Callable[[int], Any], lo: int, hi: int):
+        self._row = row
+        self._rows = range(lo, hi)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        rows = self._rows[i]  # range does the bounds, negatives and slices
+        return [self._row(j) for j in rows] if isinstance(i, slice) else self._row(rows)
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._row, self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SequenceABC, np.ndarray)) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"ValuesView({list(self)!r})"
+
+
 class ColumnarKeyMultiValue:
-    """Grouped (key, [values...]) pairs as columns.
+    """Grouped (key, values) pairs as columns.
 
     A live/spilled **group batch** is ``(unique keys, group offsets, value
     rows)``: values of key ``i`` are rows ``offsets[i]:offsets[i+1]`` of the
@@ -449,9 +647,7 @@ class ColumnarKeyMultiValue:
             return
         if self._spool is None:
             self._spool = PageSpool(dir=self._spool_dir, prefix="ckmv")
-        keys = np.concatenate([k for k, _, _ in self._batches])
-        offsets = _concat_offsets([o for _, o, _ in self._batches])
-        vcol = _v_concat([v for _, _, v in self._batches])
+        keys, offsets, vcol = _g_join(self._batches)
         nbytes = self._spool.write_arrays(
             (keys, offsets) + _v_to_arrays(vcol), len(keys)
         )
@@ -494,12 +690,13 @@ class ColumnarKeyMultiValue:
                 )
         yield from self._batches
 
-    def __iter__(self) -> Iterator[tuple[Any, list]]:
+    def __iter__(self) -> Iterator[tuple[Any, ValuesView]]:
+        """(decoded key, :class:`ValuesView` over that key's rows) pairs."""
         for keys, offsets, vcol in self.iter_group_batches():
-            for i in range(len(keys)):
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                values = [_v_decode(vcol, self.schema, j) for j in range(lo, hi)]
-                yield self.schema.decode_key(keys[i]), values
+            row = _row_reader(vcol, self.schema)
+            bounds = offsets.tolist()
+            for i, key in enumerate(self.schema.decode_keys(keys)):
+                yield key, ValuesView(row, bounds[i], bounds[i + 1])
 
     # ------------------------------------------------------------------ admin
 
@@ -538,11 +735,7 @@ def _take_groups(
     keys: np.ndarray, offsets: np.ndarray, vcol, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Any]:
     """Select groups ``idx`` (reordering keys and their value runs)."""
-    lengths = (offsets[1:] - offsets[:-1])[idx]
-    new_off = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_off[1:])
-    starts = offsets[:-1][idx]
-    pos = np.repeat(starts - new_off[:-1], lengths) + np.arange(new_off[-1])
+    pos, new_off = _run_positions(offsets[:-1][idx], (offsets[1:] - offsets[:-1])[idx])
     return keys[idx], new_off, _v_take(vcol, pos)
 
 
@@ -558,50 +751,24 @@ def convert_columnar(
 ) -> ColumnarKeyMultiValue:
     """Group a columnar KV into a columnar KMV via the external sort.
 
-    Keys come out in sorted column order (the object convert emits
-    first-seen order instead — callers that need a specific order sort the
-    KMV afterwards, as mrblast does).  Within a key, value order is the KV
-    emission order (the sort is stable), matching the object path exactly.
+    Consumes ``kv`` (see :func:`iter_sorted_batches`).  Keys come out in
+    sorted column order (the object convert emits first-seen order instead
+    — callers that need a specific order sort the KMV afterwards, as
+    mrblast does).  Within a key, value order is the KV emission order
+    (every sort and merge is stable), matching the object path exactly.
     """
     kmv = ColumnarKeyMultiValue(kv.schema, pagesize=pagesize, spool_dir=spool_dir)
-    carry: tuple[Any, list] | None = None  # (key scalar, [value column parts])
     try:
+        # Every sorted batch holds whole key groups (a merge step only
+        # emits keys that are complete in every run), so none is carried.
         for skeys, svals in iter_sorted_batches(kv):
-            n = len(skeys)
-            change = np.flatnonzero(skeys[1:] != skeys[:-1]) + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [n]))
-            if carry is not None:
-                if skeys[0] == carry[0]:
-                    # The first run continues the carried key.
-                    carry[1].append(_v_slice(svals, 0, int(ends[0])))
-                    if len(starts) == 1:
-                        continue  # the whole batch was one key; keep carrying
-                    starts, ends = starts[1:], ends[1:]
-                _flush_carry(kmv, carry)
-                carry = None
-            # Hold back the final run: the next batch may continue it.
-            carry = (skeys[-1], [_v_slice(svals, int(starts[-1]), n)])
-            starts, ends = starts[:-1], ends[:-1]
-            if len(starts):
-                base = int(starts[0])
-                offsets = np.concatenate((starts, ends[-1:])).astype(np.int64) - base
-                vcol = _v_slice(svals, base, int(ends[-1]))
-                kmv.add_group_batch(skeys[starts], offsets, vcol)
-        if carry is not None:
-            _flush_carry(kmv, carry)
+            starts = _group_starts(skeys)
+            offsets = np.append(starts, len(skeys)).astype(np.int64)
+            kmv.add_group_batch(skeys[starts], offsets, svals)
     except BaseException:
         kmv.close()
         raise
     return kmv
-
-
-def _flush_carry(kmv: ColumnarKeyMultiValue, carry: tuple[Any, list]) -> None:
-    key, parts = carry
-    vcol = _v_concat(parts)
-    keys = np.array([key], dtype=kmv.schema.key_dtype)
-    offsets = np.array([0, _v_len(vcol)], dtype=np.int64)
-    kmv.add_group_batch(keys, offsets, vcol)
 
 
 # --------------------------------------------------------------------------
@@ -609,50 +776,22 @@ def _flush_carry(kmv: ColumnarKeyMultiValue, carry: tuple[Any, list]) -> None:
 # --------------------------------------------------------------------------
 
 
-class _KmvRunCursor:
-    """One rank-sorted KMV run: consecutive chunk pages in a runs spool."""
+def _g_cut(groups: tuple, lo: int, hi: int) -> tuple:
+    """Groups ``lo:hi`` of a (keys, offsets, value rows) batch."""
+    keys, offsets, vcol = groups
+    return (
+        keys[lo:hi],
+        offsets[lo : hi + 1] - offsets[lo],
+        _v_slice(vcol, int(offsets[lo]), int(offsets[hi])),
+    )
 
-    def __init__(self, spool: PageSpool, pages: range, ragged: bool):
-        self._spool = spool
-        self._pages = list(pages)
-        self._next = 0
-        self._ragged = ragged
-        self.ranks: np.ndarray = np.empty(0)
-        self.keys: np.ndarray = np.empty(0)
-        self.offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-        self.vcol: Any = None
-        self._loaded = False
 
-    def refill(self) -> bool:
-        while (not self._loaded or len(self.keys) == 0) and self._next < len(self._pages):
-            arrays = self._spool.read_page(self._pages[self._next])
-            self._next += 1
-            self.ranks = arrays[0]
-            self.keys = arrays[1]
-            self.offsets = arrays[2]
-            self.vcol = _v_from_arrays(arrays[3:], self._ragged)
-            self._loaded = True
-        return self._loaded and len(self.keys) > 0
-
-    def take_upto(self, boundary):
-        """Pop the prefix of groups with rank ``<= boundary``."""
-        cnt = int(np.searchsorted(self.ranks, boundary, side="right"))
-        if cnt == 0:
-            return None
-        ngroups = len(self.keys)
-        row_cut = int(self.offsets[cnt])
-        part = (
-            self.ranks[:cnt],
-            self.keys[:cnt],
-            self.offsets[: cnt + 1].copy(),
-            _v_slice(self.vcol, 0, row_cut),
-        )
-        self.ranks = self.ranks[cnt:]
-        self.keys = self.keys[cnt:]
-        nrows = int(self.offsets[ngroups])
-        self.vcol = _v_slice(self.vcol, row_cut, nrows)
-        self.offsets = self.offsets[cnt:] - row_cut
-        return part
+def _g_join(parts: Sequence[tuple]) -> tuple:
+    return (
+        np.concatenate([p[0] for p in parts]),
+        _concat_offsets([p[1] for p in parts]),
+        _v_concat([p[2] for p in parts]),
+    )
 
 
 def sort_kmv_columnar(
@@ -662,9 +801,10 @@ def sort_kmv_columnar(
     """Return a new KMV with groups ordered by ``key(decoded key)``.
 
     Keys are unique after convert, so sorting never merges groups — it only
-    permutes them.  In-core this is one argsort; out-of-core each KMV page
-    becomes a rank-sorted run of chunk pages and runs are merged by rank
-    with one chunk resident per run (same machinery as the KV sort).
+    permutes them.  In-core this is one :func:`key_order`; out-of-core each
+    KMV page becomes a rank-sorted run of chunk pages and runs are merged
+    by rank with one chunk resident per run (the KV sort's cursor and merge
+    loop, over groups instead of rows).  ``key`` is called once per key.
     Stable: two keys mapping to the same rank keep their current relative
     order, which is exactly what ``sorted(kmv, key=...)`` does on the
     object path.
@@ -674,7 +814,7 @@ def sort_kmv_columnar(
     def ranks_of(keys: np.ndarray) -> np.ndarray:
         if key is None:
             return keys
-        arr = np.asarray([key(schema.decode_key(k)) for k in keys])
+        arr = np.asarray([key(k) for k in schema.decode_keys(keys)])
         if arr.dtype == object:
             raise TypeError(
                 "sort key function must map keys to numeric/str ranks for the "
@@ -687,10 +827,8 @@ def sort_kmv_columnar(
         batches = list(kmv.iter_group_batches())
         if not batches:
             return out
-        keys = np.concatenate([k for k, _, _ in batches])
-        offsets = _concat_offsets([o for _, o, _ in batches])
-        vcol = _v_concat([v for _, _, v in batches])
-        order = np.argsort(ranks_of(keys), kind="stable")
+        keys, offsets, vcol = _g_join(batches)
+        order = key_order(ranks_of(keys))
         out.add_group_batch(*_take_groups(keys, offsets, vcol, order))
         return out
 
@@ -701,34 +839,29 @@ def sort_kmv_columnar(
 
     runs = PageSpool(dir=kmv._spool_dir, prefix="kmvsort")
     out = ColumnarKeyMultiValue(schema, pagesize=kmv.pagesize, spool_dir=kmv._spool_dir)
-    try:
-        cursors: list[_KmvRunCursor] = []
-        for keys, offsets, vcol in kmv.iter_group_batches():
-            order = np.argsort(ranks_of(keys), kind="stable")
-            skeys, soff, svals = _take_groups(keys, offsets, vcol, order)
-            sranks = ranks_of(skeys)
-            start = runs.npages
-            for lo in range(0, len(skeys), chunk_groups):
-                hi = min(lo + chunk_groups, len(skeys))
-                off = soff[lo : hi + 1] - soff[lo]
-                vc = _v_slice(svals, int(soff[lo]), int(soff[hi]))
-                runs.write_arrays(
-                    (sranks[lo:hi], skeys[lo:hi], off) + _v_to_arrays(vc), hi - lo
-                )
-            cursors.append(_KmvRunCursor(runs, range(start, runs.npages), ragged))
 
-        while True:
-            alive = [c for c in cursors if c.refill()]
-            if not alive:
-                break
-            boundary = min(c.ranks[-1] for c in alive)
-            parts = [p for c in alive if (p := c.take_upto(boundary)) is not None]
-            ranks = np.concatenate([p[0] for p in parts])
-            keys = np.concatenate([p[1] for p in parts])
-            offsets = _concat_offsets([p[2] for p in parts])
-            vcol = _v_concat([p[3] for p in parts])
-            order = np.argsort(ranks, kind="stable")
-            out.add_group_batch(*_take_groups(keys, offsets, vcol, order))
+    def chunks(pages: range):
+        for page in pages:
+            arrays = runs.read_page(page)
+            yield arrays[0], (arrays[1], arrays[2], _v_from_arrays(arrays[3:], ragged))
+
+    try:
+        cursors: list[_RunCursor] = []
+        for keys, offsets, vcol in kmv.iter_group_batches():
+            ranks = ranks_of(keys)
+            order = key_order(ranks)
+            sranks = ranks[order]
+            groups = _take_groups(keys, offsets, vcol, order)
+            start = runs.npages
+            for lo in range(0, len(keys), chunk_groups):
+                hi = min(lo + chunk_groups, len(keys))
+                ck, co, cv = _g_cut(groups, lo, hi)
+                runs.write_arrays((sranks[lo:hi], ck, co) + _v_to_arrays(cv), hi - lo)
+            cursors.append(_RunCursor(chunks(range(start, runs.npages)), _g_cut, _g_join))
+
+        for parts in _merge_steps(cursors):
+            order = key_order(np.concatenate([r for r, _ in parts]), runs=True)
+            out.add_group_batch(*_take_groups(*_g_join([g for _, g in parts]), order))
     except BaseException:
         out.close()
         raise

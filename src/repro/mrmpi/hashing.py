@@ -66,27 +66,39 @@ def _fnv1a_matrix(mat: np.ndarray, lengths: np.ndarray, prefix: bytes) -> np.nda
     Column ``j`` only updates rows with ``lengths > j``, so the result equals
     hashing ``prefix + row[:length]`` per row — the exact byte stream
     :func:`key_bytes` feeds :func:`stable_hash` — at one vectorised sweep per
-    byte *position* instead of one Python loop iteration per byte.
+    byte *position* instead of one Python loop iteration per byte.  Positions
+    every row reaches (all, when every key fills its column) need no mask.
     """
     prime = np.uint64(_FNV_PRIME)
     h = np.full(mat.shape[0], _FNV_OFFSET, dtype=np.uint64)
+    shortest = int(lengths.min()) if len(lengths) else 0
+    longest = int(lengths.max()) if len(lengths) else 0
     with np.errstate(over="ignore"):
         for byte in prefix:
             h = (h ^ np.uint64(byte)) * prime
-        for j in range(mat.shape[1]):
-            live = lengths > j
-            h = np.where(live, (h ^ mat[:, j].astype(np.uint64)) * prime, h)
+        for j in range(shortest):
+            h ^= mat[:, j]
+            h *= prime
+        for j in range(shortest, longest):
+            h = np.where(lengths > j, (h ^ mat[:, j]) * prime, h)
     return h
 
 
 def _byte_matrix(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, width) uint8 view of an ``S``-dtype column plus per-row lengths
-    (trailing NULs are padding, exactly what numpy strips on conversion)."""
+    (trailing NULs are padding, exactly what numpy strips on conversion),
+    found from the right: position ``j`` shortens only rows all NUL from ``j``
+    on, and the walk stops where there is none (at once, for full-width keys).
+    """
     width = column.dtype.itemsize
     mat = column.view(np.uint8).reshape(len(column), width)
-    nonzero = mat != 0
-    lengths = width - np.argmax(nonzero[:, ::-1], axis=1)
-    lengths[~nonzero.any(axis=1)] = 0
+    lengths = np.full(len(column), width, dtype=np.intp)
+    tail = np.ones(len(column), dtype=bool)
+    for j in range(width - 1, -1, -1):
+        tail &= mat[:, j] == 0
+        if not tail.any():
+            break
+        lengths[tail] = j
     return mat, lengths
 
 

@@ -39,13 +39,12 @@ from repro.mrmpi.columnar import (
     ColumnarKeyMultiValue,
     ColumnarKeyValue,
     _v_slice,
-    _v_take,
     _v_to_arrays,
-    _v_concat,
     _v_nbytes,
     convert_columnar,
     iter_sorted_batches,
     sort_kmv_columnar,
+    sorted_partitions,
 )
 from repro.mrmpi.hashing import hash_key_column, key_bytes, stable_hash
 from repro.mrmpi.keymultivalue import (
@@ -769,10 +768,12 @@ class MapReduce:
         out-of-core dataset never materialises it in memory — the original
         library pages its exchange the same way.
 
-        On the columnar plane each round is vectorised: one
-        :func:`~repro.mrmpi.hashing.hash_key_column` over the staged key
-        column, one stable argsort by destination, and per-destination
-        array slices on the wire — no per-pair Python work.  A custom
+        On the columnar plane each round is vectorised and *sorts at the
+        source* (:func:`~repro.mrmpi.columnar.sorted_partitions`): staged
+        pairs are ordered by key, only distinct keys are hashed, key groups
+        are partitioned by destination and the payload is gathered once, so
+        every wire slice is a key-sorted run and :meth:`convert` only has
+        to merge.  The source dataset is consumed as it is staged.  A custom
         ``hash_fn`` forces the record-at-a-time path (the vectorised hash
         only reproduces the stable FNV).
         """
@@ -843,11 +844,13 @@ class MapReduce:
     def _aggregate_columnar(self, kv: ColumnarKeyValue, budget: int) -> ColumnarKeyValue:
         schema = kv.schema
         new_kv = ColumnarKeyValue(schema, pagesize=self.memsize, spool_dir=self.spool_dir)
-        batches = kv.iter_batches()
+        batches = kv.iter_batches(drain=True)
         leftover: tuple[np.ndarray, Any] | None = None
         local_done = False
         size = self.size
         round_idx = 0
+        dest_of = lambda ks: (  # noqa: E731 - distinct keys -> destination ranks
+            hash_key_column(ks, schema.key_kind) % np.uint64(size)).astype(np.int64)
         try:
             while True:
                 round_pairs = 0
@@ -855,15 +858,11 @@ class MapReduce:
                 staged: list[tuple[np.ndarray, Any]] = []
                 staged_bytes = 0
                 while not local_done and staged_bytes < budget:
-                    if leftover is not None:
-                        karr, vcol = leftover
-                        leftover = None
-                    else:
-                        try:
-                            karr, vcol = next(batches)
-                        except StopIteration:
-                            local_done = True
-                            break
+                    batch, leftover = leftover or next(batches, None), None
+                    if batch is None:
+                        local_done = True
+                        break
+                    karr, vcol = batch
                     nb = int(karr.nbytes) + _v_nbytes(vcol)
                     if staged_bytes + nb > budget and len(karr) > 1:
                         # Split oversized batches so one round never stages
@@ -876,35 +875,19 @@ class MapReduce:
                             break
                     staged.append((karr, vcol))
                     staged_bytes += nb
-                if staged:
-                    keys = np.concatenate([k for k, _ in staged])
-                    vcol = _v_concat([v for _, v in staged])
-                    dest = (
-                        hash_key_column(keys, schema.key_kind) % np.uint64(size)
-                    ).astype(np.int64)
-                    order = np.argsort(dest, kind="stable")
-                    skeys = keys[order]
-                    svals = _v_take(vcol, order)
-                    bounds = np.searchsorted(dest[order], np.arange(size + 1))
-                    outgoing: list = []
-                    for p in range(size):
-                        lo, hi = int(bounds[p]), int(bounds[p + 1])
-                        if lo == hi:
-                            outgoing.append(None)
-                            continue
-                        arrs = (skeys[lo:hi],) + _v_to_arrays(_v_slice(svals, lo, hi))
-                        outgoing.append(arrs)
-                        if p != self.rank:
-                            nb_out = sum(int(a.nbytes) for a in arrs)
-                            self._bump("aggregate", hi - lo, nb_out)
-                            round_pairs += hi - lo
-                            round_bytes += nb_out
-                else:
-                    outgoing = [None] * size
+                outgoing = (
+                    sorted_partitions(staged, dest_of, size) if staged else [None] * size
+                )
+                for p, arrs in enumerate(outgoing):
+                    if arrs is not None and p != self.rank:
+                        nb_out = sum(int(a.nbytes) for a in arrs)
+                        self._bump("aggregate", len(arrs[0]), nb_out)
+                        round_pairs += len(arrs[0])
+                        round_bytes += nb_out
                 incoming = self.comm.alltoall(outgoing)
                 for batch in incoming:
                     if batch is not None:
-                        new_kv.add_wire(batch)
+                        new_kv.add_wire(batch, sorted_run=True)
                 trc = self._tracer
                 if trc.enabled:
                     trc.instant("mr.exchange_round", cat="mr", round=round_idx,
@@ -928,9 +911,14 @@ class MapReduce:
     def convert(self) -> int:
         """Group the local KV pairs into KMV pairs (no communication).
 
-        Columnar datasets group with a bounded-memory external merge sort
-        (keys come out sorted); object datasets keep the hash-bucket path
-        (keys come out in first-seen order per bucket).
+        Columnar datasets group by merging: :meth:`aggregate` leaves
+        key-sorted runs (resident batches, and spilled pages that are each
+        one run), so one run is grouped as it stands, resident runs take one
+        merge pass and spilled ones a bounded-memory k-way merge out of
+        their pages; a dataset that skipped ``aggregate`` is sorted first.
+        Keys come out in sorted column order, a key's values in emission
+        order.  Object datasets keep the hash-bucket path (keys come out in
+        first-seen order per bucket).
         """
         t0 = self._phase_begin("convert")
         kv = self._require_kv()
@@ -954,14 +942,15 @@ class MapReduce:
 
     # ------------------------------------------------------------------ reduce
 
-    def compress(self, reducer: Callable[[Any, list, KVStore], None]) -> int:
+    def compress(self, reducer: Callable[[Any, Sequence, KVStore], None]) -> int:
         """Local combiner: convert + reduce *without* any communication.
 
         The original library's ``compress()``: each rank groups its own KV
         pairs and runs the reducer on the local groups, producing a new
         (smaller) KV dataset.  Used before ``collate`` to shrink the shuffle
         volume when the reducer is idempotent under pre-aggregation (e.g.
-        per-query top-K selection).  Returns the local KV pair count.
+        per-query top-K selection).  ``values`` is what :meth:`reduce`
+        hands out.  Returns the local KV pair count.
         """
         t0 = self._phase_begin("compress")
         kv = self._require_kv()
@@ -987,11 +976,17 @@ class MapReduce:
 
     def reduce(
         self,
-        reducer: Callable[[Any, list, KVStore], None],
+        reducer: Callable[[Any, Sequence, KVStore], None],
         count: bool = False,
         out_schema: Any = KEEP_SCHEMA,
     ) -> int:
         """Call ``reducer(key, values, kv_out)`` once per local KMV pair.
+
+        ``values`` is a read-only sequence in emission order: a ``list`` on
+        the object plane, a :class:`~repro.mrmpi.columnar.ValuesView` on the
+        columnar one, a window on the page's rows (``len`` is O(1), rows are
+        decoded when indexed or iterated, and it stays valid if the reducer
+        keeps it).  ``list(values)`` is the object reducers used to get.
 
         Returns the local number of KV pairs emitted (global with
         ``count=True``).  ``out_schema`` selects the output plane exactly
@@ -1107,7 +1102,7 @@ class MapReduce:
             )
             try:
                 for karr, vcol in iter_sorted_batches(kv):
-                    new_kv.add_wire((karr,) + _v_to_arrays(vcol))
+                    new_kv.add_wire((karr,) + _v_to_arrays(vcol), sorted_run=True)
             except BaseException:
                 new_kv.close()
                 raise
@@ -1229,8 +1224,9 @@ class MapReduce:
         for key, value in self._require_kv():
             fn(key, value)
 
-    def scan_kmv(self, fn: Callable[[Any, list], None]) -> None:
-        """Apply ``fn(key, values)`` to every local KMV pair (read-only)."""
+    def scan_kmv(self, fn: Callable[[Any, Sequence], None]) -> None:
+        """Apply ``fn(key, values)`` to every local KMV pair (read-only);
+        ``values`` is the sequence :meth:`reduce` hands out."""
         for key, values in self._require_kmv():
             fn(key, values)
 
@@ -1283,12 +1279,7 @@ class MapReduce:
             self.kmv = None
 
     def close(self) -> None:
-        if self.kv is not None:
-            self.kv.close()
-            self.kv = None
-        if self.kmv is not None:
-            self.kmv.close()
-            self.kmv = None
+        self.reset()
 
     def __enter__(self) -> "MapReduce":
         return self

@@ -115,15 +115,16 @@ class RecordSchema:
                 )
         return np.array(encoded, dtype=self.key_dtype)
 
+    def decode_keys(self, column: np.ndarray) -> list:
+        """A stored key column back to logical Python values, in one pass."""
+        raw = column.tolist()
+        if self.key_kind == "str":
+            return [k.decode("utf-8") for k in raw]
+        return raw
+
     def decode_key(self, raw: Any) -> Any:
         """One stored key back to its logical Python value."""
-        if self.key_kind == "str":
-            return bytes(raw).decode("utf-8")
-        if self.key_kind == "bytes":
-            return bytes(raw)
-        if self.key_kind == "int":
-            return int(raw)
-        return float(raw)
+        return self.decode_keys(np.asarray(raw).reshape(1))[0]
 
     # ---------------------------------------------------------------- values
 
@@ -152,11 +153,3 @@ class RecordSchema:
                 )
             return arr
         return np.asarray(values, dtype=self.value_dtype)
-
-    def decode_one(self, row: Any) -> Any:
-        """One stored value row back to the application object."""
-        if self.ragged_values:
-            return row  # already bytes
-        if self.decode_value is not None:
-            return self.decode_value(row)
-        return row

@@ -78,6 +78,8 @@ class PageSpool:
         fd, self._path = tempfile.mkstemp(prefix=f"{prefix}.", suffix=".page", dir=dir)
         self._file = os.fdopen(fd, "w+b")
         self._offsets: list[int] = []
+        #: array pages: page -> (file offset of the rows, dtype, shape) per array
+        self._layout: dict[int, list[tuple[int, np.dtype, tuple]]] = {}
         self._end = 0
         self._nrecords = 0
         self._closed = False
@@ -138,8 +140,10 @@ class PageSpool:
         """
         self._begin_page(_TAG_ARRAYS)
         self._file.write(len(arrays).to_bytes(8, "little"))
+        layout = self._layout[len(self._offsets) - 1] = []
         for arr in arrays:
             np.save(self._file, np.ascontiguousarray(arr))
+            layout.append((self._file.tell() - arr.nbytes, arr.dtype, arr.shape))
         nbytes = self._finish_page(nrecords)
         trc = current_tracer()
         if trc.enabled:
@@ -169,6 +173,23 @@ class PageSpool:
             np.load(self._file, allow_pickle=False) for _ in range(count)
         )
         return arrays
+
+    def page_rows(self, index: int) -> int:
+        """Row count of array page ``index`` (the length of its first array)."""
+        return self._layout[index][0][2][0]
+
+    def read_rows(self, index: int, array: int, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of one array of an array page, read in place: what
+        lets a sorted page serve as a merge run, whose chunks are row ranges."""
+        if self._closed:
+            raise ValueError("spool is closed")
+        start, dtype, shape = self._layout[index][array]
+        out = np.empty((hi - lo,) + shape[1:], dtype=dtype)
+        if out.nbytes:
+            self._file.flush()
+            self._file.seek(start + lo * (out.nbytes // (hi - lo)))
+            self._file.readinto(out.reshape(-1).view(np.uint8))
+        return out
 
     def iter_pages(self) -> Iterator[Any]:
         """Stream pages back in write order."""

@@ -234,6 +234,34 @@ class TestArenaCodec:
         finally:
             gc.enable()
 
+    def test_send_does_not_keep_the_payload_alive(self, arena_pair):
+        # Regression, sender's side of the same bug: the flattener was a
+        # self-recursive closure whose cell held the list of arrays, so a
+        # packed payload (the shuffle's 48 MB wire slice) outlived its send
+        # until the cyclic GC ran, and a rank's peak RSS took one of three
+        # values from run to run.
+        import weakref
+
+        a0, _ = arena_pair
+        gc.disable()
+        try:
+            gc.collect()
+            for make in (
+                lambda a: a,
+                lambda a: (a, np.zeros(3)),
+                lambda a: [None, (a, np.ones(2))],
+                lambda a: {"pickled": a},  # declined: still must not be retained
+            ):
+                arr = np.arange(4096, dtype=np.float64)
+                alive = weakref.ref(arr)
+                msg = Message(src=0, dst=1, tag=0, context=0, payload=make(arr))
+                pack_arena_message(msg, a0)
+                del arr, msg
+                assert alive() is None, (
+                    "a packed payload is kept alive by a reference cycle")
+        finally:
+            gc.enable()
+
 
 def _exchange_prog(comm):
     """Mixed alltoall + allgather returning plain data for comparison."""

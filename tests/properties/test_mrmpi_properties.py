@@ -1,8 +1,14 @@
-"""Property-based tests for the MapReduce-MPI stores and hashing."""
+"""Property-based tests for the MapReduce-MPI stores, hashing, key ordering
+and the shuffle's invariants."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpi import run_spmd
+from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+from repro.mrmpi.columnar import _RADIX_MIN, key_order
 from repro.mrmpi.hashing import key_bytes, stable_hash
 from repro.mrmpi.keyvalue import KeyValue
 from repro.mrmpi.keymultivalue import convert_kv_to_kmv
@@ -78,3 +84,172 @@ def test_hash_partitioning_is_a_function_of_key_only(ks, nprocs):
     first_pass = {key_bytes(k): stable_hash(k) % nprocs for k in ks}
     second_pass = {key_bytes(k): stable_hash(k) % nprocs for k in reversed(ks)}
     assert first_pass == second_pass
+
+
+# --------------------------------------------------------------------------
+# The key-ordering helper: whatever path dtype and length select, the result
+# is the stable comparison sort's permutation.
+# --------------------------------------------------------------------------
+
+_sizes = st.sampled_from(
+    [0, 1, 2, 9, _RADIX_MIN - 1, _RADIX_MIN, _RADIX_MIN + 1, 3 * _RADIX_MIN]
+)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _bytes_keys(rng, n, width):
+    # A tiny alphabet with NULs: short keys, embedded and trailing NULs, ties.
+    alphabet = np.frombuffer(b"\x00\x00ab\xff", dtype=np.uint8)
+    mat = alphabet[rng.integers(len(alphabet), size=(n, width))]
+    return np.ascontiguousarray(mat).view(f"S{width}").ravel()
+
+
+def _int_keys(rng, n):
+    info = np.iinfo(np.int64)
+    pool = np.array(
+        [info.min, info.min + 1, -(2**32), -1, 0, 1, 2**32, info.max - 1, info.max]
+    )
+    wide = rng.integers(info.min, info.max, size=n, endpoint=True)
+    return np.where(rng.random(n) < 0.5, pool[rng.integers(len(pool), size=n)], wide)
+
+
+def _float_keys(rng, n):
+    pool = np.array([-np.inf, -1.5, -0.0, 0.0, 1e-300, 2.0, np.inf, np.nan])
+    return np.where(rng.random(n) < 0.5, pool[rng.integers(len(pool), size=n)],
+                    rng.standard_normal(n))
+
+
+def _assert_stable_order(keys):
+    expected = np.argsort(keys, kind="stable")
+    assert np.array_equal(key_order(keys), expected)
+    # The merge variant is handed what it is promised: sorted runs.
+    cuts = sorted({0, len(keys) // 3, len(keys) // 2, len(keys)})
+    runs = np.concatenate(
+        [np.sort(keys[lo:hi], kind="stable") for lo, hi in zip(cuts[:-1], cuts[1:])]
+        or [keys]
+    )
+    assert np.array_equal(key_order(runs, runs=True), np.argsort(runs, kind="stable"))
+
+
+@given(_seeds, _sizes, st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_key_order_coded_bytes_keys(seed, n, width):
+    _assert_stable_order(_bytes_keys(np.random.default_rng(seed), n, width))
+
+
+@given(_seeds, _sizes, st.sampled_from([9, 12, 64]))
+@settings(max_examples=30, deadline=None)
+def test_key_order_wide_bytes_keys_fall_back(seed, n, width):
+    _assert_stable_order(_bytes_keys(np.random.default_rng(seed), n, width))
+
+
+@given(_seeds, _sizes)
+@settings(max_examples=60, deadline=None)
+def test_key_order_int64_keys(seed, n):
+    _assert_stable_order(_int_keys(np.random.default_rng(seed), n))
+
+
+@given(_seeds, _sizes)
+@settings(max_examples=30, deadline=None)
+def test_key_order_float_keys_fall_back(seed, n):
+    _assert_stable_order(_float_keys(np.random.default_rng(seed), n))
+
+
+def test_key_order_constant_column_is_identity():
+    keys = np.full(2 * _RADIX_MIN, b"same", dtype="S8")
+    assert np.array_equal(key_order(keys), np.arange(len(keys)))
+
+
+# --------------------------------------------------------------------------
+# Shuffle invariants of the sort-once pipeline, over ranks x exchange rounds
+# x in-core/spill x transport backend.
+# --------------------------------------------------------------------------
+
+_ROW = np.dtype([("rank", "<i8"), ("task", "<i8"), ("seq", "<i8")])
+_NKEYS = 37
+_PER_TASK = 1500  # two tasks per rank: single-round batches take the radix path
+
+
+def _task_keys(seed, itask):
+    return np.random.default_rng([seed, itask]).integers(_NKEYS, size=_PER_TASK)
+
+
+def _shuffle_rank(comm, columnar, memsize, exchange_bytes, spool, seed):
+    schema = RecordSchema("S6", _ROW, key_kind="str") if columnar else None
+    mr = MapReduce(comm, memsize=memsize, mapstyle=MapStyle.CHUNK,
+                   schema=schema, spool_dir=spool)
+
+    def mapper(itask, kv):
+        kids = _task_keys(seed, itask)
+        if columnar:
+            rows = np.zeros(_PER_TASK, dtype=_ROW)
+            rows["rank"], rows["task"], rows["seq"] = comm.rank, itask, np.arange(_PER_TASK)
+            kv.add_batch(np.array([b"k%03d" % k for k in kids], dtype="S6"), rows)
+        else:
+            for seq, k in enumerate(kids):
+                kv.add("k%03d" % k, (comm.rank, itask, seq))
+
+    wire_sorted = []
+    alltoall = mr.comm.alltoall
+
+    def spy(outgoing):
+        for arrays in outgoing:
+            if arrays is not None and columnar:
+                wire_sorted.append(bool(np.all(arrays[0][:-1] <= arrays[0][1:])))
+        return alltoall(outgoing)
+
+    mr.comm.alltoall = spy
+    groups = []
+
+    def reducer(key, values, kv):
+        rows = [tuple(int(x) for x in v) for v in values]
+        groups.append((key, len(values), rows))
+
+    try:
+        mr.map(2 * comm.size, mapper)
+        mr.aggregate(exchange_bytes=exchange_bytes)
+        spilled = bool(getattr(mr.kv, "out_of_core", False))
+        mr.convert()
+        mr.reduce(reducer, out_schema=None)
+    finally:
+        mr.close()
+    return groups, wire_sorted, spilled
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("memsize", [1 << 26, 1 << 14], ids=["incore", "spill"])
+@pytest.mark.parametrize("exchange_bytes", [None, 1 << 12], ids=["1round", "rounds"])
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+def test_shuffle_invariants(nprocs, exchange_bytes, memsize, backend, tmp_path):
+    seed = 5 * nprocs + (exchange_bytes or 0) + memsize
+    args = (memsize, exchange_bytes, str(tmp_path), seed)
+    columnar = run_spmd(nprocs, _shuffle_rank, True, *args, backend=backend)
+    objects = run_spmd(nprocs, _shuffle_rank, False, *args, backend=backend)
+
+    emitted = np.concatenate([_task_keys(seed, t) for t in range(2 * nprocs)])
+    multiplicity = np.bincount(emitted, minlength=_NKEYS)
+
+    seen = {}
+    for groups, wire_sorted, spilled in columnar:
+        assert wire_sorted and all(wire_sorted)  # every wire slice is a sorted run
+        assert spilled == (memsize < 1 << 20)
+        keys = [k for k, _, _ in groups]
+        assert keys == sorted(keys)  # keys leave convert in column order
+        for key, nvalues, rows in groups:
+            assert key not in seen, "key reduced on two ranks"
+            seen[key] = rows
+            # Goodrich's bounded reducer input: exactly the key's multiplicity.
+            assert nvalues == len(rows) == multiplicity[int(key[1:])]
+            # Emission order: one source's values keep the order it emitted.
+            for src in range(nprocs):
+                mine = [r for r in rows if r[0] == src]
+                assert mine == sorted(mine)
+    assert len(seen) == np.count_nonzero(multiplicity)
+
+    oracle = {k: rows for groups, _, _ in objects for k, _, rows in groups}
+    assert seen.keys() == oracle.keys()
+    for key, rows in seen.items():
+        assert sorted(rows) == sorted(oracle[key])
+        if exchange_bytes is None and memsize >= 1 << 20:
+            # One round on both planes: same arrival order, value for value.
+            assert rows == oracle[key]
