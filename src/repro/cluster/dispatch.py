@@ -21,14 +21,14 @@ is dominated by the map phase.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.blast_model import BlastWorkloadModel
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.pagecache import PartitionCache
 from repro.mpi.faultplan import CrashRank, FaultPlan, StallRank
-from repro.sched import SpeculationPolicy, StragglerTracker
+from repro.sched import SpeculationPolicy, StragglerTracker, UnitQueue
 from repro.simtime.events import Environment
 
 __all__ = ["SimResult", "WorkerTrace", "simulate_blast_run"]
@@ -134,13 +134,14 @@ class _Scheduler:
             ]
         else:
             raise ValueError(f"unknown unit order {order!r}")
-        if policy == "master_worker":
-            self._fifo = deque(units)
-        elif policy == "affinity":
-            self._by_partition: dict[int, deque] = defaultdict(deque)
-            for b, p in units:
-                self._by_partition[p].append((b, p))
-            self._order = deque(range(workload.n_partitions))
+        if policy in ("master_worker", "affinity"):
+            # The queue policy the real master runs: FIFO is the one-key
+            # case, affinity keys each unit by its partition (match, then
+            # claim an unclaimed partition, then steal from the fullest).
+            self._units = units
+            self._index = {unit: i for i, unit in enumerate(units)}
+            self._queue = UnitQueue(
+                [p if policy == "affinity" else None for _b, p in units])
         elif policy == "static":
             self._per_worker: list[deque] = [deque() for _ in range(workers)]
             for b, p in units:
@@ -149,43 +150,17 @@ class _Scheduler:
             raise ValueError(f"unknown scheduler policy {policy!r}")
 
     def next_unit(self, worker: int, current_partition: int | None):
-        if self.policy == "master_worker":
-            return self._fifo.popleft() if self._fifo else None
         if self.policy == "static":
             q = self._per_worker[worker]
             return q.popleft() if q else None
-        # affinity: keep feeding the worker its current partition; otherwise
-        # let it *claim* the next unclaimed partition (removing it from the
-        # claim order so other workers pick different ones); when no
-        # unclaimed partitions remain, steal from the fullest queue.
-        if current_partition is not None:
-            q = self._by_partition.get(current_partition)
-            if q:
-                return q.popleft()
-        while self._order:
-            p = self._order.popleft()
-            q = self._by_partition.get(p)
-            if q:
-                return q.popleft()
-        remaining = [p for p, q in self._by_partition.items() if q]
-        if not remaining:
-            return None
-        victim = max(remaining, key=lambda p: len(self._by_partition[p]))
-        return self._by_partition[victim].popleft()
+        i = self._queue.next(
+            current_partition if self.policy == "affinity" else None)
+        return None if i is None else self._units[i]
 
     def requeue(self, unit: tuple[int, int]) -> None:
-        """Put a unit back at the FRONT of its queue (a dead worker's work).
-
-        Front, not back: the unit is the oldest outstanding work, so it
-        should not wait behind the whole remaining backlog a second time.
-        """
-        b, p = unit
-        if self.policy == "master_worker":
-            self._fifo.appendleft(unit)
-        elif self.policy == "affinity":
-            self._by_partition[p].appendleft(unit)
-        else:  # pragma: no cover - static has no reassignment (checked above)
-            raise ValueError("static scheduling cannot requeue units")
+        """Put a dead worker's unit back at the front of its queue (static
+        scheduling has no reassignment; ``simulate_blast_run`` checks)."""
+        self._queue.requeue(self._index[unit])
 
 
 def simulate_blast_run(

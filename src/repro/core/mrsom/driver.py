@@ -214,15 +214,15 @@ class MrSomResult:
 class _BlockAccumulator:
     """The map() callable: accumulates class sums over assigned blocks.
 
-    Under scheduled dispatch (speculation / degraded mode) the master may
-    discard a unit after the mapper already ran it — a speculative loser,
-    or a unit redone after a worker death.  Accumulating straight into the
-    rank totals would then double-count, so the scheduler's unit hooks
-    stage each unit: between ``begin_unit`` and ``commit_unit`` the mapper
-    only keeps the unit's whole contribution, ``(bmus, block)``;
-    ``commit_unit`` folds it into the totals once the master accepts the
-    unit, ``discard_unit`` drops it.  Without hooks (plain dispatch) the
-    mapper accumulates directly into the totals.
+    Under master/worker dispatch the master may discard a unit after the
+    mapper already ran it — a speculative loser, or a unit redone after a
+    worker death.  Accumulating straight into the rank totals would then
+    double-count, so the dispatcher's unit hooks stage each unit: between
+    ``begin_unit`` and ``commit_unit`` the mapper only keeps the unit's
+    whole contribution, ``(bmus, block)``; ``commit_unit`` folds it into
+    the totals once the master accepts the unit, ``discard_unit`` drops
+    it.  Without hooks (single rank, static map styles) the mapper
+    accumulates directly into the totals.
     """
 
     matrix: MatrixFile
@@ -232,7 +232,7 @@ class _BlockAccumulator:
     counts: np.ndarray = None
     units: int = 0
     busy: float = 0.0
-    #: None = plain dispatch; () = inside a scheduled unit, mapper not yet run
+    #: None = no hooks; () = inside a dispatched unit, mapper not yet run
     _staged: tuple | None = None
 
     def start_epoch(self, codebook: np.ndarray) -> None:
@@ -248,9 +248,11 @@ class _BlockAccumulator:
 
     def commit_unit(self, itask: int) -> None:
         if self._staged:
+            t0 = time.perf_counter()
             bmus, block = self._staged
             accumulate_classes(block, self.codebook, self.sums, self.counts, bmus=bmus)
             self.units += 1
+            self.busy += time.perf_counter() - t0
         self._staged = None
 
     def discard_unit(self, itask: int) -> None:

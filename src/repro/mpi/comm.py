@@ -258,12 +258,14 @@ class Comm:
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
         block: bool = True,
+        timeout: float | None = None,
     ) -> Optional[Message]:
         return self._network.match(
             dst=self._global_rank,
             context=self._context,
             source=source,
             tag=tag,
+            timeout=timeout,
             block=block,
         )
 

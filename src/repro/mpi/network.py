@@ -120,15 +120,13 @@ class Network(TransportEndpoint):
     def mark_dead(self, rank: int) -> None:
         """Record that ``rank`` left the job in degraded mode (no abort).
 
-        Wakes every blocked rank so a master polling for requests can run
-        its death sweep promptly.
+        No message is posted: a degraded-mode master bounds its mailbox
+        wait and finds the flag at its next death sweep.
         """
         if not (0 <= rank < self.nprocs):
             return
         with self._lock:
             self._dead[rank] = True
-            for cond in self._conds:
-                cond.notify_all()
 
     def dead_ranks(self) -> frozenset[int]:
         """Global ranks that declared themselves lost (degraded mode)."""
@@ -292,11 +290,12 @@ class Network(TransportEndpoint):
 
         Blocks until a match arrives.  Raises :class:`DeadlockError` when the
         total wait exceeds the budget and :class:`AbortError` if the job was
-        aborted while waiting.  With ``block=False`` returns ``None``
-        immediately when nothing matches.  Messages whose ``not_before`` lies
+        aborted while waiting.  With ``block=False`` a miss returns ``None``
+        instead of raising: at once, or after a bounded wait of ``timeout``
+        seconds when one is given.  Messages whose ``not_before`` lies
         in the future (injected delivery delays) are held back until due.
         """
-        budget = self.op_timeout if timeout is None else timeout
+        budget = timeout if timeout is not None else (self.op_timeout if block else 0.0)
         self._pre_op(dst)
         deadline = time.monotonic() + budget
         cond = self._conds[dst]
@@ -318,10 +317,10 @@ class Network(TransportEndpoint):
                             return msg
                         if next_ready is None or msg.not_before < next_ready:
                             next_ready = msg.not_before
-                if not block:
-                    return None
                 remaining = deadline - now
                 if remaining <= 0:
+                    if not block:
+                        return None
                     raise DeadlockError(
                         f"rank {dst} timed out after {budget:.0f}s waiting for "
                         f"(source={source}, tag={tag}, context={context})"

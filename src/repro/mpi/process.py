@@ -250,8 +250,8 @@ class ProcessNetwork(TransportEndpoint):
     def mark_dead(self, rank: int) -> None:
         """Record that ``rank`` left the job in degraded mode (no abort).
 
-        The flag lives in a shared array so the master's poll loop sees it
-        immediately, without waiting for a pipe round-trip.
+        The flag lives in a shared array, so the master's next death sweep
+        sees it without a pipe round-trip.
         """
         if self._dead_flags is not None and 0 <= rank < self.nprocs:
             self._dead_flags[rank] = 1
@@ -427,7 +427,7 @@ class ProcessNetwork(TransportEndpoint):
         block: bool = True,
     ) -> Optional[Message]:
         """Mailbox scan with the exact semantics of ``Network.match``."""
-        budget = self.op_timeout if timeout is None else timeout
+        budget = timeout if timeout is not None else (self.op_timeout if block else 0.0)
         self._pre_op(dst)
         deadline = time.monotonic() + budget
         trc = self._tracer
@@ -448,10 +448,10 @@ class ProcessNetwork(TransportEndpoint):
                             return msg
                         if next_ready is None or msg.not_before < next_ready:
                             next_ready = msg.not_before
-                if not block:
-                    return None
                 remaining = deadline - now
                 if remaining <= 0:
+                    if not block:
+                        return None
                     raise DeadlockError(
                         f"rank {dst} timed out after {budget:.0f}s waiting for "
                         f"(source={source}, tag={tag}, context={context})"

@@ -80,7 +80,13 @@ class TransportEndpoint:
 
     def match(self, dst, context, source=ANY_SOURCE, tag=ANY_TAG,
               timeout=None, block=True):
-        """Remove and return the first matching message for ``dst``."""
+        """Remove and return the first matching message for ``dst``.
+
+        Blocking calls raise :class:`~repro.mpi.exceptions.DeadlockError`
+        after ``timeout`` (default: ``op_timeout``) seconds; with
+        ``block=False`` a miss returns ``None`` after ``timeout`` (default:
+        0) seconds, which is a bounded wait on the mailbox.
+        """
         raise NotImplementedError
 
     def probe(self, dst, context, source, tag):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from enum import IntEnum
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.mpi.comm import Comm
 from repro.mpi.exceptions import DegradedRankLoss, MPIError, RankFailure
-from repro.mpi.ops import ANY_SOURCE, LAND, MAX, SUM, Status
+from repro.mpi.ops import ANY_SOURCE, LAND, MAX, SUM
 from repro.mrmpi.columnar import (
     ColumnarKeyMultiValue,
     ColumnarKeyValue,
@@ -54,22 +53,17 @@ from repro.mrmpi.keymultivalue import (
 from repro.mrmpi.keyvalue import ObjectKeyValue
 from repro.mrmpi.schema import RecordSchema
 from repro.mrmpi.spool import PageSpool, approx_size
-from repro.sched import SchedReport, SpeculationPolicy, StragglerTracker
+from repro.sched import SchedReport, SpeculationPolicy, StragglerTracker, UnitQueue
 
 __all__ = ["MapReduce", "MapStyle", "KEEP_SCHEMA"]
 
 _TAG_REQUEST = 101
 _TAG_ASSIGN = 102
 _TAG_GATHER = 103
-_TAG_REPORT = 104
 
-#: Sentinel task id telling a worker to retire.
-_NO_MORE_WORK = -1
-
-#: Sentinel task id telling a worker to ask again shortly (sched dispatch:
-#: no queued work, but in-flight units may yet need a speculative copy or a
-#: reassignment, so the worker must not retire).
-_WAIT_RETRY = -2
+#: Longest the master sleeps on its mailbox between death sweeps (degraded
+#: mode): transports flag a dead rank without posting a message.
+_SWEEP_INTERVAL = 0.02
 
 #: Sentinel for reduce()/map_kv() meaning "output uses the current schema".
 KEEP_SCHEMA = object()
@@ -150,10 +144,10 @@ class MapReduce:
         #: exact array bytes on the columnar plane and ``approx_size``
         #: estimates on the object plane.
         self.stats: dict[str, dict[str, int]] = {}
-        #: scheduler report of the most recent sched-dispatched map
-        #: (``None`` until a map runs with speculation/degraded enabled).
+        #: the master's report of the most recent MASTER_WORKER map
+        #: (``None`` until one runs on more than one rank).
         self.sched: Optional[SchedReport] = None
-        #: counters accumulated across all sched-dispatched maps.
+        #: counters accumulated across all MASTER_WORKER maps.
         self.sched_stats: dict[str, int] = {
             "speculated": 0, "wasted": 0, "reassigned": 0}
         #: *global* ranks lost across all degraded maps (the comm shrinks
@@ -307,35 +301,12 @@ class MapReduce:
                 self.kv.close()
             self.kv = self._fresh_kv()
         kv = self.kv
-        nmap = len(items)
-        sched_active = (
-            (speculation is not None or degraded)
-            and self.size > 1
-            and style is MapStyle.MASTER_WORKER
-        )
-
-        if sched_active:
+        if self.size > 1 and style is MapStyle.MASTER_WORKER:
             self._map_items_sched(
                 items, mapper, kv, locality_key, speculation, degraded)
-        elif self.size == 1 or style is not MapStyle.MASTER_WORKER:
-            for itask in self._static_tasks(nmap, style):
-                mapper(itask, items[itask], kv)
-        elif self.rank == 0:
-            if locality_key is None:
-                self._run_master(nmap)
-            else:
-                self._run_locality_master(items, locality_key)
         else:
-            self._run_worker(
-                lambda itask: mapper(itask, items[itask], kv),
-                key_of=None if locality_key is None else (lambda i: locality_key(items[i])),
-            )
-
-        if self.size > 1 and style is MapStyle.MASTER_WORKER:
-            # Epoch fence: a fast rank's next map_items() request must not
-            # reach this call's master (they share tags).  The collective
-            # count used to provide this synchronisation implicitly.
-            self.comm.barrier()
+            for itask in self._static_tasks(len(items), style):
+                mapper(itask, items[itask], kv)
 
         self._phase_end("map", t0)
         self._bump("map", len(kv), kv.nbytes if isinstance(kv, ColumnarKeyValue) else 0)
@@ -352,28 +323,22 @@ class MapReduce:
         speculation: SpeculationPolicy | None,
         degraded: bool,
     ) -> None:
-        """Sched-dispatched MASTER_WORKER map (speculation / degraded mode).
+        """The MASTER_WORKER map: rank 0 dispatches, everyone else works.
 
         On return ``self.comm`` may have shrunk past dead ranks, and
         :attr:`sched` holds the master's report on every surviving rank.
         A worker that died raises :class:`DegradedRankLoss` out of here.
         """
+        keys = [None if locality_key is None else locality_key(item)
+                for item in items]
         if self.rank == 0:
-            report, dead_local = self._run_sched_master(
-                items, locality_key, speculation, degraded)
+            report, dead_local = self._run_sched_master(keys, speculation, degraded)
         else:
             report, dead_local = self._run_sched_worker(
-                lambda itask, target: mapper(itask, items[itask], target),
-                kv,
-                mapper,
-                key_of=(None if locality_key is None
-                        else (lambda i: locality_key(items[i]))),
-                speculating=speculation is not None,
-                degraded=degraded,
-            )
+                items, mapper, kv, keys,
+                speculating=speculation is not None, degraded=degraded)
         # Every survivor holds the same master-authored (report, dead set)
-        # before anyone shrinks, so the shrunk communicators agree even when
-        # a death is discovered after some workers were already retired.
+        # before anyone shrinks, so the shrunk communicators agree.
         if dead_local:
             lost_global = tuple(sorted(self.comm.group[r] for r in dead_local))
             self.comm = self.comm.shrink(sorted(dead_local))
@@ -387,67 +352,41 @@ class MapReduce:
 
     def _run_sched_master(
         self,
-        items: Sequence[Any],
-        locality_key: Callable[[Any], Any] | None,
+        keys: Sequence[Any],
         speculation: SpeculationPolicy | None,
         degraded: bool,
     ) -> tuple[SchedReport, frozenset[int]]:
-        """Rank 0: pull dispatch with straggler speculation and death sweeps.
+        """Rank 0: event-driven pull dispatch.
 
-        The wire protocol differs from the plain master: worker requests
-        carry ``(last_key, done_unit)`` and replies carry
-        ``(keep, directive, extra)`` — ``keep`` resolves the worker's
-        previous unit (commit or discard its staging), ``directive`` is a
-        task id, ``_WAIT_RETRY`` (extra = seconds) or ``_NO_MORE_WORK``.
-        Once every worker is retired the master runs one final death sweep
-        and sends ``(report, dead_ranks)`` to each survivor on
-        ``_TAG_REPORT``; membership is decided exactly once, here, so a
-        death discovered after some workers were already retired cannot
-        leave the fleet shrinking around different dead sets.
+        Worker requests carry ``(last_key, done_unit)`` and replies carry
+        ``(keep, unit, final)``: ``keep`` resolves the worker's previous
+        unit (commit or discard its staging), ``unit`` is the next task id.
+        The master sleeps on its mailbox; a worker it has nothing for yet
+        is *parked* (no reply) and answered the moment a death sweep
+        requeues a unit or a speculation candidate falls due.  The wait is
+        unbounded unless the clock can change the answer: death sweeps run
+        every ``_SWEEP_INTERVAL`` (degraded mode), and a parked worker is
+        looked at again when the tracker says the next straggler falls due.
+        Without ``speculation``/``degraded`` nothing is ever requeued or
+        cloned, so parking lasts until the map completes.
+
+        The map ends when every unit is complete and every live worker is
+        parked: all of them are retired at once with ``unit=None`` and
+        ``final=(report, dead_ranks)``.  Nobody is dismissed earlier, so a
+        death at any point of a worker's loop still finds survivors to
+        redo its units; membership is decided exactly once, here, so the
+        fleet cannot shrink around different dead sets; and since no
+        worker leaves before the master has stopped matching requests, the
+        reply is also the fence that keeps the next ``map_items()``'s
+        requests (same tags) away from this call's master.
         """
-        nmap = len(items)
+        nmap = len(keys)
+        queue = UnitQueue(keys)
         tracker = StragglerTracker(speculation)
         trc = self._tracer
-        # Work queues: plain FIFO, or the locality structures of
-        # _run_locality_master.  requeue() puts a reassigned unit at the
-        # front so lost work restarts before fresh work.
-        if locality_key is None:
-            fifo = deque(range(nmap))
-
-            def next_task(last_key: Any) -> Optional[int]:
-                return fifo.popleft() if fifo else None
-
-            def requeue(unit: int) -> None:
-                fifo.appendleft(unit)
-        else:
-            queues: dict[Any, deque] = {}
-            claim_order: deque = deque()
-            for itask, item in enumerate(items):
-                key = locality_key(item)
-                if key not in queues:
-                    queues[key] = deque()
-                    claim_order.append(key)
-                queues[key].append(itask)
-
-            def next_task(last_key: Any) -> Optional[int]:
-                q = queues.get(last_key)
-                if q:
-                    return q.popleft()
-                while claim_order:
-                    key = claim_order.popleft()
-                    q = queues.get(key)
-                    if q:
-                        return q.popleft()
-                remaining = [k for k, q in queues.items() if q]
-                if not remaining:
-                    return None
-                victim = max(remaining, key=lambda k: len(queues[k]))
-                return queues[victim].popleft()
-
-            def requeue(unit: int) -> None:
-                queues[locality_key(items[unit])].appendleft(unit)
-
         active = set(range(1, self.size))
+        #: worker -> (last_key, keep) of the request it is still owed a reply to
+        parked: dict[int, tuple[Any, bool]] = {}
         dead_local: set[int] = set()
 
         def sweep_dead() -> None:
@@ -461,17 +400,17 @@ class MapReduce:
                     continue
                 dead_local.add(local)
                 active.discard(local)
-                now = time.monotonic()
+                parked.pop(local, None)
                 # In-flight units whose only live runner died go back to
                 # the front of the queue; units the dead worker already
                 # completed are lost with its local dataset and must be
                 # redone from scratch.
-                orphans = tracker.release_worker(local, now)
+                orphans = tracker.release_worker(local, time.monotonic())
                 lost_done = tracker.accepted_units(local)
                 for unit in lost_done:
                     tracker.forget(unit)
                 for unit in lost_done + orphans:
-                    requeue(unit)
+                    queue.requeue(unit)
                 tracker.reassigned += len(lost_done) + len(orphans)
                 if trc.enabled:
                     trc.instant("sched.reassign", cat="sched", rank=local,
@@ -482,86 +421,83 @@ class MapReduce:
                                        block=False) is not None:
                     pass
 
-        def guarded_send(payload: Any, dest: int, tag: int = _TAG_ASSIGN) -> None:
+        def reply(src: int, keep: bool, unit: Optional[int], final: Any = None) -> None:
             # In degraded mode a reply can race the destination's death
             # (process backend: broken pipe).  The next sweep retires it.
-            if not degraded:
-                self.comm.send(payload, dest=dest, tag=tag)
-                return
             try:
-                self.comm.send(payload, dest=dest, tag=tag)
+                self.comm.send((keep, unit, final), dest=src, tag=_TAG_ASSIGN)
             except MPIError:
-                pass
+                if not degraded:
+                    raise
 
-        while active:
+        def assign(src: int, last_key: Any, keep: bool, now: float) -> bool:
+            """Hand one worker its next unit, if there is one for it yet."""
+            unit = queue.next(last_key)
+            while unit is not None and tracker.is_done(unit):
+                # Requeued when its winner died, then completed by a
+                # speculative copy that was still running: nothing to redo.
+                unit = queue.next(last_key)
+            if unit is None:
+                unit = tracker.candidate(now, exclude_worker=src)
+                if unit is None:
+                    return False
+                if trc.enabled:
+                    trc.instant(
+                        "sched.speculate", cat="sched", unit=unit, rank=src,
+                        copies=len(tracker.runners(unit)) + 1,
+                        median=tracker.median() or 0.0)
+            tracker.assign(unit, src, now)
+            reply(src, keep, unit)
+            return True
+
+        while True:
             if degraded:
                 sweep_dead()
-                if not active:
-                    break
+            if tracker.completed == nmap and len(parked) == len(active):
+                break
+            if not active:
+                raise MPIError(
+                    f"sched master: all workers lost with "
+                    f"{nmap - tracker.completed} of {nmap} units incomplete")
+            now = time.monotonic()
+            for src, (last_key, keep) in list(parked.items()):
+                if assign(src, last_key, keep, now):
+                    del parked[src]
+            wait = _SWEEP_INTERVAL if degraded else None
+            due = tracker.next_due() if parked else None
+            if due is not None:
+                until_due = max(due - now, 0.001)
+                wait = until_due if wait is None else min(wait, until_due)
             msg = self.comm._match(source=ANY_SOURCE, tag=_TAG_REQUEST,
-                                   block=False)
-            if msg is None:
-                time.sleep(0.002)
-                continue
-            src = msg.src
-            if src in dead_local:
-                continue  # stale request from a dead worker
+                                   block=wait is None, timeout=wait)
+            if msg is None or msg.src in dead_local:
+                continue  # clock tick, or a stale request from a dead worker
             last_key, done = msg.payload
             now = time.monotonic()
-            keep = False
-            if done is not None:
-                keep = tracker.complete(done, src, now)
-            unit = next_task(last_key) if tracker.completed < nmap else None
-            if unit is not None:
-                tracker.assign(unit, src, now)
-                guarded_send((keep, unit, None), src)
-            elif tracker.completed < nmap:
-                cand = None
-                if speculation is not None:
-                    cand = tracker.candidate(now, exclude_worker=src)
-                if cand is not None:
-                    tracker.assign(cand, src, now)
-                    if trc.enabled:
-                        trc.instant(
-                            "sched.speculate", cat="sched", unit=cand,
-                            rank=src, copies=len(tracker.runners(cand)),
-                            median=tracker.median() or 0.0)
-                    guarded_send((keep, cand, None), src)
-                else:
-                    guarded_send((keep, _WAIT_RETRY, 0.005), src)
-            else:
-                guarded_send((keep, _NO_MORE_WORK, None), src)
-                active.discard(src)
-        # Final death sweep: a worker that died after its last completion
-        # (or between other workers' retirements) must still make it into
-        # the dead set every survivor shrinks around.  If the sweep forgets
-        # accepted units there is nobody left to redo them, so the map is
-        # genuinely incomplete and the job aborts.
-        if degraded:
-            sweep_dead()
-        if tracker.completed < nmap:
-            raise MPIError(
-                f"sched master: all workers lost with "
-                f"{nmap - tracker.completed} of {nmap} units incomplete")
+            keep = done is not None and tracker.complete(done, msg.src, now)
+            if not assign(msg.src, last_key, keep, now):
+                parked[msg.src] = (last_key, keep)
         lost_global = tuple(self.comm.group[r] for r in sorted(dead_local))
         report = tracker.report(lost_global, degraded=bool(dead_local))
-        dead = frozenset(dead_local)
-        for local in range(1, self.size):
-            if local not in dead:
-                guarded_send((report, tuple(sorted(dead))), local,
-                             tag=_TAG_REPORT)
-        return report, dead
+        for src, (_last_key, keep) in parked.items():
+            reply(src, keep, None, final=(report, tuple(sorted(dead_local))))
+        return report, frozenset(dead_local)
 
     def _run_sched_worker(
         self,
-        run_task: Callable[[int, KVStore], None],
+        items: Sequence[Any],
+        mapper: Callable[[int, Any, KVStore], None],
         kv: KVStore,
-        mapper: Any,
-        key_of: Callable[[int], Any] | None,
+        keys: Sequence[Any],
         speculating: bool,
         degraded: bool,
     ) -> tuple[SchedReport, frozenset[int]]:
-        """Worker side of sched dispatch.
+        """Worker side of dispatch: ask, run, report, until retired.
+
+        A request the master cannot serve yet simply goes unanswered until
+        it can (see :meth:`_run_sched_master`), so the worker blocks in the
+        same ``recv`` whether its next unit is queued, yet to be requeued,
+        or the map is about to end.
 
         With speculation each unit runs against a fresh staging store that
         is merged into ``kv`` only once the master accepts the completion
@@ -585,7 +521,7 @@ class MapReduce:
             while True:
                 done = pending[0] if pending is not None else None
                 self.comm.send((last_key, done), dest=0, tag=_TAG_REQUEST)
-                keep, directive, extra = self.comm.recv(source=0, tag=_TAG_ASSIGN)
+                keep, itask, final = self.comm.recv(source=0, tag=_TAG_ASSIGN)
                 if pending is not None:
                     unit, stage = pending
                     pending = None
@@ -599,25 +535,17 @@ class MapReduce:
                     if stage is not None:
                         stage.close()
                         stage = None
-                if directive == _NO_MORE_WORK:
-                    # Retirement carries no membership; the master decides
-                    # the dead set once, after every worker is parked, and
-                    # distributes it with the report.
-                    report, dead = self.comm.recv(source=0, tag=_TAG_REPORT)
+                if final is not None:
+                    report, dead = final
                     return report, frozenset(dead)
-                if directive == _WAIT_RETRY:
-                    time.sleep(extra)
-                    continue
-                itask = directive
                 if speculating:
                     stage = self._fresh_kv()
                 if begin_hook is not None:
                     begin_hook(itask)
-                run_task(itask, stage if speculating else kv)
+                mapper(itask, items[itask], stage if speculating else kv)
                 pending = (itask, stage)
                 stage = None
-                if key_of is not None:
-                    last_key = key_of(itask)
+                last_key = keys[itask]
         except RankFailure as exc:
             if stage is not None:
                 stage.close()
@@ -650,73 +578,7 @@ class MapReduce:
         # CHUNK (and the degenerate single-rank MASTER_WORKER): contiguous block
         lo = self.rank * nmap // self.size
         hi = (self.rank + 1) * nmap // self.size
-        if style is MapStyle.MASTER_WORKER and self.size == 1:
-            return range(nmap)
         return range(lo, hi)
-
-    def _run_master(self, nmap: int) -> None:
-        """Rank 0: hand out task ids first-come-first-served, then retire all."""
-        pending = deque(range(nmap))
-        active_workers = self.size - 1
-        while active_workers > 0:
-            st = Status()
-            self.comm.recv(source=ANY_SOURCE, tag=_TAG_REQUEST, status=st)
-            if pending:
-                self.comm.send(pending.popleft(), dest=st.Get_source(), tag=_TAG_ASSIGN)
-            else:
-                self.comm.send(_NO_MORE_WORK, dest=st.Get_source(), tag=_TAG_ASSIGN)
-                active_workers -= 1
-
-    def _run_locality_master(self, items: Sequence[Any], key_of: Callable[[Any], Any]) -> None:
-        """Rank 0 with per-key queues: match, then claim, then steal."""
-        queues: dict[Any, deque] = {}
-        claim_order: deque = deque()
-        for itask, item in enumerate(items):
-            key = key_of(item)
-            if key not in queues:
-                queues[key] = deque()
-                claim_order.append(key)
-            queues[key].append(itask)
-
-        def next_task(last_key: Any) -> int:
-            q = queues.get(last_key)
-            if q:
-                return q.popleft()
-            while claim_order:
-                key = claim_order.popleft()  # claimed exclusively, like the
-                q = queues.get(key)  # DES affinity scheduler
-                if q:
-                    return q.popleft()
-            remaining = [k for k, q in queues.items() if q]
-            if not remaining:
-                return _NO_MORE_WORK
-            victim = max(remaining, key=lambda k: len(queues[k]))
-            return queues[victim].popleft()
-
-        active_workers = self.size - 1
-        while active_workers > 0:
-            st = Status()
-            last_key = self.comm.recv(source=ANY_SOURCE, tag=_TAG_REQUEST, status=st)
-            itask = next_task(last_key)
-            self.comm.send(itask, dest=st.Get_source(), tag=_TAG_ASSIGN)
-            if itask == _NO_MORE_WORK:
-                active_workers -= 1
-
-    def _run_worker(
-        self,
-        run_task: Callable[[int], None],
-        key_of: Callable[[int], Any] | None = None,
-    ) -> None:
-        last_key: Any = None
-        while True:
-            request = self.rank if key_of is None else last_key
-            self.comm.send(request, dest=0, tag=_TAG_REQUEST)
-            itask = self.comm.recv(source=0, tag=_TAG_ASSIGN)
-            if itask == _NO_MORE_WORK:
-                return
-            run_task(itask)
-            if key_of is not None:
-                last_key = key_of(itask)
 
     def map_kv(
         self,

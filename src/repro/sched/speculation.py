@@ -240,29 +240,51 @@ class StragglerTracker:
     def median(self) -> float | None:
         return self.quantile.value()
 
-    def candidate(self, now: float, exclude_worker: int | None = None) -> int | None:
-        """Most-overdue straggler eligible for a speculative copy, if any."""
+    def _deadline(self) -> float | None:
+        """Elapsed time past which a unit is a straggler; None until trusted."""
         policy = self.policy
         if policy is None or self.completed < policy.warmup:
             return None
         med = self.quantile.value()
         if med is None:
             return None
-        deadline = max(policy.factor * med, policy.min_elapsed)
-        best: int | None = None
-        best_elapsed = deadline
+        return max(policy.factor * med, policy.min_elapsed)
+
+    def _clonable(self, exclude_worker: int | None = None):
+        """``(unit, oldest start)`` of in-flight units that may get a copy."""
         for unit, copies in self._running.items():
             if unit in self._done or not copies:
                 continue
-            if len(copies) >= policy.max_copies:
+            if len(copies) >= self.policy.max_copies:
                 continue
             if exclude_worker is not None and exclude_worker in copies:
                 continue
-            elapsed = now - min(copies.values())
-            if elapsed > best_elapsed:
+            yield unit, min(copies.values())
+
+    def candidate(self, now: float, exclude_worker: int | None = None) -> int | None:
+        """Most-overdue straggler eligible for a speculative copy, if any."""
+        best_elapsed = self._deadline()
+        if best_elapsed is None:
+            return None
+        best: int | None = None
+        for unit, started in self._clonable(exclude_worker):
+            if now - started > best_elapsed:
                 best = unit
-                best_elapsed = elapsed
+                best_elapsed = now - started
         return best
+
+    def next_due(self) -> float | None:
+        """Earliest time an in-flight unit turns into a :meth:`candidate`.
+
+        ``None`` when no unit can (speculation off, quantile not yet
+        trusted, or every in-flight unit already has its copies): only a
+        completion can change that, never the clock.
+        """
+        deadline = self._deadline()
+        if deadline is None:
+            return None
+        return min((started + deadline for _unit, started in self._clonable()),
+                   default=None)
 
     def report(
         self, lost_ranks: tuple[int, ...] = (), degraded: bool = False

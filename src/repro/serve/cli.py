@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="queries per dispatched block; 0 = advise from the "
                          "machine model (or 8 when no model file is found)")
     ap.add_argument("--max-delay", type=float, default=0.05,
-                    help="longest a submission may wait unbatched, seconds")
+                    help="longest a submission may wait for a fuller batch while "
+                         "the ranks are busy, seconds (idle ranks get it at once)")
     ap.add_argument("--machine-model", default="BENCH_shuffle.json",
                     help="shuffle-bench JSON holding the fitted alpha/beta model")
     ap.add_argument("--per-query-seconds", type=float, default=0.05,

@@ -4,11 +4,14 @@ The always-on service accepts queries one at a time, but the MR-MPI BLAST
 pipeline amortises its fixed costs (master/worker dispatch, collate
 collectives, reduce barrier) over a whole *query block*.  The coalescer is
 the pure state machine between the two: submissions accumulate per tenant
-and are flushed as a :class:`QueryBatch` when either
+and are flushed as a :class:`QueryBatch` when
 
-- **size** triggers — enough submissions are pending to fill a batch, or
+- **size** triggers — enough submissions are pending to fill a batch,
 - **deadline** triggers — the oldest pending submission's flush time
-  (``min(submission deadline, arrival + max_delay)``) has passed.
+  (``min(submission deadline, arrival + max_delay)``) has passed, or
+- **idle** triggers — the caller reports that no job is in flight.  Waiting
+  can only buy a bigger batch while the ranks are busy with the previous
+  one; holding a query back from idle ranks is pure latency.
 
 Every method takes ``now`` explicitly; the coalescer never reads a wall
 clock and never sleeps, which is what lets the unit suite drive it on a
@@ -46,7 +49,8 @@ class Submission:
 
     ``deadline`` is an *absolute* time on the service clock by which the
     submission must be flushed into a batch (not completed); ``None`` means
-    the coalescer's ``max_delay`` alone bounds its wait.
+    the coalescer's ``max_delay`` alone bounds its wait (behind a running
+    job: an idle service does not make it wait at all).
     """
 
     seq: int
@@ -70,7 +74,7 @@ class QueryBatch:
     batch_id: int
     submissions: tuple[Submission, ...]
     formed_at: float
-    #: why the flush happened: "size", "deadline" or "forced"
+    #: why the flush happened: "size", "deadline", "idle" or "forced"
     reason: str = "size"
 
     def __len__(self) -> int:
@@ -91,7 +95,9 @@ class Coalescer:
     """Pure batching state machine over a weighted-fair tenant queue.
 
     ``add`` and ``poll`` never block and never read a clock — the caller
-    supplies ``now``.  Batches pop submissions in stride-scheduled fair
+    supplies ``now``.  ``max_delay`` bounds how long a submission may wait
+    for company *while the ranks are busy*; an idle service never waits
+    (see :meth:`poll`).  Batches pop submissions in stride-scheduled fair
     order (see :class:`~repro.serve.admission.FairQueue`), so a saturating
     tenant cannot starve a light one.  Two submissions carrying the same
     query id are never placed in the same batch: the mapper would search
@@ -160,13 +166,15 @@ class Coalescer:
         self.batches_formed += 1
         return batch
 
-    def poll(self, now: float) -> list[QueryBatch]:
+    def poll(self, now: float, idle: bool = False) -> list[QueryBatch]:
         """Flush every batch that is due at ``now`` (possibly none).
 
         Size triggers fire first (a full batch never waits on a deadline);
         then one deadline batch is formed if the oldest flush time has
         passed — partially filled, carrying everything pending up to
-        ``max_batch``.
+        ``max_batch``.  With ``idle`` (no job in flight) and neither
+        trigger fired, whatever is pending goes out as one batch now: that
+        batch makes the ranks busy, so the rest waits behind it as usual.
         """
         batches: list[QueryBatch] = []
         while self.pending >= self.max_batch:
@@ -179,6 +187,8 @@ class Coalescer:
             if due is None or due > now:
                 break
             batches.append(self._form_batch(now, "deadline"))
+        if idle and self.pending and not batches:
+            batches.append(self._form_batch(now, "idle"))
         return batches
 
     def flush(self, now: float) -> list[QueryBatch]:

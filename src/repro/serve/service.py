@@ -8,11 +8,11 @@
   in the coalescer; the returned :class:`QueryFuture` resolves to exactly
   the outfmt-6 bytes a standalone ``run_mrblast`` would have produced for
   that query.
-- :meth:`QueryService.pump` is the single scheduling step: flush due
-  batches from the coalescer (weighted-fair order), dispatch them to the
-  rank session, drain result envelopes, resolve futures.  All timing
-  decisions read the injected ``clock``, so tests drive the whole service
-  on virtual time.
+- :meth:`QueryService.pump` is the single scheduling step: drain result
+  envelopes and resolve futures, then flush due batches from the coalescer
+  (weighted-fair order; at once when no job is in flight) and dispatch
+  them to the rank session.  All timing decisions read the injected
+  ``clock``, so tests drive the whole service on virtual time.
 - A session that dies (non-degraded rank failure) is restarted and every
   *unresolved* in-flight submission is resubmitted; the optional
   :class:`DeliveryLedger` additionally persists delivered results so a
@@ -156,7 +156,8 @@ class QueryService:
     The service is thread-safe: one re-entrant lock serialises
     :meth:`submit`, :meth:`pump`, :meth:`flush` and :meth:`close`, so
     callers may submit from any thread while a background pump
-    (``start(pump_interval=...)``) schedules and resolves.
+    (``start(pump_interval=...)``) schedules and resolves.  A pump that
+    waits does so with the lock released.
     """
 
     def __init__(
@@ -194,6 +195,8 @@ class QueryService:
         self._lock = threading.RLock()
         self._pump_thread: threading.Thread | None = None
         self._pump_stop = threading.Event()
+        #: set by submit(): ends an idle pump's wait at once
+        self._wake = threading.Event()
         self.stats = {
             "submitted": 0, "delivered": 0, "batches": 0, "rejected": 0,
             "restarts": 0, "degraded_batches": 0, "backpressure_engages": 0,
@@ -215,9 +218,9 @@ class QueryService:
         return self
 
     def _pump_forever(self, interval: float) -> None:
-        while not self._pump_stop.wait(interval):
+        while not self._pump_stop.is_set():
             try:
-                self.pump()
+                self.pump(wait=interval)
             except BaseException as exc:  # noqa: BLE001 - nobody above to catch
                 # An exception escaping pump() is terminal (e.g. restarts
                 # exceeded max_restarts).  Swallowing it would leave every
@@ -244,6 +247,7 @@ class QueryService:
         # lock held by close() for the whole session teardown.
         if self._pump_thread is not None:
             self._pump_stop.set()
+            self._wake.set()
             self._pump_thread.join(timeout=5.0)
             self._pump_thread = None
         with self._lock:
@@ -311,6 +315,7 @@ class QueryService:
                     "serve.submit", cat="serve", seq=sub.seq, tenant=tenant,
                     query=query.id, pending=self._unresolved())
             self._update_gauge()
+            self._wake.set()
             return fut
 
     def _update_gauge(self) -> None:
@@ -412,25 +417,47 @@ class QueryService:
         self._update_gauge()
 
     def pump(self, now: float | None = None, wait: float = 0.0) -> int:
-        """One scheduling step: dispatch due batches, drain results.
+        """One scheduling step: deliver finished results, dispatch due batches.
 
-        Returns the number of result envelopes delivered.  ``wait`` bounds
-        a single blocking poll on the result queue (0 = non-blocking) — the
-        drain loop uses it to avoid spinning.
+        Returns the number of result envelopes delivered.  When the step
+        finds nothing to deliver, ``wait`` bounds one sleep before a second
+        step: on the result queue while a job is in flight, on the next
+        :meth:`submit` otherwise (0 = don't wait).  The lock is released
+        for the sleep, so a waiting pump never stalls a submitter.
+        """
+        delivered = self._step(now)
+        if delivered or wait <= 0:
+            return delivered
+        env = None
+        session = self._session
+        if session is not None and self._inflight:
+            env = session.poll_result(timeout=wait)
+        else:
+            self._wake.wait(wait)
+        return self._step(now, env)
+
+    def _step(self, now: float | None, env: BlockResult | None = None) -> int:
+        """Deliver ``env`` and everything else that finished, then dispatch.
+
+        Delivery comes first so the coalescer is asked with the session's
+        true state: a job that just finished leaves the ranks idle, and an
+        idle service dispatches whatever is pending without waiting.
         """
         with self._lock:
             if self._closed:
                 return 0
-            now = self._clock() if now is None else now
+            self._wake.clear()
             session = self._ensure_session()
-            for batch in self._coalescer.poll(now):
-                self._dispatch(batch)
             delivered = 0
-            env = session.poll_result(timeout=wait)
+            if env is None:
+                env = session.poll_result()
             while env is not None:
                 self._deliver(env)
                 delivered += 1
-                env = session.poll_result(timeout=0.0)
+                env = session.poll_result()
+            now = self._clock() if now is None else now
+            for batch in self._coalescer.poll(now, idle=not self._inflight):
+                self._dispatch(batch)
             if session.failed:
                 self._restart()
             return delivered

@@ -95,6 +95,8 @@ class ServeConfig:
     session_budget: float = 3600.0
     # ---- service-side intake/batching knobs -------------------------
     max_batch: int = 8
+    #: longest a submission waits for a fuller batch while a job is in
+    #: flight, seconds; with the ranks idle it is dispatched at once
     max_delay: float = 0.05
     max_pending: int = 256
     tenant_weights: dict[str, float] = field(default_factory=dict)
@@ -180,10 +182,12 @@ def _run_block_job(
     mr: MapReduce,
     job: BlockJob,
     speculation,
-) -> dict[str, bytes] | None:
-    """Execute one query block on this rank; rank 0 returns the merged demux."""
-    from repro.mpi.ops import SUM
+) -> tuple[dict[str, bytes], int] | None:
+    """Execute one query block on this rank.
 
+    Rank 0 returns ``(merged demux, kv_bytes)``, ``kv_bytes`` being the
+    summed ``nbytes`` of every rank's KV dataset after map.
+    """
     mapper.set_query_blocks([list(job.queries)])
     items = build_work_items(1, alias.num_partitions, cfg.work_order)
     mr.reset()
@@ -194,21 +198,19 @@ def _run_block_job(
         speculation=speculation,
         degraded=cfg.degraded,
     )
-    kv_bytes = int(mr.comm.allreduce(getattr(mr.kv, "nbytes", 0), op=SUM))
+    local_bytes = int(getattr(mr.kv, "nbytes", 0))
     mr.collate()
     order = {rec.id: i for i, rec in enumerate(job.queries)}
     mr.sort_kmv_keys(key=lambda qid: order.get(qid, len(order)))
     demux = DemuxReducer(mapper.options)
     mr.reduce(demux, out_schema=None)
-    gathered = mr.comm.gather(demux.results, root=0)
+    gathered = mr.comm.gather((demux.results, local_bytes), root=0)
     if mr.comm.rank != 0:
         return None
     merged: dict[str, bytes] = {}
-    for part in gathered or []:
+    for part, _nbytes in gathered:
         merged.update(part)
-    # Stash the measurement for the envelope builder (rank 0 only).
-    merged["\x00kv_bytes"] = kv_bytes  # type: ignore[assignment]
-    return merged
+    return merged, sum(nbytes for _part, nbytes in gathered)
 
 
 def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> ServeRankStats:
@@ -282,14 +284,14 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> Se
                 sid = trc.begin("serve.job", cat="serve",
                                 job_id=job.job_id, queries=len(job.queries))
             try:
-                merged = _run_block_job(cfg, alias, mapper, mr, job, speculation)
-                if live_comm.rank == 0 and merged is not None:
-                    kv_bytes = merged.pop("\x00kv_bytes", 0)
+                outcome = _run_block_job(cfg, alias, mapper, mr, job, speculation)
+                if outcome is not None:
+                    merged, kv_bytes = outcome
                     results.put(BlockResult(
                         job_id=job.job_id,
                         results=merged,
                         hits=sum(v.count(b"\n") for v in merged.values()),
-                        kv_bytes=int(kv_bytes),
+                        kv_bytes=kv_bytes,
                         degraded=mr.degraded_run,
                         lost_ranks=mr.lost_ranks,
                     ))

@@ -402,7 +402,9 @@ class TestStragglerMitigation:
         merged_sig = _signatures(collect_rank_hits([r.output_path for r in live]))
         assert merged_sig == clean_sig
 
-    def test_degraded_mrsom_recovers_codebook(self, tmp_path):
+    def test_degraded_mrsom_recovers_codebook(self, tmp_path, monkeypatch):
+        import threading
+
         matrix = os.path.join(tmp_path, "deg.mat")
         rng = np.random.default_rng(11)
         write_matrix_file(matrix, rng.normal(size=(200, 6)))
@@ -413,21 +415,40 @@ class TestStragglerMitigation:
             kwargs.update(overrides)
             return MrSomConfig(**kwargs)
 
-        from repro.core.mrsom.driver import run_mrsom
+        from repro.core.mrsom.driver import _BlockAccumulator, run_mrsom
         from repro.mpi.runtime import run_spmd
 
         clean = mrsom_spmd(self.NP, cfg())
-        # Aim the crash at the middle of rank 2's measured clean op count.
-        probe = SpmdJob(self.NP, run_mrsom, (cfg(degraded=True),))
-        probe.run()
-        crash_at = max(4, probe.network.op_count(2) // 2)
-        plan = FaultPlan([CrashRank(rank=2, at_op=crash_at)])
-        results = run_spmd(self.NP, run_mrsom, cfg(degraded=True),
-                           fault_plan=plan)
+
+        # Rank 2 dies inside the first epoch's map, from its mapper, with
+        # one unit committed to its accumulator and a second in flight:
+        # survivors must redo both.  Which worker is handed these
+        # microsecond units is a thread race, so the others hold their
+        # first unit until rank 2 is on its second.
+        victim, dying = [], threading.Event()
+        run_unit = _BlockAccumulator.__call__
+
+        def run(comm, config):
+            if comm.rank == 2:
+                victim.append(threading.get_ident())
+            return run_mrsom(comm, config)
+
+        def gated(acc, itask, item, kv):
+            if threading.get_ident() in victim:
+                if acc.units == 1:
+                    dying.set()
+                    raise RankFailure(-1, -1)
+            else:
+                assert dying.wait(60)
+            run_unit(acc, itask, item, kv)
+
+        monkeypatch.setattr(_BlockAccumulator, "__call__", gated)
+        results = run_spmd(self.NP, run, cfg(degraded=True))
         assert results[2] is None
         live = [r for r in results if r is not None]
         for r in live:
             assert r.degraded and r.lost_ranks == (2,)
+            assert r.reassigned_units == 2
             assert np.allclose(r.codebook, clean[0].codebook)
 
     def test_degraded_rejects_mrmpi_reduce_plane(self, tmp_path):

@@ -179,7 +179,8 @@ class TestServiceBackpressure:
         # query, far above the 1600-byte high watermark.
         f0 = svc.submit(SeqRecord(id="q0", seq="ACGT"))
         f1 = svc.submit(SeqRecord(id="q1", seq="ACGT"))
-        svc.pump()
+        svc.pump()  # dispatches the full batch ...
+        svc.pump()  # ... and the next step delivers it
         assert f0.done() and f1.done()
 
         # Next submissions drive the estimate over the high mark: pending

@@ -104,6 +104,74 @@ class TestDeadlineFlush:
         assert co.pending == 0 and co.next_flush_at() is None
 
 
+class TestIdleFlush:
+    """``poll(now, idle=True)``: no job in flight, so nothing is worth waiting for."""
+
+    def test_idle_and_pending_is_one_batch_now(self):
+        clock = TickClock()
+        co = Coalescer(max_batch=4, max_delay=100.0)
+        co.add(sub(0, at=clock()), now=0.0)
+        co.add(sub(1, at=0.0), now=0.0)
+        (batch,) = co.poll(now=clock(), idle=True)  # t=1, deadline is t=100
+        assert batch.reason == "idle" and batch.formed_at == 1.0
+        assert batch.query_ids == ("q0", "q1")
+        assert co.pending == 0 and co.next_flush_at() is None
+        assert co.poll(now=clock(), idle=True) == []  # nothing pending: nothing to do
+
+    def test_busy_waits_for_size_or_deadline(self):
+        clock = TickClock()
+        co = Coalescer(max_batch=3, max_delay=5.0)
+        co.add(sub(0, at=clock()), now=0.0)            # t=0, due at 5
+        assert co.poll(now=clock(), idle=False) == []  # t=1
+        assert co.poll(now=clock()) == []              # t=2: busy is the default
+        co.add(sub(1, at=2.0), now=2.0)
+        co.add(sub(2, at=2.0), now=2.0)
+        (batch,) = co.poll(now=clock(), idle=False)    # t=3: full
+        assert batch.reason == "size"
+        co.add(sub(3, at=3.0), now=3.0)                # due at 8
+        assert co.poll(now=7.9, idle=False) == []
+        (batch,) = co.poll(now=8.0, idle=False)
+        assert batch.reason == "deadline"
+
+    def test_one_idle_batch_then_the_rest_waits_behind_it(self):
+        co = Coalescer(max_batch=4, max_delay=100.0)
+        for i in range(6):
+            co.add(sub(i), now=0.0)
+        # A burst on an idle service: size fires, the remainder is not also
+        # flushed as "idle" (the size batch has just made the ranks busy).
+        batches = co.poll(now=0.0, idle=True)
+        assert [(len(b), b.reason) for b in batches] == [(4, "size")]
+        assert co.pending == 2
+        (tail,) = co.poll(now=1.0, idle=True)  # that job is done: ranks idle again
+        assert (len(tail), tail.reason) == (2, "idle")
+
+    def test_a_due_deadline_still_reports_deadline(self):
+        co = Coalescer(max_batch=4, max_delay=5.0)
+        co.add(sub(0, at=0.0, deadline=2.0), now=0.0)
+        (batch,) = co.poll(now=2.0, idle=True)
+        assert batch.reason == "deadline"
+
+    def test_idle_batches_keep_fair_order_and_id_deferral(self):
+        def filled():
+            co = Coalescer(max_batch=4, max_delay=100.0,
+                           weights={"heavy": 3.0, "light": 1.0})
+            for i in range(6):
+                co.add(sub(i, tenant="heavy", qid="dup" if i < 2 else None), now=0.0)
+            for i in range(6, 9):
+                co.add(sub(i, tenant="light"), now=0.0)
+            return co
+
+        idle, forced = filled(), filled().flush(now=0.0)
+        got = []
+        while idle.pending:
+            got += idle.poll(now=0.0, idle=True)
+        assert [b.reason for b in got] == ["size", "size", "idle"]
+        assert [b.submissions for b in got] == [b.submissions for b in forced]
+        first = forced[0]
+        assert first.query_ids.count("dup") == 1  # the second copy was deferred
+        assert [s.tenant for s in first.submissions].count("heavy") == 3  # 3:1 stride
+
+
 class TestFairness:
     def test_weighted_pop_order_across_tenants(self):
         co = Coalescer(max_batch=8, max_delay=100.0, weights={"heavy": 3.0, "light": 1.0})

@@ -7,7 +7,13 @@ read back, pinning the rank-loop invariants the service builds on.
 
 import pytest
 
+from repro.blast.dbreader import DatabaseAlias
+from repro.core.mrblast.hspcodec import hsp_schema
+from repro.core.mrblast.mapper import MrBlastMapper
+from repro.core.mrblast.workitems import build_work_items
 from repro.mpi.exceptions import RankFailure
+from repro.mpi.runtime import run_spmd
+from repro.mrmpi.mapreduce import MapReduce
 from repro.obs.trace import TraceSession
 from repro.serve.session import BlockJob, ResidentBlastSession, ServeConfig
 
@@ -19,6 +25,20 @@ def make_cfg(alias_path, options, **kw):
     )
     defaults.update(kw)
     return ServeConfig(**defaults)
+
+
+def _kv_bytes_after_map(comm, alias_path, options, queries):
+    """``nbytes`` of the KV dataset one query block maps to, outside the service."""
+    cfg = make_cfg(alias_path, options)
+    alias = DatabaseAlias.load(alias_path)
+    mapper = MrBlastMapper(alias, [list(queries)], options)
+    mr = MapReduce(comm, memsize=cfg.memsize, schema=hsp_schema(cfg.id_width))
+    try:
+        mr.map_items(build_work_items(1, alias.num_partitions, cfg.work_order), mapper)
+        return mr.kv.nbytes
+    finally:
+        mr.close()
+        mapper.release()
 
 
 def run_jobs(session, jobs, timeout=60.0):
@@ -97,6 +117,11 @@ class TestResidentSession:
         # Columnar plane: nbytes is exact array accounting, and a block
         # with hits must have staged a nonzero working set.
         assert env.kv_bytes > 0
+        # The number the backpressure gauge feeds on is the post-map KV size
+        # summed over ranks (it rides the result gather, not a collective of
+        # its own): the same block mapped on one rank holds exactly that.
+        assert env.kv_bytes == run_spmd(1, _kv_bytes_after_map, alias_path,
+                                        options, tuple(reads[:4]))[0]
 
     def test_submit_after_stop_raises(self, serve_workload):
         alias_path, reads, options = serve_workload
