@@ -41,10 +41,8 @@ from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
 from repro.blast.extend import batch_ungapped_extend, ungapped_extend
 from repro.blast.gapped import extend_gapped, extend_gapped_batch
-from repro.blast.karlin import karlin_params
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
-from repro.blast.statistics import bit_score
 from repro.core import MrBlastConfig, mrblast_spmd
 from repro.mpi.runtime import resolve_backend
 
@@ -178,14 +176,17 @@ def test_extension_stage_speedup(fig5_hits, print_table):
     assert bat_ext == ref_ext, "batched stage-2 must be bit-identical"
 
     # Stage 3 workload: replay the engine's per-diagonal admission rule
-    # (coverage jumps, two-hit anchoring, bit-score cutoff, gapped coverage
-    # feedback) over the precomputed extents, so the timed gapped seeds are
-    # exactly the ones stage 2 hands to stage 3 in production.
-    params = karlin_params(program="blastp", reward=OPTS.reward, penalty=OPTS.penalty)
+    # (coverage jumps, two-hit anchoring, the engine's own gap trigger,
+    # gapped coverage feedback) over the precomputed extents, so the timed
+    # gapped seeds are exactly the ones stage 2 hands to stage 3 in
+    # production.
+    engine = make_engine(OPTS)
+    db_len, db_seqs = sum(len(rec.seq) for rec in db), len(db)
     window = OPTS.two_hit_window
     seeds = []
     off = 0
     for q_idx, s_idx, qp, sp in groups:
+        trigger, _ = engine.admission_scores(int(q_idx.size), db_len, db_seqs)
         ext_rows = ref_ext[off : off + qp.size]
         off += qp.size
         diag = sp - qp
@@ -207,7 +208,7 @@ def test_extension_stage_speedup(fig5_hits, print_table):
                 last_end = s_pos + word
                 score, qs, qe, ss, se = ext_rows[int(order[k])]
                 covered = se
-                if bit_score(score, params) < OPTS.ungapped_cutoff_bits:
+                if score < trigger:
                     continue
                 mid = (qe - qs) // 2
                 seeds.append((q_idx, s_idx, qs + mid, ss + mid))
@@ -267,9 +268,11 @@ def test_extension_stage_speedup(fig5_hits, print_table):
 
 
 def _chance_and_homolog_seeds(rng, n_chance, n_homolog, read_len=400):
-    """The blastn batch shape: every word hit gets a gapped extension, so a
-    round's batch is a few reads' true homologs among chance 11-mer hits
-    against unrelated subjects, which X-drop kills within a few dozen rows."""
+    """A batch of a few reads' true homologs among chance seeds against
+    unrelated subjects, which X-drop kills within a few dozen rows: what a
+    gapped round is made of once every word hit is admitted
+    (``ungapped_cutoff_bits=12``), and the kernel's worst case for work done
+    on seeds that die."""
     reads = [random_genome(read_len, seed_or_rng=int(rng.integers(2**31)))
              for _ in range(max(n_homolog, 4))]
     subjects = [DNA.encode(random_genome(5000, seed_or_rng=int(rng.integers(2**31)))).astype("intp")

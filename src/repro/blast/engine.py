@@ -26,7 +26,11 @@ Two schedulers share that admission machinery:
   seeds admitted in that round straight into that round's single
   :func:`~repro.blast.gapped.extend_gapped_batch` call (with the raw score
   each seed needs to be reportable, so the kernel traces back only
-  alignments that can pass the E-value gate).  No stage ever
+  alignments that can pass the E-value gate).  Admission is NCBI's gap
+  trigger, one rule for both schedulers
+  (:meth:`_EngineBase.admission_scores`): a bare word hit does not reach
+  stage 3, an ungapped extension worth ``ungapped_cutoff_bits`` (or
+  reportable on its own) does.  No stage ever
   materialises a whole-partition intermediate: scan hits, triggers and
   admitted seeds live only as bounded per-round slabs
   (``SearchStats.peak_slab_bytes`` reports the high-water mark), and a
@@ -49,6 +53,7 @@ regions, so per-stage seconds never double-count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -186,6 +191,14 @@ class _EngineBase:
         # One statistics context for the engine's lifetime: λ/K/H fixed at
         # construction, length adjustments cached per search-space triple.
         self.search_space = SearchSpace(self.gapped_stats_params)
+        # Smallest raw ungapped score worth ``ungapped_cutoff_bits``: from
+        # just under the closed form, stepped up against :func:`bit_score`
+        # itself, so float rounding at an integer boundary cannot matter.
+        ungapped, bits = self.ungapped_params, options.ungapped_cutoff_bits
+        raw = math.floor((bits * math.log(2.0) + ungapped.log_k) / ungapped.lam) - 1
+        while bit_score(raw, ungapped) < bits:
+            raw += 1
+        self._gap_trigger = raw
         self._two_hit = self.program == "blastp" and options.two_hit_window > 0
         self.last_stats = SearchStats()
         self.lookup_cache: LookupCache | None = None
@@ -248,15 +261,24 @@ class _EngineBase:
         stats.seed_seconds += time.perf_counter() - t0
         db_len = opts.db_length_override or partition.total_length
         db_seqs = opts.db_num_seqs_override or partition.num_seqs
+        # Admission scores per query (``ctx.query_index``), worked out once
+        # per distinct query length of the unit.
+        lengths = [len(rec.seq) for rec in block.records]
+        by_len = {n: self.admission_scores(n, db_len, db_seqs) for n in set(lengths)}
+        cutoffs = [by_len[n] for n in lengths]
 
         if opts.fused:
-            all_hits = self._search_fused(block, lookup, partition, db_len, db_seqs, stats)
+            all_hits = self._search_fused(
+                block, lookup, partition, db_len, db_seqs, cutoffs, stats
+            )
         else:
             all_hits = []
             for sid, s_codes in partition:
                 stats.n_subjects += 1
                 all_hits.extend(
-                    self._search_subject(block, lookup, sid, s_codes, db_len, db_seqs, stats)
+                    self._search_subject(
+                        block, lookup, sid, s_codes, db_len, db_seqs, cutoffs, stats
+                    )
                 )
 
         # Per-query E-value filter + top-K (the per-partition hit list).
@@ -406,44 +428,58 @@ class _EngineBase:
             strand=ctx.strand,
         )
 
-    def _extend_gapped(
-        self,
-        block: QueryBlock,
-        jobs: list,
-        db_len: int,
-        db_seqs: int,
-        kernel_stats: dict | None = None,
-    ) -> list:
-        """One gapped batch over ``jobs`` = ``(ctx, s_index, q_seed, s_seed)``.
+    def admission_scores(self, query_len: int, db_len: int, db_seqs: int) -> tuple[int, int]:
+        """``(gap trigger, report floor)`` raw scores for one query length.
 
-        Every seed carries the raw score below which :meth:`_emit_hsp` is
-        certain to refuse it (one under the E-value cutoff score, so float
-        rounding in either direction cannot matter); the kernel skips the
-        traceback of such alignments and returns their extents only, which
-        is all the diagonal-coverage update reads.  The floor is worked out
-        once per distinct query length in the batch.  Both schedulers come
-        through here, so they pass the same floors.
+        The one admission rule of stage 3, NCBI's
+        ``BlastInitialWordParametersUpdate``: an ungapped extension is
+        gapped-extended when its raw score reaches ``min(raw score of
+        ungapped_cutoff_bits, E-value cutoff score)``, where the cutoff
+        score is the smallest a *reportable* alignment of this query can
+        have in the given search space.  Callers pass the whole-database
+        space (the ``-dbsize`` overrides), never a partition's own, so
+        which seeds are admitted does not depend on how the DB is split.
+
+        The floor is the raw score below which :meth:`_emit_hsp` is certain
+        to refuse a gapped alignment (one under the cutoff score, so float
+        rounding in either direction cannot matter); the gapped kernel
+        skips the traceback of such alignments.
+        """
+        cutoff = self.search_space.evalue_to_score(
+            self.options.evalue, query_len, db_len, db_seqs
+        )
+        return min(self._gap_trigger, cutoff), cutoff - 1
+
+    @staticmethod
+    def _gapped_seed(
+        ctx, cutoffs: list, u_score: int, u_q_start: int, u_q_end: int, u_s_start: int
+    ) -> tuple[int, int, int] | None:
+        """``(q_seed, s_seed, floor)`` if the ungapped segment is admitted, else None."""
+        trigger, floor = cutoffs[ctx.query_index]
+        if u_score < trigger:
+            return None
+        # Mid-point of the ungapped segment — the gapped anchor (same
+        # arithmetic as UngappedHSP.seed_point).
+        mid = (u_q_end - u_q_start) // 2
+        return u_q_start + mid, u_s_start + mid, floor
+
+    def _extend_gapped(self, jobs: list, kernel_stats: dict | None = None) -> list:
+        """One gapped batch over ``jobs`` = ``(ctx, s_index, q_seed, s_seed, floor)``.
+
+        A seed scoring under its report floor comes back extents-only,
+        which is all the diagonal-coverage update reads.
         """
         opts = self.options
-        floors: dict[int, int] = {}
-        min_scores = []
-        for ctx, _, _, _ in jobs:
-            qlen = len(block.records[ctx.query_index].seq)
-            floor = floors.get(qlen)
-            if floor is None:
-                floor = floors[qlen] = (
-                    self.search_space.evalue_to_score(opts.evalue, qlen, db_len, db_seqs) - 1
-                )
-            min_scores.append(floor)
         return extend_gapped_batch(
-            [(ctx.codes_index, s_index, q_seed, s_seed) for ctx, s_index, q_seed, s_seed in jobs],
+            [(ctx.codes_index, s_index, q_seed, s_seed)
+             for ctx, s_index, q_seed, s_seed, _ in jobs],
             self.matrix,
             opts.gap_open,
             opts.gap_extend,
             opts.xdrop_gapped,
             opts.band_width,
             stats=kernel_stats,
-            min_scores=min_scores,
+            min_scores=[floor for _, _, _, _, floor in jobs],
         )
 
     # ---- fused scheduler -----------------------------------------------------
@@ -455,6 +491,7 @@ class _EngineBase:
         partition,
         db_len: int,
         db_seqs: int,
+        cutoffs: list,
         stats: SearchStats,
     ) -> list[HSP]:
         """One streaming seed→ungapped→gapped pass over the whole work unit.
@@ -583,25 +620,19 @@ class _EngineBase:
                     u_s_start, u_s_end = u.s_start, u.s_end
                 stats.n_ungapped += 1
                 st[3] = u_s_end  # covered
-                if bit_score(u_score, self.ungapped_params) >= opts.ungapped_cutoff_bits:
-                    # Mid-point of the ungapped segment — the gapped anchor
-                    # (same arithmetic as UngappedHSP.seed_point).
-                    mid = (u_q_end - u_q_start) // 2
-                    gapped_jobs.append((subj, st, i, ctx, u_q_start + mid, u_s_start + mid))
+                seed = self._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
+                if seed is not None:
+                    gapped_jobs.append((subj, st, i, ctx, seed))
 
             if gapped_jobs:
                 t_g = time.perf_counter()
                 aligns = self._extend_gapped(
-                    block,
-                    [
-                        (ctx, subj.s_index, q_seed, s_seed)
-                        for subj, _, _, ctx, q_seed, s_seed in gapped_jobs
-                    ],
-                    db_len, db_seqs, kernel_peaks,
+                    [(ctx, subj.s_index, *seed) for subj, _, _, ctx, seed in gapped_jobs],
+                    kernel_peaks,
                 )
                 stats.n_gapped += len(gapped_jobs)
                 stats.gapped_seconds += time.perf_counter() - t_g
-                for (subj, st, i, ctx, _, _), g in zip(gapped_jobs, aligns):
+                for (subj, st, i, ctx, _), g in zip(gapped_jobs, aligns):
                     if g is None:
                         continue
                     st[3] = max(st[3], g.s_end)
@@ -663,6 +694,7 @@ class _EngineBase:
         s_codes: np.ndarray,
         db_len: int,
         db_seqs: int,
+        cutoffs: list,
         stats: SearchStats,
     ) -> list[HSP]:
         opts = self.options
@@ -748,25 +780,18 @@ class _EngineBase:
                     u_s_start, u_s_end = u.s_start, u.s_end
                 stats.n_ungapped += 1
                 st[3] = u_s_end  # covered
-                if bit_score(u_score, self.ungapped_params) >= opts.ungapped_cutoff_bits:
-                    # Mid-point of the ungapped segment — the gapped anchor
-                    # (same arithmetic as UngappedHSP.seed_point).
-                    mid = (u_q_end - u_q_start) // 2
-                    gapped_jobs.append((st, i, ctx, u_q_start + mid, u_s_start + mid))
+                seed = self._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
+                if seed is not None:
+                    gapped_jobs.append((st, i, ctx, seed))
 
             if gapped_jobs:
                 t_g = time.perf_counter()
                 aligns = self._extend_gapped(
-                    block,
-                    [
-                        (ctx, s_index, q_seed, s_seed)
-                        for _, _, ctx, q_seed, s_seed in gapped_jobs
-                    ],
-                    db_len, db_seqs,
+                    [(ctx, s_index, *seed) for _, _, ctx, seed in gapped_jobs]
                 )
                 stats.n_gapped += len(gapped_jobs)
                 stats.gapped_seconds += time.perf_counter() - t_g
-                for (st, i, ctx, _, _), g in zip(gapped_jobs, aligns):
+                for (st, i, ctx, _), g in zip(gapped_jobs, aligns):
                     if g is None:
                         continue
                     st[3] = max(st[3], g.s_end)

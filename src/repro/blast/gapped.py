@@ -13,20 +13,26 @@ independently to the left and to the right with a gapped dynamic program
 Gap cost model: a gap of length g costs ``gap_open + g*gap_extend``.
 
 There is one kernel, :func:`extend_gapped_batch`.  The three DP states
-M/Ix/Iy are stored *band-compressed* — cell (i, j) lives at column
+M/Ix/Iy are computed *band-compressed* — cell (i, j) lives at column
 ``c = j - i + band`` of row i, ``2*band+1`` int32 columns per row with an
 integer ``-inf`` sentinel — and all halves of a chunk of seeds advance one
 DP row per Python iteration, so the numpy dispatch cost of a row is shared.
 The within-row gap recurrence is a prefix-max scan.  Work is done only where
-the X-drop frontier is alive:
+the X-drop frontier is alive, and what is kept for the traceback is sized
+for the seeds that live (since the engine's gap trigger, most of a batch):
 
-- **Row blocks and live-set compaction.**  Rows are stored in blocks of
+- **Row blocks and live-set compaction.**  Rows are computed in blocks of
   ``_BLOCK_ROWS`` rows, each allocated (sentinel-filled) for the halves
   that are live when the block starts.  A half leaves the batch at the next
   block boundary once X-drop has killed it or its query is exhausted; the
   survivors are compacted into the new block's slots, and each block
-  remembers which halves own its slots.  Nothing is recomputed: a traceback
-  stitches one half's slot out of the blocks it lived in.
+  remembers which halves own its slots.
+- **One traceback byte per cell.**  A finished block's int32 scores are
+  reduced to the decisions a traceback can take in it (NCBI's edit-script
+  bytes: which state a cell is in, whether its Ix / Iy continue a gap) and
+  dropped; only the bytes are retained, a twelfth of the scores.  Nothing
+  is recomputed: a traceback stitches one half's slot out of the blocks it
+  lived in and walks the bytes, a whole run of aligned pairs at a step.
 - **Live-column window.**  X-drop masking resets every dropped cell to
   exactly the sentinel, so if the live cells of row i-1, over all live
   halves, sit in columns ``[wa, wb)``, row i can only have live M cells in
@@ -44,7 +50,7 @@ the X-drop frontier is alive:
   look at the grid.  With ``min_scores`` the caller names, per seed, the raw
   score below which it will not report the alignment; such seeds come back
   *extents-only* (``identities = align_len = gaps = 0``, ``ops = ""``) and
-  the Python traceback runs for the rest.
+  the traceback runs for the rest.
 
 Per-half semantics do not depend on what else is in the batch: each half has
 its own X-drop threshold (from the best of the *previous* rows), its own
@@ -78,14 +84,15 @@ _DEAD_FLOOR = np.int32(int(_NEG_I32) // 2)
 
 #: DP rows per storage block; the live set is compacted between blocks.
 _BLOCK_ROWS = 16
-#: upper bound on seeds (pairs of halves) advanced in one lockstep chunk;
-#: beyond this the per-row elementwise work dominates and bigger batches
-#: stop paying.
-_CHUNK_SEEDS = 128
-#: cap on the row blocks one chunk can retain if no half ever dies: chunks
-#: are cut so that every half's full depth fits, so a few very deep halves
-#: narrow the chunk instead of blowing memory up.
-_CHUNK_BYTES = 32 << 20
+#: working bytes per band cell of the row block being computed: its three
+#: int32 score planes, and as much again while its pair scores are gathered
+#: (an intp arena index, then the int32 score) or its traceback bytes built.
+_WORK_CELL_BYTES = 24
+#: what one lockstep chunk may hold, sized for seeds that live: chunks are
+#: cut so that every half's slot in the working block fits next to the
+#: traceback bytes of its full depth, so deep halves narrow the chunk
+#: instead of blowing memory up (400-bp reads: about 70 seeds a chunk).
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -159,15 +166,19 @@ def extend_gapped_batch(
     returns extents only (see :class:`GappedAlignment`) and skips the
     traceback.  ``None`` traces every alignment.
 
-    ``stats`` (optional dict) accumulates ``peak_grid_bytes`` (the most row
-    blocks any chunk retained), ``dp_rows`` (lockstep row iterations) and
-    ``dp_cells`` (band cells computed, summed over halves).
+    ``stats`` (optional dict) accumulates ``peak_grid_bytes`` (the most any
+    chunk held: traceback bytes retained plus the working block),
+    ``dp_rows`` (lockstep row iterations) and ``dp_cells`` (band cells
+    computed, summed over halves).
     """
     seeds = list(seeds)
     if min_scores is not None and len(min_scores) != len(seeds):
         raise ValueError("min_scores must give one floor per seed")
-    row_bytes = 3 * (2 * band + 1) * 4
-    worst = []  # bytes a seed's two halves retain if neither ever dies
+    # A seed's two halves hold a slot each in the working block (see
+    # ``_lockstep_dp``) and retain, if neither ever dies, one traceback byte
+    # per band cell of their whole depth.
+    width = 2 * band + 1
+    worst = []
     for q_codes, s_codes, q_seed, s_seed in seeds:
         if not (0 <= q_seed <= q_codes.size) or not (0 <= s_seed <= s_codes.size):
             raise ValueError("seed point out of range")
@@ -175,14 +186,14 @@ def extend_gapped_batch(
             -(-(n + 1) // _BLOCK_ROWS) * _BLOCK_ROWS
             for n in (q_seed, q_codes.size - q_seed)
         )
-        worst.append(rows * row_bytes)
+        worst.append((rows + 2 * _BLOCK_ROWS * _WORK_CELL_BYTES) * width)
 
     out: list = []
     pos = 0
     while pos < len(seeds):
         # Chunks are cut on seed boundaries: a seed's two halves share one.
         end, budget = pos + 1, _CHUNK_BYTES - worst[pos]
-        while end < len(seeds) and end - pos < _CHUNK_SEEDS and worst[end] <= budget:
+        while end < len(seeds) and worst[end] <= budget:
             budget -= worst[end]
             end += 1
         out.extend(
@@ -249,7 +260,6 @@ def _extend_chunk(
         matrix, gap_open, gap_extend, xdrop, band, stats,
     )
 
-    open_cost = gap_open + gap_extend
     results: list = []
     for t, (q_codes, s_codes, q_seed, s_seed) in enumerate(seeds):
         left, right = 2 * t, 2 * t + 1
@@ -274,7 +284,7 @@ def _extend_chunk(
                 continue
             grid = _stitch(h, int(best_i[h]), blocks, owners)
             ident, alen, gaps, half_ops = _traceback_banded(
-                q_h, s_h, grid, band, int(best_i[h]), int(best_j[h]), gap_extend, open_cost
+                q_h, s_h, grid, band, int(best_i[h]), int(best_j[h])
             )
             counts[0] += ident
             counts[1] += alen
@@ -306,12 +316,13 @@ def _lockstep_dp(
     """Advance every half row by row.
 
     Returns each half's best score and the DP cell ``(i, j)`` it was first
-    reached in, plus the row blocks for the tracebacks: ``blocks[b]`` is a
-    ``(3, rows, width, k_b)`` int32 array holding DP rows
-    ``b*_BLOCK_ROWS ...`` of M/Ix/Iy for the ``k_b`` halves listed
-    (ascending) in ``owners[b]``.  Halves run along the last axis, so the
-    live window of a row, ``[a:b]`` on the column axis, is one contiguous
-    piece of memory.
+    reached in, plus what the tracebacks need: ``blocks[b]`` is a
+    ``(rows, width, k_b)`` array of :func:`_directions` bytes for DP rows
+    ``b*_BLOCK_ROWS ...`` of the ``k_b`` halves listed (ascending) in
+    ``owners[b]``.  The scores themselves live in one working block at a
+    time, ``(3, rows, width, k_b)`` int32 for M/Ix/Iy; halves run along the
+    last axis, so the live window of a row, ``[a:b]`` on the column axis,
+    is one contiguous piece of memory.
     """
     open_cost = gap_open + gap_extend
     width = 2 * band + 1
@@ -322,7 +333,7 @@ def _lockstep_dp(
     best_c = np.full(nh, band, dtype=np.int64)  # DP row 0: the seed cell
     blocks: list = []
     owners: list = []
-    dp_rows = dp_cells = retained = 0
+    dp_rows = dp_cells = retained = peak = 0
 
     mat_flat = np.ascontiguousarray(matrix, dtype=np.int32).ravel()
     n_codes = matrix.shape[1]
@@ -359,10 +370,10 @@ def _lockstep_dp(
         if base:
             rows = min(_BLOCK_ROWS, int(ns.max()) - base + 1)
             blk = np.full((3, rows, width, k), NEG, dtype=np.int32)
-        blocks.append(blk)
         owners.append(ids)
-        retained += blk.nbytes
         i_end = base + blk.shape[1]  # one past this block's last DP row
+        ix_above = prev_ix  # Ix of the DP row above this block
+        ua, ub = width, 0  # columns any row of this block computed
 
         # Pair scores for the whole block in three gathers: row i of half h
         # scores q_h[i-1] against the window s_h[i-1-band ... i-1+band].
@@ -404,6 +415,7 @@ def _lockstep_dp(
                 row_best[written[0] : a] = NEG
             if written[1] > b:
                 row_best[b : written[1]] = NEG
+            ua, ub = min(ua, a), max(ub, b)
             g_row = blk[:, r]  # (3, width, k) view of this row
             m_row, ix_row, iy_row = g_row[0, a:b], g_row[1, a:bx], g_row[2, a:b]
             rb, sc = row_best[a:b], scratch[a:b]
@@ -479,6 +491,9 @@ def _lockstep_dp(
             best[ids[slots]] = block_best[slots]
             best_i[ids[slots]] = base + top
             best_c[ids[slots]] = blk[:, top, :, slots].max(axis=1).argmax(axis=1)
+        peak = max(peak, retained + _WORK_CELL_BYTES * blk[0].size)
+        blocks.append(_directions(blk, ix_above, gap_extend, ua, ub))
+        retained += blocks[-1].nbytes
         if wa < a:
             break
         # Compact: a half goes on iff its last row kept a cell and its
@@ -490,95 +505,108 @@ def _lockstep_dp(
         prev_ix = prev_ix[:, keep]
 
     if stats is not None:
-        stats["peak_grid_bytes"] = max(stats.get("peak_grid_bytes", 0), retained)
+        stats["peak_grid_bytes"] = max(stats.get("peak_grid_bytes", 0), peak)
         stats["dp_rows"] = stats.get("dp_rows", 0) + dp_rows
         stats["dp_cells"] = stats.get("dp_cells", 0) + dp_cells
     return best, best_i, best_c + best_i - band, blocks, owners
 
 
+def _directions(blk: np.ndarray, ix_above: np.ndarray, gap_extend: int, a: int, b: int):
+    """Every decision a traceback can take in a finished block, one byte a cell.
+
+    For cell (i, c) of the stored (X-drop masked) scores: bit 0 is
+    ``M >= Ix``, bit 1 ``M >= Iy``, bit 2 ``Ix >= Iy`` (which state a walk
+    arriving here is in); bit 3 says Ix continues the gap of the row above,
+    ``Ix[i, c] == Ix[i-1, c+1] - gap_extend`` (``ix_above`` is the Ix row
+    over the block's first), and bit 4 that Iy continues the gap from the
+    left, ``Iy[i, c] == Iy[i, c-1] - gap_extend``.  Only columns ``[a, b)``,
+    the ones some row of the block computed, are looked at: a path never
+    leaves them.
+    """
+    _, rows, width, k = blk.shape
+    out = np.zeros((rows, width, k), dtype=np.uint8)
+    m, x, y = blk
+
+    def mark(bit: int, lo: int, hi: int, flags: np.ndarray) -> None:
+        flags = flags.view(np.uint8)
+        flags <<= bit
+        out[:, lo:hi] |= flags
+
+    mark(0, a, b, m[:, a:b] >= x[:, a:b])
+    mark(1, a, b, m[:, a:b] >= y[:, a:b])
+    mark(2, a, b, x[:, a:b] >= y[:, a:b])
+    hi = min(b, width - 1)  # the last column has no c+1 above it
+    above = np.concatenate((ix_above[None, a + 1 : hi + 1], x[:-1, a + 1 : hi + 1]))
+    above -= gap_extend
+    mark(3, a, hi, x[:, a:hi] == above)
+    lo = max(a, 1)
+    mark(4, lo, b, y[:, lo:b] == y[:, lo - 1 : b - 1] - gap_extend)
+    return out
+
+
 def _stitch(h: int, last_row: int, blocks: list, owners: list) -> np.ndarray:
-    """Half ``h``'s DP rows ``0..last_row`` as one ``(3, rows, width)`` grid."""
+    """Half ``h``'s traceback bytes for DP rows ``0..last_row``, ``(rows, width)``."""
     parts = []
     for b in range(last_row // _BLOCK_ROWS + 1):
         slot = int(np.searchsorted(owners[b], h))
-        parts.append(blocks[b][:, :, :, slot])
-    return np.concatenate(parts, axis=1)
+        parts.append(blocks[b][:, :, slot])
+    return np.concatenate(parts)
+
+
+#: state (0 = M, 1 = Ix, 2 = Iy) of a walk arriving at a cell, by the low three
+#: :func:`_directions` bits: the first maximum in the order M, Ix, Iy.
+_ARRIVAL = tuple((0 if v & 2 else 2) if v & 1 else (1 if v & 4 else 2) for v in range(8))
 
 
 def _traceback_banded(
-    q: np.ndarray,
-    s: np.ndarray,
-    grid: np.ndarray,
-    band: int,
-    bi: int,
-    bj: int,
-    gap_extend: int,
-    open_cost: int,
+    q: np.ndarray, s: np.ndarray, grid: np.ndarray, band: int, bi: int, bj: int
 ) -> tuple[int, int, int, str]:
     """Walk back from the best cell ``(bi, bj)`` over the compressed band.
 
-    ``grid`` is ``(3, rows, width)``: M, Ix (gap in subject), Iy (gap in
-    query).  Cell (i, j) lives at ``[i, j - i + band]``; every move in the
-    walk stays inside the band by construction (stored cells only chain
-    from stored cells).  Integer scores make the gap-run test an exact
-    equality.  Returns ``(identities, align_len, gaps, ops)`` with ``ops``
-    walking *away* from the seed.
+    ``grid`` holds one :func:`_directions` byte per cell; cell (i, j) lives
+    at ``[i, j - i + band]``, and every move stays inside the band by
+    construction (stored cells only chain from stored cells).  A run of
+    aligned pairs is one diagonal, so one column of the grid: it is taken
+    in a single step, down to the first row whose cell is not in state M.
+    Returns ``(identities, align_len, gaps, ops)`` with ``ops`` walking
+    *away* from the seed.
     """
-    M, Ix, Iy = grid
-    width = 2 * band + 1
-    NEG = int(_NEG_I32)
-
-    def cell(state: np.ndarray, i: int, j: int) -> int:
-        c = j - i + band
-        if 0 <= c < width:
-            return state.item(i, c)
-        return NEG
-
-    def argmax3(a: int, b: int, c: int) -> int:
-        if a >= b:
-            return 0 if a >= c else 2
-        return 1 if b >= c else 2
-
-    i, j = bi, bj
-    state = argmax3(cell(M, i, j), cell(Ix, i, j), cell(Iy, i, j))
+    in_m = (grid & 3) == 3
+    i, c = bi, bj - bi + band
+    d = grid.item(i, c)
+    state = _ARRIVAL[d & 7]
     identities = 0
-    align_len = 0
     gaps = 0
     ops: list[str] = []  # collected end -> seed; reversed below
-    max_steps = 2 * (bi + bj) + 4  # every step decrements i or j; guard anyway
     steps = 0
-    while i > 0 or j > 0:
+    while i > 0 or c != band:
         steps += 1
-        if steps > max_steps:  # pragma: no cover - defensive
+        if steps > 2 * (bi + bj) + 4:  # pragma: no cover - defensive
             raise RuntimeError("gapped traceback failed to terminate")
-        if state == 0:  # M: aligned pair
-            align_len += 1
-            ops.append("M")
-            if q[i - 1] == s[j - 1]:
-                identities += 1
-            i -= 1
-            j -= 1
-            if i == 0 and j == 0:
-                break
-            state = argmax3(cell(M, i, j), cell(Ix, i, j), cell(Iy, i, j))
+        if state == 0:  # M: aligned pairs up the column, rows i down to t + 1
+            # DP row 0 is in state M at the seed cell only, where the walk
+            # ends, so a run that reaches row 0 stops there either way.
+            t = max(in_m[:i, c].tobytes().rfind(b"\0"), 0)
+            off = c - band
+            identities += int(np.count_nonzero(q[t:i] == s[t + off : i + off]))
+            ops.append("M" * (i - t))
+            i = t
+            d = grid.item(i, c)
+            state = _ARRIVAL[d & 7]
         elif state == 1:  # Ix: gap in subject, consume query
-            align_len += 1
             gaps += 1
             ops.append("I")
-            cur = cell(Ix, i, j)
             i -= 1
-            if cur == cell(Ix, i, j) - gap_extend:
-                state = 1
-            else:
-                state = argmax3(cell(M, i, j), NEG, cell(Iy, i, j))
+            c += 1
+            extends, d = d & 8, grid.item(i, c)
+            if not extends:  # the gap opened here, from M or Iy
+                state = 0 if d & 2 else 2
         else:  # Iy: gap in query, consume subject
-            align_len += 1
             gaps += 1
             ops.append("D")
-            cur = cell(Iy, i, j)
-            j -= 1
-            if cur == cell(Iy, i, j) - gap_extend:
-                state = 2
-            else:
-                state = argmax3(cell(M, i, j), cell(Ix, i, j), NEG)
-    return identities, align_len, gaps, "".join(reversed(ops))
+            c -= 1
+            extends, d = d & 16, grid.item(i, c)
+            if not extends:  # from M or Ix
+                state = 0 if d & 1 else 1
+    ops_str = "".join(reversed(ops))
+    return identities, len(ops_str), gaps, ops_str

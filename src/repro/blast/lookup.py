@@ -14,17 +14,20 @@ past this lookup table" (paper §II.B).  This module is that machinery:
 
 The word table is a flat CSR (compressed sparse row) layout: one sorted
 array of distinct word ids, one offsets array, and one concatenated
-postings array of query positions.  ``scan()`` is then a pure
-``np.searchsorted`` join — pack the subject's words, binary-search them
-against the word array, and gather the postings ranges — with no
+postings array of query positions, behind a *presence vector* (NCBI's PV
+array): a ``bool`` per value of ``word & mask`` saying whether any query
+word has it.  ``scan()`` packs the subject's words, drops with one table
+gather the ~95 % of windows no query word can match, binary-searches the
+survivors against the word array (``np.searchsorted``, the exact join that
+also settles hash collisions), and gathers the postings ranges — with no
 Python-level loop over matching windows.  The per-work-unit fixed cost of
 building the table is what the paper's Fig. 4/Fig. 5 block-size analysis is
 about, so the builders are vectorised end to end and whole tables can be
 reused across DB partitions through :class:`LookupCache`.
 
-:class:`ReferenceNucleotideLookup` / :class:`ReferenceProteinLookup` keep
-the original dict-of-arrays implementation as a parity oracle for the
-property tests and the seeding benchmark.
+``tests/oracles/dict_lookup.py`` holds the original dict-of-arrays
+implementation; the parity suite asserts ``scan()`` reproduces its hits
+element for element, in order.
 
 Soft-masked query positions (DUST/SEG) produce no words, but extensions may
 still run through them.
@@ -49,8 +52,6 @@ __all__ = [
     "QueryBlock",
     "NucleotideLookup",
     "ProteinLookup",
-    "ReferenceNucleotideLookup",
-    "ReferenceProteinLookup",
     "LookupCache",
     "block_fingerprint",
 ]
@@ -203,8 +204,18 @@ def _window_unmasked(mask: np.ndarray, word_size: int) -> np.ndarray:
     return ~windows.any(axis=1)
 
 
+#: entries of a lookup's presence vector (NCBI's PV array): one ``bool`` per
+#: value of ``word & (_PV_SIZE - 1)``, true where some query word has that
+#: value.  Exact where every word fits (protein 3-mers, blastn words up to
+#: 9), a hash for longer words; protein's -1 (unscannable window) lands on
+#: the last entry, which no 3-mer sets.  256 KiB per lookup, so it stays in
+#: cache beside the subject stream and costs a :class:`LookupCache` entry
+#: little (an exact ``4**11`` table is 4 MiB an entry and scanned slower).
+_PV_SIZE = 1 << 18
+
+
 class _LookupBase:
-    """Shared CSR machinery: flat word table + searchsorted scanning."""
+    """Shared CSR machinery: presence vector + searchsorted join."""
 
     word_size: int
     alphabet_size: int
@@ -213,14 +224,15 @@ class _LookupBase:
         self.block = block
         words, positions = self._build_postings()
         # Stable sort by word: postings of one word stay position-ascending
-        # (contexts are appended in offset order), matching the insertion
-        # order of the reference dict implementation.
+        # (contexts are appended in offset order), the order stage 2's
+        # admission loop relies on.
         order = np.argsort(words, kind="stable")
         sorted_words = words[order]
         self._positions = np.ascontiguousarray(positions[order])
         self._words, starts = np.unique(sorted_words, return_index=True)
         self._offsets = np.append(starts, sorted_words.size).astype(np.int64)
-        self._table_cache: dict[int, np.ndarray] | None = None
+        self._pv = np.zeros(_PV_SIZE, dtype=bool)
+        self._pv[self._words & (_PV_SIZE - 1)] = True
 
     # subclasses return parallel (word, concat query position) arrays
     def _build_postings(self) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
@@ -241,16 +253,6 @@ class _LookupBase:
             return np.empty(0, dtype=np.int64)
         return self._positions[self._offsets[i] : self._offsets[i + 1]]
 
-    @property
-    def _table(self) -> dict[int, np.ndarray]:
-        """Dict view of the CSR table (compatibility/introspection only)."""
-        if self._table_cache is None:
-            self._table_cache = {
-                int(w): self._positions[self._offsets[i] : self._offsets[i + 1]]
-                for i, w in enumerate(self._words)
-            }
-        return self._table_cache
-
     def _subject_words(self, subject_codes: np.ndarray) -> np.ndarray:
         """Packed word of every subject window; -1 for unscannable windows."""
         sub = subject_codes
@@ -267,20 +269,25 @@ class _LookupBase:
         """All word hits against one subject.
 
         Returns ``(query_concat_positions, subject_positions)`` arrays of
-        equal length.  One ``searchsorted`` joins the subject's words
-        against the CSR word array; the postings ranges of the matching
-        windows are gathered with a single fancy-index — no Python-level
-        loop at any size.
+        equal length.  The presence vector discards the windows whose word
+        (or word hash) no query word shares with one table gather; one
+        ``searchsorted`` joins the survivors against the CSR word array,
+        and the postings ranges of the matching windows are gathered with
+        a single fancy-index — no Python-level loop at any size.
         """
         words = self._subject_words(subject_codes)
-        if words.size == 0 or self._words.size == 0:
+        cand = np.flatnonzero(self._pv.take(words & (_PV_SIZE - 1)))
+        if cand.size == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        words = words[cand]
         idx = np.searchsorted(self._words, words)
-        idx_c = np.minimum(idx, self._words.size - 1)
-        spos = np.flatnonzero(self._words[idx_c] == words)
-        if spos.size == 0:
+        # A set PV entry means the table is not empty; a hash collision can
+        # still point past its last word.
+        exact = np.flatnonzero(self._words[np.minimum(idx, self._words.size - 1)] == words)
+        if exact.size == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        widx = idx[spos]
+        spos = cand[exact]
+        widx = idx[exact]
         row_starts = self._offsets[widx]
         counts = self._offsets[widx + 1] - row_starts
         total = int(counts.sum())
@@ -393,104 +400,3 @@ class ProteinLookup(_LookupBase):
         if not words_out:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(words_out), np.concatenate(pos_out)
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations (pre-CSR): the parity oracle for property tests
-# and the baseline for benchmarks/bench_seeding.py.  Deliberately kept as
-# the original dict-of-arrays build and per-window scan loop.
-# ---------------------------------------------------------------------------
-
-
-class _DictLookupBase:
-    """Original dict-based word table + per-matching-window scan loop."""
-
-    word_size: int
-    alphabet_size: int
-
-    def __init__(self, block: QueryBlock) -> None:
-        self.block = block
-        self._table: dict[int, np.ndarray] = {}
-        self._build()
-        self._keys = np.array(sorted(self._table), dtype=np.int64)
-
-    def _build(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def n_words(self) -> int:
-        return len(self._table)
-
-    def scan(self, subject_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sub = subject_codes
-        if self.alphabet_size == 20:
-            valid = _window_unmasked(sub >= 20, self.word_size)
-            words = _pack_words(np.minimum(sub, 19), self.word_size, self.alphabet_size)
-            words = np.where(valid, words, -1)
-        else:
-            words = _pack_words(sub, self.word_size, self.alphabet_size)
-        if words.size == 0 or self._keys.size == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        candidate = np.isin(words, self._keys)
-        q_out: list[np.ndarray] = []
-        s_out: list[np.ndarray] = []
-        for spos in np.nonzero(candidate)[0]:
-            qpositions = self._table[int(words[spos])]
-            q_out.append(qpositions)
-            s_out.append(np.full(qpositions.size, spos, dtype=np.int64))
-        if not q_out:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return np.concatenate(q_out), np.concatenate(s_out)
-
-
-class ReferenceNucleotideLookup(_DictLookupBase):
-    """Original per-position nucleotide builder (parity oracle)."""
-
-    def __init__(self, block: QueryBlock, word_size: int = 11) -> None:
-        if word_size < 4 or word_size > 31:
-            raise ValueError(f"nucleotide word_size must be in [4, 31], got {word_size}")
-        self.word_size = word_size
-        self.alphabet_size = 4
-        super().__init__(block)
-
-    def _build(self) -> None:
-        table: dict[int, list[int]] = {}
-        for ctx in self.block.contexts:
-            words = _pack_words(ctx.codes, self.word_size, 4)
-            usable = _window_unmasked(ctx.mask, self.word_size)
-            for local_pos in np.nonzero(usable)[0]:
-                table.setdefault(int(words[local_pos]), []).append(ctx.offset + int(local_pos))
-        self._table = {w: np.array(ps, dtype=np.int64) for w, ps in table.items()}
-
-
-class ReferenceProteinLookup(_DictLookupBase):
-    """Original per-position neighbourhood-cube builder (parity oracle)."""
-
-    def __init__(self, block: QueryBlock, word_size: int = 3, threshold: int = 11) -> None:
-        if word_size != 3:
-            raise ValueError(f"protein lookup supports word_size 3, got {word_size}")
-        self.word_size = word_size
-        self.alphabet_size = 20
-        self.threshold = threshold
-        super().__init__(block)
-
-    def _build(self) -> None:
-        B = BLOSUM62[:20, :20]
-        table: dict[int, list[int]] = {}
-        for ctx in self.block.contexts:
-            codes = ctx.codes
-            usable = _window_unmasked(ctx.mask | (codes >= 20), self.word_size)
-            n = codes.size - self.word_size + 1
-            for local_pos in range(max(n, 0)):
-                if not usable[local_pos]:
-                    continue
-                a, b, c = codes[local_pos], codes[local_pos + 1], codes[local_pos + 2]
-                scores = (
-                    B[a][:, None, None] + B[b][None, :, None] + B[c][None, None, :]
-                )
-                hits = np.nonzero(scores >= self.threshold)
-                words = hits[0] * 400 + hits[1] * 20 + hits[2]
-                gpos = ctx.offset + local_pos
-                for w in words:
-                    table.setdefault(int(w), []).append(gpos)
-        self._table = {w: np.array(ps, dtype=np.int64) for w, ps in table.items()}

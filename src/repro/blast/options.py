@@ -38,15 +38,15 @@ class BlastOptions:
     # Extension control
     xdrop_ungapped: float = 20.0
     xdrop_gapped: float = 30.0
-    #: ungapped HSPs below this never reach the gapped stage.  At blastn
-    #: defaults (word 11, +1/-2) the trigger is vacuous: a bare 11-mer
-    #: already scores 21.8 bits, so every word hit is gapped-extended
-    #: (n_gapped == n_ungapped), while reporting at E <= 1e-4 for a 400-bp
-    #: read against 1 Mb needs raw score 22.  Raising the default changes
-    #: which hits are found and needs its own ground-truth test; the gapped
-    #: kernel makes the vacuous trigger cheap instead (dead extensions leave
-    #: the batch, sub-cutoff alignments skip the traceback).
-    ungapped_cutoff_bits: float = 12.0
+    #: NCBI's gap trigger, in bits of the *ungapped* statistics
+    #: (``BLAST_GAP_TRIGGER_NUCL`` = 27, ``BLAST_GAP_TRIGGER_PROT`` = 22, the
+    #: latter set by :meth:`blastp`).  An ungapped extension reaches the
+    #: gapped stage when its raw score is at least ``min(raw score of these
+    #: bits, E-value cutoff score in the whole-DB search space)``: a bare
+    #: blastn 11-mer is 21.8 bits and needs two more matches to get in, and
+    #: when a loose ``evalue`` puts the cutoff score under the trigger,
+    #: whatever could be reported on its own is admitted.
+    ungapped_cutoff_bits: float = 27.0
     band_width: int = 48  # gapped extension band half-width
     #: batched stage-2 window: steps gathered each side of a word hit in the
     #: first pass; hits whose X-drop extent outruns it are re-batched with
@@ -120,6 +120,7 @@ class BlastOptions:
             gap_extend=1,
             xdrop_ungapped=16.0,
             xdrop_gapped=38.0,
+            ungapped_cutoff_bits=22.0,
             dust=False,
         )
         base.update(overrides)

@@ -193,6 +193,28 @@ class TestEngine:
         found = {(h.query_id, h.subject_id) for h in hits}
         assert len(found) == 9
 
+    def test_funnel_counts_on_a_chance_hit_dominated_unit(self, tmp_path):
+        """8 reads against 400 kb of decoys plus their homologs: nearly
+        every word hit is chance.  The gap trigger keeps those out of stage
+        3 (at 12 bits every ungapped extension got a gapped one) and loses
+        no hit."""
+        com = synthetic_community(n_genomes=2, genome_length=6000, seed=11)
+        db = synthetic_nt_database(com, n_decoys=8, decoy_length=50_000,
+                                   homolog_rate=0.05, seed=12)
+        alias = DatabaseAlias.load(format_database(db, tmp_path, "funnel", kind="dna"))
+        reads = [r for r in shred_records(com.genomes) if len(r.seq) == 400][:8]
+        part = alias.open_partition(0)
+        assert part.total_length >= 400_000
+        default = make_engine(BlastOptions.blastn(evalue=1e-4))
+        everything = make_engine(BlastOptions.blastn(evalue=1e-4, ungapped_cutoff_bits=12.0))
+        hits = default.search_block(reads, part)
+        assert hits == everything.search_block(reads, part)
+        st, st12 = default.last_stats, everything.last_stats
+        assert st.n_reported == st12.n_reported == len(hits) >= len(reads)
+        assert st12.n_gapped == st12.n_ungapped > 400
+        assert st.n_gapped <= 0.1 * st.n_ungapped
+        assert st.n_gapped >= st.n_reported
+
     def test_program_option_mismatch_rejected(self):
         with pytest.raises(ValueError, match="engine is"):
             BlastnEngine(BlastOptions.blastp())
@@ -249,6 +271,46 @@ class TestDbSplitInvariance:
                 merged.extend(top_hits(by_query[rec.id], opts.max_hits, opts.evalue))
 
         assert sorted(map(self._hit_key, merged)) == sorted(map(self._hit_key, ref))
+
+    def test_split_invariance_where_the_evalue_arm_admits(self, tmp_path):
+        """At E = 0.3 on an 18 kb DB the cutoff score is 13, under the gap
+        trigger's 14 and over the 11 of a bare word hit, so admission itself
+        reads the search space.  It must read the whole-DB override: any
+        n x m factorisation then admits the same seeds (``n_gapped`` summed
+        over units) and reports the unsplit search's hits.  (Every
+        partition's own length gives cutoff 12, and more seeds.)"""
+        from repro.blast.hsp import top_hits
+
+        opts = BlastOptions.blastn(evalue=0.3, max_hits=50)
+        outcomes = {}
+        for label, vol_bytes in (("whole", 1 << 24), ("halves", 2500), ("quarters", 1500)):
+            reads, alias = _nt_workload(tmp_path / label, vol_bytes=vol_bytes)
+            engine = make_engine(opts.with_db_size(alias.total_length, alias.num_seqs))
+            trigger, floor = engine.admission_scores(400, alias.total_length, alias.num_seqs)
+            assert trigger == floor + 1 == 13 < engine._gap_trigger == 14
+            for block_size in (1, 3, len(reads)):
+                by_query: dict[str, list[HSP]] = {}
+                gapped = ungapped = 0
+                for p in range(alias.num_partitions):
+                    for lo in range(0, len(reads), block_size):
+                        hits = engine.search_block(reads[lo:lo + block_size],
+                                                   alias.open_partition(p))
+                        gapped += engine.last_stats.n_gapped
+                        ungapped += engine.last_stats.n_ungapped
+                        for h in hits:
+                            by_query.setdefault(h.query_id, []).append(h)
+                merged = [self._hit_key(h) for rec in reads
+                          for h in top_hits(by_query.get(rec.id, []), opts.max_hits, opts.evalue)]
+                outcomes[label, alias.num_partitions, block_size] = (merged, gapped, ungapped)
+        assert sorted(key[1] for key in outcomes) == [1] * 3 + [2] * 3 + [4] * 3
+        # the unsplit search, with no override at all, is the reference
+        reads, alias = _nt_workload(tmp_path / "ref", vol_bytes=1 << 24)
+        plain = make_engine(opts)
+        want = [self._hit_key(h) for h in plain.search_block(reads, alias.open_partition(0))]
+        stats = plain.last_stats
+        for key, (merged, gapped, ungapped) in outcomes.items():
+            assert merged == want, key
+            assert (gapped, ungapped) == (stats.n_gapped, stats.n_ungapped), key
 
     def test_without_override_evalues_differ(self, tmp_path):
         reads, alias = _nt_workload(tmp_path, vol_bytes=1500)

@@ -1,12 +1,13 @@
-"""CSR lookup tables vs the reference dict implementation, and the cache.
+"""CSR lookup tables vs the dict oracle, and the cache.
 
-The stage-1 overhaul replaced the dict-of-arrays word table with a flat CSR
-layout (sorted words + offsets + concatenated positions).  These tests pin
-the invariant the rewrite rests on: ``scan()`` output is *element-wise*
-identical to the reference — same hits, same order — for both programs,
-masked and unmasked.  The LRU :class:`LookupCache` and its engine-level
-wiring (cached runs produce byte-identical hits and real cache hits) are
-covered alongside.
+The word table is a flat CSR layout (sorted words + offsets + concatenated
+positions) behind a presence vector indexed by ``word & mask``.  These
+tests pin the invariant both rest on: ``scan()`` output is *element-wise*
+identical to ``tests/oracles/dict_lookup.py`` — same hits, same order — for
+both programs, masked and unmasked, at word sizes where the presence vector
+is exact (``4**w <= 2**18``) and where it is a hash.  The LRU
+:class:`LookupCache` and its engine-level wiring (cached runs produce
+byte-identical hits and real cache hits) are covered alongside.
 """
 
 import numpy as np
@@ -18,15 +19,16 @@ from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord
 from repro.blast.engine import BlastnEngine
 from repro.blast.lookup import (
+    _PV_SIZE,
     LookupCache,
     NucleotideLookup,
     ProteinLookup,
     QueryBlock,
-    ReferenceNucleotideLookup,
-    ReferenceProteinLookup,
     block_fingerprint,
 )
 from repro.blast.options import BlastOptions
+
+from oracles.dict_lookup import ReferenceNucleotideLookup, ReferenceProteinLookup
 
 dna_seq = st.text(alphabet="ACGT", min_size=11, max_size=80)
 # Keep proteins short: the reference builder enumerates neighbourhoods per
@@ -62,6 +64,83 @@ def test_protein_scan_matches_reference(seqs, subject_text, use_mask):
     assert csr.n_words == ref.n_words
     assert csr.n_postings == sum(v.size for v in ref._table.values())
     assert_scan_identical(ref, csr, PROTEIN.encode(subject_text))
+
+
+@pytest.mark.parametrize("word_size", [7, 9, 10, 11, 16])
+def test_nucleotide_scan_matches_reference_at_every_pv_regime(word_size):
+    """Word sizes 7 and 9 index the presence vector exactly; 10, 11 and 16
+    hash into it.  Subjects share long stretches with the queries (real
+    hits) among random sequence (presence-vector rejections)."""
+    rng = np.random.default_rng(word_size)
+    texts = ["".join(rng.choice(list("ACGT"), size=n)) for n in (300, 180, 64)]
+    records = [SeqRecord(f"q{i}", t) for i, t in enumerate(texts)]
+    for use_mask in (False, True):
+        block = QueryBlock(records, "blastn", use_mask=use_mask)
+        ref = ReferenceNucleotideLookup(block, word_size=word_size)
+        csr = NucleotideLookup(block, word_size=word_size)
+        assert csr.n_words == ref.n_words
+        assert csr._pv.size == _PV_SIZE and csr._pv.sum() <= csr.n_words
+        filler = "".join(rng.choice(list("ACGT"), size=4000))
+        subject = filler[:1500] + texts[0][40:200] + filler[1500:] + texts[2][::-1]
+        hits = csr.scan(DNA.encode(subject))[0].size
+        assert hits >= 160 - word_size + 1
+        assert_scan_identical(ref, csr, DNA.encode(subject))
+        assert_scan_identical(ref, csr, DNA.encode(texts[1]))
+
+
+@pytest.mark.parametrize("word_size", [10, 11, 16])
+def test_word_colliding_under_the_pv_mask_is_no_hit(word_size):
+    """A subject word equal to a query word in its low 18 bits (its last 9
+    letters) and different above them passes the presence vector and must
+    be refused by the exact join, wherever it sorts: before the table's
+    first word, between two, past its last."""
+    block = QueryBlock([SeqRecord("q", "C" * word_size)], "blastn", use_mask=False)
+    csr = NucleotideLookup(block, word_size=word_size)
+    ref = ReferenceNucleotideLookup(block, word_size=word_size)
+    assert csr.n_words == 2  # C...C and, on the minus strand, G...G
+    slots = []
+    for collider in ("A" + "C" * (word_size - 1), "G" + "C" * (word_size - 1),
+                     "T" + "G" * (word_size - 1)):
+        codes = DNA.encode(collider)
+        (word,) = csr._subject_words(codes)
+        assert csr._pv[word & (_PV_SIZE - 1)] and csr.postings(int(word)).size == 0
+        slots.append(int(np.searchsorted(csr._words, word)))
+        assert csr.scan(codes)[0].size == 0
+        assert_scan_identical(ref, csr, DNA.encode("AT" + collider + "TA"))
+    assert slots == [0, 1, 2]
+    assert csr.scan(DNA.encode("C" * word_size))[0].size == 1
+
+
+def test_protein_subject_with_ambiguity_codes():
+    """Windows holding B/Z/X/* get word -1: index ``_PV_SIZE - 1`` of the
+    presence vector, which no 3-mer (< 8000) can set."""
+    records = [SeqRecord("q0", "MKTAYIAKQRQISFVKSHFSRQ"), SeqRecord("q1", "WWXWWCCBCC")]
+    for use_mask in (False, True):
+        block = QueryBlock(records, "blastp", use_mask=use_mask)
+        ref, csr = ReferenceProteinLookup(block), ProteinLookup(block)
+        assert not csr._pv[_PV_SIZE - 1]
+        for subject in ("MKTAYXAKQRQISBVKSHF*RQWWW", "XXXX", "WWXWW", "MKZTAY"):
+            assert_scan_identical(ref, csr, PROTEIN.encode(subject))
+        assert csr.scan(PROTEIN.encode("MKTAYIAK"))[0].size > 0
+
+
+def test_empty_lookup_and_short_subject():
+    empty = QueryBlock([SeqRecord("q", "ACGTACG")], "blastn", use_mask=False)  # < 11
+    for lut in (NucleotideLookup(empty), ReferenceNucleotideLookup(empty)):
+        assert lut.n_words == 0
+        for subject in ("ACGTACGTACGTACGT", "ACG", ""):
+            q, s = lut.scan(DNA.encode(subject))
+            assert q.size == s.size == 0 and q.dtype == s.dtype == np.int64
+    assert not NucleotideLookup(empty)._pv.any()
+    block = QueryBlock([SeqRecord("q", "ACGTTGCAACGTAGCTAGCT")], "blastn", use_mask=False)
+    pblock = QueryBlock([SeqRecord("p", "MKTAYIAKQR")], "blastp", use_mask=False)
+    for ref, csr, alphabet, short in (
+        (ReferenceNucleotideLookup(block), NucleotideLookup(block), DNA, "ACGTTGCAAC"),
+        (ReferenceProteinLookup(pblock), ProteinLookup(pblock), PROTEIN, "MK"),
+    ):
+        for subject in (short, ""):
+            assert_scan_identical(ref, csr, alphabet.encode(subject))
+            assert csr.scan(alphabet.encode(subject))[0].size == 0
 
 
 @given(st.lists(dna_seq, min_size=1, max_size=4))

@@ -103,7 +103,7 @@ class TestProteinLookup:
         block = QueryBlock([SeqRecord("p", "WWW")], "blastp", use_mask=False)
         lut = ProteinLookup(block, threshold=11)
         W = PROTEIN.letters.index("W")
-        for word in lut._table:
+        for word in lut._words.tolist():
             a, b, c = word // 400, (word // 20) % 20, word % 20
             score = int(BLOSUM62[W, a] + BLOSUM62[W, b] + BLOSUM62[W, c])
             assert score >= 11

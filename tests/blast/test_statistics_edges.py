@@ -80,18 +80,34 @@ class TestEngineCutoffs:
         return DatabaseAlias.load(alias), genome
 
     def test_high_ungapped_cutoff_suppresses_gapped_stage(self, db):
+        """One base missing from the query: two ungapped segments of 30 and
+        31 that only a gapped extension joins (score 54).  At E <= 1e-18 the
+        cutoff score is ~40, so a 500-bit trigger admits nothing, and no
+        gapped stage means no hit; 12 bits admits both segments."""
         alias, genome = db
-        query = [SeqRecord("q", genome[500:560])]  # short: modest scores
-        permissive = make_engine(BlastOptions.blastn(evalue=10.0,
+        query = [SeqRecord("q", genome[500:530] + genome[531:562])]
+        permissive = make_engine(BlastOptions.blastn(evalue=1e-18,
                                                      ungapped_cutoff_bits=12.0))
-        strict = make_engine(BlastOptions.blastn(evalue=10.0,
+        strict = make_engine(BlastOptions.blastn(evalue=1e-18,
                                                  ungapped_cutoff_bits=500.0))
         hits_perm = permissive.search_block(query, alias.open_partition(0))
         hits_strict = strict.search_block(query, alias.open_partition(0))
-        assert hits_perm
+        assert [h.score for h in hits_perm] == [54]
         assert hits_strict == []
         assert strict.last_stats.n_gapped == 0
         assert permissive.last_stats.n_gapped > 0
+
+    def test_trigger_is_capped_by_the_evalue_cutoff_score(self, db):
+        """NCBI's min(): whatever could be reported on its own is admitted,
+        however high the bit trigger."""
+        alias, genome = db
+        query = [SeqRecord("q", genome[500:560])]
+        strict = make_engine(BlastOptions.blastn(evalue=10.0,
+                                                 ungapped_cutoff_bits=500.0))
+        part = alias.open_partition(0)
+        assert [h.score for h in strict.search_block(query, part)] == [60]
+        trigger, floor = strict.admission_scores(60, part.total_length, part.num_seqs)
+        assert trigger == floor + 1 < 14
 
     def test_evalue_identity_between_split_and_override(self, db):
         """E = K·m'·n'·e^{-λS} with the same (m', n') gives the same E —

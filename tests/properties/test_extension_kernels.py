@@ -271,7 +271,7 @@ class TestBatchedGappedParity:
         rng = np.random.default_rng(99)
         seeds = _random_seed_batch(rng, 30)
         whole = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 16)
-        monkeypatch.setattr(gapped_mod, "_CHUNK_SEEDS", 2)
+        monkeypatch.setattr(gapped_mod, "_CHUNK_BYTES", 1)  # one seed a chunk
         chunked = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 16)
         assert chunked == whole
         assert whole == [
@@ -547,3 +547,25 @@ class TestLiveSetKernel:
         assert len(got) == 2000
         assert 0 < stats["peak_grid_bytes"] <= gapped_mod._CHUNK_BYTES
         assert peak < 2 * gapped_mod._CHUNK_BYTES
+
+    def test_full_depth_homolog_batch_stays_inside_the_chunk_budget(self):
+        """What a unit's gapped batch is since the gap trigger: every seed a
+        homolog that lives to full depth and is traced back.  32 of them
+        retain one byte a band cell, 3.2 MB with the working block; three
+        int32 scores a cell were 15 MB."""
+        rng = np.random.default_rng(81)
+        seeds = _mixed_batch(rng, 0, 32, long_len=400)
+        stats = {}
+        tracemalloc.start()
+        try:
+            got = extend_gapped_batch(
+                seeds, NT, 5, 2, 30.0, 48, stats=stats, min_scores=[22] * len(seeds)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(g is not None and g.align_len >= 390 for g in got)
+        assert stats["dp_rows"] <= 400  # one chunk
+        assert 0 < stats["peak_grid_bytes"] < 4 << 20 < gapped_mod._CHUNK_BYTES
+        assert peak < gapped_mod._CHUNK_BYTES
+
