@@ -7,9 +7,12 @@ slice of each ancestor) rather than asserted:
 1. Replacing the per-trigger scalar :func:`ungapped_extend` loop with one
    window-escalating :func:`batch_ungapped_extend` pass per (context,
    subject), and the per-seed dense float32 gapped DP with one
-   :func:`extend_gapped_batch` call advancing every admitted seed's
-   band-compressed int32 DP in lockstep, is >= 3x faster on the combined
-   ungapped+gapped stage time, with bit-identical extents and alignments.
+   :func:`extend_gapped_batch` call advancing every seed's band-compressed
+   int32 DP in lockstep, is >= 3x faster on the combined ungapped+gapped
+   stage time, with bit-identical extents and alignments.  The gapped seeds
+   are the ones the engine itself hands to stage 3 on this workload,
+   recorded from a ``search_block`` call: what admission lets through and
+   containment does not spare.
 2. The production ``mrblast_spmd`` end-to-end wall clock on the same
    workload, recorded as a trajectory point for later PRs.
 3. The gapped kernel does work only where the X-drop frontier is alive
@@ -28,8 +31,8 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,10 +40,11 @@ import pytest
 from repro.bio import SeqRecord, mutate_dna, random_genome, random_protein
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast import BlastOptions, format_database
+from repro.blast import engine as engine_module
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
 from repro.blast.extend import batch_ungapped_extend, ungapped_extend
-from repro.blast.gapped import extend_gapped, extend_gapped_batch
+from repro.blast.gapped import extend_gapped_batch
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 from repro.core import MrBlastConfig, mrblast_spmd
@@ -133,7 +137,7 @@ def fig5_hits():
     return db, queries, groups
 
 
-def test_extension_stage_speedup(fig5_hits, print_table):
+def test_extension_stage_speedup(fig5_hits, tmp_path, print_table):
     """Batched/banded kernels vs the retained scalar/dense oracles on the
     combined stage time, with bit-identity checked along the way."""
     db, queries, groups = fig5_hits
@@ -175,52 +179,23 @@ def test_extension_stage_speedup(fig5_hits, print_table):
     t_ubat, bat_ext = _best_of(ungapped_batched)
     assert bat_ext == ref_ext, "batched stage-2 must be bit-identical"
 
-    # Stage 3 workload: replay the engine's per-diagonal admission rule
-    # (coverage jumps, two-hit anchoring, the engine's own gap trigger,
-    # gapped coverage feedback) over the precomputed extents, so the timed
-    # gapped seeds are exactly the ones stage 2 hands to stage 3 in
-    # production.
+    # Stage 3 workload: the seeds the engine hands to the gapped kernel on
+    # this workload (admitted by the gap trigger, not contained in an
+    # alignment already found), recorded from its own calls.
+    alias_path = format_database(db, tmp_path / "db", "db", kind="protein",
+                                 max_volume_bytes=1 << 20)
+    partition = DatabaseAlias.load(str(alias_path)).open_partition(0)
     engine = make_engine(OPTS)
-    db_len, db_seqs = sum(len(rec.seq) for rec in db), len(db)
-    window = OPTS.two_hit_window
     seeds = []
-    off = 0
-    for q_idx, s_idx, qp, sp in groups:
-        trigger, _ = engine.admission_scores(int(q_idx.size), db_len, db_seqs)
-        ext_rows = ref_ext[off : off + qp.size]
-        off += qp.size
-        diag = sp - qp
-        order = np.lexsort((sp, diag))
-        d_r, s_row = diag[order], sp[order]
-        breaks = 1 + np.flatnonzero(d_r[1:] != d_r[:-1])
-        for a, b in zip(
-            np.concatenate(([0], breaks)), np.concatenate((breaks, [qp.size]))
-        ):
-            covered, last_end = 0, -1
-            for k in range(int(a), int(b)):
-                s_pos = int(s_row[k])
-                if s_pos < covered:
-                    continue
-                if last_end < 0 or s_pos < last_end or s_pos - last_end > window:
-                    if s_pos >= last_end:
-                        last_end = s_pos + word
-                    continue
-                last_end = s_pos + word
-                score, qs, qe, ss, se = ext_rows[int(order[k])]
-                covered = se
-                if score < trigger:
-                    continue
-                mid = (qe - qs) // 2
-                seeds.append((q_idx, s_idx, qs + mid, ss + mid))
-                # Gapped coverage feedback (untimed): the engine suppresses
-                # later triggers inside the gapped alignment's span.
-                g = extend_gapped(
-                    q_idx, s_idx, qs + mid, ss + mid, BLOSUM62, OPTS.gap_open,
-                    OPTS.gap_extend, OPTS.xdrop_gapped, OPTS.band_width,
-                )
-                if g is not None:
-                    covered = max(covered, g.s_end)
-    assert seeds, "Fig. 5 workload must admit gapped extensions"
+
+    def recording(batch, *args, **kwargs):
+        seeds.extend(batch)
+        return extend_gapped_batch(batch, *args, **kwargs)
+
+    with mock.patch.object(engine_module, "extend_gapped_batch", recording):
+        engine.search_block(queries, partition)
+    funnel = engine.last_stats
+    assert len(seeds) == funnel.n_gapped > 0, "Fig. 5 workload must admit gapped extensions"
 
     def gapped_reference():
         return [
@@ -231,7 +206,7 @@ def test_extension_stage_speedup(fig5_hits, print_table):
         ]
 
     def gapped_batched():
-        # One call, exactly as the engine issues it per admission round.
+        # One call, as the engine issues it per pass of a round.
         return extend_gapped_batch(seeds, BLOSUM62, OPTS.gap_open,
                                    OPTS.gap_extend, OPTS.xdrop_gapped,
                                    OPTS.band_width)
@@ -255,6 +230,7 @@ def test_extension_stage_speedup(fig5_hits, print_table):
     _record("extension_kernels", {
         "n_word_hits": n_hits,
         "n_gapped_seeds": len(seeds),
+        "n_contained_seeds": funnel.n_contained,
         "ungapped_reference_s": t_uref,
         "ungapped_batched_s": t_ubat,
         "ungapped_speedup": t_uref / t_ubat,
@@ -342,53 +318,6 @@ def test_gapped_kernel_counts(print_table):
     # half, however many shallow halves ride along.
     assert rec_one["dp_rows"] <= rec_one["deepest_half"] + 1
     assert rec_mixed["traced"] >= 3 and rec_one["traced"] >= 1
-
-
-def test_fused_engine_speedup(tmp_path, print_table):
-    """Fused streaming scheduler vs the staged per-subject oracle, end to
-    end through ``search_block`` on the Fig. 5 workload.
-
-    The fused pass issues one span-batched ungapped call and one gapped
-    batch per round across *all* open subjects and contexts, where the
-    staged oracle issues one ungapped call per (subject, context) and one
-    gapped batch per (subject, round) — same kernels, same admissions, so
-    the delta is pure scheduling/batching overhead.  Output must stay
-    bit-identical, and the scaling assertion pins fused throughput at
-    least at parity with staged.
-    """
-    db, queries = _fig5_records()
-    alias_path = format_database(db, tmp_path / "db", "db", kind="protein",
-                                 max_volume_bytes=1 << 20)
-    partition = DatabaseAlias.load(str(alias_path)).open_partition(0)
-
-    eng_staged = make_engine(replace(OPTS, fused=False))
-    eng_fused = make_engine(OPTS)  # fused=True is the default
-
-    t_staged, hits_staged = _best_of(lambda: eng_staged.search_block(queries, partition))
-    t_fused, hits_fused = _best_of(lambda: eng_fused.search_block(queries, partition))
-    assert hits_fused == hits_staged, "fused scheduler must be bit-identical"
-
-    fstats = eng_fused.last_stats
-    speedup = t_staged / t_fused
-    print_table(
-        "Engine end to end: staged oracle vs fused streaming pass",
-        ["metric", "staged", "fused"],
-        [["search_block best-of-3 (ms)", f"{t_staged * 1e3:.1f}", f"{t_fused * 1e3:.1f}"],
-         ["scheduler rounds", "-", str(fstats.fused_rounds)],
-         ["peak round slab (KiB)", "-", f"{fstats.peak_slab_bytes / 1024:.0f}"],
-         ["speedup", "1.0x", f"{speedup:.2f}x"]],
-    )
-    _record("fused_engine", {
-        "staged_s": t_staged,
-        "fused_s": t_fused,
-        "end_to_end_speedup": speedup,
-        "hsps": len(hits_fused),
-        "fused_rounds": fstats.fused_rounds,
-        "peak_slab_bytes_per_round": fstats.peak_slab_bytes,
-    })
-    # Scaling assertion: the fused pass may never be slower than the
-    # staged oracle it replaces as the mrblast default.
-    assert speedup >= 1.0, f"fused scheduler slower than staged ({speedup:.2f}x)"
 
 
 def test_end_to_end_wall_clock(tmp_path, print_table):

@@ -13,42 +13,53 @@ only for extension *triggers* and two-hit anchors — not for every raw word
 hit.  An optional :class:`~repro.blast.lookup.LookupCache` lets the same
 query block reuse its built lookup table across DB partitions.
 
-Two schedulers share that admission machinery:
+One scheduler runs on that admission machinery (a second, per-subject one
+lives in ``tests/oracles/staged_scheduler.py`` as a function over an engine;
+the property suite pins this one to it).  The whole work unit is one
+round-based pass.  Subjects are streamed from the partition into a pool of
+*open* subjects bounded by ``options.fused_slab_rows`` word-hit rows; each
+round advances every live (context, diagonal) run of every open subject to
+its pending trigger, extends all of them with **one**
+:func:`~repro.blast.extend.batch_ungapped_extend_spans` call over the
+concatenated query block and a concatenated subject arena, and feeds the
+seeds admitted in that round straight into stage 3 (with the raw score each
+seed needs to be reportable, so the kernel traces back only alignments that
+can pass the E-value gate).  No stage ever materialises a whole-partition
+intermediate: scan hits, triggers and admitted seeds live only as bounded
+per-round slabs (``SearchStats.peak_slab_bytes`` reports the high-water
+mark), and a subject's HSPs are finalised the moment its last run exhausts.
 
-- The **fused** scheduler (``options.fused``, the default) runs the whole
-  work unit as one round-based pass.  Subjects are streamed from the
-  partition into a pool of *open* subjects bounded by
-  ``options.fused_slab_rows`` word-hit rows; each round advances every live
-  (context, diagonal) run of every open subject to its pending trigger,
-  extends all of them with **one**
-  :func:`~repro.blast.extend.batch_ungapped_extend_spans` call over the
-  concatenated query block and a concatenated subject arena, and feeds the
-  seeds admitted in that round straight into that round's single
-  :func:`~repro.blast.gapped.extend_gapped_batch` call (with the raw score
-  each seed needs to be reportable, so the kernel traces back only
-  alignments that can pass the E-value gate).  Admission is NCBI's gap
-  trigger, one rule for both schedulers
+Stage 3 admits and then contains:
+
+- **Admission** is NCBI's gap trigger
   (:meth:`_EngineBase.admission_scores`): a bare word hit does not reach
   stage 3, an ungapped extension worth ``ungapped_cutoff_bits`` (or
-  reportable on its own) does.  No stage ever
-  materialises a whole-partition intermediate: scan hits, triggers and
-  admitted seeds live only as bounded per-round slabs
-  (``SearchStats.peak_slab_bytes`` reports the high-water mark), and a
-  subject's HSPs are finalised the moment its last run exhausts.
-
-- The **staged** scheduler (``options.fused=False``) is the original
-  per-subject pipeline, retained verbatim as the bit-identical parity
-  oracle: the per-run admission state machines depend only on their own
-  word-hit coordinates and extension extents, both extension kernels are
-  batch-composition independent, and per-subject culling sees the same
-  rank-ordered HSP sequence either way, so the two schedulers produce
-  identical output (pinned by the property suite).
+  reportable on its own) does.
+- **Containment** is what NCBI's ``BLAST_GetGappedScore`` does with
+  ``BlastIntervalTreeContainsHSP``: initial HSPs are taken best score first
+  and one lying inside a gapped alignment the subject already has is not
+  extended again.  Every open subject keeps, per query context, the *box* of
+  each gapped alignment it has produced (its four coordinates, its seed
+  diagonal and its score); an admitted segment inside a box, within
+  ``band_width`` of the box's seed diagonal (the banded DP cannot leave that
+  strip) and scoring no more than the box, only advances its run's coverage
+  to the box's subject end (:meth:`_EngineBase._containing_box`,
+  ``SearchStats.n_contained``).  An alignment with *k* indels touches *k*+1
+  diagonals whose runs all trigger in the same round, so a round's seeds run
+  as at most two lockstep passes of
+  :func:`~repro.blast.gapped.extend_gapped_batch`: the best-scoring segment
+  of every cluster of diagonals that chain within ``band_width`` (per
+  subject and context; ties go to the earlier emission rank), then whatever
+  no box of the first pass contains.  Grouping never looks past one
+  (subject, context) pair and a run's *k*-th trigger falls in its subject's
+  *k*-th round whatever else is open, so results do not depend on block
+  composition, DB split or pool order.
 
 Stage timing is accumulated per kernel call, never per word hit: lookup
-build/fetch and subject scanning count as ``seed``, the span/batch kernels
-and any scalar fallback as ``ungapped``, and the gapped batch as
-``gapped`` — in both schedulers the three timers cover disjoint code
-regions, so per-stage seconds never double-count.
+build/fetch and subject scanning count as ``seed``, the span kernel and any
+scalar fallback as ``ungapped``, and the gapped passes as ``gapped``; the
+three timers cover disjoint code regions, so per-stage seconds never
+double-count.
 """
 
 from __future__ import annotations
@@ -56,17 +67,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.bio.seq import SeqRecord
 from repro.blast.dbreader import DbPartition
-from repro.blast.extend import (
-    batch_ungapped_extend,
-    batch_ungapped_extend_spans,
-    ungapped_extend,
-)
+from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.hsp import HSP, cull_overlapping, top_hits
 from repro.blast.karlin import gapped_params, karlin_params
@@ -96,17 +103,20 @@ class SearchStats:
     than inferred; ``lookup_cache_hits`` counts block lookups served from a
     :class:`~repro.blast.lookup.LookupCache` instead of rebuilt.
 
-    ``fused_rounds`` counts scheduler rounds of the fused pipeline (0 under
-    the staged oracle) and ``peak_slab_bytes`` its intermediate high-water
-    mark: the largest per-round footprint of the subject arena, open
-    subjects' run arrays, the round's trigger rows and both extension
-    kernels' scratch slabs.
+    ``n_gapped`` counts seeds the gapped kernel extended and ``n_contained``
+    admitted seeds it was spared because a gapped alignment of the same
+    subject and context already contains them; every admitted seed is one
+    or the other.  ``fused_rounds`` counts scheduler rounds and
+    ``peak_slab_bytes`` their intermediate high-water mark: the largest
+    per-round footprint of the subject arena, open subjects' run arrays,
+    the round's trigger rows and both extension kernels' scratch slabs.
     """
 
     n_subjects: int = 0
     n_word_hits: int = 0
     n_ungapped: int = 0
     n_gapped: int = 0
+    n_contained: int = 0
     n_reported: int = 0
     busy_seconds: float = 0.0
     seed_seconds: float = 0.0
@@ -121,6 +131,7 @@ class SearchStats:
         self.n_word_hits += other.n_word_hits
         self.n_ungapped += other.n_ungapped
         self.n_gapped += other.n_gapped
+        self.n_contained += other.n_contained
         self.n_reported += other.n_reported
         self.busy_seconds += other.busy_seconds
         self.seed_seconds += other.seed_seconds
@@ -151,6 +162,29 @@ class _SubjectRuns:
     run_ends: np.ndarray
 
 
+class _Box(NamedTuple):
+    """Extent, seed diagonal and score of a gapped alignment; an admitted
+    ungapped segment (its own diagonal, its own score) is laid out the same."""
+
+    q_start: int  # context-local
+    q_end: int
+    s_start: int
+    s_end: int
+    diag: int  # subject minus query position
+    score: int
+
+
+class _GappedJob(NamedTuple):
+    """An admitted ungapped segment on its way to the gapped kernel."""
+
+    subj: "_OpenSubject"
+    state: list  # the run's state
+    row: int  # the trigger's row in the subject's run arrays
+    ctx_index: int
+    seed: tuple  # (q_seed, s_seed, report floor)
+    segment: _Box
+
+
 @dataclass
 class _OpenSubject:
     """A subject streamed into the fused scheduler's open pool."""
@@ -161,6 +195,8 @@ class _OpenSubject:
     runs: _SubjectRuns
     states: list  # live run states [a, i, b, covered, last_end]
     found: list = field(default_factory=list)  # (rank, HSP) accumulator
+    #: context index -> :class:`_Box` of each gapped alignment produced so far
+    boxes: dict = field(default_factory=dict)
     arena_lo: int = 0  # subject's offset inside the pool arena
 
     @property
@@ -267,19 +303,9 @@ class _EngineBase:
         by_len = {n: self.admission_scores(n, db_len, db_seqs) for n in set(lengths)}
         cutoffs = [by_len[n] for n in lengths]
 
-        if opts.fused:
-            all_hits = self._search_fused(
-                block, lookup, partition, db_len, db_seqs, cutoffs, stats
-            )
-        else:
-            all_hits = []
-            for sid, s_codes in partition:
-                stats.n_subjects += 1
-                all_hits.extend(
-                    self._search_subject(
-                        block, lookup, sid, s_codes, db_len, db_seqs, cutoffs, stats
-                    )
-                )
+        all_hits = self._search_fused(
+            block, lookup, partition, db_len, db_seqs, cutoffs, stats
+        )
 
         # Per-query E-value filter + top-K (the per-partition hit list).
         by_query: dict[str, list[HSP]] = {}
@@ -463,6 +489,27 @@ class _EngineBase:
         mid = (u_q_end - u_q_start) // 2
         return u_q_start + mid, u_s_start + mid, floor
 
+    def _containing_box(self, boxes: list, segment: _Box) -> _Box | None:
+        """The first of ``boxes`` that contains ``segment``, else None.
+
+        A box describes a gapped alignment and the diagonal of its seed, a
+        segment an admitted ungapped extension.  Contained means inside the
+        box on both sequences, within ``band_width`` of the seed diagonal
+        (the strip the banded DP that produced the box was confined to) and
+        scoring no more than the box: NCBI's ``BlastIntervalTreeContainsHSP``
+        with the band in the place of ``min_diag_separation``.
+        """
+        q_start, q_end, s_start, s_end, diag, score = segment
+        band = self.options.band_width
+        for box in boxes:
+            if (
+                box.q_start <= q_start and q_end <= box.q_end
+                and box.s_start <= s_start and s_end <= box.s_end
+                and abs(diag - box.diag) <= band and score <= box.score
+            ):
+                return box
+        return None
+
     def _extend_gapped(self, jobs: list, kernel_stats: dict | None = None) -> list:
         """One gapped batch over ``jobs`` = ``(ctx, s_index, q_seed, s_seed, floor)``.
 
@@ -499,13 +546,14 @@ class _EngineBase:
         Subjects stream into a pool of open subjects bounded by
         ``fused_slab_rows`` word-hit rows; every round extends the pending
         triggers of *all* open runs with one span-batched kernel call over
-        (query block concat × subject arena), feeds the admitted seeds into
-        one gapped batch, advances the state machines, and finalises any
-        subject whose runs all exhausted.  Output order and content are
-        bit-identical to the staged oracle (see module docstring).
+        (query block concat × subject arena), gapped-extends the admitted
+        seeds no earlier alignment contains in at most two lockstep passes,
+        advances the state machines, and finalises any subject whose runs
+        all exhausted (see module docstring).
         """
         opts = self.options
         word = opts.word_size
+        band = opts.band_width
         q_arena = block.concat_index
         ctx_starts = block._starts
         ctx_ends = ctx_starts + np.array([c.length for c in block.contexts], dtype=np.int64)
@@ -522,6 +570,39 @@ class _EngineBase:
         def finalize(subj: _OpenSubject) -> None:
             subj.found.sort(key=lambda rh: rh[0])
             results[subj.ordinal] = cull_overlapping([h for _, h in subj.found])
+
+        def contained(job: _GappedJob) -> bool:
+            """True if a box of the job's subject and context contains it:
+            nothing is extended, the run is covered to the box's end."""
+            boxes = job.subj.boxes.get(job.ctx_index)
+            box = self._containing_box(boxes, job.segment) if boxes else None
+            if box is None:
+                return False
+            job.state[3] = max(job.state[3], box.s_end)
+            stats.n_contained += 1
+            return True
+
+        def extend(jobs: list[_GappedJob]) -> None:
+            """One lockstep pass: coverage, the new boxes, reportable HSPs."""
+            t_g = time.perf_counter()
+            aligns = self._extend_gapped(
+                [(block.contexts[c], subj.s_index, *seed) for subj, _, _, c, seed, _ in jobs],
+                kernel_peaks,
+            )
+            stats.n_gapped += len(jobs)
+            stats.gapped_seconds += time.perf_counter() - t_g
+            for (subj, st, i, c, _, segment), g in zip(jobs, aligns):
+                if g is None:
+                    continue
+                st[3] = max(st[3], g.s_end)
+                subj.boxes.setdefault(c, []).append(
+                    _Box(g.q_start, g.q_end, g.s_start, g.s_end, segment.diag, g.score)
+                )
+                hsp = self._emit_hsp(
+                    block, block.contexts[c], subj.subject_id, g, db_len, db_seqs
+                )
+                if hsp is not None:
+                    subj.found.append((int(subj.runs.rank_r[i]), hsp))
 
         while True:
             # Refill: stream subjects in until the slab bound (always at
@@ -592,14 +673,19 @@ class _EngineBase:
             )
             stats.ungapped_seconds += time.perf_counter() - t_ext
 
-            # Consume extents run by run; admitted triggers only queue their
-            # gapped job here — a run's gapped result can only influence its
-            # own later triggers (coverage on its diagonal), so every job
-            # queued in a round is independent of the others.
-            gapped_jobs: list[tuple] = []
+            # Consume extents run by run.  ``refs`` walks each subject's runs
+            # in (context, diagonal) order, so the admitted segments no box
+            # contains fall into clusters of diagonals chaining within the
+            # band as they come; ``first`` holds each cluster's best segment
+            # (ties to the earlier emission rank), ``rest`` the others.
+            g0, c0 = stats.n_gapped, stats.n_contained
+            first: list[_GappedJob] = []
+            rest: list[_GappedJob] = []
+            last = None  # the job queued before this one
             for j, (subj, st) in enumerate(refs):
                 i = st[1]
-                ctx = block.contexts[int(subj.runs.ctx_r[i])]
+                c = int(subj.runs.ctx_r[i])
+                ctx = block.contexts[c]
                 if ext.complete[j]:
                     u_score = int(ext.score[j])
                     u_q_start = int(ext.q_start[j]) - ctx.offset
@@ -621,24 +707,38 @@ class _EngineBase:
                 stats.n_ungapped += 1
                 st[3] = u_s_end  # covered
                 seed = self._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
-                if seed is not None:
-                    gapped_jobs.append((subj, st, i, ctx, seed))
-
-            if gapped_jobs:
-                t_g = time.perf_counter()
-                aligns = self._extend_gapped(
-                    [(ctx, subj.s_index, *seed) for subj, _, _, ctx, seed in gapped_jobs],
-                    kernel_peaks,
+                if seed is None:
+                    continue
+                diag = u_s_start - u_q_start
+                job = _GappedJob(
+                    subj, st, i, c, seed,
+                    _Box(u_q_start, u_q_end, u_s_start, u_s_end, diag, u_score),
                 )
-                stats.n_gapped += len(gapped_jobs)
-                stats.gapped_seconds += time.perf_counter() - t_g
-                for (subj, st, i, ctx, _), g in zip(gapped_jobs, aligns):
-                    if g is None:
-                        continue
-                    st[3] = max(st[3], g.s_end)
-                    hsp = self._emit_hsp(block, ctx, subj.subject_id, g, db_len, db_seqs)
-                    if hsp is not None:
-                        subj.found.append((int(subj.runs.rank_r[i]), hsp))
+                if contained(job):
+                    continue
+                chained = (
+                    last is not None and last.subj is subj and last.ctx_index == c
+                    and diag - last.segment.diag <= band
+                )
+                last = job
+                if chained:
+                    lead = first[-1]
+                    rank_r = subj.runs.rank_r
+                    if u_score > lead.segment.score or (
+                        u_score == lead.segment.score and rank_r[i] < rank_r[lead.row]
+                    ):
+                        first[-1], job = job, lead
+                    rest.append(job)
+                else:
+                    first.append(job)
+
+            # Stage 3 in at most two lockstep passes: the leaders, then
+            # whatever no box (the leaders' included) contains.
+            if first:
+                extend(first)
+                rest = [job for job in rest if not contained(job)]
+                if rest:
+                    extend(rest)
 
             # Per-round slab high-water mark: subject arena + open subjects'
             # run arrays + this round's trigger rows + kernel scratch peaks.
@@ -656,7 +756,8 @@ class _EngineBase:
             if trc.enabled:
                 trc.instant(
                     "blast.fused_round", cat="blast",
-                    round=stats.fused_rounds, rows=m, gapped=len(gapped_jobs),
+                    round=stats.fused_rounds, rows=m, gapped=stats.n_gapped - g0,
+                    contained=stats.n_contained - c0,
                     open_subjects=len(pool), slab_bytes=slab_bytes,
                 )
             stats.fused_rounds += 1
@@ -683,130 +784,6 @@ class _EngineBase:
         for hits in results:
             all_hits.extend(hits or [])
         return all_hits
-
-    # ---- staged scheduler (parity oracle) -------------------------------------
-
-    def _search_subject(
-        self,
-        block: QueryBlock,
-        lookup,
-        subject_id: str,
-        s_codes: np.ndarray,
-        db_len: int,
-        db_seqs: int,
-        cutoffs: list,
-        stats: SearchStats,
-    ) -> list[HSP]:
-        opts = self.options
-        t_seed = time.perf_counter()
-        qpos_concat, spos_arr = lookup.scan(s_codes)
-        stats.seed_seconds += time.perf_counter() - t_seed
-        stats.n_word_hits += int(qpos_concat.size)
-        if qpos_concat.size == 0:
-            return []
-        runs = self._prepare_runs(block, qpos_concat, spos_arr)
-        n = runs.n
-        word = opts.word_size
-        found: list[tuple[int, HSP]] = []
-
-        # Stage 2, batched by rounds: every (context, diagonal) run is an
-        # independent admission state machine, and walking one to its next
-        # extension trigger needs no extents — coverage jumps and two-hit
-        # anchoring depend only on word-hit coordinates.  Each round
-        # advances every live run to its pending trigger, extends all of
-        # them with one batched kernel call per context, then resumes the
-        # runs with their precomputed extents.  Rows extended equal
-        # triggers consumed — never the full candidate list — while the
-        # kernel amortises the per-extension numpy overhead across runs.
-        s_index = s_codes if s_codes.dtype == np.intp else s_codes.astype(np.intp)
-        ext_score = np.zeros(n, dtype=np.int64)
-        ext_qs = np.zeros(n, dtype=np.int64)
-        ext_qe = np.zeros(n, dtype=np.int64)
-        ext_ss = np.zeros(n, dtype=np.int64)
-        ext_se = np.zeros(n, dtype=np.int64)
-        ext_complete = np.zeros(n, dtype=bool)
-
-        waiting = self._make_states(runs)
-        while waiting:
-            t_ext = time.perf_counter()
-            by_ctx: dict[int, list[int]] = {}
-            for st in waiting:
-                by_ctx.setdefault(int(runs.ctx_r[st[1]]), []).append(st[1])
-            for c, row_list in by_ctx.items():
-                rows = np.asarray(row_list, dtype=np.int64)
-                ext = batch_ungapped_extend(
-                    block.contexts[c].codes_index,
-                    s_index,
-                    runs.q_r[rows],
-                    runs.s_r[rows],
-                    word,
-                    self.matrix,
-                    opts.xdrop_ungapped,
-                    window=opts.extension_window,
-                )
-                ext_score[rows] = ext.score
-                ext_qs[rows] = ext.q_start
-                ext_qe[rows] = ext.q_end
-                ext_ss[rows] = ext.s_start
-                ext_se[rows] = ext.s_end
-                ext_complete[rows] = ext.complete
-            stats.ungapped_seconds += time.perf_counter() - t_ext
-
-            # Consume the extents run by run; admitted triggers only queue
-            # their gapped job here — the extensions themselves run below as
-            # one batched call.  A run's gapped result can only influence
-            # *its own* later triggers (coverage on its diagonal), so every
-            # job queued in a round is independent of the others.
-            gapped_jobs: list[tuple] = []
-            for st in waiting:
-                i = st[1]
-                ctx = block.contexts[int(runs.ctx_r[i])]
-                if ext_complete[i]:
-                    u_score = int(ext_score[i])
-                    u_q_start = int(ext_qs[i])
-                    u_q_end = int(ext_qe[i])
-                    u_s_start = int(ext_ss[i])
-                    u_s_end = int(ext_se[i])
-                else:
-                    # Kernel escalation was capped: exact scalar path.
-                    t_u = time.perf_counter()
-                    u = ungapped_extend(
-                        ctx.codes_index, s_index, int(runs.q_r[i]), int(runs.s_r[i]),
-                        word, self.matrix, opts.xdrop_ungapped,
-                    )
-                    stats.ungapped_seconds += time.perf_counter() - t_u
-                    u_score = u.score
-                    u_q_start, u_q_end = u.q_start, u.q_end
-                    u_s_start, u_s_end = u.s_start, u.s_end
-                stats.n_ungapped += 1
-                st[3] = u_s_end  # covered
-                seed = self._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
-                if seed is not None:
-                    gapped_jobs.append((st, i, ctx, seed))
-
-            if gapped_jobs:
-                t_g = time.perf_counter()
-                aligns = self._extend_gapped(
-                    [(ctx, s_index, *seed) for _, _, ctx, seed in gapped_jobs]
-                )
-                stats.n_gapped += len(gapped_jobs)
-                stats.gapped_seconds += time.perf_counter() - t_g
-                for (st, i, ctx, _), g in zip(gapped_jobs, aligns):
-                    if g is None:
-                        continue
-                    st[3] = max(st[3], g.s_end)
-                    hsp = self._emit_hsp(block, ctx, subject_id, g, db_len, db_seqs)
-                    if hsp is not None:
-                        found.append((int(runs.rank_r[i]), hsp))
-
-            next_waiting = []
-            for st in waiting:
-                st[1] += 1
-                if self._advance_run(st, runs.s_r) >= 0:
-                    next_waiting.append(st)
-            waiting = next_waiting
-        found.sort(key=lambda rh: rh[0])
-        return cull_overlapping([h for _, h in found])
 
 
 class BlastnEngine(_EngineBase):

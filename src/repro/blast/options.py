@@ -47,22 +47,17 @@ class BlastOptions:
     #: when a loose ``evalue`` puts the cutoff score under the trigger,
     #: whatever could be reported on its own is admitted.
     ungapped_cutoff_bits: float = 27.0
-    band_width: int = 48  # gapped extension band half-width
+    #: gapped extension band half-width; also how far off a gapped
+    #: alignment's seed diagonal the engine's containment rule reaches
+    band_width: int = 48
     #: batched stage-2 window: steps gathered each side of a word hit in the
     #: first pass; hits whose X-drop extent outruns it are re-batched with
     #: geometrically wider windows until every extension terminates
     extension_window: int = 64
-    #: fused streaming scheduler (default): seed→ungapped→gapped advances as
-    #: one round-based pass over the whole (block × partition) work unit —
-    #: every round extends the pending triggers of *all* open subjects and
-    #: contexts with one span-batched kernel call, and seeds admitted in a
-    #: round enter that round's gapped batch immediately.  ``False`` runs
-    #: the per-subject staged scheduler (the bit-identical parity oracle).
-    fused: bool = True
-    #: scan-slab bound of the fused scheduler: more subjects are streamed
-    #: into the open pool only while the word-hit rows held across open
-    #: subjects stay below this, so stage-1 intermediates are a bounded
-    #: slab instead of a whole-partition materialisation.
+    #: scan-slab bound of the engine's round-based scheduler: more subjects
+    #: are streamed into the open pool only while the word-hit rows held
+    #: across open subjects stay below this, so stage-1 intermediates are a
+    #: bounded slab instead of a whole-partition materialisation.
     fused_slab_rows: int = 65536
 
     # Reporting

@@ -43,10 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "or 64)")
     ap.add_argument("--out", default="mrblast_out", help="output directory")
     ap.add_argument("--program", choices=["blastn", "blastp", "blastx"], default="blastn")
-    ap.add_argument("--engine", choices=["fused", "staged"], default="fused",
-                    help="BLAST engine scheduler: 'fused' streams "
-                         "seed/ungapped/gapped as one round-based pass (default); "
-                         "'staged' runs the per-subject parity oracle")
     ap.add_argument("--evalue", type=float, default=10.0)
     ap.add_argument("--max-hits", type=int, default=500)
     ap.add_argument("--blocks-per-iteration", type=int, default=0,
@@ -102,9 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         "blastp": BlastOptions.blastp,
         "blastx": BlastOptions.blastx,
     }[args.program]
-    options = factory(
-        evalue=args.evalue, max_hits=args.max_hits, fused=args.engine == "fused"
-    )
+    options = factory(evalue=args.evalue, max_hits=args.max_hits)
 
     if args.query_fasta:
         from repro.core.mrblast.dynamic import DynamicChunkConfig, mrblast_dynamic_spmd

@@ -230,9 +230,8 @@ class MrBlastResult:
     #: plane.
     shuffle_pairs_moved: int = 0
     shuffle_bytes_moved: int = 0
-    #: fused-scheduler telemetry (PR 7): scheduler rounds run on this rank
-    #: (0 under the staged oracle) and the largest per-round intermediate
-    #: slab any work unit held.
+    #: engine scheduler telemetry (PR 7): rounds run on this rank and the
+    #: largest per-round intermediate slab any work unit held.
     fused_rounds: int = 0
     peak_slab_bytes: int = 0
     #: straggler-mitigation telemetry (PR 8): whether the run lost ranks and

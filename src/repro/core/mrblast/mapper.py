@@ -68,9 +68,8 @@ class MapperStats:
     ungapped_seconds: float = 0.0
     gapped_seconds: float = 0.0
     lookup_cache_hits: int = 0
-    #: fused-scheduler telemetry: total scheduler rounds across this rank's
-    #: units (0 under the staged oracle) and the largest per-round
-    #: intermediate slab any unit held
+    #: engine scheduler telemetry: total rounds across this rank's units
+    #: and the largest per-round intermediate slab any unit held
     fused_rounds: int = 0
     peak_slab_bytes: int = 0
     #: robustness counters: units skipped because their failure budget is

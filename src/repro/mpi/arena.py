@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import bisect
 import ctypes
+import mmap
 import os
 import weakref
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -114,11 +115,31 @@ def resolve_arena_bytes(arena: bool | None, arena_mb: int | None) -> int:
     return mb << 20
 
 
-def _untrack(name: str) -> None:
-    """Detach a segment from resource_tracker (job teardown owns it)."""
-    from repro.mpi.shm import _untrack as untrack
+class _Attached:
+    """An existing segment mapped read-write, unknown to ``resource_tracker``.
 
-    untrack(name)
+    ``SharedMemory(name=...)`` REGISTERs every attach (before 3.13 it cannot
+    be told not to), and the forked ranks all write to the one tracker they
+    inherited, whose cache is a *set* of names: two ranks attaching the same
+    ring and unregistering again send REGISTER, REGISTER, UNREGISTER,
+    UNREGISTER, and the second remove is a ``KeyError`` traceback on the
+    job's stderr.  The parent creates and sweeps the segments; a rank only
+    maps them, with the calls ``SharedMemory`` itself makes.
+    """
+
+    def __init__(self, name: str) -> None:
+        import _posixshmem  # POSIX only, like the fork the ranks come from
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
 
 
 def create_arena_segments(prefix: str, nprocs: int, data_bytes: int) -> None:
@@ -127,7 +148,8 @@ def create_arena_segments(prefix: str, nprocs: int, data_bytes: int) -> None:
         seg = shared_memory.SharedMemory(
             create=True, size=_HDR_BYTES + data_bytes,
             name=segment_name(prefix, rank))
-        _untrack(seg.name)
+        # Job teardown owns the name (``sweep_job_blocks``), not the tracker.
+        resource_tracker.unregister(f"/{seg.name}", "shared_memory")
         seg.close()
 
 
@@ -165,10 +187,7 @@ class Arena:
         self.nprocs = nprocs
         self.data_bytes = int(data_bytes)
         self._prefix = prefix
-        self._own = shared_memory.SharedMemory(name=segment_name(prefix, rank))
-        # Attaching re-registers with this process's resource tracker on
-        # 3.11+; the parent sweep owns the lifetime, so unregister again.
-        _untrack(self._own.name)
+        self._own = _Attached(segment_name(prefix, rank))
         # Header words as a flat u64 memoryview — index ``slot*2`` is the
         # state, ``slot*2 + 1`` the epoch.  Plain-int memoryview indexing
         # is several times cheaper than numpy scalar indexing on the
@@ -258,8 +277,7 @@ class Arena:
     def _peer(self, rank: int) -> tuple:
         cached = self._peers.get(rank)
         if cached is None:
-            seg = shared_memory.SharedMemory(name=segment_name(self._prefix, rank))
-            _untrack(seg.name)
+            seg = _Attached(segment_name(self._prefix, rank))
             cached = (seg, seg.buf.cast("Q"))
             self._peers[rank] = cached
         return cached

@@ -115,12 +115,12 @@ class TestFormatAndRead:
         assert alias.num_seqs == 1
 
 
-def _nt_workload(tmp_path, vol_bytes=4096, n_genomes=4, genome_length=3000):
+def _nt_workload(tmp_path, vol_bytes=4096, n_genomes=4, genome_length=3000, n_reads=6):
     """Community genomes shredded into reads + homolog DB in partitions."""
     com = synthetic_community(n_genomes=n_genomes, genome_length=genome_length, seed=3)
     db = synthetic_nt_database(com, n_decoys=3, decoy_length=2000, homolog_rate=0.04, seed=4)
     alias_path = format_database(db, tmp_path, "nt", kind="dna", max_volume_bytes=vol_bytes)
-    reads = list(shred_records(com.genomes[:2]))[:6]
+    reads = list(shred_records(com.genomes[:2]))[:n_reads]
     return reads, DatabaseAlias.load(alias_path)
 
 
@@ -196,7 +196,8 @@ class TestEngine:
     def test_funnel_counts_on_a_chance_hit_dominated_unit(self, tmp_path):
         """8 reads against 400 kb of decoys plus their homologs: nearly
         every word hit is chance.  The gap trigger keeps those out of stage
-        3 (at 12 bits every ungapped extension got a gapped one) and loses
+        3 (at 12 bits every ungapped extension is admitted, and gets a
+        gapped one unless an alignment found already contains it) and loses
         no hit."""
         com = synthetic_community(n_genomes=2, genome_length=6000, seed=11)
         db = synthetic_nt_database(com, n_decoys=8, decoy_length=50_000,
@@ -211,9 +212,49 @@ class TestEngine:
         assert hits == everything.search_block(reads, part)
         st, st12 = default.last_stats, everything.last_stats
         assert st.n_reported == st12.n_reported == len(hits) >= len(reads)
-        assert st12.n_gapped == st12.n_ungapped > 400
+        assert st12.n_gapped + st12.n_contained == st12.n_ungapped > 400
+        assert 0 < st12.n_contained < st12.n_gapped
         assert st.n_gapped <= 0.1 * st.n_ungapped
         assert st.n_gapped >= st.n_reported
+
+    def test_an_alignment_is_gapped_extended_once(self, tmp_path, monkeypatch):
+        """A read with indels against its homolog triggers on every diagonal
+        the alignment touches, all in one round.  The best segment is
+        extended, its box contains the others: a one-read unit makes one
+        gapped call of one seed, and on a 16-read unit a fifth or more of
+        the admitted seeds are contained instead of extended, in never more
+        than two gapped calls a round."""
+        from repro.blast import engine as engine_mod
+
+        com = synthetic_community(n_genomes=4, genome_length=6000, seed=21)
+        db = synthetic_nt_database(com, n_decoys=4, decoy_length=20_000,
+                                   homolog_rate=0.05, seed=22)
+        part = DatabaseAlias.load(
+            format_database(db, tmp_path, "once", kind="dna")).open_partition(0)
+        reads = [r for r in shred_records(com.genomes) if len(r.seq) == 400][:16]
+        calls = []
+        kernel = engine_mod.extend_gapped_batch
+
+        def spy(seeds, *args, **kwargs):
+            calls.append(len(seeds))
+            return kernel(seeds, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "extend_gapped_batch", spy)
+        eng = make_engine(BlastOptions.blastn(evalue=1e-4))
+
+        hits = eng.search_block(reads[:1], part)
+        st = eng.last_stats
+        assert len(hits) == 1 and hits[0].gaps > 0
+        assert calls == [1] and st.n_gapped == 1
+        assert st.n_contained >= 1
+
+        del calls[:]
+        hits = eng.search_block(reads, part)
+        st = eng.last_stats
+        assert {h.query_id for h in hits} == {r.id for r in reads}
+        assert sum(calls) == st.n_gapped
+        assert len(calls) <= 2 * st.fused_rounds
+        assert st.n_contained >= 0.2 * (st.n_gapped + st.n_contained)
 
     def test_program_option_mismatch_rejected(self):
         with pytest.raises(ValueError, match="engine is"):
@@ -276,9 +317,11 @@ class TestDbSplitInvariance:
         """At E = 0.3 on an 18 kb DB the cutoff score is 13, under the gap
         trigger's 14 and over the 11 of a bare word hit, so admission itself
         reads the search space.  It must read the whole-DB override: any
-        n x m factorisation then admits the same seeds (``n_gapped`` summed
-        over units) and reports the unsplit search's hits.  (Every
-        partition's own length gives cutoff 12, and more seeds.)"""
+        n x m factorisation then admits the same seeds (``n_gapped`` and
+        ``n_contained`` summed over units: grouping for containment never
+        looks past one subject and one query context) and reports the
+        unsplit search's hits.  (Every partition's own length gives cutoff
+        12, and more seeds.)"""
         from repro.blast.hsp import top_hits
 
         opts = BlastOptions.blastn(evalue=0.3, max_hits=50)
@@ -290,27 +333,62 @@ class TestDbSplitInvariance:
             assert trigger == floor + 1 == 13 < engine._gap_trigger == 14
             for block_size in (1, 3, len(reads)):
                 by_query: dict[str, list[HSP]] = {}
-                gapped = ungapped = 0
+                gapped = contained = ungapped = 0
                 for p in range(alias.num_partitions):
                     for lo in range(0, len(reads), block_size):
                         hits = engine.search_block(reads[lo:lo + block_size],
                                                    alias.open_partition(p))
                         gapped += engine.last_stats.n_gapped
+                        contained += engine.last_stats.n_contained
                         ungapped += engine.last_stats.n_ungapped
                         for h in hits:
                             by_query.setdefault(h.query_id, []).append(h)
                 merged = [self._hit_key(h) for rec in reads
                           for h in top_hits(by_query.get(rec.id, []), opts.max_hits, opts.evalue)]
-                outcomes[label, alias.num_partitions, block_size] = (merged, gapped, ungapped)
+                outcomes[label, alias.num_partitions, block_size] = (
+                    merged, (gapped, contained, ungapped))
         assert sorted(key[1] for key in outcomes) == [1] * 3 + [2] * 3 + [4] * 3
         # the unsplit search, with no override at all, is the reference
         reads, alias = _nt_workload(tmp_path / "ref", vol_bytes=1 << 24)
         plain = make_engine(opts)
         want = [self._hit_key(h) for h in plain.search_block(reads, alias.open_partition(0))]
         stats = plain.last_stats
-        for key, (merged, gapped, ungapped) in outcomes.items():
+        assert stats.n_contained > 0
+        for key, (merged, counts) in outcomes.items():
             assert merged == want, key
-            assert (gapped, ungapped) == (stats.n_gapped, stats.n_ungapped), key
+            assert counts == (stats.n_gapped, stats.n_contained, stats.n_ungapped), key
+
+    def test_a_query_alone_equals_the_query_inside_a_block_of_eight(self, tmp_path):
+        """The service shape: the coalescer decides who shares a block, so a
+        query's hits, E-values and funnel counts (seeds extended, seeds
+        contained) may not depend on it, on any DB split."""
+        from repro.blast.hsp import top_hits
+
+        opts = BlastOptions.blastn(evalue=1e-3, max_hits=20)
+        reads, alias = _nt_workload(tmp_path, vol_bytes=1500, n_reads=8)
+        assert len(reads) == 8 and alias.num_partitions == 4
+        engine = make_engine(opts.with_db_size(alias.total_length, alias.num_seqs))
+
+        def search(blocks):
+            by_query: dict[str, list[HSP]] = {}
+            gapped = contained = 0
+            for p in range(alias.num_partitions):
+                for block in blocks:
+                    for h in engine.search_block(block, alias.open_partition(p)):
+                        by_query.setdefault(h.query_id, []).append(h)
+                    gapped += engine.last_stats.n_gapped
+                    contained += engine.last_stats.n_contained
+            merged = {qid: [self._hit_key(h) for h in top_hits(hits, opts.max_hits, opts.evalue)]
+                      for qid, hits in by_query.items()}
+            return merged, gapped, contained
+
+        alone = [search([[rec]]) for rec in reads]
+        together, gapped, contained = search([reads])
+        assert set(together) == {rec.id for rec in reads}
+        for rec, (merged, _, _) in zip(reads, alone):
+            assert merged == {rec.id: together[rec.id]}
+        assert gapped == sum(g for _, g, _ in alone)
+        assert contained == sum(c for _, _, c in alone) > 0
 
     def test_without_override_evalues_differ(self, tmp_path):
         reads, alias = _nt_workload(tmp_path, vol_bytes=1500)

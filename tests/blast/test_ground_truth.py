@@ -11,9 +11,11 @@ cutoff score: what a search with no heuristics at all could report.
 
 Pinned here: the engine never scores above the optimum; where homology is
 clear (400-bp reads, <= 20 % divergence) it finds every reportable pair and
-nearly always the optimal score; and the gap trigger (27 bits blastn, 22
-bits blastp) loses next to nothing against admitting everything.  The
-printed table is recorded in EXPERIMENTS.md.
+nearly always the optimal score; the gap trigger (27 bits blastn, 22 bits
+blastp) loses next to nothing against admitting everything; and the
+containment rule (a seed inside an alignment already found is not extended
+again) changes no byte of any cell's output.  The printed table is recorded
+in EXPERIMENTS.md.
 """
 
 import numpy as np
@@ -24,6 +26,9 @@ from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast.engine import make_engine
 from repro.blast.options import BlastOptions
 from repro.blast.reference import smith_waterman_score
+from repro.blast.tabular import format_tabular
+
+from oracles.staged_scheduler import no_containment
 
 PAIRS = 40
 EVALUE = 1e-4
@@ -83,11 +88,19 @@ def _measure(program, length, rate):
     for label, overrides in TRIGGERS.items():
         engine = make_engine(BlastOptions(**{**base.__dict__, **overrides}))
         best = {}  # planted pair -> best plus-strand score reported
-        for h in engine.search_block(queries, partition):
+        hits = engine.search_block(queries, partition)
+        for h in hits:
             if h.subject_id == planted[h.query_id] and h.strand == 1:
                 best[h.query_id] = max(best.get(h.query_id, 0), h.score)
         cell[label] = best
-        cell[label + " gapped"] = (engine.last_stats.n_gapped, engine.last_stats.n_ungapped)
+        stats = engine.last_stats
+        cell[label + " gapped"] = (stats.n_gapped, stats.n_contained, stats.n_ungapped)
+        if label == "default":
+            with no_containment():
+                cell["tabular"] = (
+                    format_tabular(hits),
+                    format_tabular(engine.search_block(queries, partition)),
+                )
     cutoff = engine.admission_scores(length, base.db_length_override,
                                      base.db_num_seqs_override)[1] + 1
     sw = {
@@ -110,7 +123,8 @@ def cells():
 def test_sensitivity_table(cells, capsys):
     lines = [
         "| program | length | divergence | SW-reportable | default | 12 bits "
-        "| default == SW | gapped/ungapped default | gapped/ungapped 12 bits |",
+        "| default == SW | gapped+contained/ungapped default "
+        "| gapped+contained/ungapped 12 bits |",
         "|---|---|---|---|---|---|---|---|---|",
     ]
     for c in cells:
@@ -118,8 +132,8 @@ def test_sensitivity_table(cells, capsys):
         lines.append(
             f"| {c['program']} | {c['length']} | {c['rate']:.2f} | {len(c['reportable'])} "
             f"| {len(c['default'])} | {len(c['12 bits'])} | {exact} "
-            f"| {'/'.join(map(str, c['default gapped']))} "
-            f"| {'/'.join(map(str, c['12 bits gapped']))} |"
+            f"| {'{}+{}/{}'.format(*c['default gapped'])} "
+            f"| {'{}+{}/{}'.format(*c['12 bits gapped'])} |"
         )
     with capsys.disabled():
         print("\n=== Engine sensitivity vs Smith-Waterman (40 planted pairs per cell) ===")
@@ -157,3 +171,18 @@ def test_gap_trigger_costs_next_to_nothing_against_admitting_everything(cells):
     gapped_default = sum(c["default gapped"][0] for c in cells)
     gapped_12 = sum(c["12 bits gapped"][0] for c in cells)
     assert gapped_default < 0.25 * gapped_12
+
+
+def test_containment_changes_no_byte(cells):
+    """With the rule patched out every cell reports the same tabular bytes,
+    and the rule is not idle: of the seeds admitted at the default trigger
+    in the blastn cells (the planted copies have indels; the protein
+    families are point mutations) it contains a quarter or more."""
+    for c in cells:
+        with_rule, without = c["tabular"]
+        assert with_rule == without, (c["program"], c["length"], c["rate"])
+        for label in TRIGGERS:
+            gapped, contained, ungapped = c[label + " gapped"]
+            assert gapped + contained <= ungapped
+    nt = [c["default gapped"] for c in cells if c["program"] == "blastn"]
+    assert sum(c for _, c, _ in nt) >= 0.25 * sum(g + c for g, c, _ in nt)

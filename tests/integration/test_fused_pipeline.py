@@ -1,20 +1,21 @@
-"""Fused vs staged scheduler parity through the full mrblast pipeline.
+"""Engine scheduler vs the staged oracle through the full mrblast pipeline.
 
 The engine-level property suite pins ``search_block`` output; this pins the
-production surface: per-rank output files of a fused run compare equal
-byte for byte to a staged run — on both transport backends, in-core and
-when a tiny ``memsize`` forces the columnar plane through multi-page
-spill.  The fused scheduler is the default, so these tests are what
-certifies the default path against the PR-2 oracle.
+production surface: per-rank output files of a run compare equal byte for
+byte to a run whose ranks schedule with ``tests/oracles/staged_scheduler.py``
+— on both transport backends, in-core and when a tiny ``memsize`` forces the
+columnar plane through multi-page spill.  The shipped scheduler runs with
+its containment rule on, so these tests are what certifies the path users
+get against the PR-2 oracle, which extends every admitted seed.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.blast import BlastOptions, format_database
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.core import MrBlastConfig, mrblast_spmd
+
+from oracles.staged_scheduler import staged_scheduler
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def nt_workload(tmp_path_factory):
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("memsize", [None, 512])
 def test_rank_files_byte_identical(nt_workload, tmp_path, backend, memsize):
-    """Fused (default) vs staged mrblast: same bytes in every rank file,
+    """Shipped scheduler vs staged oracle: same bytes in every rank file,
     whichever transport carries the messages and whether or not the KV
     plane spills."""
     alias_path, blocks, options = nt_workload
@@ -44,17 +45,18 @@ def test_rank_files_byte_identical(nt_workload, tmp_path, backend, memsize):
         **base, options=options,
         output_dir=str(tmp_path / f"fused-{tag}"),
         spool_dir=str(tmp_path / f"fspool-{tag}")))
-    staged = mrblast_spmd(3, MrBlastConfig(
-        **base, options=replace(options, fused=False),
-        output_dir=str(tmp_path / f"staged-{tag}"),
-        spool_dir=str(tmp_path / f"sspool-{tag}")))
+    with staged_scheduler():  # class-level patch: threads and forked ranks see it
+        staged = mrblast_spmd(3, MrBlastConfig(
+            **base, options=options,
+            output_dir=str(tmp_path / f"staged-{tag}"),
+            spool_dir=str(tmp_path / f"sspool-{tag}")))
     assert sum(r.hits_written for r in fused) > 0
     for f, s in zip(fused, staged):
         assert (f.rank, f.hits_written, f.queries_written) == (
             s.rank, s.hits_written, s.queries_written)
         with open(f.output_path, "rb") as ff, open(s.output_path, "rb") as fs:
             assert ff.read() == fs.read(), f"rank {f.rank} output diverged"
-    # Telemetry: fused runs count rounds and slab bytes, staged runs don't.
+    # Telemetry: the scheduler counts rounds and slab bytes, the oracle doesn't.
     assert sum(r.fused_rounds for r in fused) > 0
     assert max(r.peak_slab_bytes for r in fused) > 0
     assert sum(r.fused_rounds for r in staged) == 0
@@ -78,3 +80,8 @@ def test_fused_round_instants_in_trace(nt_workload, tmp_path):
         args = ev.get("args", {})
         assert args.get("rows", 0) > 0
         assert args.get("slab_bytes", 0) > 0
+        assert args["gapped"] + args["contained"] <= args["rows"]
+    # The reads carry indels against their homologs: some admitted seeds are
+    # contained instead of extended, and the instants are where that shows
+    # (``n_contained`` is not threaded through the result structs).
+    assert sum(ev["args"]["contained"] for ev in rounds) > 0

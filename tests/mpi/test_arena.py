@@ -118,6 +118,32 @@ class TestSlotLifecycle:
         a0._reclaim()
         assert slot in a0._outstanding  # new tenant untouched
 
+    def test_attaching_registers_nothing_with_the_resource_tracker(self, monkeypatch):
+        """Only the parent's create / sweep own a ring's lifetime: a rank
+        that maps its own ring and a peer's tells the tracker nothing."""
+        from multiprocessing import resource_tracker
+
+        prefix = f"reprompi_arena_reg{os.getpid()}_"
+        create_arena_segments(prefix, 2, RING)
+        calls = []
+        monkeypatch.setattr(resource_tracker, "register", lambda *a: calls.append(a))
+        monkeypatch.setattr(resource_tracker, "unregister", lambda *a: calls.append(a))
+        a0 = Arena(prefix, 0, 2, RING)
+        a1 = Arena(prefix, 1, 2, RING)
+        try:
+            slot, epoch, off = a0.alloc(64)
+            a0.own_slice(off, 64)[:] = b"\x11" * 64
+            view = a1.view(0, slot, epoch, off, 64)  # maps the peer's ring
+            assert bytes(view) == b"\x11" * 64
+            del view
+            assert calls == []
+        finally:
+            gc.collect()
+            a0.close()
+            a1.close()
+            sweep_job_blocks(prefix)
+        assert _shm_blocks(prefix) == set()
+
     def test_oversized_alloc_overflows(self, arena_pair):
         a0, _ = arena_pair
         assert a0.alloc(RING * 2) is None
@@ -339,6 +365,34 @@ class TestProcessBackendEndToEnd:
         with pytest.raises(MPIError):
             run_spmd(2, prog, backend="process", op_timeout=10.0,
                      arena=True, fault_plan=FaultPlan([CrashRank(1, at_op=3)]))
+        assert _shm_blocks() == before
+
+    def test_thirty_jobs_leave_stderr_empty(self):
+        """Three ranks sharing one inherited resource tracker, each mapping
+        its peers' rings, thirty jobs in a row: not a line on stderr (the
+        tracker used to print a KeyError when two ranks' REGISTER /
+        UNREGISTER pairs for one ring interleaved) and nothing left behind."""
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro.mpi import run_spmd\n"
+            "def prog(comm):\n"
+            "    inbox = comm.alltoall([np.arange(20_000.0)] * comm.size)\n"
+            "    return float(sum(a.sum() for a in inbox))\n"
+            "for _ in range(30):\n"
+            "    out = run_spmd(3, prog, backend='process', op_timeout=30.0, arena=True)\n"
+            "    assert len(set(out)) == 1\n"
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        before = _shm_blocks()
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         assert _shm_blocks() == before
 
     def test_thread_backend_ignores_arena_knobs(self):

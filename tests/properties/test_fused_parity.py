@@ -1,12 +1,14 @@
-"""Property suite pinning the fused scheduler to the staged oracle.
+"""Property suite pinning the engine's scheduler to the staged oracle.
 
-The fused streaming pass (``BlastOptions.fused``, the default) must produce
-HSP output bit-identical to the retained per-subject staged scheduler —
-same scores, coordinates, E-values, identities/gap accounting (the
-traceback-derived fields) and same output order — for every program that
-runs through the engine, at any ``fused_slab_rows`` bound (including 1,
-which forces maximal subject streaming, and a bound larger than any
-workload, which opens every subject at once).
+With its containment check answering "no", the fused streaming pass must
+produce HSP output bit-identical to the per-subject staged scheduler of
+``tests/oracles/staged_scheduler.py`` — same scores, coordinates, E-values,
+identities/gap accounting (the traceback-derived fields) and same output
+order — for every program that runs through the engine, at any
+``fused_slab_rows`` bound (including 1, which forces maximal subject
+streaming, and a bound larger than any workload, which opens every subject
+at once).  What the containment rule itself may change is pinned in
+``test_containment.py``.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from repro.bio.seq import SeqRecord
 from repro.blast.engine import make_engine
 from repro.blast.options import BlastOptions
 from repro.blast.tblastn import TblastnEngine
+
+from oracles.staged_scheduler import no_containment, staged_scheduler
 
 DNA_ALPHABET = "ACGT"
 AA_ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
@@ -73,29 +77,28 @@ def _family(draw, alphabet, min_len=70, max_len=140, n_subjects=4, n_queries=2):
     return queries, subjects
 
 
-def _parity(opts_factory, queries, partition, slab_rows):
-    fused = make_engine(opts_factory(fused=True, fused_slab_rows=slab_rows))
-    staged = make_engine(opts_factory(fused=False))
-    h_fused = fused.search_block(queries, partition)
-    h_staged = staged.search_block(queries, partition)
+def _parity(engine, queries, partition):
+    with no_containment():
+        h_fused = engine.search_block(queries, partition)
+    with staged_scheduler():
+        h_staged = engine.search_block(queries, partition)
     assert h_fused == h_staged
-    return h_fused
 
 
 @given(_family(DNA_ALPHABET), SLAB_ROWS)
 @settings(max_examples=25, deadline=None)
 def test_blastn_fused_matches_staged(family, slab_rows):
     queries, subjects = family
-    _parity(BlastOptions.blastn, queries, _ArrayPartition(subjects, "dna"), slab_rows)
+    engine = make_engine(BlastOptions.blastn(fused_slab_rows=slab_rows))
+    _parity(engine, queries, _ArrayPartition(subjects, "dna"))
 
 
 @given(_family(AA_ALPHABET), SLAB_ROWS)
 @settings(max_examples=25, deadline=None)
 def test_blastp_fused_matches_staged(family, slab_rows):
     queries, subjects = family
-    _parity(
-        BlastOptions.blastp, queries, _ArrayPartition(subjects, "protein"), slab_rows
-    )
+    engine = make_engine(BlastOptions.blastp(fused_slab_rows=slab_rows))
+    _parity(engine, queries, _ArrayPartition(subjects, "protein"))
 
 
 @given(_family(DNA_ALPHABET, min_len=90, max_len=150), SLAB_ROWS)
@@ -113,7 +116,8 @@ def test_blastx_fused_matches_staged(family, slab_rows):
     db = [r for r in db if len(r.seq) >= 10]
     if not db:
         return
-    _parity(BlastOptions.blastx, queries, _ArrayPartition(db, "protein"), slab_rows)
+    engine = make_engine(BlastOptions.blastx(fused_slab_rows=slab_rows))
+    _parity(engine, queries, _ArrayPartition(db, "protein"))
 
 
 @given(_family(DNA_ALPHABET, min_len=90, max_len=150), SLAB_ROWS)
@@ -130,12 +134,8 @@ def test_tblastn_fused_matches_staged(family, slab_rows):
     queries = [r for r in queries if len(r.seq) >= 10]
     if not queries:
         return
-    partition = _ArrayPartition(subjects, "dna")
-    fused = TblastnEngine(BlastOptions.blastp(fused=True, fused_slab_rows=slab_rows))
-    staged = TblastnEngine(BlastOptions.blastp(fused=False))
-    assert fused.search_block(queries, partition) == staged.search_block(
-        queries, partition
-    )
+    engine = TblastnEngine(BlastOptions.blastp(fused_slab_rows=slab_rows))
+    _parity(engine, queries, _ArrayPartition(subjects, "dna"))
 
 
 @given(_family(AA_ALPHABET, n_subjects=6), st.sampled_from([1, 5, 64]))
@@ -145,8 +145,8 @@ def test_fused_slab_bound_independence(family, slab_rows):
     produces the same HSPs as the open-everything schedule."""
     queries, subjects = family
     partition = _ArrayPartition(subjects, "protein")
-    wide = make_engine(BlastOptions.blastp(fused=True, fused_slab_rows=1 << 30))
-    tight = make_engine(BlastOptions.blastp(fused=True, fused_slab_rows=slab_rows))
+    wide = make_engine(BlastOptions.blastp(fused_slab_rows=1 << 30))
+    tight = make_engine(BlastOptions.blastp(fused_slab_rows=slab_rows))
     assert wide.search_block(queries, partition) == tight.search_block(
         queries, partition
     )
@@ -158,33 +158,38 @@ def test_fused_slab_bound_independence(family, slab_rows):
 
 def test_fused_stats_accounting():
     """Fused stage seconds cover disjoint regions (no double counting) and
-    the round/slab counters behave: rounds > 0 with hits, staged runs
-    report zero rounds, and counters shared with staged agree exactly."""
+    the round/slab counters behave: rounds > 0 with hits, the staged oracle
+    reports zero rounds, the counters that do not depend on the scheduler
+    agree exactly, and every seed the oracle extends is either extended or
+    contained here."""
     rng = np.random.default_rng(11)
     anc = "".join(rng.choice(list(AA_ALPHABET), size=200))
     queries = [SeqRecord("q0", anc[10:190])]
     subjects = [SeqRecord(f"s{i}", anc) for i in range(5)]
     partition = _ArrayPartition(subjects, "protein")
 
-    fused = make_engine(BlastOptions.blastp())
-    staged = make_engine(BlastOptions.blastp(fused=False))
-    assert fused.search_block(queries, partition) == staged.search_block(
-        queries, partition
-    )
-    fs, ss = fused.last_stats, staged.last_stats
+    engine = make_engine(BlastOptions.blastp())
+    h_fused = engine.search_block(queries, partition)
+    fs = engine.last_stats
+    with staged_scheduler():
+        assert engine.search_block(queries, partition) == h_fused
+    ss = engine.last_stats
 
     assert fs.fused_rounds > 0 and fs.peak_slab_bytes > 0
     assert ss.fused_rounds == 0 and ss.peak_slab_bytes == 0
-    # The work counters are scheduler-independent.
-    assert (fs.n_subjects, fs.n_word_hits, fs.n_ungapped, fs.n_gapped, fs.n_reported) \
-        == (ss.n_subjects, ss.n_word_hits, ss.n_ungapped, ss.n_gapped, ss.n_reported)
+    assert (fs.n_subjects, fs.n_word_hits, fs.n_ungapped, fs.n_reported) \
+        == (ss.n_subjects, ss.n_word_hits, ss.n_ungapped, ss.n_reported)
+    assert fs.n_contained > 0 and ss.n_contained == 0
+    assert fs.n_gapped + fs.n_contained == ss.n_gapped
     # Stage timers cover disjoint code regions inside the busy interval.
     for s in (fs, ss):
         assert 0.0 < s.seed_seconds + s.ungapped_seconds + s.gapped_seconds <= s.busy_seconds
 
-    # merge() propagates the new counters (sum rounds, max slab).
+    # merge() sums the counts and rounds and keeps the larger slab.
     acc = type(fs)()
     acc.merge(fs)
     acc.merge(ss)
     assert acc.fused_rounds == fs.fused_rounds
     assert acc.peak_slab_bytes == fs.peak_slab_bytes
+    assert acc.n_contained == fs.n_contained
+    assert acc.n_gapped == fs.n_gapped + ss.n_gapped
