@@ -1,15 +1,16 @@
 """Performance model of the MR-MPI batch SOM (Fig. 6).
 
-Per epoch (accumulate → reduce → smooth, as ``repro.core.mrsom`` runs it):
-map over vector blocks (uniform compute — a block costs 2·rows·K·dim for
-the BMU distance matmul plus the class-sum scatter, and every 40-vector
-block costs the same), one allreduce of the class sums and counts (reduce,
-then broadcast of the totals), 2·K·K·dim of neighbourhood smoothing split
-over the cores, and one all-gather of the new codebook.  The paper chose
-input sizes that are multiples of the core counts ("81,920 random vectors
-(the multiple of our core counts)"), so blocks divide evenly and the map is
-balance-perfect; the model distributes blocks round-robin over all cores
-accordingly (the master's bookkeeping is negligible next to a 51-MFLOP
+Per epoch (accumulate → reduce → smooth): map over vector blocks (uniform
+compute — a block costs 2·rows·K·dim for the BMU distance matmul plus the
+class-sum scatter, and every 40-vector block costs the same), one allreduce
+of the class sums and counts, 2·K·K·dim of neighbourhood smoothing split
+over the cores, and one all-gather of the new codebook: the flow that holds
+the paper's 96 % at 1024 cores (``repro.core.mrsom`` smooths separably on
+the master instead, cheaper below ~800 cores: DESIGN.md §5).  The paper
+chose input sizes that are multiples of the core counts ("81,920 random
+vectors (the multiple of our core counts)"), so blocks divide evenly and the
+map is balance-perfect; the model distributes blocks round-robin over all
+cores accordingly (the master's bookkeeping is negligible next to a 51-MFLOP
 block and the paper notes master/worker "is not as critical" here).
 
 Collectives are modelled as pipelined large-message trees:

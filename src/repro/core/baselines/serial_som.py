@@ -12,9 +12,8 @@ import numpy as np
 
 from repro.core.mrsom.driver import MrSomConfig
 from repro.core.mrsom.mmap_input import MatrixFile
-from repro.som.batch import accumulate_classes, batch_update, smooth_classes
+from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
 from repro.som.codebook import init_codebook
-from repro.som.neighborhood import radius_schedule
 
 __all__ = ["run_serial_batch_som"]
 
@@ -25,10 +24,8 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
     grid = config.grid
     sample = matrix.rows(0, min(config.init_sample_rows, matrix.n))
     codebook = init_codebook(grid, sample, method=config.init, seed_or_rng=config.seed)
-    initial = config.initial_radius
-    if initial is None:
-        initial = max(grid.diagonal / 2.0, config.final_radius)
-    sigmas = radius_schedule(initial, config.final_radius, config.epochs)
+    sigmas = BatchSOM(grid, matrix.dim, initial_radius=config.initial_radius,
+                      final_radius=config.final_radius).radii(config.epochs)
     k = grid.n_units
     for sigma in sigmas:
         sums, counts = np.zeros((k, matrix.dim)), np.zeros(k)
@@ -36,6 +33,6 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
         # Walk the same work units the parallel driver would, in order.
         for start, stop in matrix.work_units(config.block_rows):
             accumulate_classes(matrix.rows(start, stop), codebook, sums, counts, codebook_sq)
-        num, denom = smooth_classes(grid, float(sigma), sums, counts, 0, k)  # one strip
+        num, denom = smooth_classes(grid, float(sigma), sums, counts)
         codebook = batch_update(codebook, num, denom)
     return codebook

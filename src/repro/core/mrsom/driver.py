@@ -1,21 +1,23 @@
 """The MR-MPI batch SOM driver: the control flow of the paper's Fig. 2.
 
-The master broadcasts the initial codebook with ``MPI_Bcast``; then, per
-epoch (accumulate → reduce → smooth):
+The master initialises the codebook and broadcasts it with ``MPI_Bcast``;
+then, per epoch (accumulate → reduce → smooth):
 
 1. ``map()`` over blocks of input vectors (offset pairs into the
-   memory-mapped matrix) finds each vector's BMU and adds the block into two
-   rank-local arrays, the class sums S and counts n ("each worker has its
-   own copy of a new codebook, initialized to zero at the start of an epoch,
-   plus a matrix of floating point scalars with the same shape");
-2. a collective ``MPI_Reduce`` sums the partial accumulators on the master,
-   which hands the totals back to every rank.  "No reduce() stage is used
-   in this program."
-3. every rank applies the neighbourhood and Eq. 5 to its own contiguous
-   strip of output units, and the strips are all-gathered into the next
-   epoch's codebook.  Eq. 5 is linear in S, so smoothing once after the
-   reduction equals smoothing every block before it at 1/blocks of the
-   flops; the strips keep that step from becoming the serial term.
+   memory-mapped matrix) finds each vector's BMU and adds the block into
+   the rank-local class sums S and counts n ("each worker has its own copy
+   of a new codebook, initialized to zero at the start of an epoch, plus a
+   matrix of floating point scalars with the same shape"), which live side
+   by side in one buffer;
+2. one collective ``MPI_Reduce`` of that buffer sums the partial
+   accumulators on the master.  "No reduce() stage is used in this
+   program."
+3. the master applies the neighbourhood to the totals and Eq. 5 to the
+   codebook, and broadcasts the new codebook with ``MPI_Bcast``.  Eq. 5 is
+   linear in S, so smoothing once after the reduction equals smoothing
+   every block before it; the smoother is separable over the grid axes
+   (:mod:`repro.som.batch`), 2·K·(R + C)·dim flops against a rank's map
+   share of 2·(N/P)·K·dim, so it is not spread over ranks (DESIGN.md §5).
 
 This is the paper's "mix of MapReduce-MPI and direct MPI calls".
 
@@ -45,10 +47,9 @@ from repro.mrmpi.mapreduce import MapReduce, MapStyle
 from repro.mrmpi.schema import RecordSchema
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceSession
-from repro.som.batch import accumulate_classes, batch_update, smooth_classes
+from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
 from repro.som.bmu import best_matching_units
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import radius_schedule
 
 __all__ = ["MrSomConfig", "MrSomResult", "run_mrsom", "mrsom_spmd", "mrsom_supervised"]
 
@@ -190,8 +191,11 @@ class MrSomResult:
     busy_seconds: float
     bcast_seconds: float
     reduce_seconds: float
-    #: this rank's strip smoothing + Eq. 5 + wait in the all-gather
+    #: master: neighbourhood smoothing + Eq. 5 + posting the codebook
+    #: ``Bcast``, summed over epochs; workers: their wait for that codebook
     smooth_seconds: float = 0.0
+    #: master: checkpoint load or ``init_codebook``; workers: their wait for it
+    init_seconds: float = 0.0
     #: per-epoch quantisation error (rank 0 only, when track_error is set)
     error_history: list[float] | None = None
     #: robustness counters (PR 3): epoch this attempt resumed at, plus the
@@ -228,6 +232,8 @@ class _BlockAccumulator:
     matrix: MatrixFile
     codebook: np.ndarray = None
     codebook_sq: np.ndarray = None
+    #: S (K, dim) then n (K,) in one flat buffer: one message per Reduce
+    totals: np.ndarray = None
     sums: np.ndarray = None
     counts: np.ndarray = None
     units: int = 0
@@ -238,9 +244,9 @@ class _BlockAccumulator:
     def start_epoch(self, codebook: np.ndarray) -> None:
         self.codebook = codebook
         self.codebook_sq = (codebook**2).sum(axis=1)
-        k, dim = codebook.shape
-        self.sums = np.zeros((k, dim))
-        self.counts = np.zeros(k)
+        self.totals = np.zeros(codebook.size + len(codebook))
+        self.sums = self.totals[: codebook.size].reshape(codebook.shape)
+        self.counts = self.totals[codebook.size :]
         self._staged = None
 
     def begin_unit(self, itask: int) -> None:
@@ -355,6 +361,10 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     )
     codebook = np.zeros((k, dim))
     start_epoch = 0
+    trc = comm.tracer
+    if trc.enabled:
+        trc.begin("mrsom.init", cat="driver")
+    t0 = time.perf_counter()
     if comm.rank == 0:
         loaded = checkpoint.load() if (checkpoint is not None and config.resume) else None
         if loaded is not None:
@@ -366,9 +376,9 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             if checkpoint is not None and not config.resume:
                 checkpoint.clear()  # a fresh run must not resume stale state
     start_epoch = int(comm.bcast(start_epoch, root=0))
-
-    trc = comm.tracer
+    init_seconds = time.perf_counter() - t0
     if trc.enabled:
+        trc.end(seconds=init_seconds)
         # Always emitted, so a resumed run's trace carries the marker the
         # fault-path tests look for (0 on fresh runs).
         trc.instant("mrsom.resume", cat="driver", resumed_from_epoch=start_epoch)
@@ -381,10 +391,8 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         # trace-derived total matches the counter bit-for-bit.
         trc.end(seconds=bcast_seconds)
 
-    initial = config.initial_radius
-    if initial is None:
-        initial = max(grid.diagonal / 2.0, config.final_radius)
-    sigmas = radius_schedule(initial, config.final_radius, config.epochs)
+    sigmas = BatchSOM(grid, dim, initial_radius=config.initial_radius,
+                      final_radius=config.final_radius).radii(config.epochs)
     work = matrix.work_units(config.block_rows)
 
     speculation = None
@@ -437,22 +445,21 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 trc.begin("mrsom.reduce", cat="driver", mode=config.reduce_mode)
             t0 = time.perf_counter()
             if red_mr is not None:
-                totals = _mrmpi_reduce(red_mr, acc.sums, acc.counts)
-            else:  # direct MPI call #2 (Fig. 2): totals on the master
-                totals = (group.reduce(acc.sums, op=SUM, root=0),
-                          group.reduce(acc.counts, op=SUM, root=0))
-            # ... which hands them to every rank: each smooths its own strip.
-            sums, counts = group.bcast(totals, root=0)
+                sums, counts = _mrmpi_reduce(red_mr, acc.sums, acc.counts)
+            else:  # direct MPI call #2 (Fig. 2): S and n, totals on the master
+                totals = group.reduce(acc.totals, op=SUM, root=0)
+                if group.rank == 0:
+                    sums, counts = totals[: k * dim].reshape(k, dim), totals[k * dim :]
             dt = time.perf_counter() - t0
             reduce_seconds += dt
             if trc.enabled:
                 trc.end(seconds=dt)
                 trc.begin("mrsom.smooth", cat="driver")
             t0 = time.perf_counter()
-            lo, hi = group.rank * k // group.size, (group.rank + 1) * k // group.size
-            num, denom = smooth_classes(grid, float(sigmas[epoch]), sums, counts, lo, hi)
-            strip = batch_update(codebook[lo:hi], num, denom)
-            codebook = np.concatenate(group.allgather(strip))
+            if group.rank == 0:  # "the master computes the new codebook"
+                num, denom = smooth_classes(grid, float(sigmas[epoch]), sums, counts)
+                codebook = batch_update(codebook, num, denom)
+            group.Bcast(codebook, root=0)  # direct MPI call #1 again, every epoch
             dt = time.perf_counter() - t0
             smooth_seconds += dt
             if trc.enabled:
@@ -486,6 +493,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         bcast_seconds=bcast_seconds,
         reduce_seconds=reduce_seconds,
         smooth_seconds=smooth_seconds,
+        init_seconds=init_seconds,
         error_history=error_history if comm.rank == 0 and config.track_error else None,
         resumed_from_epoch=start_epoch,
         shuffle_pairs_moved=shuffle["pairs_moved"],

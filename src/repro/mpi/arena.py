@@ -44,7 +44,6 @@ import ctypes
 import mmap
 import os
 import weakref
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -53,6 +52,7 @@ __all__ = [
     "ARENA_ENV_VAR",
     "Arena",
     "ArenaStats",
+    "MappedSegment",
     "create_arena_segments",
     "resolve_arena_bytes",
     "segment_name",
@@ -115,23 +115,26 @@ def resolve_arena_bytes(arena: bool | None, arena_mb: int | None) -> int:
     return mb << 20
 
 
-class _Attached:
-    """An existing segment mapped read-write, unknown to ``resource_tracker``.
+class MappedSegment:
+    """A named segment mapped read-write, unknown to ``resource_tracker``.
 
     ``SharedMemory(name=...)`` REGISTERs every attach (before 3.13 it cannot
-    be told not to), and the forked ranks all write to the one tracker they
-    inherited, whose cache is a *set* of names: two ranks attaching the same
-    ring and unregistering again send REGISTER, REGISTER, UNREGISTER,
-    UNREGISTER, and the second remove is a ``KeyError`` traceback on the
-    job's stderr.  The parent creates and sweeps the segments; a rank only
-    maps them, with the calls ``SharedMemory`` itself makes.
+    be told not to) with the one tracker all forked ranks inherit, whose
+    cache is a *set* of names: two ranks attaching and unregistering the
+    same ring end in a ``KeyError`` traceback on the job's stderr.  The job
+    owns the names (receivers and ``sweep_job_blocks`` unlink them); a
+    process only maps one, with the calls ``SharedMemory`` itself makes.
+    ``create`` > 0 makes a new zero-filled segment of that many bytes.
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, create: int = 0) -> None:
         import _posixshmem  # POSIX only, like the fork the ranks come from
 
-        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
         try:
+            if create:
+                os.ftruncate(fd, create)
             self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
         finally:
             os.close(fd)
@@ -145,12 +148,7 @@ class _Attached:
 def create_arena_segments(prefix: str, nprocs: int, data_bytes: int) -> None:
     """Parent-side, pre-fork: create one zero-initialised ring per rank."""
     for rank in range(nprocs):
-        seg = shared_memory.SharedMemory(
-            create=True, size=_HDR_BYTES + data_bytes,
-            name=segment_name(prefix, rank))
-        # Job teardown owns the name (``sweep_job_blocks``), not the tracker.
-        resource_tracker.unregister(f"/{seg.name}", "shared_memory")
-        seg.close()
+        MappedSegment(segment_name(prefix, rank), create=_HDR_BYTES + data_bytes).close()
 
 
 class ArenaStats:
@@ -187,7 +185,7 @@ class Arena:
         self.nprocs = nprocs
         self.data_bytes = int(data_bytes)
         self._prefix = prefix
-        self._own = _Attached(segment_name(prefix, rank))
+        self._own = MappedSegment(segment_name(prefix, rank))
         # Header words as a flat u64 memoryview — index ``slot*2`` is the
         # state, ``slot*2 + 1`` the epoch.  Plain-int memoryview indexing
         # is several times cheaper than numpy scalar indexing on the
@@ -277,7 +275,7 @@ class Arena:
     def _peer(self, rank: int) -> tuple:
         cached = self._peers.get(rank)
         if cached is None:
-            seg = _Attached(segment_name(self._prefix, rank))
+            seg = MappedSegment(segment_name(self._prefix, rank))
             cached = (seg, seg.buf.cast("Q"))
             self._peers[rank] = cached
         return cached

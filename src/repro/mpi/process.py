@@ -14,8 +14,8 @@ runs on real cores, while keeping the exact transport contract of
   arena (:mod:`repro.mpi.arena`) and the pipe carries only a fixed-width
   packed descriptor; the receiver gets read-only zero-copy views.
   Control-sized payloads pickle straight through, and bulk payloads that
-  overflow the ring fall back to PR-6 per-message
-  :mod:`repro.mpi.shm` blocks — correctness never depends on arena hits.
+  overflow the ring fall back to per-message :mod:`repro.mpi.shm` blocks
+  — correctness never depends on arena hits.
 - **delivery** — each child runs a daemon *receiver thread* draining its
   inbound pipes into a rank-local mailbox; ``match`` then runs the very
   same (context, source, tag) scan the thread backend runs on its shared
@@ -44,7 +44,8 @@ runs on real cores, while keeping the exact transport contract of
 
 Requires the ``fork`` start method (fn/args/closures are inherited, not
 pickled); rank *results* and lowercase-path objects do cross a pipe, so
-they must be picklable.
+they must be picklable; their bulk arrays ride a shm block under the job's
+prefix instead (:func:`~repro.mpi.shm.dump_out_of_band`).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from repro.mpi.ops import ANY_SOURCE, ANY_TAG
 from repro.mpi.shm import (
     FRAME_ARENA,
     FRAME_PICKLE,
-    decode_payload,
-    encode_payload,
+    dump_out_of_band,
+    load_out_of_band,
     pack_arena_message,
     sweep_job_blocks,
     unpack_arena_message,
@@ -221,8 +222,8 @@ class ProcessNetwork(TransportEndpoint):
         """Typed-frame dispatch: arena descriptor or pickled Message."""
         if frame and frame[0] == FRAME_ARENA:
             return unpack_arena_message(frame, self._arena)
-        msg = pickle.loads(memoryview(frame)[1:])
-        msg.payload = _freeze_payload(decode_payload(msg.payload))
+        msg = load_out_of_band(memoryview(frame)[1:])
+        msg.payload = _freeze_payload(msg.payload)
         return msg
 
     def _set_aborted(self, exc: BaseException) -> None:
@@ -383,13 +384,8 @@ class ProcessNetwork(TransportEndpoint):
                 self._tracer.instant("arena.overflow", cat="mpi",
                                      dst=msg.dst, tag=msg.tag)
         if frame is None:
-            wire = Message(
-                src=msg.src, dst=msg.dst, tag=msg.tag, context=msg.context,
-                payload=encode_payload(
-                    msg.payload, self._shm_prefix, next(self._block_seq)),
-                not_before=msg.not_before,
-            )
-            frame = bytes([FRAME_PICKLE]) + pickle.dumps(wire)
+            frame = bytes([FRAME_PICKLE]) + dump_out_of_band(
+                msg, f"{self._shm_prefix}{next(self._block_seq)}")
         try:
             self._outbound[msg.dst].send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
@@ -592,14 +588,15 @@ def _child_main(
             "spilled": tracer.spilled_events,
             "metrics": tracer.metrics.snapshot(),
         }
+    block_name = f"{shm_prefix}r{rank}_exit"  # carries the result's bulk arrays
     try:
-        frame = pickle.dumps(("exit", rank, envelope))
+        frame = pickle.dumps(("exit", rank, dump_out_of_band(envelope, block_name)))
     except Exception as exc:
         envelope["result"] = None
         envelope["error"] = _picklable_exc(error) if error is not None else MPIError(
             f"rank {rank}: result of type "
             f"{type(result).__name__} is not picklable: {exc}")
-        frame = pickle.dumps(("exit", rank, envelope))
+        frame = pickle.dumps(("exit", rank, dump_out_of_band(envelope, block_name)))
     try:
         exit_w.send_bytes(frame)
     except Exception:  # pragma: no cover - parent already gone
@@ -854,7 +851,7 @@ class ProcessJob:
                 self._broadcast_abort(exc)
             elif kind == "exit":
                 _, _rank, envelope = env
-                self._absorb_exit(rank, envelope)
+                self._absorb_exit(rank, load_out_of_band(envelope))
                 done[rank] = True
                 del pending[conn]
 

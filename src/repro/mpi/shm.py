@@ -1,4 +1,4 @@
-"""Payload codec for the process transport: arena frames + shm fallback.
+"""Payload codec for the process transport: arena frames + shm blocks.
 
 Two wire formats coexist on the data pipes, distinguished by the first
 byte of every frame:
@@ -12,47 +12,43 @@ per-array dtype/shape/offset table.  No pickle on either side; the
 receiver surfaces the bytes as read-only zero-copy views.
 
 **Pickle frames** (:data:`FRAME_PICKLE`) carry everything else — the
-lowercase object path — as a pickled :class:`~repro.mpi.network.Message`.
-Inside a pickle frame, bulk array payloads that missed the arena (arena
-disabled, ring overflow, slot table exhausted) still avoid the pipe
-buffer: they travel as a *per-message* ``shared_memory`` block behind a
-tiny :class:`ShmHandle`, the PR-6 protocol, which doubles as the parity
-oracle for the arena path.
+lowercase object path — as a pickled :class:`~repro.mpi.network.Message`,
+at protocol 5 with every buffer of :data:`SHM_MIN_BYTES` or more kept out
+of the pickle and copied once into one *per-message* shm block
+(:func:`dump_out_of_band` / :func:`load_out_of_band`): array payloads that
+missed the arena (arena disabled, ring overflow, slot table exhausted) and
+objects that hold large arrays stay out of the pipe buffer, and so does a
+rank's *exit envelope*, its result on the way to the parent.  Smaller
+buffers pickle in band — two shm syscalls cost more than a small pickle.
 
-Per-message block lifetime: the *sender* creates the block and never
-unlinks it; the *receiver* unlinks after decoding.  Arena segments and
-per-message blocks share the job's name prefix, so the parent sweeps both
-kinds of straggler from ``/dev/shm`` after an abnormal teardown
-(:func:`sweep_job_blocks`).  Python's ``resource_tracker`` would
-double-unlink blocks that cross a fork boundary, so blocks are explicitly
-unregistered from it on both sides.
-
-Payloads below :data:`SHM_MIN_BYTES` that miss the arena are pickled
-straight through the pipe — two shm syscalls cost more than a small
-pickle.
+Block lifetime: the *sender* creates the block and never unlinks it; the
+*receiver* maps it, copies the buffers out and unlinks it.  Arena segments
+and blocks share the job's name prefix, so the parent sweeps both kinds of
+straggler from ``/dev/shm`` after an abnormal teardown
+(:func:`sweep_job_blocks`).  Nothing goes through ``shared_memory``, whose
+``resource_tracker`` would double-unlink names that cross a fork boundary.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import os
+import pickle
 import struct
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.mpi.arena import Arena
+from repro.mpi.arena import Arena, MappedSegment
 
 __all__ = [
     "FRAME_ARENA",
     "FRAME_PICKLE",
     "SHM_MIN_BYTES",
-    "ShmHandle",
-    "encode_payload",
-    "decode_payload",
     "pack_arena_message",
     "unpack_arena_message",
+    "dump_out_of_band",
+    "load_out_of_band",
     "sweep_job_blocks",
 ]
 
@@ -62,113 +58,6 @@ __all__ = [
 SHM_MIN_BYTES = 32 * 1024
 
 _SHM_DIR = "/dev/shm"
-
-
-@dataclass
-class ShmHandle:
-    """The envelope that crosses the pipe in place of the array bytes."""
-
-    name: str
-    total_bytes: int
-    #: per-array (dtype, shape, byte offset) header
-    metas: list
-    #: "array" for a bare ndarray, "tuple"/"list" for a sequence of them
-    container: str
-
-
-def _untrack(name: str) -> None:
-    """Detach a block from resource_tracker (we own its lifetime)."""
-    try:
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
-
-
-def _shm_eligible(obj) -> list | None:
-    """Return the list of arrays to ship via shm, or None to pickle."""
-    if isinstance(obj, np.ndarray):
-        arrays = [obj]
-    elif (
-        isinstance(obj, (tuple, list))
-        and obj
-        and all(isinstance(a, np.ndarray) for a in obj)
-    ):
-        arrays = list(obj)
-    else:
-        return None
-    total = 0
-    for a in arrays:
-        if a.dtype.hasobject:
-            return None  # object dtypes must pickle
-        total += a.nbytes
-    if total < SHM_MIN_BYTES:
-        return None
-    return arrays
-
-
-def encode_payload(obj, name_prefix: str, seq: int):
-    """Encode *obj* into a :class:`ShmHandle` when profitable.
-
-    Returns *obj* unchanged when it is not a bulk array payload — the pipe
-    pickles it as usual.  ``name_prefix``/``seq`` make the block name
-    unique per job and per send (a duplicated send encodes twice, so each
-    delivery owns its own block).
-    """
-    arrays = _shm_eligible(obj)
-    if arrays is None:
-        return obj
-    total = sum(a.nbytes for a in arrays)
-    block = shared_memory.SharedMemory(
-        create=True, size=max(total, 1), name=f"{name_prefix}{seq}"
-    )
-    _untrack(block.name)
-    metas = []
-    offset = 0
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        dst = np.ndarray(a.shape, dtype=a.dtype, buffer=block.buf, offset=offset)
-        dst[...] = a
-        metas.append((a.dtype, a.shape, offset))
-        offset += a.nbytes
-    if isinstance(obj, np.ndarray):
-        container = "array"
-    else:
-        container = "tuple" if isinstance(obj, tuple) else "list"
-    handle = ShmHandle(
-        name=block.name,
-        total_bytes=total,
-        metas=metas,
-        container=container,
-    )
-    block.close()
-    return handle
-
-
-def decode_payload(wire):
-    """Materialise a pipe payload: map + copy out of shm, then unlink.
-
-    Decoded arrays are marked read-only — the same aliasing contract the
-    thread backend's frozen-view fast path hands receivers.
-    """
-    if not isinstance(wire, ShmHandle):
-        return wire
-    block = shared_memory.SharedMemory(name=wire.name)
-    # No _untrack here: on 3.11 attaching registers with the receiver's
-    # resource tracker and ``unlink()`` below unregisters again — the pair
-    # balances itself.
-    out = []
-    for dtype, shape, offset in wire.metas:
-        a = np.ndarray(shape, dtype=dtype, buffer=block.buf, offset=offset).copy()
-        a.setflags(write=False)
-        out.append(a)
-    block.close()
-    try:
-        block.unlink()
-    except FileNotFoundError:  # pragma: no cover - double delivery race
-        pass
-    if wire.container == "array":
-        return out[0]
-    return tuple(out) if wire.container == "tuple" else out
 
 
 # --------------------------------------------------------------- arena frames
@@ -384,6 +273,48 @@ def _rebuild_node(structure: bytes, pos: int, arrays: list, ai: int):
         child, pos, ai = _rebuild_node(structure, pos, arrays, ai)
         children.append(child)
     return (tuple(children) if op == _OP_TUPLE else children), pos, ai
+
+
+# -------------------------------------------------------------- shm blocks
+
+
+def dump_out_of_band(obj, block_name: str) -> bytes:
+    """Pickle *obj* with its bulk buffers in the shm block ``block_name``
+    (none, no block).  The frame is all :func:`load_out_of_band` needs;
+    raises what ``pickle.dumps`` raises, before any block exists."""
+    held: list[memoryview] = []
+
+    def keep_in_band(buf: pickle.PickleBuffer) -> bool:
+        raw = buf.raw()
+        if raw.nbytes < SHM_MIN_BYTES:
+            return True
+        held.append(raw)
+        return False
+
+    data = pickle.dumps(obj, protocol=5, buffer_callback=keep_in_band)
+    sizes = [raw.nbytes for raw in held]
+    if held:
+        block = MappedSegment(block_name, create=sum(sizes))
+        for raw, end in zip(held, itertools.accumulate(sizes)):
+            block.buf[end - raw.nbytes : end] = raw
+        block.close()
+    return pickle.dumps((data, block_name, sizes))
+
+
+def load_out_of_band(frame):
+    """Inverse of :func:`dump_out_of_band`: copy the buffers out of the
+    block (the arrays rebuilt on them own their memory), unlink it."""
+    data, block_name, sizes = pickle.loads(frame)
+    if not sizes:
+        return pickle.loads(data)
+    block = MappedSegment(block_name)
+    try:
+        buffers = [bytearray(block.buf[end - size : end])
+                   for size, end in zip(sizes, itertools.accumulate(sizes))]
+    finally:
+        block.close()
+        os.unlink(os.path.join(_SHM_DIR, block_name))
+    return pickle.loads(data, buffers=buffers)
 
 
 def sweep_job_blocks(name_prefix: str) -> int:

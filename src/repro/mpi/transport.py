@@ -12,7 +12,7 @@ Two endpoints exist:
   GIL, so it is the *parity oracle*, not the performance backend.
 - :class:`~repro.mpi.process.ProcessNetwork` — one endpoint per OS
   process.  Messages travel over pipes (bulk numpy payloads through
-  ``multiprocessing.shared_memory``); each endpoint owns only its own
+  POSIX shared memory); each endpoint owns only its own
   rank's mailbox and consults a fork-copied fault plan locally.
 
 This module holds the contract and the pure matching logic both share, so

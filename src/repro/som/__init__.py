@@ -16,10 +16,9 @@ neurons so the map becomes a topology-preserving projection.
 An epoch is accumulate → reduce → smooth, exposed as two standalone kernels:
 :func:`~repro.som.batch.accumulate_classes` adds a block into the per-BMU
 class sums, :func:`~repro.som.batch.smooth_classes` applies the
-neighbourhood to the reduced sums for any strip of output units.  The
-parallel implementation in :mod:`repro.core.mrsom` executes literally the
-same code per input block and per strip — the parallel == serial parity
-tests rest on that.
+neighbourhood to the reduced sums, one grid axis at a time.  The parallel
+implementation in :mod:`repro.core.mrsom` runs the same two functions — the
+parallel == serial parity tests rest on that.
 """
 
 from repro.som.codebook import SOMGrid, init_codebook

@@ -10,8 +10,28 @@ partition of the inputs.  So an epoch is accumulate → reduce → smooth: each
 map() call only finds BMUs and adds its block into S and n
 (:func:`accumulate_classes`, rows·K·dim work), one ``MPI_Reduce`` adds the
 partial sums (Fig. 2), and the neighbourhood is applied once, after the
-reduction, to any strip of output units (:func:`smooth_classes`).  The
-serial trainers and the parallel driver call the same two functions, so
+reduction (:func:`smooth_classes`).
+
+The smoother is separable.  On a rect or torus grid the squared distance is
+Δy² + Δx², so exp(−(Δy² + Δx²)/σ²) is a row factor Gy (R, R) times a column
+factor Gx (C, C), and Σ_c h_{c,i}·S_c is two small contractions, Gy along
+the rows of S viewed as (R, C, dim) and then Gx along its columns:
+2·K·(R + C)·dim flops and R² + C² ``exp`` calls, where the dense form costs
+2·K·K·dim and K².  On a hex grid odd rows sit half a cell to the right, so
+Δx depends on the two row parities as well as on the columns, and on nothing
+else of the rows: one Gx per pair of parities, source rows contracted one
+parity at a time, each output row through the Gx of its own parity.
+
+**Denormal rule.**  A factor that would be denormal is exactly 0, as
+:func:`~repro.som.neighborhood.gaussian_kernel` makes it: no factor array
+holds a denormal, and σ = 1 on a 50 × 50 map stays off the slow path.  Two
+normal factors can still multiply to a 2-D weight below the smallest normal
+double; such a weight adds less than that double per input vector to a
+denominator, possibly nothing.  A unit for which *every* non-empty class has
+such a weight gets numerator and denominator exactly 0 and keeps its old
+weights, as under a dense kernel flushed the same way.
+
+The serial trainers and the parallel driver call the same two functions, so
 parallel and serial training are the same arithmetic.
 """
 
@@ -46,27 +66,57 @@ def accumulate_classes(
     np.add.at(counts, bmus, 1.0)
 
 
+def _separable(gy: np.ndarray, gx: list, values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0:r1`` of Σ_{r,c} gy[r', r]·gx[c', c]·values[r, c, :], the hex
+    parities kept apart; ``values`` is (rows, cols, d), ``gx[q]`` the
+    (cols, P·cols) column factor into output rows of parity q."""
+    rows, cols, d = values.shape
+    par = len(gx)
+    values = values.reshape(rows, cols * d)
+    out = np.empty((r1 - r0, cols, d))
+    # a strip of output rows at a time: a cache-sized scratch, not a second (K, d)
+    step = max(1, STRIP_ELEMS // (par * cols * d))
+    scratch = np.empty((min(step, r1 - r0), par, cols * d))
+    for a in range(r0, r1, step):
+        b = min(a + step, r1)
+        along_y = scratch[: b - a]
+        for p in range(par):  # from source rows of parity p
+            np.matmul(gy[a:b, p::par], values[p::par], out=along_y[:, p])
+        along_y = along_y.reshape(b - a, par * cols, d)
+        for q in range(par):  # into output rows of parity q
+            first = (q - a) % par
+            np.matmul(gx[q], along_y[first::par], out=out[a - r0 + first : b - r0 : par])
+    return out
+
+
 def smooth_classes(
-    grid: SOMGrid, sigma: float, sums: np.ndarray, counts: np.ndarray, lo: int, hi: int
+    grid: SOMGrid, sigma: float, sums: np.ndarray, counts: np.ndarray,
+    lo: int = 0, hi: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 5 numerator (hi−lo, dim) and denominator (hi−lo,) of output units
-    ``lo:hi`` from the reduced class sums: ``num[i] = Σ_c h[c, i]·S[c]``.
-
-    Gaussian rows are computed on the fly from the grid positions, a bounded
-    strip of output units at a time and over the non-empty classes only, so
-    no (K, K) matrix exists for any topology.
-    """
-    classes = np.flatnonzero(counts)
-    class_sums, class_counts = sums[classes], counts[classes]
-    num = np.empty((hi - lo, sums.shape[1]))
-    denom = np.empty(hi - lo)
-    step = max(1, STRIP_ELEMS // max(1, classes.size))
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        h = gaussian_kernel(grid.sq_distances_from(np.arange(a, b), classes), sigma)
-        num[a - lo : b - lo] = h @ class_sums
-        denom[a - lo : b - lo] = h @ class_counts
-    return num, denom
+    ``lo:hi`` (default: all) from the reduced class sums, one grid axis at a
+    time (module docstring): ``num[i] = Σ_c h[c, i]·S[c]``."""
+    rows, cols = grid.rows, grid.cols
+    hi = grid.n_units if hi is None else hi
+    r0, r1 = lo // cols, -(-hi // cols)  # the grid rows that hold lo:hi
+    dy2, dx2 = grid.axis_sq_distances()
+    gy, gx = gaussian_kernel(dy2, sigma), gaussian_kernel(dx2, sigma)
+    par = len(gx)
+    # per output parity q, the Gx from every source parity side by side
+    gx_into = [gx[:, q].reshape(par * cols, cols).T for q in range(par)]
+    num = _separable(gy, gx_into, sums.reshape(rows, cols, -1), r0, r1)
+    denom = _separable(gy, gx_into, counts.reshape(rows, cols, 1), r0, r1)
+    if gy.min() * gx.min() < np.finfo(np.float64).tiny:
+        # Some 2-D weight is out of double reach: squared distance to the
+        # nearest non-empty class, min-plus over the same two axes.
+        parity = np.arange(rows) % par
+        gap = np.where(counts.reshape(rows, cols) > 0, 0.0, np.inf)
+        along_x = (dx2[parity] + gap[:, None, :, None]).min(axis=2)
+        nearest = (dy2[:, r0:r1, None] + along_x[:, parity[r0:r1]]).min(axis=0)
+        dead = gaussian_kernel(nearest, sigma) == 0
+        num[dead], denom[dead] = 0.0, 0.0
+    a, b = lo - r0 * cols, hi - r0 * cols
+    return num.reshape(-1, num.shape[2])[a:b], denom.reshape(-1)[a:b]
 
 
 def accumulate_batch(
@@ -111,9 +161,9 @@ def batch_update(
 ) -> np.ndarray:
     """Apply Eq. 5: new weights = num/denom; units nobody touched keep
     their old weights (standard batch-SOM convention for empty units)."""
-    new = codebook.copy()
     alive = denom > 0
-    new[alive] = num[alive] / denom[alive, None]
+    new = num / np.where(alive, denom, 1.0)[:, None]
+    new[~alive] = codebook[~alive]
     return new
 
 
@@ -158,7 +208,7 @@ class BatchSOM:
         for sigma in self.radii(epochs):
             sums, counts = np.zeros((k, self.dim)), np.zeros(k)
             accumulate_classes(data, codebook, sums, counts)
-            num, denom = smooth_classes(self.grid, float(sigma), sums, counts, 0, k)
+            num, denom = smooth_classes(self.grid, float(sigma), sums, counts)
             codebook = batch_update(codebook, num, denom)
             if track_error:
                 self.history.append(quantization_error(data, codebook))

@@ -22,8 +22,8 @@ from repro.util.rng import as_rng
 __all__ = ["SOMGrid", "init_codebook"]
 
 _SQRT3_2 = np.sqrt(3.0) / 2.0
-#: elements of one strip of grid-distance rows (2 MiB of float64): what
-#: :meth:`SOMGrid.grid_sq_distances` and the batch smoother work in
+#: elements of one working strip (2 MiB of float64): what
+#: :meth:`SOMGrid.grid_sq_distances` and the batch smoother's scratch hold
 STRIP_ELEMS = 1 << 18
 
 
@@ -74,16 +74,30 @@ class SOMGrid:
             return np.stack([y, x], axis=1).astype(np.float64)
         return np.stack([r, c], axis=1).astype(np.float64)
 
-    def sq_distances_from(self, units: np.ndarray, to: np.ndarray | None = None) -> np.ndarray:
-        """Squared grid distances ‖r_u − r_j‖² from ``units`` to the units
-        ``to`` (default: every unit, which gives the rows ``units`` of
-        :meth:`grid_sq_distances`); shape (len(units), len(to))."""
+    def sq_distances_from(self, units: np.ndarray) -> np.ndarray:
+        """Squared grid distances ‖r_u − r_j‖² from ``units`` to every unit:
+        the rows ``units`` of :meth:`grid_sq_distances`."""
         units = np.asarray(units, dtype=np.intp)
-        to = slice(None) if to is None else np.asarray(to, dtype=np.intp)
         y, x = self.positions().T
-        out = self._axis_sq(y[units, None] - y[None, to], self.rows)
-        out += self._axis_sq(x[units, None] - x[None, to], self.cols)
+        out = self._axis_sq(y[units, None] - y[None, :], self.rows)
+        out += self._axis_sq(x[units, None] - x[None, :], self.cols)
         return out
+
+    def axis_sq_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """The squared grid distance split over the two grid axes::
+
+            ‖r_i − r_j‖² = dy2[row_i, row_j] + dx2[row_i % P, row_j % P, col_i, col_j]
+
+        P is 1 on rect and torus grids; on a hex grid the half-cell x offset
+        depends only on the parity of the row, so P is 2: one (cols, cols)
+        table per pair of row parities.  Same arithmetic as
+        :meth:`positions`: the sum is :meth:`grid_sq_distances` bit for bit.
+        """
+        hexagonal = self.topology == "hex"
+        y = np.arange(self.rows) * (_SQRT3_2 if hexagonal else 1.0)
+        x = np.arange(self.cols) + np.array([[0.0], [0.5]] if hexagonal else [[0.0]])
+        return (self._axis_sq(y[:, None] - y[None, :], self.rows),
+                self._axis_sq(x[:, None, :, None] - x[None, :, None, :], self.cols))
 
     def _axis_sq(self, d: np.ndarray, span: int) -> np.ndarray:
         """Square the coordinate differences ``d`` in place (wrapped on a torus)."""
@@ -155,26 +169,31 @@ def init_codebook(
     if method == "linear":
         mean = data.mean(axis=0)
         centered = data - mean
-        # Principal directions via SVD of the (N, dim) matrix.
-        _u, s, vt = np.linalg.svd(centered, full_matrices=False)
-        # Canonicalise singular-vector signs (SVD is sign-ambiguous and the
+        # Principal directions from eigh of the (dim, dim) Gram matrix: one
+        # N·dim² product, where a thin SVD of the sample does several.
+        vals, vecs = np.linalg.eigh(centered.T @ centered)
+        vals, vt = vals[::-1][:2], vecs[:, ::-1][:, :2].T.copy()
+        s = np.sqrt(np.maximum(vals, 0.0))
+        # Canonicalise the signs (an eigenvector is sign-ambiguous and the
         # ambiguity depends on row order): make each direction's largest
         # component positive so the init is independent of input order.
-        for r in range(vt.shape[0]):
-            pivot = int(np.argmax(np.abs(vt[r])))
-            if vt[r, pivot] < 0:
-                vt[r] = -vt[r]
-        if vt.shape[0] < 2 or s[1] == 0:
+        pivots = np.abs(vt).argmax(axis=1)
+        vt[vt[np.arange(len(vt)), pivots] < 0] *= -1.0
+        # eigh resolves an eigenvalue to about dim·eps of the largest one;
+        # a second one below that is rounding, not a direction.
+        if vt.shape[0] < 2 or vals[1] <= vals[0] * dim * np.finfo(np.float64).eps:
             # Degenerate data (rank < 2): fall back to tiny deterministic
             # jitter around the mean so units remain distinct.
             jitter = np.linspace(-0.5, 0.5, grid.n_units)[:, None]
-            direction = vt[0] if vt.shape[0] >= 1 and s[0] > 0 else np.ones(dim) / np.sqrt(dim)
+            direction = vt[0] if s[0] > 0 else np.ones(dim) / np.sqrt(dim)
             return mean + jitter * direction
-        scale = s[:2] / np.sqrt(max(data.shape[0] - 1, 1))
+        scale = s / np.sqrt(max(data.shape[0] - 1, 1))
         pos = grid.positions()
         # Map grid coords to [-1, 1]^2.
         extent = pos.max(axis=0) - pos.min(axis=0)
         extent[extent == 0] = 1.0
         uv = 2.0 * (pos - pos.min(axis=0)) / extent - 1.0
-        return mean + np.outer(uv[:, 0] * scale[0], vt[0]) + np.outer(uv[:, 1] * scale[1], vt[1])
+        codebook = (uv * scale) @ vt
+        codebook += mean
+        return codebook
     raise ValueError(f"unknown init method {method!r} (use 'random' or 'linear')")

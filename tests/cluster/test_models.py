@@ -266,9 +266,9 @@ class TestSomModel:
             prev = r.makespan
 
     def test_serial_smoothing_is_the_amdahl_term(self):
-        """Why the driver smooths in rank-owned strips: 2·K·K·dim per epoch
-        left on one core is 6.4 s against 0.4 s of everything else at 1024
-        cores, and the paper's 96 % is gone."""
+        """2·K·K·dim of dense smoothing per epoch left on one core is 6.4 s
+        against 0.4 s of everything else at 1024 cores, and the paper's 96 %
+        is gone (DESIGN.md §5 prices the separable smoother the driver runs)."""
         def eff(model):
             base = simulate_som_run(ranger(32), model)
             return simulate_som_run(ranger(1024), model).efficiency_vs(base)

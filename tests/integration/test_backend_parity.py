@@ -14,6 +14,7 @@ import pytest
 from repro.blast import BlastOptions, format_database
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.core import MrBlastConfig, MrSomConfig, mrblast_spmd, mrsom_spmd
+from repro.core.baselines import run_serial_batch_som
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.mrmpi import MapStyle
 from repro.som.codebook import SOMGrid
@@ -122,6 +123,26 @@ class TestMrSomBackendParity:
         np.testing.assert_array_equal(process[0].codebook, thread[0].codebook)
         for r in process[1:]:
             np.testing.assert_array_equal(r.codebook, process[0].codebook)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("nprocs", [2, 3])
+    @pytest.mark.parametrize("grid", [
+        SOMGrid(6, 5), SOMGrid(5, 6, topology="hex"), SOMGrid(6, 5, periodic=True),
+    ], ids=["rect", "hex", "torus"])
+    def test_master_smooths_and_broadcasts_equals_serial(self, som_workload, grid,
+                                                          nprocs, backend):
+        # Fig. 2 as implemented: Reduce to the master, the master smooths and
+        # applies Eq. 5, Bcast of the codebook.  MASTER_WORKER dispatch, so
+        # the summation order is free and the bound is rtol 1e-9; the final
+        # radius of 1 cell runs the last epochs through the denormal rule.
+        config = MrSomConfig(matrix_path=som_workload, grid=grid, epochs=4,
+                             block_rows=40, backend=backend)
+        serial = run_serial_batch_som(config)
+        results = mrsom_spmd(nprocs, config)
+        assert len(results) == nprocs
+        for r in results:
+            np.testing.assert_allclose(r.codebook, serial, rtol=1e-9, atol=0)
+        assert results[0].init_seconds > 0 and results[0].smooth_seconds > 0
 
     def test_mrmpi_reduce_spill_bit_identical(self, som_workload, tmp_path):
         # Tiny memsize forces the columnar plane through multi-page spill;

@@ -129,8 +129,38 @@ class TestSomCrosscheck:
                          if rec[0] == "mrsom.reduce")
             smooth = sum(rec[5]["seconds"] for rec in recs
                          if rec[0] == "mrsom.smooth")
+            init = [rec[5]["seconds"] for rec in recs if rec[0] == "mrsom.init"]
+            assert init == [r.init_seconds] and r.init_seconds > 0.0
             assert bcast == r.bcast_seconds
             assert reduce == r.reduce_seconds
             assert smooth == r.smooth_seconds > 0.0
             epochs = [rec for rec in recs if rec[0] == "mrsom.epoch"]
             assert len(epochs) == config.epochs
+
+    def test_five_spans_cover_the_rank_on_the_suite_shape(self, tmp_path):
+        """init + bcast + map + reduce + smooth leave under a tenth of any
+        rank's lifetime unexplained on the gated suite's ``som_batch`` shape
+        (1280 × 256 vectors, 50 × 50 map, 2 epochs, master + 2 workers as
+        processes).  The best of three runs: the claim is about where the
+        spans sit, not about one run's scheduling."""
+        mat = tmp_path / "v.mat"
+        write_matrix_file(mat, np.random.default_rng(2011).random((1280, 256)))
+        config = MrSomConfig(
+            matrix_path=str(mat), grid=SOMGrid(50, 50), epochs=2, block_rows=40,
+            mapstyle=MapStyle.MASTER_WORKER, backend="process",
+        )
+        covering = ("mrsom.init", "mrsom.bcast", "mr.map", "mrsom.reduce", "mrsom.smooth")
+        best = 0.0
+        for _attempt in range(3):
+            session = TraceSession(NPROCS)
+            run_spmd(NPROCS, run_mrsom, config, trace=session, backend="process")
+            coverage = []
+            for rank in range(NPROCS):
+                recs = list(span_records(session.tracer(rank)))
+                (whole,) = [rec[3] - rec[2] for rec in recs if rec[0] == "rank"]
+                coverage.append(
+                    sum(rec[3] - rec[2] for rec in recs if rec[0] in covering) / whole)
+            best = max(best, min(coverage))
+            if best >= 0.9:
+                break
+        assert best >= 0.9, coverage

@@ -8,6 +8,8 @@ shared heartbeat/op-count surfaces the supervisor reads.
 """
 
 import os
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,9 +18,8 @@ from repro.mpi import AbortError, MPIError, run_spmd
 from repro.mpi.runtime import BACKENDS, SpmdJob, resolve_backend
 from repro.mpi.shm import (
     SHM_MIN_BYTES,
-    ShmHandle,
-    decode_payload,
-    encode_payload,
+    dump_out_of_band,
+    load_out_of_band,
     sweep_job_blocks,
 )
 from repro.obs.trace import TraceSession
@@ -133,16 +134,35 @@ class TestSharedMemoryPath:
         assert _shm_blocks() == before
 
     def test_codec_round_trip_in_process(self):
-        arr = np.arange(SHM_MIN_BYTES, dtype=np.float64)
-        wire = encode_payload(arr, "reprompi_test_", 1)
-        assert isinstance(wire, ShmHandle)
-        back = decode_payload(wire)
-        np.testing.assert_array_equal(back, arr)
-        assert not back.flags.writeable
-        assert "reprompi_test_1" not in _shm_blocks("reprompi_test_")
-        # Ineligible payloads pass through untouched.
-        assert encode_payload([1, 2], "reprompi_test_", 2) == [1, 2]
-        assert sweep_job_blocks("reprompi_test_") == 0
+        """One codec for per-message blocks and exit envelopes: buffers of
+        ``SHM_MIN_BYTES`` or more leave the pickle for one named block."""
+        name = "reprompi_codectest_0"
+
+        def blocks():
+            return _shm_blocks("reprompi_codectest_")
+
+        small = {"result": np.arange(SHM_MIN_BYTES // 8 - 1, dtype=np.float64), "n": 3}
+        big = [np.arange(SHM_MIN_BYTES // 8, dtype=np.float64), small["result"],
+               np.ones((300, 300), order="F")]
+        try:
+            frame = dump_out_of_band(small, name)
+            assert pickle.loads(frame) == (pickle.dumps(small, protocol=5), name, [])
+            assert blocks() == set()
+            back = load_out_of_band(frame)
+            np.testing.assert_array_equal(back["result"], small["result"])
+
+            frame = dump_out_of_band(big, name)
+            # the two buffers at or over the threshold left the pickle
+            assert pickle.loads(frame)[2] == [SHM_MIN_BYTES, 300 * 300 * 8]
+            assert len(frame) < SHM_MIN_BYTES + 1024
+            assert blocks() == {name}
+            back = load_out_of_band(frame)
+            assert blocks() == set()
+        finally:
+            sweep_job_blocks("reprompi_codectest_")
+        for got, want in zip(back, big):
+            np.testing.assert_array_equal(got, want)
+        assert back[2].flags.f_contiguous and back[0].flags.writeable
 
 
 class TestErrorPropagation:
@@ -166,6 +186,82 @@ class TestErrorPropagation:
 
         with pytest.raises(MPIError):
             run_spmd(2, prog, backend="process", op_timeout=30.0)
+
+
+@dataclass
+class _BulkResult:
+    """A rank result shaped like ``MrSomResult``: scalars around one big array."""
+
+    rank: int
+    table: np.ndarray
+    note: str
+
+
+def _bulk_prog(comm):
+    table = np.full((2500, 256), float(comm.rank))  # 5 MB, the SOM codebook's size
+    table[comm.rank, 3] = 0.5
+    frozen = np.arange(SHM_MIN_BYTES, dtype=np.float64)
+    frozen.setflags(write=False)
+    return _BulkResult(comm.rank, table, "r%d" % comm.rank), frozen
+
+
+class TestExitEnvelope:
+    """A rank's result crosses to the parent as a protocol-5 pickle whose
+    bulk buffers ride one shm block under the job's prefix."""
+
+    def test_bulk_results_arrive_equal_and_leave_nothing(self, capfd):
+        before = _shm_blocks()
+        for _job in range(30):
+            results = run_spmd(3, _bulk_prog, backend="process", op_timeout=30.0)
+            assert _shm_blocks() == before
+        for rank, (bulk, frozen) in enumerate(results):
+            want = np.full((2500, 256), float(rank))
+            want[rank, 3] = 0.5
+            assert (bulk.rank, bulk.note) == (rank, "r%d" % rank)
+            np.testing.assert_array_equal(bulk.table, want)
+            np.testing.assert_array_equal(frozen, np.arange(SHM_MIN_BYTES))
+            # private memory, and writable or not as the rank left them
+            assert bulk.table.flags.writeable and not frozen.flags.writeable
+            bulk.table[0, 0] = -1.0
+        # no resource_tracker chatter (KeyError tracebacks, leak warnings)
+        assert capfd.readouterr().err == ""
+
+    def test_unpicklable_result_is_a_typed_error_and_leaves_nothing(self):
+        before = _shm_blocks()
+
+        def prog(comm):
+            # the big array is collected before the closure fails the pickle
+            return np.zeros(SHM_MIN_BYTES), (lambda: comm.rank)
+
+        with pytest.raises(MPIError, match="is not picklable"):
+            run_spmd(2, prog, backend="process", op_timeout=30.0)
+        assert _shm_blocks() == before
+
+    def test_rank_killed_after_writing_its_block_leaves_nothing(self, monkeypatch):
+        """The block exists, the envelope naming it was never sent: the
+        job-prefix sweep in ``wait()`` is what reclaims it."""
+        import repro.mpi.process as process
+
+        before = _shm_blocks()
+        seen_at_sweep = []
+
+        def dump_then_die(obj, block_name):
+            out = dump_out_of_band(obj, block_name)
+            if block_name.endswith("r1_exit"):
+                os._exit(3)
+            return out
+
+        def sweep(prefix):
+            seen_at_sweep.extend(_shm_blocks(prefix))
+            return sweep_job_blocks(prefix)
+
+        monkeypatch.setattr(process, "dump_out_of_band", dump_then_die)
+        monkeypatch.setattr(process, "sweep_job_blocks", sweep)
+        job = SpmdJob(3, _bulk_prog, op_timeout=30.0, backend="process")
+        with pytest.raises(MPIError, match="rank 1 process died without reporting"):
+            job.run(join_timeout=15.0)
+        assert [n for n in seen_at_sweep if n.endswith("r1_exit")]
+        assert _shm_blocks() == before
 
 
 class TestTelemetry:

@@ -143,5 +143,11 @@ class TestSqDistancesFrom:
         units = rng.permutation(grid.n_units)[:5]
         to = np.sort(rng.permutation(grid.n_units)[:4])
         np.testing.assert_array_equal(grid.sq_distances_from(units), full[units])
-        np.testing.assert_array_equal(grid.sq_distances_from(units, to), full[np.ix_(units, to)])
-        assert grid.sq_distances_from(units, np.empty(0, dtype=int)).shape == (5, 0)
+        # ... and any (rows, columns) block is the sum of the two axis tables
+        dy2, dx2 = grid.axis_sq_distances()
+        par = len(dx2)
+        assert par == (2 if grid.topology == "hex" else 1)
+        (r, c), (r2, c2) = np.divmod(units, grid.cols), np.divmod(to, grid.cols)
+        split = (dy2[r[:, None], r2[None, :]]
+                 + dx2[r[:, None] % par, r2[None, :] % par, c[:, None], c2[None, :]])
+        np.testing.assert_array_equal(split, full[np.ix_(units, to)])
