@@ -14,8 +14,9 @@ contiguous arrays per page, described once by a
 - spill pages are raw array buffers (``PageSpool.write_arrays``, no
   pickle) with *exact* byte accounting;
 - grouping is a bounded-memory **sort done once**: ``aggregate`` ships
-  key-sorted runs (:func:`sorted_partitions`) and everything downstream
-  only merges runs, resident ones in one pass, spilled pages k-way.
+  key-sorted runs (:func:`sorted_partitions`), the receiving store cuts
+  them into **key-range buckets**, and everything downstream only merges
+  runs: resident ones a bucket at a time, spilled pages k-way.
 
 Ordering contract (what the parity suites pin): iteration replays spilled
 pages first, then live batches, exactly like the object stores; sorts are
@@ -122,6 +123,24 @@ def _run_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray,
 # --------------------------------------------------------------------------
 
 
+def _raw(col: np.ndarray) -> np.ndarray:
+    """A contiguous structured column as the bytes it is, anything else as
+    it stands: numpy copies and concatenates structured rows field by
+    field, 4-8x slower than their bytes (measured on 32-byte HSP-like rows).
+    """
+    if col.dtype.names is not None and col.ndim == 1 and col.flags.c_contiguous:
+        return col.view(np.uint8)
+    return col
+
+
+def _cat(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(cols)``, moving structured rows whole."""
+    raw = [_raw(c) for c in cols]
+    if any(r is c for r, c in zip(raw, cols)):
+        return np.concatenate(cols)
+    return np.concatenate(raw).view(cols[0].dtype)
+
+
 def _v_len(col) -> int:
     if isinstance(col, tuple):
         return len(col[1]) - 1
@@ -155,7 +174,7 @@ def _v_concat(cols: Sequence) -> Any:
     if len(cols) == 1:
         return cols[0]
     if not isinstance(cols[0], tuple):
-        return np.concatenate(cols)
+        return _cat(cols)
     bufs = [c[0] for c in cols]
     offs = []
     base = 0
@@ -172,6 +191,42 @@ def _v_to_arrays(col) -> tuple[np.ndarray, ...]:
 
 def _v_from_arrays(arrays: Sequence[np.ndarray], ragged: bool):
     return (arrays[0], arrays[1]) if ragged else arrays[0]
+
+
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr``, copied unless it already owns its bytes: a stored piece must
+    not pin the round, arena slot or page it was cut from."""
+    if arr.base is None:
+        return arr
+    raw = _raw(arr)
+    return arr.copy() if raw is arr else raw.copy().view(arr.dtype)
+
+
+def _v_owned(col):
+    if isinstance(col, tuple):
+        return _owned(col[0]), _owned(col[1])
+    return _owned(col)
+
+
+def _join(pieces: list[tuple[np.ndarray, Any]]) -> tuple[np.ndarray, Any]:
+    """Concatenate (key column, value column) pieces into one batch, emptying
+    the list: the batch is then the only copy."""
+    if len(pieces) == 1:
+        return pieces.pop()
+    keys = np.concatenate([k for k, _ in pieces])
+    vcol = _v_concat([v for _, v in pieces])
+    pieces.clear()
+    return keys, vcol
+
+
+def _merge(pieces: list[tuple[np.ndarray, Any]], runs: bool) -> tuple[np.ndarray, Any]:
+    """One key-sorted batch out of ``pieces`` (emptied): a stable merge when
+    they are sorted ``runs`` in arrival order, a full stable sort otherwise."""
+    if runs and len(pieces) == 1:
+        return pieces.pop()
+    keys, vcol = _join(pieces)
+    order = key_order(keys, runs=runs)
+    return np.take(keys, order), _v_take(vcol, order)
 
 
 def _row_reader(col, schema: RecordSchema) -> Callable[[int], Any]:
@@ -200,8 +255,14 @@ class ColumnarKeyValue:
     are raw buffers.
 
     :attr:`sorted_runs` holds while every batch appended was declared
-    key-sorted (``aggregate``'s receive side); such a store spills each page
+    key-sorted (``aggregate``'s receive side).  Such a store keeps its
+    resident rows in ``nbuckets`` **key-range buckets**: each arriving run
+    is cut at fixed splitters (quantiles of the first run) and each piece
+    copied into its bucket, so nothing pins the buffer a run arrived in, a
+    key lives wholly in one bucket, buckets ascend in key range, and a
+    bucket's pieces are sorted runs in arrival order.  It spills each page
     as the merge of its resident runs, so its pages are sorted runs too.
+    Any other store is one bucket of batches in emission order.
     """
 
     def __init__(
@@ -209,13 +270,17 @@ class ColumnarKeyValue:
         schema: RecordSchema,
         pagesize: int = 64 * 1024 * 1024,
         spool_dir: str | None = None,
+        nbuckets: int = 1,
     ):
         if pagesize <= 0:
             raise ValueError(f"pagesize must be positive, got {pagesize}")
+        if nbuckets < 1:
+            raise ValueError(f"nbuckets must be >= 1, got {nbuckets}")
         self.schema = schema
         self.pagesize = pagesize
         self._spool_dir = spool_dir
-        self._batches: list[tuple[np.ndarray, Any]] = []
+        self._buckets: list[list[tuple[np.ndarray, Any]]] = [[] for _ in range(nbuckets)]
+        self._splitters: np.ndarray | None = None
         self._live_bytes = 0
         self._pending_k: list = []
         self._pending_v: list = []
@@ -264,20 +329,48 @@ class ColumnarKeyValue:
 
     def add_wire(self, arrays: Sequence[np.ndarray], sorted_run: bool = False) -> int:
         """Append a batch that arrived as raw wire arrays (no re-encoding);
-        ``sorted_run`` is the sender's word that the batch is key-sorted."""
+        ``sorted_run`` is the sender's word that the batch is key-sorted.
+        A sorted run is copied out of ``arrays`` piece by piece (the caller
+        may release them at once); any other batch is kept by reference."""
         self._seal_pending()
         karr = arrays[0]
         if len(karr) == 0:
             return 0
         vcol = _v_from_arrays(arrays[1:], self.schema.ragged_values)
-        self._append(karr, vcol, sorted_run)
+        if sorted_run and self.sorted_runs:
+            self._add_run(karr, vcol)
+        else:
+            self._append(karr, vcol)
         self._nkv += len(karr)
         return len(karr)
 
-    def _append(self, karr: np.ndarray, vcol, sorted_run: bool = False) -> None:
-        self.sorted_runs = self.sorted_runs and sorted_run
-        self._batches.append((karr, vcol))
-        self._live_bytes += int(karr.nbytes) + _v_nbytes(vcol)
+    def _add_run(self, karr: np.ndarray, vcol) -> None:
+        """Cut a sorted run at the splitters, one owned piece per bucket."""
+        n = len(karr)
+        if self._splitters is None:
+            nb = len(self._buckets)
+            self._splitters = karr[np.arange(1, nb) * n // nb]
+        # side="left": a key equal to a splitter goes up, in every run alike.
+        cuts = [0, *np.searchsorted(karr, self._splitters, side="left").tolist(), n]
+        for bucket, lo, hi in zip(self._buckets, cuts[:-1], cuts[1:]):
+            if hi - lo == n:  # not sliced: a run that owns its bytes stays as it is
+                bucket.append((_owned(karr), _v_owned(vcol)))
+            elif hi > lo:
+                bucket.append((_owned(karr[lo:hi]), _v_owned(_v_slice(vcol, lo, hi))))
+        self._grew(int(karr.nbytes) + _v_nbytes(vcol))
+
+    def _append(self, karr: np.ndarray, vcol) -> None:
+        """Keep an unsorted batch: the store is one emission-order bucket
+        from here on (resident runs first, bucket-major)."""
+        self.sorted_runs = False
+        if len(self._buckets) > 1:
+            self._buckets = [[piece for bucket in self._buckets for piece in bucket]]
+            self._splitters = None
+        self._buckets[0].append((karr, vcol))
+        self._grew(int(karr.nbytes) + _v_nbytes(vcol))
+
+    def _grew(self, nbytes: int) -> None:
+        self._live_bytes += nbytes
         if self._live_bytes >= self.pagesize:
             self._spill()
 
@@ -290,31 +383,35 @@ class ColumnarKeyValue:
         self._nkv -= len(keys)  # add_batch re-counts them
         self.add_batch(keys, values)
 
+    def _pop_buckets(self) -> Iterator[list[tuple[np.ndarray, Any]]]:
+        """Hand over the non-empty resident buckets, ascending, and forget
+        them: each yielded list is the only reference to its pieces."""
+        buckets = self._buckets[::-1]
+        self._buckets = [[] for _ in buckets]
+        self._live_bytes = 0
+        while buckets:
+            pieces = buckets.pop()
+            if pieces:
+                yield pieces
+
     def _spill(self) -> None:
-        if not self._batches:
+        """Write the resident rows as one page: the merge of the resident
+        runs (bucket by bucket, ascending) when they are runs, the batches
+        in emission order otherwise."""
+        if not self._live_bytes:
             return
         if self._spool is None:
             self._spool = PageSpool(dir=self._spool_dir, prefix="ckv")
-        keys, vcol = self._pop_live(merge=self.sorted_runs)
+        if self.sorted_runs:
+            parts = [_merge(pieces, runs=True) for pieces in self._pop_buckets()]
+        else:
+            parts = [piece for pieces in self._pop_buckets() for piece in pieces]
+        keys, vcol = _join(parts)
         nbytes = self._spool.write_arrays((keys,) + _v_to_arrays(vcol), len(keys))
         trc = current_tracer()
         if trc.enabled:
             trc.instant("store.spill", cat="spool", kind="ckv",
                         rows=len(keys), bytes=nbytes)
-
-    def _pop_live(self, merge: bool) -> tuple[np.ndarray, Any]:
-        """Hand over the resident batches as one batch and forget them: in
-        emission order, or with ``merge`` as one key-sorted run (a merge
-        when they are sorted runs, a full sort otherwise)."""
-        batches, self._batches = self._batches, []
-        self._live_bytes = 0
-        keys = np.concatenate([k for k, _ in batches])
-        vcol = _v_concat([v for _, v in batches])
-        if not merge or (self.sorted_runs and len(batches) == 1):
-            return keys, vcol
-        del batches
-        order = key_order(keys, runs=self.sorted_runs)
-        return np.take(keys, order), _v_take(vcol, order)
 
     # ------------------------------------------------------------------- read
 
@@ -335,8 +432,17 @@ class ColumnarKeyValue:
     def spilled_pages(self) -> int:
         return 0 if self._spool is None else self._spool.npages
 
+    def run_counts(self) -> tuple[int, int]:
+        """(non-empty resident buckets, resident pieces + spilled pages):
+        what a grouping pass over the store has to merge."""
+        self._seal_pending()
+        pieces = [len(bucket) for bucket in self._buckets if bucket]
+        return len(pieces), sum(pieces) + self.spilled_pages
+
     def iter_batches(self, drain: bool = False) -> Iterator[tuple[np.ndarray, Any]]:
-        """Stream (key column, value column) batches in emission order.
+        """Stream (key column, value column) batches: spilled pages, then
+        the resident ones in emission order, or bucket-major (ascending key
+        ranges, arrival order within one) in a :attr:`sorted_runs` store.
 
         With ``drain`` resident batches leave the store as they are yielded
         (the consumer's copy is the only one); it must be closed afterwards.
@@ -346,11 +452,13 @@ class ColumnarKeyValue:
             for arrays in self._spool.iter_pages():
                 yield arrays[0], _v_from_arrays(arrays[1:], self.schema.ragged_values)
         if not drain:
-            yield from self._batches
+            for pieces in self._buckets:
+                yield from pieces
             return
-        batches, self._batches, self._live_bytes = self._batches[::-1], [], 0
-        while batches:
-            yield batches.pop()
+        for pieces in self._pop_buckets():
+            pieces.reverse()
+            while pieces:
+                yield pieces.pop()
 
     def __iter__(self) -> Iterator[tuple[Any, Any]]:
         for karr, vcol in self.iter_batches():
@@ -361,7 +469,8 @@ class ColumnarKeyValue:
     # ------------------------------------------------------------------ admin
 
     def clear(self) -> None:
-        self._batches = []
+        self._buckets = [[] for _ in self._buckets]
+        self._splitters = None
         self._live_bytes = 0
         self._pending_k, self._pending_v = [], []
         self._pending_bytes = 0
@@ -473,20 +582,24 @@ def iter_sorted_batches(kv: ColumnarKeyValue) -> Iterator[tuple[np.ndarray, Any]
     """Yield the whole KV dataset as key-sorted batches, bounded memory.
 
     Consumes the store's resident batches (callers close it afterwards).
-    In-core they are merged, or sorted when they are not runs, and that is
-    the one batch.  Out-of-core they are spilled too and the pages are the
+    In-core each bucket is one batch: its runs merged (a stable merge of
+    runs in arrival order), or its batches sorted when the store holds no
+    runs; a bucket leaves the store as it is taken up and its pieces die
+    in the merge, so the consumer's output grows as the store shrinks.
+    Out-of-core they are spilled too and the pages are the
     runs: a :attr:`~ColumnarKeyValue.sorted_runs` store spilled its pages
     sorted and they are merged where they lie, otherwise each page is
     sorted once into a scratch spool.  The k-way merge buffers one chunk
     per run, read out of its page by row range (chunks are sized so all
     buffers together hold about one page; a key group longer than a chunk
-    is buffered whole), so every batch holds whole key groups.  Stable
-    throughout: equal keys keep original emission order.
+    is buffered whole).  Either way every batch holds whole key groups and
+    batches ascend.  Stable throughout: equal keys keep original emission
+    order.
     """
     kv._seal_pending()
     if not kv.out_of_core:
-        if kv._batches:
-            yield kv._pop_live(merge=True)
+        for pieces in kv._pop_buckets():
+            yield _merge(pieces, runs=kv.sorted_runs)
         return
     kv._spill()  # the resident remainder becomes the last run
     ragged = kv.schema.ragged_values

@@ -16,6 +16,22 @@ from repro.mrmpi.spool import PageSpool, approx_size
 
 __all__ = ["ObjectKeyValue", "KeyValue"]
 
+_SCALAR_KEY_TYPES = frozenset((bytes, str, bool, int, float))
+
+
+def _check_key(key: Any) -> None:
+    """Raise what :func:`key_bytes` would for ``key``, without encoding it:
+    the canonical types pass by exact type (tuples item by item); anything
+    else, a subclass or a bad key, gets the real encoder's verdict."""
+    kind = type(key)
+    if kind in _SCALAR_KEY_TYPES:
+        return
+    if kind is tuple:
+        for item in key:
+            _check_key(item)
+    else:
+        key_bytes(key)
+
 
 class ObjectKeyValue:
     """A pageable multiset of (key, value) pairs owned by one rank.
@@ -41,7 +57,7 @@ class ObjectKeyValue:
 
     def add(self, key: Any, value: Any) -> None:
         """Emit one pair.  Key must be canonically hashable (see hashing)."""
-        key_bytes(key)  # validate early: bad key types fail at emit time
+        _check_key(key)  # validate early: bad key types fail at emit time
         self._page.append((key, value))
         self._page_bytes += approx_size(key) + approx_size(value)
         self._nkv += 1

@@ -65,6 +65,17 @@ _TAG_GATHER = 103
 #: mode): transports flag a dead rank without posting a message.
 _SWEEP_INTERVAL = 0.02
 
+#: Most an ``aggregate`` round stages per rank unless told otherwise: wide
+#: enough that the per-round latency (two collectives) is noise, narrow
+#: enough that sort scratch, the arena ring and the source batches still
+#: queued are each a fraction of the dataset.  Measured, not configured:
+#: see EXPERIMENTS.md "A shuffle that holds its data once".
+_ROUND_BYTES = 4 << 20
+
+#: Resident bytes a receiving store aims to keep per key-range bucket: what
+#: ``convert`` merges, and holds twice, at a time.
+_BUCKET_BYTES = 1 << 20
+
 #: Sentinel for reduce()/map_kv() meaning "output uses the current schema".
 KEEP_SCHEMA = object()
 
@@ -188,7 +199,7 @@ class MapReduce:
             trc.begin(f"mr.{phase}", cat="mr")
         return t0
 
-    def _phase_end(self, phase: str, t0: float) -> None:
+    def _phase_end(self, phase: str, t0: float, **attrs) -> None:
         """Close a phase: one ``dt`` feeds both the legacy timer and the
         span's ``seconds`` attribute, so trace-derived phase totals are
         bit-identical to :attr:`timers` (same floats, same addition order).
@@ -197,7 +208,7 @@ class MapReduce:
         self.timers[phase] = self.timers.get(phase, 0.0) + dt
         trc = self._tracer
         if trc.enabled:
-            trc.end(seconds=dt)
+            trc.end(seconds=dt, **attrs)
 
     def _bump(self, phase: str, pairs: int, nbytes: int) -> None:
         st = self.stats.setdefault(phase, {"pairs_moved": 0, "bytes_moved": 0})
@@ -625,23 +636,32 @@ class MapReduce:
 
         The destination rank of a key is ``hash(key) % nprocs`` (stable FNV
         by default).  The exchange runs in *rounds* of personalised
-        all-to-alls, each staging at most ``exchange_bytes`` (default:
-        ``memsize``) of outgoing pairs per rank, so aggregation of an
-        out-of-core dataset never materialises it in memory — the original
-        library pages its exchange the same way.
+        all-to-alls, each staging at most ``exchange_bytes`` of outgoing
+        pairs per rank (default: ``memsize`` or a few MiB, whichever is
+        less), so aggregation never materialises a dataset twice — the
+        original library pages its exchange the same way — and sort
+        scratch and the transport's ring hold one round, whatever the
+        dataset's size.
 
         On the columnar plane each round is vectorised and *sorts at the
         source* (:func:`~repro.mrmpi.columnar.sorted_partitions`): staged
         pairs are ordered by key, only distinct keys are hashed, key groups
         are partitioned by destination and the payload is gathered once, so
-        every wire slice is a key-sorted run and :meth:`convert` only has
-        to merge.  The source dataset is consumed as it is staged.  A custom
-        ``hash_fn`` forces the record-at-a-time path (the vectorised hash
-        only reproduces the stable FNV).
+        every wire slice is a key-sorted run.  The receiving store copies
+        each run, cut at fixed splitters, into key-range buckets (see
+        :class:`~repro.mrmpi.columnar.ColumnarKeyValue`) and lets go of the
+        round, so :meth:`convert` only has to merge a bucket at a time, and
+        a KV scanned after ``aggregate`` is bucket-major: ascending key
+        ranges, arrival order within one.  The source dataset is consumed
+        as it is staged.  A custom ``hash_fn`` forces the record-at-a-time
+        path (the vectorised hash only reproduces the stable FNV).
         """
         t0 = self._phase_begin("aggregate")
         kv = self._require_kv()
-        budget = self.memsize if exchange_bytes is None else int(exchange_bytes)
+        if exchange_bytes is None:
+            budget = min(self.memsize, _ROUND_BYTES)
+        else:
+            budget = int(exchange_bytes)
         if budget < 1:
             raise ValueError(f"exchange_bytes must be >= 1, got {budget}")
         if isinstance(kv, ColumnarKeyValue) and hash_fn is None:
@@ -705,7 +725,11 @@ class MapReduce:
 
     def _aggregate_columnar(self, kv: ColumnarKeyValue, budget: int) -> ColumnarKeyValue:
         schema = kv.schema
-        new_kv = ColumnarKeyValue(schema, pagesize=self.memsize, spool_dir=self.spool_dir)
+        # About as much arrives as leaves, and no more than a page of it is
+        # ever resident: that sizes the receiver's buckets with no collective.
+        resident = min(kv.nbytes, self.memsize)
+        new_kv = ColumnarKeyValue(schema, pagesize=self.memsize, spool_dir=self.spool_dir,
+                                  nbuckets=max(1, -(-resident // _BUCKET_BYTES)))
         batches = kv.iter_batches(drain=True)
         leftover: tuple[np.ndarray, Any] | None = None
         local_done = False
@@ -737,6 +761,9 @@ class MapReduce:
                             break
                     staged.append((karr, vcol))
                     staged_bytes += nb
+                # The round's sorted copy is the only one from here on: a
+                # source batch lives until its last row is staged, no longer.
+                batch = karr = vcol = None
                 outgoing = (
                     sorted_partitions(staged, dest_of, size) if staged else [None] * size
                 )
@@ -747,9 +774,12 @@ class MapReduce:
                         round_pairs += len(arrs[0])
                         round_bytes += nb_out
                 incoming = self.comm.alltoall(outgoing)
-                for batch in incoming:
-                    if batch is not None:
-                        new_kv.add_wire(batch, sorted_run=True)
+                for run in incoming:
+                    if run is not None:
+                        new_kv.add_wire(run, sorted_run=True)
+                # The store copied what it keeps: this drops the round and
+                # hands every arena slot back before the next one is sorted.
+                outgoing = incoming = run = None
                 trc = self._tracer
                 if trc.enabled:
                     trc.instant("mr.exchange_round", cat="mr", round=round_idx,
@@ -774,21 +804,24 @@ class MapReduce:
         """Group the local KV pairs into KMV pairs (no communication).
 
         Columnar datasets group by merging: :meth:`aggregate` leaves
-        key-sorted runs (resident batches, and spilled pages that are each
-        one run), so one run is grouped as it stands, resident runs take one
-        merge pass and spilled ones a bounded-memory k-way merge out of
+        key-sorted runs (resident ones cut into key-range buckets, and
+        spilled pages that are each one run).  Resident buckets are merged,
+        grouped and freed one at a time, so the KMV grows as the KV
+        shrinks; spilled runs take a bounded-memory k-way merge out of
         their pages; a dataset that skipped ``aggregate`` is sorted first.
         Keys come out in sorted column order, a key's values in emission
         order.  Object datasets keep the hash-bucket path (keys come out in
-        first-seen order per bucket).
+        first-seen order per bucket).  The ``mr.convert`` span records how
+        many ``buckets`` and ``runs`` the columnar pass merged.
         """
         t0 = self._phase_begin("convert")
         kv = self._require_kv()
         npairs = len(kv)
+        buckets, runs = kv.run_counts() if isinstance(kv, ColumnarKeyValue) else (0, 0)
         self.kmv = self._convert_local(kv)
         kv.close()
         self.kv = None
-        self._phase_end("convert", t0)
+        self._phase_end("convert", t0, buckets=buckets, runs=runs)
         self._bump("convert", npairs, 0)
         return len(self.kmv)
 

@@ -12,9 +12,10 @@ Two page formats share one spool file, distinguished by a tag byte:
 
 - **object pages** (tag ``0``): pickled lists of records — the legacy path
   for arbitrary Python keys/values;
-- **array pages** (tag ``1``): a tuple of raw numpy buffers written with
-  ``np.save`` (``allow_pickle=False``) — the columnar path.  No pickle
-  touches these pages, and :meth:`PageSpool.write_arrays` returns the
+- **array pages** (tag ``1``): a tuple of raw numpy buffers in ``np.save``
+  frames (``.npy`` header, then the rows) — the columnar path.  No pickle
+  touches these pages, each buffer crosses the file boundary once in
+  either direction, and :meth:`PageSpool.write_arrays` returns the
   *exact* number of bytes written, which is what the columnar stores use
   for byte accounting instead of :func:`approx_size` estimates.
 """
@@ -37,6 +38,11 @@ _TAG_OBJECT = 0
 _TAG_ARRAYS = 1
 
 
+#: what :func:`approx_size`'s ladder ends in for the scalars reducers emit
+#: by the thousand (``getsizeof`` is 24-32 bytes for them, under the floor)
+_SCALAR_SIZE = {int: 48, float: 48, bool: 48, type(None): 48}
+
+
 def approx_size(obj: Any) -> int:
     """Cheap size estimate (bytes) used for the paging threshold.
 
@@ -45,6 +51,9 @@ def approx_size(obj: Any) -> int:
     with payload size so big values trigger spills.  Columnar pages do not
     use this at all: their occupancy is the exact sum of array ``nbytes``.
     """
+    size = _SCALAR_SIZE.get(type(obj))
+    if size is not None:
+        return size
     if isinstance(obj, (bytes, bytearray)):
         return len(obj) + 33
     if isinstance(obj, str):
@@ -136,14 +145,19 @@ class PageSpool:
         The payload is the concatenation of ``np.save`` frames — raw buffers
         plus numpy's tiny self-describing header, no pickle — so dtype and
         shape round-trip exactly, including structured dtypes with subarray
-        fields.
+        fields.  The header is written by :mod:`numpy.lib.format` and the
+        buffer handed to the file as it stands (``np.save`` on a buffered
+        file goes through ``tobytes()``, a second copy of every page).
         """
         self._begin_page(_TAG_ARRAYS)
         self._file.write(len(arrays).to_bytes(8, "little"))
         layout = self._layout[len(self._offsets) - 1] = []
         for arr in arrays:
-            np.save(self._file, np.ascontiguousarray(arr))
-            layout.append((self._file.tell() - arr.nbytes, arr.dtype, arr.shape))
+            arr = np.ascontiguousarray(arr)
+            np.lib.format.write_array_header_1_0(
+                self._file, np.lib.format.header_data_from_array_1_0(arr))
+            layout.append((self._file.tell(), arr.dtype, arr.shape))
+            self._file.write(arr.reshape(-1).view(np.uint8))
         nbytes = self._finish_page(nrecords)
         trc = current_tracer()
         if trc.enabled:
@@ -163,16 +177,14 @@ class PageSpool:
         if trc.enabled:
             trc.instant("spool.read", cat="spool", page=index)
             trc.metrics.counter("spool.pages_read").inc()
+        layout = self._layout.get(index)
+        if layout is not None:  # an array page: every buffer read in place
+            return tuple(self.read_rows(index, i, 0, shape[0])
+                         for i, (_start, _dtype, shape) in enumerate(layout))
         self._file.flush()
-        self._file.seek(self._offsets[index])
-        tag = self._file.read(1)[0]
+        self._file.seek(self._offsets[index] + 1)
         count = int.from_bytes(self._file.read(8), "little")
-        if tag == _TAG_OBJECT:
-            return pickle.loads(self._file.read(count))
-        arrays = tuple(
-            np.load(self._file, allow_pickle=False) for _ in range(count)
-        )
-        return arrays
+        return pickle.loads(self._file.read(count))
 
     def page_rows(self, index: int) -> int:
         """Row count of array page ``index`` (the length of its first array)."""

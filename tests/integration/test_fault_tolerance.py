@@ -17,6 +17,7 @@ and op-indexed fault events land at the same program point every time.
 import glob
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -77,43 +78,62 @@ def _signatures(merged):
     )
 
 
-def _op_counts(config):
-    """Per-rank MPI op counts of a clean run (CHUNK makes them stable)."""
-    job = SpmdJob(NPROCS, run_mrblast, (config,))
-    job.run()
-    return [job.network.op_count(r) for r in range(NPROCS)]
+class _Iter2Crash(FaultPlan):
+    """Rank 1 dies at the first MPI call it makes after its mapper has begun
+    a unit of outer iteration 2 (query blocks 2 and 3).
 
-
-@pytest.fixture(scope="module")
-def mid_iter2_op(workload, tmp_path_factory):
-    """An op index for rank 1 that lands inside outer iteration 2.
-
-    Measured, not guessed: halfway between rank 1's op count after one
-    committed iteration and after the full run.
+    Aimed from inside the mapper, like ``die_once`` below, not at an op
+    count measured in a probe run: the midpoint of rank 1's clean op counts
+    after one and after two iterations sat on the last call of iteration 2,
+    where which ranks had already committed it was a race.  The first call
+    after a CHUNK map is the shuffle's, in the middle of the iteration for
+    every rank.  The crash goes through the plan (once per plan, traced,
+    counted) at whatever op index that call has: :attr:`at_op`.
     """
-    tmp = tmp_path_factory.mktemp("probe")
-    full = _op_counts(_config(workload, tmp / "full"))
-    half = _op_counts(_config(workload, tmp / "half", stop_after_iterations=1))
-    assert half[1] < full[1]
-    return (half[1] + full[1]) // 2
+
+    def __init__(self):
+        super().__init__()
+        self.at_op = None
+        self._armed = False
+
+    def arm_in_iteration_2(self, item):
+        """``unit_fault_injector``: called by every rank's mapper, per unit."""
+        if (item.block_index >= 2 and self.at_op is None
+                and threading.current_thread().name == "mpi-rank-1"):
+            self._armed = True
+
+    def op_event(self, rank, op_index):
+        if rank == 1 and self._armed and self.at_op is None:
+            self.at_op = op_index
+            self._op_events[(1, op_index)] = [CrashRank(1, op_index)]
+        return super().op_event(rank, op_index)
+
+
+def _crash_in_iter2(workload, out, **kwargs):
+    """(plan, supervised outcome) of a run whose rank 1 dies mid-iteration 2."""
+    plan = _Iter2Crash()
+    outcome = mrblast_supervised(
+        NPROCS,
+        _config(workload, out, backend="thread",
+                unit_fault_injector=plan.arm_in_iteration_2),
+        fault_plan=plan,
+        retry=FAST_RETRY,
+        **kwargs,
+    )
+    assert plan.at_op is not None
+    return plan, outcome
 
 
 class TestSupervisedBlastResume:
-    def test_crash_resume_is_bit_identical(self, workload, tmp_path, mid_iter2_op):
+    def test_crash_resume_is_bit_identical(self, workload, tmp_path):
         clean = mrblast_spmd(NPROCS, _config(workload, tmp_path / "clean"))
         clean_sig = _signatures(collect_rank_hits([r.output_path for r in clean]))
 
-        plan = FaultPlan([CrashRank(rank=1, at_op=mid_iter2_op)])
-        outcome = mrblast_supervised(
-            NPROCS,
-            _config(workload, tmp_path / "faulty"),
-            fault_plan=plan,
-            retry=FAST_RETRY,
-        )
+        plan, outcome = _crash_in_iter2(workload, tmp_path / "faulty")
         assert outcome.succeeded
         assert outcome.retries == 1
         assert [a.outcome for a in outcome.attempts] == ["rank_failure", "ok"]
-        assert outcome.fault_trace == (("crash", 1, mid_iter2_op),)
+        assert outcome.fault_trace == (("crash", 1, plan.at_op),)
 
         results = outcome.results
         # The crash hit iteration 2, so iteration 1 was already committed
@@ -123,32 +143,20 @@ class TestSupervisedBlastResume:
         faulty_sig = _signatures(collect_rank_hits([r.output_path for r in results]))
         assert faulty_sig == clean_sig
 
-    def test_trace_reproducible_across_runs(self, workload, tmp_path, mid_iter2_op):
+    def test_trace_reproducible_across_runs(self, workload, tmp_path):
         traces = []
         for tag in ("a", "b"):
-            plan = FaultPlan([CrashRank(rank=1, at_op=mid_iter2_op)])
-            mrblast_supervised(
-                NPROCS,
-                _config(workload, tmp_path / tag),
-                fault_plan=plan,
-                retry=FAST_RETRY,
-            )
+            plan, _ = _crash_in_iter2(workload, tmp_path / tag)
             traces.append(plan.trace())
         assert traces[0] == traces[1] != ()
 
-    def test_restart_overhead_matches_analytic_model(self, workload, tmp_path, mid_iter2_op):
+    def test_restart_overhead_matches_analytic_model(self, workload, tmp_path):
         """Redone work from the injected crash lands where the model says."""
         clean = mrblast_spmd(NPROCS, _config(workload, tmp_path / "model-clean"))
         useful = sum(r.units_processed for r in clean)
         units_per_checkpoint = useful / 2  # 2 outer iterations = 2 checkpoints
 
-        plan = FaultPlan([CrashRank(rank=1, at_op=mid_iter2_op)])
-        outcome = mrblast_supervised(
-            NPROCS,
-            _config(workload, tmp_path / "model-faulty"),
-            fault_plan=plan,
-            retry=FAST_RETRY,
-        )
+        _, outcome = _crash_in_iter2(workload, tmp_path / "model-faulty")
         executed = useful + sum(r.units_processed for r in outcome.results)
         # outcome.results is the successful (resumed) attempt; the crashed
         # attempt executed the remaining units: total = clean + resumed.
@@ -472,25 +480,16 @@ def _instants(session, name):
 class TestFaultTraceCoverage:
     """Injected faults and resumes must be visible in the trace."""
 
-    def test_crash_and_resume_markers_in_blast_trace(
-        self, workload, tmp_path, mid_iter2_op
-    ):
+    def test_crash_and_resume_markers_in_blast_trace(self, workload, tmp_path):
         from repro.obs.trace import TraceSession
 
         session = TraceSession(NPROCS)
-        plan = FaultPlan([CrashRank(rank=1, at_op=mid_iter2_op)])
-        outcome = mrblast_supervised(
-            NPROCS,
-            _config(workload, tmp_path / "traced-crash"),
-            fault_plan=plan,
-            retry=FAST_RETRY,
-            trace=session,
-        )
+        plan, outcome = _crash_in_iter2(workload, tmp_path / "traced-crash", trace=session)
         assert outcome.succeeded
 
         crashes = _instants(session, "fault.crash")
         assert [rank for rank, _ in crashes] == [1]
-        assert crashes[0][1]["op_index"] == mid_iter2_op
+        assert crashes[0][1]["op_index"] == plan.at_op
 
         # Both attempts emitted the resume marker: 0 for the fresh start,
         # >= 1 for the relaunch that picked up the committed iteration.

@@ -74,6 +74,29 @@ class TestBlastCrosscheck:
         assert traffic["totals"]["aggregate"]["pairs"] \
             == sum(r.shuffle_pairs_moved for r in results)
 
+    def test_exchange_rounds_and_convert_merges_are_traced(self, blast_run):
+        """An iteration's few hundred pairs are one exchange round into one
+        bucket: a ``mr.exchange_round`` instant per ``mr.aggregate`` span,
+        whose pairs add up to the phase's traffic, and a ``mr.convert``
+        span that says how little it had to merge (at most one run per
+        source rank)."""
+        session, results = blast_run
+        for r in results:
+            trc = session.tracer(r.rank)
+            spans = list(span_records(trc))
+            aggregates = [rec for rec in spans if rec[0] == "mr.aggregate"]
+            rounds = [attrs for ph, _ts, _sid, name, _cat, attrs in trc.iter_events()
+                      if ph == "i" and name == "mr.exchange_round"]
+            assert len(rounds) == len(aggregates) > 0
+            assert all(attrs["round"] == 0 for attrs in rounds)
+            assert sum(attrs["pairs"] for attrs in rounds) == r.shuffle_pairs_moved
+            assert sum(attrs["bytes"] for attrs in rounds) == r.shuffle_bytes_moved
+            converts = [rec[5] for rec in spans if rec[0] == "mr.convert"]
+            assert len(converts) == len(aggregates)
+            for attrs in converts:
+                assert attrs["buckets"] <= 1
+                assert attrs["buckets"] <= attrs["runs"] <= NPROCS
+
     def test_stage_seconds_match_mapper_stats_exactly(self, blast_run):
         session, results = blast_run
         stages = stage_breakdown(session)

@@ -354,6 +354,48 @@ class TestProcessBackendEndToEnd:
         assert run_spmd(2, prog, backend="process", op_timeout=30.0,
                         arena=True) == [True, True]
 
+    def test_aggregate_returns_every_slot_and_keeps_no_peer_views(self):
+        """The shuffle's receive side copies what it keeps: once every rank
+        is out of ``aggregate`` no slot of any ring is BUSY and no stored
+        array is a window on a peer's segment (the collector is off, so
+        releases are by reference count alone)."""
+        from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+
+        def prog(comm):
+            gc.disable()
+            schema = RecordSchema("S8", np.dtype([("src", "<i8"), ("seq", "<i8")]))
+            mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, schema=schema)
+
+            def mapper(itask, kv):
+                rows = np.zeros(20_000, dtype=schema.value_dtype)
+                rows["src"], rows["seq"] = comm.rank, np.arange(len(rows))
+                keys = np.random.default_rng(itask).integers(500, size=len(rows))
+                kv.add_batch(np.char.mod("k%05d", keys).astype("S8"), rows)
+
+            mr.map(2 * comm.size, mapper)
+            mr.aggregate(exchange_bytes=128 << 10)  # eight rounds
+            comm.barrier()  # every peer has stored, and let go of, its last round
+            arena = comm.network._arena
+            arena._reclaim()
+            busy = sum(arena._hdr[slot * 2] for slot in range(MAX_SLOTS))
+            pieces = [arr for bucket in mr.kv._buckets for karr, rows in bucket
+                      for arr in (karr, rows)]
+
+            def root(arr):  # numpy collapses base chains to the owner
+                return arr.base if isinstance(arr.base, np.ndarray) else arr
+
+            owned = all(root(arr).base is None and root(arr).nbytes == arr.nbytes
+                        and arr.flags.writeable for arr in pieces)
+            out = (busy, arena.stats.resident_bytes, arena.stats.sends, len(pieces), owned)
+            mr.close()
+            return out
+
+        for busy, resident, sends, npieces, owned in run_spmd(
+                3, prog, backend="process", op_timeout=30.0, arena=True):
+            assert sends >= 16 and npieces >= 16  # rounds went through the ring
+            assert busy == 0 and resident == 0
+            assert owned
+
     def test_crash_mid_exchange_leaves_no_segments(self):
         before = _shm_blocks()
 

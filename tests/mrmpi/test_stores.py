@@ -39,6 +39,48 @@ class TestPageSpool:
         with pytest.raises(ValueError):
             spool.write_page([2])
 
+    def test_array_pages_roundtrip_and_keep_the_np_save_layout(self, tmp_path):
+        """Structured dtypes with subarray fields, n-d columns and zero-row
+        arrays come back bit for bit, mixed with object pages; the bytes on
+        disk are what ``np.save`` frames would be (so ``nbytes`` and the row
+        offsets ``read_rows`` seeks to are unchanged) and every buffer read
+        back owns its memory."""
+        import io
+
+        row = np.dtype([("score", "<i8"), ("xyz", "<f4", (3,)), ("tag", "S5")])
+        rows = np.zeros(7, dtype=row)
+        rows["score"], rows["xyz"], rows["tag"] = np.arange(7), np.arange(21).reshape(7, 3), b"ab"
+        pages = [
+            (np.array([b"k1", b"k22"] * 3 + [b""], dtype="S8"), rows),
+            (np.empty(0, dtype="S8"), np.empty(0, dtype=row)),
+            (np.arange(12.0).reshape(4, 3), np.empty((0, 3)), rows[::2]),  # strided in
+        ]
+        with PageSpool(dir=str(tmp_path)) as spool:
+            for i, arrays in enumerate(pages):
+                spool.write_page([("object", i)])
+                expected = io.BytesIO()
+                expected.write(b"\x01" + len(arrays).to_bytes(8, "little"))
+                for arr in arrays:
+                    np.save(expected, arr)
+                before = spool.nbytes
+                assert spool.write_arrays(arrays, len(arrays[0])) == len(expected.getvalue())
+                assert spool.nbytes - before == len(expected.getvalue())
+                spool._file.flush()
+                with open(spool.path, "rb") as fh:
+                    fh.seek(before)
+                    assert fh.read() == expected.getvalue()
+            for i, arrays in enumerate(pages):
+                assert spool.read_page(2 * i) == [("object", i)]
+                back = spool.read_page(2 * i + 1)
+                assert len(back) == len(arrays)
+                for arr, got in zip(arrays, back):
+                    assert got.dtype == arr.dtype and got.shape == arr.shape
+                    assert got.tobytes() == arr.tobytes()
+                    assert got.base is None  # no read buffer pinned
+                assert spool.page_rows(2 * i + 1) == len(arrays[0])
+            assert spool.read_rows(1, 1, 2, 5).tobytes() == rows[2:5].tobytes()
+            assert spool.read_rows(3, 1, 0, 0).shape == (0,)
+
     def test_approx_size_scales_with_payload(self):
         assert approx_size(b"x" * 1000) > approx_size(b"x")
         assert approx_size(np.zeros(1000)) > approx_size(np.zeros(10))
@@ -78,6 +120,41 @@ class TestKeyValue:
     def test_invalid_pagesize(self):
         with pytest.raises(ValueError):
             KeyValue(pagesize=0)
+
+
+class TestKeyValidationAtEmit:
+    """``add`` accepts what ``key_bytes`` encodes and raises what it raises,
+    without paying for the encoding."""
+
+    @pytest.mark.parametrize("key", [
+        b"k", "k", 7, 2.5, True, (), ("q", 3), ("q", (1, (b"x", 2.0))),
+        np.str_("k"), np.float64(2.5), np.bytes_(b"k"),  # subclasses of the scalar types
+    ])
+    def test_every_encodable_key_is_accepted(self, key):
+        kv = KeyValue()
+        kv.add(key, 1)
+        assert key_bytes(next(iter(kv))[0]) == key_bytes(key)
+
+    @pytest.mark.parametrize("key", [None, [1], {"a": 1}, ("q", [1]), ("q", (1, None)),
+                                     np.int64(3), np.arange(2)])
+    def test_bad_keys_fail_at_emit_time_with_the_encoder_s_message(self, key):
+        with pytest.raises(TypeError) as encoder:
+            key_bytes(key)
+        kv = KeyValue()
+        with pytest.raises(TypeError) as emit:
+            kv.add(key, 1)
+        assert str(emit.value) == str(encoder.value)
+        assert len(kv) == 0
+
+    def test_scalar_values_still_fill_pages(self):
+        """Integer values are sized by table now: the page budget still
+        fires where the estimate (48 bytes an int, 49 + len a str) says."""
+        kv = KeyValue(pagesize=(49 + 8 + 48) * 10)
+        for i in range(25):
+            kv.add("k%07d" % i, i)
+        assert kv.spilled_pages == 2
+        assert [approx_size(v) for v in (0, -1, 2**62, 1.5, True, None)] == [48] * 6
+        kv.close()
 
 
 class TestKeyBytesAndHash:

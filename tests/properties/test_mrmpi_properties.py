@@ -1,14 +1,17 @@
 """Property-based tests for the MapReduce-MPI stores, hashing, key ordering
 and the shuffle's invariants."""
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import run_spmd
-from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+from repro.mrmpi import MapReduce, MapStyle, RecordSchema, mapreduce
 from repro.mrmpi.columnar import _RADIX_MIN, key_order
+from repro.mrmpi.schema import RAGGED_BYTES
 from repro.mrmpi.hashing import key_bytes, stable_hash
 from repro.mrmpi.keyvalue import KeyValue
 from repro.mrmpi.keymultivalue import convert_kv_to_kmv
@@ -162,32 +165,114 @@ def test_key_order_constant_column_is_identity():
 
 # --------------------------------------------------------------------------
 # Shuffle invariants of the sort-once pipeline, over ranks x exchange rounds
-# x in-core/spill x transport backend.
+# x in-core/spill x transport backend x the shapes a bucketed receiver can
+# get wrong.  Every shape runs inside one job per plane and test, with the
+# bucket target shrunk so a few thousand rows fill a dozen buckets.
 # --------------------------------------------------------------------------
 
 _ROW = np.dtype([("rank", "<i8"), ("task", "<i8"), ("seq", "<i8")])
+_SUB = np.dtype([("rank", "<i8"), ("ts", "<i8", (2,))])
 _NKEYS = 37
 _PER_TASK = 1500  # two tasks per rank: single-round batches take the radix path
+_BUCKET_BYTES = 8 << 10
 
 
-def _task_keys(seed, itask):
-    return np.random.default_rng([seed, itask]).integers(_NKEYS, size=_PER_TASK)
+def _uniform(rng):
+    return rng.integers(_NKEYS, size=_PER_TASK)
+
+
+def _hot(rng):
+    """One key holding ten times the rows a bucket is meant to."""
+    return np.where(rng.random(_PER_TASK) < 0.9, 5, rng.integers(_NKEYS, size=_PER_TASK))
+
+
+def _str_key(k):
+    return "k%03d" % k
+
+
+def _rows(rank, itask, dtype=_ROW):
+    rows = np.zeros(_PER_TASK, dtype=dtype)
+    rows["rank"] = rank
+    if dtype is _SUB:
+        rows["ts"][:, 0], rows["ts"][:, 1] = itask, np.arange(_PER_TASK)
+    else:
+        rows["task"], rows["seq"] = itask, np.arange(_PER_TASK)
+    return rows
+
+
+def _ragged(rank, itask):
+    """(rank, task, seq) as int64 bytes, padded by 0-2 words: ragged rows."""
+    return [np.array([rank, itask, seq] + [0] * (seq % 3), dtype="<i8").tobytes()
+            for seq in range(_PER_TASK)]
+
+
+def _row_tuple(v):
+    return tuple(int(x) for x in v)
+
+
+class _Shape(NamedTuple):
+    """One dataset: how a task's key ids are drawn, what they and their
+    (rank, task, seq) values look like on the columnar plane, who emits."""
+
+    ids: Callable = _uniform
+    schema: RecordSchema = RecordSchema("S6", _ROW, key_kind="str")
+    key_of: Callable = _str_key
+    rows_of: Callable = _rows
+    decode: Callable = _row_tuple
+    emits: Callable = lambda rank, size: True
+
+
+_SHAPES = {
+    "base": _Shape(),
+    "hot": _Shape(ids=_hot),
+    "const": _Shape(ids=lambda rng: np.full(_PER_TASK, 7)),
+    "few": _Shape(ids=lambda rng: rng.integers(3, size=_PER_TASK)),  # fewer than buckets
+    "silent": _Shape(emits=lambda rank, size: rank != size - 1),
+    "wide": _Shape(schema=RecordSchema("S64", _SUB, key_kind="str"),
+                   key_of=lambda k: "query/%03d/" % k + "x" * 40,
+                   rows_of=lambda rank, itask: _rows(rank, itask, _SUB),
+                   decode=lambda v: (int(v["rank"]), int(v["ts"][0]), int(v["ts"][1]))),
+    "int": _Shape(schema=RecordSchema(np.int64, RAGGED_BYTES),
+                  key_of=lambda k: (k - _NKEYS // 2) * (1 << 40), rows_of=_ragged,
+                  decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist())),
+}
+
+
+def _task_ids(seed, shape, itask):
+    return _SHAPES[shape].ids(np.random.default_rng([seed, itask]))
+
+
+def _buckets_hold(kv):
+    """Every piece a sorted run; a key in exactly one bucket; buckets ascend."""
+    spans = []
+    for bucket in kv._buckets:
+        keys = [k for karr, _ in bucket for k in karr.tolist()]
+        if not all(np.all(karr[:-1] <= karr[1:]) for karr, _ in bucket):
+            return False
+        if keys:
+            spans.append((min(keys), max(keys)))
+    return all(hi < lo for (_, hi), (lo, _) in zip(spans[:-1], spans[1:]))
 
 
 def _shuffle_rank(comm, columnar, memsize, exchange_bytes, spool, seed):
-    schema = RecordSchema("S6", _ROW, key_kind="str") if columnar else None
+    return {shape: _shuffle_shape(comm, shape, columnar, memsize, exchange_bytes, spool, seed)
+            for shape in _SHAPES}
+
+
+def _shuffle_shape(comm, shape, columnar, memsize, exchange_bytes, spool, seed):
+    _, schema, key_of, rows_of, decode, emits = _SHAPES[shape]
     mr = MapReduce(comm, memsize=memsize, mapstyle=MapStyle.CHUNK,
-                   schema=schema, spool_dir=spool)
+                   schema=schema if columnar else None, spool_dir=spool)
 
     def mapper(itask, kv):
-        kids = _task_keys(seed, itask)
+        if not emits(comm.rank, comm.size):
+            return
+        keys = [key_of(k) for k in _task_ids(seed, shape, itask).tolist()]
         if columnar:
-            rows = np.zeros(_PER_TASK, dtype=_ROW)
-            rows["rank"], rows["task"], rows["seq"] = comm.rank, itask, np.arange(_PER_TASK)
-            kv.add_batch(np.array([b"k%03d" % k for k in kids], dtype="S6"), rows)
+            kv.add_batch(keys, rows_of(comm.rank, itask))
         else:
-            for seq, k in enumerate(kids):
-                kv.add("k%03d" % k, (comm.rank, itask, seq))
+            for seq, key in enumerate(keys):
+                kv.add(key, (comm.rank, itask, seq))
 
     wire_sorted = []
     alltoall = mr.comm.alltoall
@@ -202,54 +287,102 @@ def _shuffle_rank(comm, columnar, memsize, exchange_bytes, spool, seed):
     groups = []
 
     def reducer(key, values, kv):
-        rows = [tuple(int(x) for x in v) for v in values]
+        rows = [decode(v) if columnar else v for v in values]
         groups.append((key, len(values), rows))
 
     try:
         mr.map(2 * comm.size, mapper)
         mr.aggregate(exchange_bytes=exchange_bytes)
         spilled = bool(getattr(mr.kv, "out_of_core", False))
+        nbuckets = len(mr.kv._buckets) if columnar else 0
+        buckets_hold = _buckets_hold(mr.kv) if columnar else True
         mr.convert()
         mr.reduce(reducer, out_schema=None)
+        moved = mr.stats.get("aggregate", {"pairs_moved": 0, "bytes_moved": 0})
     finally:
         mr.close()
-    return groups, wire_sorted, spilled
+    return groups, wire_sorted, spilled, nbuckets, buckets_hold, moved
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("memsize", [1 << 26, 1 << 14], ids=["incore", "spill"])
 @pytest.mark.parametrize("exchange_bytes", [None, 1 << 12], ids=["1round", "rounds"])
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
-def test_shuffle_invariants(nprocs, exchange_bytes, memsize, backend, tmp_path):
+def test_shuffle_invariants(nprocs, exchange_bytes, memsize, backend, tmp_path, monkeypatch):
+    monkeypatch.setattr(mapreduce, "_BUCKET_BYTES", _BUCKET_BYTES)  # forked ranks inherit it
     seed = 5 * nprocs + (exchange_bytes or 0) + memsize
     args = (memsize, exchange_bytes, str(tmp_path), seed)
     columnar = run_spmd(nprocs, _shuffle_rank, True, *args, backend=backend)
     objects = run_spmd(nprocs, _shuffle_rank, False, *args, backend=backend)
+    for shape in _SHAPES:
+        _check_shape(shape, nprocs, exchange_bytes, memsize, seed,
+                     [out[shape] for out in columnar], [out[shape] for out in objects])
 
-    emitted = np.concatenate([_task_keys(seed, t) for t in range(2 * nprocs)])
-    multiplicity = np.bincount(emitted, minlength=_NKEYS)
+
+def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, columnar, objects):
+    _, schema, key_of, _, _, emits = _SHAPES[shape]
+    id_of = {key_of(k): k for k in range(_NKEYS)}
+    emitted = [(src, _task_ids(seed, shape, t))
+               for src in range(nprocs) if emits(src, nprocs)
+               for t in range(2 * src, 2 * src + 2)]
+    multiplicity = np.bincount(
+        np.concatenate([ids for _, ids in emitted] or [np.empty(0, dtype=np.int64)]),
+        minlength=_NKEYS)
+    # Only pairs that change rank are moved, however many rounds carry them;
+    # fixed-width rows are their own bytes (a ragged run adds its offsets).
+    dest = np.array([stable_hash(key_of(k)) % nprocs for k in range(_NKEYS)])
+    pairs_moved = sum(int(np.count_nonzero(dest[ids] != src)) for src, ids in emitted)
+    assert sum(out[5]["pairs_moved"] for out in columnar) == pairs_moved, shape
+    if not schema.ragged_values:
+        row_bytes = schema.key_dtype.itemsize + schema.value_dtype.itemsize
+        assert sum(out[5]["bytes_moved"] for out in columnar) == pairs_moved * row_bytes, shape
 
     seen = {}
-    for groups, wire_sorted, spilled in columnar:
-        assert wire_sorted and all(wire_sorted)  # every wire slice is a sorted run
-        assert spilled == (memsize < 1 << 20)
+    for groups, wire_sorted, spilled, nbuckets, buckets_hold, _ in columnar:
+        assert all(wire_sorted)  # every wire slice is a sorted run
+        if shape == "base":
+            assert wire_sorted
+            assert spilled == (memsize < 1 << 20)
+            assert nbuckets > 1  # the shapes below meet more than one bucket
+        assert buckets_hold, shape
         keys = [k for k, _, _ in groups]
-        assert keys == sorted(keys)  # keys leave convert in column order
+        if schema.key_kind == "str":
+            assert keys == sorted(keys)  # keys leave convert in column order
+        else:
+            assert keys == sorted(keys, key=int)
         for key, nvalues, rows in groups:
             assert key not in seen, "key reduced on two ranks"
             seen[key] = rows
             # Goodrich's bounded reducer input: exactly the key's multiplicity.
-            assert nvalues == len(rows) == multiplicity[int(key[1:])]
+            assert nvalues == len(rows) == multiplicity[id_of[key]]
             # Emission order: one source's values keep the order it emitted.
             for src in range(nprocs):
                 mine = [r for r in rows if r[0] == src]
                 assert mine == sorted(mine)
     assert len(seen) == np.count_nonzero(multiplicity)
 
-    oracle = {k: rows for groups, _, _ in objects for k, _, rows in groups}
+    oracle = {k: rows for groups, *_ in objects for k, _, rows in groups}
     assert seen.keys() == oracle.keys()
     for key, rows in seen.items():
         assert sorted(rows) == sorted(oracle[key])
         if exchange_bytes is None and memsize >= 1 << 20:
             # One round on both planes: same arrival order, value for value.
             assert rows == oracle[key]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_mrsom_mrmpi_reduce_is_bit_identical_through_buckets(backend, tmp_path, monkeypatch):
+    """The Eq. 5 accumulators routed through the columnar plane, cut into
+    several buckets per rank, still replay the direct MPI_Reduce bit for bit."""
+    from repro.core.mrsom.driver import MrSomConfig, mrsom_spmd
+    from repro.core.mrsom.mmap_input import write_matrix_file
+    from repro.som.codebook import SOMGrid
+
+    monkeypatch.setattr(mapreduce, "_BUCKET_BYTES", 1 << 10)
+    path = write_matrix_file(tmp_path / "v.mat", np.random.default_rng(3).random((240, 8)))
+    kwargs = dict(matrix_path=str(path), grid=SOMGrid(6, 5), epochs=3, block_rows=40,
+                  mapstyle=MapStyle.CHUNK, backend=backend)
+    direct = mrsom_spmd(3, MrSomConfig(**kwargs))
+    mrmpi = mrsom_spmd(3, MrSomConfig(**kwargs, reduce_mode="mrmpi"))
+    np.testing.assert_array_equal(mrmpi[0].codebook, direct[0].codebook)
+    assert mrmpi[0].shuffle_pairs_moved > 0
