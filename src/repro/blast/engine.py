@@ -7,11 +7,17 @@ C++ toolkit search, passing the whole-database statistics so E-values match
 an unsplit search.
 
 Stage-1 admission is array-driven: word hits are grouped into per-diagonal
-runs with one ``lexsort``, and each run is walked with ``searchsorted``
-jumps over covered/overlapping stretches, so the Python-level loop executes
-only for extension *triggers* and two-hit anchors — not for every raw word
-hit.  An optional :class:`~repro.blast.lookup.LookupCache` lets the same
-query block reuse its built lookup table across DB partitions.
+runs with one ``lexsort``, and the admission state of a subject's live runs
+is four parallel arrays (pending trigger row, run end, coverage, two-hit
+anchor).  Under blastn's one-hit rule a run's next trigger is its first hit
+at or past its coverage, so runs are opened, gathered into a round and moved
+on with fancy-index gathers, and Python visits only the segments the gap
+trigger admits and the few runs whose coverage swallowed their next hit but
+not their last.  blastp's two-hit rule walks each run with ``searchsorted``
+jumps over covered/overlapping stretches: one Python step per trigger or
+anchor, never per raw word hit.  An optional
+:class:`~repro.blast.lookup.LookupCache` lets the same query block reuse its
+built lookup table across DB partitions.
 
 One scheduler runs on that admission machinery (a second, per-subject one
 lives in ``tests/oracles/staged_scheduler.py`` as a function over an engine;
@@ -154,7 +160,6 @@ class _SubjectRuns:
 
     n: int
     ctx_r: np.ndarray  # context index per row
-    q_r: np.ndarray  # context-local query word start
     qg_r: np.ndarray  # block-concatenated query word start
     s_r: np.ndarray  # subject word start
     rank_r: np.ndarray  # emission rank (admission order)
@@ -178,7 +183,7 @@ class _GappedJob(NamedTuple):
     """An admitted ungapped segment on its way to the gapped kernel."""
 
     subj: "_OpenSubject"
-    state: list  # the run's state
+    k: int  # the run's slot in the subject's live-run arrays
     row: int  # the trigger's row in the subject's run arrays
     ctx_index: int
     seed: tuple  # (q_seed, s_seed, report floor)
@@ -193,15 +198,15 @@ class _OpenSubject:
     subject_id: str
     s_index: np.ndarray  # subject codes as intp (gapped jobs + fallback)
     runs: _SubjectRuns
-    states: list  # live run states [a, i, b, covered, last_end]
+    # Admission state of the live runs, one slot a run:
+    row: np.ndarray  # pending trigger (a row of ``runs``)
+    end: np.ndarray  # one past the run's last row
+    covered: np.ndarray  # subject end of the last extension on the diagonal
+    anchor: np.ndarray  # two-hit: end of the last admitted word hit, -1 for none
     found: list = field(default_factory=list)  # (rank, HSP) accumulator
     #: context index -> :class:`_Box` of each gapped alignment produced so far
     boxes: dict = field(default_factory=dict)
     arena_lo: int = 0  # subject's offset inside the pool arena
-
-    @property
-    def slab_rows(self) -> int:
-        return self.runs.n
 
 
 class _EngineBase:
@@ -348,7 +353,6 @@ class _EngineBase:
         emit_rank[np.lexsort((spos_arr, qpos_concat, ctx_indices))] = np.arange(n)
 
         ctx_r = ctx_indices[run_order]
-        q_r = q_local[run_order]
         qg_r = qpos_concat[run_order]
         s_r = spos_arr[run_order]
         diag_r = diags[run_order]
@@ -377,56 +381,62 @@ class _EngineBase:
             run_starts = run_starts[live]
             run_ends = run_ends[live]
 
-        return _SubjectRuns(n, ctx_r, q_r, qg_r, s_r, rank_r, run_starts, run_ends)
+        return _SubjectRuns(n, ctx_r, qg_r, s_r, rank_r, run_starts, run_ends)
 
-    def _advance_run(self, st: list, s_r: np.ndarray) -> int:
-        """Walk a run to its next extension trigger; -1 when exhausted.
+    def _walk_two_hit(
+        self, s_r: np.ndarray, i: int, b: int, covered: int, last_end: int
+    ) -> tuple[int, int]:
+        """Walk one run from row ``i`` to its next two-hit trigger.
 
-        Run state is ``[a, i, b, covered, last_end]``: ``covered`` is the
-        subject end of the last extension on the diagonal, ``last_end`` the
-        two-hit anchor (end of the last admitted word hit).
+        Returns ``(row, anchor)``; the row is ``b`` when the run is
+        exhausted.  NCBI's two-hit rule: remember the *end* of the last
+        word hit on this diagonal; hits overlapping it are ignored outright
+        (the anchor survives), a non-overlapping hit within the window
+        triggers extension, and a hit beyond the window becomes the new
+        anchor.
         """
-        two_hit = self._two_hit
         word = self.options.word_size
         window = self.options.two_hit_window
-        a, i, b, covered, last_end = st
         while i < b:
             s_pos = int(s_r[i])
-            if s_pos < covered:
-                # Jump over every hit inside the already-extended region.
-                i = a + int(np.searchsorted(s_r[a:b], covered, side="left"))
-                continue
-            if two_hit:
-                # NCBI's two-hit rule: remember the *end* of the last word
-                # hit on this diagonal; hits overlapping it are ignored
-                # outright (the anchor survives), a non-overlapping hit
-                # within the window triggers extension, and a hit beyond
-                # the window becomes the new anchor.
-                if last_end < 0:
-                    last_end = s_pos + word
-                    i += 1
-                    continue
-                if s_pos < last_end:
-                    # Jump over the whole overlapping stretch at once.
-                    i = a + int(np.searchsorted(s_r[a:b], last_end, side="left"))
-                    continue
-                if s_pos - last_end > window:
-                    last_end = s_pos + word
-                    i += 1
-                    continue
+            if s_pos < covered or (0 <= last_end and s_pos < last_end):
+                # Jump over every hit inside the already-extended region,
+                # or the whole stretch overlapping the anchor, at once.
+                i += int(np.searchsorted(s_r[i:b], max(covered, last_end), side="left"))
+            elif last_end < 0 or s_pos - last_end > window:
                 last_end = s_pos + word
-            st[1], st[4] = i, last_end
-            return i
-        st[1], st[4] = i, last_end
-        return -1
+                i += 1
+            else:
+                return i, s_pos + word
+        return b, last_end
 
-    def _make_states(self, runs: _SubjectRuns) -> list:
-        """Fresh run states advanced to their first trigger (dead runs dropped)."""
-        states = [
-            [int(a), int(a), int(b), 0, -1]
-            for a, b in zip(runs.run_starts, runs.run_ends)
-        ]
-        return [st for st in states if self._advance_run(st, runs.s_r) >= 0]
+    def _next_triggers(
+        self, s_r: np.ndarray, row: np.ndarray, end: np.ndarray,
+        covered: np.ndarray, anchor: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Move every run from ``row`` on to its next extension trigger.
+
+        Takes and returns the live-run arrays of an :class:`_OpenSubject`,
+        exhausted runs dropped.  One-hit: the next trigger is the first hit
+        at or past the coverage, so one gather settles the runs that are
+        exhausted (last hit covered) or already there (every run of a fresh
+        subject) and Python visits only the rest.  Two-hit walks run by run.
+        """
+        if self._two_hit:
+            walked = [
+                self._walk_two_hit(s_r, *st)
+                for st in zip(row.tolist(), end.tolist(), covered.tolist(), anchor.tolist())
+            ]
+            row = np.array([i for i, _ in walked], dtype=np.int64)
+            anchor = np.array([last for _, last in walked], dtype=np.int64)
+            keep = np.flatnonzero(row < end)
+            return row[keep], end[keep], covered[keep], anchor[keep]
+        keep = np.flatnonzero(row < end)
+        keep = keep[s_r[end[keep] - 1] >= covered[keep]]
+        row, end, covered = row[keep], end[keep], covered[keep]
+        for k in np.flatnonzero(s_r[row] < covered).tolist():
+            row[k] += np.searchsorted(s_r[row[k] : end[k]], covered[k], side="left")
+        return row, end, covered, anchor[keep]
 
     def _emit_hsp(self, block: QueryBlock, ctx, subject_id: str, g, db_len: int, db_seqs: int):
         """HSP for a gapped alignment, or None below the E-value cutoff."""
@@ -475,19 +485,6 @@ class _EngineBase:
             self.options.evalue, query_len, db_len, db_seqs
         )
         return min(self._gap_trigger, cutoff), cutoff - 1
-
-    @staticmethod
-    def _gapped_seed(
-        ctx, cutoffs: list, u_score: int, u_q_start: int, u_q_end: int, u_s_start: int
-    ) -> tuple[int, int, int] | None:
-        """``(q_seed, s_seed, floor)`` if the ungapped segment is admitted, else None."""
-        trigger, floor = cutoffs[ctx.query_index]
-        if u_score < trigger:
-            return None
-        # Mid-point of the ungapped segment — the gapped anchor (same
-        # arithmetic as UngappedHSP.seed_point).
-        mid = (u_q_end - u_q_start) // 2
-        return u_q_start + mid, u_s_start + mid, floor
 
     def _containing_box(self, boxes: list, segment: _Box) -> _Box | None:
         """The first of ``boxes`` that contains ``segment``, else None.
@@ -556,7 +553,10 @@ class _EngineBase:
         band = opts.band_width
         q_arena = block.concat_index
         ctx_starts = block._starts
-        ctx_ends = ctx_starts + np.array([c.length for c in block.contexts], dtype=np.int64)
+        ctx_ends = np.append(ctx_starts[1:], block.total_length)
+        # Admission scores per context, for the round's one compare.
+        trigger_c = np.array([cutoffs[c.query_index][0] for c in block.contexts], dtype=np.int64)
+        floor_c = [cutoffs[c.query_index][1] for c in block.contexts]
 
         results: list[list[HSP] | None] = []
         pool: list[_OpenSubject] = []
@@ -571,6 +571,10 @@ class _EngineBase:
             subj.found.sort(key=lambda rh: rh[0])
             results[subj.ordinal] = cull_overlapping([h for _, h in subj.found])
 
+        def cover(job: _GappedJob, s_end: int) -> None:
+            covered = job.subj.covered
+            covered[job.k] = max(covered[job.k], s_end)
+
         def contained(job: _GappedJob) -> bool:
             """True if a box of the job's subject and context contains it:
             nothing is extended, the run is covered to the box's end."""
@@ -578,7 +582,7 @@ class _EngineBase:
             box = self._containing_box(boxes, job.segment) if boxes else None
             if box is None:
                 return False
-            job.state[3] = max(job.state[3], box.s_end)
+            cover(job, box.s_end)
             stats.n_contained += 1
             return True
 
@@ -586,23 +590,24 @@ class _EngineBase:
             """One lockstep pass: coverage, the new boxes, reportable HSPs."""
             t_g = time.perf_counter()
             aligns = self._extend_gapped(
-                [(block.contexts[c], subj.s_index, *seed) for subj, _, _, c, seed, _ in jobs],
+                [(block.contexts[job.ctx_index], job.subj.s_index, *job.seed) for job in jobs],
                 kernel_peaks,
             )
             stats.n_gapped += len(jobs)
             stats.gapped_seconds += time.perf_counter() - t_g
-            for (subj, st, i, c, _, segment), g in zip(jobs, aligns):
+            for job, g in zip(jobs, aligns):
                 if g is None:
                     continue
-                st[3] = max(st[3], g.s_end)
+                cover(job, g.s_end)
+                subj, c = job.subj, job.ctx_index
                 subj.boxes.setdefault(c, []).append(
-                    _Box(g.q_start, g.q_end, g.s_start, g.s_end, segment.diag, g.score)
+                    _Box(g.q_start, g.q_end, g.s_start, g.s_end, job.segment.diag, g.score)
                 )
                 hsp = self._emit_hsp(
                     block, block.contexts[c], subj.subject_id, g, db_len, db_seqs
                 )
                 if hsp is not None:
-                    subj.found.append((int(subj.runs.rank_r[i]), hsp))
+                    subj.found.append((int(subj.runs.rank_r[job.row]), hsp))
 
         while True:
             # Refill: stream subjects in until the slab bound (always at
@@ -623,14 +628,17 @@ class _EngineBase:
                     results.append([])
                     continue
                 runs = self._prepare_runs(block, qpos_concat, spos_arr)
-                states = self._make_states(runs)
-                if not states:
+                n_runs = runs.run_starts.size
+                live = self._next_triggers(
+                    runs.s_r, runs.run_starts, runs.run_ends,
+                    np.zeros(n_runs, dtype=np.int64), np.full(n_runs, -1, dtype=np.int64),
+                )
+                if live[0].size == 0:
                     results.append([])
                     continue
                 s_index = s_codes if s_codes.dtype == np.intp else s_codes.astype(np.intp)
-                subj = _OpenSubject(len(results), subject_id, s_index, runs, states)
+                pool.append(_OpenSubject(len(results), subject_id, s_index, runs, *live))
                 results.append(None)
-                pool.append(subj)
                 pool_rows += runs.n
                 added = True
             if added:
@@ -644,26 +652,19 @@ class _EngineBase:
             if not pool:
                 break
 
-            # Gather this round's pending triggers across the whole pool.
-            refs: list[tuple[_OpenSubject, list]] = [
-                (subj, st) for subj in pool for st in subj.states
-            ]
-            m = len(refs)
-            qg = np.empty(m, dtype=np.int64)
-            sg = np.empty(m, dtype=np.int64)
-            q_lo = np.empty(m, dtype=np.int64)
-            q_hi = np.empty(m, dtype=np.int64)
-            s_lo = np.empty(m, dtype=np.int64)
-            s_hi = np.empty(m, dtype=np.int64)
-            for j, (subj, st) in enumerate(refs):
-                i = st[1]
-                c = int(subj.runs.ctx_r[i])
-                qg[j] = subj.runs.qg_r[i]
-                sg[j] = subj.runs.s_r[i] + subj.arena_lo
-                q_lo[j] = ctx_starts[c]
-                q_hi[j] = ctx_ends[c]
-                s_lo[j] = subj.arena_lo
-                s_hi[j] = subj.arena_lo + subj.s_index.size
+            # Gather this round's pending triggers across the whole pool:
+            # trigger j belongs to pool[p] for bounds[p] <= j < bounds[p + 1].
+            counts = [s.row.size for s in pool]
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            m = int(bounds[-1])
+            row = np.concatenate([s.row for s in pool])
+            ctx_t = np.concatenate([s.runs.ctx_r[s.row] for s in pool])
+            qg = np.concatenate([s.runs.qg_r[s.row] for s in pool])
+            s_lo = np.repeat([s.arena_lo for s in pool], counts)
+            s_hi = s_lo + np.repeat([s.s_index.size for s in pool], counts)
+            sg = np.concatenate([s.runs.s_r[s.row] for s in pool]) + s_lo
+            q_lo = ctx_starts[ctx_t]
+            q_hi = ctx_ends[ctx_t]
 
             t_ext = time.perf_counter()
             ext = batch_ungapped_extend_spans(
@@ -671,10 +672,28 @@ class _EngineBase:
                 word, self.matrix, opts.xdrop_ungapped,
                 window=opts.extension_window, stats=kernel_peaks,
             )
+            # Rows whose kernel escalation was capped: exact scalar path.
+            for j in np.flatnonzero(~ext.complete).tolist():
+                subj = pool[int(np.searchsorted(bounds, j, side="right")) - 1]
+                u = ungapped_extend(
+                    block.contexts[ctx_t[j]].codes_index, subj.s_index,
+                    int(qg[j] - q_lo[j]), int(sg[j] - s_lo[j]),
+                    word, self.matrix, opts.xdrop_ungapped,
+                )
+                ext.score[j] = u.score
+                ext.q_start[j], ext.q_end[j] = u.q_start + q_lo[j], u.q_end + q_lo[j]
+                ext.s_start[j], ext.s_end[j] = u.s_start + s_lo[j], u.s_end + s_lo[j]
             stats.ungapped_seconds += time.perf_counter() - t_ext
+            stats.n_ungapped += m
 
-            # Consume extents run by run.  ``refs`` walks each subject's runs
-            # in (context, diagonal) order, so the admitted segments no box
+            # Every run is covered to the end of its extension.
+            u_s_end = ext.s_end - s_lo
+            for subj, lo, hi in zip(pool, bounds[:-1].tolist(), bounds[1:].tolist()):
+                subj.covered = u_s_end[lo:hi]
+
+            # The admission rule is one compare; Python sees only the
+            # admitted segments, in trigger order.  That order walks each
+            # subject's runs by (context, diagonal), so the segments no box
             # contains fall into clusters of diagonals chaining within the
             # band as they come; ``first`` holds each cluster's best segment
             # (ties to the earlier emission rank), ``rest`` the others.
@@ -682,36 +701,26 @@ class _EngineBase:
             first: list[_GappedJob] = []
             rest: list[_GappedJob] = []
             last = None  # the job queued before this one
-            for j, (subj, st) in enumerate(refs):
-                i = st[1]
-                c = int(subj.runs.ctx_r[i])
-                ctx = block.contexts[c]
-                if ext.complete[j]:
-                    u_score = int(ext.score[j])
-                    u_q_start = int(ext.q_start[j]) - ctx.offset
-                    u_q_end = int(ext.q_end[j]) - ctx.offset
-                    u_s_start = int(ext.s_start[j]) - subj.arena_lo
-                    u_s_end = int(ext.s_end[j]) - subj.arena_lo
-                else:
-                    # Kernel escalation was capped: exact scalar path.
-                    t_u = time.perf_counter()
-                    u = ungapped_extend(
-                        ctx.codes_index, subj.s_index,
-                        int(subj.runs.q_r[i]), int(subj.runs.s_r[i]),
-                        word, self.matrix, opts.xdrop_ungapped,
-                    )
-                    stats.ungapped_seconds += time.perf_counter() - t_u
-                    u_score = u.score
-                    u_q_start, u_q_end = u.q_start, u.q_end
-                    u_s_start, u_s_end = u.s_start, u.s_end
-                stats.n_ungapped += 1
-                st[3] = u_s_end  # covered
-                seed = self._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
-                if seed is None:
-                    continue
+            adm = np.flatnonzero(ext.score >= trigger_c[ctx_t])
+            for j, p, i, c, u_score, u_q_start, u_q_end, u_s_start, u_s_end in zip(
+                adm.tolist(),
+                (np.searchsorted(bounds, adm, side="right") - 1).tolist(),
+                row[adm].tolist(),
+                ctx_t[adm].tolist(),
+                ext.score[adm].tolist(),
+                (ext.q_start[adm] - q_lo[adm]).tolist(),
+                (ext.q_end[adm] - q_lo[adm]).tolist(),
+                (ext.s_start[adm] - s_lo[adm]).tolist(),
+                u_s_end[adm].tolist(),
+            ):
+                subj = pool[p]
+                # Mid-point of the ungapped segment — the gapped anchor
+                # (same arithmetic as UngappedHSP.seed_point).
+                mid = (u_q_end - u_q_start) // 2
                 diag = u_s_start - u_q_start
                 job = _GappedJob(
-                    subj, st, i, c, seed,
+                    subj, j - int(bounds[p]), i, c,
+                    (u_q_start + mid, u_s_start + mid, floor_c[c]),
                     _Box(u_q_start, u_q_end, u_s_start, u_s_end, diag, u_score),
                 )
                 if contained(job):
@@ -743,8 +752,8 @@ class _EngineBase:
             # Per-round slab high-water mark: subject arena + open subjects'
             # run arrays + this round's trigger rows + kernel scratch peaks.
             run_bytes = sum(
-                s.runs.ctx_r.nbytes + s.runs.q_r.nbytes + s.runs.qg_r.nbytes
-                + s.runs.s_r.nbytes + s.runs.rank_r.nbytes
+                s.runs.ctx_r.nbytes + s.runs.qg_r.nbytes + s.runs.s_r.nbytes
+                + s.runs.rank_r.nbytes
                 for s in pool
             )
             slab_bytes = (
@@ -764,21 +773,14 @@ class _EngineBase:
 
             # Advance every run past its consumed trigger; finalise subjects
             # whose runs all exhausted so their slab rows free up.
-            done: list[_OpenSubject] = []
             for subj in pool:
-                nxt = []
-                for st in subj.states:
-                    st[1] += 1
-                    if self._advance_run(st, subj.runs.s_r) >= 0:
-                        nxt.append(st)
-                subj.states = nxt
-                if not nxt:
-                    done.append(subj)
-            if done:
-                for subj in done:
+                subj.row, subj.end, subj.covered, subj.anchor = self._next_triggers(
+                    subj.runs.s_r, subj.row + 1, subj.end, subj.covered, subj.anchor
+                )
+                if subj.row.size == 0:
                     finalize(subj)
                     pool_rows -= subj.runs.n
-                pool = [s for s in pool if s.states]
+            pool = [s for s in pool if s.row.size]
 
         all_hits: list[HSP] = []
         for hits in results:

@@ -22,7 +22,9 @@ survivors against the word array (``np.searchsorted``, the exact join that
 also settles hash collisions), and gathers the postings ranges — with no
 Python-level loop over matching windows.  The per-work-unit fixed cost of
 building the table is what the paper's Fig. 4/Fig. 5 block-size analysis is
-about, so the builders are vectorised end to end and whole tables can be
+about, so the builders work on the concatenated block, never context by
+context (one encode, one DUST pass, one mask scan that voids the windows
+straddling a context boundary, one word pack), and whole tables can be
 reused across DB partitions through :class:`LookupCache`.
 
 ``tests/oracles/dict_lookup.py`` holds the original dict-of-arrays
@@ -43,7 +45,7 @@ import numpy as np
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord, reverse_complement
-from repro.blast.dust import dust_mask
+from repro.blast.dust import dust_mask_batch
 from repro.blast.matrices import BLOSUM62
 from repro.blast.seg import seg_mask
 
@@ -54,6 +56,7 @@ __all__ = [
     "ProteinLookup",
     "LookupCache",
     "block_fingerprint",
+    "nucleotide_postings",
 ]
 
 
@@ -88,44 +91,56 @@ class QueryContext:
 
 
 class QueryBlock:
-    """Concatenated query contexts with global-position bookkeeping."""
+    """Concatenated query contexts with global-position bookkeeping.
+
+    All strands of the block are encoded with one table lookup over their
+    joined text and (blastn) DUST-masked in one batched pass; ``codes`` and
+    ``mask`` are the whole block in concatenated coordinates, and every
+    context's ``codes`` / ``mask`` is a view of its stretch of them.
+    """
 
     def __init__(self, records: Sequence[SeqRecord], program: str, use_mask: bool) -> None:
         if not records:
             raise ValueError("query block must contain at least one sequence")
         self.records = list(records)
         self.program = program
-        self.contexts: list[QueryContext] = []
-        offset = 0
+        nucleotide = program == "blastn"
+        strands: list[tuple[int, int, str]] = []
         for qi, rec in enumerate(self.records):
-            strands = [(1, rec.seq)]
-            if program == "blastn":
-                strands.append((-1, reverse_complement(rec.seq)))
-            for strand, seq in strands:
-                if program == "blastn":
-                    codes = DNA.encode(seq)
-                    mask = dust_mask(seq) if use_mask else np.zeros(len(seq), dtype=bool)
-                else:
-                    codes = PROTEIN.encode(seq)
-                    mask = seg_mask(seq) if use_mask else np.zeros(len(seq), dtype=bool)
-                self.contexts.append(QueryContext(qi, strand, codes, mask, offset))
-                offset += codes.size
-        self.total_length = offset
-        self._starts = np.array([c.offset for c in self.contexts], dtype=np.int64)
+            strands.append((qi, 1, rec.seq))
+            if nucleotide:
+                strands.append((qi, -1, reverse_complement(rec.seq)))
+        ends = np.cumsum([len(seq) for _, _, seq in strands], dtype=np.int64)
+        self.total_length = int(ends[-1])
+        self._starts = np.concatenate(([0], ends[:-1]))
+        self.codes = (DNA if nucleotide else PROTEIN).encode("".join(seq for _, _, seq in strands))
+        pieces = np.split(self.codes, ends[:-1])
+        if not use_mask:
+            self.mask = np.zeros(self.total_length, dtype=bool)
+        elif nucleotide:
+            self.mask = np.concatenate(dust_mask_batch(pieces))
+        else:
+            self.mask = np.concatenate([seg_mask(seq) for _, _, seq in strands])
+        self.contexts = [
+            QueryContext(qi, strand, codes, mask, int(offset))
+            for (qi, strand, _), codes, mask, offset in zip(
+                strands, pieces, np.split(self.mask, ends[:-1]), self._starts
+            )
+        ]
 
     @property
     def concat_index(self) -> np.ndarray:
-        """Every context's codes as one ``intp`` array, cached per block.
+        """The whole block's codes as one ``intp`` array, cached per block.
 
         Contexts are laid out back to back (``ctx.offset`` strides by
-        ``ctx.length``), so this is the whole block in concatenated
-        coordinates: the fused scheduler gathers matrix rows for hits of
-        *all* contexts from it in one fancy-index instead of one gather
-        per (subject, context) pair.
+        ``ctx.length``), so this is the block in concatenated coordinates:
+        the fused scheduler gathers matrix rows for hits of *all* contexts
+        from it in one fancy-index instead of one gather per (subject,
+        context) pair.
         """
         idx = getattr(self, "_concat_index", None)
         if idx is None:
-            idx = np.concatenate([c.codes_index for c in self.contexts])
+            idx = self.codes.astype(np.intp)
             self._concat_index = idx
         return idx
 
@@ -185,23 +200,86 @@ class LookupCache:
             self._entries.popitem(last=False)
 
 
+def _join_words(high: np.ndarray, n_high: int, low: np.ndarray, n_low: int) -> np.ndarray:
+    """Words of ``n_high + n_low`` two-bit letters at every position, from the
+    words of ``n_high`` and of ``n_low`` letters at every position, held in
+    the narrowest type that has the bits."""
+    letters = n_high + n_low
+    m = high.size - n_low
+    out = high[:m].astype(np.int64 if letters > 16 else np.min_scalar_type(4**letters - 1))
+    out <<= 2 * n_low
+    out |= low[n_high : n_high + m]
+    return out
+
+
 def _pack_words(codes: np.ndarray, word_size: int, alphabet_size: int) -> np.ndarray:
-    """Packed integer of every window of ``word_size`` letters (vectorised)."""
+    """Packed integer of every window of ``word_size`` letters (vectorised).
+
+    Two-bit letters are packed by shift-or doubling: words of 1, 2, 4, ...
+    letters, each pass joining two shorter words, then the powers of two
+    that make up ``word_size`` joined high to low (11 = 8 + 2 + 1: five
+    passes over the subject, the early ones a byte a word).  Other alphabets
+    take one Horner pass a letter.
+    """
     n = codes.size - word_size + 1
     if n <= 0:
         return np.empty(0, dtype=np.int64)
-    weights = alphabet_size ** np.arange(word_size - 1, -1, -1, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(codes.astype(np.int64), word_size)
-    return windows @ weights
+    if alphabet_size != 4:
+        c = codes.astype(np.int64)
+        words = c[:n]
+        for k in range(1, word_size):
+            words = words * alphabet_size + c[k : k + n]
+        return words
+    powers = [codes.astype(np.uint8, copy=False)]  # powers[k][i]: the 2**k letters from i
+    span = 1
+    while 2 * span <= word_size:
+        powers.append(_join_words(powers[-1], span, powers[-1], span))
+        span *= 2
+    words, have = powers[-1], span
+    for k in range(len(powers) - 2, -1, -1):
+        if (word_size - span) >> k & 1:
+            words = _join_words(words, have, powers[k], 1 << k)
+            have += 1 << k
+    return words.astype(np.int64, copy=False)
 
 
 def _window_unmasked(mask: np.ndarray, word_size: int) -> np.ndarray:
     """True where a window of ``word_size`` contains no masked position."""
-    n = mask.size - word_size + 1
-    if n <= 0:
+    if mask.size < word_size:
         return np.empty(0, dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(mask, word_size)
-    return ~windows.any(axis=1)
+    masked_before = np.concatenate(([0], np.cumsum(mask)))
+    return masked_before[word_size:] == masked_before[:-word_size]
+
+
+def _word_starts(block: QueryBlock, word_size: int, bad: np.ndarray | None = None) -> np.ndarray:
+    """Block position of every query window a lookup may index.
+
+    One pass over the concatenated block: a window is usable when it touches
+    no soft-masked (or ``bad``) position and lies inside one context, so the
+    ``word_size - 1`` windows that straddle each context boundary are voided.
+    Ascending, which is context by context in offset order.
+    """
+    usable = _window_unmasked(block.mask if bad is None else block.mask | bad, word_size)
+    void = (block._starts[1:, None] - np.arange(1, word_size)).ravel()
+    usable[void[(void >= 0) & (void < usable.size)]] = False
+    return np.flatnonzero(usable)
+
+
+def nucleotide_postings(block: QueryBlock, word_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(packed word, block position)`` of every usable query window."""
+    starts = _word_starts(block, word_size)
+    return _pack_words(block.codes, word_size, 4)[starts], starts
+
+
+def _csr_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather of CSR rows: the entries ``offsets[r] .. offsets[r + 1]`` of
+    every ``r`` in ``rows``, back to back, and how many each row has."""
+    row_starts = offsets[rows]
+    counts = offsets[rows + 1] - row_starts
+    ends = np.cumsum(counts)
+    flat = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(ends - counts, counts)
+    flat += np.repeat(row_starts, counts)
+    return flat, counts
 
 
 #: entries of a lookup's presence vector (NCBI's PV array): one ``bool`` per
@@ -224,13 +302,15 @@ class _LookupBase:
         self.block = block
         words, positions = self._build_postings()
         # Stable sort by word: postings of one word stay position-ascending
-        # (contexts are appended in offset order), the order stage 2's
-        # admission loop relies on.
+        # (the builders emit block positions in ascending order), the order
+        # stage 2's admission relies on.
         order = np.argsort(words, kind="stable")
         sorted_words = words[order]
-        self._positions = np.ascontiguousarray(positions[order])
-        self._words, starts = np.unique(sorted_words, return_index=True)
-        self._offsets = np.append(starts, sorted_words.size).astype(np.int64)
+        self._positions = positions[order]
+        # Words are non-negative: -1 opens the first row of a non-empty table.
+        starts = np.flatnonzero(np.diff(sorted_words, prepend=-1))
+        self._words = sorted_words[starts]
+        self._offsets = np.append(starts, sorted_words.size)
         self._pv = np.zeros(_PV_SIZE, dtype=bool)
         self._pv[self._words & (_PV_SIZE - 1)] = True
 
@@ -286,17 +366,8 @@ class _LookupBase:
         exact = np.flatnonzero(self._words[np.minimum(idx, self._words.size - 1)] == words)
         if exact.size == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        spos = cand[exact]
-        widx = idx[exact]
-        row_starts = self._offsets[widx]
-        counts = self._offsets[widx + 1] - row_starts
-        total = int(counts.sum())
-        # Flat gather of all postings ranges: for each matching window k,
-        # indices row_starts[k] .. row_starts[k]+counts[k).
-        ends = np.cumsum(counts)
-        flat = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        flat += np.repeat(row_starts, counts)
-        return self._positions[flat], np.repeat(spos, counts)
+        flat, counts = _csr_rows(self._offsets, idx[exact])
+        return self._positions[flat], np.repeat(cand[exact], counts)
 
 
 class NucleotideLookup(_LookupBase):
@@ -310,16 +381,7 @@ class NucleotideLookup(_LookupBase):
         super().__init__(block)
 
     def _build_postings(self) -> tuple[np.ndarray, np.ndarray]:
-        words_out: list[np.ndarray] = []
-        pos_out: list[np.ndarray] = []
-        for ctx in self.block.contexts:
-            words = _pack_words(ctx.codes, self.word_size, 4)
-            usable = np.flatnonzero(_window_unmasked(ctx.mask, self.word_size))
-            words_out.append(words[usable])
-            pos_out.append(ctx.offset + usable.astype(np.int64))
-        if not words_out:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(words_out), np.concatenate(pos_out)
+        return nucleotide_postings(self.block, self.word_size)
 
 
 #: threshold -> (neighbour words int16, offsets int64 of length 8001): row t
@@ -379,24 +441,9 @@ class ProteinLookup(_LookupBase):
 
     def _build_postings(self) -> tuple[np.ndarray, np.ndarray]:
         nbr_words, nbr_offsets = _neighbor_csr(self.threshold)
-        words_out: list[np.ndarray] = []
-        pos_out: list[np.ndarray] = []
-        for ctx in self.block.contexts:
-            codes = np.minimum(ctx.codes, 19).astype(np.int64)  # clip ambiguity
-            starts = np.flatnonzero(
-                _window_unmasked(ctx.mask | (ctx.codes >= 20), self.word_size)
-            )
-            if starts.size == 0:
-                continue
-            triples = codes[starts] * 400 + codes[starts + 1] * 20 + codes[starts + 2]
-            row_starts = nbr_offsets[triples]
-            counts = nbr_offsets[triples + 1] - row_starts
-            total = int(counts.sum())
-            ends = np.cumsum(counts)
-            flat = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-            flat += np.repeat(row_starts, counts)
-            words_out.append(nbr_words[flat].astype(np.int64))
-            pos_out.append(np.repeat(ctx.offset + starts.astype(np.int64), counts))
-        if not words_out:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(words_out), np.concatenate(pos_out)
+        block = self.block
+        starts = _word_starts(block, self.word_size, bad=block.codes >= 20)
+        codes = block.concat_index
+        triples = codes[starts] * 400 + codes[starts + 1] * 20 + codes[starts + 2]
+        flat, counts = _csr_rows(nbr_offsets, triples)
+        return nbr_words[flat].astype(np.int64), np.repeat(starts, counts)

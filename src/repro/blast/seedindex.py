@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.bio.seq import SeqRecord
 from repro.blast.dbreader import DatabaseAlias
-from repro.blast.lookup import QueryBlock, _pack_words
+from repro.blast.lookup import QueryBlock, _pack_words, nucleotide_postings
 from repro.mpi.comm import Comm
 from repro.mrmpi.hashing import stable_hash
 
@@ -168,36 +168,17 @@ class DistributedSeedIndex:
         # Phase 1: route (request_id, word, q_pos) lookups to word owners,
         # shipped as three parallel int64 columns per destination so the
         # exchange stays on the transport's buffer fast path.
-        req_rid: list[list[np.ndarray]] = [[] for _ in range(comm.size)]
-        req_word: list[list[np.ndarray]] = [[] for _ in range(comm.size)]
-        req_qpos: list[list[np.ndarray]] = [[] for _ in range(comm.size)]
+        requests: list[tuple | None] = [None] * comm.size
         contexts: list[tuple[str, int]] = []  # request id -> (query id, strand)
         if my_queries:
-            from repro.blast.lookup import _window_unmasked
-
             block = QueryBlock(my_queries, "blastn", use_mask=True)
-            for ctx in block.contexts:
-                rid = len(contexts)
-                contexts.append((block.records[ctx.query_index].id, ctx.strand))
-                words = _pack_words(ctx.codes, self.word_size, 4)
-                usable = np.flatnonzero(_window_unmasked(ctx.mask, self.word_size))
-                if usable.size == 0:
-                    continue
-                ctx_words = words[usable]
-                owners = self._owners(ctx_words)
-                for r in np.unique(owners).tolist():
-                    sel = np.flatnonzero(owners == r)
-                    req_rid[r].append(np.full(sel.size, rid, dtype=np.int64))
-                    req_word[r].append(ctx_words[sel])
-                    req_qpos[r].append(usable[sel].astype(np.int64, copy=False))
-        requests = [
-            None if not req_rid[r] else (
-                np.concatenate(req_rid[r]),
-                np.concatenate(req_word[r]),
-                np.concatenate(req_qpos[r]),
-            )
-            for r in range(comm.size)
-        ]
+            contexts = [(block.records[c.query_index].id, c.strand) for c in block.contexts]
+            words, positions = nucleotide_postings(block, self.word_size)
+            rids, q_local = block.localize(positions)
+            owners = self._owners(words)
+            for r in np.unique(owners).tolist():
+                sel = np.flatnonzero(owners == r)
+                requests[r] = (rids[sel], words[sel], q_local[sel])
 
         incoming = comm.alltoall(requests)
 

@@ -9,11 +9,13 @@ its containment rule on, so these tests are what certifies the path users
 get against the PR-2 oracle, which extends every admitted seed.
 """
 
+import numpy as np
 import pytest
 
-from repro.blast import BlastOptions, format_database
+from repro.blast import BlastOptions, format_database, format_tabular
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.core import MrBlastConfig, mrblast_spmd
+from repro.core.baselines.serial_blast import run_serial_blast
 
 from oracles.staged_scheduler import staged_scheduler
 
@@ -85,3 +87,41 @@ def test_fused_round_instants_in_trace(nt_workload, tmp_path):
     # contained instead of extended, and the instants are where that shows
     # (``n_contained`` is not threaded through the result structs).
     assert sum(ev["args"]["contained"] for ev in rounds) > 0
+
+
+def test_suite_job_tabular_bytes_equal_serial_baseline(tmp_path):
+    """The gated suite's ``blastn_batch`` job (seed 2011: 64 stratified
+    400-bp reads of an 8 x 20 kb community against its ~1 Mb DB in 4
+    partitions, blocks of 16, two iterations, locality-aware, 3 ranks):
+    every query's lines in the merged rank files are the serial baseline's
+    tabular bytes, and the job's hit count is the one the suite records."""
+    seed = 2011
+    com = synthetic_community(n_genomes=8, genome_length=20_000, seed=seed, repeat_fraction=0.0)
+    db = synthetic_nt_database(com, n_decoys=16, decoy_length=50_000, homolog_rate=0.05,
+                               seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    pools = [[f for f in shred_records([g]) if len(f.seq) == 400] for g in com.genomes]
+    for pool in pools:
+        rng.shuffle(pool)
+    reads = [pools[i % 8][(i // 8) % len(pools[i % 8])] for i in range(64)]
+    blocks = [reads[i : i + 16] for i in range(0, 64, 16)]
+    options = BlastOptions.blastn(evalue=1e-4, max_hits=25)
+    alias = str(format_database(db, tmp_path / "db", "nt", kind="dna", max_volume_bytes=70_000))
+
+    want = {
+        qid: format_tabular(hits).encode("ascii")
+        for qid, hits in run_serial_blast(alias, blocks, options).items()
+    }
+    results = mrblast_spmd(3, MrBlastConfig(
+        alias_path=alias, query_blocks=blocks, options=options,
+        output_dir=str(tmp_path / "out"), spool_dir=str(tmp_path / "spool"),
+        blocks_per_iteration=2, locality_aware=True, backend="process"))
+    got: dict[str, bytes] = {}
+    for res in results:
+        with open(res.output_path, "rb") as fh:
+            for line in fh:
+                qid = line.split(b"\t", 1)[0].decode("ascii")
+                got[qid] = got.get(qid, b"") + line
+    assert got == want
+    assert len(want) == 64 and sum(r.hits_written for r in results) == 64
+    assert sum(r.units_processed for r in results) == 16

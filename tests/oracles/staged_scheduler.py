@@ -13,6 +13,11 @@ with the rule on, the difference between the two is the rule's whole effect.
 :func:`staged_search` has the signature of ``_EngineBase._search_fused``,
 so :func:`staged_scheduler` can put it under anything that drives an engine
 (blastx, tblastn, a forked mrblast job).
+
+The per-run admission walk (one state list a run, one Python step a word
+hit or jump, for the one-hit and the two-hit rule alike) and the admission
+compare are this file's own: the engine settles blastn's runs with array
+gathers, and a mistake there must not cancel out here.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
         return []
     runs = engine._prepare_runs(block, qpos_concat, spos_arr)
     n = runs.n
+    q_r = runs.qg_r - block._starts[runs.ctx_r]  # context-local query word start
     word = opts.word_size
     found = []
 
@@ -68,7 +74,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
     ext_se = np.zeros(n, dtype=np.int64)
     ext_complete = np.zeros(n, dtype=bool)
 
-    waiting = engine._make_states(runs)
+    waiting = _make_states(engine, runs)
     while waiting:
         t_ext = time.perf_counter()
         by_ctx: dict[int, list[int]] = {}
@@ -79,7 +85,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
             ext = batch_ungapped_extend(
                 block.contexts[c].codes_index,
                 s_index,
-                runs.q_r[rows],
+                q_r[rows],
                 runs.s_r[rows],
                 word,
                 engine.matrix,
@@ -111,7 +117,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
                 # Kernel escalation was capped: exact scalar path.
                 t_u = time.perf_counter()
                 u = ungapped_extend(
-                    ctx.codes_index, s_index, int(runs.q_r[i]), int(runs.s_r[i]),
+                    ctx.codes_index, s_index, int(q_r[i]), int(runs.s_r[i]),
                     word, engine.matrix, opts.xdrop_ungapped,
                 )
                 stats.ungapped_seconds += time.perf_counter() - t_u
@@ -120,7 +126,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
                 u_s_start, u_s_end = u.s_start, u.s_end
             stats.n_ungapped += 1
             st[3] = u_s_end  # covered
-            seed = engine._gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
+            seed = _gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
             if seed is not None:
                 gapped_jobs.append((st, i, ctx, seed))
 
@@ -142,11 +148,73 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
         next_waiting = []
         for st in waiting:
             st[1] += 1
-            if engine._advance_run(st, runs.s_r) >= 0:
+            if _advance_run(engine, st, runs.s_r) >= 0:
                 next_waiting.append(st)
         waiting = next_waiting
     found.sort(key=lambda rh: rh[0])
     return cull_overlapping([h for _, h in found])
+
+
+def _advance_run(engine, st: list, s_r: np.ndarray) -> int:
+    """Walk a run to its next extension trigger; -1 when exhausted.
+
+    Run state is ``[a, i, b, covered, last_end]``: ``covered`` is the
+    subject end of the last extension on the diagonal, ``last_end`` the
+    two-hit anchor (end of the last admitted word hit).
+    """
+    two_hit = engine._two_hit
+    word = engine.options.word_size
+    window = engine.options.two_hit_window
+    a, i, b, covered, last_end = st
+    while i < b:
+        s_pos = int(s_r[i])
+        if s_pos < covered:
+            # Jump over every hit inside the already-extended region.
+            i = a + int(np.searchsorted(s_r[a:b], covered, side="left"))
+            continue
+        if two_hit:
+            # NCBI's two-hit rule: remember the *end* of the last word
+            # hit on this diagonal; hits overlapping it are ignored
+            # outright (the anchor survives), a non-overlapping hit
+            # within the window triggers extension, and a hit beyond
+            # the window becomes the new anchor.
+            if last_end < 0:
+                last_end = s_pos + word
+                i += 1
+                continue
+            if s_pos < last_end:
+                # Jump over the whole overlapping stretch at once.
+                i = a + int(np.searchsorted(s_r[a:b], last_end, side="left"))
+                continue
+            if s_pos - last_end > window:
+                last_end = s_pos + word
+                i += 1
+                continue
+            last_end = s_pos + word
+        st[1], st[4] = i, last_end
+        return i
+    st[1], st[4] = i, last_end
+    return -1
+
+
+def _make_states(engine, runs) -> list:
+    """Fresh run states advanced to their first trigger (dead runs dropped)."""
+    states = [
+        [int(a), int(a), int(b), 0, -1]
+        for a, b in zip(runs.run_starts, runs.run_ends)
+    ]
+    return [st for st in states if _advance_run(engine, st, runs.s_r) >= 0]
+
+
+def _gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start):
+    """``(q_seed, s_seed, floor)`` if the ungapped segment is admitted, else None."""
+    trigger, floor = cutoffs[ctx.query_index]
+    if u_score < trigger:
+        return None
+    # Mid-point of the ungapped segment — the gapped anchor (same
+    # arithmetic as UngappedHSP.seed_point).
+    mid = (u_q_end - u_q_start) // 2
+    return u_q_start + mid, u_s_start + mid, floor
 
 
 @contextmanager

@@ -37,7 +37,8 @@ from hypothesis import strategies as st
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord
-from repro.blast.engine import _EngineBase, make_engine
+from repro.blast import engine as engine_module
+from repro.blast.engine import make_engine
 from repro.blast.options import BlastOptions
 
 from oracles.staged_scheduler import no_containment, staged_scheduler
@@ -108,22 +109,38 @@ def _planted(draw, letters, unit):
 
 
 @contextmanager
-def _triggers():
-    """Every ``_gapped_seed`` decision of the block: (context, extents, admitted)."""
+def _triggers(engine, queries):
+    """Every ungapped extension of the block: (context offset, score, context-
+    and subject-local extents, admitted).
+
+    The engine admits with one array compare per round, so there is no
+    per-trigger decision to spy on: the extents are read off the span kernel
+    as the scheduler calls it, and ``admitted`` is this file's own compare
+    against :meth:`admission_scores` (one query, so one gap trigger), which
+    the accounting assertions then hold the engine's to.
+    """
     seen = []
-    decide = _EngineBase._gapped_seed
+    kernel = engine_module.batch_ungapped_extend_spans
+    opts = engine.options
+    trigger, _ = engine.admission_scores(
+        len(queries[0].seq), opts.db_length_override, opts.db_num_seqs_override
+    )
 
-    def spy(ctx, cutoffs, *segment):
-        seed = decide(ctx, cutoffs, *segment)
-        seen.append((ctx.query_index, ctx.strand, *segment, seed is not None))
-        return seed
+    def spy(q_codes, s_codes, q_pos, s_pos, q_lo, q_hi, s_lo, s_hi, *args, **kwargs):
+        ext = kernel(q_codes, s_codes, q_pos, s_pos, q_lo, q_hi, s_lo, s_hi, *args, **kwargs)
+        seen.extend(zip(
+            q_lo.tolist(), ext.score.tolist(),
+            (ext.q_start - q_lo).tolist(), (ext.q_end - q_lo).tolist(),
+            (ext.s_start - s_lo).tolist(), (ext.score >= trigger).tolist(),
+        ))
+        return ext
 
-    with mock.patch.object(_EngineBase, "_gapped_seed", staticmethod(spy)):
+    with mock.patch.object(engine_module, "batch_ungapped_extend_spans", spy):
         yield seen
 
 
 def _search(engine, queries, partition):
-    with _triggers() as seen:
+    with _triggers(engine, queries) as seen:
         hits = engine.search_block(queries, partition)
     return hits, engine.last_stats, seen
 

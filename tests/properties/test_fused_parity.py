@@ -12,11 +12,15 @@ at once).  What the containment rule itself may change is pinned in
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unittest import mock
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord
+from repro.bio.simulate import mutate_dna, random_genome
+from repro.blast import engine as engine_module
 from repro.blast.engine import make_engine
 from repro.blast.options import BlastOptions
 from repro.blast.tblastn import TblastnEngine
@@ -80,9 +84,15 @@ def _family(draw, alphabet, min_len=70, max_len=140, n_subjects=4, n_queries=2):
 def _parity(engine, queries, partition):
     with no_containment():
         h_fused = engine.search_block(queries, partition)
+    fused = engine.last_stats
     with staged_scheduler():
         h_staged = engine.search_block(queries, partition)
+    staged = engine.last_stats
     assert h_fused == h_staged
+    # The same triggers, not only the same survivors: an extension repeated
+    # inside its run's coverage would be culled out of the HSP lists.
+    assert (fused.n_word_hits, fused.n_ungapped, fused.n_gapped) == (
+        staged.n_word_hits, staged.n_ungapped, staged.n_gapped)
 
 
 @given(_family(DNA_ALPHABET), SLAB_ROWS)
@@ -91,6 +101,117 @@ def test_blastn_fused_matches_staged(family, slab_rows):
     queries, subjects = family
     engine = make_engine(BlastOptions.blastn(fused_slab_rows=slab_rows))
     _parity(engine, queries, _ArrayPartition(subjects, "dna"))
+
+
+@st.composite
+def _repeat_family(draw, n_subjects=5):
+    """Repeat-bearing subjects and queries cut across their tandem arrays.
+
+    ``random_genome(repeat_fraction > 0)`` writes a tandem array of one
+    unit into each subject, so a query that overlaps the array meets it on
+    a ladder of diagonals one unit apart, each a run of many word hits.
+    *Scars* (stretches overwritten in place, so diagonals are kept) stop an
+    ungapped extension in the middle of a run: the hits behind the scar are
+    past the run's coverage and trigger again in a later round, which is
+    the one-hit path that leaves the array gathers for a ``searchsorted``.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    unit = draw(st.sampled_from([12, 24, 31]))
+    queries, subjects = [], []
+    for i in range(n_subjects):
+        genome = random_genome(
+            draw(st.integers(500, 800)), seed_or_rng=rng,
+            repeat_fraction=draw(st.sampled_from([0.15, 0.3])), repeat_unit=unit,
+        )
+        if i < 2:
+            start = draw(st.integers(0, len(genome) - 300))
+            queries.append(SeqRecord(f"q{i}", genome[start : start + draw(st.integers(150, 300))]))
+        chars = list(mutate_dna(genome, rate=draw(st.sampled_from([0.0, 0.03])), seed_or_rng=rng))
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(chars) - 40))
+            chars[at : at + 30] = rng.choice(list(DNA_ALPHABET), size=30)
+        subjects.append(SeqRecord(f"s{i}", "".join(chars)))
+    return queries, subjects
+
+
+@given(_repeat_family(), st.sampled_from([1, 700, 65536]), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_blastn_repeat_runs_match_staged(family, slab_rows, dust):
+    """Several word hits a run, coverage jumps, and a slab bound that makes
+    the pool refill while earlier subjects still have runs to go."""
+    queries, subjects = family
+    engine = make_engine(BlastOptions.blastn(fused_slab_rows=slab_rows, dust=dust, evalue=1e-3))
+    _parity(engine, queries, _ArrayPartition(subjects, "dna"))
+
+
+def _scarred_repeat_case():
+    rng = np.random.default_rng(5)
+    genome = random_genome(900, seed_or_rng=rng, repeat_fraction=0.3, repeat_unit=24)
+    queries = [SeqRecord("q0", genome)]
+    subjects = []
+    for i in range(6):
+        chars = list(genome)
+        for at in (150 + 40 * i, 420, 700 - 30 * i):
+            chars[at : at + 30] = rng.choice(list(DNA_ALPHABET), size=30)
+        subjects.append(SeqRecord(f"s{i}", "".join(chars)))
+    return queries, _ArrayPartition(subjects, "dna")
+
+
+def test_blastn_runs_trigger_again_past_their_coverage():
+    """The case the strategy above is built to reach, once, checked for
+    having reached it: runs with hits left past a scar trigger in later
+    rounds, and a tight slab bound refills the pool mid-partition."""
+    queries, partition = _scarred_repeat_case()
+    wide = make_engine(BlastOptions.blastn(dust=False))
+    _parity(wide, queries, partition)
+    hits = wide.search_block(queries, partition)
+    stats = wide.last_stats
+    # Subjects are open together, so the rounds are the deepest run's
+    # triggers: at least the three stretches the two scars of the main
+    # diagonal leave.
+    assert stats.fused_rounds >= 3
+    assert stats.n_ungapped > stats.n_subjects
+
+    tight = make_engine(BlastOptions.blastn(dust=False, fused_slab_rows=1))
+    _parity(tight, queries, partition)
+    assert tight.search_block(queries, partition) == hits
+    # One subject at a time: every subject pays its own rounds.
+    assert tight.last_stats.fused_rounds > stats.fused_rounds
+    assert tight.last_stats.n_ungapped == stats.n_ungapped
+    assert tight.last_stats.peak_slab_bytes < stats.peak_slab_bytes
+
+
+@pytest.mark.parametrize("slab_rows", [1, 65536])
+def test_blastn_incomplete_extensions_take_the_scalar_path(slab_rows):
+    """The span kernel may hand rows back incomplete (its escalation
+    capped); the scheduler re-extends exactly those with the scalar kernel.
+    Uncapped, the escalation always completes, so the cap is put on from
+    here: ``extension_window`` of 2 and no escalation past it."""
+    queries, partition = _scarred_repeat_case()
+    opts = BlastOptions.blastn(dust=False, extension_window=2, fused_slab_rows=slab_rows)
+    engine = make_engine(opts)
+    kernel = engine_module.batch_ungapped_extend_spans
+    incomplete = []
+
+    def capped(*args, **kwargs):
+        ext = kernel(*args, max_window=opts.extension_window, **kwargs)
+        incomplete.append(int((~ext.complete).sum()))
+        return ext
+
+    with staged_scheduler():
+        want = engine.search_block(queries, partition)
+    with no_containment(), mock.patch.object(
+        engine_module, "batch_ungapped_extend_spans", capped
+    ):
+        got = engine.search_block(queries, partition)
+    assert sum(incomplete) > 0
+    assert got == want and len(got) > 0
+    # And the tiny window alone (escalation on) changes nothing either.
+    _parity(engine, queries, partition)
+    assert engine.search_block(queries, partition) == make_engine(
+        BlastOptions.blastn(dust=False, fused_slab_rows=slab_rows)
+    ).search_block(queries, partition)
 
 
 @given(_family(AA_ALPHABET), SLAB_ROWS)
