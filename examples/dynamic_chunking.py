@@ -6,7 +6,8 @@ Runs the same search three ways and compares the work distribution:
 1. the paper's published pipeline (pre-split blocks, FIFO master/worker);
 2. with location-aware dispatch (workers keep their DB partition);
 3. fully dynamic: no pre-split files — a FASTA offset index plus a timing
-   pilot choose the block size at run time, with tapered tail blocks.
+   pilot choose the block size at run time, with tapered tail blocks.  The
+   plan is just another ``query_blocks`` for the same driver.
 
 Run:  python examples/dynamic_chunking.py
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database, write_fasta
 from repro.blast import BlastOptions, format_database
 from repro.core import MrBlastConfig, mrblast_spmd
-from repro.core.mrblast.dynamic import DynamicChunkConfig, mrblast_dynamic_spmd
+from repro.core.mrblast.dynamic import DynamicChunkConfig, plan_query_blocks
 from repro.core.mrblast.merge import collect_rank_hits
 
 
@@ -44,9 +45,13 @@ def main() -> None:
         locality_aware=True,
     ))
     # 3. Dynamic chunking from the FASTA index.
-    dynamic = mrblast_dynamic_spmd(4, DynamicChunkConfig(
+    plan = plan_query_blocks(DynamicChunkConfig(
         alias_path=str(alias), query_fasta=str(query_fasta), options=options,
         output_dir=str(workdir / "dynamic"), target_unit_seconds=0.05,
+    ))
+    dynamic = mrblast_spmd(4, MrBlastConfig(
+        alias_path=str(alias), query_blocks=plan, options=options,
+        output_dir=str(workdir / "dynamic"), locality_aware=True,
     ))
 
     def switches(results):
@@ -56,8 +61,8 @@ def main() -> None:
     print(f"{'paper (FIFO dispatch)':<28} {switches(plain):>20}")
     print(f"{'location-aware (§V)':<28} {switches(local):>20}")
     print(f"{'dynamic chunking (§V)':<28} {switches(dynamic):>20}")
-    print(f"\ndynamic run chose blocks of {dynamic[0].block_size} queries "
-          f"({dynamic[0].n_blocks} blocks with tapered tail)")
+    print(f"\ndynamic run chose blocks of {plan.ranges[0][1] - plan.ranges[0][0]} queries "
+          f"({len(plan)} blocks with tapered tail)")
 
     hits = [collect_rank_hits([r.output_path for r in rs]) for rs in (plain, local, dynamic)]
     assert hits[0].keys() == hits[1].keys() == hits[2].keys()

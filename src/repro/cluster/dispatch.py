@@ -215,37 +215,12 @@ def simulate_blast_run(
             elif isinstance(ev, StallRank) and ev.rank < workers:
                 key = (ev.rank, ev.at_op)
                 stall_at[key] = stall_at.get(key, 0.0) + ev.seconds
-    tracked = speculation is not None or reassign or bool(crash_at) or bool(stall_at)
-
-    def worker_proc(env: Environment, wid: int):
-        trace = traces[wid]
-        current: int | None = None
-        while True:
-            unit = sched.next_unit(wid, current)
-            if unit is None:
-                return
-            block, partition = unit
-            yield env.timeout(cluster.dispatch_latency)
-            start = env.now
-            io = 0.0
-            if partition != current:
-                cached = cache.access(partition, workload.partition_gb)
-                io = cluster.load_seconds(workload.partition_gb, cached)
-                yield env.timeout(io)
-                trace.reloads += 1
-                current = partition
-            compute = workload.compute_seconds(block, partition)
-            yield env.timeout(compute)
-            trace.intervals.append((start, start + io, env.now))
-            trace.units += 1
-            trace.io_seconds += io
-            trace.compute_seconds += compute
 
     n_units = workload.n_blocks * workload.n_partitions
     tracker = StragglerTracker(speculation)
     state = {"lost": 0, "crashed": []}
 
-    def sched_worker_proc(env: Environment, wid: int):
+    def worker_proc(env: Environment, wid: int):
         trace = traces[wid]
         current: int | None = None
         dispatched = 0
@@ -310,14 +285,10 @@ def simulate_blast_run(
                 trace.wasted_units += 1
                 trace.wasted_seconds += io + stall + compute
 
-    proc = sched_worker_proc if tracked else worker_proc
     for w in range(workers):
-        env.process(proc(env, w))
+        env.process(worker_proc(env, w))
     env.run()
-    if tracked and tracker.finish_time is not None:
-        map_makespan = tracker.finish_time
-    else:
-        map_makespan = env.now
+    map_makespan = tracker.finish_time if tracker.finish_time is not None else env.now
 
     # Shuffle model: every rank holds kv_total/P and exchanges (P-1)/P of it
     # in a personalised all-to-all limited by per-link bandwidth.

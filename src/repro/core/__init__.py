@@ -25,11 +25,7 @@ from repro.core.mrblast.driver import (
     mrblast_supervised,
     run_mrblast,
 )
-from repro.core.mrblast.dynamic import (
-    DynamicChunkConfig,
-    mrblast_dynamic_spmd,
-    run_mrblast_dynamic,
-)
+from repro.core.mrblast.dynamic import DynamicChunkConfig, mrblast_dynamic_spmd
 from repro.core.mrsom.driver import MrSomConfig, mrsom_spmd, mrsom_supervised, run_mrsom
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "mrblast_spmd",
     "mrblast_supervised",
     "DynamicChunkConfig",
-    "run_mrblast_dynamic",
     "mrblast_dynamic_spmd",
     "MrSomConfig",
     "run_mrsom",

@@ -5,7 +5,9 @@ Runs the full parallel pipeline on the in-process MPI runtime::
     mrblast --db outdir/mydb.pal.json --queries q1.fasta q2.fasta \
             --np 4 --out results/ --evalue 1e-4 --max-hits 50
 
-Each ``--queries`` file is one query block (the paper's pre-split layout).
+Each ``--queries`` file is one query block (the paper's pre-split layout);
+``--query-fasta`` takes one unsplit FASTA and lets a timing pilot choose the
+block size.  Every other flag applies to both.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 
 from repro.blast.options import BlastOptions
 from repro.core.mrblast.driver import MrBlastConfig, mrblast_spmd, mrblast_supervised
+from repro.core.mrblast.dynamic import DynamicChunkConfig, plan_query_blocks
 from repro.core.mrblast.workitems import load_query_blocks
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import RetryPolicy
@@ -100,50 +103,31 @@ def main(argv: list[str] | None = None) -> int:
     }[args.program]
     options = factory(evalue=args.evalue, max_hits=args.max_hits)
 
-    if args.query_fasta:
-        from repro.core.mrblast.dynamic import DynamicChunkConfig, mrblast_dynamic_spmd
-
-        dyn_results = mrblast_dynamic_spmd(args.np, DynamicChunkConfig(
-            alias_path=args.db,
-            query_fasta=args.query_fasta,
-            options=options,
-            output_dir=args.out,
-            target_unit_seconds=args.target_unit_seconds,
-            locality_aware=args.locality,
-            backend=args.backend,
-            arena_mb=args.arena_mb,
-            speculation_factor=args.speculate,
-            degraded=not args.no_degraded,
-        ))
-        live = [r for r in dyn_results if r is not None]
-        total_hits = sum(r.hits_written for r in live)
-        for r in live:
-            print(
-                f"rank {r.rank}: units={r.units_processed} "
-                f"switches={r.partition_switches} wrote {r.hits_written} hits "
-                f"-> {r.output_path}"
-            )
-        _print_sched_summary(live)
-        print(
-            f"dynamic chunking chose {live[0].block_size}-query blocks "
-            f"({live[0].n_blocks} blocks); total {total_hits} hits "
-            f"across {args.np} ranks"
-        )
-        return 0
-
-    config = MrBlastConfig(
+    runtime = dict(
         alias_path=args.db,
-        query_blocks=load_query_blocks(args.queries),
         options=options,
-        output_dir=args.out,
-        blocks_per_iteration=args.blocks_per_iteration,
         locality_aware=args.locality,
-        resume=args.resume,
-        trace_path=args.trace,
         backend=args.backend,
         arena_mb=args.arena_mb,
         speculation_factor=args.speculate,
         degraded=not args.no_degraded,
+    )
+    if args.query_fasta:
+        query_blocks = plan_query_blocks(DynamicChunkConfig(
+            query_fasta=args.query_fasta,
+            output_dir=args.out,
+            target_unit_seconds=args.target_unit_seconds,
+            **runtime,
+        ), resume=args.resume)
+    else:
+        query_blocks = load_query_blocks(args.queries)
+    config = MrBlastConfig(
+        query_blocks=query_blocks,
+        output_dir=args.out,
+        blocks_per_iteration=args.blocks_per_iteration,
+        resume=args.resume,
+        trace_path=args.trace,
+        **runtime,
     )
     fault_plan = FaultPlan.parse(args.faults, args.np) if args.faults else None
     if args.retries > 0 or fault_plan is not None:
@@ -174,6 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     if quarantined:
         print(f"quarantined work units skipped: {quarantined} (see poison.json)")
     _print_sched_summary(live)
+    if args.query_fasta:
+        start, stop = query_blocks.ranges[0]
+        print(f"dynamic chunking chose {stop - start}-query blocks "
+              f"({len(query_blocks)} blocks)")
     print(f"total: {total_hits} hits for {total_queries} queries across {args.np} ranks")
     if args.trace:
         print(f"trace written to {args.trace}")

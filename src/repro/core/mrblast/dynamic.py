@@ -10,51 +10,49 @@ have a more uniform filling of the cores."
 
 Pieces:
 
-- :func:`pilot_block_size` — rank 0 times a small pilot search (a handful
-  of queries against one partition) and sizes blocks so one work unit costs
+- :func:`pilot_block_size` — times a small pilot search (a handful of
+  queries against one partition) and sizes blocks so one work unit costs
   roughly ``target_unit_seconds``.
 - :func:`plan_block_ranges` — cuts the indexed query set into blocks of
   that size, with a tapered tail: the last portion of blocks shrinks
   geometrically so the final units fill the cores evenly.
-- :func:`run_mrblast_dynamic` — an mrblast variant whose mapper
-  materialises query blocks lazily from the shared FASTA index instead of
-  from pre-split files.
+- :func:`plan_query_blocks` — index, pilot and plan in the launcher (none
+  of it needs a communicator), giving the
+  :class:`~repro.core.mrblast.workitems.IndexedQueryBlocks` that
+  :class:`~repro.core.mrblast.driver.MrBlastConfig` takes as
+  ``query_blocks``.  Dynamic chunking is a block source, not a driver: the
+  run itself is :func:`~repro.core.mrblast.driver.run_mrblast`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.bio.fasta import FastaIndex
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
-from repro.blast.hsp import HSP
-from repro.blast.options import BlastOptions
-from repro.core.mrblast.reducer import MrBlastReducer
-from repro.core.mrblast.workitems import WorkItem
-from repro.mpi.comm import Comm
-from repro.mpi.runtime import run_spmd
-from repro.mrmpi.mapreduce import MapReduce, MapStyle
+from repro.core.mrblast.driver import MrBlastConfig, MrBlastResult, mrblast_spmd
+from repro.core.mrblast.pipeline import RuntimeConfig
+from repro.core.mrblast.workitems import IndexedQueryBlocks
 
 __all__ = [
     "DynamicChunkConfig",
     "pilot_block_size",
     "plan_block_ranges",
-    "run_mrblast_dynamic",
+    "plan_query_blocks",
     "mrblast_dynamic_spmd",
 ]
 
 
 @dataclass
-class DynamicChunkConfig:
+class DynamicChunkConfig(RuntimeConfig):
     """Configuration of a dynamically-chunked run."""
 
-    alias_path: str
     query_fasta: str
-    options: BlastOptions = field(default_factory=BlastOptions.blastn)
     output_dir: str = "mrblast_dyn_out"
     #: desired wall-clock cost of one work unit
     target_unit_seconds: float = 0.25
@@ -64,26 +62,9 @@ class DynamicChunkConfig:
     max_block: int = 100_000
     #: fraction of the query set cut into geometrically shrinking tail blocks
     taper_fraction: float = 0.25
-    locality_aware: bool = True
-    hit_filter: Callable[[str, HSP], bool] | None = None
-    #: transport backend (None = REPRO_MPI_BACKEND default; see run_spmd)
-    backend: str | None = None
-    #: process-backend arena budget in MiB per rank (see run_spmd)
-    arena_mb: int | None = None
-    #: adaptive deadlines (the Fig. 4 knob closed-loop): process the query
-    #: set in waves of ``queries_per_wave`` queries and re-size the block
-    #: between waves from the *observed* unit-runtime distribution, instead
-    #: of trusting the pilot forever.  Requires ``queries_per_wave >= 1``.
-    adaptive: bool = False
-    #: queries per adaptation wave (0 = one wave over everything, i.e. the
-    #: non-adaptive legacy plan)
-    queries_per_wave: int = 0
-    #: straggler speculation factor (None disables; see MrBlastConfig)
-    speculation_factor: float | None = None
-    #: degraded-mode completion on worker death (see MrBlastConfig)
-    degraded: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.target_unit_seconds <= 0:
             raise ValueError("target_unit_seconds must be positive")
         if self.pilot_queries < 1:
@@ -92,13 +73,6 @@ class DynamicChunkConfig:
             raise ValueError("need 1 <= min_block <= max_block")
         if not (0.0 <= self.taper_fraction < 1.0):
             raise ValueError("taper_fraction must be in [0, 1)")
-        if self.adaptive and self.queries_per_wave < 1:
-            raise ValueError("adaptive mode needs queries_per_wave >= 1")
-        if self.queries_per_wave < 0:
-            raise ValueError("queries_per_wave must be >= 0")
-        if self.speculation_factor is not None and self.speculation_factor <= 1.0:
-            raise ValueError(
-                f"speculation_factor must be > 1.0, got {self.speculation_factor}")
 
 
 def pilot_block_size(
@@ -158,182 +132,35 @@ def plan_block_ranges(
     return ranges
 
 
-@dataclass
-class DynamicRunResult:
-    rank: int
-    output_path: str
-    block_size: int
-    n_blocks: int
-    units_processed: int
-    partition_switches: int
-    hits_written: int
-    #: adaptive-deadline telemetry (PR 8): block size entering each wave
-    #: (length 1 when non-adaptive) and the number of map waves run.
-    block_size_history: tuple[int, ...] = ()
-    waves: int = 1
-    #: straggler/degraded telemetry, mirrored from the scheduler report.
-    degraded: bool = False
-    lost_ranks: tuple[int, ...] = ()
-    speculated_units: int = 0
-    reassigned_units: int = 0
-    wasted_units: int = 0
+def plan_query_blocks(config: DynamicChunkConfig, resume: bool = False) -> IndexedQueryBlocks:
+    """Index the query FASTA, time the pilot, cut the plan.
 
-
-class _LazyBlockMapper:
-    """Like MrBlastMapper but materialises query blocks from the index."""
-
-    def __init__(
-        self,
-        alias: DatabaseAlias,
-        index: FastaIndex,
-        ranges: list[tuple[int, int]],
-        options: BlastOptions,
-        hit_filter,
-    ) -> None:
-        self.alias = alias
-        self.index = index
-        self.ranges = ranges
-        self.options = options.with_db_size(alias.total_length, alias.num_seqs)
-        self.hit_filter = hit_filter
-        self._engine = make_engine(self.options)
-        self._partition = None
-        self._partition_index = None
-        self._block_cache: tuple[int, list] | None = None
-        self.units = 0
-        self.partition_switches = 0
-        #: wall-clock seconds of every unit this rank executed, in order —
-        #: the observable the adaptive-deadline controller feeds on.
-        self.unit_seconds: list[float] = []
-
-    def _queries(self, block_index: int):
-        if self._block_cache is None or self._block_cache[0] != block_index:
-            start, stop = self.ranges[block_index]
-            self._block_cache = (block_index, self.index.load_range(start, stop))
-        return self._block_cache[1]
-
-    def __call__(self, itask: int, item: WorkItem, kv) -> None:
-        t0 = time.perf_counter()
-        if self._partition_index != item.partition_index:
-            if self._partition is not None:
-                self._partition.release()
-            self._partition = self.alias.open_partition(item.partition_index)
-            self._partition_index = item.partition_index
-            self.partition_switches += 1
-        for hsp in self._engine.search_block(self._queries(item.block_index), self._partition):
-            if self.hit_filter is not None and self.hit_filter(hsp.query_id, hsp):
-                continue
-            kv.add(hsp.query_id, hsp)
-        self.units += 1
-        self.unit_seconds.append(time.perf_counter() - t0)
-
-
-def run_mrblast_dynamic(comm: Comm, config: DynamicChunkConfig) -> DynamicRunResult:
-    """SPMD entry point for the dynamically-chunked pipeline.
-
-    Non-adaptive (``queries_per_wave == 0``): one map over the pilot-sized
-    plan, exactly the legacy behaviour.  Adaptive: the query set is
-    processed in waves; after each wave the block size is re-derived from
-    the *observed* median unit runtime (clamped to [0.5x, 2x] per step so
-    one noisy wave cannot whipsaw the plan) — a feedback controller closing
-    the loop the pilot only opens.
+    The plan is written to ``<output_dir>/query_plan.json``.  The pilot is a
+    wall-clock measurement, so a second launch may size blocks differently;
+    ``resume=True`` reuses the recorded plan, because the iteration
+    checkpoints in ``output_dir`` count blocks of *that* plan.
     """
-    alias = DatabaseAlias.load(config.alias_path)
     index = FastaIndex(config.query_fasta)
-
-    # Rank 0 runs the timing pilot; the chosen block size is broadcast.
-    block_size = None
-    if comm.rank == 0:
-        block_size = pilot_block_size(index, alias, config)
-    block_size = comm.bcast(block_size, root=0)
-
-    speculation = None
-    if config.speculation_factor is not None:
-        from repro.sched import SpeculationPolicy
-
-        speculation = SpeculationPolicy(factor=config.speculation_factor)
-
-    os.makedirs(config.output_dir, exist_ok=True)
-    output_path = os.path.join(config.output_dir, f"hits.rank{comm.rank:04d}.tsv")
-    open(output_path, "w").close()
-
-    ranges: list[tuple[int, int]] = []  # grows wave by wave, shared w/ mapper
-    mapper = _LazyBlockMapper(alias, index, ranges, config.options, config.hit_filter)
-    reducer = MrBlastReducer(mapper.options, output_path)
-    mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER)
-
-    n_queries = len(index)
-    per_wave = config.queries_per_wave if config.adaptive else 0
-    history = [block_size]
-    waves = 0
-    pos = 0
-    while pos < n_queries:
-        wave_end = n_queries if per_wave == 0 else min(pos + per_wave, n_queries)
-        last = wave_end >= n_queries
-        # Taper only the final wave: mid-run waves are followed by more
-        # work, so there is no drain to smooth.
-        wave_ranges = plan_block_ranges(
-            wave_end - pos, block_size,
-            config.taper_fraction if last else 0.0, config.min_block,
-        )
-        base = len(ranges)
-        ranges.extend((pos + a, pos + b) for a, b in wave_ranges)
-        items = [
-            WorkItem(b, p)
-            for b in range(base, len(ranges))
-            for p in range(alias.num_partitions)
-        ]
-        mark = len(mapper.unit_seconds)
-        mr.map_items(
-            items,
-            mapper,
-            addflag=True,
-            locality_key=(lambda it: it.partition_index) if config.locality_aware else None,
-            speculation=speculation,
-            degraded=config.degraded,
-        )
-        waves += 1
-        pos = wave_end
-        if config.adaptive and not last:
-            # Feedback step: every rank contributes its wave's observed unit
-            # durations; the fleet agrees on the median and rescales.
-            observed = sorted(
-                d
-                for sub in mr.comm.allgather(mapper.unit_seconds[mark:])
-                for d in sub
-            )
-            if observed:
-                median = observed[len(observed) // 2]
-                if median > 0:
-                    scale = min(2.0, max(0.5, config.target_unit_seconds / median))
-                    block_size = max(
-                        config.min_block,
-                        min(int(block_size * scale), config.max_block, n_queries),
-                    )
-                    block_size = max(block_size, 1)
-            history.append(block_size)
-
-    mr.collate()
-    mr.reduce(reducer)
-    mr.close()
-    return DynamicRunResult(
-        rank=comm.rank,
-        output_path=output_path,
-        block_size=history[-1],
-        n_blocks=len(ranges),
-        units_processed=mapper.units,
-        partition_switches=mapper.partition_switches,
-        hits_written=reducer.hits_written,
-        block_size_history=tuple(history),
-        waves=waves,
-        degraded=mr.degraded_run,
-        lost_ranks=mr.lost_ranks,
-        speculated_units=mr.sched_stats["speculated"],
-        reassigned_units=mr.sched_stats["reassigned"],
-        wasted_units=mr.sched_stats["wasted"],
-    )
+    plan_path = os.path.join(config.output_dir, "query_plan.json")
+    ranges = None
+    if resume and os.path.exists(plan_path):
+        with open(plan_path) as fh:
+            plan = json.load(fh)
+        if plan["n_queries"] == len(index):
+            ranges = [tuple(r) for r in plan["ranges"]]
+    if ranges is None:
+        block_size = pilot_block_size(index, DatabaseAlias.load(config.alias_path), config)
+        ranges = plan_block_ranges(
+            len(index), block_size, config.taper_fraction, config.min_block)
+        os.makedirs(config.output_dir, exist_ok=True)
+        with open(plan_path, "w") as fh:
+            json.dump({"n_queries": len(index), "ranges": ranges}, fh)
+    return IndexedQueryBlocks(index, ranges)
 
 
-def mrblast_dynamic_spmd(nprocs: int, config: DynamicChunkConfig) -> list[DynamicRunResult]:
-    """Launch a full in-process MPI job running :func:`run_mrblast_dynamic`."""
-    return run_spmd(nprocs, run_mrblast_dynamic, config,
-                    backend=config.backend, arena_mb=config.arena_mb)
+def mrblast_dynamic_spmd(nprocs: int, config: DynamicChunkConfig) -> list[MrBlastResult]:
+    """Plan the blocks in the launcher, then run the one mrblast driver."""
+    config.validate()
+    runtime = {f.name: getattr(config, f.name) for f in dataclasses.fields(RuntimeConfig)}
+    return mrblast_spmd(nprocs, MrBlastConfig(
+        query_blocks=plan_query_blocks(config), output_dir=config.output_dir, **runtime))

@@ -57,14 +57,13 @@ def _encode_id(text: str, width: int) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > width:
         raise ValueError(
-            f"sequence id {text!r} is {len(raw)} bytes, wider than the columnar "
-            f"id column (id_width={width}); raise MrBlastConfig.id_width or set "
-            f"columnar=False"
+            f"sequence id {text!r} is {len(raw)} bytes, wider than the id "
+            f"column (id_width={width}); raise id_width"
         )
     if raw.endswith(b"\x00"):
         raise ValueError(
             f"sequence id {text!r} ends with a NUL byte, which fixed-width 'S' "
-            f"columns cannot represent; set columnar=False"
+            f"columns cannot represent; the id cannot be stored"
         )
     return raw
 

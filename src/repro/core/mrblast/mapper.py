@@ -12,7 +12,7 @@ the RefSeq fragments against themselves" modification.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.bio.seq import SeqRecord
@@ -76,8 +76,6 @@ class MapperStats:
     #: spent, and map() exceptions this rank recorded into the poison ledger
     quarantined_units: int = 0
     map_failures: int = 0
-    #: (start, end, busy) wall-clock interval of each unit, for traces
-    intervals: list[tuple[float, float, float]] = field(default_factory=list)
 
 
 class MrBlastMapper:
@@ -193,13 +191,9 @@ class MrBlastMapper:
         hits = self._engine.search_block(queries, partition)
         if self.hit_filter is not None:
             hits = [h for h in hits if not self.hit_filter(h.query_id, h)]
-        if hasattr(kv, "add_batch"):
-            # Columnar plane: the whole unit's hits become one batch — one
-            # key column plus one structured HSP row array.
-            kv.add_batch([h.query_id for h in hits], hits)
-        else:
-            for hsp in hits:
-                kv.add(hsp.query_id, hsp)
+        # The whole unit's hits become one batch — one key column plus one
+        # structured HSP row array.
+        kv.add_batch([h.query_id for h in hits], hits)
         self.stats.hits_emitted += len(hits)
         t1 = time.perf_counter()
         self.stats.units_processed += 1
@@ -211,7 +205,6 @@ class MrBlastMapper:
         self.stats.lookup_cache_hits += last.lookup_cache_hits
         self.stats.fused_rounds += last.fused_rounds
         self.stats.peak_slab_bytes = max(self.stats.peak_slab_bytes, last.peak_slab_bytes)
-        self.stats.intervals.append((t0, t1, last.busy_seconds))
         if trc.enabled:
             # The attrs are the very floats added to MapperStats above, so
             # trace-derived stage sums match the counters bit-for-bit.

@@ -4,7 +4,7 @@
 combines several query sequences ('query blocks') with one database
 partition" (paper §III.A).  Query blocks are pre-split FASTA files (the
 paper's setup) or index ranges over one big FASTA (the paper's announced
-dynamic-chunking improvement, used by the ablation bench).
+dynamic-chunking improvement).
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from typing import Sequence
 from repro.bio.fasta import FastaIndex, read_fasta
 from repro.bio.seq import SeqRecord
 
-__all__ = ["WorkItem", "build_work_items", "load_query_blocks", "index_query_blocks"]
+__all__ = [
+    "WorkItem",
+    "build_work_items",
+    "load_query_blocks",
+    "IndexedQueryBlocks",
+    "block_query_ids",
+]
 
 
 @dataclass(frozen=True)
@@ -72,20 +78,46 @@ def load_query_blocks(block_paths: Sequence[str]) -> list[list[SeqRecord]]:
     return [list(read_fasta(p)) for p in block_paths]
 
 
-def index_query_blocks(
-    fasta_path: str, seqs_per_block: int
-) -> tuple[FastaIndex, list[tuple[int, int]]]:
-    """Dynamic chunking: block boundaries over one indexed FASTA file.
+class IndexedQueryBlocks(Sequence):
+    """Query blocks as entry ranges over one indexed FASTA, loaded on demand.
 
-    Returns the index plus (start, stop) entry ranges — the paper's future
-    work of "eliminating the need to pre-partition the query dataset by
-    building an index of sequence offsets in the input FASTA file".
+    What :class:`~repro.core.mrblast.driver.MrBlastConfig` takes as
+    ``query_blocks`` when nothing was pre-split: indexing block ``i`` reads
+    its records with one seek (the last block read stays cached, since a
+    rank holding its partition meets the same block again only in
+    query-major order), while lengths and ids come from the index.
     """
-    if seqs_per_block < 1:
-        raise ValueError(f"seqs_per_block must be >= 1, got {seqs_per_block}")
-    index = FastaIndex(fasta_path)
-    ranges = [
-        (start, min(start + seqs_per_block, len(index)))
-        for start in range(0, len(index), seqs_per_block)
-    ]
-    return index, ranges
+
+    def __init__(self, index: FastaIndex, ranges: Sequence[tuple[int, int]]) -> None:
+        self.index = index
+        self.ranges = list(ranges)
+        self._cached: tuple[int, list[SeqRecord]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.ranges)
+
+    def __getitem__(self, i: int) -> list[SeqRecord]:
+        # Ranks of a thread-backend job share this object: read and replace
+        # the cache through one local so a racing rank cannot swap the
+        # block out between the check and the return.
+        cached = self._cached
+        if cached is None or cached[0] != i:
+            cached = self._cached = (i, self.index.load_range(*self.ranges[i]))
+        return cached[1]
+
+    def ids(self) -> list[list[str]]:
+        """Per block, its query ids in input order (no block is loaded)."""
+        ids = self.index.ids
+        return [ids[start:stop] for start, stop in self.ranges]
+
+
+def block_query_ids(query_blocks: Sequence[Sequence[SeqRecord]]) -> list[list[str]]:
+    """Per block, the ids of its queries in input order.
+
+    The driver's input-order map and the config's emptiness check both go
+    through here, so an :class:`IndexedQueryBlocks` plan answers them from
+    its index instead of materialising every block on every rank.
+    """
+    if isinstance(query_blocks, IndexedQueryBlocks):
+        return query_blocks.ids()
+    return [[rec.id for rec in block] for block in query_blocks]

@@ -3,14 +3,14 @@
 One-shot :func:`~repro.core.mrblast.driver.run_mrblast` pays its setup cost
 (rank spawn, DB alias load, partition open, lookup-table build) on every
 call.  The resident session keeps an SPMD job alive between requests: every
-rank holds one warm :class:`~repro.core.mrblast.mapper.MrBlastMapper` (open
-DB partition + cross-partition lookup cache) and one
-:class:`~repro.mrmpi.mapreduce.MapReduce` handle for its whole lifetime,
-and executes query blocks pushed through a job queue.
+rank holds one :class:`~repro.core.mrblast.pipeline.BlastPipeline` (warm
+mapper with its open DB partition and lookup cache, one ``MapReduce``
+handle) for its whole lifetime, and executes query blocks pushed through a
+job queue.
 
 Control flow per rank: rank 0 pops the next :class:`BlockJob` from the
-parent's queue and broadcasts it; every rank then runs the standard
-map → collate → sort → reduce pipeline over the block, with the reduce step
+parent's queue and broadcasts it; every rank then runs the pipeline's one
+map → collate → sort → reduce iteration over the block, with the reduce step
 demuxing per-query result bytes (:class:`~repro.core.mrblast.reducer.DemuxReducer`)
 instead of appending to rank files.  Rank 0 gathers the demuxed dicts and
 ships one result envelope back.  While the queue is idle, rank 0 broadcasts
@@ -25,24 +25,18 @@ communicator past it and keep serving.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from repro.bio.seq import SeqRecord
-from repro.blast.dbreader import DatabaseAlias
-from repro.blast.hsp import HSP
-from repro.blast.options import BlastOptions
-from repro.core.mrblast.mapper import MrBlastMapper
+from repro.core.mrblast.pipeline import BlastPipeline, RuntimeConfig
 from repro.core.mrblast.reducer import DemuxReducer
-from repro.core.mrblast.workitems import build_work_items
 from repro.mpi.comm import Comm
 from repro.mpi.exceptions import MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import SpmdJob, resolve_backend
-from repro.mrmpi.mapreduce import MapReduce, MapStyle
 
 __all__ = [
     "ServeConfig",
@@ -55,35 +49,20 @@ __all__ = [
 
 
 @dataclass
-class ServeConfig:
+class ServeConfig(RuntimeConfig):
     """Everything a resident BLAST service needs.
 
-    Mirrors the one-shot :class:`~repro.core.mrblast.driver.MrBlastConfig`
-    knobs that matter for a long-lived session, plus the service-side
-    batching/intake parameters.  ``idle_tick`` must stay well below the
-    transport operation timeout: it is the cadence of rank 0's keepalive
-    broadcasts while the job queue is empty.
+    The shared runtime knobs of
+    :class:`~repro.core.mrblast.pipeline.RuntimeConfig` plus the
+    service-side batching/intake parameters.  ``idle_tick`` must stay well
+    below the transport operation timeout: it is the cadence of rank 0's
+    keepalive broadcasts while the job queue is empty.
     """
 
-    alias_path: str
     nprocs: int = 2
-    options: BlastOptions = field(default_factory=BlastOptions.blastn)
-    backend: str | None = None
-    arena_mb: int | None = None
-    memsize: int = 64 * 1024 * 1024
-    work_order: str = "partition_major"
-    locality_aware: bool = True
-    lookup_cache_blocks: int = 8
-    columnar: bool = True
-    id_width: int = 64
-    spool_dir: str | None = None
-    hit_filter: Callable[[str, HSP], bool] | None = None
     #: resilience: degraded-mode completion on worker death is the default
     #: for a service (finish the batch, keep serving on survivors)
-    degraded: bool = True
-    speculation_factor: float | None = None
-    #: test/chaos hook forwarded to the mapper (see MrBlastConfig)
-    unit_fault_injector: Callable[..., None] | None = None
+    degraded: bool = field(default=True, kw_only=True)
     #: keepalive cadence of the idle rank loop, seconds
     idle_tick: float = 0.25
     #: transport operation timeout override (None = transport default)
@@ -105,32 +84,19 @@ class ServeConfig:
     low_watermark: float = 0.5
 
     def validate(self) -> None:
-        """Fail-fast checks before any rank spawns (raises ValueError)."""
-        if not os.path.isfile(self.alias_path):
-            raise ValueError(f"serve config: alias_path {self.alias_path!r} does not exist")
-        try:
-            DatabaseAlias.load(self.alias_path)
-        except Exception as exc:
-            raise ValueError(
-                f"serve config: alias_path {self.alias_path!r} is not a readable "
-                f"database alias ({exc})"
-            ) from exc
+        """The shared runtime checks plus the service's own (raises ValueError)."""
+        super().validate()
         if self.nprocs < 1:
-            raise ValueError(f"serve config: nprocs must be >= 1, got {self.nprocs}")
-        if self.memsize < 1:
-            raise ValueError(f"serve config: memsize must be >= 1, got {self.memsize}")
+            raise ValueError(f"ServeConfig: nprocs must be >= 1, got {self.nprocs}")
         if self.idle_tick <= 0:
-            raise ValueError(f"serve config: idle_tick must be > 0, got {self.idle_tick}")
+            raise ValueError(f"ServeConfig: idle_tick must be > 0, got {self.idle_tick}")
         if self.max_batch < 1:
-            raise ValueError(f"serve config: max_batch must be >= 1, got {self.max_batch}")
+            raise ValueError(f"ServeConfig: max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay < 0:
-            raise ValueError(f"serve config: max_delay must be >= 0, got {self.max_delay}")
-        if self.work_order not in ("partition_major", "query_major"):
-            raise ValueError(f"serve config: unknown work_order {self.work_order!r}")
+            raise ValueError(f"ServeConfig: max_delay must be >= 0, got {self.max_delay}")
         if not 0 < self.low_watermark <= self.high_watermark <= 1.0:
             raise ValueError(
-                "serve config: need 0 < low_watermark <= high_watermark <= 1.0")
-        resolve_backend(self.backend)
+                "ServeConfig: need 0 < low_watermark <= high_watermark <= 1.0")
 
 
 @dataclass(frozen=True)
@@ -175,37 +141,18 @@ class ServeRankStats:
     lost_ranks: tuple[int, ...] = ()
 
 
-def _run_block_job(
-    cfg: ServeConfig,
-    alias: DatabaseAlias,
-    mapper: MrBlastMapper,
-    mr: MapReduce,
-    job: BlockJob,
-    speculation,
-) -> tuple[dict[str, bytes], int] | None:
+def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, bytes], int] | None:
     """Execute one query block on this rank.
 
     Rank 0 returns ``(merged demux, kv_bytes)``, ``kv_bytes`` being the
     summed ``nbytes`` of every rank's KV dataset after map.
     """
-    mapper.set_query_blocks([list(job.queries)])
-    items = build_work_items(1, alias.num_partitions, cfg.work_order)
-    mr.reset()
-    mr.map_items(
-        items,
-        mapper,
-        locality_key=(lambda it: it.partition_index) if cfg.locality_aware else None,
-        speculation=speculation,
-        degraded=cfg.degraded,
-    )
-    local_bytes = int(getattr(mr.kv, "nbytes", 0))
-    mr.collate()
-    order = {rec.id: i for i, rec in enumerate(job.queries)}
-    mr.sort_kmv_keys(key=lambda qid: order.get(qid, len(order)))
-    demux = DemuxReducer(mapper.options)
-    mr.reduce(demux, out_schema=None)
-    gathered = mr.comm.gather((demux.results, local_bytes), root=0)
-    if mr.comm.rank != 0:
+    pipeline.mapper.set_query_blocks([list(job.queries)])
+    demux = DemuxReducer(pipeline.mapper.options)
+    local_bytes = pipeline.iterate({rec.id: i for i, rec in enumerate(job.queries)}, demux)
+    comm = pipeline.mr.comm
+    gathered = comm.gather((demux.results, local_bytes), root=0)
+    if comm.rank != 0:
         return None
     merged: dict[str, bytes] = {}
     for part, _nbytes in gathered:
@@ -222,32 +169,8 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> Se
     broadcast.  Directives are ``("job", BlockJob)``, ``("tick", None)``
     (keepalive) and ``("stop", None)``.
     """
-    alias = DatabaseAlias.load(cfg.alias_path)
-    mapper = MrBlastMapper(
-        alias,
-        [],
-        cfg.options,
-        hit_filter=cfg.hit_filter,
-        lookup_cache_blocks=cfg.lookup_cache_blocks,
-        fault_injector=cfg.unit_fault_injector,
-    )
-    schema = None
-    if cfg.columnar:
-        from repro.core.mrblast.hspcodec import hsp_schema
-
-        schema = hsp_schema(cfg.id_width)
-    mr = MapReduce(
-        comm,
-        memsize=cfg.memsize,
-        mapstyle=MapStyle.MASTER_WORKER,
-        spool_dir=cfg.spool_dir,
-        schema=schema,
-    )
-    speculation = None
-    if cfg.speculation_factor is not None:
-        from repro.sched import SpeculationPolicy
-
-        speculation = SpeculationPolicy(factor=cfg.speculation_factor)
+    pipeline = BlastPipeline(comm, cfg)
+    mapper, mr = pipeline.mapper, pipeline.mr
 
     stats = ServeRankStats(rank=comm.rank)
     live_comm = comm
@@ -284,7 +207,7 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> Se
                 sid = trc.begin("serve.job", cat="serve",
                                 job_id=job.job_id, queries=len(job.queries))
             try:
-                outcome = _run_block_job(cfg, alias, mapper, mr, job, speculation)
+                outcome = _run_block_job(pipeline, job)
                 if outcome is not None:
                     merged, kv_bytes = outcome
                     results.put(BlockResult(
@@ -310,8 +233,7 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> Se
                 stats.degraded = True
                 stats.lost_ranks = mr.lost_ranks
     finally:
-        mr.close()
-        mapper.release()
+        pipeline.close()
     stats.units_processed = mapper.stats.units_processed
     stats.partition_switches = mapper.stats.partition_switches
     stats.hits_emitted = mapper.stats.hits_emitted

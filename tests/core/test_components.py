@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bio import SeqRecord, random_genome, split_fasta, write_fasta
+from repro.bio.fasta import FastaIndex
+from repro.core.mrblast.dynamic import plan_block_ranges
 from repro.core.mrblast.workitems import (
+    IndexedQueryBlocks,
     WorkItem,
+    block_query_ids,
     build_work_items,
-    index_query_blocks,
     load_query_blocks,
 )
 from repro.core.mrblast.mapper import exclude_self_hits
@@ -50,12 +53,15 @@ class TestWorkItems:
         recs = [SeqRecord(f"q{i}", random_genome(50, seed_or_rng=i)) for i in range(10)]
         path = tmp_path / "all.fasta"
         write_fasta(recs, path)
-        index, ranges = index_query_blocks(str(path), seqs_per_block=4)
+        ranges = plan_block_ranges(10, 4, taper_fraction=0.0)
         assert ranges == [(0, 4), (4, 8), (8, 10)]
-        middle = index.load_range(*ranges[1])
-        assert [r.id for r in middle] == ["q4", "q5", "q6", "q7"]
-        with pytest.raises(ValueError):
-            index_query_blocks(str(path), seqs_per_block=0)
+        blocks = IndexedQueryBlocks(FastaIndex(path), ranges)
+        assert len(blocks) == 3
+        assert [r.id for r in blocks[1]] == ["q4", "q5", "q6", "q7"]
+        assert blocks[1] is blocks[1]  # the last block read stays cached
+        assert [r.seq for r in blocks[2]] == [r.seq for r in recs[8:]]
+        # ids per block are the same question asked of materialised blocks
+        assert block_query_ids(blocks) == block_query_ids([recs[a:b] for a, b in ranges])
 
 
 class TestSelfHitFilter:

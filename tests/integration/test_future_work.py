@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database, write_fasta
+from repro.bio.fasta import FastaIndex
 from repro.blast import BlastOptions, format_database
 from repro.blast.dbreader import DatabaseAlias
 from repro.core import MrBlastConfig, mrblast_spmd
@@ -12,8 +13,10 @@ from repro.core.mrblast.dynamic import (
     DynamicChunkConfig,
     mrblast_dynamic_spmd,
     plan_block_ranges,
+    plan_query_blocks,
 )
 from repro.core.mrblast.merge import collect_rank_hits
+from repro.core.mrblast.workitems import IndexedQueryBlocks
 from repro.mpi import run_spmd
 from repro.mrmpi import MapReduce
 
@@ -29,6 +32,15 @@ def workload(tmp_path_factory):
     write_fasta(reads, fasta)
     options = BlastOptions.blastn(evalue=1e-4, max_hits=20)
     return str(alias), reads, str(fasta), options
+
+
+def _sig(merged):
+    return sorted(
+        (q, h.subject_id, h.q_start, h.q_end, h.s_start, h.s_end,
+         h.strand, round(h.bit_score, 1))
+        for q, hits in merged.items()
+        for h in hits
+    )
 
 
 class TestLocalityDispatch:
@@ -124,18 +136,62 @@ class TestDynamicChunking:
             pilot_queries=2,
         )
         results = mrblast_dynamic_spmd(3, config)
-        assert all(r.block_size == results[0].block_size for r in results)
-        assert results[0].n_blocks >= 1
+        # The run is run_mrblast's: its stage counters come with it.
+        assert sum(r.units_processed for r in results) >= 1
+        assert sum(r.hits_emitted for r in results) >= sum(r.hits_written for r in results) > 0
         merged = collect_rank_hits([r.output_path for r in results])
-        serial = run_serial_blast(alias, [reads], options)
-        assert set(merged) == set(serial)
-        for qid in serial:
-            assert len(merged[qid]) == len(serial[qid])
+        assert _sig(merged) == _sig(run_serial_blast(alias, [reads], options))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_indexed_blocks_spill_stop_and_resume(self, workload, tmp_path, backend):
+        """What only the fold makes possible: a ``--query-fasta``-style run
+        under spill, in two-block iterations, killed after one and resumed."""
+        alias, reads, fasta, options = workload
+        index = FastaIndex(fasta)
+        blocks = IndexedQueryBlocks(index, plan_block_ranges(len(index), 3, 0.25))
+        assert len(blocks) > 2
+
+        def config(**kw):
+            return MrBlastConfig(
+                alias_path=alias, query_blocks=blocks, options=options,
+                output_dir=str(tmp_path / "out"), memsize=4096,
+                blocks_per_iteration=2, locality_aware=True, backend=backend, **kw)
+
+        partial = mrblast_spmd(3, config(stop_after_iterations=1))
+        assert sum(r.queries_written for r in partial) < len(reads)
+        resumed = mrblast_spmd(3, config(resume=True))
+        assert all(r.resumed_from_iteration == 1 for r in resumed)
+        merged = collect_rank_hits([r.output_path for r in resumed])
+        assert _sig(merged) == _sig(run_serial_blast(alias, [reads], options))
+
+    def test_indexed_blocks_answer_ids_without_loading(self, workload, tmp_path, monkeypatch):
+        alias, reads, fasta, options = workload
+        index = FastaIndex(fasta)
+        blocks = IndexedQueryBlocks(index, plan_block_ranges(len(index), 5, 0.0))
+        monkeypatch.setattr(index, "load_range", lambda *a: pytest.fail("block loaded"))
+        MrBlastConfig(alias_path=alias, query_blocks=blocks, options=options,
+                      output_dir=str(tmp_path / "out")).validate()
+        assert [q for ids in blocks.ids() for q in ids] == [r.id for r in reads]
+
+    def test_resumed_plan_is_the_recorded_one(self, workload, tmp_path):
+        """The pilot is a timing; a relaunch must not re-cut the blocks the
+        iteration checkpoints were counted in."""
+        alias, _, fasta, options = workload
+        first = plan_query_blocks(DynamicChunkConfig(
+            alias_path=alias, query_fasta=fasta, options=options,
+            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=5))
+        again = plan_query_blocks(DynamicChunkConfig(
+            alias_path=alias, query_fasta=fasta, options=options,
+            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=2),
+            resume=True)
+        assert again.ranges == first.ranges
+        fresh = plan_query_blocks(DynamicChunkConfig(
+            alias_path=alias, query_fasta=fasta, options=options,
+            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=2))
+        assert fresh.ranges != first.ranges
 
     def test_pilot_respects_bounds(self, workload, tmp_path):
         alias, _, fasta, options = workload
-        from repro.bio.fasta import FastaIndex
-        from repro.blast.dbreader import DatabaseAlias
         from repro.core.mrblast.dynamic import pilot_block_size
 
         config = DynamicChunkConfig(

@@ -70,52 +70,52 @@ def test_tiny_memsize_with_all_features_on(workload, tmp_path):
 
 def test_spilling_actually_happened(workload, tmp_path):
     """Guard against the test silently running in-memory."""
+    from repro.core.mrblast.pipeline import BlastPipeline
+    from repro.core.mrblast.workitems import build_work_items
     from repro.mpi import run_spmd
-    from repro.mrmpi import MapReduce
 
     alias, blocks, options = workload
+    config = MrBlastConfig(
+        alias_path=alias, query_blocks=blocks, options=options,
+        output_dir=str(tmp_path / "spill"), memsize=4096,
+    )
 
     def main(comm):
-        from repro.core.mrblast.mapper import MrBlastMapper
-        from repro.core.mrblast.workitems import build_work_items
-        from repro.blast.dbreader import DatabaseAlias
-
-        alias_obj = DatabaseAlias.load(alias)
-        mapper = MrBlastMapper(alias_obj, blocks, options)
-        mr = MapReduce(comm, memsize=4096)
-        items = build_work_items(len(blocks), alias_obj.num_partitions)
-        mr.map_items(items, mapper)
-        spilled = mr.kv is not None and mr.kv.out_of_core
-        any_spilled = mr.comm.allreduce(int(spilled))
-        mr.close()
-        return any_spilled
+        pipeline = BlastPipeline(comm, config, blocks)
+        mr = pipeline.mr
+        try:
+            items = build_work_items(len(blocks), pipeline.alias.num_partitions)
+            mr.map_items(items, pipeline.mapper)
+            return mr.comm.allreduce(int(mr.kv.out_of_core))
+        finally:
+            pipeline.close()
 
     assert run_spmd(3, main)[0] > 0
 
 
 @pytest.mark.parametrize("memsize", [4096, None], ids=["out-of-core", "in-core"])
-def test_columnar_and_object_planes_byte_identical(workload, tmp_path, memsize):
-    """The columnar data plane is a representation change, not a semantics
-    change: per-rank output files must match the object plane byte for byte,
-    in-core and when a tiny memsize forces multi-page spill on both planes.
+def test_per_query_bytes_match_serial(workload, tmp_path, memsize):
+    """Byte for byte, not just alignment for alignment: each query's slice
+    of the per-rank files is the tabular text of the serial baseline's hits
+    for it, in-core and when a tiny memsize forces multi-page spill.  (That
+    the structured rows carry what the pickled objects carried is the plane
+    parity suite, tests/properties/test_mrmpi_properties.py.)
     """
+    from repro.blast import format_tabular
+
     alias, blocks, options = workload
     overrides = {} if memsize is None else {"memsize": memsize}
-    col = mrblast_spmd(3, MrBlastConfig(
+    results = mrblast_spmd(3, MrBlastConfig(
         alias_path=alias, query_blocks=blocks, options=options,
-        output_dir=str(tmp_path / f"col{memsize}"), **overrides,
+        output_dir=str(tmp_path / "out"), **overrides,
     ))
-    obj = mrblast_spmd(3, MrBlastConfig(
-        alias_path=alias, query_blocks=blocks, options=options,
-        output_dir=str(tmp_path / f"obj{memsize}"), columnar=False, **overrides,
-    ))
-    # identical key placement (the vectorized hash equals the scalar hash)
-    # means rank r's file is the same file in both runs
-    import os
-    for c, o in zip(col, obj):
-        c_bytes = open(c.output_path, "rb").read() if os.path.exists(c.output_path) else b""
-        o_bytes = open(o.output_path, "rb").read() if os.path.exists(o.output_path) else b""
-        assert c_bytes == o_bytes, f"rank {c.rank} output differs between planes"
-    assert collect_rank_hits([r.output_path for r in col]) == collect_rank_hits(
-        [r.output_path for r in obj]
-    )
+    got: dict[str, bytes] = {}
+    for r in results:
+        with open(r.output_path, "rb") as fh:
+            for line in fh:
+                qid = line.split(b"\t", 1)[0].decode()
+                got[qid] = got.get(qid, b"") + line
+    serial = run_serial_blast(alias, blocks, options)
+    assert got == {
+        qid: format_tabular(hits).encode("ascii") for qid, hits in serial.items() if hits
+    }

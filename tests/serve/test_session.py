@@ -7,13 +7,10 @@ read back, pinning the rank-loop invariants the service builds on.
 
 import pytest
 
-from repro.blast.dbreader import DatabaseAlias
-from repro.core.mrblast.hspcodec import hsp_schema
-from repro.core.mrblast.mapper import MrBlastMapper
-from repro.core.mrblast.workitems import build_work_items
+from repro.core.mrblast.pipeline import BlastPipeline
+from repro.core.mrblast.reducer import DemuxReducer
 from repro.mpi.exceptions import RankFailure
 from repro.mpi.runtime import run_spmd
-from repro.mrmpi.mapreduce import MapReduce
 from repro.obs.trace import TraceSession
 from repro.serve.session import BlockJob, ResidentBlastSession, ServeConfig
 
@@ -29,16 +26,11 @@ def make_cfg(alias_path, options, **kw):
 
 def _kv_bytes_after_map(comm, alias_path, options, queries):
     """``nbytes`` of the KV dataset one query block maps to, outside the service."""
-    cfg = make_cfg(alias_path, options)
-    alias = DatabaseAlias.load(alias_path)
-    mapper = MrBlastMapper(alias, [list(queries)], options)
-    mr = MapReduce(comm, memsize=cfg.memsize, schema=hsp_schema(cfg.id_width))
+    pipeline = BlastPipeline(comm, make_cfg(alias_path, options), [list(queries)])
     try:
-        mr.map_items(build_work_items(1, alias.num_partitions, cfg.work_order), mapper)
-        return mr.kv.nbytes
+        return pipeline.iterate({}, DemuxReducer(pipeline.mapper.options))
     finally:
-        mr.close()
-        mapper.release()
+        pipeline.close()
 
 
 def run_jobs(session, jobs, timeout=60.0):
