@@ -9,7 +9,7 @@ ranks in two batching modes:
 - ``micro`` — queries coalesce into blocks sized by
   :func:`~repro.serve.advise_batch_size` from the α/β machine model the
   shuffle bench fitted (``BENCH_shuffle.json``), so the per-job fixed cost
-  (broadcast, dispatch epoch, collate/sort/reduce collectives, gather) is
+  (broadcast, dispatch epoch, the gather to rank 0 and its reduce) is
   amortised over the block.
 
 Reported per run: sustained qps over the whole stream and the p50/p99

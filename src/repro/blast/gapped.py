@@ -21,12 +21,21 @@ The within-row gap recurrence is a prefix-max scan.  Work is done only where
 the X-drop frontier is alive, and what is kept for the traceback is sized
 for the seeds that live (since the engine's gap trigger, most of a batch):
 
-- **Row blocks and live-set compaction.**  Rows are computed in blocks of
-  ``_BLOCK_ROWS`` rows, each allocated (sentinel-filled) for the halves
-  that are live when the block starts.  A half leaves the batch at the next
-  block boundary once X-drop has killed it or its query is exhausted; the
-  survivors are compacted into the new block's slots, and each block
-  remembers which halves own its slots.
+- **Row blocks and live-set compaction.**  Rows are computed in blocks,
+  each allocated (sentinel-filled) for the halves that are live when the
+  block starts.  A half leaves the batch at the next block boundary once
+  X-drop has killed it or its query is exhausted; the survivors are
+  compacted into the new block's slots, and each block remembers which
+  halves own its slots and the DP row it starts at.  A block's height
+  follows its live set (:func:`_block_rows`): ``_BLOCK_ROWS`` rows while
+  eight or more halves live, up to ``_MAX_BLOCK_ROWS`` for one or two, so
+  a lone seed pays the per-block work (working planes, pair-score gather,
+  traceback bytes, block best, compaction) once per 64 rows instead of
+  once per 16, while a block never holds more slot rows than the working
+  block of eight halves.  Blocks end on a ``_BLOCK_ROWS`` boundary at or
+  past the shallowest live half's last row, so no half retains traceback
+  bytes or reads residues further past its depth than a 16-row block
+  would make it.
 - **One traceback byte per cell.**  A finished block's int32 scores are
   reduced to the decisions a traceback can take in it (NCBI's edit-script
   bytes: which state a cell is in, whether its Ix / Iy continue a gap) and
@@ -63,6 +72,7 @@ for element.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,16 +92,23 @@ _NEG_I32 = np.int32(-(2**30))
 #: anything at or below this is sentinel arithmetic, not a path score
 _DEAD_FLOOR = np.int32(int(_NEG_I32) // 2)
 
-#: DP rows per storage block; the live set is compacted between blocks.
+#: DP rows per storage block while eight or more halves are live, and the
+#: unit every block height is a multiple of; the live set is compacted
+#: between blocks.
 _BLOCK_ROWS = 16
+#: the tallest block, for one or two live halves
+_MAX_BLOCK_ROWS = 64
+#: slot rows (height x live halves) a taller block may hold: what the
+#: ``_BLOCK_ROWS`` block of eight halves holds.
+_TALL_SLOT_ROWS = 8 * _BLOCK_ROWS
 #: working bytes per band cell of the row block being computed: its three
 #: int32 score planes, and as much again while its pair scores are gathered
 #: (an intp arena index, then the int32 score) or its traceback bytes built.
 _WORK_CELL_BYTES = 24
 #: what one lockstep chunk may hold, sized for seeds that live: chunks are
-#: cut so that every half's slot in the working block fits next to the
-#: traceback bytes of its full depth, so deep halves narrow the chunk
-#: instead of blowing memory up (400-bp reads: about 70 seeds a chunk).
+#: cut so that the working block fits next to the traceback bytes of every
+#: half's full depth, so deep halves narrow the chunk instead of blowing
+#: memory up (400-bp reads: about 70 seeds a chunk).
 _CHUNK_BYTES = 8 << 20
 
 
@@ -174,11 +191,12 @@ def extend_gapped_batch(
     seeds = list(seeds)
     if min_scores is not None and len(min_scores) != len(seeds):
         raise ValueError("min_scores must give one floor per seed")
-    # A seed's two halves hold a slot each in the working block (see
-    # ``_lockstep_dp``) and retain, if neither ever dies, one traceback byte
-    # per band cell of their whole depth.
+    # A seed's two halves retain, if neither ever dies, one traceback byte
+    # per band cell of their whole depth, rounded up to the block boundary
+    # past it (see ``_block_rows``).  The working block of a chunk of n
+    # seeds holds at most max(2n x _BLOCK_ROWS, _TALL_SLOT_ROWS) slot rows.
     width = 2 * band + 1
-    worst = []
+    retained = []
     for q_codes, s_codes, q_seed, s_seed in seeds:
         if not (0 <= q_seed <= q_codes.size) or not (0 <= s_seed <= s_codes.size):
             raise ValueError("seed point out of range")
@@ -186,15 +204,19 @@ def extend_gapped_batch(
             -(-(n + 1) // _BLOCK_ROWS) * _BLOCK_ROWS
             for n in (q_seed, q_codes.size - q_seed)
         )
-        worst.append((rows + 2 * _BLOCK_ROWS * _WORK_CELL_BYTES) * width)
+        retained.append(rows * width)
+
+    def working(n: int) -> int:
+        return max(2 * n * _BLOCK_ROWS, _TALL_SLOT_ROWS) * _WORK_CELL_BYTES * width
 
     out: list = []
     pos = 0
     while pos < len(seeds):
         # Chunks are cut on seed boundaries: a seed's two halves share one.
-        end, budget = pos + 1, _CHUNK_BYTES - worst[pos]
-        while end < len(seeds) and worst[end] <= budget:
-            budget -= worst[end]
+        end, held = pos + 1, retained[pos]
+        while (end < len(seeds)
+               and held + retained[end] + working(end + 1 - pos) <= _CHUNK_BYTES):
+            held += retained[end]
             end += 1
         out.extend(
             _extend_chunk(
@@ -229,7 +251,9 @@ def _extend_chunk(
     # the arena positions of its first query and subject residue, and row i
     # of its band is one contiguous window of the arena.
     width = 2 * band + 1
-    margin = _BLOCK_ROWS + width  # rows past a half's depth read in here
+    # Rows past a half's depth read in here: a block ends fewer than
+    # _BLOCK_ROWS rows past its shallowest half's last row.
+    margin = _BLOCK_ROWS + width
     length = 2 * margin + sum(2 * q.size + 2 * band for q, _, _, _ in seeds)
     arena = np.zeros(2 * length, dtype=np.intp)
     nh = 2 * len(seeds)
@@ -255,7 +279,7 @@ def _extend_chunk(
     q_at[0::2] = 2 * length - q_at[1::2]
     s_at[0::2] = 2 * length - s_at[1::2]
 
-    best, best_i, best_j, blocks, owners = _lockstep_dp(
+    best, best_i, best_j, blocks, owners, bases = _lockstep_dp(
         arena, depth, reach, q_at, s_at,
         matrix, gap_open, gap_extend, xdrop, band, stats,
     )
@@ -282,7 +306,7 @@ def _extend_chunk(
             if best[h] <= 0:
                 ops.append("")
                 continue
-            grid = _stitch(h, int(best_i[h]), blocks, owners)
+            grid = _stitch(h, int(best_i[h]), blocks, owners, bases)
             ident, alen, gaps, half_ops = _traceback_banded(
                 q_h, s_h, grid, band, int(best_i[h]), int(best_j[h])
             )
@@ -318,7 +342,7 @@ def _lockstep_dp(
     Returns each half's best score and the DP cell ``(i, j)`` it was first
     reached in, plus what the tracebacks need: ``blocks[b]`` is a
     ``(rows, width, k_b)`` array of :func:`_directions` bytes for DP rows
-    ``b*_BLOCK_ROWS ...`` of the ``k_b`` halves listed (ascending) in
+    ``bases[b] ...`` of the ``k_b`` halves listed (ascending) in
     ``owners[b]``.  The scores themselves live in one working block at a
     time, ``(3, rows, width, k_b)`` int32 for M/Ix/Iy; halves run along the
     last axis, so the live window of a row, ``[a:b]`` on the column axis,
@@ -333,6 +357,7 @@ def _lockstep_dp(
     best_c = np.full(nh, band, dtype=np.int64)  # DP row 0: the seed cell
     blocks: list = []
     owners: list = []
+    bases: list = []
     dp_rows = dp_cells = retained = peak = 0
 
     mat_flat = np.ascontiguousarray(matrix, dtype=np.int32).ravel()
@@ -354,8 +379,7 @@ def _lockstep_dp(
     if k:
         # Block 0 starts with DP row 0: M = 0 at the seed, Iy a leading gap
         # in the query, neither X-drop masked.
-        rows = min(_BLOCK_ROWS, int(depth[ids].max()) + 1)
-        blk = np.full((3, rows, width, k), NEG, dtype=np.int32)
+        blk = np.full((3, _block_rows(0, depth[ids]), width, k), NEG, dtype=np.int32)
         blk[0, 0, band] = 0
         blk[2, 0, band + 1 :] = np.where(
             cols_j[band + 1 :] <= reach[ids], -iy_off[1 : band + 1], NEG
@@ -366,11 +390,11 @@ def _lockstep_dp(
     i = 1  # next DP row
     while k:
         ns, ms = depth[ids], reach[ids]
-        base = len(blocks) * _BLOCK_ROWS  # DP row of this block's first row
+        base = i if blocks else 0  # DP row of this block's first row
         if base:
-            rows = min(_BLOCK_ROWS, int(ns.max()) - base + 1)
-            blk = np.full((3, rows, width, k), NEG, dtype=np.int32)
+            blk = np.full((3, _block_rows(base, ns), width, k), NEG, dtype=np.int32)
         owners.append(ids)
+        bases.append(base)
         i_end = base + blk.shape[1]  # one past this block's last DP row
         ix_above = prev_ix  # Ix of the DP row above this block
         ua, ub = width, 0  # columns any row of this block computed
@@ -383,12 +407,12 @@ def _lockstep_dp(
         pair += (arena[q_at[ids] + rr] * n_codes)[:, :, None]
         pair = mat_flat.take(pair.transpose(0, 2, 1))  # (rows, width, k)
 
-        # The ragged edges are rare.  The subject end matters only for a
-        # half whose subject stops short of depth + band, once j = i + band
-        # can pass its m; the query end only if a half runs out of rows
-        # inside this block.
-        clip_s = i_end - 1 + band > int(np.where(ms < ns + band, ms, i_end + band).min())
-        clip_q = int(ns.min()) < i_end - 1
+        # The ragged edges are rare, and checked per row: a block can be
+        # tall.  The subject end matters only for a half whose subject stops
+        # short of depth + band, from the row where j = i + band can pass its
+        # m; the query end only from the row past a half's last one.
+        s_edge = int(np.where(ms < ns + band, ms, i_end + band).min()) - band
+        q_edge = int(ns.min())
 
         # ``thr`` is each half's X-drop threshold, best - floor(xdrop); the
         # best score itself and its row are read off the block's history of
@@ -434,6 +458,7 @@ def _lockstep_dp(
             if lo >= a:
                 m_row[: lo + 1 - a] = NEG
                 ix_row[: lo - a] = NEG
+            clip_s = i > s_edge
             if clip_s:
                 gt_w = gt[a:b]
                 np.greater(cols_j[a:b] + i, ms, out=gt_w)
@@ -460,7 +485,7 @@ def _lockstep_dp(
             # rows from residues that are not its own, which must not count.
             rm = row_max[r]
             np.maximum.reduce(rb, axis=0, out=rm)
-            if clip_q:
+            if i > q_edge:
                 rm[ns < i] = NEG
             dead_w = dead[a:b]
             np.less(rb, thr, out=dead_w)
@@ -508,7 +533,23 @@ def _lockstep_dp(
         stats["peak_grid_bytes"] = max(stats.get("peak_grid_bytes", 0), peak)
         stats["dp_rows"] = stats.get("dp_rows", 0) + dp_rows
         stats["dp_cells"] = stats.get("dp_cells", 0) + dp_cells
-    return best, best_i, best_c + best_i - band, blocks, owners
+    return best, best_i, best_c + best_i - band, blocks, owners, bases
+
+
+def _block_rows(base: int, ns: np.ndarray) -> int:
+    """Height of the row block starting at DP row ``base`` for live halves
+    of depths ``ns``.
+
+    ``_TALL_SLOT_ROWS // len(ns)`` rows, in whole ``_BLOCK_ROWS``, between
+    ``_BLOCK_ROWS`` and ``_MAX_BLOCK_ROWS``; cut at the ``_BLOCK_ROWS``
+    boundary at or past the shallowest half's last row, and at the deepest
+    half's last row.  Every block but a chunk's last therefore starts on a
+    ``_BLOCK_ROWS`` boundary.
+    """
+    rows = _TALL_SLOT_ROWS // ns.size // _BLOCK_ROWS * _BLOCK_ROWS
+    rows = min(max(rows, _BLOCK_ROWS), _MAX_BLOCK_ROWS)
+    shallow = -(-(int(ns.min()) - base + 1) // _BLOCK_ROWS) * _BLOCK_ROWS
+    return min(rows, shallow, int(ns.max()) - base + 1)
 
 
 def _directions(blk: np.ndarray, ix_above: np.ndarray, gap_extend: int, a: int, b: int):
@@ -544,10 +585,10 @@ def _directions(blk: np.ndarray, ix_above: np.ndarray, gap_extend: int, a: int, 
     return out
 
 
-def _stitch(h: int, last_row: int, blocks: list, owners: list) -> np.ndarray:
+def _stitch(h: int, last_row: int, blocks: list, owners: list, bases: list) -> np.ndarray:
     """Half ``h``'s traceback bytes for DP rows ``0..last_row``, ``(rows, width)``."""
     parts = []
-    for b in range(last_row // _BLOCK_ROWS + 1):
+    for b in range(bisect.bisect_right(bases, last_row)):
         slot = int(np.searchsorted(owners[b], h))
         parts.append(blocks[b][:, :, slot])
     return np.concatenate(parts)

@@ -7,7 +7,9 @@ checkpoints around it, the resident service
 (:func:`~repro.serve.session.serve_rank_main`) calls it once per coalesced
 block, and a dynamically chunked run (:mod:`repro.core.mrblast.dynamic`) is
 the batch driver over a lazy block source.  They differ in where the blocks
-come from and where the reducer puts the hits, so that is all they pass in.
+come from, where the reduce runs (on every rank, or for a service job on
+rank 0 alone) and where the reducer puts the hits, so that is all they pass
+in.
 """
 
 from __future__ import annotations
@@ -177,14 +179,25 @@ class BlastPipeline:
         *,
         block_range: Sequence[int] | None = None,
         combiner: bool = False,
+        reduce_at_root: bool = False,
     ) -> int:
         """map → collate → reduce over ``block_range`` of the mapper's blocks
         (default: all of them).
 
         The reducer meets a rank's queries in ``query_order`` (query id →
         input position).  ``combiner`` applies the per-query top-K locally
-        (``compress``) before the shuffle.  Returns this rank's KV
-        ``nbytes`` after map, which the service's backpressure gauge reads.
+        (``compress``) before the shuffle.
+
+        Where the reduce runs is the caller's to say.  By default every
+        query is reduced on the rank its key hashes to (``collate``), as
+        the paper's per-rank output files need; returns this rank's KV
+        ``nbytes`` after map.  With ``reduce_at_root`` every rank's KV moves
+        to rank 0 (``gather(1)``), which alone groups, orders and reduces
+        it: a service job's answer is delivered from rank 0 anyway, and a
+        few HSPs are not worth an all-to-all and its collectives.  Rank 0
+        then returns the gathered KV's ``nbytes`` (the job's whole map
+        output, which the service's backpressure gauge reads), every other
+        rank 0.
         """
         cfg, mr, mapper = self.config, self.mr, self.mapper
         items = build_work_items(
@@ -208,7 +221,14 @@ class BlastPipeline:
                     kv.add(qid, hsp)
 
             mr.compress(combine)
-        mr.collate()
+        if reduce_at_root:
+            mr.gather(1)
+            if mr.rank != 0:
+                return 0
+            kv_bytes = mr.kv.nbytes
+            mr.convert()
+        else:
+            mr.collate()
         mr.sort_kmv_keys(key=lambda qid: query_order.get(qid, len(query_order)))
         # The reducer emits plain (query id, hit count) summaries, not HSP
         # rows — its output lives on the object plane.

@@ -280,9 +280,10 @@ class Arena:
             self._peers[rank] = cached
         return cached
 
-    def view(self, src: int, slot: int, epoch: int,
+    def view(self, owner: int, slot: int, epoch: int,
              offset: int, nbytes: int) -> np.ndarray:
-        """Zero-copy u8 window over a peer's slot, released on GC.
+        """Zero-copy u8 window over a slot of global rank ``owner``'s
+        segment, released on GC.
 
         The wrapper is built over a per-slot ctypes *anchor* rather than a
         plain slice: numpy collapses view base chains down to the first
@@ -293,7 +294,7 @@ class Arena:
         reuse the extent.  The wrapper is read-only and so is everything
         derived from it.
         """
-        seg, hdr = self._peer(src)
+        seg, hdr = self._peer(owner)
         anchor = (ctypes.c_char * max(nbytes, 1)).from_buffer(
             seg.buf, _HDR_BYTES + offset)
         wrapper = np.frombuffer(anchor, dtype=np.uint8, count=nbytes)

@@ -70,10 +70,13 @@ FRAME_ARENA = 0x01
 #: any dtype numpy ships).
 _ARR_ALIGN = 16
 
-# Fixed-width envelope: frame byte, pad, src, dst, tag, context,
+# Fixed-width envelope: frame byte, pad, src, owner, dst, tag, context,
 # not_before, slot, epoch, slot offset, payload bytes, n_arrays,
-# structure-grammar length.
-_FIXED = struct.Struct("<B3xiiqqdIQQQHH")
+# structure-grammar length.  ``src`` is the sender's rank in the
+# communicator the message travels on; ``owner`` is its global rank, whose
+# arena segment holds the payload (the two differ on a sub-communicator,
+# e.g. one shrunk past a dead rank).
+_FIXED = struct.Struct("<B3xiiiqqdIQQQHH")
 # Per-array entry: offset within the slot, ndim, dtype-string length
 # (dtype bytes and ndim x i64 shape follow).
 _META = struct.Struct("<QBH")
@@ -202,7 +205,7 @@ def pack_arena_message(msg, arena: Arena) -> bytes | None:
                 np.ndarray(a.shape, dtype=a.dtype,
                            buffer=buf, offset=off)[...] = a
     frame = bytearray(_FIXED.pack(
-        FRAME_ARENA, msg.src, msg.dst, msg.tag, msg.context, msg.not_before,
+        FRAME_ARENA, msg.src, arena.rank, msg.dst, msg.tag, msg.context, msg.not_before,
         slot, epoch, base, total, len(arrays), len(structure)))
     frame += structure
     for off, ndim, dbytes, shape in metas:
@@ -222,12 +225,12 @@ def unpack_arena_message(frame, arena: Arena):
     from repro.mpi.network import Message
 
     mv = memoryview(frame)
-    (_frame, src, dst, tag, context, not_before,
+    (_frame, src, owner, dst, tag, context, not_before,
      slot, epoch, base, total, narr, slen) = _FIXED.unpack_from(mv, 0)
     pos = _FIXED.size
     structure = bytes(mv[pos:pos + slen])
     pos += slen
-    wrapper = arena.view(src, slot, epoch, base, total)
+    wrapper = arena.view(owner, slot, epoch, base, total)
     arrays = []
     for _ in range(narr):
         off, ndim, dlen = _META.unpack_from(mv, pos)

@@ -913,9 +913,14 @@ class MapReduce:
 
         Transfers are paged: each message stages at most ``exchange_bytes``
         (default ``memsize``) so gathering an out-of-core dataset never
-        materialises it in one message; a ``None`` sentinel ends each
-        sender's stream.  Receivers drain senders in rank order, so arrival
-        order is deterministic.
+        materialises it in one message.  A message is a page's tuple (of
+        wire arrays, or of pairs on the object plane); the last one of a
+        sender's stream ends in ``None``, so a dataset of one page travels
+        as one message (an empty one as ``(None,)``).  Receivers drain
+        senders in rank order, so arrival order is deterministic.  No
+        barrier follows: messages from one sender arrive in the order sent,
+        so the marker alone ends a stream, and a sender may go on before
+        its receiver has drained it.
         """
         t0 = self._phase_begin("gather")
         if not (1 <= nranks <= self.size):
@@ -926,53 +931,55 @@ class MapReduce:
         kv = self._require_kv()
         dest = self.rank % nranks
         if self.rank >= nranks:
-            if isinstance(kv, ColumnarKeyValue):
-                self._gather_send_columnar(kv, dest, budget)
-            else:
-                self._gather_send_object(kv, dest, budget)
-            self.comm.send(None, dest=dest, tag=_TAG_GATHER)
+            held: tuple = ()
+            for page, pairs, nbytes in self._gather_pages(kv, budget):
+                if held:
+                    self.comm.send(held, dest=dest, tag=_TAG_GATHER)
+                held = page
+                self._bump("gather", pairs, nbytes)
+            self.comm.send(held + (None,), dest=dest, tag=_TAG_GATHER)
             kv.close()
             self.kv = self._fresh_kv()
         else:
+            add = kv.add_wire if isinstance(kv, ColumnarKeyValue) else kv.add_multi
             senders = [r for r in range(nranks, self.size) if r % nranks == self.rank]
             for r in senders:
-                while True:
+                last = False
+                while not last:
                     msg = self.comm.recv(source=r, tag=_TAG_GATHER)
-                    if msg is None:
-                        break
-                    if isinstance(msg, list):
-                        kv.add_multi(msg)
-                    else:
-                        kv.add_wire(msg)
-        self.comm.barrier()
+                    last = msg[-1] is None
+                    page = msg[:-1] if last else msg
+                    if page:
+                        add(page)
         self._phase_end("gather", t0)
         return len(self._require_kv())
 
-    def _gather_send_object(self, kv: ObjectKeyValue, dest: int, budget: int) -> None:
+    @staticmethod
+    def _gather_pages(kv: KVStore, budget: int):
+        """``kv`` as wire pages of at most ``budget`` bytes: ``(page tuple,
+        pairs, bytes)``, a tuple of arrays on the columnar plane and of
+        (key, value) pairs on the object one."""
+        if isinstance(kv, ColumnarKeyValue):
+            for karr, vcol in kv.iter_batches():
+                nb = int(karr.nbytes) + _v_nbytes(vcol)
+                nchunks = max(1, -(-nb // budget))  # ceil
+                step = max(1, -(-len(karr) // nchunks))
+                for lo in range(0, len(karr), step):
+                    hi = min(lo + step, len(karr))
+                    arrs = (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
+                    yield arrs, hi - lo, sum(int(a.nbytes) for a in arrs)
+            return
         batch: list = []
         batch_bytes = 0
         for key, value in kv:
             batch.append((key, value))
             batch_bytes += approx_size(key) + approx_size(value)
             if batch_bytes >= budget:
-                self.comm.send(batch, dest=dest, tag=_TAG_GATHER)
-                self._bump("gather", len(batch), batch_bytes)
+                yield tuple(batch), len(batch), batch_bytes
                 batch = []
                 batch_bytes = 0
         if batch:
-            self.comm.send(batch, dest=dest, tag=_TAG_GATHER)
-            self._bump("gather", len(batch), batch_bytes)
-
-    def _gather_send_columnar(self, kv: ColumnarKeyValue, dest: int, budget: int) -> None:
-        for karr, vcol in kv.iter_batches():
-            nb = int(karr.nbytes) + _v_nbytes(vcol)
-            nchunks = max(1, -(-nb // budget))  # ceil
-            step = max(1, -(-len(karr) // nchunks))
-            for lo in range(0, len(karr), step):
-                hi = min(lo + step, len(karr))
-                arrs = (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
-                self.comm.send(arrs, dest=dest, tag=_TAG_GATHER)
-                self._bump("gather", hi - lo, sum(int(a.nbytes) for a in arrs))
+            yield tuple(batch), len(batch), batch_bytes
 
     # ----------------------------------------------------------------- sorting
 
@@ -1052,6 +1059,8 @@ class MapReduce:
         order of the queries" within each per-rank file).
         """
         kmv = self._require_kmv()
+        if len(kmv) <= 1:
+            return  # already in order (a service job of one query)
         if isinstance(kmv, ColumnarKeyMultiValue):
             new_kmv = sort_kmv_columnar(kmv, key)
             kmv.close()

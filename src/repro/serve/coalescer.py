@@ -1,10 +1,11 @@
 """Submission coalescing: turn a trickle of queries into query blocks.
 
 The always-on service accepts queries one at a time, but the MR-MPI BLAST
-pipeline amortises its fixed costs (master/worker dispatch, collate
-collectives, reduce barrier) over a whole *query block*.  The coalescer is
-the pure state machine between the two: submissions accumulate per tenant
-and are flushed as a :class:`QueryBatch` when
+pipeline amortises its fixed costs (the job broadcast, master/worker
+dispatch, the gather of the map output to rank 0) over a whole *query
+block*.  The coalescer is the pure state machine between the two:
+submissions accumulate per tenant and are flushed as a :class:`QueryBatch`
+when
 
 - **size** triggers — enough submissions are pending to fill a batch,
 - **deadline** triggers — the oldest pending submission's flush time
@@ -19,7 +20,7 @@ clock and never sleeps, which is what lets the unit suite drive it on a
 
 Batch sizing is advised by the α/β machine model measured by the shuffle
 benchmark (``BENCH_shuffle.json``): a batch pays roughly
-``collectives x α x nprocs`` of latency no matter how many queries it
+``message rounds x α x nprocs`` of latency no matter how many queries it
 carries, so :func:`advise_batch_size` picks the smallest batch for which
 that fixed cost stays below a target fraction of the useful per-query work.
 """
@@ -41,6 +42,13 @@ __all__ = [
     "load_machine_model",
     "advise_batch_size",
 ]
+
+#: Sequential message rounds a service job pays whatever its size, counted
+#: off a traced one-query job on 3 ranks: the job broadcast, a worker's
+#: first request and its assignment, the last completion and the reply
+#: that retires the workers, and the map output's gather to rank 0, which
+#: reduces alone.  No collective runs inside a job.
+JOB_MESSAGE_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -228,15 +236,16 @@ def advise_batch_size(
     model: dict[str, float],
     nprocs: int,
     per_query_seconds: float,
-    collectives_per_batch: int = 8,
+    message_rounds: int = JOB_MESSAGE_ROUNDS,
     overhead_fraction: float = 0.1,
     max_batch: int = 64,
 ) -> int:
     """Smallest batch that keeps dispatch overhead under the target fraction.
 
-    A batch pays a fixed latency cost of roughly ``collectives_per_batch x
-    alpha x nprocs`` (each collective round touches every rank) regardless
-    of how many queries it carries, while useful work scales with the batch.
+    A batch pays a fixed latency cost of roughly ``message_rounds x alpha x
+    nprocs`` (rank 0 handles a message of every worker in each round)
+    regardless of how many queries it carries, while useful work scales
+    with the batch.
     The advised size is the smallest ``b`` with ``fixed <=
     overhead_fraction x b x per_query_seconds``, clamped to
     ``[1, max_batch]`` — bigger batches only add queueing latency.
@@ -245,6 +254,6 @@ def advise_batch_size(
         raise ValueError(f"nprocs must be >= 1, got {nprocs}")
     if per_query_seconds <= 0 or overhead_fraction <= 0:
         return max_batch
-    fixed = collectives_per_batch * model["alpha_s"] * nprocs
+    fixed = message_rounds * model["alpha_s"] * nprocs
     advised = math.ceil(fixed / (overhead_fraction * per_query_seconds))
     return max(1, min(advised, max_batch))

@@ -10,12 +10,13 @@ job queue.
 
 Control flow per rank: rank 0 pops the next :class:`BlockJob` from the
 parent's queue and broadcasts it; every rank then runs the pipeline's one
-map → collate → sort → reduce iteration over the block, with the reduce step
-demuxing per-query result bytes (:class:`~repro.core.mrblast.reducer.DemuxReducer`)
-instead of appending to rank files.  Rank 0 gathers the demuxed dicts and
-ships one result envelope back.  While the queue is idle, rank 0 broadcasts
-keepalive ticks so blocked ranks never trip the transport's operation
-timeout.
+iteration over the block with the reduce on rank 0: the ranks map, every
+worker's KV moves to rank 0 (``gather(1)``), and rank 0 alone groups,
+orders and reduces it, demuxing per-query result bytes
+(:class:`~repro.core.mrblast.reducer.DemuxReducer`) instead of appending to
+rank files, and ships one result envelope back.  No collective runs inside
+a job.  While the queue is idle, rank 0 broadcasts keepalive ticks so
+blocked ranks never trip the transport's operation timeout.
 
 Degraded mode composes unchanged: a worker dying mid-map raises
 :class:`~repro.mpi.exceptions.DegradedRankLoss` out of the rank loop (the
@@ -113,9 +114,9 @@ class BlockResult:
 
     ``results`` maps query id to its encoded outfmt-6 block; queries with
     no surviving hits are simply absent (the service resolves them to empty
-    bytes).  ``kv_bytes`` is the exact summed ``nbytes`` of the columnar KV
-    dataset after map — the measurement the service's backpressure gauge
-    feeds on.
+    bytes).  ``kv_bytes`` is the exact ``nbytes`` of the job's columnar map
+    output, every rank's, as gathered on rank 0 — the measurement the
+    service's backpressure gauge feeds on.
     """
 
     job_id: int
@@ -144,20 +145,16 @@ class ServeRankStats:
 def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, bytes], int] | None:
     """Execute one query block on this rank.
 
-    Rank 0 returns ``(merged demux, kv_bytes)``, ``kv_bytes`` being the
-    summed ``nbytes`` of every rank's KV dataset after map.
+    Rank 0 returns ``(demuxed results, kv_bytes)``, ``kv_bytes`` being the
+    ``nbytes`` of every rank's map output gathered on rank 0.
     """
     pipeline.mapper.set_query_blocks([list(job.queries)])
     demux = DemuxReducer(pipeline.mapper.options)
-    local_bytes = pipeline.iterate({rec.id: i for i, rec in enumerate(job.queries)}, demux)
-    comm = pipeline.mr.comm
-    gathered = comm.gather((demux.results, local_bytes), root=0)
-    if comm.rank != 0:
+    kv_bytes = pipeline.iterate(
+        {rec.id: i for i, rec in enumerate(job.queries)}, demux, reduce_at_root=True)
+    if pipeline.mr.rank != 0:
         return None
-    merged: dict[str, bytes] = {}
-    for part, _nbytes in gathered:
-        merged.update(part)
-    return merged, sum(nbytes for _part, nbytes in gathered)
+    return demux.results, kv_bytes
 
 
 def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> ServeRankStats:

@@ -16,6 +16,7 @@ and op-indexed fault events land at the same program point every time.
 
 import glob
 import json
+import multiprocessing
 import os
 import threading
 
@@ -375,19 +376,25 @@ class TestStragglerMitigation:
             with open(c.output_path, "rb") as a, open(s.output_path, "rb") as b:
                 assert a.read() == b.read(), f"rank {c.rank} output diverged"
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_mid_map_crash_completes_degraded_with_counters(
-        self, workload, tmp_path
+        self, workload, tmp_path, backend
     ):
         clean = mrblast_spmd(
-            self.NP, self._mw_config(workload, tmp_path / "deg-clean")
+            self.NP, self._mw_config(workload, tmp_path / "deg-clean", backend=backend)
         )
         clean_sig = _signatures(collect_rank_hits([r.output_path for r in clean]))
 
-        tripped = []
+        # Whichever worker runs unit (0, 0) first dies, once: the flag is
+        # shared memory, so forked ranks see it as threads do.
+        tripped = multiprocessing.get_context("fork").Value("b", 0)
 
         def die_once(item):
-            if item.block_index == 0 and item.partition_index == 0 and not tripped:
-                tripped.append(True)
+            if item.block_index == 0 and item.partition_index == 0:
+                with tripped.get_lock():
+                    if tripped.value:
+                        return
+                    tripped.value = 1
                 raise RankFailure(-1, -1)
 
         results = mrblast_spmd(
@@ -395,6 +402,7 @@ class TestStragglerMitigation:
             self._mw_config(
                 workload,
                 tmp_path / "deg",
+                backend=backend,
                 degraded=True,
                 unit_fault_injector=die_once,
             ),
@@ -410,16 +418,15 @@ class TestStragglerMitigation:
         merged_sig = _signatures(collect_rank_hits([r.output_path for r in live]))
         assert merged_sig == clean_sig
 
-    def test_degraded_mrsom_recovers_codebook(self, tmp_path, monkeypatch):
-        import threading
-
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_degraded_mrsom_recovers_codebook(self, tmp_path, monkeypatch, backend):
         matrix = os.path.join(tmp_path, "deg.mat")
         rng = np.random.default_rng(11)
         write_matrix_file(matrix, rng.normal(size=(200, 6)))
 
         def cfg(**overrides):
             kwargs = dict(matrix_path=matrix, grid=SOMGrid(5, 5), epochs=3,
-                          block_rows=20, seed=2)
+                          block_rows=20, seed=2, backend=backend)
             kwargs.update(overrides)
             return MrSomConfig(**kwargs)
 
@@ -431,18 +438,20 @@ class TestStragglerMitigation:
         # Rank 2 dies inside the first epoch's map, from its mapper, with
         # one unit committed to its accumulator and a second in flight:
         # survivors must redo both.  Which worker is handed these
-        # microsecond units is a thread race, so the others hold their
-        # first unit until rank 2 is on its second.
-        victim, dying = [], threading.Event()
+        # microsecond units is a race, so the others hold their first unit
+        # until rank 2 is on its second.  The gate is a shared-memory event
+        # and the victim is known by its rank, so forked ranks and threads
+        # play the same script.
+        dying = multiprocessing.get_context("fork").Event()
+        me = threading.local()
         run_unit = _BlockAccumulator.__call__
 
         def run(comm, config):
-            if comm.rank == 2:
-                victim.append(threading.get_ident())
+            me.rank = comm.rank
             return run_mrsom(comm, config)
 
         def gated(acc, itask, item, kv):
-            if threading.get_ident() in victim:
+            if me.rank == 2:
                 if acc.units == 1:
                     dying.set()
                     raise RankFailure(-1, -1)
@@ -451,7 +460,7 @@ class TestStragglerMitigation:
             run_unit(acc, itask, item, kv)
 
         monkeypatch.setattr(_BlockAccumulator, "__call__", gated)
-        results = run_spmd(self.NP, run, cfg(degraded=True))
+        results = run_spmd(self.NP, run, cfg(degraded=True), backend=backend)
         assert results[2] is None
         live = [r for r in results if r is not None]
         for r in live:

@@ -72,6 +72,24 @@ class TestCollectivesSanity:
         results = run_spmd(4, prog, backend="process", op_timeout=30.0)
         assert results == [(2, 2), (4, 2), (2, 2), (4, 2)]
 
+    def test_array_payloads_on_a_sub_communicator_come_from_their_sender(self):
+        """Regression: an arena frame named its payload's segment by the
+        sender's rank in the communicator, so on a sub-communicator (a
+        split, or one shrunk past a dead rank) the receiver read another
+        rank's ring: an array Reduce over the survivors of a degraded map
+        summed the wrong rows."""
+
+        def prog(comm):
+            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            mine = np.full(1000, float(comm.rank))
+            out = np.empty_like(mine)
+            sub.Allreduce(mine, out)
+            page = sub.allgather((np.arange(3) + comm.rank,))
+            return out[0], [int(p[0][0]) for p in page]
+
+        results = run_spmd(4, prog, backend="process", op_timeout=30.0)
+        assert results == [(2.0, [0, 2]), (4.0, [1, 3]), (2.0, [0, 2]), (4.0, [1, 3])]
+
 
 class TestSharedMemoryPath:
     def test_large_array_round_trips_through_shm(self):

@@ -2,10 +2,11 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.mpi import run_spmd
-from repro.mrmpi import MapReduce, MapStyle
+from repro.mrmpi import MapReduce, MapStyle, RecordSchema
 
 WORDS = (
     "the quick brown fox jumps over the lazy dog the fox is quick and the dog is lazy"
@@ -211,6 +212,33 @@ def test_gather_concentrates_pairs():
     counts = run_spmd(4, main)[0]
     assert counts[2] == 0 and counts[3] == 0
     assert counts[0] + counts[1] == 12
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("columnar", [False, True], ids=["object", "columnar"])
+def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
+    """Many-page streams, a one-page stream and an empty one, gathered twice
+    in a row with nothing between: each stream ends with its last page, and
+    the second gather cannot take the first one's messages."""
+    schema = RecordSchema(key_dtype=np.dtype("<i8"), value_dtype=np.dtype("<i8"),
+                          key_kind="int") if columnar else None
+    sizes = {0: 3, 1: 40, 2: 1, 3: 0}
+
+    def main(comm):
+        mr = MapReduce(comm, schema=schema)
+        out = []
+        for round_ in range(2):
+            mr.map(comm.size, lambda i, kv: [kv.add(i * 100 + j, round_)
+                                             for j in range(sizes[i])],
+                   mapstyle=MapStyle.CHUNK)
+            mr.gather(1, exchange_bytes=64)
+            out.append([(int(k), int(v)) for k, v in mr.kv] if comm.rank == 0 else None)
+        mr.close()
+        return out
+
+    rounds = run_spmd(4, main, backend=backend)[0]
+    for round_, got in enumerate(rounds):
+        assert got == [(r * 100 + j, round_) for r in range(4) for j in range(sizes[r])]
 
 
 def test_gather_invalid_nranks():

@@ -11,7 +11,9 @@ plus directed cases aimed at the block boundaries, the band edges and the
 extents-only path.
 """
 
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,6 +342,97 @@ def _extents(g):
     return None if g is None else (g.score, g.q_start, g.q_end, g.s_start, g.s_end)
 
 
+#: row-block height by live halves: 16 rows from eight halves up
+TALL_ROWS = {1: 64, 2: 64, 3: 32, 4: 32, 5: 16, 6: 16, 7: 16}
+
+
+@contextlib.contextmanager
+def _recorded_blocks():
+    """Yield a list that collects, per lockstep chunk, its row blocks as
+    ``(first DP row, rows, live halves)``."""
+    chunks = []
+    real = gapped_mod._lockstep_dp
+
+    def spy(*args):
+        out = real(*args)
+        blocks, owners, bases = out[3:]
+        chunks.append([(base, blk.shape[0], own.size)
+                       for blk, own, base in zip(blocks, owners, bases)])
+        return out
+
+    with mock.patch.object(gapped_mod, "_lockstep_dp", spy):
+        yield chunks
+
+
+def _assert_height_rule(chunk):
+    """Blocks tile the rows, are never taller than their live set allows,
+    and all but the last end on a 16-row boundary."""
+    for n, (base, rows, live) in enumerate(chunk):
+        assert 0 < rows <= TALL_ROWS.get(live, 16)
+        if n + 1 < len(chunk):
+            assert rows % 16 == 0 and chunk[n + 1][0] == base + rows
+        if n:
+            assert live <= chunk[n - 1][2]  # the live set only shrinks
+
+
+def _homolog_seed(rng, length=300, q_seed=None):
+    base = random_genome(length, seed_or_rng=int(rng.integers(2**31)))
+    q = DNA.encode(base)
+    s = DNA.encode(mutate_dna(base, 0.04, seed_or_rng=int(rng.integers(2**31))))
+    mid = int(rng.integers(length // 3, 2 * length // 3)) if q_seed is None else q_seed
+    return q, s, mid, min(mid, int(s.size))
+
+
+class TestRowBlockHeights:
+    """The row block's height follows the live set: 64 rows for one or two
+    live halves, 32 for three or four, 16 from five up; each height is
+    checked against the dense oracle element for element."""
+
+    @pytest.mark.parametrize("halves", [1, 2, 3, 4, 8, 64])
+    def test_each_height_matches_the_dense_oracle(self, halves):
+        rng = np.random.default_rng(90 + halves)
+        # A seed at the query start has no left half: it brings one.
+        seeds = [_homolog_seed(rng) for _ in range(halves // 2)]
+        if halves % 2:
+            seeds.append(_homolog_seed(rng, q_seed=0))
+        with _recorded_blocks() as chunks:
+            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert all(g is not None and g.align_len > 90 for g in got)
+        (chunk,) = chunks
+        _assert_height_rule(chunk)
+        assert chunk[0][1:] == (TALL_ROWS.get(halves, 16), halves)
+
+    def test_a_traceback_stitches_blocks_of_two_heights(self):
+        """Chance seeds die a few dozen rows in; the homolog's two halves
+        then run on alone in 64-row blocks, and its traceback walks back
+        through both."""
+        rng = np.random.default_rng(95)
+        q, s, mid, s_mid = _homolog_seed(rng, length=400, q_seed=200)
+        junk = [(DNA.encode(random_genome(200, seed_or_rng=int(rng.integers(2**31)))),
+                 DNA.encode(random_genome(200, seed_or_rng=int(rng.integers(2**31)))),
+                 100, 100) for _ in range(3)]
+        seeds = [(q, s, mid, s_mid)] + junk
+        stitched = []
+        real_stitch = gapped_mod._stitch
+
+        def stitch(h, last_row, blocks, owners, bases):
+            grid = real_stitch(h, last_row, blocks, owners, bases)
+            stitched.append({blk.shape[0] for blk, base in zip(blocks, bases)
+                             if base <= last_row})
+            return grid
+
+        with _recorded_blocks() as chunks, \
+                mock.patch.object(gapped_mod, "_stitch", stitch):
+            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 24)
+        assert got[0].align_len > 390
+        (chunk,) = chunks
+        _assert_height_rule(chunk)
+        assert chunk[0][1:] == (16, 8) and chunk[-1][2] <= 2
+        assert {16, 64} <= stitched[0]
+
+
 class TestLiveSetKernel:
     """The mechanisms of the one-pass kernel: compaction at block
     boundaries, the live-column window, extents-only results."""
@@ -350,14 +443,19 @@ class TestLiveSetKernel:
         rng = np.random.default_rng(seed)
         seeds = _mixed_batch(rng, n_random, n_long)
         stats = {}
-        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
+        with _recorded_blocks() as chunks:
+            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
         assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 48)
         # The long halves outlive the chance seeds by several row blocks,
-        # so the batch was compacted on the way and most of the band was
-        # never computed (a lone homolog's live window is about a third of
-        # the band; chance seeds cost far less).
+        # so the batch was compacted on the way, the survivors running in
+        # the taller blocks a small live set takes, and most of the band
+        # was never computed (a lone homolog's live window is about a third
+        # of the band; chance seeds cost far less).
+        for chunk in chunks:
+            _assert_height_rule(chunk)
+        chunk = max(chunks, key=len)
+        assert chunk[0][2] > 8 >= chunk[-1][2]
         full = sum(q.size for q, _, _, _ in seeds) * 97
-        assert stats["dp_rows"] > 3 * gapped_mod._BLOCK_ROWS
         assert stats["dp_cells"] < full // 2
 
     def test_half_dying_mid_block_keeps_its_neighbours_right(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.bio.seq import SeqRecord
 from repro.obs.trace import TickClock
 from repro.serve.coalescer import (
+    JOB_MESSAGE_ROUNDS,
     Coalescer,
     Submission,
     advise_batch_size,
@@ -255,3 +256,14 @@ class TestBatchAdvice:
         model = {"alpha_s": 150e-6, "bandwidth_bytes_s": 1e9}
         assert (advise_batch_size(model, 8, 0.005)
                 >= advise_batch_size(model, 2, 0.005))
+
+    def test_advice_prices_the_job_message_rounds(self):
+        """A job is six message rounds (job broadcast, first request and
+        assignment, last completion and retiring reply, gather to rank 0),
+        not the eight collectives of the shuffle-and-reduce protocol: the
+        advice for a fixed model follows the recount."""
+        assert JOB_MESSAGE_ROUNDS == 6
+        model = {"alpha_s": 150e-6, "bandwidth_bytes_s": 1e9}
+        # fixed = 6 x 150 us x 3 = 2.7 ms against 10 % of 1 ms of work.
+        assert advise_batch_size(model, 3, 0.001) == 27
+        assert advise_batch_size(model, 3, 0.001, message_rounds=8) == 36

@@ -6,12 +6,17 @@ exactly the bytes a standalone single-query ``run_mrblast`` produces —
 including repeat submissions of the same query and queries with no hits.
 """
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bio.seq import SeqRecord
+from repro.obs.trace import TraceSession
 from repro.serve import QueryService, ServeConfig
+from repro.serve.session import ResidentBlastSession
+from test_session import spans_inside_jobs
 
 
 def make_service(alias_path, options, *, backend="thread", nprocs=2,
@@ -158,6 +163,12 @@ class TestConcurrentIntake:
             svc.close()
 
 
+def _slow_unit(item):
+    """Hold every unit 20 ms, so that both workers of a 3-rank session are
+    handed some of every job's units."""
+    time.sleep(0.02)
+
+
 class TestProcessBackendParity:
     def test_process_backend_matches_the_thread_oracle(
             self, serve_workload, oracle):
@@ -173,3 +184,32 @@ class TestProcessBackendParity:
                 assert fut.result(timeout=0.0) == oracle[r.id]
         finally:
             svc.close()
+
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_three_ranks_rank_0_merges_both_workers_pages(
+            self, serve_workload, oracle, max_batch):
+        """Two ranks means one worker and nothing to merge; with three,
+        every job's units are split between two workers, so rank 0 reduces
+        pages gathered from both."""
+        alias_path, reads, options = serve_workload
+        cfg = ServeConfig(
+            alias_path=alias_path, nprocs=3, options=options, backend="process",
+            max_batch=max_batch, max_delay=0.01, idle_tick=0.05,
+            unit_fault_injector=_slow_unit)
+        trace = TraceSession(cfg.nprocs)
+        svc = QueryService(
+            cfg, session_factory=lambda: ResidentBlastSession(cfg, trace=trace).start())
+        svc.start()
+        try:
+            futures = [svc.submit(r) for r in reads]
+            svc.drain(timeout=180.0)
+            for r, fut in zip(reads, futures):
+                assert fut.result(timeout=0.0) == oracle[r.id]
+        finally:
+            svc.close()
+        assert svc.stats["batches"] == -(-len(reads) // max_batch)
+        ones, twos = ({job: spans.count("mrblast.unit") for job, spans
+                       in spans_inside_jobs(trace.tracer(rank).events).items()}
+                      for rank in (1, 2))
+        assert ones.keys() == twos.keys() and len(ones) == svc.stats["batches"]
+        assert all(ones[job] and twos[job] for job in ones), (ones, twos)

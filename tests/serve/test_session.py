@@ -5,6 +5,8 @@ service front door): jobs are pushed straight at the session and envelopes
 read back, pinning the rank-loop invariants the service builds on.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.mrblast.pipeline import BlastPipeline
@@ -182,18 +184,62 @@ class TestTraceBalanceAcrossJobs:
         assert validate_chrome_trace(chrome_trace(trace)) == []
 
 
-class TestDegradedSession:
-    def test_worker_death_mid_batch_then_service_continues(
-            self, serve_workload, oracle):
+def spans_inside_jobs(events):
+    """``{job_id: [names of the spans opened inside its serve.job span]}``."""
+    jobs, current = {}, None
+    for ph, _ts, _sid, name, _cat, attrs in events:
+        if ph == "B" and name == "serve.job":
+            current = jobs[attrs["job_id"]] = []
+        elif ph == "E" and name == "serve.job":
+            current = None
+        elif ph == "B" and current is not None:
+            current.append(name)
+    return jobs
+
+
+class TestPerJobPath:
+    """A service job reduces on rank 0: the ranks map, every worker's KV is
+    gathered to rank 0, and rank 0 alone groups and reduces it.  No shuffle
+    round, no collective and no barrier runs inside a job."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_one_query_job_gathers_to_rank_0_and_runs_no_collective(
+            self, serve_workload, oracle, backend):
         alias_path, reads, options = serve_workload
-        tripped = []
+        cfg = make_cfg(alias_path, options, nprocs=3, backend=backend)
+        trace = TraceSession(cfg.nprocs)
+        session = ResidentBlastSession(cfg, trace=trace).start()
+        try:
+            (env,) = run_jobs(session, [BlockJob(job_id=0, queries=(reads[0],))])
+        finally:
+            session.stop()
+        assert env.results.get(reads[0].id, b"") == oracle[reads[0].id]
+        for rank in range(cfg.nprocs):
+            inside = spans_inside_jobs(trace.tracer(rank).events)[0]
+            assert not {"mr.aggregate", "mpi.alltoall", "mpi.reduce",
+                        "mpi.barrier"} & set(inside), (rank, inside)
+            assert inside.count("mr.gather") == 1, (rank, inside)
+        rank0 = spans_inside_jobs(trace.tracer(0).events)[0]
+        assert {"mr.convert", "mr.reduce"} <= set(rank0)
+
+
+class TestDegradedSession:
+    @staticmethod
+    def _worker_death_mid_batch(serve_workload, oracle, backend):
+        alias_path, reads, options = serve_workload
+        # Whichever worker runs unit (0, 0) first dies, once: the flag is
+        # shared memory, so forked ranks see it as threads do.
+        tripped = multiprocessing.get_context("fork").Value("b", 0)
 
         def die_once(item):
-            if item.block_index == 0 and item.partition_index == 0 and not tripped:
-                tripped.append(True)
+            if item.block_index == 0 and item.partition_index == 0:
+                with tripped.get_lock():
+                    if tripped.value:
+                        return
+                    tripped.value = 1
                 raise RankFailure(-1, -1)
 
-        cfg = make_cfg(alias_path, options, nprocs=3, degraded=True,
+        cfg = make_cfg(alias_path, options, nprocs=3, degraded=True, backend=backend,
                        unit_fault_injector=die_once)
         trace = TraceSession(cfg.nprocs)
         session = ResidentBlastSession(cfg, trace=trace).start()
@@ -230,3 +276,13 @@ class TestDegradedSession:
             b = sum(1 for e in events if e[0] == "B")
             e_ = sum(1 for e in events if e[0] == "E")
             assert b == e_, f"rank {rank} unbalanced after degraded loss"
+
+    def test_worker_death_mid_batch_then_service_continues(
+            self, serve_workload, oracle):
+        self._worker_death_mid_batch(serve_workload, oracle, "thread")
+
+    def test_worker_death_mid_batch_on_the_process_backend(
+            self, serve_workload, oracle):
+        """The survivors' communicator is a shrunk one, and the root gather
+        crosses it with array pages: each must be read from its sender."""
+        self._worker_death_mid_batch(serve_workload, oracle, "process")
