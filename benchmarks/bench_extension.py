@@ -20,6 +20,9 @@ slice of each ancestor) rather than asserted:
    homologs among many chance seeds, and on the service's one-read shape,
    the kernel's own ``dp_rows`` / ``dp_cells`` counters are asserted, not
    timings.  Counts repeat exactly on any host, so this is what CI gates.
+4. What a lockstep row costs a lone seed, the service's solo query
+   (:func:`test_lone_seed_row_cost`): the per-row slope of the call time,
+   recorded as a timing.
 
 Results land in ``BENCH_extension.json`` at the repo root; every record
 names the host, commit, backend and repeat count it was measured with.
@@ -56,11 +59,13 @@ from oracles.dense_gapped import reference_extend_gapped  # noqa: E402
 
 RESULTS_PATH = ROOT / "BENCH_extension.json"
 REPEATS = 3
+#: a lone seed's call is a few ms on a shared host: take the best of many
+ROW_REPEATS = 60
 
 OPTS = BlastOptions.blastp(evalue=1e-3)
 
 
-def _stamp(backend):
+def _stamp(backend, repeats=REPEATS):
     """Where, on what and how a record was measured."""
     model = "unknown"
     with open("/proc/cpuinfo") as fh:
@@ -77,7 +82,7 @@ def _stamp(backend):
                  "kernel": platform.release(), "python": platform.python_version()},
         "commit": commit,
         "backend": backend,
-        "repeats": REPEATS,
+        "repeats": repeats,
         "timing": "best of repeats, seconds",
     }
 
@@ -92,11 +97,11 @@ def _best_of(fn, repeats=REPEATS):
     return best, result
 
 
-def _record(key, payload, backend="in-process kernel calls, no ranks"):
+def _record(key, payload, backend="in-process kernel calls, no ranks", repeats=REPEATS):
     data = {}
     if RESULTS_PATH.exists():
         data = json.loads(RESULTS_PATH.read_text())
-    data[key] = {**payload, "measured": _stamp(backend)}
+    data[key] = {**payload, "measured": _stamp(backend, repeats)}
     RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -312,12 +317,52 @@ def test_gapped_kernel_counts(print_table):
     )
     _record("gapped_kernel_counts", {"mixed_batch": rec_mixed, "one_read": rec_one})
     # Chance seeds die early and leave the batch; the survivors' rows are
-    # computed on their live columns only.
+    # computed on their live columns only, or, once four or fewer halves
+    # live, on the whole band.
     assert rec_mixed["dp_cells"] * 3 <= rec_mixed["full_band_cells"]
     # One read is one chunk: the lockstep loop never outruns its deepest
     # half, however many shallow halves ride along.
     assert rec_one["dp_rows"] <= rec_one["deepest_half"] + 1
     assert rec_mixed["traced"] >= 3 and rec_one["traced"] >= 1
+
+
+def test_lone_seed_row_cost(print_table):
+    """What one lockstep row costs a lone seed: the service's solo query.
+
+    One read (3 % divergence, blastn options, band 48) seeded at its middle,
+    so two halves live to full depth; the per-row cost is the least-squares
+    slope of the best call time against ``dp_rows`` over reads of 200, 400
+    and 800 bp, which drops the per-call set-up and traceback.  The three
+    lengths take turns for ``ROW_REPEATS`` rounds, so a slow spell of the
+    host hits all of them.  Recorded, not asserted: it is a timing.
+    """
+    opts = BlastOptions.blastn()
+    nt = nucleotide_matrix(opts.reward, opts.penalty)
+    args = (nt, opts.gap_open, opts.gap_extend, opts.xdrop_gapped, opts.band_width)
+    rng = np.random.default_rng(2011)
+    calls, rows = [], []
+    for read_len in (200, 400, 800):
+        base = random_genome(read_len, seed_or_rng=int(rng.integers(2**31)))
+        q = DNA.encode(base).astype("intp")
+        s = DNA.encode(mutate_dna(base, 0.03, seed_or_rng=int(rng.integers(2**31)))).astype("intp")
+        calls.append([(q, s, read_len // 2, read_len // 2)])
+        stats = {}
+        extend_gapped_batch(calls[-1], *args, stats=stats)
+        rows.append(stats["dp_rows"])
+    best = [float("inf")] * len(calls)
+    for _ in range(ROW_REPEATS):
+        for n, seeds in enumerate(calls):
+            best[n] = min(best[n], _best_of(lambda: extend_gapped_batch(seeds, *args), 1)[0])
+    slope = float(np.polyfit(rows, best, 1)[0])
+    print_table("Gapped kernel, lone seed: best call time by read length",
+                ["dp_rows", "ms", "us/row"],
+                [[n, f"{t * 1e3:.2f}", f"{t / n * 1e6:.1f}"] for n, t in zip(rows, best)])
+    print(f"per-row slope: {slope * 1e6:.1f} us")
+    _record("lone_seed_row_cost", {
+        "read_lengths": [200, 400, 800], "dp_rows": rows, "best_call_s": best,
+        "row_us": slope * 1e6,
+    }, repeats=ROW_REPEATS)
+    assert all(n > 0 for n in rows)
 
 
 def test_end_to_end_wall_clock(tmp_path, print_table):

@@ -10,7 +10,8 @@ at a time and splits each submit → resolve interval at span boundaries:
 - ``wait for first unit``: rank 0 entering ``serve.job`` to the first
   ``mrblast.unit`` starting;
 - ``units``: first unit start to last unit end, with the heavy (longest)
-  unit, its ``gapped_s`` and the gapped kernel's ``dp_rows`` inside it;
+  unit, its ``gapped_s``, the gapped kernel's ``dp_rows`` inside it and
+  their ratio, the kernel's cost per lockstep row in microseconds;
 - ``map end``: last unit end to rank 0 leaving ``mr.map``;
 - ``post-map``: rank 0 leaving ``mr.map`` to leaving ``serve.job`` (the
   regrouping, the reduce and the result hand-off), with every ``mpi.*`` and
@@ -110,6 +111,7 @@ def _budget(per_rank, submit, resolve):
         "heavy unit": heavy[2] - heavy[1],
         "heavy gapped_s": heavy[3]["gapped_s"],
         "heavy dp_rows": dp_rows,
+        "heavy us/dp_row": heavy[3]["gapped_s"] / dp_rows * 1e6 if dp_rows else 0.0,
         "map end": map_end - last,
         "post-map": rank0["end"] - map_end,
         "  rank 0 regroup": post["mr.aggregate"] + post["mr.gather"],
@@ -159,6 +161,8 @@ def main():
         med = statistics.median(r[key] for r in rows)
         if key == "heavy dp_rows":
             print(f"  {key:<22} {med:10.0f}")
+        elif key == "heavy us/dp_row":
+            print(f"  {key:<22} {med:10.1f} us")
         else:
             print(f"  {key:<22} {med * 1e3:10.2f} ms")
     print("spans inside serve.job, per job:")

@@ -21,39 +21,38 @@ The within-row gap recurrence is a prefix-max scan.  Work is done only where
 the X-drop frontier is alive, and what is kept for the traceback is sized
 for the seeds that live (since the engine's gap trigger, most of a batch):
 
-- **Row blocks and live-set compaction.**  Rows are computed in blocks,
-  each allocated (sentinel-filled) for the halves that are live when the
-  block starts.  A half leaves the batch at the next block boundary once
-  X-drop has killed it or its query is exhausted; the survivors are
-  compacted into the new block's slots, and each block remembers which
-  halves own its slots and the DP row it starts at.  A block's height
-  follows its live set (:func:`_block_rows`): ``_BLOCK_ROWS`` rows while
-  eight or more halves live, up to ``_MAX_BLOCK_ROWS`` for one or two, so
-  a lone seed pays the per-block work (working planes, pair-score gather,
-  traceback bytes, block best, compaction) once per 64 rows instead of
-  once per 16, while a block never holds more slot rows than the working
-  block of eight halves.  Blocks end on a ``_BLOCK_ROWS`` boundary at or
-  past the shallowest live half's last row, so no half retains traceback
-  bytes or reads residues further past its depth than a 16-row block
-  would make it.
+- **Row blocks and live-set compaction.**  Rows are computed in blocks
+  for the halves live when the block starts; a half leaves at the next
+  boundary once X-drop has killed it or its query is exhausted, and each
+  block remembers which halves own its slots and its first DP row.  A block
+  holds four int32 planes, M/Iy/Ix and the best of the three, over a halo
+  row: the DP row above, copied and compacted from the last block, so every
+  row reads its predecessor from the block.  X-drop masks Ix and best as a
+  row is computed; M and Iy, which no later row reads, are masked once per
+  block where best is the sentinel.  A block's height follows its live set
+  (:func:`_block_rows`): ``_BLOCK_ROWS`` rows from eight halves up, up to
+  ``_MAX_BLOCK_ROWS`` for one or two (never more slot rows than the block
+  of eight), cut at the ``_BLOCK_ROWS`` boundary at or past the shallowest
+  half's last row, so a lone seed pays the per-block work once per 64 rows.
 - **One traceback byte per cell.**  A finished block's int32 scores are
   reduced to the decisions a traceback can take in it (NCBI's edit-script
   bytes: which state a cell is in, whether its Ix / Iy continue a gap) and
-  dropped; only the bytes are retained, a twelfth of the scores.  Nothing
+  dropped; only the bytes are retained, a sixteenth of the scores.  Nothing
   is recomputed: a traceback stitches one half's slot out of the blocks it
   lived in and walks the bytes, a whole run of aligned pairs at a step.
-- **Live-column window.**  X-drop masking resets every dropped cell to
-  exactly the sentinel, so if the live cells of row i-1, over all live
-  halves, sit in columns ``[wa, wb)``, row i can only have live M cells in
-  ``[wa, wb)`` (same column), live Ix cells in ``[wa-1, wb-1)`` (from column
-  c+1) and live Iy cells no further than ``pad`` columns right of a live
-  M/Ix cell.  ``pad`` follows from the threshold: a row-i base cell scores at
-  most ``best + matrix.max()``, an Iy run of length d costs ``gap_open +
-  d*gap_extend``, and the cell survives only at ``>= best - floor(xdrop)``,
-  so ``d <= (floor(xdrop) + matrix.max() - gap_open - gap_extend) //
-  gap_extend + 1``.  Row i is therefore computed on ``[wa-1, wb+pad+1)``
-  only, and cells outside keep the block's sentinel fill — the value the
-  full-width computation would have masked them to.
+- **Two ways to address a row.**  While four or fewer halves live, the live
+  sets whose blocks are taller than ``_BLOCK_ROWS``, a row runs over the
+  full band on row views made once per block: a dozen or so numpy calls and
+  no slicing, since a row of one or two halves is all per-call cost.  From
+  five halves up a row is computed on its live-column window: dropped cells
+  are exactly the sentinel, so if row i-1's live cells sit in columns
+  ``[wa, wb)``, row i's live M cells are in ``[wa, wb)``, its Ix cells in
+  ``[wa-1, wb-1)`` and its Iy cells at most ``pad`` columns right of a live
+  M/Ix cell, where ``pad = (floor(xdrop) + matrix.max() - gap_open -
+  gap_extend) // gap_extend + 1`` bounds the Iy run a row-i cell (at most
+  ``best + matrix.max()``) can open and still score ``best -
+  floor(xdrop)``.  Cells outside ``[wa-1, wb+pad+1)`` keep the sentinel
+  fill the full-band computation would have masked them to.
 - **Traceback where it can be reported.**  The best cell of every half is
   tracked while the rows are computed, so score and extents cost no second
   look at the grid.  With ``min_scores`` the caller names, per seed, the raw
@@ -89,8 +88,6 @@ __all__ = [
 #: near it, shallow enough that per-row arithmetic on sentinels cannot
 #: overflow int32.
 _NEG_I32 = np.int32(-(2**30))
-#: anything at or below this is sentinel arithmetic, not a path score
-_DEAD_FLOOR = np.int32(int(_NEG_I32) // 2)
 
 #: DP rows per storage block while eight or more halves are live, and the
 #: unit every block height is a multiple of; the live set is compacted
@@ -101,12 +98,13 @@ _MAX_BLOCK_ROWS = 64
 #: slot rows (height x live halves) a taller block may hold: what the
 #: ``_BLOCK_ROWS`` block of eight halves holds.
 _TALL_SLOT_ROWS = 8 * _BLOCK_ROWS
-#: working bytes per band cell of the row block being computed: its three
-#: int32 score planes, and as much again while its pair scores are gathered
-#: (an intp arena index, then the int32 score) or its traceback bytes built.
+#: working bytes per band cell of a chunk's block buffer, halo rows
+#: included: four int32 planes, and half as much again while a block's pair
+#: scores are gathered (an intp arena index) or its traceback bytes built
+#: (the bytes, an int32 and a bool temporary).  Row views cost nothing.
 _WORK_CELL_BYTES = 24
 #: what one lockstep chunk may hold, sized for seeds that live: chunks are
-#: cut so that the working block fits next to the traceback bytes of every
+#: cut so that the block buffer fits next to the traceback bytes of every
 #: half's full depth, so deep halves narrow the chunk instead of blowing
 #: memory up (400-bp reads: about 70 seeds a chunk).
 _CHUNK_BYTES = 8 << 20
@@ -184,17 +182,18 @@ def extend_gapped_batch(
     traceback.  ``None`` traces every alignment.
 
     ``stats`` (optional dict) accumulates ``peak_grid_bytes`` (the most any
-    chunk held: traceback bytes retained plus the working block),
+    chunk held: traceback bytes retained plus the block buffer),
     ``dp_rows`` (lockstep row iterations) and ``dp_cells`` (band cells
-    computed, summed over halves).
+    computed, summed over halves: a row's live window from five live halves
+    up, the whole band, ``k × width``, for k of four or fewer).
     """
     seeds = list(seeds)
     if min_scores is not None and len(min_scores) != len(seeds):
         raise ValueError("min_scores must give one floor per seed")
     # A seed's two halves retain, if neither ever dies, one traceback byte
     # per band cell of their whole depth, rounded up to the block boundary
-    # past it (see ``_block_rows``).  The working block of a chunk of n
-    # seeds holds at most max(2n x _BLOCK_ROWS, _TALL_SLOT_ROWS) slot rows.
+    # past it (see ``_block_rows``).  The block buffer of a chunk of n seeds
+    # holds ``_slot_rows(2n)`` slot rows.
     width = 2 * band + 1
     retained = []
     for q_codes, s_codes, q_seed, s_seed in seeds:
@@ -207,7 +206,7 @@ def extend_gapped_batch(
         retained.append(rows * width)
 
     def working(n: int) -> int:
-        return max(2 * n * _BLOCK_ROWS, _TALL_SLOT_ROWS) * _WORK_CELL_BYTES * width
+        return _slot_rows(2 * n) * _WORK_CELL_BYTES * width
 
     out: list = []
     pos = 0
@@ -344,8 +343,9 @@ def _lockstep_dp(
     ``(rows, width, k_b)`` array of :func:`_directions` bytes for DP rows
     ``bases[b] ...`` of the ``k_b`` halves listed (ascending) in
     ``owners[b]``.  The scores themselves live in one working block at a
-    time, ``(3, rows, width, k_b)`` int32 for M/Ix/Iy; halves run along the
-    last axis, so the live window of a row, ``[a:b]`` on the column axis,
+    time, ``(4, 1 + rows, width, k_b)`` int32 for M/Iy/Ix/best, whose row 0
+    is the halo (the DP row above the block); halves run along the last
+    axis, so a whole row, or its live window ``[a:b]`` on the column axis,
     is one contiguous piece of memory.
     """
     open_cost = gap_open + gap_extend
@@ -372,40 +372,51 @@ def _lockstep_dp(
     # Per-column Iy deduction: open_cost + gap_extend * (c - 1).
     iy_off = (open_cost + gap_extend * (cols - 1)).astype(np.int32)
     cols_j = cols - band  # j - i per column
+    # Ix[i, c] is the better of Ix and best at (i-1, c+1), less these.
+    ix_cost = np.array([gap_extend, open_cost], dtype=np.int32)[:, None, None]
 
     # Halves with an empty side align nothing and never enter the batch.
     ids = np.flatnonzero((depth > 0) & (reach > 0))
     k = ids.size
+    halo = np.full((2, width, k), NEG, dtype=np.int32)  # (Ix, best) over DP row 0
+    # One buffer holds every block in turn: no block has more slot rows.
+    cells = width * _slot_rows(k)
+    work = np.empty(4 * cells, dtype=np.int32)
     if k:
-        # Block 0 starts with DP row 0: M = 0 at the seed, Iy a leading gap
-        # in the query, neither X-drop masked.
-        blk = np.full((3, _block_rows(0, depth[ids]), width, k), NEG, dtype=np.int32)
-        blk[0, 0, band] = 0
-        blk[2, 0, band + 1 :] = np.where(
-            cols_j[band + 1 :] <= reach[ids], -iy_off[1 : band + 1], NEG
-        )
-        prev_best = np.maximum(blk[0, 0], blk[2, 0])
-        prev_ix = blk[1, 0]
         wa, wb = band, band + 1 + int(min(band, reach[ids].max()))
-    i = 1  # next DP row
+    i = 0  # next DP row
     while k:
         ns, ms = depth[ids], reach[ids]
-        base = i if blocks else 0  # DP row of this block's first row
-        if base:
-            blk = np.full((3, _block_rows(base, ns), width, k), NEG, dtype=np.int32)
+        base = i  # DP row of block row 1
+        rows = _block_rows(base, ns)
+        i_end = base + rows  # one past this block's last DP row
+        blk = work[: 4 * (1 + rows) * width * k].reshape(4, 1 + rows, width, k)
         owners.append(ids)
         bases.append(base)
-        i_end = base + blk.shape[1]  # one past this block's last DP row
-        ix_above = prev_ix  # Ix of the DP row above this block
-        ua, ub = width, 0  # columns any row of this block computed
 
-        # Pair scores for the whole block in three gathers: row i of half h
-        # scores q_h[i-1] against the window s_h[i-1-band ... i-1+band].
-        # (DP row 0 has no pair scores; its slot reads the arena's margin.)
+        # Pair scores for the whole block, gathered half-major into the Iy
+        # plane's memory and transposed into the M plane (the row above's
+        # best is added in place): row i of half h scores q_h[i-1] against
+        # the window s_h[i-1-band ... i-1+band].  (DP row 0 has no pair
+        # scores; its slot reads the arena's margin.)  Nothing reads M or
+        # Iy of the halo row.
         rr = np.arange(base - 1, i_end - 1)[:, None]
         pair = windows[s_at[ids] - band + rr]  # (rows, k, width), a copy
         pair += (arena[q_at[ids] + rr] * n_codes)[:, :, None]
-        pair = mat_flat.take(pair.transpose(0, 2, 1))  # (rows, width, k)
+        staged = blk[1, 1:].reshape(rows, k, width)
+        mat_flat.take(pair, out=staged, mode="clip")
+        del pair
+        blk[0, 1:] = staged.transpose(0, 2, 1)
+        blk[1:, 1:] = NEG
+        blk[2:, 0] = halo
+        if not base:
+            # DP row 0: M = 0 at the seed, Iy a leading gap; no X-drop.
+            m0, iy0, _, b0 = blk[:, 1]
+            m0.fill(NEG)
+            m0[band] = 0
+            iy0[band + 1 :] = np.where(cols_j[band + 1 :] <= ms, -iy_off[1 : band + 1], NEG)
+            np.maximum(m0, iy0, out=b0)
+            i = 1
 
         # The ragged edges are rare, and checked per row: a block can be
         # tall.  The subject end matters only for a half whose subject stops
@@ -414,126 +425,159 @@ def _lockstep_dp(
         s_edge = int(np.where(ms < ns + band, ms, i_end + band).min()) - band
         q_edge = int(ns.min())
 
-        # ``thr`` is each half's X-drop threshold, best - floor(xdrop); the
-        # best score itself and its row are read off the block's history of
-        # row maxima when the block is done.
+        # ``thr`` is each half's X-drop threshold, best - floor(xdrop): the
+        # running maximum of ``row_top``, the block's row maxima less
+        # floor(xdrop), off which its best score and row are read at the end.
         thr = best[ids] - xfloor
-        row_max = np.full((blk.shape[1], k), NEG, dtype=np.int32)
-        over = np.empty(k, dtype=np.int32)
-        row_best = np.full((width, k), NEG, dtype=np.int32)
+        row_top = np.full((rows, k), NEG, dtype=np.int32)
         scratch = np.empty((width, k), dtype=np.int32)
+        ix_pair = np.empty((2, width - 1, k), dtype=np.int32)
         dead = np.empty((width, k), dtype=bool)
         gt = np.empty((width, k), dtype=bool)
-        # The two best-of-row buffers swap every row.  Each must be exactly
-        # the sentinel outside the window it was last written on, so the
-        # part of that older window the new one does not cover is cleared.
-        written = (0, 0)  # window ``row_best`` still holds
-        written_prev = (0, width)
+        if 2 * _BLOCK_ROWS * k > _TALL_SLOT_ROWS:  # the live-column window
+            ua, ub = width, 0  # columns any row of this block computed
+            while i < i_end:
+                r = i - base + 1
+                a = max(wa - 1, 0)
+                b = min(width, wb + pad + 1)
+                bx = min(b, width - 1)  # Ix has no c+1 predecessor at the right edge
+                ua, ub = min(ua, a), max(ub, b)
+                g_row, g_up = blk[:, r], blk[:, r - 1]  # (4, width, k) views
+                m_row, y_row, x_row, rb = g_row[:, a:b]
+                ix_row, ix_w = x_row[: bx - a], ix_pair[:, : bx - a]
+                sc = scratch[a:b]
 
-        while i < i_end:
-            r = i - base
-            a = max(wa - 1, 0)
-            b = min(width, wb + pad + 1)
-            bx = min(b, width - 1)  # Ix has no c+1 predecessor at the right edge
-            if written[0] < a:
-                row_best[written[0] : a] = NEG
-            if written[1] > b:
-                row_best[b : written[1]] = NEG
-            ua, ub = min(ua, a), max(ub, b)
-            g_row = blk[:, r]  # (3, width, k) view of this row
-            m_row, ix_row, iy_row = g_row[0, a:b], g_row[1, a:bx], g_row[2, a:b]
-            rb, sc = row_best[a:b], scratch[a:b]
+                # M[i, c] comes from (i-1, j-1): the same diagonal offset c.
+                np.add(g_up[3, a:b], m_row, out=m_row)
+                # Ix[i, c] comes from (i-1, j): offset c+1 in the previous row.
+                np.subtract(g_up[2:, a + 1 : bx + 1], ix_cost, out=ix_w)
+                np.maximum(ix_w[0], ix_w[1], out=ix_row)
 
-            # M[i, c] comes from (i-1, j-1): the same diagonal offset c.
-            np.add(prev_best[a:b], pair[r, a:b], out=m_row)
-            # Ix[i, c] comes from (i-1, j): offset c+1 in the previous row.
-            np.subtract(prev_best[a + 1 : bx + 1], open_cost, out=ix_row)
-            np.subtract(prev_ix[a + 1 : bx + 1], gap_extend, out=sc[: bx - a])
-            np.maximum(ix_row, sc[: bx - a], out=ix_row)
+                # Cell (i, c) is subject column j = c + i - band.  Nothing
+                # left of j = 0 is ever live: from DP row 0 on, such a cell
+                # reads only such cells, all sentinel, so X-drop resets it.
+                # The right edge j > m is per half, masked with one compare.
+                clip_s = i > s_edge
+                if clip_s:
+                    gt_w = gt[a:b]
+                    np.greater(cols_j[a:b] + i, ms, out=gt_w)
+                    np.copyto(m_row, NEG, where=gt_w)
+                    np.copyto(x_row, NEG, where=gt_w)
 
-            # Cell (i, c) is subject column j = c + i - band.  M and Iy need
-            # j >= 1, Ix j >= 0: one contiguous slice at the left band edge.
-            # The right edge j > m is per half, masked with one compare.
-            lo = band - i  # column of j == 0
-            if lo >= a:
-                m_row[: lo + 1 - a] = NEG
-                ix_row[: lo - a] = NEG
-            clip_s = i > s_edge
-            if clip_s:
-                gt_w = gt[a:b]
-                np.greater(cols_j[a:b] + i, ms, out=gt_w)
-                np.copyto(m_row, NEG, where=gt_w)
-                np.copyto(ix_row, NEG, where=gt_w[: bx - a])
+                # Iy[i, c] = max_{c'<c} base[c'] - open_cost - ext*(c-1-c'), a
+                # prefix-max scan over t[c'] = base[c'] + ext*c'.  M and Ix are
+                # masked past the subject first, so the scan only chains from
+                # cells that exist — the traceback relies on every stored value
+                # being explained by stored predecessors.
+                np.maximum(m_row, x_row, out=rb)
+                np.add(rb, ext_c[a:b], out=sc)
+                np.maximum.accumulate(sc, axis=0, out=sc)
+                np.subtract(sc[:-1], iy_off[a + 1 : b], out=y_row[1:])
+                if clip_s:
+                    np.copyto(y_row, NEG, where=gt_w)
+                np.maximum(rb, y_row, out=rb)
 
-            # Iy[i, c] = max_{c'<c} base[c'] - open_cost - ext*(c-1-c'), a
-            # prefix-max scan over t[c'] = base[c'] + ext*c'.  M and Ix are
-            # edge-masked first, so the scan only chains from kept cells —
-            # the traceback relies on every stored value being explained by
-            # stored predecessors.
-            np.maximum(m_row, g_row[1, a:b], out=rb)
-            np.add(rb, ext_c[a:b], out=sc)
-            np.maximum.accumulate(sc, axis=0, out=sc)
-            np.subtract(sc[:-1], iy_off[a + 1 : b], out=iy_row[1:])
-            if lo >= a:
-                iy_row[: lo + 1 - a] = NEG
-            if clip_s:
-                np.copyto(iy_row, NEG, where=gt_w)
-            np.maximum(rb, iy_row, out=rb)
+                # X-drop against the best of the *previous* rows: the threshold
+                # rises only after masking.  A half past its query end computes
+                # rows from residues that are not its own, which must not count.
+                top = row_top[r - 1]
+                np.maximum.reduce(rb, axis=0, out=top)
+                np.subtract(top, xfloor, out=top)
+                if i > q_edge:
+                    top[ns < i] = NEG
+                dead_w = dead[a:b]
+                np.less(rb, thr, out=dead_w)
+                np.copyto(g_row[2:, a:b], NEG, where=dead_w)
+                np.maximum(thr, top, out=thr)
+                dp_rows += 1
+                dp_cells += k * (b - a)
 
-            # X-drop against the best of the *previous* rows: the threshold
-            # rises only after masking.  A half past its query end computes
-            # rows from residues that are not its own, which must not count.
-            rm = row_max[r]
-            np.maximum.reduce(rb, axis=0, out=rm)
-            if i > q_edge:
-                rm[ns < i] = NEG
-            dead_w = dead[a:b]
-            np.less(rb, thr, out=dead_w)
-            np.copyto(g_row[:, a:b], NEG, where=dead_w)
-            np.copyto(rb, NEG, where=dead_w)
-            np.subtract(rm, xfloor, out=over)
-            np.maximum(thr, over, out=thr)
-            dp_rows += 1
-            dp_cells += k * (b - a)
-
-            prev_best, row_best = row_best, prev_best
-            written, written_prev = written_prev, (a, b)
-            prev_ix = g_row[1]
+                i += 1
+                col_dead = np.logical_and.reduce(dead_w, axis=1).tobytes()
+                wa = a + col_dead.find(b"\0")
+                if wa < a:
+                    break  # every half is X-dropped dead
+                wb = a + col_dead.rfind(b"\0") + 1
+        else:
+            # Four or fewer halves: the same recurrences on the whole band,
+            # over row views made once per block; a running max down the
+            # row gives its maximum cheaper than a reduce.
+            r0 = i - base + 1
+            m, iy, ix, bst = blk
+            xb = blk[2:].swapaxes(0, 1)  # (1 + rows, 2, width, k): Ix, best
+            xb_flat = blk[2:].reshape(2, 1 + rows, width * k).swapaxes(0, 1)
+            dead_w, dead_flat = dead, dead.reshape(-1)
+            ext_k = np.repeat(ext_c, k, axis=1)
+            iy_k = np.repeat(iy_off[1:], k, axis=1)
+            (ix_x, ix_b), sc_head, sc_last = ix_pair, scratch[:-1], scratch[-1]
+            for i, m_row, b_up, xb_up, x_head, x_row, rb, y_tail, y_row, xb_row, top in zip(
+                range(i, i_end), m[r0:], bst[r0 - 1 : -1], xb[r0 - 1 : -1, :, 1:],
+                ix[r0:, :-1], ix[r0:], bst[r0:], iy[r0:, 1:], iy[r0:], xb_flat[r0:],
+                row_top[r0 - 1 :],
+            ):
+                np.add(b_up, m_row, out=m_row)
+                np.subtract(xb_up, ix_cost, out=ix_pair)
+                np.maximum(ix_x, ix_b, out=x_head)
+                clip_s = i > s_edge
+                if clip_s:
+                    np.greater(cols_j + i, ms, out=gt)
+                    np.copyto(m_row, NEG, where=gt)
+                    np.copyto(x_row, NEG, where=gt)
+                np.maximum(m_row, x_row, out=rb)
+                np.add(rb, ext_k, out=scratch)
+                np.maximum.accumulate(scratch, axis=0, out=scratch)
+                np.subtract(sc_head, iy_k, out=y_tail)
+                if clip_s:
+                    np.copyto(y_row, NEG, where=gt)
+                np.maximum(rb, y_row, out=rb)
+                np.maximum.accumulate(rb, axis=0, out=scratch)
+                np.subtract(sc_last, xfloor, out=top)
+                if i > q_edge:
+                    top[ns < i] = NEG
+                np.less(rb, thr, out=dead)
+                np.copyto(xb_row, NEG, where=dead_flat)
+                np.maximum(thr, top, out=thr)
+                if b"\0" not in dead.tobytes():
+                    break  # every half is X-dropped dead
             i += 1
-            col_dead = np.logical_and.reduce(dead_w, axis=1).tobytes()
-            wa = a + col_dead.find(b"\0")
-            if wa < a:
-                break  # every half is X-dropped dead
-            wb = a + col_dead.rfind(b"\0") + 1
+            dp_rows += i - (base + r0 - 1)
+            dp_cells += (i - (base + r0 - 1)) * k * width
+            ua, ub = 0, width
 
+        # X-drop masked Ix and best as it went; M and Iy of the cells it
+        # dropped, or never computed, are masked here, before anything
+        # reads them.
+        np.copyto(blk[:2, 1:, ua:ub], NEG, where=blk[3, 1:, ua:ub] == NEG)
         # Best cell so far: the first row whose maximum beats every earlier
         # row's (strictly) and the first column holding it, so the block's
         # first occurrence of its maximum, if that beats the blocks before.
-        block_best = row_max.max(axis=0)
+        block_best = row_top.max(axis=0) + xfloor
         slots = np.flatnonzero(block_best > best[ids])
         if slots.size:
-            top = row_max.argmax(axis=0)[slots]
+            r_top = row_top.argmax(axis=0)[slots]
             best[ids[slots]] = block_best[slots]
-            best_i[ids[slots]] = base + top
-            best_c[ids[slots]] = blk[:, top, :, slots].max(axis=1).argmax(axis=1)
-        peak = max(peak, retained + _WORK_CELL_BYTES * blk[0].size)
-        blocks.append(_directions(blk, ix_above, gap_extend, ua, ub))
+            best_i[ids[slots]] = base + r_top
+            best_c[ids[slots]] = blk[3, 1 + r_top, :, slots].argmax(axis=1)
+        peak = max(peak, retained + _WORK_CELL_BYTES * cells)
+        blocks.append(_directions(blk, gap_extend, ua, ub))
         retained += blocks[-1].nbytes
-        if wa < a:
-            break
         # Compact: a half goes on iff its last row kept a cell and its
         # query has a row left.
-        keep = np.flatnonzero((rm > _DEAD_FLOOR) & (ns >= i))
+        keep = np.flatnonzero(~dead_w.all(axis=0) & (ns >= i))
         ids = ids[keep]
         k = keep.size
-        prev_best = prev_best[:, keep]
-        prev_ix = prev_ix[:, keep]
+        halo = blk[2:, -1][:, :, keep]
 
     if stats is not None:
         stats["peak_grid_bytes"] = max(stats.get("peak_grid_bytes", 0), peak)
         stats["dp_rows"] = stats.get("dp_rows", 0) + dp_rows
         stats["dp_cells"] = stats.get("dp_cells", 0) + dp_cells
     return best, best_i, best_c + best_i - band, blocks, owners, bases
+
+
+def _slot_rows(k: int) -> int:
+    """Most slot rows, halo rows included, of a block of ``k`` or fewer halves."""
+    return max(k, _TALL_SLOT_ROWS // _BLOCK_ROWS) * (_BLOCK_ROWS + 1)
 
 
 def _block_rows(base: int, ns: np.ndarray) -> int:
@@ -552,21 +596,21 @@ def _block_rows(base: int, ns: np.ndarray) -> int:
     return min(rows, shallow, int(ns.max()) - base + 1)
 
 
-def _directions(blk: np.ndarray, ix_above: np.ndarray, gap_extend: int, a: int, b: int):
+def _directions(blk: np.ndarray, gap_extend: int, a: int, b: int):
     """Every decision a traceback can take in a finished block, one byte a cell.
 
-    For cell (i, c) of the stored (X-drop masked) scores: bit 0 is
-    ``M >= Ix``, bit 1 ``M >= Iy``, bit 2 ``Ix >= Iy`` (which state a walk
-    arriving here is in); bit 3 says Ix continues the gap of the row above,
-    ``Ix[i, c] == Ix[i-1, c+1] - gap_extend`` (``ix_above`` is the Ix row
-    over the block's first), and bit 4 that Iy continues the gap from the
-    left, ``Iy[i, c] == Iy[i, c-1] - gap_extend``.  Only columns ``[a, b)``,
-    the ones some row of the block computed, are looked at: a path never
-    leaves them.
+    For cell (i, c) of the stored (X-drop masked) scores of block rows
+    ``1 ...``: bit 0 is ``M >= Ix``, bit 1 ``M >= Iy``, bit 2 ``Ix >= Iy``
+    (which state a walk arriving here is in); bit 3 says Ix continues the
+    gap of the row above, ``Ix[i, c] == Ix[i-1, c+1] - gap_extend`` (the
+    halo row is above the block's first), and bit 4 that Iy continues the
+    gap from the left, ``Iy[i, c] == Iy[i, c-1] - gap_extend``.  Only
+    columns ``[a, b)``, the ones some row of the block computed, are looked
+    at: a path never leaves them.
     """
     _, rows, width, k = blk.shape
-    out = np.zeros((rows, width, k), dtype=np.uint8)
-    m, x, y = blk
+    out = np.zeros((rows - 1, width, k), dtype=np.uint8)
+    m, y, x, _ = blk[:, 1:]
 
     def mark(bit: int, lo: int, hi: int, flags: np.ndarray) -> None:
         flags = flags.view(np.uint8)
@@ -577,9 +621,7 @@ def _directions(blk: np.ndarray, ix_above: np.ndarray, gap_extend: int, a: int, 
     mark(1, a, b, m[:, a:b] >= y[:, a:b])
     mark(2, a, b, x[:, a:b] >= y[:, a:b])
     hi = min(b, width - 1)  # the last column has no c+1 above it
-    above = np.concatenate((ix_above[None, a + 1 : hi + 1], x[:-1, a + 1 : hi + 1]))
-    above -= gap_extend
-    mark(3, a, hi, x[:, a:hi] == above)
+    mark(3, a, hi, x[:, a:hi] == blk[2, :-1, a + 1 : hi + 1] - gap_extend)
     lo = max(a, 1)
     mark(4, lo, b, y[:, lo:b] == y[:, lo - 1 : b - 1] - gap_extend)
     return out

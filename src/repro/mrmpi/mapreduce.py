@@ -237,7 +237,6 @@ class MapReduce:
         self,
         nmap: int,
         mapper: Callable[[int, KVStore], None],
-        addflag: bool = False,
         mapstyle: MapStyle | None = None,
         count: bool = False,
         speculation: SpeculationPolicy | None = None,
@@ -247,12 +246,11 @@ class MapReduce:
 
         Returns the local number of KV pairs after the map, or the global
         number with ``count=True`` (a collective allreduce — opt-in, since
-        most callers ignore the return value).  With ``addflag`` the new
-        pairs are appended to the existing KV dataset (used by mrblast's
-        multi-iteration loop); otherwise a fresh dataset is started.
+        most callers ignore the return value).  Every map starts a fresh
+        KV dataset.
         """
         return self.map_items(
-            range(nmap), lambda i, item, kv: mapper(i, kv), addflag, mapstyle,
+            range(nmap), lambda i, item, kv: mapper(i, kv), mapstyle,
             count=count, speculation=speculation, degraded=degraded,
         )
 
@@ -260,7 +258,6 @@ class MapReduce:
         self,
         items: Sequence[Any],
         mapper: Callable[[int, Any, KVStore], None],
-        addflag: bool = False,
         mapstyle: MapStyle | None = None,
         locality_key: Callable[[Any], Any] | None = None,
         count: bool = False,
@@ -304,13 +301,12 @@ class MapReduce:
         """
         t0 = self._phase_begin("map")
         style = self.mapstyle if mapstyle is None else MapStyle(mapstyle)
-        if self.kv is None or not addflag:
-            if self.kv is not None:
-                # Starting fresh over a live dataset (e.g. the previous
-                # iteration's reduce output): close it so its spill pages
-                # are reclaimed now, not at job teardown.
-                self.kv.close()
-            self.kv = self._fresh_kv()
+        if self.kv is not None:
+            # Starting fresh over a live dataset (e.g. the previous
+            # iteration's reduce output): close it so its spill pages
+            # are reclaimed now, not at job teardown.
+            self.kv.close()
+        self.kv = self._fresh_kv()
         kv = self.kv
         if self.size > 1 and style is MapStyle.MASTER_WORKER:
             self._map_items_sched(

@@ -151,30 +151,6 @@ def test_map_int_variant():
     assert merged == {0: [0, 2, 4, 6, 8], 1: [1, 3, 5, 7, 9]}
 
 
-def test_addflag_accumulates_over_iterations():
-    """mrblast's outer loop maps repeatedly with addflag=True."""
-
-    def main(comm):
-        mr = MapReduce(comm)
-        for batch in range(3):
-            mr.map_items(
-                [batch * 10 + i for i in range(4)],
-                lambda i, item, kv: kv.add("all", item),
-                addflag=True,
-            )
-        total, _ = mr.kv_stats()
-        mr.collate()
-        out = []
-        mr.scan_kmv(lambda k, vs: out.extend(vs))
-        everything = mr.comm.allreduce(out)
-        mr.close()
-        return (total, sorted(everything))
-
-    total, everything = run_spmd(3, main)[0]
-    assert total == 12
-    assert everything == sorted([b * 10 + i for b in range(3) for i in range(4)])
-
-
 def test_collate_key_locality_and_determinism():
     """Every key ends up on exactly one rank, at the stable-hash location."""
 

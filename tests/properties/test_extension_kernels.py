@@ -3,7 +3,8 @@
 The contract is bit-identity, not approximation: every complete row of
 :func:`batch_ungapped_extend` must equal :func:`ungapped_extend` field for
 field, and the lockstep gapped kernel (:func:`extend_gapped_batch`, band-
-compressed int32, live-set compaction, live-column window) must reproduce
+compressed int32, live-set compaction, full-band rows for four or fewer
+live halves, the live-column window from five up) must reproduce
 ``oracles.dense_gapped.reference_extend_gapped`` (dense float32, one half
 at a time) including coordinates and operation strings.  Random sequences
 here are deliberately homolog-biased so the gapped band actually fills,
@@ -385,10 +386,11 @@ def _homolog_seed(rng, length=300, q_seed=None):
 
 class TestRowBlockHeights:
     """The row block's height follows the live set: 64 rows for one or two
-    live halves, 32 for three or four, 16 from five up; each height is
-    checked against the dense oracle element for element."""
+    live halves, 32 for three or four (rows over the full band), 16 from
+    five up (rows on the live-column window); each height is checked
+    against the dense oracle element for element."""
 
-    @pytest.mark.parametrize("halves", [1, 2, 3, 4, 8, 64])
+    @pytest.mark.parametrize("halves", [1, 2, 3, 4, 5, 6, 8, 64])
     def test_each_height_matches_the_dense_oracle(self, halves):
         rng = np.random.default_rng(90 + halves)
         # A seed at the query start has no left half: it brings one.
@@ -406,7 +408,7 @@ class TestRowBlockHeights:
     def test_a_traceback_stitches_blocks_of_two_heights(self):
         """Chance seeds die a few dozen rows in; the homolog's two halves
         then run on alone in 64-row blocks, and its traceback walks back
-        through both."""
+        through both: windowed rows of eight halves, then full-band rows."""
         rng = np.random.default_rng(95)
         q, s, mid, s_mid = _homolog_seed(rng, length=400, q_seed=200)
         junk = [(DNA.encode(random_genome(200, seed_or_rng=int(rng.integers(2**31)))),
@@ -431,6 +433,56 @@ class TestRowBlockHeights:
         _assert_height_rule(chunk)
         assert chunk[0][1:] == (16, 8) and chunk[-1][2] <= 2
         assert {16, 64} <= stitched[0]
+
+
+def _lone_seed_parity(seeds, matrix, go, ge, xdrop, band):
+    """Four or fewer halves: every row runs over the full band, so each row
+    counts the whole band of every live half."""
+    stats = {}
+    got = extend_gapped_batch(seeds, matrix, go, ge, xdrop, band, stats=stats)
+    assert got == _reference_batch(seeds, matrix, go, ge, xdrop, band)
+    assert stats["dp_cells"] % (2 * band + 1) == 0
+    return got
+
+
+class TestFullBandRows:
+    """The regime for four or fewer live halves, at the edges the window
+    never reaches: the first ``band`` rows compute cells left of the
+    subject's first residue, which must never come alive; the subject's end
+    inside the band; the narrowest bands; BLOSUM62's widest gap runs."""
+
+    @pytest.mark.parametrize("q_seed, s_seed", [(0, 0), (2, 5), (6, 1), (3, 3)])
+    def test_seeds_near_the_start_of_both_sequences(self, q_seed, s_seed):
+        base = random_genome(150, seed_or_rng=83)
+        q = DNA.encode(base)
+        s = DNA.encode(mutate_dna(base, 0.04, seed_or_rng=84))
+        _lone_seed_parity([(q, s, q_seed, s_seed)], NT, 5, 2, 30.0, 24)
+        _lone_seed_parity([(q, s, q_seed, s_seed), (s, q, s_seed, q_seed)], NT, 5, 2, 30.0, 24)
+
+    @pytest.mark.parametrize("s_len", [10, 30, 45])
+    def test_subject_ending_inside_the_band(self, s_len):
+        base = random_genome(120, seed_or_rng=85)
+        q = DNA.encode(base)
+        s = DNA.encode(mutate_dna(base, 0.03, seed_or_rng=86)[:s_len])
+        got = _lone_seed_parity([(q, s, 0, 0), (q, s, 5, 5)], NT, 5, 2, 80.0, 24)
+        assert got[0].s_end <= s_len
+
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_narrow_bands(self, band):
+        left = random_genome(70, seed_or_rng=87)
+        right = random_genome(70, seed_or_rng=88)
+        q = DNA.encode(left + right)
+        s = DNA.encode(left + "A" * band + right)  # an insertion the band just holds
+        _lone_seed_parity([(q, s, 35, 35)], NT, 5, 2, 60.0, band)
+        _lone_seed_parity([(q, s, 35, 35), (s, q, 35, 35)], NT, 5, 2, 60.0, band)
+
+    def test_blosum62_with_unit_gap_extension(self):
+        head = random_protein(40, seed_or_rng=89) + "AW"
+        tail = "WWW" + random_protein(60, seed_or_rng=90)
+        q = PROTEIN.encode(head + tail)
+        s = PROTEIN.encode(head + random_protein(20, seed_or_rng=91) + tail)
+        got = _lone_seed_parity([(q, s, 20, 20)], BLOSUM62, 11, 1, 38.0, 32)
+        assert got[0].gaps == 20
 
 
 class TestLiveSetKernel:
@@ -645,6 +697,31 @@ class TestLiveSetKernel:
         assert len(got) == 2000
         assert 0 < stats["peak_grid_bytes"] <= gapped_mod._CHUNK_BYTES
         assert peak < 2 * gapped_mod._CHUNK_BYTES
+
+    @pytest.mark.parametrize("n_long", [1, 32])
+    def test_peak_grid_bytes_covers_what_the_dp_allocates(self, n_long):
+        """The reported peak bounds what the row loop really allocates: the
+        traceback bytes, the four-plane block buffer with its halo rows, the
+        gather's intp array and the traceback-byte temporaries.  Only
+        numpy's fixed-size ufunc buffers (two of 8192 intp) are not in it."""
+        seeds = _mixed_batch(np.random.default_rng(82), 0, n_long, long_len=400)
+        real, held = gapped_mod._lockstep_dp, []
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                out = real(*args)
+                held.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        stats = {}
+        with mock.patch.object(gapped_mod, "_lockstep_dp", measured):
+            extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
+        (traced,) = held
+        assert traced <= stats["peak_grid_bytes"] + (2 * 8192 * 8 + (16 << 10))
+        assert stats["peak_grid_bytes"] < 1.25 * traced
 
     def test_full_depth_homolog_batch_stays_inside_the_chunk_budget(self):
         """What a unit's gapped batch is since the gap trigger: every seed a
