@@ -1,21 +1,20 @@
-"""Columnar vs object data-plane throughput (regenerates BENCH_shuffle.json).
+"""Data-plane throughput and the transport machine model (regenerates
+BENCH_shuffle.json).
 
 One synthetic Fig. 5-scale workload — hundreds of thousands of small
 (query id, record) pairs — pushed through emit → aggregate → convert →
-reduce on both planes at 1/4/8 ranks, on both transport backends.
-Reported per stage: pairs/sec (total pairs over the slowest rank's stage
-time) and bytes actually staged for other ranks.  The acceptance bar for
-the columnar overhaul is ≥5× pairs/sec on the two shuffle-bound stages,
-aggregate and convert.
+reduce at 1/4/8 ranks, on both transport backends.  Reported per stage:
+pairs/sec (total pairs over the slowest rank's stage time) and bytes
+actually staged for other ranks.
 
 The process backend adds two result families:
 
-- ``{plane}@{nprocs}@process`` runs (the legacy ``{plane}@{nprocs}`` keys
-  stay thread-backend, so the series in EXPERIMENTS.md remains comparable);
+- ``columnar@{nprocs}@process`` runs (the ``columnar@{nprocs}`` keys stay
+  thread-backend, so the series in EXPERIMENTS.md remains comparable);
 - a per-backend Sanders/Mehlhorn machine-model fit ``t = α + n/β`` from a
   two-rank pingpong sweep, recorded under ``machine_model``.
 
-The shared-arena fabric adds a third: ``{plane}@{nprocs}@process+arena``
+The shared-arena fabric adds a third: ``columnar@{nprocs}@process+arena``
 runs and a ``process+arena`` machine model.  The plain ``@process`` keys
 are re-measured with ``arena=False`` (the per-message shm path) in the
 same run, and the fit asserts the arena is at least 2x better on *both*
@@ -84,14 +83,12 @@ KEYTAB = np.array([f"q{k:06d}".encode() for k in range(N_KEYS)], dtype="S8")
 STAGES = ("map", "aggregate", "convert", "reduce")
 
 
-def _pipeline(comm, columnar, total_pairs):
+def _pipeline(comm, total_pairs):
     """Emit → aggregate → convert → reduce; returns rank-0 timings/traffic."""
-    mr = MapReduce(
-        comm, mapstyle=MapStyle.CHUNK, schema=SCHEMA if columnar else None
-    )
+    mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, schema=SCHEMA)
     per_rank = total_pairs // comm.size
 
-    def columnar_mapper(itask, item, kv):
+    def mapper(itask, item, kv):
         rng = np.random.default_rng(1000 + itask)
         kids = rng.integers(N_KEYS, size=per_rank)
         rows = np.empty(per_rank, dtype=VALUE_DTYPE)
@@ -101,21 +98,8 @@ def _pipeline(comm, columnar, total_pairs):
         rows["evalue"] = rng.random(per_rank)
         kv.add_batch(KEYTAB[kids], rows)
 
-    def object_mapper(itask, item, kv):
-        rng = np.random.default_rng(1000 + itask)
-        kids = rng.integers(N_KEYS, size=per_rank)
-        bits = rng.random(per_rank)
-        evalues = rng.random(per_rank)
-        for j in range(per_rank):
-            kv.add(
-                f"q{kids[j]:06d}",
-                (int(kids[j]), j, float(bits[j]), float(evalues[j])),
-            )
-
     try:
-        mr.map_items(
-            list(range(comm.size)), columnar_mapper if columnar else object_mapper
-        )
+        mr.map_items(list(range(comm.size)), mapper)
         npairs = comm.allreduce(len(mr.kv))
         mr.aggregate()
         mr.convert()
@@ -134,9 +118,8 @@ def _pipeline(comm, columnar, total_pairs):
         mr.close()
 
 
-def _run(nprocs, columnar, backend="thread", total_pairs=TOTAL_PAIRS,
-         arena=None, arena_mb=None):
-    out = run_spmd(nprocs, _pipeline, columnar, total_pairs, backend=backend,
+def _run(nprocs, backend="thread", total_pairs=TOTAL_PAIRS, arena=None, arena_mb=None):
+    out = run_spmd(nprocs, _pipeline, total_pairs, backend=backend,
                    arena=arena, arena_mb=arena_mb)[0]
     stages = {}
     for phase in STAGES:
@@ -208,52 +191,30 @@ def test_shuffle_throughput(print_table):
     for label, backend, arena in VARIANTS:
         suffix = "" if label == "thread" else f"@{label}"
         for nprocs in RANK_COUNTS:
-            for plane in ("object", "columnar"):
-                results[f"{plane}@{nprocs}{suffix}"] = _run(
-                    nprocs, plane == "columnar", backend=backend, arena=arena
-                )
+            results[f"columnar@{nprocs}{suffix}"] = _run(nprocs, backend=backend, arena=arena)
 
     rows = []
     for label, _backend, _arena in VARIANTS:
         suffix = "" if label == "thread" else f"@{label}"
         for nprocs in RANK_COUNTS:
             for phase in STAGES:
-                obj = results[f"object@{nprocs}{suffix}"]["stages"][phase]
                 col = results[f"columnar@{nprocs}{suffix}"]["stages"][phase]
-                speedup = (
-                    col["pairs_per_sec"] / obj["pairs_per_sec"]
-                    if col["pairs_per_sec"] and obj["pairs_per_sec"]
-                    else float("nan")
-                )
                 rows.append([
                     label, str(nprocs), phase,
-                    f"{obj['pairs_per_sec']:,.0f}" if obj["pairs_per_sec"] else "-",
                     f"{col['pairs_per_sec']:,.0f}" if col["pairs_per_sec"] else "-",
-                    f"{speedup:.1f}x",
-                    f"{obj['bytes_moved']:,}", f"{col['bytes_moved']:,}",
+                    f"{col['bytes_moved']:,}",
                 ])
     print_table(
         f"Shuffle throughput, {TOTAL_PAIRS:,} pairs ({N_KEYS} keys)",
-        ["backend", "ranks", "stage", "obj pairs/s", "col pairs/s", "speedup",
-         "obj bytes moved", "col bytes moved"],
+        ["backend", "ranks", "stage", "pairs/s", "bytes moved"],
         rows,
     )
 
-    # Results must be plane- and backend-independent before speed counts.
+    # Results must be backend-independent before speed counts.
     for key, run in results.items():
         assert run["nkeys"] == N_KEYS, f"{key}: wrong reduce output"
         assert run["npairs"] == (TOTAL_PAIRS // int(key.split("@")[1])) * int(
             key.split("@")[1]
-        )
-
-    # The acceptance bar: >=5x on the shuffle-bound stages at multi-rank
-    # scale (single-rank aggregate barely moves data on either plane).
-    for phase in ("aggregate", "convert"):
-        obj = results["object@4"]["stages"][phase]["pairs_per_sec"]
-        col = results["columnar@4"]["stages"][phase]["pairs_per_sec"]
-        assert col >= 5 * obj, (
-            f"{phase}: columnar {col:,.0f} pairs/s vs object {obj:,.0f} "
-            f"pairs/s is below the 5x bar"
         )
 
     model = {label: fit_machine_model(backend, arena=arena)
@@ -338,8 +299,8 @@ def main(argv=None) -> int:
         "process+arena" if arena_on else "process")
     seconds = {}
     for nprocs in args.ranks:
-        run = _run(nprocs, columnar=True, backend=args.backend,
-                   total_pairs=args.pairs, arena=arena, arena_mb=args.arena_mb)
+        run = _run(nprocs, backend=args.backend, total_pairs=args.pairs,
+                   arena=arena, arena_mb=args.arena_mb)
         seconds[nprocs] = _pipeline_seconds(run)
         print(f"{label}@{nprocs}: {args.pairs:,} pairs in "
               f"{seconds[nprocs]:.3f}s pipeline time "

@@ -36,7 +36,7 @@ from repro.mpi.comm import Comm
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
 from repro.mrmpi.mapreduce import MapStyle
-from repro.obs.export import write_chrome_trace
+from repro.obs.export import exported_trace
 from repro.obs.trace import TraceSession
 from repro.util.log import rank_logger
 
@@ -305,13 +305,9 @@ def mrblast_spmd(
     Chrome trace JSON automatically.  Both may be combined.
     """
     config.validate()
-    if trace is None and config.trace_path:
-        trace = TraceSession(nprocs)
-    results = run_spmd(nprocs, run_mrblast, config, trace=trace,
-                       backend=config.backend, arena_mb=config.arena_mb)
-    if config.trace_path and trace is not None:
-        write_chrome_trace(config.trace_path, trace)
-    return results
+    with exported_trace(config.trace_path, nprocs, trace) as trace:
+        return run_spmd(nprocs, run_mrblast, config, trace=trace,
+                        backend=config.backend, arena_mb=config.arena_mb)
 
 
 def mrblast_supervised(
@@ -333,14 +329,12 @@ def mrblast_supervised(
     runs out.
     """
     config.validate()
-    if trace is None and config.trace_path:
-        trace = TraceSession(nprocs)
 
     def prepare(attempt: int) -> tuple[tuple, dict]:
         cfg = config if attempt == 1 else dataclasses.replace(config, resume=True)
         return (cfg,), {}
 
-    try:
+    with exported_trace(config.trace_path, nprocs, trace) as trace:
         outcome = run_supervised(
             nprocs,
             run_mrblast,
@@ -352,11 +346,6 @@ def mrblast_supervised(
             backend=config.backend,
             arena_mb=config.arena_mb,
         )
-    finally:
-        # Export even when supervision exhausts: the trace of a failed job
-        # is exactly when you want to look at it.
-        if config.trace_path and trace is not None:
-            write_chrome_trace(config.trace_path, trace)
     for result in outcome.results:
         if result is None:  # rank lost in a degraded-mode run
             continue

@@ -25,7 +25,7 @@ from repro.blast.options import BlastOptions
 from repro.core.checkpoint import PoisonList
 from repro.core.mrblast.workitems import WorkItem
 from repro.mpi.exceptions import MPIError
-from repro.mrmpi.keyvalue import KeyValue
+from repro.mrmpi.columnar import ColumnarKeyValue
 from repro.obs.trace import current_tracer
 
 __all__ = ["MrBlastMapper", "MapperStats", "MapUnitError", "exclude_self_hits", "unit_key"]
@@ -147,7 +147,7 @@ class MrBlastMapper:
         assert self._partition is not None
         return self._partition
 
-    def __call__(self, itask: int, item: WorkItem, kv: KeyValue) -> None:
+    def __call__(self, itask: int, item: WorkItem, kv: ColumnarKeyValue) -> None:
         """Execute one work unit and emit its hits.
 
         A unit that has exhausted its failure budget (the poison ledger of
@@ -178,7 +178,7 @@ class MrBlastMapper:
                 self.poison.record_failure(key, repr(exc))
             raise MapUnitError(key, exc) from exc
 
-    def _execute(self, item: WorkItem, kv: KeyValue) -> None:
+    def _execute(self, item: WorkItem, kv: ColumnarKeyValue) -> None:
         trc = current_tracer()
         sid = None
         if trc.enabled:

@@ -230,9 +230,7 @@ class BlastPipeline:
         else:
             mr.collate()
         mr.sort_kmv_keys(key=lambda qid: query_order.get(qid, len(query_order)))
-        # The reducer emits plain (query id, hit count) summaries, not HSP
-        # rows — its output lives on the object plane.
-        mr.reduce(reducer, out_schema=None)
+        mr.reduce(reducer)
         return kv_bytes
 
     def close(self) -> None:

@@ -14,62 +14,43 @@ per-rank file exactly as in the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.blast.hsp import HSP, top_hits
 from repro.blast.options import BlastOptions
 from repro.blast.tabular import format_tabular, write_tabular
-from repro.mrmpi.keyvalue import KeyValue
 
-__all__ = ["MrBlastReducer", "DemuxReducer"]
+__all__ = ["MrBlastReducer"]
 
 
 @dataclass
 class MrBlastReducer:
-    """Callable KMV reducer bound to one rank's output file."""
+    """Callable KMV reducer: a query's top-K hits, into one of two sinks.
+
+    With ``output_path`` the hits are appended to that rank's file, the
+    paper's batch output.  Without one they are demultiplexed by query id
+    into :attr:`results`, one outfmt-6 byte block per query: the resident
+    service (:mod:`repro.serve`) streams each query's results back to its
+    submitter, byte-identical to the slice a one-shot ``run_mrblast``
+    would have appended for it.  Either way the reducer emits no pairs.
+    """
 
     options: BlastOptions
-    output_path: str
+    output_path: str | None = None
+    #: query id -> encoded outfmt-6 block, when demultiplexing (empty
+    #: queries never appear)
+    results: dict[str, bytes] = field(default_factory=dict)
     #: number of queries and hits this rank wrote (instrumentation)
     queries_written: int = 0
     hits_written: int = 0
 
-    def __call__(self, query_id: str, hsps: list[HSP], kv: KeyValue) -> None:
+    def __call__(self, query_id: str, hsps: list[HSP], kv) -> None:
         selected = top_hits(hsps, self.options.max_hits, self.options.evalue)
         if not selected:
             return
-        os.makedirs(os.path.dirname(os.path.abspath(self.output_path)), exist_ok=True)
-        write_tabular(selected, self.output_path, append=True)
+        if self.output_path is None:
+            self.results[query_id] = format_tabular(selected).encode("ascii")
+        else:
+            write_tabular(selected, self.output_path, append=True)
         self.queries_written += 1
         self.hits_written += len(selected)
-        # Emit a summary pair so callers can inspect result placement.
-        kv.add(query_id, len(selected))
-
-
-@dataclass
-class DemuxReducer:
-    """Per-request result demux: one tabular byte-string per query.
-
-    The resident service (:mod:`repro.serve`) streams each query's results
-    back to the submitter instead of appending them to a per-rank file, so
-    its reduce step keeps the selected hits *demultiplexed by query id*.
-    The bytes are produced by the exact formatter :class:`MrBlastReducer`
-    writes through, so a query's service response is byte-identical to the
-    slice a one-shot ``run_mrblast`` would have appended for it.
-    """
-
-    options: BlastOptions
-    #: query id -> encoded outfmt-6 block (empty queries never appear)
-    results: dict[str, bytes] = field(default_factory=dict)
-    queries_written: int = 0
-    hits_written: int = 0
-
-    def __call__(self, query_id: str, hsps: list[HSP], kv: KeyValue) -> None:
-        selected = top_hits(hsps, self.options.max_hits, self.options.evalue)
-        if not selected:
-            return
-        self.results[query_id] = format_tabular(selected).encode("ascii")
-        self.queries_written += 1
-        self.hits_written += len(selected)
-        kv.add(query_id, len(selected))

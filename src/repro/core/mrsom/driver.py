@@ -45,7 +45,7 @@ from repro.mpi.ops import SUM
 from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
 from repro.mrmpi.schema import RecordSchema
-from repro.obs.export import write_chrome_trace
+from repro.obs.export import exported_trace
 from repro.obs.trace import TraceSession
 from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
 from repro.som.bmu import best_matching_units
@@ -314,8 +314,9 @@ def _mrmpi_reduce(
     Each rank emits its whole accumulator as one columnar batch (one int64
     unit-index key column plus one structured {rank, num, denom} row array),
     collate spreads the units across ranks, reduce sums each unit's rank
-    contributions in binomial order, and gather(1) concentrates the summed
-    rows on rank 0, where the direct ``MPI_Reduce`` leaves them too.
+    contributions in binomial order into one row of the same schema, and
+    gather(1) ships the summed rows to rank 0 as arrays, where the direct
+    ``MPI_Reduce`` leaves them too.
     """
     k, dim = num.shape
     rows = np.empty(k, dtype=red_mr.schema.value_dtype)
@@ -333,18 +334,18 @@ def _mrmpi_reduce(
 
     def reducer(key, values, kv):
         ordered = sorted(values, key=lambda r: int(r["rank"]))
-        num_sum = _binomial_sum([r["num"] for r in ordered])
-        denom_sum = _binomial_sum([r["denom"] for r in ordered])
-        kv.add(int(key), (np.asarray(num_sum), float(denom_sum)))
+        kv.add(key, (red_mr.rank,
+                     _binomial_sum([r["num"] for r in ordered]),
+                     _binomial_sum([r["denom"] for r in ordered])))
 
-    red_mr.reduce(reducer, out_schema=None)
+    red_mr.reduce(reducer)
     red_mr.gather(1)
     num_total = np.zeros_like(num)
     denom_total = np.zeros_like(denom)
     if red_mr.rank == 0:
-        for unit, (num_sum, denom_sum) in red_mr.kv:
-            num_total[unit] = num_sum
-            denom_total[unit] = denom_sum
+        for units, sums in red_mr.kv.iter_batches():
+            num_total[units] = sums["num"]
+            denom_total[units] = sums["denom"]
     return num_total, denom_total
 
 
@@ -516,13 +517,9 @@ def mrsom_spmd(
     Chrome trace JSON automatically.  Both may be combined.
     """
     config.validate()
-    if trace is None and config.trace_path:
-        trace = TraceSession(nprocs)
-    results = run_spmd(nprocs, run_mrsom, config, trace=trace,
-                       backend=config.backend, arena_mb=config.arena_mb)
-    if config.trace_path and trace is not None:
-        write_chrome_trace(config.trace_path, trace)
-    return results
+    with exported_trace(config.trace_path, nprocs, trace) as trace:
+        return run_spmd(nprocs, run_mrsom, config, trace=trace,
+                        backend=config.backend, arena_mb=config.arena_mb)
 
 
 def mrsom_supervised(
@@ -542,8 +539,6 @@ def mrsom_supervised(
     forces ``resume=True`` when checkpoints are enabled.
     """
     config.validate()
-    if trace is None and config.trace_path:
-        trace = TraceSession(nprocs)
 
     def prepare(attempt: int) -> tuple[tuple, dict]:
         if attempt == 1 or config.checkpoint_dir is None:
@@ -552,7 +547,7 @@ def mrsom_supervised(
             cfg = dataclasses.replace(config, resume=True)
         return (cfg,), {}
 
-    try:
+    with exported_trace(config.trace_path, nprocs, trace) as trace:
         outcome = run_supervised(
             nprocs,
             run_mrsom,
@@ -564,11 +559,6 @@ def mrsom_supervised(
             backend=config.backend,
             arena_mb=config.arena_mb,
         )
-    finally:
-        # Export even when supervision exhausts: the trace of a failed job
-        # is exactly when you want to look at it.
-        if config.trace_path and trace is not None:
-            write_chrome_trace(config.trace_path, trace)
     for result in outcome.results:
         if result is None:  # a rank lost to a degraded-mode death
             continue

@@ -12,18 +12,20 @@ This port keeps the original object model and call sequence:
   collective methods: ``map`` (mapstyles: chunk, strided, master/worker),
   ``aggregate``, ``convert``, ``collate``, ``reduce``, ``gather``,
   ``sort_keys``, ``scan_kv``/``scan_kmv``.
-- :class:`~repro.mrmpi.keyvalue.KeyValue` — a pageable store of (key, value)
-  pairs; mappers and reducers emit into it with ``add``.
-- :class:`~repro.mrmpi.keymultivalue.KeyMultiValue` — (key, [values...])
-  pairs produced by ``convert``/``collate``.
+- :class:`~repro.mrmpi.columnar.ColumnarKeyValue` — a pageable store of
+  (key, value) pairs; mappers and reducers emit into it with ``add`` or
+  ``add_batch``.
+- :class:`~repro.mrmpi.columnar.ColumnarKeyMultiValue` — (key, values)
+  groups produced by ``convert``/``collate``.
+- :class:`~repro.mrmpi.schema.RecordSchema` — the column layout of a
+  dataset; :data:`~repro.mrmpi.schema.UNTYPED` (``schema=None``) takes any
+  canonical key and any picklable value.
 
 The paper's two applications use exactly this surface: BLAST uses
 ``map`` (master/worker) → ``collate`` → ``reduce``; the SOM uses ``map`` plus
 direct MPI calls (``Bcast``/``Reduce``) and no reduce stage.
 """
 
-from repro.mrmpi.keyvalue import KeyValue, ObjectKeyValue
-from repro.mrmpi.keymultivalue import KeyMultiValue, ObjectKeyMultiValue
 from repro.mrmpi.columnar import (
     ColumnarKeyMultiValue,
     ColumnarKeyValue,
@@ -32,19 +34,16 @@ from repro.mrmpi.columnar import (
 )
 from repro.mrmpi.mapreduce import KEEP_SCHEMA, MapReduce, MapStyle
 from repro.mrmpi.hashing import hash_key_column, stable_hash
-from repro.mrmpi.schema import RAGGED_BYTES, RecordSchema
+from repro.mrmpi.schema import RAGGED_BYTES, UNTYPED, RecordSchema
 
 __all__ = [
     "MapReduce",
     "MapStyle",
-    "KeyValue",
-    "KeyMultiValue",
-    "ObjectKeyValue",
-    "ObjectKeyMultiValue",
     "ColumnarKeyValue",
     "ColumnarKeyMultiValue",
     "RecordSchema",
     "RAGGED_BYTES",
+    "UNTYPED",
     "KEEP_SCHEMA",
     "convert_columnar",
     "sort_kmv_columnar",

@@ -1,11 +1,9 @@
 """Columnar KV/KMV stores: typed pages, batch emission, sort-based grouping.
 
-The object stores (:class:`~repro.mrmpi.keyvalue.ObjectKeyValue`) pay
-record-at-a-time Python costs on every pair: a ``key_bytes`` validation, a
-recursive ``approx_size`` estimate, a tuple append, and pickle on every
-spilled page.  The columnar stores replace all of that with a few
-contiguous arrays per page, described once by a
-:class:`~repro.mrmpi.schema.RecordSchema`:
+Every KV/KMV dataset is a few contiguous arrays per page, described once
+by a :class:`~repro.mrmpi.schema.RecordSchema` (untyped data included: the
+:data:`~repro.mrmpi.schema.UNTYPED` schema stores canonical key bytes and
+pickled values):
 
 - a **KV page** is a key column plus a value column (structured rows, or a
   ragged uint8 buffer + offsets);
@@ -19,18 +17,20 @@ contiguous arrays per page, described once by a
   runs: resident ones a bucket at a time, spilled pages k-way.
 
 Ordering contract (what the parity suites pin): iteration replays spilled
-pages first, then live batches, exactly like the object stores; sorts are
-stable, so equal keys keep emission order end to end.
+pages first, then live batches; sorts are stable, so equal keys keep
+emission order end to end.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
+from pickle import HIGHEST_PROTOCOL as _PROTOCOL, dumps as _dumps
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.mrmpi.schema import RecordSchema
+from repro.mrmpi.hashing import canonical_key
+from repro.mrmpi.schema import RecordSchema, ragged_column
 from repro.mrmpi.spool import PageSpool
 from repro.obs.trace import current_tracer
 
@@ -231,10 +231,12 @@ def _merge(pieces: list[tuple[np.ndarray, Any]], runs: bool) -> tuple[np.ndarray
 
 def _row_reader(col, schema: RecordSchema) -> Callable[[int], Any]:
     """``row(i)``: the application object for row ``i`` of a value column."""
+    decode = schema.decode_value
     if isinstance(col, tuple):
         buf, offsets = col
-        return lambda i: buf[offsets[i] : offsets[i + 1]].tobytes()
-    decode = schema.decode_value
+        if decode is None:
+            return lambda i: buf[offsets[i] : offsets[i + 1]].tobytes()
+        return lambda i: decode(buf[offsets[i] : offsets[i + 1]])
     if decode is None:
         return col.__getitem__
     return lambda i: decode(col[i])
@@ -250,9 +252,9 @@ class ColumnarKeyValue:
 
     Emission is batch-first — :meth:`add_batch` appends whole columns — and
     scalar :meth:`add` stages into Python lists sealed into a batch
-    periodically, so object-style emitters keep working.  Page occupancy is
-    the *exact* sum of array ``nbytes`` (no estimates), and spilled pages
-    are raw buffers.
+    periodically, so pair-at-a-time emitters keep working.  Page occupancy
+    is the *exact* sum of array ``nbytes`` (no estimates), and spilled
+    pages are raw buffers.
 
     :attr:`sorted_runs` holds while every batch appended was declared
     key-sorted (``aggregate``'s receive side).  Such a store keeps its
@@ -288,21 +290,32 @@ class ColumnarKeyValue:
         self._spool: PageSpool | None = None
         self._nkv = 0
         self.sorted_runs = True
+        #: untyped rows are staged encoded: canonical key, pickled value
+        self._untyped = schema.key_kind == "canonical"
 
     # ------------------------------------------------------------------ write
 
     def add(self, key: Any, value: Any) -> None:
-        """Emit one pair (staged; sealed into a columnar batch lazily)."""
-        self._pending_k.append(key)
-        self._pending_v.append(value)
-        self._nkv += 1
+        """Emit one pair (staged; sealed into a columnar batch lazily).
+
+        An untyped pair is encoded here, so a key with no canonical
+        encoding raises :func:`~repro.mrmpi.hashing.key_bytes`'s
+        ``TypeError`` when it is emitted, and nothing is staged.
+        """
         # Row-size accounting keeps scalar emitters inside the page budget:
         # without it, a slow trickle of adds would stage thousands of rows
         # past ``pagesize`` before the count-based seal fires.
-        self._pending_bytes += self.schema.key_dtype.itemsize + (
-            len(value) if self.schema.ragged_values else self.schema.value_dtype.itemsize
-        )
-        if len(self._pending_k) >= _PENDING_SEAL or self._pending_bytes >= self.pagesize:
+        if self._untyped:
+            key, value = canonical_key(key), _dumps(value, _PROTOCOL)
+            self._pending_bytes += len(key) + len(value)
+        else:
+            self._pending_bytes += self.schema.key_dtype.itemsize + (
+                len(value) if self.schema.ragged_values else self.schema.value_dtype.itemsize
+            )
+        pending = self._pending_k
+        pending.append(key)
+        self._pending_v.append(value)
+        if len(pending) >= _PENDING_SEAL or self._pending_bytes >= self.pagesize:
             self._seal_pending()
 
     def add_multi(self, pairs) -> None:
@@ -380,8 +393,11 @@ class ColumnarKeyValue:
         keys, values = self._pending_k, self._pending_v
         self._pending_k, self._pending_v = [], []
         self._pending_bytes = 0
-        self._nkv -= len(keys)  # add_batch re-counts them
-        self.add_batch(keys, values)
+        if self._untyped:
+            self._append(np.array(keys, dtype="S"), ragged_column(values))
+            self._nkv += len(keys)
+        else:
+            self.add_batch(keys, values)
 
     def _pop_buckets(self) -> Iterator[list[tuple[np.ndarray, Any]]]:
         """Hand over the non-empty resident buckets, ascending, and forget
@@ -416,7 +432,7 @@ class ColumnarKeyValue:
     # ------------------------------------------------------------------- read
 
     def __len__(self) -> int:
-        return self._nkv
+        return self._nkv + len(self._pending_k)
 
     @property
     def nbytes(self) -> int:
@@ -675,11 +691,11 @@ class ValuesView(SequenceABC):
     """Read-only sequence of one key's values: a window on a page's rows.
 
     ``len`` is O(1) and a row is decoded (schema ``decode_value`` hook,
-    ``bytes`` for ragged columns, the stored row otherwise) only when
-    indexed or iterated, so a reducer pays for what it touches.  Compares
-    equal to any sequence with the same items; ``list(values)`` is the
-    list the KMV used to hand out.  The view keeps its page alive, so it
-    stays valid after the iteration that produced it has moved on.
+    else ``bytes`` for ragged columns and the stored row otherwise) only
+    when indexed or iterated, so a reducer pays for what it touches.
+    Compares equal to any sequence with the same items; ``list(values)``
+    materialises it.  The view keeps its page alive, so it stays valid
+    after the iteration that produced it has moved on.
     """
 
     __slots__ = ("_row", "_rows")
@@ -749,7 +765,7 @@ class ColumnarKeyMultiValue:
             self._spill()
 
     def add(self, key: Any, values: list) -> None:
-        """Append one group (object-style compatibility shim)."""
+        """Append one group given as a key and its value objects."""
         karr = self.schema.encode_keys([key])
         vcol = self.schema.build_values(values)
         offsets = np.array([0, _v_len(vcol)], dtype=np.int64)
@@ -865,10 +881,9 @@ def convert_columnar(
     """Group a columnar KV into a columnar KMV via the external sort.
 
     Consumes ``kv`` (see :func:`iter_sorted_batches`).  Keys come out in
-    sorted column order (the object convert emits first-seen order instead
-    — callers that need a specific order sort the KMV afterwards, as
-    mrblast does).  Within a key, value order is the KV emission order
-    (every sort and merge is stable), matching the object path exactly.
+    sorted column order (callers that need another order sort the KMV
+    afterwards, as mrblast does).  Within a key, value order is the KV
+    emission order: every sort and merge is stable.
     """
     kmv = ColumnarKeyMultiValue(kv.schema, pagesize=pagesize, spool_dir=spool_dir)
     try:
@@ -919,8 +934,7 @@ def sort_kmv_columnar(
     by rank with one chunk resident per run (the KV sort's cursor and merge
     loop, over groups instead of rows).  ``key`` is called once per key.
     Stable: two keys mapping to the same rank keep their current relative
-    order, which is exactly what ``sorted(kmv, key=...)`` does on the
-    object path.
+    order, exactly as ``sorted(kmv, key=...)`` would.
     """
     schema = kmv.schema
 

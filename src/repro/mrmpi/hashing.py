@@ -4,6 +4,10 @@ MapReduce-MPI assigns each unique key to a processor with a hash of the key
 modulo nprocs.  Python's builtin ``hash`` is salted per interpreter, so we
 use a stable FNV-1a over a canonical byte encoding: results are identical
 across runs, platforms and rank counts, which the tests rely on.
+
+The canonical encoding is also how untyped keys are stored
+(:func:`canonical_key`): one 'S' column entry per key, decoded back to the
+original object by :func:`key_from_bytes`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,15 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["stable_hash", "key_bytes", "hash_key_column"]
+__all__ = ["stable_hash", "key_bytes", "canonical_key", "key_from_bytes", "hash_key_column"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
+
+#: Ends every stored canonical key: numpy strips trailing NULs from 'S'
+#: items, and an encoding may end in one (``b"a\x00"``, ``0.0``).
+KEY_END = b"\x01"
 
 
 def key_bytes(key: Any) -> bytes:
@@ -48,6 +56,54 @@ def key_bytes(key: Any) -> bytes:
     raise TypeError(
         f"unsupported key type {type(key).__name__!r}; use bytes/str/int/float/tuple"
     )
+
+
+def canonical_key(key: Any) -> bytes:
+    """An untyped key as stored: :func:`key_bytes` plus :data:`KEY_END`."""
+    if type(key) is str:  # the common key, without key_bytes' type ladder
+        return b"s" + key.encode("utf-8") + KEY_END
+    return key_bytes(key) + KEY_END
+
+
+def key_from_bytes(enc: bytes) -> Any:
+    """The key whose :func:`key_bytes` encoding is ``enc``."""
+    tag, body = enc[:1], enc[1:]
+    if tag == b"s":
+        return body.decode("utf-8")
+    if tag == b"b":
+        return body
+    if tag == b"i":
+        return int(body)
+    if tag == b"f":
+        return struct.unpack("<d", body)[0]
+    if tag == b"?":
+        return body == b"1"
+    if tag == b"t":
+        if body == b"0":
+            return ()
+        # The item count runs into the first item's length ("t" "2" "13:"):
+        # take the first split whose parse encodes back to ``enc``.
+        for cut in range(1, body.index(b":")):
+            try:
+                key = tuple(_tuple_items(body, cut, int(body[:cut])))
+            except (ValueError, IndexError, struct.error, UnicodeDecodeError):
+                continue
+            if key_bytes(key) == enc:
+                return key
+    raise ValueError(f"not a canonical key encoding: {enc!r}")
+
+
+def _tuple_items(body: bytes, pos: int, count: int):
+    """``count`` length-prefixed items of a tuple encoding, from ``pos``."""
+    for _ in range(count):
+        colon = body.index(b":", pos)
+        end = colon + 1 + int(body[pos:colon])
+        if end > len(body):
+            raise ValueError("item runs past the tuple")
+        yield key_from_bytes(body[colon + 1 : end])
+        pos = end
+    if pos != len(body):
+        raise ValueError("bytes left after the last item")
 
 
 def stable_hash(key: Any) -> int:
@@ -105,12 +161,16 @@ def _byte_matrix(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hash_key_column(column: np.ndarray, kind: str) -> np.ndarray:
     """Vectorised :func:`stable_hash` over a whole key column.
 
-    ``kind`` is the *logical* key type of the schema ('bytes', 'str', 'int'
-    or 'float'); the result is element-wise identical to
-    ``stable_hash(decoded_key)``, which is what keeps columnar and object
-    aggregates placing every key on the same rank.
+    ``kind`` is the *logical* key type of the schema ('bytes', 'str', 'int',
+    'float', or 'canonical' for a column of :func:`canonical_key` entries);
+    the result is element-wise identical to ``stable_hash(decoded_key)``,
+    so a key lands on the same rank whichever schema carries it.
     """
     column = np.ascontiguousarray(column)
+    if kind == "canonical":
+        # The stored entry is the encoding itself, then the terminator.
+        mat, lengths = _byte_matrix(column)
+        return _fnv1a_matrix(mat, lengths - 1, b"")
     if kind in ("bytes", "str"):
         mat, lengths = _byte_matrix(column)
         return _fnv1a_matrix(mat, lengths, b"b" if kind == "bytes" else b"s")

@@ -14,20 +14,19 @@ Map styles (the ``mapstyle`` setting of the original library):
   the paper uses for BLAST, where per-task runtimes are wildly non-uniform
   and dynamic load balancing is essential.
 
-Data planes: with a :class:`~repro.mrmpi.schema.RecordSchema` the KV/KMV
-datasets are **columnar** (typed array pages, vectorised shuffle hashing,
-sort-based grouping, binary spill); without one they are **object** stores
-(arbitrary Python keys/values, pickle spill) — the legacy path and the
-parity oracle for the columnar one.  Both planes share the same collective
-API, and per-phase traffic is recorded in :attr:`MapReduce.stats`.
+One data plane: every KV/KMV dataset is **columnar** (array pages,
+vectorised shuffle hashing, sort-based grouping, binary spill), laid out by
+a :class:`~repro.mrmpi.schema.RecordSchema`.  A dataset nobody described is
+:data:`~repro.mrmpi.schema.UNTYPED`: canonical key bytes and pickled
+values, moved by the same code.  Per-phase traffic, in exact array bytes,
+is recorded in :attr:`MapReduce.stats`.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from enum import IntEnum
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,14 +44,8 @@ from repro.mrmpi.columnar import (
     sort_kmv_columnar,
     sorted_partitions,
 )
-from repro.mrmpi.hashing import hash_key_column, key_bytes, stable_hash
-from repro.mrmpi.keymultivalue import (
-    ObjectKeyMultiValue,
-    convert_kv_to_kmv,
-)
-from repro.mrmpi.keyvalue import ObjectKeyValue
-from repro.mrmpi.schema import RecordSchema
-from repro.mrmpi.spool import PageSpool, approx_size
+from repro.mrmpi.hashing import hash_key_column
+from repro.mrmpi.schema import UNTYPED, RecordSchema
 from repro.sched import SchedReport, SpeculationPolicy, StragglerTracker, UnitQueue
 
 __all__ = ["MapReduce", "MapStyle", "KEEP_SCHEMA"]
@@ -78,9 +71,6 @@ _BUCKET_BYTES = 1 << 20
 
 #: Sentinel for reduce()/map_kv() meaning "output uses the current schema".
 KEEP_SCHEMA = object()
-
-KVStore = Union[ObjectKeyValue, ColumnarKeyValue]
-KMVStore = Union[ObjectKeyMultiValue, ColumnarKeyMultiValue]
 
 
 def _arena_attrs(comm: Comm) -> dict:
@@ -125,9 +115,10 @@ class MapReduce:
         paper's cluster this would be Lustre, since Ranger nodes have no
         local scratch — one reason mrblast bounds its working set instead.
     schema:
-        When given, KV datasets are columnar (typed array pages described
-        by the :class:`~repro.mrmpi.schema.RecordSchema`); when ``None``
-        (default) the object stores are used.
+        Layout of the KV datasets (a
+        :class:`~repro.mrmpi.schema.RecordSchema`); ``None`` (default) is
+        :data:`~repro.mrmpi.schema.UNTYPED`: any canonical key, any
+        picklable value.
     """
 
     def __init__(
@@ -136,7 +127,6 @@ class MapReduce:
         memsize: int = 64 * 1024 * 1024,
         mapstyle: MapStyle = MapStyle.MASTER_WORKER,
         spool_dir: str | None = None,
-        nbuckets: int = 16,
         schema: RecordSchema | None = None,
     ) -> None:
         self.comm = comm.dup()
@@ -144,16 +134,14 @@ class MapReduce:
         self.memsize = int(memsize)
         self.mapstyle = MapStyle(mapstyle)
         self.spool_dir = spool_dir
-        self.nbuckets = nbuckets
-        self.schema = schema
-        self.kv: Optional[KVStore] = None
-        self.kmv: Optional[KMVStore] = None
+        self.schema = UNTYPED if schema is None else schema
+        self.kv: Optional[ColumnarKeyValue] = None
+        self.kmv: Optional[ColumnarKeyMultiValue] = None
         #: accumulated seconds per phase: map/aggregate/convert/reduce/gather
         self.timers: dict[str, float] = {}
         #: accumulated traffic per phase: {"pairs_moved", "bytes_moved"}.
         #: Only pairs staged for *other* ranks count as moved; bytes are
-        #: exact array bytes on the columnar plane and ``approx_size``
-        #: estimates on the object plane.
+        #: the exact ``nbytes`` of the wire arrays.
         self.stats: dict[str, dict[str, int]] = {}
         #: the master's report of the most recent MASTER_WORKER map
         #: (``None`` until one runs on more than one rank).
@@ -177,19 +165,13 @@ class MapReduce:
     def size(self) -> int:
         return self.comm.size
 
-    def _fresh_kv(self, schema: RecordSchema | None = None) -> KVStore:
-        schema = self.schema if schema is KEEP_SCHEMA or schema is None else schema
-        if schema is not None:
-            return ColumnarKeyValue(schema, pagesize=self.memsize, spool_dir=self.spool_dir)
-        return ObjectKeyValue(pagesize=self.memsize, spool_dir=self.spool_dir)
-
-    def _out_kv(self, out_schema) -> KVStore:
-        """Destination store for reduce()/map_kv() output."""
-        if out_schema is KEEP_SCHEMA:
-            return self._fresh_kv()
-        if out_schema is None:
-            return ObjectKeyValue(pagesize=self.memsize, spool_dir=self.spool_dir)
-        return ColumnarKeyValue(out_schema, pagesize=self.memsize, spool_dir=self.spool_dir)
+    def _fresh_kv(self, schema: Any = KEEP_SCHEMA) -> ColumnarKeyValue:
+        """An empty KV store: the current schema, ``None`` for untyped, or
+        the :class:`RecordSchema` given (reduce()/map_kv() ``out_schema``)."""
+        if schema is KEEP_SCHEMA:
+            schema = self.schema
+        return ColumnarKeyValue(UNTYPED if schema is None else schema,
+                                pagesize=self.memsize, spool_dir=self.spool_dir)
 
     def _phase_begin(self, phase: str) -> float:
         """Start a phase: stamp ``t0`` and open the ``mr.<phase>`` span."""
@@ -221,12 +203,12 @@ class MapReduce:
             trc.metrics.counter(f"mr.{phase}.pairs_moved").add(int(pairs))
             trc.metrics.counter(f"mr.{phase}.bytes_moved").add(int(nbytes))
 
-    def _require_kv(self) -> KVStore:
+    def _require_kv(self) -> ColumnarKeyValue:
         if self.kv is None:
             raise RuntimeError("no KeyValue dataset; call map() first")
         return self.kv
 
-    def _require_kmv(self) -> KMVStore:
+    def _require_kmv(self) -> ColumnarKeyMultiValue:
         if self.kmv is None:
             raise RuntimeError("no KeyMultiValue dataset; call convert()/collate() first")
         return self.kmv
@@ -236,7 +218,7 @@ class MapReduce:
     def map(
         self,
         nmap: int,
-        mapper: Callable[[int, KVStore], None],
+        mapper: Callable[[int, ColumnarKeyValue], None],
         mapstyle: MapStyle | None = None,
         count: bool = False,
         speculation: SpeculationPolicy | None = None,
@@ -257,7 +239,7 @@ class MapReduce:
     def map_items(
         self,
         items: Sequence[Any],
-        mapper: Callable[[int, Any, KVStore], None],
+        mapper: Callable[[int, Any, ColumnarKeyValue], None],
         mapstyle: MapStyle | None = None,
         locality_key: Callable[[Any], Any] | None = None,
         count: bool = False,
@@ -316,7 +298,7 @@ class MapReduce:
                 mapper(itask, items[itask], kv)
 
         self._phase_end("map", t0)
-        self._bump("map", len(kv), kv.nbytes if isinstance(kv, ColumnarKeyValue) else 0)
+        self._bump("map", len(kv), kv.nbytes)
         if count:
             return self.kv_stats()[0]
         return len(kv)
@@ -324,8 +306,8 @@ class MapReduce:
     def _map_items_sched(
         self,
         items: Sequence[Any],
-        mapper: Callable[[int, Any, KVStore], None],
-        kv: KVStore,
+        mapper: Callable[[int, Any, ColumnarKeyValue], None],
+        kv: ColumnarKeyValue,
         locality_key: Callable[[Any], Any] | None,
         speculation: SpeculationPolicy | None,
         degraded: bool,
@@ -493,8 +475,8 @@ class MapReduce:
     def _run_sched_worker(
         self,
         items: Sequence[Any],
-        mapper: Callable[[int, Any, KVStore], None],
-        kv: KVStore,
+        mapper: Callable[[int, Any, ColumnarKeyValue], None],
+        kv: ColumnarKeyValue,
         keys: Sequence[Any],
         speculating: bool,
         degraded: bool,
@@ -522,8 +504,8 @@ class MapReduce:
         commit_hook = getattr(mapper, "commit_unit", None)
         discard_hook = getattr(mapper, "discard_unit", None)
         last_key: Any = None
-        pending: Optional[tuple[int, Optional[KVStore]]] = None
-        stage: Optional[KVStore] = None
+        pending: Optional[tuple[int, Optional[ColumnarKeyValue]]] = None
+        stage: Optional[ColumnarKeyValue] = None
         try:
             while True:
                 done = pending[0] if pending is not None else None
@@ -564,20 +546,10 @@ class MapReduce:
             raise
 
     @staticmethod
-    def _merge_stage(kv: KVStore, stage: KVStore) -> None:
-        """Append a staging store's pairs to the real dataset, plane-aware."""
-        if isinstance(stage, ColumnarKeyValue):
-            for karr, vcol in stage.iter_batches():
-                kv.add_wire((karr,) + _v_to_arrays(vcol))
-            return
-        batch: list = []
-        for pair in stage:
-            batch.append(pair)
-            if len(batch) >= 1024:
-                kv.add_multi(batch)
-                batch = []
-        if batch:
-            kv.add_multi(batch)
+    def _merge_stage(kv: ColumnarKeyValue, stage: ColumnarKeyValue) -> None:
+        """Append a staging store's pairs to the real dataset."""
+        for karr, vcol in stage.iter_batches():
+            kv.add_wire((karr,) + _v_to_arrays(vcol))
 
     def _static_tasks(self, nmap: int, style: MapStyle):
         if style is MapStyle.STRIDED:
@@ -589,7 +561,7 @@ class MapReduce:
 
     def map_kv(
         self,
-        mapper: Callable[[Any, Any, KVStore], None],
+        mapper: Callable[[Any, Any, ColumnarKeyValue], None],
         count: bool = False,
         out_schema: Any = KEEP_SCHEMA,
     ) -> int:
@@ -598,13 +570,13 @@ class MapReduce:
         The original library's ``map(mr, ...)`` variant: every local pair is
         passed to ``mapper(key, value, kv_out)``; no communication happens
         (pairs are transformed where they live).  Returns the local count
-        (global with ``count=True``).  ``out_schema`` selects the output
-        plane: the current schema by default, ``None`` for the object store,
-        or a different :class:`RecordSchema`.
+        (global with ``count=True``).  ``out_schema`` is the output's
+        layout: the current schema by default, ``None`` for untyped, or a
+        different :class:`RecordSchema`.
         """
         t0 = self._phase_begin("map")
         kv = self._require_kv()
-        new_kv = self._out_kv(out_schema)
+        new_kv = self._fresh_kv(out_schema)
         try:
             for key, value in kv:
                 mapper(key, value, new_kv)
@@ -623,15 +595,12 @@ class MapReduce:
 
     # -------------------------------------------------------- shuffle & group
 
-    def aggregate(
-        self,
-        hash_fn: Callable[[Any], int] | None = None,
-        exchange_bytes: int | None = None,
-    ) -> int:
+    def aggregate(self, exchange_bytes: int | None = None) -> int:
         """Redistribute KV pairs so all copies of a key land on one rank.
 
-        The destination rank of a key is ``hash(key) % nprocs`` (stable FNV
-        by default).  The exchange runs in *rounds* of personalised
+        The destination rank of a key is ``stable_hash(key) % nprocs``
+        (FNV-1a of its canonical encoding, whatever the schema).  The
+        exchange runs in *rounds* of personalised
         all-to-alls, each staging at most ``exchange_bytes`` of outgoing
         pairs per rank (default: ``memsize`` or a few MiB, whichever is
         less), so aggregation never materialises a dataset twice — the
@@ -639,8 +608,8 @@ class MapReduce:
         scratch and the transport's ring hold one round, whatever the
         dataset's size.
 
-        On the columnar plane each round is vectorised and *sorts at the
-        source* (:func:`~repro.mrmpi.columnar.sorted_partitions`): staged
+        Each round is vectorised and *sorts at the source*
+        (:func:`~repro.mrmpi.columnar.sorted_partitions`): staged
         pairs are ordered by key, only distinct keys are hashed, key groups
         are partitioned by destination and the payload is gathered once, so
         every wire slice is a key-sorted run.  The receiving store copies
@@ -649,8 +618,7 @@ class MapReduce:
         round, so :meth:`convert` only has to merge a bucket at a time, and
         a KV scanned after ``aggregate`` is bucket-major: ascending key
         ranges, arrival order within one.  The source dataset is consumed
-        as it is staged.  A custom ``hash_fn`` forces the record-at-a-time
-        path (the vectorised hash only reproduces the stable FNV).
+        as it is staged.
         """
         t0 = self._phase_begin("aggregate")
         kv = self._require_kv()
@@ -660,64 +628,11 @@ class MapReduce:
             budget = int(exchange_bytes)
         if budget < 1:
             raise ValueError(f"exchange_bytes must be >= 1, got {budget}")
-        if isinstance(kv, ColumnarKeyValue) and hash_fn is None:
-            new_kv = self._aggregate_columnar(kv, budget)
-        else:
-            new_kv = self._aggregate_object(kv, hash_fn or stable_hash, budget)
+        new_kv = self._aggregate_columnar(kv, budget)
         kv.close()
         self.kv = new_kv
         self._phase_end("aggregate", t0)
         return len(new_kv)
-
-    def _aggregate_object(
-        self, kv: KVStore, h: Callable[[Any], int], budget: int
-    ) -> KVStore:
-        if isinstance(kv, ColumnarKeyValue):
-            new_kv: KVStore = ColumnarKeyValue(
-                kv.schema, pagesize=self.memsize, spool_dir=self.spool_dir
-            )
-        else:
-            new_kv = ObjectKeyValue(pagesize=self.memsize, spool_dir=self.spool_dir)
-        source = iter(kv)
-        local_done = False
-        round_idx = 0
-        try:
-            while True:
-                outgoing: list[list] = [[] for _ in range(self.size)]
-                staged = 0
-                moved_pairs = 0
-                moved_bytes = 0
-                while not local_done and staged < budget:
-                    try:
-                        key, value = next(source)
-                    except StopIteration:
-                        local_done = True
-                        break
-                    dest = h(key) % self.size
-                    outgoing[dest].append((key, value))
-                    sz = approx_size(key) + approx_size(value)
-                    staged += sz
-                    if dest != self.rank:
-                        moved_pairs += 1
-                        moved_bytes += sz
-                self._bump("aggregate", moved_pairs, moved_bytes)
-                incoming = self.comm.alltoall(outgoing)
-                for batch in incoming:
-                    new_kv.add_multi(batch)
-                trc = self._tracer
-                if trc.enabled:
-                    trc.instant("mr.exchange_round", cat="mr", round=round_idx,
-                                pairs=moved_pairs, bytes=moved_bytes,
-                                **_arena_attrs(self.comm))
-                round_idx += 1
-                if self.comm.allreduce(local_done, op=LAND):
-                    break
-        except BaseException:
-            # Interrupted mid-exchange (peer abort, injected crash): close
-            # the half-built destination so its spill file is reclaimed.
-            new_kv.close()
-            raise
-        return new_kv
 
     def _aggregate_columnar(self, kv: ColumnarKeyValue, budget: int) -> ColumnarKeyValue:
         schema = kv.schema
@@ -789,51 +704,43 @@ class MapReduce:
             raise
         return new_kv
 
-    def _convert_local(self, kv: KVStore) -> KMVStore:
-        if isinstance(kv, ColumnarKeyValue):
-            return convert_columnar(kv, pagesize=self.memsize, spool_dir=self.spool_dir)
-        return convert_kv_to_kmv(
-            kv, pagesize=self.memsize, spool_dir=self.spool_dir, nbuckets=self.nbuckets
-        )
-
     def convert(self) -> int:
         """Group the local KV pairs into KMV pairs (no communication).
 
-        Columnar datasets group by merging: :meth:`aggregate` leaves
-        key-sorted runs (resident ones cut into key-range buckets, and
-        spilled pages that are each one run).  Resident buckets are merged,
+        Grouping is a merge: :meth:`aggregate` leaves key-sorted runs
+        (resident ones cut into key-range buckets, and spilled pages that
+        are each one run).  Resident buckets are merged,
         grouped and freed one at a time, so the KMV grows as the KV
         shrinks; spilled runs take a bounded-memory k-way merge out of
         their pages; a dataset that skipped ``aggregate`` is sorted first.
         Keys come out in sorted column order, a key's values in emission
-        order.  Object datasets keep the hash-bucket path (keys come out in
-        first-seen order per bucket).  The ``mr.convert`` span records how
-        many ``buckets`` and ``runs`` the columnar pass merged.
+        order.  The ``mr.convert`` span records how many ``buckets`` and
+        ``runs`` the pass merged.
         """
         t0 = self._phase_begin("convert")
         kv = self._require_kv()
         npairs = len(kv)
-        buckets, runs = kv.run_counts() if isinstance(kv, ColumnarKeyValue) else (0, 0)
-        self.kmv = self._convert_local(kv)
+        buckets, runs = kv.run_counts()
+        self.kmv = convert_columnar(kv, pagesize=self.memsize, spool_dir=self.spool_dir)
         kv.close()
         self.kv = None
         self._phase_end("convert", t0, buckets=buckets, runs=runs)
         self._bump("convert", npairs, 0)
         return len(self.kmv)
 
-    def collate(self, hash_fn: Callable[[Any], int] | None = None) -> int:
+    def collate(self) -> int:
         """``aggregate`` + ``convert``: the shuffle step of Fig. 1.
 
         Afterwards each unique key exists on exactly one rank with *all* its
         values grouped.  Returns the global number of unique keys.
         """
-        self.aggregate(hash_fn)
+        self.aggregate()
         self.convert()
         return int(self.comm.allreduce(len(self._require_kmv()), op=SUM))
 
     # ------------------------------------------------------------------ reduce
 
-    def compress(self, reducer: Callable[[Any, Sequence, KVStore], None]) -> int:
+    def compress(self, reducer: Callable[[Any, Sequence, ColumnarKeyValue], None]) -> int:
         """Local combiner: convert + reduce *without* any communication.
 
         The original library's ``compress()``: each rank groups its own KV
@@ -845,13 +752,8 @@ class MapReduce:
         """
         t0 = self._phase_begin("compress")
         kv = self._require_kv()
-        local_kmv = self._convert_local(kv)
-        if isinstance(kv, ColumnarKeyValue):
-            new_kv: KVStore = ColumnarKeyValue(
-                kv.schema, pagesize=self.memsize, spool_dir=self.spool_dir
-            )
-        else:
-            new_kv = ObjectKeyValue(pagesize=self.memsize, spool_dir=self.spool_dir)
+        local_kmv = convert_columnar(kv, pagesize=self.memsize, spool_dir=self.spool_dir)
+        new_kv = self._fresh_kv(kv.schema)
         kv.close()
         try:
             for key, values in local_kmv:
@@ -867,26 +769,25 @@ class MapReduce:
 
     def reduce(
         self,
-        reducer: Callable[[Any, Sequence, KVStore], None],
+        reducer: Callable[[Any, Sequence, ColumnarKeyValue], None],
         count: bool = False,
         out_schema: Any = KEEP_SCHEMA,
     ) -> int:
         """Call ``reducer(key, values, kv_out)`` once per local KMV pair.
 
-        ``values`` is a read-only sequence in emission order: a ``list`` on
-        the object plane, a :class:`~repro.mrmpi.columnar.ValuesView` on the
-        columnar one, a window on the page's rows (``len`` is O(1), rows are
-        decoded when indexed or iterated, and it stays valid if the reducer
-        keeps it).  ``list(values)`` is the object reducers used to get.
+        ``values`` is a read-only sequence in emission order, a
+        :class:`~repro.mrmpi.columnar.ValuesView`: a window on the page's
+        rows (``len`` is O(1), rows are decoded when indexed or iterated,
+        and it stays valid if the reducer keeps it).
 
         Returns the local number of KV pairs emitted (global with
-        ``count=True``).  ``out_schema`` selects the output plane exactly
-        like :meth:`map_kv` — mrblast's reducer, for instance, emits plain
-        per-query summaries and passes ``out_schema=None``.
+        ``count=True``).  ``out_schema`` is the output's layout, exactly as
+        for :meth:`map_kv`: a reducer that emits ``(key, count)`` summaries
+        from typed rows passes ``out_schema=None``.
         """
         t0 = self._phase_begin("reduce")
         kmv = self._require_kmv()
-        new_kv = self._out_kv(out_schema)
+        new_kv = self._fresh_kv(out_schema)
         try:
             for key, values in kmv:
                 reducer(key, values, new_kv)
@@ -909,10 +810,10 @@ class MapReduce:
 
         Transfers are paged: each message stages at most ``exchange_bytes``
         (default ``memsize``) so gathering an out-of-core dataset never
-        materialises it in one message.  A message is a page's tuple (of
-        wire arrays, or of pairs on the object plane); the last one of a
-        sender's stream ends in ``None``, so a dataset of one page travels
-        as one message (an empty one as ``(None,)``).  Receivers drain
+        materialises it in one message.  A message is a page's tuple of
+        wire arrays; the last one of a sender's stream ends in ``None``, so
+        a dataset of one page travels as one message (an empty one as
+        ``(None,)``).  Receivers drain
         senders in rank order, so arrival order is deterministic.  No
         barrier follows: messages from one sender arrive in the order sent,
         so the marker alone ends a stream, and a sender may go on before
@@ -937,7 +838,6 @@ class MapReduce:
             kv.close()
             self.kv = self._fresh_kv()
         else:
-            add = kv.add_wire if isinstance(kv, ColumnarKeyValue) else kv.add_multi
             senders = [r for r in range(nranks, self.size) if r % nranks == self.rank]
             for r in senders:
                 last = False
@@ -946,98 +846,48 @@ class MapReduce:
                     last = msg[-1] is None
                     page = msg[:-1] if last else msg
                     if page:
-                        add(page)
+                        kv.add_wire(page)
         self._phase_end("gather", t0)
         return len(self._require_kv())
 
     @staticmethod
-    def _gather_pages(kv: KVStore, budget: int):
-        """``kv`` as wire pages of at most ``budget`` bytes: ``(page tuple,
-        pairs, bytes)``, a tuple of arrays on the columnar plane and of
-        (key, value) pairs on the object one."""
-        if isinstance(kv, ColumnarKeyValue):
-            for karr, vcol in kv.iter_batches():
-                nb = int(karr.nbytes) + _v_nbytes(vcol)
-                nchunks = max(1, -(-nb // budget))  # ceil
-                step = max(1, -(-len(karr) // nchunks))
-                for lo in range(0, len(karr), step):
-                    hi = min(lo + step, len(karr))
-                    arrs = (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
-                    yield arrs, hi - lo, sum(int(a.nbytes) for a in arrs)
-            return
-        batch: list = []
-        batch_bytes = 0
-        for key, value in kv:
-            batch.append((key, value))
-            batch_bytes += approx_size(key) + approx_size(value)
-            if batch_bytes >= budget:
-                yield tuple(batch), len(batch), batch_bytes
-                batch = []
-                batch_bytes = 0
-        if batch:
-            yield tuple(batch), len(batch), batch_bytes
+    def _gather_pages(kv: ColumnarKeyValue, budget: int):
+        """``kv`` as wire pages of at most ``budget`` bytes: ``(page tuple
+        of arrays, pairs, bytes)``."""
+        for karr, vcol in kv.iter_batches():
+            nb = int(karr.nbytes) + _v_nbytes(vcol)
+            nchunks = max(1, -(-nb // budget))  # ceil
+            step = max(1, -(-len(karr) // nchunks))
+            for lo in range(0, len(karr), step):
+                hi = min(lo + step, len(karr))
+                arrs = (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
+                yield arrs, hi - lo, sum(int(a.nbytes) for a in arrs)
 
     # ----------------------------------------------------------------- sorting
 
-    def sort_keys(self, key: Callable[[Any], Any] | None = None) -> None:
-        """Sort local KV pairs by key (stable, spool-aware).
-
-        Columnar datasets sort by native column order (bytes for 'S' keys,
-        numeric for int/float) via the external merge sort; a custom ``key``
-        function is record-at-a-time and only supported on the object
-        plane.  Object datasets sort in memory when in-core and through
-        sorted runs + a k-way merge when spilled.
-        """
+    def sort_keys(self) -> None:
+        """Sort local KV pairs by key column order (stable, spool-aware:
+        :func:`~repro.mrmpi.columnar.iter_sorted_batches`)."""
         kv = self._require_kv()
-        if isinstance(kv, ColumnarKeyValue):
-            if key is not None:
-                raise TypeError(
-                    "sort_keys(key=...) is record-at-a-time and not supported "
-                    "on the columnar plane; use an object-plane MapReduce"
-                )
-            new_kv = ColumnarKeyValue(
-                kv.schema, pagesize=kv.pagesize, spool_dir=kv._spool_dir
-            )
-            try:
-                for karr, vcol in iter_sorted_batches(kv):
-                    new_kv.add_wire((karr,) + _v_to_arrays(vcol), sorted_run=True)
-            except BaseException:
-                new_kv.close()
-                raise
-            kv.close()
-            self.kv = new_kv
-            return
-        rank_of = (lambda p: key(p[0])) if key else (lambda p: key_bytes(p[0]))
-        self.kv = self._rebuild_sorted_object(
-            kv, rank_of, ObjectKeyValue(pagesize=kv.pagesize, spool_dir=kv._spool_dir)
-        )
-
-    def sort_values(self, key: Callable[[Any], Any] | None = None) -> None:
-        """Sort local KV pairs by value (object plane only)."""
-        kv = self._require_kv()
-        if isinstance(kv, ColumnarKeyValue):
-            raise TypeError(
-                "sort_values() compares decoded value objects and is only "
-                "supported on the object plane"
-            )
-        rank_of = (lambda p: key(p[1])) if key else (lambda p: p[1])
-        self.kv = self._rebuild_sorted_object(
-            kv, rank_of, ObjectKeyValue(pagesize=kv.pagesize, spool_dir=kv._spool_dir)
-        )
+        new_kv = self._fresh_kv(kv.schema)
+        try:
+            for karr, vcol in iter_sorted_batches(kv):
+                new_kv.add_wire((karr,) + _v_to_arrays(vcol), sorted_run=True)
+        except BaseException:
+            new_kv.close()
+            raise
+        kv.close()
+        self.kv = new_kv
 
     def sort_multivalues(self, key: Callable[[Any], Any] | None = None) -> None:
         """Sort the value list inside every local KMV pair.
 
-        Streams group by group (spool-aware on both planes); memory is
-        bounded by the largest single group, as in the original library.
+        Streams group by group (spool-aware); memory is bounded by the
+        largest single group, as in the original library.
         """
         kmv = self._require_kmv()
-        if isinstance(kmv, ColumnarKeyMultiValue):
-            new_kmv: KMVStore = ColumnarKeyMultiValue(
-                kmv.schema, pagesize=kmv.pagesize, spool_dir=kmv._spool_dir
-            )
-        else:
-            new_kmv = ObjectKeyMultiValue(pagesize=kmv.pagesize, spool_dir=kmv._spool_dir)
+        new_kmv = ColumnarKeyMultiValue(kmv.schema, pagesize=kmv.pagesize,
+                                        spool_dir=kmv._spool_dir)
         try:
             for k, vs in kmv:
                 new_kmv.add(k, sorted(vs, key=key))
@@ -1048,7 +898,7 @@ class MapReduce:
         self.kmv = new_kmv
 
     def sort_kmv_keys(self, key: Callable[[Any], Any] | None = None) -> None:
-        """Sort the local KMV pairs by key (stable, spool-aware).
+        """Sort the local KMV pairs by ``key(key)`` (stable, spool-aware).
 
         mrblast uses this so each rank's output file lists queries in the
         *original input order* (the paper: results "maintain the original
@@ -1057,65 +907,9 @@ class MapReduce:
         kmv = self._require_kmv()
         if len(kmv) <= 1:
             return  # already in order (a service job of one query)
-        if isinstance(kmv, ColumnarKeyMultiValue):
-            new_kmv = sort_kmv_columnar(kmv, key)
-            kmv.close()
-            self.kmv = new_kmv
-            return
-        rank_of = (lambda p: key(p[0])) if key else (lambda p: key_bytes(p[0]))
-        self.kmv = self._rebuild_sorted_object(
-            kmv, rank_of, ObjectKeyMultiValue(pagesize=kmv.pagesize, spool_dir=kmv._spool_dir)
-        )
-
-    def _rebuild_sorted_object(self, store, rank_of, fresh):
-        """Rebuild an object KV/KMV store in ``rank_of`` order, spool-aware."""
-        try:
-            for record in self._sorted_object_records(store, rank_of):
-                fresh.add(*record)
-        except BaseException:
-            fresh.close()
-            raise
-        store.close()
-        return fresh
-
-    def _sorted_object_records(self, store, rank_of):
-        """Yield an object store's records in rank order with bounded memory.
-
-        In-core: one ``sorted``.  Spilled: every page becomes a sorted run
-        of chunk pages in a scratch spool, merged with ``heapq.merge``
-        (stable across and within runs), so only one chunk per run is
-        resident at a time.
-        """
-        live = store._page
-        spool = store._spool
-        if spool is None or spool.npages == 0:
-            yield from sorted(live, key=rank_of)
-            return
-        nruns = spool.npages + (1 if live else 0)
-        runs = PageSpool(dir=store._spool_dir, prefix="osort")
-        try:
-            run_pages: list[range] = []
-
-            def write_run(records: list) -> None:
-                records = sorted(records, key=rank_of)
-                chunk = max(64, len(records) // max(nruns, 1))
-                start = runs.npages
-                for lo in range(0, len(records), chunk):
-                    runs.write_page(records[lo : lo + chunk])
-                run_pages.append(range(start, runs.npages))
-
-            for i in range(spool.npages):
-                write_run(spool.read_page(i))
-            if live:
-                write_run(list(live))
-
-            def stream(pages: range):
-                for idx in pages:
-                    yield from runs.read_page(idx)
-
-            yield from heapq.merge(*(stream(pr) for pr in run_pages), key=rank_of)
-        finally:
-            runs.close()
+        new_kmv = sort_kmv_columnar(kmv, key)
+        kmv.close()
+        self.kmv = new_kmv
 
     # -------------------------------------------------------------- inspection
 

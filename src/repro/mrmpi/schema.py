@@ -1,13 +1,13 @@
-"""Typed record schemas for the columnar KV data plane.
+"""Record schemas: how a KV dataset is laid out as numpy columns.
 
 A :class:`RecordSchema` fixes, per dataset, how keys and values are laid
 out as numpy columns:
 
-- **keys** are one fixed-width column ('S<w>' bytes/str, int64 or float64).
-  The *logical* kind ('bytes'/'str'/'int'/'float') is tracked separately
-  from the storage dtype so hashing and decoding reproduce exactly what the
-  object path's :func:`~repro.mrmpi.hashing.key_bytes` canonicalisation
-  does — columnar and object aggregates place every key on the same rank.
+- **keys** are one 'S' (bytes/str), int64 or float64 column.  The *logical*
+  kind ('bytes'/'str'/'int'/'float'/'canonical') is tracked separately from
+  the storage dtype so hashing reproduces
+  :func:`~repro.mrmpi.hashing.stable_hash` of the decoded key: every
+  schema places a key on the same rank.
 - **values** are either one structured (fixed-width) column — mrblast's HSP
   rows, mrsom's accumulator rows — or a ragged bytes column (one uint8
   buffer plus int64 offsets) when payloads have no fixed width.
@@ -15,21 +15,42 @@ out as numpy columns:
 Optional ``encode_values``/``decode_value`` hooks translate between
 application objects and rows at the dataset edge; everything between emit
 and reduce then moves as contiguous buffers.
+
+:data:`UNTYPED` is the schema of a dataset nobody described: any key
+:func:`~repro.mrmpi.hashing.key_bytes` can encode, stored as that encoding
+(kind 'canonical', width set per batch), and any picklable value, stored
+pickled in a ragged column.  It is what ``MapReduce(schema=None)`` means.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RecordSchema", "RAGGED_BYTES"]
+from repro.mrmpi.hashing import canonical_key, key_from_bytes
+
+__all__ = ["RecordSchema", "RAGGED_BYTES", "UNTYPED", "ragged_column"]
 
 #: Sentinel value dtype: variable-length bytes values (buffer + offsets).
 RAGGED_BYTES = "ragged_bytes"
 
-_KEY_KINDS = ("bytes", "str", "int", "float")
+_KEY_KINDS = ("bytes", "str", "int", "float", "canonical")
+
+
+def _pickle_values(values: Sequence[Any]) -> list[bytes]:
+    """The untyped layout's value encoding, one pickle per value."""
+    return [pickle.dumps(v, pickle.HIGHEST_PROTOCOL) for v in values]
+
+
+def ragged_column(values: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """A ragged bytes column: the values end to end, plus row offsets."""
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, values), dtype=np.int64, count=len(values)),
+              out=offsets[1:])
+    return np.frombuffer(b"".join(values), dtype=np.uint8), offsets
 
 
 def _infer_kind(dtype: np.dtype) -> str:
@@ -49,7 +70,8 @@ class RecordSchema:
     Parameters
     ----------
     key_dtype:
-        Fixed-width numpy dtype of the key column ('S<w>', int64, float64).
+        Fixed-width numpy dtype of the key column ('S<w>', int64, float64);
+        a 'canonical' column is plain 'S', its width set by each batch.
     value_dtype:
         Structured/plain numpy dtype of the value column, or
         :data:`RAGGED_BYTES` for variable-length bytes values.
@@ -57,11 +79,14 @@ class RecordSchema:
         Logical key type ('bytes', 'str', 'int', 'float'); inferred from
         ``key_dtype`` when omitted ('S' storage defaults to 'bytes' — pass
         'str' explicitly for text keys such as mrblast's query ids).
+        'canonical' keys are any :func:`~repro.mrmpi.hashing.key_bytes`
+        key, stored as :func:`~repro.mrmpi.hashing.canonical_key`: the
+        untyped layout, whose ragged values are always pickled.
     encode_values / decode_value:
         Optional object↔row translators used at the dataset edge (scalar
         ``add``, iteration, reducers).  ``encode_values(values)`` returns a
-        ``value_dtype`` array; ``decode_value(row)`` returns the
-        application object for one row.
+        ``value_dtype`` array (a list of ``bytes`` for ragged values);
+        ``decode_value(row)`` returns the application object for one row.
     """
 
     key_dtype: Any
@@ -73,13 +98,20 @@ class RecordSchema:
     def __post_init__(self) -> None:
         kd = np.dtype(self.key_dtype)
         object.__setattr__(self, "key_dtype", kd)
-        if kd.kind not in "Siuf" or kd.itemsize == 0:
+        kind = self.key_kind
+        if kd.kind not in "Siuf" or (kd.itemsize == 0 and kind != "canonical"):
             raise ValueError(f"key_dtype must be fixed-width S/int/float, got {kd}")
-        kind = self.key_kind or _infer_kind(kd)
+        kind = kind or _infer_kind(kd)
         if kind not in _KEY_KINDS:
             raise ValueError(f"key_kind must be one of {_KEY_KINDS}, got {kind!r}")
-        if kind == "str" and kd.kind != "S":
-            raise ValueError("key_kind 'str' requires an 'S<w>' key_dtype")
+        if kind in ("str", "canonical") and kd.kind != "S":
+            raise ValueError(f"key_kind {kind!r} requires an 'S' key_dtype")
+        if kind == "canonical":
+            if not self.ragged_values or self.encode_values or self.decode_value:
+                raise ValueError("key_kind 'canonical' is the untyped layout: "
+                                 "RAGGED_BYTES values and no value hooks")
+            object.__setattr__(self, "encode_values", _pickle_values)
+            object.__setattr__(self, "decode_value", pickle.loads)
         object.__setattr__(self, "key_kind", kind)
         if not self.ragged_values:
             object.__setattr__(self, "value_dtype", np.dtype(self.value_dtype))
@@ -92,6 +124,10 @@ class RecordSchema:
 
     def encode_keys(self, keys: Sequence[Any] | np.ndarray) -> np.ndarray:
         """Build the key column; rejects keys wider than the schema."""
+        if self.key_kind == "canonical":
+            if isinstance(keys, np.ndarray):
+                keys = keys.tolist()
+            return np.array([canonical_key(k) for k in keys], dtype="S")
         if isinstance(keys, np.ndarray) and keys.dtype == self.key_dtype:
             return keys
         if self.key_kind == "str":
@@ -111,7 +147,7 @@ class RecordSchema:
             if k.endswith(b"\x00"):
                 raise ValueError(
                     f"key {k!r} has trailing NUL bytes, which fixed-width 'S' "
-                    f"columns cannot represent; use the object path"
+                    f"columns cannot represent; use the untyped schema"
                 )
         return np.array(encoded, dtype=self.key_dtype)
 
@@ -120,6 +156,8 @@ class RecordSchema:
         raw = column.tolist()
         if self.key_kind == "str":
             return [k.decode("utf-8") for k in raw]
+        if self.key_kind == "canonical":
+            return [key_from_bytes(k[:-1]) for k in raw]
         return raw
 
     def decode_key(self, raw: Any) -> Any:
@@ -131,17 +169,12 @@ class RecordSchema:
     def build_values(self, values: Sequence[Any] | np.ndarray):
         """Build a value column (array, or (buffer, offsets) when ragged)."""
         if self.ragged_values:
-            if isinstance(values, tuple) and len(values) == 2:
+            if isinstance(values, tuple) and len(values) == 2 and all(
+                    isinstance(a, np.ndarray) for a in values):
                 return values  # already (buffer, offsets)
-            chunks = [np.frombuffer(v, dtype=np.uint8) for v in values]
-            offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-            np.cumsum([len(c) for c in chunks], out=offsets[1:])
-            buf = (
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0, dtype=np.uint8)
-            )
-            return buf, offsets
+            if self.encode_values is not None:
+                values = self.encode_values(values)
+            return ragged_column(values)
         if isinstance(values, np.ndarray) and values.dtype == self.value_dtype:
             return values
         if self.encode_values is not None:
@@ -153,3 +186,7 @@ class RecordSchema:
                 )
             return arr
         return np.asarray(values, dtype=self.value_dtype)
+
+
+#: Any canonical key, any picklable value: ``MapReduce(schema=None)``.
+UNTYPED = RecordSchema("S", RAGGED_BYTES, key_kind="canonical")

@@ -8,13 +8,18 @@ timestamps in microseconds, ``B``/``E`` duration events and thread-scoped
 schema checker (used by CI's trace-smoke step): it verifies structure,
 phase set, numeric timestamps, per-thread timestamp monotonicity, LIFO
 ``B``/``E`` balance and JSON-scalar args, returning a list of problems
-(empty when the document is valid).
+(empty when the document is valid).  :func:`exported_trace` is the set-up
+every launcher with a ``trace_path`` shares.
 """
 
 import json
+from contextlib import contextmanager
+
+from repro.obs.trace import TraceSession
 
 __all__ = [
     "chrome_trace",
+    "exported_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
     "assert_valid_chrome_trace",
@@ -65,6 +70,25 @@ def write_chrome_trace(path, session):
         json.dump(doc, fh)
         fh.write("\n")
     return doc
+
+
+@contextmanager
+def exported_trace(path, nprocs, trace=None):
+    """The trace session of one launch, written to *path* when it ends.
+
+    Yields *trace* or, when *path* is set and no session was passed, a new
+    :class:`~repro.obs.trace.TraceSession` of *nprocs* ranks (else ``None``:
+    tracing off).  With *path* set the session is exported as Chrome trace
+    JSON on the way out, a failed run's included: that trace is exactly the
+    one worth looking at.
+    """
+    if trace is None and path:
+        trace = TraceSession(nprocs)
+    try:
+        yield trace
+    finally:
+        if path and trace is not None:
+            write_chrome_trace(path, trace)
 
 
 def _scalar(value):

@@ -13,8 +13,9 @@ parent's queue and broadcasts it; every rank then runs the pipeline's one
 iteration over the block with the reduce on rank 0: the ranks map, every
 worker's KV moves to rank 0 (``gather(1)``), and rank 0 alone groups,
 orders and reduces it, demuxing per-query result bytes
-(:class:`~repro.core.mrblast.reducer.DemuxReducer`) instead of appending to
-rank files, and ships one result envelope back.  No collective runs inside
+(:class:`~repro.core.mrblast.reducer.MrBlastReducer` without an output
+file) instead of appending to rank files, and ships one result envelope
+back.  No collective runs inside
 a job.  While the queue is idle, rank 0 broadcasts keepalive ticks so
 blocked ranks never trip the transport's operation timeout.
 
@@ -33,7 +34,7 @@ from typing import Any
 
 from repro.bio.seq import SeqRecord
 from repro.core.mrblast.pipeline import BlastPipeline, RuntimeConfig
-from repro.core.mrblast.reducer import DemuxReducer
+from repro.core.mrblast.reducer import MrBlastReducer
 from repro.mpi.comm import Comm
 from repro.mpi.exceptions import MPIError
 from repro.mpi.faultplan import FaultPlan
@@ -149,7 +150,7 @@ def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, by
     ``nbytes`` of every rank's map output gathered on rank 0.
     """
     pipeline.mapper.set_query_blocks([list(job.queries)])
-    demux = DemuxReducer(pipeline.mapper.options)
+    demux = MrBlastReducer(pipeline.mapper.options)
     kv_bytes = pipeline.iterate(
         {rec.id: i for i, rec in enumerate(job.queries)}, demux, reduce_at_root=True)
     if pipeline.mr.rank != 0:

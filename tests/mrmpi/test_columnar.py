@@ -2,8 +2,8 @@
 external sorts and sort-based grouping.
 
 The contract under test throughout: every columnar operation must agree
-with the object plane (or with plain ``sorted``/dict grouping) — the
-columnar plane is a faster representation, never a different semantics.
+with plain ``sorted``/dict grouping and the scalar ``stable_hash`` — the
+columns are a representation, never a different semantics.
 """
 
 import glob
@@ -31,7 +31,7 @@ def ragged_schema(key_dtype="S12", key_kind="str"):
 
 # --------------------------------------------------------------------------
 # Vectorized hashing: must agree with the scalar stable hash bit for bit,
-# or keys would land on different ranks in the two planes.
+# or a key's rank would depend on the schema that carries it.
 # --------------------------------------------------------------------------
 
 

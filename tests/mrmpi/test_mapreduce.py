@@ -195,7 +195,8 @@ def test_gather_concentrates_pairs():
 def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
     """Many-page streams, a one-page stream and an empty one, gathered twice
     in a row with nothing between: each stream ends with its last page, and
-    the second gather cannot take the first one's messages."""
+    the second gather cannot take the first one's messages.  "object" pairs
+    are untyped (``schema=None``), "columnar" ones an int64 schema."""
     schema = RecordSchema(key_dtype=np.dtype("<i8"), value_dtype=np.dtype("<i8"),
                           key_kind="int") if columnar else None
     sizes = {0: 3, 1: 40, 2: 1, 3: 0}
@@ -229,24 +230,20 @@ def test_gather_invalid_nranks():
     assert run_spmd(1, main) == [True]
 
 
-def test_sort_keys_and_values():
+def test_sort_keys():
     def main(comm):
         mr = MapReduce(comm)
         mr.map_items([3, 1, 2], lambda i, item, kv: kv.add(f"k{item}", -item))
         mr.gather(1)
         if comm.rank == 0:
             mr.sort_keys()
-            keys = [k for k, _ in mr.kv]
-            mr.sort_values()
-            values = [v for _, v in mr.kv]
+            pairs = list(mr.kv)
         else:
-            keys, values = None, None
+            pairs = None
         mr.close()
-        return (keys, values)
+        return pairs
 
-    keys, values = run_spmd(2, main)[0]
-    assert keys == ["k1", "k2", "k3"]
-    assert values == [-3, -2, -1]
+    assert run_spmd(2, main)[0] == [("k1", -1), ("k2", -2), ("k3", -3)]
 
 
 def test_sort_multivalues():

@@ -1,12 +1,13 @@
-"""Columnar vs object plane parity under memory pressure.
+"""Typed and untyped datasets under memory pressure.
 
-Satellite of the columnar data-plane work: the same aggregate → convert →
-reduce pipeline, run once per plane with a memsize tiny enough to force
-multi-page spill on every rank, must produce identical results and leave
-identical (i.e. zero) spill files behind — including when a rank is
-crashed mid-run by the fault injector.
+The same aggregate → convert → reduce pipeline, run on untyped pairs
+(``schema=None``) and on a typed schema with a memsize tiny enough to force
+multi-page spill on every rank, must match the serial oracle, place every
+key where its stable hash says, and leave no spill file behind — including
+when a rank is crashed mid-run by the fault injector.
 """
 
+import collections
 import glob
 import os
 
@@ -15,12 +16,15 @@ import pytest
 
 from repro.mpi import CrashRank, FaultPlan, LOR, RankFailure, run_spmd
 from repro.mpi.runtime import SpmdJob
-from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+from repro.mrmpi import MapReduce, MapStyle, RecordSchema, stable_hash
 
 NPROCS = 3
 TINY = 512  # bytes: int64-keyed pairs spill after a handful of rows
 
 SCHEMA = RecordSchema(key_dtype="S8", value_dtype=np.dtype("<i8"), key_kind="str")
+
+_rng = np.random.default_rng(123)
+KEYS = [f"k{_rng.integers(37):02d}" for _ in range(900)]  # pair j is (KEYS[j], j)
 
 
 def _pipeline(comm, schema, spool_dir, memsize=TINY):
@@ -31,12 +35,9 @@ def _pipeline(comm, schema, spool_dir, memsize=TINY):
         comm, memsize=memsize, spool_dir=spool_dir, schema=schema, mapstyle=MapStyle.CHUNK
     )
     try:
-        rng = np.random.default_rng(123)  # same stream on every rank
-        keys = [f"k{rng.integers(37):02d}" for _ in range(900)]
-
         def mapper(itask, item, kv):
             for j in range(item * 90, item * 90 + 90):
-                kv.add(keys[j], j)
+                kv.add(KEYS[j], j)
 
         mr.map_items(list(range(10)), mapper)
         spilled = mr.kv.out_of_core
@@ -54,28 +55,21 @@ def _pipeline(comm, schema, spool_dir, memsize=TINY):
 class TestPlaneParity:
     @pytest.mark.parametrize("nprocs", [1, 3, 4])
     def test_columnar_matches_object_under_spill(self, nprocs, tmp_path):
-        obj_dir = tmp_path / "obj"
-        col_dir = tmp_path / "col"
-        os.makedirs(obj_dir)
-        os.makedirs(col_dir)
-
-        obj = run_spmd(nprocs, _pipeline, None, str(obj_dir))
-        col = run_spmd(nprocs, _pipeline, SCHEMA, str(col_dir))
-
-        obj_ranks, obj_spilled = obj[0]
-        col_ranks, col_spilled = col[0]
-        assert obj_spilled and col_spilled, "memsize did not force spilling"
-        # identical results AND identical key placement, rank by rank
-        assert col_ranks == obj_ranks
-        merged = {}
-        for d in obj_ranks:
-            merged.update(d)
-        expected_keys = 37
-        assert len(merged) == expected_keys
-        assert sum(merged.values()) == sum(range(900))
-        # identical spill hygiene: nothing left behind on either plane
-        assert glob.glob(str(obj_dir / "*")) == []
-        assert glob.glob(str(col_dir / "*")) == []
+        """Untyped ("object") pairs and typed columns both spill and both
+        give the serial oracle's per-key sums, each on rank
+        ``stable_hash(key) % nprocs``."""
+        sums = collections.Counter()
+        for j, key in enumerate(KEYS):
+            sums[key] += j
+        expected = [{k: v for k, v in sums.items() if stable_hash(k) % nprocs == r}
+                    for r in range(nprocs)]
+        for schema, name in ((None, "obj"), (SCHEMA, "col")):
+            spool = tmp_path / name
+            os.makedirs(spool)
+            per_rank, spilled = run_spmd(nprocs, _pipeline, schema, str(spool))[0]
+            assert spilled, "memsize did not force spilling"
+            assert per_rank == expected
+            assert glob.glob(str(spool / "*")) == []  # nothing left behind
 
     def test_multi_page_spill_actually_happens(self, tmp_path):
         """The fixture forces *multi*-page spill, not a borderline single page."""

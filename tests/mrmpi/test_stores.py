@@ -1,31 +1,39 @@
-"""KeyValue / KeyMultiValue stores and the page spool."""
+"""The untyped KV / KMV stores and the page spool."""
 
 import numpy as np
 import pytest
 
+from repro.mrmpi.columnar import ColumnarKeyMultiValue, ColumnarKeyValue, convert_columnar
 from repro.mrmpi.hashing import key_bytes, stable_hash
-from repro.mrmpi.keymultivalue import KeyMultiValue, convert_kv_to_kmv
-from repro.mrmpi.keyvalue import KeyValue
-from repro.mrmpi.spool import PageSpool, approx_size
+from repro.mrmpi.schema import UNTYPED
+from repro.mrmpi.spool import PageSpool
+
+
+def KeyValue(**kwargs):
+    """A store of untyped pairs: any canonical key, any picklable value."""
+    return ColumnarKeyValue(UNTYPED, **kwargs)
+
+
+def _page(*values):
+    return (np.array(values, dtype=np.int64),)
 
 
 class TestPageSpool:
     def test_roundtrip_pages_in_order(self, tmp_path):
         spool = PageSpool(dir=str(tmp_path))
-        spool.write_page([1, 2, 3])
-        spool.write_page(["a", "b"])
+        spool.write_arrays(_page(1, 2, 3), 3)
+        spool.write_arrays(_page(4, 5), 2)
         assert spool.npages == 2
         assert spool.nrecords == 5
-        assert list(spool.iter_pages()) == [[1, 2, 3], ["a", "b"]]
-        assert list(spool.iter_records()) == [1, 2, 3, "a", "b"]
+        assert [page[0].tolist() for page in spool.iter_pages()] == [[1, 2, 3], [4, 5]]
         spool.close()
 
     def test_interleaved_write_read(self, tmp_path):
         spool = PageSpool(dir=str(tmp_path))
-        spool.write_page([0])
-        assert list(spool.iter_records()) == [0]
-        spool.write_page([1])
-        assert list(spool.iter_records()) == [0, 1]
+        spool.write_arrays(_page(0), 1)
+        assert [p[0].tolist() for p in spool.iter_pages()] == [[0]]
+        spool.write_arrays(_page(1), 1)
+        assert [p[0].tolist() for p in spool.iter_pages()] == [[0], [1]]
         spool.close()
 
     def test_close_removes_file_and_blocks_use(self, tmp_path):
@@ -33,17 +41,17 @@ class TestPageSpool:
 
         spool = PageSpool(dir=str(tmp_path))
         path = spool.path
-        spool.write_page([1])
+        spool.write_arrays(_page(1), 1)
         spool.close()
         assert not os.path.exists(path)
         with pytest.raises(ValueError):
-            spool.write_page([2])
+            spool.write_arrays(_page(2), 1)
 
     def test_array_pages_roundtrip_and_keep_the_np_save_layout(self, tmp_path):
         """Structured dtypes with subarray fields, n-d columns and zero-row
-        arrays come back bit for bit, mixed with object pages; the bytes on
-        disk are what ``np.save`` frames would be (so ``nbytes`` and the row
-        offsets ``read_rows`` seeks to are unchanged) and every buffer read
+        arrays come back bit for bit; the bytes on disk are an array count
+        and what ``np.save`` frames would be (so ``nbytes`` and the row
+        offsets ``read_rows`` seeks to are exact) and every buffer read
         back owns its memory."""
         import io
 
@@ -56,10 +64,9 @@ class TestPageSpool:
             (np.arange(12.0).reshape(4, 3), np.empty((0, 3)), rows[::2]),  # strided in
         ]
         with PageSpool(dir=str(tmp_path)) as spool:
-            for i, arrays in enumerate(pages):
-                spool.write_page([("object", i)])
+            for arrays in pages:
                 expected = io.BytesIO()
-                expected.write(b"\x01" + len(arrays).to_bytes(8, "little"))
+                expected.write(len(arrays).to_bytes(8, "little"))
                 for arr in arrays:
                     np.save(expected, arr)
                 before = spool.nbytes
@@ -70,21 +77,15 @@ class TestPageSpool:
                     fh.seek(before)
                     assert fh.read() == expected.getvalue()
             for i, arrays in enumerate(pages):
-                assert spool.read_page(2 * i) == [("object", i)]
-                back = spool.read_page(2 * i + 1)
+                back = spool.read_page(i)
                 assert len(back) == len(arrays)
                 for arr, got in zip(arrays, back):
                     assert got.dtype == arr.dtype and got.shape == arr.shape
                     assert got.tobytes() == arr.tobytes()
                     assert got.base is None  # no read buffer pinned
-                assert spool.page_rows(2 * i + 1) == len(arrays[0])
-            assert spool.read_rows(1, 1, 2, 5).tobytes() == rows[2:5].tobytes()
-            assert spool.read_rows(3, 1, 0, 0).shape == (0,)
-
-    def test_approx_size_scales_with_payload(self):
-        assert approx_size(b"x" * 1000) > approx_size(b"x")
-        assert approx_size(np.zeros(1000)) > approx_size(np.zeros(10))
-        assert approx_size([b"x"] * 100) > approx_size([b"x"])
+                assert spool.page_rows(i) == len(arrays[0])
+            assert spool.read_rows(0, 1, 2, 5).tobytes() == rows[2:5].tobytes()
+            assert spool.read_rows(1, 1, 0, 0).shape == (0,)
 
 
 class TestKeyValue:
@@ -124,7 +125,7 @@ class TestKeyValue:
 
 class TestKeyValidationAtEmit:
     """``add`` accepts what ``key_bytes`` encodes and raises what it raises,
-    without paying for the encoding."""
+    when the pair is emitted, not when its batch is sealed."""
 
     @pytest.mark.parametrize("key", [
         b"k", "k", 7, 2.5, True, (), ("q", 3), ("q", (1, (b"x", 2.0))),
@@ -147,13 +148,14 @@ class TestKeyValidationAtEmit:
         assert len(kv) == 0
 
     def test_scalar_values_still_fill_pages(self):
-        """Integer values are sized by table now: the page budget still
-        fires where the estimate (48 bytes an int, 49 + len a str) says."""
-        kv = KeyValue(pagesize=(49 + 8 + 48) * 10)
+        """Scalar adds are sized by their encoded bytes: 10 for the key
+        (``s`` + 7 characters + terminator), 5 for a small pickled int, so
+        a 150-byte page seals and spills every tenth pair."""
+        kv = KeyValue(pagesize=(10 + 5) * 10)
         for i in range(25):
             kv.add("k%07d" % i, i)
         assert kv.spilled_pages == 2
-        assert [approx_size(v) for v in (0, -1, 2**62, 1.5, True, None)] == [48] * 6
+        assert list(kv) == [("k%07d" % i, i) for i in range(25)]
         kv.close()
 
 
@@ -181,7 +183,7 @@ class TestConvert:
         kv = KeyValue()
         for i in range(30):
             kv.add(f"k{i % 3}", i)
-        kmv = convert_kv_to_kmv(kv, pagesize=1 << 20)
+        kmv = convert_columnar(kv, pagesize=1 << 20)
         got = {k: vs for k, vs in kmv}
         assert set(got) == {"k0", "k1", "k2"}
         for j in range(3):
@@ -195,17 +197,17 @@ class TestConvert:
         big = KeyValue(pagesize=1 << 24)
         big.add_multi(pairs)
 
-        kmv_small = convert_kv_to_kmv(small, pagesize=1024, spool_dir=str(tmp_path), nbuckets=4)
-        kmv_big = convert_kv_to_kmv(big, pagesize=1 << 24)
+        kmv_small = convert_columnar(small, pagesize=1024, spool_dir=str(tmp_path))
+        kmv_big = convert_columnar(big, pagesize=1 << 24)
         assert dict(iter(kmv_small)) == dict(iter(kmv_big))
 
     def test_empty_kv_converts_to_empty_kmv(self):
-        kmv = convert_kv_to_kmv(KeyValue(), pagesize=4096)
+        kmv = convert_columnar(KeyValue(), pagesize=4096)
         assert len(kmv) == 0
         assert list(kmv) == []
 
     def test_kmv_spills(self, tmp_path):
-        kmv = KeyMultiValue(pagesize=512, spool_dir=str(tmp_path))
+        kmv = ColumnarKeyMultiValue(UNTYPED, pagesize=512, spool_dir=str(tmp_path))
         for i in range(40):
             kmv.add(f"k{i}", [b"v" * 50])
         assert kmv.out_of_core

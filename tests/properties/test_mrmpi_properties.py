@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from repro.mpi import run_spmd
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema, mapreduce
-from repro.mrmpi.columnar import _RADIX_MIN, key_order
-from repro.mrmpi.schema import RAGGED_BYTES
-from repro.mrmpi.hashing import key_bytes, stable_hash
-from repro.mrmpi.keyvalue import KeyValue
-from repro.mrmpi.keymultivalue import convert_kv_to_kmv
+from repro.mrmpi.columnar import _RADIX_MIN, ColumnarKeyValue, convert_columnar, key_order
+from repro.mrmpi.schema import RAGGED_BYTES, UNTYPED
+from repro.mrmpi.hashing import canonical_key, hash_key_column, key_bytes, stable_hash
 
 # Canonical key values: bytes, str, int, float, bool and shallow tuples.
 _scalar_keys = st.one_of(
@@ -28,24 +26,31 @@ keys = st.one_of(_scalar_keys, st.tuples(_scalar_keys, _scalar_keys))
 values = st.one_of(st.binary(max_size=40), st.integers(), st.text(max_size=20))
 
 
+def _exact(pairs):
+    """Pairs with keys as their encodings: ``True`` and ``1`` differ."""
+    return [(key_bytes(k), v) for k, v in pairs]
+
+
 @given(st.lists(st.tuples(keys, values), max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_out_of_core_kv_iterates_identically(pairs):
-    """A KV store paging to disk yields exactly the in-memory sequence."""
-    big = KeyValue(pagesize=1 << 24)
-    small = KeyValue(pagesize=64)  # spill after nearly every add
+    """An untyped KV store paging to disk yields exactly the in-memory
+    sequence, which is exactly what was emitted."""
+    big = ColumnarKeyValue(UNTYPED, pagesize=1 << 24)
+    small = ColumnarKeyValue(UNTYPED, pagesize=64)  # spill after nearly every add
     big.add_multi(pairs)
     small.add_multi(pairs)
-    assert list(big) == list(small)
+    assert _exact(big) == _exact(small) == _exact(pairs)
     assert len(big) == len(small) == len(pairs)
+    small.close()
 
 
-@given(st.lists(st.tuples(keys, values), max_size=60), st.integers(1, 8))
+@given(st.lists(st.tuples(keys, values), max_size=60))
 @settings(max_examples=60, deadline=None)
-def test_convert_groups_every_value_exactly_once(pairs, nbuckets):
-    kv = KeyValue(pagesize=128)  # force the out-of-core convert path
+def test_convert_groups_every_value_exactly_once(pairs):
+    kv = ColumnarKeyValue(UNTYPED, pagesize=128)  # force the out-of-core convert path
     kv.add_multi(pairs)
-    kmv = convert_kv_to_kmv(kv, pagesize=128, nbuckets=nbuckets)
+    kmv = convert_columnar(kv, pagesize=128)
     regrouped: dict[bytes, list] = {}
     for key, vals in kmv:
         kb = key_bytes(key)
@@ -55,6 +60,17 @@ def test_convert_groups_every_value_exactly_once(pairs, nbuckets):
     for k, v in pairs:
         expected.setdefault(key_bytes(k), []).append(v)
     assert regrouped == expected
+    kmv.close()
+
+
+@given(st.lists(keys, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_canonical_key_column_hashes_and_decodes_like_the_keys(ks):
+    """The untyped key column: hashed element-wise equal to ``stable_hash``
+    (so every key lands where its scalar hash says), decoded to the keys."""
+    column = UNTYPED.encode_keys(ks)
+    assert hash_key_column(column, "canonical").tolist() == [stable_hash(k) for k in ks]
+    assert [key_bytes(k) for k in UNTYPED.decode_keys(column)] == [key_bytes(k) for k in ks]
 
 
 @given(keys, keys)
@@ -166,7 +182,7 @@ def test_key_order_constant_column_is_identity():
 # --------------------------------------------------------------------------
 # Shuffle invariants of the sort-once pipeline, over ranks x exchange rounds
 # x in-core/spill x transport backend x the shapes a bucketed receiver can
-# get wrong.  Every shape runs inside one job per plane and test, with the
+# get wrong.  Every shape runs inside one job per test, with the
 # bucket target shrunk so a few thousand rows fill a dozen buckets.
 # --------------------------------------------------------------------------
 
@@ -212,7 +228,7 @@ def _row_tuple(v):
 
 class _Shape(NamedTuple):
     """One dataset: how a task's key ids are drawn, what they and their
-    (rank, task, seq) values look like on the columnar plane, who emits."""
+    (rank, task, seq) values look like under its schema, who emits."""
 
     ids: Callable = _uniform
     schema: RecordSchema = RecordSchema("S6", _ROW, key_kind="str")
@@ -220,6 +236,8 @@ class _Shape(NamedTuple):
     rows_of: Callable = _rows
     decode: Callable = _row_tuple
     emits: Callable = lambda rank, size: True
+    #: sort key of the order keys leave convert in
+    order: Callable = lambda key: key
 
 
 _SHAPES = {
@@ -234,7 +252,14 @@ _SHAPES = {
                    decode=lambda v: (int(v["rank"]), int(v["ts"][0]), int(v["ts"][1]))),
     "int": _Shape(schema=RecordSchema(np.int64, RAGGED_BYTES),
                   key_of=lambda k: (k - _NKEYS // 2) * (1 << 40), rows_of=_ragged,
-                  decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist())),
+                  decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist()),
+                  order=int),
+    # No schema: mixed keys (a tuple with NULs, str, float) and tuple
+    # values, emitted one scalar add at a time.
+    "untyped": _Shape(schema=None,
+                      key_of=lambda k: ((b"q\x00", k), "k%03d" % k, k * 1.5)[k % 3],
+                      rows_of=lambda rank, itask: [(rank, itask, seq) for seq in range(_PER_TASK)],
+                      decode=lambda v: v, order=canonical_key),
 }
 
 
@@ -254,54 +279,56 @@ def _buckets_hold(kv):
     return all(hi < lo for (_, hi), (lo, _) in zip(spans[:-1], spans[1:]))
 
 
-def _shuffle_rank(comm, columnar, memsize, exchange_bytes, spool, seed):
-    return {shape: _shuffle_shape(comm, shape, columnar, memsize, exchange_bytes, spool, seed)
+def _shuffle_rank(comm, memsize, exchange_bytes, spool, seed):
+    return {shape: _shuffle_shape(comm, shape, memsize, exchange_bytes, spool, seed)
             for shape in _SHAPES}
 
 
-def _shuffle_shape(comm, shape, columnar, memsize, exchange_bytes, spool, seed):
-    _, schema, key_of, rows_of, decode, emits = _SHAPES[shape]
+def _shuffle_shape(comm, shape, memsize, exchange_bytes, spool, seed):
+    _, schema, key_of, rows_of, decode, emits, _ = _SHAPES[shape]
     mr = MapReduce(comm, memsize=memsize, mapstyle=MapStyle.CHUNK,
-                   schema=schema if columnar else None, spool_dir=spool)
+                   schema=schema, spool_dir=spool)
 
     def mapper(itask, kv):
         if not emits(comm.rank, comm.size):
             return
         keys = [key_of(k) for k in _task_ids(seed, shape, itask).tolist()]
-        if columnar:
-            kv.add_batch(keys, rows_of(comm.rank, itask))
+        if schema is None:
+            for key, row in zip(keys, rows_of(comm.rank, itask)):
+                kv.add(key, row)
         else:
-            for seq, key in enumerate(keys):
-                kv.add(key, (comm.rank, itask, seq))
+            kv.add_batch(keys, rows_of(comm.rank, itask))
 
     wire_sorted = []
+    wire_bytes = [0]  # nbytes of the wire arrays bound for other ranks
     alltoall = mr.comm.alltoall
 
     def spy(outgoing):
-        for arrays in outgoing:
-            if arrays is not None and columnar:
+        for dest, arrays in enumerate(outgoing):
+            if arrays is not None:
                 wire_sorted.append(bool(np.all(arrays[0][:-1] <= arrays[0][1:])))
+                if dest != mr.comm.rank:
+                    wire_bytes[0] += sum(a.nbytes for a in arrays)
         return alltoall(outgoing)
 
     mr.comm.alltoall = spy
     groups = []
 
     def reducer(key, values, kv):
-        rows = [decode(v) if columnar else v for v in values]
-        groups.append((key, len(values), rows))
+        groups.append((key, len(values), [decode(v) for v in values]))
 
     try:
         mr.map(2 * comm.size, mapper)
         mr.aggregate(exchange_bytes=exchange_bytes)
-        spilled = bool(getattr(mr.kv, "out_of_core", False))
-        nbuckets = len(mr.kv._buckets) if columnar else 0
-        buckets_hold = _buckets_hold(mr.kv) if columnar else True
+        spilled = mr.kv.out_of_core
+        nbuckets = len(mr.kv._buckets)
+        buckets_hold = _buckets_hold(mr.kv)
         mr.convert()
-        mr.reduce(reducer, out_schema=None)
+        mr.reduce(reducer)
         moved = mr.stats.get("aggregate", {"pairs_moved": 0, "bytes_moved": 0})
     finally:
         mr.close()
-    return groups, wire_sorted, spilled, nbuckets, buckets_hold, moved
+    return groups, wire_sorted, spilled, nbuckets, buckets_hold, moved, wire_bytes[0]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -312,33 +339,34 @@ def test_shuffle_invariants(nprocs, exchange_bytes, memsize, backend, tmp_path, 
     monkeypatch.setattr(mapreduce, "_BUCKET_BYTES", _BUCKET_BYTES)  # forked ranks inherit it
     seed = 5 * nprocs + (exchange_bytes or 0) + memsize
     args = (memsize, exchange_bytes, str(tmp_path), seed)
-    columnar = run_spmd(nprocs, _shuffle_rank, True, *args, backend=backend)
-    objects = run_spmd(nprocs, _shuffle_rank, False, *args, backend=backend)
+    ranks = run_spmd(nprocs, _shuffle_rank, *args, backend=backend)
     for shape in _SHAPES:
         _check_shape(shape, nprocs, exchange_bytes, memsize, seed,
-                     [out[shape] for out in columnar], [out[shape] for out in objects])
+                     [out[shape] for out in ranks])
 
 
-def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, columnar, objects):
-    _, schema, key_of, _, _, emits = _SHAPES[shape]
+def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, ranks):
+    _, schema, key_of, _, _, emits, order = _SHAPES[shape]
     id_of = {key_of(k): k for k in range(_NKEYS)}
-    emitted = [(src, _task_ids(seed, shape, t))
+    emitted = [(src, t, _task_ids(seed, shape, t))
                for src in range(nprocs) if emits(src, nprocs)
                for t in range(2 * src, 2 * src + 2)]
     multiplicity = np.bincount(
-        np.concatenate([ids for _, ids in emitted] or [np.empty(0, dtype=np.int64)]),
+        np.concatenate([ids for *_, ids in emitted] or [np.empty(0, dtype=np.int64)]),
         minlength=_NKEYS)
-    # Only pairs that change rank are moved, however many rounds carry them;
-    # fixed-width rows are their own bytes (a ragged run adds its offsets).
+    # Only pairs that change rank are moved, however many rounds carry them,
+    # and their bytes are exactly the wire arrays that leave the rank; fixed
+    # -width rows are their own bytes (a ragged run adds its offsets).
     dest = np.array([stable_hash(key_of(k)) % nprocs for k in range(_NKEYS)])
-    pairs_moved = sum(int(np.count_nonzero(dest[ids] != src)) for src, ids in emitted)
-    assert sum(out[5]["pairs_moved"] for out in columnar) == pairs_moved, shape
-    if not schema.ragged_values:
+    pairs_moved = sum(int(np.count_nonzero(dest[ids] != src)) for src, _, ids in emitted)
+    assert sum(out[5]["pairs_moved"] for out in ranks) == pairs_moved, shape
+    assert [out[5]["bytes_moved"] for out in ranks] == [out[6] for out in ranks], shape
+    if schema is not None and not schema.ragged_values:
         row_bytes = schema.key_dtype.itemsize + schema.value_dtype.itemsize
-        assert sum(out[5]["bytes_moved"] for out in columnar) == pairs_moved * row_bytes, shape
+        assert sum(out[5]["bytes_moved"] for out in ranks) == pairs_moved * row_bytes, shape
 
     seen = {}
-    for groups, wire_sorted, spilled, nbuckets, buckets_hold, _ in columnar:
+    for groups, wire_sorted, spilled, nbuckets, buckets_hold, *_ in ranks:
         assert all(wire_sorted)  # every wire slice is a sorted run
         if shape == "base":
             assert wire_sorted
@@ -346,10 +374,7 @@ def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, columnar, objects
             assert nbuckets > 1  # the shapes below meet more than one bucket
         assert buckets_hold, shape
         keys = [k for k, _, _ in groups]
-        if schema.key_kind == "str":
-            assert keys == sorted(keys)  # keys leave convert in column order
-        else:
-            assert keys == sorted(keys, key=int)
+        assert keys == sorted(keys, key=order)  # keys leave convert in column order
         for key, nvalues, rows in groups:
             assert key not in seen, "key reduced on two ranks"
             seen[key] = rows
@@ -361,12 +386,17 @@ def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, columnar, objects
                 assert mine == sorted(mine)
     assert len(seen) == np.count_nonzero(multiplicity)
 
-    oracle = {k: rows for groups, *_ in objects for k, _, rows in groups}
+    # The serial oracle: every emitted (source, task, seq), grouped by key
+    # in emission order.
+    oracle = {}
+    for src, t, ids in emitted:
+        for seq, k in enumerate(ids.tolist()):
+            oracle.setdefault(key_of(k), []).append((src, t, seq))
     assert seen.keys() == oracle.keys()
     for key, rows in seen.items():
-        assert sorted(rows) == sorted(oracle[key])
+        assert sorted(rows) == oracle[key]
         if exchange_bytes is None and memsize >= 1 << 20:
-            # One round on both planes: same arrival order, value for value.
+            # One round: sources arrive in rank order, value for value.
             assert rows == oracle[key]
 
 

@@ -10,7 +10,7 @@ import multiprocessing
 import pytest
 
 from repro.core.mrblast.pipeline import BlastPipeline
-from repro.core.mrblast.reducer import DemuxReducer
+from repro.core.mrblast.reducer import MrBlastReducer
 from repro.mpi.exceptions import RankFailure
 from repro.mpi.runtime import run_spmd
 from repro.obs.trace import TraceSession
@@ -30,7 +30,7 @@ def _kv_bytes_after_map(comm, alias_path, options, queries):
     """``nbytes`` of the KV dataset one query block maps to, outside the service."""
     pipeline = BlastPipeline(comm, make_cfg(alias_path, options), [list(queries)])
     try:
-        return pipeline.iterate({}, DemuxReducer(pipeline.mapper.options))
+        return pipeline.iterate({}, MrBlastReducer(pipeline.mapper.options))
     finally:
         pipeline.close()
 
