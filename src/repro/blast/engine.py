@@ -102,7 +102,8 @@ __all__ = ["BlastnEngine", "BlastpEngine", "make_engine", "SearchStats"]
 class SearchStats:
     """Instrumentation for one search_block call.
 
-    ``busy_seconds`` is the in-search wall time — the quantity the paper's
+    A per-call record: the mrblast mapper adds each unit's into its rank's
+    metrics registry (``blast.*``).  ``busy_seconds`` is the in-search wall time — the quantity the paper's
     Fig. 5 divides by elapsed time to chart "useful CPU utilisation".  The
     per-stage breakdown (``seed`` = lookup build/fetch + subject scanning,
     then the two extension stages) makes stage-1 cost observable rather
@@ -131,21 +132,6 @@ class SearchStats:
     lookup_cache_hits: int = 0
     fused_rounds: int = 0
     peak_slab_bytes: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.n_subjects += other.n_subjects
-        self.n_word_hits += other.n_word_hits
-        self.n_ungapped += other.n_ungapped
-        self.n_gapped += other.n_gapped
-        self.n_contained += other.n_contained
-        self.n_reported += other.n_reported
-        self.busy_seconds += other.busy_seconds
-        self.seed_seconds += other.seed_seconds
-        self.ungapped_seconds += other.ungapped_seconds
-        self.gapped_seconds += other.gapped_seconds
-        self.lookup_cache_hits += other.lookup_cache_hits
-        self.fused_rounds += other.fused_rounds
-        self.peak_slab_bytes = max(self.peak_slab_bytes, other.peak_slab_bytes)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
 from repro.mrmpi.mapreduce import MapStyle
 from repro.obs.export import exported_trace
+from repro.obs.metrics import metric_field
 from repro.obs.trace import TraceSession
 from repro.util.log import rank_logger
 
@@ -116,48 +117,58 @@ class MrBlastConfig(RuntimeConfig):
 
 @dataclass
 class MrBlastResult:
-    """Per-rank outcome of a run."""
+    """Per-rank outcome of a run: where its hits went, how the run went, and
+    a view over the rank's metrics snapshot.
+
+    Every number the rank counted lives in :attr:`metrics` (names in
+    :mod:`repro.obs.metrics`) and nowhere else; the count and seconds
+    attributes below read it.
+    """
 
     rank: int
     output_path: str
-    units_processed: int
-    partition_switches: int
-    hits_emitted: int
-    queries_written: int
-    hits_written: int
-    busy_seconds: float
-    map_seconds: float
-    collate_seconds: float
-    reduce_seconds: float
-    seed_seconds: float = 0.0
-    ungapped_seconds: float = 0.0
-    gapped_seconds: float = 0.0
-    lookup_cache_hits: int = 0
-    #: robustness counters (PR 3): where this attempt picked up, how many
-    #: units were skipped as poisoned, and — filled in by the supervised
-    #: wrapper — how hard the supervisor had to work to get here.
+    #: the rank's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    metrics: dict
+    #: where this attempt picked up, and — filled in by the supervised
+    #: wrapper — how hard the supervisor had to work to get here
     resumed_from_iteration: int = 0
-    quarantined_units: int = 0
-    map_failures: int = 0
     faults_injected: int = 0
     retries: int = 0
-    #: shuffle traffic this rank staged for other ranks (PR 4), in exact
-    #: array bytes.
-    shuffle_pairs_moved: int = 0
-    shuffle_bytes_moved: int = 0
-    #: engine scheduler telemetry (PR 7): rounds run on this rank and the
-    #: largest per-round intermediate slab any work unit held.
-    fused_rounds: int = 0
-    peak_slab_bytes: int = 0
-    #: straggler-mitigation telemetry (PR 8): whether the run lost ranks and
-    #: completed degraded, which *global* ranks were lost, and how much work
-    #: the scheduler re-issued (reassigned after death / speculative copies /
-    #: duplicate completions discarded).
-    degraded: bool = False
+    #: *global* ranks lost while the run completed degraded
     lost_ranks: tuple[int, ...] = ()
-    reassigned_units: int = 0
-    speculated_units: int = 0
-    wasted_units: int = 0
+
+    units_processed = metric_field("mrblast.units", int)
+    partition_switches = metric_field("mrblast.partition_switches", int)
+    hits_emitted = metric_field("mrblast.hits_emitted", int)
+    queries_written = metric_field("mrblast.queries_written", int)
+    hits_written = metric_field("mrblast.hits_written", int)
+    quarantined_units = metric_field("mrblast.quarantined_units", int)
+    map_failures = metric_field("mrblast.map_failures", int)
+    busy_seconds = metric_field("mrblast.busy_s")
+    seed_seconds = metric_field("blast.seed_s")
+    ungapped_seconds = metric_field("blast.ungapped_s")
+    gapped_seconds = metric_field("blast.gapped_s")
+    lookup_cache_hits = metric_field("blast.lookup_cache_hits", int)
+    fused_rounds = metric_field("blast.fused_rounds", int)
+    peak_slab_bytes = metric_field("blast.peak_slab_bytes", int)
+    map_seconds = metric_field("mr.map_s")
+    reduce_seconds = metric_field("mr.reduce_s")
+    #: shuffle traffic this rank staged for other ranks, in exact array bytes
+    shuffle_pairs_moved = metric_field("mr.aggregate_pairs", int)
+    shuffle_bytes_moved = metric_field("mr.aggregate_bytes", int)
+    reassigned_units = metric_field("sched.reassigned_units", int)
+    speculated_units = metric_field("sched.speculated_units", int)
+    wasted_units = metric_field("sched.wasted_units", int)
+
+    @property
+    def collate_seconds(self) -> float:
+        """``aggregate`` plus ``convert`` seconds."""
+        return self.metrics.get("mr.aggregate_s", 0.0) + self.metrics.get("mr.convert_s", 0.0)
+
+    @property
+    def degraded(self) -> bool:
+        """True when the run lost ranks and completed without them."""
+        return bool(self.lost_ranks)
 
 
 def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
@@ -209,13 +220,11 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
 
     pipeline = BlastPipeline(
         comm, config, config.query_blocks, mapstyle=config.mapstyle, poison=poison)
-    mapper, mr = pipeline.mapper, pipeline.mr
-    reducer = MrBlastReducer(
-        mapper.options,
-        output_path,
-        queries_written=queries_log[-1] if queries_log else 0,
-        hits_written=hits_log[-1] if hits_log else 0,
-    )
+    metrics, mr = pipeline.metrics, pipeline.mr
+    reducer = MrBlastReducer(pipeline.mapper.options, output_path, metrics=metrics)
+    if queries_log:  # a resumed rank's write counts carry on from its last commit
+        metrics.counter("mrblast.queries_written").inc(queries_log[-1])
+        metrics.counter("mrblast.hits_written").inc(hits_log[-1])
 
     # Original input position of each query id, so per-rank files preserve
     # the input order of the queries they own (paper §III.A).
@@ -251,8 +260,8 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
             done_this_run += 1
             # Commit the iteration: output size + cumulative counts, atomically.
             offsets.append(os.path.getsize(output_path))
-            queries_log.append(reducer.queries_written)
-            hits_log.append(reducer.hits_written)
+            queries_log.append(int(metrics.value("mrblast.queries_written")))
+            hits_log.append(int(metrics.value("mrblast.hits_written")))
             checkpoint.commit(offsets, queries_log, hits_log)
             if trc.enabled:
                 trc.instant("checkpoint.commit", cat="driver",
@@ -260,38 +269,14 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
                             hits_written=hits_log[-1])
                 trc.end()
     finally:
-        timers = mr.timers
-        shuffle = mr.stats.get("aggregate", {"pairs_moved": 0, "bytes_moved": 0})
         pipeline.close()
 
     return MrBlastResult(
         rank=comm.rank,
         output_path=output_path,
-        units_processed=mapper.stats.units_processed,
-        partition_switches=mapper.stats.partition_switches,
-        hits_emitted=mapper.stats.hits_emitted,
-        queries_written=reducer.queries_written,
-        hits_written=reducer.hits_written,
-        busy_seconds=mapper.stats.busy_seconds,
-        map_seconds=timers.get("map", 0.0),
-        collate_seconds=timers.get("aggregate", 0.0) + timers.get("convert", 0.0),
-        reduce_seconds=timers.get("reduce", 0.0),
-        seed_seconds=mapper.stats.seed_seconds,
-        ungapped_seconds=mapper.stats.ungapped_seconds,
-        gapped_seconds=mapper.stats.gapped_seconds,
-        lookup_cache_hits=mapper.stats.lookup_cache_hits,
+        metrics=metrics.snapshot(),
         resumed_from_iteration=start_iteration,
-        quarantined_units=mapper.stats.quarantined_units,
-        map_failures=mapper.stats.map_failures,
-        shuffle_pairs_moved=shuffle["pairs_moved"],
-        shuffle_bytes_moved=shuffle["bytes_moved"],
-        fused_rounds=mapper.stats.fused_rounds,
-        peak_slab_bytes=mapper.stats.peak_slab_bytes,
-        degraded=mr.degraded_run,
         lost_ranks=mr.lost_ranks,
-        reassigned_units=mr.sched_stats["reassigned"],
-        speculated_units=mr.sched_stats["speculated"],
-        wasted_units=mr.sched_stats["wasted"],
     )
 
 

@@ -12,7 +12,6 @@ the RefSeq fragments against themselves" modification.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.bio.seq import SeqRecord
@@ -26,9 +25,10 @@ from repro.core.checkpoint import PoisonList
 from repro.core.mrblast.workitems import WorkItem
 from repro.mpi.exceptions import MPIError
 from repro.mrmpi.columnar import ColumnarKeyValue
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_tracer
 
-__all__ = ["MrBlastMapper", "MapperStats", "MapUnitError", "exclude_self_hits", "unit_key"]
+__all__ = ["MrBlastMapper", "MapUnitError", "exclude_self_hits", "unit_key"]
 
 
 def unit_key(item: WorkItem) -> str:
@@ -49,35 +49,6 @@ def exclude_self_hits(query_id: str, hsp: HSP) -> bool:
     return parent_id(query_id) == hsp.subject_id or f"db_{parent_id(query_id)}" == hsp.subject_id
 
 
-@dataclass
-class MapperStats:
-    """Per-rank instrumentation mirroring what Fig. 5 plots.
-
-    The per-stage seconds break the engine's busy time into seeding
-    (lookup build/fetch + scans), ungapped extension and gapped extension;
-    ``lookup_cache_hits`` counts work units whose query-block lookup table
-    came out of the cross-partition :class:`~repro.blast.lookup.LookupCache`
-    instead of being rebuilt.
-    """
-
-    units_processed: int = 0
-    partition_switches: int = 0
-    hits_emitted: int = 0
-    busy_seconds: float = 0.0
-    seed_seconds: float = 0.0
-    ungapped_seconds: float = 0.0
-    gapped_seconds: float = 0.0
-    lookup_cache_hits: int = 0
-    #: engine scheduler telemetry: total rounds across this rank's units
-    #: and the largest per-round intermediate slab any unit held
-    fused_rounds: int = 0
-    peak_slab_bytes: int = 0
-    #: robustness counters: units skipped because their failure budget is
-    #: spent, and map() exceptions this rank recorded into the poison ledger
-    quarantined_units: int = 0
-    map_failures: int = 0
-
-
 class MrBlastMapper:
     """Callable work-unit executor bound to one rank.
 
@@ -85,6 +56,11 @@ class MrBlastMapper:
     invocations; the cache behaviour (how often a rank must re-open a
     different partition) is exactly what the paper's block-size tuning and
     the Fig. 4 crossover are about.
+
+    What Fig. 5 plots goes into ``metrics`` (the ``mrblast.*`` and
+    ``blast.*`` names of :mod:`repro.obs.metrics`), with units skipped
+    because their failure budget is spent (``mrblast.quarantined_units``)
+    and failures recorded into the poison ledger (``mrblast.map_failures``).
     """
 
     def __init__(
@@ -96,13 +72,23 @@ class MrBlastMapper:
         lookup_cache_blocks: int = 8,
         poison: PoisonList | None = None,
         fault_injector: Callable[[WorkItem], None] | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         # Always search with whole-database statistics (DB-split rule).
         self.options = options.with_db_size(alias.total_length, alias.num_seqs)
         self.alias = alias
         self.query_blocks = query_blocks
         self.hit_filter = hit_filter
-        self.stats = MapperStats()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        count = self.metrics.counter
+        self._units, self._busy = count("mrblast.units"), count("mrblast.busy_s")
+        self._switches = count("mrblast.partition_switches")
+        self._hits = count("mrblast.hits_emitted")
+        self._stages = [(count(f"blast.{stage}_s"), f"{stage}_seconds")
+                        for stage in ("seed", "ungapped", "gapped")]
+        self._cache_hits = count("blast.lookup_cache_hits")
+        self._rounds = count("blast.fused_rounds")
+        self._peak_slab = self.metrics.gauge("blast.peak_slab_bytes")
         self._partition: DbPartition | None = None
         self._partition_index: int | None = None
         self._engine = make_engine(self.options)
@@ -143,7 +129,7 @@ class MrBlastMapper:
                 self._partition.release()
             self._partition = self.alias.open_partition(index)
             self._partition_index = index
-            self.stats.partition_switches += 1
+            self._switches.inc()
         assert self._partition is not None
         return self._partition
 
@@ -159,7 +145,7 @@ class MrBlastMapper:
         key = unit_key(item)
         trc = current_tracer()
         if key in self.quarantined:
-            self.stats.quarantined_units += 1
+            self.metrics.counter("mrblast.quarantined_units").inc()
             if trc.enabled:
                 trc.instant("mrblast.unit.quarantined", cat="driver", unit=key)
             return
@@ -170,7 +156,7 @@ class MrBlastMapper:
         except MPIError:
             raise  # runtime-level failure, not this unit's fault
         except Exception as exc:
-            self.stats.map_failures += 1
+            self.metrics.counter("mrblast.map_failures").inc()
             if trc.enabled:
                 trc.instant("mrblast.unit.failed", cat="driver", unit=key,
                             error=repr(exc))
@@ -194,20 +180,19 @@ class MrBlastMapper:
         # The whole unit's hits become one batch — one key column plus one
         # structured HSP row array.
         kv.add_batch([h.query_id for h in hits], hits)
-        self.stats.hits_emitted += len(hits)
+        self._hits.inc(len(hits))
         t1 = time.perf_counter()
-        self.stats.units_processed += 1
-        self.stats.busy_seconds += t1 - t0
+        self._units.inc()
+        self._busy.inc(t1 - t0)
         last = self._engine.last_stats
-        self.stats.seed_seconds += last.seed_seconds
-        self.stats.ungapped_seconds += last.ungapped_seconds
-        self.stats.gapped_seconds += last.gapped_seconds
-        self.stats.lookup_cache_hits += last.lookup_cache_hits
-        self.stats.fused_rounds += last.fused_rounds
-        self.stats.peak_slab_bytes = max(self.stats.peak_slab_bytes, last.peak_slab_bytes)
+        for counter, field in self._stages:
+            counter.inc(getattr(last, field))
+        self._cache_hits.inc(last.lookup_cache_hits)
+        self._rounds.inc(last.fused_rounds)
+        self._peak_slab.raise_to(last.peak_slab_bytes)
         if trc.enabled:
-            # The attrs are the very floats added to MapperStats above, so
-            # trace-derived stage sums match the counters bit-for-bit.
+            # The attrs are the very floats added to the counters above, so
+            # trace-derived stage sums match them bit-for-bit.
             trc.end(sid, busy_s=t1 - t0, seed_s=last.seed_seconds,
                     ungapped_s=last.ungapped_seconds,
                     gapped_s=last.gapped_seconds, hits=len(hits),

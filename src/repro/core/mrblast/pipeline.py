@@ -29,6 +29,7 @@ from repro.core.mrblast.workitems import WorkItem, build_work_items
 from repro.mpi.comm import Comm
 from repro.mpi.runtime import resolve_backend
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
+from repro.obs.metrics import MetricsRegistry
 from repro.sched import SpeculationPolicy
 
 __all__ = ["RuntimeConfig", "BlastPipeline", "check_writable_dir"]
@@ -135,8 +136,9 @@ class BlastPipeline:
 
     Built once per rank and kept for its lifetime: the mapper holds the open
     DB partition and the lookup cache, the ``MapReduce`` handle its
-    communicator, spool directory and cumulative counters.  HSPs travel as
-    structured rows (:func:`~repro.core.mrblast.hspcodec.hsp_schema`).
+    communicator and spool directory, and :attr:`metrics` every counter the
+    mapper, the ``MapReduce`` handle and the driver's reducer write.  HSPs
+    travel as structured rows (:func:`~repro.core.mrblast.hspcodec.hsp_schema`).
     """
 
     def __init__(
@@ -149,6 +151,7 @@ class BlastPipeline:
         poison: PoisonList | None = None,
     ) -> None:
         self.config = config
+        self.metrics = MetricsRegistry()
         self.alias = DatabaseAlias.load(config.alias_path)
         self.mapper = MrBlastMapper(
             self.alias,
@@ -158,6 +161,7 @@ class BlastPipeline:
             lookup_cache_blocks=config.lookup_cache_blocks,
             poison=poison,
             fault_injector=config.unit_fault_injector,
+            metrics=self.metrics,
         )
         self.mr = MapReduce(
             comm,
@@ -165,6 +169,7 @@ class BlastPipeline:
             mapstyle=mapstyle,
             spool_dir=config.spool_dir,
             schema=hsp_schema(config.id_width),
+            metrics=self.metrics,
         )
         self.speculation = (
             SpeculationPolicy(factor=config.speculation_factor)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.blast.hsp import HSP, top_hits
 from repro.blast.options import BlastOptions
 from repro.blast.tabular import format_tabular, write_tabular
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MrBlastReducer"]
 
@@ -32,7 +33,9 @@ class MrBlastReducer:
     into :attr:`results`, one outfmt-6 byte block per query: the resident
     service (:mod:`repro.serve`) streams each query's results back to its
     submitter, byte-identical to the slice a one-shot ``run_mrblast``
-    would have appended for it.  Either way the reducer emits no pairs.
+    would have appended for it.  Either way the reducer emits no pairs,
+    and counts the queries and hits it wrote into ``metrics``
+    (``mrblast.queries_written`` / ``mrblast.hits_written``).
     """
 
     options: BlastOptions
@@ -40,9 +43,11 @@ class MrBlastReducer:
     #: query id -> encoded outfmt-6 block, when demultiplexing (empty
     #: queries never appear)
     results: dict[str, bytes] = field(default_factory=dict)
-    #: number of queries and hits this rank wrote (instrumentation)
-    queries_written: int = 0
-    hits_written: int = 0
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    def __post_init__(self) -> None:
+        self._queries = self.metrics.counter("mrblast.queries_written")
+        self._hits = self.metrics.counter("mrblast.hits_written")
 
     def __call__(self, query_id: str, hsps: list[HSP], kv) -> None:
         selected = top_hits(hsps, self.options.max_hits, self.options.evalue)
@@ -52,5 +57,5 @@ class MrBlastReducer:
             self.results[query_id] = format_tabular(selected).encode("ascii")
         else:
             write_tabular(selected, self.output_path, append=True)
-        self.queries_written += 1
-        self.hits_written += len(selected)
+        self._queries.inc()
+        self._hits.inc(len(selected))

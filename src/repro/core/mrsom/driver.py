@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supe
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
 from repro.mrmpi.schema import RecordSchema
 from repro.obs.export import exported_trace
+from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.obs.trace import TraceSession
 from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
 from repro.som.bmu import best_matching_units
@@ -182,36 +183,47 @@ class MrSomConfig:
 
 @dataclass
 class MrSomResult:
-    """Per-rank outcome; the codebook is identical on every rank."""
+    """Per-rank outcome; the codebook is identical on every rank.
+
+    Every number the rank counted lives in :attr:`metrics` (names in
+    :mod:`repro.obs.metrics`); the count and seconds attributes read it.
+    """
 
     rank: int
     codebook: np.ndarray
     epochs: int
-    units_processed: int
-    busy_seconds: float
-    bcast_seconds: float
-    reduce_seconds: float
-    #: master: neighbourhood smoothing + Eq. 5 + posting the codebook
-    #: ``Bcast``, summed over epochs; workers: their wait for that codebook
-    smooth_seconds: float = 0.0
-    #: master: checkpoint load or ``init_codebook``; workers: their wait for it
-    init_seconds: float = 0.0
+    #: the rank's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    metrics: dict
     #: per-epoch quantisation error (rank 0 only, when track_error is set)
     error_history: list[float] | None = None
-    #: robustness counters (PR 3): epoch this attempt resumed at, plus the
-    #: supervision counters filled in by :func:`mrsom_supervised`
+    #: epoch this attempt resumed at, plus the supervision counters filled
+    #: in by :func:`mrsom_supervised`
     resumed_from_epoch: int = 0
     faults_injected: int = 0
     retries: int = 0
-    #: shuffle traffic of the ``"mrmpi"`` reduction plane (0 in "mpi" mode)
-    shuffle_pairs_moved: int = 0
-    shuffle_bytes_moved: int = 0
-    #: straggler-mitigation / degraded-mode counters (PR 8)
-    degraded: bool = False
+    #: *global* ranks lost while the run completed degraded
     lost_ranks: tuple = ()
-    speculated_units: int = 0
-    wasted_units: int = 0
-    reassigned_units: int = 0
+
+    units_processed = metric_field("mrsom.units", int)
+    busy_seconds = metric_field("mrsom.busy_s")
+    bcast_seconds = metric_field("mrsom.bcast_s")
+    reduce_seconds = metric_field("mrsom.reduce_s")
+    #: master: neighbourhood smoothing + Eq. 5 + posting the codebook
+    #: ``Bcast``, summed over epochs; workers: their wait for that codebook
+    smooth_seconds = metric_field("mrsom.smooth_s")
+    #: master: checkpoint load or ``init_codebook``; workers: their wait for it
+    init_seconds = metric_field("mrsom.init_s")
+    #: shuffle traffic of the ``"mrmpi"`` reduction plane (0 in "mpi" mode)
+    shuffle_pairs_moved = metric_field("mr.aggregate_pairs", int)
+    shuffle_bytes_moved = metric_field("mr.aggregate_bytes", int)
+    speculated_units = metric_field("sched.speculated_units", int)
+    wasted_units = metric_field("sched.wasted_units", int)
+    reassigned_units = metric_field("sched.reassigned_units", int)
+
+    @property
+    def degraded(self) -> bool:
+        """True when the run lost ranks and completed without them."""
+        return bool(self.lost_ranks)
 
 
 @dataclass
@@ -230,16 +242,20 @@ class _BlockAccumulator:
     """
 
     matrix: MatrixFile
+    #: receives ``mrsom.units`` and ``mrsom.busy_s``
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     codebook: np.ndarray = None
     codebook_sq: np.ndarray = None
     #: S (K, dim) then n (K,) in one flat buffer: one message per Reduce
     totals: np.ndarray = None
     sums: np.ndarray = None
     counts: np.ndarray = None
-    units: int = 0
-    busy: float = 0.0
     #: None = no hooks; () = inside a dispatched unit, mapper not yet run
     _staged: tuple | None = None
+
+    def __post_init__(self) -> None:
+        self._units = self.metrics.counter("mrsom.units")
+        self._busy = self.metrics.counter("mrsom.busy_s")
 
     def start_epoch(self, codebook: np.ndarray) -> None:
         self.codebook = codebook
@@ -257,8 +273,8 @@ class _BlockAccumulator:
             t0 = time.perf_counter()
             bmus, block = self._staged
             accumulate_classes(block, self.codebook, self.sums, self.counts, bmus=bmus)
-            self.units += 1
-            self.busy += time.perf_counter() - t0
+            self._units.inc()
+            self._busy.inc(time.perf_counter() - t0)
         self._staged = None
 
     def discard_unit(self, itask: int) -> None:
@@ -274,8 +290,8 @@ class _BlockAccumulator:
         else:
             accumulate_classes(block, self.codebook, self.sums, self.counts,
                                codebook_sq=self.codebook_sq)
-            self.units += 1
-        self.busy += time.perf_counter() - t0
+            self._units.inc()
+        self._busy.inc(time.perf_counter() - t0)
 
 
 def _accumulator_schema(dim: int) -> RecordSchema:
@@ -362,6 +378,9 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     )
     codebook = np.zeros((k, dim))
     start_epoch = 0
+    metrics = MetricsRegistry()
+    phase_s = {phase: metrics.counter(f"mrsom.{phase}_s")
+               for phase in ("init", "bcast", "reduce", "smooth")}
     trc = comm.tracer
     if trc.enabled:
         trc.begin("mrsom.init", cat="driver")
@@ -378,6 +397,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 checkpoint.clear()  # a fresh run must not resume stale state
     start_epoch = int(comm.bcast(start_epoch, root=0))
     init_seconds = time.perf_counter() - t0
+    phase_s["init"].inc(init_seconds)
     if trc.enabled:
         trc.end(seconds=init_seconds)
         # Always emitted, so a resumed run's trace carries the marker the
@@ -387,9 +407,10 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     t0 = time.perf_counter()
     comm.Bcast(codebook, root=0)  # direct MPI call #1 (Fig. 2)
     bcast_seconds = time.perf_counter() - t0
+    phase_s["bcast"].inc(bcast_seconds)
     if trc.enabled:
-        # The attr is the very float kept as bcast_seconds, so the
-        # trace-derived total matches the counter bit-for-bit.
+        # The attr is the very float added to the counter, so the
+        # trace-derived total matches it bit-for-bit.
         trc.end(seconds=bcast_seconds)
 
     sigmas = BatchSOM(grid, dim, initial_radius=config.initial_radius,
@@ -402,7 +423,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
 
         speculation = SpeculationPolicy(factor=config.speculation_factor)
 
-    mr = MapReduce(comm, mapstyle=config.mapstyle)
+    mr = MapReduce(comm, mapstyle=config.mapstyle, metrics=metrics)
     red_mr = None
     if config.reduce_mode == "mrmpi":
         red_kwargs = {}
@@ -414,11 +435,10 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             comm,
             mapstyle=MapStyle.CHUNK,
             schema=_accumulator_schema(dim),
+            metrics=metrics,
             **red_kwargs,
         )
-    acc = _BlockAccumulator(matrix)
-    reduce_seconds = 0.0
-    smooth_seconds = 0.0
+    acc = _BlockAccumulator(matrix, metrics)
     error_history: list[float] = []
     sample = None
     if config.track_error and comm.rank == 0:
@@ -452,7 +472,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 if group.rank == 0:
                     sums, counts = totals[: k * dim].reshape(k, dim), totals[k * dim :]
             dt = time.perf_counter() - t0
-            reduce_seconds += dt
+            phase_s["reduce"].inc(dt)
             if trc.enabled:
                 trc.end(seconds=dt)
                 trc.begin("mrsom.smooth", cat="driver")
@@ -462,7 +482,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                 codebook = batch_update(codebook, num, denom)
             group.Bcast(codebook, root=0)  # direct MPI call #1 again, every epoch
             dt = time.perf_counter() - t0
-            smooth_seconds += dt
+            phase_s["smooth"].inc(dt)
             if trc.enabled:
                 trc.end(seconds=dt)
 
@@ -480,30 +500,17 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             if trc.enabled:
                 trc.end(epoch_sid)
     finally:
-        shuffle = {"pairs_moved": 0, "bytes_moved": 0}
         if red_mr is not None:
-            shuffle = red_mr.stats.get("aggregate", shuffle)
             red_mr.close()
         mr.close()  # even when unwinding a crash: no leaked spill files
     return MrSomResult(
         rank=comm.rank,
         codebook=codebook,
         epochs=config.epochs,
-        units_processed=acc.units,
-        busy_seconds=acc.busy,
-        bcast_seconds=bcast_seconds,
-        reduce_seconds=reduce_seconds,
-        smooth_seconds=smooth_seconds,
-        init_seconds=init_seconds,
+        metrics=metrics.snapshot(),
         error_history=error_history if comm.rank == 0 and config.track_error else None,
         resumed_from_epoch=start_epoch,
-        shuffle_pairs_moved=shuffle["pairs_moved"],
-        shuffle_bytes_moved=shuffle["bytes_moved"],
-        degraded=mr.degraded_run,
         lost_ranks=mr.lost_ranks,
-        speculated_units=mr.sched_stats["speculated"],
-        wasted_units=mr.sched_stats["wasted"],
-        reassigned_units=mr.sched_stats["reassigned"],
     )
 
 

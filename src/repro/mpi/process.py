@@ -38,8 +38,7 @@ runs on real cores, while keeping the exact transport contract of
   (and therefore identical seeded event traces) across backends and
   supervised attempts.
 - **tracing** — tracer objects cannot be shared across processes; each
-  child starts its tracer with a fresh event buffer and metrics registry
-  and ships the delta home in its exit envelope, where the parent merges
+  child starts its tracer with a fresh event buffer and ships the delta home in its exit envelope, where the parent merges
   it into the session tracer for that rank.
 
 Requires the ``fork`` start method (fn/args/closures are inherited, not
@@ -85,7 +84,6 @@ from repro.mpi.shm import (
     unpack_arena_message,
 )
 from repro.mpi.transport import TransportEndpoint, matches
-from repro.obs.metrics import MetricsRegistry, absorb_snapshot
 from repro.obs.trace import NULL_TRACER, set_current_tracer
 
 __all__ = ["ProcessJob", "ProcessNetwork"]
@@ -522,7 +520,6 @@ def _child_main(
         # attempts).  Start from empty buffers so the exit envelope ships a
         # pure delta and nothing is double-counted when the parent merges.
         tracer.events = []
-        tracer.metrics = MetricsRegistry()
         events_base_seq = tracer._seq
     fired_base = fault_plan.fired_count() if fault_plan is not None else 0
     arena = (Arena(shm_prefix, rank, nprocs, arena_bytes)
@@ -567,17 +564,6 @@ def _child_main(
         "trace": None,
         "arena": arena.stats.snapshot() if arena is not None else None,
     }
-    if tracer.enabled and arena is not None:
-        # Ship the per-rank totals through the metrics registry too, so
-        # trace consumers see hit/overflow/peak-residency without having
-        # to pay per-send counter bumps on the hot path.
-        stats = arena.stats
-        tracer.metrics.counter("arena.sends").inc(stats.sends)
-        tracer.metrics.counter("arena.send_bytes").inc(stats.send_bytes)
-        tracer.metrics.counter("arena.overflows").inc(stats.overflows)
-        tracer.metrics.counter("arena.recv_views").inc(stats.recv_views)
-        tracer.metrics.counter("arena.peak_resident_bytes").inc(
-            stats.peak_resident_bytes)
     if tracer.enabled:
         envelope["trace"] = {
             "events": tracer.events,
@@ -586,7 +572,6 @@ def _child_main(
             "last_ts": tracer._last_ts,
             "dropped": tracer.dropped_events,
             "spilled": tracer.spilled_events,
-            "metrics": tracer.metrics.snapshot(),
         }
     block_name = f"{shm_prefix}r{rank}_exit"  # carries the result's bulk arrays
     try:
@@ -738,7 +723,6 @@ class ProcessJob:
             trc._last_ts = max(trc._last_ts, shipped["last_ts"])
             trc.dropped_events += shipped["dropped"]
             trc.spilled_events += shipped["spilled"]
-            absorb_snapshot(trc.metrics, shipped["metrics"])
 
     # --------------------------------------------------------------------- run
 

@@ -18,8 +18,8 @@ One data plane: every KV/KMV dataset is **columnar** (array pages,
 vectorised shuffle hashing, sort-based grouping, binary spill), laid out by
 a :class:`~repro.mrmpi.schema.RecordSchema`.  A dataset nobody described is
 :data:`~repro.mrmpi.schema.UNTYPED`: canonical key bytes and pickled
-values, moved by the same code.  Per-phase traffic, in exact array bytes,
-is recorded in :attr:`MapReduce.stats`.
+values, moved by the same code.  Per-phase seconds and traffic (pairs
+and exact array bytes) are written once, into :attr:`MapReduce.metrics`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.mrmpi.columnar import (
 )
 from repro.mrmpi.hashing import hash_key_column
 from repro.mrmpi.schema import UNTYPED, RecordSchema
+from repro.obs.metrics import MetricsRegistry
 from repro.sched import SchedReport, SpeculationPolicy, StragglerTracker, UnitQueue
 
 __all__ = ["MapReduce", "MapStyle", "KEEP_SCHEMA"]
@@ -119,6 +120,10 @@ class MapReduce:
         :class:`~repro.mrmpi.schema.RecordSchema`); ``None`` (default) is
         :data:`~repro.mrmpi.schema.UNTYPED`: any canonical key, any
         picklable value.
+    metrics:
+        The rank's :class:`~repro.obs.metrics.MetricsRegistry`, which
+        receives ``mr.<phase>_s`` / ``_pairs`` / ``_bytes`` and the
+        ``sched.*`` counters; ``None`` (default) gives the handle its own.
     """
 
     def __init__(
@@ -128,6 +133,7 @@ class MapReduce:
         mapstyle: MapStyle = MapStyle.MASTER_WORKER,
         spool_dir: str | None = None,
         schema: RecordSchema | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.comm = comm.dup()
         self._tracer = self.comm.tracer
@@ -137,23 +143,16 @@ class MapReduce:
         self.schema = UNTYPED if schema is None else schema
         self.kv: Optional[ColumnarKeyValue] = None
         self.kmv: Optional[ColumnarKeyMultiValue] = None
-        #: accumulated seconds per phase: map/aggregate/convert/reduce/gather
-        self.timers: dict[str, float] = {}
-        #: accumulated traffic per phase: {"pairs_moved", "bytes_moved"}.
-        #: Only pairs staged for *other* ranks count as moved; bytes are
-        #: the exact ``nbytes`` of the wire arrays.
-        self.stats: dict[str, dict[str, int]] = {}
+        #: where every phase's seconds and traffic accumulate.  Only pairs
+        #: staged for *other* ranks count as moved; bytes are the exact
+        #: ``nbytes`` of the wire arrays.
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         #: the master's report of the most recent MASTER_WORKER map
         #: (``None`` until one runs on more than one rank).
         self.sched: Optional[SchedReport] = None
-        #: counters accumulated across all MASTER_WORKER maps.
-        self.sched_stats: dict[str, int] = {
-            "speculated": 0, "wasted": 0, "reassigned": 0}
         #: *global* ranks lost across all degraded maps (the comm shrinks
         #: past them, so comm-local numbering is not stable).
         self.lost_ranks: tuple[int, ...] = ()
-        #: True once any map completed degraded (a rank was lost).
-        self.degraded_run = False
 
     # --------------------------------------------------------------- plumbing
 
@@ -164,6 +163,13 @@ class MapReduce:
     @property
     def size(self) -> int:
         return self.comm.size
+
+    @property
+    def timers(self) -> dict[str, float]:
+        """Seconds per phase that has run (``map``, ``aggregate``, ...),
+        read off :attr:`metrics`."""
+        return {name[3:-2]: value for name, value in self.metrics.snapshot().items()
+                if name.startswith("mr.") and name.endswith("_s")}
 
     def _fresh_kv(self, schema: Any = KEEP_SCHEMA) -> ColumnarKeyValue:
         """An empty KV store: the current schema, ``None`` for untyped, or
@@ -182,26 +188,24 @@ class MapReduce:
         return t0
 
     def _phase_end(self, phase: str, t0: float, **attrs) -> None:
-        """Close a phase: one ``dt`` feeds both the legacy timer and the
-        span's ``seconds`` attribute, so trace-derived phase totals are
-        bit-identical to :attr:`timers` (same floats, same addition order).
+        """Close a phase: one ``dt`` feeds both the ``mr.<phase>_s``
+        counter and the span's ``seconds`` attribute, so trace-derived
+        phase totals are bit-identical to :attr:`timers` (same floats, same
+        addition order).
         """
         dt = time.perf_counter() - t0
-        self.timers[phase] = self.timers.get(phase, 0.0) + dt
+        self.metrics.counter(f"mr.{phase}_s").inc(dt)
         trc = self._tracer
         if trc.enabled:
             trc.end(seconds=dt, **attrs)
 
     def _bump(self, phase: str, pairs: int, nbytes: int) -> None:
-        st = self.stats.setdefault(phase, {"pairs_moved": 0, "bytes_moved": 0})
-        st["pairs_moved"] += int(pairs)
-        st["bytes_moved"] += int(nbytes)
+        self.metrics.counter(f"mr.{phase}_pairs").inc(int(pairs))
+        self.metrics.counter(f"mr.{phase}_bytes").inc(int(nbytes))
         trc = self._tracer
         if trc.enabled:
             trc.instant("mr.traffic", cat="mr", phase=phase,
                         pairs=int(pairs), bytes=int(nbytes))
-            trc.metrics.counter(f"mr.{phase}.pairs_moved").add(int(pairs))
-            trc.metrics.counter(f"mr.{phase}.bytes_moved").add(int(nbytes))
 
     def _require_kv(self) -> ColumnarKeyValue:
         if self.kv is None:
@@ -333,11 +337,10 @@ class MapReduce:
             self.comm = self.comm.shrink(sorted(dead_local))
             self._tracer = self.comm.tracer
             self.lost_ranks = tuple(sorted(set(self.lost_ranks) | set(lost_global)))
-            self.degraded_run = True
+            self.metrics.counter("sched.lost_ranks").inc(len(lost_global))
         self.sched = report
-        self.sched_stats["speculated"] += report.speculated
-        self.sched_stats["wasted"] += report.wasted
-        self.sched_stats["reassigned"] += report.reassigned
+        for kind in ("speculated", "wasted", "reassigned"):
+            self.metrics.counter(f"sched.{kind}_units").inc(getattr(report, kind))
 
     def _run_sched_master(
         self,
@@ -942,11 +945,18 @@ class MapReduce:
         )
 
     def shuffle_stats(self) -> dict[str, dict[str, int]]:
-        """Collective: per-phase traffic counters summed over all ranks."""
-        phases = sorted(set(self.comm.allreduce(list(self.stats), op=SUM)))
+        """Collective: per-phase ``{"pairs_moved", "bytes_moved"}`` read off
+        every rank's :attr:`metrics` and summed."""
+        mine: dict[str, dict[str, int]] = {}
+        for name, value in self.metrics.snapshot().items():
+            if name.startswith("mr.") and name.endswith(("_pairs", "_bytes")):
+                phase, _, what = name[3:].rpartition("_")
+                mine.setdefault(phase, {"pairs_moved": 0, "bytes_moved": 0})[
+                    f"{what}_moved"] = int(value)
+        phases = sorted(set(self.comm.allreduce(list(mine), op=SUM)))
         out: dict[str, dict[str, int]] = {}
         for phase in phases:
-            local = self.stats.get(phase, {"pairs_moved": 0, "bytes_moved": 0})
+            local = mine.get(phase, {"pairs_moved": 0, "bytes_moved": 0})
             out[phase] = {
                 "pairs_moved": int(self.comm.allreduce(local["pairs_moved"], op=SUM)),
                 "bytes_moved": int(self.comm.allreduce(local["bytes_moved"], op=SUM)),
@@ -960,10 +970,10 @@ class MapReduce:
 
         The resident service (:mod:`repro.serve`) reuses one MapReduce object
         per rank across its whole session — one ``dup``'d communicator, one
-        spool directory, cumulative :attr:`timers`/:attr:`stats`/scheduler
-        counters — instead of tearing it down per job.  ``reset()`` is the
-        per-job boundary: both datasets are closed (spill pages reclaimed)
-        so the next ``map_items`` starts clean.
+        spool directory, cumulative :attr:`metrics` — instead of tearing it
+        down per job.  ``reset()`` is the per-job boundary: both datasets
+        are closed (spill pages reclaimed) so the next ``map_items`` starts
+        clean.
         """
         if self.kv is not None:
             self.kv.close()

@@ -94,8 +94,6 @@ class PageSpool:
         if trc.enabled:
             trc.instant("spool.write", cat="spool", page=len(self._layout) - 1,
                         records=nrecords, bytes=nbytes)
-            trc.metrics.counter("spool.pages_written").inc()
-            trc.metrics.counter("spool.bytes_written").add(nbytes)
         return nbytes
 
     def read_page(self, index: int) -> tuple[np.ndarray, ...]:
@@ -107,7 +105,6 @@ class PageSpool:
         trc = current_tracer()
         if trc.enabled:
             trc.instant("spool.read", cat="spool", page=index)
-            trc.metrics.counter("spool.pages_read").inc()
         return tuple(self.read_rows(index, i, 0, shape[0])
                      for i, (_start, _dtype, shape) in enumerate(self._layout[index]))
 

@@ -8,8 +8,8 @@ package) that every other layer instruments itself with:
   including a DES environment's ``now``), bounded memory with optional
   JSONL spill;
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
-  histograms absorbing the hand-rolled stats the drivers used to thread
-  around by hand;
+  histograms: the one record of every number a rank reports, which result
+  structs read back as views;
 - exporters — Chrome ``trace_event`` JSON (open in ``chrome://tracing`` or
   Perfetto), a per-rank/per-phase text summary, and a critical-path /
   straggler report that recomputes the paper's Fig. 5 utilisation numbers

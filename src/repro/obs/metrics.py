@@ -1,23 +1,49 @@
 """Counters, gauges and histograms behind one get-or-create registry.
 
-The registry absorbs the hand-rolled stats the drivers used to thread
-around by hand (``SearchStats`` stage timers, ``shuffle_stats()``
-pairs/bytes, robustness counters): instrumented code asks its rank's
-:class:`MetricsRegistry` for a named instrument and bumps it; reports read
-:meth:`MetricsRegistry.snapshot` afterwards and
-:func:`merge_snapshots` folds per-rank snapshots into job totals.
+The registry is the one record of every number a rank reports.  Each
+instrumented component (``MapReduce``, the mrblast mapper and reducer, the
+mrsom epoch loop, the resident rank loop, the query service) is handed its
+rank's :class:`MetricsRegistry`, holds the instruments it bumps and writes
+each number once.  Results are views: a driver returns
+:meth:`MetricsRegistry.snapshot` and its result struct reads fields off it
+(:func:`metric_field`); :func:`merge_snapshots` folds per-rank snapshots
+into job totals.
 
-Everything is plain Python on purpose — a counter bump is one dict lookup
-plus one float add, cheap enough to sit on the shuffle hot path.
+Names are ``<layer>.<what>``, with the unit as a suffix when it is not a
+count (``_s`` seconds, ``_bytes``):
+
+- ``mr.<phase>_s`` / ``mr.<phase>_pairs`` / ``mr.<phase>_bytes`` — a
+  ``MapReduce`` phase's seconds and the pairs and exact array bytes it
+  staged for other ranks;
+- ``sched.{speculated,wasted,reassigned}_units``, ``sched.lost_ranks`` —
+  the master/worker scheduler's re-issued work and degraded-mode losses;
+- ``blast.{seed,ungapped,gapped}_s``, ``blast.lookup_cache_hits``,
+  ``blast.fused_rounds``, ``blast.peak_slab_bytes`` (a high-water gauge) —
+  the engine, summed over a rank's work units;
+- ``mrblast.{units,busy_s,partition_switches,hits_emitted,queries_written,
+  hits_written,quarantined_units,map_failures}`` — the mrblast map and
+  reduce callables;
+- ``mrsom.{units,busy_s,init_s,bcast_s,reduce_s,smooth_s}`` — the mrsom
+  epoch loop;
+- ``serve.{jobs,ticks}`` — a resident rank's loop; the query service's own
+  registry adds ``serve.{submitted,delivered,batches,rejected,restarts,
+  resubmitted,degraded_batches,backpressure_engages}`` and the
+  ``serve.latency_s`` / ``serve.batch_size`` histograms.
+
+Everything is plain Python on purpose — a counter bump is one float add on
+an instrument the caller already holds, cheap enough to sit on the shuffle
+hot path.
 """
+
+from bisect import bisect_left
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "absorb_snapshot",
     "merge_snapshots",
+    "metric_field",
 ]
 
 
@@ -56,6 +82,11 @@ class Gauge:
         """Overwrite the gauge with *value*."""
         self.value = float(value)
 
+    def raise_to(self, value):
+        """Keep the larger of the gauge and *value* (a high-water mark)."""
+        if value > self.value:
+            self.value = float(value)
+
     def snapshot(self):
         """Return the current value."""
         return self.value
@@ -84,12 +115,7 @@ class Histogram:
     def observe(self, value):
         """Record one observation."""
         value = float(value)
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.buckets[idx] += 1
+        self.buckets[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
@@ -140,45 +166,15 @@ class MetricsRegistry:
         """Get or create the :class:`Histogram` called *name*."""
         return self._get(name, Histogram, bounds)
 
+    def value(self, name):
+        """Current value of the counter or gauge *name* (0 if never made)."""
+        inst = self._instruments.get(name)
+        return 0 if inst is None else inst.value
+
     def snapshot(self):
         """Return ``{name: snapshot}`` for every instrument, sorted."""
         return {name: self._instruments[name].snapshot()
                 for name in sorted(self._instruments)}
-
-
-def absorb_snapshot(registry, snapshot):
-    """Fold one registry *snapshot* into live *registry* instruments.
-
-    Used by the process transport: each rank runs in its own process with a
-    fork-copied registry, ships ``registry.snapshot()`` back in its exit
-    envelope, and the parent absorbs it here so post-job reports see the
-    same numbers the thread backend would have produced in place.
-
-    Counters add; gauges keep the incoming value (last write wins, matching
-    a live cross-thread ``set``); histograms replay bucket-wise (bounds are
-    taken from the snapshot for instruments the parent has not seen yet).
-    Float values transfer exactly — pickling preserves float bits — so
-    trace-fidelity checks that compare counter sums across backends hold
-    to the last ulp.
-    """
-    for name, value in snapshot.items():
-        if isinstance(value, dict):
-            hist = registry.histogram(name, bounds=tuple(value["bounds"]))
-            if hist.bounds != tuple(value["bounds"]):
-                raise ValueError(f"histogram {name!r}: mismatched bounds")
-            hist.count += value["count"]
-            hist.total += value["sum"]
-            hist.buckets = [a + b for a, b in zip(hist.buckets, value["buckets"])]
-            mins = [m for m in (hist.min, value["min"]) if m is not None]
-            maxs = [m for m in (hist.max, value["max"]) if m is not None]
-            hist.min = min(mins) if mins else None
-            hist.max = max(maxs) if maxs else None
-        else:
-            inst = registry._instruments.get(name)
-            if isinstance(inst, Gauge):
-                inst.set(value)
-            else:
-                registry.counter(name).value += value
 
 
 def merge_snapshots(snapshots):
@@ -190,29 +186,32 @@ def merge_snapshots(snapshots):
     merged = {}
     for snap in snapshots:
         for name, value in snap.items():
-            if isinstance(value, dict):
-                cur = merged.get(name)
-                if cur is None:
-                    merged[name] = {
-                        "count": value["count"],
-                        "sum": value["sum"],
-                        "min": value["min"],
-                        "max": value["max"],
-                        "bounds": list(value["bounds"]),
-                        "buckets": list(value["buckets"]),
-                    }
-                else:
-                    if cur["bounds"] != list(value["bounds"]):
-                        raise ValueError(
-                            f"histogram {name!r}: mismatched bounds")
-                    cur["count"] += value["count"]
-                    cur["sum"] += value["sum"]
-                    mins = [m for m in (cur["min"], value["min"]) if m is not None]
-                    maxs = [m for m in (cur["max"], value["max"]) if m is not None]
-                    cur["min"] = min(mins) if mins else None
-                    cur["max"] = max(maxs) if maxs else None
-                    cur["buckets"] = [a + b for a, b in
-                                      zip(cur["buckets"], value["buckets"])]
+            cur = merged.get(name)
+            if not isinstance(value, dict):
+                merged[name] = (cur or 0.0) + value
+            elif cur is None:
+                merged[name] = dict(value, bounds=list(value["bounds"]),
+                                    buckets=list(value["buckets"]))
+            elif cur["bounds"] != list(value["bounds"]):
+                raise ValueError(f"histogram {name!r}: mismatched bounds")
             else:
-                merged[name] = merged.get(name, 0.0) + value
+                cur["count"] += value["count"]
+                cur["sum"] += value["sum"]
+                cur["min"] = min((m for m in (cur["min"], value["min"]) if m is not None),
+                                 default=None)
+                cur["max"] = max((m for m in (cur["max"], value["max"]) if m is not None),
+                                 default=None)
+                cur["buckets"] = [a + b for a, b in zip(cur["buckets"], value["buckets"])]
     return dict(sorted(merged.items()))
+
+
+def metric_field(name, kind=float):
+    """A read-only result attribute backed by ``self.metrics[name]``.
+
+    Result structs hold their rank's registry snapshot in a ``metrics``
+    field and declare each reported number as ``units = metric_field(
+    "mrblast.units", int)``: the number lives in the snapshot only, and a
+    metric the rank never touched reads as zero.
+    """
+    return property(lambda self: kind(self.metrics.get(name, 0)),
+                    doc=f"``{name}`` of :attr:`metrics`.")

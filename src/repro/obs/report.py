@@ -1,15 +1,15 @@
 """Trace analysis: phase durations, shuffle traffic, Fig. 5 utilisation.
 
-Every function here recomputes, *from the trace alone*, numbers the stack
-also tracks through legacy counters (``MapReduce.timers``/``.stats``,
-``MapperStats``, ``MrBlastResult``), so the cross-check suite can assert
-exact agreement and the counters can later be retired safely.
+Every function here recomputes, *from the trace alone*, numbers each rank
+also writes into its :class:`~repro.obs.metrics.MetricsRegistry` (and its
+result structs read back), so the cross-check suite can assert exact
+agreement between the two records.
 
 The instrumentation makes exactness possible: a phase span's ``E`` event
 carries a ``seconds`` attribute computed from the *same*
-``perf_counter()`` pair that incremented the legacy timer, and sums here
-run left-to-right in event order — bit-identical float addition order to
-the legacy accumulation.
+``perf_counter()`` pair that incremented the counter, and sums here run
+left-to-right in event order — bit-identical float addition order to the
+counter's accumulation.
 """
 
 __all__ = [
@@ -42,7 +42,7 @@ def phase_durations(session, prefix="mr."):
 
     Returns ``{rank: {phase: seconds}}`` with phase names stripped of
     *prefix* (``"mr.map"`` → ``"map"``).  Summation order matches the
-    legacy ``MapReduce.timers`` accumulation exactly.
+    ``mr.<phase>_s`` counters (``MapReduce.timers``) exactly.
     """
     out = {}
     for trc in session.tracers:
@@ -63,7 +63,8 @@ def shuffle_traffic(session):
 
     Returns ``{"per_rank": {rank: {phase: {"pairs": n, "bytes": n}}},
     "totals": {phase: {"pairs": n, "bytes": n}}}`` — integers, so the
-    cross-check against ``MapReduce.stats`` is exact by construction.
+    cross-check against the ``mr.<phase>_pairs`` / ``_bytes`` counters is
+    exact by construction.
     """
     per_rank = {}
     totals = {}
@@ -86,7 +87,7 @@ def stage_breakdown(session):
 
     Returns ``{rank: {"seed_s", "ungapped_s", "gapped_s", "busy_s",
     "units", "hits"}}``.  The per-unit attributes are the exact floats
-    ``MapperStats`` accumulated, added in the same order, so sums agree
+    the mapper added to its counters, in the same order, so sums agree
     bit-for-bit with ``MrBlastResult.seed_seconds`` et al.
     """
     out = {}

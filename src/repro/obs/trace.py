@@ -34,8 +34,6 @@ import json
 import threading
 import time
 
-from repro.obs.metrics import MetricsRegistry
-
 __all__ = [
     "Tracer",
     "NullTracer",
@@ -117,7 +115,6 @@ class Tracer:
         self.max_events = max_events
         self.spill_path = str(spill_path) if spill_path is not None else None
         self.events = []
-        self.metrics = MetricsRegistry()
         self.dropped_events = 0
         self.spilled_events = 0
         self._seq = 0
@@ -253,7 +250,6 @@ class NullTracer:
     events = ()
     dropped_events = 0
     spilled_events = 0
-    metrics = MetricsRegistry()
 
     def begin(self, name, cat="", **attrs):
         """No-op; returns a dummy span id."""

@@ -37,7 +37,6 @@ from repro.serve.session import (
     BlockResult,
     ResidentBlastSession,
     ServeConfig,
-    ServeRankStats,
     serve_rank_main,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "ResidentBlastSession",
     "BlockJob",
     "BlockResult",
-    "ServeRankStats",
     "serve_rank_main",
     "Coalescer",
     "Submission",

@@ -11,12 +11,15 @@ per-query results — in submission order — to one output file::
 benchmark (``--machine-model``, default ``BENCH_shuffle.json`` when
 present) to advise the batch size; any positive value pins it.  The
 output is byte-identical, per query, to what a one-shot ``mrblast`` run
-would have produced for the same inputs.
+would have produced for the same inputs.  ``--metrics PATH`` writes the
+service's metrics snapshot and every resident rank's, taken from the
+running ranks once all queries have resolved, as one JSON file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 
@@ -85,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(results then also append to --out via the ledger)")
     ap.add_argument("--timeout", type=float, default=300.0,
                     help="overall drain timeout, seconds")
+    ap.add_argument("--metrics", default=None, metavar="PATH",
+                    help="write {service, ranks} metrics snapshots here as JSON")
     return ap
 
 
@@ -130,6 +135,10 @@ def main(argv: list[str] | None = None) -> int:
         futures = submit_all(service, records)
         service.drain(timeout=args.timeout)
         results = [f.result(timeout=0.0) for f in futures]
+        if args.metrics:
+            with open(args.metrics, "w", encoding="utf-8") as fh:
+                json.dump({"service": service.metrics.snapshot(),
+                           "ranks": service.rank_metrics()}, fh, indent=1, sort_keys=True)
     finally:
         service.close()
     elapsed = time.perf_counter() - t0

@@ -23,6 +23,11 @@ each batch materialised; the service keeps an EWMA of bytes per query and
 engages the high/low watermark gauge when the estimated working set of
 everything admitted-but-unresolved approaches the ranks' ``memsize``
 budget.
+
+Counts, the submit-to-deliver latency and the batch sizes go into
+:attr:`QueryService.metrics`; :attr:`QueryService.stats` reads the counts
+back by their short names, and :meth:`QueryService.rank_metrics` asks the
+running ranks for theirs.
 """
 
 from __future__ import annotations
@@ -34,12 +39,20 @@ from typing import Callable
 
 from repro.bio.seq import SeqRecord
 from repro.core.checkpoint import atomic_write_json, read_json
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.serve.admission import AdmissionController, AdmissionError, BackpressureGauge
 from repro.serve.coalescer import Coalescer, QueryBatch, Submission
 from repro.serve.session import BlockJob, BlockResult, ResidentBlastSession, ServeConfig
 
 __all__ = ["QueryFuture", "DeliveryLedger", "QueryService"]
+
+#: the service's ``serve.<name>`` counters, by the names :attr:`QueryService.stats` uses
+_COUNTS = ("submitted", "delivered", "batches", "rejected", "restarts",
+           "degraded_batches", "backpressure_engages", "resubmitted")
+
+#: histogram bounds of ``serve.batch_size`` (queries per dispatched job)
+_BATCH_BOUNDS = (1, 2, 4, 8, 16, 32, 64)
 
 
 class QueryFuture:
@@ -197,11 +210,24 @@ class QueryService:
         self._pump_stop = threading.Event()
         #: set by submit(): ends an idle pump's wait at once
         self._wake = threading.Event()
-        self.stats = {
-            "submitted": 0, "delivered": 0, "batches": 0, "rejected": 0,
-            "restarts": 0, "degraded_batches": 0, "backpressure_engages": 0,
-            "resubmitted": 0,
-        }
+        #: the service's own record (names in :mod:`repro.obs.metrics`)
+        self.metrics = MetricsRegistry()
+        self._count = {name: self.metrics.counter(f"serve.{name}") for name in _COUNTS}
+        self._latency = self.metrics.histogram("serve.latency_s")
+        self._batch_size = self.metrics.histogram("serve.batch_size", _BATCH_BOUNDS)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """The service's counts by short name (``"batches"``, ...), read
+        off :attr:`metrics`."""
+        return {name: int(counter.value) for name, counter in self._count.items()}
+
+    def rank_metrics(self, timeout: float = 30.0) -> list[dict | None]:
+        """Every resident rank's metrics snapshot, from the running session
+        (see :meth:`ResidentBlastSession.rank_metrics`)."""
+        with self._lock:
+            session = self._ensure_session()
+        return session.rank_metrics(timeout)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -287,10 +313,10 @@ class QueryService:
         with self._lock:
             now = self._clock()
             if self._closed:
-                self.stats["rejected"] += 1
+                self._count["rejected"].inc()
                 raise AdmissionError("closed", "service is shut down")
             if self._gauge.engaged:
-                self.stats["rejected"] += 1
+                self._count["rejected"].inc()
                 raise AdmissionError(
                     "backpressure",
                     f"KV working-set estimate {self._gauge.last_estimate} >= "
@@ -299,7 +325,7 @@ class QueryService:
                 self._admission.try_admit(
                     tenant, self._unresolved(), self._tenant_pending.get(tenant, 0))
             except AdmissionError:
-                self.stats["rejected"] += 1
+                self._count["rejected"].inc()
                 raise
             sub = Submission(
                 seq=self._next_seq, query=query, tenant=tenant,
@@ -309,7 +335,7 @@ class QueryService:
             self._futures[sub.seq] = fut
             self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
             self._coalescer.add(sub, now)
-            self.stats["submitted"] += 1
+            self._count["submitted"].inc()
             if self._tracer.enabled:
                 self._tracer.instant(
                     "serve.submit", cat="serve", seq=sub.seq, tenant=tenant,
@@ -322,7 +348,7 @@ class QueryService:
         transition = self._gauge.update(self._estimate_bytes())
         if transition is not None:
             if transition == "engage":
-                self.stats["backpressure_engages"] += 1
+                self._count["backpressure_engages"].inc()
             if self._tracer.enabled:
                 self._tracer.instant(
                     "serve.backpressure", cat="serve", state=transition,
@@ -343,10 +369,11 @@ class QueryService:
         """Replace a dead session and resubmit unresolved in-flight work."""
         assert self._session is not None
         failure = self._session.failure
-        self.stats["restarts"] += 1
-        if self.stats["restarts"] > self.max_restarts:
+        restarts = self._count["restarts"]
+        restarts.inc()
+        if restarts.value > self.max_restarts:
             raise RuntimeError(
-                f"session failed {self.stats['restarts']} times; giving up"
+                f"session failed {int(restarts.value)} times; giving up"
             ) from failure
         if self._tracer.enabled:
             self._tracer.instant(
@@ -360,7 +387,7 @@ class QueryService:
                 s for s in submissions
                 if s.seq in self._futures and not self._futures[s.seq].done())
             if unresolved:
-                self.stats["resubmitted"] += len(unresolved)
+                self._count["resubmitted"].inc(len(unresolved))
                 self._dispatch_submissions(unresolved, reason="resubmit")
 
     def _dispatch_submissions(self, submissions: tuple[Submission, ...], reason: str) -> None:
@@ -377,7 +404,8 @@ class QueryService:
             if not self._session.closed:
                 raise
             return
-        self.stats["batches"] += 1
+        self._count["batches"].inc()
+        self._batch_size.observe(len(submissions))
         if self._tracer.enabled:
             self._tracer.instant(
                 "serve.batch", cat="serve", job_id=job_id,
@@ -386,10 +414,10 @@ class QueryService:
     def _dispatch(self, batch: QueryBatch) -> None:
         self._dispatch_submissions(batch.submissions, reason=batch.reason)
 
-    def _deliver(self, env: BlockResult) -> None:
+    def _deliver(self, env: BlockResult, now: float) -> None:
         submissions = self._inflight.pop(env.job_id, ())
         if env.degraded:
-            self.stats["degraded_batches"] += 1
+            self._count["degraded_batches"].inc()
         if env.kv_bytes and submissions:
             per_query = env.kv_bytes / len(submissions)
             # EWMA so one unusual batch does not whipsaw the gauge.
@@ -408,7 +436,8 @@ class QueryService:
                 if self._ledger is not None:
                     self._ledger.record(qid, data)
             fut._resolve(data)
-            self.stats["delivered"] += 1
+            self._count["delivered"].inc()
+            self._latency.observe(now - sub.submitted_at)
             left = self._tenant_pending.get(sub.tenant, 1) - 1
             if left <= 0:
                 self._tenant_pending.pop(sub.tenant, None)
@@ -448,14 +477,14 @@ class QueryService:
                 return 0
             self._wake.clear()
             session = self._ensure_session()
+            now = self._clock() if now is None else now
             delivered = 0
             if env is None:
                 env = session.poll_result()
             while env is not None:
-                self._deliver(env)
+                self._deliver(env, now)
                 delivered += 1
                 env = session.poll_result()
-            now = self._clock() if now is None else now
             for batch in self._coalescer.poll(now, idle=not self._inflight):
                 self._dispatch(batch)
             if session.failed:

@@ -19,6 +19,12 @@ back.  No collective runs inside
 a job.  While the queue is idle, rank 0 broadcasts keepalive ticks so
 blocked ranks never trip the transport's operation timeout.
 
+Every number a rank counts goes into its pipeline's
+:class:`~repro.obs.metrics.MetricsRegistry`; the loop adds ``serve.jobs``
+and ``serve.ticks``.  A running session answers
+:meth:`ResidentBlastSession.rank_metrics` with every live rank's snapshot,
+and each rank returns its last one when the session stops.
+
 Degraded mode composes unchanged: a worker dying mid-map raises
 :class:`~repro.mpi.exceptions.DegradedRankLoss` out of the rank loop (the
 rank leaves the session permanently), survivors shrink the session
@@ -44,7 +50,6 @@ __all__ = [
     "ServeConfig",
     "BlockJob",
     "BlockResult",
-    "ServeRankStats",
     "ResidentBlastSession",
     "serve_rank_main",
 ]
@@ -117,30 +122,23 @@ class BlockResult:
     no surviving hits are simply absent (the service resolves them to empty
     bytes).  ``kv_bytes`` is the exact ``nbytes`` of the job's columnar map
     output, every rank's, as gathered on rank 0 — the measurement the
-    service's backpressure gauge feeds on.
+    service's backpressure gauge feeds on.  ``lost_ranks`` are the global
+    ranks the session has lost so far.
     """
 
     job_id: int
     results: dict[str, bytes]
-    hits: int = 0
     kv_bytes: int = 0
-    degraded: bool = False
     lost_ranks: tuple[int, ...] = ()
 
+    @property
+    def degraded(self) -> bool:
+        """True once the session serves without some of its ranks."""
+        return bool(self.lost_ranks)
 
-@dataclass
-class ServeRankStats:
-    """Per-rank lifetime counters, returned when the session shuts down."""
 
-    rank: int
-    jobs_run: int = 0
-    units_processed: int = 0
-    partition_switches: int = 0
-    hits_emitted: int = 0
-    lookup_cache_hits: int = 0
-    ticks_seen: int = 0
-    degraded: bool = False
-    lost_ranks: tuple[int, ...] = ()
+#: what the parent puts on the job queue to ask for every rank's snapshot
+_METRICS = "metrics"
 
 
 def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, bytes], int] | None:
@@ -150,7 +148,7 @@ def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, by
     ``nbytes`` of every rank's map output gathered on rank 0.
     """
     pipeline.mapper.set_query_blocks([list(job.queries)])
-    demux = MrBlastReducer(pipeline.mapper.options)
+    demux = MrBlastReducer(pipeline.mapper.options, metrics=pipeline.metrics)
     kv_bytes = pipeline.iterate(
         {rec.id: i for i, rec in enumerate(job.queries)}, demux, reduce_at_root=True)
     if pipeline.mr.rank != 0:
@@ -158,41 +156,54 @@ def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, by
     return demux.results, kv_bytes
 
 
-def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> ServeRankStats:
+def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any,
+                    replies: Any) -> dict:
     """SPMD body of the resident session: loop on broadcast directives.
 
-    ``jobs``/``results`` are queues shared with the parent (``queue.Queue``
-    on the thread backend, fork-inherited ``multiprocessing`` queues on the
-    process backend).  Only rank 0 touches them; peers learn everything via
-    broadcast.  Directives are ``("job", BlockJob)``, ``("tick", None)``
-    (keepalive) and ``("stop", None)``.
+    ``jobs``/``results``/``replies`` are queues shared with the parent
+    (``queue.Queue`` on the thread backend, fork-inherited
+    ``multiprocessing`` queues on the process backend).  Only rank 0
+    touches them; peers learn everything via broadcast.  Directives are
+    ``("job", BlockJob)``, ``("metrics", None)`` (every live rank's
+    snapshot, gathered to rank 0 and put on ``replies`` in global rank
+    order), ``("tick", None)`` (keepalive) and ``("stop", None)``.
+    Returns the rank's metrics snapshot.
     """
     pipeline = BlastPipeline(comm, cfg)
-    mapper, mr = pipeline.mapper, pipeline.mr
-
-    stats = ServeRankStats(rank=comm.rank)
+    mr, metrics = pipeline.mr, pipeline.metrics
+    jobs_run, ticks = metrics.counter("serve.jobs"), metrics.counter("serve.ticks")
     live_comm = comm
+    lost: tuple[int, ...] = ()
     trc = comm.tracer
     try:
         while True:
             if live_comm.rank == 0:
                 try:
-                    directive = ("job", jobs.get(timeout=cfg.idle_tick))
+                    item = jobs.get(timeout=cfg.idle_tick)
                 except queue.Empty:
                     # Keepalive: peers are blocked in this bcast; ticking
                     # well inside the op timeout keeps the idle session from
                     # tripping deadlock detection.
                     directive = ("tick", None)
                 else:
-                    if directive[1] is None:
-                        directive = ("stop", None)
+                    directive = (("stop", None) if item is None
+                                 else ("metrics", None) if item == _METRICS
+                                 else ("job", item))
             else:
                 directive = None
             kind, payload = live_comm.bcast(directive, root=0)
             if kind == "stop":
                 break
             if kind == "tick":
-                stats.ticks_seen += 1
+                ticks.inc()
+                continue
+            if kind == "metrics":
+                snapshots = live_comm.gather(metrics.snapshot(), root=0)
+                if live_comm.rank == 0:
+                    by_rank: list[dict | None] = [None] * comm.size
+                    for local, snapshot in enumerate(snapshots):
+                        by_rank[live_comm.group[local]] = snapshot
+                    replies.put(by_rank)
                 continue
             job: BlockJob = payload
             # Jobs must leave the span stack exactly as they found it:
@@ -208,35 +219,23 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any) -> Se
                 outcome = _run_block_job(pipeline, job)
                 if outcome is not None:
                     merged, kv_bytes = outcome
-                    results.put(BlockResult(
-                        job_id=job.job_id,
-                        results=merged,
-                        hits=sum(v.count(b"\n") for v in merged.values()),
-                        kv_bytes=kv_bytes,
-                        degraded=mr.degraded_run,
-                        lost_ranks=mr.lost_ranks,
-                    ))
+                    results.put(BlockResult(job.job_id, merged, kv_bytes, mr.lost_ranks))
                 if trc.enabled:
                     trc.end(sid)
             finally:
                 trc.unwind(to_depth=depth)
-            stats.jobs_run += 1
-            if mr.degraded_run and set(mr.lost_ranks) - set(stats.lost_ranks):
+            jobs_run.inc()
+            newly = set(mr.lost_ranks) - set(lost)
+            if newly:
                 # Survivors agree on the newly dead global ranks (the sched
                 # master told everyone); shrink the session communicator so
                 # subsequent broadcasts span only the living.
-                newly = set(mr.lost_ranks) - set(stats.lost_ranks)
                 dead_local = [i for i, g in enumerate(live_comm.group) if g in newly]
                 live_comm = live_comm.shrink(sorted(dead_local))
-                stats.degraded = True
-                stats.lost_ranks = mr.lost_ranks
+                lost = mr.lost_ranks
     finally:
         pipeline.close()
-    stats.units_processed = mapper.stats.units_processed
-    stats.partition_switches = mapper.stats.partition_switches
-    stats.hits_emitted = mapper.stats.hits_emitted
-    stats.lookup_cache_hits = mapper.stats.lookup_cache_hits
-    return stats
+    return metrics.snapshot()
 
 
 class ResidentBlastSession:
@@ -244,7 +243,8 @@ class ResidentBlastSession:
 
     ``start()`` brings the ranks up (DB partitions preload lazily on first
     use, lookup caches stay warm across jobs); ``submit()`` enqueues a
-    :class:`BlockJob`; ``poll_result()`` retrieves envelopes; ``stop()``
+    :class:`BlockJob`; ``poll_result()`` retrieves envelopes;
+    ``rank_metrics()`` asks the running ranks for their metrics; ``stop()``
     broadcasts the shutdown sentinel and joins.  A watcher thread owns the
     join so a crashed session is detected promptly: check :attr:`failed` /
     :attr:`failure` between pumps.
@@ -259,10 +259,11 @@ class ResidentBlastSession:
         self._job: SpmdJob | None = None
         self._jobs_q: Any = None
         self._results_q: Any = None
+        self._replies_q: Any = None
         self._watcher: threading.Thread | None = None
         self._done = threading.Event()
         self._failure: BaseException | None = None
-        self._rank_stats: list[ServeRankStats | None] | None = None
+        self._final_metrics: list[dict | None] | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -274,15 +275,15 @@ class ResidentBlastSession:
             import multiprocessing
 
             ctx = multiprocessing.get_context("fork")
-            self._jobs_q = ctx.Queue()
-            self._results_q = ctx.Queue()
+            self._jobs_q, self._results_q, self._replies_q = (
+                ctx.Queue(), ctx.Queue(), ctx.Queue())
         else:
-            self._jobs_q = queue.Queue()
-            self._results_q = queue.Queue()
+            self._jobs_q, self._results_q, self._replies_q = (
+                queue.Queue(), queue.Queue(), queue.Queue())
         self._job = SpmdJob(
             self.cfg.nprocs,
             serve_rank_main,
-            (self.cfg, self._jobs_q, self._results_q),
+            (self.cfg, self._jobs_q, self._results_q, self._replies_q),
             op_timeout=self.cfg.op_timeout,
             fault_plan=self.fault_plan,
             trace=self.trace,
@@ -304,7 +305,7 @@ class ResidentBlastSession:
             # ``session_budget`` join budget applies only to the shutdown
             # drain and is enforced by :meth:`stop`, which aborts the
             # transport if the ranks outlive it.
-            self._rank_stats = self._job.wait(float("inf"))
+            self._final_metrics = self._job.wait(float("inf"))
         except BaseException as exc:  # noqa: BLE001 - report anything
             self._failure = exc
         finally:
@@ -325,11 +326,6 @@ class ResidentBlastSession:
         """True once every rank has exited (cleanly or not)."""
         return self._done.is_set()
 
-    @property
-    def rank_stats(self) -> list[ServeRankStats | None] | None:
-        """Per-rank lifetime counters after a clean shutdown (else None)."""
-        return self._rank_stats
-
     # -- request plane -------------------------------------------------
 
     def submit(self, job: BlockJob) -> None:
@@ -339,6 +335,22 @@ class ResidentBlastSession:
         if self._done.is_set():
             raise RuntimeError("session is closed")
         self._jobs_q.put(job)
+
+    def rank_metrics(self, timeout: float = 30.0) -> list[dict | None]:
+        """Every rank's metrics snapshot, gathered by the running ranks.
+
+        The request queues behind the jobs already submitted, so their
+        counts are in it; a rank lost to degraded mode reads ``None``.
+        Raises :class:`TimeoutError` when no reply arrives in ``timeout``
+        seconds.  Callers asking concurrently may receive each other's
+        reply: both are snapshots taken after their request was queued.
+        """
+        self.submit(_METRICS)
+        try:
+            return self._replies_q.get(timeout=timeout)
+        except queue.Empty:
+            raise TimeoutError(
+                f"no metrics reply from the ranks within {timeout}s") from None
 
     def poll_result(self, timeout: float | None = 0.0) -> BlockResult | None:
         """Next result envelope, or None when nothing is ready in time."""
@@ -351,8 +363,9 @@ class ResidentBlastSession:
         except queue.Empty:
             return None
 
-    def stop(self, timeout: float | None = None) -> list[ServeRankStats | None] | None:
-        """Broadcast shutdown, join the ranks, return per-rank stats.
+    def stop(self, timeout: float | None = None) -> list[dict | None] | None:
+        """Broadcast shutdown, join the ranks, return their last metrics
+        snapshots (``None`` for a rank lost to degraded mode).
 
         The join budget (``timeout``, defaulting to ``cfg.session_budget``)
         runs from the shutdown sentinel enqueued here — a session that
@@ -373,4 +386,4 @@ class ResidentBlastSession:
             raise err
         if self._failure is not None:
             raise self._failure
-        return self._rank_stats
+        return self._final_metrics

@@ -452,7 +452,7 @@ class TestStragglerMitigation:
 
         def gated(acc, itask, item, kv):
             if me.rank == 2:
-                if acc.units == 1:
+                if acc.metrics.value("mrsom.units") == 1:
                     dying.set()
                     raise RankFailure(-1, -1)
             else:

@@ -1,12 +1,15 @@
-"""Trace-vs-counters cross-check: the trace is a second source of truth.
+"""Trace-vs-registry cross-check: the trace is a second source of truth.
 
-Every number the stack reports through legacy counters — ``MapReduce``
-phase timers, shuffle pairs/bytes, ``MapperStats`` stage seconds, mrsom's
-bcast/reduce seconds — must be recomputable *exactly* from the trace.
-The instrumentation records the very float that incremented the counter
-as a span attribute and the reports sum in the same order, so agreement
-is asserted with ``==``, not ``approx``.
+Every number a rank writes into its metrics registry and reports through
+its result struct — ``MapReduce`` phase seconds, shuffle pairs/bytes, the
+mapper's stage seconds, mrsom's bcast/reduce seconds — must be
+recomputable *exactly* from the trace.  The instrumentation records the
+very float that incremented the counter as a span attribute and the
+reports sum in the same order, so agreement is asserted with ``==``, not
+``approx``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.blast import BlastOptions, format_database
 from repro.core import MrBlastConfig, MrSomConfig
-from repro.core.mrblast.driver import run_mrblast
+from repro.core.mrblast.driver import MrBlastResult, run_mrblast
 from repro.core.mrsom.driver import run_mrsom
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.mpi.runtime import run_spmd
@@ -124,6 +127,19 @@ class TestBlastCrosscheck:
         assert rep["straggler_rank"] in range(NPROCS)
         for rank in range(NPROCS):
             assert 0.0 <= rep["per_rank"][rank]["utilization"] <= 1.0
+
+    def test_result_numbers_live_in_the_rank_snapshot_only(self, blast_run):
+        """A result stores no count or seconds of its own: each reads the
+        snapshot of the registry the rank's components wrote."""
+        _session, results = blast_run
+        assert {f.name for f in dataclasses.fields(MrBlastResult)} == {
+            "rank", "output_path", "metrics", "resumed_from_iteration",
+            "faults_injected", "retries", "lost_ranks"}
+        for r in results:
+            assert r.units_processed == r.metrics.get("mrblast.units", 0)
+            assert r.hits_written == r.metrics["mrblast.hits_written"]
+            assert r.collate_seconds == r.metrics["mr.aggregate_s"] + r.metrics["mr.convert_s"]
+            assert not r.degraded and r.speculated_units == 0
 
     def test_every_rank_has_lifecycle_span(self, blast_run):
         session, _ = blast_run

@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     merge_snapshots,
+    metric_field,
 )
 
 
@@ -28,6 +29,12 @@ class TestInstruments:
         g.set(7)
         g.set(2.5)
         assert g.snapshot() == 2.5
+
+    def test_gauge_raise_to_keeps_the_high_water_mark(self):
+        g = Gauge("peak")
+        for v in (3, 9, 4):
+            g.raise_to(v)
+        assert g.snapshot() == 9.0
 
     def test_histogram_buckets_inclusive_upper_edges(self):
         h = Histogram("lat", bounds=(1.0, 10.0))
@@ -62,6 +69,34 @@ class TestRegistry:
         reg.counter("zeta").inc(1)
         reg.counter("alpha").inc(2)
         assert list(reg.snapshot()) == ["alpha", "zeta"]
+
+
+    def test_value_reads_without_creating(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc(2)
+        reg.gauge("g").set(5)
+        assert (reg.value("a"), reg.value("g"), reg.value("never")) == (2.0, 5.0, 0)
+        assert list(reg.snapshot()) == ["a", "g"]
+
+
+class TestMetricField:
+    class Result:
+        units = metric_field("x.units", int)
+        seconds = metric_field("x.busy_s")
+
+        def __init__(self, metrics):
+            self.metrics = metrics
+
+    def test_reads_the_snapshot_and_defaults_to_zero(self):
+        reg = MetricsRegistry()
+        reg.counter("x.units").inc(3)
+        res = self.Result(reg.snapshot())
+        assert res.units == 3 and isinstance(res.units, int)
+        assert res.seconds == 0.0
+
+    def test_is_read_only(self):
+        with pytest.raises(AttributeError):
+            self.Result({}).units = 4
 
 
 class TestMergeSnapshots:

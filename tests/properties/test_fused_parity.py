@@ -305,12 +305,3 @@ def test_fused_stats_accounting():
     # Stage timers cover disjoint code regions inside the busy interval.
     for s in (fs, ss):
         assert 0.0 < s.seed_seconds + s.ungapped_seconds + s.gapped_seconds <= s.busy_seconds
-
-    # merge() sums the counts and rounds and keeps the larger slab.
-    acc = type(fs)()
-    acc.merge(fs)
-    acc.merge(ss)
-    assert acc.fused_rounds == fs.fused_rounds
-    assert acc.peak_slab_bytes == fs.peak_slab_bytes
-    assert acc.n_contained == fs.n_contained
-    assert acc.n_gapped == fs.n_gapped + ss.n_gapped

@@ -325,7 +325,8 @@ def _shuffle_shape(comm, shape, memsize, exchange_bytes, spool, seed):
         buckets_hold = _buckets_hold(mr.kv)
         mr.convert()
         mr.reduce(reducer)
-        moved = mr.stats.get("aggregate", {"pairs_moved": 0, "bytes_moved": 0})
+        moved = {"pairs_moved": int(mr.metrics.value("mr.aggregate_pairs")),
+                 "bytes_moved": int(mr.metrics.value("mr.aggregate_bytes"))}
     finally:
         mr.close()
     return groups, wire_sorted, spilled, nbuckets, buckets_hold, moved, wire_bytes[0]

@@ -213,3 +213,26 @@ class TestProcessBackendParity:
                       for rank in (1, 2))
         assert ones.keys() == twos.keys() and len(ones) == svc.stats["batches"]
         assert all(ones[job] and twos[job] for job in ones), (ones, twos)
+
+
+class TestServeCli:
+    def test_cli_serves_the_oracle_bytes_and_writes_every_rank_metrics(
+            self, serve_workload, oracle, tmp_path):
+        import json
+
+        from repro.bio.fasta import write_fasta
+        from repro.serve import cli
+
+        alias_path, reads, _options = serve_workload
+        fasta, out, metrics = tmp_path / "q.fasta", tmp_path / "out.tsv", tmp_path / "m.json"
+        write_fasta(reads, fasta)
+        assert cli.main([
+            "--db", alias_path, "--queries", str(fasta), "--np", "2",
+            "--backend", "thread", "--evalue", "1e-4", "--max-hits", "25",
+            "--max-batch", "4", "--out", str(out), "--metrics", str(metrics)]) == 0
+        assert out.read_bytes() == b"".join(oracle[r.id] for r in reads)
+        record = json.loads(metrics.read_text())
+        service, ranks = record["service"], record["ranks"]
+        assert service["serve.delivered"] == service["serve.latency_s"]["count"] == len(reads)
+        assert [r["serve.jobs"] for r in ranks] == [service["serve.batches"]] * 2
+        assert sum(r["mrblast.units"] for r in ranks) > 0

@@ -62,6 +62,31 @@ def q(i):
     return SeqRecord(id=f"q{i}", seq="ACGT")
 
 
+class TestServiceMetrics:
+    def test_counts_latency_and_batch_sizes_are_one_record(self, serve_workload):
+        """``stats`` reads the registry's counters, and every delivery and
+        dispatch lands in the latency and batch-size histograms."""
+        session = _GatedSession()
+        svc = make_service(serve_workload, session).start()
+        futures = [svc.submit(q(0))]
+        svc.pump()                              # idle: job 0 = [q0]
+        futures += [svc.submit(q(i)) for i in (1, 2)]
+        session.finish(0)
+        svc.pump()                              # delivers job 0, sends [q1, q2]
+        session.finish(1)
+        svc.pump()
+        assert all(f.done() for f in futures)
+        snap = svc.metrics.snapshot()
+        assert svc.stats == {name[len("serve."):]: int(value) for name, value in snap.items()
+                             if not isinstance(value, dict)}
+        assert svc.stats["submitted"] == svc.stats["delivered"] == 3
+        assert snap["serve.batch_size"]["count"] == svc.stats["batches"] == 2
+        assert snap["serve.batch_size"]["sum"] == 3
+        latency = snap["serve.latency_s"]
+        assert latency["count"] == 3 and latency["min"] > 0  # ticks of the service clock
+        svc.close()
+
+
 class TestIdleDispatch:
     def test_idle_service_dispatches_at_once_and_batches_behind_a_job(
             self, serve_workload):

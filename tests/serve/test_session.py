@@ -62,8 +62,8 @@ class TestResidentSession:
             for q in queries:
                 assert env.results.get(q.id, b"") == oracle[q.id]
         # Same ranks served both jobs: lifetime counters span the session.
-        assert all(s is not None and s.jobs_run == 2 for s in stats)
-        assert sum(s.units_processed for s in stats) > 0
+        assert all(s is not None and s["serve.jobs"] == 2 for s in stats)
+        assert sum(s["mrblast.units"] for s in stats) > 0
 
     def test_idle_session_survives_on_keepalive_ticks(self, serve_workload):
         import time
@@ -77,7 +77,7 @@ class TestResidentSession:
             assert envs[0].results
         finally:
             stats = session.stop()
-        assert all(s.ticks_seen >= 1 for s in stats)
+        assert all(s["serve.ticks"] >= 1 for s in stats)
         assert not session.failed
 
     def test_session_budget_bounds_the_drain_not_the_lifetime(
@@ -99,7 +99,35 @@ class TestResidentSession:
         finally:
             stats = session.stop(timeout=30.0)
         assert not session.failed
-        assert stats is not None and all(s.jobs_run == 1 for s in stats)
+        assert stats is not None and all(s["serve.jobs"] == 1 for s in stats)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_running_session_reports_every_rank_metrics(self, serve_workload, backend):
+        """A live session answers with each rank's snapshot, queued behind the
+        jobs before it; stop() returns the same record, one job later."""
+        alias_path, reads, options = serve_workload
+        session = ResidentBlastSession(make_cfg(alias_path, options, backend=backend)).start()
+        try:
+            run_jobs(session, [BlockJob(job_id=0, queries=tuple(reads[:3]))])
+            live = session.rank_metrics(timeout=60.0)
+            run_jobs(session, [BlockJob(job_id=1, queries=tuple(reads[3:5]))])
+        finally:
+            final = session.stop()
+        assert [s["serve.jobs"] for s in live] == [1, 1]
+        assert [s["serve.jobs"] for s in final] == [2, 2]
+        assert live[0]["mrblast.units"] == 0 < live[1]["mrblast.units"]  # rank 0 dispatches
+        assert live[0]["mrblast.queries_written"] == 3  # a job reduces on rank 0
+        for before, after in zip(live, final):
+            assert after["mr.map_s"] > before["mr.map_s"] > 0
+
+    def test_rank_metrics_needs_a_running_session(self, serve_workload):
+        alias_path, _reads, options = serve_workload
+        session = ResidentBlastSession(make_cfg(alias_path, options))
+        with pytest.raises(RuntimeError):
+            session.rank_metrics()
+        session.start().stop()
+        with pytest.raises(RuntimeError):
+            session.rank_metrics()
 
     def test_session_reports_exact_kv_bytes(self, serve_workload):
         alias_path, reads, options = serve_workload
@@ -264,10 +292,10 @@ class TestDegradedSession:
         dead = envs[0].lost_ranks[0]
         assert stats[dead] is None  # the lost rank left the session
         survivors = [s for s in stats if s is not None]
-        assert {s.rank for s in survivors} | {dead} == {0, 1, 2}
+        assert len(survivors) == 2
         for s in survivors:
-            assert s.degraded and s.lost_ranks == (dead,)
-            assert s.jobs_run == 2
+            assert s["sched.lost_ranks"] == 1
+            assert s["serve.jobs"] == 2
 
         # Even the dead rank's trace is balanced: its unwind closed the
         # spans DegradedRankLoss tore through.
