@@ -5,7 +5,7 @@ families: 260-aa ancestors, three copies each in the DB, queries a 200-aa
 slice of each ancestor) rather than asserted:
 
 1. Replacing the per-trigger scalar :func:`ungapped_extend` loop with one
-   window-escalating :func:`batch_ungapped_extend` pass per (context,
+   window-escalating :func:`batch_ungapped_extend_spans` pass per (context,
    subject), and the per-seed dense float32 gapped DP with one
    :func:`extend_gapped_batch` call advancing every seed's band-compressed
    int32 DP in lockstep, is >= 3x faster on the combined ungapped+gapped
@@ -46,7 +46,7 @@ from repro.blast import BlastOptions, format_database
 from repro.blast import engine as engine_module
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
-from repro.blast.extend import batch_ungapped_extend, ungapped_extend
+from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
@@ -163,9 +163,12 @@ def test_extension_stage_speedup(fig5_hits, tmp_path, print_table):
     def ungapped_batched():
         out = []
         for q_idx, s_idx, qp, sp in groups:
-            ext = batch_ungapped_extend(
-                q_idx, s_idx, qp, sp, word, BLOSUM62, xdrop,
-                window=OPTS.extension_window,
+            n = qp.size
+            ext = batch_ungapped_extend_spans(
+                q_idx, s_idx, qp, sp,
+                np.zeros(n, np.int64), np.full(n, q_idx.size, np.int64),
+                np.zeros(n, np.int64), np.full(n, s_idx.size, np.int64),
+                word, BLOSUM62, xdrop, window=OPTS.extension_window,
             )
             for r in range(qp.size):
                 if ext.complete[r]:

@@ -8,7 +8,9 @@ at a time and splits each submit → resolve interval at span boundaries:
 - ``queue hop``: submit to rank 0 starting the job's broadcast;
 - ``job bcast``: until the last rank has entered ``serve.job``;
 - ``wait for first unit``: rank 0 entering ``serve.job`` to the first
-  ``mrblast.unit`` starting;
+  ``mrblast.unit`` starting (workers start their first unit without asking,
+  so this is negative when one starts before the last rank has entered
+  ``serve.job``; read it together with ``job bcast``);
 - ``units``: first unit start to last unit end, with the heavy (longest)
   unit, its ``gapped_s``, the gapped kernel's ``dp_rows`` inside it and
   their ratio, the kernel's cost per lockstep row in microseconds;

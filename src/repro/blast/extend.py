@@ -10,14 +10,15 @@ Two implementations share the same semantics:
   fancy-indexing gather, the X-drop stopping point from a cumulative-sum/
   running-max scan).  It is the parity oracle for the batched kernel and
   the engine's fallback for extensions that outrun the batch window.
-- :func:`batch_ungapped_extend` extends many hits of one (query, subject)
-  pair at once: fixed-size left/right windows are gathered into padded 2-D
-  arrays, scored with one ``matrix[q, s]`` gather, and every hit's X-drop
-  extent found with one row-wise cumsum/running-max scan.  Hits that
-  outrun the window are re-batched with geometrically wider windows until
-  every extension terminates in-batch, so results are bit-identical to
-  :func:`ungapped_extend`; an explicit ``max_window`` caps the escalation
-  and reports capped rows incomplete for the caller's scalar fallback.
+- :func:`batch_ungapped_extend_spans` extends many hits at once, each
+  inside the span of its own sequence pair: fixed-size left/right windows
+  are gathered into padded 2-D arrays, scored with one ``matrix[q, s]``
+  gather, and every hit's X-drop extent found with one row-wise
+  cumsum/running-max scan.  Hits that outrun the window are re-batched
+  with geometrically wider windows until every extension terminates
+  in-batch, so results are bit-identical to :func:`ungapped_extend`; an
+  explicit ``max_window`` caps the escalation and reports capped rows
+  incomplete for the caller's scalar fallback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "UngappedHSP",
     "UngappedExtents",
     "ungapped_extend",
-    "batch_ungapped_extend",
     "batch_ungapped_extend_spans",
     "extension_scores",
 ]
@@ -153,7 +153,7 @@ def ungapped_extend(
 
 @dataclass(frozen=True)
 class UngappedExtents:
-    """Per-hit results of :func:`batch_ungapped_extend` (parallel arrays).
+    """Per-hit results of :func:`batch_ungapped_extend_spans` (parallel arrays).
 
     Rows with ``complete=False`` hit the batch window boundary before the
     X-drop rule terminated them; their values are a lower bound only and the
@@ -280,50 +280,6 @@ def _batch_pass(
     return score, len_left, len_right, complete
 
 
-def batch_ungapped_extend(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    q_pos: np.ndarray,
-    s_pos: np.ndarray,
-    word_size: int,
-    matrix: np.ndarray,
-    xdrop: float,
-    window: int = 64,
-    chunk: int = 4096,
-    max_window: int | None = None,
-) -> UngappedExtents:
-    """Ungapped X-drop extension of many word hits in array passes.
-
-    ``q_pos``/``s_pos`` are parallel arrays of word-start coordinates into
-    ``q_codes``/``s_codes``.  Left and right windows of ``window`` steps are
-    gathered into 2-D arrays; positions past a sequence end are padded with
-    a score below ``-xdrop`` so the X-drop scan stops exactly at the
-    boundary.  Rows whose extension outruns the window are re-batched with
-    a 4x larger window — only the shrinking incomplete set pays for the
-    wider gather — until every row terminates, so by default all rows come
-    back ``complete=True`` and bit-identical to :func:`ungapped_extend`.
-    ``max_window`` caps the escalation; capped rows come back
-    ``complete=False`` with lower-bound extents and must be re-extended on
-    the scalar path.  Memory stays O(chunk * window) cells throughout: the
-    row count per pass shrinks as the window grows.
-    """
-    q_idx = _as_index(q_codes)
-    s_idx = _as_index(s_codes)
-    qp = np.asarray(q_pos, dtype=np.int64)
-    sp = np.asarray(s_pos, dtype=np.int64)
-    n = qp.size
-    bounds = (
-        np.zeros(n, dtype=np.int64),
-        np.full(n, q_idx.size, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        np.full(n, s_idx.size, dtype=np.int64),
-    )
-    return _extend_bounded(
-        q_idx, s_idx, qp, sp, bounds, word_size, matrix, xdrop,
-        window, chunk, max_window,
-    )
-
-
 def batch_ungapped_extend_spans(
     q_codes: np.ndarray,
     s_codes: np.ndarray,
@@ -341,17 +297,21 @@ def batch_ungapped_extend_spans(
     max_window: int | None = None,
     stats: dict | None = None,
 ) -> UngappedExtents:
-    """Ungapped extension of hits spread across *many* sequence pairs.
+    """Ungapped X-drop extension of many word hits in array passes.
 
-    The multi-sequence form of :func:`batch_ungapped_extend`:
-    ``q_codes``/``s_codes`` are concatenations of whole sequence sets, and
-    each hit row carries the half-open span ``[q_lo, q_hi)`` / ``[s_lo,
-    s_hi)`` of the sequences it belongs to.  Every pass is still one padded
-    2-D gather and one row-wise X-drop scan across the entire batch — one
-    kernel call per round regardless of how many queries, contexts and
-    subjects contributed rows, which is what the fused engine scheduler
-    relies on.  Per-row results are bit-identical to calling
-    :func:`batch_ungapped_extend` on each row's own sequence pair.
+    ``q_pos``/``s_pos`` are word-start coordinates into ``q_codes`` /
+    ``s_codes``, concatenations of whole sequence sets; each row carries the
+    half-open span ``[q_lo, q_hi)`` / ``[s_lo, s_hi)`` of its own sequences
+    (``[0, len)`` for one pair).  Windows of ``window`` steps each way are
+    gathered into padded 2-D arrays (a score below ``-xdrop`` past a span
+    end stops the scan exactly there); rows that outrun the window are
+    re-batched 4x wider until every row terminates, so by default every row
+    is ``complete=True`` and bit-identical to :func:`ungapped_extend` on its
+    own pair.  ``max_window`` caps the escalation: capped rows come back
+    ``complete=False`` with lower-bound extents for the scalar path.  Memory
+    stays O(chunk * window).  Each pass is one gather and one row-wise scan
+    across the whole batch, however many queries, contexts and subjects
+    contributed rows: what the fused engine scheduler relies on.
 
     ``stats`` (optional dict) accumulates ``peak_window_bytes``: the largest
     padded score-window slab any pass allocated.

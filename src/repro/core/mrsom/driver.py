@@ -234,11 +234,11 @@ class _BlockAccumulator:
     mapper already ran it — a speculative loser, or a unit redone after a
     worker death.  Accumulating straight into the rank totals would then
     double-count, so the dispatcher's unit hooks stage each unit: between
-    ``begin_unit`` and ``commit_unit`` the mapper only keeps the unit's
-    whole contribution, ``(bmus, block)``; ``commit_unit`` folds it into
-    the totals once the master accepts the unit, ``discard_unit`` drops
-    it.  Without hooks (single rank, static map styles) the mapper
-    accumulates directly into the totals.
+    ``begin_unit`` and ``commit_unit`` the mapper keeps only the unit's
+    ``(start, stop, bmus)``, so a staged chunk is O(rows) whatever the
+    vector width; ``commit_unit`` folds the rows in once the master accepts
+    the unit, ``discard_unit`` drops it.  Without hooks (single rank,
+    static map styles) the mapper accumulates directly into the totals.
     """
 
     matrix: MatrixFile
@@ -250,8 +250,8 @@ class _BlockAccumulator:
     totals: np.ndarray = None
     sums: np.ndarray = None
     counts: np.ndarray = None
-    #: None = no hooks; () = inside a dispatched unit, mapper not yet run
-    _staged: tuple | None = None
+    #: None = no hooks; else itask -> (start, stop, bmus) of each unit staged
+    _staged: dict | None = None
 
     def __post_init__(self) -> None:
         self._units = self.metrics.counter("mrsom.units")
@@ -266,19 +266,20 @@ class _BlockAccumulator:
         self._staged = None
 
     def begin_unit(self, itask: int) -> None:
-        self._staged = ()
+        self._staged = self._staged or {}
 
     def commit_unit(self, itask: int) -> None:
-        if self._staged:
+        staged = self._staged.pop(itask, None)
+        if staged is not None:
             t0 = time.perf_counter()
-            bmus, block = self._staged
-            accumulate_classes(block, self.codebook, self.sums, self.counts, bmus=bmus)
+            start, stop, bmus = staged
+            accumulate_classes(self.matrix.rows(start, stop), self.codebook,
+                               self.sums, self.counts, bmus=bmus)
             self._units.inc()
             self._busy.inc(time.perf_counter() - t0)
-        self._staged = None
 
     def discard_unit(self, itask: int) -> None:
-        self._staged = None
+        self._staged.pop(itask, None)
 
     def __call__(self, itask: int, item: tuple[int, int], kv) -> None:
         t0 = time.perf_counter()
@@ -286,7 +287,7 @@ class _BlockAccumulator:
         block = self.matrix.rows(start, stop)
         if self._staged is not None:
             bmus = best_matching_units(block, self.codebook, codebook_sq=self.codebook_sq)
-            self._staged = (bmus, block)
+            self._staged[itask] = (start, stop, bmus)
         else:
             accumulate_classes(block, self.codebook, self.sums, self.counts,
                                codebook_sq=self.codebook_sq)

@@ -9,10 +9,11 @@ Map styles (the ``mapstyle`` setting of the original library):
 
 - ``CHUNK``:   task block ``[rank*nmap/P, (rank+1)*nmap/P)`` per rank.
 - ``STRIDED``: task ``i`` runs on rank ``i % P``.
-- ``MASTER_WORKER``: rank 0 acts as master and assigns tasks to the
-  remaining ranks one at a time, first-come first-served.  This is the mode
-  the paper uses for BLAST, where per-task runtimes are wildly non-uniform
-  and dynamic load balancing is essential.
+- ``MASTER_WORKER``: rank 0 acts as master and hands tasks to the
+  remaining ranks in shrinking chunks as they ask (see
+  :class:`~repro.sched.Dispatcher`).  This is the mode the paper uses for
+  BLAST, where per-task runtimes are wildly non-uniform and dynamic load
+  balancing is essential.
 
 One data plane: every KV/KMV dataset is **columnar** (array pages,
 vectorised shuffle hashing, sort-based grouping, binary spill), laid out by
@@ -47,7 +48,7 @@ from repro.mrmpi.columnar import (
 from repro.mrmpi.hashing import hash_key_column
 from repro.mrmpi.schema import UNTYPED, RecordSchema
 from repro.obs.metrics import MetricsRegistry
-from repro.sched import SchedReport, SpeculationPolicy, StragglerTracker, UnitQueue
+from repro.sched import Dispatcher, SchedReport, SpeculationPolicy
 
 __all__ = ["MapReduce", "MapStyle", "KEEP_SCHEMA"]
 
@@ -91,6 +92,20 @@ def _arena_attrs(comm: Comm) -> dict:
         "arena_resident_bytes": stats["resident_bytes"],
         "arena_peak_resident_bytes": stats["peak_resident_bytes"],
     }
+
+
+def _merge_kept(kv: ColumnarKeyValue, stage: ColumnarKeyValue,
+                ends: Sequence[int], keeps: Sequence[bool]) -> None:
+    """Append the kept units' rows of a chunk's staging store to ``kv``
+    (unit ``i`` staged rows ``ends[i-1]:ends[i]``) and close the store."""
+    base = 0
+    for karr, vcol in stage.iter_batches():
+        for lo, hi, keep in zip([0, *ends], ends, keeps):
+            lo, hi = max(lo - base, 0), min(hi - base, len(karr))
+            if keep and lo < hi:
+                kv.add_wire((karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi)))
+        base += len(karr)
+    stage.close()
 
 
 class MapStyle(IntEnum):
@@ -257,21 +272,21 @@ class MapReduce:
         file/task ids rather than payloads.  Returns the local pair count
         (global with ``count=True``, which adds a collective allreduce).
 
-        With ``locality_key`` (master/worker mode only) the master becomes
-        *location-aware*: a worker requesting more work is preferentially
-        given an item whose key matches the item it just finished — the
-        scheduling improvement the paper announces in §V ("distribute the
-        work unit tuples to those ranks that have already been processing
-        the same DB partitions").  Workers with no matching work claim a
-        fresh key (spreading keys across workers) and finally steal from the
-        fullest remaining key.
+        Master/worker mode hands out shrinking chunks of items (see
+        :class:`~repro.sched.Dispatcher`).  With ``locality_key`` it is
+        *location-aware*: a worker's chunk continues the key of the item it
+        last ran — the scheduling improvement the paper announces in §V
+        ("distribute the work unit tuples to those ranks that have already
+        been processing the same DB partitions").  Workers with no matching
+        work claim a fresh key (spreading keys across workers) and finally
+        steal from the fullest remaining key.
 
         ``speculation`` (master/worker mode only) enables speculative
         re-execution: the master keeps an online P² quantile of unit
-        runtimes and re-issues a unit to an idle worker once its elapsed
-        time exceeds ``factor x`` the running median.  Workers buffer each
-        unit's output in a staging store and only merge it into the real
-        dataset once the master accepts their completion, so the winner is
+        runtimes and re-issues a unit to an idle worker once its chunk is
+        overdue by ``factor x`` the running median.  Workers buffer a
+        chunk's output in a staging store and only merge a unit's rows into
+        the real dataset once the master accepts it, so the winner is
         chosen deterministically (first completion, dedup by unit id) and
         the final dataset is identical to a no-speculation run.
 
@@ -338,6 +353,8 @@ class MapReduce:
             self._tracer = self.comm.tracer
             self.lost_ranks = tuple(sorted(set(self.lost_ranks) | set(lost_global)))
             self.metrics.counter("sched.lost_ranks").inc(len(lost_global))
+            if self._tracer.enabled:
+                self._tracer.instant("sched.shrink", cat="sched", lost=lost_global)
         self.sched = report
         for kind in ("speculated", "wasted", "reassigned"):
             self.metrics.counter(f"sched.{kind}_units").inc(getattr(report, kind))
@@ -348,132 +365,62 @@ class MapReduce:
         speculation: SpeculationPolicy | None,
         degraded: bool,
     ) -> tuple[SchedReport, frozenset[int]]:
-        """Rank 0: event-driven pull dispatch.
+        """Rank 0: drive a :class:`~repro.sched.Dispatcher` off the mailbox.
 
-        Worker requests carry ``(last_key, done_unit)`` and replies carry
-        ``(keep, unit, final)``: ``keep`` resolves the worker's previous
-        unit (commit or discard its staging), ``unit`` is the next task id.
-        The master sleeps on its mailbox; a worker it has nothing for yet
-        is *parked* (no reply) and answered the moment a death sweep
-        requeues a unit or a speculation candidate falls due.  The wait is
-        unbounded unless the clock can change the answer: death sweeps run
-        every ``_SWEEP_INTERVAL`` (degraded mode), and a parked worker is
-        looked at again when the tracker says the next straggler falls due.
-        Without ``speculation``/``degraded`` nothing is ever requeued or
-        cloned, so parking lasts until the map completes.
+        The dispatcher decides; this loop waits, reads the clock and sends.
+        A request carries the units a worker completed, a reply
+        ``(keeps, chunk, final)``; a worker there is nothing for yet is
+        parked (no reply).  The wait ends for death sweeps every
+        ``_SWEEP_INTERVAL`` (degraded mode), the tracker's next straggler due
+        time, or else with :class:`DeadlockError` after ``op_timeout`` per
+        unit of the largest chunk out: the master is the map's watchdog.
 
         The map ends when every unit is complete and every live worker is
-        parked: all of them are retired at once with ``unit=None`` and
-        ``final=(report, dead_ranks)``.  Nobody is dismissed earlier, so a
-        death at any point of a worker's loop still finds survivors to
-        redo its units; membership is decided exactly once, here, so the
-        fleet cannot shrink around different dead sets; and since no
-        worker leaves before the master has stopped matching requests, the
-        reply is also the fence that keeps the next ``map_items()``'s
-        requests (same tags) away from this call's master.
+        parked: all are retired at once with ``final=(report, dead_ranks)``.
+        Nobody leaves earlier, so a death at any point still finds survivors
+        to redo its units, membership is decided exactly once, here, and the
+        reply is the fence that keeps the next ``map_items()``'s requests
+        (same tags) away from this call's master.
         """
-        nmap = len(keys)
-        queue = UnitQueue(keys)
-        tracker = StragglerTracker(speculation)
-        trc = self._tracer
-        active = set(range(1, self.size))
-        #: worker -> (last_key, keep) of the request it is still owed a reply to
-        parked: dict[int, tuple[Any, bool]] = {}
-        dead_local: set[int] = set()
+        disp = Dispatcher(keys, range(1, self.size), speculation,
+                          time.monotonic(), self._tracer)
 
-        def sweep_dead() -> None:
-            """Fold transport-level death flags into the dispatch state."""
-            group = self.comm.group
-            for global_rank in self.comm.network.dead_ranks():
-                if global_rank not in group:
-                    continue
-                local = group.index(global_rank)
-                if local in dead_local or local == 0:
-                    continue
-                dead_local.add(local)
-                active.discard(local)
-                parked.pop(local, None)
-                # In-flight units whose only live runner died go back to
-                # the front of the queue; units the dead worker already
-                # completed are lost with its local dataset and must be
-                # redone from scratch.
-                orphans = tracker.release_worker(local, time.monotonic())
-                lost_done = tracker.accepted_units(local)
-                for unit in lost_done:
-                    tracker.forget(unit)
-                for unit in lost_done + orphans:
-                    queue.requeue(unit)
-                tracker.reassigned += len(lost_done) + len(orphans)
-                if trc.enabled:
-                    trc.instant("sched.reassign", cat="sched", rank=local,
-                                global_rank=global_rank,
-                                inflight=len(orphans), completed=len(lost_done))
-                # Void any requests the dead worker left in the mailbox.
-                while self.comm._match(source=local, tag=_TAG_REQUEST,
-                                       block=False) is not None:
-                    pass
-
-        def reply(src: int, keep: bool, unit: Optional[int], final: Any = None) -> None:
-            # In degraded mode a reply can race the destination's death
-            # (process backend: broken pipe).  The next sweep retires it.
+        def reply(dest: int, keeps: tuple, chunk: tuple, final: Any = None) -> None:
+            # A degraded-mode reply can race its destination's death (a
+            # broken pipe on the process backend); the next sweep retires it.
             try:
-                self.comm.send((keep, unit, final), dest=src, tag=_TAG_ASSIGN)
+                self.comm.send((keeps, chunk, final), dest=dest, tag=_TAG_ASSIGN)
             except MPIError:
                 if not degraded:
                     raise
 
-        def assign(src: int, last_key: Any, keep: bool, now: float) -> bool:
-            """Hand one worker its next unit, if there is one for it yet."""
-            unit = queue.next(last_key)
-            while unit is not None and tracker.is_done(unit):
-                # Requeued when its winner died, then completed by a
-                # speculative copy that was still running: nothing to redo.
-                unit = queue.next(last_key)
-            if unit is None:
-                unit = tracker.candidate(now, exclude_worker=src)
-                if unit is None:
-                    return False
-                if trc.enabled:
-                    trc.instant(
-                        "sched.speculate", cat="sched", unit=unit, rank=src,
-                        copies=len(tracker.runners(unit)) + 1,
-                        median=tracker.median() or 0.0)
-            tracker.assign(unit, src, now)
-            reply(src, keep, unit)
-            return True
-
         while True:
-            if degraded:
-                sweep_dead()
-            if tracker.completed == nmap and len(parked) == len(active):
+            now = time.monotonic()
+            if degraded:  # (a dead worker's late requests are ignored)
+                for dead in sorted(set(self.comm.network.dead_ranks()) & set(self.comm.group)):
+                    disp.lose(self.comm.group.index(dead), now)
+            for dest, keeps, chunk in disp.replies(now):
+                reply(dest, keeps, chunk)
+            if (owed := disp.retire()) is not None:
                 break
-            if not active:
+            if not disp.live:
                 raise MPIError(
                     f"sched master: all workers lost with "
-                    f"{nmap - tracker.completed} of {nmap} units incomplete")
-            now = time.monotonic()
-            for src, (last_key, keep) in list(parked.items()):
-                if assign(src, last_key, keep, now):
-                    del parked[src]
-            wait = _SWEEP_INTERVAL if degraded else None
-            due = tracker.next_due() if parked else None
-            if due is not None:
-                until_due = max(due - now, 0.001)
-                wait = until_due if wait is None else min(wait, until_due)
+                    f"{len(keys) - disp.tracker.completed} of {len(keys)} units incomplete")
+            due = disp.next_due()
+            waits = ([_SWEEP_INTERVAL] if degraded else []) + (
+                [max(due - now, 0.001)] if due is not None else [])
+            wait = min(waits, default=None)
+            patience = disp.longest_chunk() * self.comm.network.op_timeout
             msg = self.comm._match(source=ANY_SOURCE, tag=_TAG_REQUEST,
-                                   block=wait is None, timeout=wait)
-            if msg is None or msg.src in dead_local:
-                continue  # clock tick, or a stale request from a dead worker
-            last_key, done = msg.payload
-            now = time.monotonic()
-            keep = done is not None and tracker.complete(done, msg.src, now)
-            if not assign(msg.src, last_key, keep, now):
-                parked[msg.src] = (last_key, keep)
-        lost_global = tuple(self.comm.group[r] for r in sorted(dead_local))
-        report = tracker.report(lost_global, degraded=bool(dead_local))
-        for src, (_last_key, keep) in parked.items():
-            reply(src, keep, None, final=(report, tuple(sorted(dead_local))))
-        return report, frozenset(dead_local)
+                                   block=wait is None, timeout=wait or patience)
+            if msg is not None:
+                disp.request(msg.src, msg.payload, time.monotonic())
+        lost_global = tuple(self.comm.group[r] for r in sorted(disp.dead))
+        report = disp.tracker.report(lost_global, degraded=bool(disp.dead))
+        for dest, keeps in owed:
+            reply(dest, keeps, (), final=(report, tuple(sorted(disp.dead))))
+        return report, frozenset(disp.dead)
 
     def _run_sched_worker(
         self,
@@ -484,75 +431,52 @@ class MapReduce:
         speculating: bool,
         degraded: bool,
     ) -> tuple[SchedReport, frozenset[int]]:
-        """Worker side of dispatch: ask, run, report, until retired.
+        """Worker side of dispatch: run a chunk, report it, until retired.
 
-        A request the master cannot serve yet simply goes unanswered until
-        it can (see :meth:`_run_sched_master`), so the worker blocks in the
-        same ``recv`` whether its next unit is queued, yet to be requeued,
-        or the map is about to end.
-
-        With speculation each unit runs against a fresh staging store that
-        is merged into ``kv`` only once the master accepts the completion
-        (first-copy-wins): a discarded loser leaves no trace, so output is
-        identical to a no-speculation run.  Mappers with out-of-band state
-        (e.g. mrsom's accumulator) expose optional ``begin_unit`` /
-        ``commit_unit`` / ``discard_unit`` hooks that bracket each unit the
-        same way.
-
-        In degraded mode a rank failure is converted into
-        :class:`DegradedRankLoss` after flagging this rank dead on the
-        transport, so the master can route around it.
+        The first chunk is this worker's share of the dispatcher's first
+        round, computed from the same ``keys``.  With speculation a chunk
+        maps into one staging store and only the units the master keeps
+        (first copy wins) are copied into ``kv``, so output equals a
+        no-speculation run and staging holds one page at most; mappers with
+        out-of-band state (mrsom's accumulator) bracket each unit with
+        optional ``begin_unit`` / ``commit_unit`` / ``discard_unit`` hooks.
+        A parked worker waits as long as a peer's chunk runs (the master is
+        the watchdog).  In degraded mode a rank failure marks this rank dead
+        on the transport and becomes :class:`DegradedRankLoss`.
         """
-        begin_hook = getattr(mapper, "begin_unit", None)
-        commit_hook = getattr(mapper, "commit_unit", None)
-        discard_hook = getattr(mapper, "discard_unit", None)
-        last_key: Any = None
-        pending: Optional[tuple[int, Optional[ColumnarKeyValue]]] = None
-        stage: Optional[ColumnarKeyValue] = None
+        begin, commit, discard = (getattr(mapper, f"{hook}_unit", lambda unit: None)
+                                  for hook in ("begin", "commit", "discard"))
+        chunk = Dispatcher(keys, range(1, self.size)).first[self.rank]
+        stage = kv
         try:
             while True:
-                done = pending[0] if pending is not None else None
-                self.comm.send((last_key, done), dest=0, tag=_TAG_REQUEST)
-                keep, itask, final = self.comm.recv(source=0, tag=_TAG_ASSIGN)
-                if pending is not None:
-                    unit, stage = pending
-                    pending = None
-                    if keep:
-                        if stage is not None:
-                            self._merge_stage(kv, stage)
-                        if commit_hook is not None:
-                            commit_hook(unit)
-                    elif discard_hook is not None:
-                        discard_hook(unit)
-                    if stage is not None:
-                        stage.close()
-                        stage = None
+                stage = self._fresh_kv() if speculating else kv
+                ends = []  # the row of ``stage`` where each unit's output ends
+                for itask in chunk:
+                    begin(itask)
+                    mapper(itask, items[itask], stage)
+                    ends.append(len(stage))
+                self.comm.send(chunk, dest=0, tag=_TAG_REQUEST)
+                while (msg := self.comm._match(
+                        source=0, tag=_TAG_ASSIGN, block=False,
+                        timeout=self.comm.network.op_timeout)) is None:
+                    pass
+                keeps, next_chunk, final = msg.payload
+                for unit, keep in zip(chunk, keeps):
+                    (commit if keep else discard)(unit)
+                if stage is not kv:
+                    _merge_kept(kv, stage, ends, keeps)
+                chunk = next_chunk
                 if final is not None:
                     report, dead = final
                     return report, frozenset(dead)
-                if speculating:
-                    stage = self._fresh_kv()
-                if begin_hook is not None:
-                    begin_hook(itask)
-                mapper(itask, items[itask], stage if speculating else kv)
-                pending = (itask, stage)
-                stage = None
-                last_key = keys[itask]
         except RankFailure as exc:
-            if stage is not None:
+            if stage is not kv:
                 stage.close()
-            if pending is not None and pending[1] is not None:
-                pending[1].close()
             if degraded:
                 self.comm.network.mark_dead(self.comm.global_rank)
                 raise DegradedRankLoss(self.comm.global_rank, repr(exc)) from exc
             raise
-
-    @staticmethod
-    def _merge_stage(kv: ColumnarKeyValue, stage: ColumnarKeyValue) -> None:
-        """Append a staging store's pairs to the real dataset."""
-        for karr, vcol in stage.iter_batches():
-            kv.add_wire((karr,) + _v_to_arrays(vcol))
 
     def _static_tasks(self, nmap: int, style: MapStyle):
         if style is MapStyle.STRIDED:

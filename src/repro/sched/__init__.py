@@ -1,21 +1,21 @@
-"""Straggler-mitigation scheduling policies.
+"""Scheduling policies, clock-agnostic: callers pass ``now``.
 
-Clock-agnostic building blocks shared by the real MASTER_WORKER dispatcher
-(`repro.mrmpi.mapreduce`) and the simulated Ranger fleet
-(`repro.cluster.dispatch`): an online P² quantile estimator, a speculation
-policy, and a tracker that decides when a unit is a straggler and which
-completion wins; plus the master's queue policy (`UnitQueue`).
+An online P² quantile, a speculation policy and a straggler tracker shared
+by the real MASTER_WORKER master (`repro.mrmpi.mapreduce`) and the
+simulated fleet (`repro.cluster.dispatch`); the queue policy
+(`UnitQueue`); and the master's whole dispatch policy (`Dispatcher`).
 """
 
+from repro.sched.dispatcher import Dispatcher, UnitQueue
 from repro.sched.speculation import (
     P2Quantile,
     SchedReport,
     SpeculationPolicy,
     StragglerTracker,
 )
-from repro.sched.unitqueue import UnitQueue
 
 __all__ = [
+    "Dispatcher",
     "P2Quantile",
     "SchedReport",
     "SpeculationPolicy",

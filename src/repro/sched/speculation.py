@@ -162,8 +162,8 @@ class StragglerTracker:
     def __init__(self, policy: SpeculationPolicy | None = None) -> None:
         self.policy = policy
         self.quantile = P2Quantile((policy or SpeculationPolicy()).quantile)
-        # unit -> {worker: start_time} for every live copy.
-        self._running: dict[int, dict[int, float]] = {}
+        # unit -> {worker: (hand-out time, medians to its start)} per live copy.
+        self._running: dict[int, dict[int, tuple[float, int]]] = {}
         self._done: set[int] = set()
         self._accepted_by: dict[int, int] = {}
         self.completed = 0
@@ -174,15 +174,19 @@ class StragglerTracker:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def assign(self, unit: int, worker: int, now: float) -> None:
-        """Record that *worker* started (a copy of) *unit* at *now*."""
+    def assign(self, unit: int, worker: int, now: float, chunk: int = 1) -> None:
+        """*worker* got (a copy of) *unit* at *now* in a chunk of ``chunk``
+        units.  A chunk is reported whole, so each of its units counts as
+        started when the last one would, ``chunk - 1`` medians later."""
         copies = self._running.setdefault(unit, {})
         if copies:
             self.speculated += 1
-        copies[worker] = now
+        copies[worker] = (now, chunk - 1)
 
-    def complete(self, unit: int, worker: int, now: float) -> bool:
-        """First completion wins: returns True iff this copy is accepted."""
+    def complete(self, unit: int, worker: int, now: float,
+                 seconds: float | None = None) -> bool:
+        """First completion wins: returns True iff this copy is accepted.
+        ``seconds`` (default: since hand-out) feeds the runtime quantile."""
         copies = self._running.get(unit, {})
         started = copies.pop(worker, None)
         if not copies:
@@ -194,7 +198,7 @@ class StragglerTracker:
         self._accepted_by[unit] = worker
         self.completed += 1
         if started is not None:
-            self.quantile.add(now - started)
+            self.quantile.add(now - started[0] if seconds is None else seconds)
         self.finish_time = now
         return True
 
@@ -231,9 +235,6 @@ class StragglerTracker:
     def is_done(self, unit: int) -> bool:
         return unit in self._done
 
-    def inflight(self) -> list[int]:
-        return [u for u in self._running if u not in self._done]
-
     def runners(self, unit: int) -> tuple[int, ...]:
         return tuple(self._running.get(unit, {}))
 
@@ -251,7 +252,9 @@ class StragglerTracker:
         return max(policy.factor * med, policy.min_elapsed)
 
     def _clonable(self, exclude_worker: int | None = None):
-        """``(unit, oldest start)`` of in-flight units that may get a copy."""
+        """``(unit, earliest estimated start)`` of in-flight units that may
+        get a copy (see :meth:`assign`)."""
+        median = self.quantile.value()
         for unit, copies in self._running.items():
             if unit in self._done or not copies:
                 continue
@@ -259,7 +262,7 @@ class StragglerTracker:
                 continue
             if exclude_worker is not None and exclude_worker in copies:
                 continue
-            yield unit, min(copies.values())
+            yield unit, min(t + i * median for t, i in copies.values())
 
     def candidate(self, now: float, exclude_worker: int | None = None) -> int | None:
         """Most-overdue straggler eligible for a speculative copy, if any."""

@@ -44,11 +44,11 @@ __all__ = [
 ]
 
 #: Sequential message rounds a service job pays whatever its size, counted
-#: off a traced one-query job on 3 ranks: the job broadcast, a worker's
-#: first request and its assignment, the last completion and the reply
-#: that retires the workers, and the map output's gather to rank 0, which
-#: reduces alone.  No collective runs inside a job.
-JOB_MESSAGE_ROUNDS = 6
+#: off a traced one-query job on 3 ranks: the job broadcast, the last
+#: completion and the reply that retires the workers, and the map output's
+#: gather to rank 0, which reduces alone.  Workers start on their first
+#: unit without asking, and no collective runs inside a job.
+JOB_MESSAGE_ROUNDS = 4
 
 
 @dataclass(frozen=True)

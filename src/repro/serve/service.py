@@ -414,7 +414,7 @@ class QueryService:
     def _dispatch(self, batch: QueryBatch) -> None:
         self._dispatch_submissions(batch.submissions, reason=batch.reason)
 
-    def _deliver(self, env: BlockResult, now: float) -> None:
+    def _deliver(self, env: BlockResult) -> None:
         submissions = self._inflight.pop(env.job_id, ())
         if env.degraded:
             self._count["degraded_batches"].inc()
@@ -437,7 +437,7 @@ class QueryService:
                     self._ledger.record(qid, data)
             fut._resolve(data)
             self._count["delivered"].inc()
-            self._latency.observe(now - sub.submitted_at)
+            self._latency.observe(self._clock() - sub.submitted_at)
             left = self._tenant_pending.get(sub.tenant, 1) - 1
             if left <= 0:
                 self._tenant_pending.pop(sub.tenant, None)
@@ -477,14 +477,14 @@ class QueryService:
                 return 0
             self._wake.clear()
             session = self._ensure_session()
-            now = self._clock() if now is None else now
             delivered = 0
             if env is None:
                 env = session.poll_result()
             while env is not None:
-                self._deliver(env, now)
+                self._deliver(env)
                 delivered += 1
                 env = session.poll_result()
+            now = self._clock() if now is None else now
             for batch in self._coalescer.poll(now, idle=not self._inflight):
                 self._dispatch(batch)
             if session.failed:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -137,10 +138,6 @@ class BlockResult:
         return bool(self.lost_ranks)
 
 
-#: what the parent puts on the job queue to ask for every rank's snapshot
-_METRICS = "metrics"
-
-
 def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, bytes], int] | None:
     """Execute one query block on this rank.
 
@@ -164,9 +161,9 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any,
     (``queue.Queue`` on the thread backend, fork-inherited
     ``multiprocessing`` queues on the process backend).  Only rank 0
     touches them; peers learn everything via broadcast.  Directives are
-    ``("job", BlockJob)``, ``("metrics", None)`` (every live rank's
-    snapshot, gathered to rank 0 and put on ``replies`` in global rank
-    order), ``("tick", None)`` (keepalive) and ``("stop", None)``.
+    ``("job", BlockJob)``, ``("metrics", seq)`` (every live rank's
+    snapshot in global rank order, put on ``replies`` after ``seq``),
+    ``("tick", None)`` (keepalive) and ``("stop", None)``.
     Returns the rank's metrics snapshot.
     """
     pipeline = BlastPipeline(comm, cfg)
@@ -187,7 +184,7 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any,
                     directive = ("tick", None)
                 else:
                     directive = (("stop", None) if item is None
-                                 else ("metrics", None) if item == _METRICS
+                                 else item if isinstance(item, tuple)
                                  else ("job", item))
             else:
                 directive = None
@@ -203,7 +200,7 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any,
                     by_rank: list[dict | None] = [None] * comm.size
                     for local, snapshot in enumerate(snapshots):
                         by_rank[live_comm.group[local]] = snapshot
-                    replies.put(by_rank)
+                    replies.put((payload, by_rank))
                 continue
             job: BlockJob = payload
             # Jobs must leave the span stack exactly as they found it:
@@ -264,6 +261,8 @@ class ResidentBlastSession:
         self._done = threading.Event()
         self._failure: BaseException | None = None
         self._final_metrics: list[dict | None] | None = None
+        self._metrics_lock = threading.Lock()  # rank_metrics() calls take turns
+        self._metrics_seq = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -342,15 +341,22 @@ class ResidentBlastSession:
         The request queues behind the jobs already submitted, so their
         counts are in it; a rank lost to degraded mode reads ``None``.
         Raises :class:`TimeoutError` when no reply arrives in ``timeout``
-        seconds.  Callers asking concurrently may receive each other's
-        reply: both are snapshots taken after their request was queued.
+        seconds.  Calls take turns, and a late reply to one that timed out is
+        dropped, not returned (each request carries a number the ranks echo).
         """
-        self.submit(_METRICS)
-        try:
-            return self._replies_q.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"no metrics reply from the ranks within {timeout}s") from None
+        with self._metrics_lock:
+            self._metrics_seq += 1
+            self.submit(("metrics", self._metrics_seq))
+            deadline = time.monotonic() + timeout
+            while True:
+                try:
+                    seq, snapshots = self._replies_q.get(
+                        timeout=max(deadline - time.monotonic(), 0.0))
+                except queue.Empty:
+                    raise TimeoutError(
+                        f"no metrics reply from the ranks within {timeout}s") from None
+                if seq == self._metrics_seq:
+                    return snapshots
 
     def poll_result(self, timeout: float | None = 0.0) -> BlockResult | None:
         """Next result envelope, or None when nothing is ready in time."""

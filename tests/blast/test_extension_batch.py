@@ -21,8 +21,10 @@ from repro.bio import (
 )
 from repro.bio.alphabet import DNA
 from repro.blast import BlastOptions, DatabaseAlias, format_database, make_engine
-from repro.blast.extend import batch_ungapped_extend, ungapped_extend
+from repro.blast.extend import ungapped_extend
 from repro.blast.matrices import nucleotide_matrix
+
+from oracles.staged_scheduler import extend_pair
 
 NT = nucleotide_matrix(1, -2)
 
@@ -31,7 +33,7 @@ class TestBatchKernel:
     def test_empty_batch(self):
         seq = DNA.encode(random_genome(50, seed_or_rng=0))
         empty = np.empty(0, dtype=np.int64)
-        ext = batch_ungapped_extend(seq, seq, empty, empty, 11, NT, 20.0)
+        ext = extend_pair(seq, seq, empty, empty, 11, NT, 20.0)
         assert ext.score.size == 0
         assert ext.complete.size == 0
 
@@ -43,8 +45,8 @@ class TestBatchKernel:
         rng = np.random.default_rng(3)
         qp = rng.integers(0, q.size - 11 + 1, size=40)
         sp = rng.integers(0, s.size - 11 + 1, size=40)
-        whole = batch_ungapped_extend(q, s, qp, sp, 11, NT, 20.0, window=32)
-        chunked = batch_ungapped_extend(q, s, qp, sp, 11, NT, 20.0, window=32, chunk=7)
+        whole = extend_pair(q, s, qp, sp, 11, NT, 20.0, window=32)
+        chunked = extend_pair(q, s, qp, sp, 11, NT, 20.0, window=32, chunk=7)
         for field in ("score", "q_start", "q_end", "s_start", "s_end", "complete"):
             np.testing.assert_array_equal(
                 getattr(whole, field), getattr(chunked, field)
@@ -56,14 +58,14 @@ class TestBatchKernel:
         seq = DNA.encode(random_genome(200, seed_or_rng=4))
         u = ungapped_extend(seq, seq, 90, 90, 11, NT, 20.0)
         assert (u.q_start, u.q_end) == (0, 200)
-        ext = batch_ungapped_extend(
+        ext = extend_pair(
             seq, seq, np.array([90]), np.array([90]), 11, NT, 20.0, window=8
         )
         assert ext.complete[0]
         assert int(ext.score[0]) == u.score
         assert (int(ext.q_start[0]), int(ext.q_end[0])) == (0, 200)
         # Capping the escalation reinstates the incomplete report.
-        capped = batch_ungapped_extend(
+        capped = extend_pair(
             seq, seq, np.array([90]), np.array([90]), 11, NT, 20.0,
             window=8, max_window=8,
         )
@@ -77,14 +79,14 @@ class TestBatchKernel:
         word = 11
         qp = np.array([20])
         # Right reach = 60 - (20 + 11) = 29; left reach = 20.
-        ext = batch_ungapped_extend(seq, seq, qp, qp, word, NT, 50.0, window=29)
+        ext = extend_pair(seq, seq, qp, qp, word, NT, 50.0, window=29)
         assert ext.complete[0]
         u = ungapped_extend(seq, seq, 20, 20, word, NT, 50.0)
         assert int(ext.score[0]) == u.score
         assert int(ext.q_start[0]) == u.q_start and int(ext.q_end[0]) == u.q_end
         # One step short and capped there: the right side cannot prove
         # termination, so the row reports incomplete.
-        short = batch_ungapped_extend(
+        short = extend_pair(
             seq, seq, qp, qp, word, NT, 50.0, window=28, max_window=28
         )
         assert not short.complete[0]

@@ -133,17 +133,19 @@ class TestBlockAccumulator:
         sched = _BlockAccumulator(matrix)
         sched.start_epoch(codebook)
         for i, unit in enumerate(units):
-            sched.begin_unit(i)
-            sched(i, unit, None)
-            # what a unit holds while the master decides: its rows and their
-            # BMUs, not two zeroed (K, dim) buffers
-            bmus, block = sched._staged
-            assert bmus.shape == (unit[1] - unit[0],) and block.shape[1] == 5
+            # a chunk: this unit, and a copy of a unit another rank won
+            loser = (i + 2) % len(units)
+            for itask in (i, loser):
+                sched.begin_unit(itask)
+                sched(itask, units[itask], None)
+            # what a chunk holds while the master decides: each unit's row
+            # offsets and BMUs, not its rows or two zeroed (K, dim) buffers
+            assert set(sched._staged) == {i, loser}
+            start, stop, bmus = sched._staged[i]
+            assert (start, stop) == unit and bmus.shape == (stop - start,)
             sched.commit_unit(i)
-            loser = (i + 2) % len(units)  # a copy of a unit another rank won
-            sched.begin_unit(loser)
-            sched(loser, units[loser], None)
             sched.discard_unit(loser)
+            assert sched._staged == {}
 
         assert sched.sums.tobytes() == plain.sums.tobytes()
         assert sched.counts.tobytes() == plain.counts.tobytes()

@@ -436,12 +436,13 @@ class TestStragglerMitigation:
         clean = mrsom_spmd(self.NP, cfg())
 
         # Rank 2 dies inside the first epoch's map, from its mapper, with
-        # one unit committed to its accumulator and a second in flight:
-        # survivors must redo both.  Which worker is handed these
-        # microsecond units is a race, so the others hold their first unit
-        # until rank 2 is on its second.  The gate is a shared-memory event
-        # and the victim is known by its rank, so forked ranks and threads
-        # play the same script.
+        # units committed to its accumulator and another in flight:
+        # survivors must redo them all.  The first round hands 10 units to
+        # 3 workers as 2 + 2 + 2; the others hold their first unit until
+        # rank 2 has committed its 2 and started the 1-unit chunk its report
+        # was answered with (ceil(4 / 6)): 2 + 1 units reassigned.  The gate is
+        # a shared-memory event and the victim is known by its rank, so
+        # forked ranks and threads play the same script.
         dying = multiprocessing.get_context("fork").Event()
         me = threading.local()
         run_unit = _BlockAccumulator.__call__
@@ -452,7 +453,7 @@ class TestStragglerMitigation:
 
         def gated(acc, itask, item, kv):
             if me.rank == 2:
-                if acc.metrics.value("mrsom.units") == 1:
+                if acc.metrics.value("mrsom.units") >= 1:
                     dying.set()
                     raise RankFailure(-1, -1)
             else:
@@ -465,7 +466,7 @@ class TestStragglerMitigation:
         live = [r for r in results if r is not None]
         for r in live:
             assert r.degraded and r.lost_ranks == (2,)
-            assert r.reassigned_units == 2
+            assert r.reassigned_units == 2 + 1
             assert np.allclose(r.codebook, clean[0].codebook)
 
     def test_degraded_rejects_mrmpi_reduce_plane(self, tmp_path):

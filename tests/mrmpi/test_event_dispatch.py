@@ -6,10 +6,13 @@ straggler must outlast its copy) a mapper waits on a gate another rank
 opens; what is asserted is who ran which unit, the scheduler's counters
 and each rank's MPI operation count.
 
-A worker's operations in a map are ``send(request)``, ``recv(reply)`` per
-unit, plus one last pair for the request that is answered by retirement:
-``2 * (units + 1)`` in all, however long it sat parked.  Under the old
-``WAIT_RETRY`` protocol every 5 ms of waiting cost another pair.
+A worker's operations in a map are one ``send(request)``, ``recv(reply)``
+pair per chunk it runs: its first chunk comes with the map, every later
+one answers the request that reported the chunk before, and the request
+after its last chunk is answered by retirement.  So ``2 * chunks`` in all,
+however long it sat parked, and the chunks are the factoring schedule's
+(:func:`factoring`).  Under the old ``WAIT_RETRY`` protocol every 5 ms of
+waiting cost another pair.
 """
 
 import inspect
@@ -25,7 +28,7 @@ from repro.mpi.faultplan import CrashRank, FaultPlan
 from repro.mpi.runtime import SpmdJob, run_spmd
 from repro.mrmpi import mapreduce
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
-from repro.sched import SpeculationPolicy, UnitQueue
+from repro.sched import SpeculationPolicy, UnitQueue, dispatcher
 
 BACKENDS = ["thread", "process"]
 
@@ -43,6 +46,20 @@ def gate():
 def passes(opened):
     """Block a mapper until another rank opens the gate."""
     assert opened.wait(60), "the gate was never opened"
+
+
+def factoring(nmap, workers):
+    """Chunk sizes factoring cuts ``nmap`` units into when nobody dies:
+    batches of one chunk per worker, each ``ceil(R / 2W)`` units."""
+    sizes = []
+    while nmap:
+        size = -(-nmap // (2 * workers))
+        for _ in range(workers):
+            take = min(size, nmap)
+            if take:
+                sizes.append(take)
+            nmap -= take
+    return sizes
 
 
 def _job(comm, nmap, unit, **map_kwargs):
@@ -111,29 +128,30 @@ class TestNoPolling:
         assert merged == [(i, i * 3) for i in range(6)]
         sched = results[0][2]
         assert sched.completed == 6 and sched.reassigned == 0 and not sched.degraded
-        for ran, _pairs, _sched, ops in results[1:]:
-            if "speculation" not in kwargs:
-                assert ops == 2 * (len(ran) + 1)
+        if "speculation" not in kwargs:
+            # Chunks of 2, 2, 1, 1: one request and one reply per chunk,
+            # however the two workers split them.
+            assert sum(ops for *_, ops in results[1:]) == 2 * len(factoring(6, 2))
 
 
 class TestParkedWorkers:
     def test_retired_by_the_completion_that_ends_the_map(self):
-        # Two units, one each: whoever finishes first asks again and is
-        # parked; the other's completion ends the map and retires both.
-        # Each asked twice and was answered twice.
+        # Two units, one each, handed out with the map: whoever finishes
+        # first reports and is parked; the other's report ends the map and
+        # retires both.  Each asked once and was answered once.
         results = run_spmd(3, _job, 2, _one_unit_each())
         (ran1, _, sched, ops1), (ran2, _, _, ops2) = results[1], results[2]
-        assert sorted(ran1 + ran2) == [0, 1] and len(ran1) == len(ran2) == 1
-        assert ops1 == ops2 == 4
+        assert ran1 == [0] and ran2 == [1]  # the first round, in rank order
+        assert ops1 == ops2 == 2
         assert (sched.speculated, sched.wasted, sched.reassigned) == (0, 0, 0)
         assert all(r[2] == sched for r in results)  # one report, every rank
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_gets_the_unit_requeued_when_its_peer_dies(self, backend):
-        # Rank 2 dies at its third op: the send that would have reported
-        # its unit done.  Rank 1's second request goes unanswered until the
+        # Rank 2 dies at its first op: the send that would have reported
+        # its unit done.  Rank 1's first request goes unanswered until the
         # sweep that finds rank 2 dead requeues the unit.
-        plan = FaultPlan([CrashRank(rank=2, at_op=3)])
+        plan = FaultPlan([CrashRank(rank=2, at_op=1)])
         results = run_spmd(3, _job, 2, _one_unit_each(), degraded=True,
                            fault_plan=plan, backend=backend)
         assert results[2] is None
@@ -141,7 +159,7 @@ class TestParkedWorkers:
         assert sorted(ran1) == [0, 1]
         assert pairs1 == [(0, 0), (1, 3)]
         assert sched.reassigned == 1 and sched.lost_ranks == (2,)
-        assert ops1 == 2 * (2 + 1)  # parked, not polling
+        assert ops1 == 2 * 2  # two chunks of one unit; parked, not polling
         assert results[0][2] == sched
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -188,7 +206,7 @@ class TestParkedWorkers:
                 super().requeue(unit)
                 swept.set()
 
-        monkeypatch.setattr(mapreduce, "UnitQueue", Signalling)
+        monkeypatch.setattr(dispatcher, "UnitQueue", Signalling)
 
         def unit(rank, ran, itask):
             if rank == 1:
@@ -219,10 +237,29 @@ class TestParkedWorkers:
         merged = sorted(p for r in results[2:] for p in r[1])
         assert merged == [(0, 0), (1, 3), (2, 6)]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_chunk_may_outlast_op_timeout(self, backend):
+        # op_timeout covers one of rank 2's units (0.3 s), not its first
+        # chunk of four (1.2 s).  The master hears nothing from rank 2 for
+        # longer than op_timeout, and rank 1, which drains the queue at
+        # 0.05 s a unit, waits parked behind that chunk longer than it too.
+        def unit(rank, ran, itask):
+            pause({1: 0.05, 2: 0.3}[rank])
+
+        results = SpmdJob(3, _job, (16, unit), op_timeout=0.4,
+                          backend=backend).run(join_timeout=60)
+        merged = sorted(p for _ran, pairs, *_ in results for p in pairs)
+        assert merged == [(i, i * 3) for i in range(16)]
+        (ran1, *_), (ran2, *_) = results[1], results[2]
+        assert ran2[:4] == [4, 5, 6, 7] and len(ran1) > len(ran2)
+        assert results[0][2].completed == 16
+
     def test_parked_recv_is_bound_by_op_timeout(self):
         # Rank 2's unit outlasts everyone's patience: it ends only once a
         # peer has given up.  A parked worker waits in recv where it used
-        # to wait in the epoch barrier, under the same op_timeout.
+        # to wait in the epoch barrier; the master, which has heard nothing
+        # for op_timeout per unit of the largest chunk out (here one),
+        # gives up and the job fails.
         held, gave_up = gate(), gate()
 
         def main(comm):

@@ -12,7 +12,9 @@ import pytest
 from repro.mpi.exceptions import DegradedRankLoss, MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import RetryPolicy, SpmdJob, run_spmd
-from repro.mrmpi.mapreduce import MapReduce, MapStyle
+from repro.mrmpi.columnar import ColumnarKeyValue
+from repro.mrmpi.mapreduce import MapReduce, MapStyle, _merge_kept
+from repro.mrmpi.schema import UNTYPED
 from repro.sched import SpeculationPolicy
 
 NPROCS = 4
@@ -89,11 +91,14 @@ class TestSpeculation:
 
 class TestDegradedCompletion:
     def _crash_plan(self, job, rank=2):
-        """Measure a clean run's op count and aim a crash at its middle."""
+        """Measure a clean run's op count and aim a crash at a reply in its
+        first half: ops pair up as (request, reply), and every reply but the
+        last carries a chunk, so the rank dies with units committed and a
+        chunk in flight."""
         probe = SpmdJob(NPROCS, job)
         probe.run()
         ops = probe.network.op_count(rank)
-        return FaultPlan.parse(f"crash={rank}@{max(4, ops // 2)}", NPROCS)
+        return FaultPlan.parse(f"crash={rank}@{2 * max(1, ops // 4)}", NPROCS)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_worker_death_reassigns_and_completes(self, backend):
@@ -186,6 +191,59 @@ class TestUnitHooks:
         assert committed == list(range(12))
         assert len(discarded) == sched.wasted
         assert sched.wasted >= 1
+
+
+class TestChunkStaging:
+    """A speculative chunk stages into one store; kept units' rows move."""
+
+    def test_only_the_kept_units_rows_leave_the_stage(self):
+        stage = ColumnarKeyValue(UNTYPED, pagesize=100)  # pages cut units
+        ends = []
+        for unit in range(5):
+            for j in range(4):
+                stage.add((unit, j), unit * 10 + j)
+            ends.append(len(stage))
+        assert stage.spilled_pages > 1
+        kv = ColumnarKeyValue(UNTYPED)
+        _merge_kept(kv, stage, ends, [True, False, True, True, False])
+        assert list(kv) == [((u, j), u * 10 + j) for u in (0, 2, 3) for j in range(4)]
+        assert len(stage) == 0 and stage.spilled_pages == 0  # closed
+
+    def test_a_chunk_stages_within_one_page(self):
+        # Rank 1's first chunk is four units of ~3/8 of a page each.  Staged
+        # into a store per unit they would hold 1.5 pages before the reply.
+        rows = 200
+
+        def emit(itask, kv):
+            kv.add_batch([(itask, j) for j in range(rows)], [b"x" * 40] * rows)
+
+        probe = ColumnarKeyValue(UNTYPED)
+        emit(0, probe)
+        memsize = probe.nbytes * 8 // 3
+
+        def job(comm):
+            mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER, memsize=memsize)
+            stages, peak = [], [0]
+
+            def mapper(itask, item, kv):
+                if all(kv is not s for s in stages):
+                    stages.append(kv)
+                emit(itask, kv)
+                # bytes held in memory by every staging store of this rank
+                peak[0] = max(peak[0], sum(s._live_bytes for s in stages))
+
+            mr.map_items(list(range(16)), mapper,
+                         speculation=SpeculationPolicy(warmup=100))
+            out = sorted(k for k, _v in mr.kv)
+            mr.close()
+            return out, peak[0], len(stages)
+
+        results = run_spmd(3, job)
+        assert sorted(k for out, *_ in results for k in out) == [
+            (i, j) for i in range(16) for j in range(rows)]
+        for _out, peak, nstages in results[1:]:
+            assert 0 < peak < memsize
+        assert results[1][2] < 16  # a store per chunk, not per unit
 
 
 class TestDecorrelatedJitter:

@@ -29,10 +29,22 @@ from unittest import mock
 import numpy as np
 
 from repro.blast.engine import _EngineBase
-from repro.blast.extend import batch_ungapped_extend, ungapped_extend
+from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
 from repro.blast.hsp import cull_overlapping
 
-__all__ = ["no_containment", "staged_scheduler", "staged_search"]
+__all__ = ["extend_pair", "no_containment", "staged_scheduler", "staged_search"]
+
+
+def extend_pair(q_codes, s_codes, q_pos, s_pos, *args, **kwargs):
+    """Batched ungapped extension of hits of one (query, subject) pair:
+    :func:`batch_ungapped_extend_spans` with every row spanning both whole
+    sequences."""
+    n = len(q_pos)
+    return batch_ungapped_extend_spans(
+        q_codes, s_codes, q_pos, s_pos,
+        np.zeros(n, np.int64), np.full(n, len(q_codes), np.int64),
+        np.zeros(n, np.int64), np.full(n, len(s_codes), np.int64),
+        *args, **kwargs)
 
 
 def staged_search(engine, block, lookup, partition, db_len, db_seqs, cutoffs, stats):
@@ -82,7 +94,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
             by_ctx.setdefault(int(runs.ctx_r[st[1]]), []).append(st[1])
         for c, row_list in by_ctx.items():
             rows = np.asarray(row_list, dtype=np.int64)
-            ext = batch_ungapped_extend(
+            ext = extend_pair(
                 block.contexts[c].codes_index,
                 s_index,
                 q_r[rows],

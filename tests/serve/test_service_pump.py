@@ -87,6 +87,55 @@ class TestServiceMetrics:
         svc.close()
 
 
+class _Clock:
+    """A service clock the test (or a stand-in session) sets."""
+
+    now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class _SlowDelivery(_GatedSession):
+    """Handing over a result takes the service clock to ``after``."""
+
+    def __init__(self, clock, after):
+        super().__init__()
+        self.clock, self.after = clock, after
+
+    def poll_result(self, timeout=0.0):
+        env = super().poll_result(timeout)
+        if env is not None:
+            self.clock.now = self.after
+        return env
+
+
+class TestClockAfterDelivery:
+    def test_a_deadline_passing_during_delivery_flushes_in_that_pump(
+            self, serve_workload):
+        """The coalescer is asked with the clock read after delivering, and
+        a latency sample is taken when its future resolves."""
+        clock = _Clock()
+        session = _SlowDelivery(clock, after=10.0)
+        alias_path, _reads, _options = serve_workload
+        cfg = ServeConfig(alias_path=alias_path, nprocs=2, backend="thread",
+                          max_batch=2, max_delay=5.0)
+        svc = QueryService(cfg, clock=clock, session_factory=lambda: session).start()
+        svc.submit(q(0))
+        svc.pump()                             # idle -> job 0
+        svc.submit(q(1))
+        svc.submit(q(2))
+        svc.pump()                             # size -> job 1, still in flight below
+        svc.submit(q(3))                       # due at 5
+        clock.now = 4.0
+        session.finish(0)
+        svc.pump()                             # delivering job 0 lasts until 10
+        assert [len(j.queries) for j in session.jobs] == [1, 2, 1]
+        latency = svc.metrics.snapshot()["serve.latency_s"]
+        assert latency["count"] == 1 and latency["sum"] == 10.0
+        svc.close()
+
+
 class TestIdleDispatch:
     def test_idle_service_dispatches_at_once_and_batches_behind_a_job(
             self, serve_workload):

@@ -120,6 +120,22 @@ class TestResidentSession:
         for before, after in zip(live, final):
             assert after["mr.map_s"] > before["mr.map_s"] > 0
 
+    def test_a_timed_out_request_leaves_no_stale_reply(self, serve_workload):
+        """The reply to a call that timed out behind a job is dropped: the
+        next call returns a snapshot taken after its own request."""
+        alias_path, reads, options = serve_workload
+        session = ResidentBlastSession(make_cfg(alias_path, options)).start()
+        try:
+            session.submit(BlockJob(job_id=0, queries=tuple(reads[:3])))
+            with pytest.raises(TimeoutError):
+                session.rank_metrics(timeout=0.0)  # queued behind job 0
+            assert session.poll_result(timeout=60.0).job_id == 0
+            run_jobs(session, [BlockJob(job_id=1, queries=tuple(reads[3:5]))])
+            fresh = session.rank_metrics(timeout=60.0)
+        finally:
+            session.stop()
+        assert [s["serve.jobs"] for s in fresh] == [2, 2]
+
     def test_rank_metrics_needs_a_running_session(self, serve_workload):
         alias_path, _reads, options = serve_workload
         session = ResidentBlastSession(make_cfg(alias_path, options))
@@ -290,12 +306,18 @@ class TestDegradedSession:
         assert not session.failed
 
         dead = envs[0].lost_ranks[0]
+        assert envs[1].lost_ranks == (dead,)
         assert stats[dead] is None  # the lost rank left the session
-        survivors = [s for s in stats if s is not None]
+        survivors = [rank for rank, s in enumerate(stats) if s is not None]
         assert len(survivors) == 2
-        for s in survivors:
-            assert s["sched.lost_ranks"] == 1
-            assert s["serve.jobs"] == 2
+        for rank in survivors:
+            assert stats[rank]["sched.lost_ranks"] == 1
+            assert stats[rank]["serve.jobs"] == 2
+            # Every survivor shrank past the same global rank, once.
+            shrinks = [tuple(attrs["lost"]) for ph, _ts, _sid, name, _cat, attrs
+                       in trace.tracer(rank).iter_events()
+                       if ph == "i" and name == "sched.shrink"]
+            assert shrinks == [(dead,)], (rank, shrinks)
 
         # Even the dead rank's trace is balanced: its unwind closed the
         # spans DegradedRankLoss tore through.
