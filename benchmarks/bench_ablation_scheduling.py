@@ -8,15 +8,17 @@
 The ablation quantifies both claims: location-awareness slashes DB reloads,
 and static scatter loses to dynamic balancing on an irregular workload.
 
-The straggler ablation (PR 8) adds the robustness arms on the same fleet:
-plain dispatch vs speculative re-execution vs speculation + in-flight
-reassignment, under a seeded stall/crash plan on 256 simulated cores.
+The factoring ablation sizes the master's chunks the way the real MPI
+master does (Hummel et al. 1992) instead of one unit per request, at
+Fig. 5's scale.  The straggler ablation adds the robustness arms on the
+same fleet: plain dispatch vs speculative re-execution, under a seeded
+stall/crash plan on 256 simulated cores.
 """
 
 import json
 from pathlib import Path
 
-from repro.cluster import nucleotide_workload, ranger, simulate_blast_run
+from repro.cluster import nucleotide_workload, protein_workload, ranger, simulate_blast_run
 from repro.figures.comparisons import ablation_scheduling
 from repro.mpi.faultplan import FaultPlan
 from repro.sched import SpeculationPolicy
@@ -60,11 +62,51 @@ def test_ablation_scheduling(benchmark, print_table):
         assert glidein.wall_minutes >= fifo.wall_minutes * 0.98
 
 
+def test_factoring_ablation(print_table):
+    """One unit per request (the paper's) vs factoring (the real master's
+    chunk rule, ``chunk=None``) at Fig. 5's scale: the 1024-core blastp run."""
+    cluster, workload = ranger(1024), protein_workload()
+    runs = {
+        (scheduler, chunk): simulate_blast_run(cluster, workload, scheduler, chunk=chunk)
+        for scheduler in ("master_worker", "affinity") for chunk in (1, None)
+    }
+    print_table(
+        "Factoring ablation — blastp, 1024 cores (Fig. 5)",
+        ["scheduler", "chunk", "makespan s", "DB reloads", "utilization"],
+        [[scheduler, chunk or "factoring", f"{r.map_makespan:.1f}", r.total_reloads,
+          f"{_utilization(r):.4f}"] for (scheduler, chunk), r in runs.items()],
+    )
+    _record("factoring_ablation", {
+        "cluster_cores": cluster.cores,
+        "n_units": workload.n_units,
+        "arms": {
+            f"{scheduler}/{chunk or 'factoring'}": {
+                "map_makespan_s": r.map_makespan,
+                "reloads": r.total_reloads,
+                "utilization": _utilization(r),
+            }
+            for (scheduler, chunk), r in runs.items()
+        },
+    })
+    # At Ranger's 0.5 ms dispatch latency a round trip per unit costs
+    # nothing against blastp's units: fewer requests, the same makespan.
+    for scheduler in ("master_worker", "affinity"):
+        one, factored = runs[(scheduler, 1)], runs[(scheduler, None)]
+        assert abs(factored.map_makespan / one.map_makespan - 1) < 0.025
+        assert factored.sched.completed == one.sched.completed == workload.n_units
+
+
+def _utilization(res):
+    busy = res.total_io_seconds + res.total_compute_seconds
+    return busy / (res.cluster.workers * res.map_makespan)
+
+
 def test_straggler_mitigation_ablation(print_table):
-    """none / speculation / speculation+reassignment on a 256-core fleet.
+    """none / speculation on a 256-core fleet.
 
     One worker stalls for 600 s mid-map and another crashes outright; the
-    same seeded plan drives every arm, so the deltas are pure policy.
+    same seeded plan drives both arms, so the delta is pure policy.  Both
+    survive the crash: the master requeues the dead worker's units.
     """
     cluster = ranger(256)
     workload = nucleotide_workload(n_queries=20_000)
@@ -73,27 +115,20 @@ def test_straggler_mitigation_ablation(print_table):
     arms = {
         "none": dict(),
         "speculation": dict(speculation=SpeculationPolicy(factor=2.0)),
-        "speculation+reassign": dict(
-            speculation=SpeculationPolicy(factor=2.0), reassign=True
-        ),
     }
     runs = {
         name: simulate_blast_run(cluster, workload, fault_plan=plan, **kw)
         for name, kw in arms.items()
     }
 
-    def utilization(res):
-        busy = res.total_io_seconds + res.total_compute_seconds
-        return busy / (cluster.workers * res.map_makespan)
-
     print_table(
         "Straggler ablation — blastn 20K queries, 256 cores, stall+crash",
         ["policy", "makespan s", "speculated", "wasted units", "wasted s",
-         "reassigned", "lost units", "utilization"],
+         "reassigned", "lost workers", "utilization"],
         [
-            [name, f"{r.map_makespan:.1f}", r.speculated_units,
-             r.wasted_units, f"{r.wasted_seconds:.1f}", r.reassigned_units,
-             r.lost_units, f"{utilization(r):.2f}"]
+            [name, f"{r.map_makespan:.1f}", r.sched.speculated, r.sched.wasted,
+             f"{r.wasted_seconds:.1f}", r.sched.reassigned, list(r.sched.lost_ranks),
+             f"{_utilization(r):.2f}"]
             for name, r in runs.items()
         ],
     )
@@ -104,29 +139,26 @@ def test_straggler_mitigation_ablation(print_table):
         "arms": {
             name: {
                 "map_makespan_s": r.map_makespan,
-                "speculated_units": r.speculated_units,
-                "wasted_units": r.wasted_units,
+                "speculated_units": r.sched.speculated,
+                "wasted_units": r.sched.wasted,
                 "wasted_seconds": r.wasted_seconds,
-                "reassigned_units": r.reassigned_units,
-                "lost_units": r.lost_units,
-                "lost_workers": list(r.lost_workers),
-                "utilization": utilization(r),
+                "reassigned_units": r.sched.reassigned,
+                "lost_workers": list(r.sched.lost_ranks),
+                "utilization": _utilization(r),
             }
             for name, r in runs.items()
         },
     })
 
-    none, spec, full = (runs["none"], runs["speculation"],
-                        runs["speculation+reassign"])
+    none, spec = runs["none"], runs["speculation"]
     # Speculation clones the stalled unit instead of waiting out the stall.
     assert none.map_makespan >= 1.5 * spec.map_makespan
-    assert spec.speculated_units >= 1
-    # Only the reassignment arm re-runs the crashed worker's orphans.
-    assert none.lost_units > 0 and spec.lost_units > 0
-    assert full.lost_units == 0
-    assert full.reassigned_units >= 1
-    assert sum(t.units for t in full.traces) == workload.n_units
+    assert spec.sched.speculated >= 1
+    # Both arms redo the crashed worker's units: each completes exactly once.
+    for r in runs.values():
+        assert r.sched.lost_ranks == (19,) and r.sched.reassigned >= 1
+        assert r.sched.completed == sum(t.units for t in r.traces) == workload.n_units
     # Duplicate work is the price of speculation; it must be visible, a
     # sliver of the useful compute, and must not sink utilisation.
     assert 0 < spec.wasted_seconds < 0.1 * spec.total_compute_seconds
-    assert utilization(spec) > utilization(none)
+    assert _utilization(spec) > _utilization(none)

@@ -1,18 +1,22 @@
 """DES replay of the MR-MPI BLAST map phase on a modelled cluster.
 
-Workers (cores minus the rank-0 master) pull (query block, DB partition)
-units from a scheduler, pay a dispatch round trip, reload the partition when
-it differs from the one they hold (cost depending on the page cache), then
-compute.  Three schedulers:
+Workers (cores minus the rank-0 master) run (query block, DB partition)
+units: each reloads the partition when it differs from the one it holds
+(cost depending on the page cache), then computes.  Three schedulers:
 
-- ``master_worker`` — the paper's FIFO dispatch (units in partition-major
-  order, first free worker gets the next unit);
-- ``static`` — mpiBLAST-style ownership: partition p belongs to worker
-  ``p % W``; no work stealing;
+- ``master_worker`` — the paper's FIFO dispatch (units in query-major
+  order, the next one to whichever worker asks);
 - ``affinity`` — the paper's §V *future work*: the master prefers a unit
   whose partition the requesting worker already holds ("distribute the work
   unit tuples to those ranks that have already been processing the same DB
-  partitions").
+  partitions");
+- ``static`` — mpiBLAST-style ownership: every core walks its own list,
+  partition p belonging to worker ``p % W``; no master, no work stealing.
+
+The first two run the real MPI master's policy, :class:`~repro.sched.Dispatcher`,
+driven on the simulated clock the way ``MapReduce._run_sched_master`` drives
+it on the wall clock: a finished chunk is a request, a crash is a death,
+and a reply reaches its worker ``cluster.dispatch_latency`` later.
 
 The collate/reduce phases are appended analytically (personalised
 all-to-all of the emitted KV volume), since the paper's scaling behaviour
@@ -21,15 +25,14 @@ is dominated by the map phase.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.blast_model import BlastWorkloadModel
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.pagecache import PartitionCache
 from repro.mpi.faultplan import CrashRank, FaultPlan, StallRank
-from repro.sched import SpeculationPolicy, StragglerTracker, UnitQueue
-from repro.simtime.events import Environment
+from repro.sched import Dispatcher, SchedReport, SpeculationPolicy
+from repro.simtime.events import Environment, Event
 
 __all__ = ["SimResult", "WorkerTrace", "simulate_blast_run"]
 
@@ -44,11 +47,30 @@ class WorkerTrace:
     reloads: int = 0
     io_seconds: float = 0.0
     compute_seconds: float = 0.0
-    #: straggler-mitigation accounting (PR 8)
+    #: runs whose output was discarded: losing speculative copies and, once
+    #: the worker crashed, everything it had run
     wasted_units: int = 0
     wasted_seconds: float = 0.0
     stall_seconds: float = 0.0
     crashed: bool = False
+
+    def add(self, io: float, stall: float, compute: float, kept: bool = True) -> None:
+        """Account one run: output kept, or a discarded copy."""
+        if kept:
+            self.units += 1
+            self.io_seconds += io
+            self.compute_seconds += compute
+        else:
+            self.wasted_units += 1
+            self.wasted_seconds += io + stall + compute
+
+    def crash(self, unreported: list[tuple[float, float, float]]) -> None:
+        """The worker died: its kept output died with it (the master
+        requeues those units), and so did the runs it had not reported."""
+        self.crashed = True
+        self.wasted_units += self.units + len(unreported)
+        self.wasted_seconds += self.io_seconds + self.compute_seconds + sum(map(sum, unreported))
+        self.units, self.io_seconds, self.compute_seconds = 0, 0.0, 0.0
 
 
 @dataclass
@@ -64,13 +86,8 @@ class SimResult:
     traces: list[WorkerTrace]
     cache_hits: int
     cache_misses: int
-    #: straggler-mitigation / fault accounting (PR 8)
-    speculated_units: int = 0
-    wasted_units: int = 0
-    wasted_seconds: float = 0.0
-    reassigned_units: int = 0
-    lost_units: int = 0
-    lost_workers: tuple[int, ...] = ()
+    #: the master's report (all zero when no master dispatched: static, glide-in)
+    sched: SchedReport = SchedReport()
 
     @property
     def makespan(self) -> float:
@@ -83,6 +100,10 @@ class SimResult:
     @property
     def total_io_seconds(self) -> float:
         return sum(t.io_seconds for t in self.traces)
+
+    @property
+    def wasted_seconds(self) -> float:
+        return sum(t.wasted_seconds for t in self.traces)
 
     @property
     def total_reloads(self) -> int:
@@ -106,201 +127,168 @@ class SimResult:
         return baseline.core_seconds / self.core_seconds
 
 
-class _Scheduler:
-    """Synchronous unit source; the DES charges dispatch latency around it."""
+def unit_step(env: Environment, cluster: ClusterSpec, workload: BlastWorkloadModel,
+              cache: PartitionCache):
+    """The step every simulated worker takes per unit: reload the unit's
+    partition unless it holds it, stall, compute, and log the interval.
+    ``yield from step(trace, unit, held, stall)`` gives ``(io, stall,
+    compute)`` seconds."""
 
-    def __init__(
-        self,
-        workload: BlastWorkloadModel,
-        policy: str,
-        workers: int,
-        order: str = "query_major",
-    ) -> None:
-        self.policy = policy
-        if order == "query_major":
-            # For each query block, sweep all DB partitions — the order that
-            # reproduces the paper's caching behaviour (every rank re-opens a
-            # different partition per unit, so the page cache does the work).
-            units = [
-                (b, p)
-                for b in range(workload.n_blocks)
-                for p in range(workload.n_partitions)
-            ]
-        elif order == "partition_major":
-            units = [
-                (b, p)
-                for p in range(workload.n_partitions)
-                for b in range(workload.n_blocks)
-            ]
-        else:
-            raise ValueError(f"unknown unit order {order!r}")
-        if policy in ("master_worker", "affinity"):
-            # The queue policy the real master runs: FIFO is the one-key
-            # case, affinity keys each unit by its partition (match, then
-            # claim an unclaimed partition, then steal from the fullest).
-            self._units = units
-            self._index = {unit: i for i, unit in enumerate(units)}
-            self._queue = UnitQueue(
-                [p if policy == "affinity" else None for _b, p in units])
-        elif policy == "static":
-            self._per_worker: list[deque] = [deque() for _ in range(workers)]
-            for b, p in units:
-                self._per_worker[p % workers].append((b, p))
-        else:
-            raise ValueError(f"unknown scheduler policy {policy!r}")
+    def step(trace: WorkerTrace, unit: tuple[int, int], held: int | None,
+             stall: float = 0.0):
+        block, partition = unit
+        start, io = env.now, 0.0
+        if partition != held:
+            cached = cache.access(partition, workload.partition_gb)
+            io = cluster.load_seconds(workload.partition_gb, cached)
+            yield env.timeout(io)
+            trace.reloads += 1
+        if stall:
+            trace.stall_seconds += stall
+            yield env.timeout(stall)
+        compute = workload.compute_seconds(block, partition)
+        yield env.timeout(compute)
+        trace.intervals.append((start, start + io, env.now))
+        return io, stall, compute
 
-    def next_unit(self, worker: int, current_partition: int | None):
-        if self.policy == "static":
-            q = self._per_worker[worker]
-            return q.popleft() if q else None
-        i = self._queue.next(
-            current_partition if self.policy == "affinity" else None)
-        return None if i is None else self._units[i]
+    return step
 
-    def requeue(self, unit: tuple[int, int]) -> None:
-        """Put a dead worker's unit back at the front of its queue (static
-        scheduling has no reassignment; ``simulate_blast_run`` checks)."""
-        self._queue.requeue(self._index[unit])
+
+def kv_total_gb(workload: BlastWorkloadModel) -> float:
+    """The KV volume every unit together emits, in GB."""
+    return sum(workload.kv_bytes(b, p) for b in range(workload.n_blocks)
+               for p in range(workload.n_partitions)) / 1e9
 
 
 def simulate_blast_run(
     cluster: ClusterSpec,
     workload: BlastWorkloadModel,
     scheduler: str = "master_worker",
-    order: str = "query_major",
     *,
     speculation: SpeculationPolicy | None = None,
-    reassign: bool = False,
     fault_plan: FaultPlan | None = None,
+    chunk: int | None = 1,
 ) -> SimResult:
     """Simulate one map+collate+reduce cycle; deterministic per inputs.
 
-    Straggler/fault extensions (PR 8), all off by default:
-
+    - ``chunk`` is the units the master hands out per request: the paper's
+      one, or None for factoring, as the real master sizes them.
     - ``fault_plan`` reinterprets a :class:`~repro.mpi.faultplan.FaultPlan`
       on the simulated fleet: event ``rank`` is the worker index and
-      ``at_op`` counts that worker's *dispatched units* (1-based).
+      ``at_op`` counts the units that worker has taken (1-based).
       ``StallRank`` adds ``seconds`` to the unit's service time;
-      ``CrashRank`` kills the worker right after it takes its ``at_op``-th
-      unit.  Message events are ignored (the DES has no message plane).
-    - ``speculation`` re-issues overdue units to idle workers under the
+      ``CrashRank`` kills the worker as it takes its ``at_op``-th unit, and
+      the master requeues the units it held and the ones it had completed,
+      as the real master does in degraded mode.  Message events are
+      ignored (the DES has no message plane).
+    - ``speculation`` re-issues overdue units to parked workers under the
       same :class:`~repro.sched.SpeculationPolicy` as the real runtime;
       the first copy to finish wins and the loser's time is wasted work.
-    - ``reassign`` requeues a dead worker's in-flight units to the front
-      of the queue (degraded completion); without it they are lost.
 
     ``map_makespan`` then means *result-complete time* — the instant the
     last work unit is accepted — so a loser copy still grinding on a
     stalled worker does not mask the speculation win.
     """
-    if scheduler == "static" and (speculation is not None or reassign):
-        raise ValueError(
-            "static scheduling has no central queue: speculation/reassignment "
-            "require the master_worker or affinity policy"
-        )
-    env = Environment()
-    workers = cluster.workers if scheduler != "static" else cluster.cores
-    cache = PartitionCache(cluster.page_cache_gb)
-    sched = _Scheduler(workload, scheduler, workers, order=order)
-    traces = [WorkerTrace(w) for w in range(workers)]
-
+    if scheduler not in ("master_worker", "affinity", "static"):
+        raise ValueError(f"unknown scheduler policy {scheduler!r}")
+    static = scheduler == "static"
+    workers = cluster.cores if static else cluster.workers
     # Per-worker fault tables, read (not consumed) from the plan so one plan
     # can drive many simulated arms.
     crash_at: dict[int, int] = {}
     stall_at: dict[tuple[int, int], float] = {}
-    if fault_plan is not None:
-        for ev in fault_plan.events:
-            if isinstance(ev, CrashRank) and ev.rank < workers:
-                crash_at[ev.rank] = min(crash_at.get(ev.rank, ev.at_op), ev.at_op)
-            elif isinstance(ev, StallRank) and ev.rank < workers:
-                key = (ev.rank, ev.at_op)
-                stall_at[key] = stall_at.get(key, 0.0) + ev.seconds
+    for ev in fault_plan.events if fault_plan is not None else ():
+        if isinstance(ev, CrashRank) and ev.rank < workers:
+            crash_at[ev.rank] = min(crash_at.get(ev.rank, ev.at_op), ev.at_op)
+        elif isinstance(ev, StallRank) and ev.rank < workers:
+            key = (ev.rank, ev.at_op)
+            stall_at[key] = stall_at.get(key, 0.0) + ev.seconds
+    if static and (speculation is not None or crash_at):
+        raise ValueError(
+            "static scheduling has no master: speculation and crash recovery "
+            "require the master_worker or affinity policy"
+        )
 
-    n_units = workload.n_blocks * workload.n_partitions
-    tracker = StragglerTracker(speculation)
-    state = {"lost": 0, "crashed": []}
+    env = Environment()
+    cache = PartitionCache(cluster.page_cache_gb)
+    step = unit_step(env, cluster, workload, cache)
+    traces = [WorkerTrace(w) for w in range(workers)]
+    latency = cluster.dispatch_latency
+    # For each query block, sweep all DB partitions — the order that
+    # reproduces the paper's caching behaviour (every rank re-opens a
+    # different partition per unit, so the page cache does the work).
+    units = [(b, p) for b in range(workload.n_blocks) for p in range(workload.n_partitions)]
 
-    def worker_proc(env: Environment, wid: int):
-        trace = traces[wid]
-        current: int | None = None
-        dispatched = 0
-        crash_op = crash_at.get(wid)
-        while tracker.completed + state["lost"] < n_units:
-            unit = sched.next_unit(wid, current)
-            if unit is None and speculation is not None:
-                # Queue drained: clone the most-overdue straggler instead of
-                # going idle (dedup by unit id makes the clone safe).
-                unit = tracker.candidate(env.now, exclude_worker=wid)
-            if unit is None:
-                # Idle but the job is not done (a straggler or a requeue may
-                # still need this worker): poll at a cadence scaled to the
-                # observed unit cost.
-                med = tracker.median()
-                yield env.timeout(
-                    max((med or 2.0) / 2.0, cluster.dispatch_latency * 8)
-                )
-                continue
-            dispatched += 1
-            yield env.timeout(cluster.dispatch_latency)
-            tracker.assign(unit, wid, env.now)
-            if crash_op is not None and dispatched >= crash_op:
-                trace.crashed = True
-                state["crashed"].append(wid)
-                orphans = tracker.release_worker(wid, env.now)
-                if reassign:
-                    for u in orphans:
-                        sched.requeue(u)
-                    tracker.reassigned += len(orphans)
-                else:
-                    state["lost"] += len(orphans)
-                    if scheduler == "static":
-                        # Static ownership: the dead worker's whole queue
-                        # dies with it — nobody else may serve it.
-                        q = sched._per_worker[wid]
-                        state["lost"] += len(q)
-                        q.clear()
+    def walk(wid: int):
+        trace, held = traces[wid], None
+        mine = [unit for unit in units if unit[1] % workers == wid]
+        for taken, unit in enumerate(mine, 1):
+            yield env.timeout(latency)
+            trace.add(*(yield from step(trace, unit, held, stall_at.get((wid, taken), 0.0))))
+            held = unit[1]
+
+    disp = None if static else Dispatcher(
+        [p if scheduler == "affinity" else None for _b, p in units],
+        range(workers), speculation, chunk=chunk)
+    inbox: dict[int, Event] = {}  # parked worker -> the reply it waits on
+    wake: float | None = None  # when the armed speculation timer fires
+
+    def settle() -> None:
+        """What the master does after each request or death."""
+        nonlocal wake
+        now = env.now
+        for wid, keeps, handed in disp.replies(now):
+            inbox.pop(wid).succeed((keeps, handed))
+        owed = disp.retire()
+        for wid, keeps in owed or ():
+            if wid in inbox:
+                inbox.pop(wid).succeed((keeps, ()))
+        due = disp.next_due()
+        if owed is None and due is not None and now < due + latency and (
+                wake is None or wake <= now or due + latency < wake):
+            wake = due + latency
+            env.timeout(wake - now).callbacks.append(lambda _ev: settle())
+
+    def work(wid: int):
+        trace, held, taken = traces[wid], None, 0
+        handed = disp.first[wid]
+        while True:
+            if handed:
+                yield env.timeout(latency)  # the reply's message time
+            ran = []
+            for unit in handed:
+                taken += 1
+                if taken == crash_at.get(wid):
+                    trace.crash(ran)
+                    disp.lose(wid, env.now)
+                    settle()
+                    return
+                ran.append((yield from step(trace, units[unit], held,
+                                            stall_at.get((wid, taken), 0.0))))
+                held = units[unit][1]
+            disp.request(wid, handed, env.now)
+            reply = inbox[wid] = env.event()
+            settle()
+            keeps, handed = yield reply
+            for cost, kept in zip(ran, keeps):
+                trace.add(*cost, kept)
+            if not handed:
                 return
-            block, partition = unit
-            start = env.now
-            io = 0.0
-            if partition != current:
-                cached = cache.access(partition, workload.partition_gb)
-                io = cluster.load_seconds(workload.partition_gb, cached)
-                yield env.timeout(io)
-                trace.reloads += 1
-                current = partition
-            stall = stall_at.get((wid, dispatched), 0.0)
-            if stall:
-                trace.stall_seconds += stall
-                yield env.timeout(stall)
-            compute = workload.compute_seconds(block, partition)
-            yield env.timeout(compute)
-            accepted = tracker.complete(unit, wid, env.now)
-            trace.intervals.append((start, start + io, env.now))
-            if accepted:
-                trace.units += 1
-                trace.io_seconds += io
-                trace.compute_seconds += compute
-            else:
-                trace.wasted_units += 1
-                trace.wasted_seconds += io + stall + compute
 
     for w in range(workers):
-        env.process(worker_proc(env, w))
+        env.process(walk(w) if static else work(w))
     env.run()
-    map_makespan = tracker.finish_time if tracker.finish_time is not None else env.now
+    if static:
+        map_makespan, report = env.now, SchedReport()
+    elif disp.tracker.completed < len(units):
+        raise RuntimeError(f"every simulated worker crashed with "
+                           f"{len(units) - disp.tracker.completed} units incomplete")
+    else:
+        map_makespan, report = disp.tracker.finish_time, disp.tracker.report(tuple(disp.dead))
 
     # Shuffle model: every rank holds kv_total/P and exchanges (P-1)/P of it
     # in a personalised all-to-all limited by per-link bandwidth.
-    kv_total_gb = (
-        sum(
-            workload.kv_bytes(b, p)
-            for p in range(workload.n_partitions)
-            for b in range(workload.n_blocks)
-        )
-        / 1e9
-    )
-    per_rank_gb = kv_total_gb / max(cluster.cores, 1)
+    per_rank_gb = kv_total_gb(workload) / max(cluster.cores, 1)
     collate_seconds = per_rank_gb / cluster.net_bw_gbps + cluster.net_latency * max(
         cluster.cores - 1, 1
     ) * 0.01
@@ -317,10 +305,5 @@ def simulate_blast_run(
         traces=traces,
         cache_hits=cache.hits,
         cache_misses=cache.misses,
-        speculated_units=tracker.speculated,
-        wasted_units=tracker.wasted,
-        wasted_seconds=sum(t.wasted_seconds for t in traces),
-        reassigned_units=tracker.reassigned,
-        lost_units=state["lost"],
-        lost_workers=tuple(sorted(state["crashed"])),
+        sched=report,
     )

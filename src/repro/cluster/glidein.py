@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.blast_model import BlastWorkloadModel
-from repro.cluster.dispatch import SimResult, WorkerTrace
+from repro.cluster.dispatch import SimResult, WorkerTrace, kv_total_gb, unit_step
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.pagecache import PartitionCache
 from repro.simtime.events import Environment
+from repro.simtime.resources import Resource
 
 __all__ = ["GlideinSpec", "simulate_glidein_run"]
 
@@ -62,58 +63,28 @@ def simulate_glidein_run(
     env = Environment()
     workers = cluster.cores
     cache = PartitionCache(cluster.page_cache_gb)
+    step = unit_step(env, cluster, workload, cache)
     traces = [WorkerTrace(w) for w in range(workers)]
-
-    units = [
-        (b, p)
-        for b in range(workload.n_blocks)
-        for p in range(workload.n_partitions)
-    ]
-    cursor = [0]
-
-    from repro.simtime.resources import Resource
-
+    units = ((b, p) for b in range(workload.n_blocks) for p in range(workload.n_partitions))
     gateway = Resource(env, capacity=spec.gateway_concurrency)
 
     def daemon(env: Environment, wid: int):
-        trace = traces[wid]
-        current: int | None = None
+        trace, held = traces[wid], None
         while True:
             # Fetch the next task through the gateway proxy.
             yield gateway.request()
             yield env.timeout(spec.scheduler_latency)
-            if cursor[0] >= len(units):
-                gateway.release()
-                return
-            block, partition = units[cursor[0]]
-            cursor[0] += 1
+            unit = next(units, None)
             gateway.release()
-
+            if unit is None:
+                return
             yield env.timeout(spec.fork_overhead)
-            start = env.now
-            io = 0.0
-            if partition != current:
-                cached = cache.access(partition, workload.partition_gb)
-                io = cluster.load_seconds(workload.partition_gb, cached)
-                yield env.timeout(io)
-                trace.reloads += 1
-                current = partition
-            compute = workload.compute_seconds(block, partition)
-            yield env.timeout(compute)
-            trace.intervals.append((start, start + io, env.now))
-            trace.units += 1
-            trace.io_seconds += io
-            trace.compute_seconds += compute
+            trace.add(*(yield from step(trace, unit, held)))
+            held = unit[1]
 
     for w in range(workers):
         env.process(daemon(env, w))
     env.run()
-
-    # File-system-level result merging replaces collate/reduce.
-    kv_total_gb = sum(
-        workload.kv_bytes(b, p) for b, p in units
-    ) / 1e9
-    merge_seconds = kv_total_gb / 0.2
 
     return SimResult(
         cluster=cluster,
@@ -121,7 +92,8 @@ def simulate_glidein_run(
         scheduler="glidein",
         map_makespan=env.now,
         collate_seconds=0.0,
-        reduce_seconds=merge_seconds,
+        # File-system-level result merging replaces collate/reduce.
+        reduce_seconds=kv_total_gb(workload) / 0.2,
         traces=traces,
         cache_hits=cache.hits,
         cache_misses=cache.misses,

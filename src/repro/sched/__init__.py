@@ -1,24 +1,14 @@
 """Scheduling policies, clock-agnostic: callers pass ``now``.
 
-An online P² quantile, a speculation policy and a straggler tracker shared
-by the real MASTER_WORKER master (`repro.mrmpi.mapreduce`) and the
-simulated fleet (`repro.cluster.dispatch`); the queue policy
-(`UnitQueue`); and the master's whole dispatch policy (`Dispatcher`).
+The MASTER_WORKER dispatch policy (`Dispatcher`), which the real MPI master
+(`repro.mrmpi.mapreduce`) and the simulated fleet (`repro.cluster.dispatch`)
+both drive; the speculation policy it takes and the report it gives; and
+the online P² quantile.  Its parts, the queue policy
+(`dispatcher.UnitQueue`) and the straggler tracker
+(`speculation.StragglerTracker`), stay inside the package.
 """
 
-from repro.sched.dispatcher import Dispatcher, UnitQueue
-from repro.sched.speculation import (
-    P2Quantile,
-    SchedReport,
-    SpeculationPolicy,
-    StragglerTracker,
-)
+from repro.sched.dispatcher import Dispatcher
+from repro.sched.speculation import P2Quantile, SchedReport, SpeculationPolicy
 
-__all__ = [
-    "Dispatcher",
-    "P2Quantile",
-    "SchedReport",
-    "SpeculationPolicy",
-    "StragglerTracker",
-    "UnitQueue",
-]
+__all__ = ["Dispatcher", "P2Quantile", "SchedReport", "SpeculationPolicy"]

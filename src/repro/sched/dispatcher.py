@@ -3,14 +3,16 @@
 :class:`Dispatcher` owns what the master decides: the unit queue, the
 straggler tracker, the parked (asked, not yet answered) and dead workers,
 and how many units answer a request; the caller passes ``now`` and sends
-what comes back.  Which units: :class:`UnitQueue` (the simulated fleet in
-:mod:`repro.cluster.dispatch` runs it too, a unit per request).  How many:
-*factoring* (Hummel, Schonberg & Flynn, CACM 1992), batches of one chunk
-per live worker of ``ceil(R / 2W)`` units each, ``R`` queued units and
-``W`` live workers when the batch starts: 32 units on 2 workers go out as
-8, 8, 4, 4, 2, 2, 1, 1, 1, 1.  The first batch is a pure function of the
-SPMD-identical ``keys`` and workers, so each worker computes its own first
-chunk (:attr:`Dispatcher.first`) and no request precedes it.
+what comes back.  Which units: :class:`UnitQueue`.  How many: a fixed
+``chunk``, or by default *factoring* (Hummel, Schonberg & Flynn, CACM
+1992), batches of one chunk per live worker of ``ceil(R / 2W)`` units
+each, ``R`` queued units and ``W`` live workers when the batch starts: 32
+units on 2 workers go out as 8, 8, 4, 4, 2, 2, 1, 1, 1, 1.  The first
+batch is a pure function of the SPMD-identical ``keys`` and workers, so
+each worker computes its own first chunk (:attr:`Dispatcher.first`) and
+no request precedes it.  The MPI master (:mod:`repro.mrmpi.mapreduce`)
+and the simulated fleet (:mod:`repro.cluster.dispatch`, one unit per
+request as in the paper) both drive this class.
 """
 
 from __future__ import annotations
@@ -73,13 +75,15 @@ class Dispatcher:
     so the chunk stays on one DB partition where it can, or, once the queue
     is drained, a speculative copy of a straggler (none before its whole
     chunk is overdue: :meth:`StragglerTracker.assign`).  A completed chunk
-    adds its wall time per unit to the running median.
+    adds its wall time per unit to the running median.  ``chunk`` fixes
+    the units per answer; None sizes them by factoring.
     """
 
     def __init__(self, keys: Sequence[Any], workers: Iterable[int],
                  speculation: SpeculationPolicy | None = None, now: float = 0.0,
-                 tracer=NULL_TRACER) -> None:
+                 tracer=NULL_TRACER, chunk: int | None = None) -> None:
         self._keys = keys
+        self._chunk = chunk
         self._queue = UnitQueue(keys)
         self.tracker = StragglerTracker(speculation)
         self._tracer = tracer
@@ -129,6 +133,8 @@ class Dispatcher:
         """``(worker, keep flags, chunk)`` for each parked worker there is
         work for at ``now``; it is no longer parked."""
         out = []
+        if not len(self._queue) and self.tracker.candidate(now) is None:
+            return out  # nothing any parked worker could be handed
         for worker in list(self._parked):
             chunk = self._hand(worker, now)
             if chunk:
@@ -143,7 +149,8 @@ class Dispatcher:
         return list(self._parked.items())
 
     def next_due(self) -> float | None:
-        """When the clock alone could next get a parked worker a unit."""
+        """The instant after which the clock alone could get a parked
+        worker a unit."""
         return self.tracker.next_due() if self._parked else None
 
     def longest_chunk(self) -> int:
@@ -156,7 +163,7 @@ class Dispatcher:
         key = self._last_key.get(worker)
         if len(self._queue):
             if not self._left:
-                self._size = -(-len(self._queue) // (2 * len(self.live)))
+                self._size = self._chunk or -(-len(self._queue) // (2 * len(self.live)))
                 self._left = len(self.live)
             self._left -= 1
             while len(chunk) < self._size and (unit := self._queue.next(key)) is not None:

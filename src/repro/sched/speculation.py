@@ -277,7 +277,8 @@ class StragglerTracker:
         return best
 
     def next_due(self) -> float | None:
-        """Earliest time an in-flight unit turns into a :meth:`candidate`.
+        """The instant after which an in-flight unit is a :meth:`candidate`
+        (strictly after: at exactly this time it is not one yet).
 
         ``None`` when no unit can (speculation off, quantile not yet
         trusted, or every in-flight unit already has its copies): only a

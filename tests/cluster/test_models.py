@@ -221,12 +221,10 @@ class TestBlastSimulation:
         with pytest.raises(ValueError):
             a.efficiency_vs(b)
 
-    def test_unknown_scheduler_and_order(self):
+    def test_unknown_scheduler(self):
         wl = nucleotide_workload(12_000)
         with pytest.raises(ValueError):
             simulate_blast_run(ranger(32), wl, scheduler="magic")
-        with pytest.raises(ValueError):
-            simulate_blast_run(ranger(32), wl, order="diagonal")
 
 
 class TestUtilizationTrace:

@@ -28,7 +28,8 @@ from repro.mpi.faultplan import CrashRank, FaultPlan
 from repro.mpi.runtime import SpmdJob, run_spmd
 from repro.mrmpi import mapreduce
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
-from repro.sched import SpeculationPolicy, UnitQueue, dispatcher
+from repro.sched import SpeculationPolicy, dispatcher
+from repro.sched.dispatcher import UnitQueue
 
 BACKENDS = ["thread", "process"]
 

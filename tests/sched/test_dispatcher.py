@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.trace import TickClock
-from repro.sched import Dispatcher, SpeculationPolicy, StragglerTracker
+from repro.sched import Dispatcher, SpeculationPolicy
+from repro.sched.speculation import StragglerTracker
 
 
 def chunks_in_turn(nmap, workers):
@@ -38,6 +39,12 @@ class TestFactoring:
     def test_som_batch_shape(self):
         # 32 units on 2 workers: batches of ceil(R / 4), one chunk each.
         assert chunks_in_turn(32, [1, 2]) == [8, 8, 4, 4, 2, 2, 1, 1, 1, 1]
+
+    def test_a_fixed_chunk_is_not_factored(self):
+        disp = Dispatcher([None] * 5, [1, 2], chunk=2)
+        assert disp.first == {1: (0, 1), 2: (2, 3)}
+        disp.request(2, disp.first[2], 1.0)
+        assert disp.replies(1.0) == [(2, (True, True), (4,))]
 
     def test_a_solo_service_job_keeps_one_unit_per_request(self):
         assert chunks_in_turn(4, [1, 2]) == [1, 1, 1, 1]
@@ -151,6 +158,22 @@ class TestStragglerClock:
         disp.request(2, disp.first[2], 10.0)  # two units in 10 s
         assert disp.tracker.median() == 5.0
 
+    def test_a_unit_is_clonable_only_after_next_due(self):
+        # next_due() is the instant *after* which a unit is a candidate: a
+        # fleet woken at exactly that instant must find nothing to clone.
+        disp = Dispatcher([None] * 3, [1, 2], SpeculationPolicy(factor=2.0, warmup=2), chunk=1)
+        assert disp.first == {1: (0,), 2: (1,)}
+        clock, done = TickClock(start=1), (1,)
+        while done:  # rank 2 runs a unit a tick, rank 1 stalls on unit 0
+            now = clock()
+            disp.request(2, done, now)
+            done = next((chunk for _, _, chunk in disp.replies(now)), ())
+        due = disp.tracker.next_due()
+        assert (now, due) == (2.0, 2.0)  # handed out at 0, 2 medians of 1 tick
+        assert disp.tracker.candidate(due) is None and disp.replies(due) == []
+        assert disp.tracker.candidate(due + 1e-9) == 0
+        assert disp.replies(due + 1e-9) == [(2, (True,), (0,))]
+
 
 POLICY = SpeculationPolicy(factor=2.0, warmup=2)
 
@@ -176,15 +199,17 @@ EVENTS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(nmap=st.integers(1, 30), nworkers=st.integers(1, 4),
-       nkeys=st.integers(1, 3), speculate=st.booleans(), events=EVENTS)
+       nkeys=st.integers(1, 3), speculate=st.booleans(),
+       chunk=st.sampled_from([None, 1, 2]), events=EVENTS)
 def test_every_unit_completes_once_under_any_interleaving(
-        nmap, nworkers, nkeys, speculate, events):
+        nmap, nworkers, nkeys, speculate, chunk, events):
     keys = [u % nkeys for u in range(nmap)]
     workers = list(range(1, nworkers + 1))
     clock = TickClock(start=0)
     policy = POLICY if speculate else None
     now = clock()
-    disp = Dispatcher(keys, workers, policy, now, tracer=_Calls(lambda u: check_clone(u)))
+    disp = Dispatcher(keys, workers, policy, now, tracer=_Calls(lambda u: check_clone(u)),
+                      chunk=chunk)
     held = dict(disp.first)         # worker -> chunk it is running
     handed_at = dict.fromkeys(workers, 0.0)
     owed = {}                       # worker -> keep flags its report earned

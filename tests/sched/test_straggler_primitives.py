@@ -6,9 +6,10 @@ import pytest
 
 from repro.cluster.blast_model import BlastWorkloadModel
 from repro.cluster.dispatch import simulate_blast_run
-from repro.cluster.machine import ranger
+from repro.cluster.machine import ClusterSpec, ranger
 from repro.mpi.faultplan import FaultPlan
-from repro.sched import P2Quantile, SpeculationPolicy, StragglerTracker
+from repro.sched import P2Quantile, SpeculationPolicy
+from repro.sched.speculation import StragglerTracker
 
 
 class TestP2Quantile:
@@ -155,16 +156,21 @@ class TestSimulatedFleet:
         with pytest.raises(ValueError, match="static"):
             simulate_blast_run(ranger(16), wl, scheduler="static",
                                speculation=SpeculationPolicy())
+        # a crash needs a master to requeue the dead worker's units
         with pytest.raises(ValueError, match="static"):
-            simulate_blast_run(ranger(16), wl, scheduler="static", reassign=True)
+            simulate_blast_run(ranger(16), wl, scheduler="static",
+                               fault_plan=FaultPlan.parse("crash=2@3", 16))
 
     def test_tracked_clean_run_matches_untracked(self):
         wl = _workload()
         plain = simulate_blast_run(ranger(16), wl)
-        tracked = simulate_blast_run(ranger(16), wl, reassign=True)
+        # speculation armed, but its quantile is never trusted
+        tracked = simulate_blast_run(
+            ranger(16), wl, speculation=SpeculationPolicy(warmup=wl.n_units + 1))
         assert tracked.map_makespan == plain.map_makespan
-        assert tracked.speculated_units == 0
-        assert tracked.lost_workers == ()
+        assert tracked.traces == plain.traces
+        assert tracked.sched.speculated == 0
+        assert tracked.sched.lost_ranks == ()
 
     def test_speculation_beats_a_stalled_worker(self):
         wl = _workload(n_blocks=16, n_partitions=8)
@@ -175,44 +181,51 @@ class TestSimulatedFleet:
             speculation=SpeculationPolicy(factor=2.0),
         )
         assert fast.map_makespan * 1.5 <= slow.map_makespan
-        assert fast.speculated_units >= 1
-        assert fast.wasted_units >= 1
+        assert fast.sched.speculated >= 1
+        assert fast.sched.wasted >= 1
         assert fast.wasted_seconds > 0
 
     def test_crash_with_reassignment_completes_every_unit(self):
         wl = _workload()
         plan = FaultPlan.parse("crash=2@3", 15)
-        res = simulate_blast_run(ranger(16), wl, fault_plan=plan, reassign=True)
-        assert sum(t.units for t in res.traces) == wl.n_units
-        assert res.reassigned_units >= 1
-        assert res.lost_workers == (2,)
-        assert res.lost_units == 0
-        assert res.traces[2].crashed
-
-    def test_crash_without_reassignment_loses_the_held_unit(self):
-        wl = _workload()
-        plan = FaultPlan.parse("crash=2@3", 15)
         res = simulate_blast_run(ranger(16), wl, fault_plan=plan)
-        assert res.lost_units == 1
-        assert sum(t.units for t in res.traces) == wl.n_units - 1
+        _assert_each_unit_kept_once(wl, res)
+        # the two units rank 2 completed died with it, and the third it held
+        assert res.sched.reassigned == 3
+        assert res.sched.lost_ranks == (2,)
+        assert res.traces[2].crashed and res.traces[2].units == 0
 
     def test_affinity_scheduler_supports_reassignment(self):
         wl = _workload()
         plan = FaultPlan.parse("crash=1@2", 15)
-        res = simulate_blast_run(
-            ranger(16), wl, scheduler="affinity", fault_plan=plan, reassign=True
-        )
-        assert sum(t.units for t in res.traces) == wl.n_units
-        assert res.lost_units == 0
+        res = simulate_blast_run(ranger(16), wl, scheduler="affinity", fault_plan=plan)
+        _assert_each_unit_kept_once(wl, res)
+        assert res.sched.reassigned == 2
+
+    def test_a_fleet_with_no_survivor_raises(self):
+        plan = FaultPlan.parse("crash=0@2,crash=1@3", 2)
+        with pytest.raises(RuntimeError, match="crashed"):
+            simulate_blast_run(ClusterSpec(n_nodes=1, cores_per_node=3), _workload(),
+                               fault_plan=plan)
 
     def test_deterministic_replay(self):
         wl = _workload(n_blocks=10)
         plan = FaultPlan.parse("stall=1@2:50,crash=4@6", 15)
-        kwargs = dict(fault_plan=plan, reassign=True,
-                      speculation=SpeculationPolicy(factor=2.0))
+        kwargs = dict(fault_plan=plan, speculation=SpeculationPolicy(factor=2.0))
         a = simulate_blast_run(ranger(16), wl, **kwargs)
         b = simulate_blast_run(ranger(16), wl, **kwargs)
         assert a.map_makespan == b.map_makespan
-        assert a.speculated_units == b.speculated_units
+        assert a.sched == b.sched
         assert a.wasted_seconds == b.wasted_seconds
         assert [t.units for t in a.traces] == [t.units for t in b.traces]
+        _assert_each_unit_kept_once(wl, a)
+
+
+def _assert_each_unit_kept_once(wl, res):
+    """Every unit's output is kept exactly once: the kept runs' compute
+    times are the workload's, one each."""
+    assert res.sched.completed == sum(t.units for t in res.traces) == wl.n_units
+    assert res.total_compute_seconds == pytest.approx(
+        sum(wl.compute_seconds(b, p) for b in range(wl.n_blocks)
+            for p in range(wl.n_partitions)), rel=1e-9)
+    assert all(len(t.intervals) == t.units + t.wasted_units for t in res.traces)

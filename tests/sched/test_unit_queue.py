@@ -10,7 +10,7 @@ thread race.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import UnitQueue
+from repro.sched.dispatcher import UnitQueue
 
 KEYS = st.lists(st.integers(0, 4), min_size=0, max_size=40)
 #: an event is (worker, requeue?) — a request by that worker, optionally
