@@ -12,8 +12,10 @@ at a time and splits each submit → resolve interval at span boundaries:
   so this is negative when one starts before the last rank has entered
   ``serve.job``; read it together with ``job bcast``);
 - ``units``: first unit start to last unit end, with the heavy (longest)
-  unit, its ``gapped_s``, the gapped kernel's ``dp_rows`` inside it and
-  their ratio, the kernel's cost per lockstep row in microseconds;
+  unit, its ``gapped_s``, the gapped kernel's counters inside it
+  (``dp_rows``: DP rows a half computed, summed over halves; ``dp_cells``:
+  band cells computed) and the stage's cost per row in microseconds and
+  per cell in nanoseconds;
 - ``map end``: last unit end to rank 0 leaving ``mr.map``;
 - ``post-map``: rank 0 leaving ``mr.map`` to leaving ``serve.job`` (the
   regrouping, the reduce and the result hand-off), with every ``mpi.*`` and
@@ -45,12 +47,13 @@ WARMUP = 8
 
 
 def _counted_gapped(seeds, *args, stats, **kwargs):
-    """The engine's gapped kernel, reporting the ``dp_rows`` of each call as
-    an instant (the engine's own counters accumulate over a unit)."""
-    before = stats.get("dp_rows", 0)
+    """The engine's gapped kernel, reporting the ``dp_rows`` and
+    ``dp_cells`` of each call as an instant (the engine's own counters
+    accumulate over a unit)."""
+    before = {key: stats.get(key, 0) for key in ("dp_rows", "dp_cells")}
     out = extend_gapped_batch(seeds, *args, stats=stats, **kwargs)
     current_tracer().instant("gapped.kernel", cat="blast",
-                             dp_rows=stats.get("dp_rows", 0) - before)
+                             **{key: stats.get(key, 0) - n for key, n in before.items()})
     return out
 
 
@@ -96,8 +99,10 @@ def _budget(per_rank, submit, resolve):
     units = [(r, s) for r, job in enumerate(per_rank) for s in job["inside"]
              if s[0] == "mrblast.unit"]
     heavy_rank, heavy = max(units, key=lambda u: u[1][2] - u[1][1])
-    dp_rows = sum(a.get("dp_rows", 0) for name, ts, a in per_rank[heavy_rank]["instants"]
-                  if name == "gapped.kernel" and heavy[1] <= ts <= heavy[2])
+    calls = [a for name, ts, a in per_rank[heavy_rank]["instants"]
+             if name == "gapped.kernel" and heavy[1] <= ts <= heavy[2]]
+    dp_rows = sum(a.get("dp_rows", 0) for a in calls)
+    dp_cells = sum(a.get("dp_cells", 0) for a in calls)
     map_end = max(e for name, _b, e, _a in rank0["inside"] if name == "mr.map")
     first = min(s[1] for _r, s in units)
     last = max(s[2] for _r, s in units)
@@ -114,6 +119,8 @@ def _budget(per_rank, submit, resolve):
         "heavy gapped_s": heavy[3]["gapped_s"],
         "heavy dp_rows": dp_rows,
         "heavy us/dp_row": heavy[3]["gapped_s"] / dp_rows * 1e6 if dp_rows else 0.0,
+        "heavy dp_cells": dp_cells,
+        "heavy ns/dp_cell": heavy[3]["gapped_s"] / dp_cells * 1e9 if dp_cells else 0.0,
         "map end": map_end - last,
         "post-map": rank0["end"] - map_end,
         "  rank 0 regroup": post["mr.aggregate"] + post["mr.gather"],
@@ -161,10 +168,12 @@ def main():
     print(f"solo jobs: {args.jobs} (seed {args.seed}, {NPROCS} ranks, process backend)")
     for key in rows[0]:
         med = statistics.median(r[key] for r in rows)
-        if key == "heavy dp_rows":
+        if key in ("heavy dp_rows", "heavy dp_cells"):
             print(f"  {key:<22} {med:10.0f}")
         elif key == "heavy us/dp_row":
             print(f"  {key:<22} {med:10.1f} us")
+        elif key == "heavy ns/dp_cell":
+            print(f"  {key:<22} {med:10.1f} ns")
         else:
             print(f"  {key:<22} {med * 1e3:10.2f} ms")
     print("spans inside serve.job, per job:")

@@ -52,7 +52,7 @@ Stage 3 admits and then contains:
   to the box's subject end (:meth:`_EngineBase._containing_box`,
   ``SearchStats.n_contained``).  An alignment with *k* indels touches *k*+1
   diagonals whose runs all trigger in the same round, so a round's seeds run
-  as at most two lockstep passes of
+  as at most two passes of
   :func:`~repro.blast.gapped.extend_gapped_batch`: the best-scoring segment
   of every cluster of diagonals that chain within ``band_width`` (per
   subject and context; ties go to the earlier emission rank), then whatever
@@ -530,7 +530,7 @@ class _EngineBase:
         ``fused_slab_rows`` word-hit rows; every round extends the pending
         triggers of *all* open runs with one span-batched kernel call over
         (query block concat × subject arena), gapped-extends the admitted
-        seeds no earlier alignment contains in at most two lockstep passes,
+        seeds no earlier alignment contains in at most two gapped passes,
         advances the state machines, and finalises any subject whose runs
         all exhausted (see module docstring).
         """
@@ -573,7 +573,7 @@ class _EngineBase:
             return True
 
         def extend(jobs: list[_GappedJob]) -> None:
-            """One lockstep pass: coverage, the new boxes, reportable HSPs."""
+            """One gapped pass: coverage, the new boxes, reportable HSPs."""
             t_g = time.perf_counter()
             aligns = self._extend_gapped(
                 [(block.contexts[job.ctx_index], job.subj.s_index, *job.seed) for job in jobs],
@@ -727,7 +727,7 @@ class _EngineBase:
                 else:
                     first.append(job)
 
-            # Stage 3 in at most two lockstep passes: the leaders, then
+            # Stage 3 in at most two gapped passes: the leaders, then
             # whatever no box (the leaders' included) contains.
             if first:
                 extend(first)

@@ -3,7 +3,7 @@
 The pre-banded implementation, kept out of the shipped package: full
 ``(n+1, m+1)`` float32 M/Ix/Iy matrices, one half at a time, with a
 tolerance-based traceback.  The property suite and
-``benchmarks/bench_extension.py`` assert that the production lockstep
+``benchmarks/bench_extension.py`` assert that the production compiled
 kernel reproduces its scores, coordinates and operation strings element for
 element.
 """

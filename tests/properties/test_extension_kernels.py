@@ -2,17 +2,15 @@
 
 The contract is bit-identity, not approximation: every complete row of
 :func:`batch_ungapped_extend_spans` must equal :func:`ungapped_extend` field for
-field, and the lockstep gapped kernel (:func:`extend_gapped_batch`, band-
-compressed int32, live-set compaction, full-band rows for four or fewer
-live halves, the live-column window from five up) must reproduce
-``oracles.dense_gapped.reference_extend_gapped`` (dense float32, one half
-at a time) including coordinates and operation strings.  Random sequences
-here are deliberately homolog-biased so the gapped band actually fills,
-plus directed cases aimed at the block boundaries, the band edges and the
-extents-only path.
+field, and the compiled gapped kernel (:func:`extend_gapped_batch`, band-
+compressed int32, each half run to its own end on the columns its live
+cells reach) must reproduce ``oracles.dense_gapped.reference_extend_gapped``
+(dense float32, one half at a time) including coordinates and operation
+strings.  Random sequences here are deliberately homolog-biased so the
+gapped band actually fills, plus directed cases aimed at ragged depths,
+the band edges and the extents-only path.
 """
 
-import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -231,8 +229,8 @@ class TestBandedGappedParity:
 
 def _random_seed_batch(rng, n_seeds):
     """Mixed-depth seed batch: homologous pairs, unrelated pairs, and
-    edge seeds, with wildly different half depths so the lockstep chunks
-    mix long and short halves."""
+    edge seeds, with wildly different half depths so the chunks mix long
+    and short halves."""
     seeds = []
     for t in range(n_seeds):
         length = int(rng.integers(20, 220))
@@ -270,7 +268,7 @@ class TestBatchedGappedParity:
         assert got == want
 
     def test_chunked_batches_match_unchunked(self, monkeypatch):
-        """Force many tiny lockstep chunks: results must not depend on how
+        """Force many tiny chunks: results must not depend on how
         the batch is cut or reordered internally."""
         rng = np.random.default_rng(99)
         seeds = _random_seed_batch(rng, 30)
@@ -344,37 +342,13 @@ def _extents(g):
     return None if g is None else (g.score, g.q_start, g.q_end, g.s_start, g.s_end)
 
 
-#: row-block height by live halves: 16 rows from eight halves up
-TALL_ROWS = {1: 64, 2: 64, 3: 32, 4: 32, 5: 16, 6: 16, 7: 16}
-
-
-@contextlib.contextmanager
-def _recorded_blocks():
-    """Yield a list that collects, per lockstep chunk, its row blocks as
-    ``(first DP row, rows, live halves)``."""
-    chunks = []
-    real = gapped_mod._lockstep_dp
-
-    def spy(*args):
-        out = real(*args)
-        blocks, owners, bases = out[3:]
-        chunks.append([(base, blk.shape[0], own.size)
-                       for blk, own, base in zip(blocks, owners, bases)])
-        return out
-
-    with mock.patch.object(gapped_mod, "_lockstep_dp", spy):
-        yield chunks
-
-
-def _assert_height_rule(chunk):
-    """Blocks tile the rows, are never taller than their live set allows,
-    and all but the last end on a 16-row boundary."""
-    for n, (base, rows, live) in enumerate(chunk):
-        assert 0 < rows <= TALL_ROWS.get(live, 16)
-        if n + 1 < len(chunk):
-            assert rows % 16 == 0 and chunk[n + 1][0] == base + rows
-        if n:
-            assert live <= chunk[n - 1][2]  # the live set only shrinks
+def _assert_counts(stats, seeds, band):
+    """The kernel's counters: ``dp_rows`` are rows below DP row 0 a half
+    computed, summed over halves, so no more than the halves' depths;
+    ``dp_cells`` are band cells computed, no more than ``dp_rows`` whole
+    rows of the band."""
+    assert 0 < stats["dp_rows"] <= sum(q.size for q, _, _, _ in seeds)
+    assert 0 < stats["dp_cells"] <= stats["dp_rows"] * (2 * band + 1)
 
 
 def _homolog_seed(rng, length=300, q_seed=None):
@@ -386,9 +360,8 @@ def _homolog_seed(rng, length=300, q_seed=None):
 
 
 class TestRowBlockHeights:
-    """The row block's height follows the live set: 64 rows for one or two
-    live halves, 32 for three or four (rows over the full band), 16 from
-    five up (rows on the live-column window); each height is checked
+    """Batches of 1 to 64 live halves, each run to its own end: every
+    homolog half lives to its full query depth, and each batch is checked
     against the dense oracle element for element."""
 
     @pytest.mark.parametrize("halves", [1, 2, 3, 4, 5, 6, 8, 64])
@@ -398,59 +371,46 @@ class TestRowBlockHeights:
         seeds = [_homolog_seed(rng) for _ in range(halves // 2)]
         if halves % 2:
             seeds.append(_homolog_seed(rng, q_seed=0))
-        with _recorded_blocks() as chunks:
-            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        stats = {}
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24, stats=stats)
         assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 24)
         assert all(g is not None and g.align_len > 90 for g in got)
-        (chunk,) = chunks
-        _assert_height_rule(chunk)
-        assert chunk[0][1:] == (TALL_ROWS.get(halves, 16), halves)
+        _assert_counts(stats, seeds, 24)
+        assert stats["dp_rows"] == sum(q.size for q, _, _, _ in seeds)
 
     def test_a_traceback_stitches_blocks_of_two_heights(self):
-        """Chance seeds die a few dozen rows in; the homolog's two halves
-        then run on alone in 64-row blocks, and its traceback walks back
-        through both: windowed rows of eight halves, then full-band rows."""
+        """Chance seeds die a few dozen rows in while the homolog's two
+        halves run on to their full depth, and its traceback walks back
+        over all 400 rows."""
         rng = np.random.default_rng(95)
         q, s, mid, s_mid = _homolog_seed(rng, length=400, q_seed=200)
         junk = [(DNA.encode(random_genome(200, seed_or_rng=int(rng.integers(2**31)))),
                  DNA.encode(random_genome(200, seed_or_rng=int(rng.integers(2**31)))),
                  100, 100) for _ in range(3)]
         seeds = [(q, s, mid, s_mid)] + junk
-        stitched = []
-        real_stitch = gapped_mod._stitch
-
-        def stitch(h, last_row, blocks, owners, bases):
-            grid = real_stitch(h, last_row, blocks, owners, bases)
-            stitched.append({blk.shape[0] for blk, base in zip(blocks, bases)
-                             if base <= last_row})
-            return grid
-
-        with _recorded_blocks() as chunks, \
-                mock.patch.object(gapped_mod, "_stitch", stitch):
-            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24)
+        stats = {}
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 24, stats=stats)
         assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 24)
         assert got[0].align_len > 390
-        (chunk,) = chunks
-        _assert_height_rule(chunk)
-        assert chunk[0][1:] == (16, 8) and chunk[-1][2] <= 2
-        assert {16, 64} <= stitched[0]
+        _assert_counts(stats, seeds, 24)
+        # The homolog's 400 rows, and less than half the chance halves' 600.
+        assert 400 <= stats["dp_rows"] < 400 + 300
 
 
 def _lone_seed_parity(seeds, matrix, go, ge, xdrop, band):
-    """Four or fewer halves: every row runs over the full band, so each row
-    counts the whole band of every live half."""
+    """One or two seeds, against the oracle and the counters' bounds."""
     stats = {}
     got = extend_gapped_batch(seeds, matrix, go, ge, xdrop, band, stats=stats)
     assert got == _reference_batch(seeds, matrix, go, ge, xdrop, band)
-    assert stats["dp_cells"] % (2 * band + 1) == 0
+    _assert_counts(stats, seeds, band)
     return got
 
 
 class TestFullBandRows:
-    """The regime for four or fewer live halves, at the edges the window
-    never reaches: the first ``band`` rows compute cells left of the
-    subject's first residue, which must never come alive; the subject's end
-    inside the band; the narrowest bands; BLOSUM62's widest gap runs."""
+    """Lone seeds at the band's edges: the first ``band`` rows reach cells
+    left of the subject's first residue, which must never come alive; the
+    subject's end inside the band; the narrowest bands; BLOSUM62's widest
+    gap runs."""
 
     @pytest.mark.parametrize("q_seed, s_seed", [(0, 0), (2, 5), (6, 1), (3, 3)])
     def test_seeds_near_the_start_of_both_sequences(self, q_seed, s_seed):
@@ -487,8 +447,8 @@ class TestFullBandRows:
 
 
 class TestLiveSetKernel:
-    """The mechanisms of the one-pass kernel: compaction at block
-    boundaries, the live-column window, extents-only results."""
+    """The mechanisms of the kernel: halves of any depth side by side, rows
+    computed on the columns live cells reach, extents-only results."""
 
     @given(st.integers(0, 2**31 - 1), st.integers(50, 300), st.integers(1, 2))
     @settings(max_examples=8, deadline=None)
@@ -496,24 +456,19 @@ class TestLiveSetKernel:
         rng = np.random.default_rng(seed)
         seeds = _mixed_batch(rng, n_random, n_long)
         stats = {}
-        with _recorded_blocks() as chunks:
-            got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
+        got = extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
         assert got == _reference_batch(seeds, NT, 5, 2, 30.0, 48)
-        # The long halves outlive the chance seeds by several row blocks,
-        # so the batch was compacted on the way, the survivors running in
-        # the taller blocks a small live set takes, and most of the band
-        # was never computed (a lone homolog's live window is about a third
-        # of the band; chance seeds cost far less).
-        for chunk in chunks:
-            _assert_height_rule(chunk)
-        chunk = max(chunks, key=len)
-        assert chunk[0][2] > 8 >= chunk[-1][2]
+        # The long halves outlive the chance seeds, which die a few rows
+        # in, and most of the band was never computed (a lone homolog's
+        # live columns are about a third of the band; chance seeds cost far
+        # less).
+        _assert_counts(stats, seeds, 48)
         full = sum(q.size for q, _, _, _ in seeds) * 97
         assert stats["dp_cells"] < full // 2
 
     def test_half_dying_mid_block_keeps_its_neighbours_right(self):
-        """A chance half is X-dropped a few rows into a block and rides to
-        the boundary as sentinels next to a live homolog."""
+        """A chance half is X-dropped a few rows in, next to live homologs
+        in the same call."""
         base = random_genome(200, seed_or_rng=70)
         q = DNA.encode(base)
         s = DNA.encode(mutate_dna(base, 0.04, seed_or_rng=71))
@@ -526,11 +481,10 @@ class TestLiveSetKernel:
 
     @pytest.mark.parametrize("depth", [5, 15, 16, 17, 20, 31, 32, 33, 48, 49])
     def test_query_ending_mid_block_is_not_scored_past_its_end(self, depth):
-        """Regression: a half whose query is exhausted inside a block keeps
-        producing real-valued rows (from whatever follows it in memory)
-        until the boundary; they must not move its best cell.  The subject
-        goes on matching past the query's end, so a kernel that counted
-        those rows would report a longer, better alignment."""
+        """Regression: a half stops at its query's end, whatever follows
+        its query in memory.  The subject goes on matching past the query's
+        end, so a kernel that scored rows past it would report a longer,
+        better alignment."""
         base = random_genome(300, seed_or_rng=72)
         s = DNA.encode(base)
         short_q = DNA.encode(base[:depth])
@@ -541,10 +495,9 @@ class TestLiveSetKernel:
         assert (got[0].q_end, got[0].score) == (depth, depth)
 
     def test_loop_runs_until_no_live_half_has_a_row_left(self):
-        """Regression: the lockstep loop ends when no live half has a row
-        left, which is neither "all queries exhausted once" nor "nothing
-        alive": here every half is alive at every boundary and they run
-        out of query at different blocks, the last one alone."""
+        """Regression: every half runs until its own query is exhausted;
+        here every half is alive to its end, and they end at different
+        depths, the last one alone."""
         base = random_genome(120, seed_or_rng=74)
         s = DNA.encode(base)
         seeds = [(DNA.encode(base[:n]), s, 0, 0) for n in (16, 32, 33, 64, 100)]
@@ -701,12 +654,12 @@ class TestLiveSetKernel:
 
     @pytest.mark.parametrize("n_long", [1, 32])
     def test_peak_grid_bytes_covers_what_the_dp_allocates(self, n_long):
-        """The reported peak bounds what the row loop really allocates: the
-        traceback bytes, the four-plane block buffer with its halo rows, the
-        gather's intp array and the traceback-byte temporaries.  Only
-        numpy's fixed-size ufunc buffers (two of 8192 intp) are not in it."""
+        """The reported peak bounds what the DP really allocates: the
+        traceback grids, the score rows the kernel runs on, and the per-seed
+        records.  Only Python's objects around them (the result lists and
+        grid views) are not in it."""
         seeds = _mixed_batch(np.random.default_rng(82), 0, n_long, long_len=400)
-        real, held = gapped_mod._lockstep_dp, []
+        real, held = gapped_mod._gapped_dp, []
 
         def measured(*args):
             tracemalloc.start()
@@ -718,7 +671,7 @@ class TestLiveSetKernel:
             return out
 
         stats = {}
-        with mock.patch.object(gapped_mod, "_lockstep_dp", measured):
+        with mock.patch.object(gapped_mod, "_gapped_dp", measured):
             extend_gapped_batch(seeds, NT, 5, 2, 30.0, 48, stats=stats)
         (traced,) = held
         assert traced <= stats["peak_grid_bytes"] + (2 * 8192 * 8 + (16 << 10))
@@ -727,8 +680,8 @@ class TestLiveSetKernel:
     def test_full_depth_homolog_batch_stays_inside_the_chunk_budget(self):
         """What a unit's gapped batch is since the gap trigger: every seed a
         homolog that lives to full depth and is traced back.  32 of them
-        retain one byte a band cell, 3.2 MB with the working block; three
-        int32 scores a cell were 15 MB."""
+        retain one byte a band cell, 1.25 MB; three int32 scores a cell
+        were 15 MB."""
         rng = np.random.default_rng(81)
         seeds = _mixed_batch(rng, 0, 32, long_len=400)
         stats = {}
@@ -741,7 +694,8 @@ class TestLiveSetKernel:
         finally:
             tracemalloc.stop()
         assert all(g is not None and g.align_len >= 390 for g in got)
-        assert stats["dp_rows"] <= 400  # one chunk
+        # every half ran to its full depth, in one chunk
+        assert stats["dp_rows"] == sum(q.size for q, _, _, _ in seeds)
         assert 0 < stats["peak_grid_bytes"] < 4 << 20 < gapped_mod._CHUNK_BYTES
         assert peak < gapped_mod._CHUNK_BYTES
 
