@@ -8,7 +8,7 @@ formatter need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = ["HSP", "cull_overlapping", "top_hits"]
@@ -91,10 +91,6 @@ class HSP:
         """
         return (self.evalue, -self.score, self.subject_id, self.q_start, self.s_start,
                 self.strand)
-
-    def with_stats(self, bit_score: float, evalue: float) -> "HSP":
-        """Copy with recomputed statistics (used when re-scoring vs full DB)."""
-        return replace(self, bit_score=bit_score, evalue=evalue)
 
 
 def cull_overlapping(hsps: Sequence[HSP], max_overlap: float = 0.5) -> list[HSP]:

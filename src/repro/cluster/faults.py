@@ -72,23 +72,6 @@ class FaultModel:
             raise ValueError("mean_task_hours must be >= 0")
         return self.failures_per_core_hour * mean_task_hours
 
-    def expected_checkpoint_overhead_fraction(
-        self, cores: int, checkpoint_hours: float
-    ) -> float:
-        """Expected redone-work fraction for a checkpointed MPI job.
-
-        With a checkpoint every ``checkpoint_hours`` of wall time, a failure
-        throws away on average half an interval; failures arrive at rate
-        λ·cores per wall-hour, so the redone fraction is
-        λ · cores · checkpoint_hours / 2.  This is what turns the
-        unbounded geometric restart cost of :meth:`expected_mpi_attempts`
-        into a bounded overhead — the analytic counterpart of the
-        checkpoint/resume path in :mod:`repro.core.checkpoint`.
-        """
-        if cores < 1 or checkpoint_hours < 0:
-            raise ValueError("cores must be >= 1 and checkpoint_hours >= 0")
-        return self.failures_per_core_hour * cores * checkpoint_hours / 2.0
-
 
 @dataclass(frozen=True)
 class FaultComparison:
@@ -136,7 +119,7 @@ class RestartObservation:
 
     @property
     def predicted_overhead_fraction(self) -> float:
-        """Half-interval-per-failure prediction (same form as the λ model).
+        """Half-interval-per-failure prediction.
 
         Each failure loses, on average, half a checkpoint interval of
         already-executed work; here the failure count is known (injected)

@@ -80,13 +80,6 @@ class ClusterSpec:
         rate = self.ram_stream_gbps if cached else self.lustre_stream_gbps
         return size_gb / rate
 
-    def tree_collective_seconds(self, payload_gb: float) -> float:
-        """Binomial-tree bcast/reduce estimate for one payload."""
-        import math
-
-        rounds = max(1, math.ceil(math.log2(max(self.cores, 2))))
-        return rounds * (self.net_latency + payload_gb / self.net_bw_gbps)
-
 
 def ranger(cores: int) -> ClusterSpec:
     """A Ranger allocation of ``cores`` (must be a multiple of 16)."""

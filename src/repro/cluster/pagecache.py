@@ -51,8 +51,3 @@ class PartitionCache:
         self._entries[partition] = size_gb
         self._used_gb += size_gb
         return False
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

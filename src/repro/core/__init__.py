@@ -9,9 +9,8 @@
   map() over blocks of a memory-mapped input matrix accumulates Eq. 5's
   numerator/denominator; a direct MPI_Reduce combines them; no reduce()
   stage.
-- :mod:`repro.core.baselines` — serial BLAST, an HTC-style matrix-split
-  workflow, an mpiBLAST-like static DB scatter, and serial SOM, for the
-  paper's comparisons.
+- :mod:`repro.core.baselines` — serial BLAST and serial SOM, the ground
+  truth every parallel run must reproduce.
 """
 
 from repro.core.checkpoint import (

@@ -2,25 +2,14 @@
 
 - :mod:`serial_blast` — the plain serial search over all partitions: the
   ground truth every parallel decomposition must reproduce.
-- :mod:`htc_blast` — the JCVI/VICS-style matrix-split HTC workflow: a
-  collection of independent serial jobs plus merge/format jobs exchanging
-  data through files (§IV.A's comparison run).
-- :mod:`mpiblast_like` — a static DB-partition-scatter scheduler in the
-  spirit of mpiBLAST: each rank owns fixed partitions, no dynamic load
-  balancing (the contrast the ablation bench quantifies).
 - :mod:`serial_som` — serial batch/online SOM runs with the mrsom config
   surface.
 """
 
 from repro.core.baselines.serial_blast import run_serial_blast
-from repro.core.baselines.htc_blast import HtcWorkflowResult, run_htc_blast
-from repro.core.baselines.mpiblast_like import run_mpiblast_like
 from repro.core.baselines.serial_som import run_serial_batch_som
 
 __all__ = [
     "run_serial_blast",
-    "run_htc_blast",
-    "HtcWorkflowResult",
-    "run_mpiblast_like",
     "run_serial_batch_som",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mrsom.driver import MrSomConfig
+from repro.core.mrsom.driver import INIT_SAMPLE_ROWS, MrSomConfig
 from repro.core.mrsom.mmap_input import MatrixFile
 from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
 from repro.som.codebook import init_codebook
@@ -22,7 +22,7 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
     """Train serially with exactly the parallel driver's schedule and init."""
     matrix = MatrixFile(config.matrix_path)
     grid = config.grid
-    sample = matrix.rows(0, min(config.init_sample_rows, matrix.n))
+    sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
     codebook = init_codebook(grid, sample, method=config.init, seed_or_rng=config.seed)
     sigmas = BatchSOM(grid, matrix.dim, initial_radius=config.initial_radius,
                       final_radius=config.final_radius).radii(config.epochs)

@@ -44,7 +44,6 @@ from repro.mpi.faultplan import FaultPlan
 from repro.mpi.ops import SUM
 from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
-from repro.mrmpi.schema import RecordSchema
 from repro.obs.export import exported_trace
 from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.obs.trace import TraceSession
@@ -54,13 +53,20 @@ from repro.som.codebook import SOMGrid, init_codebook
 
 __all__ = ["MrSomConfig", "MrSomResult", "run_mrsom", "mrsom_spmd", "mrsom_supervised"]
 
+#: rows sampled (from the start) for the linear initialisation and for the
+#: quantisation error ``track_error`` records: bounded cost on huge matrices
+INIT_SAMPLE_ROWS = 4096
+
 
 @dataclass
 class MrSomConfig:
     """One parallel batch-SOM training run.
 
     The paper's Fig. 6 benchmark: 81 920 random 256-d vectors, a 50×50 map,
-    work units of 40 vectors.
+    work units of 40 vectors.  The per-rank class sums are combined by one
+    direct ``MPI_Reduce`` per epoch, as in the paper's Fig. 2 ("No reduce()
+    stage is used in this program"); the linear initialisation samples the
+    first :data:`INIT_SAMPLE_ROWS` rows.
     """
 
     matrix_path: str
@@ -72,9 +78,6 @@ class MrSomConfig:
     initial_radius: float | None = None
     final_radius: float = 1.0
     mapstyle: MapStyle = MapStyle.MASTER_WORKER
-    #: rows sampled (from the start) for the linear initialisation; keeps
-    #: init cost bounded on huge matrices
-    init_sample_rows: int = 4096
     #: record per-epoch quantisation error on the master (over the init
     #: sample) — convergence monitoring at bounded cost
     track_error: bool = False
@@ -85,20 +88,10 @@ class MrSomConfig:
     #: stop after this many (additional) epochs — incremental training and
     #: the test hook for resume
     stop_after_epochs: int | None = None
-    #: how the per-rank class-sum accumulators are combined each epoch.
-    #: ``"mpi"`` is the paper's direct ``MPI_Reduce`` ("No reduce() stage is
-    #: used in this program").  ``"mrmpi"`` routes the accumulators through
-    #: the columnar MR-MPI data plane instead — each rank emits its (unit,
-    #: {num row, denom}) blocks as one structured-array batch, collate
-    #: spreads the units across ranks, and a reduce() sums the per-rank
-    #: contributions in the same pairwise order as the direct reduction,
-    #: so the trained codebook is bit-identical between the two modes.
+    #: only ``"mpi"``, the direct ``MPI_Reduce``.  Kept as a field because
+    #: the gated benchmark suite (``benchmarks/suite/workloads.py``) passes
+    #: ``reduce_mode="mpi"``; it goes when that suite next changes.
     reduce_mode: str = "mpi"
-    #: memory budget and spill directory for the ``"mrmpi"`` reduction
-    #: plane (None = MapReduce defaults); a tiny memsize forces the
-    #: accumulator exchange out of core
-    memsize: int | None = None
-    spool_dir: str | None = None
     #: write a Chrome ``trace_event`` JSON of the whole run here (open in
     #: chrome://tracing or Perfetto).  None disables tracing entirely —
     #: the zero-cost default.
@@ -118,8 +111,7 @@ class MrSomConfig:
     speculation_factor: float | None = None
     #: keep training when a worker rank dies mid-map: the master reassigns
     #: its units to survivors and the epoch's collectives run on the shrunk
-    #: communicator.  Incompatible with ``reduce_mode="mrmpi"`` (the
-    #: reduction plane's exchange is collective over the original comm).
+    #: communicator.
     degraded: bool = False
 
     def __post_init__(self) -> None:
@@ -129,19 +121,11 @@ class MrSomConfig:
             raise ValueError(f"block_rows must be >= 1, got {self.block_rows}")
         if self.stop_after_epochs is not None and self.stop_after_epochs < 1:
             raise ValueError("stop_after_epochs must be >= 1 when set")
-        if self.reduce_mode not in ("mpi", "mrmpi"):
-            raise ValueError(
-                f"reduce_mode must be 'mpi' or 'mrmpi', got {self.reduce_mode!r}"
-            )
+        if self.reduce_mode != "mpi":
+            raise ValueError(f"reduce_mode must be 'mpi', got {self.reduce_mode!r}")
         if self.speculation_factor is not None and self.speculation_factor <= 1.0:
             raise ValueError(
                 f"speculation_factor must be > 1.0, got {self.speculation_factor}"
-            )
-        if self.degraded and self.reduce_mode == "mrmpi":
-            raise ValueError(
-                "degraded=True is incompatible with reduce_mode='mrmpi': the "
-                "accumulator exchange is collective over the original "
-                "communicator and cannot survive a rank loss"
             )
 
     def validate(self) -> None:
@@ -213,9 +197,6 @@ class MrSomResult:
     smooth_seconds = metric_field("mrsom.smooth_s")
     #: master: checkpoint load or ``init_codebook``; workers: their wait for it
     init_seconds = metric_field("mrsom.init_s")
-    #: shuffle traffic of the ``"mrmpi"`` reduction plane (0 in "mpi" mode)
-    shuffle_pairs_moved = metric_field("mr.aggregate_pairs", int)
-    shuffle_bytes_moved = metric_field("mr.aggregate_bytes", int)
     speculated_units = metric_field("sched.speculated_units", int)
     wasted_units = metric_field("sched.wasted_units", int)
     reassigned_units = metric_field("sched.reassigned_units", int)
@@ -295,77 +276,6 @@ class _BlockAccumulator:
         self._busy.inc(time.perf_counter() - t0)
 
 
-def _accumulator_schema(dim: int) -> RecordSchema:
-    """Record schema of one (unit index → rank contribution) pair.
-
-    The value row carries the contributing rank so the reducer can restore
-    rank order no matter how the exchange rounds interleaved arrivals.
-    """
-    value_dtype = np.dtype([("rank", "<i8"), ("num", "<f8", (dim,)), ("denom", "<f8")])
-    return RecordSchema(key_dtype=np.dtype("<i8"), value_dtype=value_dtype, key_kind="int")
-
-
-def _binomial_sum(parts: list):
-    """Sum in the same pairwise order as ``Comm.reduce``'s binomial tree.
-
-    Summing rank contributions in this order (not left-to-right) is what
-    makes the ``"mrmpi"`` reduction bit-identical to the direct
-    ``MPI_Reduce`` path: IEEE-754 addition is not associative, but the
-    same additions in the same order give the same bits.
-    """
-    vals = list(parts)
-    mask = 1
-    while mask < len(vals):
-        for i in range(0, len(vals), mask << 1):
-            if i + mask < len(vals):
-                vals[i] = vals[i] + vals[i + mask]
-        mask <<= 1
-    return vals[0]
-
-
-def _mrmpi_reduce(
-    red_mr: MapReduce, num: np.ndarray, denom: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Combine per-rank accumulators through the columnar MR-MPI plane.
-
-    Each rank emits its whole accumulator as one columnar batch (one int64
-    unit-index key column plus one structured {rank, num, denom} row array),
-    collate spreads the units across ranks, reduce sums each unit's rank
-    contributions in binomial order into one row of the same schema, and
-    gather(1) ships the summed rows to rank 0 as arrays, where the direct
-    ``MPI_Reduce`` leaves them too.
-    """
-    k, dim = num.shape
-    rows = np.empty(k, dtype=red_mr.schema.value_dtype)
-    rows["rank"] = red_mr.rank
-    rows["num"] = num
-    rows["denom"] = denom
-    keys = np.arange(k, dtype=np.int64)
-    # One task per rank under CHUNK: every rank emits exactly its own rows.
-    red_mr.map(
-        red_mr.comm.size,
-        lambda i, kv: kv.add_batch(keys, rows),
-        mapstyle=MapStyle.CHUNK,
-    )
-    red_mr.collate()
-
-    def reducer(key, values, kv):
-        ordered = sorted(values, key=lambda r: int(r["rank"]))
-        kv.add(key, (red_mr.rank,
-                     _binomial_sum([r["num"] for r in ordered]),
-                     _binomial_sum([r["denom"] for r in ordered])))
-
-    red_mr.reduce(reducer)
-    red_mr.gather(1)
-    num_total = np.zeros_like(num)
-    denom_total = np.zeros_like(denom)
-    if red_mr.rank == 0:
-        for units, sums in red_mr.kv.iter_batches():
-            num_total[units] = sums["num"]
-            denom_total[units] = sums["denom"]
-    return num_total, denom_total
-
-
 def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     """SPMD entry point: call on every rank of ``comm``."""
     matrix = MatrixFile(config.matrix_path)
@@ -392,7 +302,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             start_epoch, codebook = loaded
             start_epoch = min(start_epoch, config.epochs)
         else:
-            sample = matrix.rows(0, min(config.init_sample_rows, matrix.n))
+            sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
             codebook = init_codebook(grid, sample, method=config.init, seed_or_rng=config.seed)
             if checkpoint is not None and not config.resume:
                 checkpoint.clear()  # a fresh run must not resume stale state
@@ -425,25 +335,11 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         speculation = SpeculationPolicy(factor=config.speculation_factor)
 
     mr = MapReduce(comm, mapstyle=config.mapstyle, metrics=metrics)
-    red_mr = None
-    if config.reduce_mode == "mrmpi":
-        red_kwargs = {}
-        if config.memsize is not None:
-            red_kwargs["memsize"] = config.memsize
-        if config.spool_dir is not None:
-            red_kwargs["spool_dir"] = config.spool_dir
-        red_mr = MapReduce(
-            comm,
-            mapstyle=MapStyle.CHUNK,
-            schema=_accumulator_schema(dim),
-            metrics=metrics,
-            **red_kwargs,
-        )
     acc = _BlockAccumulator(matrix, metrics)
     error_history: list[float] = []
     sample = None
     if config.track_error and comm.rank == 0:
-        sample = matrix.rows(0, min(config.init_sample_rows, matrix.n))
+        sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
 
     epochs_done_this_run = 0
     try:
@@ -464,14 +360,12 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             # must run on the surviving group (the dead rank can't Reduce).
             group = mr.comm
             if trc.enabled:
-                trc.begin("mrsom.reduce", cat="driver", mode=config.reduce_mode)
+                trc.begin("mrsom.reduce", cat="driver")
             t0 = time.perf_counter()
-            if red_mr is not None:
-                sums, counts = _mrmpi_reduce(red_mr, acc.sums, acc.counts)
-            else:  # direct MPI call #2 (Fig. 2): S and n, totals on the master
-                totals = group.reduce(acc.totals, op=SUM, root=0)
-                if group.rank == 0:
-                    sums, counts = totals[: k * dim].reshape(k, dim), totals[k * dim :]
+            # direct MPI call #2 (Fig. 2): S and n, totals on the master
+            totals = group.reduce(acc.totals, op=SUM, root=0)
+            if group.rank == 0:
+                sums, counts = totals[: k * dim].reshape(k, dim), totals[k * dim :]
             dt = time.perf_counter() - t0
             phase_s["reduce"].inc(dt)
             if trc.enabled:
@@ -501,8 +395,6 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             if trc.enabled:
                 trc.end(epoch_sid)
     finally:
-        if red_mr is not None:
-            red_mr.close()
         mr.close()  # even when unwinding a crash: no leaked spill files
     return MrSomResult(
         rank=comm.rank,

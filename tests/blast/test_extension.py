@@ -8,7 +8,8 @@ from repro.bio import random_genome, mutate_dna, random_protein
 from repro.blast.extend import UngappedHSP, extension_scores, ungapped_extend
 from repro.blast.gapped import extend_gapped
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
-from repro.blast.reference import smith_waterman, smith_waterman_score
+
+from oracles.smith_waterman import smith_waterman, smith_waterman_score
 
 NT = nucleotide_matrix(1, -2)
 

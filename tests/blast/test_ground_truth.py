@@ -3,7 +3,7 @@
 Every other engine-level check in the suite is new path == old path.  This
 one asks what the heuristics cost: per cell of (length, divergence), 40
 query/subject pairs with a planted homolog are scored by
-:func:`repro.blast.reference.smith_waterman_score` (no seeding, no band, no
+``oracles.smith_waterman.smith_waterman_score`` (no seeding, no band, no
 X-drop) and searched by the engine, once at the default gap trigger and once
 with the old ``ungapped_cutoff_bits=12.0``, which admits every word hit.
 The reference set is the pairs whose optimal score reaches the E-value
@@ -25,9 +25,9 @@ from repro.bio import SeqRecord, mutate_dna, random_genome, synthetic_protein_da
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast.engine import make_engine
 from repro.blast.options import BlastOptions
-from repro.blast.reference import smith_waterman_score
 from repro.blast.tabular import format_tabular
 
+from oracles.smith_waterman import smith_waterman_score
 from oracles.staged_scheduler import no_containment
 
 PAIRS = 40

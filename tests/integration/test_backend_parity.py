@@ -143,17 +143,3 @@ class TestMrSomBackendParity:
         for r in results:
             np.testing.assert_allclose(r.codebook, serial, rtol=1e-9, atol=0)
         assert results[0].init_seconds > 0 and results[0].smooth_seconds > 0
-
-    def test_mrmpi_reduce_spill_bit_identical(self, som_workload, tmp_path):
-        # Tiny memsize forces the columnar plane through multi-page spill;
-        # pages then cross the process transport as shared-memory blocks.
-        base = dict(matrix_path=som_workload, grid=SOMGrid(6, 5), epochs=2,
-                    block_rows=40, mapstyle=MapStyle.CHUNK, reduce_mode="mrmpi")
-        (tmp_path / "t").mkdir()
-        (tmp_path / "p").mkdir()
-        thread = mrsom_spmd(3, MrSomConfig(
-            **base, memsize=512, spool_dir=str(tmp_path / "t"), backend="thread"))
-        process = mrsom_spmd(3, MrSomConfig(
-            **base, memsize=512, spool_dir=str(tmp_path / "p"), backend="process"))
-        np.testing.assert_array_equal(process[0].codebook, thread[0].codebook)
-        assert process[0].shuffle_pairs_moved == thread[0].shuffle_pairs_moved

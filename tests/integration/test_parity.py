@@ -19,17 +19,15 @@ from repro.bio import (
 from repro.blast import BlastOptions, format_database
 from repro.blast.hsp import HSP
 from repro.core import MrBlastConfig, MrSomConfig, mrblast_spmd, mrsom_spmd
-from repro.core.baselines import (
-    run_htc_blast,
-    run_serial_batch_som,
-    run_serial_blast,
-)
-from repro.core.baselines.mpiblast_like import mpiblast_like_spmd
+from repro.core.baselines import run_serial_batch_som, run_serial_blast
 from repro.core.mrblast.mapper import exclude_self_hits
 from repro.core.mrblast.merge import collect_rank_hits, merge_rank_outputs
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.mrmpi import MapStyle
 from repro.som.codebook import SOMGrid
+
+from oracles.htc_blast import run_htc_blast
+from oracles.mpiblast_like import mpiblast_like_spmd
 
 
 # --------------------------------------------------------------------------
@@ -223,38 +221,6 @@ class TestMrSomParity:
         results = mrsom_spmd(4, config)
         for r in results[1:]:
             np.testing.assert_array_equal(r.codebook, results[0].codebook)
-
-    @pytest.mark.parametrize("nprocs", [1, 3, 4])
-    def test_mrmpi_reduce_mode_is_bit_identical(self, som_workload, nprocs, tmp_path):
-        """Routing the Eq. 5 accumulators through the columnar MR-MPI plane
-        (instead of the paper's direct MPI_Reduce) must not change a single
-        bit: the reducer replays the same additions in the same binomial
-        order.  4 ranks exercises a two-level reduction tree."""
-        path, _ = som_workload
-        kwargs = dict(
-            matrix_path=path, grid=SOMGrid(6, 5), epochs=4, block_rows=40,
-            mapstyle=MapStyle.CHUNK,
-        )
-        direct = mrsom_spmd(nprocs, MrSomConfig(**kwargs))
-        mrmpi = mrsom_spmd(nprocs, MrSomConfig(**kwargs, reduce_mode="mrmpi"))
-        np.testing.assert_array_equal(mrmpi[0].codebook, direct[0].codebook)
-        if nprocs > 1:
-            assert mrmpi[0].shuffle_pairs_moved > 0
-
-    def test_mrmpi_reduce_mode_out_of_core_is_bit_identical(self, som_workload, tmp_path):
-        import glob
-
-        path, _ = som_workload
-        kwargs = dict(
-            matrix_path=path, grid=SOMGrid(6, 5), epochs=3, block_rows=40,
-            mapstyle=MapStyle.CHUNK,
-        )
-        direct = mrsom_spmd(3, MrSomConfig(**kwargs))
-        spooled = mrsom_spmd(3, MrSomConfig(
-            **kwargs, reduce_mode="mrmpi", memsize=512, spool_dir=str(tmp_path),
-        ))
-        np.testing.assert_array_equal(spooled[0].codebook, direct[0].codebook)
-        assert glob.glob(str(tmp_path / "*")) == []
 
     def test_block_size_does_not_change_result(self, som_workload):
         """Fig. 6 note: '80-vector work units produced identical timings' —

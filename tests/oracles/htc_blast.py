@@ -8,9 +8,9 @@ intermediate results were stored on a shared [storage] system." (§IV.A)
 This baseline runs the same decomposition *functionally*: every (query
 block, partition) cell becomes an independent job writing its hits to its
 own file on "shared storage" (a directory); merge jobs then combine the
-per-cell files per query.  Job wall-times are recorded so the HTC-vs-MR-MPI
-bench can compare the longest-job makespan against the MPI run, as the
-paper does.
+per-cell files per query.  Kept out of the shipped package: the parity
+suite checks that its merged hits equal serial BLAST's.  The HTC-vs-MR-MPI
+cost comparison is the cluster model's (``repro.figures.comparisons``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ There is no dynamic work stealing, so a rank stuck with an expensive
 partition becomes the critical path — the behaviour the paper's
 master/worker dispatch avoids and the scheduling ablation quantifies.
 
-This functional model runs on the in-process MPI runtime and must produce
-the same merged hits as mrblast and serial BLAST (the parity suite checks
-that); only its *work placement* differs.
+This functional model, kept out of the shipped package, runs on the
+in-process MPI runtime and must produce the same merged hits as mrblast and
+serial BLAST (the parity suite checks that); only its *work placement*
+differs.
 """
 
 from __future__ import annotations

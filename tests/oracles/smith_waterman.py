@@ -1,8 +1,8 @@
 """Brute-force affine-gap Smith-Waterman: the oracle for extension tests.
 
-No heuristics, no bands, no X-drop.  Used by the test suite and examples to
-validate that the heuristic engine's best HSP score matches the true optimal
-local alignment score; never run on big inputs.
+No heuristics, no bands, no X-drop.  Kept out of the shipped package: the
+test suite uses it to validate that the heuristic engine's best HSP score
+matches the true optimal local alignment score; never run on big inputs.
 
 Gap model matches the engine: a gap of length g costs
 ``gap_open + g*gap_extend``.

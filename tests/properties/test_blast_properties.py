@@ -10,8 +10,9 @@ from repro.blast.formatdb import pack_2bit, unpack_2bit
 from repro.blast.gapped import extend_gapped
 from repro.blast.karlin import KarlinParams
 from repro.blast.matrices import nucleotide_matrix
-from repro.blast.reference import smith_waterman_score
 from repro.blast.statistics import evalue
+
+from oracles.smith_waterman import smith_waterman_score
 
 NT = nucleotide_matrix(1, -2)
 

@@ -26,9 +26,8 @@ import repro.blast.gapped as gapped_mod
 from repro.blast.gapped import extend_gapped, extend_gapped_batch
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 
-from repro.blast.reference import smith_waterman
-
 from oracles.dense_gapped import reference_extend_gapped
+from oracles.smith_waterman import smith_waterman
 from oracles.staged_scheduler import extend_pair
 
 NT = nucleotide_matrix(1, -2)

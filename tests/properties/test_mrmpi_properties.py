@@ -188,6 +188,9 @@ def test_key_order_constant_column_is_identity():
 
 _ROW = np.dtype([("rank", "<i8"), ("task", "<i8"), ("seq", "<i8")])
 _SUB = np.dtype([("rank", "<i8"), ("ts", "<i8", (2,))])
+# A float row with a subarray field, laid out like a batch-SOM class-sum
+# block: (rank, num[dim], denom) under an int64 unit-index key.
+_ACC = np.dtype([("rank", "<i8"), ("num", "<f8", (8,)), ("denom", "<f8")])
 _NKEYS = 37
 _PER_TASK = 1500  # two tasks per rank: single-round batches take the radix path
 _BUCKET_BYTES = 8 << 10
@@ -214,6 +217,25 @@ def _rows(rank, itask, dtype=_ROW):
     else:
         rows["task"], rows["seq"] = itask, np.arange(_PER_TASK)
     return rows
+
+
+def _acc_rows(rank, itask):
+    """(rank, task, seq) in the first two ``num`` cells; every other float
+    is a function of them, checked on the way out by :func:`_acc_decode`."""
+    rows = np.zeros(_PER_TASK, dtype=_ACC)
+    seq = np.arange(_PER_TASK)
+    rows["rank"] = rank
+    rows["num"] = (itask + seq / 7.0)[:, None] * np.arange(8)
+    rows["num"][:, 0], rows["num"][:, 1] = itask, seq
+    rows["denom"] = seq / 3.0
+    return rows
+
+
+def _acc_decode(v):
+    task, seq = int(v["num"][0]), int(v["num"][1])
+    assert np.array_equal(v["num"][2:], (task + seq / 7.0) * np.arange(2, 8))
+    assert v["denom"] == seq / 3.0
+    return (int(v["rank"]), task, seq)
 
 
 def _ragged(rank, itask):
@@ -250,6 +272,8 @@ _SHAPES = {
                    key_of=lambda k: "query/%03d/" % k + "x" * 40,
                    rows_of=lambda rank, itask: _rows(rank, itask, _SUB),
                    decode=lambda v: (int(v["rank"]), int(v["ts"][0]), int(v["ts"][1]))),
+    "accum": _Shape(schema=RecordSchema(np.dtype("<i8"), _ACC, key_kind="int"),
+                    key_of=lambda k: k, rows_of=_acc_rows, decode=_acc_decode, order=int),
     "int": _Shape(schema=RecordSchema(np.int64, RAGGED_BYTES),
                   key_of=lambda k: (k - _NKEYS // 2) * (1 << 40), rows_of=_ragged,
                   decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist()),
@@ -401,19 +425,63 @@ def _check_shape(shape, nprocs, exchange_bytes, memsize, seed, ranks):
             assert rows == oracle[key]
 
 
+def _binomial_sum(parts):
+    """Sum in the pairwise order of ``Comm.reduce``'s binomial tree."""
+    vals = list(parts)
+    mask = 1
+    while mask < len(vals):
+        for i in range(0, len(vals) - mask, mask << 1):
+            vals[i] = vals[i] + vals[i + mask]
+        mask <<= 1
+    return vals[0]
+
+
+def _som_reduce_both_ways(comm, data, codebook, spool):
+    """One rank's Eq. 5 accumulators, totalled on rank 0 by the direct
+    ``MPI_Reduce`` and by a collate/reduce/gather through MR-MPI."""
+    from repro.som.batch import accumulate_classes
+
+    k, dim = codebook.shape
+    sums, counts = np.zeros((k, dim)), np.zeros(k)
+    accumulate_classes(np.array_split(data, comm.size)[comm.rank], codebook, sums, counts)
+    direct = comm.reduce(np.concatenate([sums.ravel(), counts]), root=0)
+
+    value_dtype = np.dtype([("rank", "<i8"), ("num", "<f8", (dim,)), ("denom", "<f8")])
+    mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, spool_dir=spool,
+                   schema=RecordSchema(np.dtype("<i8"), value_dtype, key_kind="int"))
+    rows = np.empty(k, dtype=value_dtype)
+    rows["rank"], rows["num"], rows["denom"] = comm.rank, sums, counts
+    try:
+        mr.map(comm.size, lambda itask, kv: kv.add_batch(np.arange(k, dtype=np.int64), rows))
+        mr.collate()
+        moved = int(mr.metrics.value("mr.aggregate_pairs"))
+
+        def reducer(unit, values, kv):
+            ordered = sorted(values, key=lambda r: int(r["rank"]))
+            kv.add(unit, (comm.rank, _binomial_sum([r["num"] for r in ordered]),
+                          _binomial_sum([r["denom"] for r in ordered])))
+
+        mr.reduce(reducer)
+        mr.gather(1)
+        num, denom = np.zeros((k, dim)), np.zeros(k)
+        for units, totals in mr.kv.iter_batches():
+            num[units], denom[units] = totals["num"], totals["denom"]
+    finally:
+        mr.close()
+    return direct, np.concatenate([num.ravel(), denom]), moved
+
+
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_mrsom_mrmpi_reduce_is_bit_identical_through_buckets(backend, tmp_path, monkeypatch):
     """The Eq. 5 accumulators routed through the columnar plane, cut into
     several buckets per rank, still replay the direct MPI_Reduce bit for bit."""
-    from repro.core.mrsom.driver import MrSomConfig, mrsom_spmd
-    from repro.core.mrsom.mmap_input import write_matrix_file
-    from repro.som.codebook import SOMGrid
+    from repro.som.codebook import SOMGrid, init_codebook
 
-    monkeypatch.setattr(mapreduce, "_BUCKET_BYTES", 1 << 10)
-    path = write_matrix_file(tmp_path / "v.mat", np.random.default_rng(3).random((240, 8)))
-    kwargs = dict(matrix_path=str(path), grid=SOMGrid(6, 5), epochs=3, block_rows=40,
-                  mapstyle=MapStyle.CHUNK, backend=backend)
-    direct = mrsom_spmd(3, MrSomConfig(**kwargs))
-    mrmpi = mrsom_spmd(3, MrSomConfig(**kwargs, reduce_mode="mrmpi"))
-    np.testing.assert_array_equal(mrmpi[0].codebook, direct[0].codebook)
-    assert mrmpi[0].shuffle_pairs_moved > 0
+    monkeypatch.setattr(mapreduce, "_BUCKET_BYTES", 1 << 10)  # forked ranks inherit it
+    rng = np.random.default_rng(3)
+    data = rng.random((240, 8))
+    codebook = init_codebook(SOMGrid(6, 5), data, seed_or_rng=rng)
+    ranks = run_spmd(3, _som_reduce_both_ways, data, codebook, str(tmp_path), backend=backend)
+    direct, shuffled, _ = ranks[0]
+    np.testing.assert_array_equal(shuffled, direct)
+    assert sum(moved for *_, moved in ranks) > 0
