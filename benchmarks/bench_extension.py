@@ -4,7 +4,7 @@ Claims from the extension work, measured on the Fig. 5 workload (protein
 families: 260-aa ancestors, three copies each in the DB, queries a 200-aa
 slice of each ancestor) rather than asserted:
 
-1. Replacing the per-trigger scalar :func:`ungapped_extend` loop with one
+1. Replacing the per-trigger scalar ``ungapped_extend`` loop with one
    window-escalating :func:`batch_ungapped_extend_spans` pass per (context,
    subject), and the per-seed dense float32 gapped DP with one
    :func:`extend_gapped_batch` call running every seed's band-compressed
@@ -43,7 +43,7 @@ from repro.blast import BlastOptions, format_database
 from repro.blast import engine as engine_module
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
-from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
+from repro.blast.extend import batch_ungapped_extend_spans
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
@@ -53,6 +53,7 @@ from repro.mpi.runtime import resolve_backend
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles.dense_gapped import reference_extend_gapped  # noqa: E402
+from oracles.ungapped import ungapped_extend  # noqa: E402
 
 RESULTS_PATH = ROOT / "BENCH_extension.json"
 REPEATS = 3
@@ -165,17 +166,8 @@ def test_extension_stage_speedup(fig5_hits, tmp_path, print_table):
                 np.zeros(n, np.int64), np.full(n, s_idx.size, np.int64),
                 word, BLOSUM62, xdrop, window=OPTS.extension_window,
             )
-            for r in range(qp.size):
-                if ext.complete[r]:
-                    out.append(
-                        (int(ext.score[r]), int(ext.q_start[r]), int(ext.q_end[r]),
-                         int(ext.s_start[r]), int(ext.s_end[r]))
-                    )
-                else:
-                    u = ungapped_extend(
-                        q_idx, s_idx, int(qp[r]), int(sp[r]), word, BLOSUM62, xdrop
-                    )
-                    out.append((u.score, u.q_start, u.q_end, u.s_start, u.s_end))
+            out.extend(zip(ext.score.tolist(), ext.q_start.tolist(), ext.q_end.tolist(),
+                           ext.s_start.tolist(), ext.s_end.tolist()))
         return out
 
     t_uref, ref_ext = _best_of(ungapped_reference)

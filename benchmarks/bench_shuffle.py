@@ -16,8 +16,8 @@ The process backend adds two result families:
 
 The shared-arena fabric adds a third: ``columnar@{nprocs}@process+arena``
 runs and a ``process+arena`` machine model.  The plain ``@process`` keys
-are re-measured with ``arena=False`` (the per-message shm path) in the
-same run, and the fit asserts the arena is at least 2x better on *both*
+are re-measured with ``$REPRO_MPI_ARENA_MB=0`` (the per-message shm path)
+in the same run, and the fit asserts the arena is at least 2x better on *both*
 axes — per-message latency α and asymptotic bandwidth β — than the
 per-message model **recorded when that path shipped**
 (:data:`RECORDED_PER_MESSAGE_MODEL`).  The bar is pinned to the recorded
@@ -34,7 +34,8 @@ Run as a script for the CI smoke::
 
 which exercises the columnar pipeline per rank count and (on machines with
 enough cores) asserts wall-clock actually drops as ranks are added — the
-whole point of ranks-as-processes.
+whole point of ranks-as-processes.  Prefix ``REPRO_MPI_ARENA_MB=0`` to run
+it over the per-message path.
 """
 
 import argparse
@@ -42,10 +43,12 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.mpi import run_spmd
+from repro.mpi.arena import ARENA_DEFAULT_MB, ARENA_ENV_VAR, resolve_arena_bytes
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema
 
 RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_shuffle.json"
@@ -55,13 +58,14 @@ TOTAL_PAIRS = int(os.environ.get("BENCH_SHUFFLE_PAIRS", "120000"))
 N_KEYS = 1500
 RANK_COUNTS = (1, 4, 8)
 
-#: measured transport variants: (result-key suffix tail, backend, arena flag).
-#: ``process`` pins the per-message shm path so the ``process+arena`` rows
-#: quantify exactly what the arena buys on the same machine, same run.
+#: measured transport variants: (result-key suffix tail, backend, arena MiB
+#: per rank).  ``process`` pins the per-message shm path so the
+#: ``process+arena`` rows quantify exactly what the arena buys on the same
+#: machine, same run.
 VARIANTS = (
-    ("thread", "thread", None),
-    ("process", "process", False),
-    ("process+arena", "process", True),
+    ("thread", "thread", 0),
+    ("process", "process", 0),
+    ("process+arena", "process", ARENA_DEFAULT_MB),
 )
 
 #: pingpong sweep for the machine-model fit; spans the shm threshold so the
@@ -118,9 +122,13 @@ def _pipeline(comm, total_pairs):
         mr.close()
 
 
-def _run(nprocs, backend="thread", total_pairs=TOTAL_PAIRS, arena=None, arena_mb=None):
-    out = run_spmd(nprocs, _pipeline, total_pairs, backend=backend,
-                   arena=arena, arena_mb=arena_mb)[0]
+def _arena_mb(mb):
+    """Run the enclosed process jobs with ``$REPRO_MPI_ARENA_MB`` = ``mb``."""
+    return mock.patch.dict(os.environ, {ARENA_ENV_VAR: str(mb)})
+
+
+def _run(nprocs, backend="thread", total_pairs=TOTAL_PAIRS):
+    out = run_spmd(nprocs, _pipeline, total_pairs, backend=backend)[0]
     stages = {}
     for phase in STAGES:
         secs = out["seconds"][phase]
@@ -166,14 +174,14 @@ def _pingpong(comm, sizes, reps):
     return halves if comm.rank == 0 else None
 
 
-def fit_machine_model(backend, arena=None):
+def fit_machine_model(backend):
     """Fit the Sanders/Mehlhorn point-to-point model ``t = α + n/β``.
 
     α is the per-message latency (startup) and β the asymptotic bandwidth;
     a least-squares fit over the pingpong sweep gives both in one pass.
     """
     halves = run_spmd(2, _pingpong, PINGPONG_SIZES, PINGPONG_REPS,
-                      backend=backend, arena=arena, op_timeout=60.0)[0]
+                      backend=backend, op_timeout=60.0)[0]
     sizes = np.array(PINGPONG_SIZES, dtype=float)
     times = np.array(halves, dtype=float)
     slope, alpha = np.polyfit(sizes, times, 1)
@@ -188,10 +196,11 @@ def fit_machine_model(backend, arena=None):
 
 def test_shuffle_throughput(print_table):
     results = {}
-    for label, backend, arena in VARIANTS:
+    for label, backend, arena_mb in VARIANTS:
         suffix = "" if label == "thread" else f"@{label}"
-        for nprocs in RANK_COUNTS:
-            results[f"columnar@{nprocs}{suffix}"] = _run(nprocs, backend=backend, arena=arena)
+        with _arena_mb(arena_mb):
+            for nprocs in RANK_COUNTS:
+                results[f"columnar@{nprocs}{suffix}"] = _run(nprocs, backend=backend)
 
     rows = []
     for label, _backend, _arena in VARIANTS:
@@ -217,8 +226,10 @@ def test_shuffle_throughput(print_table):
             key.split("@")[1]
         )
 
-    model = {label: fit_machine_model(backend, arena=arena)
-             for label, backend, arena in VARIANTS}
+    model = {}
+    for label, backend, arena_mb in VARIANTS:
+        with _arena_mb(arena_mb):
+            model[label] = fit_machine_model(backend)
     print_table(
         "Machine model fit t = α + n/β (2-rank pingpong)",
         ["variant", "α (µs)", "β (MiB/s)"],
@@ -281,26 +292,16 @@ def main(argv=None) -> int:
     ap.add_argument("--backend", choices=["thread", "process"], default="process")
     ap.add_argument("--ranks", type=int, nargs="+", default=[1, 4])
     ap.add_argument("--pairs", type=int, default=TOTAL_PAIRS)
-    ap.add_argument("--no-arena", action="store_true",
-                    help="process backend: pin the per-message shm path "
-                         "(the arena-off parity/regression oracle)")
-    ap.add_argument("--arena-mb", type=int, default=None,
-                    help="process backend: arena ring MiB per rank")
     ap.add_argument("--assert-scaling", action="store_true",
                     help="require wall-clock to drop monotonically with more "
                          "ranks (skipped unless the machine has enough cores)")
     args = ap.parse_args(argv)
 
-    from repro.mpi.arena import resolve_arena_bytes
-
-    arena = False if args.no_arena else None
-    arena_on = resolve_arena_bytes(arena, args.arena_mb) > 0
     label = args.backend if args.backend == "thread" else (
-        "process+arena" if arena_on else "process")
+        "process+arena" if resolve_arena_bytes() else "process")
     seconds = {}
     for nprocs in args.ranks:
-        run = _run(nprocs, backend=args.backend, total_pairs=args.pairs,
-                   arena=arena, arena_mb=args.arena_mb)
+        run = _run(nprocs, backend=args.backend, total_pairs=args.pairs)
         seconds[nprocs] = _pipeline_seconds(run)
         print(f"{label}@{nprocs}: {args.pairs:,} pairs in "
               f"{seconds[nprocs]:.3f}s pipeline time "

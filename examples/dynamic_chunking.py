@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database, write_fasta
 from repro.blast import BlastOptions, format_database
 from repro.core import MrBlastConfig, mrblast_spmd
-from repro.core.mrblast.dynamic import DynamicChunkConfig, plan_query_blocks
+from repro.core.mrblast.dynamic import plan_query_blocks
 from repro.core.mrblast.merge import collect_rank_hits
 
 
@@ -45,10 +45,8 @@ def main() -> None:
         locality_aware=True,
     ))
     # 3. Dynamic chunking from the FASTA index.
-    plan = plan_query_blocks(DynamicChunkConfig(
-        alias_path=str(alias), query_fasta=str(query_fasta), options=options,
-        output_dir=str(workdir / "dynamic"), target_unit_seconds=0.05,
-    ))
+    plan = plan_query_blocks(str(query_fasta), str(alias), options,
+                             str(workdir / "dynamic"), target_unit_seconds=0.05)
     dynamic = mrblast_spmd(4, MrBlastConfig(
         alias_path=str(alias), query_blocks=plan, options=options,
         output_dir=str(workdir / "dynamic"), locality_aware=True,

@@ -62,10 +62,9 @@ Stage 3 admits and then contains:
   composition, DB split or pool order.
 
 Stage timing is accumulated per kernel call, never per word hit: lookup
-build/fetch and subject scanning count as ``seed``, the span kernel and any
-scalar fallback as ``ungapped``, and the gapped passes as ``gapped``; the
-three timers cover disjoint code regions, so per-stage seconds never
-double-count.
+build/fetch and subject scanning count as ``seed``, the span kernel as
+``ungapped``, and the gapped passes as ``gapped``; the three timers cover
+disjoint code regions, so per-stage seconds never double-count.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ import numpy as np
 
 from repro.bio.seq import SeqRecord
 from repro.blast.dbreader import DbPartition
-from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
+from repro.blast.extend import batch_ungapped_extend_spans
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.hsp import HSP, cull_overlapping, top_hits
 from repro.blast.karlin import gapped_params, karlin_params
@@ -658,17 +657,6 @@ class _EngineBase:
                 word, self.matrix, opts.xdrop_ungapped,
                 window=opts.extension_window, stats=kernel_peaks,
             )
-            # Rows whose kernel escalation was capped: exact scalar path.
-            for j in np.flatnonzero(~ext.complete).tolist():
-                subj = pool[int(np.searchsorted(bounds, j, side="right")) - 1]
-                u = ungapped_extend(
-                    block.contexts[ctx_t[j]].codes_index, subj.s_index,
-                    int(qg[j] - q_lo[j]), int(sg[j] - s_lo[j]),
-                    word, self.matrix, opts.xdrop_ungapped,
-                )
-                ext.score[j] = u.score
-                ext.q_start[j], ext.q_end[j] = u.q_start + q_lo[j], u.q_end + q_lo[j]
-                ext.s_start[j], ext.s_end[j] = u.s_start + s_lo[j], u.s_end + s_lo[j]
             stats.ungapped_seconds += time.perf_counter() - t_ext
             stats.n_ungapped += m
 
@@ -700,8 +688,7 @@ class _EngineBase:
                 u_s_end[adm].tolist(),
             ):
                 subj = pool[p]
-                # Mid-point of the ungapped segment — the gapped anchor
-                # (same arithmetic as UngappedHSP.seed_point).
+                # Mid-point of the ungapped segment — the gapped anchor.
                 mid = (u_q_end - u_q_start) // 2
                 diag = u_s_start - u_q_start
                 job = _GappedJob(

@@ -4,21 +4,13 @@ A word hit is extended in both directions as long as the running score does
 not fall more than ``xdrop`` below the best score seen (paper §II.B: "the
 second stage extends each matching word as an ungapped alignment").
 
-Two implementations share the same semantics:
-
-- :func:`ungapped_extend` extends one hit (pair scores from one
-  fancy-indexing gather, the X-drop stopping point from a cumulative-sum/
-  running-max scan).  It is the parity oracle for the batched kernel and
-  the engine's fallback for extensions that outrun the batch window.
-- :func:`batch_ungapped_extend_spans` extends many hits at once, each
-  inside the span of its own sequence pair: fixed-size left/right windows
-  are gathered into padded 2-D arrays, scored with one ``matrix[q, s]``
-  gather, and every hit's X-drop extent found with one row-wise
-  cumsum/running-max scan.  Hits that outrun the window are re-batched
-  with geometrically wider windows until every extension terminates
-  in-batch, so results are bit-identical to :func:`ungapped_extend`; an
-  explicit ``max_window`` caps the escalation and reports capped rows
-  incomplete for the caller's scalar fallback.
+:func:`batch_ungapped_extend_spans` extends many hits at once, each inside
+the span of its own sequence pair: fixed-size left/right windows are
+gathered into padded 2-D arrays, scored with one ``matrix[q, s]`` gather,
+and every hit's X-drop extent found with one row-wise cumsum/running-max
+scan.  Hits that outrun the window are re-batched with geometrically wider
+windows until every extension terminates in-batch, so each result is
+bit-identical to the one-hit rule (``tests/oracles/ungapped.py``).
 """
 
 from __future__ import annotations
@@ -31,11 +23,8 @@ import numpy as np
 _I32_MIN = np.int32(np.iinfo(np.int32).min)
 
 __all__ = [
-    "UngappedHSP",
     "UngappedExtents",
-    "ungapped_extend",
     "batch_ungapped_extend_spans",
-    "extension_scores",
 ]
 
 
@@ -45,133 +34,21 @@ def _as_index(codes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UngappedHSP:
-    """Result of one ungapped extension (coordinates half-open)."""
-
-    score: int
-    q_start: int
-    q_end: int
-    s_start: int
-    s_end: int
-
-    @property
-    def length(self) -> int:
-        return self.q_end - self.q_start
-
-    def seed_point(self) -> tuple[int, int]:
-        """Mid-point of the segment — the anchor for gapped extension."""
-        mid = (self.q_end - self.q_start) // 2
-        return self.q_start + mid, self.s_start + mid
-
-
-def extension_scores(
-    q_codes: np.ndarray, s_codes: np.ndarray, matrix: np.ndarray
-) -> np.ndarray:
-    """Pair scores of two equal-length encoded segments."""
-    if q_codes.size != s_codes.size:
-        raise ValueError("segments must have equal length")
-    if q_codes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return matrix[_as_index(q_codes), _as_index(s_codes)].astype(np.int64)
-
-
-def _xdrop_extent(scores: np.ndarray, xdrop: float) -> tuple[int, int]:
-    """(best_partial_sum, length) of an X-drop-limited extension.
-
-    Walk the score sequence accumulating; stop at the first position where
-    the running sum falls ``xdrop`` below the running maximum; return the
-    best prefix sum (if positive) and its length.
-    """
-    if scores.size == 0:
-        return 0, 0
-    cum = np.cumsum(scores)
-    runmax = np.maximum.accumulate(np.maximum(cum, 0))
-    dropped = (runmax - cum) > xdrop
-    limit = int(np.argmax(dropped)) if dropped.any() else scores.size
-    if limit == 0:
-        return 0, 0
-    window = cum[:limit]
-    best_idx = int(np.argmax(window))
-    best = int(window[best_idx])
-    if best <= 0:
-        return 0, 0
-    return best, best_idx + 1
-
-
-def ungapped_extend(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    q_pos: int,
-    s_pos: int,
-    word_size: int,
-    matrix: np.ndarray,
-    xdrop: float,
-) -> UngappedHSP:
-    """Extend a word hit at ``(q_pos, s_pos)`` without gaps.
-
-    The seed word ``[q_pos, q_pos+word_size)`` is always included; the
-    extension grows left from ``q_pos-1`` and right from
-    ``q_pos+word_size`` under the X-drop rule.
-    """
-    if not (0 <= q_pos <= q_codes.size - word_size):
-        raise ValueError(f"query word start {q_pos} out of range")
-    if not (0 <= s_pos <= s_codes.size - word_size):
-        raise ValueError(f"subject word start {s_pos} out of range")
-
-    word_score = int(
-        extension_scores(
-            q_codes[q_pos : q_pos + word_size], s_codes[s_pos : s_pos + word_size], matrix
-        ).sum()
-    )
-
-    # Right of the word.
-    n_right = min(q_codes.size - (q_pos + word_size), s_codes.size - (s_pos + word_size))
-    right_scores = extension_scores(
-        q_codes[q_pos + word_size : q_pos + word_size + n_right],
-        s_codes[s_pos + word_size : s_pos + word_size + n_right],
-        matrix,
-    )
-    right_gain, right_len = _xdrop_extent(right_scores, xdrop)
-
-    # Left of the word (walk outward, i.e. reversed slices).
-    n_left = min(q_pos, s_pos)
-    left_scores = extension_scores(
-        q_codes[q_pos - n_left : q_pos][::-1],
-        s_codes[s_pos - n_left : s_pos][::-1],
-        matrix,
-    )
-    left_gain, left_len = _xdrop_extent(left_scores, xdrop)
-
-    return UngappedHSP(
-        score=word_score + right_gain + left_gain,
-        q_start=q_pos - left_len,
-        q_end=q_pos + word_size + right_len,
-        s_start=s_pos - left_len,
-        s_end=s_pos + word_size + right_len,
-    )
-
-
-@dataclass(frozen=True)
 class UngappedExtents:
-    """Per-hit results of :func:`batch_ungapped_extend_spans` (parallel arrays).
-
-    Rows with ``complete=False`` hit the batch window boundary before the
-    X-drop rule terminated them; their values are a lower bound only and the
-    caller must re-extend those hits with :func:`ungapped_extend`.
-    """
+    """Per-hit results of :func:`batch_ungapped_extend_spans` (parallel arrays)."""
 
     score: np.ndarray
     q_start: np.ndarray
     q_end: np.ndarray
     s_start: np.ndarray
     s_end: np.ndarray
-    complete: np.ndarray
 
 
 def _batch_extents(
     scores: np.ndarray, avail: np.ndarray, xdrop: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise :func:`_xdrop_extent` over a padded score window.
+    """Row-wise X-drop extent (best prefix sum, its length) over a padded
+    score window.
 
     ``scores[r, t]`` is the t-th step score of row r; cells at ``t >=
     avail[r]`` must already hold a pad below ``-xdrop`` so the scan drops at
@@ -294,7 +171,6 @@ def batch_ungapped_extend_spans(
     xdrop: float,
     window: int = 64,
     chunk: int = 4096,
-    max_window: int | None = None,
     stats: dict | None = None,
 ) -> UngappedExtents:
     """Ungapped X-drop extension of many word hits in array passes.
@@ -305,52 +181,23 @@ def batch_ungapped_extend_spans(
     (``[0, len)`` for one pair).  Windows of ``window`` steps each way are
     gathered into padded 2-D arrays (a score below ``-xdrop`` past a span
     end stops the scan exactly there); rows that outrun the window are
-    re-batched 4x wider until every row terminates, so by default every row
-    is ``complete=True`` and bit-identical to :func:`ungapped_extend` on its
-    own pair.  ``max_window`` caps the escalation: capped rows come back
-    ``complete=False`` with lower-bound extents for the scalar path.  Memory
-    stays O(chunk * window).  Each pass is one gather and one row-wise scan
+    re-batched 4x wider until every row terminates.  Memory stays
+    O(chunk * window).  Each pass is one gather and one row-wise scan
     across the whole batch, however many queries, contexts and subjects
     contributed rows: what the fused engine scheduler relies on.
 
     ``stats`` (optional dict) accumulates ``peak_window_bytes``: the largest
     padded score-window slab any pass allocated.
     """
+    q_idx, s_idx = _as_index(q_codes), _as_index(s_codes)
     qp = np.asarray(q_pos, dtype=np.int64)
     sp = np.asarray(s_pos, dtype=np.int64)
-    bounds = (
-        np.asarray(q_lo, dtype=np.int64),
-        np.asarray(q_hi, dtype=np.int64),
-        np.asarray(s_lo, dtype=np.int64),
-        np.asarray(s_hi, dtype=np.int64),
-    )
-    return _extend_bounded(
-        _as_index(q_codes), _as_index(s_codes), qp, sp, bounds, word_size,
-        matrix, xdrop, window, chunk, max_window, stats,
-    )
-
-
-def _extend_bounded(
-    q_idx: np.ndarray,
-    s_idx: np.ndarray,
-    qp: np.ndarray,
-    sp: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    word_size: int,
-    matrix: np.ndarray,
-    xdrop: float,
-    window: int,
-    chunk: int,
-    max_window: int | None,
-    stats: dict | None = None,
-) -> UngappedExtents:
-    """Shared escalation driver over :func:`_batch_pass` (see public docs)."""
-    n = qp.size
+    bounds = tuple(np.asarray(b, dtype=np.int64) for b in (q_lo, q_hi, s_lo, s_hi))
     q_lo_a, q_hi_a, s_lo_a, s_hi_a = bounds
+    n = qp.size
     out_score = np.zeros(n, dtype=np.int64)
     out_len_l = np.zeros(n, dtype=np.int64)
     out_len_r = np.zeros(n, dtype=np.int64)
-    out_complete = np.zeros(n, dtype=bool)
     cell_budget = max(chunk, 1) * max(window, 1)
 
     pending = np.arange(n)
@@ -370,11 +217,8 @@ def _extend_bounded(
         out_score[pending] = score
         out_len_l[pending] = len_l
         out_len_r[pending] = len_r
-        out_complete[pending] = complete
         pending = pending[~complete]
         if pending.size == 0:
-            break
-        if max_window is not None and w >= max_window:
             break
         # A window covering everything reachable completes every row, so
         # the escalation terminates at the widest remaining reach.
@@ -384,8 +228,6 @@ def _extend_bounded(
                              sp[pending] - s_lo_a[pending])
         reach = int(max(reach_r.max(), reach_l.max(), 1))
         w = min(w * 4, reach)
-        if max_window is not None:
-            w = min(w, max_window)
 
     return UngappedExtents(
         out_score,
@@ -393,5 +235,4 @@ def _extend_bounded(
         qp + word_size + out_len_r,
         sp - out_len_l,
         sp + word_size + out_len_r,
-        out_complete,
     )

@@ -24,7 +24,6 @@ from repro.core.mrblast.driver import (
     mrblast_supervised,
     run_mrblast,
 )
-from repro.core.mrblast.dynamic import DynamicChunkConfig, mrblast_dynamic_spmd
 from repro.core.mrsom.driver import MrSomConfig, mrsom_spmd, mrsom_supervised, run_mrsom
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "run_mrblast",
     "mrblast_spmd",
     "mrblast_supervised",
-    "DynamicChunkConfig",
-    "mrblast_dynamic_spmd",
     "MrSomConfig",
     "run_mrsom",
     "mrsom_spmd",

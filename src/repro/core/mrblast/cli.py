@@ -16,7 +16,7 @@ import argparse
 
 from repro.blast.options import BlastOptions
 from repro.core.mrblast.driver import MrBlastConfig, mrblast_spmd, mrblast_supervised
-from repro.core.mrblast.dynamic import DynamicChunkConfig, plan_query_blocks
+from repro.core.mrblast.dynamic import plan_query_blocks
 from repro.core.mrblast.workitems import load_query_blocks
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import RetryPolicy
@@ -40,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="transport backend: 'process' runs each rank as an OS "
                          "process (real multi-core); 'thread' is the in-process "
                          "parity oracle (default: $REPRO_MPI_BACKEND or thread)")
-    ap.add_argument("--arena-mb", type=int, default=None,
-                    help="process backend: shared-memory arena MiB per rank "
-                         "(0 disables the arena; default: $REPRO_MPI_ARENA_MB "
-                         "or 64)")
     ap.add_argument("--out", default="mrblast_out", help="output directory")
     ap.add_argument("--program", choices=["blastn", "blastp", "blastx"], default="blastn")
     ap.add_argument("--evalue", type=float, default=10.0)
@@ -103,31 +99,24 @@ def main(argv: list[str] | None = None) -> int:
     }[args.program]
     options = factory(evalue=args.evalue, max_hits=args.max_hits)
 
-    runtime = dict(
-        alias_path=args.db,
-        options=options,
-        locality_aware=args.locality,
-        backend=args.backend,
-        arena_mb=args.arena_mb,
-        speculation_factor=args.speculate,
-        degraded=not args.no_degraded,
-    )
     if args.query_fasta:
-        query_blocks = plan_query_blocks(DynamicChunkConfig(
-            query_fasta=args.query_fasta,
-            output_dir=args.out,
-            target_unit_seconds=args.target_unit_seconds,
-            **runtime,
-        ), resume=args.resume)
+        query_blocks = plan_query_blocks(
+            args.query_fasta, args.db, options, args.out,
+            target_unit_seconds=args.target_unit_seconds, resume=args.resume)
     else:
         query_blocks = load_query_blocks(args.queries)
     config = MrBlastConfig(
+        alias_path=args.db,
         query_blocks=query_blocks,
+        options=options,
         output_dir=args.out,
         blocks_per_iteration=args.blocks_per_iteration,
         resume=args.resume,
         trace_path=args.trace,
-        **runtime,
+        locality_aware=args.locality,
+        backend=args.backend,
+        speculation_factor=args.speculate,
+        degraded=not args.no_degraded,
     )
     fault_plan = FaultPlan.parse(args.faults, args.np) if args.faults else None
     if args.retries > 0 or fault_plan is not None:

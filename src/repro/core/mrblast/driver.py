@@ -292,7 +292,7 @@ def mrblast_spmd(
     config.validate()
     with exported_trace(config.trace_path, nprocs, trace) as trace:
         return run_spmd(nprocs, run_mrblast, config, trace=trace,
-                        backend=config.backend, arena_mb=config.arena_mb)
+                        backend=config.backend)
 
 
 def mrblast_supervised(
@@ -329,7 +329,6 @@ def mrblast_supervised(
             prepare=prepare,
             trace=trace,
             backend=config.backend,
-            arena_mb=config.arena_mb,
         )
     for result in outcome.results:
         if result is None:  # rank lost in a degraded-mode run

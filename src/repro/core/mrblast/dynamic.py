@@ -26,91 +26,66 @@ Pieces:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass
 
 from repro.bio.fasta import FastaIndex
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
-from repro.core.mrblast.driver import MrBlastConfig, MrBlastResult, mrblast_spmd
-from repro.core.mrblast.pipeline import RuntimeConfig
+from repro.blast.options import BlastOptions
 from repro.core.mrblast.workitems import IndexedQueryBlocks
 
 __all__ = [
-    "DynamicChunkConfig",
     "pilot_block_size",
     "plan_block_ranges",
     "plan_query_blocks",
-    "mrblast_dynamic_spmd",
 ]
 
-
-@dataclass
-class DynamicChunkConfig(RuntimeConfig):
-    """Configuration of a dynamically-chunked run."""
-
-    query_fasta: str
-    output_dir: str = "mrblast_dyn_out"
-    #: desired wall-clock cost of one work unit
-    target_unit_seconds: float = 0.25
-    #: queries used by the timing pilot
-    pilot_queries: int = 4
-    min_block: int = 1
-    max_block: int = 100_000
-    #: fraction of the query set cut into geometrically shrinking tail blocks
-    taper_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.target_unit_seconds <= 0:
-            raise ValueError("target_unit_seconds must be positive")
-        if self.pilot_queries < 1:
-            raise ValueError("pilot_queries must be >= 1")
-        if not (1 <= self.min_block <= self.max_block):
-            raise ValueError("need 1 <= min_block <= max_block")
-        if not (0.0 <= self.taper_fraction < 1.0):
-            raise ValueError("taper_fraction must be in [0, 1)")
+#: queries used by the timing pilot
+PILOT_QUERIES = 4
+#: bounds on a pilot-sized block (in queries)
+MIN_BLOCK = 1
+MAX_BLOCK = 100_000
+#: fraction of the query set cut into geometrically shrinking tail blocks
+TAPER_FRACTION = 0.25
 
 
 def pilot_block_size(
     index: FastaIndex,
     alias: DatabaseAlias,
-    config: DynamicChunkConfig,
+    options: BlastOptions,
+    target_unit_seconds: float,
 ) -> int:
     """Time a pilot search and derive the block size hitting the target cost.
 
-    Runs ``pilot_queries`` queries against partition 0 with the production
-    engine, measures per-query-per-partition cost, and returns the number of
-    queries whose unit cost meets ``target_unit_seconds``.
+    Runs :data:`PILOT_QUERIES` queries against partition 0 with the
+    production engine, measures per-query-per-partition cost, and returns
+    the number of queries whose unit cost meets ``target_unit_seconds``.
     """
-    n_pilot = min(config.pilot_queries, len(index))
+    n_pilot = min(PILOT_QUERIES, len(index))
     queries = index.load_range(0, n_pilot)
-    options = config.options.with_db_size(alias.total_length, alias.num_seqs)
-    engine = make_engine(options)
+    engine = make_engine(options.with_db_size(alias.total_length, alias.num_seqs))
     partition = alias.open_partition(0)
     t0 = time.perf_counter()
     engine.search_block(queries, partition)
     elapsed = max(time.perf_counter() - t0, 1e-6)
     per_query = elapsed / n_pilot
-    block = int(config.target_unit_seconds / per_query)
-    return max(config.min_block, min(block, config.max_block, len(index)))
+    block = int(target_unit_seconds / per_query)
+    return max(MIN_BLOCK, min(block, MAX_BLOCK, len(index)))
 
 
 def plan_block_ranges(
     n_queries: int,
     block_size: int,
-    taper_fraction: float = 0.25,
-    min_block: int = 1,
+    taper_fraction: float = TAPER_FRACTION,
 ) -> list[tuple[int, int]]:
     """Cut ``n_queries`` into blocks with a geometrically tapered tail.
 
     The head is uniform blocks of ``block_size``; the final
     ``taper_fraction`` of queries is cut into successively halved blocks
-    (never below ``min_block``), giving the master fine-grained units when
-    the run drains — the paper's "more uniform filling of the cores".
+    (never below :data:`MIN_BLOCK`), giving the master fine-grained units
+    when the run drains — the paper's "more uniform filling of the cores".
     """
     if n_queries < 1:
         raise ValueError("need at least one query")
@@ -123,16 +98,23 @@ def plan_block_ranges(
         end = min(pos + block_size, taper_start)
         ranges.append((pos, end))
         pos = end
-    current = max(block_size // 2, min_block)
+    current = max(block_size // 2, MIN_BLOCK)
     while pos < n_queries:
         end = min(pos + current, n_queries)
         ranges.append((pos, end))
         pos = end
-        current = max(current // 2, min_block)
+        current = max(current // 2, MIN_BLOCK)
     return ranges
 
 
-def plan_query_blocks(config: DynamicChunkConfig, resume: bool = False) -> IndexedQueryBlocks:
+def plan_query_blocks(
+    query_fasta: str,
+    alias_path: str,
+    options: BlastOptions,
+    output_dir: str,
+    target_unit_seconds: float = 0.25,
+    resume: bool = False,
+) -> IndexedQueryBlocks:
     """Index the query FASTA, time the pilot, cut the plan.
 
     The plan is written to ``<output_dir>/query_plan.json``.  The pilot is a
@@ -140,8 +122,10 @@ def plan_query_blocks(config: DynamicChunkConfig, resume: bool = False) -> Index
     ``resume=True`` reuses the recorded plan, because the iteration
     checkpoints in ``output_dir`` count blocks of *that* plan.
     """
-    index = FastaIndex(config.query_fasta)
-    plan_path = os.path.join(config.output_dir, "query_plan.json")
+    if target_unit_seconds <= 0:
+        raise ValueError("target_unit_seconds must be positive")
+    index = FastaIndex(query_fasta)
+    plan_path = os.path.join(output_dir, "query_plan.json")
     ranges = None
     if resume and os.path.exists(plan_path):
         with open(plan_path) as fh:
@@ -149,18 +133,10 @@ def plan_query_blocks(config: DynamicChunkConfig, resume: bool = False) -> Index
         if plan["n_queries"] == len(index):
             ranges = [tuple(r) for r in plan["ranges"]]
     if ranges is None:
-        block_size = pilot_block_size(index, DatabaseAlias.load(config.alias_path), config)
-        ranges = plan_block_ranges(
-            len(index), block_size, config.taper_fraction, config.min_block)
-        os.makedirs(config.output_dir, exist_ok=True)
+        block_size = pilot_block_size(
+            index, DatabaseAlias.load(alias_path), options, target_unit_seconds)
+        ranges = plan_block_ranges(len(index), block_size)
+        os.makedirs(output_dir, exist_ok=True)
         with open(plan_path, "w") as fh:
             json.dump({"n_queries": len(index), "ranges": ranges}, fh)
     return IndexedQueryBlocks(index, ranges)
-
-
-def mrblast_dynamic_spmd(nprocs: int, config: DynamicChunkConfig) -> list[MrBlastResult]:
-    """Plan the blocks in the launcher, then run the one mrblast driver."""
-    config.validate()
-    runtime = {f.name: getattr(config, f.name) for f in dataclasses.fields(RuntimeConfig)}
-    return mrblast_spmd(nprocs, MrBlastConfig(
-        query_blocks=plan_query_blocks(config), output_dir=config.output_dir, **runtime))

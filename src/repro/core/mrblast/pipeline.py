@@ -39,8 +39,8 @@ __all__ = ["RuntimeConfig", "BlastPipeline", "check_writable_dir"]
 class RuntimeConfig:
     """The runtime knobs every mrblast entry point shares, declared once.
 
-    ``MrBlastConfig``, ``DynamicChunkConfig`` and ``ServeConfig`` extend it
-    with what is their own.  Everything after ``alias_path`` is keyword-only.
+    ``MrBlastConfig`` and ``ServeConfig`` extend it with what is their own.
+    Everything after ``alias_path`` is keyword-only.
     """
 
     alias_path: str
@@ -48,8 +48,6 @@ class RuntimeConfig:
     options: BlastOptions = field(default_factory=BlastOptions.blastn)
     #: transport backend (None = REPRO_MPI_BACKEND default; see run_spmd)
     backend: str | None = None
-    #: process-backend arena budget in MiB per rank (see run_spmd)
-    arena_mb: int | None = None
     #: per-rank page size in bytes before KV/KMV pages spill to disk
     memsize: int = 64 * 1024 * 1024
     work_order: str = "partition_major"

@@ -34,10 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="transport backend: 'process' runs each rank as an OS "
                          "process (real multi-core); 'thread' is the in-process "
                          "parity oracle (default: $REPRO_MPI_BACKEND or thread)")
-    ap.add_argument("--arena-mb", type=int, default=None,
-                    help="process backend: shared-memory arena MiB per rank "
-                         "(0 disables the arena; default: $REPRO_MPI_ARENA_MB "
-                         "or 64)")
     ap.add_argument("--init", choices=["linear", "random"], default="linear")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="codebook.npy", help="trained codebook output (.npy)")
@@ -81,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         resume=args.resume,
         trace_path=args.trace,
         backend=args.backend,
-        arena_mb=args.arena_mb,
         speculation_factor=args.speculate,
         degraded=not args.no_degraded,
     )

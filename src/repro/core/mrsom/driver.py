@@ -100,11 +100,6 @@ class MrSomConfig:
     #: "process" (one OS process per rank, real multi-core epoch compute).
     #: None defers to the REPRO_MPI_BACKEND environment default.
     backend: str | None = None
-    #: process-backend shared-memory arena budget in MiB per rank (0
-    #: disables the arena, restoring the per-message shm path).  None
-    #: defers to $REPRO_MPI_ARENA_MB / the built-in default; ignored by
-    #: the thread backend.
-    arena_mb: int | None = None
     #: straggler threshold: re-issue a unit once its elapsed time exceeds
     #: ``speculation_factor ×`` the running median (None = no speculation).
     #: Only effective under MASTER_WORKER dispatch on >1 rank.
@@ -419,7 +414,7 @@ def mrsom_spmd(
     config.validate()
     with exported_trace(config.trace_path, nprocs, trace) as trace:
         return run_spmd(nprocs, run_mrsom, config, trace=trace,
-                        backend=config.backend, arena_mb=config.arena_mb)
+                        backend=config.backend)
 
 
 def mrsom_supervised(
@@ -457,7 +452,6 @@ def mrsom_supervised(
             prepare=prepare,
             trace=trace,
             backend=config.backend,
-            arena_mb=config.arena_mb,
         )
     for result in outcome.results:
         if result is None:  # a rank lost to a degraded-mode death

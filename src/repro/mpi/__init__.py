@@ -64,7 +64,6 @@ from repro.mpi.runtime import (
     run_spmd,
     run_supervised,
 )
-from repro.mpi.pool import MPIPool
 
 __all__ = [
     "ANY_SOURCE",
@@ -91,7 +90,6 @@ __all__ = [
     "SupervisedOutcome",
     "SupervisionExhausted",
     "classify_failure",
-    "MPIPool",
     "MPIError",
     "DeadlockError",
     "AbortError",

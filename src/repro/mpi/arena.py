@@ -58,12 +58,12 @@ __all__ = [
     "segment_name",
 ]
 
-#: Default per-rank ring size when the arena is enabled without an explicit
-#: budget.  64 MiB holds several columnar pages per peer at the default
-#: pagesize with room for pairwise-round double buffering.
+#: Per-rank ring size when ``$REPRO_MPI_ARENA_MB`` is unset.  64 MiB holds
+#: several columnar pages per peer at the default pagesize with room for
+#: pairwise-round double buffering.
 ARENA_DEFAULT_MB = 64
 
-#: Environment override: ring MiB per rank; ``0`` disables the arena.
+#: Ring MiB per rank; ``0`` disables the arena.
 ARENA_ENV_VAR = "REPRO_MPI_ARENA_MB"
 
 #: Slot-header table entries per segment.  Each outstanding message holds
@@ -88,31 +88,20 @@ def segment_name(prefix: str, rank: int) -> str:
     return f"{prefix}arena{rank}"
 
 
-def resolve_arena_bytes(arena: bool | None, arena_mb: int | None) -> int:
-    """Resolve the per-rank ring size in bytes (0 = arena disabled).
+def resolve_arena_bytes() -> int:
+    """The per-rank ring size in bytes (0 = arena disabled).
 
-    Precedence: explicit ``arena=False`` kills it; an explicit ``arena_mb``
-    wins over the ``$REPRO_MPI_ARENA_MB`` environment default; the arena is
-    **on by default** at :data:`ARENA_DEFAULT_MB` MiB.
+    ``$REPRO_MPI_ARENA_MB`` is the one switch: unset or empty means the
+    default :data:`ARENA_DEFAULT_MB` MiB, ``0`` pins the per-message path,
+    and anything other than a non-negative integer raises ``ValueError``.
     """
-    if arena is False:
-        return 0
-    mb: int | None = arena_mb
-    if mb is None:
-        raw = os.environ.get(ARENA_ENV_VAR, "").strip()
-        if raw:
-            try:
-                mb = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"${ARENA_ENV_VAR} must be an integer (MiB), got {raw!r}")
-    if mb is None:
-        mb = ARENA_DEFAULT_MB
-    if mb <= 0:
-        # arena=True with an explicit 0 budget still means "on": fall back
-        # to the default size rather than a zero-byte ring.
-        return ARENA_DEFAULT_MB << 20 if arena is True else 0
-    return mb << 20
+    raw = os.environ.get(ARENA_ENV_VAR, "").strip()
+    if not raw:
+        return ARENA_DEFAULT_MB << 20
+    if not raw.isdecimal():
+        raise ValueError(
+            f"${ARENA_ENV_VAR} must be a non-negative integer (MiB), got {raw!r}")
+    return int(raw) << 20
 
 
 class MappedSegment:

@@ -8,11 +8,11 @@ runs on real cores, while keeping the exact transport contract of
 
 - **data plane** — an N×N mesh of unidirectional pipes carrying typed
   frames (first byte selects the codec).  Bulk numpy payloads (the
-  capitalized ``Send``/``Bcast``/``Reduce`` path, the columnar page
-  exchange and the seed-index alltoalls) travel as **arena frames**: the
-  bytes are written once into the sender's ring of the per-job shared
-  arena (:mod:`repro.mpi.arena`) and the pipe carries only a fixed-width
-  packed descriptor; the receiver gets read-only zero-copy views.
+  capitalized ``Send``/``Bcast``/``Reduce`` path and the columnar page
+  exchange) travel as **arena frames**: the bytes are written once into
+  the sender's ring of the per-job shared arena (:mod:`repro.mpi.arena`)
+  and the pipe carries only a fixed-width packed descriptor; the receiver
+  gets read-only zero-copy views.
   Control-sized payloads pickle straight through, and bulk payloads that
   overflow the ring fall back to per-message :mod:`repro.mpi.shm` blocks
   — correctness never depends on arena hits.
@@ -562,7 +562,6 @@ def _child_main(
         "fired": fault_plan.fired_since(fired_base) if fault_plan is not None else [],
         "op_count": net._op_count,
         "trace": None,
-        "arena": arena.stats.snapshot() if arena is not None else None,
     }
     if tracer.enabled:
         envelope["trace"] = {
@@ -606,8 +605,6 @@ class ProcessJob:
         op_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
         trace=None,
-        arena: bool | None = None,
-        arena_mb: int | None = None,
     ) -> None:
         if nprocs < 1:
             raise MPIError(f"nprocs must be >= 1, got {nprocs}")
@@ -619,8 +616,7 @@ class ProcessJob:
         self.trace = trace
         self._shm_prefix = f"reprompi{os.getpid()}j{next(_JOB_COUNTER)}_"
         # Single-rank jobs have no pipes, so no arena either.
-        self.arena_bytes = resolve_arena_bytes(arena, arena_mb) if nprocs > 1 else 0
-        self._arena_rank_stats: list[Optional[dict]] = [None] * nprocs
+        self.arena_bytes = resolve_arena_bytes() if nprocs > 1 else 0
         self._results: list[Any] = [None] * nprocs
         self._errors: list[Optional[BaseException]] = [None] * nprocs
         self._abort_exc: Optional[BaseException] = None
@@ -689,30 +685,11 @@ class ProcessJob:
         return frozenset(
             r for r in range(self.nprocs) if self._dead_flags[r])
 
-    def arena_stats(self) -> dict:
-        """Job-wide arena counters aggregated over rank exit envelopes.
-
-        Counts are summed; ``peak_resident_bytes`` reports the worst
-        single rank (per-rank rings are independent budgets).  Empty when
-        the arena was off or no envelope arrived.
-        """
-        totals: dict = {}
-        for stats in self._arena_rank_stats:
-            if not stats:
-                continue
-            for name, value in stats.items():
-                if name == "peak_resident_bytes":
-                    totals[name] = max(totals.get(name, 0), value)
-                else:
-                    totals[name] = totals.get(name, 0) + value
-        return totals
-
     # ------------------------------------------------------------------- merge
 
     def _absorb_exit(self, rank: int, envelope: dict) -> None:
         self._results[rank] = envelope["result"]
         self._errors[rank] = envelope["error"]
-        self._arena_rank_stats[rank] = envelope.get("arena")
         if self.fault_plan is not None and envelope["fired"]:
             self.fault_plan.absorb_fired(envelope["fired"])
         shipped = envelope["trace"]

@@ -17,7 +17,6 @@ of restarting from scratch.
 from __future__ import annotations
 
 import os
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -87,8 +86,6 @@ class SpmdJob:
         fault_plan: FaultPlan | None = None,
         trace=None,
         backend: str | None = None,
-        arena: bool | None = None,
-        arena_mb: int | None = None,
     ) -> None:
         if nprocs < 1:
             raise MPIError(f"nprocs must be >= 1, got {nprocs}")
@@ -103,7 +100,6 @@ class SpmdJob:
             self._engine = ProcessJob(
                 nprocs, fn, args, kwargs,
                 op_timeout=op_timeout, fault_plan=fault_plan, trace=trace,
-                arena=arena, arena_mb=arena_mb,
             )
             # The parent-side coordinator doubles as the telemetry surface
             # (heartbeat_ages / op_count / abort), mirroring the shared
@@ -236,8 +232,6 @@ def run_spmd(
     fault_plan: FaultPlan | None = None,
     trace=None,
     backend: str | None = None,
-    arena: bool | None = None,
-    arena_mb: int | None = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks; return results.
@@ -248,15 +242,14 @@ def run_spmd(
     record the run; ``backend`` selects the transport (``"thread"`` or
     ``"process"``, default from ``REPRO_MPI_BACKEND``).  On the process
     backend rank results cross a pipe and must be picklable, and bulk
-    payloads ride a per-job shared arena (on by default; ``arena=False``
-    restores the PR-6 per-message path, ``arena_mb`` / the
-    ``$REPRO_MPI_ARENA_MB`` environment variable size the per-rank ring).
-    The thread backend ignores both arena knobs.
+    payloads ride a per-job shared arena sized by ``$REPRO_MPI_ARENA_MB``
+    (``0`` pins the per-message path; see
+    :func:`repro.mpi.arena.resolve_arena_bytes`).
     """
     return SpmdJob(
         nprocs, fn, args, kwargs,
         op_timeout=op_timeout, fault_plan=fault_plan, trace=trace,
-        backend=backend, arena=arena, arena_mb=arena_mb,
+        backend=backend,
     ).run()
 
 
@@ -265,60 +258,22 @@ def run_spmd(
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff for supervised relaunches.
-
-    ``jitter="decorrelated"`` switches the schedule to decorrelated jitter
-    (each delay drawn uniformly from ``[base, 3 x previous delay]``), so a
-    fleet of supervisors relaunching after a correlated failure does not
-    synchronise into retry storms.  ``backoff_max`` caps the *jittered*
-    delay, not just the exponential base.  ``seed`` pins the RNG for
-    deterministic tests.
-    """
+    """Bounded exponential backoff for supervised relaunches."""
 
     max_attempts: int = 3
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
-    jitter: str = "none"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_base < 0 or self.backoff_max < 0 or self.backoff_factor < 1:
             raise ValueError("backoff parameters must be non-negative (factor >= 1)")
-        if self.jitter not in ("none", "decorrelated"):
-            raise ValueError(
-                f"jitter must be 'none' or 'decorrelated', got {self.jitter!r}")
 
     def backoff(self, attempt: int) -> float:
-        """Jitter-free delay after failed attempt ``attempt`` (the old API)."""
+        """Delay to sleep after failed attempt ``attempt`` (1-based)."""
         return min(self.backoff_base * self.backoff_factor ** (attempt - 1), self.backoff_max)
-
-    def backoff_schedule(self) -> "_BackoffSchedule":
-        """A stateful delay generator honouring the jitter mode."""
-        return _BackoffSchedule(self)
-
-
-class _BackoffSchedule:
-    """Stateful backoff delays for one supervised job (one RNG stream)."""
-
-    def __init__(self, policy: RetryPolicy) -> None:
-        self.policy = policy
-        self._rng = random.Random(policy.seed)
-        self._prev = policy.backoff_base
-
-    def next(self, attempt: int) -> float:
-        """Delay to sleep after failed attempt number ``attempt`` (1-based)."""
-        p = self.policy
-        if p.jitter == "decorrelated":
-            # AWS-style decorrelated jitter; the cap bounds the jittered
-            # value itself so delays never exceed backoff_max.
-            delay = min(p.backoff_max,
-                        self._rng.uniform(p.backoff_base, self._prev * 3.0))
-            self._prev = max(delay, p.backoff_base)
-            return delay
-        return p.backoff(attempt)
 
 
 @dataclass(frozen=True)
@@ -384,8 +339,6 @@ def run_supervised(
     sleep: Callable[[float], None] = time.sleep,
     trace=None,
     backend: str | None = None,
-    arena: bool | None = None,
-    arena_mb: int | None = None,
     **kwargs: Any,
 ) -> SupervisedOutcome:
     """Launch ``fn`` under supervision: detect, back off, relaunch.
@@ -402,7 +355,6 @@ def run_supervised(
     ``sleep`` is injectable for tests.
     """
     policy = retry or RetryPolicy()
-    schedule = policy.backoff_schedule()
     attempts: list[AttemptRecord] = []
     last_exc: BaseException | None = None
     sup_trc = trace.supervisor if trace is not None else None
@@ -413,13 +365,13 @@ def run_supervised(
         job = SpmdJob(
             nprocs, fn, use_args, use_kwargs,
             op_timeout=op_timeout, fault_plan=fault_plan, trace=trace,
-            backend=backend, arena=arena, arena_mb=arena_mb,
+            backend=backend,
         )
         try:
             results = job.run()
         except BaseException as exc:  # noqa: BLE001 - classify everything
             last_exc = exc
-            backoff = schedule.next(attempt) if attempt < policy.max_attempts else 0.0
+            backoff = policy.backoff(attempt) if attempt < policy.max_attempts else 0.0
             attempts.append(
                 AttemptRecord(attempt, classify_failure(exc), repr(exc), backoff)
             )

@@ -78,9 +78,10 @@ KEEP_SCHEMA = object()
 def _arena_attrs(comm: Comm) -> dict:
     """Arena hit/overflow/residency attributes for exchange-round instants.
 
-    Empty on transports without an arena (thread backend, arena=False), so
-    trace schemas stay backward compatible.  Counters are rank-local
-    running totals; per-round deltas fall out of consecutive instants.
+    Empty on transports without an arena (thread backend, or
+    ``$REPRO_MPI_ARENA_MB=0``), so trace schemas stay backward compatible.
+    Counters are rank-local running totals; per-round deltas fall out of
+    consecutive instants.
     """
     stats_fn = getattr(comm.network, "arena_stats", None)
     stats = stats_fn() if stats_fn is not None else {}

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.bio.seq import SeqRecord
+from repro.mpi.arena import resolve_arena_bytes
 from repro.serve.admission import FairQueue
 
 __all__ = [
@@ -207,22 +208,21 @@ class Coalescer:
         return batches
 
 
-def load_machine_model(
-    path: str, backend: str = "thread", arena: bool = True
-) -> dict[str, float]:
+def load_machine_model(path: str, backend: str = "thread") -> dict[str, float]:
     """Read the α/β point-to-point model the shuffle bench fitted.
 
     Returns ``{"alpha_s": latency per message in seconds, "bandwidth_bytes_s":
     sustained bandwidth}`` for the given transport.  The process backend has
     two entries — with and without the shared-memory arena — matching how
-    the bench measured it.
+    the bench measured it; ``$REPRO_MPI_ARENA_MB`` picks the one the
+    transport will run.
     """
     with open(path) as fh:
         data = json.load(fh)
     if backend == "thread":
         key = "thread"
     elif backend == "process":
-        key = "process+arena" if arena else "process"
+        key = "process+arena" if resolve_arena_bytes() else "process"
     else:
         raise ValueError(f"unknown backend {backend!r}")
     model = data["machine_model"][key]

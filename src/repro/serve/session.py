@@ -287,7 +287,6 @@ class ResidentBlastSession:
             fault_plan=self.fault_plan,
             trace=self.trace,
             backend=self.backend,
-            arena_mb=self.cfg.arena_mb,
         )
         self._job.start()
         self._watcher = threading.Thread(

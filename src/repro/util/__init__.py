@@ -1,17 +1,11 @@
-"""Shared utilities: seeded RNG helpers, timers, rank-aware logging, units."""
+"""Shared utilities: seeded RNG helpers and rank-aware logging."""
 
 from repro.util.rng import derive_rng, spawn_rngs
-from repro.util.timer import Stopwatch, format_duration
-from repro.util.units import format_bytes, parse_bytes
 from repro.util.log import get_logger, rank_logger
 
 __all__ = [
     "derive_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "format_duration",
-    "format_bytes",
-    "parse_bytes",
     "get_logger",
     "rank_logger",
 ]

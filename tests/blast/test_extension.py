@@ -5,11 +5,11 @@ import pytest
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio import random_genome, mutate_dna, random_protein
-from repro.blast.extend import UngappedHSP, extension_scores, ungapped_extend
 from repro.blast.gapped import extend_gapped
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 
 from oracles.smith_waterman import smith_waterman, smith_waterman_score
+from oracles.ungapped import UngappedHSP, extension_scores, ungapped_extend
 
 NT = nucleotide_matrix(1, -2)
 

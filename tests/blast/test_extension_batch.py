@@ -2,9 +2,9 @@
 
 Complements the hypothesis parity suite in
 ``tests/properties/test_extension_kernels.py`` with deterministic edge cases
-(chunking, empty batches, window truncation) and an engine-level check that
-shrinking ``extension_window`` — which forces most hits down the scalar
-fallback path — changes nothing about the emitted HSPs.
+(chunking, empty batches, window escalation) and an engine-level check that
+shrinking ``extension_window`` — which makes most hits escalate to wider
+windows — changes nothing about the emitted HSPs.
 """
 
 import numpy as np
@@ -21,10 +21,10 @@ from repro.bio import (
 )
 from repro.bio.alphabet import DNA
 from repro.blast import BlastOptions, DatabaseAlias, format_database, make_engine
-from repro.blast.extend import ungapped_extend
 from repro.blast.matrices import nucleotide_matrix
 
 from oracles.staged_scheduler import extend_pair
+from oracles.ungapped import ungapped_extend
 
 NT = nucleotide_matrix(1, -2)
 
@@ -35,7 +35,6 @@ class TestBatchKernel:
         empty = np.empty(0, dtype=np.int64)
         ext = extend_pair(seq, seq, empty, empty, 11, NT, 20.0)
         assert ext.score.size == 0
-        assert ext.complete.size == 0
 
     def test_chunking_is_invisible(self):
         """Results must not depend on the chunk size the rows stream in."""
@@ -47,7 +46,7 @@ class TestBatchKernel:
         sp = rng.integers(0, s.size - 11 + 1, size=40)
         whole = extend_pair(q, s, qp, sp, 11, NT, 20.0, window=32)
         chunked = extend_pair(q, s, qp, sp, 11, NT, 20.0, window=32, chunk=7)
-        for field in ("score", "q_start", "q_end", "s_start", "s_end", "complete"):
+        for field in ("score", "q_start", "q_end", "s_start", "s_end"):
             np.testing.assert_array_equal(
                 getattr(whole, field), getattr(chunked, field)
             )
@@ -61,35 +60,20 @@ class TestBatchKernel:
         ext = extend_pair(
             seq, seq, np.array([90]), np.array([90]), 11, NT, 20.0, window=8
         )
-        assert ext.complete[0]
         assert int(ext.score[0]) == u.score
         assert (int(ext.q_start[0]), int(ext.q_end[0])) == (0, 200)
-        # Capping the escalation reinstates the incomplete report.
-        capped = extend_pair(
-            seq, seq, np.array([90]), np.array([90]), 11, NT, 20.0,
-            window=8, max_window=8,
-        )
-        assert not capped.complete[0]
-        assert int(capped.score[0]) <= u.score
 
     def test_window_exactly_covering_reach_is_complete(self):
         """avail == window: the window covers everything reachable, so the
-        row is complete even though no X-drop fired inside it."""
+        row is exact even though no X-drop fired inside it."""
         seq = DNA.encode(random_genome(60, seed_or_rng=5))
         word = 11
         qp = np.array([20])
         # Right reach = 60 - (20 + 11) = 29; left reach = 20.
         ext = extend_pair(seq, seq, qp, qp, word, NT, 50.0, window=29)
-        assert ext.complete[0]
         u = ungapped_extend(seq, seq, 20, 20, word, NT, 50.0)
         assert int(ext.score[0]) == u.score
         assert int(ext.q_start[0]) == u.q_start and int(ext.q_end[0]) == u.q_end
-        # One step short and capped there: the right side cannot prove
-        # termination, so the row reports incomplete.
-        short = extend_pair(
-            seq, seq, qp, qp, word, NT, 50.0, window=28, max_window=28
-        )
-        assert not short.complete[0]
 
 
 def _nt_workload(tmp_path):
@@ -115,8 +99,8 @@ class TestEngineWindowInvariance:
         eng = make_engine(BlastOptions.blastn(evalue=1.0, extension_window=window))
         hits = eng.search_block(reads, part)
         assert hits == baseline
-        # Same admissions either way: the fallback path feeds the same
-        # trigger bookkeeping as the batched fast path.
+        # Same admissions either way: escalated rows feed the same
+        # trigger bookkeeping as rows that end inside the first window.
         assert eng.last_stats.n_ungapped == baseline_eng.last_stats.n_ungapped
         assert eng.last_stats.n_gapped == baseline_eng.last_stats.n_gapped
 
@@ -133,7 +117,7 @@ class TestEngineWindowInvariance:
             queries, part
         )
         assert baseline, "workload must actually produce hits"
-        forced_fallback = make_engine(
+        narrow = make_engine(
             BlastOptions.blastp(evalue=1e-3, extension_window=1)
         ).search_block(queries, part)
-        assert forced_fallback == baseline
+        assert narrow == baseline

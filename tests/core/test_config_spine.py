@@ -10,7 +10,6 @@ import pytest
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database, write_fasta
 from repro.blast import BlastOptions, format_database
 from repro.core.mrblast.driver import MrBlastConfig
-from repro.core.mrblast.dynamic import DynamicChunkConfig
 from repro.core.mrblast.hspcodec import encode_hsps
 from repro.core.mrblast.pipeline import RuntimeConfig
 from repro.blast.hsp import HSP
@@ -21,7 +20,6 @@ SPINE = {f.name: f for f in dataclasses.fields(RuntimeConfig)}
 #: the only restatements of a spine field: a one-line change of default
 DEFAULT_OVERRIDES = {
     MrBlastConfig: {"locality_aware": False},
-    DynamicChunkConfig: {},
     ServeConfig: {"degraded": True},
 }
 
@@ -42,7 +40,6 @@ def _construct(cls, workload, tmp_path, **kw):
     alias, reads, fasta = workload
     own = {
         MrBlastConfig: dict(query_blocks=[reads], output_dir=str(tmp_path / "out")),
-        DynamicChunkConfig: dict(query_fasta=fasta, output_dir=str(tmp_path / "out")),
         ServeConfig: {},
     }[cls]
     return cls(**{"alias_path": alias, **own, **kw})
@@ -65,17 +62,19 @@ def test_each_spine_field_is_declared_once(cls):
 def test_declared_field_count():
     declared = len(SPINE) + sum(
         len(cls.__dict__["__annotations__"]) for cls in DEFAULT_OVERRIDES)
-    assert declared <= 42  # 66 when each config spelled the knobs out itself
-    for gone in ("columnar", "adaptive", "queries_per_wave"):
+    # 66 when each config spelled the knobs out itself, 42 with a third
+    # config for dynamic chunking and a per-config arena size
+    assert declared <= 34
+    for gone in ("columnar", "adaptive", "queries_per_wave", "arena_mb"):
         for cls in DEFAULT_OVERRIDES:
             assert gone not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_defaults_that_differed_still_differ(workload, tmp_path):
-    batch, dyn, serve = (_construct(c, workload, tmp_path) for c in DEFAULT_OVERRIDES)
-    assert (batch.locality_aware, dyn.locality_aware, serve.locality_aware) == (False, True, True)
-    assert (batch.degraded, dyn.degraded, serve.degraded) == (False, False, True)
-    assert (batch.output_dir, dyn.output_dir) == (str(tmp_path / "out"),) * 2
+    batch, serve = (_construct(c, workload, tmp_path) for c in DEFAULT_OVERRIDES)
+    assert (batch.locality_aware, serve.locality_aware) == (False, True)
+    assert (batch.degraded, serve.degraded) == (False, True)
+    assert batch.output_dir == str(tmp_path / "out")
 
 
 def test_suite_keyword_constructions(workload, tmp_path):

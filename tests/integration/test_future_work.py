@@ -10,8 +10,8 @@ from repro.blast.dbreader import DatabaseAlias
 from repro.core import MrBlastConfig, mrblast_spmd
 from repro.core.baselines import run_serial_blast
 from repro.core.mrblast.dynamic import (
-    DynamicChunkConfig,
-    mrblast_dynamic_spmd,
+    MIN_BLOCK,
+    pilot_block_size,
     plan_block_ranges,
     plan_query_blocks,
 )
@@ -127,15 +127,11 @@ class TestDynamicChunking:
 
     def test_dynamic_run_matches_serial(self, workload, tmp_path):
         alias, reads, fasta, options = workload
-        config = DynamicChunkConfig(
-            alias_path=alias,
-            query_fasta=fasta,
-            options=options,
-            output_dir=str(tmp_path / "dyn"),
-            target_unit_seconds=0.05,
-            pilot_queries=2,
-        )
-        results = mrblast_dynamic_spmd(3, config)
+        out = str(tmp_path / "dyn")
+        blocks = plan_query_blocks(fasta, alias, options, out, target_unit_seconds=0.05)
+        results = mrblast_spmd(3, MrBlastConfig(
+            alias_path=alias, query_blocks=blocks, options=options, output_dir=out,
+            locality_aware=True))
         # The run is run_mrblast's: its stage counters come with it.
         assert sum(r.units_processed for r in results) >= 1
         assert sum(r.hits_emitted for r in results) >= sum(r.hits_written for r in results) > 0
@@ -177,43 +173,24 @@ class TestDynamicChunking:
         """The pilot is a timing; a relaunch must not re-cut the blocks the
         iteration checkpoints were counted in."""
         alias, _, fasta, options = workload
-        first = plan_query_blocks(DynamicChunkConfig(
-            alias_path=alias, query_fasta=fasta, options=options,
-            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=5))
-        again = plan_query_blocks(DynamicChunkConfig(
-            alias_path=alias, query_fasta=fasta, options=options,
-            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=2),
-            resume=True)
+        out = str(tmp_path / "out")
+        first = plan_query_blocks(fasta, alias, options, out, target_unit_seconds=1e9)
+        again = plan_query_blocks(fasta, alias, options, out, target_unit_seconds=1e-9,
+                                  resume=True)
         assert again.ranges == first.ranges
-        fresh = plan_query_blocks(DynamicChunkConfig(
-            alias_path=alias, query_fasta=fasta, options=options,
-            output_dir=str(tmp_path / "out"), target_unit_seconds=1e9, max_block=2))
+        fresh = plan_query_blocks(fasta, alias, options, out, target_unit_seconds=1e-9)
         assert fresh.ranges != first.ranges
 
     def test_pilot_respects_bounds(self, workload, tmp_path):
+        alias, reads, fasta, options = workload
+        index, db = FastaIndex(fasta), DatabaseAlias.load(alias)
+        size = pilot_block_size(index, db, options, target_unit_seconds=1e9)
+        assert size == len(reads)  # clamped at the query count
+        size2 = pilot_block_size(index, db, options, target_unit_seconds=1e-9)
+        assert size2 == MIN_BLOCK
+
+    def test_config_validation(self, workload, tmp_path):
         alias, _, fasta, options = workload
-        from repro.core.mrblast.dynamic import pilot_block_size
-
-        config = DynamicChunkConfig(
-            alias_path=alias, query_fasta=fasta, options=options,
-            target_unit_seconds=1e9, max_block=5,
-        )
-        size = pilot_block_size(FastaIndex(fasta), DatabaseAlias.load(alias), config)
-        assert size == 5  # clamped at max_block
-
-        config2 = DynamicChunkConfig(
-            alias_path=alias, query_fasta=fasta, options=options,
-            target_unit_seconds=1e-9, min_block=2,
-        )
-        size2 = pilot_block_size(FastaIndex(fasta), DatabaseAlias.load(alias), config2)
-        assert size2 == 2  # clamped at min_block
-
-    def test_config_validation(self, workload):
-        alias, _, fasta, options = workload
-        with pytest.raises(ValueError):
-            DynamicChunkConfig(alias_path=alias, query_fasta=fasta,
-                               target_unit_seconds=0)
-        with pytest.raises(ValueError):
-            DynamicChunkConfig(alias_path=alias, query_fasta=fasta, taper_fraction=1.0)
-        with pytest.raises(ValueError):
-            DynamicChunkConfig(alias_path=alias, query_fasta=fasta, min_block=9, max_block=2)
+        with pytest.raises(ValueError, match="target_unit_seconds"):
+            plan_query_blocks(fasta, alias, options, str(tmp_path / "out"),
+                              target_unit_seconds=0)

@@ -37,6 +37,7 @@ from repro.mpi.shm import (
 )
 
 RING = 1 << 20  # 1 MiB data region per endpoint
+ARENA_ENV = "REPRO_MPI_ARENA_MB"
 
 
 def _shm_blocks(prefix="reprompi"):
@@ -151,19 +152,22 @@ class TestSlotLifecycle:
         assert a0.stats.overflow_bytes == RING * 2
 
     def test_resolve_arena_bytes_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MPI_ARENA_MB", raising=False)
-        assert resolve_arena_bytes(False, 128) == 0
-        assert resolve_arena_bytes(None, 8) == 8 << 20
-        assert resolve_arena_bytes(None, None) == 64 << 20
-        monkeypatch.setenv("REPRO_MPI_ARENA_MB", "16")
-        assert resolve_arena_bytes(None, None) == 16 << 20
-        assert resolve_arena_bytes(None, 8) == 8 << 20  # explicit beats env
-        monkeypatch.setenv("REPRO_MPI_ARENA_MB", "0")
-        assert resolve_arena_bytes(None, None) == 0
-        assert resolve_arena_bytes(True, None) == 64 << 20  # arena=True stays on
-        monkeypatch.setenv("REPRO_MPI_ARENA_MB", "elephants")
-        with pytest.raises(ValueError):
-            resolve_arena_bytes(None, None)
+        monkeypatch.delenv(ARENA_ENV, raising=False)
+        assert resolve_arena_bytes() == 64 << 20
+        monkeypatch.setenv(ARENA_ENV, "")
+        assert resolve_arena_bytes() == 64 << 20
+        monkeypatch.setenv(ARENA_ENV, "16")
+        assert resolve_arena_bytes() == 16 << 20
+        monkeypatch.setenv(ARENA_ENV, "0")
+        assert resolve_arena_bytes() == 0
+
+    @pytest.mark.parametrize("raw", ["-5", "abc", "elephants", "1.5"])
+    def test_bad_arena_env_value_raises(self, monkeypatch, raw):
+        """The variable is the ring's only switch: a value that is not a
+        non-negative integer must not quietly turn the arena off."""
+        monkeypatch.setenv(ARENA_ENV, raw)
+        with pytest.raises(ValueError, match=ARENA_ENV):
+            resolve_arena_bytes()
 
     def test_segment_names_share_job_prefix(self):
         assert segment_name("reprompi12_", 3) == "reprompi12_arena3"
@@ -289,6 +293,14 @@ class TestArenaCodec:
             gc.enable()
 
 
+def _stats_after(prog):
+    """Rank function running ``prog`` and returning this rank's arena stats."""
+    def run(comm):
+        prog(comm)
+        return comm.network.arena_stats()
+    return run
+
+
 def _exchange_prog(comm):
     """Mixed alltoall + allgather returning plain data for comparison."""
     cols = (
@@ -304,44 +316,50 @@ def _exchange_prog(comm):
     )
 
 
+@pytest.fixture
+def arena_mb(monkeypatch):
+    """Set the ring size (MiB per rank) the next process job starts with."""
+    def set_mb(mb: int) -> None:
+        monkeypatch.setenv(ARENA_ENV, str(mb))
+    set_mb(64)  # on, whatever the environment running the suite says
+    return set_mb
+
+
 class TestProcessBackendEndToEnd:
-    def test_arena_on_off_parity(self):
-        on = run_spmd(3, _exchange_prog, backend="process",
-                      op_timeout=30.0, arena=True)
-        off = run_spmd(3, _exchange_prog, backend="process",
-                       op_timeout=30.0, arena=False)
+    def test_arena_on_off_parity(self, arena_mb):
+        on = run_spmd(3, _exchange_prog, backend="process", op_timeout=30.0)
+        arena_mb(0)
+        off = run_spmd(3, _exchange_prog, backend="process", op_timeout=30.0)
         assert on == off
 
-    def test_overflow_falls_back_and_stays_correct(self):
+    def test_overflow_falls_back_and_stays_correct(self, arena_mb):
         def prog(comm):
             big = np.full((comm.rank + 1) * 300_000, comm.rank, np.float64)
             inbox = comm.alltoall([big] * comm.size)
-            return [float(a.sum()) for a in inbox]
+            return [float(a.sum()) for a in inbox], comm.network.arena_stats()
 
         # 1 MiB ring vs multi-MiB payloads: every send overflows to the
         # per-message path; results must match the arena-off oracle.
-        job = SpmdJob(2, prog, op_timeout=30.0, backend="process",
-                      arena=True, arena_mb=1)
-        with_arena = job.run(join_timeout=60.0)
-        stats = job.network.arena_stats()
-        assert stats["overflows"] > 0
-        without = run_spmd(2, prog, backend="process", op_timeout=30.0,
-                           arena=False)
-        assert with_arena == without
+        arena_mb(1)
+        out = run_spmd(2, prog, backend="process", op_timeout=30.0)
+        assert sum(stats["overflows"] for _sums, stats in out) > 0
+        arena_mb(0)
+        without = run_spmd(2, prog, backend="process", op_timeout=30.0)
+        assert [sums for sums, _ in out] == [sums for sums, _ in without]
+        assert all(stats == {} for _sums, stats in without)
 
-    def test_arena_stats_surface(self):
+    def test_arena_stats_surface(self, arena_mb):
         before = _shm_blocks()
-        job = SpmdJob(2, _exchange_prog, op_timeout=30.0, backend="process",
-                      arena=True, arena_mb=8)
-        job.run(join_timeout=60.0)
-        stats = job.network.arena_stats()
-        assert stats["sends"] > 0
-        assert stats["recv_views"] > 0
-        assert stats["send_bytes"] > 0
-        assert stats["peak_resident_bytes"] > 0
+        arena_mb(8)
+        for stats in run_spmd(2, _stats_after(_exchange_prog), backend="process",
+                              op_timeout=30.0):
+            assert stats["sends"] > 0
+            assert stats["recv_views"] > 0
+            assert stats["send_bytes"] > 0
+            assert stats["peak_resident_bytes"] > 0
         assert _shm_blocks() == before
 
-    def test_received_arrays_are_read_only(self):
+    def test_received_arrays_are_read_only(self, arena_mb):
         def prog(comm):
             inbox = comm.alltoall([np.arange(5000.0)] * comm.size)
             other = inbox[(comm.rank + 1) % comm.size]
@@ -351,10 +369,9 @@ class TestProcessBackendEndToEnd:
                 return True
             return False
 
-        assert run_spmd(2, prog, backend="process", op_timeout=30.0,
-                        arena=True) == [True, True]
+        assert run_spmd(2, prog, backend="process", op_timeout=30.0) == [True, True]
 
-    def test_aggregate_returns_every_slot_and_keeps_no_peer_views(self):
+    def test_aggregate_returns_every_slot_and_keeps_no_peer_views(self, arena_mb):
         """The shuffle's receive side copies what it keeps: once every rank
         is out of ``aggregate`` no slot of any ring is BUSY and no stored
         array is a window on a peer's segment (the collector is off, so
@@ -391,12 +408,12 @@ class TestProcessBackendEndToEnd:
             return out
 
         for busy, resident, sends, npieces, owned in run_spmd(
-                3, prog, backend="process", op_timeout=30.0, arena=True):
+                3, prog, backend="process", op_timeout=30.0):
             assert sends >= 16 and npieces >= 16  # rounds went through the ring
             assert busy == 0 and resident == 0
             assert owned
 
-    def test_crash_mid_exchange_leaves_no_segments(self):
+    def test_crash_mid_exchange_leaves_no_segments(self, arena_mb):
         before = _shm_blocks()
 
         def prog(comm):
@@ -406,7 +423,7 @@ class TestProcessBackendEndToEnd:
 
         with pytest.raises(MPIError):
             run_spmd(2, prog, backend="process", op_timeout=10.0,
-                     arena=True, fault_plan=FaultPlan([CrashRank(1, at_op=3)]))
+                     fault_plan=FaultPlan([CrashRank(1, at_op=3)]))
         assert _shm_blocks() == before
 
     def test_thirty_jobs_leave_stderr_empty(self):
@@ -424,7 +441,7 @@ class TestProcessBackendEndToEnd:
             "    inbox = comm.alltoall([np.arange(20_000.0)] * comm.size)\n"
             "    return float(sum(a.sum() for a in inbox))\n"
             "for _ in range(30):\n"
-            "    out = run_spmd(3, prog, backend='process', op_timeout=30.0, arena=True)\n"
+            "    out = run_spmd(3, prog, backend='process', op_timeout=30.0)\n"
             "    assert len(set(out)) == 1\n"
         )
         import repro
@@ -432,14 +449,15 @@ class TestProcessBackendEndToEnd:
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         before = _shm_blocks()
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src, ARENA_ENV: "64"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert _shm_blocks() == before
 
-    def test_thread_backend_ignores_arena_knobs(self):
-        job = SpmdJob(2, _exchange_prog, op_timeout=30.0, backend="thread",
-                      arena=True, arena_mb=8)
+    def test_thread_backend_ignores_arena_knobs(self, arena_mb):
+        arena_mb(8)
+        job = SpmdJob(2, _exchange_prog, op_timeout=30.0, backend="thread")
         results = job.run(join_timeout=60.0)
         assert results[0] == results[1]
         assert job.network.arena_stats() == {}

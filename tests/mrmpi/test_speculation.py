@@ -11,7 +11,7 @@ import pytest
 
 from repro.mpi.exceptions import DegradedRankLoss, MPIError
 from repro.mpi.faultplan import FaultPlan
-from repro.mpi.runtime import RetryPolicy, SpmdJob, run_spmd
+from repro.mpi.runtime import SpmdJob, run_spmd
 from repro.mrmpi.columnar import ColumnarKeyValue
 from repro.mrmpi.mapreduce import MapReduce, MapStyle, _merge_kept
 from repro.mrmpi.schema import UNTYPED
@@ -244,30 +244,3 @@ class TestChunkStaging:
         for _out, peak, nstages in results[1:]:
             assert 0 < peak < memsize
         assert results[1][2] < 16  # a store per chunk, not per unit
-
-
-class TestDecorrelatedJitter:
-    def test_schedule_is_seeded_and_bounded(self):
-        policy = RetryPolicy(max_attempts=8, backoff_base=0.1, backoff_max=2.0,
-                             jitter="decorrelated", seed=7)
-        a = [policy.backoff_schedule().next(i) for i in range(1, 8)]
-        b = [policy.backoff_schedule().next(i) for i in range(1, 8)]
-        assert a == b  # same seed, same schedule
-        assert all(0.1 <= d <= 2.0 for d in a)
-
-    def test_cap_applies_after_jitter(self):
-        policy = RetryPolicy(max_attempts=50, backoff_base=0.5, backoff_max=1.0,
-                             jitter="decorrelated", seed=1)
-        sched = policy.backoff_schedule()
-        delays = [sched.next(i) for i in range(1, 50)]
-        assert max(delays) <= 1.0
-
-    def test_none_jitter_matches_legacy_backoff(self):
-        policy = RetryPolicy(max_attempts=6, backoff_base=0.25, backoff_max=10.0)
-        sched = policy.backoff_schedule()
-        for attempt in range(1, 6):
-            assert sched.next(attempt) == policy.backoff(attempt)
-
-    def test_rejects_unknown_jitter(self):
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter="thundering-herd")

@@ -29,7 +29,7 @@ from unittest import mock
 import numpy as np
 
 from repro.blast.engine import _EngineBase
-from repro.blast.extend import batch_ungapped_extend_spans, ungapped_extend
+from repro.blast.extend import batch_ungapped_extend_spans
 from repro.blast.hsp import cull_overlapping
 
 __all__ = ["extend_pair", "no_containment", "staged_scheduler", "staged_search"]
@@ -84,7 +84,6 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
     ext_qe = np.zeros(n, dtype=np.int64)
     ext_ss = np.zeros(n, dtype=np.int64)
     ext_se = np.zeros(n, dtype=np.int64)
-    ext_complete = np.zeros(n, dtype=bool)
 
     waiting = _make_states(engine, runs)
     while waiting:
@@ -109,7 +108,6 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
             ext_qe[rows] = ext.q_end
             ext_ss[rows] = ext.s_start
             ext_se[rows] = ext.s_end
-            ext_complete[rows] = ext.complete
         stats.ungapped_seconds += time.perf_counter() - t_ext
 
         # A run's gapped result only influences its own later triggers
@@ -119,23 +117,11 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
         for st in waiting:
             i = st[1]
             ctx = block.contexts[int(runs.ctx_r[i])]
-            if ext_complete[i]:
-                u_score = int(ext_score[i])
-                u_q_start = int(ext_qs[i])
-                u_q_end = int(ext_qe[i])
-                u_s_start = int(ext_ss[i])
-                u_s_end = int(ext_se[i])
-            else:
-                # Kernel escalation was capped: exact scalar path.
-                t_u = time.perf_counter()
-                u = ungapped_extend(
-                    ctx.codes_index, s_index, int(q_r[i]), int(runs.s_r[i]),
-                    word, engine.matrix, opts.xdrop_ungapped,
-                )
-                stats.ungapped_seconds += time.perf_counter() - t_u
-                u_score = u.score
-                u_q_start, u_q_end = u.q_start, u.q_end
-                u_s_start, u_s_end = u.s_start, u.s_end
+            u_score = int(ext_score[i])
+            u_q_start = int(ext_qs[i])
+            u_q_end = int(ext_qe[i])
+            u_s_start = int(ext_ss[i])
+            u_s_end = int(ext_se[i])
             stats.n_ungapped += 1
             st[3] = u_s_end  # covered
             seed = _gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start)
@@ -224,7 +210,7 @@ def _gapped_seed(ctx, cutoffs, u_score, u_q_start, u_q_end, u_s_start):
     if u_score < trigger:
         return None
     # Mid-point of the ungapped segment — the gapped anchor (same
-    # arithmetic as UngappedHSP.seed_point).
+    # arithmetic as oracles.ungapped.UngappedHSP.seed_point).
     mid = (u_q_end - u_q_start) // 2
     return u_q_start + mid, u_s_start + mid, floor
 

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bio.alphabet import DNA
-from repro.blast.extend import ungapped_extend
 from repro.blast.formatdb import pack_2bit, unpack_2bit
 from repro.blast.gapped import extend_gapped
 from repro.blast.karlin import KarlinParams
@@ -13,6 +12,7 @@ from repro.blast.matrices import nucleotide_matrix
 from repro.blast.statistics import evalue
 
 from oracles.smith_waterman import smith_waterman_score
+from oracles.staged_scheduler import extend_pair
 
 NT = nucleotide_matrix(1, -2)
 
@@ -37,12 +37,13 @@ def test_ungapped_extension_never_beats_smith_waterman(q_text, s_text, offset):
     q_pos = min(offset, q.size - word)
     s_pos = min(offset, s.size - word)
     assume(q_pos >= 0 and s_pos >= 0)
-    u = ungapped_extend(q, s, q_pos, s_pos, word, NT, xdrop=15)
+    score = int(extend_pair(q, s, np.array([q_pos]), np.array([s_pos]),
+                            word, NT, 15.0).score[0])
     sw = smith_waterman_score(q, s, NT, gap_open=5, gap_extend=2)
     # The seed word itself may score negative (mismatches); SW floors at 0.
-    assert u.score <= max(sw, u.score if u.score < 0 else sw) or u.score <= sw
-    if u.score > 0:
-        assert u.score <= sw
+    assert score <= max(sw, score if score < 0 else sw) or score <= sw
+    if score > 0:
+        assert score <= sw
 
 
 @given(dna_seq, dna_seq, st.integers(0, 25))

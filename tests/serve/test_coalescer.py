@@ -233,11 +233,13 @@ class TestCoalescerProperties:
 
 
 class TestBatchAdvice:
-    def test_reads_the_shuffle_bench_model(self):
+    def test_reads_the_shuffle_bench_model(self, monkeypatch):
         path = os.path.join(REPO_ROOT, "BENCH_shuffle.json")
         thread = load_machine_model(path, backend="thread")
+        monkeypatch.setenv("REPRO_MPI_ARENA_MB", "64")
         proc = load_machine_model(path, backend="process")
-        bare = load_machine_model(path, backend="process", arena=False)
+        monkeypatch.setenv("REPRO_MPI_ARENA_MB", "0")  # the per-message path
+        bare = load_machine_model(path, backend="process")
         assert 0 < thread["alpha_s"] < proc["alpha_s"]
         assert proc["alpha_s"] < bare["alpha_s"]  # arena shaves latency
         with pytest.raises(ValueError):

@@ -6,6 +6,12 @@ every ``src/`` module with a ``__main__`` block, and every file under
 import graph (function-local imports included, since the package imports
 lazily) and asserts that it reaches every module under ``src/repro``.  A
 module only the tests import is an oracle and belongs in ``tests/oracles``.
+
+A package's ``__init__`` re-exports names, and a re-export is not a
+caller: ``from pkg import Name`` reaches the module that defines ``Name``
+(following the chain of re-exports), not every module ``pkg/__init__``
+happens to import.  An ``__init__`` import counts as a re-export unless
+the ``__init__`` itself uses the bound name.
 """
 
 from __future__ import annotations
@@ -37,29 +43,68 @@ def _is_main_block(node: ast.stmt) -> bool:
                     for c in test.comparators))
 
 
-def _imported_names(tree: ast.AST, package: str) -> set[str]:
+def _from_imports(tree: ast.AST, package: str):
+    """``(module, alias)`` of every ``from module import ...`` in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{module}" if module else base
+            for alias in node.names:
+                yield module, alias
+
+
+def _reexports(modules: dict[str, Path]) -> dict[str, dict[str, tuple[str, str]]]:
+    """Package -> {bound name: (module, name) it is imported from} for the
+    names its ``__init__`` imports without using them itself."""
+    table = {}
+    for name, path in modules.items():
+        if path.name != "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        table[name] = {
+            alias.asname or alias.name: (module, alias.name)
+            for module, alias in _from_imports(tree, name)
+            if (alias.asname or alias.name) not in used
+        }
+    return table
+
+
+def _defining_module(module: str, name: str, reexports: dict) -> str:
+    """The module ``from module import name`` loads ``name`` from."""
+    while (module, name) != (hop := reexports.get(module, {}).get(name, (module, name))):
+        module, name = hop
+    return module
+
+
+def _imported_names(tree: ast.AST, package: str, reexports: dict,
+                    own: dict) -> set[str]:
     """Dotted names a module's import statements may load, anywhere in it.
 
-    ``from a import b`` yields ``a`` and ``a.b`` (``b`` may be a submodule);
-    names that are not modules are dropped by the caller.
+    ``from a import b`` yields ``a``, ``a.b`` (``b`` may be a submodule)
+    and the module ``b`` is re-exported from; names that are not modules
+    are dropped by the caller.  The names in ``own`` (a package
+    ``__init__``'s re-exports) yield nothing.
     """
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module
-            if node.level:
-                base = package.rsplit(".", node.level - 1)[0]
-                module = f"{base}.{module}" if module else base
-            names.add(module)
-            names.update(f"{module}.{alias.name}" for alias in node.names)
+    for module, alias in _from_imports(tree, package):
+        if (alias.asname or alias.name) in own:
+            continue
+        names.add(module)
+        names.add(f"{module}.{alias.name}")
+        names.add(_defining_module(module, alias.name, reexports))
     return names
 
 
 def _reached(roots: list[Path], modules: dict[str, Path]) -> set[str]:
     """Package modules the root files are or import, directly or not."""
     name_of = {path: name for name, path in modules.items()}
+    reexports = _reexports(modules)
     seen: set[str] = set()
     stack = [path for path in roots if path not in name_of]
 
@@ -79,7 +124,8 @@ def _reached(roots: list[Path], modules: dict[str, Path]) -> set[str]:
         path = stack.pop()
         name = name_of.get(path, "")
         package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-        for imported in _imported_names(ast.parse(path.read_text()), package):
+        for imported in _imported_names(ast.parse(path.read_text()), package,
+                                        reexports, reexports.get(name, {})):
             load(imported)
     return seen
 

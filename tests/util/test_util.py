@@ -1,23 +1,12 @@
-"""Utility helpers: RNG derivation, timers, byte units, logging."""
+"""Utility helpers: RNG derivation, logging."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
-from repro.util import (
-    Stopwatch,
-    derive_rng,
-    format_bytes,
-    format_duration,
-    get_logger,
-    parse_bytes,
-    rank_logger,
-    spawn_rngs,
-)
+from repro.util import derive_rng, get_logger, rank_logger, spawn_rngs
 from repro.util.rng import as_rng, choice_without_replacement
-from repro.util.units import GB, KB, MB
 
 
 class TestRng:
@@ -52,59 +41,6 @@ class TestRng:
         assert len(picked) == len(set(picked)) == 4
         with pytest.raises(ValueError):
             choice_without_replacement(rng, [1, 2], 3)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first >= 0.01
-
-    def test_misuse_raises(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            sw.stop()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-
-class TestFormatting:
-    def test_format_duration(self):
-        assert format_duration(12.34) == "12.3s"
-        assert format_duration(90) == "1.5min"
-        assert format_duration(7200) == "2.00h"
-        assert format_duration(-90) == "-1.5min"
-
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512B"
-        assert format_bytes(3 * GB) == "3.0GB"
-        assert format_bytes(1536 * KB) == "1.5MB"
-
-    def test_parse_bytes(self):
-        assert parse_bytes("32GB") == 32 * GB
-        assert parse_bytes("1.5m") == int(1.5 * MB)
-        assert parse_bytes("4096") == 4096
-        assert parse_bytes(123) == 123
-        with pytest.raises(ValueError):
-            parse_bytes("12parsecs")
-        with pytest.raises(ValueError):
-            parse_bytes("GB")
-        with pytest.raises(ValueError):
-            parse_bytes("")
 
 
 class TestLogging:
