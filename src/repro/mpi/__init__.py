@@ -2,10 +2,11 @@
 
 The paper's applications are regular MPI programs built on MapReduce-MPI plus
 a few direct MPI calls (``MPI_Bcast``/``MPI_Reduce`` in the SOM).  This
-package provides the MPI substrate in-process: every rank is a Python thread
-owning a :class:`~repro.mpi.comm.Comm`, and a shared
-:class:`~repro.mpi.network.Network` routes messages with MPI matching
-semantics (FIFO non-overtaking per (source, dest, tag, context)).
+package provides the MPI substrate: every rank is a Python thread (or, on
+the process backend, a forked process) owning a
+:class:`~repro.mpi.comm.Comm`, and one message layer
+(:mod:`repro.mpi.transport`) matches messages with MPI semantics (FIFO
+non-overtaking per (source, dest, tag, context)).
 
 The API follows mpi4py conventions:
 

@@ -1,4 +1,4 @@
-"""Communicator: point-to-point + collectives over the in-process network.
+"""Communicator: point-to-point + collectives over a transport endpoint.
 
 Collectives use textbook algorithms (binomial-tree bcast/reduce,
 dissemination barrier, linear gather/scatter) implemented *on top of* the
@@ -17,8 +17,8 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.mpi.exceptions import MPIError
-from repro.mpi.network import Message, Network
 from repro.mpi.ops import ANY_SOURCE, ANY_TAG, SUM, Op, Status
+from repro.mpi.transport import Message, TransportEndpoint
 
 __all__ = ["Comm", "Request"]
 
@@ -186,7 +186,7 @@ class Comm:
     ranks are threads of one process.
     """
 
-    def __init__(self, network: Network, rank: int, group: Sequence[int], context: int = 0):
+    def __init__(self, network: TransportEndpoint, rank: int, group: Sequence[int], context: int = 0):
         self._network = network
         self._group = list(group)  # comm rank -> global (network) rank
         self._context = context
@@ -213,7 +213,7 @@ class Comm:
         return self.size
 
     @property
-    def network(self) -> Network:
+    def network(self) -> TransportEndpoint:
         return self._network
 
     @property
@@ -310,24 +310,8 @@ class Comm:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Block until a matching message is available; do not consume it."""
-        # Eager implementation: poll via the network with tiny sleeps is not
-        # needed — match-and-repost would reorder, so use network.probe with
-        # a condition-wait loop via match(block=False).
-        import time
-
-        deadline = self._network.op_timeout
-        waited = 0.0
-        while True:
-            msg = self._network.probe(self._global_rank, self._context, source, tag)
-            if msg is not None:
-                st = Status(source=msg.src, tag=msg.tag, count=_payload_count(msg.payload))
-                return st
-            time.sleep(0.0005)
-            waited += 0.0005
-            if waited > deadline:
-                from repro.mpi.exceptions import DeadlockError
-
-                raise DeadlockError(f"probe timed out on rank {self._rank}")
+        msg = self._network.probe_wait(self._global_rank, self._context, source, tag)
+        return Status(source=msg.src, tag=msg.tag, count=_payload_count(msg.payload))
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking probe."""
@@ -501,7 +485,7 @@ class Comm:
         size, rank = self.size, self._rank
         out: list[Any] = [None] * size
         out[rank] = _wire(sendobjs[rank])
-        if getattr(self._network, "arena_enabled", False):
+        if self._network.arena_enabled:
             pow2 = 1
             while pow2 < size:
                 pow2 <<= 1

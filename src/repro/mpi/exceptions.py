@@ -13,7 +13,7 @@ class DeadlockError(MPIError):
     """A blocking operation timed out.
 
     In a real MPI job this is the hang you attach a debugger to; here the
-    runtime converts it into an exception after ``Network.op_timeout``
+    runtime converts it into an exception after ``op_timeout``
     seconds so the test suite can never wedge.
     """
 
@@ -27,7 +27,8 @@ class RankFailure(MPIError):
 
     Mirrors the paper's §II.A failure semantics — MPI has no recovery story,
     so one dead rank takes the whole job down.  The failing rank raises this
-    from inside :class:`~repro.mpi.network.Network`; the runtime then aborts
+    from the transport's fault gate
+    (:meth:`~repro.mpi.transport.TransportEndpoint._pre_op`); the runtime then aborts
     the job and every blocked peer observes :class:`AbortError`.
     """
 

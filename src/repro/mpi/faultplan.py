@@ -90,9 +90,10 @@ FaultEvent = Union[CrashRank, StallRank, DropMessage, DuplicateMessage, DelayMes
 class FaultPlan:
     """A deterministic, thread-safe schedule of fault events.
 
-    The :class:`~repro.mpi.network.Network` consults the plan from every
-    rank's MPI calls; fired events are recorded into a trace retrievable with
-    :meth:`trace` (sorted, so it is independent of thread interleaving).
+    The transport's fault gate (:mod:`repro.mpi.transport`) consults the
+    plan from every rank's MPI calls; fired events are recorded into a
+    trace retrievable with :meth:`trace` (sorted, so it is independent of
+    thread interleaving).
     """
 
     def __init__(self, events: Iterable[FaultEvent] = (), seed: int | None = None) -> None:

@@ -1,10 +1,11 @@
-"""Multi-process transport: every rank is a real OS process.
+"""The process backend: every rank is a real OS process.
 
 The thread backend (:class:`~repro.mpi.network.Network`) serialises all
 compute on the GIL, so "parallel" shuffles degrade as ranks are added.
 This backend forks one process per rank so map/convert/reduce compute
-runs on real cores, while keeping the exact transport contract of
-:mod:`repro.mpi.transport`:
+runs on real cores.  Matching, the fault gate, contexts and telemetry are
+the shared message layer of :mod:`repro.mpi.transport`; what this module
+owns is how a message crosses a process boundary and how ranks start:
 
 - **data plane** — an N×N mesh of unidirectional pipes carrying typed
   frames (first byte selects the codec).  Bulk numpy payloads (the
@@ -17,29 +18,26 @@ runs on real cores, while keeping the exact transport contract of
   overflow the ring fall back to per-message :mod:`repro.mpi.shm` blocks
   — correctness never depends on arena hits.
 - **delivery** — each child runs a daemon *receiver thread* draining its
-  inbound pipes into a rank-local mailbox; ``match`` then runs the very
-  same (context, source, tag) scan the thread backend runs on its shared
-  mailboxes.  The receiver thread always drains, so eager sends cannot
-  deadlock on pipe backpressure while the main thread blocks in a
-  collective.
+  inbound pipes into its rank's :class:`~repro.mpi.transport.Mailbox`.
+  The receiver thread always drains, so eager sends cannot deadlock on
+  pipe backpressure while the main thread blocks in a collective.
 - **abort** — a failing child notifies the parent over its exit pipe; the
   parent sets a shared flag and writes a wakeup down every child's
   control pipe, so blocked peers raise
   :class:`~repro.mpi.exceptions.AbortError` promptly instead of burning
   the op timeout (MPI_Abort semantics, same as threads).
-- **supervision** — heartbeats and op counts are stamped into shared
-  arrays (``CLOCK_MONOTONIC`` is system-wide on Linux), so
-  :func:`~repro.mpi.runtime.run_supervised` reads stall telemetry the
-  same way for both backends.
+- **telemetry** — the gate's heartbeats and op counts, and the dead
+  flags, are shared ``mp.Array`` objects, so the parent reads them as the
+  thread backend's supervisor does.
 - **faults** — every child consults its fork-copied
-  :class:`~repro.mpi.faultplan.FaultPlan` with rank-local op/send
-  counters; fired events return in the exit envelope and are absorbed
-  into the parent's plan, preserving the fire-once-per-plan contract
-  (and therefore identical seeded event traces) across backends and
-  supervised attempts.
+  :class:`~repro.mpi.faultplan.FaultPlan`; fired events return in the
+  exit envelope and are absorbed into the parent's plan, preserving the
+  fire-once-per-plan contract (and therefore identical seeded event
+  traces) across backends and supervised attempts.
 - **tracing** — tracer objects cannot be shared across processes; each
-  child starts its tracer with a fresh event buffer and ships the delta home in its exit envelope, where the parent merges
-  it into the session tracer for that rank.
+  child starts its tracer with a fresh event buffer and ships the delta
+  home in its exit envelope, where the parent merges it into the session
+  tracer for that rank.
 
 Requires the ``fork`` start method (fn/args/closures are inherited, not
 pickled); rank *results* and lowercase-path objects do cross a pipe, so
@@ -49,7 +47,6 @@ prefix instead (:func:`~repro.mpi.shm.dump_out_of_band`).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing as mp
 import os
@@ -58,22 +55,14 @@ import selectors
 import threading
 import time
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.mpi.arena import Arena, create_arena_segments, resolve_arena_bytes
-from repro.mpi.exceptions import (
-    AbortError,
-    DeadlockError,
-    DegradedRankLoss,
-    MPIError,
-    RankFailure,
-)
-from repro.mpi.faultplan import CrashRank, FaultPlan, StallRank
-from repro.mpi.faultplan import DelayMessage, DropMessage, DuplicateMessage
-from repro.mpi.network import Message
-from repro.mpi.ops import ANY_SOURCE, ANY_TAG
+from repro.mpi.exceptions import MPIError
+from repro.mpi.faultplan import FaultPlan
+from repro.mpi.runtime import run_rank
 from repro.mpi.shm import (
     FRAME_ARENA,
     FRAME_PICKLE,
@@ -83,8 +72,8 @@ from repro.mpi.shm import (
     sweep_job_blocks,
     unpack_arena_message,
 )
-from repro.mpi.transport import TransportEndpoint, matches
-from repro.obs.trace import NULL_TRACER, set_current_tracer
+from repro.mpi.transport import Mailbox, Message, RankTelemetry, TransportEndpoint
+from repro.obs.trace import NULL_TRACER
 
 __all__ = ["ProcessJob", "ProcessNetwork"]
 
@@ -119,9 +108,8 @@ def _freeze_payload(payload: Any) -> Any:
 class ProcessNetwork(TransportEndpoint):
     """Child-side transport endpoint: one per rank process.
 
-    Duck-types :class:`~repro.mpi.network.Network` for everything ``Comm``
-    and the drivers touch, but owns only its own rank's mailbox; peers are
-    reached through outbound pipes and the parent-mediated abort channel.
+    Holds only its own rank's mailbox; peers are reached through outbound
+    pipes and the parent-mediated abort channel.
     """
 
     def __init__(
@@ -139,32 +127,25 @@ class ProcessNetwork(TransportEndpoint):
         fault_plan: FaultPlan | None,
         tracer,
         shm_prefix: str,
-        dead_flags=None,
+        dead,
         arena: Arena | None = None,
     ) -> None:
+        tracers = [NULL_TRACER] * nprocs
+        tracers[rank] = tracer
+        mailboxes: list[Mailbox | None] = [None] * nprocs
+        mailboxes[rank] = self._inbox = Mailbox()
+        super().__init__(nprocs, op_timeout, fault_plan, tracers, mailboxes,
+                         heartbeats, op_counts, dead)
         self.rank = rank
-        self.nprocs = nprocs
-        self.op_timeout = op_timeout
-        self.fault_plan = fault_plan
+        self._tracer = tracer
         self._inbound = inbound
         self._outbound = outbound
         self._ctrl_r = ctrl_r
         self._exit_w = exit_w
-        self._heartbeats = heartbeats
-        self._op_counts = op_counts
         self._abort_flag = abort_flag
-        self._dead_flags = dead_flags
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._shm_prefix = f"{shm_prefix}r{rank}_"
         self._arena = arena
-        self._cond = threading.Condition()
-        self._mailbox: list[Message] = []
-        self._next_seq = 0
         self._block_seq = itertools.count()
-        self._op_count = 0
-        self._send_count = 0
-        self._crashed = False
-        self._aborted: Optional[BaseException] = None
         self._receiver = threading.Thread(
             target=self._recv_loop, name=f"mpi-rank-{rank}-recv", daemon=True
         )
@@ -201,7 +182,8 @@ class ProcessNetwork(TransportEndpoint):
                         live -= 1
                         continue
                     if kind == "abort":
-                        self._set_aborted(data)
+                        # Local only: the parent already fanned it out.
+                        TransportEndpoint.abort(self, data)
                     continue
                 try:
                     frame = conn.recv_bytes()
@@ -209,12 +191,7 @@ class ProcessNetwork(TransportEndpoint):
                     sel.unregister(conn)
                     live -= 1
                     continue
-                msg = self._decode_frame(frame)
-                with self._cond:
-                    msg.seq = self._next_seq
-                    self._next_seq += 1
-                    self._mailbox.append(msg)
-                    self._cond.notify_all()
+                self._inbox.put(self._decode_frame(frame))
 
     def _decode_frame(self, frame: bytes) -> Message:
         """Typed-frame dispatch: arena descriptor or pickled Message."""
@@ -224,151 +201,28 @@ class ProcessNetwork(TransportEndpoint):
         msg.payload = _freeze_payload(msg.payload)
         return msg
 
-    def _set_aborted(self, exc: BaseException) -> None:
-        with self._cond:
-            if self._aborted is None:
-                self._aborted = exc
-            self._cond.notify_all()
-
     # ------------------------------------------------------------------ abort
 
     def abort(self, exc: BaseException) -> None:
-        """Report this rank's failure; the parent fans the abort out."""
-        self._set_aborted(exc)
+        """Fail this rank, then report to the parent, which fans the abort out."""
+        super().abort(exc)
         try:
             self._exit_w.send(("abort", self.rank, _picklable_exc(exc)))
         except Exception:  # pragma: no cover - parent already gone
             pass
-
-    @property
-    def aborted(self) -> Optional[BaseException]:
-        return self._aborted
-
-    # ------------------------------------------------------------- dead ranks
-
-    def mark_dead(self, rank: int) -> None:
-        """Record that ``rank`` left the job in degraded mode (no abort).
-
-        The flag lives in a shared array, so the master's next death sweep
-        sees it without a pipe round-trip.
-        """
-        if self._dead_flags is not None and 0 <= rank < self.nprocs:
-            self._dead_flags[rank] = 1
-
-    def dead_ranks(self) -> frozenset[int]:
-        """Global ranks that declared themselves lost (degraded mode)."""
-        if self._dead_flags is None:
-            return frozenset()
-        return frozenset(r for r in range(self.nprocs) if self._dead_flags[r])
 
     def _check_abort(self) -> None:
         if self._aborted is None and self._abort_flag.value:
             # Defensive: flag observed before (or without) the control
             # message — synthesize the generic abort.
             self._aborted = MPIError("job aborted")
-        if self._aborted is not None:
-            raise AbortError(f"another rank failed: {self._aborted!r}")
-
-    # ----------------------------------------------------------------- tracing
-
-    def tracer_for(self, rank: int):
-        """This rank's tracer; peers' tracers live in other processes."""
-        if rank == self.rank:
-            return self._tracer
-        return NULL_TRACER
-
-    # ------------------------------------------------------------------ faults
-
-    def _pre_op(self, rank: int) -> None:
-        """Heartbeat + fault hook — rank-local mirror of ``Network._pre_op``."""
-        if rank != self.rank:
-            return
-        self._heartbeats[rank] = time.monotonic()
-        self._op_count += 1
-        self._op_counts[rank] = self._op_count
-        op_index = self._op_count
-        stall = 0.0
-        failure: RankFailure | None = None
-        fired: list[tuple[str, dict]] = []
-        if self._crashed:
-            failure = RankFailure(rank, op_index)
-        elif self.fault_plan is not None:
-            for ev in self.fault_plan.op_event(rank, op_index):
-                if isinstance(ev, CrashRank):
-                    self._crashed = True
-                    failure = RankFailure(rank, op_index)
-                    fired.append(("fault.crash", {"op_index": op_index}))
-                elif isinstance(ev, StallRank):
-                    stall += ev.seconds
-                    fired.append(("fault.stall",
-                                  {"op_index": op_index, "seconds": ev.seconds}))
-        if fired and self._tracer.enabled:
-            for name, attrs in fired:
-                self._tracer.instant(name, cat="fault", **attrs)
-        if stall > 0.0 and failure is None:
-            time.sleep(stall)
-        if failure is not None:
-            raise failure
-
-    def heartbeat_ages(self) -> list[float]:
-        """Seconds since each rank's last MPI call, from the shared array."""
-        now = time.monotonic()
-        return [now - hb for hb in self._heartbeats]
-
-    def op_count(self, rank: int) -> int:
-        """MPI calls made by ``rank`` so far (shared-array mirror)."""
-        return int(self._op_counts[rank])
+        super()._check_abort()
 
     # ----------------------------------------------------------------- routing
 
-    def post(self, msg: Message, acting: int | None = None) -> None:
-        """Eager buffered send: local delivery or one pipe write."""
-        if not (0 <= msg.dst < self.nprocs):
-            raise MPIError(f"invalid destination rank {msg.dst} (nprocs={self.nprocs})")
-        sender = msg.src if acting is None else acting
-        self._pre_op(sender)
-        self._check_abort()
-        trc = self._tracer
-        duplicate = False
-        dropped = False
-        delayed = 0.0
-        if self.fault_plan is not None and sender == self.rank:
-            self._send_count += 1
-            ev = self.fault_plan.send_event(sender, self._send_count)
-            if isinstance(ev, DropMessage):
-                dropped = True
-            elif isinstance(ev, DuplicateMessage):
-                duplicate = True
-            elif isinstance(ev, DelayMessage):
-                msg.not_before = time.monotonic() + ev.seconds
-                delayed = ev.seconds
-        if not dropped:
-            self._deliver(msg)
-            if duplicate:
-                self._deliver(Message(
-                    src=msg.src, dst=msg.dst, tag=msg.tag, context=msg.context,
-                    payload=msg.payload, not_before=msg.not_before,
-                ))
-        if trc.enabled:
-            if dropped:
-                trc.instant("fault.drop", cat="fault", dst=msg.dst, tag=msg.tag)
-                return
-            trc.instant("mpi.send", cat="mpi", dst=msg.dst, tag=msg.tag,
-                        context=msg.context)
-            if duplicate:
-                trc.instant("fault.duplicate", cat="fault", dst=msg.dst,
-                            tag=msg.tag)
-            if delayed:
-                trc.instant("fault.delay", cat="fault", dst=msg.dst,
-                            tag=msg.tag, seconds=delayed)
-
     def _deliver(self, msg: Message) -> None:
         if msg.dst == self.rank:
-            with self._cond:
-                msg.seq = self._next_seq
-                self._next_seq += 1
-                self._mailbox.append(msg)
-                self._cond.notify_all()
+            self._inbox.put(msg)
             return
         # Each delivery encodes independently so a duplicated send owns its
         # own arena slot (or shm block) — releases/unlinks are per delivery.
@@ -401,85 +255,7 @@ class ProcessNetwork(TransportEndpoint):
                 f"rank {self.rank}: send to rank {msg.dst} failed: {exc!r}"
             ) from exc
 
-    def probe(self, dst: int, context: int, source: int, tag: int) -> Optional[Message]:
-        """Non-destructively return the first deliverable match, or ``None``."""
-        with self._cond:
-            self._check_abort()
-            now = time.monotonic()
-            for msg in self._mailbox:
-                if matches(msg, context, source, tag) and msg.not_before <= now:
-                    return msg
-        return None
-
-    def match(
-        self,
-        dst: int,
-        context: int,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-        block: bool = True,
-    ) -> Optional[Message]:
-        """Mailbox scan with the exact semantics of ``Network.match``."""
-        budget = timeout if timeout is not None else (self.op_timeout if block else 0.0)
-        self._pre_op(dst)
-        deadline = time.monotonic() + budget
-        trc = self._tracer
-        with self._cond:
-            while True:
-                self._check_abort()
-                now = time.monotonic()
-                box = self._mailbox
-                next_ready: float | None = None
-                for i, msg in enumerate(box):
-                    if matches(msg, context, source, tag):
-                        if msg.not_before <= now:
-                            del box[i]
-                            if trc.enabled:
-                                trc.instant("mpi.recv", cat="mpi",
-                                            src=msg.src, tag=msg.tag,
-                                            context=msg.context)
-                            return msg
-                        if next_ready is None or msg.not_before < next_ready:
-                            next_ready = msg.not_before
-                remaining = deadline - now
-                if remaining <= 0:
-                    if not block:
-                        return None
-                    raise DeadlockError(
-                        f"rank {dst} timed out after {budget:.0f}s waiting for "
-                        f"(source={source}, tag={tag}, context={context})"
-                    )
-                # Cap the wait so a lost control message can't hide the
-                # shared abort flag for long.
-                wait_for = min(remaining, 0.25)
-                if next_ready is not None:
-                    wait_for = min(wait_for, max(next_ready - now, 0.001))
-                self._cond.wait(timeout=wait_for)
-
-    # ---------------------------------------------------------------- contexts
-
-    def allocate_context(self, key: tuple) -> int:
-        """Derive the context id for ``key`` without cross-rank state.
-
-        The thread backend hands out ids from a shared counter; processes
-        have no shared counter, but every member of a context-creating
-        collective computes the same ``key``, so a stable hash of the key
-        is just as collectively-agreed.  Ids never collide with the world
-        context (0) and collide with each other only at 2^-63 odds.
-        """
-        digest = hashlib.blake2b(
-            pickle.dumps(key, protocol=4), digest_size=8).digest()
-        return int.from_bytes(digest, "big") >> 1 or 1
-
-    # ------------------------------------------------------------------ stats
-
-    def pending_count(self, dst: int | None = None) -> int:
-        """Undelivered messages in *this rank's* mailbox (peers are remote)."""
-        with self._cond:
-            if dst is not None and dst != self.rank:
-                return 0
-            return len(self._mailbox)
+    # ------------------------------------------------------------------- arena
 
     @property
     def arena_enabled(self) -> bool:
@@ -508,12 +284,10 @@ def _child_main(
     fault_plan: FaultPlan | None,
     trace,
     shm_prefix: str,
-    arena_bytes: int = 0,
-    dead_flags=None,
+    arena_bytes: int,
+    dead,
 ) -> None:
     """Entry point of one forked rank process."""
-    from repro.mpi.comm import Comm
-
     tracer = trace.tracer(rank) if trace is not None else NULL_TRACER
     if tracer.enabled:
         # The fork copied the session's history (earlier supervised
@@ -522,45 +296,17 @@ def _child_main(
         tracer.events = []
         events_base_seq = tracer._seq
     fired_base = fault_plan.fired_count() if fault_plan is not None else 0
-    arena = (Arena(shm_prefix, rank, nprocs, arena_bytes)
-             if arena_bytes > 0 and nprocs > 1 else None)
+    arena = Arena(shm_prefix, rank, nprocs, arena_bytes) if arena_bytes else None
     net = ProcessNetwork(
         rank, nprocs, inbound, outbound, ctrl_r, exit_w,
         heartbeats, op_counts, abort_flag, op_timeout, fault_plan, tracer,
-        shm_prefix, dead_flags, arena,
+        shm_prefix, dead, arena,
     )
-    comm = Comm(net, rank, list(range(nprocs)), context=0)
-    set_current_tracer(tracer)
-    if tracer.enabled:
-        tracer.begin("rank", cat="lifecycle", nprocs=nprocs)
-    result: Any = None
-    error: BaseException | None = None
-    try:
-        result = fn(comm, *args, **kwargs)
-    except AbortError as exc:
-        error = exc
-        if tracer.enabled:
-            tracer.instant("rank.abort", cat="lifecycle", error=repr(exc))
-    except DegradedRankLoss as exc:
-        # This rank died mid-map but the master routed around it: record
-        # the loss, never abort — survivors are finishing the job.
-        error = exc
-        if tracer.enabled:
-            tracer.instant("rank.degraded", cat="lifecycle", error=repr(exc))
-    except BaseException as exc:  # noqa: BLE001 - must propagate anything
-        error = exc
-        if tracer.enabled:
-            tracer.instant("rank.error", cat="lifecycle", error=repr(exc))
-        net.abort(exc)
-    finally:
-        if tracer.enabled:
-            tracer.unwind()
-        set_current_tracer(None)
+    result, error = run_rank(net, rank, fn, args, kwargs)
     envelope = {
         "result": result,
         "error": error,
         "fired": fault_plan.fired_since(fired_base) if fault_plan is not None else [],
-        "op_count": net._op_count,
         "trace": None,
     }
     if tracer.enabled:
@@ -587,27 +333,25 @@ def _child_main(
         pass
 
 
-class ProcessJob:
-    """Parent-side coordinator for one multi-process SPMD job.
+class ProcessJob(RankTelemetry):
+    """Parent-side coordinator: starts one forked process per rank.
 
-    Mirrors the surface of the thread :class:`~repro.mpi.runtime.SpmdJob`
-    engine: ``run(join_timeout)`` returns per-rank results or raises the
-    primary error; ``errors`` lists per-rank terminal exceptions;
-    ``heartbeat_ages``/``op_count`` read the shared telemetry.
+    :class:`~repro.mpi.runtime.SpmdJob` drives it (``start``, ``join``,
+    ``close``) and applies the one join rule to ``results``/``errors``;
+    ``heartbeat_ages``/``op_count``/``dead_ranks`` read the shared
+    telemetry, and ``abort`` fans a parent-side failure out to every rank.
     """
 
     def __init__(
         self,
         nprocs: int,
         fn: Callable[..., Any],
-        args: Sequence[Any] = (),
-        kwargs: Optional[dict] = None,
+        args: tuple,
+        kwargs: dict,
         op_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
         trace=None,
     ) -> None:
-        if nprocs < 1:
-            raise MPIError(f"nprocs must be >= 1, got {nprocs}")
         ctx = mp.get_context("fork")
         self.nprocs = nprocs
         self.op_timeout = (op_timeout if op_timeout is not None
@@ -617,14 +361,14 @@ class ProcessJob:
         self._shm_prefix = f"reprompi{os.getpid()}j{next(_JOB_COUNTER)}_"
         # Single-rank jobs have no pipes, so no arena either.
         self.arena_bytes = resolve_arena_bytes() if nprocs > 1 else 0
-        self._results: list[Any] = [None] * nprocs
-        self._errors: list[Optional[BaseException]] = [None] * nprocs
+        self.results: list[Any] = [None] * nprocs
+        self.errors: list[Optional[BaseException]] = [None] * nprocs
         self._abort_exc: Optional[BaseException] = None
         now = time.monotonic()
         self._heartbeats = ctx.Array("d", [now] * nprocs, lock=False)
         self._op_counts = ctx.Array("q", [0] * nprocs, lock=False)
         self._abort_flag = ctx.Value("i", 0, lock=False)
-        self._dead_flags = ctx.Array("b", [0] * nprocs, lock=False)
+        self._dead = ctx.Array("b", [0] * nprocs, lock=False)
         # Data mesh: reader[j][i] / writer[i][j] move traffic i -> j.
         readers: list[list] = [[None] * nprocs for _ in range(nprocs)]
         writers: list[dict] = [dict() for _ in range(nprocs)]
@@ -636,28 +380,29 @@ class ProcessJob:
                 readers[j][i] = r
                 writers[i][j] = w
         self._ctrl_w = []
-        self._exit_r = []
+        self._pending: dict = {}  # exit pipe -> rank, until its envelope lands
         self._procs = []
         for rank in range(nprocs):
             ctrl_r, ctrl_w = ctx.Pipe(duplex=False)
             exit_r, exit_w = ctx.Pipe(duplex=False)
             self._ctrl_w.append(ctrl_w)
-            self._exit_r.append(exit_r)
+            self._pending[exit_r] = rank
             inbound = [c for c in readers[rank] if c is not None]
             self._procs.append(ctx.Process(
                 target=_child_main,
-                args=(rank, nprocs, fn, tuple(args), dict(kwargs or {}),
+                args=(rank, nprocs, fn, args, kwargs,
                       inbound, writers[rank], ctrl_r, exit_w,
                       self._heartbeats, self._op_counts, self._abort_flag,
                       self.op_timeout, fault_plan, trace, self._shm_prefix,
-                      self.arena_bytes, self._dead_flags),
+                      self.arena_bytes, self._dead),
                 name=f"mpi-rank-{rank}",
                 daemon=True,
             ))
 
     # ----------------------------------------------------------------- control
 
-    def _broadcast_abort(self, exc: BaseException) -> None:
+    def abort(self, exc: BaseException) -> None:
+        """Set the shared flag and wake every rank with an abort message."""
         if self._abort_exc is None:
             self._abort_exc = exc
         self._abort_flag.value = 1
@@ -668,28 +413,11 @@ class ProcessJob:
             except Exception:  # pragma: no cover - child already gone
                 pass
 
-    def abort(self, exc: BaseException) -> None:
-        """Parent-initiated abort (join-budget blowouts)."""
-        self._broadcast_abort(exc)
-
-    def heartbeat_ages(self) -> list[float]:
-        """Seconds since each rank's last MPI call (shared-array read)."""
-        now = time.monotonic()
-        return [now - hb for hb in self._heartbeats]
-
-    def op_count(self, rank: int) -> int:
-        return int(self._op_counts[rank])
-
-    def dead_ranks(self) -> frozenset[int]:
-        """Ranks lost in degraded mode (shared-array read)."""
-        return frozenset(
-            r for r in range(self.nprocs) if self._dead_flags[r])
-
     # ------------------------------------------------------------------- merge
 
     def _absorb_exit(self, rank: int, envelope: dict) -> None:
-        self._results[rank] = envelope["result"]
-        self._errors[rank] = envelope["error"]
+        self.results[rank] = envelope["result"]
+        self.errors[rank] = envelope["error"]
         if self.fault_plan is not None and envelope["fired"]:
             self.fault_plan.absorb_fired(envelope["fired"])
         shipped = envelope["trace"]
@@ -701,122 +429,67 @@ class ProcessJob:
             trc.dropped_events += shipped["dropped"]
             trc.spilled_events += shipped["spilled"]
 
-    # --------------------------------------------------------------------- run
+    # --------------------------------------------------------------- lifetime
 
     def start(self) -> None:
-        """Fork all ranks without collecting them (resident-service mode).
-
-        Pair with :meth:`wait`; one-shot callers use :meth:`run`.
-        """
+        """Fork every rank."""
         if self.arena_bytes:
             # Segments must exist before fork so children attach by name;
-            # they share the job prefix, so the sweep below reclaims them
-            # (and any outstanding slots) even after an abnormal teardown.
+            # they share the job prefix, so close() reclaims them (and any
+            # outstanding slots) even after an abnormal teardown.
             create_arena_segments(self._shm_prefix, self.nprocs, self.arena_bytes)
         for p in self._procs:
             p.start()
 
-    def run(self, join_timeout: float | None = None) -> list[Any]:
-        """Fork all ranks, collect exit envelopes, return per-rank results.
+    def join(self, deadline: float) -> Optional[int]:
+        """Collect exit envelopes until all ranks reported or ``deadline``.
 
-        Same failure semantics as the thread engine: the first *primary*
-        error is raised (AbortError fallout is suppressed in its favour)
-        and a job past the join budget is aborted with a stall report
-        naming the ranks whose heartbeats went stale.
+        Returns the lowest rank still running, or ``None``.
         """
-        self.start()
-        return self.wait(join_timeout)
+        while self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return next(iter(self._pending.values()))
+            self._drain(min(0.25, remaining))
+        return None
 
-    def wait(self, join_timeout: float | None = None) -> list[Any]:
-        """Collect a :meth:`start`-ed job's exit envelopes (see :meth:`run`).
+    def close(self) -> None:
+        """Reap every process and sweep the job's shared memory.
 
-        The join budget runs from this call, not from :meth:`start`, so a
-        resident session that served jobs for hours still gets the full
-        budget to drain its ranks after the shutdown sentinel.
+        After an abort, ranks get a grace window to ship their envelopes,
+        so ``errors`` and the trace stay as complete as possible.
         """
-        budget = join_timeout if join_timeout is not None else self.op_timeout * 4
-        deadline = time.monotonic() + budget
-        try:
-            self._collect(deadline, budget)
-        finally:
-            for p in self._procs:
+        self.join(time.monotonic() + 5.0)
+        for p in self._procs:
+            p.join(timeout=5.0)
+        for p in self._procs:
+            if p.is_alive():  # pragma: no cover - hard-stuck child
+                p.terminate()
                 p.join(timeout=5.0)
-            for p in self._procs:
-                if p.is_alive():  # pragma: no cover - hard-stuck child
-                    p.terminate()
-                    p.join(timeout=5.0)
-            sweep_job_blocks(self._shm_prefix)
-        primary = next(
-            (e for e in self._errors
-             if e is not None and not isinstance(e, (AbortError, DegradedRankLoss))),
-            None,
-        )
-        if primary is not None:
-            raise primary
-        collateral = next(
-            (e for e in self._errors if isinstance(e, AbortError)), None)
-        if collateral is not None:
-            raise collateral
-        # Only DegradedRankLoss left (if anything): the job completed
-        # degraded — survivors' results are valid, lost ranks stay None.
-        return self._results
+        sweep_job_blocks(self._shm_prefix)
 
-    def _collect(self, deadline: float, budget: float) -> None:
-        pending = {conn: rank for rank, conn in enumerate(self._exit_r)}
-        done = [False] * self.nprocs
-        while not all(done):
-            if time.monotonic() >= deadline:
-                ages = self.heartbeat_ages()
-                stalled = [r for r, age in enumerate(ages) if age > min(ages) + 1.0]
-                alive = next(
-                    (f"mpi-rank-{r}" for r in range(self.nprocs) if not done[r]),
-                    "mpi-rank-?")
-                err = MPIError(
-                    f"SPMD job did not finish within {budget:.0f}s ({alive} alive; "
-                    f"stalled ranks by heartbeat: {stalled or 'indeterminate'})"
-                )
-                self._broadcast_abort(err)
-                # Grace window: let aborted ranks ship their envelopes so
-                # errors/trace stay as complete as possible.
-                grace = time.monotonic() + 5.0
-                while not all(done) and time.monotonic() < grace:
-                    self._drain(pending, done, timeout=0.25)
-                raise err
-            self._drain(pending, done, timeout=0.25)
-
-    def _drain(self, pending: dict, done: list, timeout: float) -> None:
-        if not pending:
-            return
+    def _drain(self, timeout: float) -> None:
         try:
-            ready = mp_connection.wait(list(pending), timeout=timeout)
+            ready = mp_connection.wait(list(self._pending), timeout=timeout)
         except OSError:  # pragma: no cover - torn-down fds
             return
         for conn in ready:
-            rank = pending[conn]
+            rank = self._pending[conn]
             try:
                 env = conn.recv()
             except (EOFError, OSError):
-                del pending[conn]
-                if not done[rank]:
-                    exitcode = self._procs[rank].exitcode
-                    err = MPIError(
-                        f"rank {rank} process died without reporting "
-                        f"(exitcode {exitcode})")
-                    self._errors[rank] = err
-                    done[rank] = True
-                    self._broadcast_abort(err)
+                del self._pending[conn]
+                err = MPIError(
+                    f"rank {rank} process died without reporting "
+                    f"(exitcode {self._procs[rank].exitcode})")
+                self.errors[rank] = err
+                self.abort(err)
                 continue
             kind = env[0]
             if kind == "abort":
                 _, _rank, exc = env
-                self._broadcast_abort(exc)
+                self.abort(exc)
             elif kind == "exit":
                 _, _rank, envelope = env
                 self._absorb_exit(rank, load_out_of_band(envelope))
-                done[rank] = True
-                del pending[conn]
-
-    @property
-    def errors(self) -> list[Optional[BaseException]]:
-        """Per-rank terminal exceptions (None for clean ranks)."""
-        return list(self._errors)
+                del self._pending[conn]

@@ -1,9 +1,11 @@
-"""SPMD launcher and supervisor: run one Python callable on N in-process ranks.
+"""SPMD launcher and supervisor: run one Python callable on N ranks.
 
-Each rank is a daemon thread executing ``fn(comm, *args, **kwargs)``.  The
-first rank to raise aborts the whole job (MPI_Abort semantics): blocked peers
-are woken with :class:`~repro.mpi.exceptions.AbortError` and the original
-exception is re-raised in the caller.
+Each rank executes ``fn(comm, *args, **kwargs)`` — as a daemon thread, or
+as a forked process on the process backend — through one rank lifecycle
+(:func:`run_rank`).  The first rank to raise aborts the whole job
+(MPI_Abort semantics): blocked peers are woken with
+:class:`~repro.mpi.exceptions.AbortError` and the original exception is
+re-raised in the caller by one join rule (:meth:`SpmdJob.wait`).
 
 On top of that whole-job-dies model sits :func:`run_supervised`: a
 supervisor that watches per-rank heartbeats, classifies failures
@@ -66,14 +68,88 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
+def run_rank(network, rank: int, fn: Callable, args: tuple,
+             kwargs: dict) -> tuple[Any, Optional[BaseException]]:
+    """One rank's lifecycle on either backend: ``(result, error)``.
+
+    Runs ``fn`` under the rank's ``lifecycle`` span.  AbortError (fallout
+    from another rank's failure) and DegradedRankLoss (a rank the master
+    routed around) are recorded, not propagated; any other exception is
+    the *primary* error and aborts the job (MPI_Abort semantics).
+    """
+    comm = Comm(network, rank, list(range(network.nprocs)), context=0)
+    trc = network.tracer_for(rank)
+    set_current_tracer(trc)
+    if trc.enabled:
+        trc.begin("rank", cat="lifecycle", nprocs=network.nprocs)
+    try:
+        return fn(comm, *args, **kwargs), None
+    except AbortError as exc:
+        if trc.enabled:
+            trc.instant("rank.abort", cat="lifecycle", error=repr(exc))
+        return None, exc
+    except DegradedRankLoss as exc:
+        if trc.enabled:
+            trc.instant("rank.degraded", cat="lifecycle", error=repr(exc))
+        return None, exc
+    except BaseException as exc:  # noqa: BLE001 - must propagate anything
+        if trc.enabled:
+            trc.instant("rank.error", cat="lifecycle", error=repr(exc))
+        network.abort(exc)
+        return None, exc
+    finally:
+        if trc.enabled:
+            # Closes the lifecycle span and anything an exception left
+            # open, so crashed ranks still export balanced traces.
+            trc.unwind()
+        set_current_tracer(None)
+
+
+class _ThreadRanks:
+    """Thread-backend rank starter: one daemon thread per rank."""
+
+    def __init__(self, network: Network, fn: Callable, args: tuple,
+                 kwargs: dict) -> None:
+        self.results: list[Any] = [None] * network.nprocs
+        self.errors: list[Optional[BaseException]] = [None] * network.nprocs
+
+        def body(rank: int) -> None:
+            self.results[rank], self.errors[rank] = run_rank(
+                network, rank, fn, args, kwargs)
+
+        self._threads = [
+            threading.Thread(target=body, args=(rank,),
+                             name=f"mpi-rank-{rank}", daemon=True)
+            for rank in range(network.nprocs)
+        ]
+
+    def start(self) -> None:
+        for t in self._threads:
+            t.start()
+
+    def join(self, deadline: float) -> Optional[int]:
+        """Join until every rank finished or ``deadline``; lowest live rank."""
+        for rank, t in enumerate(self._threads):
+            while t.is_alive():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return rank
+                t.join(timeout=min(0.25, remaining))
+        return None
+
+    def close(self) -> None:
+        """Nothing to reclaim: threads hold no OS resources of their own."""
+
+
 class SpmdJob:
     """A launched SPMD job.  Use :func:`run_spmd` unless you need the handle.
 
-    ``backend`` picks the transport: ``"thread"`` (default) runs ranks as
+    ``backend`` picks how ranks start: ``"thread"`` (default) runs ranks as
     daemon threads over one shared :class:`~repro.mpi.network.Network`;
-    ``"process"`` forks one OS process per rank over the
-    :class:`~repro.mpi.process.ProcessJob` engine.  Both expose the same
-    ``run``/``errors`` surface and failure semantics.
+    ``"process"`` forks one OS process per rank through
+    :class:`~repro.mpi.process.ProcessJob`.  Either way ``network`` is the
+    telemetry surface (``heartbeat_ages`` / ``op_count`` / ``abort``) and
+    one join rule turns per-rank outcomes into a result.
     """
 
     def __init__(
@@ -92,65 +168,19 @@ class SpmdJob:
         self.nprocs = nprocs
         self.trace = trace
         self.backend = resolve_backend(backend)
-        self._results: list[Any] = [None] * nprocs
-        self._errors: list[Optional[BaseException]] = [None] * nprocs
+        args, kwargs = tuple(args), dict(kwargs or {})
         if self.backend == "process":
             from repro.mpi.process import ProcessJob
 
-            self._engine = ProcessJob(
+            self._ranks = self.network = ProcessJob(
                 nprocs, fn, args, kwargs,
                 op_timeout=op_timeout, fault_plan=fault_plan, trace=trace,
             )
-            # The parent-side coordinator doubles as the telemetry surface
-            # (heartbeat_ages / op_count / abort), mirroring the shared
-            # Network object of the thread backend.
-            self.network = self._engine
-            return
-        self._engine = None
-        self.network = Network(
-            nprocs, op_timeout=op_timeout, fault_plan=fault_plan, trace=trace
-        )
-        self._threads = [
-            threading.Thread(
-                target=self._run_rank,
-                args=(rank, fn, tuple(args), dict(kwargs or {})),
-                name=f"mpi-rank-{rank}",
-                daemon=True,
+        else:
+            self.network = Network(
+                nprocs, op_timeout=op_timeout, fault_plan=fault_plan, trace=trace
             )
-            for rank in range(nprocs)
-        ]
-
-    def _run_rank(self, rank: int, fn: Callable, args: tuple, kwargs: dict) -> None:
-        comm = Comm(self.network, rank, list(range(self.nprocs)), context=0)
-        trc = self.network.tracer_for(rank)
-        set_current_tracer(trc)
-        if trc.enabled:
-            trc.begin("rank", cat="lifecycle", nprocs=self.nprocs)
-        try:
-            self._results[rank] = fn(comm, *args, **kwargs)
-        except AbortError as exc:
-            # Collateral damage from another rank's failure; keep for debugging
-            # but do not treat as the primary error.
-            self._errors[rank] = exc
-            if trc.enabled:
-                trc.instant("rank.abort", cat="lifecycle", error=repr(exc))
-        except DegradedRankLoss as exc:
-            # The rank died mid-map but the master routed around it: record
-            # the loss, never abort — survivors are finishing the job.
-            self._errors[rank] = exc
-            if trc.enabled:
-                trc.instant("rank.degraded", cat="lifecycle", error=repr(exc))
-        except BaseException as exc:  # noqa: BLE001 - must propagate anything
-            self._errors[rank] = exc
-            if trc.enabled:
-                trc.instant("rank.error", cat="lifecycle", error=repr(exc))
-            self.network.abort(exc)
-        finally:
-            if trc.enabled:
-                # Closes the lifecycle span and anything an exception left
-                # open, so crashed ranks still export balanced traces.
-                trc.unwind()
-            set_current_tracer(None)
+            self._ranks = _ThreadRanks(self.network, fn, args, kwargs)
 
     def start(self) -> None:
         """Launch all ranks without waiting for them (resident-service mode).
@@ -160,11 +190,7 @@ class SpmdJob:
         once the shutdown sentinel has been enqueued.  One-shot callers use
         :meth:`run`, which is ``start()`` + ``wait()``.
         """
-        if self._engine is not None:
-            self._engine.start()
-            return
-        for t in self._threads:
-            t.start()
+        self._ranks.start()
 
     def run(self, join_timeout: float | None = None) -> list[Any]:
         """Start all ranks, join them, and return per-rank results.
@@ -180,48 +206,44 @@ class SpmdJob:
     def wait(self, join_timeout: float | None = None) -> list[Any]:
         """Join a :meth:`start`-ed job and return per-rank results.
 
-        The join budget defaults to ``op_timeout * 4``; resident sessions
-        pass their own (longer) budget since a service may legitimately run
-        for hours between :meth:`start` and :meth:`wait`.
+        The join budget defaults to ``op_timeout * 4`` and runs from this
+        call, not from :meth:`start`: resident sessions pass their own
+        (longer) budget since a service may legitimately run for hours
+        between :meth:`start` and :meth:`wait`.
         """
-        if self._engine is not None:
-            try:
-                return self._engine.wait(join_timeout)
-            finally:
-                self._errors = self._engine.errors
         budget = join_timeout if join_timeout is not None else self.network.op_timeout * 4
-        deadline = time.monotonic() + budget
-        for t in self._threads:
-            while t.is_alive():
-                t.join(timeout=min(0.25, max(deadline - time.monotonic(), 0.01)))
-                if t.is_alive() and time.monotonic() >= deadline:
-                    ages = self.network.heartbeat_ages()
-                    stalled = [r for r, age in enumerate(ages) if age > min(ages) + 1.0]
-                    err = MPIError(
-                        f"SPMD job did not finish within {budget:.0f}s ({t.name} alive; "
-                        f"stalled ranks by heartbeat: {stalled or 'indeterminate'})"
-                    )
-                    self.network.abort(err)
-                    raise err
+        try:
+            alive = self._ranks.join(time.monotonic() + budget)
+            if alive is not None:
+                ages = self.network.heartbeat_ages()
+                stalled = [r for r, age in enumerate(ages) if age > min(ages) + 1.0]
+                err = MPIError(
+                    f"SPMD job did not finish within {budget:.0f}s (mpi-rank-{alive} "
+                    f"alive; stalled ranks by heartbeat: {stalled or 'indeterminate'})"
+                )
+                self.network.abort(err)
+                raise err
+        finally:
+            self._ranks.close()
+        errors = self._ranks.errors
         primary = next(
-            (e for e in self._errors
+            (e for e in errors
              if e is not None and not isinstance(e, (AbortError, DegradedRankLoss))),
             None,
         )
         if primary is not None:
             raise primary
-        collateral = next(
-            (e for e in self._errors if isinstance(e, AbortError)), None)
-        if collateral is not None:  # pragma: no cover - defensive
+        collateral = next((e for e in errors if isinstance(e, AbortError)), None)
+        if collateral is not None:
             raise collateral
         # Only DegradedRankLoss left (if anything): the job completed
         # degraded — survivors' results are valid, lost ranks stay None.
-        return self._results
+        return self._ranks.results
 
     @property
     def errors(self) -> list[Optional[BaseException]]:
         """Per-rank terminal exceptions (None for clean ranks)."""
-        return list(self._errors)
+        return list(self._ranks.errors)
 
 
 def run_spmd(

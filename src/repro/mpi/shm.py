@@ -12,7 +12,7 @@ per-array dtype/shape/offset table.  No pickle on either side; the
 receiver surfaces the bytes as read-only zero-copy views.
 
 **Pickle frames** (:data:`FRAME_PICKLE`) carry everything else — the
-lowercase object path — as a pickled :class:`~repro.mpi.network.Message`,
+lowercase object path — as a pickled :class:`~repro.mpi.transport.Message`,
 at protocol 5 with every buffer of :data:`SHM_MIN_BYTES` or more kept out
 of the pickle and copied once into one *per-message* shm block
 (:func:`dump_out_of_band` / :func:`load_out_of_band`): array payloads that
@@ -40,6 +40,7 @@ import struct
 import numpy as np
 
 from repro.mpi.arena import Arena, MappedSegment
+from repro.mpi.transport import Message
 
 __all__ = [
     "FRAME_ARENA",
@@ -216,14 +217,12 @@ def pack_arena_message(msg, arena: Arena) -> bytes | None:
 
 
 def unpack_arena_message(frame, arena: Arena):
-    """Rebuild a :class:`~repro.mpi.network.Message` from an arena frame.
+    """Rebuild a :class:`~repro.mpi.transport.Message` from an arena frame.
 
     The payload arrays are read-only zero-copy views over the sender's
     slot; the slot is handed back to the sender when the last view is
     garbage-collected (see :meth:`repro.mpi.arena.Arena.view`).
     """
-    from repro.mpi.network import Message
-
     mv = memoryview(frame)
     (_frame, src, owner, dst, tag, context, not_before,
      slot, epoch, base, total, narr, slen) = _FIXED.unpack_from(mv, 0)

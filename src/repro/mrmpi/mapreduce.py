@@ -83,8 +83,7 @@ def _arena_attrs(comm: Comm) -> dict:
     Counters are rank-local running totals; per-round deltas fall out of
     consecutive instants.
     """
-    stats_fn = getattr(comm.network, "arena_stats", None)
-    stats = stats_fn() if stats_fn is not None else {}
+    stats = comm.network.arena_stats()
     if not stats:
         return {}
     return {

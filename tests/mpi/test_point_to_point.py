@@ -1,5 +1,8 @@
 """Point-to-point semantics of the in-process MPI runtime."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.mpi import (
     Status,
     run_spmd,
 )
+from repro.mpi.runtime import BACKENDS, SpmdJob
 
 
 def test_send_recv_roundtrip():
@@ -37,6 +41,37 @@ def test_fifo_ordering_same_source_tag():
 
     results = run_spmd(2, main)
     assert results[1] == list(range(50))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_many_senders_into_one_mailbox(backend):
+    """More ranks than cores post into one mailbox under a short switch
+    interval: nothing is lost, each sender's messages stay in order, and
+    every rank's fault-gate op count is exact."""
+    nprocs, per = 6, 200
+
+    def main(comm):
+        if comm.rank != 0:
+            for i in range(per):
+                comm.send(i, dest=0, tag=1)
+            return None
+        seen = {src: [] for src in range(1, nprocs)}
+        for _ in range((nprocs - 1) * per):
+            st = Status()
+            obj = comm.recv(source=ANY_SOURCE, tag=1, status=st)
+            seen[st.source].append(obj)
+        return seen
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        job = SpmdJob(nprocs, main, op_timeout=30.0, backend=backend)
+        results = job.run(join_timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == {src: list(range(per)) for src in range(1, nprocs)}
+    assert [job.network.op_count(r) for r in range(nprocs)] == \
+        [(nprocs - 1) * per] + [per] * (nprocs - 1)
 
 
 def test_tag_selective_receive_out_of_order():
@@ -163,6 +198,20 @@ def test_probe_and_iprobe():
         return True
 
     assert run_spmd(2, main)[1] is True
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_blocking_probe_times_out_on_its_budget(backend):
+    """A probe nothing matches raises DeadlockError at op_timeout, not late."""
+
+    def main(comm):
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError):
+            comm.probe(source=0, tag=99)
+        return time.monotonic() - t0
+
+    elapsed = run_spmd(1, main, op_timeout=2.0, backend=backend)[0]
+    assert 2.0 <= elapsed <= 2.2
 
 
 def test_negative_user_tag_rejected():
