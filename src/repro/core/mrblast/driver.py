@@ -22,21 +22,18 @@ recovery story §II.A concedes plain MPI lacks.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.bio.seq import SeqRecord
 from repro.core.checkpoint import IterationCheckpoint, PoisonList
-from repro.core.mrblast.pipeline import BlastPipeline, RuntimeConfig, check_writable_dir
+from repro.core.mrblast.pipeline import BlastPipeline, RuntimeConfig
 from repro.core.mrblast.reducer import MrBlastReducer
 from repro.core.mrblast.workitems import block_query_ids
+from repro.core.spine import BatchConfig, RankResult, check_writable_dir, launch
 from repro.mpi.comm import Comm
-from repro.mpi.faultplan import FaultPlan
-from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
-from repro.mrmpi.mapreduce import MapStyle
-from repro.obs.export import exported_trace
+from repro.mpi.runtime import SupervisedOutcome
 from repro.obs.metrics import metric_field
 from repro.obs.trace import TraceSession
 from repro.util.log import rank_logger
@@ -51,7 +48,7 @@ __all__ = [
 
 
 @dataclass
-class MrBlastConfig(RuntimeConfig):
+class MrBlastConfig(RuntimeConfig, BatchConfig):
     """Everything one MR-MPI BLAST run needs.
 
     ``query_blocks`` is any sequence of blocks: materialised lists of
@@ -59,12 +56,15 @@ class MrBlastConfig(RuntimeConfig):
     :class:`~repro.core.mrblast.workitems.IndexedQueryBlocks` plan over one
     FASTA (dynamic chunking).  ``blocks_per_iteration = 0`` means a single
     iteration over everything.
+
+    ``resume=True`` truncates every rank's file to the last *globally*
+    completed iteration in its progress manifest and continues from there,
+    so a killed job repeats at most one iteration's work (§II.A).
     """
 
     query_blocks: Sequence[Sequence[SeqRecord]]
     output_dir: str = "mrblast_out"
     blocks_per_iteration: int = 0
-    mapstyle: MapStyle = MapStyle.MASTER_WORKER
     #: the paper's FIFO master is the batch default; True is the §V
     #: location-aware dispatch
     locality_aware: bool = field(default=False, kw_only=True)
@@ -73,13 +73,6 @@ class MrBlastConfig(RuntimeConfig):
     #: the global top-K is a subset of the union of per-rank top-Ks — the
     #: same argument the paper makes for per-partition hit lists.
     combiner: bool = False
-    #: per-iteration checkpointing: the practical answer to §II.A's missing
-    #: MPI fault tolerance.  Progress manifests record, per rank, the
-    #: output-file byte offset after each completed outer iteration;
-    #: ``resume=True`` truncates every rank's file to the last *globally*
-    #: completed iteration and continues from there, so a killed job repeats
-    #: at most one iteration's work.
-    resume: bool = False
     #: stop after this many (additional) outer iterations — incremental
     #: processing and the unit test hook for resume
     stop_after_iterations: int | None = None
@@ -87,10 +80,6 @@ class MrBlastConfig(RuntimeConfig):
     #: relaunches before being quarantined (skipped and reported) instead of
     #: killing the job forever.  0 disables the poison ledger entirely.
     poison_attempts: int = 3
-    #: write a Chrome ``trace_event`` JSON of the whole run here (open in
-    #: chrome://tracing or Perfetto).  None disables tracing entirely —
-    #: the zero-cost default.
-    trace_path: str | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -116,26 +105,12 @@ class MrBlastConfig(RuntimeConfig):
 
 
 @dataclass
-class MrBlastResult:
-    """Per-rank outcome of a run: where its hits went, how the run went, and
-    a view over the rank's metrics snapshot.
+class MrBlastResult(RankResult):
+    """Per-rank outcome of a run: where its hits went, where it picked up,
+    and a view over the rank's metrics snapshot."""
 
-    Every number the rank counted lives in :attr:`metrics` (names in
-    :mod:`repro.obs.metrics`) and nowhere else; the count and seconds
-    attributes below read it.
-    """
-
-    rank: int
     output_path: str
-    #: the rank's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    metrics: dict
-    #: where this attempt picked up, and — filled in by the supervised
-    #: wrapper — how hard the supervisor had to work to get here
     resumed_from_iteration: int = 0
-    faults_injected: int = 0
-    retries: int = 0
-    #: *global* ranks lost while the run completed degraded
-    lost_ranks: tuple[int, ...] = ()
 
     units_processed = metric_field("mrblast.units", int)
     partition_switches = metric_field("mrblast.partition_switches", int)
@@ -156,19 +131,11 @@ class MrBlastResult:
     #: shuffle traffic this rank staged for other ranks, in exact array bytes
     shuffle_pairs_moved = metric_field("mr.aggregate_pairs", int)
     shuffle_bytes_moved = metric_field("mr.aggregate_bytes", int)
-    reassigned_units = metric_field("sched.reassigned_units", int)
-    speculated_units = metric_field("sched.speculated_units", int)
-    wasted_units = metric_field("sched.wasted_units", int)
 
     @property
     def collate_seconds(self) -> float:
         """``aggregate`` plus ``convert`` seconds."""
         return self.metrics.get("mr.aggregate_s", 0.0) + self.metrics.get("mr.convert_s", 0.0)
-
-    @property
-    def degraded(self) -> bool:
-        """True when the run lost ranks and completed without them."""
-        return bool(self.lost_ranks)
 
 
 def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
@@ -280,59 +247,15 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
     )
 
 
-def mrblast_spmd(
-    nprocs: int, config: MrBlastConfig, trace: TraceSession | None = None
-) -> list[MrBlastResult]:
-    """Launch a full in-process MPI job running :func:`run_mrblast`.
-
-    Tracing: pass a :class:`~repro.obs.trace.TraceSession` to capture the
-    run, or set ``config.trace_path`` to have one created and exported as
-    Chrome trace JSON automatically.  Both may be combined.
-    """
-    config.validate()
-    with exported_trace(config.trace_path, nprocs, trace) as trace:
-        return run_spmd(nprocs, run_mrblast, config, trace=trace,
-                        backend=config.backend)
+def mrblast_spmd(nprocs: int, config: MrBlastConfig,
+                 trace: TraceSession | None = None) -> list[MrBlastResult]:
+    """Launch a full MPI job running :func:`run_mrblast` (see
+    :func:`~repro.core.spine.launch`)."""
+    return launch(nprocs, run_mrblast, config, trace)
 
 
-def mrblast_supervised(
-    nprocs: int,
-    config: MrBlastConfig,
-    *,
-    fault_plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    op_timeout: float | None = None,
-    trace: TraceSession | None = None,
-) -> SupervisedOutcome:
-    """Run mrblast under the supervisor: crash → detect → back off → resume.
-
-    Attempt 1 honours ``config.resume`` as given; every relaunch forces
-    ``resume=True`` so it continues from the last committed iteration (and
-    sees the poison ledger of earlier attempts).  On success the per-rank
-    :class:`MrBlastResult` objects carry the supervision counters.  Raises
-    :class:`~repro.mpi.runtime.SupervisionExhausted` when the attempt budget
-    runs out.
-    """
-    config.validate()
-
-    def prepare(attempt: int) -> tuple[tuple, dict]:
-        cfg = config if attempt == 1 else dataclasses.replace(config, resume=True)
-        return (cfg,), {}
-
-    with exported_trace(config.trace_path, nprocs, trace) as trace:
-        outcome = run_supervised(
-            nprocs,
-            run_mrblast,
-            retry=retry,
-            fault_plan=fault_plan,
-            op_timeout=op_timeout,
-            prepare=prepare,
-            trace=trace,
-            backend=config.backend,
-        )
-    for result in outcome.results:
-        if result is None:  # rank lost in a degraded-mode run
-            continue
-        result.faults_injected = outcome.faults_injected
-        result.retries = outcome.retries
-    return outcome
+def mrblast_supervised(nprocs: int, config: MrBlastConfig, **supervision) -> SupervisedOutcome:
+    """:func:`mrblast_spmd` under the supervisor (``fault_plan``, ``retry``,
+    ``op_timeout``, ``trace``): every relaunch resumes from the last
+    committed iteration and sees the poison ledger of earlier ones."""
+    return launch(nprocs, run_mrblast, config, supervised=True, **supervision)

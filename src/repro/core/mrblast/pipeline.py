@@ -26,28 +26,26 @@ from repro.core.checkpoint import PoisonList
 from repro.core.mrblast.hspcodec import hsp_schema
 from repro.core.mrblast.mapper import MrBlastMapper
 from repro.core.mrblast.workitems import WorkItem, build_work_items
+from repro.core.spine import JobConfig, check_writable_dir
 from repro.mpi.comm import Comm
-from repro.mpi.runtime import resolve_backend
 from repro.mrmpi.mapreduce import MapReduce, MapStyle
 from repro.obs.metrics import MetricsRegistry
-from repro.sched import SpeculationPolicy
 
-__all__ = ["RuntimeConfig", "BlastPipeline", "check_writable_dir"]
+__all__ = ["RuntimeConfig", "BlastPipeline"]
 
 
 @dataclass
-class RuntimeConfig:
+class RuntimeConfig(JobConfig):
     """The runtime knobs every mrblast entry point shares, declared once.
 
-    ``MrBlastConfig`` and ``ServeConfig`` extend it with what is their own.
-    Everything after ``alias_path`` is keyword-only.
+    :class:`~repro.core.spine.JobConfig` brings the knobs it shares with
+    mrsom; ``MrBlastConfig`` and ``ServeConfig`` extend it with what is
+    their own.  Everything after ``alias_path`` is keyword-only.
     """
 
     alias_path: str
     _: KW_ONLY
     options: BlastOptions = field(default_factory=BlastOptions.blastn)
-    #: transport backend (None = REPRO_MPI_BACKEND default; see run_spmd)
-    backend: str | None = None
     #: per-rank page size in bytes before KV/KMV pages spill to disk
     memsize: int = 64 * 1024 * 1024
     work_order: str = "partition_major"
@@ -66,35 +64,20 @@ class RuntimeConfig:
     #: directory for KV/KMV spill files (None = system temp dir)
     spool_dir: str | None = None
     hit_filter: Callable[[str, HSP], bool] | None = None
-    #: degraded-mode completion: a worker dying mid-map no longer aborts the
-    #: job — its units are reassigned to survivors and the run finishes
-    #: degraded, with loss counters in the result.
-    degraded: bool = False
-    #: straggler mitigation: re-issue a work unit to an idle worker once its
-    #: elapsed time exceeds this factor times the running median unit
-    #: runtime (None disables speculation).  First completion wins; output
-    #: is byte-identical to a no-speculation run.
-    speculation_factor: float | None = None
     #: test/chaos hook: called with each WorkItem before it executes; raise
     #: to simulate an application failure inside map()
     unit_fault_injector: Callable[[WorkItem], None] | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.lookup_cache_blocks < 0:
             raise ValueError("lookup_cache_blocks must be >= 0")
         if self.id_width < 1:
             raise ValueError("id_width must be >= 1")
-        if self.speculation_factor is not None and self.speculation_factor <= 1.0:
-            raise ValueError(
-                f"speculation_factor must be > 1.0, got {self.speculation_factor}")
 
     def validate(self) -> None:
-        """Fail-fast checks before any rank spawns.
-
-        One clear error in the launcher beats N ranks aborting mid-map.
-        Raises :class:`ValueError` naming the offending field; subclasses
-        extend it with their own.
-        """
+        """The shared job checks, plus a readable database alias, a sane
+        page size and work order, and a writable spool directory."""
         who = type(self).__name__
         if not os.path.isfile(self.alias_path):
             raise ValueError(f"{who}: alias_path {self.alias_path!r} does not exist")
@@ -109,24 +92,9 @@ class RuntimeConfig:
             raise ValueError(f"{who}: memsize must be >= 1, got {self.memsize}")
         if self.work_order not in ("partition_major", "query_major"):
             raise ValueError(f"{who}: unknown work_order {self.work_order!r}")
-        resolve_backend(self.backend)
+        super().validate()
         if self.spool_dir is not None:
             check_writable_dir(self.spool_dir, f"{who}: spool_dir")
-
-
-def check_writable_dir(path: str, what: str) -> None:
-    """Create ``path`` if needed and prove a file can be written there."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"{what} {path!r} cannot be created ({exc})") from exc
-    probe = os.path.join(path, ".write-probe")
-    try:
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.unlink(probe)
-    except OSError as exc:
-        raise ValueError(f"{what} {path!r} is not writable ({exc})") from exc
 
 
 class BlastPipeline:
@@ -169,11 +137,7 @@ class BlastPipeline:
             schema=hsp_schema(config.id_width),
             metrics=self.metrics,
         )
-        self.speculation = (
-            SpeculationPolicy(factor=config.speculation_factor)
-            if config.speculation_factor is not None
-            else None
-        )
+        self.speculation = config.speculation_policy()
 
     def iterate(
         self,

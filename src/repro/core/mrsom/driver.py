@@ -30,7 +30,6 @@ the fault-free codebook bit for bit — see :func:`mrsom_supervised`.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,12 +38,11 @@ import numpy as np
 
 from repro.core.checkpoint import CodebookCheckpoint
 from repro.core.mrsom.mmap_input import MatrixFile
+from repro.core.spine import BatchConfig, RankResult, check_writable_dir, launch
 from repro.mpi.comm import Comm
-from repro.mpi.faultplan import FaultPlan
 from repro.mpi.ops import SUM
-from repro.mpi.runtime import RetryPolicy, SupervisedOutcome, run_spmd, run_supervised
-from repro.mrmpi.mapreduce import MapReduce, MapStyle
-from repro.obs.export import exported_trace
+from repro.mpi.runtime import SupervisedOutcome
+from repro.mrmpi.mapreduce import MapReduce
 from repro.obs.metrics import MetricsRegistry, metric_field
 from repro.obs.trace import TraceSession
 from repro.som.batch import BatchSOM, accumulate_classes, batch_update, smooth_classes
@@ -59,14 +57,15 @@ INIT_SAMPLE_ROWS = 4096
 
 
 @dataclass
-class MrSomConfig:
+class MrSomConfig(BatchConfig):
     """One parallel batch-SOM training run.
 
     The paper's Fig. 6 benchmark: 81 920 random 256-d vectors, a 50×50 map,
     work units of 40 vectors.  The per-rank class sums are combined by one
     direct ``MPI_Reduce`` per epoch, as in the paper's Fig. 2 ("No reduce()
     stage is used in this program"); the linear initialisation samples the
-    first :data:`INIT_SAMPLE_ROWS` rows.
+    first :data:`INIT_SAMPLE_ROWS` rows.  ``resume=True`` continues from the
+    last epoch committed in ``checkpoint_dir``.
     """
 
     matrix_path: str
@@ -77,14 +76,11 @@ class MrSomConfig:
     seed: int = 0
     initial_radius: float | None = None
     final_radius: float = 1.0
-    mapstyle: MapStyle = MapStyle.MASTER_WORKER
     #: record per-epoch quantisation error on the master (over the init
     #: sample) — convergence monitoring at bounded cost
     track_error: bool = False
     #: directory for per-epoch codebook checkpoints (None = no checkpoints)
     checkpoint_dir: str | None = None
-    #: continue from the last committed epoch in ``checkpoint_dir``
-    resume: bool = False
     #: stop after this many (additional) epochs — incremental training and
     #: the test hook for resume
     stop_after_epochs: int | None = None
@@ -92,24 +88,9 @@ class MrSomConfig:
     #: the gated benchmark suite (``benchmarks/suite/workloads.py``) passes
     #: ``reduce_mode="mpi"``; it goes when that suite next changes.
     reduce_mode: str = "mpi"
-    #: write a Chrome ``trace_event`` JSON of the whole run here (open in
-    #: chrome://tracing or Perfetto).  None disables tracing entirely —
-    #: the zero-cost default.
-    trace_path: str | None = None
-    #: transport backend: "thread" (in-process, GIL-bound parity oracle) or
-    #: "process" (one OS process per rank, real multi-core epoch compute).
-    #: None defers to the REPRO_MPI_BACKEND environment default.
-    backend: str | None = None
-    #: straggler threshold: re-issue a unit once its elapsed time exceeds
-    #: ``speculation_factor ×`` the running median (None = no speculation).
-    #: Only effective under MASTER_WORKER dispatch on >1 rank.
-    speculation_factor: float | None = None
-    #: keep training when a worker rank dies mid-map: the master reassigns
-    #: its units to survivors and the epoch's collectives run on the shrunk
-    #: communicator.
-    degraded: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.block_rows < 1:
@@ -118,70 +99,45 @@ class MrSomConfig:
             raise ValueError("stop_after_epochs must be >= 1 when set")
         if self.reduce_mode != "mpi":
             raise ValueError(f"reduce_mode must be 'mpi', got {self.reduce_mode!r}")
-        if self.speculation_factor is not None and self.speculation_factor <= 1.0:
-            raise ValueError(
-                f"speculation_factor must be > 1.0, got {self.speculation_factor}"
-            )
 
     def validate(self) -> None:
-        """Fail-fast checks before any rank spawns (one clear error, not N)."""
+        """The shared job checks, plus a readable matrix, a sane grid, init
+        and radius, and a writable checkpoint directory when one is set."""
+        super().validate()
         if not os.path.isfile(self.matrix_path):
-            raise ValueError(f"mrsom config: matrix_path {self.matrix_path!r} does not exist")
+            raise ValueError(f"MrSomConfig: matrix_path {self.matrix_path!r} does not exist")
         try:
             matrix = MatrixFile(self.matrix_path)
         except Exception as exc:
             raise ValueError(
-                f"mrsom config: matrix_path {self.matrix_path!r} is not a readable "
+                f"MrSomConfig: matrix_path {self.matrix_path!r} is not a readable "
                 f"matrix file ({exc})"
             ) from exc
         if matrix.n < 1:
-            raise ValueError(f"mrsom config: matrix {self.matrix_path!r} has no rows")
+            raise ValueError(f"MrSomConfig: matrix {self.matrix_path!r} has no rows")
         if self.grid.n_units < 1:
-            raise ValueError("mrsom config: SOM grid has no units")
+            raise ValueError("MrSomConfig: SOM grid has no units")
         if self.init not in ("linear", "random"):
-            raise ValueError(f"mrsom config: unknown init {self.init!r}")
+            raise ValueError(f"MrSomConfig: unknown init {self.init!r}")
         if self.final_radius <= 0:
             raise ValueError(
-                f"mrsom config: final_radius must be > 0, got {self.final_radius}"
-            )
+                f"MrSomConfig: final_radius must be > 0, got {self.final_radius}")
         if self.resume and self.checkpoint_dir is None:
-            raise ValueError("mrsom config: resume=True requires checkpoint_dir")
+            raise ValueError("MrSomConfig: resume=True requires checkpoint_dir")
         if self.checkpoint_dir is not None:
-            try:
-                os.makedirs(self.checkpoint_dir, exist_ok=True)
-                probe = os.path.join(self.checkpoint_dir, ".write-probe")
-                with open(probe, "w") as fh:
-                    fh.write("")
-                os.unlink(probe)
-            except OSError as exc:
-                raise ValueError(
-                    f"mrsom config: checkpoint_dir {self.checkpoint_dir!r} is not "
-                    f"writable ({exc})"
-                ) from exc
+            check_writable_dir(self.checkpoint_dir, "MrSomConfig: checkpoint_dir")
 
 
 @dataclass
-class MrSomResult:
-    """Per-rank outcome; the codebook is identical on every rank.
+class MrSomResult(RankResult):
+    """Per-rank outcome; the codebook is identical on every rank."""
 
-    Every number the rank counted lives in :attr:`metrics` (names in
-    :mod:`repro.obs.metrics`); the count and seconds attributes read it.
-    """
-
-    rank: int
     codebook: np.ndarray
     epochs: int
-    #: the rank's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    metrics: dict
     #: per-epoch quantisation error (rank 0 only, when track_error is set)
     error_history: list[float] | None = None
-    #: epoch this attempt resumed at, plus the supervision counters filled
-    #: in by :func:`mrsom_supervised`
+    #: epoch this attempt resumed at
     resumed_from_epoch: int = 0
-    faults_injected: int = 0
-    retries: int = 0
-    #: *global* ranks lost while the run completed degraded
-    lost_ranks: tuple = ()
 
     units_processed = metric_field("mrsom.units", int)
     busy_seconds = metric_field("mrsom.busy_s")
@@ -192,14 +148,6 @@ class MrSomResult:
     smooth_seconds = metric_field("mrsom.smooth_s")
     #: master: checkpoint load or ``init_codebook``; workers: their wait for it
     init_seconds = metric_field("mrsom.init_s")
-    speculated_units = metric_field("sched.speculated_units", int)
-    wasted_units = metric_field("sched.wasted_units", int)
-    reassigned_units = metric_field("sched.reassigned_units", int)
-
-    @property
-    def degraded(self) -> bool:
-        """True when the run lost ranks and completed without them."""
-        return bool(self.lost_ranks)
 
 
 @dataclass
@@ -323,12 +271,7 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
                       final_radius=config.final_radius).radii(config.epochs)
     work = matrix.work_units(config.block_rows)
 
-    speculation = None
-    if config.speculation_factor is not None:
-        from repro.sched import SpeculationPolicy
-
-        speculation = SpeculationPolicy(factor=config.speculation_factor)
-
+    speculation = config.speculation_policy()
     mr = MapReduce(comm, mapstyle=config.mapstyle, metrics=metrics)
     acc = _BlockAccumulator(matrix, metrics)
     error_history: list[float] = []
@@ -402,60 +345,16 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
     )
 
 
-def mrsom_spmd(
-    nprocs: int, config: MrSomConfig, trace: TraceSession | None = None
-) -> list[MrSomResult]:
-    """Launch a full in-process MPI job running :func:`run_mrsom`.
-
-    Tracing: pass a :class:`~repro.obs.trace.TraceSession` to capture the
-    run, or set ``config.trace_path`` to have one created and exported as
-    Chrome trace JSON automatically.  Both may be combined.
-    """
-    config.validate()
-    with exported_trace(config.trace_path, nprocs, trace) as trace:
-        return run_spmd(nprocs, run_mrsom, config, trace=trace,
-                        backend=config.backend)
+def mrsom_spmd(nprocs: int, config: MrSomConfig,
+               trace: TraceSession | None = None) -> list[MrSomResult]:
+    """Launch a full MPI job running :func:`run_mrsom` (see
+    :func:`~repro.core.spine.launch`)."""
+    return launch(nprocs, run_mrsom, config, trace)
 
 
-def mrsom_supervised(
-    nprocs: int,
-    config: MrSomConfig,
-    *,
-    fault_plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    op_timeout: float | None = None,
-    trace: TraceSession | None = None,
-) -> SupervisedOutcome:
-    """Run mrsom under the supervisor: crash → detect → back off → resume.
-
-    Requires ``checkpoint_dir`` for relaunches to resume mid-training
-    (without it a relaunch simply retrains from epoch 0 — still correct,
-    just wasteful).  Attempt 1 honours ``config.resume``; every relaunch
-    forces ``resume=True`` when checkpoints are enabled.
-    """
-    config.validate()
-
-    def prepare(attempt: int) -> tuple[tuple, dict]:
-        if attempt == 1 or config.checkpoint_dir is None:
-            cfg = config
-        else:
-            cfg = dataclasses.replace(config, resume=True)
-        return (cfg,), {}
-
-    with exported_trace(config.trace_path, nprocs, trace) as trace:
-        outcome = run_supervised(
-            nprocs,
-            run_mrsom,
-            retry=retry,
-            fault_plan=fault_plan,
-            op_timeout=op_timeout,
-            prepare=prepare,
-            trace=trace,
-            backend=config.backend,
-        )
-    for result in outcome.results:
-        if result is None:  # a rank lost to a degraded-mode death
-            continue
-        result.faults_injected = outcome.faults_injected
-        result.retries = outcome.retries
-    return outcome
+def mrsom_supervised(nprocs: int, config: MrSomConfig, **supervision) -> SupervisedOutcome:
+    """:func:`mrsom_spmd` under the supervisor (``fault_plan``, ``retry``,
+    ``op_timeout``, ``trace``).  Relaunches resume mid-training only with
+    ``checkpoint_dir`` set; without it ``run_mrsom`` ignores ``resume`` and
+    a relaunch retrains from epoch 0 — correct, just wasteful."""
+    return launch(nprocs, run_mrsom, config, supervised=True, **supervision)

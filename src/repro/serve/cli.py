@@ -25,6 +25,7 @@ import time
 
 from repro.blast.options import BlastOptions
 from repro.bio.fasta import read_fasta
+from repro.mpi.runtime import resolve_backend
 from repro.serve.admission import AdmissionError
 from repro.serve.coalescer import advise_batch_size, load_machine_model
 from repro.serve.service import DeliveryLedger, QueryService
@@ -96,21 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the ``mrblast-serve`` console script."""
     args = build_parser().parse_args(argv)
-    factory = {
-        "blastn": BlastOptions.blastn,
-        "blastp": BlastOptions.blastp,
-        "blastx": BlastOptions.blastx,
-    }[args.program]
-    options = factory(evalue=args.evalue, max_hits=args.max_hits)
+    options = getattr(BlastOptions, args.program)(evalue=args.evalue, max_hits=args.max_hits)
 
     max_batch = args.max_batch
     advised = False
     if max_batch < 1:
         if os.path.isfile(args.machine_model):
-            model = load_machine_model(
-                args.machine_model,
-                backend=args.backend or os.environ.get("REPRO_MPI_BACKEND", "thread"),
-            )
+            model = load_machine_model(args.machine_model, backend=resolve_backend(args.backend))
             max_batch = advise_batch_size(model, args.np, args.per_query_seconds)
             advised = True
         else:
