@@ -10,7 +10,7 @@ binning).
 
 from repro.bio.alphabet import DNA, PROTEIN, Alphabet
 from repro.bio.seq import SeqRecord, reverse_complement, translate
-from repro.bio.fasta import FastaIndex, read_fasta, split_fasta, write_fasta
+from repro.bio.fasta import FastaIndex, read_fasta, write_fasta
 from repro.bio.shred import shred_record, shred_records
 from repro.bio.simulate import (
     mutate_dna,
@@ -31,7 +31,6 @@ __all__ = [
     "translate",
     "read_fasta",
     "write_fasta",
-    "split_fasta",
     "FastaIndex",
     "shred_record",
     "shred_records",

@@ -67,12 +67,6 @@ class Alphabet:
             raise ValueError(f"{self.name}: code {int(codes.max())} out of range")
         return self._decode_table[codes].tobytes().decode("ascii")
 
-    def is_valid(self, seq: str | bytes) -> bool:
-        raw = seq.encode("ascii") if isinstance(seq, str) else bytes(seq)
-        arr = np.frombuffer(raw, dtype=np.uint8)
-        return bool((self._encode_table[arr] != 255).all())
-
-
 #: DNA: 2-bit codes A=0 C=1 G=2 T=3.  Ambiguity codes collapse onto a
 #: canonical base (the common convention for packed storage of synthetic or
 #: pre-cleaned data): N/X->A, U->T, and IUPAC degenerate codes pick their

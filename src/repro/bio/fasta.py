@@ -1,8 +1,4 @@
-"""FASTA reading, writing, splitting and offset indexing.
-
-``split_fasta`` implements the paper's query-block preparation: "the query
-blocks are created before executing our MPI process by splitting the entire
-query set into multiple FASTA files of a specified target size each."
+"""FASTA reading, writing and offset indexing.
 
 ``FastaIndex`` implements the paper's announced *future work*: "an index of
 sequence offsets in the input FASTA file ... allow[s] selecting the size of
@@ -15,11 +11,11 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.bio.seq import SeqRecord
 
-__all__ = ["read_fasta", "write_fasta", "split_fasta", "FastaIndex"]
+__all__ = ["read_fasta", "write_fasta", "FastaIndex"]
 
 
 def _open_text(path, mode: str):
@@ -89,27 +85,6 @@ def write_fasta(
     return n
 
 
-def split_fasta(
-    records: Sequence[SeqRecord],
-    out_dir: str | os.PathLike,
-    seqs_per_block: int,
-    prefix: str = "block",
-) -> list[str]:
-    """Split a query set into FASTA block files of ``seqs_per_block`` each.
-
-    Returns the file paths in block order.  The last block may be short.
-    """
-    if seqs_per_block < 1:
-        raise ValueError(f"seqs_per_block must be >= 1, got {seqs_per_block}")
-    os.makedirs(out_dir, exist_ok=True)
-    paths: list[str] = []
-    for b in range(0, len(records), seqs_per_block):
-        path = os.path.join(os.fspath(out_dir), f"{prefix}.{len(paths):05d}.fasta")
-        write_fasta(records[b : b + seqs_per_block], path)
-        paths.append(path)
-    return paths
-
-
 @dataclass
 class _IndexEntry:
     id: str
@@ -152,13 +127,6 @@ class FastaIndex:
     @property
     def ids(self) -> list[str]:
         return [e.id for e in self._entries]
-
-    @property
-    def total_bases(self) -> int:
-        return sum(e.length for e in self._entries)
-
-    def entry_length(self, i: int) -> int:
-        return self._entries[i].length
 
     def load_range(self, start: int, stop: int) -> list[SeqRecord]:
         """Materialise records ``start <= i < stop`` via one seek + read."""

@@ -15,7 +15,7 @@ import numpy as np
 from repro.bio.alphabet import DNA
 from repro.bio.seq import SeqRecord
 
-__all__ = ["kmer_frequencies", "composition_matrix", "kmer_labels"]
+__all__ = ["kmer_frequencies", "composition_matrix"]
 
 
 def kmer_frequencies(seq: str, k: int = 4, normalize: bool = True) -> np.ndarray:
@@ -54,12 +54,3 @@ def composition_matrix(
     return np.vstack(rows)
 
 
-def kmer_labels(k: int = 4) -> list[str]:
-    """The k-mer string for each vector dimension, in index order."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    letters = "ACGT"
-    labels = [""]
-    for _ in range(k):
-        labels = [prefix + ch for prefix in labels for ch in letters]
-    return labels

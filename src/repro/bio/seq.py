@@ -29,14 +29,6 @@ class SeqRecord:
     def header(self) -> str:
         return f"{self.id} {self.description}".strip()
 
-    def slice(self, start: int, end: int, suffix: str | None = None) -> "SeqRecord":
-        """Sub-record covering ``[start, end)``; id records the coordinates."""
-        if not (0 <= start < end <= len(self.seq)):
-            raise ValueError(f"bad slice [{start}, {end}) of length-{len(self.seq)} sequence")
-        new_id = f"{self.id}:{start}-{end}" if suffix is None else f"{self.id}{suffix}"
-        return SeqRecord(new_id, self.seq[start:end], self.description)
-
-
 def reverse_complement(seq: str) -> str:
     """Watson-Crick reverse complement (preserves N)."""
     return seq.translate(_COMPLEMENT)[::-1]

@@ -134,11 +134,6 @@ class Community:
     genomes: list[SeqRecord]
     reads: list[SeqRecord] = field(default_factory=list)
 
-    @property
-    def total_bases(self) -> int:
-        return sum(len(g) for g in self.genomes)
-
-
 def synthetic_community(
     n_genomes: int = 8,
     genome_length: int = 20_000,

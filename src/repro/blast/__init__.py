@@ -27,7 +27,7 @@ from repro.blast.options import BlastOptions
 from repro.blast.hsp import HSP
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 from repro.blast.karlin import KarlinParams, karlin_params
-from repro.blast.statistics import bit_score, evalue, effective_lengths
+from repro.blast.statistics import bit_score, effective_lengths
 from repro.blast.formatdb import DatabaseWriter, format_database
 from repro.blast.dbreader import DatabaseAlias, DbPartition
 from repro.blast.engine import BlastnEngine, BlastpEngine, make_engine
@@ -44,7 +44,6 @@ __all__ = [
     "KarlinParams",
     "karlin_params",
     "bit_score",
-    "evalue",
     "effective_lengths",
     "format_database",
     "DatabaseWriter",

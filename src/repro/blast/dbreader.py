@@ -19,7 +19,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.bio.alphabet import DNA, PROTEIN
 from repro.blast.formatdb import unpack_2bit
 
 __all__ = ["DatabaseAlias", "DbPartition"]
@@ -111,11 +110,6 @@ class DbPartition:
             head = off - byte_start * 4
             return decoded[head : head + length]
         return np.asarray(data[off : off + length])
-
-    def sequence(self, i: int) -> str:
-        """Decoded sequence text of subject ``i``."""
-        alphabet = DNA if self.kind == "dna" else PROTEIN
-        return alphabet.decode(self.codes(i))
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         """Stream ``(subject_id, codes)`` pairs — the scan loop's input."""

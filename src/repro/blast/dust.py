@@ -19,7 +19,7 @@ the start of a sequence, so sequences of one length share their window
 grid, and the window at one offset is scored for all of them by a single
 ``bincount`` over (sequence, triplet) pairs.  A block of equal-length reads
 and their reverse strands costs one ``bincount`` per window offset instead
-of one per window per strand.  :func:`dust_mask` is the batch of one.
+of one per window per strand.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bio.alphabet import DNA
-
-__all__ = ["dust_mask", "dust_mask_batch", "dust_intervals"]
+__all__ = ["dust_mask_batch"]
 
 _DEFAULT_WINDOW = 64
 _DEFAULT_THRESHOLD = 20.0
@@ -52,13 +50,6 @@ def _scores(trips: np.ndarray) -> np.ndarray:
     counts = np.bincount(trips.ravel(), minlength=64 * rows).reshape(rows, 64)
     rep = (counts * (counts - 1)).sum(axis=1) / 2.0
     return 10.0 * rep / width
-
-
-def dust_score(codes: np.ndarray) -> float:
-    """DUST score of one window of encoded bases."""
-    if codes.size < 3:
-        return 0.0
-    return float(_scores(_triplets(codes[None, :]))[0])
 
 
 def dust_mask_batch(
@@ -90,20 +81,3 @@ def dust_mask_batch(
     return masks
 
 
-def dust_mask(
-    seq: str,
-    window: int = _DEFAULT_WINDOW,
-    threshold: float = _DEFAULT_THRESHOLD,
-    step: int = _DEFAULT_STEP,
-) -> np.ndarray:
-    """Boolean mask (True = masked) over the sequence positions."""
-    return dust_mask_batch([DNA.encode(seq)], window, threshold, step)[0]
-
-
-def dust_intervals(seq: str, window: int = _DEFAULT_WINDOW,
-                   threshold: float = _DEFAULT_THRESHOLD) -> list[tuple[int, int]]:
-    """Masked regions as half-open (start, end) intervals."""
-    mask = dust_mask(seq, window=window, threshold=threshold)
-    # +1 where a masked region opens, -1 one past where it closes.
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))

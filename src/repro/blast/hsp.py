@@ -79,10 +79,6 @@ class HSP:
     def q_span(self) -> int:
         return self.q_end - self.q_start
 
-    @property
-    def s_span(self) -> int:
-        return self.s_end - self.s_start
-
     def sort_key(self) -> tuple:
         """Canonical result order: best E-value first, then highest score.
 

@@ -144,10 +144,6 @@ class QueryBlock:
             self._concat_index = idx
         return idx
 
-    def context_of(self, concat_pos: int | np.ndarray):
-        """Context index (or array of indices) for concatenated positions."""
-        return np.searchsorted(self._starts, concat_pos, side="right") - 1
-
     def localize(self, concat_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised (context indices, context-local positions)."""
         ctx = np.searchsorted(self._starts, concat_pos, side="right") - 1
@@ -317,21 +313,6 @@ class _LookupBase:
     # subclasses return parallel (word, concat query position) arrays
     def _build_postings(self) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
-
-    @property
-    def n_words(self) -> int:
-        return int(self._words.size)
-
-    @property
-    def n_postings(self) -> int:
-        return int(self._positions.size)
-
-    def postings(self, word: int) -> np.ndarray:
-        """Query positions indexed under ``word`` (empty when absent)."""
-        i = int(np.searchsorted(self._words, word))
-        if i >= self._words.size or self._words[i] != word:
-            return np.empty(0, dtype=np.int64)
-        return self._positions[self._offsets[i] : self._offsets[i + 1]]
 
     def _subject_words(self, subject_codes: np.ndarray) -> np.ndarray:
         """Packed word of every subject window; -1 for unscannable windows."""

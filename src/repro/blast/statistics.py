@@ -22,10 +22,7 @@ from repro.blast.karlin import KarlinParams
 
 __all__ = [
     "bit_score",
-    "evalue",
-    "evalue_to_score",
     "effective_lengths",
-    "pvalue",
     "SearchSpace",
 ]
 
@@ -91,49 +88,13 @@ def effective_lengths(
     return m_eff, n_eff
 
 
-def evalue(
-    raw_score: int | float,
-    params: KarlinParams,
-    query_len: int,
-    db_len: int,
-    db_num_seqs: int,
-) -> float:
-    """Expected chance alignments with score ≥ raw_score in this search."""
-    m_eff, n_eff = effective_lengths(params, query_len, db_len, db_num_seqs)
-    # E = K m n e^{-lambda S}; compute in log space to avoid under/overflow.
-    log_e = math.log(params.K) + math.log(m_eff) + math.log(n_eff) - params.lam * raw_score
-    if log_e > 700.0:
-        return math.inf
-    return math.exp(log_e)
-
-
-def evalue_to_score(
-    target_evalue: float,
-    params: KarlinParams,
-    query_len: int,
-    db_len: int,
-    db_num_seqs: int,
-) -> int:
-    """Smallest raw score whose E-value is ≤ ``target_evalue`` (cutoff score)."""
-    if target_evalue <= 0:
-        raise ValueError(f"target E-value must be positive, got {target_evalue}")
-    m_eff, n_eff = effective_lengths(params, query_len, db_len, db_num_seqs)
-    s = (math.log(params.K) + math.log(m_eff) + math.log(n_eff) - math.log(target_evalue)) / (
-        params.lam
-    )
-    return max(int(math.ceil(s)), 1)
-
-
 class SearchSpace:
     """Engine-lifetime E-value calculator with cached length adjustments.
 
     λ/K/H are fixed when the engine is built, and the
     :func:`length_adjustment` bisection — the dominant per-HSP statistics
     cost — runs once per distinct ``(query_len, db_len, db_num_seqs)``
-    triple instead of once per HSP per block.  Every method reproduces the
-    corresponding module function bit for bit (same float operations in
-    the same order), so cached and uncached searches report identical
-    E-values.
+    triple instead of once per HSP per block.
     """
 
     def __init__(self, params: KarlinParams) -> None:
@@ -182,10 +143,3 @@ class SearchSpace:
         return max(int(math.ceil(s)), 1)
 
 
-def pvalue(e: float) -> float:
-    """P-value of observing at least one such alignment: 1 − e^{−E}."""
-    if e < 0:
-        raise ValueError(f"E-value must be non-negative, got {e}")
-    if e > 30:
-        return 1.0
-    return -math.expm1(-e)

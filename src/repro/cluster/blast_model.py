@@ -68,10 +68,6 @@ class BlastWorkloadModel:
     def total_queries(self) -> int:
         return self.n_blocks * self.queries_per_block
 
-    @property
-    def db_gb(self) -> float:
-        return self.n_partitions * self.partition_gb
-
     def compute_seconds(self, block: int, partition: int) -> float:
         """Compute time of one unit (same value for every scheduler/run)."""
         if not (0 <= block < self.n_blocks):

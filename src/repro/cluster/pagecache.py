@@ -26,14 +26,6 @@ class PartitionCache:
         self.hits = 0
         self.misses = 0
 
-    @property
-    def used_gb(self) -> float:
-        return self._used_gb
-
-    @property
-    def resident(self) -> list[int]:
-        return list(self._entries)
-
     def access(self, partition: int, size_gb: float) -> bool:
         """Touch a volume; returns True on hit.  Misses insert + evict LRU."""
         if size_gb < 0:

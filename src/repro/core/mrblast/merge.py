@@ -10,12 +10,12 @@ original query order, preserving each query's internal E-value order.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.blast.hsp import HSP
-from repro.blast.tabular import parse_tabular, write_tabular
+from repro.blast.tabular import parse_tabular
 
-__all__ = ["merge_rank_outputs", "collect_rank_hits"]
+__all__ = ["collect_rank_hits"]
 
 
 def collect_rank_hits(rank_files: Iterable[str]) -> dict[str, list[HSP]]:
@@ -40,30 +40,3 @@ def collect_rank_hits(rank_files: Iterable[str]) -> dict[str, list[HSP]]:
     return by_query
 
 
-def merge_rank_outputs(
-    rank_files: Sequence[str],
-    merged_path: str,
-    query_order: Sequence[str] | None = None,
-) -> int:
-    """Merge per-rank files into one; returns the number of hits written.
-
-    With ``query_order`` (the original query id sequence), output follows
-    input order; otherwise queries are sorted lexicographically.
-    """
-    by_query = collect_rank_hits(rank_files)
-    if query_order is None:
-        ordered = sorted(by_query)
-    else:
-        ordered = [q for q in query_order if q in by_query]
-        leftovers = set(by_query) - set(ordered)
-        if leftovers:
-            raise ValueError(f"hits for unknown queries: {sorted(leftovers)[:5]}")
-    total = 0
-    first = True
-    for qid in ordered:
-        write_tabular(by_query[qid], merged_path, append=not first)
-        total += len(by_query[qid])
-        first = False
-    if first:  # no hits at all: still create an empty file
-        open(merged_path, "w").close()
-    return total

@@ -12,7 +12,7 @@ The API follows mpi4py conventions:
 
 - lowercase methods (``send``/``recv``/``bcast``/``reduce`` ...) move generic
   Python objects;
-- capitalized methods (``Send``/``Recv``/``Reduce``/``Allreduce`` ...) move
+- capitalized methods (``Send``/``Recv``/``Bcast``/``Reduce``) move
   numpy buffers in place, which is what the SOM hot path uses.
 
 Launch an SPMD region with :func:`~repro.mpi.runtime.run_spmd`::

@@ -1,7 +1,7 @@
 """Communicator: point-to-point + collectives over a transport endpoint.
 
 Collectives use textbook algorithms (binomial-tree bcast/reduce,
-dissemination barrier, linear gather/scatter) implemented *on top of* the
+dissemination barrier, linear gather) implemented *on top of* the
 point-to-point layer, exactly as a real MPI library structures them.  All
 collective traffic runs with negative tags, which are reserved: user
 point-to-point tags must be ``>= 0``, so collectives and user traffic can
@@ -52,7 +52,6 @@ _TAG_BCAST = -2
 _TAG_REDUCE = -3
 _TAG_BARRIER = -4
 _TAG_GATHER = -5
-_TAG_SCATTER = -6
 _TAG_ALLTOALL = -7
 _TAG_SCAN = -8
 
@@ -130,7 +129,7 @@ def _payload_count(obj: Any) -> int:
 
 
 class Request:
-    """Handle for a non-blocking operation (mpi4py-style ``wait``/``test``)."""
+    """Handle for a non-blocking operation (mpi4py-style ``wait``)."""
 
     def __init__(
         self,
@@ -157,18 +156,6 @@ class Request:
         self._payload = msg.payload
         self._fill_status(status, msg)
         return self._payload
-
-    def test(self, status: Optional[Status] = None) -> tuple[bool, Any]:
-        """Poll for completion: ``(flag, payload-or-None)``."""
-        if self._done:
-            return True, self._payload
-        msg = self._comm._match(source=self._source, tag=self._tag, block=False)
-        if msg is None:
-            return False, None
-        self._done = True
-        self._payload = msg.payload
-        self._fill_status(status, msg)
-        return True, self._payload
 
     @staticmethod
     def _fill_status(status: Optional[Status], msg: Message) -> None:
@@ -292,30 +279,8 @@ class Comm:
         return Request(self, "send", payload=None)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; complete it with ``wait``/``test``."""
+        """Non-blocking receive; complete it with ``wait``."""
         return Request(self, "recv", source=source, tag=tag)
-
-    def sendrecv(
-        self,
-        sendobj: Any,
-        dest: int,
-        sendtag: int = 0,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> Any:
-        """Combined send+receive (deadlock-free thanks to eager sends)."""
-        self.send(sendobj, dest, sendtag)
-        return self.recv(source=source, tag=recvtag, status=status)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Block until a matching message is available; do not consume it."""
-        msg = self._network.probe_wait(self._global_rank, self._context, source, tag)
-        return Status(source=msg.src, tag=msg.tag, count=_payload_count(msg.payload))
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking probe."""
-        return self._network.probe(self._global_rank, self._context, source, tag) is not None
 
     # -------------------------------------------------- numpy buffer variants
 
@@ -426,10 +391,6 @@ class Comm:
                 raise MPIError("root must supply recvbuf to Reduce")
             recvbuf.reshape(-1)[:] = np.asarray(result).reshape(-1)
 
-    def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM) -> None:
-        result = self.allreduce(np.ascontiguousarray(sendbuf), op=op)
-        recvbuf.reshape(-1)[:] = np.asarray(result).reshape(-1)
-
     @_traced_collective("gather")
     def gather(self, sendobj: Any, root: int = 0) -> Optional[list]:
         """Gather one object per rank into a rank-ordered list on root."""
@@ -451,31 +412,17 @@ class Comm:
         """Gather to rank 0 then broadcast the full list."""
         return self.bcast(self.gather(sendobj, root=0), root=0)
 
-    @_traced_collective("scatter")
-    def scatter(self, sendobjs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
-        """Scatter a rank-ordered sequence from root; returns this rank's item."""
-        if self._rank == root:
-            if sendobjs is None or len(sendobjs) != self.size:
-                raise MPIError(
-                    f"scatter needs exactly {self.size} items on root, got "
-                    f"{None if sendobjs is None else len(sendobjs)}"
-                )
-            for peer in range(self.size):
-                if peer != root:
-                    self._post(sendobjs[peer], peer, _TAG_SCATTER)
-            return _wire(sendobjs[root])
-        return self._match(source=root, tag=_TAG_SCATTER).payload
-
     @_traced_collective("alltoall")
     def alltoall(self, sendobjs: Sequence[Any]) -> list:
         """Personalised all-to-all: item ``i`` of my list goes to rank ``i``.
 
         On an arena-backed transport the exchange runs the classic
         pairwise XOR-peer schedule: round ``r`` pairs each rank with
-        ``rank ^ r`` (sendrecv), so at most one outbound payload per rank
-        is in flight at a time and peak arena residency per round is one
-        slot, not ``P-1`` — that is what lets a ring sized well below the
-        full shuffle volume keep a 100% hit rate.  Both schedules make
+        ``rank ^ r`` (a paired send and receive), so at most one outbound
+        payload per rank is in flight at a time and peak arena residency
+        per round is one slot, not ``P-1`` — that is what lets a ring sized
+        well below the full shuffle volume keep a 100% hit rate.  Both
+        schedules make
         exactly ``size-1`` posts and ``size-1`` matches per rank, so
         FaultPlan op/send counters (and therefore seeded fault traces)
         are identical across backends.
@@ -514,18 +461,6 @@ class Comm:
         if self._rank < self.size - 1:
             self._post(value, self._rank + 1, _TAG_SCAN)
         return value
-
-    @_traced_collective("exscan")
-    def exscan(self, sendobj: Any, op: Op = SUM) -> Any:
-        """Exclusive prefix reduction; undefined (None) on rank 0."""
-        value = _isolate(sendobj)
-        prev = None
-        if self._rank > 0:
-            prev = self._match(source=self._rank - 1, tag=_TAG_SCAN).payload
-        if self._rank < self.size - 1:
-            nxt = value if prev is None else op(prev, value)
-            self._post(nxt, self._rank + 1, _TAG_SCAN)
-        return prev
 
     # ------------------------------------------------------------ communicator ops
 

@@ -86,6 +86,16 @@ class DelayMessage:
 
 FaultEvent = Union[CrashRank, StallRank, DropMessage, DuplicateMessage, DelayMessage]
 
+#: The integer keys of the seeded ``--faults`` form.
+_SEEDED_KEYS = ("seed", "crashes", "stalls", "drops", "dups", "delays")
+
+#: What each ``--faults`` key takes, as a parse error names it.
+_TOKEN_FORMS = {
+    **dict.fromkeys(_SEEDED_KEYS, "an integer"),
+    **dict.fromkeys(("crash", "drop", "dup"), "RANK@N"),
+    **dict.fromkeys(("stall", "delay"), "RANK@N:SECONDS"),
+}
+
 
 class FaultPlan:
     """A deterministic, thread-safe schedule of fault events.
@@ -182,34 +192,38 @@ class FaultPlan:
         events: list[FaultEvent] = []
         seeded: dict[str, int] = {}
 
-        def rank_at(arg: str) -> tuple[int, int]:
-            rank_s, at_s = arg.split("@", 1)
-            return int(rank_s), int(at_s)
-
         for tok in tokens:
             if "=" not in tok:
                 raise ValueError(f"bad fault token {tok!r} (expected key=value)")
             key, _, arg = tok.partition("=")
             key = key.strip()
-            if key in ("seed", "crashes", "stalls", "drops", "dups", "delays"):
-                seeded[key] = int(arg)
-            elif key == "crash":
-                events.append(CrashRank(*rank_at(arg)))
-            elif key == "drop":
-                events.append(DropMessage(*rank_at(arg)))
-            elif key == "dup":
-                events.append(DuplicateMessage(*rank_at(arg)))
-            elif key in ("stall", "delay"):
-                head, _, secs = arg.partition(":")
-                if not secs:
-                    raise ValueError(f"{key} needs RANK@N:SECONDS, got {tok!r}")
-                rank, at = rank_at(head)
-                if key == "stall":
-                    events.append(StallRank(rank, at, float(secs)))
-                else:
-                    events.append(DelayMessage(rank, at, float(secs)))
-            else:
+            form = _TOKEN_FORMS.get(key)
+            if form is None:
                 raise ValueError(f"unknown fault token {tok!r}")
+            timed = form.endswith(":SECONDS")
+            try:
+                if key in _SEEDED_KEYS:
+                    seeded[key] = int(arg)
+                    continue
+                rank_s, _, rest = arg.partition("@")
+                at_s, colon, secs = rest.partition(":")
+                rank, at = int(rank_s), int(at_s)
+                seconds = float(secs) if timed else 0.0
+                well_formed = bool(colon) == timed
+            except ValueError:
+                well_formed = False
+            if not well_formed:
+                raise ValueError(f"{key} needs {form}, got {tok!r}")
+            if key == "crash":
+                events.append(CrashRank(rank, at))
+            elif key == "drop":
+                events.append(DropMessage(rank, at))
+            elif key == "dup":
+                events.append(DuplicateMessage(rank, at))
+            elif key == "stall":
+                events.append(StallRank(rank, at, seconds))
+            else:
+                events.append(DelayMessage(rank, at, seconds))
         if events and seeded:
             raise ValueError("fault spec mixes explicit events with seed= form")
         if seeded:

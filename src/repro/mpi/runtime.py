@@ -317,10 +317,6 @@ class SupervisedOutcome:
     fault_trace: tuple = ()
 
     @property
-    def succeeded(self) -> bool:
-        return self.results is not None
-
-    @property
     def retries(self) -> int:
         return max(len(self.attempts) - 1, 0)
 

@@ -97,9 +97,6 @@ class Mailbox:
         self._cond = threading.Condition()
         self._items: list[Message] = []
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, msg: Message) -> None:
         """Append ``msg`` and wake waiters."""
         with self._cond:
@@ -113,12 +110,7 @@ class Mailbox:
 
     def take(self, context: int, source: int, tag: int, deadline: float,
              check_abort: Callable[[], None]) -> Optional[Message]:
-        """Remove and return the first deliverable match (see :meth:`probe`)."""
-        return self._scan(context, source, tag, deadline, check_abort, True)
-
-    def probe(self, context: int, source: int, tag: int, deadline: float,
-              check_abort: Callable[[], None]) -> Optional[Message]:
-        """Return the first deliverable match, left in place.
+        """Remove and return the first deliverable match.
 
         Waits until one arrives or the monotonic ``deadline`` passes (then
         returns ``None``; a deadline already past scans once).  Messages
@@ -126,9 +118,6 @@ class Mailbox:
         ``check_abort`` runs before every scan, so an abort raises in a
         blocked waiter.
         """
-        return self._scan(context, source, tag, deadline, check_abort, False)
-
-    def _scan(self, context, source, tag, deadline, check_abort, remove):
         with self._cond:
             while True:
                 check_abort()
@@ -137,8 +126,7 @@ class Mailbox:
                 for i, msg in enumerate(self._items):
                     if matches(msg, context, source, tag):
                         if msg.not_before <= now:
-                            if remove:
-                                del self._items[i]
+                            del self._items[i]
                             return msg
                         wake_at = min(wake_at, msg.not_before)
                 if now >= deadline:
@@ -254,10 +242,6 @@ class TransportEndpoint(RankTelemetry):
         for box in self._mailboxes:
             if box is not None:
                 box.wake()
-
-    @property
-    def aborted(self) -> Optional[BaseException]:
-        return self._aborted
 
     def _check_abort(self) -> None:
         if self._aborted is not None:
@@ -384,29 +368,6 @@ class TransportEndpoint(RankTelemetry):
                         context=msg.context)
         return msg
 
-    def probe_wait(self, dst: int, context: int, source: int, tag: int) -> Message:
-        """Blocking probe: wait for a match and return it, left in place.
-
-        An MPI call like :meth:`match`: it passes the fault gate and raises
-        :class:`~repro.mpi.exceptions.DeadlockError` after ``op_timeout``.
-        """
-        self._pre_op(dst)
-        msg = self._mailboxes[dst].probe(
-            context, source, tag, time.monotonic() + self.op_timeout, self._check_abort)
-        if msg is None:
-            raise DeadlockError(
-                f"rank {dst} probe timed out after {self.op_timeout:.0f}s waiting "
-                f"for (source={source}, tag={tag}, context={context})"
-            )
-        return msg
-
-    def probe(self, dst: int, context: int, source: int, tag: int) -> Optional[Message]:
-        """Non-destructively return the first deliverable match, or ``None``.
-
-        One scan, no wait and no fault gate (``iprobe``).
-        """
-        return self._mailboxes[dst].probe(context, source, tag, 0.0, self._check_abort)
-
     # ---------------------------------------------------------------- contexts
 
     def allocate_context(self, key: tuple) -> int:
@@ -421,10 +382,3 @@ class TransportEndpoint(RankTelemetry):
         digest = hashlib.blake2b(
             pickle.dumps(key, protocol=4), digest_size=8).digest()
         return int.from_bytes(digest, "big") >> 1 or 1
-
-    # ------------------------------------------------------------------ stats
-
-    def pending_count(self, dst: int | None = None) -> int:
-        """Undelivered messages in the mailboxes this endpoint holds."""
-        boxes = self._mailboxes if dst is None else [self._mailboxes[dst]]
-        return sum(len(box) for box in boxes if box is not None)

@@ -9,9 +9,9 @@ calls, spilling to page files when a per-processor memory budget is exceeded
 This port keeps the original object model and call sequence:
 
 - :class:`~repro.mrmpi.mapreduce.MapReduce` — the per-rank MapReduce object;
-  collective methods: ``map`` (mapstyles: chunk, strided, master/worker),
-  ``aggregate``, ``convert``, ``collate``, ``reduce``, ``gather``,
-  ``sort_keys``, ``scan_kv``/``scan_kmv``.
+  collective methods: ``map_items`` (mapstyles: chunk, strided,
+  master/worker), ``aggregate``, ``convert``, ``collate``, ``reduce``,
+  ``gather``, ``compress``, ``sort_kmv_keys``.
 - :class:`~repro.mrmpi.columnar.ColumnarKeyValue` — a pageable store of
   (key, value) pairs; mappers and reducers emit into it with ``add`` or
   ``add_batch``.
@@ -22,8 +22,9 @@ This port keeps the original object model and call sequence:
   canonical key and any picklable value.
 
 The paper's two applications use exactly this surface: BLAST uses
-``map`` (master/worker) → ``collate`` → ``reduce``; the SOM uses ``map`` plus
-direct MPI calls (``Bcast``/``Reduce``) and no reduce stage.
+``map_items`` (master/worker) → ``collate`` → ``reduce``; the SOM uses
+``map_items`` plus direct MPI calls (``Bcast``/``Reduce``) and no reduce
+stage.
 """
 
 from repro.mrmpi.columnar import (
@@ -33,7 +34,7 @@ from repro.mrmpi.columnar import (
     sort_kmv_columnar,
 )
 from repro.mrmpi.mapreduce import KEEP_SCHEMA, MapReduce, MapStyle
-from repro.mrmpi.hashing import hash_key_column, stable_hash
+from repro.mrmpi.hashing import hash_key_column
 from repro.mrmpi.schema import RAGGED_BYTES, UNTYPED, RecordSchema
 
 __all__ = [
@@ -47,6 +48,5 @@ __all__ = [
     "KEEP_SCHEMA",
     "convert_columnar",
     "sort_kmv_columnar",
-    "stable_hash",
     "hash_key_column",
 ]

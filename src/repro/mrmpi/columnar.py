@@ -318,10 +318,6 @@ class ColumnarKeyValue:
         if len(pending) >= _PENDING_SEAL or self._pending_bytes >= self.pagesize:
             self._seal_pending()
 
-    def add_multi(self, pairs) -> None:
-        for k, v in pairs:
-            self.add(k, v)
-
     def add_batch(self, keys, values) -> int:
         """Emit a whole batch of pairs as columns; returns the batch size.
 
@@ -747,7 +743,6 @@ class ColumnarKeyMultiValue:
         self._live_bytes = 0
         self._spool: PageSpool | None = None
         self._nkmv = 0
-        self._nvalues = 0
 
     # ------------------------------------------------------------------ write
 
@@ -760,7 +755,6 @@ class ColumnarKeyMultiValue:
         self._batches.append((keys, offsets, vcol))
         self._live_bytes += int(keys.nbytes + offsets.nbytes) + _v_nbytes(vcol)
         self._nkmv += len(keys)
-        self._nvalues += int(offsets[-1])
         if self._live_bytes >= self.pagesize:
             self._spill()
 
@@ -791,10 +785,6 @@ class ColumnarKeyMultiValue:
 
     def __len__(self) -> int:
         return self._nkmv
-
-    @property
-    def nvalues(self) -> int:
-        return self._nvalues
 
     @property
     def nbytes(self) -> int:
@@ -833,7 +823,6 @@ class ColumnarKeyMultiValue:
         self._batches = []
         self._live_bytes = 0
         self._nkmv = 0
-        self._nvalues = 0
         if self._spool is not None:
             self._spool.close()
             self._spool = None
@@ -848,7 +837,7 @@ class ColumnarKeyMultiValue:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ColumnarKeyMultiValue(nkmv={self._nkmv}, nvalues={self._nvalues})"
+        return f"ColumnarKeyMultiValue(nkmv={self._nkmv})"
 
 
 def _concat_offsets(offs: Sequence[np.ndarray]) -> np.ndarray:

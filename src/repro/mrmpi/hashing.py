@@ -17,11 +17,10 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["stable_hash", "key_bytes", "canonical_key", "key_from_bytes", "hash_key_column"]
+__all__ = ["key_bytes", "canonical_key", "key_from_bytes", "hash_key_column"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Ends every stored canonical key: numpy strips trailing NULs from 'S'
 #: items, and an encoding may end in one (``b"a\x00"``, ``0.0``).
@@ -106,23 +105,15 @@ def _tuple_items(body: bytes, pos: int, count: int):
         raise ValueError("bytes left after the last item")
 
 
-def stable_hash(key: Any) -> int:
-    """64-bit FNV-1a of the canonical key encoding (always non-negative)."""
-    h = _FNV_OFFSET
-    for byte in key_bytes(key):
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK
-    return h
-
-
 def _fnv1a_matrix(mat: np.ndarray, lengths: np.ndarray, prefix: bytes) -> np.ndarray:
     """FNV-1a over each row of a (n, width) uint8 matrix, rows of varying
     ``lengths``, every hash seeded with the scalar ``prefix`` bytes.
 
     Column ``j`` only updates rows with ``lengths > j``, so the result equals
-    hashing ``prefix + row[:length]`` per row — the exact byte stream
-    :func:`key_bytes` feeds :func:`stable_hash` — at one vectorised sweep per
-    byte *position* instead of one Python loop iteration per byte.  Positions
+    hashing ``prefix + row[:length]`` per row — for a key, the 64-bit
+    FNV-1a of the byte stream :func:`key_bytes` makes of it — at one
+    vectorised sweep per byte *position* instead of one Python loop
+    iteration per byte.  Positions
     every row reaches (all, when every key fills its column) need no mask.
     """
     prime = np.uint64(_FNV_PRIME)
@@ -159,12 +150,12 @@ def _byte_matrix(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hash_key_column(column: np.ndarray, kind: str) -> np.ndarray:
-    """Vectorised :func:`stable_hash` over a whole key column.
+    """64-bit FNV-1a of each key's :func:`key_bytes`, over a whole key column.
 
     ``kind`` is the *logical* key type of the schema ('bytes', 'str', 'int',
     'float', or 'canonical' for a column of :func:`canonical_key` entries);
-    the result is element-wise identical to ``stable_hash(decoded_key)``,
-    so a key lands on the same rank whichever schema carries it.
+    the result is element-wise the hash of the decoded key's encoding, so a
+    key lands on the same rank whichever schema carries it.
     """
     column = np.ascontiguousarray(column)
     if kind == "canonical":

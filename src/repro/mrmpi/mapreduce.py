@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.mpi.comm import Comm
 from repro.mpi.exceptions import DegradedRankLoss, MPIError, RankFailure
-from repro.mpi.ops import ANY_SOURCE, LAND, MAX, SUM
+from repro.mpi.ops import ANY_SOURCE, LAND, SUM
 from repro.mrmpi.columnar import (
     ColumnarKeyMultiValue,
     ColumnarKeyValue,
@@ -41,7 +41,6 @@ from repro.mrmpi.columnar import (
     _v_to_arrays,
     _v_nbytes,
     convert_columnar,
-    iter_sorted_batches,
     sort_kmv_columnar,
     sorted_partitions,
 )
@@ -71,7 +70,7 @@ _ROUND_BYTES = 4 << 20
 #: ``convert`` merges, and holds twice, at a time.
 _BUCKET_BYTES = 1 << 20
 
-#: Sentinel for reduce()/map_kv() meaning "output uses the current schema".
+#: Sentinel for reduce() meaning "output uses the current schema".
 KEEP_SCHEMA = object()
 
 
@@ -188,7 +187,7 @@ class MapReduce:
 
     def _fresh_kv(self, schema: Any = KEEP_SCHEMA) -> ColumnarKeyValue:
         """An empty KV store: the current schema, ``None`` for untyped, or
-        the :class:`RecordSchema` given (reduce()/map_kv() ``out_schema``)."""
+        the :class:`RecordSchema` given (reduce()'s ``out_schema``)."""
         if schema is KEEP_SCHEMA:
             schema = self.schema
         return ColumnarKeyValue(UNTYPED if schema is None else schema,
@@ -234,34 +233,12 @@ class MapReduce:
 
     # -------------------------------------------------------------------- map
 
-    def map(
-        self,
-        nmap: int,
-        mapper: Callable[[int, ColumnarKeyValue], None],
-        mapstyle: MapStyle | None = None,
-        count: bool = False,
-        speculation: SpeculationPolicy | None = None,
-        degraded: bool = False,
-    ) -> int:
-        """Run ``mapper(itask, kv)`` for each task id in ``[0, nmap)``.
-
-        Returns the local number of KV pairs after the map, or the global
-        number with ``count=True`` (a collective allreduce — opt-in, since
-        most callers ignore the return value).  Every map starts a fresh
-        KV dataset.
-        """
-        return self.map_items(
-            range(nmap), lambda i, item, kv: mapper(i, kv), mapstyle,
-            count=count, speculation=speculation, degraded=degraded,
-        )
-
     def map_items(
         self,
         items: Sequence[Any],
         mapper: Callable[[int, Any, ColumnarKeyValue], None],
         mapstyle: MapStyle | None = None,
         locality_key: Callable[[Any], Any] | None = None,
-        count: bool = False,
         speculation: SpeculationPolicy | None = None,
         degraded: bool = False,
     ) -> int:
@@ -269,8 +246,7 @@ class MapReduce:
 
         ``items`` must be identical on every rank (SPMD); only task *indices*
         travel over the wire, matching how the original library hands out
-        file/task ids rather than payloads.  Returns the local pair count
-        (global with ``count=True``, which adds a collective allreduce).
+        file/task ids rather than payloads.  Returns the local pair count.
 
         Master/worker mode hands out shrinking chunks of items (see
         :class:`~repro.sched.Dispatcher`).  With ``locality_key`` it is
@@ -318,8 +294,6 @@ class MapReduce:
 
         self._phase_end("map", t0)
         self._bump("map", len(kv), kv.nbytes)
-        if count:
-            return self.kv_stats()[0]
         return len(kv)
 
     def _map_items_sched(
@@ -411,7 +385,9 @@ class MapReduce:
             waits = ([_SWEEP_INTERVAL] if degraded else []) + (
                 [max(due - now, 0.001)] if due is not None else [])
             wait = min(waits, default=None)
-            patience = disp.longest_chunk() * self.comm.network.op_timeout
+            # One op_timeout per unit of the longest running chunk; with every
+            # worker parked, one for the requests still in flight.
+            patience = max(disp.longest_chunk(), 1) * self.comm.network.op_timeout
             msg = self.comm._match(source=ANY_SOURCE, tag=_TAG_REQUEST,
                                    block=wait is None, timeout=wait or patience)
             if msg is not None:
@@ -444,8 +420,12 @@ class MapReduce:
         the watchdog).  In degraded mode a rank failure marks this rank dead
         on the transport and becomes :class:`DegradedRankLoss`.
         """
-        begin, commit, discard = (getattr(mapper, f"{hook}_unit", lambda unit: None)
-                                  for hook in ("begin", "commit", "discard"))
+        def skip(unit: int) -> None:
+            pass
+
+        begin = getattr(mapper, "begin_unit", skip)
+        commit = getattr(mapper, "commit_unit", skip)
+        discard = getattr(mapper, "discard_unit", skip)
         chunk = Dispatcher(keys, range(1, self.size)).first[self.rank]
         stage = kv
         try:
@@ -486,47 +466,14 @@ class MapReduce:
         hi = (self.rank + 1) * nmap // self.size
         return range(lo, hi)
 
-    def map_kv(
-        self,
-        mapper: Callable[[Any, Any, ColumnarKeyValue], None],
-        count: bool = False,
-        out_schema: Any = KEEP_SCHEMA,
-    ) -> int:
-        """Map over the *existing* KV pairs, producing a new KV dataset.
-
-        The original library's ``map(mr, ...)`` variant: every local pair is
-        passed to ``mapper(key, value, kv_out)``; no communication happens
-        (pairs are transformed where they live).  Returns the local count
-        (global with ``count=True``).  ``out_schema`` is the output's
-        layout: the current schema by default, ``None`` for untyped, or a
-        different :class:`RecordSchema`.
-        """
-        t0 = self._phase_begin("map")
-        kv = self._require_kv()
-        new_kv = self._fresh_kv(out_schema)
-        try:
-            for key, value in kv:
-                mapper(key, value, new_kv)
-        except BaseException:
-            # The job is unwinding (abort, crash, mapper bug): the orphaned
-            # intermediate must not leak its spill file.  Exceptions keep
-            # this frame alive via their traceback, so GC won't save us.
-            new_kv.close()
-            raise
-        kv.close()
-        self.kv = new_kv
-        self._phase_end("map", t0)
-        if count:
-            return self.kv_stats()[0]
-        return len(new_kv)
-
     # -------------------------------------------------------- shuffle & group
 
     def aggregate(self, exchange_bytes: int | None = None) -> int:
         """Redistribute KV pairs so all copies of a key land on one rank.
 
-        The destination rank of a key is ``stable_hash(key) % nprocs``
-        (FNV-1a of its canonical encoding, whatever the schema).  The
+        The destination rank of a key is its 64-bit FNV-1a hash modulo
+        ``nprocs`` (:func:`~repro.mrmpi.hashing.hash_key_column` of its
+        canonical encoding, whatever the schema).  The
         exchange runs in *rounds* of personalised
         all-to-alls, each staging at most ``exchange_bytes`` of outgoing
         pairs per rank (default: ``memsize`` or a few MiB, whichever is
@@ -697,7 +644,6 @@ class MapReduce:
     def reduce(
         self,
         reducer: Callable[[Any, Sequence, ColumnarKeyValue], None],
-        count: bool = False,
         out_schema: Any = KEEP_SCHEMA,
     ) -> int:
         """Call ``reducer(key, values, kv_out)`` once per local KMV pair.
@@ -707,10 +653,10 @@ class MapReduce:
         rows (``len`` is O(1), rows are decoded when indexed or iterated,
         and it stays valid if the reducer keeps it).
 
-        Returns the local number of KV pairs emitted (global with
-        ``count=True``).  ``out_schema`` is the output's layout, exactly as
-        for :meth:`map_kv`: a reducer that emits ``(key, count)`` summaries
-        from typed rows passes ``out_schema=None``.
+        Returns the local number of KV pairs emitted.  ``out_schema`` is
+        the output's layout: the current schema by default, ``None`` for
+        untyped, or a different :class:`RecordSchema` (a reducer that emits
+        ``(key, count)`` summaries from typed rows passes ``None``).
         """
         t0 = self._phase_begin("reduce")
         kmv = self._require_kmv()
@@ -726,8 +672,6 @@ class MapReduce:
         self.kv = new_kv
         self._phase_end("reduce", t0)
         self._bump("reduce", len(new_kv), 0)
-        if count:
-            return self.kv_stats()[0]
         return len(new_kv)
 
     # ----------------------------------------------------------- repartitioning
@@ -792,38 +736,6 @@ class MapReduce:
 
     # ----------------------------------------------------------------- sorting
 
-    def sort_keys(self) -> None:
-        """Sort local KV pairs by key column order (stable, spool-aware:
-        :func:`~repro.mrmpi.columnar.iter_sorted_batches`)."""
-        kv = self._require_kv()
-        new_kv = self._fresh_kv(kv.schema)
-        try:
-            for karr, vcol in iter_sorted_batches(kv):
-                new_kv.add_wire((karr,) + _v_to_arrays(vcol), sorted_run=True)
-        except BaseException:
-            new_kv.close()
-            raise
-        kv.close()
-        self.kv = new_kv
-
-    def sort_multivalues(self, key: Callable[[Any], Any] | None = None) -> None:
-        """Sort the value list inside every local KMV pair.
-
-        Streams group by group (spool-aware); memory is bounded by the
-        largest single group, as in the original library.
-        """
-        kmv = self._require_kmv()
-        new_kmv = ColumnarKeyMultiValue(kmv.schema, pagesize=kmv.pagesize,
-                                        spool_dir=kmv._spool_dir)
-        try:
-            for k, vs in kmv:
-                new_kmv.add(k, sorted(vs, key=key))
-        except BaseException:
-            new_kmv.close()
-            raise
-        kmv.close()
-        self.kmv = new_kmv
-
     def sort_kmv_keys(self, key: Callable[[Any], Any] | None = None) -> None:
         """Sort the local KMV pairs by ``key(key)`` (stable, spool-aware).
 
@@ -839,34 +751,6 @@ class MapReduce:
         self.kmv = new_kmv
 
     # -------------------------------------------------------------- inspection
-
-    def scan_kv(self, fn: Callable[[Any, Any], None]) -> None:
-        """Apply ``fn(key, value)`` to every local KV pair (read-only)."""
-        for key, value in self._require_kv():
-            fn(key, value)
-
-    def scan_kmv(self, fn: Callable[[Any, Sequence], None]) -> None:
-        """Apply ``fn(key, values)`` to every local KMV pair (read-only);
-        ``values`` is the sequence :meth:`reduce` hands out."""
-        for key, values in self._require_kmv():
-            fn(key, values)
-
-    def kv_stats(self) -> tuple[int, int]:
-        """Collective: (global KV pair count, max per-rank count)."""
-        local = 0 if self.kv is None else len(self.kv)
-        return (
-            int(self.comm.allreduce(local, op=SUM)),
-            int(self.comm.allreduce(local, op=MAX)),
-        )
-
-    def kmv_stats(self) -> tuple[int, int]:
-        """Collective: (global KMV pair count, global value count)."""
-        nk = 0 if self.kmv is None else len(self.kmv)
-        nv = 0 if self.kmv is None else self.kmv.nvalues
-        return (
-            int(self.comm.allreduce(nk, op=SUM)),
-            int(self.comm.allreduce(nv, op=SUM)),
-        )
 
     def shuffle_stats(self) -> dict[str, dict[str, int]]:
         """Collective: per-phase ``{"pairs_moved", "bytes_moved"}`` read off

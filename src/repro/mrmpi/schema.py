@@ -5,9 +5,9 @@ out as numpy columns:
 
 - **keys** are one 'S' (bytes/str), int64 or float64 column.  The *logical*
   kind ('bytes'/'str'/'int'/'float'/'canonical') is tracked separately from
-  the storage dtype so hashing reproduces
-  :func:`~repro.mrmpi.hashing.stable_hash` of the decoded key: every
-  schema places a key on the same rank.
+  the storage dtype so :func:`~repro.mrmpi.hashing.hash_key_column` hashes
+  the decoded key's canonical encoding: every schema places a key on the
+  same rank.
 - **values** are either one structured (fixed-width) column — mrblast's HSP
   rows, mrsom's accumulator rows — or a ragged bytes column (one uint8
   buffer plus int64 offsets) when payloads have no fixed width.
@@ -159,10 +159,6 @@ class RecordSchema:
         if self.key_kind == "canonical":
             return [key_from_bytes(k[:-1]) for k in raw]
         return raw
-
-    def decode_key(self, raw: Any) -> Any:
-        """One stored key back to its logical Python value."""
-        return self.decode_keys(np.asarray(raw).reshape(1))[0]
 
     # ---------------------------------------------------------------- values
 

@@ -44,7 +44,6 @@ class PageSpool:
         #: page -> (file offset of the rows, dtype, shape) per array
         self._layout: list[list[tuple[int, np.dtype, tuple]]] = []
         self._end = 0
-        self._nrecords = 0
         self._closed = False
 
     @property
@@ -54,10 +53,6 @@ class PageSpool:
     @property
     def npages(self) -> int:
         return len(self._layout)
-
-    @property
-    def nrecords(self) -> int:
-        return self._nrecords
 
     @property
     def nbytes(self) -> int:
@@ -88,7 +83,6 @@ class PageSpool:
             layout.append((self._file.tell(), arr.dtype, arr.shape))
             self._file.write(arr.reshape(-1).view(np.uint8))
         self._end = self._file.tell()
-        self._nrecords += nrecords
         nbytes = self._end - start
         trc = current_tracer()
         if trc.enabled:

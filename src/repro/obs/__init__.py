@@ -11,9 +11,8 @@ package) that every other layer instruments itself with:
   histograms: the one record of every number a rank reports, which result
   structs read back as views;
 - exporters — Chrome ``trace_event`` JSON (open in ``chrome://tracing`` or
-  Perfetto), a per-rank/per-phase text summary, and a critical-path /
-  straggler report that recomputes the paper's Fig. 5 utilisation numbers
-  from the trace alone.
+  Perfetto) and a critical-path / straggler report that recomputes the
+  paper's Fig. 5 utilisation numbers from the trace alone.
 
 Tracing is zero-cost when disabled (the shared :data:`NULL_TRACER` answers
 ``enabled = False`` and every hot path is gated on that flag) and
@@ -31,8 +30,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
-    SimClock,
-    TickClock,
     Tracer,
     TraceSession,
     current_tracer,
@@ -41,14 +38,12 @@ from repro.obs.trace import (
 from repro.obs.export import (
     assert_valid_chrome_trace,
     chrome_trace,
-    text_summary,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.report import (
     critical_path_report,
     phase_durations,
-    shuffle_traffic,
     stage_breakdown,
     utilization_report,
 )
@@ -58,8 +53,6 @@ __all__ = [
     "TraceSession",
     "NullTracer",
     "NULL_TRACER",
-    "TickClock",
-    "SimClock",
     "current_tracer",
     "set_current_tracer",
     "Counter",
@@ -71,10 +64,8 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "assert_valid_chrome_trace",
-    "text_summary",
     "critical_path_report",
     "phase_durations",
-    "shuffle_traffic",
     "stage_breakdown",
     "utilization_report",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and a text summary.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 :func:`chrome_trace` converts a :class:`~repro.obs.trace.TraceSession`
 into the Chrome JSON Object Format (``{"traceEvents": [...]}``) that
@@ -23,7 +23,6 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "assert_valid_chrome_trace",
-    "text_summary",
 ]
 
 _ALLOWED_PHASES = {"B", "E", "i", "M"}
@@ -165,36 +164,3 @@ def assert_valid_chrome_trace(doc):
     if problems:
         raise ValueError(
             "invalid Chrome trace document:\n  " + "\n  ".join(problems))
-
-
-def text_summary(session):
-    """Per-rank, per-span-name text table: count and total seconds."""
-    lines = []
-    supervisor = getattr(session, "supervisor", None)
-    for trc in session.tracers:
-        if trc is supervisor and not trc.events:
-            continue
-        totals = {}
-        counts = {}
-        stack = []
-        instants = {}
-        for ph, ts, sid, name, cat, attrs in trc.iter_events():
-            if ph == "B":
-                stack.append((name, ts))
-            elif ph == "E" and stack:
-                bname, bts = stack.pop()
-                totals[bname] = totals.get(bname, 0.0) + (ts - bts)
-                counts[bname] = counts.get(bname, 0) + 1
-            elif ph == "i":
-                instants[name] = instants.get(name, 0) + 1
-        label = "supervisor" if trc is supervisor else f"rank {trc.rank}"
-        lines.append(f"{label}:")
-        for name in sorted(totals):
-            lines.append(
-                f"  span {name:<24} n={counts[name]:<6} "
-                f"total={totals[name]:.6f}s")
-        for name in sorted(instants):
-            lines.append(f"  inst {name:<24} n={instants[name]}")
-        if trc.dropped_events:
-            lines.append(f"  (dropped {trc.dropped_events} events)")
-    return "\n".join(lines) + "\n"

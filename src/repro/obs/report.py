@@ -1,4 +1,4 @@
-"""Trace analysis: phase durations, shuffle traffic, Fig. 5 utilisation.
+"""Trace analysis: phase durations, BLAST stage seconds, Fig. 5 utilisation.
 
 Every function here recomputes, *from the trace alone*, numbers each rank
 also writes into its :class:`~repro.obs.metrics.MetricsRegistry` (and its
@@ -14,7 +14,6 @@ counter's accumulation.
 
 __all__ = [
     "phase_durations",
-    "shuffle_traffic",
     "stage_breakdown",
     "utilization_report",
     "critical_path_report",
@@ -56,30 +55,6 @@ def phase_durations(session, prefix="mr."):
             totals[phase] = totals.get(phase, 0.0) + eattrs["seconds"]
         out[trc.rank] = totals
     return out
-
-
-def shuffle_traffic(session):
-    """Pairs/bytes moved per rank and phase, from ``mr.traffic`` instants.
-
-    Returns ``{"per_rank": {rank: {phase: {"pairs": n, "bytes": n}}},
-    "totals": {phase: {"pairs": n, "bytes": n}}}`` — integers, so the
-    cross-check against the ``mr.<phase>_pairs`` / ``_bytes`` counters is
-    exact by construction.
-    """
-    per_rank = {}
-    totals = {}
-    for trc in session.tracers:
-        mine = {}
-        for ph, _ts, _sid, name, _cat, attrs in trc.iter_events():
-            if ph != "i" or name != "mr.traffic" or not attrs:
-                continue
-            phase = attrs["phase"]
-            for scope in (mine, totals):
-                ent = scope.setdefault(phase, {"pairs": 0, "bytes": 0})
-                ent["pairs"] += attrs["pairs"]
-                ent["bytes"] += attrs["bytes"]
-        per_rank[trc.rank] = mine
-    return {"per_rank": per_rank, "totals": totals}
 
 
 def stage_breakdown(session):

@@ -11,10 +11,10 @@ Chrome ``trace_event`` phases they export to:
   (:meth:`Tracer.instant`).
 
 Timestamps come from a pluggable zero-argument *clock* — wall clock
-(``time.perf_counter``) by default, but any callable works, including a
-:class:`SimClock` wrapping a DES environment's ``now`` attribute or a
-deterministic :class:`TickClock`.  Traces taken under a virtual clock with
-a fixed seed are therefore fully deterministic.  Per-rank timestamps are
+(``time.perf_counter``) by default, but any callable works, such as one
+reading a DES environment's ``now`` attribute or a deterministic tick
+counter.  Traces taken under a virtual clock with a fixed seed are
+therefore fully deterministic.  Per-rank timestamps are
 forced monotonic (a clock may legally stand still; it must never appear to
 run backwards in the buffer).
 
@@ -39,8 +39,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "TraceSession",
-    "TickClock",
-    "SimClock",
     "current_tracer",
     "set_current_tracer",
 ]
@@ -65,36 +63,6 @@ def current_tracer():
 def set_current_tracer(tracer):
     """Register *tracer* (or ``None`` to clear) for the calling thread."""
     _tls.tracer = tracer
-
-
-class TickClock:
-    """Deterministic clock: each call returns the next integer tick.
-
-    Used by the property suite so generated rank programs produce
-    bit-identical traces for identical seeds regardless of host speed.
-    """
-
-    def __init__(self, start=0, step=1):
-        self._t = start - step
-        self._step = step
-
-    def __call__(self):
-        self._t += self._step
-        return float(self._t)
-
-
-class SimClock:
-    """Clock adapter reading virtual time off any object with a ``now``.
-
-    Designed for ``repro.simtime.Environment`` but deliberately duck-typed
-    (``obs`` is Layer 0 and imports nothing else from the package).
-    """
-
-    def __init__(self, env):
-        self._env = env
-
-    def __call__(self):
-        return float(self._env.now)
 
 
 class Tracer:
@@ -201,11 +169,6 @@ class Tracer:
         """Number of currently open spans (snapshot for ``unwind(to_depth=)``)."""
         return len(self._open)
 
-    @property
-    def open_spans(self):
-        """Names of currently open spans, outermost first."""
-        return [name for _sid, name, _cat in self._open]
-
     def iter_events(self):
         """Yield all events in order: spilled JSONL first, then memory."""
         if self.spill_path is not None and self.spilled_events:
@@ -272,11 +235,6 @@ class NullTracer:
     def open_depth(self):
         """Always zero."""
         return 0
-
-    @property
-    def open_spans(self):
-        """Always empty."""
-        return []
 
     def iter_events(self):
         """Always empty."""

@@ -12,8 +12,8 @@ markers updated in O(1) per observation, no history arrays, which matters at
 simulated 1024-rank scale where millions of unit completions stream through.
 
 Everything is clock-agnostic — callers pass ``now`` explicitly, so the same
-tracker runs on ``time.monotonic()`` in the live runtime and on the SimClock
-in ``repro.cluster.dispatch``.
+tracker runs on ``time.monotonic()`` in the live runtime and on the DES
+clock in ``repro.cluster.dispatch``.
 """
 
 from __future__ import annotations

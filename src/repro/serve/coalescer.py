@@ -16,7 +16,7 @@ when
 
 Every method takes ``now`` explicitly; the coalescer never reads a wall
 clock and never sleeps, which is what lets the unit suite drive it on a
-:class:`~repro.obs.trace.TickClock` deterministically.
+deterministic tick clock.
 
 Batch sizing is advised by the α/β machine model measured by the shuffle
 benchmark (``BENCH_shuffle.json``): a batch pays roughly
@@ -88,11 +88,6 @@ class QueryBatch:
 
     def __len__(self) -> int:
         return len(self.submissions)
-
-    @property
-    def query_ids(self) -> tuple[str, ...]:
-        """Query record ids in batch order."""
-        return tuple(s.query.id for s in self.submissions)
 
     @property
     def queries(self) -> list[SeqRecord]:

@@ -160,7 +160,7 @@ class QueryService:
     """Always-on BLAST front door over one resident rank session.
 
     ``clock`` supplies every queue/batch/admission timestamp (inject a
-    :class:`~repro.obs.trace.TickClock` for deterministic tests);
+    deterministic tick clock for tests);
     ``tracer`` receives ``serve.submit`` / ``serve.batch`` /
     ``serve.backpressure`` instants; ``session_factory`` builds (and
     starts) replacement sessions after a crash — it defaults to plain

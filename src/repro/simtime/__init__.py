@@ -17,7 +17,7 @@ the environment advances virtual time from event to event, so a 5-hour
     assert env.now == 3.0 and proc.value == "done"
 """
 
-from repro.simtime.events import AllOf, AnyOf, Environment, Event, Process, Interrupt
-from repro.simtime.resources import Resource, Store
+from repro.simtime.events import Environment, Event, Process
+from repro.simtime.resources import Resource
 
-__all__ = ["Environment", "Event", "Process", "Interrupt", "AllOf", "AnyOf", "Resource", "Store"]
+__all__ = ["Environment", "Event", "Process", "Resource"]

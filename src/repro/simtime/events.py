@@ -9,35 +9,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
-__all__ = ["Environment", "Event", "Process", "Interrupt", "AllOf", "AnyOf"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Environment", "Event", "Process"]
 
 
 class Event:
     """A one-shot occurrence processes can wait on."""
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_scheduled")
+    __slots__ = ("env", "callbacks", "_value", "_triggered", "_scheduled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: list[Callable[["Event"], None]] = []
         self._value: Any = None
-        self._ok = True
         self._triggered = False
         self._scheduled = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
 
     @property
     def value(self) -> Any:
@@ -48,19 +35,8 @@ class Event:
             raise RuntimeError("event already triggered")
         self._triggered = True
         self._value = value
-        self._ok = True
         self.env._schedule(self, delay=0.0)
         return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        if self._triggered:
-            raise RuntimeError("event already triggered")
-        self._triggered = True
-        self._value = exc
-        self._ok = False
-        self.env._schedule(self, delay=0.0)
-        return self
-
 
 class _Timeout(Event):
     __slots__ = ()
@@ -77,126 +53,36 @@ class _Timeout(Event):
 class Process(Event):
     """A running generator; completes (as an event) when the generator returns."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, env: "Environment", gen: Generator) -> None:
         super().__init__(env)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         bootstrap = Event(env)
         bootstrap._triggered = True
         bootstrap.callbacks.append(self._resume)
         env._schedule(bootstrap, delay=0.0)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the process the next time the scheduler runs."""
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target._triggered:
-            # Detach from the event we were waiting on; deliver Interrupt.
-            if self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        wake = Event(self.env)
-        wake._triggered = True
-        wake._ok = False
-        wake._value = Interrupt(cause)
-        wake.callbacks.append(self._resume)
-        self.env._schedule(wake, delay=0.0)
-
     def _resume(self, trigger: Event) -> None:
-        self._waiting_on = None
         try:
-            if trigger._ok:
-                nxt = self._gen.send(trigger._value)
-            else:
-                nxt = self._gen.throw(trigger._value)
+            nxt = self._gen.send(trigger._value)
         except StopIteration as stop:
             if not self._triggered:
                 self.succeed(stop.value)
             return
-        except Interrupt:  # process chose not to handle the interrupt
-            if not self._triggered:
-                self.succeed(None)
-            return
         if not isinstance(nxt, Event):
             raise TypeError(f"process yielded {type(nxt).__name__}, expected Event")
-        self._waiting_on = nxt
         if nxt._triggered and nxt._scheduled:
             nxt.callbacks.append(self._resume)
         elif nxt._triggered:
             # Already processed event (fired in the past): resume immediately.
             wake = Event(self.env)
             wake._triggered = True
-            wake._ok = nxt._ok
             wake._value = nxt._value
             wake.callbacks.append(self._resume)
             self.env._schedule(wake, delay=0.0)
         else:
             nxt.callbacks.append(self._resume)
-
-
-class AllOf(Event):
-    """Fires when all given events have fired; value = list of their values.
-
-    ``yield AllOf(env, [proc_a, proc_b])`` is the join/barrier idiom for
-    processes waiting on several concurrent activities.
-    """
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, env: "Environment", events: list) -> None:
-        super().__init__(env)
-        events = list(events)
-        if not events:
-            raise ValueError("AllOf requires at least one event")
-        self._pending = 0
-        self._values: list = [None] * len(events)
-        for i, ev in enumerate(events):
-            if not isinstance(ev, Event):
-                raise TypeError(f"AllOf item {i} is {type(ev).__name__}, expected Event")
-            if ev._triggered and not ev._scheduled:
-                self._values[i] = ev._value
-                continue
-            self._pending += 1
-            ev.callbacks.append(self._make_cb(i))
-        if self._pending == 0:
-            self.succeed(self._values)
-
-    def _make_cb(self, index: int):
-        def cb(ev: Event) -> None:
-            self._values[index] = ev._value
-            self._pending -= 1
-            if self._pending == 0 and not self._triggered:
-                self.succeed(self._values)
-
-        return cb
-
-
-class AnyOf(Event):
-    """Fires when the first of the given events fires; value = (index, value)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: list) -> None:
-        super().__init__(env)
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(events):
-            if not isinstance(ev, Event):
-                raise TypeError(f"AnyOf item {i} is {type(ev).__name__}, expected Event")
-            if ev._triggered and not ev._scheduled:
-                self.succeed((i, ev._value))
-                return
-            ev.callbacks.append(self._make_cb(i))
-
-    def _make_cb(self, index: int):
-        def cb(ev: Event) -> None:
-            if not self._triggered:
-                self.succeed((index, ev._value))
-
-        return cb
 
 
 class Environment:

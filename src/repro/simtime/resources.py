@@ -1,18 +1,16 @@
-"""Shared resources for the DES: counting resources and FIFO stores.
+"""Shared resources for the DES: a counting resource.
 
-``Resource`` models things like a bounded-capacity I/O channel; ``Store``
-is the master-worker work queue (put work units in, workers get them out).
-Both are strictly FIFO, keeping runs deterministic.
+``Resource`` models things like a bounded-capacity I/O channel.  It grants
+strictly FIFO, keeping runs deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.simtime.events import Environment, Event
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -47,29 +45,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self.in_use -= 1
-
-
-class Store:
-    """Unbounded FIFO channel of items between processes."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.env.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

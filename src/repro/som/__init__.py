@@ -22,13 +22,13 @@ parallel == serial parity tests rest on that.
 """
 
 from repro.som.codebook import SOMGrid, init_codebook
-from repro.som.neighborhood import gaussian_kernel, bubble_kernel, radius_schedule
+from repro.som.neighborhood import gaussian_kernel, radius_schedule
 from repro.som.bmu import best_matching_units, pairwise_sq_distances
 from repro.som.batch import (
     BatchSOM, accumulate_batch, accumulate_classes, batch_update, smooth_classes,
 )
 from repro.som.online import OnlineSOM
-from repro.som.umatrix import umatrix, component_planes
+from repro.som.umatrix import umatrix
 from repro.som.quality import quantization_error, topographic_error
 from repro.som.classify import classify, label_units, propagate_labels
 from repro.som.export import codebook_to_rgb, write_pgm, write_ppm
@@ -37,7 +37,6 @@ __all__ = [
     "SOMGrid",
     "init_codebook",
     "gaussian_kernel",
-    "bubble_kernel",
     "radius_schedule",
     "best_matching_units",
     "pairwise_sq_distances",
@@ -48,7 +47,6 @@ __all__ = [
     "batch_update",
     "OnlineSOM",
     "umatrix",
-    "component_planes",
     "quantization_error",
     "topographic_error",
     "classify",

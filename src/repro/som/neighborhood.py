@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gaussian_kernel", "bubble_kernel", "radius_schedule"]
+__all__ = ["gaussian_kernel", "radius_schedule"]
 
 
 #: below this exponent exp() is denormal
@@ -30,13 +30,6 @@ def gaussian_kernel(grid_sq_dists: np.ndarray, sigma: float) -> np.ndarray:
     out = np.zeros_like(arg)
     np.exp(arg, out=out, where=arg > _EXP_FLOOR)
     return out
-
-
-def bubble_kernel(grid_sq_dists: np.ndarray, sigma: float) -> np.ndarray:
-    """1 inside radius σ, 0 outside (the cheap classic alternative)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return (grid_sq_dists <= sigma * sigma).astype(np.float64)
 
 
 def radius_schedule(initial: float, final: float, epochs: int) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""U-matrix and component planes: the paper's SOM visualisations.
+"""U-matrix: the paper's SOM visualisation.
 
 Figures 7 and 8 present U-matrices of trained 50×50 maps.  The U-matrix
 value of a neuron is the mean distance between its weight vector and those
 of its grid neighbours; cluster interiors show low values, cluster
 boundaries show high "ridges".  ``umatrix`` returns the per-neuron (rows ×
-cols) form; ``umatrix_full`` the expanded (2r−1 × 2c−1) form with explicit
-between-neuron cells, as in classic U-matrix renderings.
+cols) form.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from repro.som.codebook import SOMGrid
 
-__all__ = ["umatrix", "umatrix_full", "component_planes", "render_ascii"]
+__all__ = ["umatrix", "render_ascii"]
 
 
 def _weights_grid(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
@@ -58,32 +57,6 @@ def umatrix(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
         count[:, 1:] += 1
     count[count == 0] = 1
     return total / count
-
-
-def umatrix_full(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
-    """Expanded (2r−1, 2c−1) U-matrix with explicit edge cells (rect only)."""
-    if grid.topology != "rect" or grid.periodic:
-        raise ValueError("umatrix_full supports plain rectangular grids only")
-    w = _weights_grid(grid, codebook)
-    rows, cols = grid.rows, grid.cols
-    out = np.zeros((2 * rows - 1, 2 * cols - 1))
-    if rows > 1:
-        out[1::2, 0::2] = np.linalg.norm(w[1:] - w[:-1], axis=2)
-    if cols > 1:
-        out[0::2, 1::2] = np.linalg.norm(w[:, 1:] - w[:, :-1], axis=2)
-    if rows > 1 and cols > 1:
-        d1 = np.linalg.norm(w[1:, 1:] - w[:-1, :-1], axis=2)
-        d2 = np.linalg.norm(w[1:, :-1] - w[:-1, 1:], axis=2)
-        out[1::2, 1::2] = 0.5 * (d1 + d2)
-    base = umatrix(grid, codebook)
-    out[0::2, 0::2] = base
-    return out
-
-
-def component_planes(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
-    """(dim, rows, cols) view: one heat-map per input dimension."""
-    w = _weights_grid(grid, codebook)
-    return np.moveaxis(w, 2, 0)
 
 
 _SHADES = " .:-=+*#%@"

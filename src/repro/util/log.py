@@ -3,15 +3,14 @@
 All library components log through :func:`get_logger`; code running inside an
 SPMD region uses :func:`rank_logger` so that each line is prefixed with the
 MPI rank, matching how one reads interleaved per-rank output from a real MPI
-job.  Logging defaults to WARNING so tests and benchmarks stay quiet; drivers
-expose ``--verbose`` flags that call :func:`set_verbosity`.
+job.  Logging defaults to WARNING so tests and benchmarks stay quiet.
 """
 
 from __future__ import annotations
 
 import logging
 
-__all__ = ["get_logger", "rank_logger", "set_verbosity"]
+__all__ = ["get_logger", "rank_logger"]
 
 _ROOT_NAME = "repro"
 _configured = False
@@ -46,7 +45,3 @@ def rank_logger(name: str, rank: int) -> logging.LoggerAdapter:
     return logging.LoggerAdapter(base, extra={"rank": rank})
 
 
-def set_verbosity(level: int | str) -> None:
-    """Set the package-wide log level (e.g. ``'INFO'`` or ``logging.DEBUG``)."""
-    _ensure_configured()
-    logging.getLogger(_ROOT_NAME).setLevel(level)

@@ -10,11 +10,9 @@ from a single integer.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_rngs", "as_rng"]
+__all__ = ["derive_rng", "as_rng"]
 
 
 def as_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
@@ -49,18 +47,3 @@ def derive_rng(seed: int, *key: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def spawn_rngs(seed: int, n: int, label: str = "stream") -> list[np.random.Generator]:
-    """Return ``n`` independent generators derived from one seed."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return [derive_rng(seed, label, i) for i in range(n)]
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: Sequence, k: int
-) -> list:
-    """Sample ``k`` distinct items (order random) from ``population``."""
-    if k > len(population):
-        raise ValueError(f"cannot sample {k} from population of {len(population)}")
-    idx = rng.permutation(len(population))[:k]
-    return [population[i] for i in idx]

@@ -1,6 +1,7 @@
-"""FASTA I/O, splitting, indexing, shredding, synthetic workloads, k-mers."""
+"""FASTA I/O, indexing, shredding, synthetic workloads, k-mers."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -16,12 +17,10 @@ from repro.bio import (
     read_fasta,
     shred_record,
     shred_records,
-    split_fasta,
     synthetic_community,
     synthetic_nt_database,
     write_fasta,
 )
-from repro.bio.kmers import kmer_labels
 from repro.bio.shred import parent_id
 
 
@@ -65,21 +64,6 @@ class TestFastaIO:
             write_fasta([], io.StringIO(), width=0)
 
 
-class TestSplitFasta:
-    def test_block_sizes_and_order(self, tmp_path):
-        recs = _records(n=11)
-        paths = split_fasta(recs, tmp_path / "blocks", seqs_per_block=4)
-        assert len(paths) == 3
-        sizes = [len(list(read_fasta(p))) for p in paths]
-        assert sizes == [4, 4, 3]
-        all_ids = [r.id for p in paths for r in read_fasta(p)]
-        assert all_ids == [r.id for r in recs]
-
-    def test_invalid_block_size(self, tmp_path):
-        with pytest.raises(ValueError):
-            split_fasta(_records(), tmp_path, seqs_per_block=0)
-
-
 class TestFastaIndex:
     def test_index_counts_and_lengths(self, tmp_path):
         recs = _records(n=7, length=83)
@@ -88,8 +72,6 @@ class TestFastaIndex:
         idx = FastaIndex(path)
         assert len(idx) == 7
         assert idx.ids == [r.id for r in recs]
-        assert idx.total_bases == 7 * 83
-        assert idx.entry_length(3) == 83
 
     def test_load_range_matches_direct_read(self, tmp_path):
         recs = _records(n=9)
@@ -183,7 +165,7 @@ class TestSimulate:
     def test_community_and_database(self):
         com = synthetic_community(n_genomes=4, genome_length=2000, seed=0)
         assert len(com.genomes) == 4
-        assert com.total_bases == 8000
+        assert [len(g) for g in com.genomes] == [2000] * 4
         db = synthetic_nt_database(com, n_decoys=3, decoy_length=1000, seed=1)
         assert len(db) == 7
         assert sum(1 for r in db if r.id.startswith("db_genome")) == 4
@@ -197,7 +179,7 @@ class TestKmers:
 
     def test_known_counts_k2(self):
         v = kmer_frequencies("AACC", k=2, normalize=False)
-        labels = kmer_labels(2)
+        labels = ["".join(p) for p in itertools.product("ACGT", repeat=2)]
         counts = dict(zip(labels, v))
         assert counts["AA"] == 1 and counts["AC"] == 1 and counts["CC"] == 1
         assert v.sum() == 3
@@ -221,14 +203,6 @@ class TestKmers:
         d_diff = np.linalg.norm(m[0] - m[1])
         assert d_diff > 2 * d_same
 
-    def test_kmer_labels(self):
-        labels = kmer_labels(1)
-        assert labels == ["A", "C", "G", "T"]
-        assert len(kmer_labels(3)) == 64
-        with pytest.raises(ValueError):
-            kmer_labels(0)
-
-
 class TestGzipFasta:
     def test_gz_roundtrip(self, tmp_path):
         from repro.bio import read_fasta, write_fasta
@@ -239,15 +213,6 @@ class TestGzipFasta:
         assert path.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
         back = list(read_fasta(path))
         assert [(r.id, r.seq) for r in back] == [(r.id, r.seq) for r in recs]
-
-    def test_gz_split_blocks(self, tmp_path):
-        from repro.bio import read_fasta, split_fasta
-
-        recs = _records(n=5)
-        paths = split_fasta(recs, tmp_path, seqs_per_block=2, prefix="blk")
-        # plain-text blocks still work alongside gz files in the same API
-        assert sum(len(list(read_fasta(p))) for p in paths) == 5
-
 
 class TestHomologCopies:
     def test_multiple_homologs_per_genome(self):

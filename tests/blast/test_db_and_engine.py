@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bio import (
+    DNA,
+    PROTEIN,
     SeqRecord,
     mutate_dna,
     random_genome,
@@ -60,14 +62,14 @@ class TestFormatAndRead:
         for p in range(alias.num_partitions):
             part = alias.open_partition(p)
             for i in range(part.num_seqs):
-                seen[part.ids[i]] = part.sequence(i)
+                seen[part.ids[i]] = DNA.decode(part.codes(i))
         assert seen == {r.id: r.seq for r in recs}
 
     def test_protein_volume_roundtrip(self, tmp_path):
         _, db = synthetic_protein_database(n_families=2, members_per_family=2, length=80)
         alias = DatabaseAlias.load(format_database(db, tmp_path, "p", kind="protein"))
         part = alias.open_partition(0)
-        assert part.sequence(0) == db[0].seq
+        assert PROTEIN.decode(part.codes(0)) == db[0].seq
 
     def test_mid_byte_sequence_boundaries(self, tmp_path):
         # Lengths not divisible by 4 force subjects to start mid-byte.
@@ -75,7 +77,7 @@ class TestFormatAndRead:
         alias = DatabaseAlias.load(format_database(recs, tmp_path, "odd", kind="dna"))
         part = alias.open_partition(0)
         for i, rec in enumerate(recs):
-            assert part.sequence(i) == rec.seq
+            assert DNA.decode(part.codes(i)) == rec.seq
 
     def test_load_count_tracks_reopens(self, tmp_path):
         _, alias = self._db(tmp_path, n=3, vol_bytes=1 << 20)

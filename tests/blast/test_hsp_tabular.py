@@ -23,7 +23,7 @@ class TestHSP:
         h = mk(ident=90, alen=100, gaps=4)
         assert h.pident == 90.0
         assert h.mismatches == 6
-        assert h.q_span == 100 and h.s_span == 100
+        assert h.q_span == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):

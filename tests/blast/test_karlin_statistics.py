@@ -12,13 +12,7 @@ from repro.blast.karlin import (
     score_distribution,
 )
 from repro.blast.matrices import BLOSUM62, background_frequencies, nucleotide_matrix
-from repro.blast.statistics import (
-    bit_score,
-    effective_lengths,
-    evalue,
-    evalue_to_score,
-    pvalue,
-)
+from repro.blast.statistics import SearchSpace, bit_score, effective_lengths
 
 
 class TestLambdaKH:
@@ -103,14 +97,14 @@ class TestEvalues:
         assert bits == pytest.approx((0.267 * 100 - math.log(0.041)) / math.log(2))
 
     def test_evalue_decreases_exponentially_with_score(self):
-        e1 = evalue(50, self.PARAMS, 300, 10**7, 1000)
-        e2 = evalue(60, self.PARAMS, 300, 10**7, 1000)
+        e1 = SearchSpace(self.PARAMS).evalue(50, 300, 10**7, 1000)
+        e2 = SearchSpace(self.PARAMS).evalue(60, 300, 10**7, 1000)
         assert e2 < e1
         assert e1 / e2 == pytest.approx(math.exp(0.267 * 10), rel=1e-6)
 
     def test_evalue_scales_linearly_with_db_length(self):
-        e_small = evalue(80, self.PARAMS, 300, 10**6, 1000)
-        e_big = evalue(80, self.PARAMS, 300, 10**8, 1000)
+        e_small = SearchSpace(self.PARAMS).evalue(80, 300, 10**6, 1000)
+        e_big = SearchSpace(self.PARAMS).evalue(80, 300, 10**8, 1000)
         ratio = e_big / e_small
         # Not exactly 100x because the length adjustment differs, but close.
         assert 50 < ratio < 200
@@ -122,28 +116,21 @@ class TestEvalues:
 
     def test_evalue_to_score_is_inverse(self):
         target = 1e-4
-        s = evalue_to_score(target, self.PARAMS, 300, 10**7, 1000)
-        assert evalue(s, self.PARAMS, 300, 10**7, 1000) <= target
-        assert evalue(s - 1, self.PARAMS, 300, 10**7, 1000) > target
+        s = SearchSpace(self.PARAMS).evalue_to_score(target, 300, 10**7, 1000)
+        assert SearchSpace(self.PARAMS).evalue(s, 300, 10**7, 1000) <= target
+        assert SearchSpace(self.PARAMS).evalue(s - 1, 300, 10**7, 1000) > target
 
     def test_huge_score_underflows_to_zero_not_error(self):
-        assert evalue(10**6, self.PARAMS, 300, 10**7, 1000) == 0.0
+        assert SearchSpace(self.PARAMS).evalue(10**6, 300, 10**7, 1000) == 0.0
 
     def test_tiny_score_gives_huge_evalue(self):
-        assert evalue(1, self.PARAMS, 300, 10**9, 10**6) > 1e3
-
-    def test_pvalue(self):
-        assert pvalue(0.0) == 0.0
-        assert pvalue(1e-5) == pytest.approx(1e-5, rel=1e-3)
-        assert pvalue(100.0) == 1.0
-        with pytest.raises(ValueError):
-            pvalue(-1.0)
+        assert SearchSpace(self.PARAMS).evalue(1, 300, 10**9, 10**6) > 1e3
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            evalue(10, self.PARAMS, 0, 100, 10)
+            SearchSpace(self.PARAMS).evalue(10, 0, 100, 10)
         with pytest.raises(ValueError):
-            evalue_to_score(0.0, self.PARAMS, 300, 100, 10)
+            SearchSpace(self.PARAMS).evalue_to_score(0.0, 300, 100, 10)
 
 
 class TestMatrices:

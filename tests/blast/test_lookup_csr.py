@@ -50,7 +50,7 @@ def test_nucleotide_scan_matches_reference(seqs, subject_text, use_mask):
     block = QueryBlock(records, "blastn", use_mask=use_mask)
     ref = ReferenceNucleotideLookup(block)
     csr = NucleotideLookup(block)
-    assert csr.n_words == ref.n_words
+    assert csr._words.size == ref.n_words
     assert_scan_identical(ref, csr, DNA.encode(subject_text))
 
 
@@ -61,8 +61,8 @@ def test_protein_scan_matches_reference(seqs, subject_text, use_mask):
     block = QueryBlock(records, "blastp", use_mask=use_mask)
     ref = ReferenceProteinLookup(block)
     csr = ProteinLookup(block)
-    assert csr.n_words == ref.n_words
-    assert csr.n_postings == sum(v.size for v in ref._table.values())
+    assert csr._words.size == ref.n_words
+    assert csr._positions.size == sum(v.size for v in ref._table.values())
     assert_scan_identical(ref, csr, PROTEIN.encode(subject_text))
 
 
@@ -78,8 +78,8 @@ def test_nucleotide_scan_matches_reference_at_every_pv_regime(word_size):
         block = QueryBlock(records, "blastn", use_mask=use_mask)
         ref = ReferenceNucleotideLookup(block, word_size=word_size)
         csr = NucleotideLookup(block, word_size=word_size)
-        assert csr.n_words == ref.n_words
-        assert csr._pv.size == _PV_SIZE and csr._pv.sum() <= csr.n_words
+        assert csr._words.size == ref.n_words
+        assert csr._pv.size == _PV_SIZE and csr._pv.sum() <= csr._words.size
         filler = "".join(rng.choice(list("ACGT"), size=4000))
         subject = filler[:1500] + texts[0][40:200] + filler[1500:] + texts[2][::-1]
         hits = csr.scan(DNA.encode(subject))[0].size
@@ -97,13 +97,13 @@ def test_word_colliding_under_the_pv_mask_is_no_hit(word_size):
     block = QueryBlock([SeqRecord("q", "C" * word_size)], "blastn", use_mask=False)
     csr = NucleotideLookup(block, word_size=word_size)
     ref = ReferenceNucleotideLookup(block, word_size=word_size)
-    assert csr.n_words == 2  # C...C and, on the minus strand, G...G
+    assert csr._words.size == 2  # C...C and, on the minus strand, G...G
     slots = []
     for collider in ("A" + "C" * (word_size - 1), "G" + "C" * (word_size - 1),
                      "T" + "G" * (word_size - 1)):
         codes = DNA.encode(collider)
         (word,) = csr._subject_words(codes)
-        assert csr._pv[word & (_PV_SIZE - 1)] and csr.postings(int(word)).size == 0
+        assert csr._pv[word & (_PV_SIZE - 1)] and word not in csr._words
         slots.append(int(np.searchsorted(csr._words, word)))
         assert csr.scan(codes)[0].size == 0
         assert_scan_identical(ref, csr, DNA.encode("AT" + collider + "TA"))
@@ -126,8 +126,8 @@ def test_protein_subject_with_ambiguity_codes():
 
 def test_empty_lookup_and_short_subject():
     empty = QueryBlock([SeqRecord("q", "ACGTACG")], "blastn", use_mask=False)  # < 11
+    assert NucleotideLookup(empty)._words.size == ReferenceNucleotideLookup(empty).n_words == 0
     for lut in (NucleotideLookup(empty), ReferenceNucleotideLookup(empty)):
-        assert lut.n_words == 0
         for subject in ("ACGTACGTACGTACGT", "ACG", ""):
             q, s = lut.scan(DNA.encode(subject))
             assert q.size == s.size == 0 and q.dtype == s.dtype == np.int64
@@ -150,20 +150,11 @@ def test_csr_structure_invariants(seqs):
     lut = NucleotideLookup(QueryBlock(records, "blastn", use_mask=False))
     words, offsets = lut._words, lut._offsets
     assert np.all(np.diff(words) > 0)  # strictly ascending, deduplicated
-    assert offsets[0] == 0 and offsets[-1] == lut.n_postings
+    assert offsets[0] == 0 and offsets[-1] == lut._positions.size
     assert np.all(np.diff(offsets) > 0)  # every listed word has postings
-    for i, w in enumerate(words.tolist()):
-        np.testing.assert_array_equal(
-            lut.postings(w), lut._positions[offsets[i] : offsets[i + 1]]
-        )
+    for i in range(words.size):
         # positions ascend within a word (the admission loop relies on it)
-        assert np.all(np.diff(lut.postings(w)) > 0)
-
-
-def test_postings_of_absent_word_is_empty():
-    lut = NucleotideLookup(QueryBlock([SeqRecord("q", "ACGT" * 10)], "blastn", use_mask=False))
-    missing = int(lut._words.max()) + 1
-    assert lut.postings(missing).size == 0
+        assert np.all(np.diff(lut._positions[offsets[i] : offsets[i + 1]]) > 0)
 
 
 # ------------------------------------------------------------------ cache

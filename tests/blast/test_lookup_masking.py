@@ -6,10 +6,15 @@ import pytest
 from repro.bio import SeqRecord, random_genome, random_protein
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import reverse_complement
-from repro.blast.dust import dust_intervals, dust_mask, dust_score
+from repro.blast.dust import dust_mask_batch
 from repro.blast.lookup import NucleotideLookup, ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62
 from repro.blast.seg import seg_mask, window_entropy
+
+
+def _dust(seq, **kw):
+    """DUST mask of one sequence (the batch kernel over a block of one)."""
+    return dust_mask_batch([DNA.encode(seq)], **kw)[0]
 
 
 class TestQueryBlock:
@@ -32,11 +37,9 @@ class TestQueryBlock:
         recs = [SeqRecord("a", random_genome(30, seed_or_rng=3)),
                 SeqRecord("b", random_genome(40, seed_or_rng=4))]
         block = QueryBlock(recs, "blastn", use_mask=False)
-        assert block.context_of(0) == 0
-        assert block.context_of(29) == 0
-        assert block.context_of(30) == 1
-        assert block.context_of(60) == 2
-        np.testing.assert_array_equal(block.context_of(np.array([0, 59, 60])), [0, 1, 2])
+        ctx, local = block.localize(np.array([0, 29, 30, 59, 60]))
+        np.testing.assert_array_equal(ctx, [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(local, [0, 29, 0, 29, 0])
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
@@ -51,8 +54,8 @@ class TestNucleotideLookup:
         subject = DNA.encode(seq)
         qpos, spos = lut.scan(subject)
         # Self-scan must produce the main diagonal of the plus context.
-        plus = [(int(qp), int(sp)) for qp, sp in zip(qpos, spos)
-                if block.context_of(int(qp)) == 0]
+        ctx, _ = block.localize(qpos)
+        plus = [(int(qp), int(sp)) for qp, sp, c in zip(qpos, spos, ctx) if c == 0]
         diag = [(p, p) for p in range(200 - 11 + 1)]
         assert set(diag) <= set(plus)
 
@@ -79,7 +82,7 @@ class TestNucleotideLookup:
     def test_short_query_yields_empty_table(self):
         block = QueryBlock([SeqRecord("q", "ACGT")], "blastn", use_mask=False)
         lut = NucleotideLookup(block, word_size=11)
-        assert lut.n_words == 0
+        assert lut._words.size == 0
         qpos, spos = lut.scan(DNA.encode(random_genome(50, seed_or_rng=1)))
         assert qpos.size == 0
 
@@ -113,7 +116,7 @@ class TestProteinLookup:
         block = QueryBlock([SeqRecord("p", seq)], "blastp", use_mask=False)
         loose = ProteinLookup(block, threshold=10)
         strict = ProteinLookup(block, threshold=13)
-        assert strict.n_words < loose.n_words
+        assert strict._words.size < loose._words.size
 
     def test_ambiguity_codes_in_subject_skipped(self):
         seq = random_protein(30, seed_or_rng=9)
@@ -132,43 +135,29 @@ class TestProteinLookup:
 
 class TestDust:
     def test_polya_is_masked(self):
-        mask = dust_mask("A" * 100)
+        mask = _dust("A" * 100)
         assert mask.all()
 
     def test_random_sequence_unmasked(self):
-        mask = dust_mask(random_genome(500, seed_or_rng=10))
+        mask = _dust(random_genome(500, seed_or_rng=10))
         assert mask.sum() < 25  # < 5% false masking
 
     def test_tandem_repeat_region_masked(self):
         clean = random_genome(150, seed_or_rng=11)
         repeat = "ACG" * 40
-        mask = dust_mask(clean + repeat + clean)
+        mask = _dust(clean + repeat + clean)
         region = mask[150 : 150 + 120]
         assert region.mean() > 0.8
         assert mask[:120].sum() < 30
 
-    def test_dust_score_extremes(self):
-        assert dust_score(DNA.encode("A" * 64)) > 100
-        assert dust_score(DNA.encode(random_genome(64, seed_or_rng=12))) < 10
-
-    def test_intervals_cover_mask(self):
-        seq = random_genome(100, seed_or_rng=13) + "T" * 80 + random_genome(100, seed_or_rng=14)
-        intervals = dust_intervals(seq)
-        assert intervals, "poly-T run must be reported"
-        covered = set()
-        for a, b in intervals:
-            assert a < b
-            covered.update(range(a, b))
-        assert set(range(110, 270)) & covered
-
     def test_short_sequence_no_crash(self):
-        assert not dust_mask("AC").any()
+        assert not _dust("AC").any()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            dust_mask("ACGT", window=4)
+            _dust("ACGT", window=4)
         with pytest.raises(ValueError):
-            dust_mask("ACGT", step=0)
+            _dust("ACGT", step=0)
 
 
 class TestSeg:

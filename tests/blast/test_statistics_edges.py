@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.bio import SeqRecord, random_genome
+from repro.bio import DNA, PROTEIN, SeqRecord, random_genome
 from repro.blast import BlastOptions, DatabaseAlias, format_database, make_engine
 from repro.blast.karlin import KarlinParams, score_distribution
 from repro.blast.matrices import BLOSUM62, background_frequencies
-from repro.blast.statistics import effective_lengths, evalue, length_adjustment
+from repro.blast.statistics import SearchSpace, effective_lengths, length_adjustment
 
 B62_UNGAPPED = KarlinParams(lam=0.3176, K=0.134, H=0.4012)
 
@@ -115,8 +115,8 @@ class TestEngineCutoffs:
         alias, _ = db
         part = alias.open_partition(0)
         params = KarlinParams(lam=0.625, K=0.41, H=0.78, gapped=True)
-        e_direct = evalue(150, params, 400, part.total_length, part.num_seqs)
-        e_again = evalue(150, params, 400, part.total_length, part.num_seqs)
+        e_direct = SearchSpace(params).evalue(150, 400, part.total_length, part.num_seqs)
+        e_again = SearchSpace(params).evalue(150, 400, part.total_length, part.num_seqs)
         assert e_direct == e_again
 
 
@@ -132,8 +132,8 @@ class TestDbReaderEdges:
         alias_p = DatabaseAlias.load(
             format_database([SeqRecord("p", p)], tmp_path / "p", "p", kind="protein")
         )
-        assert alias_n.open_partition(0).sequence(0) == g
-        assert alias_p.open_partition(0).sequence(0) == p
+        assert DNA.decode(alias_n.open_partition(0).codes(0)) == g
+        assert PROTEIN.decode(alias_p.open_partition(0).codes(0)) == p
 
     def test_subject_index_bounds(self, tmp_path):
         alias = DatabaseAlias.load(format_database(

@@ -32,7 +32,8 @@ class TestClusterSpec:
 
     def test_page_cache_capacity_crosses_db_size_at_128(self):
         """The paper's superlinear region: the 109 GB DB fits from 128 cores."""
-        db_gb = nucleotide_workload(80_000).db_gb
+        wl = nucleotide_workload(80_000)
+        db_gb = wl.n_partitions * wl.partition_gb
         assert ranger(64).page_cache_gb < db_gb
         assert ranger(128).page_cache_gb >= db_gb
 
@@ -74,7 +75,7 @@ class TestPartitionCache:
         cache = PartitionCache(1.0)
         assert cache.access(0, 5.0) is False
         assert cache.access(0, 5.0) is False
-        assert cache.used_gb == 0.0
+        assert cache._used_gb == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +109,7 @@ class TestWorkloadModel:
         assert wl.n_blocks == 40
         assert wl.n_units == 40 * 109
         assert wl.total_queries == 40_000
-        assert wl.db_gb == pytest.approx(109.0)
+        assert wl.n_partitions * wl.partition_gb == pytest.approx(109.0)
 
     def test_block_size_must_divide(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bio import SeqRecord, random_genome, split_fasta, write_fasta
+from repro.bio import SeqRecord, random_genome, write_fasta
 from repro.bio.fasta import FastaIndex
 from repro.core.mrblast.dynamic import plan_block_ranges
 from repro.core.mrblast.workitems import (
@@ -14,10 +14,21 @@ from repro.core.mrblast.workitems import (
     load_query_blocks,
 )
 from repro.core.mrblast.mapper import exclude_self_hits
-from repro.core.mrblast.merge import collect_rank_hits, merge_rank_outputs
+from repro.core.mrblast.merge import collect_rank_hits
 from repro.core.mrsom.mmap_input import MatrixFile, write_matrix_file
 from repro.blast.hsp import HSP
 from repro.blast.tabular import write_tabular
+
+
+def _write_blocks(records, out_dir, per_block):
+    """Write ``records`` as FASTA query blocks of ``per_block`` each."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for start in range(0, len(records), per_block):
+        path = out_dir / f"block.{len(paths):05d}.fasta"
+        write_fasta(records[start:start + per_block], path)
+        paths.append(str(path))
+    return paths
 
 
 class TestWorkItems:
@@ -42,7 +53,7 @@ class TestWorkItems:
 
     def test_load_query_blocks(self, tmp_path):
         recs = [SeqRecord(f"q{i}", random_genome(60, seed_or_rng=i)) for i in range(7)]
-        paths = split_fasta(recs, tmp_path, seqs_per_block=3)
+        paths = _write_blocks(recs, tmp_path, 3)
         blocks = load_query_blocks(paths)
         assert [len(b) for b in blocks] == [3, 3, 1]
         assert blocks[2][0].id == "q6"
@@ -171,19 +182,6 @@ class TestMerge:
         merged = collect_rank_hits([str(f1), str(tmp_path / "nope.tsv")])
         assert set(merged) == {"qA"}
 
-    def test_unknown_query_in_order_rejected(self, tmp_path):
-        f1 = tmp_path / "r0.tsv"
-        write_tabular([self._hsp("mystery")], f1)
-        with pytest.raises(ValueError, match="unknown queries"):
-            merge_rank_outputs([str(f1)], str(tmp_path / "out.tsv"), query_order=["qA"])
-
-    def test_empty_inputs_create_empty_output(self, tmp_path):
-        out = tmp_path / "merged.tsv"
-        n = merge_rank_outputs([], str(out))
-        assert n == 0
-        assert out.exists() and out.read_text() == ""
-
-
 class TestClis:
     def test_mrblast_cli_end_to_end(self, tmp_path, capsys):
         from repro.bio import synthetic_community, synthetic_nt_database, shred_records
@@ -194,7 +192,7 @@ class TestClis:
         db = synthetic_nt_database(com, n_decoys=1, decoy_length=800, seed=6)
         alias = format_database(db, tmp_path / "db", "clidb", kind="dna")
         reads = list(shred_records(com.genomes))[:4]
-        qpaths = split_fasta(reads, tmp_path / "queries", seqs_per_block=2)
+        qpaths = _write_blocks(reads, tmp_path / "queries", 2)
 
         rc = main([
             "--db", str(alias), "--queries", *map(str, qpaths),

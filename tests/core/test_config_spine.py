@@ -264,6 +264,8 @@ def test_mrsom_cli_errors_are_usage_lines(matrix, tmp_path, capsys):
     assert "speculation_factor must be > 1.0" in _usage_error(
         main, base + ["--speculate", "1.0"], capsys)
     assert "bad fault token" in _usage_error(main, base + ["--faults", "crash"], capsys)
+    assert _usage_error(main, base + ["--faults", "crash=1"], capsys).endswith(
+        "error: crash needs RANK@N, got 'crash=1'")
     assert "matrix_path" in _usage_error(main, ["--input", str(tmp_path / "none")], capsys)
 
 
@@ -277,6 +279,8 @@ def test_mrblast_cli_errors_are_usage_lines(workload, tmp_path, capsys):
     assert "blocks_per_iteration" in _usage_error(
         main, base + ["--blocks-per-iteration", "-1"], capsys)
     assert "bad fault token" in _usage_error(main, base + ["--faults", "crash"], capsys)
+    assert _usage_error(main, base + ["--faults", "crash=1"], capsys).endswith(
+        "error: crash needs RANK@N, got 'crash=1'")
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert "output_dir" in _usage_error(

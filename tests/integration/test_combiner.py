@@ -17,13 +17,12 @@ class TestCompress:
             mr.map_items(
                 list(range(40)), lambda t, item, kv: kv.add(f"k{item % 4}", 1)
             )
-            before, _ = mr.kv_stats()
+            before = mr.comm.allreduce(len(mr.kv))
             mr.compress(lambda k, vs, kv: kv.add(k, sum(vs)))
-            after, _ = mr.kv_stats()
+            after = mr.comm.allreduce(len(mr.kv))
             mr.collate()
             mr.reduce(lambda k, vs, kv: kv.add(k, sum(vs)))
-            counts = {}
-            mr.scan_kv(lambda k, v: counts.__setitem__(k, v))
+            counts = dict(mr.kv)
             gathered = mr.comm.gather(counts, root=0)
             mr.close()
             return (before, after, gathered)
@@ -49,7 +48,7 @@ class TestCompress:
     def test_compress_timer_recorded(self):
         def main(comm):
             mr = MapReduce(comm)
-            mr.map(4, lambda i, kv: kv.add(i % 2, i))
+            mr.map_items(range(4), lambda i, _, kv: kv.add(i % 2, i))
             mr.compress(lambda k, vs, kv: kv.add(k, sorted(vs)))
             phases = set(mr.timers)
             mr.close()

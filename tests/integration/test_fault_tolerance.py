@@ -131,7 +131,7 @@ class TestSupervisedBlastResume:
         clean_sig = _signatures(collect_rank_hits([r.output_path for r in clean]))
 
         plan, outcome = _crash_in_iter2(workload, tmp_path / "faulty")
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert outcome.retries == 1
         assert [a.outcome for a in outcome.attempts] == ["rank_failure", "ok"]
         assert outcome.fault_trace == (("crash", 1, plan.at_op),)
@@ -217,7 +217,7 @@ class TestSupervisedSomResume:
             fault_plan=plan,
             retry=FAST_RETRY,
         )
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert outcome.retries == 1
         assert all(r.retries == 1 and r.faults_injected == 1 for r in outcome.results)
         for r in outcome.results:
@@ -242,7 +242,7 @@ class TestPoisonQuarantine:
             retry=FAST_RETRY,
         )
         # Attempts 1 and 2 die on the unit; attempt 3 quarantines it.
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert outcome.retries == 2
         assert [a.outcome for a in outcome.attempts] == ["error", "error", "ok"]
         assert sum(r.quarantined_units for r in outcome.results) == 1
@@ -495,7 +495,7 @@ class TestFaultTraceCoverage:
 
         session = TraceSession(NPROCS)
         plan, outcome = _crash_in_iter2(workload, tmp_path / "traced-crash", trace=session)
-        assert outcome.succeeded
+        assert outcome.results is not None
 
         crashes = _instants(session, "fault.crash")
         assert [rank for rank, _ in crashes] == [1]
@@ -562,7 +562,7 @@ class TestFaultTraceCoverage:
         outcome = mrsom_supervised(
             NPROCS, cfg(), fault_plan=plan, retry=FAST_RETRY, trace=session,
         )
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert _instants(session, "fault.crash")
         resumes = [a["resumed_from_epoch"]
                    for _r, a in _instants(session, "mrsom.resume")]

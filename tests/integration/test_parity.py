@@ -21,7 +21,7 @@ from repro.blast.hsp import HSP
 from repro.core import MrBlastConfig, MrSomConfig, mrblast_spmd, mrsom_spmd
 from repro.core.baselines import run_serial_batch_som, run_serial_blast
 from repro.core.mrblast.mapper import exclude_self_hits
-from repro.core.mrblast.merge import collect_rank_hits, merge_rank_outputs
+from repro.core.mrblast.merge import collect_rank_hits
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.mrmpi import MapStyle
 from repro.som.codebook import SOMGrid
@@ -146,25 +146,6 @@ class TestMrBlastParity:
         total_units = sum(r.units_processed for r in results)
         assert total_units == len(blocks) * n_parts
         assert all(r.map_seconds > 0 for r in results)
-
-    def test_merge_rank_outputs(self, nt_workload, tmp_path):
-        alias_path, blocks, options, reads = nt_workload
-        results = mrblast_spmd(2, MrBlastConfig(
-            alias_path=alias_path, query_blocks=blocks, options=options,
-            output_dir=str(tmp_path / "merge"),
-        ))
-        merged_path = tmp_path / "all.tsv"
-        n = merge_rank_outputs(
-            [r.output_path for r in results], str(merged_path),
-            query_order=[r.id for r in reads],
-        )
-        assert n == sum(r.hits_written for r in results)
-        from repro.blast.tabular import parse_tabular
-        qids = [h.query_id for h in parse_tabular(str(merged_path))]
-        read_order = {r.id: i for i, r in enumerate(reads)}
-        positions = [read_order[q] for q in qids]
-        assert positions == sorted(positions)
-
 
 class TestBaselinesParity:
     def test_htc_workflow_equals_serial(self, nt_workload, tmp_path):

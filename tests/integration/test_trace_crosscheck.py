@@ -24,13 +24,14 @@ from repro.mpi.runtime import run_spmd
 from repro.mrmpi import MapStyle
 from repro.obs.report import (
     phase_durations,
-    shuffle_traffic,
     span_records,
     stage_breakdown,
     utilization_report,
 )
 from repro.obs.trace import TraceSession
 from repro.som.codebook import SOMGrid
+
+from oracles.trace_traffic import shuffle_traffic
 
 NPROCS = 3
 

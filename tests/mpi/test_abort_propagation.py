@@ -28,9 +28,6 @@ COLLECTIVES = {
     "allreduce": lambda comm: comm.allreduce(comm.rank),
     "gather": lambda comm: comm.gather(comm.rank, root=0),
     "allgather": lambda comm: comm.allgather(comm.rank),
-    "scatter": lambda comm: comm.scatter(
-        list(range(comm.size)) if comm.rank == 0 else None, root=0
-    ),
     "alltoall": lambda comm: comm.alltoall([comm.rank] * comm.size),
     "scan": lambda comm: comm.scan(comm.rank),
 }

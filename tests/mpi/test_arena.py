@@ -389,7 +389,7 @@ class TestProcessBackendEndToEnd:
                 keys = np.random.default_rng(itask).integers(500, size=len(rows))
                 kv.add_batch(np.char.mod("k%05d", keys).astype("S8"), rows)
 
-            mr.map(2 * comm.size, mapper)
+            mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
             mr.aggregate(exchange_bytes=128 << 10)  # eight rounds
             comm.barrier()  # every peer has stored, and let go of, its last round
             arena = comm.network._arena

@@ -152,6 +152,20 @@ class TestFaultPlanConstruction:
         with pytest.raises(ValueError):
             FaultPlan.parse(spec, 3)
 
+    @pytest.mark.parametrize("spec, form", [
+        ("crash=1", "RANK@N"),
+        ("drop=2", "RANK@N"),
+        ("dup=x@3", "RANK@N"),
+        ("crash=1@", "RANK@N"),
+        ("delay=1@2:x", "RANK@N:SECONDS"),
+        ("seed=x", "an integer"),
+    ])
+    def test_parse_error_names_the_token_and_its_form(self, spec, form):
+        key = spec.partition("=")[0]
+        with pytest.raises(ValueError) as caught:
+            FaultPlan.parse(spec, 3)
+        assert str(caught.value) == f"{key} needs {form}, got {spec!r}"
+
     def test_reset_rearms_events(self):
         plan = FaultPlan([CrashRank(0, 2)])
         with pytest.raises(RankFailure):
@@ -182,7 +196,7 @@ class TestSupervision:
             sleep=naps.append,
             backend=backend,
         )
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert outcome.results == [3, 3, 3]
         assert outcome.retries == 1
         assert [a.outcome for a in outcome.attempts] == ["rank_failure", "ok"]
@@ -206,7 +220,7 @@ class TestSupervision:
                 sleep=lambda s: None,
             )
         outcome = exc_info.value.outcome
-        assert not outcome.succeeded
+        assert outcome.results is None
         assert [a.outcome for a in outcome.attempts] == ["error", "error"]
 
     def test_prepare_hook_sees_attempt_numbers(self):
@@ -226,7 +240,7 @@ class TestSupervision:
             retry=RetryPolicy(backoff_base=0.0),
             sleep=lambda s: None,
         )
-        assert outcome.succeeded
+        assert outcome.results is not None
         assert seen == [1, 2]
 
     def test_same_plan_yields_same_trace_twice(self):

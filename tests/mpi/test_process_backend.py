@@ -53,7 +53,8 @@ class TestCollectivesSanity:
         def prog(comm):
             acc = np.full(8, float(comm.rank))
             out = np.empty_like(acc)
-            comm.Allreduce(acc, out)
+            comm.Reduce(acc, out, root=0)
+            comm.Bcast(out, root=0)
             cb = np.arange(6.0) if comm.rank == 0 else np.zeros(6)
             comm.Bcast(cb, root=0)
             return out.tolist(), cb.tolist()
@@ -83,7 +84,8 @@ class TestCollectivesSanity:
             sub = comm.split(color=comm.rank % 2, key=comm.rank)
             mine = np.full(1000, float(comm.rank))
             out = np.empty_like(mine)
-            sub.Allreduce(mine, out)
+            sub.Reduce(mine, out, root=0)
+            sub.Bcast(out, root=0)
             page = sub.allgather((np.arange(3) + comm.rank,))
             return out[0], [int(p[0][0]) for p in page]
 

@@ -19,8 +19,10 @@ from repro.mrmpi.columnar import (
     iter_sorted_batches,
     sort_kmv_columnar,
 )
-from repro.mrmpi.hashing import hash_key_column, stable_hash
+from repro.mrmpi.hashing import hash_key_column
 from repro.mrmpi.schema import RAGGED_BYTES, RecordSchema
+
+from oracles.fnv_hash import stable_hash
 
 INT_SCHEMA = RecordSchema(key_dtype="S12", value_dtype=np.dtype("<i8"), key_kind="str")
 
@@ -168,8 +170,8 @@ class TestSortedBatches:
 
         out = []
         for karr, vcol in iter_sorted_batches(kv):
-            for i in range(len(karr)):
-                out.append((INT_SCHEMA.decode_key(karr[i]), int(vcol[i])))
+            for key, value in zip(INT_SCHEMA.decode_keys(karr), vcol):
+                out.append((key, int(value)))
         # stable: ties keep emission order, exactly like sorted() on pairs
         assert out == sorted(zip(keys, range(600)), key=lambda p: p[0])
         kv.close()
@@ -197,7 +199,7 @@ class TestConvertColumnar:
         assert got == expected
         # sort-based convert emits keys in sorted order
         assert [k for k, _ in kmv] == sorted(expected)
-        assert kmv.nvalues == 700
+        assert sum(len(vs) for _, vs in kmv) == 700
         kv.close()
         kmv.close()
         assert glob.glob(str(tmp_path / "*")) == []
@@ -265,6 +267,6 @@ class TestColumnarKeyMultiValue:
             kmv.add(k, vs)
         assert kmv.out_of_core
         assert {k: vs for k, vs in kmv} == groups
-        assert kmv.nvalues == sum(len(v) for v in groups.values())
+        assert sum(len(vs) for _, vs in kmv) == sum(len(v) for v in groups.values())
         kmv.close()
         assert glob.glob(str(tmp_path / "*")) == []

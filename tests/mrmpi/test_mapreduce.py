@@ -1,4 +1,4 @@
-"""The MapReduce driver: map styles, collate, reduce, gather, sorting."""
+"""The MapReduce driver: map styles, collate, reduce, gather."""
 
 import collections
 
@@ -28,8 +28,7 @@ def wordcount(comm, mapstyle, memsize=1 << 22):
     mr.map_items(chunks, mapper)
     nunique = mr.collate()
     mr.reduce(reducer)
-    counts = {}
-    mr.scan_kv(lambda k, v: counts.__setitem__(k, v))
+    counts = dict(mr.kv)
     total = mr.comm.gather(counts, root=0)
     mr.close()
     if comm.rank == 0:
@@ -66,8 +65,7 @@ def test_out_of_core_wordcount_matches_in_memory(tmp_path):
         spilled = mr.kv is not None and mr.kv.out_of_core
         mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, sum(vs)))
-        counts = {}
-        mr.scan_kv(lambda k, v: counts.__setitem__(k, v))
+        counts = dict(mr.kv)
         all_counts = mr.comm.gather(counts, root=0)
         any_spilled = mr.comm.allreduce(spilled, op=__import__("repro.mpi", fromlist=["LOR"]).LOR)
         mr.close()
@@ -111,6 +109,22 @@ def test_master_worker_single_rank_runs_everything():
     assert sorted(run_spmd(1, main)[0]) == list(range(7))
 
 
+def test_master_worker_with_fewer_units_than_workers():
+    """Workers whose first chunk is empty are parked from the start; the
+    master still waits out their requests (in flight, not yet delivered)
+    instead of timing out at once with nothing running."""
+
+    def main(comm):
+        mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER)
+        counts = [mr.map_items(list(range(n)), lambda i, item, kv: kv.add(item, item))
+                  for n in (1, 2, 1, 3)]
+        mr.close()
+        return counts
+
+    results = run_spmd(5, main)
+    assert [sum(col) for col in zip(*results)] == [1, 2, 1, 3]
+
+
 @pytest.mark.parametrize("style", [MapStyle.CHUNK, MapStyle.STRIDED])
 def test_static_styles_cover_all_tasks_exactly_once(style):
     def main(comm):
@@ -134,11 +148,10 @@ def test_static_styles_cover_all_tasks_exactly_once(style):
 def test_map_int_variant():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map(10, lambda i, kv: kv.add(i % 2, i))
+        mr.map_items(range(10), lambda i, item, kv: kv.add(item % 2, item))
         n = mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, sorted(vs)))
-        out = {}
-        mr.scan_kv(lambda k, v: out.__setitem__(k, v))
+        out = dict(mr.kv)
         gathered = mr.comm.gather(out, root=0)
         mr.close()
         return (n, gathered)
@@ -158,13 +171,12 @@ def test_collate_key_locality_and_determinism():
         mr = MapReduce(comm)
         mr.map_items(list(range(50)), lambda i, item, kv: kv.add(f"key{item % 10}", item))
         mr.collate()
-        local_keys = []
-        mr.scan_kmv(lambda k, vs: local_keys.append(k))
+        local_keys = [k for k, _ in mr.kmv]
         gathered = mr.comm.gather(local_keys, root=0)
         mr.close()
         return gathered
 
-    from repro.mrmpi.hashing import stable_hash
+    from oracles.fnv_hash import stable_hash
 
     gathered = run_spmd(4, main)[0]
     seen = {}
@@ -205,9 +217,9 @@ def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
         mr = MapReduce(comm, schema=schema)
         out = []
         for round_ in range(2):
-            mr.map(comm.size, lambda i, kv: [kv.add(i * 100 + j, round_)
-                                             for j in range(sizes[i])],
-                   mapstyle=MapStyle.CHUNK)
+            mr.map_items(range(comm.size), lambda i, item, kv: [
+                kv.add(i * 100 + j, round_) for j in range(sizes[i])],
+                mapstyle=MapStyle.CHUNK)
             mr.gather(1, exchange_bytes=64)
             out.append([(int(k), int(v)) for k, v in mr.kv] if comm.rank == 0 else None)
         mr.close()
@@ -221,7 +233,7 @@ def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
 def test_gather_invalid_nranks():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map(1, lambda i, kv: kv.add(0, 0))
+        mr.map_items(range(1), lambda i, item, kv: kv.add(0, 0))
         with pytest.raises(ValueError):
             mr.gather(0)
         mr.close()
@@ -230,41 +242,10 @@ def test_gather_invalid_nranks():
     assert run_spmd(1, main) == [True]
 
 
-def test_sort_keys():
-    def main(comm):
-        mr = MapReduce(comm)
-        mr.map_items([3, 1, 2], lambda i, item, kv: kv.add(f"k{item}", -item))
-        mr.gather(1)
-        if comm.rank == 0:
-            mr.sort_keys()
-            pairs = list(mr.kv)
-        else:
-            pairs = None
-        mr.close()
-        return pairs
-
-    assert run_spmd(2, main)[0] == [("k1", -1), ("k2", -2), ("k3", -3)]
-
-
-def test_sort_multivalues():
-    def main(comm):
-        mr = MapReduce(comm)
-        mr.map_items([5, 3, 9, 1], lambda i, item, kv: kv.add("k", item))
-        mr.collate()
-        mr.sort_multivalues()
-        out = []
-        mr.scan_kmv(lambda k, vs: out.append(vs))
-        result = mr.comm.allreduce(out)
-        mr.close()
-        return result
-
-    assert run_spmd(2, main)[0] == [[1, 3, 5, 9]]
-
-
 def test_reduce_without_collate_raises():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map(2, lambda i, kv: kv.add(i, i))
+        mr.map_items(range(2), lambda i, item, kv: kv.add(i, i))
         with pytest.raises(RuntimeError, match="KeyMultiValue"):
             mr.reduce(lambda k, vs, kv: None)
         mr.close()
@@ -273,27 +254,10 @@ def test_reduce_without_collate_raises():
     assert run_spmd(1, main) == [True]
 
 
-def test_kv_stats_and_kmv_stats():
-    def main(comm):
-        mr = MapReduce(comm)
-        mr.map_items(list(range(10)), lambda i, item, kv: kv.add(item % 3, item))
-        total, peak = mr.kv_stats()
-        mr.collate()
-        nkeys, nvalues = mr.kmv_stats()
-        mr.close()
-        return (total, peak, nkeys, nvalues)
-
-    for total, peak, nkeys, nvalues in run_spmd(3, main):
-        assert total == 10
-        assert peak <= 10
-        assert nkeys == 3
-        assert nvalues == 10
-
-
 def test_timers_populated():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map(4, lambda i, kv: kv.add(i, i))
+        mr.map_items(range(4), lambda i, item, kv: kv.add(i, i))
         mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, len(vs)))
         phases = set(mr.timers)
@@ -302,39 +266,3 @@ def test_timers_populated():
 
     phases = run_spmd(2, main)[0]
     assert {"map", "aggregate", "convert", "reduce"} <= phases
-
-
-def test_map_kv_transforms_in_place():
-    def main(comm):
-        mr = MapReduce(comm, mapstyle=MapStyle.STRIDED)
-        mr.map_items(list(range(12)), lambda t, item, kv: kv.add(item % 3, item))
-        # Re-key every pair by value parity, doubling the values.
-        n = mr.map_kv(lambda k, v, kv: kv.add(v % 2, v * 2), count=True)
-        mr.collate()
-        mr.reduce(lambda k, vs, kv: kv.add(k, sorted(vs)))
-        out = {}
-        mr.scan_kv(lambda k, v: out.__setitem__(k, v))
-        gathered = mr.comm.gather(out, root=0)
-        mr.close()
-        return (n, gathered)
-
-    n, gathered = run_spmd(3, main)[0]
-    assert n == 12
-    merged = {}
-    for d in gathered:
-        merged.update(d)
-    assert merged == {
-        0: [v * 2 for v in range(0, 12, 2)],
-        1: [v * 2 for v in range(1, 12, 2)],
-    }
-
-
-def test_map_kv_requires_dataset():
-    def main(comm):
-        mr = MapReduce(comm)
-        with pytest.raises(RuntimeError):
-            mr.map_kv(lambda k, v, kv: None)
-        mr.close()
-        return True
-
-    assert run_spmd(1, main) == [True]

@@ -16,7 +16,9 @@ import pytest
 
 from repro.mpi import CrashRank, FaultPlan, LOR, RankFailure, run_spmd
 from repro.mpi.runtime import SpmdJob
-from repro.mrmpi import MapReduce, MapStyle, RecordSchema, stable_hash
+from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+
+from oracles.fnv_hash import stable_hash
 
 NPROCS = 3
 TINY = 512  # bytes: int64-keyed pairs spill after a handful of rows
@@ -43,8 +45,7 @@ def _pipeline(comm, schema, spool_dir, memsize=TINY):
         spilled = mr.kv.out_of_core
         mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, sum(int(v) for v in vs)))
-        out = {}
-        mr.scan_kv(lambda k, v: out.__setitem__(k, int(v)))
+        out = {k: int(v) for k, v in mr.kv}
         per_rank = mr.comm.gather(out, root=0)
         any_spilled = mr.comm.allreduce(spilled, op=LOR)
         return per_rank, any_spilled

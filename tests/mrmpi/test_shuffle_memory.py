@@ -53,7 +53,8 @@ def _shuffle(comm, tasks, keytab, spool):
         mr.aggregate()
         mr.convert()
         after_convert = _peak_mib()
-        mr.scan_kmv(count)
+        for key, values in mr.kmv:
+            count(key, values)
     return after_map, after_convert, counts
 
 

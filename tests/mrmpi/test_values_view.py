@@ -149,12 +149,12 @@ def _keeping_rank(comm, shape, memsize, spool):
         kv.add_batch([k for k, _ in mine], values)
 
     kept = []
-    mr.map(2 * comm.size, mapper)
+    mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
     mr.collate()
     mr.reduce(lambda key, values, kv: kept.append((key, values)), out_schema=None)
     # A second job through the same communicator: the transport sends again
     # (arena slots are reallocated) and new pages are spilled and read back.
-    mr.map(2 * comm.size, mapper)
+    mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
     mr.collate()
     mr.reduce(lambda key, values, kv: None, out_schema=None)
     mr.close()

@@ -7,18 +7,19 @@ import pytest
 from repro.obs.export import (
     assert_valid_chrome_trace,
     chrome_trace,
-    text_summary,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.report import (
     critical_path_report,
     phase_durations,
-    shuffle_traffic,
     stage_breakdown,
     utilization_report,
 )
-from repro.obs.trace import TickClock, TraceSession
+from repro.obs.trace import TraceSession
+
+from oracles.clocks import TickClock
+from oracles.trace_traffic import shuffle_traffic
 
 
 def make_session():
@@ -114,18 +115,6 @@ class TestValidator:
     def test_assert_raises_with_problem_list(self):
         with pytest.raises(ValueError, match="invalid Chrome trace"):
             assert_valid_chrome_trace({})
-
-
-class TestTextSummary:
-    def test_lists_spans_and_instants_per_rank(self):
-        text = text_summary(make_session())
-        assert "rank 0:" in text and "rank 1:" in text
-        assert "span mr.map" in text
-        assert "inst mr.traffic" in text
-
-    def test_idle_supervisor_is_omitted(self):
-        text = text_summary(make_session())
-        assert "supervisor" not in text
 
 
 class TestReports:

@@ -8,13 +8,13 @@ import pytest
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
-    SimClock,
-    TickClock,
     Tracer,
     TraceSession,
     current_tracer,
     set_current_tracer,
 )
+
+from oracles.clocks import TickClock
 
 
 def events_of(trc):
@@ -36,10 +36,11 @@ class TestTracerRecording:
         trc = Tracer(0, clock=TickClock())
         outer = trc.begin("outer")
         trc.begin("inner")
-        assert trc.open_spans == ["outer", "inner"]
+        assert trc.open_depth == 2
         trc.end()
         trc.end(outer)
-        assert trc.open_spans == []
+        assert trc.open_depth == 0
+        assert [e[3] for e in events_of(trc)] == ["outer", "inner", "inner", "outer"]
 
     def test_end_without_open_span_raises(self):
         trc = Tracer(0, clock=TickClock())
@@ -65,7 +66,7 @@ class TestTracerRecording:
         trc.begin("b")
         trc.begin("c")
         trc.unwind(aborted=True)
-        assert trc.open_spans == []
+        assert trc.open_depth == 0
         ends = [e for e in events_of(trc) if e[0] == "E"]
         assert len(ends) == 3
         assert all(e[5] == {"aborted": True} for e in ends)
@@ -128,17 +129,6 @@ class TestClocks:
         c = TickClock(start=10, step=2)
         assert [c(), c(), c()] == [10.0, 12.0, 14.0]
 
-    def test_sim_clock_reads_now_attribute(self):
-        class Env:
-            now = 0.0
-
-        env = Env()
-        clock = SimClock(env)
-        assert clock() == 0.0
-        env.now = 4.25
-        assert clock() == 4.25
-
-
 class TestNullTracer:
     def test_disabled_and_inert(self):
         trc = NullTracer()
@@ -150,7 +140,7 @@ class TestNullTracer:
         with trc.span("z"):
             pass
         assert list(trc.iter_events()) == []
-        assert trc.open_spans == []
+        assert trc.open_depth == 0
 
     def test_current_tracer_defaults_to_null(self):
         set_current_tracer(None)

@@ -9,7 +9,7 @@ from repro.blast.formatdb import pack_2bit, unpack_2bit
 from repro.blast.gapped import extend_gapped
 from repro.blast.karlin import KarlinParams
 from repro.blast.matrices import nucleotide_matrix
-from repro.blast.statistics import evalue
+from repro.blast.statistics import SearchSpace
 
 from oracles.smith_waterman import smith_waterman_score
 from oracles.staged_scheduler import extend_pair
@@ -93,9 +93,10 @@ def test_evalue_monotonicity(score, qlen, dblen, dbseqs):
     # that the length-adjustment clamp pins the effective DB length and
     # E-values flatten out, which is fine but not monotone to the epsilon).
     assume(dbseqs * 50 <= dblen)
-    e = evalue(score, params, qlen, dblen, dbseqs)
+    space = SearchSpace(params)
+    e = space.evalue(score, qlen, dblen, dbseqs)
     assert e >= 0
     # Higher score -> smaller E-value.
-    assert evalue(score + 10, params, qlen, dblen, dbseqs) <= e
+    assert space.evalue(score + 10, qlen, dblen, dbseqs) <= e
     # Bigger database -> bigger E-value.
-    assert evalue(score, params, qlen, dblen * 2, dbseqs) >= e
+    assert space.evalue(score, qlen, dblen * 2, dbseqs) >= e

@@ -12,7 +12,9 @@ from repro.mpi import run_spmd
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema, mapreduce
 from repro.mrmpi.columnar import _RADIX_MIN, ColumnarKeyValue, convert_columnar, key_order
 from repro.mrmpi.schema import RAGGED_BYTES, UNTYPED
-from repro.mrmpi.hashing import canonical_key, hash_key_column, key_bytes, stable_hash
+from repro.mrmpi.hashing import canonical_key, hash_key_column, key_bytes
+
+from oracles.fnv_hash import stable_hash
 
 # Canonical key values: bytes, str, int, float, bool and shallow tuples.
 _scalar_keys = st.one_of(
@@ -38,8 +40,10 @@ def test_out_of_core_kv_iterates_identically(pairs):
     sequence, which is exactly what was emitted."""
     big = ColumnarKeyValue(UNTYPED, pagesize=1 << 24)
     small = ColumnarKeyValue(UNTYPED, pagesize=64)  # spill after nearly every add
-    big.add_multi(pairs)
-    small.add_multi(pairs)
+    for k, v in pairs:
+        big.add(k, v)
+    for k, v in pairs:
+        small.add(k, v)
     assert _exact(big) == _exact(small) == _exact(pairs)
     assert len(big) == len(small) == len(pairs)
     small.close()
@@ -49,7 +53,8 @@ def test_out_of_core_kv_iterates_identically(pairs):
 @settings(max_examples=60, deadline=None)
 def test_convert_groups_every_value_exactly_once(pairs):
     kv = ColumnarKeyValue(UNTYPED, pagesize=128)  # force the out-of-core convert path
-    kv.add_multi(pairs)
+    for k, v in pairs:
+        kv.add(k, v)
     kmv = convert_columnar(kv, pagesize=128)
     regrouped: dict[bytes, list] = {}
     for key, vals in kmv:
@@ -342,7 +347,7 @@ def _shuffle_shape(comm, shape, memsize, exchange_bytes, spool, seed):
         groups.append((key, len(values), [decode(v) for v in values]))
 
     try:
-        mr.map(2 * comm.size, mapper)
+        mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
         mr.aggregate(exchange_bytes=exchange_bytes)
         spilled = mr.kv.out_of_core
         nbuckets = len(mr.kv._buckets)
@@ -452,7 +457,7 @@ def _som_reduce_both_ways(comm, data, codebook, spool):
     rows = np.empty(k, dtype=value_dtype)
     rows["rank"], rows["num"], rows["denom"] = comm.rank, sums, counts
     try:
-        mr.map(comm.size, lambda itask, kv: kv.add_batch(np.arange(k, dtype=np.int64), rows))
+        mr.map_items(range(comm.size), lambda itask, _, kv: kv.add_batch(np.arange(k, dtype=np.int64), rows))
         mr.collate()
         moved = int(mr.metrics.value("mr.aggregate_pairs"))
 

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.obs.trace import TickClock, Tracer, TraceSession
+from repro.obs.trace import Tracer, TraceSession
+
+from oracles.clocks import TickClock
 
 # One program step: begin a span, end the innermost span (a no-op when
 # nothing is open), or record an instant.  Attribute values stay scalar,
@@ -43,7 +45,7 @@ def run_program(trc, steps):
         if op == "begin":
             trc.begin(name, cat="p", **attrs)
         elif op == "end":
-            if trc.open_spans:
+            if trc.open_depth:
                 trc.end(**attrs)
         else:
             trc.instant(name, cat="p", **attrs)
@@ -79,7 +81,7 @@ def test_any_program_yields_wellformed_trace(programs):
                 depth -= 1
                 assert depth >= 0
         assert depth == 0
-        assert trc.open_spans == []
+        assert trc.open_depth == 0
 
 
 @given(_programs)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bio.alphabet import DNA
 from repro.bio.seq import SeqRecord, reverse_complement
-from repro.blast.dust import dust_intervals, dust_mask, dust_mask_batch
+from repro.blast.dust import dust_mask_batch
 from repro.blast.lookup import (
     NucleotideLookup,
     QueryBlock,
@@ -76,7 +76,6 @@ def test_batched_dust_equals_per_sequence_reference(texts, window, step, thresho
     for text, mask in zip(texts, got):
         want = _reference_dust_mask(text, window, threshold, step)
         assert mask.dtype == bool and np.array_equal(mask, want)
-        assert np.array_equal(dust_mask(text, window, threshold, step), want)
 
 
 @given(st.lists(st.text(alphabet="ACGT", min_size=40, max_size=40), min_size=2, max_size=8))
@@ -93,31 +92,17 @@ def test_batched_dust_equal_length_group(texts):
 
 @pytest.mark.parametrize("text", ["", "A", "AC", "ACG", "ACGTACG", "a" * 9, "N" * 70])
 def test_dust_edge_lengths(text):
-    assert np.array_equal(dust_mask(text), _reference_dust_mask(text))
-    assert dust_mask(text).shape == (len(text),)
+    (mask,) = dust_mask_batch([DNA.encode(text)])
+    assert np.array_equal(mask, _reference_dust_mask(text))
+    assert mask.shape == (len(text),)
 
 
 def test_dust_argument_errors_are_the_single_sequence_ones():
-    for call in (dust_mask, lambda s, **kw: dust_mask_batch([DNA.encode(s)], **kw)):
-        with pytest.raises(ValueError, match="window must be >= 8"):
-            call("ACGTACGT", window=7)
-        with pytest.raises(ValueError, match="step must be >= 1"):
-            call("ACGTACGT", step=0)
+    with pytest.raises(ValueError, match="window must be >= 8"):
+        dust_mask_batch([DNA.encode("ACGTACGT")], window=7)
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        dust_mask_batch([DNA.encode("ACGTACGT")], step=0)
     assert dust_mask_batch([]) == []
-
-
-@given(_dna_text)
-@settings(max_examples=80, deadline=None)
-def test_dust_intervals_are_the_runs_of_the_mask(text):
-    mask = dust_mask(text)
-    intervals = dust_intervals(text)
-    rebuilt = np.zeros(len(text), dtype=bool)
-    for start, end in intervals:
-        assert 0 <= start < end <= len(text)
-        rebuilt[start:end] = True
-    assert np.array_equal(rebuilt, mask)
-    # Maximal runs: consecutive intervals never touch.
-    assert all(a_end < b_start for (_, a_end), (b_start, _) in zip(intervals, intervals[1:]))
 
 
 # ---- word packing -----------------------------------------------------------
@@ -218,7 +203,7 @@ def test_block_postings_empty_usable_set():
     words, positions = nucleotide_postings(block, 7)
     assert words.size == positions.size == 0
     lut = NucleotideLookup(block, word_size=7)
-    assert (lut.n_words, lut.n_postings) == (0, 0)
+    assert (lut._words.size, lut._positions.size) == (0, 0)
     assert lut.scan(DNA.encode("ACGTACGGTACGTACC"))[0].size == 0
     # The concatenation does hold 7-mers (ACGTACG, crossing a into its
     # reverse strand); none may be indexed.
@@ -240,7 +225,7 @@ def test_scan_equals_dict_oracle_in_order(case, seed):
     subject = np.concatenate(pieces)
     ref = ReferenceNucleotideLookup(block, word_size=word_size)
     lut = NucleotideLookup(block, word_size=word_size)
-    assert lut.n_words == ref.n_words
+    assert lut._words.size == ref.n_words
     for got, want in zip(lut.scan(subject), ref.scan(subject)):
         assert np.array_equal(got, want)
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.trace import TickClock
 from repro.sched import Dispatcher, SpeculationPolicy
 from repro.sched.speculation import StragglerTracker
+
+from oracles.clocks import TickClock
 
 
 def chunks_in_turn(nmap, workers):

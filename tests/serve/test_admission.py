@@ -9,7 +9,7 @@ session on a :class:`~repro.obs.trace.TickClock`.
 import pytest
 
 from repro.bio.seq import SeqRecord
-from repro.obs.trace import TickClock, Tracer
+from repro.obs.trace import Tracer
 from repro.serve.admission import (
     AdmissionController,
     AdmissionError,
@@ -18,6 +18,8 @@ from repro.serve.admission import (
 )
 from repro.serve.service import QueryService
 from repro.serve.session import BlockResult, ServeConfig
+
+from oracles.clocks import TickClock
 
 
 class TestFairQueue:

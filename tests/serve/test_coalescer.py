@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bio.seq import SeqRecord
-from repro.obs.trace import TickClock
 from repro.serve.coalescer import (
     JOB_MESSAGE_ROUNDS,
     Coalescer,
@@ -20,6 +19,14 @@ from repro.serve.coalescer import (
     advise_batch_size,
     load_machine_model,
 )
+
+from oracles.clocks import TickClock
+
+
+def _ids(batch):
+    """Query record ids in batch order."""
+    return tuple(s.query.id for s in batch.submissions)
+
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -46,7 +53,7 @@ class TestSizeFlush:
         batches = co.poll(now=0.0)
         assert len(batches) == 1
         assert batches[0].reason == "size"
-        assert batches[0].query_ids == ("q0", "q1", "q2")
+        assert _ids(batches[0]) == ("q0", "q1", "q2")
         assert co.pending == 0
 
     def test_partial_batch_waits(self):
@@ -87,7 +94,7 @@ class TestDeadlineFlush:
         co.add(sub(1, at=4.0), now=4.0)  # not yet due on its own
         batches = co.poll(now=5.0)
         assert len(batches) == 1
-        assert batches[0].query_ids == ("q0", "q1")
+        assert _ids(batches[0]) == ("q0", "q1")
 
     def test_tickclock_driven_sequence(self):
         clock = TickClock()  # 0, 1, 2, ...
@@ -115,7 +122,7 @@ class TestIdleFlush:
         co.add(sub(1, at=0.0), now=0.0)
         (batch,) = co.poll(now=clock(), idle=True)  # t=1, deadline is t=100
         assert batch.reason == "idle" and batch.formed_at == 1.0
-        assert batch.query_ids == ("q0", "q1")
+        assert _ids(batch) == ("q0", "q1")
         assert co.pending == 0 and co.next_flush_at() is None
         assert co.poll(now=clock(), idle=True) == []  # nothing pending: nothing to do
 
@@ -169,7 +176,7 @@ class TestIdleFlush:
         assert [b.reason for b in got] == ["size", "size", "idle"]
         assert [b.submissions for b in got] == [b.submissions for b in forced]
         first = forced[0]
-        assert first.query_ids.count("dup") == 1  # the second copy was deferred
+        assert _ids(first).count("dup") == 1  # the second copy was deferred
         assert [s.tenant for s in first.submissions].count("heavy") == 3  # 3:1 stride
 
 
@@ -207,8 +214,8 @@ class TestDuplicateQueryIds:
         co.add(sub(2, qid="other"), now=0.0)
         batches = co.flush(now=0.0)
         assert len(batches) == 2
-        assert batches[0].query_ids == ("dup", "other")
-        assert batches[1].query_ids == ("dup",)
+        assert _ids(batches[0]) == ("dup", "other")
+        assert _ids(batches[1]) == ("dup",)
 
 
 class TestCoalescerProperties:

@@ -10,9 +10,10 @@ return at once when the code is right and expire when it is not.
 import threading
 
 from repro.bio.seq import SeqRecord
-from repro.obs.trace import TickClock
 from repro.serve import QueryService, ServeConfig
 from repro.serve.session import BlockResult
+
+from oracles.clocks import TickClock
 
 
 class _GatedSession:

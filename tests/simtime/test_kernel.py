@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simtime import Environment, Interrupt, Resource, Store
+from repro.simtime import Environment, Resource
 
 
 class TestEventsAndProcesses:
@@ -105,25 +105,6 @@ class TestEventsAndProcesses:
         env.run(until=10.0)
         assert env.now == 10.0
 
-    def test_interrupt_delivers_exception(self):
-        env = Environment()
-        caught = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as exc:
-                caught.append((env.now, exc.cause))
-
-        def killer(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt("stop now")
-
-        victim = env.process(sleeper(env))
-        env.process(killer(env, victim))
-        env.run()
-        assert caught == [(2.0, "stop now")]
-
     def test_double_trigger_rejected(self):
         env = Environment()
         ev = env.event()
@@ -194,126 +175,3 @@ class TestResource:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Environment(), capacity=0)
-
-
-class TestStore:
-    def test_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        def producer(env):
-            for i in range(3):
-                yield env.timeout(1.0)
-                store.put(i)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [0, 1, 2]
-
-    def test_get_before_put_blocks(self):
-        env = Environment()
-        store = Store(env)
-        times = []
-
-        def consumer(env):
-            item = yield store.get()
-            times.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(7.0)
-            store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert times == [(7.0, "late")]
-
-    def test_prefilled_store(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        assert len(store) == 1
-
-        def consumer(env):
-            item = yield store.get()
-            return (env.now, item)
-
-        p = env.process(consumer(env))
-        env.run()
-        assert p.value == (0.0, "x")
-
-
-class TestCombinators:
-    def test_allof_waits_for_slowest(self):
-        from repro.simtime import AllOf
-
-        env = Environment()
-
-        def child(env, d, v):
-            yield env.timeout(d)
-            return v
-
-        def parent(env):
-            a = env.process(child(env, 3.0, "a"))
-            b = env.process(child(env, 1.0, "b"))
-            values = yield AllOf(env, [a, b])
-            return (env.now, values)
-
-        p = env.process(parent(env))
-        env.run()
-        assert p.value == (3.0, ["a", "b"])
-
-    def test_anyof_returns_first(self):
-        from repro.simtime import AnyOf
-
-        env = Environment()
-
-        def parent(env):
-            slow = env.timeout(5.0, "slow")
-            fast = env.timeout(1.0, "fast")
-            index, value = yield AnyOf(env, [slow, fast])
-            return (env.now, index, value)
-
-        p = env.process(parent(env))
-        env.run()
-        assert p.value == (1.0, 1, "fast")
-
-    def test_allof_with_already_completed_event(self):
-        from repro.simtime import AllOf
-
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-            return 42
-
-        done = env.process(quick(env))
-
-        def parent(env):
-            yield env.timeout(2.0)  # `done` finished long ago
-            values = yield AllOf(env, [done])
-            return values
-
-        p = env.process(parent(env))
-        env.run()
-        assert p.value == [42]
-
-    def test_combinator_validation(self):
-        import pytest as _pytest
-
-        from repro.simtime import AllOf, AnyOf
-
-        env = Environment()
-        with _pytest.raises(ValueError):
-            AllOf(env, [])
-        with _pytest.raises(ValueError):
-            AnyOf(env, [])
-        with _pytest.raises(TypeError):
-            AllOf(env, [42])

@@ -10,8 +10,6 @@ from repro.som import (
     accumulate_batch,
     batch_update,
     best_matching_units,
-    bubble_kernel,
-    component_planes,
     gaussian_kernel,
     init_codebook,
     pairwise_sq_distances,
@@ -20,7 +18,7 @@ from repro.som import (
     topographic_error,
     umatrix,
 )
-from repro.som.umatrix import render_ascii, umatrix_full
+from repro.som.umatrix import render_ascii
 
 
 class TestGrid:
@@ -89,15 +87,9 @@ class TestKernels:
         np.testing.assert_allclose(h, np.exp(-d2 / 4.0))
         assert h[0] == 1.0
 
-    def test_bubble(self):
-        d2 = np.array([0.0, 1.0, 4.0, 9.0])
-        np.testing.assert_array_equal(bubble_kernel(d2, 2.0), [1, 1, 1, 0])
-
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             gaussian_kernel(np.zeros(1), 0.0)
-        with pytest.raises(ValueError):
-            bubble_kernel(np.zeros(1), -1.0)
 
     def test_radius_schedule(self):
         r = radius_schedule(10.0, 1.0, 10)
@@ -256,20 +248,6 @@ class TestUmatrixAndQuality:
         u = umatrix(grid, cb)
         # Ridge: max boundary distance far above median within-cluster value.
         assert u.max() > 4 * np.median(u)
-
-    def test_umatrix_full_shape_and_consistency(self):
-        grid = SOMGrid(5, 7)
-        cb = np.random.default_rng(9).random((35, 3))
-        full = umatrix_full(grid, cb)
-        assert full.shape == (9, 13)
-        np.testing.assert_allclose(full[0::2, 0::2], umatrix(grid, cb))
-
-    def test_component_planes(self):
-        grid = SOMGrid(4, 6)
-        cb = np.random.default_rng(10).random((24, 5))
-        planes = component_planes(grid, cb)
-        assert planes.shape == (5, 4, 6)
-        np.testing.assert_array_equal(planes[2, 1, 3], cb[1 * 6 + 3, 2])
 
     def test_render_ascii(self):
         art = render_ascii(np.arange(12).reshape(3, 4))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.som import BatchSOM, SOMGrid, quantization_error, topographic_error, umatrix
-from repro.som.umatrix import umatrix_full
 
 
 class TestHexGrid:
@@ -42,12 +41,6 @@ class TestHexGrid:
         u = umatrix(grid, cb)
         assert u.shape == (8, 8)
         assert np.isfinite(u).all() and (u > 0).all()
-
-    def test_umatrix_full_rejected_on_hex(self):
-        g = SOMGrid(3, 3, topology="hex")
-        with pytest.raises(ValueError):
-            umatrix_full(g, np.zeros((9, 2)))
-
 
 class TestToroidalGrid:
     def test_every_unit_has_four_neighbors(self):

@@ -5,8 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.util import derive_rng, get_logger, rank_logger, spawn_rngs
-from repro.util.rng import as_rng, choice_without_replacement
+from repro.util import derive_rng, get_logger, rank_logger
+from repro.util.rng import as_rng
 
 
 class TestRng:
@@ -22,26 +22,10 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_spawn_rngs(self):
-        rngs = spawn_rngs(7, 4)
-        assert len(rngs) == 4
-        draws = {float(r.random()) for r in rngs}
-        assert len(draws) == 4
-        with pytest.raises(ValueError):
-            spawn_rngs(7, -1)
-
     def test_as_rng_passthrough_and_coerce(self):
         gen = np.random.default_rng(0)
         assert as_rng(gen) is gen
         assert isinstance(as_rng(5), np.random.Generator)
-
-    def test_choice_without_replacement(self):
-        rng = np.random.default_rng(1)
-        picked = choice_without_replacement(rng, list("abcdef"), 4)
-        assert len(picked) == len(set(picked)) == 4
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, [1, 2], 3)
-
 
 class TestLogging:
     def test_get_logger_namespaced(self):
