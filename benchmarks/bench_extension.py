@@ -5,8 +5,8 @@ families: 260-aa ancestors, three copies each in the DB, queries a 200-aa
 slice of each ancestor) rather than asserted:
 
 1. Replacing the per-trigger scalar ``ungapped_extend`` loop with one
-   window-escalating :func:`batch_ungapped_extend_spans` pass per (context,
-   subject), and the per-seed dense float32 gapped DP with one
+   compiled :func:`extend_ungapped` call per (context, subject), and the
+   per-seed dense float32 gapped DP with one
    :func:`extend_gapped_batch` call running every seed's band-compressed
    int32 DP in the compiled kernel, is >= 3x faster on the combined
    ungapped+gapped stage time, with bit-identical extents and alignments.  The gapped seeds
@@ -43,7 +43,7 @@ from repro.blast import BlastOptions, format_database
 from repro.blast import engine as engine_module
 from repro.blast.dbreader import DatabaseAlias
 from repro.blast.engine import make_engine
-from repro.blast.extend import batch_ungapped_extend_spans
+from repro.blast.extend import extend_ungapped
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
@@ -124,7 +124,6 @@ def fig5_hits():
     groups = []
     for rec in db:
         s_codes = PROTEIN.encode(rec.seq)
-        s_index = s_codes.astype("intp")
         qpos_concat, spos = lookup.scan(s_codes)
         if qpos_concat.size == 0:
             continue
@@ -132,7 +131,7 @@ def fig5_hits():
         for c in sorted(set(int(x) for x in ctx_indices)):
             rows = ctx_indices == c
             groups.append(
-                (block.contexts[c].codes_index, s_index, q_local[rows], spos[rows])
+                (block.contexts[c].codes, s_codes, q_local[rows], spos[rows])
             )
     assert groups, "Fig. 5 workload must produce word hits"
     return db, queries, groups
@@ -159,13 +158,9 @@ def test_extension_stage_speedup(fig5_hits, tmp_path, print_table):
     def ungapped_batched():
         out = []
         for q_idx, s_idx, qp, sp in groups:
-            n = qp.size
-            ext = batch_ungapped_extend_spans(
-                q_idx, s_idx, qp, sp,
-                np.zeros(n, np.int64), np.full(n, q_idx.size, np.int64),
-                np.zeros(n, np.int64), np.full(n, s_idx.size, np.int64),
-                word, BLOSUM62, xdrop, window=OPTS.extension_window,
-            )
+            hits = np.stack((np.zeros(qp.size, np.int64), qp, sp))
+            spans = np.array([[0], [q_idx.size]], dtype=np.int64)
+            ext = extend_ungapped(q_idx, s_idx, spans, hits, word, BLOSUM62, xdrop)
             out.extend(zip(ext.score.tolist(), ext.q_start.tolist(), ext.q_end.tolist(),
                            ext.s_start.tolist(), ext.s_end.tolist()))
         return out

@@ -1,6 +1,6 @@
-"""Build and load the package's C kernel sources with ``ctypes``.
+"""Build, load and call the engine's C kernels (``_engine.c``) with ``ctypes``.
 
-A source is compiled once per content checksum with ``sysconfig``'s C compiler
+The source is compiled once per content checksum with ``sysconfig``'s C compiler
 (``CC``) at :data:`CFLAGS` and the shared library is cached under
 ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``), or under a private temp
 directory when that is not writable.  The cache key also covers the
@@ -9,7 +9,8 @@ compiler version is a new binary), the flags and the platform, so a warm
 cache never runs the compiler.  One process builds a missing library
 while others wait on a lock file beside it, and the build lands by atomic
 rename, so a library is compiled at most once per cache and nobody loads
-a partial one.
+a partial one.  The library is loaded once, at import (:data:`LIBRARY`),
+and every kernel is run through :func:`call`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 CFLAGS = ("-O2", "-shared", "-fPIC")
+SOURCE = Path(__file__).with_name("_engine.c")
 
 
 def compiler() -> list[str]:
@@ -102,3 +106,42 @@ def load(source: Path) -> ctypes.CDLL:
             if not target.exists():
                 build(source, target)
     return ctypes.CDLL(str(target))
+
+
+def _open() -> tuple[ctypes.CDLL | None, str | None]:
+    """The engine library, or ``None`` and why it could not be built."""
+    try:
+        return load(SOURCE), None
+    except (RuntimeError, OSError) as exc:
+        return None, str(exc)
+
+
+# Built and loaded at import: a process-backend rank inherits the library
+# from the process that forked it, and no timed region compiles.  Without a
+# compiler the package still imports, and the first kernel call raises.
+LIBRARY, ERROR = _open()
+
+
+def _address(a: np.ndarray) -> int:
+    """Where ``a``'s data starts: through the buffer protocol when ``a`` is
+    writable (a third of the cost of ``a.ctypes.data``), else numpy's."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only, or empty
+        return a.ctypes.data
+
+
+def call(name: str, *args) -> int:
+    """Run the kernel ``name`` on int64 arguments, arrays passed by address.
+
+    Every array must be C-contiguous and of the type the kernel reads.
+    ctypes releases the GIL for the call.  Raises :class:`RuntimeError`,
+    naming the compile command and its stderr, if the library did not build.
+    """
+    if LIBRARY is None:
+        raise RuntimeError(f"the engine kernels are not available: {ERROR}")
+    fn = getattr(LIBRARY, name)
+    if fn.argtypes is None:
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int64] * len(args)
+    return fn(*[_address(a) if isinstance(a, np.ndarray) else a for a in args])

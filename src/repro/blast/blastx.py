@@ -9,9 +9,9 @@ coordinates.
 Implementation: each query is expanded into up to six frame records
 (frames +1/+2/+3 on the forward strand, -1/-2/-3 on the reverse
 complement); the inner :class:`~repro.blast.engine.BlastpEngine` searches
-them as a block — the batched stage-2 extension, band-compressed gapped
-kernel, per-batch stage timings, and ``extension_window``/``band_width``
-options all flow through unchanged; coordinates map back as
+them as a block — the compiled stage 1-3 kernels, per-stage timings and
+the ``band_width`` option all flow through unchanged; coordinates map back
+as
 
 - frame +k:  nt = (k-1) + 3*aa
 - frame -k:  nt = L - (k-1) - 3*aa   (alignment reported on the minus strand)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,6 +23,12 @@ import numpy as np
 from repro.blast.formatdb import unpack_2bit
 
 __all__ = ["DatabaseAlias", "DbPartition"]
+
+#: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, which is
+#: not thread-safe on CPython 3.11 (gh-106905: a parse interleaved with
+#: another thread's raises ``SystemError: AST constructor recursion depth
+#: mismatch``), so thread-backend ranks open volumes one at a time.
+_LOAD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,8 @@ class DbPartition:
 
     def _ensure_loaded(self) -> np.ndarray:
         if self._data is None:
-            self._data = np.load(self.base_path + ".seq.npy", mmap_mode="r")
+            with _LOAD_LOCK:
+                self._data = np.load(self.base_path + ".seq.npy", mmap_mode="r")
             self.load_count += 1
         return self._data
 

@@ -6,34 +6,33 @@ block against one DB partition) exactly as the paper's map() calls the NCBI
 C++ toolkit search, passing the whole-database statistics so E-values match
 an unsplit search.
 
-Stage-1 admission is array-driven: word hits are grouped into per-diagonal
-runs with one ``lexsort``, and the admission state of a subject's live runs
-is four parallel arrays (pending trigger row, run end, coverage, two-hit
-anchor).  Under blastn's one-hit rule a run's next trigger is its first hit
-at or past its coverage, so runs are opened, gathered into a round and moved
-on with fancy-index gathers, and Python visits only the segments the gap
-trigger admits and the few runs whose coverage swallowed their next hit but
-not their last.  blastp's two-hit rule walks each run with ``searchsorted``
-jumps over covered/overlapping stretches: one Python step per trigger or
-anchor, never per raw word hit.  An optional
+Stages 1 and 2 run compiled, beside stage 3's DP, in the engine's one C
+library (``_engine.c``, built and loaded at import by
+:mod:`repro.blast._native`): the subject scan
+(:meth:`~repro.blast.lookup.NucleotideLookup.scan`), the grouping of a
+subject's word hits into per-(context, diagonal) runs with each run walked
+to its first trigger (``group_runs``), the walk of every run past a
+consumed trigger to its next one (``next_triggers``: the first hit at or
+past its coverage under blastn's one-hit rule, NCBI's two-hit rule for
+blastp) and the ungapped X-drop (:func:`~repro.blast.extend.extend_ungapped`).
+Python sees only the segments the gap trigger admits.  An optional
 :class:`~repro.blast.lookup.LookupCache` lets the same query block reuse its
 built lookup table across DB partitions.
 
-One scheduler runs on that admission machinery (a second, per-subject one
-lives in ``tests/oracles/staged_scheduler.py`` as a function over an engine;
-the property suite pins this one to it).  The whole work unit is one
-round-based pass.  Subjects are streamed from the partition into a pool of
-*open* subjects bounded by ``options.fused_slab_rows`` word-hit rows; each
-round advances every live (context, diagonal) run of every open subject to
-its pending trigger, extends all of them with **one**
-:func:`~repro.blast.extend.batch_ungapped_extend_spans` call over the
-concatenated query block and a concatenated subject arena, and feeds the
-seeds admitted in that round straight into stage 3 (with the raw score each
-seed needs to be reportable, so the kernel traces back only alignments that
-can pass the E-value gate).  No stage ever materialises a whole-partition
-intermediate: scan hits, triggers and admitted seeds live only as bounded
-per-round slabs (``SearchStats.peak_slab_bytes`` reports the high-water
-mark), and a subject's HSPs are finalised the moment its last run exhausts.
+One scheduler runs on that machinery (a second, per-subject one lives in
+``tests/oracles/staged_scheduler.py`` as a function over an engine, with its
+own run grouping and walk in Python; the property suite pins this one to
+it).  The whole work unit is one round-based pass.  Subjects are streamed
+from the partition into a pool of *open* subjects bounded by
+``options.fused_slab_rows`` word-hit rows; each round extends the pending
+trigger of every live (context, diagonal) run of every open subject, feeds
+the seeds admitted in that round straight into stage 3 (with the raw score
+each seed needs to be reportable, so the kernel traces back only alignments
+that can pass the E-value gate), and moves every run on.  No stage ever
+materialises a whole-partition intermediate: word hits, runs and
+extensions live only as bounded per-subject and per-round slabs
+(``SearchStats.peak_slab_bytes`` reports the high-water mark), and a
+subject's HSPs are finalised the moment its last run exhausts.
 
 Stage 3 admits and then contains:
 
@@ -61,10 +60,13 @@ Stage 3 admits and then contains:
   *k*-th round whatever else is open, so results do not depend on block
   composition, DB split or pool order.
 
-Stage timing is accumulated per kernel call, never per word hit: lookup
-build/fetch and subject scanning count as ``seed``, the span kernel as
-``ungapped``, and the gapped passes as ``gapped``; the three timers cover
-disjoint code regions, so per-stage seconds never double-count.
+Stage timing covers disjoint code regions, so per-stage seconds never
+double-count: ``seed`` is the lookup build/fetch, the subject stream, the
+scan, the run grouping and every trigger walk (stage 1's admission);
+``ungapped`` the X-drop calls and the admission loop over their results;
+``gapped`` the gapped passes with their containment checks, boxes and HSPs.
+What is left of ``busy_seconds`` is per-unit set-up, per-round bookkeeping,
+per-subject culling and the per-query E-value filter.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ import numpy as np
 
 from repro.bio.seq import SeqRecord
 from repro.blast.dbreader import DbPartition
-from repro.blast.extend import batch_ungapped_extend_spans
+from repro.blast import _native
+from repro.blast.extend import extend_ungapped
 from repro.blast.gapped import extend_gapped_batch
 from repro.blast.hsp import HSP, cull_overlapping, top_hits
 from repro.blast.karlin import gapped_params, karlin_params
@@ -104,9 +107,10 @@ class SearchStats:
     A per-call record: the mrblast mapper adds each unit's into its rank's
     metrics registry (``blast.*``).  ``busy_seconds`` is the in-search wall time — the quantity the paper's
     Fig. 5 divides by elapsed time to chart "useful CPU utilisation".  The
-    per-stage breakdown (``seed`` = lookup build/fetch + subject scanning,
-    then the two extension stages) makes stage-1 cost observable rather
-    than inferred; ``lookup_cache_hits`` counts block lookups served from a
+    per-stage breakdown (``seed`` = lookup build/fetch, subject scanning and
+    the trigger walks, then the two extension stages; see the module
+    docstring) makes stage-1 cost observable rather than inferred;
+    ``lookup_cache_hits`` counts block lookups served from a
     :class:`~repro.blast.lookup.LookupCache` instead of rebuilt.
 
     ``n_gapped`` counts seeds the gapped kernel extended and ``n_contained``
@@ -114,8 +118,8 @@ class SearchStats:
     subject and context already contains them; every admitted seed is one
     or the other.  ``fused_rounds`` counts scheduler rounds and
     ``peak_slab_bytes`` their intermediate high-water mark: the largest
-    per-round footprint of the subject arena, open subjects' run arrays,
-    the round's trigger rows and both extension kernels' scratch slabs.
+    per-round footprint of the open subjects' run and state arrays, the
+    round's extensions and the gapped kernel's buffers.
     """
 
     n_subjects: int = 0
@@ -131,25 +135,6 @@ class SearchStats:
     lookup_cache_hits: int = 0
     fused_rounds: int = 0
     peak_slab_bytes: int = 0
-
-
-@dataclass
-class _SubjectRuns:
-    """One subject's word hits grouped into per-(context, diagonal) runs.
-
-    Arrays are in run order (one ``lexsort`` by context, diagonal, subject
-    position); ``rank_r`` maps each row back to the (context, query pos,
-    subject pos) admission order of the original per-hit loop so downstream
-    culling sees an identical HSP sequence under any scheduler.
-    """
-
-    n: int
-    ctx_r: np.ndarray  # context index per row
-    qg_r: np.ndarray  # block-concatenated query word start
-    s_r: np.ndarray  # subject word start
-    rank_r: np.ndarray  # emission rank (admission order)
-    run_starts: np.ndarray
-    run_ends: np.ndarray
 
 
 class _Box(NamedTuple):
@@ -168,8 +153,8 @@ class _GappedJob(NamedTuple):
     """An admitted ungapped segment on its way to the gapped kernel."""
 
     subj: "_OpenSubject"
-    k: int  # the run's slot in the subject's live-run arrays
-    row: int  # the trigger's row in the subject's run arrays
+    k: int  # the run's slot in the subject's live-run state
+    rank: tuple  # emission order: (block query position, subject position) of the trigger
     ctx_index: int
     seed: tuple  # (q_seed, s_seed, report floor)
     segment: _Box
@@ -177,21 +162,25 @@ class _GappedJob(NamedTuple):
 
 @dataclass
 class _OpenSubject:
-    """A subject streamed into the fused scheduler's open pool."""
+    """A subject streamed into the fused scheduler's open pool.
+
+    ``runs`` holds its word hits in run order, one column a hit: context
+    index, block query position, subject position (one ``group_runs`` sort
+    by context, diagonal and subject position).  ``state`` holds the
+    admission state of its live runs in its first ``live`` columns:
+    pending trigger row, one past the run's last row, coverage (the subject
+    end of the last extension on the diagonal) and two-hit anchor.
+    """
 
     ordinal: int  # position in partition order (result slot)
     subject_id: str
-    s_index: np.ndarray  # subject codes as intp (gapped jobs + fallback)
-    runs: _SubjectRuns
-    # Admission state of the live runs, one slot a run:
-    row: np.ndarray  # pending trigger (a row of ``runs``)
-    end: np.ndarray  # one past the run's last row
-    covered: np.ndarray  # subject end of the last extension on the diagonal
-    anchor: np.ndarray  # two-hit: end of the last admitted word hit, -1 for none
+    codes: np.ndarray  # uint8 subject codes
+    runs: np.ndarray  # (3, n) int64
+    state: np.ndarray  # (4, n) int64
+    live: int
     found: list = field(default_factory=list)  # (rank, HSP) accumulator
     #: context index -> :class:`_Box` of each gapped alignment produced so far
     boxes: dict = field(default_factory=dict)
-    arena_lo: int = 0  # subject's offset inside the pool arena
 
 
 class _EngineBase:
@@ -226,6 +215,8 @@ class _EngineBase:
             raw += 1
         self._gap_trigger = raw
         self._two_hit = self.program == "blastp" and options.two_hit_window > 0
+        # The trigger walk's rule: the two-hit window, or -1 for one-hit.
+        self._window = options.two_hit_window if self._two_hit else -1
         self.last_stats = SearchStats()
         self.lookup_cache: LookupCache | None = None
 
@@ -316,112 +307,34 @@ class _EngineBase:
     def _masking_enabled(self) -> bool:
         return self.options.dust if self.program == "blastn" else self.options.seg
 
-    def _prepare_runs(
-        self, block: QueryBlock, qpos_concat: np.ndarray, spos_arr: np.ndarray
-    ) -> _SubjectRuns:
-        """Group one subject's word hits into per-(context, diagonal) runs.
+    def _open_subject(
+        self, ordinal: int, subject_id: str, codes: np.ndarray,
+        q_pos: np.ndarray, s_pos: np.ndarray, spans: np.ndarray,
+    ) -> _OpenSubject | None:
+        """One subject's word hits grouped into runs, each at its first
+        trigger (``group_runs`` of the engine's C library); ``None`` if no
+        run triggers."""
+        n = q_pos.size
+        held = np.empty(7 * n, dtype=np.int64)
+        live = _native.call(
+            "group_runs", n, q_pos, s_pos, spans, spans.shape[1], codes.size,
+            self.options.word_size, self._window, np.empty(4 * n, dtype=np.int64),
+            held[: 3 * n], held[3 * n :],
+        )
+        if live < 0:
+            raise ValueError("a word hit lies outside the query block or the subject")
+        if live == 0:
+            return None
+        runs, state = held[: 3 * n].reshape(3, n), held[3 * n :].reshape(4, n)
+        return _OpenSubject(ordinal, subject_id, codes, runs, state, live)
 
-        Admission works on runs left to right along the subject; emitted
-        HSPs are re-ordered afterwards via ``rank_r`` to the (context,
-        query pos, subject pos) admission order of the original per-hit
-        loop, so downstream culling sees an identical sequence — the
-        per-diagonal state machines are independent, which makes every
-        traversal order produce the same extensions.
-        """
-        opts = self.options
-        ctx_indices, q_local = block.localize(qpos_concat)
-        diags = spos_arr - q_local
-        n = qpos_concat.size
-
-        run_order = np.lexsort((spos_arr, diags, ctx_indices))
-        emit_rank = np.empty(n, dtype=np.int64)
-        emit_rank[np.lexsort((spos_arr, qpos_concat, ctx_indices))] = np.arange(n)
-
-        ctx_r = ctx_indices[run_order]
-        qg_r = qpos_concat[run_order]
-        s_r = spos_arr[run_order]
-        diag_r = diags[run_order]
-        rank_r = emit_rank[run_order]
-
-        breaks = 1 + np.flatnonzero((ctx_r[1:] != ctx_r[:-1]) | (diag_r[1:] != diag_r[:-1]))
-        run_starts = np.concatenate(([0], breaks))
-        run_ends = np.concatenate((breaks, [n]))
-
-        if self._two_hit:
-            # A run can trigger an extension only if some adjacent pair sits
-            # within window + word of each other on the subject: a trigger's
-            # anchor ends at s_k + word, every hit between anchor and trigger
-            # overlaps the anchor, so the trigger's immediate predecessor is
-            # at most window + word behind it.  Runs without such a pair are
-            # pure no-ops (coverage only changes after an extension), so the
-            # admission loops visit extension-capable runs only.
-            word = opts.word_size
-            window = opts.two_hit_window
-            pair_ok = np.zeros(max(n - 1, 0), dtype=bool)
-            if n > 1:
-                same_run = (ctx_r[1:] == ctx_r[:-1]) & (diag_r[1:] == diag_r[:-1])
-                pair_ok = same_run & (s_r[1:] - s_r[:-1] <= window + word)
-            csum = np.concatenate(([0], np.cumsum(pair_ok.astype(np.int64))))
-            live = csum[run_ends - 1] - csum[run_starts] > 0
-            run_starts = run_starts[live]
-            run_ends = run_ends[live]
-
-        return _SubjectRuns(n, ctx_r, qg_r, s_r, rank_r, run_starts, run_ends)
-
-    def _walk_two_hit(
-        self, s_r: np.ndarray, i: int, b: int, covered: int, last_end: int
-    ) -> tuple[int, int]:
-        """Walk one run from row ``i`` to its next two-hit trigger.
-
-        Returns ``(row, anchor)``; the row is ``b`` when the run is
-        exhausted.  NCBI's two-hit rule: remember the *end* of the last
-        word hit on this diagonal; hits overlapping it are ignored outright
-        (the anchor survives), a non-overlapping hit within the window
-        triggers extension, and a hit beyond the window becomes the new
-        anchor.
-        """
-        word = self.options.word_size
-        window = self.options.two_hit_window
-        while i < b:
-            s_pos = int(s_r[i])
-            if s_pos < covered or (0 <= last_end and s_pos < last_end):
-                # Jump over every hit inside the already-extended region,
-                # or the whole stretch overlapping the anchor, at once.
-                i += int(np.searchsorted(s_r[i:b], max(covered, last_end), side="left"))
-            elif last_end < 0 or s_pos - last_end > window:
-                last_end = s_pos + word
-                i += 1
-            else:
-                return i, s_pos + word
-        return b, last_end
-
-    def _next_triggers(
-        self, s_r: np.ndarray, row: np.ndarray, end: np.ndarray,
-        covered: np.ndarray, anchor: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Move every run from ``row`` on to its next extension trigger.
-
-        Takes and returns the live-run arrays of an :class:`_OpenSubject`,
-        exhausted runs dropped.  One-hit: the next trigger is the first hit
-        at or past the coverage, so one gather settles the runs that are
-        exhausted (last hit covered) or already there (every run of a fresh
-        subject) and Python visits only the rest.  Two-hit walks run by run.
-        """
-        if self._two_hit:
-            walked = [
-                self._walk_two_hit(s_r, *st)
-                for st in zip(row.tolist(), end.tolist(), covered.tolist(), anchor.tolist())
-            ]
-            row = np.array([i for i, _ in walked], dtype=np.int64)
-            anchor = np.array([last for _, last in walked], dtype=np.int64)
-            keep = np.flatnonzero(row < end)
-            return row[keep], end[keep], covered[keep], anchor[keep]
-        keep = np.flatnonzero(row < end)
-        keep = keep[s_r[end[keep] - 1] >= covered[keep]]
-        row, end, covered = row[keep], end[keep], covered[keep]
-        for k in np.flatnonzero(s_r[row] < covered).tolist():
-            row[k] += np.searchsorted(s_r[row[k] : end[k]], covered[k], side="left")
-        return row, end, covered, anchor[keep]
+    def _next_triggers(self, subj: _OpenSubject) -> None:
+        """Move every live run of ``subj`` past its consumed trigger to its
+        next one (``next_triggers`` of the engine's C library)."""
+        subj.live = _native.call(
+            "next_triggers", subj.live, subj.runs[2], subj.state, subj.runs.shape[1], 1,
+            self.options.word_size, self._window,
+        )
 
     def _emit_hsp(self, block: QueryBlock, ctx, subject_id: str, g, db_len: int, db_seqs: int):
         """HSP for a gapped alignment, or None below the E-value cutoff."""
@@ -493,15 +406,15 @@ class _EngineBase:
         return None
 
     def _extend_gapped(self, jobs: list, kernel_stats: dict | None = None) -> list:
-        """One gapped batch over ``jobs`` = ``(ctx, s_index, q_seed, s_seed, floor)``.
+        """One gapped batch over ``jobs`` = ``(ctx, s_codes, q_seed, s_seed, floor)``.
 
         A seed scoring under its report floor comes back extents-only,
         which is all the diagonal-coverage update reads.
         """
         opts = self.options
         return extend_gapped_batch(
-            [(ctx.codes_index, s_index, q_seed, s_seed)
-             for ctx, s_index, q_seed, s_seed, _ in jobs],
+            [(ctx.codes, s_codes, q_seed, s_seed)
+             for ctx, s_codes, q_seed, s_seed, _ in jobs],
             self.matrix,
             opts.gap_open,
             opts.gap_extend,
@@ -527,37 +440,29 @@ class _EngineBase:
 
         Subjects stream into a pool of open subjects bounded by
         ``fused_slab_rows`` word-hit rows; every round extends the pending
-        triggers of *all* open runs with one span-batched kernel call over
-        (query block concat × subject arena), gapped-extends the admitted
-        seeds no earlier alignment contains in at most two gapped passes,
-        advances the state machines, and finalises any subject whose runs
-        all exhausted (see module docstring).
+        triggers of *all* open runs, gapped-extends the admitted seeds no
+        earlier alignment contains in at most two gapped passes, advances
+        the runs, and finalises any subject whose runs all exhausted (see
+        module docstring).
         """
         opts = self.options
-        word = opts.word_size
         band = opts.band_width
-        q_arena = block.concat_index
-        ctx_starts = block._starts
-        ctx_ends = np.append(ctx_starts[1:], block.total_length)
+        spans = np.stack((block._starts, np.append(block._starts[1:], block.total_length)))
+        ctx_lo = block._starts.tolist()
         # Admission scores per context, for the round's one compare.
         trigger_c = np.array([cutoffs[c.query_index][0] for c in block.contexts], dtype=np.int64)
         floor_c = [cutoffs[c.query_index][1] for c in block.contexts]
 
         results: list[list[HSP] | None] = []
         pool: list[_OpenSubject] = []
-        arena = np.empty(0, dtype=np.intp)
         pool_rows = 0
         kernel_peaks: dict = {}
         subject_iter = iter(partition)
         exhausted = False
         trc = current_tracer()
 
-        def finalize(subj: _OpenSubject) -> None:
-            subj.found.sort(key=lambda rh: rh[0])
-            results[subj.ordinal] = cull_overlapping([h for _, h in subj.found])
-
         def cover(job: _GappedJob, s_end: int) -> None:
-            covered = job.subj.covered
+            covered = job.subj.state[2]
             covered[job.k] = max(covered[job.k], s_end)
 
         def contained(job: _GappedJob) -> bool:
@@ -573,13 +478,11 @@ class _EngineBase:
 
         def extend(jobs: list[_GappedJob]) -> None:
             """One gapped pass: coverage, the new boxes, reportable HSPs."""
-            t_g = time.perf_counter()
             aligns = self._extend_gapped(
-                [(block.contexts[job.ctx_index], job.subj.s_index, *job.seed) for job in jobs],
+                [(block.contexts[job.ctx_index], job.subj.codes, *job.seed) for job in jobs],
                 kernel_peaks,
             )
             stats.n_gapped += len(jobs)
-            stats.gapped_seconds += time.perf_counter() - t_g
             for job, g in zip(jobs, aligns):
                 if g is None:
                     continue
@@ -592,12 +495,12 @@ class _EngineBase:
                     block, block.contexts[c], subj.subject_id, g, db_len, db_seqs
                 )
                 if hsp is not None:
-                    subj.found.append((int(subj.runs.rank_r[job.row]), hsp))
+                    subj.found.append((job.rank, hsp))
 
         while True:
             # Refill: stream subjects in until the slab bound (always at
             # least one so an oversized subject still makes progress).
-            added = False
+            t0 = time.perf_counter()
             while not exhausted and (not pool or pool_rows < opts.fused_slab_rows):
                 try:
                     subject_id, s_codes = next(subject_iter)
@@ -605,133 +508,92 @@ class _EngineBase:
                     exhausted = True
                     break
                 stats.n_subjects += 1
-                t_seed = time.perf_counter()
-                qpos_concat, spos_arr = lookup.scan(s_codes)
-                stats.seed_seconds += time.perf_counter() - t_seed
-                stats.n_word_hits += int(qpos_concat.size)
-                if qpos_concat.size == 0:
-                    results.append([])
-                    continue
-                runs = self._prepare_runs(block, qpos_concat, spos_arr)
-                n_runs = runs.run_starts.size
-                live = self._next_triggers(
-                    runs.s_r, runs.run_starts, runs.run_ends,
-                    np.zeros(n_runs, dtype=np.int64), np.full(n_runs, -1, dtype=np.int64),
-                )
-                if live[0].size == 0:
-                    results.append([])
-                    continue
-                s_index = s_codes if s_codes.dtype == np.intp else s_codes.astype(np.intp)
-                pool.append(_OpenSubject(len(results), subject_id, s_index, runs, *live))
-                results.append(None)
-                pool_rows += runs.n
-                added = True
-            if added:
-                # Rebuild the subject arena (compacting finished subjects
-                # out): one copy per subject per refill it survives.
-                arena = np.concatenate([s.s_index for s in pool])
-                lo = 0
-                for s in pool:
-                    s.arena_lo = lo
-                    lo += s.s_index.size
+                s_codes = np.ascontiguousarray(s_codes, dtype=np.uint8)
+                q_pos, s_pos = lookup.scan(s_codes)
+                stats.n_word_hits += q_pos.size
+                subj = self._open_subject(len(results), subject_id, s_codes, q_pos, s_pos, spans)
+                results.append(None if subj else [])
+                if subj:
+                    pool.append(subj)
+                    pool_rows += subj.runs.shape[1]
+            stats.seed_seconds += time.perf_counter() - t0
             if not pool:
                 break
 
-            # Gather this round's pending triggers across the whole pool:
-            # trigger j belongs to pool[p] for bounds[p] <= j < bounds[p + 1].
-            counts = [s.row.size for s in pool]
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            m = int(bounds[-1])
-            row = np.concatenate([s.row for s in pool])
-            ctx_t = np.concatenate([s.runs.ctx_r[s.row] for s in pool])
-            qg = np.concatenate([s.runs.qg_r[s.row] for s in pool])
-            s_lo = np.repeat([s.arena_lo for s in pool], counts)
-            s_hi = s_lo + np.repeat([s.s_index.size for s in pool], counts)
-            sg = np.concatenate([s.runs.s_r[s.row] for s in pool]) + s_lo
-            q_lo = ctx_starts[ctx_t]
-            q_hi = ctx_ends[ctx_t]
-
-            t_ext = time.perf_counter()
-            ext = batch_ungapped_extend_spans(
-                q_arena, arena, qg, sg, q_lo, q_hi, s_lo, s_hi,
-                word, self.matrix, opts.xdrop_ungapped,
-                window=opts.extension_window, stats=kernel_peaks,
-            )
-            stats.ungapped_seconds += time.perf_counter() - t_ext
-            stats.n_ungapped += m
-
-            # Every run is covered to the end of its extension.
-            u_s_end = ext.s_end - s_lo
-            for subj, lo, hi in zip(pool, bounds[:-1].tolist(), bounds[1:].tolist()):
-                subj.covered = u_s_end[lo:hi]
-
-            # The admission rule is one compare; Python sees only the
-            # admitted segments, in trigger order.  That order walks each
-            # subject's runs by (context, diagonal), so the segments no box
-            # contains fall into clusters of diagonals chaining within the
-            # band as they come; ``first`` holds each cluster's best segment
-            # (ties to the earlier emission rank), ``rest`` the others.
+            # Stage 2: each open subject's pending triggers in one X-drop
+            # call, every run covered to the end of its extension.  The
+            # admission rule is one compare; Python sees only the admitted
+            # segments, in trigger order.  That order walks each subject's
+            # runs by (context, diagonal), so the segments no box contains
+            # fall into clusters of diagonals chaining within the band as
+            # they come; ``first`` holds each cluster's best segment (ties
+            # to the earlier emission rank), ``rest`` the others.
+            t0 = time.perf_counter()
             g0, c0 = stats.n_gapped, stats.n_contained
             first: list[_GappedJob] = []
             rest: list[_GappedJob] = []
             last = None  # the job queued before this one
-            adm = np.flatnonzero(ext.score >= trigger_c[ctx_t])
-            for j, p, i, c, u_score, u_q_start, u_q_end, u_s_start, u_s_end in zip(
-                adm.tolist(),
-                (np.searchsorted(bounds, adm, side="right") - 1).tolist(),
-                row[adm].tolist(),
-                ctx_t[adm].tolist(),
-                ext.score[adm].tolist(),
-                (ext.q_start[adm] - q_lo[adm]).tolist(),
-                (ext.q_end[adm] - q_lo[adm]).tolist(),
-                (ext.s_start[adm] - s_lo[adm]).tolist(),
-                u_s_end[adm].tolist(),
-            ):
-                subj = pool[p]
-                # Mid-point of the ungapped segment — the gapped anchor.
-                mid = (u_q_end - u_q_start) // 2
-                diag = u_s_start - u_q_start
-                job = _GappedJob(
-                    subj, j - int(bounds[p]), i, c,
-                    (u_q_start + mid, u_s_start + mid, floor_c[c]),
-                    _Box(u_q_start, u_q_end, u_s_start, u_s_end, diag, u_score),
+            m = 0
+            for subj in pool:
+                row = subj.state[0, : subj.live]
+                ext = extend_ungapped(
+                    block.codes, subj.codes, spans, subj.runs, opts.word_size,
+                    self.matrix, opts.xdrop_ungapped, rows=row,
                 )
-                if contained(job):
-                    continue
-                chained = (
-                    last is not None and last.subj is subj and last.ctx_index == c
-                    and diag - last.segment.diag <= band
-                )
-                last = job
-                if chained:
-                    lead = first[-1]
-                    rank_r = subj.runs.rank_r
-                    if u_score > lead.segment.score or (
-                        u_score == lead.segment.score and rank_r[i] < rank_r[lead.row]
-                    ):
-                        first[-1], job = job, lead
-                    rest.append(job)
-                else:
-                    first.append(job)
+                m += subj.live
+                subj.state[2, : subj.live] = ext.s_end
+                ctx_t = subj.runs[0, row]
+                adm = np.flatnonzero(ext.score >= trigger_c[ctx_t])
+                trig = row[adm]
+                for k, c, q_pos, s_pos, u_score, u_q_start, u_q_end, u_s_start, u_s_end in zip(
+                    adm.tolist(), ctx_t[adm].tolist(),
+                    subj.runs[1, trig].tolist(), subj.runs[2, trig].tolist(),
+                    *(col[adm].tolist() for col in ext),
+                ):
+                    # Context-local extents; the mid-point of the ungapped
+                    # segment is the gapped anchor.
+                    u_q_start -= ctx_lo[c]
+                    u_q_end -= ctx_lo[c]
+                    mid = (u_q_end - u_q_start) // 2
+                    diag = u_s_start - u_q_start
+                    job = _GappedJob(
+                        subj, k, (q_pos, s_pos), c,
+                        (u_q_start + mid, u_s_start + mid, floor_c[c]),
+                        _Box(u_q_start, u_q_end, u_s_start, u_s_end, diag, u_score),
+                    )
+                    if contained(job):
+                        continue
+                    chained = (
+                        last is not None and last.subj is subj and last.ctx_index == c
+                        and diag - last.segment.diag <= band
+                    )
+                    last = job
+                    if chained:
+                        lead = first[-1]
+                        if u_score > lead.segment.score or (
+                            u_score == lead.segment.score and job.rank < lead.rank
+                        ):
+                            first[-1], job = job, lead
+                        rest.append(job)
+                    else:
+                        first.append(job)
+            stats.n_ungapped += m
+            stats.ungapped_seconds += time.perf_counter() - t0
 
             # Stage 3 in at most two gapped passes: the leaders, then
             # whatever no box (the leaders' included) contains.
+            t0 = time.perf_counter()
             if first:
                 extend(first)
                 rest = [job for job in rest if not contained(job)]
                 if rest:
                     extend(rest)
+            stats.gapped_seconds += time.perf_counter() - t0
 
-            # Per-round slab high-water mark: subject arena + open subjects'
-            # run arrays + this round's trigger rows + kernel scratch peaks.
-            run_bytes = sum(
-                s.runs.ctx_r.nbytes + s.runs.qg_r.nbytes + s.runs.s_r.nbytes
-                + s.runs.rank_r.nbytes
-                for s in pool
-            )
+            # Per-round slab high-water mark: open subjects' run and state
+            # arrays + this round's extensions + the gapped kernel's peak.
             slab_bytes = (
-                arena.nbytes + run_bytes + 6 * 8 * m
-                + kernel_peaks.get("peak_window_bytes", 0)
+                sum(s.runs.nbytes + s.state.nbytes for s in pool) + 5 * 8 * m
                 + kernel_peaks.get("peak_grid_bytes", 0)
             )
             stats.peak_slab_bytes = max(stats.peak_slab_bytes, slab_bytes)
@@ -744,16 +606,19 @@ class _EngineBase:
                 )
             stats.fused_rounds += 1
 
-            # Advance every run past its consumed trigger; finalise subjects
-            # whose runs all exhausted so their slab rows free up.
+            # Advance every run past its consumed trigger (stage 1's
+            # admission, timed as seeding); subjects whose runs all
+            # exhausted are finalised so their slab rows free up.
+            t0 = time.perf_counter()
             for subj in pool:
-                subj.row, subj.end, subj.covered, subj.anchor = self._next_triggers(
-                    subj.runs.s_r, subj.row + 1, subj.end, subj.covered, subj.anchor
-                )
-                if subj.row.size == 0:
-                    finalize(subj)
-                    pool_rows -= subj.runs.n
-            pool = [s for s in pool if s.row.size]
+                self._next_triggers(subj)
+            stats.seed_seconds += time.perf_counter() - t0
+            for subj in pool:
+                if not subj.live:
+                    subj.found.sort(key=lambda rh: rh[0])
+                    results[subj.ordinal] = cull_overlapping([h for _, h in subj.found])
+                    pool_rows -= subj.runs.shape[1]
+            pool = [s for s in pool if s.live]
 
         all_hits: list[HSP] = []
         for hits in results:

@@ -13,9 +13,10 @@ independently to the left and to the right with a gapped dynamic program
 Gap cost model: a gap of length g costs ``gap_open + g*gap_extend``.
 
 There is one kernel, :func:`extend_gapped_batch`, whose dynamic program is
-the one compiled piece of the engine: ``_gapped.c``, built once per source
-hash when this module is imported (:mod:`repro.blast._native`) and called
-through ``ctypes`` once per chunk of seeds, with the GIL released.  The
+``gapped_dp`` of the engine's C library (``_engine.c``, beside the stage 1
+and 2 kernels), built once per source hash at import
+(:mod:`repro.blast._native`) and called through ``ctypes`` once per chunk
+of seeds, with the GIL released.  The
 three DP states M/Ix/Iy are *band-compressed* — cell (i, j) lives at column
 ``c = j - i + band`` of row i, ``2*band+1`` int32 columns a row with an
 integer ``-inf`` sentinel — and each half runs on its own to its own end,
@@ -53,10 +54,8 @@ C compiler the package still imports, and the first gapped call raises a
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -75,24 +74,6 @@ _CHUNK_BYTES = 8 << 20
 #: a seed's records in :func:`_gapped_dp`: six int64 of geometry, two
 #: grid offsets, two result rows of four int64
 _SEED_RECORD_BYTES = 8 * (6 + 2 + 2 * 4)
-
-
-def _load_kernel():
-    """``gapped_dp`` from ``_gapped.c``, or ``None`` and why it is missing."""
-    try:
-        lib = _native.load(Path(__file__).with_name("_gapped.c"))
-    except (RuntimeError, OSError) as exc:
-        return None, str(exc)
-    fn = lib.gapped_dp
-    fn.restype = ctypes.c_int
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr]
-    return fn, None
-
-
-# Built and loaded at import: a process-backend rank inherits the library
-# from the process that forked it, and no timed region compiles.
-_KERNEL, _KERNEL_ERROR = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -173,8 +154,6 @@ def extend_gapped_batch(
     keeps ``peak_grid_bytes`` (the most any chunk's buffers held: its
     traceback grids, score rows and per-seed records).
     """
-    if _KERNEL is None:
-        raise RuntimeError(f"the gapped extension kernel is not available: {_KERNEL_ERROR}")
     seeds = list(seeds)
     if min_scores is not None and len(min_scores) != len(seeds):
         raise ValueError("min_scores must give one floor per seed")
@@ -230,15 +209,15 @@ def _extend_chunk(
     Half ``2t`` is seed t's left extension, half ``2t+1`` its right one.
     """
     width = 2 * band + 1
-    # The kernel reads every sequence in place as intp codes.  Seeds share
+    # The kernel reads every sequence in place as uint8 codes.  Seeds share
     # their queries and subjects, and an address costs microseconds, so
     # each array is looked at once (the seeds keep it alive meanwhile).
     held: dict = {}
 
     def address(codes: np.ndarray) -> int:
         if id(codes) not in held:
-            as_intp = np.ascontiguousarray(codes, dtype=np.intp)
-            held[id(codes)] = (as_intp, as_intp.ctypes.data)
+            as_uint8 = np.ascontiguousarray(codes, dtype=np.uint8)
+            held[id(codes)] = (as_uint8, as_uint8.ctypes.data)
         return held[id(codes)][1]
 
     geometry = np.array(
@@ -299,7 +278,7 @@ def _gapped_dp(
     """Run the compiled DP over every half of a chunk.
 
     ``geometry`` has one row per seed: the addresses of its query and
-    subject intp codes, their lengths and the seed point.  Returns per half
+    subject uint8 codes, their lengths and the seed point.  Returns per half
     ``(best score, best row, best subject column, rows computed)`` as
     Python ints, the traceback grids, and where each half's grid starts:
     ``(depth + 1) * width`` bytes, of which rows ``0 ... best row`` are
@@ -317,10 +296,9 @@ def _gapped_dp(
     out = np.empty((rows.size, 4), dtype=np.int64)
     cells = np.zeros(1, dtype=np.int64)
     # An integer v < float(B - x)  <=>  v < B - floor(x) for integer B.
-    if _KERNEL(
-        len(geometry), geometry.ctypes.data, mat.ctypes.data, mat.shape[1],
-        gap_open, gap_extend, math.floor(xdrop), band, work.ctypes.data,
-        grid.ctypes.data, grid_at.ctypes.data, out.ctypes.data, cells.ctypes.data,
+    if _native.call(
+        "gapped_dp", len(geometry), geometry, mat, mat.shape[1], gap_open, gap_extend,
+        math.floor(xdrop), band, work, grid, grid_at, out, cells,
     ):
         raise ValueError("a residue code is outside the scoring matrix")
     if stats is not None:
@@ -341,7 +319,7 @@ def _traceback_banded(
 ) -> tuple[int, int, int, str]:
     """Walk back from the best cell ``(bi, bj)`` over the compressed band.
 
-    ``grid`` holds one traceback byte per cell (``_gapped.c``'s
+    ``grid`` holds one traceback byte per cell (``_engine.c``'s
     ``directions``: bit 0 ``M >= Ix``, bit 1 ``M >= Iy``, bit 2 ``Ix >= Iy``,
     bit 3 Ix continues the gap above, bit 4 Iy the gap on the left); cell (i, j) lives
     at ``[i, j - i + band]``, and every move stays inside the band by

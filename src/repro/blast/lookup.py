@@ -15,17 +15,18 @@ past this lookup table" (paper §II.B).  This module is that machinery:
 The word table is a flat CSR (compressed sparse row) layout: one sorted
 array of distinct word ids, one offsets array, and one concatenated
 postings array of query positions, behind a *presence vector* (NCBI's PV
-array): a ``bool`` per value of ``word & mask`` saying whether any query
-word has it.  ``scan()`` packs the subject's words, drops with one table
-gather the ~95 % of windows no query word can match, binary-searches the
-survivors against the word array (``np.searchsorted``, the exact join that
-also settles hash collisions), and gathers the postings ranges — with no
-Python-level loop over matching windows.  The per-work-unit fixed cost of
-building the table is what the paper's Fig. 4/Fig. 5 block-size analysis is
-about, so the builders work on the concatenated block, never context by
-context (one encode, one DUST pass, one mask scan that voids the windows
-straddling a context boundary, one word pack), and whole tables can be
-reused across DB partitions through :class:`LookupCache`.
+array): one bit per value of ``word & mask`` saying whether any query word
+has it.  ``scan()`` is ``scan`` of the engine's C library: one pass over
+the subject's ``uint8`` codes keeping a rolling packed word, which the
+presence vector rejects for the ~95 % of windows no query word can match;
+the survivors are binary-searched against the word array (the exact join
+that also settles hash collisions) and emit their postings.  The
+per-work-unit fixed cost of building the table is what the paper's Fig.
+4/Fig. 5 block-size analysis is about, so the builders stay in numpy and
+work on the concatenated block, never context by context (one encode, one
+DUST pass, one mask scan that voids the windows straddling a context
+boundary, one word pack), and whole tables can be reused across DB
+partitions through :class:`LookupCache`.
 
 ``tests/oracles/dict_lookup.py`` holds the original dict-of-arrays
 implementation; the parity suite asserts ``scan()`` reproduces its hits
@@ -45,6 +46,7 @@ import numpy as np
 
 from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord, reverse_complement
+from repro.blast import _native
 from repro.blast.dust import dust_mask_batch
 from repro.blast.matrices import BLOSUM62
 from repro.blast.seg import seg_mask
@@ -73,21 +75,6 @@ class QueryContext:
     @property
     def length(self) -> int:
         return int(self.codes.size)
-
-    @property
-    def codes_index(self) -> np.ndarray:
-        """``codes`` as an ``intp`` index array, converted once and cached.
-
-        Every extension-stage matrix gather indexes with these, so the
-        conversion is hoisted here — one copy per context for the life of
-        the block (shared across subjects, partitions, and the
-        :class:`LookupCache`) instead of one per kernel call.
-        """
-        idx = getattr(self, "_codes_index", None)
-        if idx is None:
-            idx = self.codes.astype(np.intp)
-            self._codes_index = idx
-        return idx
 
 
 class QueryBlock:
@@ -127,22 +114,6 @@ class QueryBlock:
                 strands, pieces, np.split(self.mask, ends[:-1]), self._starts
             )
         ]
-
-    @property
-    def concat_index(self) -> np.ndarray:
-        """The whole block's codes as one ``intp`` array, cached per block.
-
-        Contexts are laid out back to back (``ctx.offset`` strides by
-        ``ctx.length``), so this is the block in concatenated coordinates:
-        the fused scheduler gathers matrix rows for hits of *all* contexts
-        from it in one fancy-index instead of one gather per (subject,
-        context) pair.
-        """
-        idx = getattr(self, "_concat_index", None)
-        if idx is None:
-            idx = self.codes.astype(np.intp)
-            self._concat_index = idx
-        return idx
 
     def localize(self, concat_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised (context indices, context-local positions)."""
@@ -208,24 +179,16 @@ def _join_words(high: np.ndarray, n_high: int, low: np.ndarray, n_low: int) -> n
     return out
 
 
-def _pack_words(codes: np.ndarray, word_size: int, alphabet_size: int) -> np.ndarray:
-    """Packed integer of every window of ``word_size`` letters (vectorised).
+def _pack_words(codes: np.ndarray, word_size: int) -> np.ndarray:
+    """Packed integer of every window of ``word_size`` two-bit letters.
 
-    Two-bit letters are packed by shift-or doubling: words of 1, 2, 4, ...
-    letters, each pass joining two shorter words, then the powers of two
-    that make up ``word_size`` joined high to low (11 = 8 + 2 + 1: five
-    passes over the subject, the early ones a byte a word).  Other alphabets
-    take one Horner pass a letter.
+    Shift-or doubling: words of 1, 2, 4, ... letters, each pass joining two
+    shorter words, then the powers of two that make up ``word_size`` joined
+    high to low (11 = 8 + 2 + 1: five passes over the block, the early ones
+    a byte a word).
     """
-    n = codes.size - word_size + 1
-    if n <= 0:
+    if codes.size < word_size:
         return np.empty(0, dtype=np.int64)
-    if alphabet_size != 4:
-        c = codes.astype(np.int64)
-        words = c[:n]
-        for k in range(1, word_size):
-            words = words * alphabet_size + c[k : k + n]
-        return words
     powers = [codes.astype(np.uint8, copy=False)]  # powers[k][i]: the 2**k letters from i
     span = 1
     while 2 * span <= word_size:
@@ -264,7 +227,7 @@ def _word_starts(block: QueryBlock, word_size: int, bad: np.ndarray | None = Non
 def nucleotide_postings(block: QueryBlock, word_size: int) -> tuple[np.ndarray, np.ndarray]:
     """``(packed word, block position)`` of every usable query window."""
     starts = _word_starts(block, word_size)
-    return _pack_words(block.codes, word_size, 4)[starts], starts
+    return _pack_words(block.codes, word_size)[starts], starts
 
 
 def _csr_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,18 +241,17 @@ def _csr_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return flat, counts
 
 
-#: entries of a lookup's presence vector (NCBI's PV array): one ``bool`` per
-#: value of ``word & (_PV_SIZE - 1)``, true where some query word has that
-#: value.  Exact where every word fits (protein 3-mers, blastn words up to
-#: 9), a hash for longer words; protein's -1 (unscannable window) lands on
-#: the last entry, which no 3-mer sets.  256 KiB per lookup, so it stays in
+#: bits of a lookup's presence vector (NCBI's PV array): bit ``word &
+#: (_PV_BITS - 1)`` is set where some query word has that value.  Exact where
+#: every word fits (protein 3-mers, blastn words up to 10), a hash for
+#: longer words.  A ``uint64`` bitset of 256 KiB per lookup, so it stays in
 #: cache beside the subject stream and costs a :class:`LookupCache` entry
-#: little (an exact ``4**11`` table is 4 MiB an entry and scanned slower).
-_PV_SIZE = 1 << 18
+#: little (an exact ``4**11`` bitset is 512 KiB an entry).
+_PV_BITS = 1 << 21
 
 
 class _LookupBase:
-    """Shared CSR machinery: presence vector + searchsorted join."""
+    """Shared CSR machinery: presence vector + exact join."""
 
     word_size: int
     alphabet_size: int
@@ -307,48 +269,37 @@ class _LookupBase:
         starts = np.flatnonzero(np.diff(sorted_words, prepend=-1))
         self._words = sorted_words[starts]
         self._offsets = np.append(starts, sorted_words.size)
-        self._pv = np.zeros(_PV_SIZE, dtype=bool)
-        self._pv[self._words & (_PV_SIZE - 1)] = True
+        self._pv = np.zeros(_PV_BITS // 64, dtype=np.uint64)
+        bits = (self._words & (_PV_BITS - 1)).astype(np.uint64)
+        np.bitwise_or.at(self._pv, bits >> np.uint64(6), np.uint64(1) << (bits & np.uint64(63)))
 
     # subclasses return parallel (word, concat query position) arrays
     def _build_postings(self) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
         raise NotImplementedError
 
-    def _subject_words(self, subject_codes: np.ndarray) -> np.ndarray:
-        """Packed word of every subject window; -1 for unscannable windows."""
-        sub = subject_codes
-        if self.alphabet_size == 20:
-            # Protein subjects may contain ambiguity codes >= 20: windows
-            # containing them cannot be looked up (give them an impossible
-            # word id so they never match).
-            valid = _window_unmasked(sub >= 20, self.word_size)
-            words = _pack_words(np.minimum(sub, 19), self.word_size, self.alphabet_size)
-            return np.where(valid, words, -1)
-        return _pack_words(sub, self.word_size, self.alphabet_size)
-
     def scan(self, subject_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All word hits against one subject.
 
-        Returns ``(query_concat_positions, subject_positions)`` arrays of
-        equal length.  The presence vector discards the windows whose word
-        (or word hash) no query word shares with one table gather; one
-        ``searchsorted`` joins the survivors against the CSR word array,
-        and the postings ranges of the matching windows are gathered with
-        a single fancy-index — no Python-level loop at any size.
+        Returns ``(query_concat_positions, subject_positions)`` int64
+        arrays of equal length, by subject position and then query
+        position.  Windows holding a protein ambiguity code (>= 20) are
+        never looked up; a nucleotide code outside ``ACGT`` raises
+        :class:`ValueError`.
         """
-        words = self._subject_words(subject_codes)
-        cand = np.flatnonzero(self._pv.take(words & (_PV_SIZE - 1)))
-        if cand.size == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        words = words[cand]
-        idx = np.searchsorted(self._words, words)
-        # A set PV entry means the table is not empty; a hash collision can
-        # still point past its last word.
-        exact = np.flatnonzero(self._words[np.minimum(idx, self._words.size - 1)] == words)
-        if exact.size == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        flat, counts = _csr_rows(self._offsets, idx[exact])
-        return self._positions[flat], np.repeat(cand[exact], counts)
+        codes = np.ascontiguousarray(subject_codes, dtype=np.uint8)
+        cap = max(codes.size, 1)
+        while True:
+            out = np.empty((2, cap), dtype=np.int64)
+            n = _native.call(
+                "scan", codes, codes.size, self.word_size, self.alphabet_size,
+                self._pv, _PV_BITS - 1, self._words, self._words.size, self._offsets,
+                self._positions, cap, out,
+            )
+            if n < 0:
+                raise ValueError("a subject code is outside the nucleotide alphabet")
+            if n <= cap:
+                return out[0, :n], out[1, :n]
+            cap = n
 
 
 class NucleotideLookup(_LookupBase):
@@ -424,7 +375,7 @@ class ProteinLookup(_LookupBase):
         nbr_words, nbr_offsets = _neighbor_csr(self.threshold)
         block = self.block
         starts = _word_starts(block, self.word_size, bad=block.codes >= 20)
-        codes = block.concat_index
+        codes = block.codes.astype(np.intp)
         triples = codes[starts] * 400 + codes[starts + 1] * 20 + codes[starts + 2]
         flat, counts = _csr_rows(nbr_offsets, triples)
         return nbr_words[flat].astype(np.int64), np.repeat(starts, counts)

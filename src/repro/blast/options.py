@@ -50,10 +50,6 @@ class BlastOptions:
     #: gapped extension band half-width; also how far off a gapped
     #: alignment's seed diagonal the engine's containment rule reaches
     band_width: int = 48
-    #: batched stage-2 window: steps gathered each side of a word hit in the
-    #: first pass; hits whose X-drop extent outruns it are re-batched with
-    #: geometrically wider windows until every extension terminates
-    extension_window: int = 64
     #: scan-slab bound of the engine's round-based scheduler: more subjects
     #: are streamed into the open pool only while the word-hit rows held
     #: across open subjects stay below this, so stage-1 intermediates are a
@@ -91,10 +87,6 @@ class BlastOptions:
             raise ValueError(f"max_hits must be >= 1, got {self.max_hits}")
         if self.band_width < 1:
             raise ValueError(f"band_width must be >= 1, got {self.band_width}")
-        if self.extension_window < 1:
-            raise ValueError(
-                f"extension_window must be >= 1, got {self.extension_window}"
-            )
         if self.fused_slab_rows < 1:
             raise ValueError(
                 f"fused_slab_rows must be >= 1, got {self.fused_slab_rows}"

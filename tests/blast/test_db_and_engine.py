@@ -90,6 +90,59 @@ class TestFormatAndRead:
         part.codes(2)
         assert part.load_count == 2
 
+    def test_threads_load_fresh_partitions_side_by_side(self, tmp_path):
+        """Thread-backend ranks open volumes at once.  ``np.load`` parses a
+        ``.npy`` header with ``ast.literal_eval``, which CPython 3.11 does
+        not make thread-safe (gh-106905): a parse that runs while another
+        thread's parse is paused makes the paused one raise ``SystemError:
+        AST constructor recursion depth mismatch``.  Thread 0 pauses inside
+        its first header parse (a garbage collection there waits for the
+        other threads' first load), then every thread loads many fresh
+        partitions; all of it must succeed."""
+        import ast
+        import gc
+        import sys
+        import threading
+
+        recs, alias = self._db(tmp_path, n=4, length=3000, vol_bytes=1024)
+        want = [DNA.decode(alias.open_partition(p).codes(0)) for p in range(alias.num_partitions)]
+        paused, loaded, errors = threading.Event(), threading.Event(), []
+
+        def pause_in_a_header_parse(phase, info):
+            frame = sys._getframe(1)  # what the collection interrupted
+            if (phase == "start" and threading.current_thread() is threads[0]
+                    and not paused.is_set() and frame.f_code.co_name == "parse"
+                    and frame.f_code.co_filename == ast.__file__):
+                paused.set()
+                loaded.wait(timeout=0.5)
+
+        def load_many(i):
+            try:
+                if i:
+                    paused.wait(timeout=10)
+                for _ in range(40):
+                    for p in range(alias.num_partitions):
+                        assert DNA.decode(alias.open_partition(p).codes(0)) == want[p]
+                        loaded.set()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load_many, args=(i,)) for i in range(4)]
+        threshold = gc.get_threshold()
+        gc.callbacks.append(pause_in_a_header_parse)
+        gc.set_threshold(5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(pause_in_a_header_parse)
+        assert paused.is_set()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, repr(errors[0])
+
     def test_empty_db_rejected(self, tmp_path):
         writer = DatabaseWriter(tmp_path, "empty", kind="dna")
         with pytest.raises(ValueError, match="no sequences"):

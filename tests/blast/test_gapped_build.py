@@ -1,13 +1,16 @@
-"""The compiled gapped kernel's build contract.
+"""The compiled engine kernels' build contract.
 
-``repro.blast._native`` compiles ``_gapped.c`` once per source hash into a
-cache directory and loads it with ``ctypes`` when ``repro.blast.gapped`` is
-imported.  These tests hold: one compile on a cold cache and none on a warm
-one (the compiler is stubbed by patching ``_native.compile_command``), none
-in a process-backend rank, a package that still imports without a
-compiler, a source that compiles clean under ``-Wall -Wextra -Werror``,
-thread-backend ranks that run the kernel side by side with serial results,
-and inputs the kernel could not index refused before it runs.
+``repro.blast._native`` compiles ``_engine.c`` (stage 1's scan, run
+grouping and trigger walk, stage 2's ungapped X-drop, stage 3's gapped DP)
+once per source hash into a cache directory and loads it with ``ctypes``
+when it is imported.  These tests hold: one compile on a cold cache and
+none on a warm one (the compiler is stubbed by patching
+``_native.compile_command``), none in a process-backend rank, a package
+that still imports without a compiler and names the failed command on the
+first scan, ungapped or gapped call, a source that compiles clean under
+``-Wall -Wextra -Werror``, thread-backend ranks that run the kernels side
+by side with serial results, and inputs the kernels could not index
+refused rather than read.
 """
 
 import os
@@ -19,16 +22,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.blast.gapped as gapped
-from repro.bio import mutate_dna, random_genome
-from repro.bio.alphabet import DNA
-from repro.blast import _native
+from repro.bio import SeqRecord, mutate_dna, random_genome
+from repro.bio.alphabet import DNA, PROTEIN
+from repro.blast import BlastOptions, _native, make_engine
+from repro.blast.extend import extend_ungapped
 from repro.blast.gapped import extend_gapped_batch
+from repro.blast.lookup import NucleotideLookup, ProteinLookup, QueryBlock
 from repro.blast.matrices import nucleotide_matrix
 from repro.mpi import run_spmd
 
-SOURCE = Path(gapped.__file__).with_name("_gapped.c")
-SRC_ROOT = Path(gapped.__file__).resolve().parents[2]
+SOURCE = _native.SOURCE
+SRC_ROOT = Path(_native.__file__).resolve().parents[2]
+KERNELS = ("scan", "group_runs", "next_triggers", "ungapped", "gapped_dp")
 NT = nucleotide_matrix(1, -2)
 ARGS = (NT, 5, 2, 30.0, 24)
 
@@ -60,11 +65,38 @@ def cold_cache(tmp_path, monkeypatch):
     return calls
 
 
+class _Partition:
+    """In-memory stand-in for a DB partition (iteration + stats)."""
+
+    def __init__(self, records):
+        self._codes = [(r.id, DNA.encode(r.seq)) for r in records]
+        self.total_length = sum(len(r.seq) for r in records)
+        self.num_seqs = len(records)
+
+    def __iter__(self):
+        return iter(self._codes)
+
+
+def _search_case(seed):
+    """Reads cut from a genome with mutations, and a partition holding the
+    genome and a decoy: every stage of the engine runs."""
+    genome = random_genome(3000, seed_or_rng=seed)
+    reads = [SeqRecord(f"r{i}", mutate_dna(genome[400 * i:400 * i + 300], 0.04,
+                                           seed_or_rng=seed + i)) for i in range(4)]
+    subjects = [SeqRecord("g", genome), SeqRecord("d", random_genome(2000, seed_or_rng=seed + 9))]
+    return reads, _Partition(subjects)
+
+
+def _search(comm, case):
+    reads, partition = case
+    return make_engine(BlastOptions.blastn()).search_block(reads, partition)
+
+
 def test_a_cold_cache_compiles_exactly_once(cold_cache, tmp_path):
     first = _native.load(SOURCE)
     again = _native.load(SOURCE)
     assert len(cold_cache) == 1
-    assert first.gapped_dp and again.gapped_dp
+    assert all(getattr(lib, name) for lib in (first, again) for name in KERNELS)
     (library,) = (tmp_path / "cache" / "repro").glob("*.so")
     assert library == _native.library_path(SOURCE, tmp_path / "cache" / "repro")
     # The build landed by rename: no temporary file is left behind.
@@ -97,16 +129,17 @@ def test_a_warm_cache_loads_without_the_compiler(cold_cache, monkeypatch):
         raise AssertionError("the compiler ran on a warm cache")
 
     monkeypatch.setattr(_native, "compile_command", no_compiler)
-    assert _native.load(SOURCE).gapped_dp
+    assert all(getattr(_native.load(SOURCE), name) for name in KERNELS)
 
 
 def _rank_extends(comm, seeds):
-    return extend_gapped_batch(seeds, *ARGS)
+    return extend_gapped_batch(seeds, *ARGS), _search(comm, _search_case(5))
 
 
 def test_process_backend_ranks_never_invoke_the_compiler(tmp_path, monkeypatch):
-    """Ranks fork from a process that loaded the kernel at import: with an
-    empty cache and a compiler that leaves a mark, no rank compiles."""
+    """Ranks fork from a process that loaded the kernels at import: with an
+    empty cache and a compiler that leaves a mark, no rank compiles, and
+    every kernel runs in them."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     mark = tmp_path / "compiled"
 
@@ -117,7 +150,8 @@ def test_process_backend_ranks_never_invoke_the_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "compile_command", marking)
     seeds = _batch(1)
     got = run_spmd(2, _rank_extends, seeds, backend="process")
-    want = extend_gapped_batch(seeds, *ARGS)
+    want = (extend_gapped_batch(seeds, *ARGS), _search(None, _search_case(5)))
+    assert want[1], "the search must report hits"
     assert got == [want, want]
     assert not mark.exists()
     assert not (tmp_path / "cache").exists()
@@ -125,17 +159,28 @@ def test_process_backend_ranks_never_invoke_the_compiler(tmp_path, monkeypatch):
 
 def test_a_failing_compiler_is_named_on_the_first_gapped_call(cold_cache, monkeypatch):
     """A compiler that fails: loading reports the command and its stderr,
-    and ``extend_gapped_batch`` raises that report."""
+    and the first scan, ungapped, gapped or whole-search call raises that
+    report."""
     stub = [sys.executable, "-c", "import sys; sys.stderr.write('cc: no such compiler'); sys.exit(1)"]
     monkeypatch.setattr(_native, "compile_command", lambda source, output: stub)
-    kernel, error = gapped._load_kernel()
-    assert kernel is None
+    library, error = _native._open()
+    assert library is None
     assert "cc: no such compiler" in error and "exited 1" in error
     assert sys.executable in error
-    monkeypatch.setattr(gapped, "_KERNEL", kernel)
-    monkeypatch.setattr(gapped, "_KERNEL_ERROR", error)
-    with pytest.raises(RuntimeError, match="cc: no such compiler"):
-        extend_gapped_batch(_batch(2, n=1), *ARGS)
+    monkeypatch.setattr(_native, "LIBRARY", library)
+    monkeypatch.setattr(_native, "ERROR", error)
+    q = DNA.encode("ACGT" * 10)
+    lookup = NucleotideLookup(QueryBlock([SeqRecord("q", "ACGT" * 10)], "blastn", False))
+    calls = [
+        lambda: extend_gapped_batch(_batch(2, n=1), *ARGS),
+        lambda: lookup.scan(q),
+        lambda: extend_ungapped(q, q, np.array([[0], [40]]), np.array([[0], [0], [0]]),
+                                11, NT, 20.0),
+        lambda: _search(None, _search_case(2)),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="cc: no such compiler"):
+            call()
 
 
 def test_without_a_compiler_the_package_imports(tmp_path):
@@ -147,23 +192,35 @@ import sysconfig
 sysconfig.get_config_vars()["CC"] = "/nonexistent/cc"
 import numpy as np
 import repro, repro.mpi, repro.mrmpi, repro.som, repro.core
+from repro.bio import SeqRecord
+from repro.blast.extend import extend_ungapped
 from repro.blast.gapped import extend_gapped_batch
+from repro.blast.lookup import NucleotideLookup, QueryBlock
 from repro.blast.matrices import nucleotide_matrix
 from repro.mpi import run_spmd
 assert run_spmd(2, lambda comm: comm.allreduce(comm.rank)) == [1, 1]
-q = np.zeros(10, dtype=np.intp)
-try:
-    extend_gapped_batch([(q, q, 5, 5)], nucleotide_matrix(1, -2), 5, 2, 20.0, 8)
-except RuntimeError as exc:
-    print("RuntimeError:", exc)
+q = np.zeros(20, dtype=np.uint8)
+lookup = NucleotideLookup(QueryBlock([SeqRecord("q", "A" * 20)], "blastn", False))
+for call in (
+    lambda: lookup.scan(q),
+    lambda: extend_ungapped(q, q, np.array([[0], [20]]), np.array([[0], [5], [5]]),
+                            11, nucleotide_matrix(1, -2), 20.0),
+    lambda: extend_gapped_batch([(q, q, 5, 5)], nucleotide_matrix(1, -2), 5, 2, 20.0, 8),
+):
+    try:
+        call()
+    except RuntimeError as exc:
+        print("RuntimeError:", exc)
 """
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONPATH": str(SRC_ROOT)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("RuntimeError:")
-    assert "/nonexistent/cc -O2 -shared -fPIC" in proc.stdout
-    assert "No such file or directory" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("RuntimeError:") for line in lines)
+    for line in lines:
+        assert "/nonexistent/cc -O2 -shared -fPIC" in line
+        assert "No such file or directory" in line
 
 
 def test_the_source_compiles_clean_with_warnings_as_errors(tmp_path):
@@ -176,15 +233,17 @@ def test_the_source_compiles_clean_with_warnings_as_errors(tmp_path):
     assert out.exists()
 
 
-def _rank_extends_its_own(comm, batches):
-    comm.Barrier()  # both ranks enter the kernel together
-    return extend_gapped_batch(batches[comm.rank], *ARGS)
+def _rank_extends_its_own(comm, batches, cases):
+    comm.Barrier()  # both ranks enter the kernels together
+    return extend_gapped_batch(batches[comm.rank], *ARGS), _search(comm, cases[comm.rank])
 
 
 def test_thread_ranks_extend_side_by_side_as_serial_calls_do():
     batches = [_batch(3, n=40), _batch(4, n=40)]
-    got = run_spmd(2, _rank_extends_its_own, batches, backend="thread")
-    assert got == [extend_gapped_batch(b, *ARGS) for b in batches]
+    cases = [_search_case(3), _search_case(4)]
+    got = run_spmd(2, _rank_extends_its_own, batches, cases, backend="thread")
+    assert got == [(extend_gapped_batch(b, *ARGS), _search(None, c))
+                   for b, c in zip(batches, cases)]
 
 
 def test_inputs_the_kernel_cannot_index_are_refused():
@@ -202,3 +261,19 @@ def test_inputs_the_kernel_cannot_index_are_refused():
         extend_gapped_batch([(q, q, 4, 4)], NT[:3], 5, 2, 30.0, 24)
     with pytest.raises(ValueError, match="band"):
         extend_gapped_batch([(q, q, 4, 4)], NT, 5, 2, 30.0, -1)
+    # Stage 2: a code the walk reaches outside the matrix.
+    spans, hits = np.array([[0], [8]]), np.array([[0], [0], [0]])
+    with pytest.raises(ValueError, match="outside the matrix"):
+        extend_ungapped(bad, q, spans, hits, 4, NT, 100.0)
+    # Stage 1: a nucleotide code outside ACGT is refused; a protein code
+    # outside the 20 letters (ambiguity codes, or any byte) is never looked up.
+    lookup = NucleotideLookup(QueryBlock([SeqRecord("q", "ACGTACGTACGT")], "blastn", False),
+                              word_size=4)
+    with pytest.raises(ValueError, match="outside the nucleotide alphabet"):
+        lookup.scan(bad.astype(np.uint8))
+    protein = ProteinLookup(QueryBlock([SeqRecord("p", "MKTAYIAK")], "blastp", False))
+    codes = PROTEIN.encode("MKTAYIAK")
+    assert protein.scan(codes)[0].size > 0
+    codes[3] = 255
+    want = [(qp, sp) for qp, sp in zip(*protein.scan(PROTEIN.encode("MKTAYIAK"))) if sp > 3 or sp < 1]
+    assert list(zip(*protein.scan(codes))) == want

@@ -1,11 +1,11 @@
 """CSR lookup tables vs the dict oracle, and the cache.
 
 The word table is a flat CSR layout (sorted words + offsets + concatenated
-positions) behind a presence vector indexed by ``word & mask``.  These
-tests pin the invariant both rest on: ``scan()`` output is *element-wise*
-identical to ``tests/oracles/dict_lookup.py`` — same hits, same order — for
-both programs, masked and unmasked, at word sizes where the presence vector
-is exact (``4**w <= 2**18``) and where it is a hash.  The LRU
+positions) behind a presence-vector bitset indexed by ``word & mask``.
+These tests pin the invariant both rest on: ``scan()`` output is
+*element-wise* identical to ``tests/oracles/dict_lookup.py`` — same hits,
+same order — for both programs, masked and unmasked, at word sizes where
+the presence vector is exact (``4**w <= 2**21``) and where it is a hash.  The LRU
 :class:`LookupCache` and its engine-level wiring (cached runs produce
 byte-identical hits and real cache hits) are covered alongside.
 """
@@ -19,7 +19,7 @@ from repro.bio.alphabet import DNA, PROTEIN
 from repro.bio.seq import SeqRecord
 from repro.blast.engine import BlastnEngine
 from repro.blast.lookup import (
-    _PV_SIZE,
+    _PV_BITS,
     LookupCache,
     NucleotideLookup,
     ProteinLookup,
@@ -28,12 +28,18 @@ from repro.blast.lookup import (
 )
 from repro.blast.options import BlastOptions
 
-from oracles.dict_lookup import ReferenceNucleotideLookup, ReferenceProteinLookup
+from oracles.dict_lookup import ReferenceNucleotideLookup, ReferenceProteinLookup, _pack_words
 
 dna_seq = st.text(alphabet="ACGT", min_size=11, max_size=80)
 # Keep proteins short: the reference builder enumerates neighbourhoods per
 # position in Python and exists only as an oracle.
 protein_seq = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=3, max_size=40)
+
+
+def pv_bits(lookup) -> set:
+    """The presence-vector bits a lookup has set."""
+    bits = np.unpackbits(lookup._pv.view(np.uint8), bitorder="little")
+    return set(np.flatnonzero(bits).tolist())
 
 
 def assert_scan_identical(ref, csr, subject):
@@ -68,7 +74,7 @@ def test_protein_scan_matches_reference(seqs, subject_text, use_mask):
 
 @pytest.mark.parametrize("word_size", [7, 9, 10, 11, 16])
 def test_nucleotide_scan_matches_reference_at_every_pv_regime(word_size):
-    """Word sizes 7 and 9 index the presence vector exactly; 10, 11 and 16
+    """Word sizes 7, 9 and 10 index the presence vector exactly; 11 and 16
     hash into it.  Subjects share long stretches with the queries (real
     hits) among random sequence (presence-vector rejections)."""
     rng = np.random.default_rng(word_size)
@@ -79,7 +85,8 @@ def test_nucleotide_scan_matches_reference_at_every_pv_regime(word_size):
         ref = ReferenceNucleotideLookup(block, word_size=word_size)
         csr = NucleotideLookup(block, word_size=word_size)
         assert csr._words.size == ref.n_words
-        assert csr._pv.size == _PV_SIZE and csr._pv.sum() <= csr._words.size
+        assert csr._pv.size * 64 == _PV_BITS
+        assert pv_bits(csr) == set((csr._words & (_PV_BITS - 1)).tolist())
         filler = "".join(rng.choice(list("ACGT"), size=4000))
         subject = filler[:1500] + texts[0][40:200] + filler[1500:] + texts[2][::-1]
         hits = csr.scan(DNA.encode(subject))[0].size
@@ -88,40 +95,54 @@ def test_nucleotide_scan_matches_reference_at_every_pv_regime(word_size):
         assert_scan_identical(ref, csr, DNA.encode(texts[1]))
 
 
-@pytest.mark.parametrize("word_size", [10, 11, 16])
+@pytest.mark.parametrize("word_size", [11, 16])
 def test_word_colliding_under_the_pv_mask_is_no_hit(word_size):
-    """A subject word equal to a query word in its low 18 bits (its last 9
-    letters) and different above them passes the presence vector and must
-    be refused by the exact join, wherever it sorts: before the table's
-    first word, between two, past its last."""
+    """A subject word equal to a query word in its low 21 bits and
+    different above them passes the presence vector and must be refused by
+    the exact join, wherever it sorts: before the table's first word,
+    between two (16-letter words have the bits to), past its last."""
     block = QueryBlock([SeqRecord("q", "C" * word_size)], "blastn", use_mask=False)
     csr = NucleotideLookup(block, word_size=word_size)
     ref = ReferenceNucleotideLookup(block, word_size=word_size)
     assert csr._words.size == 2  # C...C and, on the minus strand, G...G
+    c_word, g_word = csr._words.tolist()
+    top = 1 << 2 * word_size - 1  # the high bit of the first letter
+    flips = [(g_word, top), (c_word, top)]  # G -> A, C -> T as the first letter
+    if word_size == 16:
+        flips.append((c_word, 1 << 23))  # C -> T as the fifth letter
     slots = []
-    for collider in ("A" + "C" * (word_size - 1), "G" + "C" * (word_size - 1),
-                     "T" + "G" * (word_size - 1)):
-        codes = DNA.encode(collider)
-        (word,) = csr._subject_words(codes)
-        assert csr._pv[word & (_PV_SIZE - 1)] and word not in csr._words
-        slots.append(int(np.searchsorted(csr._words, word)))
+    for word, flip in flips:
+        collider = word ^ flip
+        text = "".join("ACGT"[collider >> 2 * (word_size - 1 - i) & 3] for i in range(word_size))
+        codes = DNA.encode(text)
+        assert _pack_words(codes, word_size, 4).tolist() == [collider]
+        assert collider & (_PV_BITS - 1) in pv_bits(csr) and collider not in csr._words
+        slots.append(int(np.searchsorted(csr._words, collider)))
         assert csr.scan(codes)[0].size == 0
-        assert_scan_identical(ref, csr, DNA.encode("AT" + collider + "TA"))
-    assert slots == [0, 1, 2]
+        assert_scan_identical(ref, csr, DNA.encode("AT" + text + "TA"))
+    assert slots == [0, 2, 1][: len(flips)]
     assert csr.scan(DNA.encode("C" * word_size))[0].size == 1
 
 
 def test_protein_subject_with_ambiguity_codes():
-    """Windows holding B/Z/X/* get word -1: index ``_PV_SIZE - 1`` of the
-    presence vector, which no 3-mer (< 8000) can set."""
+    """Windows holding B/Z/X/* are never looked up: no hit, and the hits of
+    the windows around them are the oracle's."""
     records = [SeqRecord("q0", "MKTAYIAKQRQISFVKSHFSRQ"), SeqRecord("q1", "WWXWWCCBCC")]
     for use_mask in (False, True):
         block = QueryBlock(records, "blastp", use_mask=use_mask)
         ref, csr = ReferenceProteinLookup(block), ProteinLookup(block)
-        assert not csr._pv[_PV_SIZE - 1]
         for subject in ("MKTAYXAKQRQISBVKSHF*RQWWW", "XXXX", "WWXWW", "MKZTAY"):
             assert_scan_identical(ref, csr, PROTEIN.encode(subject))
+        assert csr.scan(PROTEIN.encode("XXXX"))[0].size == 0
         assert csr.scan(PROTEIN.encode("MKTAYIAK"))[0].size > 0
+
+
+def test_nucleotide_codes_outside_acgt_are_refused():
+    lut = NucleotideLookup(QueryBlock([SeqRecord("q", "ACGT" * 5)], "blastn", use_mask=False))
+    codes = DNA.encode("ACGT" * 5)
+    codes[7] = 4
+    with pytest.raises(ValueError, match="outside the nucleotide alphabet"):
+        lut.scan(codes)
 
 
 def test_empty_lookup_and_short_subject():
@@ -131,7 +152,7 @@ def test_empty_lookup_and_short_subject():
         for subject in ("ACGTACGTACGTACGT", "ACG", ""):
             q, s = lut.scan(DNA.encode(subject))
             assert q.size == s.size == 0 and q.dtype == s.dtype == np.int64
-    assert not NucleotideLookup(empty)._pv.any()
+    assert not pv_bits(NucleotideLookup(empty))
     block = QueryBlock([SeqRecord("q", "ACGTTGCAACGTAGCTAGCT")], "blastn", use_mask=False)
     pblock = QueryBlock([SeqRecord("p", "MKTAYIAKQR")], "blastp", use_mask=False)
     for ref, csr, alphabet, short in (

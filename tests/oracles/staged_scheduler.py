@@ -14,37 +14,70 @@ with the rule on, the difference between the two is the rule's whole effect.
 so :func:`staged_scheduler` can put it under anything that drives an engine
 (blastx, tblastn, a forked mrblast job).
 
-The per-run admission walk (one state list a run, one Python step a word
-hit or jump, for the one-hit and the two-hit rule alike) and the admission
-compare are this file's own: the engine settles blastn's runs with array
-gathers, and a mistake there must not cancel out here.
+The run grouping (two ``lexsort`` calls), the per-run admission walk (one
+state list a run, one Python step a word hit or jump, for the one-hit and
+the two-hit rule alike) and the admission compare are this file's own: the
+engine runs all three in C, and a mistake there must not cancel out here.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 from repro.blast.engine import _EngineBase
-from repro.blast.extend import batch_ungapped_extend_spans
+from repro.blast.extend import extend_ungapped
 from repro.blast.hsp import cull_overlapping
 
 __all__ = ["extend_pair", "no_containment", "staged_scheduler", "staged_search"]
 
 
-def extend_pair(q_codes, s_codes, q_pos, s_pos, *args, **kwargs):
-    """Batched ungapped extension of hits of one (query, subject) pair:
-    :func:`batch_ungapped_extend_spans` with every row spanning both whole
-    sequences."""
-    n = len(q_pos)
-    return batch_ungapped_extend_spans(
-        q_codes, s_codes, q_pos, s_pos,
-        np.zeros(n, np.int64), np.full(n, len(q_codes), np.int64),
-        np.zeros(n, np.int64), np.full(n, len(s_codes), np.int64),
-        *args, **kwargs)
+def extend_pair(q_codes, s_codes, q_pos, s_pos, word_size, matrix, xdrop):
+    """Ungapped extension of hits of one (query, subject) pair:
+    :func:`extend_ungapped` with the whole query as the one context."""
+    hits = np.stack((np.zeros(len(q_pos), np.int64), np.asarray(q_pos, np.int64),
+                     np.asarray(s_pos, np.int64)))
+    spans = np.array([[0], [len(q_codes)]], dtype=np.int64)
+    return extend_ungapped(q_codes, s_codes, spans, hits, word_size, matrix, xdrop)
+
+
+@dataclass
+class _SubjectRuns:
+    """One subject's word hits grouped into per-(context, diagonal) runs.
+
+    Arrays are in run order (one ``lexsort`` by context, diagonal, subject
+    position); ``rank_r`` maps each row back to the (context, query pos,
+    subject pos) admission order of the original per-hit loop.
+    """
+
+    n: int
+    ctx_r: np.ndarray  # context index per row
+    qg_r: np.ndarray  # block-concatenated query word start
+    s_r: np.ndarray  # subject word start
+    rank_r: np.ndarray  # emission rank (admission order)
+    run_starts: np.ndarray
+    run_ends: np.ndarray
+
+
+def _prepare_runs(block, qpos_concat, spos_arr) -> _SubjectRuns:
+    """Group one subject's word hits into per-(context, diagonal) runs (runs
+    with no two-hit trigger are left to the walk to drop)."""
+    ctx_indices, q_local = block.localize(qpos_concat)
+    diags = spos_arr - q_local
+    n = qpos_concat.size
+    run_order = np.lexsort((spos_arr, diags, ctx_indices))
+    emit_rank = np.empty(n, dtype=np.int64)
+    emit_rank[np.lexsort((spos_arr, qpos_concat, ctx_indices))] = np.arange(n)
+    ctx_r, diag_r = ctx_indices[run_order], diags[run_order]
+    breaks = 1 + np.flatnonzero((ctx_r[1:] != ctx_r[:-1]) | (diag_r[1:] != diag_r[:-1]))
+    return _SubjectRuns(
+        n, ctx_r, qpos_concat[run_order], spos_arr[run_order], emit_rank[run_order],
+        np.concatenate(([0], breaks)), np.concatenate((breaks, [n])),
+    )
 
 
 def staged_search(engine, block, lookup, partition, db_len, db_seqs, cutoffs, stats):
@@ -68,7 +101,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
     stats.n_word_hits += int(qpos_concat.size)
     if qpos_concat.size == 0:
         return []
-    runs = engine._prepare_runs(block, qpos_concat, spos_arr)
+    runs = _prepare_runs(block, qpos_concat, spos_arr)
     n = runs.n
     q_r = runs.qg_r - block._starts[runs.ctx_r]  # context-local query word start
     word = opts.word_size
@@ -78,7 +111,6 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
     # independent admission state machine.  Each round advances every live
     # run to its pending trigger, extends all of them with one batched
     # kernel call per context, then resumes the runs with their extents.
-    s_index = s_codes if s_codes.dtype == np.intp else s_codes.astype(np.intp)
     ext_score = np.zeros(n, dtype=np.int64)
     ext_qs = np.zeros(n, dtype=np.int64)
     ext_qe = np.zeros(n, dtype=np.int64)
@@ -94,14 +126,13 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
         for c, row_list in by_ctx.items():
             rows = np.asarray(row_list, dtype=np.int64)
             ext = extend_pair(
-                block.contexts[c].codes_index,
-                s_index,
+                block.contexts[c].codes,
+                s_codes,
                 q_r[rows],
                 runs.s_r[rows],
                 word,
                 engine.matrix,
                 opts.xdrop_ungapped,
-                window=opts.extension_window,
             )
             ext_score[rows] = ext.score
             ext_qs[rows] = ext.q_start
@@ -131,7 +162,7 @@ def _search_subject(engine, block, lookup, subject_id, s_codes, db_len, db_seqs,
         if gapped_jobs:
             t_g = time.perf_counter()
             aligns = engine._extend_gapped(
-                [(ctx, s_index, *seed) for _, _, ctx, seed in gapped_jobs]
+                [(ctx, s_codes, *seed) for _, _, ctx, seed in gapped_jobs]
             )
             stats.n_gapped += len(gapped_jobs)
             stats.gapped_seconds += time.perf_counter() - t_g

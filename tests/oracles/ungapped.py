@@ -1,13 +1,13 @@
 """One-hit ungapped X-drop extension: the parity oracle for stage 2.
 
-The engine extends every word hit of a round in one batched pass
-(:func:`repro.blast.extend.batch_ungapped_extend_spans`).  This is the
-scalar rule it must reproduce, one hit at a time: pair scores from one
+The engine extends a subject's word hits with one compiled loop
+(:func:`repro.blast.extend.extend_ungapped`).  This is the rule it must
+reproduce, one hit at a time and in numpy: pair scores from one
 fancy-indexing gather, the X-drop stopping point from a cumulative-sum /
-running-max scan.  ``tests/properties/test_extension_kernels.py`` asserts
-the batch kernel equals it field for field; ``tests/oracles/
-staged_scheduler.py`` and ``benchmarks/bench_extension.py`` use it as the
-per-hit reference.
+running-max scan.  ``tests/properties/test_extension_kernels.py`` and
+``tests/blast/test_extension_batch.py`` assert the kernel equals it field
+for field; ``benchmarks/bench_extension.py`` uses it as the per-hit
+reference.
 """
 
 from __future__ import annotations

@@ -114,28 +114,29 @@ def _triggers(engine, queries):
     and subject-local extents, admitted).
 
     The engine admits with one array compare per round, so there is no
-    per-trigger decision to spy on: the extents are read off the span kernel
-    as the scheduler calls it, and ``admitted`` is this file's own compare
-    against :meth:`admission_scores` (one query, so one gap trigger), which
-    the accounting assertions then hold the engine's to.
+    per-trigger decision to spy on: the extents are read off the stage-2
+    kernel as the scheduler calls it, and ``admitted`` is this file's own
+    compare against :meth:`admission_scores` (one query, so one gap
+    trigger), which the accounting assertions then hold the engine's to.
     """
     seen = []
-    kernel = engine_module.batch_ungapped_extend_spans
+    kernel = engine_module.extend_ungapped
     opts = engine.options
     trigger, _ = engine.admission_scores(
         len(queries[0].seq), opts.db_length_override, opts.db_num_seqs_override
     )
 
-    def spy(q_codes, s_codes, q_pos, s_pos, q_lo, q_hi, s_lo, s_hi, *args, **kwargs):
-        ext = kernel(q_codes, s_codes, q_pos, s_pos, q_lo, q_hi, s_lo, s_hi, *args, **kwargs)
+    def spy(q_codes, s_codes, spans, hits, *args, rows=None, **kwargs):
+        ext = kernel(q_codes, s_codes, spans, hits, *args, rows=rows, **kwargs)
+        q_lo = spans[0, hits[0, rows]]
         seen.extend(zip(
             q_lo.tolist(), ext.score.tolist(),
             (ext.q_start - q_lo).tolist(), (ext.q_end - q_lo).tolist(),
-            (ext.s_start - s_lo).tolist(), (ext.score >= trigger).tolist(),
+            ext.s_start.tolist(), (ext.score >= trigger).tolist(),
         ))
         return ext
 
-    with mock.patch.object(engine_module, "batch_ungapped_extend_spans", spy):
+    with mock.patch.object(engine_module, "extend_ungapped", spy):
         yield seen
 
 

@@ -180,20 +180,6 @@ def test_blastn_runs_trigger_again_past_their_coverage():
     assert tight.last_stats.peak_slab_bytes < stats.peak_slab_bytes
 
 
-@pytest.mark.parametrize("slab_rows", [1, 65536])
-def test_blastn_tiny_extension_window_changes_nothing(slab_rows):
-    """With an ``extension_window`` of 2, every row of the span kernel that
-    outruns two steps goes through window escalation; the hits still match
-    the staged oracle and a default-window engine."""
-    queries, partition = _scarred_repeat_case()
-    opts = BlastOptions.blastn(dust=False, extension_window=2, fused_slab_rows=slab_rows)
-    engine = make_engine(opts)
-    _parity(engine, queries, partition)
-    assert engine.search_block(queries, partition) == make_engine(
-        BlastOptions.blastn(dust=False, fused_slab_rows=slab_rows)
-    ).search_block(queries, partition)
-
-
 @given(_family(AA_ALPHABET), SLAB_ROWS)
 @settings(max_examples=25, deadline=None)
 def test_blastp_fused_matches_staged(family, slab_rows):
