@@ -129,12 +129,17 @@ def test_stage_breakdown_measured(tmp_path, print_table, backend):
     })
 
 
+#: Alternating (untraced, traced) run pairs behind the overhead estimate.
+PAIRS = 5
+
+
 def test_trace_overhead_and_fidelity(tmp_path, print_table):
     """Tracing the Fig. 5 run must be nearly free and perfectly faithful.
 
     Measures the wall-clock overhead of running the stage-breakdown
-    workload with full tracing on (best of 2 each way, recorded in
-    ``BENCH_fig5.json``), validates the exported Chrome JSON with the
+    workload with full tracing on (best of each side of ``PAIRS``
+    alternating untraced / traced runs, recorded in ``BENCH_fig5.json``),
+    validates the exported Chrome JSON with the
     exporter's own schema checker, and asserts the Fig. 5 utilisation
     numbers recomputed from the trace alone equal the counter-derived
     ones exactly.
@@ -168,17 +173,14 @@ def test_trace_overhead_and_fidelity(tmp_path, print_table):
             trace_path=trace_path,
         )
 
-    # Best-of-2 each way: the minimum filters scheduler noise on a run
-    # this small far better than a mean would.
-    plain_s = []
-    for i in range(2):
+    # Plain and traced runs alternate, so host drift lands on both sides
+    # alike; the best of each side filters scheduler noise on a run this
+    # small far better than a mean would.
+    plain_s, traced_s = [], []
+    for i in range(PAIRS):
         t0 = time.perf_counter()
         mrblast_spmd(3, config(f"plain{i}"))
         plain_s.append(time.perf_counter() - t0)
-    traced_s = []
-    session = None
-    results = None
-    for i in range(2):
         session = TraceSession(3)
         t0 = time.perf_counter()
         results = mrblast_spmd(3, config(f"traced{i}"), trace=session)
@@ -204,7 +206,7 @@ def test_trace_overhead_and_fidelity(tmp_path, print_table):
 
     print_table(
         "Tracing overhead on the Fig. 5 stage-breakdown run",
-        ["variant", "best-of-2 s", "events"],
+        ["variant", f"best-of-{PAIRS} s", "events"],
         [["untraced", f"{min(plain_s):.3f}", "-"],
          ["traced", f"{min(traced_s):.3f}", str(n_events)],
          ["overhead", f"{overhead:+.1%}", "-"]],

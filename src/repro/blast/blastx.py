@@ -30,7 +30,7 @@ from repro.blast.engine import BlastpEngine
 from repro.blast.hsp import HSP, top_hits
 from repro.blast.options import BlastOptions
 
-__all__ = ["BlastxEngine", "translated_frames"]
+__all__ = ["BlastxEngine", "frame_to_nt", "translated_frames"]
 
 _FRAME_SEP = "|frame"
 
@@ -54,6 +54,15 @@ def translated_frames(record: SeqRecord, min_aa: int = 10) -> list[tuple[int, Se
                     (signed, SeqRecord(f"{record.id}{_FRAME_SEP}{signed:+d}", protein))
                 )
     return out
+
+
+def frame_to_nt(signed: int, start: int, end: int, nt_len: int) -> tuple[int, int, int]:
+    """Amino-acid range ``[start, end)`` of frame ``signed`` of a DNA
+    sequence of ``nt_len`` bases as ``(nt_start, nt_end, strand)``."""
+    shift = abs(signed) - 1
+    if signed > 0:
+        return shift + 3 * start, shift + 3 * end, 1
+    return nt_len - shift - 3 * end, nt_len - shift - 3 * start, -1
 
 
 class BlastxEngine:
@@ -105,31 +114,9 @@ class BlastxEngine:
         by_query: dict[str, list[HSP]] = {}
         for h in aa_hits:
             query_id, signed, nt_len = frame_of[h.query_id]
-            frame = abs(signed)
-            if signed > 0:
-                q_start = (frame - 1) + 3 * h.q_start
-                q_end = (frame - 1) + 3 * h.q_end
-                strand = 1
-            else:
-                q_start = nt_len - (frame - 1) - 3 * h.q_end
-                q_end = nt_len - (frame - 1) - 3 * h.q_start
-                strand = -1
-            mapped = HSP(
-                query_id=query_id,
-                subject_id=h.subject_id,
-                score=h.score,
-                bit_score=h.bit_score,
-                evalue=h.evalue,
-                q_start=q_start,
-                q_end=q_end,
-                s_start=h.s_start,
-                s_end=h.s_end,
-                identities=h.identities,
-                align_len=h.align_len,
-                gaps=h.gaps,
-                strand=strand,
-                frame=signed,
-            )
+            q_start, q_end, strand = frame_to_nt(signed, h.q_start, h.q_end, nt_len)
+            mapped = replace(h, query_id=query_id, q_start=q_start, q_end=q_end,
+                             strand=strand, frame=signed)
             by_query.setdefault(query_id, []).append(mapped)
 
         out: list[HSP] = []

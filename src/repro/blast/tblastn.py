@@ -26,16 +26,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.bio.alphabet import PROTEIN
-from repro.bio.seq import SeqRecord, reverse_complement, translate
+from repro.bio.alphabet import DNA, PROTEIN
+from repro.bio.seq import SeqRecord
+from repro.blast.blastx import _FRAME_SEP, frame_to_nt, translated_frames
 from repro.blast.dbreader import DbPartition
 from repro.blast.engine import BlastpEngine
 from repro.blast.hsp import HSP, top_hits
 from repro.blast.options import BlastOptions
 
 __all__ = ["TblastnEngine", "TranslatedPartition"]
-
-_FRAME_SEP = "|frame"
 
 
 class TranslatedPartition:
@@ -66,22 +65,11 @@ class TranslatedPartition:
     def total_length(self) -> int:
         return max(self._partition.total_length // 3, 1)  # aa search space
 
-    def _frames(self, sid: str, codes: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-        from repro.bio.alphabet import DNA
-
-        seq = DNA.decode(codes)
-        rc = reverse_complement(seq)
-        for k in (1, 2, 3):
-            for strand_seq, signed in ((seq, k), (rc, -k)):
-                # Translate through stops ("*", scored -4): truncating at the
-                # first stop would hide genes behind untranslated flanks.
-                protein = translate(strand_seq, frame=k - 1, stop=False)
-                if len(protein) >= self.min_aa:
-                    yield f"{sid}{_FRAME_SEP}{signed:+d}", PROTEIN.encode(protein)
-
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         for sid, codes in self._partition:
-            yield from self._frames(sid, codes)
+            for _signed, frec in translated_frames(SeqRecord(sid, DNA.decode(codes)),
+                                                   self.min_aa):
+                yield frec.id, PROTEIN.encode(frec.seq)
 
 
 class TblastnEngine:
@@ -90,7 +78,7 @@ class TblastnEngine:
     program = "tblastn"
 
     def __init__(self, options: BlastOptions, min_frame_aa: int = 10) -> None:
-        if options.program not in ("blastp", "tblastn", "blastx"):
+        if options.program not in ("blastp", "blastx"):
             raise ValueError(
                 "TblastnEngine takes blastp-style options (protein scoring); "
                 f"got program {options.program!r}"
@@ -129,34 +117,11 @@ class TblastnEngine:
         for h in aa_hits:
             sid, frame_txt = h.subject_id.rsplit(_FRAME_SEP, 1)
             signed = int(frame_txt)
-            frame = abs(signed)
-            nt_len = translated.nt_lengths[sid]
-            if signed > 0:
-                s_start = (frame - 1) + 3 * h.s_start
-                s_end = (frame - 1) + 3 * h.s_end
-                strand = 1
-            else:
-                s_start = nt_len - (frame - 1) - 3 * h.s_end
-                s_end = nt_len - (frame - 1) - 3 * h.s_start
-                strand = -1
-            by_query.setdefault(h.query_id, []).append(
-                HSP(
-                    query_id=h.query_id,
-                    subject_id=sid,
-                    score=h.score,
-                    bit_score=h.bit_score,
-                    evalue=h.evalue,
-                    q_start=h.q_start,
-                    q_end=h.q_end,
-                    s_start=s_start,
-                    s_end=s_end,
-                    identities=h.identities,
-                    align_len=h.align_len,
-                    gaps=h.gaps,
-                    strand=strand,
-                    frame=signed,
-                )
-            )
+            s_start, s_end, strand = frame_to_nt(
+                signed, h.s_start, h.s_end, translated.nt_lengths[sid])
+            by_query.setdefault(h.query_id, []).append(replace(
+                h, subject_id=sid, s_start=s_start, s_end=s_end, strand=strand,
+                frame=signed))
 
         out: list[HSP] = []
         for rec in queries:

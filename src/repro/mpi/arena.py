@@ -12,20 +12,20 @@ rank**, created by the parent before fork and mapped once by every child:
   free-extent list over the data region plus a bounded table of
   **epoch-tagged slot headers** (``state``, ``epoch``) at the front of the
   segment;
-- a send allocates a slot, copies the payload bytes in **once**, and ships
-  only a fixed-width packed descriptor over the pipe
-  (:func:`repro.mpi.shm.pack_arena_message`);
+- a send allocates a slot, copies the payload's buffers in **once**, and
+  ships only the frame's header and pickle over the pipe
+  (:func:`repro.mpi.shm.pack_frame`);
 - the *receiver* maps the peer segment lazily (once per peer, cached) and
-  surfaces the payload as **read-only numpy views** straight over the
+  decodes the payload over a **read-only window** straight on the
   sender's bytes — no copy at all;
-- when the receiver's views are garbage-collected, a ``weakref.finalize``
+- when the receiver's arrays are garbage-collected, a ``weakref.finalize``
   hook writes ``FREE`` into the slot's shared header; the sender reclaims
   the extent on a later allocation by sweeping its outstanding headers —
   slots are reused without any unlink/reattach churn.
 
 Allocation failure (ring full, slot table exhausted, payload larger than
-the ring) is never an error: the caller falls back to the PR-6 per-message
-path, so correctness does not depend on arena hits.  Segments share the
+the ring) is never an error: the caller puts the buffers in a per-message
+shm block instead, so correctness does not depend on arena hits.  Segments share the
 job's shm name prefix, so the parent's abnormal-teardown sweep
 (:func:`repro.mpi.shm.sweep_job_blocks`) reclaims them even when a child
 crashed mid-exchange with slots outstanding.

@@ -6,11 +6,18 @@ point-to-point layer, exactly as a real MPI library structures them.  All
 collective traffic runs with negative tags, which are reserved: user
 point-to-point tags must be ``>= 0``, so collectives and user traffic can
 never match each other even inside the same context.
+
+Payloads cross under the transport's one contract (see
+:mod:`repro.mpi.transport`): a received payload is a read-only-array copy
+of the payload as it was at the send, so a sender may reuse its buffers
+as soon as a send returns.  A rank's own share of ``gather`` and
+``alltoall`` is not a message and comes back as the object it passed; the
+running value of ``reduce`` and ``scan`` starts as such a copy, so a
+result never aliases the caller's buffer.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import Any, Callable, Optional, Sequence
 
@@ -18,7 +25,7 @@ import numpy as np
 
 from repro.mpi.exceptions import MPIError
 from repro.mpi.ops import ANY_SOURCE, ANY_TAG, SUM, Op, Status
-from repro.mpi.transport import Message, TransportEndpoint
+from repro.mpi.transport import Message, TransportEndpoint, encode, snapshot
 
 __all__ = ["Comm", "Request"]
 
@@ -54,70 +61,6 @@ _TAG_BARRIER = -4
 _TAG_GATHER = -5
 _TAG_ALLTOALL = -7
 _TAG_SCAN = -8
-
-
-def _isolate(obj: Any) -> Any:
-    """Copy a payload so sender/receiver can never alias mutable state.
-
-    Immutable builtins pass through untouched; numpy arrays are copied
-    cheaply; everything else takes the deepcopy path (mirrors the pickle
-    round-trip a real MPI send implies).
-    """
-    if obj is None or isinstance(obj, (int, float, bool, str, bytes, frozenset)):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, tuple) and all(
-        o is None or isinstance(o, (int, float, bool, str, bytes)) for o in obj
-    ):
-        return obj
-    return copy.deepcopy(obj)
-
-
-def _wire(obj: Any) -> Any:
-    """Isolation with a buffer-protocol fast path for array payloads.
-
-    MPI buffer semantics put the aliasing burden on the *caller*: a buffer
-    handed to a send must not be mutated until the operation completes.
-    Under that contract a bare ndarray — or a container of ndarrays, the
-    columnar page wire format — needs no defensive copy at all: the thread
-    transport passes a read-only *view* (receivers can read, nobody can
-    write), and the process transport serialises straight out of the
-    caller's buffer into the shared arena.  Collectives double as
-    synchronisation fences, so the SOM epoch loop and the shuffle pipeline
-    satisfy the contract naturally.
-
-    One extra nesting level is honoured — a sequence whose items are
-    ``None``, arrays, or sequences of arrays, which is exactly what
-    allgather's internal bcast-of-a-gathered-list and the paged columnar
-    gather produce — so those stay no-copy (and arena-frameable) too.
-
-    Everything else keeps the conservative :func:`_isolate` deep copy.
-    """
-    if isinstance(obj, np.ndarray):
-        view = obj.view()
-        view.setflags(write=False)
-        return view
-    if isinstance(obj, (tuple, list)) and obj:
-        if all(isinstance(a, np.ndarray) for a in obj):
-            # A fresh container (so receivers can't reorder the sender's
-            # list) holding frozen views.
-            frozen = []
-            for a in obj:
-                view = a.view()
-                view.setflags(write=False)
-                frozen.append(view)
-            return tuple(frozen) if isinstance(obj, tuple) else frozen
-        if all(
-            o is None
-            or isinstance(o, np.ndarray)
-            or (isinstance(o, (tuple, list)) and o
-                and all(isinstance(a, np.ndarray) for a in o))
-            for o in obj
-        ):
-            nested = [None if o is None else _wire(o) for o in obj]
-            return tuple(nested) if isinstance(obj, tuple) else nested
-    return _isolate(obj)
 
 
 def _payload_count(obj: Any) -> int:
@@ -235,7 +178,7 @@ class Comm:
                 dst=self._check_peer(dest),
                 tag=tag,
                 context=self._context,
-                payload=_wire(obj),
+                payload=obj,
             ),
             acting=self._global_rank,
         )
@@ -354,7 +297,7 @@ class Comm:
         """Binomial-tree reduction; returns the result on ``root`` else None."""
         size, rank = self.size, self._rank
         vrank = (rank - root) % size
-        value = _isolate(sendobj)
+        value = snapshot(encode(sendobj))
         mask = 1
         while mask < size:
             if vrank & mask:
@@ -398,7 +341,7 @@ class Comm:
             self._post(sendobj, root, _TAG_GATHER)
             return None
         out: list[Any] = [None] * self.size
-        out[root] = _wire(sendobj)
+        out[root] = sendobj
         for _ in range(self.size - 1):
             msg = self._match(source=ANY_SOURCE, tag=_TAG_GATHER)
             # msg.src carries the sender's communicator-local rank (senders
@@ -431,7 +374,7 @@ class Comm:
             raise MPIError(f"alltoall needs {self.size} items, got {len(sendobjs)}")
         size, rank = self.size, self._rank
         out: list[Any] = [None] * size
-        out[rank] = _wire(sendobjs[rank])
+        out[rank] = sendobjs[rank]
         if self._network.arena_enabled:
             pow2 = 1
             while pow2 < size:
@@ -454,7 +397,7 @@ class Comm:
     @_traced_collective("scan")
     def scan(self, sendobj: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction in rank order (linear chain)."""
-        value = _isolate(sendobj)
+        value = snapshot(encode(sendobj))
         if self._rank > 0:
             prev = self._match(source=self._rank - 1, tag=_TAG_SCAN).payload
             value = op(prev, value)

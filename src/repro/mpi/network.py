@@ -3,8 +3,11 @@
 One :class:`Network` is shared by all ranks of a job and holds every
 rank's mailbox, so delivery is an append to the destination's
 :class:`~repro.mpi.transport.Mailbox` and an abort wakes every rank
-directly.  Matching, contexts, fault injection and telemetry are the
-shared message layer of :mod:`repro.mpi.transport`; ranks are started by
+directly.  A send snapshots each of the payload's buffers once and the
+receiver gets the payload decoded over those private bytes, so a sender
+may reuse its buffers at once, as on the process backend.  Matching,
+contexts, the codec, fault injection and telemetry are the shared message
+layer of :mod:`repro.mpi.transport`; ranks are started by
 :class:`~repro.mpi.runtime.SpmdJob`.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.mpi.faultplan import FaultPlan
-from repro.mpi.transport import Mailbox, Message, TransportEndpoint
+from repro.mpi.transport import Mailbox, Message, TransportEndpoint, snapshot
 from repro.obs.trace import NULL_TRACER
 
 __all__ = ["Network", "Message"]
@@ -22,8 +25,8 @@ __all__ = ["Network", "Message"]
 class Network(TransportEndpoint):
     """Shared state of one thread-backend job: every rank's mailbox.
 
-    Threads share one address space: payloads already cross as zero-copy
-    frozen views, so there is no arena here.
+    Threads share one address space, so a payload's buffers live in the
+    snapshot the send takes and there is no arena here.
     """
 
     def __init__(
@@ -43,5 +46,6 @@ class Network(TransportEndpoint):
             dead=[0] * nprocs,
         )
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message, wire) -> None:
+        msg.payload = snapshot(wire)
         self._mailboxes[msg.dst].put(msg)

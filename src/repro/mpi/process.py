@@ -7,16 +7,13 @@ runs on real cores.  Matching, the fault gate, contexts and telemetry are
 the shared message layer of :mod:`repro.mpi.transport`; what this module
 owns is how a message crosses a process boundary and how ranks start:
 
-- **data plane** — an N×N mesh of unidirectional pipes carrying typed
-  frames (first byte selects the codec).  Bulk numpy payloads (the
-  capitalized ``Send``/``Bcast``/``Reduce`` path and the columnar page
-  exchange) travel as **arena frames**: the bytes are written once into
-  the sender's ring of the per-job shared arena (:mod:`repro.mpi.arena`)
-  and the pipe carries only a fixed-width packed descriptor; the receiver
-  gets read-only zero-copy views.
-  Control-sized payloads pickle straight through, and bulk payloads that
-  overflow the ring fall back to per-message :mod:`repro.mpi.shm` blocks
-  — correctness never depends on arena hits.
+- **data plane** — an N×N mesh of unidirectional pipes, one frame per
+  message (:mod:`repro.mpi.shm`): a fixed-width header and the payload's
+  protocol-5 pickle, its array buffers inline under 32 KiB, else written
+  once into the sender's ring of the per-job shared arena
+  (:mod:`repro.mpi.arena`), else (ring full, or the arena off) into a
+  per-message shm block — correctness never depends on arena hits.  The
+  receiver decodes over read-only views of the buffers wherever they are.
 - **delivery** — each child runs a daemon *receiver thread* draining its
   inbound pipes into its rank's :class:`~repro.mpi.transport.Mailbox`.
   The receiver thread always drains, so eager sends cannot deadlock on
@@ -40,9 +37,8 @@ owns is how a message crosses a process boundary and how ranks start:
   tracer for that rank.
 
 Requires the ``fork`` start method (fn/args/closures are inherited, not
-pickled); rank *results* and lowercase-path objects do cross a pipe, so
-they must be picklable; their bulk arrays ride a shm block under the job's
-prefix instead (:func:`~repro.mpi.shm.dump_out_of_band`).
+pickled); rank *results* cross the exit pipe in the same frame, their bulk
+arrays in a shm block under the job's prefix, copied out by the parent.
 """
 
 from __future__ import annotations
@@ -57,22 +53,19 @@ import time
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.mpi.arena import Arena, create_arena_segments, resolve_arena_bytes
 from repro.mpi.exceptions import MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import run_rank
-from repro.mpi.shm import (
-    FRAME_ARENA,
-    FRAME_PICKLE,
-    dump_out_of_band,
-    load_out_of_band,
-    pack_arena_message,
-    sweep_job_blocks,
-    unpack_arena_message,
+from repro.mpi.shm import pack_frame, sweep_job_blocks, unpack_frame
+from repro.mpi.transport import (
+    Mailbox,
+    Message,
+    RankTelemetry,
+    TransportEndpoint,
+    encode,
+    snapshot,
 )
-from repro.mpi.transport import Mailbox, Message, RankTelemetry, TransportEndpoint
 from repro.obs.trace import NULL_TRACER
 
 __all__ = ["ProcessJob", "ProcessNetwork"]
@@ -87,22 +80,6 @@ def _picklable_exc(exc: BaseException) -> BaseException:
         return exc
     except Exception:
         return MPIError(f"{type(exc).__name__}: {exc}")
-
-
-def _freeze_payload(payload: Any) -> Any:
-    """Mark array payloads read-only after decode.
-
-    Pickle rebuilds writable arrays; the thread backend hands receivers
-    read-only frozen views, so align the aliasing contract here too.
-    """
-    if isinstance(payload, np.ndarray):
-        payload.setflags(write=False)
-    elif isinstance(payload, (tuple, list)) and payload and all(
-        isinstance(a, np.ndarray) for a in payload
-    ):
-        for a in payload:
-            a.setflags(write=False)
-    return payload
 
 
 class ProcessNetwork(TransportEndpoint):
@@ -191,15 +168,7 @@ class ProcessNetwork(TransportEndpoint):
                     sel.unregister(conn)
                     live -= 1
                     continue
-                self._inbox.put(self._decode_frame(frame))
-
-    def _decode_frame(self, frame: bytes) -> Message:
-        """Typed-frame dispatch: arena descriptor or pickled Message."""
-        if frame and frame[0] == FRAME_ARENA:
-            return unpack_arena_message(frame, self._arena)
-        msg = load_out_of_band(memoryview(frame)[1:])
-        msg.payload = _freeze_payload(msg.payload)
-        return msg
+                self._inbox.put(unpack_frame(frame, self._arena))
 
     # ------------------------------------------------------------------ abort
 
@@ -220,24 +189,21 @@ class ProcessNetwork(TransportEndpoint):
 
     # ----------------------------------------------------------------- routing
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message, wire) -> None:
         if msg.dst == self.rank:
+            msg.payload = snapshot(wire)
             self._inbox.put(msg)
             return
-        # Each delivery encodes independently so a duplicated send owns its
+        # Each delivery frames independently so a duplicated send owns its
         # own arena slot (or shm block) — releases/unlinks are per delivery.
-        frame = None
         arena = self._arena
-        if arena is not None:
-            overflows = arena.stats.overflows
-            frame = pack_arena_message(msg, arena)
-            if frame is None and arena.stats.overflows > overflows \
-                    and self._tracer.enabled:
-                self._tracer.instant("arena.overflow", cat="mpi",
-                                     dst=msg.dst, tag=msg.tag)
-        if frame is None:
-            frame = bytes([FRAME_PICKLE]) + dump_out_of_band(
-                msg, f"{self._shm_prefix}{next(self._block_seq)}")
+        overflows = arena.stats.overflows if arena is not None else 0
+        frame = pack_frame(msg, self.rank, wire, arena,
+                           f"{self._shm_prefix}{next(self._block_seq)}")
+        if arena is not None and arena.stats.overflows > overflows \
+                and self._tracer.enabled:
+            self._tracer.instant("arena.overflow", cat="mpi",
+                                 dst=msg.dst, tag=msg.tag)
         try:
             self._outbound[msg.dst].send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
@@ -318,15 +284,18 @@ def _child_main(
             "dropped": tracer.dropped_events,
             "spilled": tracer.spilled_events,
         }
-    block_name = f"{shm_prefix}r{rank}_exit"  # carries the result's bulk arrays
     try:
-        frame = pickle.dumps(("exit", rank, dump_out_of_band(envelope, block_name)))
+        wire = encode(envelope)
     except Exception as exc:
         envelope["result"] = None
         envelope["error"] = _picklable_exc(error) if error is not None else MPIError(
             f"rank {rank}: result of type "
             f"{type(result).__name__} is not picklable: {exc}")
-        frame = pickle.dumps(("exit", rank, dump_out_of_band(envelope, block_name)))
+        wire = encode(envelope)
+    # The result's bulk arrays ride a block named for the exit.
+    frame = pickle.dumps(("exit", rank, pack_frame(
+        Message(src=rank, dst=rank, tag=0, context=0, payload=None), rank, wire,
+        None, f"{shm_prefix}r{rank}_exit")))
     try:
         exit_w.send_bytes(frame)
     except Exception:  # pragma: no cover - parent already gone
@@ -491,5 +460,5 @@ class ProcessJob(RankTelemetry):
                 self.abort(exc)
             elif kind == "exit":
                 _, _rank, envelope = env
-                self._absorb_exit(rank, load_out_of_band(envelope))
+                self._absorb_exit(rank, unpack_frame(envelope, owned=True).payload)
                 del self._pending[conn]

@@ -1,4 +1,4 @@
-"""The transport layer: one message layer, two ways to start ranks.
+"""The transport layer: one message layer, one codec, two ways to start ranks.
 
 :class:`~repro.mpi.comm.Comm` and the collectives built on it never talk to
 threads, pipes or shared memory directly — they speak to a
@@ -13,22 +13,33 @@ written once, here:
   op count, scheduled crashes and stalls) and the send-fault branch of
   :meth:`TransportEndpoint.post` (drops, duplicates, delays), with their
   trace instants;
+- the payload codec (:func:`encode` / :func:`decode`);
 - hash-derived context ids and the degraded-mode dead flags and telemetry
   the supervisor reads (:class:`RankTelemetry`).
 
-A backend supplies only ``_deliver`` (how a posted message reaches the
-destination's mailbox), ``abort`` (how a failure reaches every rank), and
-how ranks start:
+**The payload contract.**  On both backends a received payload equals the
+payload as it was at the send, every numpy array in it is read-only, and
+whatever pickle refuses is refused at the send.  :meth:`~TransportEndpoint.post`
+encodes every payload once, as one protocol-5 pickle whose contiguous
+array buffers go out of band (a non-contiguous array is made contiguous
+first); receivers :func:`decode` it over read-only views of those buffers.
+A rank's own share of a collective is not a message: it comes back as the
+object the rank passed, with no copy.
+
+A backend supplies only ``_deliver`` (where a posted message's buffers
+live until its destination decodes it), ``abort`` (how a failure reaches
+every rank), and how ranks start:
 
 - :class:`~repro.mpi.network.Network` — ranks are threads sharing one
-  endpoint that holds every rank's mailbox; delivery is a list append.
-  Compute serialises on the GIL, so it is the deterministic default for
-  tests, not the performance backend.
+  endpoint that holds every rank's mailbox; a send snapshots each buffer
+  once and delivery is a list append.  Compute serialises on the GIL, so
+  it is the deterministic default for tests, not the performance backend.
 - :class:`~repro.mpi.process.ProcessNetwork` — one endpoint per forked OS
-  process, holding only its own rank's mailbox.  Delivery to a peer
-  encodes an arena frame (bulk arrays in the per-job shared ring) or a
-  pickle frame onto a pipe, and a receiver thread drains inbound pipes
-  into the mailbox.
+  process, holding only its own rank's mailbox.  Delivery to a peer writes
+  one frame onto a pipe (a fixed-width header, then the pickle), its
+  buffers inline, in the sender's ring of the per-job shared arena, or in
+  a per-message shm block (:mod:`repro.mpi.shm`); a receiver thread drains
+  inbound pipes into the mailbox.
 
 The gate writes heartbeats and op counts into whatever sequences the
 backend hands it (lists for threads, shared ``mp.Array`` for processes).
@@ -38,11 +49,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import pickle
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, MutableSequence, Optional, Sequence
+
+import numpy as np
 
 from repro.mpi.exceptions import AbortError, DeadlockError, MPIError, RankFailure
 from repro.mpi.faultplan import (
@@ -56,16 +70,62 @@ from repro.mpi.faultplan import (
 from repro.mpi.ops import ANY_SOURCE, ANY_TAG
 from repro.obs.trace import NULL_TRACER
 
-__all__ = ["Mailbox", "Message", "RankTelemetry", "TransportEndpoint", "matches"]
+__all__ = [
+    "Mailbox",
+    "Message",
+    "RankTelemetry",
+    "TransportEndpoint",
+    "decode",
+    "encode",
+    "matches",
+    "snapshot",
+]
 
 #: Longest single condition wait: an abort raised through a shared flag
 #: (no notify reaches the waiter) is still seen this promptly.
 _WAIT_SLICE = 0.25
 
 
+class _Pickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        # numpy pickles a non-contiguous array (or a subclass) in band; one
+        # contiguous copy lets its bytes go out of band like any other.
+        if isinstance(obj, np.ndarray) and not obj.dtype.hasobject and not (
+                type(obj) is np.ndarray
+                and (obj.flags.c_contiguous or obj.flags.f_contiguous)):
+            return np.asarray(obj, order="C").__reduce_ex__(5)
+        return NotImplemented
+
+
+def encode(payload: Any) -> tuple[bytes, list[memoryview]]:
+    """``payload`` as one protocol-5 pickle and its out-of-band buffers.
+
+    The buffers are flat byte views of the payload's array memory, not
+    copies: a backend copies each once to wherever it lives until decoded.
+    Raises whatever pickling raises.
+    """
+    raws: list[memoryview] = []
+    out = io.BytesIO()
+    _Pickler(out, protocol=5,
+             buffer_callback=lambda buf: raws.append(buf.raw())).dump(payload)
+    return out.getvalue(), raws
+
+
+def decode(data, buffers: Sequence) -> Any:
+    """Inverse of :func:`encode`; arrays are views over ``buffers``."""
+    return pickle.loads(data, buffers=buffers)
+
+
+def snapshot(wire: tuple[bytes, list[memoryview]]) -> Any:
+    """Decode a private copy of an encoded payload (one copy per buffer)."""
+    data, raws = wire
+    return decode(data, [bytes(raw) for raw in raws])
+
+
 @dataclass
 class Message:
-    """An in-flight message (payload already isolated by the sender)."""
+    """An in-flight message; ``payload`` is the sender's object until the
+    backend delivers it, the decoded copy after."""
 
     src: int
     dst: int
@@ -224,8 +284,9 @@ class TransportEndpoint(RankTelemetry):
 
     # ------------------------------------------------------- backend supplies
 
-    def _deliver(self, msg: Message) -> None:
-        """Put ``msg`` into its destination's mailbox, wherever that lives."""
+    def _deliver(self, msg: Message, wire: tuple[bytes, list[memoryview]]) -> None:
+        """Put ``msg``, its payload encoded as ``wire``, into its
+        destination's mailbox, wherever that lives."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ abort
@@ -310,6 +371,7 @@ class TransportEndpoint(RankTelemetry):
         sender = msg.src if acting is None else acting
         self._pre_op(sender)
         self._check_abort()
+        wire = encode(msg.payload)
         trc = self.tracer_for(sender)
         ev = None
         if self.fault_plan is not None and 0 <= sender < self.nprocs:
@@ -321,9 +383,9 @@ class TransportEndpoint(RankTelemetry):
                 return
             if isinstance(ev, DelayMessage):
                 msg.not_before = time.monotonic() + ev.seconds
-        self._deliver(msg)
+        self._deliver(msg, wire)
         if isinstance(ev, DuplicateMessage):
-            self._deliver(dataclasses.replace(msg))
+            self._deliver(dataclasses.replace(msg), wire)
         if trc.enabled:
             trc.instant("mpi.send", cat="mpi", dst=msg.dst, tag=msg.tag,
                         context=msg.context)

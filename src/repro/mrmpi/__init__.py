@@ -9,7 +9,7 @@ calls, spilling to page files when a per-processor memory budget is exceeded
 This port keeps the original object model and call sequence:
 
 - :class:`~repro.mrmpi.mapreduce.MapReduce` — the per-rank MapReduce object;
-  collective methods: ``map_items`` (mapstyles: chunk, strided,
+  collective methods: ``map_items`` (mapstyles: chunk,
   master/worker), ``aggregate``, ``convert``, ``collate``, ``reduce``,
   ``gather``, ``compress``, ``sort_kmv_keys``.
 - :class:`~repro.mrmpi.columnar.ColumnarKeyValue` — a pageable store of

@@ -8,7 +8,6 @@ never collide with application messages).
 Map styles (the ``mapstyle`` setting of the original library):
 
 - ``CHUNK``:   task block ``[rank*nmap/P, (rank+1)*nmap/P)`` per rank.
-- ``STRIDED``: task ``i`` runs on rank ``i % P``.
 - ``MASTER_WORKER``: rank 0 acts as master and hands tasks to the
   remaining ranks in shrinking chunks as they ask (see
   :class:`~repro.sched.Dispatcher`).  This is the mode the paper uses for
@@ -109,8 +108,7 @@ def _merge_kept(kv: ColumnarKeyValue, stage: ColumnarKeyValue,
 
 class MapStyle(IntEnum):
     CHUNK = 0
-    STRIDED = 1
-    MASTER_WORKER = 2
+    MASTER_WORKER = 2  # the original library's number; 1 was its strided style
 
 
 class MapReduce:
@@ -289,7 +287,10 @@ class MapReduce:
             self._map_items_sched(
                 items, mapper, kv, locality_key, speculation, degraded)
         else:
-            for itask in self._static_tasks(len(items), style):
+            # CHUNK (and the degenerate single-rank MASTER_WORKER): one
+            # contiguous block of tasks per rank.
+            n = len(items)
+            for itask in range(self.rank * n // self.size, (self.rank + 1) * n // self.size):
                 mapper(itask, items[itask], kv)
 
         self._phase_end("map", t0)
@@ -457,14 +458,6 @@ class MapReduce:
                 self.comm.network.mark_dead(self.comm.global_rank)
                 raise DegradedRankLoss(self.comm.global_rank, repr(exc)) from exc
             raise
-
-    def _static_tasks(self, nmap: int, style: MapStyle):
-        if style is MapStyle.STRIDED:
-            return range(self.rank, nmap, self.size)
-        # CHUNK (and the degenerate single-rank MASTER_WORKER): contiguous block
-        lo = self.rank * nmap // self.size
-        hi = (self.rank + 1) * nmap // self.size
-        return range(lo, hi)
 
     # -------------------------------------------------------- shuffle & group
 

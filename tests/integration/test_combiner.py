@@ -13,7 +13,7 @@ from repro.mrmpi import MapReduce, MapStyle
 class TestCompress:
     def test_local_sum_combiner(self):
         def main(comm):
-            mr = MapReduce(comm, mapstyle=MapStyle.STRIDED)
+            mr = MapReduce(comm, mapstyle=MapStyle.CHUNK)
             mr.map_items(
                 list(range(40)), lambda t, item, kv: kv.add(f"k{item % 4}", 1)
             )

@@ -89,7 +89,7 @@ class TestMrBlastParity:
         hits_many = collect_rank_hits([r.output_path for r in many])
         assert flatten(hits_one) == flatten(hits_many)
 
-    @pytest.mark.parametrize("style", [MapStyle.CHUNK, MapStyle.STRIDED])
+    @pytest.mark.parametrize("style", [MapStyle.CHUNK, MapStyle.MASTER_WORKER])
     def test_mapstyle_does_not_change_results(self, nt_workload, tmp_path, style):
         alias_path, blocks, options, _ = nt_workload
         serial = run_serial_blast(alias_path, blocks, options)

@@ -5,8 +5,8 @@ Three layers of coverage:
 - :class:`~repro.mpi.arena.Arena` primitives in-process (alloc / view /
   GC-release / wraparound reuse / overflow), with two endpoints attached
   to the same segments the way two ranks would be;
-- the packed arena codec (:func:`~repro.mpi.shm.pack_arena_message` /
-  ``unpack_arena_message``) over the full payload grammar;
+- the one frame codec (:func:`~repro.mpi.shm.pack_frame` /
+  :func:`~repro.mpi.shm.unpack_frame`) with its buffers in an arena slot;
 - end-to-end process-backend runs: arena-on/off parity, forced overflow
   fallback, stats surfaces, and no leaked ``/dev/shm`` segments even when
   a rank crashes mid-exchange.
@@ -29,12 +29,8 @@ from repro.mpi.arena import (
 )
 from repro.mpi.network import Message
 from repro.mpi.runtime import SpmdJob
-from repro.mpi.shm import (
-    FRAME_ARENA,
-    pack_arena_message,
-    sweep_job_blocks,
-    unpack_arena_message,
-)
+from repro.mpi.shm import SHM_MIN_BYTES, pack_frame, sweep_job_blocks, unpack_frame
+from repro.mpi.transport import encode
 
 RING = 1 << 20  # 1 MiB data region per endpoint
 ARENA_ENV = "REPRO_MPI_ARENA_MB"
@@ -173,17 +169,29 @@ class TestSlotLifecycle:
         assert segment_name("reprompi12_", 3) == "reprompi12_arena3"
 
 
+#: Rides along with every codec-test payload, so its buffers are over the
+#: inline limit and take an arena slot.
+_PAD = np.zeros(SHM_MIN_BYTES, dtype=np.uint8)
+
+
+def _pack(a0, payload, tag=0, context=0, not_before=0.0):
+    """Frame ``payload`` from rank 0's ring, asserting it took a slot."""
+    sends = a0.stats.sends
+    msg = Message(src=0, dst=1, tag=tag, context=context, payload=(payload, _PAD),
+                  not_before=not_before)
+    frame = pack_frame(msg, 0, encode(msg.payload), a0, f"{a0._prefix}blk")
+    assert a0.stats.sends == sends + 1
+    return frame
+
+
 class TestArenaCodec:
     def _round_trip(self, arena_pair, payload):
         a0, a1 = arena_pair
-        msg = Message(src=0, dst=1, tag=7, context=3, payload=payload,
-                      not_before=1.25)
-        frame = pack_arena_message(msg, a0)
-        assert frame is not None and frame[0] == FRAME_ARENA
-        out = unpack_arena_message(frame, a1)
+        frame = _pack(a0, payload, tag=7, context=3, not_before=1.25)
+        out = unpack_frame(frame, a1)
         assert (out.src, out.dst, out.tag, out.context, out.not_before) == \
             (0, 1, 7, 3, 1.25)
-        return out.payload
+        return out.payload[0]
 
     def test_bare_array(self, arena_pair):
         arr = np.linspace(0.0, 1.0, 1000)
@@ -222,18 +230,17 @@ class TestArenaCodec:
         np.testing.assert_array_equal(got[0], base[::2])
         np.testing.assert_array_equal(got[1], base.reshape(8, 8).T)
 
-    def test_ineligible_payloads_decline(self, arena_pair):
-        a0, _ = arena_pair
-        for payload in (None, {"a": 1}, [1, 2, 3],
-                        np.array([object()], dtype=object), "text"):
-            msg = Message(src=0, dst=1, tag=0, context=0, payload=payload)
-            assert pack_arena_message(msg, a0) is None
+    def test_object_payloads_take_a_slot_too(self, arena_pair):
+        """No payload is ineligible: whatever pickles, its array buffers
+        ride the slot and arrive read-only."""
+        got = self._round_trip(arena_pair, {"a": np.arange(5.0), "n": [1, "x"]})
+        assert got["n"] == [1, "x"]
+        np.testing.assert_array_equal(got["a"], np.arange(5.0))
+        assert not got["a"].flags.writeable
 
     def test_views_release_slots_when_dropped(self, arena_pair):
         a0, a1 = arena_pair
-        msg = Message(src=0, dst=1, tag=0, context=0,
-                      payload=np.arange(50_000, dtype=np.float64))
-        got = unpack_arena_message(pack_arena_message(msg, a0), a1)
+        got = unpack_frame(_pack(a0, np.arange(50_000, dtype=np.float64)), a1)
         assert a0.stats.resident_bytes > 0
         del got
         gc.collect()
@@ -253,10 +260,10 @@ class TestArenaCodec:
             for payload in (
                 np.arange(4096, dtype=np.float64),
                 [None, np.arange(10), (np.ones((3, 4)), np.zeros(0))],
+                {"a": np.arange(10), "b": [np.ones(3)]},
             ):
-                msg = Message(src=0, dst=1, tag=0, context=0, payload=payload)
-                got = unpack_arena_message(pack_arena_message(msg, a0), a1)
-                del got, msg
+                got = unpack_frame(_pack(a0, payload), a1)
+                del got
                 a0._reclaim()
                 assert a0.stats.resident_bytes == 0, (
                     "slot not reclaimed by refcounting alone — a reference "
@@ -280,13 +287,12 @@ class TestArenaCodec:
                 lambda a: a,
                 lambda a: (a, np.zeros(3)),
                 lambda a: [None, (a, np.ones(2))],
-                lambda a: {"pickled": a},  # declined: still must not be retained
+                lambda a: {"pickled": a},
             ):
                 arr = np.arange(4096, dtype=np.float64)
                 alive = weakref.ref(arr)
-                msg = Message(src=0, dst=1, tag=0, context=0, payload=make(arr))
-                pack_arena_message(msg, a0)
-                del arr, msg
+                _pack(a0, make(arr))
+                del arr
                 assert alive() is None, (
                     "a packed payload is kept alive by a reference cycle")
         finally:
@@ -303,9 +309,9 @@ def _stats_after(prog):
 
 def _exchange_prog(comm):
     """Mixed alltoall + allgather returning plain data for comparison."""
-    cols = (
-        np.arange(1000, dtype=np.int64) + comm.rank,
-        np.full(1000, float(comm.rank)),
+    cols = (  # 64 KB: over the inline limit, so the columns take a slot
+        np.arange(4000, dtype=np.int64) + comm.rank,
+        np.full(4000, float(comm.rank)),
         np.array([f"rank{comm.rank}-{d}" for d in range(4)]),
     )
     inbox = comm.alltoall([cols] * comm.size)
@@ -409,7 +415,10 @@ class TestProcessBackendEndToEnd:
 
         for busy, resident, sends, npieces, owned in run_spmd(
                 3, prog, backend="process", op_timeout=30.0):
-            assert sends >= 16 and npieces >= 16  # rounds went through the ring
+            # Rounds went through the ring: each of the seven full rounds'
+            # runs (~43 KB a peer) took a slot; the last, half-full round's
+            # runs are under the inline limit and rode the pipe.
+            assert sends >= 14 and npieces >= 16
             assert busy == 0 and resident == 0
             assert owned
 

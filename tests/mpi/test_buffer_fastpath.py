@@ -1,82 +1,57 @@
-"""The buffer-protocol fast path: numpy payloads move without deep copies.
+"""Array payloads under the one codec: a send copies each buffer once.
 
-``Comm.gather``/``allgather``/``alltoall`` used to ``_isolate`` (deep-copy)
-every payload.  For ndarray payloads both transports now ship a frozen
-read-only *view*: on the thread backend the receiver aliases the sender's
-buffer outright (zero copies), and on the process backend the array crosses
-shared memory exactly once.  The aliasing contract in exchange: received
-arrays are read-only, and a sender must not mutate a buffer while an op is
-in flight — same rules as MPI buffer semantics.
+``Comm`` used to freeze array payloads into read-only *views* of the
+sender's buffer on the thread backend and deep-copy everything else.  Both
+transports now run one codec (:mod:`repro.mpi.transport`): a payload is one
+protocol-5 pickle whose array buffers a send copies exactly once (a thread
+snapshot, or an inline frame / arena slot / shm block across processes),
+and receivers decode it over read-only views of that copy, so a sender may
+reuse its buffer as soon as the send returns — MPI buffer semantics.
 """
 
 import numpy as np
 import pytest
 
 from repro.mpi import run_spmd
-from repro.mpi.comm import _isolate, _wire
 from repro.mpi.runtime import BACKENDS
+from repro.mpi.transport import encode, snapshot
 
 
 class TestWireUnit:
     def test_ndarray_becomes_frozen_view(self):
         a = np.arange(16.0)
-        w = _wire(a)
-        assert np.shares_memory(a, w)
+        data, raws = encode(a)
+        assert len(raws) == 1 and np.shares_memory(a, np.frombuffer(raws[0]))
+        w = snapshot((data, raws))
+        np.testing.assert_array_equal(w, a)
+        assert not np.shares_memory(a, w)
         assert not w.flags.writeable
         assert a.flags.writeable  # the original is untouched
 
     def test_tuple_of_ndarrays_freezes_each(self):
         t = (np.arange(4), np.zeros(3))
-        w = _wire(t)
-        assert all(np.shares_memory(a, b) for a, b in zip(t, w))
+        w = snapshot(encode(t))
+        assert isinstance(w, tuple)
+        assert all(np.array_equal(a, b) for a, b in zip(t, w))
+        assert not any(np.shares_memory(a, b) for a, b in zip(t, w))
         assert all(not b.flags.writeable for b in w)
 
     def test_other_payloads_still_deep_copy(self):
         obj = {"nested": [1, 2]}
-        w = _wire(obj)
+        w = snapshot(encode(obj))
         assert w == obj and w is not obj
         assert w["nested"] is not obj["nested"]
         mixed = (np.arange(3), "not an array")
-        assert _wire(mixed) is not mixed  # falls back to _isolate
+        w = snapshot(encode(mixed))
+        assert w is not mixed and w[1] == "not an array"
+        assert not np.shares_memory(w[0], mixed[0]) and not w[0].flags.writeable
 
     def test_isolate_still_copies_arrays(self):
         a = np.arange(8)
-        assert not np.shares_memory(a, _isolate(a))
+        assert not np.shares_memory(a, snapshot(encode(a)))
 
 
 class TestGatherNoCopy:
-    def test_thread_gather_aliases_sender_buffers(self):
-        """The pin: on the thread transport a gathered ndarray IS the
-        sender's buffer (a frozen view), not a copy."""
-        originals = [None] * 3
-
-        def prog(comm):
-            mine = np.full(64, float(comm.rank))
-            originals[comm.rank] = mine
-            gathered = comm.gather(mine, root=0)
-            comm.barrier()  # keep senders alive until root has checked nothing
-            return gathered
-
-        results = run_spmd(3, prog, backend="thread", op_timeout=30.0)
-        gathered = results[0]
-        for rank, arr in enumerate(gathered):
-            assert np.shares_memory(arr, originals[rank]), \
-                f"rank {rank} contribution was deep-copied"
-            assert not arr.flags.writeable
-
-    def test_thread_allgather_aliases_sender_buffers(self):
-        originals = [None] * 3
-
-        def prog(comm):
-            mine = np.arange(32.0) + comm.rank
-            originals[comm.rank] = mine
-            return comm.allgather(mine)
-
-        results = run_spmd(3, prog, backend="thread", op_timeout=30.0)
-        for got in results:
-            for rank, arr in enumerate(got):
-                assert np.shares_memory(arr, originals[rank])
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_received_arrays_read_only_on_both_backends(self, backend):
         def prog(comm):
@@ -84,10 +59,9 @@ class TestGatherNoCopy:
             return [bool(a.flags.writeable) for a in gathered]
 
         results = run_spmd(2, prog, backend=backend, op_timeout=30.0)
-        for rank, flags in enumerate(results):
-            # Every array that crossed the transport is frozen; a rank's own
-            # contribution comes back as a frozen view too.
-            assert flags == [False, False], f"rank {rank} got writable arrays"
+        # Every array that crossed the transport is frozen.  Rank 0 roots
+        # the gather, so its own contribution is the array it passed.
+        assert results == [[True, False], [False, False]]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_gather_values_identical_across_backends(self, backend):

@@ -2,13 +2,12 @@
 
 The generic MPI semantics (matching, collectives, aborts, faults) are
 covered by the backend-parametrized suites; this file pins down what is
-unique to ranks-as-processes — the shared-memory payload codec, pipe
-pickling of results and exceptions, per-process trace merging, and the
+unique to ranks-as-processes — where a frame's buffers live (inline, arena
+slot or shm block), results and exceptions on the exit pipe, per-process trace merging, and the
 shared heartbeat/op-count surfaces the supervisor reads.
 """
 
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +15,9 @@ import pytest
 
 from repro.mpi import AbortError, MPIError, run_spmd
 from repro.mpi.runtime import BACKENDS, SpmdJob, resolve_backend
-from repro.mpi.shm import (
-    SHM_MIN_BYTES,
-    dump_out_of_band,
-    load_out_of_band,
-    sweep_job_blocks,
-)
+from repro.mpi.network import Message
+from repro.mpi.shm import SHM_MIN_BYTES, pack_frame, sweep_job_blocks, unpack_frame
+from repro.mpi.transport import encode
 from repro.obs.trace import TraceSession
 
 
@@ -127,17 +123,24 @@ class TestSharedMemoryPath:
         assert _shm_blocks() == before
 
     def test_small_and_object_payloads_take_the_pipe(self):
+        """Under ``SHM_MIN_BYTES`` of buffers a payload rides the pipe; an
+        object holding a large array takes an arena slot like a bare one."""
         def prog(comm):
             if comm.rank == 0:
-                comm.send(np.arange(4), dest=1)          # tiny: pickled
-                comm.send({"k": [1, 2, 3]}, dest=1)      # object path
-                return None
+                comm.send(np.arange(4), dest=1)          # tiny: inline
+                comm.send({"k": [1, 2, 3]}, dest=1)      # no buffers: inline
+                small = comm.network.arena_stats()["sends"]
+                comm.send({"big": np.arange(SHM_MIN_BYTES // 8.0)}, dest=1)
+                return small, comm.network.arena_stats()["sends"] - small
             a = comm.recv(source=0)
             d = comm.recv(source=0)
-            return a.tolist(), d
+            big = comm.recv(source=0)["big"]
+            return a.tolist(), d, float(big[-1]), big.flags.writeable
 
         results = run_spmd(2, prog, backend="process", op_timeout=30.0)
-        assert results[1] == ([0, 1, 2, 3], {"k": [1, 2, 3]})
+        assert results[0] == (0, 1)
+        assert results[1] == ([0, 1, 2, 3], {"k": [1, 2, 3]},
+                              SHM_MIN_BYTES // 8 - 1.0, False)
 
     def test_no_blocks_leak_after_a_run(self):
         before = _shm_blocks()
@@ -154,29 +157,33 @@ class TestSharedMemoryPath:
         assert _shm_blocks() == before
 
     def test_codec_round_trip_in_process(self):
-        """One codec for per-message blocks and exit envelopes: buffers of
-        ``SHM_MIN_BYTES`` or more leave the pickle for one named block."""
+        """One frame codec for messages and exit envelopes: without an
+        arena, ``SHM_MIN_BYTES`` or more of buffers leave the frame for
+        one named block, which ``unpack_frame`` unlinks."""
         name = "reprompi_codectest_0"
 
         def blocks():
             return _shm_blocks("reprompi_codectest_")
 
-        small = {"result": np.arange(SHM_MIN_BYTES // 8 - 1, dtype=np.float64), "n": 3}
+        def frame_of(payload):
+            msg = Message(src=0, dst=1, tag=0, context=0, payload=payload)
+            return pack_frame(msg, 0, encode(payload), None, name)
+
+        small = {"result": np.arange(SHM_MIN_BYTES // 8 - 4, dtype=np.float64), "n": 3}
         big = [np.arange(SHM_MIN_BYTES // 8, dtype=np.float64), small["result"],
                np.ones((300, 300), order="F")]
         try:
-            frame = dump_out_of_band(small, name)
-            assert pickle.loads(frame) == (pickle.dumps(small, protocol=5), name, [])
+            frame = frame_of(small)
+            assert len(frame) > SHM_MIN_BYTES - 64  # the buffer rode inline
             assert blocks() == set()
-            back = load_out_of_band(frame)
+            back = unpack_frame(frame, owned=True).payload
             np.testing.assert_array_equal(back["result"], small["result"])
+            assert back["n"] == 3 and back["result"].flags.writeable
 
-            frame = dump_out_of_band(big, name)
-            # the two buffers at or over the threshold left the pickle
-            assert pickle.loads(frame)[2] == [SHM_MIN_BYTES, 300 * 300 * 8]
-            assert len(frame) < SHM_MIN_BYTES + 1024
+            frame = frame_of(big)
+            assert len(frame) < 1024  # every buffer left the frame
             assert blocks() == {name}
-            back = load_out_of_band(frame)
+            back = unpack_frame(frame, owned=True).payload
             assert blocks() == set()
         finally:
             sweep_job_blocks("reprompi_codectest_")
@@ -265,8 +272,8 @@ class TestExitEnvelope:
         before = _shm_blocks()
         seen_at_sweep = []
 
-        def dump_then_die(obj, block_name):
-            out = dump_out_of_band(obj, block_name)
+        def pack_then_die(msg, owner, wire, arena, block_name):
+            out = pack_frame(msg, owner, wire, arena, block_name)
             if block_name.endswith("r1_exit"):
                 os._exit(3)
             return out
@@ -275,7 +282,7 @@ class TestExitEnvelope:
             seen_at_sweep.extend(_shm_blocks(prefix))
             return sweep_job_blocks(prefix)
 
-        monkeypatch.setattr(process, "dump_out_of_band", dump_then_die)
+        monkeypatch.setattr(process, "pack_frame", pack_then_die)
         monkeypatch.setattr(process, "sweep_job_blocks", sweep)
         job = SpmdJob(3, _bulk_prog, op_timeout=30.0, backend="process")
         with pytest.raises(MPIError, match="rank 1 process died without reporting"):

@@ -40,7 +40,7 @@ def wordcount(comm, mapstyle, memsize=1 << 22):
     return None, nunique
 
 
-@pytest.mark.parametrize("mapstyle", [MapStyle.CHUNK, MapStyle.STRIDED, MapStyle.MASTER_WORKER])
+@pytest.mark.parametrize("mapstyle", [MapStyle.CHUNK, MapStyle.MASTER_WORKER])
 @pytest.mark.parametrize("nprocs", [1, 2, 4, 5])
 def test_wordcount_all_styles_and_sizes(mapstyle, nprocs):
     results = run_spmd(nprocs, wordcount, mapstyle)
@@ -125,7 +125,7 @@ def test_master_worker_with_fewer_units_than_workers():
     assert [sum(col) for col in zip(*results)] == [1, 2, 1, 3]
 
 
-@pytest.mark.parametrize("style", [MapStyle.CHUNK, MapStyle.STRIDED])
+@pytest.mark.parametrize("style", [MapStyle.CHUNK])
 def test_static_styles_cover_all_tasks_exactly_once(style):
     def main(comm):
         mr = MapReduce(comm, mapstyle=style)
@@ -137,12 +137,11 @@ def test_static_styles_cover_all_tasks_exactly_once(style):
     results = run_spmd(4, main)
     all_tasks = sorted(t for r in results for t in r)
     assert all_tasks == list(range(23))
-    if style is MapStyle.CHUNK:
-        # chunk style assigns contiguous blocks
-        for r in results:
-            assert r == sorted(r)
-            if len(r) > 1:
-                assert r[-1] - r[0] == len(r) - 1
+    # chunk style assigns contiguous blocks
+    for r in results:
+        assert r == sorted(r)
+        if len(r) > 1:
+            assert r[-1] - r[0] == len(r) - 1
 
 
 def test_map_int_variant():
@@ -191,7 +190,7 @@ def test_collate_key_locality_and_determinism():
 def test_gather_concentrates_pairs():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(list(range(12)), lambda i, item, kv: kv.add(item, item), mapstyle=MapStyle.STRIDED)
+        mr.map_items(list(range(12)), lambda i, item, kv: kv.add(item, item), mapstyle=MapStyle.CHUNK)
         n_local = mr.gather(2)
         counts = mr.comm.gather(n_local, root=0)
         mr.close()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpi import run_spmd
-from repro.mrmpi import MapReduce
+from repro.mrmpi import MapReduce, MapStyle
 
 
 def _payload(i):
@@ -71,7 +71,7 @@ def test_uneven_rank_workloads_synchronize_rounds():
             for i in range(n):
                 kv.add(f"k{i % 5}", item * 1000 + i)
 
-        mr.map_items([0, 1, 2], mapper, mapstyle=1)  # strided
+        mr.map_items([0, 1, 2], mapper, mapstyle=MapStyle.CHUNK)  # one task a rank
         total = mr.aggregate(exchange_bytes=128)
         grand = mr.comm.allreduce(len(mr.kv))
         mr.close()
