@@ -15,24 +15,10 @@ same fleet: plain dispatch vs speculative re-execution, under a seeded
 stall/crash plan on 256 simulated cores.
 """
 
-import json
-from pathlib import Path
-
 from repro.cluster import nucleotide_workload, protein_workload, ranger, simulate_blast_run
 from repro.figures.comparisons import ablation_scheduling
 from repro.mpi.faultplan import FaultPlan
 from repro.sched import SpeculationPolicy
-
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_robustness.json"
-
-
-def _record(key, payload):
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
 
 def test_ablation_scheduling(benchmark, print_table):
     points = benchmark(ablation_scheduling, 40_000)
@@ -76,18 +62,6 @@ def test_factoring_ablation(print_table):
         [[scheduler, chunk or "factoring", f"{r.map_makespan:.1f}", r.total_reloads,
           f"{_utilization(r):.4f}"] for (scheduler, chunk), r in runs.items()],
     )
-    _record("factoring_ablation", {
-        "cluster_cores": cluster.cores,
-        "n_units": workload.n_units,
-        "arms": {
-            f"{scheduler}/{chunk or 'factoring'}": {
-                "map_makespan_s": r.map_makespan,
-                "reloads": r.total_reloads,
-                "utilization": _utilization(r),
-            }
-            for (scheduler, chunk), r in runs.items()
-        },
-    })
     # At Ranger's 0.5 ms dispatch latency a round trip per unit costs
     # nothing against blastp's units: fewer requests, the same makespan.
     for scheduler in ("master_worker", "affinity"):
@@ -132,23 +106,6 @@ def test_straggler_mitigation_ablation(print_table):
             for name, r in runs.items()
         ],
     )
-    _record("straggler_ablation", {
-        "cluster_cores": cluster.cores,
-        "fault_plan": "stall=7@3:600,crash=19@5",
-        "n_units": workload.n_units,
-        "arms": {
-            name: {
-                "map_makespan_s": r.map_makespan,
-                "speculated_units": r.sched.speculated,
-                "wasted_units": r.sched.wasted,
-                "wasted_seconds": r.wasted_seconds,
-                "reassigned_units": r.sched.reassigned,
-                "lost_workers": list(r.sched.lost_ranks),
-                "utilization": _utilization(r),
-            }
-            for name, r in runs.items()
-        },
-    })
 
     none, spec = runs["none"], runs["speculation"]
     # Speculation clones the stalled unit instead of waiting out the stall.

@@ -14,21 +14,14 @@ slice of each ancestor) rather than asserted:
    recorded from a ``search_block`` call: what admission lets through and
    containment does not spare.
 2. The production ``mrblast_spmd`` end-to-end wall clock on the same
-   workload, recorded as a trajectory point for later PRs.
+   workload, printed as a table.
 3. The gapped kernel does work only where the X-drop frontier is alive
    (:func:`test_gapped_kernel_counts`): on a seeded batch of a few true
    homologs among many chance seeds, and on the service's one-read shape,
    the kernel's own ``dp_rows`` / ``dp_cells`` counters are asserted, not
    timings.  Counts repeat exactly on any host, so this is what CI gates.
-
-Results land in ``BENCH_extension.json`` at the repo root; every record
-names the host, commit, backend and repeat count it was measured with.
 """
 
-import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -48,39 +41,15 @@ from repro.blast.gapped import extend_gapped_batch
 from repro.blast.lookup import ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62, nucleotide_matrix
 from repro.core import MrBlastConfig, mrblast_spmd
-from repro.mpi.runtime import resolve_backend
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles.dense_gapped import reference_extend_gapped  # noqa: E402
 from oracles.ungapped import ungapped_extend  # noqa: E402
 
-RESULTS_PATH = ROOT / "BENCH_extension.json"
 REPEATS = 3
 
 OPTS = BlastOptions.blastp(evalue=1e-3)
-
-
-def _stamp(backend, repeats=REPEATS):
-    """Where, on what and how a record was measured."""
-    model = "unknown"
-    with open("/proc/cpuinfo") as fh:
-        for line in fh:
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    commit = subprocess.run(
-        ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
-        capture_output=True, text=True,
-    ).stdout.strip() or "unknown"
-    return {
-        "host": {"nproc": len(os.sched_getaffinity(0)), "cpu": model,
-                 "kernel": platform.release(), "python": platform.python_version()},
-        "commit": commit,
-        "backend": backend,
-        "repeats": repeats,
-        "timing": "best of repeats, seconds",
-    }
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -91,14 +60,6 @@ def _best_of(fn, repeats=REPEATS):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def _record(key, payload, backend="in-process kernel calls, no ranks", repeats=REPEATS):
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = {**payload, "measured": _stamp(backend, repeats)}
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _fig5_records():
@@ -217,18 +178,6 @@ def test_extension_stage_speedup(fig5_hits, tmp_path, print_table):
     print_table("Stage 2+3 extension: reference vs batched/banded (ms)",
                 ["stage", "reference", "overhauled", "speedup"], rows)
 
-    _record("extension_kernels", {
-        "n_word_hits": n_hits,
-        "n_gapped_seeds": len(seeds),
-        "n_contained_seeds": funnel.n_contained,
-        "ungapped_reference_s": t_uref,
-        "ungapped_batched_s": t_ubat,
-        "ungapped_speedup": t_uref / t_ubat,
-        "gapped_reference_s": t_gref,
-        "gapped_banded_s": t_gban,
-        "gapped_speedup": t_gref / t_gban,
-        "combined_speedup": combined,
-    })
     # Acceptance: >= 3x on the combined ungapped+gapped stage time.
     assert combined >= 3.0
 
@@ -306,7 +255,6 @@ def test_gapped_kernel_counts(print_table):
           f"{r['dp_cells'] / r['full_band_cells']:.3f}", f"{r['wall_s'] * 1e3:.1f}"]
          for name, r in (("mixed", rec_mixed), ("one read", rec_one))],
     )
-    _record("gapped_kernel_counts", {"mixed_batch": rec_mixed, "one_read": rec_one})
     # Chance seeds die a few rows in; every row is computed on the columns
     # its predecessor's live cells reach.
     assert rec_mixed["dp_cells"] * 3 <= rec_mixed["full_band_cells"]
@@ -352,12 +300,3 @@ def test_end_to_end_wall_clock(tmp_path, print_table):
     print_table(f"Fig. 5 workload end to end ({hits} hits)", ["metric", "ms"], rows)
 
     assert hits > 0
-    _record("mrblast_fig5", {
-        "wall_s": wall,
-        "ungapped_stage_s": ungapped,
-        "gapped_stage_s": gapped,
-        "hits_written": hits,
-        "nprocs": 3,
-        "fused_rounds": sum(r.fused_rounds for r in results),
-        "peak_slab_bytes_per_round": max(r.peak_slab_bytes for r in results),
-    }, backend=resolve_backend(None))

@@ -7,9 +7,7 @@ realistic failure rates the whole-job restart risk is negligible next to
 the HTC path's per-task redo cost; at pathological rates it dominates.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.cluster import (
     FaultModel,
@@ -20,16 +18,6 @@ from repro.cluster import (
     simulate_blast_run,
     validate_restart_overhead,
 )
-
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_robustness.json"
-
-
-def _record(key, payload):
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_fault_tolerance_tradeoff(benchmark, print_table):
@@ -150,7 +138,6 @@ def test_supervised_crash_resume_measured(tmp_path, print_table):
         "restart_overhead_predicted": validation.predicted,
         "fault_trace": [list(ev) for ev in outcome.fault_trace],
     }
-    _record("supervised_crash_resume", counters)
     print_table(
         "Supervised crash -> resume (3 ranks, 1 injected crash)",
         ["counter", "value"],

@@ -8,19 +8,8 @@ second test grounds the simulated curve in measurement: a real (small)
 """
 
 import json
-from pathlib import Path
 
 from repro.figures.utilization import fig5_utilization
-
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_fig5.json"
-
-
-def _record(key, payload):
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_fig5_utilization_trace(benchmark, print_table):
@@ -104,30 +93,6 @@ def test_stage_breakdown_measured(tmp_path, print_table, backend):
     assert hits > 0, "locality-aware sweeps should reuse cached lookups"
     assert 0.0 < seed + ungapped + gapped <= busy + 1e-6
 
-    key = "stage_breakdown" if backend == "thread" else f"stage_breakdown@{backend}"
-    _record(key, {
-        "seed_s": seed,
-        "ungapped_s": ungapped,
-        "gapped_s": gapped,
-        "busy_s": busy,
-        "lookup_cache_hits": hits,
-        # Robustness counters surface in the same per-run record: this is a
-        # clean run, so they document the zero baseline.
-        "faults_injected": sum(r.faults_injected for r in results),
-        "retries": max(r.retries for r in results),
-        "quarantined_units": sum(r.quarantined_units for r in results),
-        "map_failures": sum(r.map_failures for r in results),
-        "resumed_from_iteration": max(r.resumed_from_iteration for r in results),
-        # Columnar data-plane traffic: pairs and exact bytes this run staged
-        # for other ranks during the aggregate exchange.
-        "shuffle_pairs_moved": sum(r.shuffle_pairs_moved for r in results),
-        "shuffle_bytes_moved": sum(r.shuffle_bytes_moved for r in results),
-        # Fused-scheduler telemetry: rounds across all ranks and the largest
-        # per-round intermediate slab any work unit held.
-        "fused_rounds": sum(r.fused_rounds for r in results),
-        "peak_slab_bytes_per_round": max(r.peak_slab_bytes for r in results),
-    })
-
 
 #: Alternating (untraced, traced) run pairs behind the overhead estimate.
 PAIRS = 5
@@ -138,7 +103,7 @@ def test_trace_overhead_and_fidelity(tmp_path, print_table):
 
     Measures the wall-clock overhead of running the stage-breakdown
     workload with full tracing on (best of each side of ``PAIRS``
-    alternating untraced / traced runs, recorded in ``BENCH_fig5.json``),
+    alternating untraced / traced runs, printed as a table),
     validates the exported Chrome JSON with the
     exporter's own schema checker, and asserts the Fig. 5 utilisation
     numbers recomputed from the trace alone equal the counter-derived
@@ -215,12 +180,3 @@ def test_trace_overhead_and_fidelity(tmp_path, print_table):
     # Generous CI bound: the acceptance target is < 5% on the real bench;
     # a sub-second unit-test run needs headroom for scheduler noise.
     assert overhead < 0.15, f"tracing overhead {overhead:.1%} too high"
-
-    _record("trace_overhead", {
-        "untraced_best_s": min(plain_s),
-        "traced_best_s": min(traced_s),
-        "overhead_fraction": overhead,
-        "trace_events": n_events,
-        "mean_utilization": rep["mean_utilization"],
-        "makespan_s": rep["makespan_s"],
-    })

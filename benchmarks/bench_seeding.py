@@ -11,12 +11,8 @@ Two claims from the seeding overhaul, measured rather than asserted:
    the per-rank lookup cache removes the per-work-unit block + lookup
    rebuild, cutting end-to-end wall time ≥ 2× when the fixed cost dominates
    (the Fig. 4/Fig. 5 regime the paper analyses).
-
-Results land in ``BENCH_seeding.json`` at the repo root so later PRs have a
-perf trajectory to regress against.
 """
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -33,9 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles.dict_lookup import ReferenceNucleotideLookup, ReferenceProteinLookup  # noqa: E402
 
-RESULTS_PATH = ROOT / "BENCH_seeding.json"
-
-
 def _best_of(fn, repeats=3):
     best = float("inf")
     result = None
@@ -44,14 +37,6 @@ def _best_of(fn, repeats=3):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def _record(key, payload):
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_lookup_build_and_scan(benchmark, print_table):
@@ -95,16 +80,6 @@ def test_lookup_build_and_scan(benchmark, print_table):
     print_table("Stage-1 lookup: reference dict vs CSR (ms)",
                 ["stage", "reference", "CSR", "speedup"], rows)
 
-    _record("lookup", {
-        "protein_build_ref_s": t_pref,
-        "protein_build_csr_s": t_pcsr,
-        "protein_build_speedup": build_speedup_p,
-        "protein_scan_speedup": t_psref / t_pscsr,
-        "nt_build_ref_s": t_nref,
-        "nt_build_csr_s": t_ncsr,
-        "nt_build_speedup": t_nref / t_ncsr,
-        "nt_scan_speedup": t_nsref / t_nscsr,
-    })
     # Acceptance: >= 3x on the 10 kb-residue protein build.
     assert build_speedup_p >= 3.0
 
@@ -171,15 +146,6 @@ def test_lookup_cache_end_to_end(cache_workload, print_table):
     # Same hits either way; the cache is purely a fixed-cost optimisation.
     assert sum(r.hits_written for r in r_un) == sum(r.hits_written for r in r_ca) > 0
 
-    _record("mrblast_cache", {
-        "uncached_wall_s": w_un,
-        "cached_wall_s": w_ca,
-        "end_to_end_speedup": speedup,
-        "lookup_cache_hits": cache_hits,
-        "n_blocks": len(blocks),
-        "n_partitions": 12,
-        "nprocs": 3,
-    })
     assert cache_hits > 0
     # Acceptance: >= 2x end to end with locality-aware dispatch.
     assert speedup >= 2.0

@@ -1,6 +1,6 @@
 """Resident-service throughput: micro-batching vs one-block-per-query.
 
-Regenerates ``BENCH_service.json``.  A fixed stream of queries is pushed
+A fixed stream of queries is pushed
 through an always-on :class:`~repro.serve.QueryService` at 1 and 4 resident
 ranks in two batching modes:
 
@@ -18,7 +18,6 @@ coalesces at all: micro-batching must beat one-block-per-query on qps at
 4 ranks.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from repro.blast import BlastOptions, format_database
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.serve import QueryService, ServeConfig, advise_batch_size, load_machine_model
 
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 SHUFFLE_MODEL_PATH = Path(__file__).resolve().parents[1] / "BENCH_shuffle.json"
 
 N_QUERIES = 24
@@ -111,11 +109,9 @@ def test_service_micro_batching(tmp_path, print_table):
     model = load_machine_model(str(SHUFFLE_MODEL_PATH), backend="thread")
 
     runs = {}
-    advice = {"per_query_seconds": per_query_s, "alpha_s": model["alpha_s"]}
     for nprocs in RANK_COUNTS:
         advised = max(4, advise_batch_size(
             model, nprocs, per_query_s, max_batch=N_QUERIES // 2))
-        advice[f"advised@{nprocs}"] = advised
         runs[f"batch1@{nprocs}"] = _run_stream(
             alias_path, reads, options, nprocs, max_batch=1)
         runs[f"micro@{nprocs}"] = _run_stream(
@@ -134,9 +130,6 @@ def test_service_micro_batching(tmp_path, print_table):
         ["ranks", "mode", "max_batch", "batches", "qps", "p50 ms", "p99 ms"],
         rows,
     )
-
-    doc = {"n_queries": N_QUERIES, "advice": advice, "runs": runs}
-    RESULTS_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     # Micro-batching actually dispatched fewer, fuller jobs...
     for nprocs in RANK_COUNTS:

@@ -1,5 +1,4 @@
-"""Data-plane throughput and the transport machine model (regenerates
-BENCH_shuffle.json).
+"""Data-plane throughput and the transport machine model.
 
 One synthetic Fig. 5-scale workload — hundreds of thousands of small
 (query id, record) pairs — pushed through emit → aggregate → convert →
@@ -12,7 +11,7 @@ The process backend adds two result families:
 - ``columnar@{nprocs}@process`` runs (the ``columnar@{nprocs}`` keys stay
   thread-backend, so the series in EXPERIMENTS.md remains comparable);
 - a per-backend Sanders/Mehlhorn machine-model fit ``t = α + n/β`` from a
-  two-rank pingpong sweep, recorded under ``machine_model``.
+  two-rank pingpong sweep.
 
 The shared-arena fabric adds a third: ``columnar@{nprocs}@process+arena``
 runs and a ``process+arena`` machine model.  The plain ``@process`` keys
@@ -23,7 +22,7 @@ per-message model **recorded when that path shipped**
 (:data:`RECORDED_PER_MESSAGE_MODEL`).  The bar is pinned to the recorded
 numbers rather than the in-run re-fit because both paths bottom out on
 the same pipe-wakeup latency floor, which wanders by ±50% run-to-run on
-a loaded box: the re-fit is kept in the JSON for transparency, but a
+a loaded box: the re-fit is printed for transparency, but a
 flaky in-run α ratio would gate CI on scheduler luck.  β, which is
 insensitive to the floor, must additionally beat the in-run re-fit 2x.
 
@@ -39,10 +38,8 @@ it over the per-message path.
 """
 
 import argparse
-import json
 import os
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -50,8 +47,6 @@ import numpy as np
 from repro.mpi import run_spmd
 from repro.mpi.arena import ARENA_DEFAULT_MB, ARENA_ENV_VAR, resolve_arena_bytes
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema
-
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_shuffle.json"
 
 #: total pairs across all ranks; override for smoke runs
 TOTAL_PAIRS = int(os.environ.get("BENCH_SHUFFLE_PAIRS", "120000"))
@@ -261,20 +256,6 @@ def test_shuffle_throughput(print_table):
         f"arena bandwidth win below 2x in-run: β "
         f"{arena_fit['bandwidth_mib_s']:,.0f} MiB/s arena vs "
         f"{permsg['bandwidth_mib_s']:,.0f} MiB/s per-message"
-    )
-
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
-                "total_pairs": TOTAL_PAIRS,
-                "n_keys": N_KEYS,
-                "machine_model": model,
-                "runs": results,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
     )
 
 

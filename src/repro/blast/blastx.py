@@ -84,10 +84,6 @@ class BlastxEngine:
     def last_stats(self):
         return self._inner.last_stats
 
-    @property
-    def lookup_cache(self):
-        return self._inner.lookup_cache
-
     def set_lookup_cache(self, cache) -> None:
         """Forward the cross-partition lookup cache to the inner engine.
 

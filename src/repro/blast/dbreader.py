@@ -85,10 +85,6 @@ class DbPartition:
         self.load_count = 0
 
     @property
-    def name(self) -> str:
-        return os.path.basename(self.base_path)
-
-    @property
     def num_seqs(self) -> int:
         return len(self.ids)
 
@@ -125,4 +121,4 @@ class DbPartition:
             yield self.ids[i], self.codes(i)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DbPartition({self.name}, seqs={self.num_seqs}, residues={self.total_length})"
+        return f"DbPartition({self.base_path}, seqs={self.num_seqs}, residues={self.total_length})"

@@ -305,7 +305,7 @@ class _EngineBase:
     # ---- shared admission machinery ------------------------------------------
 
     def _masking_enabled(self) -> bool:
-        return self.options.dust if self.program == "blastn" else self.options.seg
+        return self.program == "blastn" and self.options.dust
 
     def _open_subject(
         self, ordinal: int, subject_id: str, codes: np.ndarray,

@@ -32,7 +32,7 @@ partitions through :class:`LookupCache`.
 implementation; the parity suite asserts ``scan()`` reproduces its hits
 element for element, in order.
 
-Soft-masked query positions (DUST/SEG) produce no words, but extensions may
+Soft-masked query positions (DUST) produce no words, but extensions may
 still run through them.
 """
 
@@ -49,7 +49,6 @@ from repro.bio.seq import SeqRecord, reverse_complement
 from repro.blast import _native
 from repro.blast.dust import dust_mask_batch
 from repro.blast.matrices import BLOSUM62
-from repro.blast.seg import seg_mask
 
 __all__ = [
     "QueryContext",
@@ -102,12 +101,10 @@ class QueryBlock:
         self._starts = np.concatenate(([0], ends[:-1]))
         self.codes = (DNA if nucleotide else PROTEIN).encode("".join(seq for _, _, seq in strands))
         pieces = np.split(self.codes, ends[:-1])
-        if not use_mask:
-            self.mask = np.zeros(self.total_length, dtype=bool)
-        elif nucleotide:
+        if use_mask and nucleotide:
             self.mask = np.concatenate(dust_mask_batch(pieces))
         else:
-            self.mask = np.concatenate([seg_mask(seq) for _, _, seq in strands])
+            self.mask = np.zeros(self.total_length, dtype=bool)
         self.contexts = [
             QueryContext(qi, strand, codes, mask, int(offset))
             for (qi, strand, _), codes, mask, offset in zip(

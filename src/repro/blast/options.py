@@ -62,7 +62,6 @@ class BlastOptions:
 
     # Masking
     dust: bool = True  # nucleotide low-complexity filter
-    seg: bool = False  # protein low-complexity filter (NCBI default: off)
 
     # DB-split support: effective database size override
     db_length_override: int | None = None  # total DB residues (all partitions)

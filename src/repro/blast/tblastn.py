@@ -54,10 +54,6 @@ class TranslatedPartition:
         self.nt_lengths = dict(zip(partition.ids, partition.lengths))
 
     @property
-    def name(self) -> str:
-        return self._partition.name + "|translated"
-
-    @property
     def num_seqs(self) -> int:
         return self._partition.num_seqs  # original subject count (stats)
 
@@ -97,14 +93,6 @@ class TblastnEngine:
     @property
     def last_stats(self):
         return self._inner.last_stats
-
-    @property
-    def lookup_cache(self):
-        return self._inner.lookup_cache
-
-    def set_lookup_cache(self, cache) -> None:
-        """Forward the cross-partition lookup cache to the inner engine."""
-        self._inner.set_lookup_cache(cache)
 
     def search_block(
         self, queries: Sequence[SeqRecord], partition: DbPartition

@@ -68,11 +68,6 @@ class MrBlastConfig(RuntimeConfig, BatchConfig):
     #: the paper's FIFO master is the batch default; True is the §V
     #: location-aware dispatch
     locality_aware: bool = field(default=False, kw_only=True)
-    #: combiner optimisation: apply the per-query top-K locally (compress())
-    #: before collate, shrinking the shuffled key-value volume.  Safe because
-    #: the global top-K is a subset of the union of per-rank top-Ks — the
-    #: same argument the paper makes for per-partition hit lists.
-    combiner: bool = False
     #: stop after this many (additional) outer iterations — incremental
     #: processing and the unit test hook for resume
     stop_after_iterations: int | None = None
@@ -222,7 +217,6 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
                 query_order,
                 reducer,
                 block_range=range(first_block, min(first_block + step, n_blocks)),
-                combiner=config.combiner,
             )
             done_this_run += 1
             # Commit the iteration: output size + cumulative counts, atomically.

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.bio.seq import SeqRecord
 from repro.blast.dbreader import DatabaseAlias
-from repro.blast.hsp import HSP, top_hits
+from repro.blast.hsp import HSP
 from repro.blast.options import BlastOptions
 from repro.core.checkpoint import PoisonList
 from repro.core.mrblast.hspcodec import hsp_schema
@@ -145,15 +145,13 @@ class BlastPipeline:
         reducer: Callable,
         *,
         block_range: Sequence[int] | None = None,
-        combiner: bool = False,
         reduce_at_root: bool = False,
     ) -> int:
         """map → collate → reduce over ``block_range`` of the mapper's blocks
         (default: all of them).
 
         The reducer meets a rank's queries in ``query_order`` (query id →
-        input position).  ``combiner`` applies the per-query top-K locally
-        (``compress``) before the shuffle.
+        input position).
 
         Where the reduce runs is the caller's to say.  By default every
         query is reduced on the rank its key hashes to (``collate``), as
@@ -180,14 +178,6 @@ class BlastPipeline:
             degraded=cfg.degraded,
         )
         kv_bytes = mr.kv.nbytes
-        if combiner:
-            opts = mapper.options
-
-            def combine(qid, hsps, kv):
-                for hsp in top_hits(hsps, opts.max_hits, opts.evalue):
-                    kv.add(qid, hsp)
-
-            mr.compress(combine)
         if reduce_at_root:
             mr.gather(1)
             if mr.rank != 0:

@@ -42,9 +42,7 @@ from repro.mpi.ops import (
     ANY_SOURCE,
     ANY_TAG,
     MAX,
-    MAXLOC,
     MIN,
-    MINLOC,
     PROD,
     SUM,
     LAND,
@@ -54,7 +52,7 @@ from repro.mpi.ops import (
 )
 from repro.mpi.network import Network
 from repro.mpi.transport import TransportEndpoint
-from repro.mpi.comm import Comm, Request
+from repro.mpi.comm import Comm
 from repro.mpi.runtime import (
     BACKENDS,
     RetryPolicy,
@@ -75,14 +73,11 @@ __all__ = [
     "MAX",
     "LAND",
     "LOR",
-    "MAXLOC",
-    "MINLOC",
     "Op",
     "Status",
     "Network",
     "TransportEndpoint",
     "Comm",
-    "Request",
     "BACKENDS",
     "resolve_backend",
     "run_spmd",

@@ -27,7 +27,7 @@ from repro.mpi.exceptions import MPIError
 from repro.mpi.ops import ANY_SOURCE, ANY_TAG, SUM, Op, Status
 from repro.mpi.transport import Message, TransportEndpoint, encode, snapshot
 
-__all__ = ["Comm", "Request"]
+__all__ = ["Comm"]
 
 
 def _traced_collective(name: str) -> Callable:
@@ -71,41 +71,11 @@ def _payload_count(obj: Any) -> int:
     return 1
 
 
-class Request:
-    """Handle for a non-blocking operation (mpi4py-style ``wait``)."""
-
-    def __init__(
-        self,
-        comm: "Comm",
-        kind: str,
-        *,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        payload: Any = None,
-    ) -> None:
-        self._comm = comm
-        self._kind = kind  # "send" (already completed) or "recv"
-        self._source = source
-        self._tag = tag
-        self._payload = payload
-        self._done = kind == "send"
-
-    def wait(self, status: Optional[Status] = None) -> Any:
-        """Block until completion; for receives, return the payload."""
-        if self._done:
-            return self._payload
-        msg = self._comm._match(source=self._source, tag=self._tag)
-        self._done = True
-        self._payload = msg.payload
-        self._fill_status(status, msg)
-        return self._payload
-
-    @staticmethod
-    def _fill_status(status: Optional[Status], msg: Message) -> None:
-        if status is not None:
-            status.source = msg.src
-            status.tag = msg.tag
-            status.count = _payload_count(msg.payload)
+def _fill_status(status: Optional[Status], msg: Message) -> None:
+    if status is not None:
+        status.source = msg.src
+        status.tag = msg.tag
+        status.count = _payload_count(msg.payload)
 
 
 class Comm:
@@ -213,17 +183,8 @@ class Comm:
     ) -> Any:
         """Blocking receive; returns the received object."""
         msg = self._match(source=source, tag=tag)
-        Request._fill_status(status, msg)
+        _fill_status(status, msg)
         return msg.payload
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (eager: completes immediately)."""
-        self.send(obj, dest, tag)
-        return Request(self, "send", payload=None)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; complete it with ``wait``."""
-        return Request(self, "recv", source=source, tag=tag)
 
     # -------------------------------------------------- numpy buffer variants
 
@@ -247,7 +208,7 @@ class Comm:
             raise MPIError(f"Recv buffer size {buf.size} != message size {data.size}")
         flat = buf.reshape(-1)
         flat[:] = data.reshape(-1)
-        Request._fill_status(status, msg)
+        _fill_status(status, msg)
 
     # -------------------------------------------------------------- collectives
 

@@ -21,8 +21,6 @@ __all__ = [
     "MAX",
     "LAND",
     "LOR",
-    "MAXLOC",
-    "MINLOC",
     "Status",
 ]
 
@@ -52,29 +50,12 @@ class Op:
         return f"Op({self.name})"
 
 
-def _maxloc(a, b):
-    """(value, index) pair-wise max; ties resolved to the lower index."""
-    (av, ai), (bv, bi) = a, b
-    if av > bv or (av == bv and ai <= bi):
-        return (av, ai)
-    return (bv, bi)
-
-
-def _minloc(a, b):
-    (av, ai), (bv, bi) = a, b
-    if av < bv or (av == bv and ai <= bi):
-        return (av, ai)
-    return (bv, bi)
-
-
 SUM = Op("SUM", lambda a, b: a + b)
 PROD = Op("PROD", lambda a, b: a * b)
 MIN = Op("MIN", lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b))
 MAX = Op("MAX", lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b))
 LAND = Op("LAND", lambda a, b: np.logical_and(a, b) if isinstance(a, np.ndarray) else bool(a and b))
 LOR = Op("LOR", lambda a, b: np.logical_or(a, b) if isinstance(a, np.ndarray) else bool(a or b))
-MAXLOC = Op("MAXLOC", _maxloc)
-MINLOC = Op("MINLOC", _minloc)
 
 
 @dataclass

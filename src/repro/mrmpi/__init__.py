@@ -11,7 +11,7 @@ This port keeps the original object model and call sequence:
 - :class:`~repro.mrmpi.mapreduce.MapReduce` — the per-rank MapReduce object;
   collective methods: ``map_items`` (mapstyles: chunk,
   master/worker), ``aggregate``, ``convert``, ``collate``, ``reduce``,
-  ``gather``, ``compress``, ``sort_kmv_keys``.
+  ``gather``, ``sort_kmv_keys``.
 - :class:`~repro.mrmpi.columnar.ColumnarKeyValue` — a pageable store of
   (key, value) pairs; mappers and reducers emit into it with ``add`` or
   ``add_batch``.

@@ -495,12 +495,6 @@ class ColumnarKeyValue:
     def close(self) -> None:
         self.clear()
 
-    def __enter__(self) -> "ColumnarKeyValue":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ColumnarKeyValue(nkv={self._nkv}, pages_spilled={self.spilled_pages}, "
@@ -829,12 +823,6 @@ class ColumnarKeyMultiValue:
 
     def close(self) -> None:
         self.clear()
-
-    def __enter__(self) -> "ColumnarKeyMultiValue":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarKeyMultiValue(nkmv={self._nkmv})"

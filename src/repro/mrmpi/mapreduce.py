@@ -607,33 +607,6 @@ class MapReduce:
 
     # ------------------------------------------------------------------ reduce
 
-    def compress(self, reducer: Callable[[Any, Sequence, ColumnarKeyValue], None]) -> int:
-        """Local combiner: convert + reduce *without* any communication.
-
-        The original library's ``compress()``: each rank groups its own KV
-        pairs and runs the reducer on the local groups, producing a new
-        (smaller) KV dataset.  Used before ``collate`` to shrink the shuffle
-        volume when the reducer is idempotent under pre-aggregation (e.g.
-        per-query top-K selection).  ``values`` is what :meth:`reduce`
-        hands out.  Returns the local KV pair count.
-        """
-        t0 = self._phase_begin("compress")
-        kv = self._require_kv()
-        local_kmv = convert_columnar(kv, pagesize=self.memsize, spool_dir=self.spool_dir)
-        new_kv = self._fresh_kv(kv.schema)
-        kv.close()
-        try:
-            for key, values in local_kmv:
-                reducer(key, values, new_kv)
-        except BaseException:
-            new_kv.close()
-            local_kmv.close()
-            raise
-        local_kmv.close()
-        self.kv = new_kv
-        self._phase_end("compress", t0)
-        return len(new_kv)
-
     def reduce(
         self,
         reducer: Callable[[Any, Sequence, ColumnarKeyValue], None],

@@ -89,11 +89,6 @@ class QueryBatch:
     def __len__(self) -> int:
         return len(self.submissions)
 
-    @property
-    def queries(self) -> list[SeqRecord]:
-        """The batch's query block (records in batch order)."""
-        return [s.query for s in self.submissions]
-
 
 class Coalescer:
     """Pure batching state machine over a weighted-fair tenant queue.

@@ -64,11 +64,6 @@ class QueryFuture:
         self._result: bytes | None = None
         self._error: BaseException | None = None
 
-    @property
-    def query_id(self) -> str:
-        """Id of the submitted query record."""
-        return self.submission.query.id
-
     def done(self) -> bool:
         """True once the future holds a result or an error."""
         return self._event.is_set()
@@ -80,7 +75,7 @@ class QueryFuture:
         content a standalone run would have contributed for them.
         """
         if not self._event.wait(timeout):
-            raise TimeoutError(f"query {self.query_id!r} not resolved in time")
+            raise TimeoutError(f"query {self.submission.query.id!r} not resolved in time")
         if self._error is not None:
             raise self._error
         assert self._result is not None

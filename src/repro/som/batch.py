@@ -12,15 +12,11 @@ map() call only finds BMUs and adds its block into S and n
 partial sums (Fig. 2), and the neighbourhood is applied once, after the
 reduction (:func:`smooth_classes`).
 
-The smoother is separable.  On a rect or torus grid the squared distance is
-Δy² + Δx², so exp(−(Δy² + Δx²)/σ²) is a row factor Gy (R, R) times a column
-factor Gx (C, C), and Σ_c h_{c,i}·S_c is two small contractions, Gy along
-the rows of S viewed as (R, C, dim) and then Gx along its columns:
-2·K·(R + C)·dim flops and R² + C² ``exp`` calls, where the dense form costs
-2·K·K·dim and K².  On a hex grid odd rows sit half a cell to the right, so
-Δx depends on the two row parities as well as on the columns, and on nothing
-else of the rows: one Gx per pair of parities, source rows contracted one
-parity at a time, each output row through the Gx of its own parity.
+The smoother is separable.  The squared grid distance is Δy² + Δx², so
+exp(−(Δy² + Δx²)/σ²) is a row factor Gy (R, R) times a column factor Gx
+(C, C), and Σ_c h_{c,i}·S_c is two small contractions, Gy along the rows of
+S viewed as (R, C, dim) and then Gx along its columns: 2·K·(R + C)·dim flops
+and R² + C² ``exp`` calls, where the dense form costs 2·K·K·dim and K².
 
 **Denormal rule.**  A factor that would be denormal is exactly 0, as
 :func:`~repro.som.neighborhood.gaussian_kernel` makes it: no factor array
@@ -66,26 +62,19 @@ def accumulate_classes(
     np.add.at(counts, bmus, 1.0)
 
 
-def _separable(gy: np.ndarray, gx: list, values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Rows ``r0:r1`` of Σ_{r,c} gy[r', r]·gx[c', c]·values[r, c, :], the hex
-    parities kept apart; ``values`` is (rows, cols, d), ``gx[q]`` the
-    (cols, P·cols) column factor into output rows of parity q."""
+def _separable(gy: np.ndarray, gx: np.ndarray, values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0:r1`` of Σ_{r,c} gy[r', r]·gx[c', c]·values[r, c, :];
+    ``values`` is (rows, cols, d)."""
     rows, cols, d = values.shape
-    par = len(gx)
     values = values.reshape(rows, cols * d)
     out = np.empty((r1 - r0, cols, d))
     # a strip of output rows at a time: a cache-sized scratch, not a second (K, d)
-    step = max(1, STRIP_ELEMS // (par * cols * d))
-    scratch = np.empty((min(step, r1 - r0), par, cols * d))
+    step = max(1, STRIP_ELEMS // (cols * d))
+    scratch = np.empty((min(step, r1 - r0), cols * d))
     for a in range(r0, r1, step):
         b = min(a + step, r1)
-        along_y = scratch[: b - a]
-        for p in range(par):  # from source rows of parity p
-            np.matmul(gy[a:b, p::par], values[p::par], out=along_y[:, p])
-        along_y = along_y.reshape(b - a, par * cols, d)
-        for q in range(par):  # into output rows of parity q
-            first = (q - a) % par
-            np.matmul(gx[q], along_y[first::par], out=out[a - r0 + first : b - r0 : par])
+        along_y = np.matmul(gy[a:b], values, out=scratch[: b - a])
+        np.matmul(gx, along_y.reshape(b - a, cols, d), out=out[a - r0 : b - r0])
     return out
 
 
@@ -101,18 +90,15 @@ def smooth_classes(
     r0, r1 = lo // cols, -(-hi // cols)  # the grid rows that hold lo:hi
     dy2, dx2 = grid.axis_sq_distances()
     gy, gx = gaussian_kernel(dy2, sigma), gaussian_kernel(dx2, sigma)
-    par = len(gx)
-    # per output parity q, the Gx from every source parity side by side
-    gx_into = [gx[:, q].reshape(par * cols, cols).T for q in range(par)]
-    num = _separable(gy, gx_into, sums.reshape(rows, cols, -1), r0, r1)
-    denom = _separable(gy, gx_into, counts.reshape(rows, cols, 1), r0, r1)
+    # output column c' sums gx[c, c'] over source columns c: Gx enters transposed
+    num = _separable(gy, gx.T, sums.reshape(rows, cols, -1), r0, r1)
+    denom = _separable(gy, gx.T, counts.reshape(rows, cols, 1), r0, r1)
     if gy.min() * gx.min() < np.finfo(np.float64).tiny:
         # Some 2-D weight is out of double reach: squared distance to the
         # nearest non-empty class, min-plus over the same two axes.
-        parity = np.arange(rows) % par
         gap = np.where(counts.reshape(rows, cols) > 0, 0.0, np.inf)
-        along_x = (dx2[parity] + gap[:, None, :, None]).min(axis=2)
-        nearest = (dy2[:, r0:r1, None] + along_x[:, parity[r0:r1]]).min(axis=0)
+        along_x = (dx2[None] + gap[:, :, None]).min(axis=1)
+        nearest = (dy2[:, r0:r1, None] + along_x[:, None, :]).min(axis=0)
         dead = gaussian_kernel(nearest, sigma) == 0
         num[dead], denom[dead] = 0.0, 0.0
     a, b = lo - r0 * cols, hi - r0 * cols

@@ -3,12 +3,6 @@
 The paper trains 50×50 maps; "initially all weight vectors are either
 assigned random values or linearly generated from the first two PCA
 eigen-vectors" — both strategies are provided.
-
-Beyond the paper's rectangular grid, two standard SOM topologies are
-supported: ``hex`` (each interior neuron has six equidistant neighbours —
-the classic SOM_PAK layout, which reduces axis artefacts in U-matrices)
-and periodic (toroidal) boundaries for the rectangular grid (removes map
-edge effects).
 """
 
 from __future__ import annotations
@@ -21,7 +15,6 @@ from repro.util.rng import as_rng
 
 __all__ = ["SOMGrid", "init_codebook"]
 
-_SQRT3_2 = np.sqrt(3.0) / 2.0
 #: elements of one working strip (2 MiB of float64): what
 #: :meth:`SOMGrid.grid_sq_distances` and the batch smoother's scratch hold
 STRIP_ELEMS = 1 << 18
@@ -29,27 +22,18 @@ STRIP_ELEMS = 1 << 18
 
 @dataclass(frozen=True)
 class SOMGrid:
-    """A 2-D neuron grid.
+    """A 2-D rectangular neuron grid.
 
     Neuron k sits at row ``k // cols``, column ``k % cols``.  Grid distances
-    (Eq. 4's ``r_i``) are Euclidean in cell units; ``hex`` topology offsets
-    odd rows by half a cell and compresses row spacing to √3/2 so the six
-    neighbours of an interior unit are equidistant.  ``periodic`` wraps the
-    rectangular grid into a torus (not combined with hex).
+    (Eq. 4's ``r_i``) are Euclidean in cell units.
     """
 
     rows: int
     cols: int
-    topology: str = "rect"
-    periodic: bool = False
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.topology not in ("rect", "hex"):
-            raise ValueError(f"topology must be 'rect' or 'hex', got {self.topology!r}")
-        if self.periodic and self.topology == "hex":
-            raise ValueError("periodic boundaries are supported for 'rect' only")
 
     @property
     def n_units(self) -> int:
@@ -58,20 +42,11 @@ class SOMGrid:
     @property
     def diagonal(self) -> float:
         """Largest grid distance (the paper's initial radius scale)."""
-        if self.periodic:
-            return float(np.hypot(self.rows / 2.0, self.cols / 2.0))
-        pos = self.positions()
-        lo = pos.min(axis=0)
-        hi = pos.max(axis=0)
-        return float(np.hypot(*(hi - lo))) or 1.0
+        return float(np.hypot(self.rows - 1, self.cols - 1)) or 1.0
 
     def positions(self) -> np.ndarray:
         """(K, 2) array of (y, x) coordinates in unit order."""
         r, c = np.divmod(np.arange(self.n_units), self.cols)
-        if self.topology == "hex":
-            y = r * _SQRT3_2
-            x = c + 0.5 * (r % 2)
-            return np.stack([y, x], axis=1).astype(np.float64)
         return np.stack([r, c], axis=1).astype(np.float64)
 
     def sq_distances_from(self, units: np.ndarray) -> np.ndarray:
@@ -79,33 +54,21 @@ class SOMGrid:
         the rows ``units`` of :meth:`grid_sq_distances`."""
         units = np.asarray(units, dtype=np.intp)
         y, x = self.positions().T
-        out = self._axis_sq(y[units, None] - y[None, :], self.rows)
-        out += self._axis_sq(x[units, None] - x[None, :], self.cols)
+        out = np.square(y[units, None] - y[None, :])
+        out += np.square(x[units, None] - x[None, :])
         return out
 
     def axis_sq_distances(self) -> tuple[np.ndarray, np.ndarray]:
         """The squared grid distance split over the two grid axes::
 
-            ‖r_i − r_j‖² = dy2[row_i, row_j] + dx2[row_i % P, row_j % P, col_i, col_j]
+            ‖r_i − r_j‖² = dy2[row_i, row_j] + dx2[col_i, col_j]
 
-        P is 1 on rect and torus grids; on a hex grid the half-cell x offset
-        depends only on the parity of the row, so P is 2: one (cols, cols)
-        table per pair of row parities.  Same arithmetic as
-        :meth:`positions`: the sum is :meth:`grid_sq_distances` bit for bit.
+        Same arithmetic as :meth:`positions`: the sum is
+        :meth:`grid_sq_distances` bit for bit.
         """
-        hexagonal = self.topology == "hex"
-        y = np.arange(self.rows) * (_SQRT3_2 if hexagonal else 1.0)
-        x = np.arange(self.cols) + np.array([[0.0], [0.5]] if hexagonal else [[0.0]])
-        return (self._axis_sq(y[:, None] - y[None, :], self.rows),
-                self._axis_sq(x[:, None, :, None] - x[None, :, None, :], self.cols))
-
-    def _axis_sq(self, d: np.ndarray, span: int) -> np.ndarray:
-        """Square the coordinate differences ``d`` in place (wrapped on a torus)."""
-        if self.periodic:  # the shorter way round the torus
-            np.abs(d, out=d)
-            np.minimum(d, span - d, out=d)
-        d *= d
-        return d
+        y = np.arange(self.rows, dtype=np.float64)
+        x = np.arange(self.cols, dtype=np.float64)
+        return np.square(y[:, None] - y[None, :]), np.square(x[:, None] - x[None, :])
 
     def grid_sq_distances(self) -> np.ndarray:
         """(K, K) squared grid distances ‖r_i − r_j‖² (Eq. 4's exponent),
@@ -118,30 +81,12 @@ class SOMGrid:
         return out
 
     def neighbors(self, k: int) -> list[int]:
-        """Adjacent units of ``k``: 4 on rect grids, 6 on hex (edges fewer,
-        except on a torus where every unit has the full set)."""
+        """The up to four adjacent units of ``k``."""
         if not (0 <= k < self.n_units):
             raise IndexError(f"unit {k} outside grid of {self.n_units}")
         r, c = divmod(k, self.cols)
-        if self.topology == "hex":
-            # Offset coordinates: odd rows shift right.
-            if r % 2 == 0:
-                deltas = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0)]
-            else:
-                deltas = [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1)]
-        else:
-            deltas = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        out = []
-        for dr, dc in deltas:
-            rr, cc = r + dr, c + dc
-            if self.periodic:
-                rr %= self.rows
-                cc %= self.cols
-            if 0 <= rr < self.rows and 0 <= cc < self.cols:
-                unit = rr * self.cols + cc
-                if unit != k:
-                    out.append(unit)
-        return out
+        return [rr * self.cols + cc for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < self.rows and 0 <= cc < self.cols]
 
 
 def init_codebook(

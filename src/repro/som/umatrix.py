@@ -27,18 +27,8 @@ def _weights_grid(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
 def umatrix(grid: SOMGrid, codebook: np.ndarray) -> np.ndarray:
     """(rows, cols) mean weight distance from each unit to its neighbours.
 
-    Uses the grid's own adjacency, so hexagonal and toroidal topologies get
-    their 6-neighbour / wrapped U-matrices; the plain rectangular case runs
-    a fully vectorised path.
+    Vectorised over the grid's up to four neighbours per unit.
     """
-    if grid.topology != "rect" or grid.periodic:
-        _weights_grid(grid, codebook)  # shape check
-        out = np.zeros(grid.n_units)
-        for k in range(grid.n_units):
-            neigh = grid.neighbors(k)
-            d = np.linalg.norm(codebook[neigh] - codebook[k], axis=1)
-            out[k] = d.mean() if len(neigh) else 0.0
-        return out.reshape(grid.rows, grid.cols)
     w = _weights_grid(grid, codebook)
     total = np.zeros((grid.rows, grid.cols))
     count = np.zeros((grid.rows, grid.cols))

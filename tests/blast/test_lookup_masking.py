@@ -9,7 +9,6 @@ from repro.bio.seq import reverse_complement
 from repro.blast.dust import dust_mask_batch
 from repro.blast.lookup import NucleotideLookup, ProteinLookup, QueryBlock
 from repro.blast.matrices import BLOSUM62
-from repro.blast.seg import seg_mask, window_entropy
 
 
 def _dust(seq, **kw):
@@ -158,29 +157,3 @@ class TestDust:
             _dust("ACGT", window=4)
         with pytest.raises(ValueError):
             _dust("ACGT", step=0)
-
-
-class TestSeg:
-    def test_homopolymer_masked(self):
-        mask = seg_mask("Q" * 50)
-        assert mask.all()
-
-    def test_random_protein_mostly_unmasked(self):
-        mask = seg_mask(random_protein(300, seed_or_rng=15))
-        assert mask.mean() < 0.1
-
-    def test_low_complexity_region_masked(self):
-        seq = random_protein(60, seed_or_rng=16) + "PSPSPSPSPSPSPSPS" + random_protein(60, seed_or_rng=17)
-        mask = seg_mask(seq)
-        assert mask[60:76].mean() > 0.9
-
-    def test_window_entropy_bounds(self):
-        assert window_entropy(PROTEIN.encode("AAAA")) == 0.0
-        e = window_entropy(PROTEIN.encode("ARNDCQEGHILK"))
-        assert e == pytest.approx(np.log2(12))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seg_mask("ARND", window=2)
-        with pytest.raises(ValueError):
-            seg_mask("ARND", threshold=0)

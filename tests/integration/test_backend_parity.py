@@ -130,9 +130,7 @@ class TestMrSomBackendParity:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("nprocs", [2, 3])
-    @pytest.mark.parametrize("grid", [
-        SOMGrid(6, 5), SOMGrid(5, 6, topology="hex"), SOMGrid(6, 5, periodic=True),
-    ], ids=["rect", "hex", "torus"])
+    @pytest.mark.parametrize("grid", [SOMGrid(6, 5)], ids=["rect"])
     def test_master_smooths_and_broadcasts_equals_serial(self, som_workload, grid,
                                                           nprocs, backend):
         # Fig. 2 as implemented: Reduce to the master, the master smooths and

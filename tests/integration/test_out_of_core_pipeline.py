@@ -55,13 +55,13 @@ def test_tiny_memsize_pipeline_matches_serial(workload, tmp_path):
 
 
 def test_tiny_memsize_with_all_features_on(workload, tmp_path):
-    """Paging + multi-iteration + combiner + locality, all at once."""
+    """Paging + multi-iteration + locality, all at once."""
     alias, blocks, options = workload
     serial = run_serial_blast(alias, blocks, options)
     results = mrblast_spmd(3, MrBlastConfig(
         alias_path=alias, query_blocks=blocks, options=options,
         output_dir=str(tmp_path / "all"), memsize=4096,
-        blocks_per_iteration=2, combiner=True, locality_aware=True,
+        blocks_per_iteration=2, locality_aware=True,
         work_order="query_major",
     ))
     merged = collect_rank_hits([r.output_path for r in results])

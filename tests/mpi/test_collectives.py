@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, MAXLOC, MIN, MINLOC, PROD, SUM, LAND, LOR, MPIError, run_spmd
+from repro.mpi import MAX, MIN, PROD, SUM, LAND, LOR, MPIError, run_spmd
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 13]
 
@@ -57,18 +57,6 @@ def test_allreduce_logical_ops():
         return (any_true, all_true)
 
     assert run_spmd(4, main) == [(True, False)] * 4
-
-
-def test_maxloc_minloc():
-    values = [3.0, 9.0, 9.0, 1.0]
-
-    def main(comm):
-        pair = (values[comm.rank], comm.rank)
-        return (comm.allreduce(pair, op=MAXLOC), comm.allreduce(pair, op=MINLOC))
-
-    results = run_spmd(4, main)
-    # Ties resolve to the lowest rank, matching MPI_MAXLOC.
-    assert results == [((9.0, 1), (1.0, 3))] * 4
 
 
 @pytest.mark.parametrize("size", SIZES)

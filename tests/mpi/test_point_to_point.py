@@ -148,18 +148,6 @@ def test_recv_buffer_size_mismatch_raises():
     assert run_spmd(2, main)[1] is True
 
 
-def test_isend_irecv():
-    def main(comm):
-        if comm.rank == 0:
-            req = comm.isend("async", dest=1, tag=9)
-            req.wait()
-            return None
-        req = comm.irecv(source=0, tag=9)
-        return req.wait()
-
-    assert run_spmd(2, main)[1] == "async"
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_blocking_recv_times_out_on_its_budget(backend):
     """A receive nothing matches raises DeadlockError at op_timeout, not late."""

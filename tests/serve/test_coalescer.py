@@ -5,7 +5,7 @@ monotonic source is wanted); the coalescer itself never reads wall time, so
 these tests are exact and instantaneous.
 """
 
-import os
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +26,6 @@ from oracles.clocks import TickClock
 def _ids(batch):
     """Query record ids in batch order."""
     return tuple(s.query.id for s in batch.submissions)
-
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def rec(i):
@@ -240,17 +237,26 @@ class TestCoalescerProperties:
 
 
 class TestBatchAdvice:
-    def test_reads_the_shuffle_bench_model(self, monkeypatch):
-        path = os.path.join(REPO_ROOT, "BENCH_shuffle.json")
-        thread = load_machine_model(path, backend="thread")
+    def test_reads_the_shuffle_bench_model(self, monkeypatch, tmp_path):
+        """Each backend, and on the process backend each arena setting,
+        reads its own entry of the shuffle bench's ``machine_model``."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"machine_model": {
+            "thread": {"alpha_us": 10.0, "bandwidth_mib_s": 4096.0},
+            "process": {"alpha_us": 300.0, "bandwidth_mib_s": 1024.0},
+            "process+arena": {"alpha_us": 150.0, "bandwidth_mib_s": 2048.0},
+        }}))
+        mib = 1024 * 1024
+        assert load_machine_model(str(path), backend="thread") == pytest.approx({
+            "alpha_s": 10e-6, "bandwidth_bytes_s": 4096.0 * mib})
         monkeypatch.setenv("REPRO_MPI_ARENA_MB", "64")
-        proc = load_machine_model(path, backend="process")
+        assert load_machine_model(str(path), backend="process") == pytest.approx({
+            "alpha_s": 150e-6, "bandwidth_bytes_s": 2048.0 * mib})
         monkeypatch.setenv("REPRO_MPI_ARENA_MB", "0")  # the per-message path
-        bare = load_machine_model(path, backend="process")
-        assert 0 < thread["alpha_s"] < proc["alpha_s"]
-        assert proc["alpha_s"] < bare["alpha_s"]  # arena shaves latency
+        assert load_machine_model(str(path), backend="process") == pytest.approx({
+            "alpha_s": 300e-6, "bandwidth_bytes_s": 1024.0 * mib})
         with pytest.raises(ValueError):
-            load_machine_model(path, backend="carrier-pigeon")
+            load_machine_model(str(path), backend="carrier-pigeon")
 
     def test_advice_scales_with_latency_and_clamps(self):
         slow = {"alpha_s": 200e-6, "bandwidth_bytes_s": 1e9}

@@ -20,8 +20,7 @@ from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.som import BatchSOM, SOMGrid, accumulate_batch, batch_update, gaussian_kernel
 from repro.som.batch import accumulate_classes, smooth_classes
 
-GRIDS = [SOMGrid(5, 7), SOMGrid(6, 5, topology="hex"), SOMGrid(5, 6, periodic=True)]
-grid_id = lambda g: f"{g.topology}{'-torus' if g.periodic else ''}"  # noqa: E731
+GRIDS = [SOMGrid(5, 7)]
 
 
 def literal_bmus(data, codebook):
@@ -39,8 +38,6 @@ def literal_eq5(grid, sigma, data, bmus):
     for x, b in zip(data, bmus):
         for i in range(grid.n_units):
             dy, dx = abs(pos[b] - pos[i])
-            if grid.periodic:
-                dy, dx = min(dy, grid.rows - dy), min(dx, grid.cols - dx)
             h = math.exp(-(dy * dy + dx * dx) / sigma**2)
             num[i] += h * x
             den[i] += h
@@ -64,7 +61,7 @@ def accumulate_then_smooth(grid, sigma, blocks, codebook, strips, bmus=None):
             counts)
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
+@pytest.mark.parametrize("grid", GRIDS, ids=["rect"])
 class TestAgainstTheDefinition:
     def setup_method(self):
         rng = np.random.default_rng(14)
@@ -162,12 +159,12 @@ def test_any_blocks_times_any_strips(grid, rows, cuts, strips, sigma, seed):
 
 @pytest.mark.parametrize(
     "grid",
-    [SOMGrid(40, 40), SOMGrid(40, 40, topology="hex"), SOMGrid(40, 40, periodic=True)],
-    ids=grid_id,
+    [SOMGrid(40, 40)],
+    ids=["rect"],
 )
 def test_no_rank_of_run_mrsom_holds_a_k_by_k_array(grid, tmp_path):
     """Both ranks together (thread backend: one traced heap) stay below ONE
-    (K, K) float64 matrix, for every topology."""
+    (K, K) float64 matrix."""
     data = np.random.default_rng(5).random((400, 4))
     path = write_matrix_file(tmp_path / "v.mat", data)
     config = MrSomConfig(matrix_path=str(path), grid=grid, epochs=2, block_rows=40,
