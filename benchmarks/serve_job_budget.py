@@ -16,10 +16,17 @@ at a time and splits each submit → resolve interval at span boundaries:
   (``dp_rows``: DP rows a half computed, summed over halves; ``dp_cells``:
   band cells computed) and the stage's cost per row in microseconds and
   per cell in nanoseconds;
-- ``map end``: last unit end to rank 0 leaving ``mr.map``;
-- ``post-map``: rank 0 leaving ``mr.map`` to leaving ``serve.job`` (the
-  regrouping, the reduce and the result hand-off), with every ``mpi.*`` and
-  ``mr.*`` span any rank opened inside ``serve.job``;
+- ``map end``: last unit end to rank 0 leaving ``mr.map`` (the last
+  completion request, which carries its units' rows, and rank 0 filing
+  the rows it kept);
+- ``post-map``: rank 0 leaving ``mr.map`` to leaving ``serve.job``: the
+  regrouping (every ``mr.*`` span of rank 0 after the map but
+  ``mr.reduce``: ``mr.convert``, and at commits that gathered the map
+  output to rank 0, that ``mr.gather`` too), the reduce and the result
+  hand-off;
+- every ``mpi.*`` and ``mr.*`` span any rank opened inside ``serve.job``,
+  and the point-to-point messages it sent there (``mpi.send`` instants, by
+  tag);
 - ``deliver``: rank 0 leaving ``serve.job`` to the parent holding the result.
 
 Medians over the solo jobs are printed in milliseconds.  Span timestamps
@@ -123,8 +130,8 @@ def _budget(per_rank, submit, resolve):
         "heavy ns/dp_cell": heavy[3]["gapped_s"] / dp_cells * 1e9 if dp_cells else 0.0,
         "map end": map_end - last,
         "post-map": rank0["end"] - map_end,
-        "  rank 0 regroup": post["mr.aggregate"] + post["mr.gather"],
-        "  rank 0 convert+reduce": post["mr.convert"] + post["mr.reduce"],
+        "  rank 0 regroup": sum(post.values()) - post["mr.reduce"],
+        "  rank 0 reduce": post["mr.reduce"],
         "deliver": resolve - rank0["end"],
         "total": resolve - submit,
     }
@@ -165,6 +172,9 @@ def main():
             for name, *_rest in job["inside"]:
                 if name.startswith(("mpi.", "mr.")):
                     inside[(rank, name)] += 1
+            for name, _ts, attrs in job["instants"]:
+                if name == "mpi.send":
+                    inside[(rank, f"send tag {attrs['tag']}")] += 1
     print(f"solo jobs: {args.jobs} (seed {args.seed}, {NPROCS} ranks, process backend)")
     for key in rows[0]:
         med = statistics.median(r[key] for r in rows)
@@ -176,7 +186,7 @@ def main():
             print(f"  {key:<22} {med:10.1f} ns")
         else:
             print(f"  {key:<22} {med * 1e3:10.2f} ms")
-    print("spans inside serve.job, per job:")
+    print("spans and sends inside serve.job, per job:")
     for (rank, name), count in sorted(inside.items()):
         print(f"  rank {rank}  {name:<14} {count / args.jobs:g}")
 

@@ -4,10 +4,6 @@
 "the database access is implemented by caching memory-mapped regions of the
 DB") and decodes individual subjects on demand.  ``DatabaseAlias`` exposes
 the global statistics every partition search needs for full-DB E-values.
-
-Each partition counts how many times its packed file was (re)opened —
-mrblast's per-rank DB cache and the cluster model's page-cache accounting
-both key off that.
 """
 
 from __future__ import annotations
@@ -82,7 +78,6 @@ class DbPartition:
         self.offsets: list[int] = [int(x) for x in header["offsets"]]
         self.total_length: int = int(header["total_length"])
         self._data: np.ndarray | None = None
-        self.load_count = 0
 
     @property
     def num_seqs(self) -> int:
@@ -92,12 +87,7 @@ class DbPartition:
         if self._data is None:
             with _LOAD_LOCK:
                 self._data = np.load(self.base_path + ".seq.npy", mmap_mode="r")
-            self.load_count += 1
         return self._data
-
-    def release(self) -> None:
-        """Drop the mapping (simulates cache eviction / partition switch)."""
-        self._data = None
 
     def codes(self, i: int) -> np.ndarray:
         """Decoded uint8 codes of subject ``i``."""

@@ -52,10 +52,11 @@ def exclude_self_hits(query_id: str, hsp: HSP) -> bool:
 class MrBlastMapper:
     """Callable work-unit executor bound to one rank.
 
-    Caches the open DB partition object and the loaded query blocks between
-    invocations; the cache behaviour (how often a rank must re-open a
-    different partition) is exactly what the paper's block-size tuning and
-    the Fig. 4 crossover are about.
+    Keeps every DB partition it opens, mapped lazily, for the rank's life,
+    so a unit on another partition than the last one is a dict lookup.
+    That switch is still counted (``mrblast.partition_switches``): how
+    often a rank changes partitions is what the paper's block-size tuning,
+    the Fig. 4 crossover and locality-aware dispatch are about.
 
     What Fig. 5 plots goes into ``metrics`` (the ``mrblast.*`` and
     ``blast.*`` names of :mod:`repro.obs.metrics`), with units skipped
@@ -89,7 +90,7 @@ class MrBlastMapper:
         self._cache_hits = count("blast.lookup_cache_hits")
         self._rounds = count("blast.fused_rounds")
         self._peak_slab = self.metrics.gauge("blast.peak_slab_bytes")
-        self._partition: DbPartition | None = None
+        self._partitions: dict[int, DbPartition] = {}
         self._partition_index: int | None = None
         self._engine = make_engine(self.options)
         # Query-side mirror of the DB-partition cache: a block searched
@@ -108,7 +109,7 @@ class MrBlastMapper:
         """Swap in a new set of query blocks, keeping every warm cache.
 
         The resident service mode (:mod:`repro.serve`) reuses one mapper per
-        rank across its whole lifetime: the open DB partition, the
+        rank across its whole lifetime: the open DB partitions, the
         cross-partition :class:`~repro.blast.lookup.LookupCache` (keyed by
         block *content*, so stale blocks simply age out of the LRU) and the
         engine's Karlin/search-space caches all survive the swap — only the
@@ -116,22 +117,17 @@ class MrBlastMapper:
         """
         self.query_blocks = query_blocks
 
-    def release(self) -> None:
-        """Drop the cached DB partition (called when the rank unwinds)."""
-        if self._partition is not None:
-            self._partition.release()
-            self._partition = None
-            self._partition_index = None
+    def close(self) -> None:
+        """Drop the open DB partitions (called when the rank unwinds)."""
+        self._partitions.clear()
 
     def _get_partition(self, index: int) -> DbPartition:
-        if self._partition_index != index:
-            if self._partition is not None:
-                self._partition.release()
-            self._partition = self.alias.open_partition(index)
+        if index != self._partition_index:
             self._partition_index = index
             self._switches.inc()
-        assert self._partition is not None
-        return self._partition
+        if index not in self._partitions:
+            self._partitions[index] = self.alias.open_partition(index)
+        return self._partitions[index]
 
     def __call__(self, itask: int, item: WorkItem, kv: ColumnarKeyValue) -> None:
         """Execute one work unit and emit its hits.

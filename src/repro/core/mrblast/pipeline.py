@@ -101,7 +101,7 @@ class BlastPipeline:
     """One rank's warm mrblast state and the Fig. 1 iteration over it.
 
     Built once per rank and kept for its lifetime: the mapper holds the open
-    DB partition and the lookup cache, the ``MapReduce`` handle its
+    DB partitions and the lookup cache, the ``MapReduce`` handle its
     communicator and spool directory, and :attr:`metrics` every counter the
     mapper, the ``MapReduce`` handle and the driver's reducer write.  HSPs
     travel as structured rows (:func:`~repro.core.mrblast.hspcodec.hsp_schema`).
@@ -156,13 +156,14 @@ class BlastPipeline:
         Where the reduce runs is the caller's to say.  By default every
         query is reduced on the rank its key hashes to (``collate``), as
         the paper's per-rank output files need; returns this rank's KV
-        ``nbytes`` after map.  With ``reduce_at_root`` every rank's KV moves
-        to rank 0 (``gather(1)``), which alone groups, orders and reduces
-        it: a service job's answer is delivered from rank 0 anyway, and a
-        few HSPs are not worth an all-to-all and its collectives.  Rank 0
-        then returns the gathered KV's ``nbytes`` (the job's whole map
-        output, which the service's backpressure gauge reads), every other
-        rank 0.
+        ``nbytes`` after map.  With ``reduce_at_root`` the map ends with
+        every row on rank 0 (each unit's rows ride its completion request,
+        ``map_items(to_root=True)``), which alone groups, orders and
+        reduces them: a service job's answer is delivered from rank 0
+        anyway, and a few HSPs are not worth an all-to-all and its
+        collectives.  Rank 0 then returns its KV's ``nbytes`` (the job's
+        whole map output, which the service's backpressure gauge reads),
+        every other rank 0.
         """
         cfg, mr, mapper = self.config, self.mr, self.mapper
         items = build_work_items(
@@ -176,22 +177,21 @@ class BlastPipeline:
             locality_key=(lambda it: it.partition_index) if cfg.locality_aware else None,
             speculation=self.speculation,
             degraded=cfg.degraded,
+            to_root=reduce_at_root,
         )
         kv_bytes = mr.kv.nbytes
-        if reduce_at_root:
-            mr.gather(1)
-            if mr.rank != 0:
-                return 0
-            kv_bytes = mr.kv.nbytes
+        if not reduce_at_root:
+            mr.collate()
+        elif mr.rank == 0:
             mr.convert()
         else:
-            mr.collate()
+            return 0
         mr.sort_kmv_keys(key=lambda qid: query_order.get(qid, len(query_order)))
         mr.reduce(reducer)
         return kv_bytes
 
     def close(self) -> None:
-        """Reclaim spill pages and the cached DB partition; callers run it
+        """Reclaim spill pages and the open DB partitions; callers run it
         even when unwinding a crash, so no spill file outlives the job."""
         self.mr.close()
-        self.mapper.release()
+        self.mapper.close()

@@ -10,8 +10,8 @@ This port keeps the original object model and call sequence:
 
 - :class:`~repro.mrmpi.mapreduce.MapReduce` — the per-rank MapReduce object;
   collective methods: ``map_items`` (mapstyles: chunk,
-  master/worker), ``aggregate``, ``convert``, ``collate``, ``reduce``,
-  ``gather``, ``sort_kmv_keys``.
+  master/worker, whose map can end with every row on rank 0),
+  ``aggregate``, ``convert``, ``collate``, ``reduce``, ``sort_kmv_keys``.
 - :class:`~repro.mrmpi.columnar.ColumnarKeyValue` — a pageable store of
   (key, value) pairs; mappers and reducers emit into it with ``add`` or
   ``add_batch``.

@@ -305,13 +305,18 @@ class ColumnarKeyValue:
         # Row-size accounting keeps scalar emitters inside the page budget:
         # without it, a slow trickle of adds would stage thousands of rows
         # past ``pagesize`` before the count-based seal fires.
+        schema = self.schema
         if self._untyped:
             key, value = canonical_key(key), _dumps(value, _PROTOCOL)
             self._pending_bytes += len(key) + len(value)
+        elif schema.ragged_values:
+            # Staged encoded, as the untyped layout is: what is sized is
+            # what will be stored.
+            if schema.encode_values is not None:
+                (value,) = schema.encode_values([value])
+            self._pending_bytes += schema.key_dtype.itemsize + len(value)
         else:
-            self._pending_bytes += self.schema.key_dtype.itemsize + (
-                len(value) if self.schema.ragged_values else self.schema.value_dtype.itemsize
-            )
+            self._pending_bytes += schema.key_dtype.itemsize + schema.value_dtype.itemsize
         pending = self._pending_k
         pending.append(key)
         self._pending_v.append(value)
@@ -393,7 +398,7 @@ class ColumnarKeyValue:
             self._append(np.array(keys, dtype="S"), ragged_column(values))
             self._nkv += len(keys)
         else:
-            self.add_batch(keys, values)
+            self.add_batch(keys, ragged_column(values) if self.schema.ragged_values else values)
 
     def _pop_buckets(self) -> Iterator[list[tuple[np.ndarray, Any]]]:
         """Hand over the non-empty resident buckets, ascending, and forget

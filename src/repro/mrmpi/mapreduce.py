@@ -36,6 +36,8 @@ from repro.mpi.ops import ANY_SOURCE, LAND, SUM
 from repro.mrmpi.columnar import (
     ColumnarKeyMultiValue,
     ColumnarKeyValue,
+    _join,
+    _v_from_arrays,
     _v_slice,
     _v_to_arrays,
     _v_nbytes,
@@ -52,7 +54,6 @@ __all__ = ["MapReduce", "MapStyle", "KEEP_SCHEMA"]
 
 _TAG_REQUEST = 101
 _TAG_ASSIGN = 102
-_TAG_GATHER = 103
 
 #: Longest the master sleeps on its mailbox between death sweeps (degraded
 #: mode): transports flag a dead rank without posting a message.
@@ -92,18 +93,17 @@ def _arena_attrs(comm: Comm) -> dict:
     }
 
 
-def _merge_kept(kv: ColumnarKeyValue, stage: ColumnarKeyValue,
-                ends: Sequence[int], keeps: Sequence[bool]) -> None:
-    """Append the kept units' rows of a chunk's staging store to ``kv``
-    (unit ``i`` staged rows ``ends[i-1]:ends[i]``) and close the store."""
+def _kept_rows(batches, ends: Sequence[int], keeps: Sequence[bool]):
+    """The kept units' rows of a chunk as wire tuples: unit ``i`` emitted
+    rows ``ends[i-1]:ends[i]`` of the chunk's ``(keys, values)`` batches,
+    taken in order."""
     base = 0
-    for karr, vcol in stage.iter_batches():
+    for karr, vcol in batches:
         for lo, hi, keep in zip([0, *ends], ends, keeps):
             lo, hi = max(lo - base, 0), min(hi - base, len(karr))
             if keep and lo < hi:
-                kv.add_wire((karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi)))
+                yield (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
         base += len(karr)
-    stage.close()
 
 
 class MapStyle(IntEnum):
@@ -239,6 +239,7 @@ class MapReduce:
         locality_key: Callable[[Any], Any] | None = None,
         speculation: SpeculationPolicy | None = None,
         degraded: bool = False,
+        to_root: bool = False,
     ) -> int:
         """Run ``mapper(itask, items[itask], kv)`` over a list of work items.
 
@@ -273,6 +274,15 @@ class MapReduce:
         dataset is lost with it), and the communicator shrinks past the dead
         rank for the rest of this MapReduce object's life.  The scheduler
         report lands in :attr:`sched` on every surviving rank.
+
+        ``to_root`` (master/worker mode only) ends the map with every row on
+        rank 0, for a job that reduces there: a worker's completion request
+        carries its chunk's rows, one page cut at per-unit row ends, and
+        keeps none.  Rank 0 keeps the rows of the units the dispatcher
+        accepts (first copy wins), holds each worker's until the map
+        retires, drops a lost worker's with its units (they are redone
+        elsewhere) and then files the rest in worker rank order, as a
+        gather to rank 0 would have.  No round follows the map.
         """
         t0 = self._phase_begin("map")
         style = self.mapstyle if mapstyle is None else MapStyle(mapstyle)
@@ -285,7 +295,7 @@ class MapReduce:
         kv = self.kv
         if self.size > 1 and style is MapStyle.MASTER_WORKER:
             self._map_items_sched(
-                items, mapper, kv, locality_key, speculation, degraded)
+                items, mapper, kv, locality_key, speculation, degraded, to_root)
         else:
             # CHUNK (and the degenerate single-rank MASTER_WORKER): one
             # contiguous block of tasks per rank.
@@ -305,6 +315,7 @@ class MapReduce:
         locality_key: Callable[[Any], Any] | None,
         speculation: SpeculationPolicy | None,
         degraded: bool,
+        to_root: bool,
     ) -> None:
         """The MASTER_WORKER map: rank 0 dispatches, everyone else works.
 
@@ -315,11 +326,11 @@ class MapReduce:
         keys = [None if locality_key is None else locality_key(item)
                 for item in items]
         if self.rank == 0:
-            report, dead_local = self._run_sched_master(keys, speculation, degraded)
+            report, dead_local = self._run_sched_master(kv, keys, speculation, degraded)
         else:
             report, dead_local = self._run_sched_worker(
-                items, mapper, kv, keys,
-                speculating=speculation is not None, degraded=degraded)
+                items, mapper, kv, keys, speculating=speculation is not None,
+                degraded=degraded, to_root=to_root)
         # Every survivor holds the same master-authored (report, dead set)
         # before anyone shrinks, so the shrunk communicators agree.
         if dead_local:
@@ -336,6 +347,7 @@ class MapReduce:
 
     def _run_sched_master(
         self,
+        kv: ColumnarKeyValue,
         keys: Sequence[Any],
         speculation: SpeculationPolicy | None,
         degraded: bool,
@@ -343,7 +355,9 @@ class MapReduce:
         """Rank 0: drive a :class:`~repro.sched.Dispatcher` off the mailbox.
 
         The dispatcher decides; this loop waits, reads the clock and sends.
-        A request carries the units a worker completed, a reply
+        A request ``(done, ends, page)`` carries the units a worker
+        completed and, in a ``to_root`` map, their rows (else ``page`` is
+        None), whose kept units' rows go to ``kv`` at retirement; a reply
         ``(keeps, chunk, final)``; a worker there is nothing for yet is
         parked (no reply).  The wait ends for death sweeps every
         ``_SWEEP_INTERVAL`` (degraded mode), the tracker's next straggler due
@@ -359,6 +373,8 @@ class MapReduce:
         """
         disp = Dispatcher(keys, range(1, self.size), speculation,
                           time.monotonic(), self._tracer)
+        held: dict[int, list[tuple]] = {}  # worker -> its kept units' rows
+        ragged = kv.schema.ragged_values
 
         def reply(dest: int, keeps: tuple, chunk: tuple, final: Any = None) -> None:
             # A degraded-mode reply can race its destination's death (a
@@ -373,7 +389,9 @@ class MapReduce:
             now = time.monotonic()
             if degraded:  # (a dead worker's late requests are ignored)
                 for dead in sorted(set(self.comm.network.dead_ranks()) & set(self.comm.group)):
-                    disp.lose(self.comm.group.index(dead), now)
+                    worker = self.comm.group.index(dead)
+                    disp.lose(worker, now)
+                    held.pop(worker, None)
             for dest, keeps, chunk in disp.replies(now):
                 reply(dest, keeps, chunk)
             if (owed := disp.retire()) is not None:
@@ -392,7 +410,14 @@ class MapReduce:
             msg = self.comm._match(source=ANY_SOURCE, tag=_TAG_REQUEST,
                                    block=wait is None, timeout=wait or patience)
             if msg is not None:
-                disp.request(msg.src, msg.payload, time.monotonic())
+                done, ends, page = msg.payload
+                keeps = disp.request(msg.src, done, time.monotonic())
+                if page is not None:
+                    held.setdefault(msg.src, []).extend(_kept_rows(
+                        [(page[0], _v_from_arrays(page[1:], ragged))], ends, keeps))
+        for worker in sorted(held):
+            for rows in held[worker]:
+                kv.add_wire(rows)
         lost_global = tuple(self.comm.group[r] for r in sorted(disp.dead))
         report = disp.tracker.report(lost_global, degraded=bool(disp.dead))
         for dest, keeps in owed:
@@ -407,6 +432,7 @@ class MapReduce:
         keys: Sequence[Any],
         speculating: bool,
         degraded: bool,
+        to_root: bool,
     ) -> tuple[SchedReport, frozenset[int]]:
         """Worker side of dispatch: run a chunk, report it, until retired.
 
@@ -414,7 +440,9 @@ class MapReduce:
         round, computed from the same ``keys``.  With speculation a chunk
         maps into one staging store and only the units the master keeps
         (first copy wins) are copied into ``kv``, so output equals a
-        no-speculation run and staging holds one page at most; mappers with
+        no-speculation run and staging holds one page at most; ``to_root``
+        stages every chunk and sends the store as one page on the chunk's
+        completion request instead, leaving ``kv`` empty; mappers with
         out-of-band state (mrsom's accumulator) bracket each unit with
         optional ``begin_unit`` / ``commit_unit`` / ``discard_unit`` hooks.
         A parked worker waits as long as a peer's chunk runs (the master is
@@ -431,13 +459,17 @@ class MapReduce:
         stage = kv
         try:
             while True:
-                stage = self._fresh_kv() if speculating else kv
+                stage = self._fresh_kv() if speculating or to_root else kv
                 ends = []  # the row of ``stage`` where each unit's output ends
                 for itask in chunk:
                     begin(itask)
                     mapper(itask, items[itask], stage)
                     ends.append(len(stage))
-                self.comm.send(chunk, dest=0, tag=_TAG_REQUEST)
+                page = None
+                if to_root and len(stage):
+                    karr, vcol = _join(list(stage.iter_batches()))
+                    page = (karr,) + _v_to_arrays(vcol)
+                self.comm.send((chunk, ends, page), dest=0, tag=_TAG_REQUEST)
                 while (msg := self.comm._match(
                         source=0, tag=_TAG_ASSIGN, block=False,
                         timeout=self.comm.network.op_timeout)) is None:
@@ -446,7 +478,10 @@ class MapReduce:
                 for unit, keep in zip(chunk, keeps):
                     (commit if keep else discard)(unit)
                 if stage is not kv:
-                    _merge_kept(kv, stage, ends, keeps)
+                    if not to_root:
+                        for rows in _kept_rows(stage.iter_batches(), ends, keeps):
+                            kv.add_wire(rows)
+                    stage.close()
                 chunk = next_chunk
                 if final is not None:
                     report, dead = final
@@ -639,66 +674,6 @@ class MapReduce:
         self._phase_end("reduce", t0)
         self._bump("reduce", len(new_kv), 0)
         return len(new_kv)
-
-    # ----------------------------------------------------------- repartitioning
-
-    def gather(self, nranks: int = 1, exchange_bytes: int | None = None) -> int:
-        """Move all KV pairs onto the first ``nranks`` ranks (rank r → r % nranks).
-
-        Transfers are paged: each message stages at most ``exchange_bytes``
-        (default ``memsize``) so gathering an out-of-core dataset never
-        materialises it in one message.  A message is a page's tuple of
-        wire arrays; the last one of a sender's stream ends in ``None``, so
-        a dataset of one page travels as one message (an empty one as
-        ``(None,)``).  Receivers drain
-        senders in rank order, so arrival order is deterministic.  No
-        barrier follows: messages from one sender arrive in the order sent,
-        so the marker alone ends a stream, and a sender may go on before
-        its receiver has drained it.
-        """
-        t0 = self._phase_begin("gather")
-        if not (1 <= nranks <= self.size):
-            raise ValueError(f"nranks must be in [1, {self.size}], got {nranks}")
-        budget = self.memsize if exchange_bytes is None else int(exchange_bytes)
-        if budget < 1:
-            raise ValueError(f"exchange_bytes must be >= 1, got {budget}")
-        kv = self._require_kv()
-        dest = self.rank % nranks
-        if self.rank >= nranks:
-            held: tuple = ()
-            for page, pairs, nbytes in self._gather_pages(kv, budget):
-                if held:
-                    self.comm.send(held, dest=dest, tag=_TAG_GATHER)
-                held = page
-                self._bump("gather", pairs, nbytes)
-            self.comm.send(held + (None,), dest=dest, tag=_TAG_GATHER)
-            kv.close()
-            self.kv = self._fresh_kv()
-        else:
-            senders = [r for r in range(nranks, self.size) if r % nranks == self.rank]
-            for r in senders:
-                last = False
-                while not last:
-                    msg = self.comm.recv(source=r, tag=_TAG_GATHER)
-                    last = msg[-1] is None
-                    page = msg[:-1] if last else msg
-                    if page:
-                        kv.add_wire(page)
-        self._phase_end("gather", t0)
-        return len(self._require_kv())
-
-    @staticmethod
-    def _gather_pages(kv: ColumnarKeyValue, budget: int):
-        """``kv`` as wire pages of at most ``budget`` bytes: ``(page tuple
-        of arrays, pairs, bytes)``."""
-        for karr, vcol in kv.iter_batches():
-            nb = int(karr.nbytes) + _v_nbytes(vcol)
-            nchunks = max(1, -(-nb // budget))  # ceil
-            step = max(1, -(-len(karr) // nchunks))
-            for lo in range(0, len(karr), step):
-                hi = min(lo + step, len(karr))
-                arrs = (karr[lo:hi],) + _v_to_arrays(_v_slice(vcol, lo, hi))
-                yield arrs, hi - lo, sum(int(a.nbytes) for a in arrs)
 
     # ----------------------------------------------------------------- sorting
 

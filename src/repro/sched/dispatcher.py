@@ -98,14 +98,16 @@ class Dispatcher:
         self._size = self._left = 0
         self.first = {w: self._hand(w, now) for w in self.live}
 
-    def request(self, worker: int, done: Sequence[int], now: float) -> None:
-        """*worker* completed ``done`` and waits (parked) for an answer."""
+    def request(self, worker: int, done: Sequence[int], now: float) -> tuple[bool, ...]:
+        """*worker* completed ``done`` and waits (parked) for an answer;
+        returns the keep flag of each unit (none for a dead worker)."""
         if worker in self.dead:
-            return
+            return ()
         handed, _ = self._held.pop(worker, (now, 0))
         seconds = (now - handed) / len(done) if done else None
-        self._parked[worker] = tuple(
+        keeps = self._parked[worker] = tuple(
             self.tracker.complete(unit, worker, now, seconds) for unit in done)
+        return keeps
 
     def lose(self, worker: int, now: float) -> bool:
         """*worker* died: requeue its in-flight units and the ones it had

@@ -2,8 +2,8 @@
 
 The always-on service accepts queries one at a time, but the MR-MPI BLAST
 pipeline amortises its fixed costs (the job broadcast, master/worker
-dispatch, the gather of the map output to rank 0) over a whole *query
-block*.  The coalescer is the pure state machine between the two:
+dispatch with the map output riding its completions to rank 0) over a
+whole *query block*.  The coalescer is the pure state machine between the two:
 submissions accumulate per tenant and are flushed as a :class:`QueryBatch`
 when
 
@@ -46,10 +46,11 @@ __all__ = [
 
 #: Sequential message rounds a service job pays whatever its size, counted
 #: off a traced one-query job on 3 ranks: the job broadcast, the last
-#: completion and the reply that retires the workers, and the map output's
-#: gather to rank 0, which reduces alone.  Workers start on their first
-#: unit without asking, and no collective runs inside a job.
-JOB_MESSAGE_ROUNDS = 4
+#: completion, which carries its units' rows to rank 0 (the reducer), and
+#: the reply that retires the workers, sent as rank 0 starts to reduce.
+#: Workers start on their first unit without asking, no gather follows the
+#: map and no collective runs inside a job.
+JOB_MESSAGE_ROUNDS = 3
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,20 @@ One-shot :func:`~repro.core.mrblast.driver.run_mrblast` pays its setup cost
 (rank spawn, DB alias load, partition open, lookup-table build) on every
 call.  The resident session keeps an SPMD job alive between requests: every
 rank holds one :class:`~repro.core.mrblast.pipeline.BlastPipeline` (warm
-mapper with its open DB partition and lookup cache, one ``MapReduce``
-handle) for its whole lifetime, and executes query blocks pushed through a
-job queue.
+mapper with every DB partition it has opened and its lookup cache, one
+``MapReduce`` handle) for its whole lifetime, and executes query blocks
+pushed through a job queue.
 
 Control flow per rank: rank 0 pops the next :class:`BlockJob` from the
 parent's queue and broadcasts it; every rank then runs the pipeline's one
-iteration over the block with the reduce on rank 0: the ranks map, every
-worker's KV moves to rank 0 (``gather(1)``), and rank 0 alone groups,
-orders and reduces it, demuxing per-query result bytes
-(:class:`~repro.core.mrblast.reducer.MrBlastReducer` without an output
-file) instead of appending to rank files, and ships one result envelope
-back.  No collective runs inside
-a job.  While the queue is idle, rank 0 broadcasts keepalive ticks so
-blocked ranks never trip the transport's operation timeout.
+iteration over the block with the reduce on rank 0: the workers map, each
+chunk's rows riding its completion request to rank 0, and once the map
+retires rank 0 alone groups, orders and reduces them, demuxing per-query
+result bytes (:class:`~repro.core.mrblast.reducer.MrBlastReducer` without
+an output file) instead of appending to rank files, and ships one result
+envelope back.  No gather and no collective runs inside a job.  While the
+queue is idle, rank 0 broadcasts keepalive ticks so blocked ranks never
+trip the transport's operation timeout.
 
 Every number a rank counts goes into its pipeline's
 :class:`~repro.obs.metrics.MetricsRegistry`; the loop adds ``serve.jobs``
@@ -122,8 +122,8 @@ class BlockResult:
     ``results`` maps query id to its encoded outfmt-6 block; queries with
     no surviving hits are simply absent (the service resolves them to empty
     bytes).  ``kv_bytes`` is the exact ``nbytes`` of the job's columnar map
-    output, every rank's, as gathered on rank 0 — the measurement the
-    service's backpressure gauge feeds on.  ``lost_ranks`` are the global
+    output, every rank's, as held on rank 0 after the map — the measurement
+    the service's backpressure gauge feeds on.  ``lost_ranks`` are the global
     ranks the session has lost so far.
     """
 
@@ -142,7 +142,7 @@ def _run_block_job(pipeline: BlastPipeline, job: BlockJob) -> tuple[dict[str, by
     """Execute one query block on this rank.
 
     Rank 0 returns ``(demuxed results, kv_bytes)``, ``kv_bytes`` being the
-    ``nbytes`` of every rank's map output gathered on rank 0.
+    ``nbytes`` of every rank's map output, which the map left on rank 0.
     """
     pipeline.mapper.set_query_blocks([list(job.queries)])
     demux = MrBlastReducer(pipeline.mapper.options, metrics=pipeline.metrics)
@@ -238,8 +238,8 @@ def serve_rank_main(comm: Comm, cfg: ServeConfig, jobs: Any, results: Any,
 class ResidentBlastSession:
     """Parent-side handle on one launched rank session.
 
-    ``start()`` brings the ranks up (DB partitions preload lazily on first
-    use, lookup caches stay warm across jobs); ``submit()`` enqueues a
+    ``start()`` brings the ranks up (a rank maps a DB partition at its first
+    unit there and keeps it, lookup caches stay warm across jobs); ``submit()`` enqueues a
     :class:`BlockJob`; ``poll_result()`` retrieves envelopes;
     ``rank_metrics()`` asks the running ranks for their metrics; ``stop()``
     broadcasts the shutdown sentinel and joins.  A watcher thread owns the

@@ -79,17 +79,6 @@ class TestFormatAndRead:
         for i, rec in enumerate(recs):
             assert DNA.decode(part.codes(i)) == rec.seq
 
-    def test_load_count_tracks_reopens(self, tmp_path):
-        _, alias = self._db(tmp_path, n=3, vol_bytes=1 << 20)
-        part = alias.open_partition(0)
-        assert part.load_count == 0
-        part.codes(0)
-        part.codes(1)
-        assert part.load_count == 1
-        part.release()
-        part.codes(2)
-        assert part.load_count == 2
-
     def test_threads_load_fresh_partitions_side_by_side(self, tmp_path):
         """Thread-backend ranks open volumes at once.  ``np.load`` parses a
         ``.npy`` header with ``ast.literal_eval``, which CPython 3.11 does

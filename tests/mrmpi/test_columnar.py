@@ -122,6 +122,28 @@ class TestColumnarKeyValue:
         assert [v for _, v in kv] == payloads
         kv.close()
 
+    def test_scalar_add_encodes_ragged_values_through_the_hook(self):
+        """A typed schema with ragged values and an ``encode_values`` hook:
+        ``add`` stores what ``add_batch`` stores, even for a value with no
+        ``len`` of its own (it used to size the value before encoding it)."""
+        import pickle
+
+        schema = RecordSchema("<i8", RAGGED_BYTES,
+                              encode_values=lambda vs: [pickle.dumps(v) for v in vs],
+                              decode_value=lambda row: pickle.loads(bytes(row)))
+        one, batch = ColumnarKeyValue(schema), ColumnarKeyValue(schema)
+        for key, value in [(3, 7), (4, "x"), (5, None)]:
+            one.add(key, value)
+        batch.add_batch([3, 4, 5], [7, "x", None])
+        assert list(one) == list(batch) == [(3, 7), (4, "x"), (5, None)]
+        assert one.nbytes == batch.nbytes
+        for (k1, v1), (k2, v2) in zip(one.iter_batches(), batch.iter_batches()):
+            np.testing.assert_array_equal(k1, k2)
+            for a, b in zip(_v_to_arrays(v1), _v_to_arrays(v2)):
+                np.testing.assert_array_equal(a, b)
+        one.close()
+        batch.close()
+
     def test_wire_round_trip(self):
         src = ColumnarKeyValue(INT_SCHEMA)
         src.add_batch(["a", "b", "c"], [1, 2, 3])

@@ -1,4 +1,4 @@
-"""The MapReduce driver: map styles, collate, reduce, gather."""
+"""The MapReduce driver: map styles, collate, reduce, maps that end on rank 0."""
 
 import collections
 
@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.mpi import run_spmd
+from repro.mpi.shm import SHM_MIN_BYTES
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+from repro.mrmpi.columnar import ColumnarKeyValue
+from repro.mrmpi.schema import UNTYPED
 
 WORDS = (
     "the quick brown fox jumps over the lazy dog the fox is quick and the dog is lazy"
@@ -188,57 +191,60 @@ def test_collate_key_locality_and_determinism():
 
 
 def test_gather_concentrates_pairs():
+    """A ``to_root`` master/worker map ends with every pair on rank 0."""
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(list(range(12)), lambda i, item, kv: kv.add(item, item), mapstyle=MapStyle.CHUNK)
-        n_local = mr.gather(2)
+        n_local = mr.map_items(list(range(12)), lambda i, item, kv: kv.add(item, item),
+                               to_root=True)
         counts = mr.comm.gather(n_local, root=0)
+        pairs = sorted(mr.kv) if comm.rank == 0 else None
         mr.close()
-        return counts
+        return counts, pairs
 
-    counts = run_spmd(4, main)[0]
-    assert counts[2] == 0 and counts[3] == 0
-    assert counts[0] + counts[1] == 12
+    counts, pairs = run_spmd(4, main)[0]
+    assert counts == [12, 0, 0, 0]
+    assert pairs == [(i, i) for i in range(12)]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("columnar", [False, True], ids=["object", "columnar"])
 def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
-    """Many-page streams, a one-page stream and an empty one, gathered twice
-    in a row with nothing between: each stream ends with its last page, and
-    the second gather cannot take the first one's messages.  "object" pairs
+    """Units of many pairs, of one pair and of none, mapped to rank 0 twice
+    in a row with nothing between: every unit's rows arrive once, whole and
+    in emission order, each worker's in the order it ran them and the
+    workers in rank order; the second map cannot take the first one's
+    messages.  The 3000-pair units outgrow the 32 KiB inline frame, so on
+    the process backend pages cross in shared memory too.  "object" pairs
     are untyped (``schema=None``), "columnar" ones an int64 schema."""
     schema = RecordSchema(key_dtype=np.dtype("<i8"), value_dtype=np.dtype("<i8"),
                           key_kind="int") if columnar else None
-    sizes = {0: 3, 1: 40, 2: 1, 3: 0}
+    sizes = [3, 3000, 1, 0, 40, 3000, 0, 7]
+    probe = ColumnarKeyValue(UNTYPED if schema is None else schema)
+    for j in range(3000):
+        probe.add(j, 1)
+    assert probe.nbytes > SHM_MIN_BYTES
 
     def main(comm):
         mr = MapReduce(comm, schema=schema)
         out = []
         for round_ in range(2):
-            mr.map_items(range(comm.size), lambda i, item, kv: [
-                kv.add(i * 100 + j, round_) for j in range(sizes[i])],
-                mapstyle=MapStyle.CHUNK)
-            mr.gather(1, exchange_bytes=64)
-            out.append([(int(k), int(v)) for k, v in mr.kv] if comm.rank == 0 else None)
+            ran = []
+
+            def mapper(i, item, kv):
+                ran.append(i)
+                for j in range(sizes[i]):
+                    kv.add(i * 10_000 + j, round_)
+
+            mr.map_items(range(len(sizes)), mapper, to_root=True)
+            got = [(int(k), int(v)) for k, v in mr.kv] if comm.rank == 0 else None
+            out.append((got, comm.gather(ran, root=0)))
         mr.close()
         return out
 
-    rounds = run_spmd(4, main, backend=backend)[0]
-    for round_, got in enumerate(rounds):
-        assert got == [(r * 100 + j, round_) for r in range(4) for j in range(sizes[r])]
-
-
-def test_gather_invalid_nranks():
-    def main(comm):
-        mr = MapReduce(comm)
-        mr.map_items(range(1), lambda i, item, kv: kv.add(0, 0))
-        with pytest.raises(ValueError):
-            mr.gather(0)
-        mr.close()
-        return True
-
-    assert run_spmd(1, main) == [True]
+    for round_, (got, ran) in enumerate(run_spmd(4, main, backend=backend)[0]):
+        assert ran[0] == [] and sorted(sum(ran, [])) == list(range(len(sizes)))
+        assert got == [(i * 10_000 + j, round_) for units in ran
+                       for i in units for j in range(sizes[i])]
 
 
 def test_reduce_without_collate_raises():

@@ -13,7 +13,7 @@ from repro.mpi.exceptions import DegradedRankLoss, MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import SpmdJob, run_spmd
 from repro.mrmpi.columnar import ColumnarKeyValue
-from repro.mrmpi.mapreduce import MapReduce, MapStyle, _merge_kept
+from repro.mrmpi.mapreduce import MapReduce, MapStyle, _kept_rows
 from repro.mrmpi.schema import UNTYPED
 from repro.sched import SpeculationPolicy
 
@@ -205,9 +205,9 @@ class TestChunkStaging:
             ends.append(len(stage))
         assert stage.spilled_pages > 1
         kv = ColumnarKeyValue(UNTYPED)
-        _merge_kept(kv, stage, ends, [True, False, True, True, False])
+        for rows in _kept_rows(stage.iter_batches(), ends, [True, False, True, True, False]):
+            kv.add_wire(rows)
         assert list(kv) == [((u, j), u * 10 + j) for u in (0, 2, 3) for j in range(4)]
-        assert len(stage) == 0 and stage.spilled_pages == 0  # closed
 
     def test_a_chunk_stages_within_one_page(self):
         # Rank 1's first chunk is four units of ~3/8 of a page each.  Staged

@@ -443,7 +443,8 @@ def _binomial_sum(parts):
 
 def _som_reduce_both_ways(comm, data, codebook, spool):
     """One rank's Eq. 5 accumulators, totalled on rank 0 by the direct
-    ``MPI_Reduce`` and by a collate/reduce/gather through MR-MPI."""
+    ``MPI_Reduce`` and by a collate/reduce through MR-MPI whose per-rank
+    output ``comm.gather`` collects."""
     from repro.som.batch import accumulate_classes
 
     k, dim = codebook.shape
@@ -467,10 +468,10 @@ def _som_reduce_both_ways(comm, data, codebook, spool):
                           _binomial_sum([r["denom"] for r in ordered])))
 
         mr.reduce(reducer)
-        mr.gather(1)
         num, denom = np.zeros((k, dim)), np.zeros(k)
-        for units, totals in mr.kv.iter_batches():
-            num[units], denom[units] = totals["num"], totals["denom"]
+        for batches in comm.gather(list(mr.kv.iter_batches()), root=0) or []:
+            for units, totals in batches:
+                num[units], denom[units] = totals["num"], totals["denom"]
     finally:
         mr.close()
     return direct, np.concatenate([num.ravel(), denom]), moved

@@ -273,12 +273,13 @@ class TestBatchAdvice:
                 >= advise_batch_size(model, 2, 0.005))
 
     def test_advice_prices_the_job_message_rounds(self):
-        """A job is four message rounds (job broadcast, last completion and
-        retiring reply, gather to rank 0; a worker's first unit comes with
-        the map), not the eight collectives of the shuffle-and-reduce
-        protocol: the advice for a fixed model follows the recount."""
-        assert JOB_MESSAGE_ROUNDS == 4
+        """A job is three message rounds (job broadcast, last completion
+        carrying its rows to rank 0, retiring reply; a worker's first unit
+        comes with the map), not the eight collectives of the
+        shuffle-and-reduce protocol: the advice for a fixed model follows
+        the recount."""
+        assert JOB_MESSAGE_ROUNDS == 3
         model = {"alpha_s": 150e-6, "bandwidth_bytes_s": 1e9}
-        # fixed = 4 x 150 us x 3 = 1.8 ms against 10 % of 1 ms of work.
-        assert advise_batch_size(model, 3, 0.001) == 18
+        # fixed = 3 x 150 us x 3 = 1.35 ms against 10 % of 1 ms of work.
+        assert advise_batch_size(model, 3, 0.001) == 14
         assert advise_batch_size(model, 3, 0.001, message_rounds=8) == 36

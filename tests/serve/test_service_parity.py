@@ -190,7 +190,7 @@ class TestProcessBackendParity:
             self, serve_workload, oracle, max_batch):
         """Two ranks means one worker and nothing to merge; with three,
         every job's units are split between two workers, so rank 0 reduces
-        pages gathered from both."""
+        the completion pages of both."""
         alias_path, reads, options = serve_workload
         cfg = ServeConfig(
             alias_path=alias_path, nprocs=3, options=options, backend="process",

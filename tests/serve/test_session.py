@@ -6,14 +6,18 @@ read back, pinning the rank-loop invariants the service builds on.
 """
 
 import multiprocessing
+import os
+import threading
+import time
 
 import pytest
 
+from repro.blast.dbreader import DatabaseAlias
 from repro.core.mrblast.pipeline import BlastPipeline
 from repro.core.mrblast.reducer import MrBlastReducer
 from repro.mpi.exceptions import RankFailure
 from repro.mpi.runtime import run_spmd
-from repro.obs.trace import TraceSession
+from repro.obs.trace import TraceSession, current_tracer
 from repro.serve.session import BlockJob, ResidentBlastSession, ServeConfig
 
 
@@ -66,8 +70,6 @@ class TestResidentSession:
         assert sum(s["mrblast.units"] for s in stats) > 0
 
     def test_idle_session_survives_on_keepalive_ticks(self, serve_workload):
-        import time
-
         alias_path, reads, options = serve_workload
         cfg = make_cfg(alias_path, options, idle_tick=0.02)
         session = ResidentBlastSession(cfg).start()
@@ -86,8 +88,6 @@ class TestResidentSession:
         # at start(), so a perfectly healthy resident session was
         # force-aborted once it had merely been *up* that long.  The budget
         # must only clock the shutdown drain after the stop sentinel.
-        import time
-
         alias_path, reads, options = serve_workload
         cfg = make_cfg(alias_path, options, session_budget=0.2)
         session = ResidentBlastSession(cfg).start()
@@ -242,9 +242,10 @@ def spans_inside_jobs(events):
 
 
 class TestPerJobPath:
-    """A service job reduces on rank 0: the ranks map, every worker's KV is
-    gathered to rank 0, and rank 0 alone groups and reduces it.  No shuffle
-    round, no collective and no barrier runs inside a job."""
+    """A service job reduces on rank 0: each unit's rows ride its completion
+    request to rank 0, which alone groups and reduces them once the map
+    retires.  No gather, no shuffle round, no collective and no barrier
+    runs inside a job."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_one_query_job_gathers_to_rank_0_and_runs_no_collective(
@@ -260,11 +261,142 @@ class TestPerJobPath:
         assert env.results.get(reads[0].id, b"") == oracle[reads[0].id]
         for rank in range(cfg.nprocs):
             inside = spans_inside_jobs(trace.tracer(rank).events)[0]
-            assert not {"mr.aggregate", "mpi.alltoall", "mpi.reduce",
+            assert not {"mr.gather", "mr.aggregate", "mpi.alltoall", "mpi.reduce",
                         "mpi.barrier"} & set(inside), (rank, inside)
-            assert inside.count("mr.gather") == 1, (rank, inside)
-        rank0 = spans_inside_jobs(trace.tracer(0).events)[0]
-        assert {"mr.convert", "mr.reduce"} <= set(rank0)
+            assert inside.count("mr.map") == 1, (rank, inside)
+            grouped = {"mr.convert", "mr.reduce"} & set(inside)
+            assert grouped == ({"mr.convert", "mr.reduce"} if rank == 0 else set()), (
+                rank, inside)
+
+
+def _unit_spans(events):
+    """``[(block, partition)]`` of every ``mrblast.unit`` span, in order."""
+    return [(attrs["block"], attrs["partition"])
+            for ph, _ts, _sid, name, _cat, attrs in events
+            if ph == "B" and name == "mrblast.unit"]
+
+
+class TestCompletionPages:
+    """Rank 0 keeps each unit's rows exactly once, whichever copies of it
+    ran and whoever died after sending them."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_cloned_unit_keeps_one_copy_of_its_rows(
+            self, split_workload, split_oracle, backend):
+        alias_path, reads, options = split_workload
+        # The first run of unit (0, 0) stalls until its chunk is overdue, so
+        # an idle worker runs a copy; both copies reach rank 0.
+        stalled = multiprocessing.get_context("fork").Value("b", 0)
+
+        def stall_once(item):
+            if item.block_index == 0 and item.partition_index == 0:
+                with stalled.get_lock():
+                    if stalled.value:
+                        return
+                    stalled.value = 1
+                time.sleep(0.6)
+
+        queries = tuple(reads[:4])
+        cfg = make_cfg(alias_path, options, nprocs=3, backend=backend,
+                       speculation_factor=2.0, unit_fault_injector=stall_once)
+        session = ResidentBlastSession(cfg).start()
+        try:
+            (env,) = run_jobs(session, [BlockJob(job_id=0, queries=queries)])
+        finally:
+            stats = session.stop()
+        assert stats[0]["sched.speculated_units"] >= 1
+        assert stats[0]["sched.wasted_units"] >= 1
+        for q in queries:
+            assert env.results.get(q.id, b"") == split_oracle[q.id]
+        # The wasted copy's rows were dropped on rank 0, not reduced twice.
+        assert env.kv_bytes == run_spmd(1, _kv_bytes_after_map, alias_path,
+                                        options, queries)[0]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_worker_lost_after_completing_units_has_them_redone_once(
+            self, split_workload, split_oracle, backend):
+        alias_path, reads, options = split_workload
+        # The first worker to start a unit of its second chunk dies there:
+        # its first chunk's rows are already on rank 0, accepted.
+        started = multiprocessing.get_context("fork").Value("b", 0)
+        units_here = {}
+
+        def die_in_second_chunk(item):
+            me = (os.getpid(), threading.get_ident())
+            units_here[me] = units_here.get(me, 0) + 1
+            if units_here[me] == 3:
+                with started.get_lock():
+                    if started.value:
+                        return
+                    started.value = 1
+                raise RankFailure(-1, -1)
+
+        queries = tuple(reads[:4])
+        cfg = make_cfg(alias_path, options, nprocs=3, degraded=True, backend=backend,
+                       unit_fault_injector=die_in_second_chunk)
+        trace = TraceSession(cfg.nprocs)
+        session = ResidentBlastSession(cfg, trace=trace).start()
+        try:
+            (env,) = run_jobs(session, [BlockJob(job_id=0, queries=queries)])
+        finally:
+            stats = session.stop()
+        (dead,) = env.lost_ranks
+        done_by_dead = _unit_spans(trace.tracer(dead).events)
+        assert len(done_by_dead) == 2  # its first chunk, rows sent
+        assert sum(attrs["hits"] for ph, _ts, _sid, name, _cat, attrs
+                   in trace.tracer(dead).events
+                   if ph == "E" and name == "mrblast.unit") > 0
+        survivors = [u for rank in range(cfg.nprocs) if rank != dead
+                     for u in _unit_spans(trace.tracer(rank).events)]
+        nparts = DatabaseAlias.load(alias_path).num_partitions
+        # Every unit ran once on the survivors, the dead rank's included.
+        assert sorted(survivors) == [(0, p) for p in range(nparts)]
+        assert stats[0]["sched.reassigned_units"] == len(done_by_dead) + 1
+        for q in queries:
+            assert env.results.get(q.id, b"") == split_oracle[q.id]
+        assert env.kv_bytes == run_spmd(1, _kv_bytes_after_map, alias_path,
+                                        options, queries)[0]
+
+
+class TestResidentPartitions:
+    """A resident rank maps a DB partition once and keeps it: a later
+    unit on that partition, in this job or the next, opens nothing."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_each_rank_opens_a_partition_at_most_once(
+            self, split_workload, split_oracle, backend, monkeypatch):
+        alias_path, reads, options = split_workload
+        opened = DatabaseAlias.open_partition
+
+        def traced_open(self, index):
+            current_tracer().instant("test.open_partition", cat="test", index=index)
+            return opened(self, index)
+
+        # Forked ranks inherit the patch; each rank's opens reach its trace.
+        monkeypatch.setattr(DatabaseAlias, "open_partition", traced_open)
+        cfg = make_cfg(alias_path, options, nprocs=3, backend=backend)
+        trace = TraceSession(cfg.nprocs)
+        session = ResidentBlastSession(cfg, trace=trace).start()
+        jobs = [BlockJob(job_id=i, queries=tuple(reads[2 * i:2 * i + 2])) for i in range(4)]
+        try:
+            envs = run_jobs(session, jobs)
+        finally:
+            stats = session.stop()
+        for env, job in zip(envs, jobs):
+            for q in job.queries:
+                assert env.results.get(q.id, b"") == split_oracle[q.id]
+        nparts = DatabaseAlias.load(alias_path).num_partitions
+        every = []
+        for rank in range(cfg.nprocs):
+            opens = [attrs["index"] for ph, _ts, _sid, name, _cat, attrs
+                     in trace.tracer(rank).events
+                     if ph == "i" and name == "test.open_partition"]
+            assert len(opens) == len(set(opens)), (rank, opens)
+            # A switch is still counted when it opens nothing.
+            assert stats[rank]["mrblast.partition_switches"] >= len(opens)
+            every += opens
+        assert set(every) == set(range(nparts))
+        assert sum(s["mrblast.partition_switches"] for s in stats) > len(every)
 
 
 class TestDegradedSession:
@@ -333,6 +465,7 @@ class TestDegradedSession:
 
     def test_worker_death_mid_batch_on_the_process_backend(
             self, serve_workload, oracle):
-        """The survivors' communicator is a shrunk one, and the root gather
-        crosses it with array pages: each must be read from its sender."""
+        """The survivors' communicator is a shrunk one, and completion
+        requests cross it with array pages: each must be read from its
+        sender."""
         self._worker_death_mid_batch(serve_workload, oracle, "process")
