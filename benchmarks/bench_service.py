@@ -6,11 +6,10 @@ ranks in two batching modes:
 
 - ``batch1`` — every query dispatches as its own MapReduce job (the
   behaviour a naive "wrap run_mrblast in a loop" service would have);
-- ``micro`` — queries coalesce into blocks sized by
-  :func:`~repro.serve.advise_batch_size` from the α/β machine model the
-  shuffle bench fitted (``BENCH_shuffle.json``), so the per-job fixed cost
-  (broadcast, dispatch epoch, the gather to rank 0 and its reduce) is
-  amortised over the block.
+- ``micro`` — queries coalesce into blocks of up to ``MICRO_BATCH``, so
+  the per-job fixed cost (the job broadcast, the rows riding the last
+  completion to rank 0, its reduce and the retiring reply) is amortised
+  over the block.
 
 Reported per run: sustained qps over the whole stream and the p50/p99
 submit→resolve latency.  The acceptance bar is the reason the service
@@ -19,17 +18,15 @@ coalesces at all: micro-batching must beat one-block-per-query on qps at
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.blast import BlastOptions, format_database
 from repro.bio import shred_records, synthetic_community, synthetic_nt_database
-from repro.serve import QueryService, ServeConfig, advise_batch_size, load_machine_model
-
-SHUFFLE_MODEL_PATH = Path(__file__).resolve().parents[1] / "BENCH_shuffle.json"
+from repro.serve import QueryService, ServeConfig
 
 N_QUERIES = 24
+MICRO_BATCH = 4
 RANK_COUNTS = (1, 4)
 
 
@@ -83,39 +80,15 @@ def _run_stream(alias_path, reads, options, nprocs, max_batch):
     }
 
 
-def _pilot_per_query_seconds(alias_path, reads, options):
-    """Serial cost of one query through the resident pipeline (measured)."""
-    cfg = ServeConfig(
-        alias_path=alias_path, nprocs=1, options=options, backend="thread",
-        max_batch=1, max_delay=0.0, idle_tick=0.02)
-    svc = QueryService(cfg).start()
-    try:
-        fut = svc.submit(reads[0])  # warmup: partition open + lookup build
-        svc.drain(timeout=60.0)
-        t0 = time.perf_counter()
-        for rec in reads[1:5]:
-            svc.submit(rec)
-        svc.drain(timeout=60.0)
-        per_query = (time.perf_counter() - t0) / 4
-        fut.result(timeout=0.0)
-    finally:
-        svc.close()
-    return per_query
-
-
 def test_service_micro_batching(tmp_path, print_table):
     alias_path, reads, options = _workload(tmp_path)
-    per_query_s = _pilot_per_query_seconds(alias_path, reads, options)
-    model = load_machine_model(str(SHUFFLE_MODEL_PATH), backend="thread")
 
     runs = {}
     for nprocs in RANK_COUNTS:
-        advised = max(4, advise_batch_size(
-            model, nprocs, per_query_s, max_batch=N_QUERIES // 2))
         runs[f"batch1@{nprocs}"] = _run_stream(
             alias_path, reads, options, nprocs, max_batch=1)
         runs[f"micro@{nprocs}"] = _run_stream(
-            alias_path, reads, options, nprocs, max_batch=advised)
+            alias_path, reads, options, nprocs, max_batch=MICRO_BATCH)
 
     rows = []
     for nprocs in RANK_COUNTS:

@@ -10,8 +10,8 @@ Layers (front to back):
 - :mod:`repro.serve.service` — :class:`QueryService`: async submit /
   future-based results, admission control, backpressure, crash restart
   with exactly-once delivery.
-- :mod:`repro.serve.coalescer` — deadline/size batching on an injected
-  clock, batch sizing advised by the measured α/β machine model.
+- :mod:`repro.serve.coalescer` — deadline/size/idle batching on an
+  injected clock, up to a fixed ``max_batch``.
 - :mod:`repro.serve.admission` — weighted-fair queueing, per-tenant
   quotas, watermark backpressure.
 - :mod:`repro.serve.session` — the resident rank loop itself.
@@ -24,13 +24,7 @@ from repro.serve.admission import (
     BackpressureGauge,
     FairQueue,
 )
-from repro.serve.coalescer import (
-    Coalescer,
-    QueryBatch,
-    Submission,
-    advise_batch_size,
-    load_machine_model,
-)
+from repro.serve.coalescer import Coalescer, QueryBatch, Submission
 from repro.serve.service import DeliveryLedger, QueryFuture, QueryService
 from repro.serve.session import (
     BlockJob,
@@ -52,8 +46,6 @@ __all__ = [
     "Coalescer",
     "Submission",
     "QueryBatch",
-    "advise_batch_size",
-    "load_machine_model",
     "AdmissionController",
     "AdmissionError",
     "BackpressureGauge",

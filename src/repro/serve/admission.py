@@ -175,7 +175,6 @@ class BackpressureGauge:
         self.high_bytes = high_bytes
         self.low_bytes = low_bytes
         self.engaged = False
-        self.engage_count = 0
         self.last_estimate = 0
 
     def update(self, estimate_bytes: int) -> str | None:
@@ -183,7 +182,6 @@ class BackpressureGauge:
         self.last_estimate = int(estimate_bytes)
         if not self.engaged and estimate_bytes >= self.high_bytes:
             self.engaged = True
-            self.engage_count += 1
             return "engage"
         if self.engaged and estimate_bytes < self.low_bytes:
             self.engaged = False

@@ -5,11 +5,10 @@ files through the service, waits for all of them to resolve and writes the
 per-query results — in submission order — to one output file::
 
     mrblast-serve --db outdir/mydb.pal.json --queries q.fasta \\
-        --np 4 --out results.tsv --max-batch 0
+        --np 4 --out results.tsv
 
-``--max-batch 0`` asks the α/β machine model recorded by the shuffle
-benchmark (``--machine-model``, default ``BENCH_shuffle.json`` when
-present) to advise the batch size; any positive value pins it.  The
+``--max-batch`` (default 8) caps the queries per dispatched block; a
+block forms only while the ranks are busy with the previous one.  The
 output is byte-identical, per query, to what a one-shot ``mrblast`` run
 would have produced for the same inputs.  ``--metrics PATH`` writes the
 service's metrics snapshot and every resident rank's, taken from the
@@ -20,14 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 
 from repro.blast.options import BlastOptions
 from repro.bio.fasta import read_fasta
-from repro.mpi.runtime import resolve_backend
 from repro.serve.admission import AdmissionError
-from repro.serve.coalescer import advise_batch_size, load_machine_model
 from repro.serve.service import DeliveryLedger, QueryService
 from repro.serve.session import ServeConfig
 
@@ -74,16 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--program", choices=["blastn", "blastp", "blastx"], default="blastn")
     ap.add_argument("--evalue", type=float, default=10.0)
     ap.add_argument("--max-hits", type=int, default=500)
-    ap.add_argument("--max-batch", type=int, default=0,
-                    help="queries per dispatched block; 0 = advise from the "
-                         "machine model (or 8 when no model file is found)")
+    ap.add_argument("--max-batch", type=int, default=8,
+                    help="most queries per dispatched block")
     ap.add_argument("--max-delay", type=float, default=0.05,
                     help="longest a submission may wait for a fuller batch while "
                          "the ranks are busy, seconds (idle ranks get it at once)")
-    ap.add_argument("--machine-model", default="BENCH_shuffle.json",
-                    help="shuffle-bench JSON holding the fitted alpha/beta model")
-    ap.add_argument("--per-query-seconds", type=float, default=0.05,
-                    help="expected serial cost of one query (feeds batch advice)")
     ap.add_argument("--ledger", default=None, metavar="PATH",
                     help="delivery-ledger JSON enabling exactly-once resume "
                          "(results then also append to --out via the ledger)")
@@ -96,27 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the ``mrblast-serve`` console script."""
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     options = getattr(BlastOptions, args.program)(evalue=args.evalue, max_hits=args.max_hits)
-
-    max_batch = args.max_batch
-    advised = False
-    if max_batch < 1:
-        if os.path.isfile(args.machine_model):
-            model = load_machine_model(args.machine_model, backend=resolve_backend(args.backend))
-            max_batch = advise_batch_size(model, args.np, args.per_query_seconds)
-            advised = True
-        else:
-            max_batch = 8
-
     cfg = ServeConfig(
         alias_path=args.db,
         nprocs=args.np,
         options=options,
         backend=args.backend,
-        max_batch=max_batch,
+        max_batch=args.max_batch,
         max_delay=args.max_delay,
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        ap.error(str(exc))
     ledger = None
     if args.ledger:
         ledger = DeliveryLedger(args.ledger, args.out)
@@ -147,11 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         f"served {len(records)} queries in {elapsed:.2f}s "
         f"({len(records) / elapsed:.1f} qps) across {args.np} resident ranks"
     )
-    print(
-        f"batching: max_batch={max_batch}"
-        + (" (advised by machine model)" if advised else "")
-        + f", batches dispatched={service.stats['batches']}"
-    )
+    print(f"batching: max_batch={args.max_batch}, "
+          f"batches dispatched={service.stats['batches']}")
     print(f"{with_hits} queries with hits, {hit_lines} hit lines -> {args.out}")
     if service.stats["degraded_batches"]:
         print(f"degraded batches: {service.stats['degraded_batches']}")

@@ -14,43 +14,22 @@ when
   can only buy a bigger batch while the ranks are busy with the previous
   one; holding a query back from idle ranks is pure latency.
 
-Every method takes ``now`` explicitly; the coalescer never reads a wall
-clock and never sleeps, which is what lets the unit suite drive it on a
+Every method that forms batches takes ``now`` explicitly; the coalescer
+never reads a wall clock and never sleeps, which is what lets the unit suite drive it on a
 deterministic tick clock.
 
-Batch sizing is advised by the α/β machine model measured by the shuffle
-benchmark (``BENCH_shuffle.json``): a batch pays roughly
-``message rounds x α x nprocs`` of latency no matter how many queries it
-carries, so :func:`advise_batch_size` picks the smallest batch for which
-that fixed cost stays below a target fraction of the useful per-query work.
+``max_batch`` only caps a batch: the idle trigger already sizes batches
+to the load, because queries gather into one only while a job runs.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from repro.bio.seq import SeqRecord
-from repro.mpi.arena import resolve_arena_bytes
 from repro.serve.admission import FairQueue
 
-__all__ = [
-    "Submission",
-    "QueryBatch",
-    "Coalescer",
-    "load_machine_model",
-    "advise_batch_size",
-]
-
-#: Sequential message rounds a service job pays whatever its size, counted
-#: off a traced one-query job on 3 ranks: the job broadcast, the last
-#: completion, which carries its units' rows to rank 0 (the reducer), and
-#: the reply that retires the workers, sent as rank 0 starts to reduce.
-#: Workers start on their first unit without asking, no gather follows the
-#: map and no collective runs inside a job.
-JOB_MESSAGE_ROUNDS = 3
+__all__ = ["Submission", "QueryBatch", "Coalescer"]
 
 
 @dataclass(frozen=True)
@@ -94,8 +73,8 @@ class QueryBatch:
 class Coalescer:
     """Pure batching state machine over a weighted-fair tenant queue.
 
-    ``add`` and ``poll`` never block and never read a clock — the caller
-    supplies ``now``.  ``max_delay`` bounds how long a submission may wait
+    ``add`` and ``poll`` never block and never read a clock — ``poll``'s
+    caller supplies ``now``.  ``max_delay`` bounds how long a submission may wait
     for company *while the ranks are busy*; an idle service never waits
     (see :meth:`poll`).  Batches pop submissions in stride-scheduled fair
     order (see :class:`~repro.serve.admission.FairQueue`), so a saturating
@@ -120,19 +99,16 @@ class Coalescer:
         self._queue = FairQueue(weights)
         self._flush_at: dict[int, float] = {}
         self._next_batch_id = 0
-        self.batches_formed = 0
-        self.submissions_seen = 0
 
     @property
     def pending(self) -> int:
         """Number of submissions waiting to be batched."""
         return len(self._queue)
 
-    def add(self, submission: Submission, now: float) -> None:
-        """Enqueue one submission (``now`` only feeds bookkeeping)."""
+    def add(self, submission: Submission) -> None:
+        """Enqueue one submission."""
         self._queue.push(submission.tenant, submission)
         self._flush_at[submission.seq] = submission.flush_at(self.max_delay)
-        self.submissions_seen += 1
 
     def next_flush_at(self) -> float | None:
         """Earliest pending flush time, or None when nothing is pending."""
@@ -163,7 +139,6 @@ class Coalescer:
             reason=reason,
         )
         self._next_batch_id += 1
-        self.batches_formed += 1
         return batch
 
     def poll(self, now: float, idle: bool = False) -> list[QueryBatch]:
@@ -198,53 +173,3 @@ class Coalescer:
             batches.append(self._form_batch(now, "forced"))
         return batches
 
-
-def load_machine_model(path: str, backend: str = "thread") -> dict[str, float]:
-    """Read the α/β point-to-point model the shuffle bench fitted.
-
-    Returns ``{"alpha_s": latency per message in seconds, "bandwidth_bytes_s":
-    sustained bandwidth}`` for the given transport.  The process backend has
-    two entries — with and without the shared-memory arena — matching how
-    the bench measured it; ``$REPRO_MPI_ARENA_MB`` picks the one the
-    transport will run.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    if backend == "thread":
-        key = "thread"
-    elif backend == "process":
-        key = "process+arena" if resolve_arena_bytes() else "process"
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    model = data["machine_model"][key]
-    return {
-        "alpha_s": float(model["alpha_us"]) * 1e-6,
-        "bandwidth_bytes_s": float(model["bandwidth_mib_s"]) * 1024 * 1024,
-    }
-
-
-def advise_batch_size(
-    model: dict[str, float],
-    nprocs: int,
-    per_query_seconds: float,
-    message_rounds: int = JOB_MESSAGE_ROUNDS,
-    overhead_fraction: float = 0.1,
-    max_batch: int = 64,
-) -> int:
-    """Smallest batch that keeps dispatch overhead under the target fraction.
-
-    A batch pays a fixed latency cost of roughly ``message_rounds x alpha x
-    nprocs`` (rank 0 handles a message of every worker in each round)
-    regardless of how many queries it carries, while useful work scales
-    with the batch.
-    The advised size is the smallest ``b`` with ``fixed <=
-    overhead_fraction x b x per_query_seconds``, clamped to
-    ``[1, max_batch]`` — bigger batches only add queueing latency.
-    """
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-    if per_query_seconds <= 0 or overhead_fraction <= 0:
-        return max_batch
-    fixed = message_rounds * model["alpha_s"] * nprocs
-    advised = math.ceil(fixed / (overhead_fraction * per_query_seconds))
-    return max(1, min(advised, max_batch))

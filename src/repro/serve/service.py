@@ -163,9 +163,11 @@ class QueryService:
 
     The service is thread-safe: one re-entrant lock serialises
     :meth:`submit`, :meth:`pump`, :meth:`flush` and :meth:`close`, so
-    callers may submit from any thread while a background pump
-    (``start(pump_interval=...)``) schedules and resolves.  A pump that
-    waits does so with the lock released.
+    callers may submit from any thread while another thread pumps.  A pump
+    that waits does so with the lock released.  A session that fails more
+    than ``max_restarts`` times ends the service: the pump that finds it
+    rejects every outstanding future with the failure, closes intake and
+    raises.
     """
 
     def __init__(
@@ -201,8 +203,6 @@ class QueryService:
         self._closed = False
         self._bytes_per_query = 0.0
         self._lock = threading.RLock()
-        self._pump_thread: threading.Thread | None = None
-        self._pump_stop = threading.Event()
         #: set by submit(): ends an idle pump's wait at once
         self._wake = threading.Event()
         #: the service's own record (names in :mod:`repro.obs.metrics`)
@@ -226,51 +226,23 @@ class QueryService:
 
     # -- lifecycle -----------------------------------------------------
 
-    def start(self, pump_interval: float | None = None) -> "QueryService":
-        """Bring the rank session up; optionally run a background pump."""
+    def start(self) -> "QueryService":
+        """Bring the rank session up."""
         if self._session is None:
             self._session = self._factory()
-        if pump_interval is not None:
-            self._pump_stop.clear()
-            self._pump_thread = threading.Thread(
-                target=self._pump_forever, args=(pump_interval,),
-                name="serve-pump", daemon=True)
-            self._pump_thread.start()
         return self
 
-    def _pump_forever(self, interval: float) -> None:
-        while not self._pump_stop.is_set():
-            try:
-                self.pump(wait=interval)
-            except BaseException as exc:  # noqa: BLE001 - nobody above to catch
-                # An exception escaping pump() is terminal (e.g. restarts
-                # exceeded max_restarts).  Swallowing it would leave every
-                # outstanding future hanging until caller timeout with no
-                # indication of failure — fail them all loudly instead.
-                self._abort_service(exc)
-                return
-
-    def _abort_service(self, exc: BaseException) -> None:
-        """Terminal failure: stop intake and reject everything outstanding."""
-        with self._lock:
-            self._closed = True
-            for fut in list(self._futures.values()):
-                fut._reject(exc)
-            self._futures.clear()
-            self._inflight.clear()
-            self._tenant_pending.clear()
+    def _end(self, exc: BaseException) -> None:
+        """Close intake and reject every outstanding future with ``exc``."""
+        self._closed = True
+        for fut in self._futures.values():
+            fut._reject(exc)
+        self._futures.clear()
+        self._inflight.clear()
+        self._tenant_pending.clear()
 
     def close(self, timeout: float = 60.0) -> None:
         """Stop intake, shut the session down, reject unresolved futures."""
-        self._closed = True
-        # Stop the pump thread before taking the lock: it may be inside a
-        # pump() holding the lock right now, and it must never find the
-        # lock held by close() for the whole session teardown.
-        if self._pump_thread is not None:
-            self._pump_stop.set()
-            self._wake.set()
-            self._pump_thread.join(timeout=5.0)
-            self._pump_thread = None
         with self._lock:
             if self._session is not None:
                 try:
@@ -279,11 +251,7 @@ class QueryService:
                 except BaseException:
                     pass
                 self._session = None
-            for fut in list(self._futures.values()):
-                fut._reject(AdmissionError("closed", "service shut down"))
-            self._futures.clear()
-            self._inflight.clear()
-            self._tenant_pending.clear()
+            self._end(AdmissionError("closed", "service shut down"))
 
     # -- intake --------------------------------------------------------
 
@@ -329,7 +297,7 @@ class QueryService:
             fut = QueryFuture(sub)
             self._futures[sub.seq] = fut
             self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
-            self._coalescer.add(sub, now)
+            self._coalescer.add(sub)
             self._count["submitted"].inc()
             if self._tracer.enabled:
                 self._tracer.instant(
@@ -361,15 +329,19 @@ class QueryService:
         return self._session
 
     def _restart(self) -> None:
-        """Replace a dead session and resubmit unresolved in-flight work."""
+        """Replace a dead session and resubmit unresolved in-flight work.
+
+        Past ``max_restarts`` the service ends instead (see the class
+        docstring) and the give-up error propagates to the caller.
+        """
         assert self._session is not None
         failure = self._session.failure
         restarts = self._count["restarts"]
         restarts.inc()
         if restarts.value > self.max_restarts:
-            raise RuntimeError(
-                f"session failed {int(restarts.value)} times; giving up"
-            ) from failure
+            exc = RuntimeError(f"session failed {int(restarts.value)} times; giving up")
+            self._end(exc)
+            raise exc from failure
         if self._tracer.enabled:
             self._tracer.instant(
                 "serve.restart", cat="serve", error=repr(failure),

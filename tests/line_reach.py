@@ -196,8 +196,7 @@ def roots(data: Path) -> list[tuple[str, list[str], dict]]:
             cmds.append((f"mrsom {backend} {' '.join(flags)}", mrsom + flags, {}))
         serve = [py, "-m", "repro.serve.cli", "--db", nt, "--queries", f"{d}/all.fasta",
                  "--np", "2", "--backend", backend, "--evalue", "1e-4"]
-        for flags in (["--max-batch", "0", "--machine-model", str(ROOT / "BENCH_shuffle.json")],
-                      ["--max-batch", "0"],
+        for flags in ([],
                       ["--max-batch", "4", "--ledger", "ledger.json"],
                       ["--metrics", "metrics.json"]):
             cmds.append((f"mrblast-serve {backend} {' '.join(flags)}", serve + flags, {}))

@@ -110,7 +110,9 @@ class TestBackpressureGauge:
         assert g.update(120) is None  # already engaged, no re-fire
         assert g.update(75) is None  # between watermarks: stays engaged
         assert g.update(49) == "release" and not g.engaged
-        assert g.engage_count == 1
+        # one engage per crossing: what the service's serve.backpressure_engages counts
+        transitions = [g.update(v) for v in (100, 120, 49, 100)]
+        assert transitions.count("engage") == 2
 
     def test_no_flapping_at_the_threshold(self):
         g = BackpressureGauge(high_bytes=100, low_bytes=50)

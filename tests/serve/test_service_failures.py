@@ -131,9 +131,10 @@ class TestSessionRestart:
 
     def test_background_pump_failure_rejects_outstanding_futures(
             self, serve_workload):
-        # Regression: the background pump used to swallow the terminal
-        # "restarts exhausted" error, leaving every outstanding future
-        # hanging until caller timeout with no indication of failure.
+        # Regression: a pump that gave up on the session used to leave
+        # every outstanding future hanging until caller timeout, and
+        # intake open.  Whoever pumps (here drain() on the caller) now
+        # fails them all with the error it raises, and closes intake.
         alias_path, reads, options = serve_workload
         cfg = make_cfg(alias_path, options, degraded=False, nprocs=2)
 
@@ -145,12 +146,14 @@ class TestSessionRestart:
         broken = dataclasses.replace(cfg, unit_fault_injector=always_crash)
         svc = QueryService(
             cfg, session_factory=lambda: ResidentBlastSession(broken).start(),
-            max_restarts=1).start(pump_interval=0.01)
+            max_restarts=1).start()
         try:
             fut = svc.submit(reads[0])
-            svc.flush()
-            with pytest.raises(RuntimeError, match="giving up"):
-                fut.result(timeout=120.0)
+            with pytest.raises(RuntimeError, match="giving up") as gave_up:
+                svc.drain(timeout=120.0)
+            with pytest.raises(RuntimeError) as rejected:
+                fut.result(timeout=0.0)
+            assert rejected.value is gave_up.value
             # Terminal: the service stopped intake too.
             from repro.serve.admission import AdmissionError
 

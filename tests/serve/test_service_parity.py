@@ -130,15 +130,22 @@ class TestConcurrentIntake:
         assert len(futures) == len(reads)
 
     def test_threaded_submits_with_background_pump(self, serve_workload, oracle):
-        # Regression: submit() on caller threads and pump() on the pump
+        # Regression: submit() on caller threads and pump() on another
         # thread used to mutate shared state with no locking.
         import threading
 
         alias_path, reads, options = serve_workload
         svc = make_service(alias_path, options, max_batch=2)
-        svc.start(pump_interval=0.005)
         futures = {}
         errors = []
+        stop = threading.Event()
+
+        def pumper():
+            try:
+                while not stop.is_set():
+                    svc.pump(wait=0.005)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
 
         def submitter(chunk):
             try:
@@ -147,11 +154,13 @@ class TestConcurrentIntake:
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
+        pump_thread = threading.Thread(target=pumper)
         threads = [
             threading.Thread(target=submitter, args=(reads[i::4],))
             for i in range(4)
         ]
         try:
+            pump_thread.start()
             for t in threads:
                 t.start()
             for t in threads:
@@ -160,7 +169,10 @@ class TestConcurrentIntake:
             for r in reads:
                 assert futures[r.id].result(timeout=120.0) == oracle[r.id]
         finally:
+            stop.set()
+            pump_thread.join()
             svc.close()
+        assert not errors, f"pump failed: {errors!r}"
 
 
 def _slow_unit(item):
@@ -236,3 +248,39 @@ class TestServeCli:
         assert service["serve.delivered"] == service["serve.latency_s"]["count"] == len(reads)
         assert [r["serve.jobs"] for r in ranks] == [service["serve.batches"]] * 2
         assert sum(r["mrblast.units"] for r in ranks) > 0
+
+    def test_default_batch_cap_does_not_depend_on_the_working_directory(
+            self, serve_workload, oracle, tmp_path, monkeypatch, capsys):
+        """Without ``--max-batch`` the cap is 8 wherever the CLI runs: the 8
+        queries are all submitted before the first pump, so they go out as
+        one job, with the same bytes from the repo root as from elsewhere."""
+        from pathlib import Path
+
+        from repro.bio.fasta import write_fasta
+        from repro.serve import cli
+
+        alias_path, reads, _options = serve_workload
+        fasta = tmp_path / "q.fasta"
+        write_fasta(reads, fasta)
+        repo_root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for where in (repo_root, tmp_path):
+            monkeypatch.chdir(where)
+            out = tmp_path / f"out{len(outputs)}.tsv"
+            assert cli.main([
+                "--db", alias_path, "--queries", str(fasta), "--np", "2",
+                "--backend", "thread", "--evalue", "1e-4", "--max-hits", "25",
+                "--out", str(out)]) == 0
+            assert "max_batch=8, batches dispatched=1\n" in capsys.readouterr().out
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == b"".join(oracle[r.id] for r in reads)
+
+    def test_a_zero_batch_cap_is_a_usage_error(self, serve_workload, tmp_path, capsys):
+        from repro.serve import cli
+
+        alias_path, _reads, _options = serve_workload
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["--db", alias_path, "--queries", str(tmp_path / "q.fasta"),
+                      "--max-batch", "0"])
+        assert caught.value.code == 2
+        assert "max_batch must be >= 1" in capsys.readouterr().err

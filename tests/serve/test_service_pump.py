@@ -52,11 +52,11 @@ class _GatedSession:
         return []
 
 
-def make_service(serve_workload, session, **kw):
+def make_service(serve_workload, session, clock=None, **kw):
     alias_path, _reads, _options = serve_workload
     cfg = ServeConfig(alias_path=alias_path, nprocs=2, backend="thread",
                       max_batch=4, max_delay=50.0, **kw)
-    return QueryService(cfg, clock=TickClock(), session_factory=lambda: session)
+    return QueryService(cfg, clock=clock or TickClock(), session_factory=lambda: session)
 
 
 def q(i):
@@ -208,18 +208,25 @@ class TestWaitingPumpHoldsNoLock:
 
     def test_background_pump_is_woken_by_submit(self, serve_workload):
         session = _GatedSession()
-        # One pump interval is far longer than this test may take: only a
-        # pump that submit() wakes can dispatch in time.
-        svc = make_service(serve_workload, session).start(pump_interval=60.0)
+        ticks, stepped = TickClock(), threading.Event()
+
+        def clock():
+            stepped.set()  # the pump's first step is under way
+            return ticks()
+
+        svc = make_service(serve_workload, session, clock=clock).start()
+        # One pump's wait is far longer than this test may take: only a
+        # pump that submit() wakes can return in time.
+        pumper = threading.Thread(target=svc.pump, kwargs={"wait": 60.0}, daemon=True)
         try:
+            pumper.start()
+            assert stepped.wait(10.0), "the pump never stepped"
             fut = svc.submit(q(0))
-            for _ in range(1000):
-                if session.jobs:
-                    break
-                threading.Event().wait(0.01)
-            assert len(session.jobs) == 1, "submit() did not wake the idle pump"
-            assert session.polling.wait(10.0)  # now blocked on the result queue
+            pumper.join(10.0)
+            assert not pumper.is_alive(), "submit() did not wake the idle pump"
+            assert len(session.jobs) == 1  # the woken pump dispatched q0
             session.finish()
-            assert fut.result(timeout=10.0) == b""
+            assert svc.pump() == 1
+            assert fut.result(timeout=0.0) == b""
         finally:
             svc.close()
