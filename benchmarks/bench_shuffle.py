@@ -76,7 +76,7 @@ RECORDED_PER_MESSAGE_MODEL = {"alpha_us": 313.5, "bandwidth_mib_s": 1186.1}
 VALUE_DTYPE = np.dtype(
     [("score", "<i8"), ("pos", "<i8"), ("bit", "<f8"), ("evalue", "<f8")]
 )
-SCHEMA = RecordSchema(key_dtype="S8", value_dtype=VALUE_DTYPE, key_kind="str")
+SCHEMA = RecordSchema(key_dtype="S8", value_dtype=VALUE_DTYPE)
 KEYTAB = np.array([f"q{k:06d}".encode() for k in range(N_KEYS)], dtype="S8")
 
 STAGES = ("map", "aggregate", "convert", "reduce")

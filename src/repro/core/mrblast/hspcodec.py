@@ -105,7 +105,6 @@ def hsp_schema(id_width: int = DEFAULT_ID_WIDTH) -> RecordSchema:
     return RecordSchema(
         key_dtype=f"S{id_width}",
         value_dtype=hsp_dtype(id_width),
-        key_kind="str",
         encode_values=lambda hsps: encode_hsps(hsps, id_width),
         decode_value=decode_hsp,
     )

@@ -12,8 +12,8 @@ Payloads cross under the transport's one contract (see
 of the payload as it was at the send, so a sender may reuse its buffers
 as soon as a send returns.  A rank's own share of ``gather`` and
 ``alltoall`` is not a message and comes back as the object it passed; the
-running value of ``reduce`` and ``scan`` starts as such a copy, so a
-result never aliases the caller's buffer.
+running value of ``reduce`` starts as such a copy, so a result never
+aliases the caller's buffer.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _TAG_REDUCE = -3
 _TAG_BARRIER = -4
 _TAG_GATHER = -5
 _TAG_ALLTOALL = -7
-_TAG_SCAN = -8
 
 
 def _payload_count(obj: Any) -> int:
@@ -354,17 +353,6 @@ class Comm:
             msg = self._match(source=ANY_SOURCE, tag=_TAG_ALLTOALL)
             out[msg.src] = msg.payload  # comm-local sender rank
         return out
-
-    @_traced_collective("scan")
-    def scan(self, sendobj: Any, op: Op = SUM) -> Any:
-        """Inclusive prefix reduction in rank order (linear chain)."""
-        value = snapshot(encode(sendobj))
-        if self._rank > 0:
-            prev = self._match(source=self._rank - 1, tag=_TAG_SCAN).payload
-            value = op(prev, value)
-        if self._rank < self.size - 1:
-            self._post(value, self._rank + 1, _TAG_SCAN)
-        return value
 
     # ------------------------------------------------------------ communicator ops
 

@@ -18,8 +18,8 @@ This port keeps the original object model and call sequence:
 - :class:`~repro.mrmpi.columnar.ColumnarKeyMultiValue` — (key, values)
   groups produced by ``convert``/``collate``.
 - :class:`~repro.mrmpi.schema.RecordSchema` — the column layout of a
-  dataset; :data:`~repro.mrmpi.schema.UNTYPED` (``schema=None``) takes any
-  canonical key and any picklable value.
+  dataset; keys are str, and :data:`~repro.mrmpi.schema.UNTYPED`
+  (``schema=None``) takes any str key and any picklable value.
 
 The paper's two applications use exactly this surface: BLAST uses
 ``map_items`` (master/worker) → ``collate`` → ``reduce``; the SOM uses

@@ -2,8 +2,8 @@
 
 Every KV/KMV dataset is a few contiguous arrays per page, described once
 by a :class:`~repro.mrmpi.schema.RecordSchema` (untyped data included: the
-:data:`~repro.mrmpi.schema.UNTYPED` schema stores canonical key bytes and
-pickled values):
+:data:`~repro.mrmpi.schema.UNTYPED` schema stores str keys and pickled
+values):
 
 - a **KV page** is a key column plus a value column (structured rows, or a
   ragged uint8 buffer + offsets);
@@ -24,13 +24,11 @@ emission order end to end.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from pickle import HIGHEST_PROTOCOL as _PROTOCOL, dumps as _dumps
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.mrmpi.hashing import canonical_key
-from repro.mrmpi.schema import RecordSchema, ragged_column
+from repro.mrmpi.schema import RecordSchema, check_key, ragged_column
 from repro.mrmpi.spool import PageSpool
 from repro.obs.trace import current_tracer
 
@@ -290,33 +288,29 @@ class ColumnarKeyValue:
         self._spool: PageSpool | None = None
         self._nkv = 0
         self.sorted_runs = True
-        #: untyped rows are staged encoded: canonical key, pickled value
-        self._untyped = schema.key_kind == "canonical"
+        # What a scalar add stages a row with: the ragged-value hook, and
+        # the key and value widths (0: the key's or value's own length).
+        ragged = schema.ragged_values
+        self._encode = schema.encode_values if ragged else None
+        self._key_width = schema.key_dtype.itemsize
+        self._value_width = 0 if ragged else schema.value_dtype.itemsize
 
     # ------------------------------------------------------------------ write
 
-    def add(self, key: Any, value: Any) -> None:
+    def add(self, key: str, value: Any) -> None:
         """Emit one pair (staged; sealed into a columnar batch lazily).
 
-        An untyped pair is encoded here, so a key with no canonical
-        encoding raises :func:`~repro.mrmpi.hashing.key_bytes`'s
-        ``TypeError`` when it is emitted, and nothing is staged.
+        A key :func:`~repro.mrmpi.schema.check_key` rejects raises here,
+        and nothing is staged.
         """
-        # Row-size accounting keeps scalar emitters inside the page budget:
-        # without it, a slow trickle of adds would stage thousands of rows
-        # past ``pagesize`` before the count-based seal fires.
-        schema = self.schema
-        if self._untyped:
-            key, value = canonical_key(key), _dumps(value, _PROTOCOL)
-            self._pending_bytes += len(key) + len(value)
-        elif schema.ragged_values:
-            # Staged encoded, as the untyped layout is: what is sized is
-            # what will be stored.
-            if schema.encode_values is not None:
-                (value,) = schema.encode_values([value])
-            self._pending_bytes += schema.key_dtype.itemsize + len(value)
-        else:
-            self._pending_bytes += schema.key_dtype.itemsize + schema.value_dtype.itemsize
+        if type(key) is not str or key[-1:] == "\x00":
+            check_key(key)
+        # Staged encoded, and sized as stored: without row-size accounting
+        # a slow trickle of adds would stage thousands of rows past
+        # ``pagesize`` before the count-based seal fires.
+        if self._encode is not None:
+            (value,) = self._encode([value])
+        self._pending_bytes += (self._key_width or len(key)) + (self._value_width or len(value))
         pending = self._pending_k
         pending.append(key)
         self._pending_v.append(value)
@@ -394,11 +388,7 @@ class ColumnarKeyValue:
         keys, values = self._pending_k, self._pending_v
         self._pending_k, self._pending_v = [], []
         self._pending_bytes = 0
-        if self._untyped:
-            self._append(np.array(keys, dtype="S"), ragged_column(values))
-            self._nkv += len(keys)
-        else:
-            self.add_batch(keys, ragged_column(values) if self.schema.ragged_values else values)
+        self.add_batch(keys, ragged_column(values) if self.schema.ragged_values else values)
 
     def _pop_buckets(self) -> Iterator[list[tuple[np.ndarray, Any]]]:
         """Hand over the non-empty resident buckets, ascending, and forget

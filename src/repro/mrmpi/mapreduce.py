@@ -17,8 +17,8 @@ Map styles (the ``mapstyle`` setting of the original library):
 One data plane: every KV/KMV dataset is **columnar** (array pages,
 vectorised shuffle hashing, sort-based grouping, binary spill), laid out by
 a :class:`~repro.mrmpi.schema.RecordSchema`.  A dataset nobody described is
-:data:`~repro.mrmpi.schema.UNTYPED`: canonical key bytes and pickled
-values, moved by the same code.  Per-phase seconds and traffic (pairs
+:data:`~repro.mrmpi.schema.UNTYPED`: str keys and pickled values, moved
+by the same code.  Per-phase seconds and traffic (pairs
 and exact array bytes) are written once, into :attr:`MapReduce.metrics`.
 """
 
@@ -130,8 +130,8 @@ class MapReduce:
     schema:
         Layout of the KV datasets (a
         :class:`~repro.mrmpi.schema.RecordSchema`); ``None`` (default) is
-        :data:`~repro.mrmpi.schema.UNTYPED`: any canonical key, any
-        picklable value.
+        :data:`~repro.mrmpi.schema.UNTYPED`: any str key, any picklable
+        value.
     metrics:
         The rank's :class:`~repro.obs.metrics.MetricsRegistry`, which
         receives ``mr.<phase>_s`` / ``_pairs`` / ``_bytes`` and the
@@ -500,8 +500,8 @@ class MapReduce:
         """Redistribute KV pairs so all copies of a key land on one rank.
 
         The destination rank of a key is its 64-bit FNV-1a hash modulo
-        ``nprocs`` (:func:`~repro.mrmpi.hashing.hash_key_column` of its
-        canonical encoding, whatever the schema).  The
+        ``nprocs`` (:func:`~repro.mrmpi.hashing.hash_key_column`, the same
+        for a key whatever the schema's column width).  The
         exchange runs in *rounds* of personalised
         all-to-alls, each staging at most ``exchange_bytes`` of outgoing
         pairs per rank (default: ``memsize`` or a few MiB, whichever is
@@ -549,7 +549,7 @@ class MapReduce:
         size = self.size
         round_idx = 0
         dest_of = lambda ks: (  # noqa: E731 - distinct keys -> destination ranks
-            hash_key_column(ks, schema.key_kind) % np.uint64(size)).astype(np.int64)
+            hash_key_column(ks) % np.uint64(size)).astype(np.int64)
         try:
             while True:
                 round_pairs = 0

@@ -3,11 +3,9 @@
 A :class:`RecordSchema` fixes, per dataset, how keys and values are laid
 out as numpy columns:
 
-- **keys** are one 'S' (bytes/str), int64 or float64 column.  The *logical*
-  kind ('bytes'/'str'/'int'/'float'/'canonical') is tracked separately from
-  the storage dtype so :func:`~repro.mrmpi.hashing.hash_key_column` hashes
-  the decoded key's canonical encoding: every schema places a key on the
-  same rank.
+- **keys** are str, stored as one 'S' column of their UTF-8 bytes (fixed
+  width, or set per batch when the schema's width is 0);
+  :func:`~repro.mrmpi.hashing.hash_key_column` places them.
 - **values** are either one structured (fixed-width) column — mrblast's HSP
   rows, mrsom's accumulator rows — or a ragged bytes column (one uint8
   buffer plus int64 offsets) when payloads have no fixed width.
@@ -16,10 +14,10 @@ Optional ``encode_values``/``decode_value`` hooks translate between
 application objects and rows at the dataset edge; everything between emit
 and reduce then moves as contiguous buffers.
 
-:data:`UNTYPED` is the schema of a dataset nobody described: any key
-:func:`~repro.mrmpi.hashing.key_bytes` can encode, stored as that encoding
-(kind 'canonical', width set per batch), and any picklable value, stored
-pickled in a ragged column.  It is what ``MapReduce(schema=None)`` means.
+:data:`UNTYPED` is the schema of a dataset nobody described: str keys in a
+column as wide as each batch needs, and any picklable value, pickled into
+a ragged column by its value hooks.  It is what ``MapReduce(schema=None)``
+means.
 """
 
 from __future__ import annotations
@@ -30,14 +28,10 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.mrmpi.hashing import canonical_key, key_from_bytes
-
-__all__ = ["RecordSchema", "RAGGED_BYTES", "UNTYPED", "ragged_column"]
+__all__ = ["RecordSchema", "RAGGED_BYTES", "UNTYPED", "check_key", "ragged_column"]
 
 #: Sentinel value dtype: variable-length bytes values (buffer + offsets).
 RAGGED_BYTES = "ragged_bytes"
-
-_KEY_KINDS = ("bytes", "str", "int", "float", "canonical")
 
 
 def _pickle_values(values: Sequence[Any]) -> list[bytes]:
@@ -53,14 +47,17 @@ def ragged_column(values: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(b"".join(values), dtype=np.uint8), offsets
 
 
-def _infer_kind(dtype: np.dtype) -> str:
-    if dtype.kind == "S":
-        return "bytes"
-    if dtype.kind in "iu":
-        return "int"
-    if dtype.kind == "f":
-        return "float"
-    raise ValueError(f"cannot infer key kind from dtype {dtype}")
+def check_key(key: Any) -> None:
+    """Raise unless ``key`` can be stored: ``TypeError`` for a key that is
+    not a str, ``ValueError`` for one ending in NUL, which an 'S' column
+    strips."""
+    if not isinstance(key, str):
+        raise TypeError(f"unsupported key type {type(key).__name__!r}; keys are str")
+    if key.endswith("\x00"):
+        raise ValueError(
+            f"key {key!r} has trailing NUL characters, which 'S' key columns "
+            f"cannot represent"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,18 +67,15 @@ class RecordSchema:
     Parameters
     ----------
     key_dtype:
-        Fixed-width numpy dtype of the key column ('S<w>', int64, float64);
-        a 'canonical' column is plain 'S', its width set by each batch.
+        'S<w>': the key column, each str key's UTF-8 bytes in ``w`` bytes;
+        plain 'S' sizes the column per batch.
     value_dtype:
         Structured/plain numpy dtype of the value column, or
         :data:`RAGGED_BYTES` for variable-length bytes values.
     key_kind:
-        Logical key type ('bytes', 'str', 'int', 'float'); inferred from
-        ``key_dtype`` when omitted ('S' storage defaults to 'bytes' — pass
-        'str' explicitly for text keys such as mrblast's query ids).
-        'canonical' keys are any :func:`~repro.mrmpi.hashing.key_bytes`
-        key, stored as :func:`~repro.mrmpi.hashing.canonical_key`: the
-        untyped layout, whose ragged values are always pickled.
+        Accepts only ``"str"``, the one key kind, and is kept so that
+        callers written when there were several still construct; it goes
+        when the benchmark suite, which passes it, next changes.
     encode_values / decode_value:
         Optional object↔row translators used at the dataset edge (scalar
         ``add``, iteration, reducers).  ``encode_values(values)`` returns a
@@ -91,28 +85,17 @@ class RecordSchema:
 
     key_dtype: Any
     value_dtype: Any
-    key_kind: Optional[str] = None
+    key_kind: str = "str"
     encode_values: Optional[Callable[[Sequence[Any]], np.ndarray]] = None
     decode_value: Optional[Callable[[Any], Any]] = None
 
     def __post_init__(self) -> None:
         kd = np.dtype(self.key_dtype)
+        if kd.kind != "S":
+            raise ValueError(f"key_dtype must be an 'S' column of str keys, got {kd}")
+        if self.key_kind != "str":
+            raise ValueError(f"key_kind must be 'str', got {self.key_kind!r}")
         object.__setattr__(self, "key_dtype", kd)
-        kind = self.key_kind
-        if kd.kind not in "Siuf" or (kd.itemsize == 0 and kind != "canonical"):
-            raise ValueError(f"key_dtype must be fixed-width S/int/float, got {kd}")
-        kind = kind or _infer_kind(kd)
-        if kind not in _KEY_KINDS:
-            raise ValueError(f"key_kind must be one of {_KEY_KINDS}, got {kind!r}")
-        if kind in ("str", "canonical") and kd.kind != "S":
-            raise ValueError(f"key_kind {kind!r} requires an 'S' key_dtype")
-        if kind == "canonical":
-            if not self.ragged_values or self.encode_values or self.decode_value:
-                raise ValueError("key_kind 'canonical' is the untyped layout: "
-                                 "RAGGED_BYTES values and no value hooks")
-            object.__setattr__(self, "encode_values", _pickle_values)
-            object.__setattr__(self, "decode_value", pickle.loads)
-        object.__setattr__(self, "key_kind", kind)
         if not self.ragged_values:
             object.__setattr__(self, "value_dtype", np.dtype(self.value_dtype))
 
@@ -122,43 +105,37 @@ class RecordSchema:
     def ragged_values(self) -> bool:
         return isinstance(self.value_dtype, str) and self.value_dtype == RAGGED_BYTES
 
-    def encode_keys(self, keys: Sequence[Any] | np.ndarray) -> np.ndarray:
-        """Build the key column; rejects keys wider than the schema."""
-        if self.key_kind == "canonical":
-            if isinstance(keys, np.ndarray):
-                keys = keys.tolist()
-            return np.array([canonical_key(k) for k in keys], dtype="S")
-        if isinstance(keys, np.ndarray) and keys.dtype == self.key_dtype:
-            return keys
-        if self.key_kind == "str":
-            encoded = [k.encode("utf-8") for k in keys]
-        elif self.key_kind == "bytes":
-            encoded = list(keys)
-        else:
-            arr = np.asarray(keys).astype(self.key_dtype)
-            return arr
+    def encode_keys(self, keys: Sequence[str] | np.ndarray) -> np.ndarray:
+        """Build the key column from str keys, or from an 'S' column of
+        their UTF-8 bytes; rejects keys wider than the schema."""
         width = self.key_dtype.itemsize
-        for k in encoded:
-            if len(k) > width:
-                raise ValueError(
-                    f"key {k!r} is {len(k)} bytes, wider than the schema's "
-                    f"{self.key_dtype} key column"
-                )
-            if k.endswith(b"\x00"):
-                raise ValueError(
-                    f"key {k!r} has trailing NUL bytes, which fixed-width 'S' "
-                    f"columns cannot represent; use the untyped schema"
-                )
+        if isinstance(keys, np.ndarray) and keys.dtype.kind == "S":
+            if width == 0:
+                return keys
+            if keys.dtype.itemsize <= width:
+                return keys.astype(self.key_dtype, copy=False)
+            encoded = keys.tolist()  # wider: the width check below decides
+        else:
+            keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+            try:
+                screened = "\x00" not in "".join(keys)  # no NUL anywhere
+            except TypeError:  # a key that is not a str
+                screened = False
+            if not screened:
+                for k in keys:
+                    check_key(k)
+            encoded = [k.encode("utf-8") for k in keys]
+        if width and max(map(len, encoded), default=0) > width:
+            k = next(k for k in encoded if len(k) > width)
+            raise ValueError(
+                f"key {k!r} is {len(k)} bytes, wider than the schema's "
+                f"{self.key_dtype} key column"
+            )
         return np.array(encoded, dtype=self.key_dtype)
 
-    def decode_keys(self, column: np.ndarray) -> list:
-        """A stored key column back to logical Python values, in one pass."""
-        raw = column.tolist()
-        if self.key_kind == "str":
-            return [k.decode("utf-8") for k in raw]
-        if self.key_kind == "canonical":
-            return [key_from_bytes(k[:-1]) for k in raw]
-        return raw
+    def decode_keys(self, column: np.ndarray) -> list[str]:
+        """A stored key column back to str keys, in one pass."""
+        return [k.decode("utf-8") for k in column.tolist()]
 
     # ---------------------------------------------------------------- values
 
@@ -184,5 +161,6 @@ class RecordSchema:
         return np.asarray(values, dtype=self.value_dtype)
 
 
-#: Any canonical key, any picklable value: ``MapReduce(schema=None)``.
-UNTYPED = RecordSchema("S", RAGGED_BYTES, key_kind="canonical")
+#: Any str key, any picklable value: ``MapReduce(schema=None)``.
+UNTYPED = RecordSchema("S", RAGGED_BYTES, encode_values=_pickle_values,
+                       decode_value=pickle.loads)

@@ -29,7 +29,6 @@ COLLECTIVES = {
     "gather": lambda comm: comm.gather(comm.rank, root=0),
     "allgather": lambda comm: comm.allgather(comm.rank),
     "alltoall": lambda comm: comm.alltoall([comm.rank] * comm.size),
-    "scan": lambda comm: comm.scan(comm.rank),
 }
 
 

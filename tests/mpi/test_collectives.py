@@ -120,15 +120,6 @@ def test_alltoall_transpose(size):
         assert results[dst] == [(src, dst) for src in range(size)]
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_scan_exscan(size):
-    def main(comm):
-        return comm.scan(comm.rank + 1)
-
-    results = run_spmd(size, main)
-    assert results == np.cumsum(np.arange(1, size + 1)).tolist()
-
-
 def test_numpy_reduce_and_bcast_buffers():
     def main(comm):
         send = np.full((3, 2), float(comm.rank + 1))

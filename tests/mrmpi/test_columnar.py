@@ -24,11 +24,11 @@ from repro.mrmpi.schema import RAGGED_BYTES, RecordSchema
 
 from oracles.fnv_hash import stable_hash
 
-INT_SCHEMA = RecordSchema(key_dtype="S12", value_dtype=np.dtype("<i8"), key_kind="str")
+INT_SCHEMA = RecordSchema(key_dtype="S12", value_dtype=np.dtype("<i8"))
 
 
-def ragged_schema(key_dtype="S12", key_kind="str"):
-    return RecordSchema(key_dtype=key_dtype, value_dtype=RAGGED_BYTES, key_kind=key_kind)
+def ragged_schema(key_dtype="S12"):
+    return RecordSchema(key_dtype=key_dtype, value_dtype=RAGGED_BYTES)
 
 
 # --------------------------------------------------------------------------
@@ -41,28 +41,7 @@ class TestHashKeyColumn:
     def test_str_keys_match_scalar_hash(self):
         keys = ["", "a", "key7", "x" * 11, "Ünïcode", "the quick"]
         col = np.array([k.encode("utf-8") for k in keys], dtype="S20")
-        hashed = hash_key_column(col, "str")
-        for k, h in zip(keys, hashed):
-            assert int(h) == stable_hash(k), k
-
-    def test_bytes_keys_match_scalar_hash(self):
-        keys = [b"", b"a", b"\x01\x02", b"deadbeef", b"\xff" * 9]
-        col = np.array(keys, dtype="S9")
-        hashed = hash_key_column(col, "bytes")
-        for k, h in zip(keys, hashed):
-            assert int(h) == stable_hash(k), k
-
-    def test_int_keys_match_scalar_hash(self):
-        keys = [0, 1, -1, 7, -7, 2**40, -(2**40), 2**62]
-        col = np.array(keys, dtype=np.int64)
-        hashed = hash_key_column(col, "int")
-        for k, h in zip(keys, hashed):
-            assert int(h) == stable_hash(k), k
-
-    def test_float_keys_match_scalar_hash(self):
-        keys = [0.0, -0.0, 1.5, -2.25, 1e300, 1e-300, 3.141592653589793]
-        col = np.array(keys, dtype="<f8")
-        hashed = hash_key_column(col, "float")
+        hashed = hash_key_column(col)
         for k, h in zip(keys, hashed):
             assert int(h) == stable_hash(k), k
 
@@ -70,7 +49,7 @@ class TestHashKeyColumn:
         # the masked per-byte sweep must stop at each key's own length
         keys = ["a", "ab", "abc", "abcd", "abcde"]
         col = np.array([k.encode() for k in keys], dtype="S5")
-        hashed = hash_key_column(col, "str")
+        hashed = hash_key_column(col)
         assert len(set(int(h) for h in hashed)) == len(keys)
         for k, h in zip(keys, hashed):
             assert int(h) == stable_hash(k)
@@ -88,7 +67,9 @@ class TestRecordSchema:
 
     def test_str_kind_requires_bytes_column(self):
         with pytest.raises(ValueError):
-            RecordSchema(key_dtype="<i8", value_dtype=np.dtype("<i8"), key_kind="str")
+            RecordSchema(key_dtype="<i8", value_dtype=np.dtype("<i8"))
+        with pytest.raises(ValueError, match="key_kind"):
+            RecordSchema(key_dtype="S8", value_dtype=np.dtype("<i8"), key_kind="int")
 
     def test_rejects_oversized_key(self):
         with pytest.raises(ValueError, match="wider"):
@@ -97,6 +78,24 @@ class TestRecordSchema:
     def test_rejects_trailing_nul_key(self):
         with pytest.raises(ValueError):
             INT_SCHEMA.encode_keys(["ok\x00"])
+
+    def test_bytes_columns_of_another_width(self):
+        """An 'S' key column narrower than the schema is widened; a wider
+        one is stored when every key fits, else raises the width error."""
+        narrow = np.array([b"a", b"bc"], dtype="S2")
+        assert INT_SCHEMA.encode_keys(narrow).dtype == np.dtype("S12")
+        assert INT_SCHEMA.decode_keys(INT_SCHEMA.encode_keys(narrow)) == ["a", "bc"]
+        fits = np.array([b"a", b"x" * 12], dtype="S20")
+        assert INT_SCHEMA.decode_keys(INT_SCHEMA.encode_keys(fits)) == ["a", "x" * 12]
+        with pytest.raises(ValueError, match="wider"):
+            INT_SCHEMA.encode_keys(np.array([b"x" * 13], dtype="S20"))
+        kv = ColumnarKeyValue(RecordSchema("S8", np.dtype("<i8")))
+        kv.add_batch(np.array([b"k1", b"k2"], dtype="S2"), [1, 2])
+        kv.add_batch(np.array([b"k333"], dtype="S10"), [3])
+        with pytest.raises(ValueError, match="wider"):
+            kv.add_batch(np.array([b"k123456789"], dtype="S10"), [4])
+        assert list(kv) == [("k1", 1), ("k2", 2), ("k333", 3)]
+        kv.close()
 
 
 # --------------------------------------------------------------------------
@@ -128,14 +127,14 @@ class TestColumnarKeyValue:
         ``len`` of its own (it used to size the value before encoding it)."""
         import pickle
 
-        schema = RecordSchema("<i8", RAGGED_BYTES,
+        schema = RecordSchema("S4", RAGGED_BYTES,
                               encode_values=lambda vs: [pickle.dumps(v) for v in vs],
                               decode_value=lambda row: pickle.loads(bytes(row)))
         one, batch = ColumnarKeyValue(schema), ColumnarKeyValue(schema)
-        for key, value in [(3, 7), (4, "x"), (5, None)]:
+        for key, value in [("3", 7), ("4", "x"), ("5", None)]:
             one.add(key, value)
-        batch.add_batch([3, 4, 5], [7, "x", None])
-        assert list(one) == list(batch) == [(3, 7), (4, "x"), (5, None)]
+        batch.add_batch(["3", "4", "5"], [7, "x", None])
+        assert list(one) == list(batch) == [("3", 7), ("4", "x"), ("5", None)]
         assert one.nbytes == batch.nbytes
         for (k1, v1), (k2, v2) in zip(one.iter_batches(), batch.iter_batches()):
             np.testing.assert_array_equal(k1, k2)
@@ -176,7 +175,7 @@ class TestColumnarKeyValue:
 
 
 # --------------------------------------------------------------------------
-# Sorted iteration: the external merge sort behind sort_keys / convert
+# Sorted iteration: the external merge sort behind convert
 # --------------------------------------------------------------------------
 
 

@@ -73,10 +73,10 @@ def _job(comm, nmap, unit, **map_kwargs):
     def mapper(itask, item, kv):
         unit(comm.rank, ran, itask)
         ran.append(itask)
-        kv.add(itask, item * 3)
+        kv.add(str(itask), item * 3)
 
     mr.map_items(list(range(nmap)), mapper, **map_kwargs)
-    out = (ran, sorted(mr.kv), mr.sched, comm.network.op_count(comm.global_rank))
+    out = (ran, sorted((int(k), v) for k, v in mr.kv), mr.sched, comm.network.op_count(comm.global_rank))
     mr.close()
     return out
 
@@ -297,14 +297,14 @@ class TestSingleLoopParity:
 
             def mapper(itask, item, kv):
                 keys_seen.append(item % 4)
-                kv.add(item % 7, item)
+                kv.add(str(item % 7), item)
 
             mr.map_items(list(range(60)), mapper,
                          locality_key=(lambda it: it % 4) if locality else None)
-            local = sorted(mr.kv)
+            local = sorted((int(k), v) for k, v in mr.kv)
             mr.collate()
             mr.reduce(lambda key, values, kv: kv.add(key, sorted(values)))
-            grouped = sorted(mr.kv)
+            grouped = sorted((int(k), v) for k, v in mr.kv)
             sched = mr.sched
             mr.close()
             switches = sum(a != b for a, b in zip(keys_seen, keys_seen[1:]))

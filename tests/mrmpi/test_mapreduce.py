@@ -119,7 +119,7 @@ def test_master_worker_with_fewer_units_than_workers():
 
     def main(comm):
         mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER)
-        counts = [mr.map_items(list(range(n)), lambda i, item, kv: kv.add(item, item))
+        counts = [mr.map_items(list(range(n)), lambda i, item, kv: kv.add(str(item), item))
                   for n in (1, 2, 1, 3)]
         mr.close()
         return counts
@@ -150,7 +150,7 @@ def test_static_styles_cover_all_tasks_exactly_once(style):
 def test_map_int_variant():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(range(10), lambda i, item, kv: kv.add(item % 2, item))
+        mr.map_items(range(10), lambda i, item, kv: kv.add(str(item % 2), item))
         n = mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, sorted(vs)))
         out = dict(mr.kv)
@@ -163,7 +163,7 @@ def test_map_int_variant():
     merged = {}
     for d in gathered:
         merged.update(d)
-    assert merged == {0: [0, 2, 4, 6, 8], 1: [1, 3, 5, 7, 9]}
+    assert merged == {"0": [0, 2, 4, 6, 8], "1": [1, 3, 5, 7, 9]}
 
 
 def test_collate_key_locality_and_determinism():
@@ -194,10 +194,10 @@ def test_gather_concentrates_pairs():
     """A ``to_root`` master/worker map ends with every pair on rank 0."""
     def main(comm):
         mr = MapReduce(comm)
-        n_local = mr.map_items(list(range(12)), lambda i, item, kv: kv.add(item, item),
+        n_local = mr.map_items(list(range(12)), lambda i, item, kv: kv.add(str(item), item),
                                to_root=True)
         counts = mr.comm.gather(n_local, root=0)
-        pairs = sorted(mr.kv) if comm.rank == 0 else None
+        pairs = sorted((int(k), v) for k, v in mr.kv) if comm.rank == 0 else None
         mr.close()
         return counts, pairs
 
@@ -215,13 +215,13 @@ def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
     workers in rank order; the second map cannot take the first one's
     messages.  The 3000-pair units outgrow the 32 KiB inline frame, so on
     the process backend pages cross in shared memory too.  "object" pairs
-    are untyped (``schema=None``), "columnar" ones an int64 schema."""
-    schema = RecordSchema(key_dtype=np.dtype("<i8"), value_dtype=np.dtype("<i8"),
-                          key_kind="int") if columnar else None
+    are untyped (``schema=None``), "columnar" ones an 'S8' key, int64 value
+    schema."""
+    schema = RecordSchema(key_dtype="S8", value_dtype=np.dtype("<i8")) if columnar else None
     sizes = [3, 3000, 1, 0, 40, 3000, 0, 7]
     probe = ColumnarKeyValue(UNTYPED if schema is None else schema)
     for j in range(3000):
-        probe.add(j, 1)
+        probe.add(str(j), 1)
     assert probe.nbytes > SHM_MIN_BYTES
 
     def main(comm):
@@ -233,7 +233,7 @@ def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
             def mapper(i, item, kv):
                 ran.append(i)
                 for j in range(sizes[i]):
-                    kv.add(i * 10_000 + j, round_)
+                    kv.add(str(i * 10_000 + j), round_)
 
             mr.map_items(range(len(sizes)), mapper, to_root=True)
             got = [(int(k), int(v)) for k, v in mr.kv] if comm.rank == 0 else None
@@ -250,7 +250,7 @@ def test_gather_pages_arrive_whole_and_in_sender_order(columnar, backend):
 def test_reduce_without_collate_raises():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(range(2), lambda i, item, kv: kv.add(i, i))
+        mr.map_items(range(2), lambda i, item, kv: kv.add(str(i), i))
         with pytest.raises(RuntimeError, match="KeyMultiValue"):
             mr.reduce(lambda k, vs, kv: None)
         mr.close()
@@ -262,7 +262,7 @@ def test_reduce_without_collate_raises():
 def test_timers_populated():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(range(4), lambda i, item, kv: kv.add(i, i))
+        mr.map_items(range(4), lambda i, item, kv: kv.add(str(i), i))
         mr.collate()
         mr.reduce(lambda k, vs, kv: kv.add(k, len(vs)))
         phases = set(mr.timers)

@@ -21,9 +21,9 @@ from repro.mrmpi import MapReduce, MapStyle, RecordSchema
 from oracles.fnv_hash import stable_hash
 
 NPROCS = 3
-TINY = 512  # bytes: int64-keyed pairs spill after a handful of rows
+TINY = 512  # bytes: pairs spill after a handful of rows
 
-SCHEMA = RecordSchema(key_dtype="S8", value_dtype=np.dtype("<i8"), key_kind="str")
+SCHEMA = RecordSchema(key_dtype="S8", value_dtype=np.dtype("<i8"))
 
 _rng = np.random.default_rng(123)
 KEYS = [f"k{_rng.integers(37):02d}" for _ in range(900)]  # pair j is (KEYS[j], j)

@@ -50,7 +50,7 @@ def test_all_values_arrive_exactly_once():
 def test_invalid_budget_rejected():
     def main(comm):
         mr = MapReduce(comm)
-        mr.map_items(range(2), lambda i, _, kv: kv.add(i, i))
+        mr.map_items(range(2), lambda i, _, kv: kv.add(str(i), i))
         with pytest.raises(ValueError):
             mr.aggregate(exchange_bytes=0)
         mr.close()

@@ -45,7 +45,7 @@ def _shuffle(comm, tasks, keytab, spool):
     def count(key, values):
         counts[int(key[1:])] = len(values)
 
-    schema = RecordSchema(key_dtype="S8", value_dtype=VALUE_DTYPE, key_kind="str")
+    schema = RecordSchema(key_dtype="S8", value_dtype=VALUE_DTYPE)
     with MapReduce(comm, memsize=MEMSIZE, mapstyle=MapStyle.CHUNK, schema=schema,
                    spool_dir=spool) as mr:
         mr.map_items(tasks, mapper)

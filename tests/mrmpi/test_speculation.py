@@ -32,11 +32,11 @@ def _spec_job(comm):
             time.sleep(0.8)
         else:
             time.sleep(0.01)
-        kv.add(itask, item * 2)
+        kv.add(str(itask), item * 2)
 
     mr.map_items(list(range(12)), mapper,
                  speculation=SpeculationPolicy(factor=2.0, warmup=3))
-    pairs = sorted(mr.kv) if mr.kv is not None else []
+    pairs = sorted((int(k), v) for k, v in mr.kv) if mr.kv is not None else []
     sched = mr.sched
     mr.close()
     return pairs, sched
@@ -47,10 +47,10 @@ def _degraded_job(comm):
 
     def mapper(itask, item, kv):
         time.sleep(0.01)
-        kv.add(itask, item)
+        kv.add(str(itask), item)
 
     mr.map_items(list(range(12)), mapper, degraded=True)
-    pairs = sorted(mr.kv) if mr.kv is not None else []
+    pairs = sorted((int(k), v) for k, v in mr.kv) if mr.kv is not None else []
     sched = mr.sched
     size_after = mr.comm.size
     lost = mr.lost_ranks
@@ -77,7 +77,7 @@ class TestSpeculation:
     def test_speculation_ignored_off_master_worker(self):
         def job(comm):
             mr = MapReduce(comm, mapstyle=MapStyle.CHUNK)
-            mr.map_items(list(range(8)), lambda i, item, kv: kv.add(i, item),
+            mr.map_items(list(range(8)), lambda i, item, kv: kv.add(str(i), item),
                          speculation=SpeculationPolicy())
             n = len(sorted(mr.kv))
             sched = mr.sched
@@ -121,7 +121,7 @@ class TestDegradedCompletion:
         def job(comm):
             mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER)
             mr.map_items(list(range(12)),
-                         lambda i, item, kv: (time.sleep(0.01), kv.add(i, item)))
+                         lambda i, item, kv: (time.sleep(0.01), kv.add(str(i), item)))
             out = sorted(mr.kv)
             mr.close()
             return out
@@ -168,14 +168,14 @@ class TestUnitHooks:
                     time.sleep(0.8)
                 else:
                     time.sleep(0.01)
-                kv.add(itask, item)
+                kv.add(str(itask), item)
 
         def job(comm):
             mr = MapReduce(comm, mapstyle=MapStyle.MASTER_WORKER)
             mapper = Mapper(comm)
             mr.map_items(list(range(12)), mapper,
                          speculation=SpeculationPolicy(factor=2.0, warmup=3))
-            out = sorted(mr.kv)
+            out = sorted((int(k), v) for k, v in mr.kv)
             sched = mr.sched
             mr.close()
             return out, mapper.committed, mapper.discarded, sched
@@ -197,17 +197,17 @@ class TestChunkStaging:
     """A speculative chunk stages into one store; kept units' rows move."""
 
     def test_only_the_kept_units_rows_leave_the_stage(self):
-        stage = ColumnarKeyValue(UNTYPED, pagesize=100)  # pages cut units
+        stage = ColumnarKeyValue(UNTYPED, pagesize=50)  # pages cut units
         ends = []
         for unit in range(5):
             for j in range(4):
-                stage.add((unit, j), unit * 10 + j)
+                stage.add(f"{unit}:{j}", unit * 10 + j)
             ends.append(len(stage))
         assert stage.spilled_pages > 1
         kv = ColumnarKeyValue(UNTYPED)
         for rows in _kept_rows(stage.iter_batches(), ends, [True, False, True, True, False]):
             kv.add_wire(rows)
-        assert list(kv) == [((u, j), u * 10 + j) for u in (0, 2, 3) for j in range(4)]
+        assert list(kv) == [(f"{u}:{j}", u * 10 + j) for u in (0, 2, 3) for j in range(4)]
 
     def test_a_chunk_stages_within_one_page(self):
         # Rank 1's first chunk is four units of ~3/8 of a page each.  Staged
@@ -215,7 +215,7 @@ class TestChunkStaging:
         rows = 200
 
         def emit(itask, kv):
-            kv.add_batch([(itask, j) for j in range(rows)], [b"x" * 40] * rows)
+            kv.add_batch([f"{itask}:{j}" for j in range(rows)], [b"x" * 40] * rows)
 
         probe = ColumnarKeyValue(UNTYPED)
         emit(0, probe)
@@ -234,7 +234,7 @@ class TestChunkStaging:
 
             mr.map_items(list(range(16)), mapper,
                          speculation=SpeculationPolicy(warmup=100))
-            out = sorted(k for k, _v in mr.kv)
+            out = [tuple(map(int, k.split(":"))) for k, _v in mr.kv]
             mr.close()
             return out, peak[0], len(stages)
 

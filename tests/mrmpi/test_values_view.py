@@ -36,11 +36,11 @@ def _hookless_values(i):
 #: shape -> (schema, value for row i, decoded value -> comparable object)
 SHAPES = {
     "hookless": (
-        RecordSchema("S8", ROW, key_kind="str"), _hookless_values,
+        RecordSchema("S8", ROW), _hookless_values,
         lambda v: (int(v["score"]), int(v["pos"]), float(v["bit"]))),
     "hsp": (hsp_schema(16), _hsp, lambda v: v),
     "ragged": (
-        RecordSchema("S8", RAGGED_BYTES, key_kind="str"),
+        RecordSchema("S8", RAGGED_BYTES),
         lambda i: b"payload-%d" % i * (i % 5), lambda v: v),
 }
 
@@ -104,7 +104,7 @@ def test_view_behaves_like_the_list_it_replaces(shape, tmp_path):
 def test_nothing_is_decoded_that_the_reducer_does_not_touch(tmp_path):
     decoded = []
     base = hsp_schema(16)
-    schema = RecordSchema(base.key_dtype, base.value_dtype, key_kind="str",
+    schema = RecordSchema(base.key_dtype, base.value_dtype,
                           encode_values=base.encode_values,
                           decode_value=lambda row: decoded.append(1) or base.decode_value(row))
     kv = ColumnarKeyValue(schema)

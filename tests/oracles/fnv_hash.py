@@ -7,10 +7,6 @@ key lands on the same rank whichever schema carries it.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.mrmpi.hashing import key_bytes
-
 __all__ = ["stable_hash"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -18,10 +14,10 @@ _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def stable_hash(key: Any) -> int:
-    """64-bit FNV-1a of the canonical key encoding (always non-negative)."""
+def stable_hash(key: str) -> int:
+    """64-bit FNV-1a of ``b"s"`` and the key's UTF-8 bytes (non-negative)."""
     h = _FNV_OFFSET
-    for byte in key_bytes(key):
+    for byte in b"s" + key.encode("utf-8"):
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK
     return h

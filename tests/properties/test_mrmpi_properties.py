@@ -12,25 +12,34 @@ from repro.mpi import run_spmd
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema, mapreduce
 from repro.mrmpi.columnar import _RADIX_MIN, ColumnarKeyValue, convert_columnar, key_order
 from repro.mrmpi.schema import RAGGED_BYTES, UNTYPED
-from repro.mrmpi.hashing import canonical_key, hash_key_column, key_bytes
+from repro.mrmpi.hashing import hash_key_column
 
 from oracles.fnv_hash import stable_hash
 
-# Canonical key values: bytes, str, int, float, bool and shallow tuples.
-_scalar_keys = st.one_of(
-    st.binary(max_size=20),
-    st.text(max_size=20),
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.floats(allow_nan=False, allow_infinity=False, width=64),
-    st.booleans(),
-)
-keys = st.one_of(_scalar_keys, st.tuples(_scalar_keys, _scalar_keys))
+
+def _no_trailing_nul(key):
+    return not key.endswith("\x00")
+
+
+def _fill_to_8_bytes(chars):
+    """The longest prefix of ``chars`` within 8 UTF-8 bytes, padded with
+    ``x`` to exactly 8: the widest key an 8-byte radix code holds."""
+    key = ""
+    for c in chars:
+        if len((key + c).encode()) > 8:
+            break
+        key += c
+    return key + "x" * (8 - len(key.encode()))
+
+
+# Keys: multi-byte UTF-8, interior NULs, the empty key and keys of exactly
+# 8 bytes (one- to four-byte characters mixed).
+_eight_byte_keys = st.lists(st.sampled_from(["a", "\x00", "é", "€", "𝄞"]), max_size=8).map(
+    _fill_to_8_bytes)
+keys = st.one_of(st.text(max_size=20), st.just(""), _eight_byte_keys).filter(_no_trailing_nul)
 values = st.one_of(st.binary(max_size=40), st.integers(), st.text(max_size=20))
-
-
-def _exact(pairs):
-    """Pairs with keys as their encodings: ``True`` and ``1`` differ."""
-    return [(key_bytes(k), v) for k, v in pairs]
+_not_str = st.one_of(st.none(), st.binary(max_size=4), st.integers(), st.booleans(),
+                     st.floats(allow_nan=False), st.tuples(st.text(max_size=3), st.integers()))
 
 
 @given(st.lists(st.tuples(keys, values), max_size=60))
@@ -44,7 +53,7 @@ def test_out_of_core_kv_iterates_identically(pairs):
         big.add(k, v)
     for k, v in pairs:
         small.add(k, v)
-    assert _exact(big) == _exact(small) == _exact(pairs)
+    assert list(big) == list(small) == pairs
     assert len(big) == len(small) == len(pairs)
     small.close()
 
@@ -56,40 +65,57 @@ def test_convert_groups_every_value_exactly_once(pairs):
     for k, v in pairs:
         kv.add(k, v)
     kmv = convert_columnar(kv, pagesize=128)
-    regrouped: dict[bytes, list] = {}
+    regrouped: dict[str, list] = {}
     for key, vals in kmv:
-        kb = key_bytes(key)
-        assert kb not in regrouped, "key emitted twice"
-        regrouped[kb] = list(vals)
-    expected: dict[bytes, list] = {}
+        assert key not in regrouped, "key emitted twice"
+        regrouped[key] = list(vals)
+    expected: dict[str, list] = {}
     for k, v in pairs:
-        expected.setdefault(key_bytes(k), []).append(v)
+        expected.setdefault(k, []).append(v)
     assert regrouped == expected
     kmv.close()
 
 
-@given(st.lists(keys, max_size=50))
-@settings(max_examples=200, deadline=None)
-def test_canonical_key_column_hashes_and_decodes_like_the_keys(ks):
-    """The untyped key column: hashed element-wise equal to ``stable_hash``
-    (so every key lands where its scalar hash says), decoded to the keys."""
-    column = UNTYPED.encode_keys(ks)
-    assert hash_key_column(column, "canonical").tolist() == [stable_hash(k) for k in ks]
-    assert [key_bytes(k) for k in UNTYPED.decode_keys(column)] == [key_bytes(k) for k in ks]
+def _placed_keys(comm, ks, schema):
+    """The keys ``aggregate`` leaves on this rank, every rank emitting all."""
+    mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, schema=schema)
+    try:
+        mr.map_items(range(comm.size), lambda i, _, kv: kv.add_batch(ks, [b""] * len(ks)))
+        mr.aggregate()
+        return {k for k, _ in mr.kv}
+    finally:
+        mr.close()
 
 
-@given(keys, keys)
-@settings(max_examples=200, deadline=None)
-def test_key_encoding_injective_within_and_across_types(a, b):
-    """Different canonical keys must never share an encoding (hash inputs)."""
-    if key_bytes(a) == key_bytes(b):
-        # Only permissible when the keys are interchangeable as dict keys
-        # of the same encoded class (e.g. equal tuples).
-        assert type(a) is type(b) or (
-            isinstance(a, (int, bool)) and isinstance(b, (int, bool))
-        )
-        if not isinstance(a, tuple):
-            assert a == b or (a != a)  # NaN never reaches here (filtered)
+@given(st.lists(keys, min_size=1, max_size=40), st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_str_keys_hash_and_place_like_the_scalar_oracle(ks, nprocs, pad):
+    """A typed 'S<w>' column and the untyped one hash every key to its
+    scalar ``stable_hash``, decode it back, and ``aggregate`` puts it on
+    rank ``stable_hash % nprocs``."""
+    width = max(len(k.encode()) for k in ks) + pad
+    for schema in (RecordSchema(f"S{max(width, 1)}", RAGGED_BYTES), UNTYPED):
+        column = schema.encode_keys(ks)
+        assert hash_key_column(column).tolist() == [stable_hash(k) for k in ks]
+        assert schema.decode_keys(column) == ks
+        ranks = run_spmd(nprocs, _placed_keys, ks, schema, backend="thread")
+        assert {k: r for r, here in enumerate(ranks) for k in here} == {
+            k: stable_hash(k) % nprocs for k in ks}
+
+
+@given(_not_str, keys, st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_unstorable_keys_fail_at_emit(bad, key, nuls):
+    """A key that is not a str raises ``TypeError`` naming its type, a str
+    ending in NUL raises ``ValueError``, on both schemas, and nothing is
+    staged."""
+    for schema in (RecordSchema("S32", RAGGED_BYTES), UNTYPED):
+        kv = ColumnarKeyValue(schema)
+        with pytest.raises(TypeError, match=f"'{type(bad).__name__}'"):
+            kv.add(bad, b"")
+        with pytest.raises(ValueError, match="trailing NUL"):
+            kv.add(key + "\x00" * nuls, b"")
+        assert len(kv) == 0
 
 
 @given(keys)
@@ -105,8 +131,8 @@ def test_stable_hash_nonnegative_and_deterministic(k):
 @settings(max_examples=60, deadline=None)
 def test_hash_partitioning_is_a_function_of_key_only(ks, nprocs):
     """Same key -> same destination rank, whatever order it is seen in."""
-    first_pass = {key_bytes(k): stable_hash(k) % nprocs for k in ks}
-    second_pass = {key_bytes(k): stable_hash(k) % nprocs for k in reversed(ks)}
+    first_pass = {k: stable_hash(k) % nprocs for k in ks}
+    second_pass = {k: stable_hash(k) % nprocs for k in reversed(ks)}
     assert first_pass == second_pass
 
 
@@ -194,7 +220,7 @@ def test_key_order_constant_column_is_identity():
 _ROW = np.dtype([("rank", "<i8"), ("task", "<i8"), ("seq", "<i8")])
 _SUB = np.dtype([("rank", "<i8"), ("ts", "<i8", (2,))])
 # A float row with a subarray field, laid out like a batch-SOM class-sum
-# block: (rank, num[dim], denom) under an int64 unit-index key.
+# block: (rank, num[dim], denom) under a unit-index key.
 _ACC = np.dtype([("rank", "<i8"), ("num", "<f8", (8,)), ("denom", "<f8")])
 _NKEYS = 37
 _PER_TASK = 1500  # two tasks per rank: single-round batches take the radix path
@@ -258,7 +284,7 @@ class _Shape(NamedTuple):
     (rank, task, seq) values look like under its schema, who emits."""
 
     ids: Callable = _uniform
-    schema: RecordSchema = RecordSchema("S6", _ROW, key_kind="str")
+    schema: RecordSchema = RecordSchema("S6", _ROW)
     key_of: Callable = _str_key
     rows_of: Callable = _rows
     decode: Callable = _row_tuple
@@ -273,22 +299,20 @@ _SHAPES = {
     "const": _Shape(ids=lambda rng: np.full(_PER_TASK, 7)),
     "few": _Shape(ids=lambda rng: rng.integers(3, size=_PER_TASK)),  # fewer than buckets
     "silent": _Shape(emits=lambda rank, size: rank != size - 1),
-    "wide": _Shape(schema=RecordSchema("S64", _SUB, key_kind="str"),
+    "wide": _Shape(schema=RecordSchema("S64", _SUB),
                    key_of=lambda k: "query/%03d/" % k + "x" * 40,
                    rows_of=lambda rank, itask: _rows(rank, itask, _SUB),
                    decode=lambda v: (int(v["rank"]), int(v["ts"][0]), int(v["ts"][1]))),
-    "accum": _Shape(schema=RecordSchema(np.dtype("<i8"), _ACC, key_kind="int"),
-                    key_of=lambda k: k, rows_of=_acc_rows, decode=_acc_decode, order=int),
-    "int": _Shape(schema=RecordSchema(np.int64, RAGGED_BYTES),
-                  key_of=lambda k: (k - _NKEYS // 2) * (1 << 40), rows_of=_ragged,
-                  decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist()),
-                  order=int),
-    # No schema: mixed keys (a tuple with NULs, str, float) and tuple
-    # values, emitted one scalar add at a time.
+    "accum": _Shape(schema=RecordSchema("S4", _ACC), rows_of=_acc_rows, decode=_acc_decode),
+    "ragged": _Shape(schema=RecordSchema("S16", RAGGED_BYTES),
+                     key_of=lambda k: str((k - _NKEYS // 2) * (1 << 40)), rows_of=_ragged,
+                     decode=lambda v: tuple(np.frombuffer(v, dtype="<i8")[:3].tolist())),
+    # No schema: keys of every width up to 12 bytes (interior NULs, multi-
+    # byte UTF-8) and tuple values, emitted one scalar add at a time.
     "untyped": _Shape(schema=None,
-                      key_of=lambda k: ((b"q\x00", k), "k%03d" % k, k * 1.5)[k % 3],
+                      key_of=lambda k: ("q\x00%d" % k, "k%03d" % k, "é" * (k % 5) + str(k))[k % 3],
                       rows_of=lambda rank, itask: [(rank, itask, seq) for seq in range(_PER_TASK)],
-                      decode=lambda v: v, order=canonical_key),
+                      decode=lambda v: v),
 }
 
 
@@ -454,11 +478,11 @@ def _som_reduce_both_ways(comm, data, codebook, spool):
 
     value_dtype = np.dtype([("rank", "<i8"), ("num", "<f8", (dim,)), ("denom", "<f8")])
     mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, spool_dir=spool,
-                   schema=RecordSchema(np.dtype("<i8"), value_dtype, key_kind="int"))
+                   schema=RecordSchema("S4", value_dtype))
     rows = np.empty(k, dtype=value_dtype)
     rows["rank"], rows["num"], rows["denom"] = comm.rank, sums, counts
     try:
-        mr.map_items(range(comm.size), lambda itask, _, kv: kv.add_batch(np.arange(k, dtype=np.int64), rows))
+        mr.map_items(range(comm.size), lambda itask, _, kv: kv.add_batch(np.arange(k).astype("S4"), rows))
         mr.collate()
         moved = int(mr.metrics.value("mr.aggregate_pairs"))
 
@@ -471,6 +495,7 @@ def _som_reduce_both_ways(comm, data, codebook, spool):
         num, denom = np.zeros((k, dim)), np.zeros(k)
         for batches in comm.gather(list(mr.kv.iter_batches()), root=0) or []:
             for units, totals in batches:
+                units = units.astype(np.int64)
                 num[units], denom[units] = totals["num"], totals["denom"]
     finally:
         mr.close()
