@@ -8,22 +8,18 @@ and serve a stream of queries coalesced into query blocks.
 Layers (front to back):
 
 - :mod:`repro.serve.service` — :class:`QueryService`: async submit /
-  future-based results, admission control, backpressure, crash restart
-  with exactly-once delivery.
-- :mod:`repro.serve.coalescer` — deadline/size/idle batching on an
-  injected clock, up to a fixed ``max_batch``.
-- :mod:`repro.serve.admission` — weighted-fair queueing, per-tenant
-  quotas, watermark backpressure.
+  future-based results, a ``max_pending`` intake cap, backpressure, crash
+  restart with exactly-once delivery.
+- :mod:`repro.serve.coalescer` — one FIFO of submissions, batched on
+  max-delay/size/idle triggers on an injected clock, up to a fixed
+  ``max_batch``.
+- :mod:`repro.serve.admission` — the refusal type and the watermark
+  backpressure gauge.
 - :mod:`repro.serve.session` — the resident rank loop itself.
 - :mod:`repro.serve.cli` — the ``mrblast-serve`` console entry point.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionError,
-    BackpressureGauge,
-    FairQueue,
-)
+from repro.serve.admission import AdmissionError, BackpressureGauge
 from repro.serve.coalescer import Coalescer, QueryBatch, Submission
 from repro.serve.service import DeliveryLedger, QueryFuture, QueryService
 from repro.serve.session import (
@@ -46,8 +42,6 @@ __all__ = [
     "Coalescer",
     "Submission",
     "QueryBatch",
-    "AdmissionController",
     "AdmissionError",
     "BackpressureGauge",
-    "FairQueue",
 ]

@@ -35,9 +35,9 @@ def submit_all(service: QueryService, records) -> list:
 
     A plain ``[service.submit(r) for r in records]`` overruns the admission
     window as soon as ``len(records)`` exceeds ``max_pending`` (nothing
-    resolves between submits).  Here a refusal — capacity, tenant quota or
-    backpressure — runs scheduling steps until resolved queries free space,
-    then retries; only ``"closed"`` (service shut down) is terminal.
+    resolves between submits).  Here a refusal — capacity or backpressure —
+    runs scheduling steps until resolved queries free space, then retries;
+    only ``"closed"`` (service shut down) is terminal.
     Returns the futures in submission order.
     """
     futures = []

@@ -3,15 +3,15 @@
 :class:`QueryService` sits between callers and one
 :class:`~repro.serve.session.ResidentBlastSession`:
 
-- :meth:`QueryService.submit` gates each query through admission control
-  (global capacity, per-tenant weighted quota, backpressure) and parks it
-  in the coalescer; the returned :class:`QueryFuture` resolves to exactly
-  the outfmt-6 bytes a standalone ``run_mrblast`` would have produced for
-  that query.
+- :meth:`QueryService.submit` admits each query (the service is open,
+  backpressure is off, fewer than ``max_pending`` queries are unresolved)
+  and parks it in the coalescer's FIFO; the returned :class:`QueryFuture`
+  resolves to exactly the outfmt-6 bytes a standalone ``run_mrblast``
+  would have produced for that query.
 - :meth:`QueryService.pump` is the single scheduling step: drain result
   envelopes and resolve futures, then flush due batches from the coalescer
-  (weighted-fair order; at once when no job is in flight) and dispatch
-  them to the rank session.  All timing decisions read the injected
+  (arrival order; at once when no job is in flight) and dispatch them to
+  the rank session.  All timing decisions read the injected
   ``clock``, so tests drive the whole service on virtual time.
 - A session that dies (non-degraded rank failure) is restarted and every
   *unresolved* in-flight submission is resubmitted; the optional
@@ -41,7 +41,8 @@ from repro.bio.seq import SeqRecord
 from repro.core.checkpoint import atomic_write_json, read_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
-from repro.serve.admission import AdmissionController, AdmissionError, BackpressureGauge
+from repro.serve.admission import (
+    HIGH_WATERMARK, LOW_WATERMARK, AdmissionError, BackpressureGauge)
 from repro.serve.coalescer import Coalescer, QueryBatch, Submission
 from repro.serve.session import BlockJob, BlockResult, ResidentBlastSession, ServeConfig
 
@@ -185,18 +186,14 @@ class QueryService:
         self._factory = session_factory or (lambda: ResidentBlastSession(cfg).start())
         self._ledger = ledger
         self.max_restarts = max_restarts
-        self._coalescer = Coalescer(
-            max_batch=cfg.max_batch, max_delay=cfg.max_delay, weights=cfg.tenant_weights)
-        self._admission = AdmissionController(
-            max_pending=cfg.max_pending, weights=cfg.tenant_weights)
+        self._coalescer = Coalescer(max_batch=cfg.max_batch, max_delay=cfg.max_delay)
         budget = cfg.memsize * max(cfg.nprocs, 1)
         self._gauge = BackpressureGauge(
-            high_bytes=int(budget * cfg.high_watermark),
-            low_bytes=int(budget * cfg.low_watermark),
+            high_bytes=int(budget * HIGH_WATERMARK),
+            low_bytes=int(budget * LOW_WATERMARK),
         )
         self._session: ResidentBlastSession | None = None
         self._futures: dict[int, QueryFuture] = {}
-        self._tenant_pending: dict[str, int] = {}
         self._inflight: dict[int, tuple[Submission, ...]] = {}
         self._next_seq = 0
         self._next_job_id = 0
@@ -239,7 +236,6 @@ class QueryService:
             fut._reject(exc)
         self._futures.clear()
         self._inflight.clear()
-        self._tenant_pending.clear()
 
     def close(self, timeout: float = 60.0) -> None:
         """Stop intake, shut the session down, reject unresolved futures."""
@@ -261,18 +257,8 @@ class QueryService:
     def _estimate_bytes(self) -> int:
         return int(self._unresolved() * self._bytes_per_query)
 
-    def submit(
-        self,
-        query: SeqRecord,
-        tenant: str = "default",
-        deadline: float | None = None,
-    ) -> QueryFuture:
-        """Admit one query; returns its future or raises AdmissionError.
-
-        ``deadline`` is an absolute time on the service clock by which the
-        query must be flushed into a batch (it bounds queueing delay, not
-        total completion time).
-        """
+    def submit(self, query: SeqRecord) -> QueryFuture:
+        """Admit one query; returns its future or raises AdmissionError."""
         with self._lock:
             now = self._clock()
             if self._closed:
@@ -284,24 +270,19 @@ class QueryService:
                     "backpressure",
                     f"KV working-set estimate {self._gauge.last_estimate} >= "
                     f"{self._gauge.high_bytes}")
-            try:
-                self._admission.try_admit(
-                    tenant, self._unresolved(), self._tenant_pending.get(tenant, 0))
-            except AdmissionError:
+            if self._unresolved() >= self.cfg.max_pending:
                 self._count["rejected"].inc()
-                raise
-            sub = Submission(
-                seq=self._next_seq, query=query, tenant=tenant,
-                submitted_at=now, deadline=deadline)
+                raise AdmissionError(
+                    "capacity", f"{self._unresolved()}/{self.cfg.max_pending} pending")
+            sub = Submission(seq=self._next_seq, query=query, submitted_at=now)
             self._next_seq += 1
             fut = QueryFuture(sub)
             self._futures[sub.seq] = fut
-            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
             self._coalescer.add(sub)
             self._count["submitted"].inc()
             if self._tracer.enabled:
                 self._tracer.instant(
-                    "serve.submit", cat="serve", seq=sub.seq, tenant=tenant,
+                    "serve.submit", cat="serve", seq=sub.seq,
                     query=query.id, pending=self._unresolved())
             self._update_gauge()
             self._wake.set()
@@ -405,11 +386,6 @@ class QueryService:
             fut._resolve(data)
             self._count["delivered"].inc()
             self._latency.observe(self._clock() - sub.submitted_at)
-            left = self._tenant_pending.get(sub.tenant, 1) - 1
-            if left <= 0:
-                self._tenant_pending.pop(sub.tenant, None)
-            else:
-                self._tenant_pending[sub.tenant] = left
         self._update_gauge()
 
     def pump(self, now: float | None = None, wait: float = 0.0) -> int:

@@ -85,11 +85,8 @@ class ServeConfig(RuntimeConfig):
     #: longest a submission waits for a fuller batch while a job is in
     #: flight, seconds; with the ranks idle it is dispatched at once
     max_delay: float = 0.05
+    #: most queries admitted but not yet resolved; past it submit refuses
     max_pending: int = 256
-    tenant_weights: dict[str, float] = field(default_factory=dict)
-    #: backpressure watermarks as fractions of nprocs x memsize
-    high_watermark: float = 0.8
-    low_watermark: float = 0.5
 
     def validate(self) -> None:
         """The shared runtime checks plus the service's own (raises ValueError)."""
@@ -102,9 +99,8 @@ class ServeConfig(RuntimeConfig):
             raise ValueError(f"ServeConfig: max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay < 0:
             raise ValueError(f"ServeConfig: max_delay must be >= 0, got {self.max_delay}")
-        if not 0 < self.low_watermark <= self.high_watermark <= 1.0:
-            raise ValueError(
-                "ServeConfig: need 0 < low_watermark <= high_watermark <= 1.0")
+        if self.max_pending < 1:
+            raise ValueError(f"ServeConfig: max_pending must be >= 1, got {self.max_pending}")
 
 
 @dataclass(frozen=True)

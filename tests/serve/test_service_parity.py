@@ -1,7 +1,7 @@
 """Service/standalone parity: every interleaving, both backends, same bytes.
 
-The pinned property: whatever order queries arrive in, however tenants mix
-and wherever batch boundaries land, each :class:`QueryFuture` resolves to
+The pinned property: whatever order queries arrive in and wherever batch
+boundaries land, each :class:`QueryFuture` resolves to
 exactly the bytes a standalone single-query ``run_mrblast`` produces —
 including repeat submissions of the same query and queries with no hits.
 """
@@ -40,16 +40,11 @@ def thread_service(serve_workload):
 class TestSubmissionInterleavings:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(plan=st.lists(
-        st.tuples(st.integers(0, 7), st.sampled_from(["alice", "bob", "carol"])),
-        min_size=1, max_size=12))
+    @given(plan=st.lists(st.integers(0, 7), min_size=1, max_size=12))
     def test_any_interleaving_matches_the_standalone_bytes(
             self, thread_service, serve_workload, oracle, plan):
         _alias, reads, _options = serve_workload
-        futures = [
-            (reads[qi].id, thread_service.submit(reads[qi], tenant=tenant))
-            for qi, tenant in plan
-        ]
+        futures = [(reads[qi].id, thread_service.submit(reads[qi])) for qi in plan]
         thread_service.drain(timeout=120.0)
         for qid, fut in futures:
             assert fut.result(timeout=0.0) == oracle[qid], (
@@ -187,10 +182,7 @@ class TestProcessBackendParity:
         alias_path, reads, options = serve_workload
         svc = make_service(alias_path, options, backend="process", nprocs=2)
         try:
-            futures = [
-                svc.submit(r, tenant=t)
-                for r, t in zip(reads[:6], ["a", "b", "a", "c", "b", "a"])
-            ]
+            futures = [svc.submit(r) for r in reads[:6]]
             svc.drain(timeout=180.0)
             for r, fut in zip(reads[:6], futures):
                 assert fut.result(timeout=0.0) == oracle[r.id]

@@ -177,8 +177,7 @@ class TestResidentSession:
         with pytest.raises(ValueError):
             make_cfg(alias_path, options, idle_tick=0.0).validate()
         with pytest.raises(ValueError):
-            make_cfg(alias_path, options, low_watermark=0.9,
-                     high_watermark=0.5).validate()
+            make_cfg(alias_path, options, max_pending=0).validate()
 
 
 class TestTraceBalanceAcrossJobs:
