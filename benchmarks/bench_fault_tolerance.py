@@ -96,7 +96,7 @@ def test_supervised_crash_resume_measured(tmp_path, print_table):
 
     full_ops = ops_rank1(config("probe-full"))
     half_ops = ops_rank1(
-        dataclasses.replace(config("probe-half"), stop_after_iterations=1)
+        dataclasses.replace(config("probe-half"), stop_after=1)
     )
     crash_op = (half_ops + full_ops) // 2
 

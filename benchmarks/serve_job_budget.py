@@ -161,7 +161,7 @@ def main():
                 assert env is not None and env.job_id == job_id
                 times[job_id] = (t0, time.perf_counter())
         finally:
-            session.stop()
+            session.stop(60.0)
 
     spans = [_job_spans(trace.tracer(rank).events) for rank in range(NPROCS)]
     rows, inside = [], Counter()

@@ -24,8 +24,7 @@ def run_serial_batch_som(config: MrSomConfig) -> np.ndarray:
     grid = config.grid
     sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
     codebook = init_codebook(grid, sample, method=config.init, seed_or_rng=config.seed)
-    sigmas = BatchSOM(grid, matrix.dim, initial_radius=config.initial_radius,
-                      final_radius=config.final_radius).radii(config.epochs)
+    sigmas = BatchSOM(grid, matrix.dim).radii(config.epochs)
     k = grid.n_units
     for sigma in sigmas:
         sums, counts = np.zeros((k, matrix.dim)), np.zeros(k)

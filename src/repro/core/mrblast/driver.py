@@ -46,6 +46,11 @@ __all__ = [
     "mrblast_supervised",
 ]
 
+#: a work unit whose map() raises is retried on this many supervised
+#: relaunches before being quarantined (skipped and reported) instead of
+#: killing the job forever
+POISON_ATTEMPTS = 3
+
 
 @dataclass
 class MrBlastConfig(RuntimeConfig, BatchConfig):
@@ -68,13 +73,6 @@ class MrBlastConfig(RuntimeConfig, BatchConfig):
     #: the paper's FIFO master is the batch default; True is the §V
     #: location-aware dispatch
     locality_aware: bool = field(default=False, kw_only=True)
-    #: stop after this many (additional) outer iterations — incremental
-    #: processing and the unit test hook for resume
-    stop_after_iterations: int | None = None
-    #: a work unit whose map() raises is retried on this many supervised
-    #: relaunches before being quarantined (skipped and reported) instead of
-    #: killing the job forever.  0 disables the poison ledger entirely.
-    poison_attempts: int = 3
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -82,20 +80,14 @@ class MrBlastConfig(RuntimeConfig, BatchConfig):
             raise ValueError("query_blocks must not be empty")
         if self.blocks_per_iteration < 0:
             raise ValueError("blocks_per_iteration must be >= 0")
-        if self.stop_after_iterations is not None and self.stop_after_iterations < 1:
-            raise ValueError("stop_after_iterations must be >= 1 when set")
 
     def validate(self) -> None:
-        """The shared runtime checks, plus: every query block non-empty, a
-        sane poison budget and a writable output directory."""
+        """The shared runtime checks, plus: every query block non-empty and a
+        writable output directory."""
         super().validate()
         for i, ids in enumerate(block_query_ids(self.query_blocks)):
             if not ids:
                 raise ValueError(f"MrBlastConfig: query block {i} is empty")
-        if self.poison_attempts < 0:
-            raise ValueError(
-                f"MrBlastConfig: poison_attempts must be >= 0, got {self.poison_attempts}"
-            )
         check_writable_dir(self.output_dir, "MrBlastConfig: output_dir")
 
 
@@ -141,14 +133,8 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
     os.makedirs(config.output_dir, exist_ok=True)
     output_path = os.path.join(config.output_dir, f"hits.rank{comm.rank:04d}.tsv")
     checkpoint = IterationCheckpoint(config.output_dir, comm.rank)
-    poison = (
-        PoisonList(
-            os.path.join(config.output_dir, "poison.json"),
-            quarantine_after=config.poison_attempts,
-        )
-        if config.poison_attempts > 0
-        else None
-    )
+    poison = PoisonList(os.path.join(config.output_dir, "poison.json"),
+                        quarantine_after=POISON_ATTEMPTS)
 
     # Checkpoint recovery: agree on the last iteration *every* rank finished,
     # then truncate this rank's output back to that point.
@@ -168,10 +154,9 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
         offsets, queries_log, hits_log = [], [], []
         # Fresh output file for this run; reducers append afterwards.
         open(output_path, "w").close()
-        if poison is not None and not config.resume and comm.rank == 0:
+        if not config.resume and comm.rank == 0:
             poison.clear()  # stale quarantine must not leak into a fresh run
-    if poison is not None:
-        comm.barrier()  # poison ledger settled before any rank reads it
+    comm.barrier()  # poison ledger settled before any rank reads it
 
     trc = comm.tracer
     if trc.enabled:
@@ -205,10 +190,7 @@ def run_mrblast(comm: Comm, config: MrBlastConfig) -> MrBlastResult:
         for iteration, first_block in enumerate(iteration_starts):
             if iteration < start_iteration:
                 continue
-            if (
-                config.stop_after_iterations is not None
-                and done_this_run >= config.stop_after_iterations
-            ):
+            if config.stop_after is not None and done_this_run >= config.stop_after:
                 break
             if trc.enabled:
                 trc.begin("mrblast.iteration", cat="driver",

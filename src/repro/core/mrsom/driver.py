@@ -51,8 +51,8 @@ from repro.som.codebook import SOMGrid, init_codebook
 
 __all__ = ["MrSomConfig", "MrSomResult", "run_mrsom", "mrsom_spmd", "mrsom_supervised"]
 
-#: rows sampled (from the start) for the linear initialisation and for the
-#: quantisation error ``track_error`` records: bounded cost on huge matrices
+#: rows sampled (from the start) for the linear initialisation: bounded cost
+#: on huge matrices
 INIT_SAMPLE_ROWS = 4096
 
 
@@ -65,7 +65,9 @@ class MrSomConfig(BatchConfig):
     direct ``MPI_Reduce`` per epoch, as in the paper's Fig. 2 ("No reduce()
     stage is used in this program"); the linear initialisation samples the
     first :data:`INIT_SAMPLE_ROWS` rows.  ``resume=True`` continues from the
-    last epoch committed in ``checkpoint_dir``.
+    last epoch committed in ``checkpoint_dir``.  The neighbourhood radius
+    is the paper's schedule, half the grid diagonal down to one cell
+    (:meth:`~repro.som.batch.BatchSOM.radii`).
     """
 
     matrix_path: str
@@ -74,16 +76,8 @@ class MrSomConfig(BatchConfig):
     block_rows: int = 40
     init: str = "linear"
     seed: int = 0
-    initial_radius: float | None = None
-    final_radius: float = 1.0
-    #: record per-epoch quantisation error on the master (over the init
-    #: sample) — convergence monitoring at bounded cost
-    track_error: bool = False
     #: directory for per-epoch codebook checkpoints (None = no checkpoints)
     checkpoint_dir: str | None = None
-    #: stop after this many (additional) epochs — incremental training and
-    #: the test hook for resume
-    stop_after_epochs: int | None = None
     #: only ``"mpi"``, the direct ``MPI_Reduce``.  Kept as a field because
     #: the gated benchmark suite (``benchmarks/suite/workloads.py``) passes
     #: ``reduce_mode="mpi"``; it goes when that suite next changes.
@@ -95,14 +89,12 @@ class MrSomConfig(BatchConfig):
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {self.block_rows}")
-        if self.stop_after_epochs is not None and self.stop_after_epochs < 1:
-            raise ValueError("stop_after_epochs must be >= 1 when set")
         if self.reduce_mode != "mpi":
             raise ValueError(f"reduce_mode must be 'mpi', got {self.reduce_mode!r}")
 
     def validate(self) -> None:
-        """The shared job checks, plus a readable matrix, a sane grid, init
-        and radius, and a writable checkpoint directory when one is set."""
+        """The shared job checks, plus a readable matrix, a sane grid and
+        init, and a writable checkpoint directory when one is set."""
         super().validate()
         if not os.path.isfile(self.matrix_path):
             raise ValueError(f"MrSomConfig: matrix_path {self.matrix_path!r} does not exist")
@@ -119,9 +111,6 @@ class MrSomConfig(BatchConfig):
             raise ValueError("MrSomConfig: SOM grid has no units")
         if self.init not in ("linear", "random"):
             raise ValueError(f"MrSomConfig: unknown init {self.init!r}")
-        if self.final_radius <= 0:
-            raise ValueError(
-                f"MrSomConfig: final_radius must be > 0, got {self.final_radius}")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("MrSomConfig: resume=True requires checkpoint_dir")
         if self.checkpoint_dir is not None:
@@ -134,8 +123,6 @@ class MrSomResult(RankResult):
 
     codebook: np.ndarray
     epochs: int
-    #: per-epoch quantisation error (rank 0 only, when track_error is set)
-    error_history: list[float] | None = None
     #: epoch this attempt resumed at
     resumed_from_epoch: int = 0
 
@@ -245,8 +232,10 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             start_epoch, codebook = loaded
             start_epoch = min(start_epoch, config.epochs)
         else:
-            sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
-            codebook = init_codebook(grid, sample, method=config.init, seed_or_rng=config.seed)
+            # the sample is a temporary: a name bound to it would hold its
+            # rows on rank 0 for the whole run
+            codebook = init_codebook(grid, matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n)),
+                                     method=config.init, seed_or_rng=config.seed)
             if checkpoint is not None and not config.resume:
                 checkpoint.clear()  # a fresh run must not resume stale state
     start_epoch = int(comm.bcast(start_epoch, root=0))
@@ -267,25 +256,17 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         # trace-derived total matches it bit-for-bit.
         trc.end(seconds=bcast_seconds)
 
-    sigmas = BatchSOM(grid, dim, initial_radius=config.initial_radius,
-                      final_radius=config.final_radius).radii(config.epochs)
+    sigmas = BatchSOM(grid, dim).radii(config.epochs)
     work = matrix.work_units(config.block_rows)
 
     speculation = config.speculation_policy()
     mr = MapReduce(comm, mapstyle=config.mapstyle, metrics=metrics)
     acc = _BlockAccumulator(matrix, metrics)
-    error_history: list[float] = []
-    sample = None
-    if config.track_error and comm.rank == 0:
-        sample = matrix.rows(0, min(INIT_SAMPLE_ROWS, matrix.n))
 
     epochs_done_this_run = 0
     try:
         for epoch in range(start_epoch, config.epochs):
-            if (
-                config.stop_after_epochs is not None
-                and epochs_done_this_run >= config.stop_after_epochs
-            ):
+            if config.stop_after is not None and epochs_done_this_run >= config.stop_after:
                 break
             epoch_sid = None
             if trc.enabled:
@@ -319,16 +300,10 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
             if trc.enabled:
                 trc.end(seconds=dt)
 
-            if comm.rank == 0:
-                if sample is not None:
-                    from repro.som.quality import quantization_error
-
-                    error_history.append(quantization_error(sample, codebook))
-                if checkpoint is not None:
-                    checkpoint.save(epoch + 1, codebook)
-                    if trc.enabled:
-                        trc.instant("checkpoint.commit", cat="driver",
-                                    epoch=epoch + 1)
+            if comm.rank == 0 and checkpoint is not None:
+                checkpoint.save(epoch + 1, codebook)
+                if trc.enabled:
+                    trc.instant("checkpoint.commit", cat="driver", epoch=epoch + 1)
             epochs_done_this_run += 1
             if trc.enabled:
                 trc.end(epoch_sid)
@@ -339,7 +314,6 @@ def run_mrsom(comm: Comm, config: MrSomConfig) -> MrSomResult:
         codebook=codebook,
         epochs=config.epochs,
         metrics=metrics.snapshot(),
-        error_history=error_history if comm.rank == 0 and config.track_error else None,
         resumed_from_epoch=start_epoch,
         lost_ranks=mr.lost_ranks,
     )

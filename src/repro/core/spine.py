@@ -83,6 +83,15 @@ class BatchConfig(JobConfig):
     #: chrome://tracing or Perfetto).  None disables tracing entirely —
     #: the zero-cost default.
     trace_path: str | None = None
+    #: stop after this many (additional) passes of the program's outer loop
+    #: (mrblast's iterations, mrsom's epochs): incremental processing, and a
+    #: run to resume from
+    stop_after: int | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.stop_after is not None and self.stop_after < 1:
+            raise ValueError(f"stop_after must be >= 1 when set, got {self.stop_after}")
 
 
 def check_writable_dir(path: str, what: str) -> None:

@@ -356,22 +356,6 @@ class Comm:
 
     # ------------------------------------------------------------ communicator ops
 
-    def split(self, color: int, key: int = 0) -> Optional["Comm"]:
-        """MPI_Comm_split: group ranks by ``color``, order by ``(key, rank)``.
-
-        Ranks passing ``color=None`` (MPI_UNDEFINED) get ``None`` back.
-        """
-        triples = self.allgather((color, key, self._rank))
-        if color is None:
-            return None
-        members = sorted(
-            (k, r) for (c, k, r) in triples if c == color
-        )  # (key, old rank) pairs
-        group_global = [self._group[r] for (_k, r) in members]
-        my_new_rank = next(i for i, (_k, r) in enumerate(members) if r == self._rank)
-        ctx = self._network.allocate_context(("split", self._context, color, tuple(group_global)))
-        return Comm(self._network, my_new_rank, group_global, context=ctx)
-
     def dup(self) -> "Comm":
         """Duplicate this communicator with an isolated context.
 

@@ -278,24 +278,30 @@ def run_spmd(
 # --------------------------------------------------------------- supervision
 
 
+#: each failed attempt doubles the supervisor's backoff ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this many seconds
+BACKOFF_MAX = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff for supervised relaunches."""
+    """Bounded exponential backoff for supervised relaunches:
+    ``backoff_base x BACKOFF_FACTOR^(n-1)`` seconds after failed attempt n,
+    capped at :data:`BACKOFF_MAX`."""
 
     max_attempts: int = 3
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_max < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff parameters must be non-negative (factor >= 1)")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
 
     def backoff(self, attempt: int) -> float:
         """Delay to sleep after failed attempt ``attempt`` (1-based)."""
-        return min(self.backoff_base * self.backoff_factor ** (attempt - 1), self.backoff_max)
+        return min(self.backoff_base * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
 
 
 @dataclass(frozen=True)

@@ -421,7 +421,7 @@ class TransportEndpoint(RankTelemetry):
             if not block:
                 return None
             raise DeadlockError(
-                f"rank {dst} timed out after {budget:.0f}s waiting for "
+                f"rank {dst} timed out after {budget:g}s waiting for "
                 f"(source={source}, tag={tag}, context={context})"
             )
         trc = self._tracers[dst]
@@ -435,8 +435,8 @@ class TransportEndpoint(RankTelemetry):
     def allocate_context(self, key: tuple) -> int:
         """Derive the context id for ``key`` without cross-rank state.
 
-        Every member of a context-creating collective (``split``, ``dup``,
-        ``shrink``) computes the same ``key``, so a stable hash of the key
+        Every member of a context-creating call (``dup``, ``shrink``)
+        computes the same ``key``, so a stable hash of the key
         is collectively agreed without a message or a shared counter.  Ids
         never collide with the world context (0) and collide with each
         other only at 2^-63 odds.

@@ -3,9 +3,10 @@
 The master (real or simulated) tracks every in-flight work unit here.  The
 policy is the classic late-binding speculation rule: once enough units have
 completed to trust the runtime distribution, any unit whose elapsed time
-exceeds ``factor x`` the running quantile (median by default) is a straggler
-and may be re-issued to an idle worker.  The first completion wins; the loser
-is discarded by unit id, so output never depends on which copy finished.
+exceeds ``factor x`` the running median is a straggler and may be re-issued
+to an idle worker, up to :data:`MAX_COPIES` live copies.  The first
+completion wins; the loser is discarded by unit id, so output never depends
+on which copy finished.
 
 Runtime quantiles use the P² algorithm (Jain & Chlamtac, CACM 1985): five
 markers updated in O(1) per observation, no history arrays, which matters at
@@ -21,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["P2Quantile", "SpeculationPolicy", "StragglerTracker", "SchedReport"]
+
+#: live copies a unit may have: the original and one speculative clone
+MAX_COPIES = 2
 
 
 class P2Quantile:
@@ -113,28 +117,19 @@ class SpeculationPolicy:
     """When to clone a straggling unit.
 
     A unit becomes a speculation candidate once ``warmup`` units have
-    completed (so the quantile is trustworthy), its elapsed time exceeds
-    ``factor x`` the running ``quantile`` of completed-unit durations, and it
-    has fewer than ``max_copies`` live copies.
+    completed (so the median is trustworthy), its elapsed time exceeds
+    ``factor x`` the running median of completed-unit durations, and it
+    has fewer than :data:`MAX_COPIES` live copies.
     """
 
     factor: float = 2.0
-    quantile: float = 0.5
     warmup: int = 3
-    min_elapsed: float = 0.0
-    max_copies: int = 2
 
     def __post_init__(self) -> None:
         if self.factor <= 1.0:
             raise ValueError(f"speculation factor must be > 1.0, got {self.factor}")
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
         if self.warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {self.warmup}")
-        if self.min_elapsed < 0.0:
-            raise ValueError(f"min_elapsed must be >= 0, got {self.min_elapsed}")
-        if self.max_copies < 2:
-            raise ValueError(f"max_copies must be >= 2, got {self.max_copies}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ class StragglerTracker:
 
     def __init__(self, policy: SpeculationPolicy | None = None) -> None:
         self.policy = policy
-        self.quantile = P2Quantile((policy or SpeculationPolicy()).quantile)
+        self.quantile = P2Quantile()
         # unit -> {worker: (hand-out time, medians to its start)} per live copy.
         self._running: dict[int, dict[int, tuple[float, int]]] = {}
         self._done: set[int] = set()
@@ -249,7 +244,7 @@ class StragglerTracker:
         med = self.quantile.value()
         if med is None:
             return None
-        return max(policy.factor * med, policy.min_elapsed)
+        return policy.factor * med
 
     def _clonable(self, exclude_worker: int | None = None):
         """``(unit, earliest estimated start)`` of in-flight units that may
@@ -258,7 +253,7 @@ class StragglerTracker:
         for unit, copies in self._running.items():
             if unit in self._done or not copies:
                 continue
-            if len(copies) >= self.policy.max_copies:
+            if len(copies) >= MAX_COPIES:
                 continue
             if exclude_worker is not None and exclude_worker in copies:
                 continue
@@ -280,7 +275,7 @@ class StragglerTracker:
         """The instant after which an in-flight unit is a :meth:`candidate`
         (strictly after: at exactly this time it is not one yet).
 
-        ``None`` when no unit can (speculation off, quantile not yet
+        ``None`` when no unit can (speculation off, median not yet
         trusted, or every in-flight unit already has its copies): only a
         completion can change that, never the clock.
         """

@@ -46,6 +46,7 @@ from repro.mpi.comm import Comm
 from repro.mpi.exceptions import MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import SpmdJob, resolve_backend
+from repro.mpi.transport import TransportEndpoint
 
 __all__ = [
     "ServeConfig",
@@ -62,9 +63,11 @@ class ServeConfig(RuntimeConfig):
 
     The shared runtime knobs of
     :class:`~repro.core.mrblast.pipeline.RuntimeConfig` plus the
-    service-side batching/intake parameters.  ``idle_tick`` must stay well
-    below the transport operation timeout: it is the cadence of rank 0's
-    keepalive broadcasts while the job queue is empty.
+    service-side batching/intake parameters.  ``idle_tick`` must stay below
+    the transport operation timeout
+    (:attr:`~repro.mpi.transport.TransportEndpoint.DEFAULT_OP_TIMEOUT`): it
+    is the cadence of rank 0's keepalive broadcasts while the job queue is
+    empty, and a worker waiting in that broadcast longer dies.
     """
 
     nprocs: int = 2
@@ -73,13 +76,6 @@ class ServeConfig(RuntimeConfig):
     degraded: bool = field(default=True, kw_only=True)
     #: keepalive cadence of the idle rank loop, seconds
     idle_tick: float = 0.25
-    #: transport operation timeout override (None = transport default)
-    op_timeout: float | None = None
-    #: join budget for the shutdown drain, seconds — the clock starts when
-    #: :meth:`ResidentBlastSession.stop` enqueues the stop sentinel, never
-    #: at session start (a resident session may legitimately serve, or
-    #: idle, for hours)
-    session_budget: float = 3600.0
     # ---- service-side intake/batching knobs -------------------------
     max_batch: int = 8
     #: longest a submission waits for a fuller batch while a job is in
@@ -93,8 +89,10 @@ class ServeConfig(RuntimeConfig):
         super().validate()
         if self.nprocs < 1:
             raise ValueError(f"ServeConfig: nprocs must be >= 1, got {self.nprocs}")
-        if self.idle_tick <= 0:
-            raise ValueError(f"ServeConfig: idle_tick must be > 0, got {self.idle_tick}")
+        if not 0 < self.idle_tick < TransportEndpoint.DEFAULT_OP_TIMEOUT:
+            raise ValueError(
+                f"ServeConfig: idle_tick must be > 0 and below the transport's "
+                f"{TransportEndpoint.DEFAULT_OP_TIMEOUT:g}s op timeout, got {self.idle_tick}")
         if self.max_batch < 1:
             raise ValueError(f"ServeConfig: max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay < 0:
@@ -279,7 +277,6 @@ class ResidentBlastSession:
             self.cfg.nprocs,
             serve_rank_main,
             (self.cfg, self._jobs_q, self._results_q, self._replies_q),
-            op_timeout=self.cfg.op_timeout,
             fault_plan=self.fault_plan,
             trace=self.trace,
             backend=self.backend,
@@ -295,10 +292,9 @@ class ResidentBlastSession:
             # No lifetime deadline: both engines' joins return as soon as a
             # rank dies, so crash detection stays prompt without one, and a
             # finite budget here would force-abort a perfectly healthy
-            # session once it had merely been *up* that long.  The
-            # ``session_budget`` join budget applies only to the shutdown
-            # drain and is enforced by :meth:`stop`, which aborts the
-            # transport if the ranks outlive it.
+            # session once it had merely been *up* that long.  A join
+            # budget applies only to the shutdown drain and is enforced by
+            # :meth:`stop`, which aborts the transport if the ranks outlive it.
             self._final_metrics = self._job.wait(float("inf"))
         except BaseException as exc:  # noqa: BLE001 - report anything
             self._failure = exc
@@ -364,23 +360,22 @@ class ResidentBlastSession:
         except queue.Empty:
             return None
 
-    def stop(self, timeout: float | None = None) -> list[dict | None] | None:
+    def stop(self, timeout: float) -> list[dict | None] | None:
         """Broadcast shutdown, join the ranks, return their last metrics
         snapshots (``None`` for a rank lost to degraded mode).
 
-        The join budget (``timeout``, defaulting to ``cfg.session_budget``)
-        runs from the shutdown sentinel enqueued here — a session that
-        served for hours still gets the full budget to drain.  Ranks that
-        outlive it are forcibly aborted and the stall is raised.
+        The join budget, ``timeout`` seconds, runs from the shutdown
+        sentinel enqueued here, never from session start — a session that
+        served, or idled, for hours still gets the full budget to drain.
+        Ranks that outlive it are forcibly aborted and the stall is raised.
         """
         if self._job is None:
             return None
-        budget = self.cfg.session_budget if timeout is None else timeout
         if not self._done.is_set():
             self._jobs_q.put(None)
-        if not self._done.wait(budget):
+        if not self._done.wait(timeout):
             err = MPIError(
-                f"resident session did not drain within {budget:.0f}s of "
+                f"resident session did not drain within {timeout:g}s of "
                 f"the shutdown sentinel")
             self._job.network.abort(err)
             self._done.wait(5.0)

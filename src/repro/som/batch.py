@@ -33,14 +33,13 @@ parallel and serial training are the same arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.som.bmu import best_matching_units
 from repro.som.codebook import STRIP_ELEMS, SOMGrid, init_codebook
 from repro.som.neighborhood import gaussian_kernel, radius_schedule
-from repro.som.quality import quantization_error
 
 __all__ = ["accumulate_classes", "smooth_classes", "accumulate_batch", "batch_update",
            "BatchSOM"]
@@ -168,8 +167,6 @@ class BatchSOM:
     initial_radius: float | None = None
     final_radius: float = 1.0
     codebook: np.ndarray | None = None
-    #: per-epoch quantization error, appended during train()
-    history: list[float] = field(default_factory=list)
 
     def _ensure_codebook(self, data: np.ndarray) -> np.ndarray:
         if self.codebook is None:
@@ -183,8 +180,7 @@ class BatchSOM:
             initial = max(self.grid.diagonal / 2.0, self.final_radius)
         return radius_schedule(initial, self.final_radius, epochs)
 
-    def train(self, data: np.ndarray, epochs: int = 10, track_error: bool = False
-              ) -> np.ndarray:
+    def train(self, data: np.ndarray, epochs: int = 10) -> np.ndarray:
         """Run ``epochs`` batch epochs; returns the trained codebook."""
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != self.dim:
@@ -196,7 +192,5 @@ class BatchSOM:
             accumulate_classes(data, codebook, sums, counts)
             num, denom = smooth_classes(self.grid, float(sigma), sums, counts)
             codebook = batch_update(codebook, num, denom)
-            if track_error:
-                self.history.append(quantization_error(data, codebook))
         self.codebook = codebook
         return codebook

@@ -6,17 +6,15 @@ matrix multiply; inputs are processed in chunks to bound the (chunk × K)
 distance matrix, which is how the full 10 000 × 2 500 × 500-D searches of
 Fig. 8 stay fast and memory-safe.
 
-Ties: the paper breaks BMU ties randomly.  The default here is the lowest
-index (deterministic — required for the parallel == serial parity tests and
-harmless statistically); pass an ``rng`` to get the paper's randomised
-tie-breaking.
+Ties go to the lowest index.  The paper breaks BMU ties randomly; that is
+not offered, because a deterministic tie-break is what makes parallel and
+serial training give the same codebook, and exact ties between float
+distances are rare enough not to matter statistically.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.util.rng import as_rng
 
 __all__ = ["pairwise_sq_distances", "best_matching_units"]
 
@@ -50,29 +48,17 @@ def best_matching_units(
     data: np.ndarray,
     codebook: np.ndarray,
     chunk: int = 2048,
-    rng: np.random.Generator | int | None = None,
     codebook_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """BMU index for every input row.
-
-    ``rng=None`` → deterministic lowest-index tie-breaking;
-    otherwise ties are broken uniformly at random (paper behaviour).
-    ``codebook_sq`` as in :func:`pairwise_sq_distances`.
-    """
+    """BMU index for every input row, ties to the lowest index;
+    ``codebook_sq`` as in :func:`pairwise_sq_distances`."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     out = np.empty(n, dtype=np.int64)
-    generator = None if rng is None else as_rng(rng)
     for start in range(0, n, chunk):
         block = data[start : start + chunk]
-        d2 = pairwise_sq_distances(block, codebook, codebook_sq)
-        if generator is None:
-            out[start : start + block.shape[0]] = np.argmin(d2, axis=1)
-        else:
-            mins = d2.min(axis=1, keepdims=True)
-            for r in range(block.shape[0]):
-                ties = np.nonzero(d2[r] <= mins[r] + 1e-12)[0]
-                out[start + r] = ties[generator.integers(0, ties.size)]
+        out[start : start + block.shape[0]] = np.argmin(
+            pairwise_sq_distances(block, codebook, codebook_sq), axis=1)
     return out

@@ -220,34 +220,6 @@ class TestClis:
         assert "trained 4x4 SOM" in capsys.readouterr().out
 
 
-class TestMrSomErrorTracking:
-    def test_error_history_recorded_and_decreasing(self, tmp_path):
-        from repro.core import MrSomConfig, mrsom_spmd
-        from repro.som.codebook import SOMGrid
-
-        data = np.random.default_rng(8).random((300, 6))
-        path = write_matrix_file(tmp_path / "t.mat", data)
-        config = MrSomConfig(
-            matrix_path=str(path), grid=SOMGrid(6, 6), epochs=8,
-            block_rows=50, track_error=True,
-        )
-        results = mrsom_spmd(3, config)
-        history = results[0].error_history
-        assert history is not None and len(history) == 8
-        assert history[-1] < history[0]
-        assert all(r.error_history is None for r in results[1:])
-
-    def test_no_tracking_by_default(self, tmp_path):
-        from repro.core import MrSomConfig, mrsom_spmd
-        from repro.som.codebook import SOMGrid
-
-        data = np.random.default_rng(9).random((100, 4))
-        path = write_matrix_file(tmp_path / "n.mat", data)
-        config = MrSomConfig(matrix_path=str(path), grid=SOMGrid(4, 4), epochs=2)
-        results = mrsom_spmd(2, config)
-        assert all(r.error_history is None for r in results)
-
-
 class TestDynamicCli:
     def test_mrblast_cli_dynamic_mode(self, tmp_path, capsys):
         from repro.bio import synthetic_community, synthetic_nt_database, shred_records

@@ -2,9 +2,11 @@
 construction in use still works, the shared checks run through one
 ``validate``, and both batch CLIs take the shared flags from one place."""
 
+import ast
 import dataclasses
 import os
 import pathlib
+import tomllib
 
 import numpy as np
 import pytest
@@ -18,11 +20,16 @@ from repro.core.mrsom.driver import MrSomConfig
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.core.spine import BatchConfig, JobConfig
 from repro.blast.hsp import HSP
+from repro.mpi.runtime import RetryPolicy
 from repro.mrmpi import MapStyle
+from repro.sched import SpeculationPolicy
 from repro.serve.session import ServeConfig
 from repro.som.codebook import SOMGrid
+from test_readme_snippets import python_blocks
 
+ROOT = pathlib.Path(__file__).parents[2]
 RECORDS = (JobConfig, BatchConfig, RuntimeConfig, MrBlastConfig, ServeConfig, MrSomConfig)
+POLICIES = (SpeculationPolicy, RetryPolicy)
 CONFIGS = (MrBlastConfig, ServeConfig, MrSomConfig)
 
 #: the only restatements of an inherited field: a one-line change of default
@@ -89,7 +96,7 @@ def test_no_two_records_declare_one_knob():
             seen[name] = cls.__name__
     # the knobs both programs take come from the spine records
     assert {"backend", "degraded", "speculation_factor"} <= _declared(JobConfig)
-    assert {"mapstyle", "resume", "trace_path"} <= _declared(BatchConfig)
+    assert {"mapstyle", "resume", "trace_path", "stop_after"} <= _declared(BatchConfig)
     assert issubclass(MrSomConfig, BatchConfig) and issubclass(MrBlastConfig, BatchConfig)
     assert not issubclass(ServeConfig, BatchConfig)
 
@@ -97,11 +104,91 @@ def test_no_two_records_declare_one_knob():
 def test_declared_field_count():
     declared = sum(len(_declared(cls)) for cls in RECORDS)
     # 66 when each config spelled the knobs out itself, 52 with mrsom's
-    # config restating the knobs it shares with mrblast
-    assert declared <= 46
-    for gone in ("columnar", "adaptive", "queries_per_wave", "arena_mb"):
+    # config restating the knobs it shares with mrblast, 42 before the
+    # knobs only tests set left
+    assert declared <= 35
+    for gone in ("columnar", "adaptive", "queries_per_wave", "arena_mb",
+                 "stop_after_iterations", "poison_attempts", "op_timeout",
+                 "session_budget", "stop_after_epochs", "track_error",
+                 "initial_radius", "final_radius"):
         for cls in CONFIGS:
             assert gone not in {f.name for f in dataclasses.fields(cls)}
+
+
+#: defaulted fields that stay though a program root may not set them, each
+#: with why
+CENSUS_ALLOWLIST = {
+    (RuntimeConfig, "hit_filter"): "the paper's self-hit exclusion (docs/PAPER_MAP.md)",
+    (RuntimeConfig, "unit_fault_injector"):
+        "the poison tests' failing unit, until unit-start fault events replace it",
+    (RuntimeConfig, "id_width"): "the only escape for ids wider than 64 bytes",
+    (RuntimeConfig, "memsize"): "MR-MPI's page size, the paper's one data-plane setting",
+    (SpeculationPolicy, "warmup"): "arms speculation on the tests' 3- to 8-unit jobs",
+    (MrSomConfig, "reduce_mode"): "the frozen benchmark suite passes it",
+}
+
+
+def _root_sources():
+    """``(label, source)`` of every program root: the console scripts with
+    the ``cli`` modules they import, the benchmarks (the frozen suite too),
+    the examples and the README's Python blocks."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    modules = [target.split(":")[0] for target in scripts.values()]
+    paths = set()
+    while modules:
+        path = ROOT / "src" / (modules.pop().replace(".", os.sep) + ".py")
+        if path in paths:
+            continue
+        paths.add(path)
+        modules += [node.module for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("repro.") and node.module.endswith(".cli")]
+    for folder in ("benchmarks", "examples"):
+        paths.update((ROOT / folder).rglob("*.py"))
+    sources = [(str(p.relative_to(ROOT)), p.read_text()) for p in sorted(paths)]
+    return sources + [(f"README block {i + 1}", code) for i, code in enumerate(python_blocks())]
+
+
+#: calls that set any record's fields: ``dataclasses.replace``, and the
+#: batch CLIs' shared knobs, gathered in a ``dict`` and passed on through
+#: ``make_config``
+ANY_RECORD = ("replace", "dict", "make_config")
+
+
+def _keywords_by_callee(sources):
+    """Callee name -> the keyword names the roots pass to it."""
+    passed = {}
+    for _label, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                passed.setdefault(name, set()).update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_settable_value_has_a_program_caller():
+    """The Options rule: a defaulted field of a config or policy record is
+    set by some program root (a keyword to the record, a record extending
+    it, or :data:`ANY_RECORD`), or is allowlisted with its reason; a knob
+    only tests turn is a constant instead."""
+    sources = _root_sources()
+    assert any(label.startswith("src/repro/core/cli") for label, _ in sources)
+    passed = _keywords_by_callee(sources)
+    unset = []
+    for cls in RECORDS + POLICIES:
+        callees = ANY_RECORD + tuple(c.__name__ for c in RECORDS + POLICIES if issubclass(c, cls))
+        for f in dataclasses.fields(cls):
+            if f.name not in _declared(cls) or (f.default is dataclasses.MISSING
+                                                and f.default_factory is dataclasses.MISSING):
+                continue
+            if ((cls, f.name) not in CENSUS_ALLOWLIST
+                    and not any(f.name in passed.get(c, ()) for c in callees)):
+                unset.append(f"{cls.__name__}.{f.name}")
+    for cls, name in CENSUS_ALLOWLIST:
+        assert name in _declared(cls), f"the allowlist names {cls.__name__}.{name}, which is gone"
+    assert not unset, f"set by no program root, only by tests: {sorted(unset)}"
 
 
 def test_defaults_that_differed_still_differ(workload, matrix, tmp_path):
@@ -299,7 +386,7 @@ def test_mrsom_cli_supervised_run_resumes(matrix, tmp_path, capsys):
 
 
 def test_the_launch_sequence_is_written_once():
-    core = pathlib.Path(__file__).parents[2] / "src" / "repro" / "core"
+    core = ROOT / "src" / "repro" / "core"
     text = "".join(p.read_text() for p in core.rglob("*.py"))
     for call in ("exported_trace(", "run_supervised(", "run_spmd(",
                  "result.faults_injected = ", "result.retries = "):

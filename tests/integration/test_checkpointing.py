@@ -44,7 +44,7 @@ class TestCheckpointResume:
         out = str(tmp_path / "resumable")
         partial = mrblast_spmd(3, MrBlastConfig(
             alias_path=alias, query_blocks=blocks, options=options,
-            output_dir=out, blocks_per_iteration=2, stop_after_iterations=1,
+            output_dir=out, blocks_per_iteration=2, stop_after=1,
         ))
         partial_hits = collect_rank_hits([r.output_path for r in partial])
         assert set(partial_hits) < set(full_hits)  # strictly fewer queries
@@ -72,7 +72,7 @@ class TestCheckpointResume:
         out = str(tmp_path / "trunc")
         mrblast_spmd(2, MrBlastConfig(
             alias_path=alias, query_blocks=blocks, options=options,
-            output_dir=out, blocks_per_iteration=2, stop_after_iterations=1,
+            output_dir=out, blocks_per_iteration=2, stop_after=1,
         ))
         victim = os.path.join(out, "hits.rank0000.tsv")
         with open(victim, "a") as fh:
@@ -114,4 +114,4 @@ class TestCheckpointResume:
         alias, blocks, options = workload
         with pytest.raises(ValueError):
             MrBlastConfig(alias_path=alias, query_blocks=blocks, options=options,
-                          stop_after_iterations=0)
+                          stop_after=0)

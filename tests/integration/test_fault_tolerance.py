@@ -35,6 +35,7 @@ from repro.core import (
     mrsom_supervised,
     run_mrblast,
 )
+from repro.core.mrblast.driver import POISON_ATTEMPTS
 from repro.core.mrsom.mmap_input import write_matrix_file
 from repro.core.mrblast.merge import collect_rank_hits
 from repro.mpi import CrashRank, FaultPlan, RankFailure, RetryPolicy
@@ -199,7 +200,7 @@ class TestSupervisedSomResume:
         ckdir = str(tmp_path / "ck")
         partial = mrsom_spmd(
             NPROCS,
-            self._som_config(matrix, checkpoint_dir=ckdir, stop_after_epochs=2),
+            self._som_config(matrix, checkpoint_dir=ckdir, stop_after=2),
         )
         assert not np.array_equal(partial[0].codebook, clean[0].codebook)
         resumed = mrsom_spmd(
@@ -237,18 +238,18 @@ class TestPoisonQuarantine:
                 workload,
                 out,
                 unit_fault_injector=injector,
-                poison_attempts=2,
             ),
             retry=FAST_RETRY,
         )
-        # Attempts 1 and 2 die on the unit; attempt 3 quarantines it.
+        # Attempts 1 to POISON_ATTEMPTS (3) die on the unit; attempt 4
+        # quarantines it.
         assert outcome.results is not None
-        assert outcome.retries == 2
-        assert [a.outcome for a in outcome.attempts] == ["error", "error", "ok"]
+        assert outcome.retries == POISON_ATTEMPTS == 3
+        assert [a.outcome for a in outcome.attempts] == ["error"] * 3 + ["ok"]
         assert sum(r.quarantined_units for r in outcome.results) == 1
         with open(out / "poison.json") as fh:
             ledger = json.load(fh)
-        assert ledger["b0:p0"]["failures"] == 2
+        assert ledger["b0:p0"]["failures"] == 3
 
         # The job reports the skip; everything else was still searched.
         merged = collect_rank_hits([r.output_path for r in outcome.results])

@@ -153,7 +153,7 @@ class TestDynamicChunking:
                 output_dir=str(tmp_path / "out"), memsize=4096,
                 blocks_per_iteration=2, locality_aware=True, backend=backend, **kw)
 
-        partial = mrblast_spmd(3, config(stop_after_iterations=1))
+        partial = mrblast_spmd(3, config(stop_after=1))
         assert sum(r.queries_written for r in partial) < len(reads)
         resumed = mrblast_spmd(3, config(resume=True))
         assert all(r.resumed_from_iteration == 1 for r in resumed)

@@ -147,36 +147,6 @@ def test_reduce_rank_order_for_noncommutative_combine():
         assert results[0] == list(range(size))
 
 
-@pytest.mark.parametrize("size", [2, 4, 6])
-def test_split_subcommunicators_are_isolated(size):
-    def main(comm):
-        sub = comm.split(color=comm.rank % 2, key=-comm.rank)
-        # key=-rank reverses the rank order inside each colour group.
-        total = sub.allreduce(comm.rank)
-        return (sub.rank, sub.size, total)
-
-    results = run_spmd(size, main)
-    evens = [r for r in range(size) if r % 2 == 0]
-    odds = [r for r in range(size) if r % 2 == 1]
-    for r, (sub_rank, sub_size, total) in enumerate(results):
-        group = evens if r % 2 == 0 else odds
-        assert sub_size == len(group)
-        assert total == sum(group)
-        # reversed order: highest old rank becomes sub-rank 0
-        assert sub_rank == sorted(group, reverse=True).index(r)
-
-
-def test_split_undefined_color_returns_none():
-    def main(comm):
-        sub = comm.split(color=None if comm.rank == 0 else 1)
-        if comm.rank == 0:
-            return sub is None
-        return sub.size
-
-    results = run_spmd(3, main)
-    assert results == [True, 2, 2]
-
-
 def test_dup_isolates_contexts():
     def main(comm):
         dup = comm.dup()

@@ -204,8 +204,9 @@ class TestSupervision:
         assert naps == [pytest.approx(0.01)]
 
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-        assert [policy.backoff(a) for a in (1, 2, 3)] == [0.1, 0.2, 0.3]
+        # doubles per failed attempt, capped at BACKOFF_MAX (2 s)
+        policy = RetryPolicy(backoff_base=0.5)
+        assert [policy.backoff(a) for a in (1, 2, 3, 4)] == [0.5, 1.0, 2.0, 2.0]
 
     def test_persistent_failure_exhausts_budget(self):
         def always_dies(comm):

@@ -139,7 +139,8 @@ class TestContract:
 
     def test_sub_communicators_carry_the_sender_payload(self, backend, n):
         def prog(comm):
-            sub = comm.split(color=comm.rank % 2, key=-comm.rank)
+            # two disjoint survivor groups, each shrunk past the other
+            sub = comm.shrink([r for r in range(comm.size) if r % 2 != comm.rank % 2])
             page = {"rank": comm.rank, "rows": np.full(n, float(comm.rank))}
             got = sub.allgather(page)
             if comm.rank == 0:
@@ -151,9 +152,9 @@ class TestContract:
                     [(r, float(a[0]), a.flags.writeable) for r, a in inbox])
 
         out = run_spmd(4, prog, backend=backend, op_timeout=30.0)
-        assert out[0] == ([2, 0], [2.0, 0.0])
+        assert out[0] == ([0, 2], [0.0, 2.0])
         for rank in (1, 2, 3):
-            order = [3, 1] if rank % 2 else [2, 0]
+            order = [1, 3] if rank % 2 else [0, 2]
             own = [(r, r * 10.0, r == rank) for r in (1, 2, 3)]
             assert out[rank] == (order, [float(r) for r in order], own)
 

@@ -58,33 +58,26 @@ class TestCollectivesSanity:
             assert out == [3.0] * 8
             assert cb == list(range(6))
 
-    def test_split_contexts_are_isolated(self):
-        def prog(comm):
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            total = sub.allreduce(comm.rank)
-            return total, sub.size
-
-        results = run_spmd(4, prog, backend="process", op_timeout=30.0)
-        assert results == [(2, 2), (4, 2), (2, 2), (4, 2)]
-
     def test_array_payloads_on_a_sub_communicator_come_from_their_sender(self):
         """Regression: an arena frame named its payload's segment by the
-        sender's rank in the communicator, so on a sub-communicator (a
-        split, or one shrunk past a dead rank) the receiver read another
-        rank's ring: an array Reduce over the survivors of a degraded map
-        summed the wrong rows."""
+        sender's rank in the communicator, so on a sub-communicator (one
+        shrunk past a dead rank) the receiver read another rank's ring: an
+        array Reduce over the survivors of a degraded map summed the wrong
+        rows."""
 
         def prog(comm):
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            mine = np.full(1000, float(comm.rank))
+            if comm.rank == 0:
+                return None
+            sub = comm.shrink([0])  # every survivor's rank moves down one
+            mine = np.full(SHM_MIN_BYTES, float(comm.rank))  # on the arena path
             out = np.empty_like(mine)
             sub.Reduce(mine, out, root=0)
             sub.Bcast(out, root=0)
-            page = sub.allgather((np.arange(3) + comm.rank,))
+            page = sub.allgather((np.full(SHM_MIN_BYTES, comm.rank),))
             return out[0], [int(p[0][0]) for p in page]
 
         results = run_spmd(4, prog, backend="process", op_timeout=30.0)
-        assert results == [(2.0, [0, 2]), (4.0, [1, 3]), (2.0, [0, 2]), (4.0, [1, 3])]
+        assert results == [None] + [(6.0, [1, 2, 3])] * 3
 
 
 class TestSharedMemoryPath:

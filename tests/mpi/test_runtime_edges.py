@@ -62,17 +62,6 @@ class TestCommEdges:
 
         assert run_spmd(1, main) == [(41, 41, 41)]
 
-    def test_split_of_split(self):
-        def main(comm):
-            half = comm.split(comm.rank // 2)  # {0,1}, {2,3}
-            quarter = half.split(half.rank % 2)  # singletons
-            return (half.size, quarter.size, quarter.allreduce(comm.rank))
-
-        results = run_spmd(4, main)
-        assert [r[0] for r in results] == [2, 2, 2, 2]
-        assert [r[1] for r in results] == [1, 1, 1, 1]
-        assert [r[2] for r in results] == [0, 1, 2, 3]
-
     def test_repeated_dup_contexts_isolated(self):
         def main(comm):
             d1 = comm.dup()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched import Dispatcher, SpeculationPolicy
-from repro.sched.speculation import StragglerTracker
+from repro.sched.speculation import MAX_COPIES, StragglerTracker
 
 from oracles.clocks import TickClock
 
@@ -104,7 +104,7 @@ class TestStragglerClock:
         assert tracker.next_due() == 4.0  # started at 0 + 2 medians, due 2 later
         assert tracker.candidate(3.5) is None  # the report may still come
         assert tracker.candidate(4.5) == 0  # then head first
-        tracker.assign(0, worker=3, now=4.5)  # cloned: max_copies reached
+        tracker.assign(0, worker=3, now=4.5)  # cloned: MAX_COPIES reached
         assert tracker.candidate(4.5) == 1
 
     def test_a_healthy_chunk_gets_no_copy_from_a_parked_peer(self):
@@ -147,7 +147,7 @@ class TestStragglerClock:
         # both are due 2 medians after the chunk's last unit's estimated
         # start, one median after hand-out.
         assert handed == [(4,), (5,), (6,), (7,), (0,), (1,)]
-        assert disp.tracker.next_due() is None  # both at max_copies
+        assert disp.tracker.next_due() is None  # both at MAX_COPIES
         disp.request(2, done, 8.0)
         assert disp.replies(8.0) == []
         disp.request(1, (0, 1), 9.0)  # the straggler's copies lose
@@ -240,10 +240,10 @@ def test_every_unit_completes_once_under_any_interleaving(
         for r in runners(unit):
             i = held[r].index(unit)
             assert all(a in accepted_by
-                       or len(disp.tracker.runners(a)) >= policy.max_copies
+                       or len(disp.tracker.runners(a)) >= MAX_COPIES
                        for a in held[r][:i])
             starts.append(handed_at[r] + (len(held[r]) - 1) * median)
-        assert now - min(starts) > max(policy.factor * median, policy.min_elapsed)
+        assert now - min(starts) > policy.factor * median
 
     def report(w, now):
         done = held.pop(w)

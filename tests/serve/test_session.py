@@ -17,8 +17,13 @@ from repro.core.mrblast.pipeline import BlastPipeline
 from repro.core.mrblast.reducer import MrBlastReducer
 from repro.mpi.exceptions import RankFailure
 from repro.mpi.runtime import run_spmd
+from repro.mpi.transport import TransportEndpoint
 from repro.obs.trace import TraceSession, current_tracer
 from repro.serve.session import BlockJob, ResidentBlastSession, ServeConfig
+
+
+#: join budget for a test session's shutdown drain, seconds
+DRAIN = 60.0
 
 
 def make_cfg(alias_path, options, **kw):
@@ -60,7 +65,7 @@ class TestResidentSession:
                 BlockJob(job_id=1, queries=tuple(reads[4:8])),
             ])
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
         assert [e.job_id for e in envs] == [0, 1]
         for env, queries in zip(envs, (reads[:4], reads[4:8])):
             for q in queries:
@@ -78,26 +83,26 @@ class TestResidentSession:
             envs = run_jobs(session, [BlockJob(job_id=0, queries=tuple(reads[:2]))])
             assert envs[0].results
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
         assert all(s["serve.ticks"] >= 1 for s in stats)
         assert not session.failed
 
     def test_session_budget_bounds_the_drain_not_the_lifetime(
             self, serve_workload, oracle):
-        # Regression: the watcher used to pass session_budget to the join
+        # Regression: the watcher used to pass the join budget to the join
         # at start(), so a perfectly healthy resident session was
         # force-aborted once it had merely been *up* that long.  The budget
         # must only clock the shutdown drain after the stop sentinel.
         alias_path, reads, options = serve_workload
-        cfg = make_cfg(alias_path, options, session_budget=0.2)
-        session = ResidentBlastSession(cfg).start()
+        budget = 0.2
+        session = ResidentBlastSession(make_cfg(alias_path, options)).start()
         try:
             time.sleep(0.5)  # several whole budget periods of healthy uptime
             assert not session.failed and not session.closed
             envs = run_jobs(session, [BlockJob(job_id=0, queries=(reads[0],))])
             assert envs[0].results.get(reads[0].id, b"") == oracle[reads[0].id]
         finally:
-            stats = session.stop(timeout=30.0)
+            stats = session.stop(budget)
         assert not session.failed
         assert stats is not None and all(s["serve.jobs"] == 1 for s in stats)
 
@@ -112,7 +117,7 @@ class TestResidentSession:
             live = session.rank_metrics(timeout=60.0)
             run_jobs(session, [BlockJob(job_id=1, queries=tuple(reads[3:5]))])
         finally:
-            final = session.stop()
+            final = session.stop(DRAIN)
         assert [s["serve.jobs"] for s in live] == [1, 1]
         assert [s["serve.jobs"] for s in final] == [2, 2]
         assert live[0]["mrblast.units"] == 0 < live[1]["mrblast.units"]  # rank 0 dispatches
@@ -133,7 +138,7 @@ class TestResidentSession:
             run_jobs(session, [BlockJob(job_id=1, queries=tuple(reads[3:5]))])
             fresh = session.rank_metrics(timeout=60.0)
         finally:
-            session.stop()
+            session.stop(DRAIN)
         assert [s["serve.jobs"] for s in fresh] == [2, 2]
 
     def test_rank_metrics_needs_a_running_session(self, serve_workload):
@@ -141,7 +146,7 @@ class TestResidentSession:
         session = ResidentBlastSession(make_cfg(alias_path, options))
         with pytest.raises(RuntimeError):
             session.rank_metrics()
-        session.start().stop()
+        session.start().stop(DRAIN)
         with pytest.raises(RuntimeError):
             session.rank_metrics()
 
@@ -151,7 +156,7 @@ class TestResidentSession:
         try:
             (env,) = run_jobs(session, [BlockJob(job_id=0, queries=tuple(reads[:4]))])
         finally:
-            session.stop()
+            session.stop(DRAIN)
         # Columnar plane: nbytes is exact array accounting, and a block
         # with hits must have staged a nonzero working set.
         assert env.kv_bytes > 0
@@ -164,7 +169,7 @@ class TestResidentSession:
     def test_submit_after_stop_raises(self, serve_workload):
         alias_path, reads, options = serve_workload
         session = ResidentBlastSession(make_cfg(alias_path, options)).start()
-        session.stop()
+        session.stop(DRAIN)
         with pytest.raises(RuntimeError):
             session.submit(BlockJob(job_id=0, queries=tuple(reads[:1])))
 
@@ -176,6 +181,11 @@ class TestResidentSession:
             make_cfg(alias_path, options, nprocs=0).validate()
         with pytest.raises(ValueError):
             make_cfg(alias_path, options, idle_tick=0.0).validate()
+        # a keepalive slower than the transport's op timeout would let idle
+        # workers time out in the keepalive broadcast
+        with pytest.raises(ValueError, match="idle_tick"):
+            make_cfg(alias_path, options,
+                     idle_tick=TransportEndpoint.DEFAULT_OP_TIMEOUT).validate()
         with pytest.raises(ValueError):
             make_cfg(alias_path, options, max_pending=0).validate()
 
@@ -199,7 +209,7 @@ class TestTraceBalanceAcrossJobs:
                 BlockJob(job_id=1, queries=tuple(reads[3:6])),
             ])
         finally:
-            session.stop()
+            session.stop(DRAIN)
         for rank in range(cfg.nprocs):
             events = trace.tracer(rank).events
             begins = sum(1 for e in events if e[0] == "B")
@@ -223,7 +233,7 @@ class TestTraceBalanceAcrossJobs:
                 BlockJob(job_id=1, queries=tuple(reads[2:4])),
             ])
         finally:
-            session.stop()
+            session.stop(DRAIN)
         assert validate_chrome_trace(chrome_trace(trace)) == []
 
 
@@ -256,7 +266,7 @@ class TestPerJobPath:
         try:
             (env,) = run_jobs(session, [BlockJob(job_id=0, queries=(reads[0],))])
         finally:
-            session.stop()
+            session.stop(DRAIN)
         assert env.results.get(reads[0].id, b"") == oracle[reads[0].id]
         for rank in range(cfg.nprocs):
             inside = spans_inside_jobs(trace.tracer(rank).events)[0]
@@ -302,7 +312,7 @@ class TestCompletionPages:
         try:
             (env,) = run_jobs(session, [BlockJob(job_id=0, queries=queries)])
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
         assert stats[0]["sched.speculated_units"] >= 1
         assert stats[0]["sched.wasted_units"] >= 1
         for q in queries:
@@ -338,7 +348,7 @@ class TestCompletionPages:
         try:
             (env,) = run_jobs(session, [BlockJob(job_id=0, queries=queries)])
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
         (dead,) = env.lost_ranks
         done_by_dead = _unit_spans(trace.tracer(dead).events)
         assert len(done_by_dead) == 2  # its first chunk, rows sent
@@ -380,7 +390,7 @@ class TestResidentPartitions:
         try:
             envs = run_jobs(session, jobs)
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
         for env, job in zip(envs, jobs):
             for q in job.queries:
                 assert env.results.get(q.id, b"") == split_oracle[q.id]
@@ -424,7 +434,7 @@ class TestDegradedSession:
                 BlockJob(job_id=1, queries=tuple(reads[4:8])),
             ])
         finally:
-            stats = session.stop()
+            stats = session.stop(DRAIN)
 
         # Job 0 completed degraded with byte-correct results.
         assert envs[0].degraded

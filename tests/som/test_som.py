@@ -129,12 +129,6 @@ class TestBMU:
         data = np.ones((2, 3))
         np.testing.assert_array_equal(best_matching_units(data, cb), [0, 0])
 
-    def test_random_tie_break_uses_all_candidates(self):
-        cb = np.zeros((4, 3))
-        data = np.ones((200, 3))
-        bmus = best_matching_units(data, cb, rng=5)
-        assert set(bmus.tolist()) == {0, 1, 2, 3}
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             pairwise_sq_distances(np.zeros((3, 2)), np.zeros((4, 3)))
@@ -149,9 +143,11 @@ class TestBatchTraining:
 
     def test_quantization_error_decreases(self):
         data = self._rgb()
-        som = BatchSOM(SOMGrid(10, 10), dim=3)
-        som.train(data, epochs=15, track_error=True)
-        assert som.history[-1] < som.history[0] / 2
+        # one epoch is the first epoch of fifteen: same initial codebook,
+        # and both radius schedules start at half the diagonal
+        first = BatchSOM(SOMGrid(10, 10), dim=3).train(data, epochs=1)
+        last = BatchSOM(SOMGrid(10, 10), dim=3).train(data, epochs=15)
+        assert quantization_error(data, last) < quantization_error(data, first) / 2
 
     def test_order_independence_exact(self):
         """Paper §II.D: "the batch algorithm is not influenced by the order
