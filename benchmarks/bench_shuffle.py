@@ -11,20 +11,7 @@ The process backend adds two result families:
 - ``columnar@{nprocs}@process`` runs (the ``columnar@{nprocs}`` keys stay
   thread-backend, so the series in EXPERIMENTS.md remains comparable);
 - a per-backend Sanders/Mehlhorn machine-model fit ``t = α + n/β`` from a
-  two-rank pingpong sweep.
-
-The shared-arena fabric adds a third: ``columnar@{nprocs}@process+arena``
-runs and a ``process+arena`` machine model.  The plain ``@process`` keys
-are re-measured with ``$REPRO_MPI_ARENA_MB=0`` (the per-message shm path)
-in the same run, and the fit asserts the arena is at least 2x better on *both*
-axes — per-message latency α and asymptotic bandwidth β — than the
-per-message model **recorded when that path shipped**
-(:data:`RECORDED_PER_MESSAGE_MODEL`).  The bar is pinned to the recorded
-numbers rather than the in-run re-fit because both paths bottom out on
-the same pipe-wakeup latency floor, which wanders by ±50% run-to-run on
-a loaded box: the re-fit is printed for transparency, but a
-flaky in-run α ratio would gate CI on scheduler luck.  β, which is
-insensitive to the floor, must additionally beat the in-run re-fit 2x.
+  two-rank pingpong sweep, printed, with a physical α required.
 
 Run as a script for the CI smoke::
 
@@ -33,19 +20,16 @@ Run as a script for the CI smoke::
 
 which exercises the columnar pipeline per rank count and (on machines with
 enough cores) asserts wall-clock actually drops as ranks are added — the
-whole point of ranks-as-processes.  Prefix ``REPRO_MPI_ARENA_MB=0`` to run
-it over the per-message path.
+whole point of ranks-as-processes.
 """
 
 import argparse
 import os
 import time
-from unittest import mock
 
 import numpy as np
 
 from repro.mpi import run_spmd
-from repro.mpi.arena import ARENA_DEFAULT_MB, ARENA_ENV_VAR, resolve_arena_bytes
 from repro.mrmpi import MapReduce, MapStyle, RecordSchema
 
 #: total pairs across all ranks; override for smoke runs
@@ -53,25 +37,13 @@ TOTAL_PAIRS = int(os.environ.get("BENCH_SHUFFLE_PAIRS", "120000"))
 N_KEYS = 1500
 RANK_COUNTS = (1, 4, 8)
 
-#: measured transport variants: (result-key suffix tail, backend, arena MiB
-#: per rank).  ``process`` pins the per-message shm path so the
-#: ``process+arena`` rows quantify exactly what the arena buys on the same
-#: machine, same run.
-VARIANTS = (
-    ("thread", "thread", 0),
-    ("process", "process", 0),
-    ("process+arena", "process", ARENA_DEFAULT_MB),
-)
+#: measured transport backends
+BACKENDS = ("thread", "process")
 
 #: pingpong sweep for the machine-model fit; spans the shm threshold so the
 #: process-backend fit reflects both the pipe and the shared-memory path.
 PINGPONG_SIZES = (1024, 16 * 1024, 128 * 1024, 1024 * 1024, 4 * 1024 * 1024)
 PINGPONG_REPS = 21
-
-#: Sanders machine model fitted when the per-message shm path shipped
-#: (BENCH_shuffle.json ``machine_model.process``, pre-arena).  The arena
-#: acceptance bar is >=2x better on both axes than these recorded numbers.
-RECORDED_PER_MESSAGE_MODEL = {"alpha_us": 313.5, "bandwidth_mib_s": 1186.1}
 
 VALUE_DTYPE = np.dtype(
     [("score", "<i8"), ("pos", "<i8"), ("bit", "<f8"), ("evalue", "<f8")]
@@ -117,11 +89,6 @@ def _pipeline(comm, total_pairs):
         mr.close()
 
 
-def _arena_mb(mb):
-    """Run the enclosed process jobs with ``$REPRO_MPI_ARENA_MB`` = ``mb``."""
-    return mock.patch.dict(os.environ, {ARENA_ENV_VAR: str(mb)})
-
-
 def _run(nprocs, backend="thread", total_pairs=TOTAL_PAIRS):
     out = run_spmd(nprocs, _pipeline, total_pairs, backend=backend)[0]
     stages = {}
@@ -142,13 +109,12 @@ def _run(nprocs, backend="thread", total_pairs=TOTAL_PAIRS):
 def _pingpong(comm, sizes, reps):
     """Half round-trip seconds per message size (best-of-``reps``), rank 0.
 
-    Same protocol for every variant (and as the recorded baselines, so
-    fits stay comparable release-over-release): each side Sends its *own*
-    buffer and Recvs into a pre-allocated one.  The Recv copy reads every
-    delivered byte — on the arena path that is a read straight out of the
-    peer's ring, so unmaterialised pages can't fake bandwidth — and the
-    echo never re-sends a received view, which would price a
-    cross-segment copy no real exchange performs.
+    Same protocol for every backend: each side Sends its *own* buffer and
+    Recvs into a pre-allocated one.  The Recv copy reads every delivered
+    byte — across processes that is a read straight out of the sender's
+    block, so unmaterialised pages can't fake bandwidth — and the echo
+    never re-sends a received view, which would price a cross-segment copy
+    no real exchange performs.
     """
     halves = []
     for n in sizes:
@@ -191,20 +157,19 @@ def fit_machine_model(backend):
 
 def test_shuffle_throughput(print_table):
     results = {}
-    for label, backend, arena_mb in VARIANTS:
-        suffix = "" if label == "thread" else f"@{label}"
-        with _arena_mb(arena_mb):
-            for nprocs in RANK_COUNTS:
-                results[f"columnar@{nprocs}{suffix}"] = _run(nprocs, backend=backend)
+    for backend in BACKENDS:
+        suffix = "" if backend == "thread" else f"@{backend}"
+        for nprocs in RANK_COUNTS:
+            results[f"columnar@{nprocs}{suffix}"] = _run(nprocs, backend=backend)
 
     rows = []
-    for label, _backend, _arena in VARIANTS:
-        suffix = "" if label == "thread" else f"@{label}"
+    for backend in BACKENDS:
+        suffix = "" if backend == "thread" else f"@{backend}"
         for nprocs in RANK_COUNTS:
             for phase in STAGES:
                 col = results[f"columnar@{nprocs}{suffix}"]["stages"][phase]
                 rows.append([
-                    label, str(nprocs), phase,
+                    backend, str(nprocs), phase,
                     f"{col['pairs_per_sec']:,.0f}" if col["pairs_per_sec"] else "-",
                     f"{col['bytes_moved']:,}",
                 ])
@@ -221,42 +186,16 @@ def test_shuffle_throughput(print_table):
             key.split("@")[1]
         )
 
-    model = {}
-    for label, backend, arena_mb in VARIANTS:
-        with _arena_mb(arena_mb):
-            model[label] = fit_machine_model(backend)
+    model = {backend: fit_machine_model(backend) for backend in BACKENDS}
     print_table(
         "Machine model fit t = α + n/β (2-rank pingpong)",
-        ["variant", "α (µs)", "β (MiB/s)"],
+        ["backend", "α (µs)", "β (MiB/s)"],
         [[b, f"{m['alpha_us']:.1f}",
           f"{m['bandwidth_mib_s']:,.0f}" if m["bandwidth_mib_s"] else "-"]
          for b, m in model.items()],
     )
     for b, m in model.items():
         assert m["alpha_us"] > 0, f"{b}: non-physical negative latency fit"
-
-    # The arena acceptance bar: >=2x better on both machine-model axes
-    # than the per-message model recorded when that path shipped.  β must
-    # also beat the *in-run* per-message re-fit 2x — the bandwidth ratio
-    # is stable back-to-back on the same box, so neither historical
-    # machine drift nor CPU scaling can fake it (α is excluded from the
-    # in-run comparison: both paths share the pipe-wakeup latency floor,
-    # and its run-to-run wander would make that ratio a coin flip).
-    permsg, arena_fit = model["process"], model["process+arena"]
-    rec = RECORDED_PER_MESSAGE_MODEL
-    assert rec["alpha_us"] >= 2.0 * arena_fit["alpha_us"], (
-        f"arena latency win below 2x: α {rec['alpha_us']:.1f}µs recorded "
-        f"per-message vs {arena_fit['alpha_us']:.1f}µs arena"
-    )
-    assert arena_fit["bandwidth_mib_s"] >= 2.0 * rec["bandwidth_mib_s"], (
-        f"arena bandwidth win below 2x: β {arena_fit['bandwidth_mib_s']:,.0f} "
-        f"MiB/s arena vs {rec['bandwidth_mib_s']:,.0f} MiB/s recorded"
-    )
-    assert arena_fit["bandwidth_mib_s"] >= 2.0 * permsg["bandwidth_mib_s"], (
-        f"arena bandwidth win below 2x in-run: β "
-        f"{arena_fit['bandwidth_mib_s']:,.0f} MiB/s arena vs "
-        f"{permsg['bandwidth_mib_s']:,.0f} MiB/s per-message"
-    )
 
 
 # ------------------------------------------------------------------- CLI
@@ -278,13 +217,11 @@ def main(argv=None) -> int:
                          "ranks (skipped unless the machine has enough cores)")
     args = ap.parse_args(argv)
 
-    label = args.backend if args.backend == "thread" else (
-        "process+arena" if resolve_arena_bytes() else "process")
     seconds = {}
     for nprocs in args.ranks:
         run = _run(nprocs, backend=args.backend, total_pairs=args.pairs)
         seconds[nprocs] = _pipeline_seconds(run)
-        print(f"{label}@{nprocs}: {args.pairs:,} pairs in "
+        print(f"{args.backend}@{nprocs}: {args.pairs:,} pairs in "
               f"{seconds[nprocs]:.3f}s pipeline time "
               f"({run['npairs'] / seconds[nprocs]:,.0f} pairs/s)")
 

@@ -319,33 +319,14 @@ class Comm:
     def alltoall(self, sendobjs: Sequence[Any]) -> list:
         """Personalised all-to-all: item ``i`` of my list goes to rank ``i``.
 
-        On an arena-backed transport the exchange runs the classic
-        pairwise XOR-peer schedule: round ``r`` pairs each rank with
-        ``rank ^ r`` (a paired send and receive), so at most one outbound
-        payload per rank is in flight at a time and peak arena residency
-        per round is one slot, not ``P-1`` — that is what lets a ring sized
-        well below the full shuffle volume keep a 100% hit rate.  Both
-        schedules make
-        exactly ``size-1`` posts and ``size-1`` matches per rank, so
-        FaultPlan op/send counters (and therefore seeded fault traces)
-        are identical across backends.
+        Every rank posts its ``size-1`` outgoing items, then matches
+        ``size-1`` incoming ones in arrival order.
         """
         if len(sendobjs) != self.size:
             raise MPIError(f"alltoall needs {self.size} items, got {len(sendobjs)}")
         size, rank = self.size, self._rank
         out: list[Any] = [None] * size
         out[rank] = sendobjs[rank]
-        if self._network.arena_enabled:
-            pow2 = 1
-            while pow2 < size:
-                pow2 <<= 1
-            for r in range(1, pow2):
-                peer = rank ^ r
-                if peer < size:
-                    self._post(sendobjs[peer], peer, _TAG_ALLTOALL)
-                    out[peer] = self._match(
-                        source=peer, tag=_TAG_ALLTOALL).payload
-            return out
         for peer in range(size):
             if peer != rank:
                 self._post(sendobjs[peer], peer, _TAG_ALLTOALL)

@@ -26,7 +26,7 @@ class Network(TransportEndpoint):
     """Shared state of one thread-backend job: every rank's mailbox.
 
     Threads share one address space, so a payload's buffers live in the
-    snapshot the send takes and there is no arena here.
+    snapshot the send takes.
     """
 
     def __init__(

@@ -10,10 +10,8 @@ owns is how a message crosses a process boundary and how ranks start:
 - **data plane** — an N×N mesh of unidirectional pipes, one frame per
   message (:mod:`repro.mpi.shm`): a fixed-width header and the payload's
   protocol-5 pickle, its array buffers inline under 32 KiB, else written
-  once into the sender's ring of the per-job shared arena
-  (:mod:`repro.mpi.arena`), else (ring full, or the arena off) into a
-  per-message shm block — correctness never depends on arena hits.  The
-  receiver decodes over read-only views of the buffers wherever they are.
+  once into a per-message shm block.  The receiver decodes over read-only
+  views of the buffers wherever they are.
 - **delivery** — each child runs a daemon *receiver thread* draining its
   inbound pipes into its rank's :class:`~repro.mpi.transport.Mailbox`.
   The receiver thread always drains, so eager sends cannot deadlock on
@@ -53,7 +51,6 @@ import time
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Optional
 
-from repro.mpi.arena import Arena, create_arena_segments, resolve_arena_bytes
 from repro.mpi.exceptions import MPIError
 from repro.mpi.faultplan import FaultPlan
 from repro.mpi.runtime import run_rank
@@ -105,7 +102,6 @@ class ProcessNetwork(TransportEndpoint):
         tracer,
         shm_prefix: str,
         dead,
-        arena: Arena | None = None,
     ) -> None:
         tracers = [NULL_TRACER] * nprocs
         tracers[rank] = tracer
@@ -114,14 +110,12 @@ class ProcessNetwork(TransportEndpoint):
         super().__init__(nprocs, op_timeout, fault_plan, tracers, mailboxes,
                          heartbeats, op_counts, dead)
         self.rank = rank
-        self._tracer = tracer
         self._inbound = inbound
         self._outbound = outbound
         self._ctrl_r = ctrl_r
         self._exit_w = exit_w
         self._abort_flag = abort_flag
         self._shm_prefix = f"{shm_prefix}r{rank}_"
-        self._arena = arena
         self._block_seq = itertools.count()
         self._receiver = threading.Thread(
             target=self._recv_loop, name=f"mpi-rank-{rank}-recv", daemon=True
@@ -168,7 +162,7 @@ class ProcessNetwork(TransportEndpoint):
                     sel.unregister(conn)
                     live -= 1
                     continue
-                self._inbox.put(unpack_frame(frame, self._arena))
+                self._inbox.put(unpack_frame(frame))
 
     # ------------------------------------------------------------------ abort
 
@@ -195,15 +189,8 @@ class ProcessNetwork(TransportEndpoint):
             self._inbox.put(msg)
             return
         # Each delivery frames independently so a duplicated send owns its
-        # own arena slot (or shm block) — releases/unlinks are per delivery.
-        arena = self._arena
-        overflows = arena.stats.overflows if arena is not None else 0
-        frame = pack_frame(msg, self.rank, wire, arena,
-                           f"{self._shm_prefix}{next(self._block_seq)}")
-        if arena is not None and arena.stats.overflows > overflows \
-                and self._tracer.enabled:
-            self._tracer.instant("arena.overflow", cat="mpi",
-                                 dst=msg.dst, tag=msg.tag)
+        # own shm block — unlinks are per delivery.
+        frame = pack_frame(msg, wire, f"{self._shm_prefix}{next(self._block_seq)}")
         try:
             self._outbound[msg.dst].send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
@@ -220,17 +207,6 @@ class ProcessNetwork(TransportEndpoint):
             raise MPIError(
                 f"rank {self.rank}: send to rank {msg.dst} failed: {exc!r}"
             ) from exc
-
-    # ------------------------------------------------------------------- arena
-
-    @property
-    def arena_enabled(self) -> bool:
-        """True when bulk payloads ride the shared arena on this rank."""
-        return self._arena is not None
-
-    def arena_stats(self) -> dict:
-        """This rank's arena counters (empty dict when the arena is off)."""
-        return self._arena.stats.snapshot() if self._arena is not None else {}
 
 
 def _child_main(
@@ -250,7 +226,6 @@ def _child_main(
     fault_plan: FaultPlan | None,
     trace,
     shm_prefix: str,
-    arena_bytes: int,
     dead,
 ) -> None:
     """Entry point of one forked rank process."""
@@ -262,11 +237,10 @@ def _child_main(
         tracer.events = []
         events_base_seq = tracer._seq
     fired_base = fault_plan.fired_count() if fault_plan is not None else 0
-    arena = Arena(shm_prefix, rank, nprocs, arena_bytes) if arena_bytes else None
     net = ProcessNetwork(
         rank, nprocs, inbound, outbound, ctrl_r, exit_w,
         heartbeats, op_counts, abort_flag, op_timeout, fault_plan, tracer,
-        shm_prefix, dead, arena,
+        shm_prefix, dead,
     )
     result, error = run_rank(net, rank, fn, args, kwargs)
     envelope = {
@@ -294,8 +268,8 @@ def _child_main(
         wire = encode(envelope)
     # The result's bulk arrays ride a block named for the exit.
     frame = pickle.dumps(("exit", rank, pack_frame(
-        Message(src=rank, dst=rank, tag=0, context=0, payload=None), rank, wire,
-        None, f"{shm_prefix}r{rank}_exit")))
+        Message(src=rank, dst=rank, tag=0, context=0, payload=None), wire,
+        f"{shm_prefix}r{rank}_exit")))
     try:
         exit_w.send_bytes(frame)
     except Exception:  # pragma: no cover - parent already gone
@@ -328,8 +302,6 @@ class ProcessJob(RankTelemetry):
         self.fault_plan = fault_plan
         self.trace = trace
         self._shm_prefix = f"reprompi{os.getpid()}j{next(_JOB_COUNTER)}_"
-        # Single-rank jobs have no pipes, so no arena either.
-        self.arena_bytes = resolve_arena_bytes() if nprocs > 1 else 0
         self.results: list[Any] = [None] * nprocs
         self.errors: list[Optional[BaseException]] = [None] * nprocs
         self._abort_exc: Optional[BaseException] = None
@@ -363,7 +335,7 @@ class ProcessJob(RankTelemetry):
                       inbound, writers[rank], ctrl_r, exit_w,
                       self._heartbeats, self._op_counts, self._abort_flag,
                       self.op_timeout, fault_plan, trace, self._shm_prefix,
-                      self.arena_bytes, self._dead),
+                      self._dead),
                 name=f"mpi-rank-{rank}",
                 daemon=True,
             ))
@@ -402,11 +374,6 @@ class ProcessJob(RankTelemetry):
 
     def start(self) -> None:
         """Fork every rank."""
-        if self.arena_bytes:
-            # Segments must exist before fork so children attach by name;
-            # they share the job prefix, so close() reclaims them (and any
-            # outstanding slots) even after an abnormal teardown.
-            create_arena_segments(self._shm_prefix, self.nprocs, self.arena_bytes)
         for p in self._procs:
             p.start()
 

@@ -263,10 +263,7 @@ def run_spmd(
     optional :class:`~repro.obs.trace.TraceSession` whose per-rank tracers
     record the run; ``backend`` selects the transport (``"thread"`` or
     ``"process"``, default from ``REPRO_MPI_BACKEND``).  On the process
-    backend rank results cross a pipe and must be picklable, and bulk
-    payloads ride a per-job shared arena sized by ``$REPRO_MPI_ARENA_MB``
-    (``0`` pins the per-message path; see
-    :func:`repro.mpi.arena.resolve_arena_bytes`).
+    backend rank results cross a pipe and must be picklable.
     """
     return SpmdJob(
         nprocs, fn, args, kwargs,

@@ -1,46 +1,43 @@
-"""Frames of the process transport: one header, three buffer placements.
+"""Frames of the process transport: one header, two buffer placements.
 
 Every message between rank processes, and every rank's exit envelope on
 its way to the parent, is one frame: a fixed-width header, the sizes of
 the payload's out-of-band buffers, a block name if there is one, then the
-payload's protocol-5 pickle (:func:`repro.mpi.transport.encode`).  The
-header carries the envelope and the sender's *global* rank, whose arena
-segment holds the buffers: ``src`` is the sender's rank in the
-communicator the message travels on, and the two differ on a
-sub-communicator (e.g. one shrunk past a dead rank).
+payload's protocol-5 pickle (:func:`repro.mpi.transport.encode`).
 
 Where the buffers live is the frame's *placement*:
 
 - **inline** — under :data:`SHM_MIN_BYTES` in total they follow the pickle
   in the frame, each 16-byte aligned: two shm syscalls and a mmap cost
   more than a small pipe write;
-- **arena** — otherwise in a slot of the sender's ring of the per-job
-  shared arena (:mod:`repro.mpi.arena`), handed back when the receiver's
-  arrays die;
-- **block** — in one per-message shm block when the ring or its slot table
-  cannot hold them right now (counted in the arena's ``overflows``), when
-  ``$REPRO_MPI_ARENA_MB=0``, and for exit envelopes.
+- **block** — otherwise in one per-message shm block, which the frame
+  names.
 
 Either way the sender copies each buffer once.  A message's receiver
 decodes over read-only views of wherever the buffers live, with no copy;
 the parent copies an exit envelope's buffers out (``owned=True``), so a
 rank's result arrays are private, and writable if the rank left them so.
 
-Block lifetime: the *sender* creates the block and never unlinks it; the
-*receiver* maps it and unlinks the name at once (the mapping lives as
-long as the arrays over it).  Arena segments and blocks share the job's
-name prefix, so the parent sweeps both kinds of straggler from
-``/dev/shm`` after an abnormal teardown (:func:`sweep_job_blocks`).
-Nothing goes through ``shared_memory``, whose ``resource_tracker`` would
-double-unlink names that cross a fork boundary.
+Block lifetime: the *sender* creates the block, writes the buffers into
+it with ``pwrite`` (no mapping, so no page faults on its side) and never
+unlinks it; the *receiver* maps it read-only and unlinks the name at once
+(the mapping lives as long as the arrays over it).  Blocks share the
+job's name prefix, so the parent sweeps stragglers from ``/dev/shm``
+after an abnormal teardown (:func:`sweep_job_blocks`).  Nothing goes
+through ``shared_memory``: ``SharedMemory(name=...)`` registers every
+attach (before 3.13 it cannot be told not to) with the one
+``resource_tracker`` all forked ranks inherit, and two ranks attaching
+and unregistering the same name end in a ``KeyError`` traceback on the
+job's stderr.  The job owns the names; receivers and the sweep unlink
+them.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 
-from repro.mpi.arena import Arena, MappedSegment
 from repro.mpi.transport import Message, decode
 
 __all__ = ["SHM_MIN_BYTES", "pack_frame", "sweep_job_blocks", "unpack_frame"]
@@ -52,16 +49,13 @@ SHM_MIN_BYTES = 32 * 1024
 
 _SHM_DIR = "/dev/shm"
 
-_INLINE, _ARENA, _BLOCK = 0, 1, 2
-
 #: Buffer start alignment within its region (keeps typed views aligned for
 #: any dtype numpy ships).
 _ALIGN = 16
 
-# src, owner, dst, tag, context, not_before, placement, block-name length,
-# buffer count, pickle bytes, then the slot, epoch and ring offset of an
-# arena placement.
-_HEADER = struct.Struct("<iiiqqdBxHIQQQQ")
+# src, dst, tag, context, not_before, block-name length (0: inline),
+# buffer count, pickle bytes.
+_HEADER = struct.Struct("<iiqqdHIQ")
 
 
 def _align(n: int) -> int:
@@ -77,34 +71,32 @@ def _layout(sizes) -> tuple[list[int], int]:
     return offsets, total
 
 
-def pack_frame(msg: Message, owner: int, wire, arena: Arena | None,
-               block_name: str) -> bytes:
-    """Frame ``msg``, its payload encoded as ``wire``, from global rank
-    ``owner``; ``block_name`` names the block if the buffers take one."""
+def pack_frame(msg: Message, wire, block_name: str) -> bytes:
+    """Frame ``msg``, its payload encoded as ``wire``; ``block_name`` names
+    the block if the buffers take one."""
     data, raws = wire
     offsets, total = _layout(raw.nbytes for raw in raws)
-    placement, where, name = _INLINE, (0, 0, 0), b""
+    name = b""
     if total >= SHM_MIN_BYTES:
-        where = arena.alloc(total) if arena is not None else None
-        if where is not None:
-            placement, block = _ARENA, None
-            region = arena.own_slice(where[2], total)
-        else:
-            placement, where, name = _BLOCK, (0, 0, 0), block_name.encode()
-            block = MappedSegment(block_name, create=total)
-            region = block.buf
-        for raw, off in zip(raws, offsets):
-            region[off:off + raw.nbytes] = raw
-        if block is not None:
-            block.close()
+        name = block_name.encode()
+        fd = os.open(os.path.join(_SHM_DIR, block_name),
+                     os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        try:
+            os.ftruncate(fd, total)
+            for raw, off in zip(raws, offsets):
+                while raw:  # one write moves at most about 2 GiB
+                    done = os.pwrite(fd, raw, off)
+                    raw, off = raw[done:], off + done
+        finally:
+            os.close(fd)
     parts = [
-        _HEADER.pack(msg.src, owner, msg.dst, msg.tag, msg.context, msg.not_before,
-                     placement, len(name), len(raws), len(data), *where),
+        _HEADER.pack(msg.src, msg.dst, msg.tag, msg.context, msg.not_before,
+                     len(name), len(raws), len(data)),
         struct.pack(f"<{len(raws)}Q", *(raw.nbytes for raw in raws)),
         name,
         data,
     ]
-    if placement == _INLINE:
+    if not name:
         end = sum(map(len, parts))
         parts.append(bytes(_align(end) - end))
         cursor = 0
@@ -114,16 +106,15 @@ def pack_frame(msg: Message, owner: int, wire, arena: Arena | None,
     return b"".join(parts)
 
 
-def unpack_frame(frame, arena: Arena | None = None, owned: bool = False) -> Message:
+def unpack_frame(frame, owned: bool = False) -> Message:
     """Inverse of :func:`pack_frame`.
 
-    Arrays are read-only views over the frame, the slot or the block,
-    unless ``owned``: then the buffers are copied out into private memory
-    first.  A block is unlinked either way.
+    Arrays are read-only views over the frame or the block, unless
+    ``owned``: then the buffers are copied out into private memory first.
+    A block is unlinked either way.
     """
     mv = memoryview(frame)
-    (src, owner, dst, tag, context, not_before, placement, namelen, nbufs,
-     nbytes, slot, epoch, base) = _HEADER.unpack_from(mv)
+    src, dst, tag, context, not_before, namelen, nbufs, nbytes = _HEADER.unpack_from(mv)
     pos = _HEADER.size
     sizes = struct.unpack_from(f"<{nbufs}Q", mv, pos)
     pos += 8 * nbufs
@@ -132,15 +123,18 @@ def unpack_frame(frame, arena: Arena | None = None, owned: bool = False) -> Mess
     data = mv[pos:pos + nbytes]
     offsets, total = _layout(sizes)
     block = None
-    if placement == _INLINE:
+    if not name:
         start = _align(pos + nbytes)
         region = mv[start:start + total]
-    elif placement == _ARENA:
-        region = arena.view(owner, slot, epoch, base, total)
     else:
-        block = MappedSegment(name)
-        os.unlink(os.path.join(_SHM_DIR, name))
-        region = block.buf.toreadonly()
+        path = os.path.join(_SHM_DIR, name)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            block = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        os.unlink(path)
+        region = memoryview(block)
     if owned:
         buffers = [bytearray(region[off:off + n]) for off, n in zip(offsets, sizes)]
         del region  # a live view of the mapping would keep it from closing

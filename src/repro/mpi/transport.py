@@ -37,9 +37,8 @@ every rank), and how ranks start:
 - :class:`~repro.mpi.process.ProcessNetwork` — one endpoint per forked OS
   process, holding only its own rank's mailbox.  Delivery to a peer writes
   one frame onto a pipe (a fixed-width header, then the pickle), its
-  buffers inline, in the sender's ring of the per-job shared arena, or in
-  a per-message shm block (:mod:`repro.mpi.shm`); a receiver thread drains
-  inbound pipes into the mailbox.
+  buffers inline or in a per-message shm block (:mod:`repro.mpi.shm`); a
+  receiver thread drains inbound pipes into the mailbox.
 
 The gate writes heartbeats and op counts into whatever sequences the
 backend hands it (lists for threads, shared ``mp.Array`` for processes).
@@ -251,11 +250,6 @@ class TransportEndpoint(RankTelemetry):
     #: rather than hangs.
     DEFAULT_OP_TIMEOUT = 120.0
 
-    #: Whether bulk payloads ride a shared arena on this endpoint.  The
-    #: collectives consult this to pick arena-aware schedules (pairwise
-    #: alltoall bounds peak ring residency).
-    arena_enabled: bool = False
-
     def __init__(
         self,
         nprocs: int,
@@ -315,10 +309,6 @@ class TransportEndpoint(RankTelemetry):
         if 0 <= rank < self.nprocs:
             return self._tracers[rank]
         return NULL_TRACER
-
-    def arena_stats(self) -> dict:
-        """Arena hit/overflow/residency counters (empty without an arena)."""
-        return {}
 
     # ------------------------------------------------------------------ faults
 

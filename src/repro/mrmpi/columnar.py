@@ -193,7 +193,7 @@ def _v_from_arrays(arrays: Sequence[np.ndarray], ragged: bool):
 
 def _owned(arr: np.ndarray) -> np.ndarray:
     """``arr``, copied unless it already owns its bytes: a stored piece must
-    not pin the round, arena slot or page it was cut from."""
+    not pin the round, shm block or page it was cut from."""
     if arr.base is None:
         return arr
     raw = _raw(arr)

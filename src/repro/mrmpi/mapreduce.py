@@ -61,8 +61,8 @@ _SWEEP_INTERVAL = 0.02
 
 #: Most an ``aggregate`` round stages per rank unless told otherwise: wide
 #: enough that the per-round latency (two collectives) is noise, narrow
-#: enough that sort scratch, the arena ring and the source batches still
-#: queued are each a fraction of the dataset.  Measured, not configured:
+#: enough that sort scratch, the round in flight and the source batches
+#: still queued are each a fraction of the dataset.  Measured, not configured:
 #: see EXPERIMENTS.md "A shuffle that holds its data once".
 _ROUND_BYTES = 4 << 20
 
@@ -72,25 +72,6 @@ _BUCKET_BYTES = 1 << 20
 
 #: Sentinel for reduce() meaning "output uses the current schema".
 KEEP_SCHEMA = object()
-
-
-def _arena_attrs(comm: Comm) -> dict:
-    """Arena hit/overflow/residency attributes for exchange-round instants.
-
-    Empty on transports without an arena (thread backend, or
-    ``$REPRO_MPI_ARENA_MB=0``), so trace schemas stay backward compatible.
-    Counters are rank-local running totals; per-round deltas fall out of
-    consecutive instants.
-    """
-    stats = comm.network.arena_stats()
-    if not stats:
-        return {}
-    return {
-        "arena_sends": stats["sends"],
-        "arena_overflows": stats["overflows"],
-        "arena_resident_bytes": stats["resident_bytes"],
-        "arena_peak_resident_bytes": stats["peak_resident_bytes"],
-    }
 
 
 def _kept_rows(batches, ends: Sequence[int], keeps: Sequence[bool]):
@@ -590,14 +571,13 @@ class MapReduce:
                 for run in incoming:
                     if run is not None:
                         new_kv.add_wire(run, sorted_run=True)
-                # The store copied what it keeps: this drops the round and
-                # hands every arena slot back before the next one is sorted.
+                # The store copied what it keeps: this drops the round (and
+                # unmaps its shm blocks) before the next one is sorted.
                 outgoing = incoming = run = None
                 trc = self._tracer
                 if trc.enabled:
                     trc.instant("mr.exchange_round", cat="mr", round=round_idx,
-                                pairs=round_pairs, bytes=round_bytes,
-                                **_arena_attrs(self.comm))
+                                pairs=round_pairs, bytes=round_bytes)
                 round_idx += 1
                 if self.comm.allreduce(local_done, op=LAND):
                     break

@@ -8,7 +8,7 @@ to an idle worker, up to :data:`MAX_COPIES` live copies.  The first
 completion wins; the loser is discarded by unit id, so output never depends
 on which copy finished.
 
-Runtime quantiles use the P² algorithm (Jain & Chlamtac, CACM 1985): five
+The runtime median uses the P² algorithm (Jain & Chlamtac, CACM 1985): five
 markers updated in O(1) per observation, no history arrays, which matters at
 simulated 1024-rank scale where millions of unit completions stream through.
 
@@ -19,6 +19,7 @@ clock in ``repro.cluster.dispatch``.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 __all__ = ["P2Quantile", "SpeculationPolicy", "StragglerTracker", "SchedReport"]
@@ -27,24 +28,24 @@ __all__ = ["P2Quantile", "SpeculationPolicy", "StragglerTracker", "SchedReport"]
 MAX_COPIES = 2
 
 
-class P2Quantile:
-    """Online quantile estimate via the P² algorithm (no stored history).
+#: How far each P² marker's desired position moves per observation when
+#: the middle marker tracks the median.
+_MEDIAN_INCREMENTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-    For fewer than five observations the exact sample quantile is returned
-    (linear interpolation on the sorted values); from the fifth observation
-    on, the five P² markers take over.
+
+class P2Quantile:
+    """Online median estimate via the P² algorithm (no stored history).
+
+    For fewer than five observations the exact sample median is returned;
+    from the fifth observation on, the five P² markers take over.
     """
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "count")
+    __slots__ = ("_heights", "_positions", "_desired", "count")
 
-    def __init__(self, q: float = 0.5) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
+    def __init__(self) -> None:
         self._heights: list[float] = []
         self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        self._desired = [1.0, 2.0, 3.0, 4.0, 5.0]
         self.count = 0
 
     def add(self, x: float) -> None:
@@ -69,7 +70,7 @@ class P2Quantile:
         for i in range(k + 1, 5):
             self._positions[i] += 1
         for i in range(5):
-            self._desired[i] += self._increments[i]
+            self._desired[i] += _MEDIAN_INCREMENTS[i]
         # Adjust the three interior markers toward their desired positions.
         for i in (1, 2, 3):
             n = self._positions[i]
@@ -100,15 +101,8 @@ class P2Quantile:
         """Current estimate, or ``None`` before any observation."""
         if not self._heights:
             return None
-        if len(self._heights) < 5 or self.count < 5:
-            ordered = sorted(self._heights)
-            if len(ordered) == 1:
-                return ordered[0]
-            pos = self.q * (len(ordered) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = pos - lo
-            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        if self.count < 5:
+            return statistics.median(self._heights)
         return self._heights[2]
 
 

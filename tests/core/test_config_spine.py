@@ -191,6 +191,41 @@ def test_every_settable_value_has_a_program_caller():
     assert not unset, f"set by no program root, only by tests: {sorted(unset)}"
 
 
+#: the environment variables ``src/`` reads, each with why it is not a
+#: config field
+ENV_ALLOWLIST = {
+    "REPRO_MPI_BACKEND": "flips every run_spmd of a suite or CI job onto OS processes",
+    "XDG_CACHE_HOME": "the compiled engine's cache path, a deployment setting",
+}
+
+_ENV_NAMES = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_src_reads_no_environment_variable_outside_the_allowlist():
+    """An environment variable is a knob no CLI flag, config or census
+    sees: ``src/`` reads only the allowlisted ones, each by literal name."""
+    reads = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name not in _ENV_NAMES:
+                continue
+            use = parents[node]
+            if isinstance(use, ast.Attribute) and use.attr == "get":  # os.environ.get(...)
+                use = parents[use]
+            key = (use.slice if isinstance(use, ast.Subscript)
+                   else use.args[0] if isinstance(use, ast.Call) and use.args else None)
+            reads.add(key.value if isinstance(key, ast.Constant)
+                      else f"{path.relative_to(ROOT)}:{node.lineno}, no literal name")
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "os"
+                       and any(alias.name in _ENV_NAMES for alias in node.names)
+                       for node in ast.walk(tree)), path
+    assert reads == set(ENV_ALLOWLIST)
+
+
 def test_defaults_that_differed_still_differ(workload, matrix, tmp_path):
     batch, serve, som = (_construct(c, workload, matrix, tmp_path) for c in CONFIGS)
     assert (batch.locality_aware, serve.locality_aware) == (False, True)

@@ -16,7 +16,6 @@ from repro.bio import shred_records, synthetic_community, synthetic_nt_database
 from repro.core import MrBlastConfig, MrSomConfig, mrblast_spmd, mrsom_spmd
 from repro.core.baselines import run_serial_batch_som
 from repro.core.mrsom.mmap_input import write_matrix_file
-from repro.mpi.arena import ARENA_DEFAULT_MB, ARENA_ENV_VAR
 from repro.mrmpi import MapStyle
 from repro.som.codebook import SOMGrid
 
@@ -52,51 +51,35 @@ def _rank_outputs(results):
 
 class TestMrBlastBackendParity:
     @pytest.mark.parametrize("nprocs", [2, 4])
-    def test_per_rank_output_files_byte_identical(
-            self, nt_workload, tmp_path, nprocs, monkeypatch):
-        # Three-way: thread oracle vs process+arena (the default) vs the
-        # per-message process path ($REPRO_MPI_ARENA_MB=0).  Zero-copy
-        # framing must not change a single output byte.
+    def test_per_rank_output_files_byte_identical(self, nt_workload, tmp_path, nprocs):
+        # Thread oracle vs the process path: zero-copy framing must not
+        # change a single output byte.
         alias_path, blocks, options = nt_workload
         base = dict(alias_path=alias_path, query_blocks=blocks, options=options)
         thread = mrblast_spmd(nprocs, MrBlastConfig(
             **base, output_dir=str(tmp_path / "thread"), backend="thread"))
-        monkeypatch.setenv(ARENA_ENV_VAR, str(ARENA_DEFAULT_MB))
-        arena = mrblast_spmd(nprocs, MrBlastConfig(
-            **base, output_dir=str(tmp_path / "arena"), backend="process"))
-        monkeypatch.setenv(ARENA_ENV_VAR, "0")
-        permsg = mrblast_spmd(nprocs, MrBlastConfig(
-            **base, output_dir=str(tmp_path / "permsg"), backend="process"))
-        assert len(thread) == len(arena) == len(permsg) == nprocs
-        t_bytes = _rank_outputs(thread)
-        assert _rank_outputs(arena) == t_bytes
-        assert _rank_outputs(permsg) == t_bytes
-        for t, a in zip(thread, arena):
-            assert t.hits_written == a.hits_written
+        process = mrblast_spmd(nprocs, MrBlastConfig(
+            **base, output_dir=str(tmp_path / "process"), backend="process"))
+        assert len(thread) == len(process) == nprocs
+        assert _rank_outputs(process) == _rank_outputs(thread)
+        for t, p in zip(thread, process):
+            assert t.hits_written == p.hits_written
 
-    def test_spill_outputs_byte_identical_with_and_without_arena(
-            self, nt_workload, tmp_path, monkeypatch):
+    def test_spill_outputs_byte_identical_with_a_tiny_memsize(self, nt_workload, tmp_path):
         # A tiny memsize forces the collate plane through multi-page
         # spill, so shuffle pages cross the transport in many exchanges;
-        # the arena and per-message paths must still agree byte-for-byte.
+        # both backends must still agree byte-for-byte.
         alias_path, blocks, options = nt_workload
         base = dict(alias_path=alias_path, query_blocks=blocks,
                     options=options, memsize=2048)
         runs = {}
-        for label, backend, arena_mb in [
-            ("thread", "thread", ARENA_DEFAULT_MB),
-            ("arena", "process", ARENA_DEFAULT_MB),
-            ("permsg", "process", 0),
-        ]:
-            monkeypatch.setenv(ARENA_ENV_VAR, str(arena_mb))
-            spool = tmp_path / f"spool_{label}"
+        for backend in ("thread", "process"):
+            spool = tmp_path / f"spool_{backend}"
             spool.mkdir()
-            runs[label] = mrblast_spmd(3, MrBlastConfig(
-                **base, output_dir=str(tmp_path / label),
+            runs[backend] = mrblast_spmd(3, MrBlastConfig(
+                **base, output_dir=str(tmp_path / backend),
                 spool_dir=str(spool), backend=backend))
-        t_bytes = _rank_outputs(runs["thread"])
-        assert _rank_outputs(runs["arena"]) == t_bytes
-        assert _rank_outputs(runs["permsg"]) == t_bytes
+        assert _rank_outputs(runs["process"]) == _rank_outputs(runs["thread"])
 
     def test_stats_identical_across_backends(self, nt_workload, tmp_path):
         alias_path, blocks, options = nt_workload

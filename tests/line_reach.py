@@ -212,8 +212,6 @@ def roots(data: Path) -> list[tuple[str, list[str], dict]]:
         ("serve_job_budget.py", [py, str(bench / "serve_job_budget.py"),
                                  "--seed", "2011", "--jobs", "4"], {}),
         ("bench_shuffle.py", [py, str(bench / "bench_shuffle.py"), "--ranks", "1", "2"], {}),
-        ("bench_shuffle.py, no arena", [py, str(bench / "bench_shuffle.py"), "--ranks", "1", "2"],
-         {"REPRO_MPI_ARENA_MB": "0"}),
         ("suite --smoke", [py, str(bench / "suite" / "run.py"), "--smoke"], {}),
     ]
     for workload in ("blastn_batch", "mr_shuffle", "som_batch", "serve_paced"):

@@ -4,7 +4,7 @@
 sender's buffer on the thread backend and deep-copy everything else.  Both
 transports now run one codec (:mod:`repro.mpi.transport`): a payload is one
 protocol-5 pickle whose array buffers a send copies exactly once (a thread
-snapshot, or an inline frame / arena slot / shm block across processes),
+snapshot, or an inline frame / shm block across processes),
 and receivers decode it over read-only views of that copy, so a sender may
 reuse its buffer as soon as the send returns — MPI buffer semantics.
 """

@@ -6,19 +6,21 @@ refused at the send (:mod:`repro.mpi.transport`).  A rank's own share of a
 collective is not a message and comes back as the object it passed.
 
 Payloads come in two sizes where it matters: under ``SHM_MIN_BYTES`` of
-buffers a process-backend frame carries them inline, over it they take an
-arena slot, or a per-message block with ``$REPRO_MPI_ARENA_MB=0``.
+buffers a process-backend frame carries them inline, over it they take a
+per-message block.
 """
 
+import os
 import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import repro.mpi.process as process
 from repro.mpi import run_spmd
 from repro.mpi.runtime import BACKENDS
-from repro.mpi.shm import SHM_MIN_BYTES
+from repro.mpi.shm import SHM_MIN_BYTES, pack_frame
 
 #: Elements of a float64 array over the inline limit.
 BIG = SHM_MIN_BYTES // 8 * 2
@@ -191,15 +193,22 @@ def test_what_pickle_refuses_is_refused_at_the_send(backend):
         type(refused.value), "after"]
 
 
-def test_an_object_holding_a_large_array_rides_the_arena(monkeypatch):
-    monkeypatch.setenv("REPRO_MPI_ARENA_MB", "8")
+def test_an_object_holding_a_large_array_rides_a_block(monkeypatch):
+    blocks = []
+
+    def framing(msg, wire, block_name):
+        frame = pack_frame(msg, wire, block_name)
+        if os.path.exists(os.path.join("/dev/shm", block_name)):
+            blocks.append(block_name)
+        return frame
+
+    monkeypatch.setattr(process, "pack_frame", framing)
 
     def prog(comm):
         if comm.rank == 0:
-            before = comm.network.arena_stats()["sends"]
             comm.send({"a": np.arange(SHM_MIN_BYTES // 8 * 2, dtype=np.float64)}, dest=1)
             comm.send(Holder("h", np.ones((128, 64))), dest=1)
-            return comm.network.arena_stats()["sends"] - before
+            return len(blocks)
         a = comm.recv(source=0)["a"]
         h = comm.recv(source=0)
         return float(a[-1]), float(h.table.sum())

@@ -2,18 +2,25 @@
 
 The generic MPI semantics (matching, collectives, aborts, faults) are
 covered by the backend-parametrized suites; this file pins down what is
-unique to ranks-as-processes — where a frame's buffers live (inline, arena
-slot or shm block), results and exceptions on the exit pipe, per-process trace merging, and the
-shared heartbeat/op-count surfaces the supervisor reads.
+unique to ranks-as-processes — where a frame's buffers live (inline or
+in a shm block) and when that memory goes, results and exceptions on the
+exit pipe, per-process trace merging, and the shared heartbeat/op-count
+surfaces the supervisor reads.
 """
 
+import gc
 import os
+import subprocess
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.mpi import AbortError, MPIError, run_spmd
+import repro
+import repro.mpi.process as process
+from repro.mpi import AbortError, CrashRank, FaultPlan, MPIError, run_spmd
 from repro.mpi.runtime import BACKENDS, SpmdJob, resolve_backend
 from repro.mpi.network import Message
 from repro.mpi.shm import SHM_MIN_BYTES, pack_frame, sweep_job_blocks, unpack_frame
@@ -21,11 +28,43 @@ from repro.mpi.transport import encode
 from repro.obs.trace import TraceSession
 
 
-def _shm_blocks(prefix="reprompi"):
+def _job_prefix(pid=None):
+    """The shm name prefix of every job process ``pid`` (default: this one)
+    starts, so a run elsewhere on the host cannot fail a leak check here."""
+    return f"reprompi{os.getpid() if pid is None else pid}j"
+
+
+def _shm_blocks(prefix=None):
+    prefix = _job_prefix() if prefix is None else prefix
     try:
         return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
     except OSError:  # pragma: no cover - non-Linux shm layout
         return set()
+
+
+def _mapped(name):
+    """True while this process maps the shm block ``name``."""
+    with open("/proc/self/maps") as maps:
+        return any(f"/dev/shm/{name}" in line for line in maps)
+
+
+def _placements(monkeypatch):
+    """Each frame a rank sends, in order, as ``"inline"`` or ``"block"``.
+
+    The list is filled in each forked rank's own copy; a rank returns it.
+    A block exists once the framer returns, and only its receiver unlinks
+    it.
+    """
+    log = []
+
+    def framing(msg, wire, block_name):
+        frame = pack_frame(msg, wire, block_name)
+        placed = os.path.exists(os.path.join("/dev/shm", block_name))
+        log.append("block" if placed else "inline")
+        return frame
+
+    monkeypatch.setattr(process, "pack_frame", framing)
+    return log
 
 
 class TestCollectivesSanity:
@@ -59,17 +98,15 @@ class TestCollectivesSanity:
             assert cb == list(range(6))
 
     def test_array_payloads_on_a_sub_communicator_come_from_their_sender(self):
-        """Regression: an arena frame named its payload's segment by the
-        sender's rank in the communicator, so on a sub-communicator (one
-        shrunk past a dead rank) the receiver read another rank's ring: an
-        array Reduce over the survivors of a degraded map summed the wrong
-        rows."""
+        """On a sub-communicator (one shrunk past a dead rank) every rank's
+        number moves, but an array Reduce over the survivors of a degraded
+        map still sums each survivor's own rows."""
 
         def prog(comm):
             if comm.rank == 0:
                 return None
             sub = comm.shrink([0])  # every survivor's rank moves down one
-            mine = np.full(SHM_MIN_BYTES, float(comm.rank))  # on the arena path
+            mine = np.full(SHM_MIN_BYTES, float(comm.rank))  # in a block
             out = np.empty_like(mine)
             sub.Reduce(mine, out, root=0)
             sub.Bcast(out, root=0)
@@ -94,7 +131,7 @@ class TestSharedMemoryPath:
 
         results = run_spmd(2, prog, backend="process", op_timeout=30.0)
         assert results[1] == (float(n * (n - 1) / 2), "<f8", True)
-        # Neither per-message blocks nor arena rings may outlive the job.
+        # No per-message block may outlive the job.
         assert _shm_blocks() == before
 
     def test_tuple_of_arrays_round_trips(self):
@@ -113,23 +150,24 @@ class TestSharedMemoryPath:
         assert results[1] == (9999, 1.0)
         assert _shm_blocks() == before
 
-    def test_small_and_object_payloads_take_the_pipe(self):
+    def test_small_and_object_payloads_take_the_pipe(self, monkeypatch):
         """Under ``SHM_MIN_BYTES`` of buffers a payload rides the pipe; an
-        object holding a large array takes an arena slot like a bare one."""
+        object holding a large array takes a block like a bare one."""
+        sent = _placements(monkeypatch)
+
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.arange(4), dest=1)          # tiny: inline
                 comm.send({"k": [1, 2, 3]}, dest=1)      # no buffers: inline
-                small = comm.network.arena_stats()["sends"]
                 comm.send({"big": np.arange(SHM_MIN_BYTES // 8.0)}, dest=1)
-                return small, comm.network.arena_stats()["sends"] - small
+                return list(sent)
             a = comm.recv(source=0)
             d = comm.recv(source=0)
             big = comm.recv(source=0)["big"]
             return a.tolist(), d, float(big[-1]), big.flags.writeable
 
         results = run_spmd(2, prog, backend="process", op_timeout=30.0)
-        assert results[0] == (0, 1)
+        assert results[0] == ["inline", "inline", "block"]
         assert results[1] == ([0, 1, 2, 3], {"k": [1, 2, 3]},
                               SHM_MIN_BYTES // 8 - 1.0, False)
 
@@ -148,9 +186,9 @@ class TestSharedMemoryPath:
         assert _shm_blocks() == before
 
     def test_codec_round_trip_in_process(self):
-        """One frame codec for messages and exit envelopes: without an
-        arena, ``SHM_MIN_BYTES`` or more of buffers leave the frame for
-        one named block, which ``unpack_frame`` unlinks."""
+        """One frame codec for messages and exit envelopes:
+        ``SHM_MIN_BYTES`` or more of buffers leave the frame for one named
+        block, which ``unpack_frame`` unlinks."""
         name = "reprompi_codectest_0"
 
         def blocks():
@@ -158,7 +196,7 @@ class TestSharedMemoryPath:
 
         def frame_of(payload):
             msg = Message(src=0, dst=1, tag=0, context=0, payload=payload)
-            return pack_frame(msg, 0, encode(payload), None, name)
+            return pack_frame(msg, encode(payload), name)
 
         small = {"result": np.arange(SHM_MIN_BYTES // 8 - 4, dtype=np.float64), "n": 3}
         big = [np.arange(SHM_MIN_BYTES // 8, dtype=np.float64), small["result"],
@@ -181,6 +219,188 @@ class TestSharedMemoryPath:
         for got, want in zip(back, big):
             np.testing.assert_array_equal(got, want)
         assert back[2].flags.f_contiguous and back[0].flags.writeable
+
+
+#: Every in-process block test frames its blocks under this prefix.
+_TEST_PREFIX = f"reprompi_blocktest{os.getpid()}_"
+
+
+def _frame(payload, name=f"{_TEST_PREFIX}0"):
+    """A frame of ``payload`` with at least ``SHM_MIN_BYTES`` of buffers,
+    so they take the block ``name``."""
+    payload = (payload, np.zeros(SHM_MIN_BYTES, dtype=np.uint8))
+    msg = Message(src=0, dst=1, tag=0, context=0, payload=payload)
+    return pack_frame(msg, encode(payload), name)
+
+
+@pytest.fixture
+def swept():
+    """Sweep whatever block a test left under :data:`_TEST_PREFIX`."""
+    try:
+        yield
+    finally:
+        sweep_job_blocks(_TEST_PREFIX)
+    assert _shm_blocks(_TEST_PREFIX) == set()
+
+
+class TestBlockLifetime:
+    """A block lives from its send until its receiver's last array over it
+    dies, and no process or ``resource_tracker`` holds on to it after."""
+
+    def test_sender_and_receiver_tell_the_resource_tracker_nothing(
+            self, monkeypatch, swept):
+        """The job owns block names (receivers and the sweep unlink them):
+        creating and mapping one registers nothing with the tracker."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        monkeypatch.setattr(resource_tracker, "register", lambda *a: calls.append(a))
+        monkeypatch.setattr(resource_tracker, "unregister", lambda *a: calls.append(a))
+        got = unpack_frame(_frame(np.full(64, 0x11, dtype=np.uint8))).payload[0]
+        assert bytes(got) == b"\x11" * 64
+        del got
+        assert calls == []
+
+    def test_received_arrays_are_read_only(self):
+        def prog(comm):
+            inbox = comm.alltoall([np.arange(5000.0)] * comm.size)
+            other = inbox[(comm.rank + 1) % comm.size]
+            try:
+                other[0] = -1.0
+            except ValueError:
+                return True
+            return False
+
+        assert run_spmd(2, prog, backend="process", op_timeout=30.0) == [True, True]
+
+    def test_release_is_refcount_driven_not_gc_driven(self, swept):
+        # Regression: a self-recursive closure in the payload rebuilder
+        # once made every decoded payload part of a reference cycle, so
+        # received memory went back only when the *cyclic* GC happened to
+        # run.  With gc disabled, a plain del must unmap the block.
+        gc.disable()
+        try:
+            gc.collect()
+            for i, payload in enumerate((
+                np.arange(4096, dtype=np.float64),
+                [None, np.arange(10), (np.ones((3, 4)), np.zeros(0))],
+                {"a": np.arange(10), "b": [np.ones(3)]},
+            )):
+                name = f"{_TEST_PREFIX}{i}"
+                got = unpack_frame(_frame(payload, name)).payload
+                assert _mapped(name)
+                del got
+                assert not _mapped(name), (
+                    "block still mapped after its arrays died — a reference "
+                    "cycle is keeping receiver views alive")
+        finally:
+            gc.enable()
+
+    def test_send_does_not_keep_the_payload_alive(self, swept):
+        # Regression, sender's side of the same bug: the flattener was a
+        # self-recursive closure whose cell held the list of arrays, so a
+        # packed payload (the shuffle's 48 MB wire slice) outlived its send
+        # until the cyclic GC ran, and a rank's peak RSS took one of three
+        # values from run to run.
+        gc.disable()
+        try:
+            gc.collect()
+            for i, make in enumerate((
+                lambda a: a,
+                lambda a: (a, np.zeros(3)),
+                lambda a: [None, (a, np.ones(2))],
+                lambda a: {"pickled": a},
+            )):
+                arr = np.arange(4096, dtype=np.float64)
+                alive = weakref.ref(arr)
+                _frame(make(arr), f"{_TEST_PREFIX}{i}")
+                del arr
+                assert alive() is None, (
+                    "a packed payload is kept alive by a reference cycle")
+        finally:
+            gc.enable()
+
+    def test_aggregate_keeps_no_received_block_mapped(self, monkeypatch):
+        """The shuffle's receive side copies what it keeps: once every rank
+        is out of ``aggregate`` no rank maps a block of the job and every
+        stored array owns its bytes (the collector is off, so releases are
+        by reference count alone)."""
+        from repro.mrmpi import MapReduce, MapStyle, RecordSchema
+
+        sent = _placements(monkeypatch)
+        prefix = f"/dev/shm/{_job_prefix()}"  # the parent's pid names the jobs
+
+        def prog(comm):
+            gc.disable()
+            schema = RecordSchema("S8", np.dtype([("src", "<i8"), ("seq", "<i8")]))
+            mr = MapReduce(comm, mapstyle=MapStyle.CHUNK, schema=schema)
+
+            def mapper(itask, kv):
+                rows = np.zeros(20_000, dtype=schema.value_dtype)
+                rows["src"], rows["seq"] = comm.rank, np.arange(len(rows))
+                keys = np.random.default_rng(itask).integers(500, size=len(rows))
+                kv.add_batch(np.char.mod("k%05d", keys).astype("S8"), rows)
+
+            mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
+            mr.aggregate(exchange_bytes=128 << 10)  # eight rounds
+            comm.barrier()  # every peer has stored, and let go of, its last round
+            with open("/proc/self/maps") as maps:
+                mapped = sum(prefix in line for line in maps)
+            pieces = [arr for bucket in mr.kv._buckets for karr, rows in bucket
+                      for arr in (karr, rows)]
+
+            def root(arr):  # numpy collapses base chains to the owner
+                return arr.base if isinstance(arr.base, np.ndarray) else arr
+
+            owned = all(root(arr).base is None and root(arr).nbytes == arr.nbytes
+                        and arr.flags.writeable for arr in pieces)
+            mr.close()
+            return sent.count("block"), mapped, len(pieces), owned
+
+        for blocks, mapped, npieces, owned in run_spmd(
+                3, prog, backend="process", op_timeout=30.0):
+            # Each of the seven full rounds' runs (~43 KB a peer) took a
+            # block; the last, half-full round's runs rode the pipe.
+            assert blocks >= 14 and npieces >= 16
+            assert mapped == 0
+            assert owned
+
+    def test_crash_mid_exchange_leaves_no_segments(self):
+        before = _shm_blocks()
+
+        def prog(comm):
+            for _ in range(6):
+                comm.alltoall([np.arange(20_000.0)] * comm.size)
+            return comm.rank
+
+        with pytest.raises(MPIError):
+            run_spmd(2, prog, backend="process", op_timeout=10.0,
+                     fault_plan=FaultPlan([CrashRank(1, at_op=3)]))
+        assert _shm_blocks() == before
+
+    def test_thirty_jobs_leave_stderr_empty(self):
+        """Three ranks sharing one inherited resource tracker, each mapping
+        its peers' blocks, thirty jobs in a row: not a line on stderr (the
+        tracker prints a KeyError when two ranks' REGISTER / UNREGISTER
+        pairs for one name interleave) and nothing left behind."""
+        script = (
+            "import numpy as np\n"
+            "from repro.mpi import run_spmd\n"
+            "def prog(comm):\n"
+            "    inbox = comm.alltoall([np.arange(20_000.0)] * comm.size)\n"
+            "    return float(sum(a.sum() for a in inbox))\n"
+            "for _ in range(30):\n"
+            "    out = run_spmd(3, prog, backend='process', op_timeout=30.0)\n"
+            "    assert len(set(out)) == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        with subprocess.Popen([sys.executable, "-c", script], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src}) as proc:
+            _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert err == ""
+        assert _shm_blocks(_job_prefix(proc.pid)) == set()
 
 
 class TestErrorPropagation:
@@ -258,13 +478,11 @@ class TestExitEnvelope:
     def test_rank_killed_after_writing_its_block_leaves_nothing(self, monkeypatch):
         """The block exists, the envelope naming it was never sent: the
         job-prefix sweep in ``wait()`` is what reclaims it."""
-        import repro.mpi.process as process
-
         before = _shm_blocks()
         seen_at_sweep = []
 
-        def pack_then_die(msg, owner, wire, arena, block_name):
-            out = pack_frame(msg, owner, wire, arena, block_name)
+        def pack_then_die(msg, wire, block_name):
+            out = pack_frame(msg, wire, block_name)
             if block_name.endswith("r1_exit"):
                 os._exit(3)
             return out

@@ -3,9 +3,8 @@
 Contract: it behaves like the list it replaces (``len``, index, slice,
 iteration, ``sorted``, equality) for every schema shape, decodes nothing it
 is not asked for, and stays valid for as long as the reducer holds it: it
-may not alias a page buffer that gets reused or an arena slot that gets
-recycled.  The MapReduce-level tests run on both transports; CI runs this
-file once more with ``REPRO_MPI_ARENA_MB=0`` (the per-message path).
+may not alias a page buffer that gets reused.  The MapReduce-level tests
+run on both transports.
 """
 
 import numpy as np
@@ -139,7 +138,7 @@ def _keeping_rank(comm, shape, memsize, spool):
     def mapper(itask, kv):
         # Only the last rank emits, so in core every rank receives exactly one
         # run and groups it as it stands: rank 0's views sit directly on the
-        # arrays the transport delivered (an arena slot, on that backend).
+        # arrays the transport delivered (a shm block, on that backend).
         if comm.rank != comm.size - 1:
             return
         mine = pairs[itask % 2 :: 2]
@@ -153,7 +152,7 @@ def _keeping_rank(comm, shape, memsize, spool):
     mr.collate()
     mr.reduce(lambda key, values, kv: kept.append((key, values)), out_schema=None)
     # A second job through the same communicator: the transport sends again
-    # (arena slots are reallocated) and new pages are spilled and read back.
+    # and new pages are spilled and read back.
     mr.map_items(range(2 * comm.size), lambda i, _, kv: mapper(i, kv))
     mr.collate()
     mr.reduce(lambda key, values, kv: None, out_schema=None)
